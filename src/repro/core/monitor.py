@@ -261,9 +261,10 @@ class EnforcementMonitor:
         )
         registry.counter(
             "repro_index_total",
-            "Secondary-index activity: probes (event=hit), entry rebuilds "
-            "(event=rebuild), policy partitions read (event=partition_hit) "
-            "or skipped (event=partition_skip)",
+            "Secondary-index activity: probes (event=hit), entries "
+            "revalidated for another table version (event=carried_forward) "
+            "or rebuilt (event=rebuild), policy partitions read "
+            "(event=partition_hit) or skipped (event=partition_skip)",
         )
         registry.counter(
             "repro_audit_records_total", "Records written to the audit log"
@@ -631,14 +632,16 @@ class EnforcementMonitor:
         bitmap_built = bitmap_after["built"] - bitmap_before["built"]
         bitmap_hits = bitmap_after["hits"] - bitmap_before["hits"]
         index_after = database.indexes.stats()
-        index_hits = index_after["hits"] - index_before["hits"]
-        index_rebuilds = index_after["rebuilds"] - index_before["rebuilds"]
-        partition_hits = (
-            index_after["partition_hits"] - index_before["partition_hits"]
-        )
-        partition_skips = (
-            index_after["partition_skips"] - index_before["partition_skips"]
-        )
+        index_events = {
+            event: index_after[key] - index_before[key]
+            for event, key in (
+                ("hit", "hits"),
+                ("rebuild", "rebuilds"),
+                ("carried_forward", "carried_forward"),
+                ("partition_hit", "partition_hits"),
+                ("partition_skip", "partition_skips"),
+            )
+        }
         execute_span.annotate(
             rows=len(result), checks=checks, memo_hits=memo_hits
         )
@@ -660,12 +663,7 @@ class EnforcementMonitor:
                 metrics.counter("repro_policy_bitmap_total").inc(
                     bitmap_built, event="built"
                 )
-            for event, delta in (
-                ("hit", index_hits),
-                ("rebuild", index_rebuilds),
-                ("partition_hit", partition_hits),
-                ("partition_skip", partition_skips),
-            ):
+            for event, delta in index_events.items():
                 if delta:
                     metrics.counter("repro_index_total").inc(delta, event=event)
             metrics.counter("repro_plan_cache_total").inc(
@@ -689,8 +687,8 @@ class EnforcementMonitor:
             memo_hits=memo_hits,
             bitmap_built=bitmap_built,
             bitmap_hits=bitmap_hits,
-            index_hits=index_hits,
-            partition_skips=partition_skips,
+            index_hits=index_events["hit"],
+            partition_skips=index_events["partition_skip"],
             trace=trace if trace.enabled else None,
         )
 

@@ -80,17 +80,25 @@ class SourcePlan:
     by exactly one parent through exactly one of :meth:`rows` /
     :meth:`batches` per execution, so the trace's per-node row ledger stays
     per-row-accurate in either mode.
+
+    An index scan also carries ``candidate_ids``: ``env`` → the ascending
+    row ids its probe selects (``None`` when the index is gone and every
+    row is a candidate).  A policy guard above it needs the id of each row
+    it is shown, so it resolves the ids itself and hands them back through
+    ``rows(env, ids)`` / ``batches(env, ids)`` — one probe per execution,
+    the scanned rows still counted against the scan.
     """
 
     def __init__(
         self,
         shape: RowShape,
-        producer: Callable[[Env], Iterable[tuple]],
+        producer: Callable[..., Iterable[tuple]],
         kind: str = "source",
         detail: str = "",
         children: "list[SourcePlan] | None" = None,
-        batch_producer: "Callable[[Env], Iterator[ColumnBatch]] | None" = None,
+        batch_producer: "Callable[..., Iterator[ColumnBatch]] | None" = None,
         batch_size: int | None = None,
+        candidate_ids: "Callable[[Env], list[int] | None] | None" = None,
     ):
         self.shape = shape
         self.producer = producer
@@ -99,14 +107,15 @@ class SourcePlan:
         self.children = children or []
         self.batch_producer = batch_producer
         self.batch_size = batch_size
+        self.candidate_ids = candidate_ids
 
-    def rows(self, env: Env) -> Iterable[tuple]:
+    def rows(self, env: Env, *ids) -> Iterable[tuple]:
         """Produce this node's rows for the given environment."""
         if env.trace is not None:
-            return env.trace.count_rows(self, self.producer(env))
-        return self.producer(env)
+            return env.trace.count_rows(self, self.producer(env, *ids))
+        return self.producer(env, *ids)
 
-    def batches(self, env: Env) -> Iterator[ColumnBatch]:
+    def batches(self, env: Env, *ids) -> Iterator[ColumnBatch]:
         """Produce this node's output as column batches.
 
         Falls back to chunking the row producer when the node has no
@@ -115,10 +124,10 @@ class SourcePlan:
         ANALYZE's ``rows=`` figures identical across executor modes.
         """
         if self.batch_producer is not None:
-            produced = self.batch_producer(env)
+            produced = self.batch_producer(env, *ids)
         else:
             produced = batches_from_rows(
-                self.producer(env),
+                self.producer(env, *ids),
                 self.shape.width(),
                 self.batch_size or resolve_batch_size(),
             )
@@ -754,122 +763,118 @@ class SelectExecutor:
             f"unsupported plan node {type(node).__name__}"
         )
 
-    def _compile_scan(self, node: plan_ir.Scan) -> SourcePlan:
-        table = self.database.table(node.table_name)
-        detail = table.name
+    def _scan_detail(self, table, node: plan_ir.Scan) -> str:
         if node.binding != table.name.lower():
-            detail = f"{table.name} as {node.binding}"
-        batch_size = self.batch_size
-        if node.kept is None:
-            # Read table.rows at execution time (not planning time): prepared
-            # plans are re-executed after inserts/updates replace the row list.
-            def produce_batches(env: Env) -> Iterator[ColumnBatch]:
-                rows = table.rows
-                width = node.shape.width()
-                for start in range(0, len(rows), batch_size):
-                    yield ColumnBatch.from_rows(
-                        rows[start : start + batch_size], width
-                    )
+            return f"{table.name} as {node.binding}"
+        return table.name
 
-            return SourcePlan(
-                node.shape, lambda env: table.rows, kind="SeqScan", detail=detail,
-                batch_producer=produce_batches if self.batch_mode else None,
-                batch_size=batch_size,
-            )
-        indices = [table.schema.column_index(name) for name in node.kept]
+    def _fetchers(self, table, node: plan_ir.Scan):
+        """``(rows, batches)`` emitters shared by every base-table access.
 
-        def produce(env: Env) -> Iterable[tuple]:
-            for row in table.rows:
-                yield tuple(row[index] for index in indices)
-
-        def produce_kept_batches(env: Env) -> Iterator[ColumnBatch]:
-            rows = table.rows
-            for start in range(0, len(rows), batch_size):
-                page = rows[start : start + batch_size]
-                yield ColumnBatch(
-                    [[row[index] for row in page] for index in indices],
-                    len(page),
-                )
-
-        return SourcePlan(
-            node.shape, produce, kind="SeqScan", detail=detail,
-            batch_producer=produce_kept_batches if self.batch_mode else None,
-            batch_size=batch_size,
-        )
-
-    def _compile_index_scan(self, node: plan_ir.IndexScan) -> SourcePlan:
-        """Index probe / range walk: candidate row ids → stored rows.
-
-        The matched predicate stays in the parent filter (a recheck), so
-        this node only has to narrow candidates.  If the index was dropped
-        after planning the node silently degrades to a full sequential
-        read — the recheck keeps results identical either way.
+        Each takes the visible row list and the ascending row ids to emit
+        (``None`` = every row) and applies the scan's column narrowing.
         """
-        table = self.database.table(node.table_name)
-        manager = self.database.indexes
-        detail = table.name
-        if node.binding != table.name.lower():
-            detail = f"{table.name} as {node.binding}"
-        detail += f" using {node.index_name} [{node._predicate()}]"
-        if node.estimated_rows is not None:
-            detail += f" (est={node.estimated_rows})"
+        width = node.shape.width()
         batch_size = self.batch_size
-        kept_positions = (
+        kept = (
             [table.schema.column_index(name) for name in node.kept]
             if node.kept is not None
             else None
         )
+
+        def fetch_rows(rows: list, ids: "list[int] | None") -> Iterable[tuple]:
+            source = rows if ids is None else [rows[i] for i in ids]
+            if kept is None:
+                return source
+            return (tuple(row[p] for p in kept) for row in source)
+
+        def fetch_batches(
+            rows: list, ids: "list[int] | None"
+        ) -> Iterator[ColumnBatch]:
+            source = rows if ids is None else [rows[i] for i in ids]
+            for start in range(0, len(source), batch_size):
+                page = source[start : start + batch_size]
+                if kept is None:
+                    yield ColumnBatch.from_rows(page, width)
+                else:
+                    yield ColumnBatch(
+                        [[row[p] for row in page] for p in kept], len(page)
+                    )
+
+        return fetch_rows, fetch_batches
+
+    def _compile_scan(self, node: plan_ir.Scan) -> SourcePlan:
+        table = self.database.table(node.table_name)
+        fetch_rows, fetch_batches = self._fetchers(table, node)
+        # table.rows is read at execution time (not planning time): prepared
+        # plans are re-executed after inserts/updates replace the row list.
+        return SourcePlan(
+            node.shape, lambda env: fetch_rows(table.rows, None),
+            kind="SeqScan", detail=self._scan_detail(table, node),
+            batch_producer=(
+                (lambda env: fetch_batches(table.rows, None))
+                if self.batch_mode else None
+            ),
+            batch_size=self.batch_size,
+        )
+
+    def _compile_index_scan(self, node: plan_ir.IndexScan) -> SourcePlan:
+        """Index probe / prefix or range walk: candidate row ids → rows.
+
+        The matched predicates stay in the parent filter (a recheck), so
+        this node only has to narrow candidates.  Whenever it cannot — the
+        index was dropped after planning, or the probe value cannot be
+        compared with the tree's keys — it degrades to a full sequential
+        read and the recheck decides, exactly as without the index.
+        """
+        table = self.database.table(node.table_name)
+        manager = self.database.indexes
+        detail = self._scan_detail(table, node)
+        detail += f" using {node.index_name} [{node.predicate()}]"
+        if node.estimated_rows is not None:
+            detail += f" (est={node.estimated_rows})"
+        fetch_rows, fetch_batches = self._fetchers(table, node)
         ranged = isinstance(node, plan_ir.IndexRangeScan)
+        values = node.values
+
+        def probe(env: Env) -> "list[int] | None":
+            if ranged:
+                return manager.lookup_range(
+                    node.index_name,
+                    node.lower, node.upper,
+                    node.lower_inclusive, node.upper_inclusive,
+                )
+            key = []
+            for value in values:
+                if isinstance(value, ast.Parameter):
+                    if env.params is None or value.key not in env.params:
+                        return None  # unbound: the recheck reports it
+                    value = env.params[value.key]
+                if value is None:
+                    return []  # column = NULL is never true
+                key.append(value)
+            return manager.lookup_prefix(node.index_name, tuple(key))
 
         def candidate_ids(env: Env) -> "list[int] | None":
-            # Row ids in ascending storage order, or None to degrade to a
-            # full scan.  Resolved at execution time: prepared plans are
-            # re-executed after DML rebuilds (or DDL drops) the index.
+            # Resolved at execution time: prepared plans are re-executed
+            # with new bindings, after DML and after DDL drops the index.
             try:
-                if ranged:
-                    return manager.lookup_range(
-                        node.index_name,
-                        node.lower, node.upper,
-                        node.lower_inclusive, node.upper_inclusive,
-                    )
-                return manager.lookup_equal(node.index_name, node.value)
-            except CatalogError:
-                return None  # index dropped since planning
+                return probe(env)
+            except (CatalogError, TypeError):
+                return None  # index dropped, or an incomparable probe value
 
-        def produce(env: Env) -> Iterable[tuple]:
-            rows = table.rows
-            ids = candidate_ids(env)
-            source = rows if ids is None else [rows[i] for i in ids]
-            if kept_positions is None:
-                yield from source
-            else:
-                for row in source:
-                    yield tuple(row[p] for p in kept_positions)
+        def produce(env: Env, *ids) -> Iterable[tuple]:
+            (chosen,) = ids or (candidate_ids(env),)
+            return fetch_rows(table.rows, chosen)
 
-        def page_batch(page_rows: list) -> ColumnBatch:
-            if kept_positions is None:
-                return ColumnBatch.from_rows(page_rows, node.shape.width())
-            return ColumnBatch(
-                [[row[p] for row in page_rows] for p in kept_positions],
-                len(page_rows),
-            )
-
-        def produce_batches(env: Env) -> Iterator[ColumnBatch]:
-            rows = table.rows
-            ids = candidate_ids(env)
-            if ids is None:
-                for start in range(0, len(rows), batch_size):
-                    yield page_batch(rows[start : start + batch_size])
-                return
-            for start in range(0, len(ids), batch_size):
-                yield page_batch(
-                    [rows[i] for i in ids[start : start + batch_size]]
-                )
+        def produce_batches(env: Env, *ids) -> Iterator[ColumnBatch]:
+            (chosen,) = ids or (candidate_ids(env),)
+            return fetch_batches(table.rows, chosen)
 
         return SourcePlan(
             node.shape, produce, kind=node.kind, detail=detail,
             batch_producer=produce_batches if self.batch_mode else None,
-            batch_size=batch_size,
+            batch_size=self.batch_size, candidate_ids=candidate_ids,
         )
 
     def _compile_derived(self, node: plan_ir.DerivedTable) -> SourcePlan:
@@ -937,91 +942,94 @@ class SelectExecutor:
     def _compile_policy_guard(
         self, node: plan_ir.PolicyGuard, parent_scope: Scope | None
     ) -> SourcePlan:
+        """Answer the hoisted guards from the policy bitmap: row-id sets.
+
+        The bitmap holds row ids of the guarded table, so the guard must
+        know the id of every row its scan shows it.  A sequential scan
+        shows every row in storage order (id = position in the stream); an
+        index scan shows the rows of its candidate ids, which the guard
+        resolves itself — filtering an index scan's stream *by position*
+        would test the wrong tuples' policies.
+        """
         child = self.compile_plan(node.scan, parent_scope)
         table = self.database.table(node.scan.table_name)
-        masks = [guard.args[0].bits for guard in node.guards]
         function_name = self.database.policy_function
         policy_column = self.database.policy_column
         registry = self.database.functions
         bitmaps = self.database.policy_bitmaps
         manager = self.database.indexes
         partitioned = node.partitioned
-        kept_positions = (
-            [table.schema.column_index(name) for name in node.scan.kept]
-            if node.scan.kept is not None
-            else None
-        )
+        candidate_ids = child.candidate_ids
+        fetch_rows, fetch_batches = self._fetchers(table, node.scan)
 
-        def passing_set(env: Env) -> frozenset:
-            passing: frozenset | None = None
-            for bits in masks:
-                indices = bitmaps.passing_indices(
-                    table, policy_column, bits, registry, function_name
-                )
-                passing = indices if passing is None else passing & indices
-            return passing
+        masks = tuple(guard.args[0].bits for guard in node.guards)
+
+        def passing(env: Env) -> tuple[frozenset, list[int]]:
+            # Exactly one call per execution on every path below, so the
+            # cache's per-mask hit/built accounting is path-independent.
+            return bitmaps.passing(
+                table, policy_column, masks, registry, function_name
+            )
 
         def partition_ids(env: Env) -> "list[int] | None":
             # Row ids from the policy-partitioned index's qualifying
             # partitions (ascending storage order), or None to fall back
-            # to the positional bitmap intersection.  Verdicts still come
+            # to the bitmap intersection over the scan.  Verdicts still come
             # from the bitmap cache, so the per-distinct-value UDF call
             # accounting is identical on both paths.
             if partitioned is None:
                 return None
             try:
-                return list(manager.partition_rows(partitioned, passing_set(env)))
+                return manager.partition_rows(partitioned, passing(env)[0])
             except CatalogError:
                 return None  # index dropped since planning
+
+        def scan(env: Env, pull):
+            """``(ids, stream)``: the id of each row the scan shows the
+            guard (``None`` = its position) and the scan's rows or batches,
+            pulled through the child with the ids resolved exactly once."""
+            if candidate_ids is None:
+                return None, pull(env)
+            ids = candidate_ids(env)
+            return ids, pull(env, ids)
 
         def produce(env: Env) -> Iterable[tuple]:
             ids = partition_ids(env)
             if ids is not None:
-                rows = table.rows
-                if kept_positions is None:
-                    for i in ids:
-                        yield rows[i]
-                else:
-                    for i in ids:
-                        row = rows[i]
-                        yield tuple(row[p] for p in kept_positions)
+                yield from fetch_rows(table.rows, ids)
                 return
-            passing = passing_set(env)
-            for index, row in enumerate(child.rows(env)):
-                if index in passing:
+            allowed, _ = passing(env)
+            ids, rows = scan(env, child.rows)
+            for row_id, row in enumerate(rows) if ids is None else zip(ids, rows):
+                if row_id in allowed:
                     yield row
 
         batch_producer = None
         if self.batch_mode:
-            batch_size = self.batch_size
 
             def produce_batches(env: Env) -> Iterator[ColumnBatch]:
                 ids = partition_ids(env)
                 if ids is not None:
-                    rows = table.rows
-                    for start in range(0, len(ids), batch_size):
-                        page = ids[start : start + batch_size]
-                        if kept_positions is None:
-                            yield ColumnBatch.from_rows(
-                                [rows[i] for i in page],
-                                node.scan.shape.width(),
-                            )
-                        else:
-                            yield ColumnBatch(
-                                [
-                                    [rows[i][p] for i in page]
-                                    for p in kept_positions
-                                ],
-                                len(page),
-                            )
+                    yield from fetch_batches(table.rows, ids)
                     return
-                # One bitmap lookup per mask per *execution* — the cache
-                # already collapses the BitString AND to one evaluation per
-                # distinct policy value, so a batch costs a sorted-slice of
-                # the passing set rather than a membership probe per row.
-                ordered = sorted(passing_set(env))
+                allowed, ordered = passing(env)
+                ids, batches = scan(env, child.batches)
                 offset = 0
-                for batch in child.batches(env):
+                if ids is not None:
+                    for batch in batches:
+                        page = ids[offset : offset + batch.length]
+                        offset += batch.length
+                        keep = [k for k, i in enumerate(page) if i in allowed]
+                        if len(keep) == batch.length:
+                            yield batch
+                        elif keep:
+                            yield batch.take(keep)
+                    return
+                # The cache already collapses the BitString AND to one
+                # evaluation per distinct policy value, so a batch costs a
+                # slice of the ascending passing list rather than a
+                # membership probe per row.
+                for batch in batches:
                     length = batch.length
                     lo = bisect_left(ordered, offset)
                     hi = bisect_left(ordered, offset + length)

@@ -3,13 +3,14 @@
 The subsystem mirrors the layering of the rest of the engine:
 
 * :mod:`~repro.engine.index.btree` — an order-preserving B+-tree over one
-  key (point and range lookups);
+  (possibly composite) key: point, prefix and range lookups;
 * :mod:`~repro.engine.index.hash` — an equality-only hash index;
 * :mod:`~repro.engine.index.statistics` — per-table/column statistics
   (row counts, NDV, min/max, equi-depth histograms) collected by
   ``ANALYZE`` and consumed by the optimizer's cost model;
 * :mod:`~repro.engine.index.manager` — the :class:`IndexManager` owning
-  index lifecycles, lazy version-keyed maintenance and the
+  index lifecycles, lazy maintenance (entries revalidated against the
+  visible rows, rebuilt only when a key moved) and the
   policy-partitioned row layout.
 
 Mode resolution follows the optimizer's and executor's explicit/env/default

@@ -6,12 +6,17 @@ walks siblings.  Duplicate keys are collapsed into one leaf slot holding
 the list of matching row ids (appended in row order, so per-key posting
 lists are ascending).
 
-The tree is insert-only: the :class:`~repro.engine.index.manager
-.IndexManager` never mutates a built tree after a DML statement — row
-storage changes bump ``Table.version`` and the whole entry is lazily
-rebuilt on next use, the same staleness protocol the policy bitmap cache
-uses.  That keeps the structure tiny (no rebalancing deletes) without
-giving up transparent maintenance.
+The tree is insert-only.  The :class:`~repro.engine.index.manager
+.IndexManager` keeps a built tree across row-storage changes for as long
+as it is still exact for the new row list — unchanged keys at unchanged
+positions, appended rows inserted at the tail — and rebuilds it from
+scratch otherwise (a delete, a key-changing update).  That keeps the
+structure tiny (no rebalancing deletes) without giving up transparent
+maintenance.
+
+Composite keys are tuples; :meth:`BTreeIndex.prefix` serves equality on a
+leading subset of the key columns by walking the leaves while the prefix
+matches.
 """
 
 from __future__ import annotations
@@ -119,6 +124,21 @@ class BTreeIndex:
             return list(leaf.postings[slot])
         return []
 
+    def _scan_from(
+        self, lower=None, inclusive: bool = True
+    ) -> Iterator[tuple[object, list[int]]]:
+        """``(key, posting list)`` pairs from ``lower`` on, in key order."""
+        if lower is None:
+            leaf, slot = self._first, 0
+        else:
+            leaf = self._leaf_for(lower)
+            bisect = bisect_left if inclusive else bisect_right
+            slot = bisect(leaf.keys, lower)
+        while leaf is not None:
+            yield from zip(leaf.keys[slot:], leaf.postings[slot:])
+            leaf = leaf.next
+            slot = 0
+
     def range(
         self,
         lower=None,
@@ -133,26 +153,28 @@ class BTreeIndex:
         sequential scan plus filter would.
         """
         matches: list[int] = []
-        if lower is None:
-            leaf, slot = self._first, 0
-        else:
-            leaf = self._leaf_for(lower)
-            if lower_inclusive:
-                slot = bisect_left(leaf.keys, lower)
-            else:
-                slot = bisect_right(leaf.keys, lower)
-        while leaf is not None:
-            while slot < len(leaf.keys):
-                key = leaf.keys[slot]
-                if upper is not None and (
-                    key > upper or (not upper_inclusive and key == upper)
-                ):
-                    matches.sort()
-                    return matches
-                matches.extend(leaf.postings[slot])
-                slot += 1
-            leaf = leaf.next
-            slot = 0
+        for key, posting in self._scan_from(lower, lower_inclusive):
+            if upper is not None and (
+                key > upper or (not upper_inclusive and key == upper)
+            ):
+                break
+            matches.extend(posting)
+        matches.sort()
+        return matches
+
+    def prefix(self, prefix: tuple) -> list[int]:
+        """Row ids (ascending) whose composite key starts with ``prefix``.
+
+        A proper prefix sorts immediately before every key it starts, so
+        one descent finds the first match and the leaf chain holds the
+        rest contiguously.
+        """
+        width = len(prefix)
+        matches: list[int] = []
+        for key, posting in self._scan_from(prefix):
+            if key[:width] != prefix:
+                break
+            matches.extend(posting)
         matches.sort()
         return matches
 
@@ -160,10 +182,7 @@ class BTreeIndex:
 
     def items(self) -> Iterator[tuple[object, list[int]]]:
         """``(key, posting list)`` pairs in ascending key order."""
-        leaf: _Leaf | None = self._first
-        while leaf is not None:
-            yield from zip(leaf.keys, leaf.postings)
-            leaf = leaf.next
+        return self._scan_from()
 
     @property
     def height(self) -> int:

@@ -1,8 +1,9 @@
 """An equality-only hash index.
 
 One dict from key to its ascending row-id posting list.  Like the B+-tree
-this structure is insert-only: staleness after DML is handled by the
-manager's version-keyed lazy rebuild, not by in-place maintenance.
+this structure is insert-only: after DML the manager revalidates the
+entry against the new rows (inserting appended ones) or rebuilds it; a
+key is never removed in place.
 """
 
 from __future__ import annotations

@@ -5,12 +5,24 @@ index *definition* (name, table, key columns, structure kind, optional
 policy partitioning) is durable catalog state — it survives DML, is
 persisted by :mod:`repro.engine.persist` and round-trips through ``CREATE
 INDEX`` / ``DROP INDEX``.  The built *entry* (the B+-tree / hash structure
-plus the partition layout) is a cache keyed on ``Table.version``:
+plus the partition layout) is a cache that remembers the row list it
+describes:
 
-* DML maintenance is transparent — every write path bumps the version, so
-  the next lookup rebuilds the entry from current rows (the PolicyBitmap-
-  Cache protocol, extended to indexes);
+* a lookup at the ``Table.version`` the entry was last validated for is a
+  plain probe;
+* at any other version (a commit, a policy change, a snapshot reading an
+  older state, a staged overlay) the entry is **revalidated** against the
+  visible row list instead of rebuilt.  The structure maps key → row
+  position, so it is exact for another list iff every position up to the
+  built length holds either the very same tuple object (``update_rows``
+  and ``rows_as_of`` reuse unchanged tuples) or a tuple with the same key
+  (and, for partitioned layouts, policy) values; rows appended past the
+  built length are inserted.  Anything else — a delete, a key-changing
+  update, a schema change — rebuilds from scratch;
 * a dropped-and-recreated index or table never serves stale row ids.
+
+Entries are mutated in place when carried forward, so every lookup
+validates and probes under the manager lock.
 
 **Policy-partitioned indexes** additionally group the table's row ids by
 the exact value of the policy-mask column.  Because a hoisted
@@ -28,6 +40,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from heapq import merge
+from itertools import compress
+from operator import is_not
 from typing import TYPE_CHECKING
 
 from ...errors import CatalogError, ExecutionError
@@ -81,13 +95,70 @@ class IndexDefinition:
 
 
 class _IndexEntry:
-    """A built index structure plus (optionally) its policy partitions."""
+    """A built index structure plus (optionally) its policy partitions.
 
-    __slots__ = ("structure", "partitions")
+    ``rows`` is the row list the entry was last validated against and
+    ``length`` how many of its rows are indexed: append commits extend the
+    committed list *in place*, so the retained list may have grown since.
+    """
 
-    def __init__(self, structure, partitions: dict | None):
-        self.structure = structure
-        self.partitions = partitions
+    __slots__ = (
+        "definition", "schema", "structure", "partitions",
+        "version", "rows", "length",
+    )
+
+    def __init__(self, definition: IndexDefinition, schema):
+        self.definition = definition
+        self.schema = schema
+        self.structure = (
+            BTreeIndex() if definition.kind == "btree" else HashIndex()
+        )
+        self.partitions: dict | None = (
+            {} if definition.partitioned_by is not None else None
+        )
+        self.version: object = None
+        self.rows: list = []
+        self.length = 0
+
+    def positions(self) -> list[int]:
+        """Schema positions of the key columns, then the partition column."""
+        columns = list(self.definition.columns)
+        if self.definition.partitioned_by is not None:
+            columns.append(self.definition.partitioned_by)
+        return [self.schema.column_index(c) for c in columns]
+
+    def extend(self, rows: list) -> None:
+        """Index ``rows[self.length:]`` and adopt ``rows`` as the row list."""
+        positions = self.positions()
+        partitions = self.partitions
+        if partitions is not None:
+            partition_position = positions.pop()
+        single = len(positions) == 1
+        insert = self.structure.insert
+        for row_id in range(self.length, len(rows)):
+            row = rows[row_id]
+            key = tuple(row[p] for p in positions)
+            if None not in key:
+                insert(key[0] if single else key, row_id)
+            if partitions is not None:
+                partitions.setdefault(row[partition_position], []).append(row_id)
+        self.rows = rows
+        self.length = len(rows)
+
+    def carry_forward(self, rows: list) -> bool:
+        """Make the entry describe ``rows`` if that needs no rebuild."""
+        old, length = self.rows, self.length
+        if len(rows) < length:
+            return False
+        if rows is not old:
+            positions = self.positions()
+            # The positions holding another tuple object (a C-speed pass).
+            for row_id in compress(range(length), map(is_not, old, rows)):
+                before, after = old[row_id], rows[row_id]
+                if any(before[p] != after[p] for p in positions):
+                    return False
+        self.extend(rows)
+        return True
 
 
 class IndexManager:
@@ -97,13 +168,14 @@ class IndexManager:
         self._database = database
         self._lock = threading.RLock()
         self._definitions: dict[str, IndexDefinition] = {}
-        self._entries: dict[
-            str, tuple[object, IndexDefinition, _IndexEntry]
-        ] = {}
+        self._entries: dict[str, _IndexEntry] = {}
         # Monotonic counters, reported like the bitmap cache's stats() so
         # the monitor and metrics layer can take per-execution deltas.
+        # Every lookup is a hit; one that found the entry at another table
+        # version also counts a carry-forward (revalidated) or a rebuild.
         self._hits = 0
         self._rebuilds = 0
+        self._carried_forward = 0
         self._partition_hits = 0
         self._partition_skips = 0
 
@@ -252,46 +324,61 @@ class IndexManager:
     # -- build cache -----------------------------------------------------------
 
     def _entry(self, definition: IndexDefinition) -> _IndexEntry:
-        table = self._database.table(definition.table)
-        with self._lock:
-            cached = self._entries.get(definition.name)
-            if (
-                cached is not None
-                and cached[0] == table.version
-                and cached[1] == definition
-            ):
-                return cached[2]
-            entry = self._build(definition, table)
-            self._entries[definition.name] = (table.version, definition, entry)
-            self._rebuilds += 1
-            return entry
+        """The entry for ``definition``, exact for the visible rows.
 
-    def _build(self, definition: IndexDefinition, table: "Table") -> _IndexEntry:
-        schema = table.schema
-        positions = [schema.column_index(c) for c in definition.columns]
-        structure = BTreeIndex() if definition.kind == "btree" else HashIndex()
-        partitions: dict | None = None
-        partition_position = None
-        if definition.partitioned_by is not None:
-            partitions = {}
-            partition_position = schema.column_index(definition.partitioned_by)
-        for row_id, row in enumerate(table.rows):
-            key_values = [row[p] for p in positions]
-            if all(value is not None for value in key_values):
-                key = key_values[0] if len(key_values) == 1 else tuple(key_values)
-                structure.insert(key, row_id)
-            if partitions is not None:
-                partitions.setdefault(row[partition_position], []).append(row_id)
-        return _IndexEntry(structure, partitions)
+        Callers hold the manager lock until they are done probing: a
+        concurrent lookup at another snapshot may carry the entry forward
+        (insert into the tree) at any time.
+        """
+        table = self._database.table(definition.table)
+        version, rows, schema = table.version, table.rows, table.schema
+        entry = self._entries.get(definition.name)
+        if (
+            entry is not None
+            and entry.definition == definition
+            and entry.schema is schema
+        ):
+            if entry.version == version:
+                return entry
+            if entry.carry_forward(rows):
+                entry.version = version
+                self._carried_forward += 1
+                return entry
+        entry = _IndexEntry(definition, schema)
+        entry.extend(rows)
+        entry.version = version
+        self._entries[definition.name] = entry
+        self._rebuilds += 1
+        return entry
 
     # -- lookups ---------------------------------------------------------------
 
     def lookup_equal(self, name: str, key) -> list[int]:
-        """Row ids (ascending) matching ``key`` on index ``name``."""
-        entry = self._entry(self.get(name))
+        """Row ids (ascending) matching ``key`` on index ``name``.
+
+        ``key`` is the column value for a single-column index and the tuple
+        of column values for a composite one.
+        """
+        definition = self.get(name)
         with self._lock:
             self._hits += 1
-        return entry.structure.search(key)
+            return self._entry(definition).structure.search(key)
+
+    def lookup_prefix(self, name: str, prefix: tuple) -> list[int]:
+        """Row ids (ascending) whose leading key columns equal ``prefix``.
+
+        A prefix covering every key column is an equality probe (either
+        structure); a shorter one walks the leaves of a B-tree.
+        """
+        definition = self.get(name)
+        if len(prefix) == len(definition.columns):
+            return self.lookup_equal(
+                name, prefix[0] if len(prefix) == 1 else prefix
+            )
+        self._require_btree(definition, "prefix")
+        with self._lock:
+            self._hits += 1
+            return self._entry(definition).structure.prefix(prefix)
 
     def lookup_range(
         self,
@@ -303,17 +390,20 @@ class IndexManager:
     ) -> list[int]:
         """Row ids (ascending) inside the bound pair on B-tree index ``name``."""
         definition = self.get(name)
+        self._require_btree(definition, "range")
+        with self._lock:
+            self._hits += 1
+            return self._entry(definition).structure.range(
+                lower, upper, lower_inclusive, upper_inclusive
+            )
+
+    @staticmethod
+    def _require_btree(definition: IndexDefinition, access: str) -> None:
         if definition.kind != "btree":
             raise ExecutionError(
                 f"index {definition.name!r} ({definition.kind}) does not "
-                f"support range lookups"
+                f"support {access} lookups"
             )
-        entry = self._entry(definition)
-        with self._lock:
-            self._hits += 1
-        return entry.structure.range(
-            lower, upper, lower_inclusive, upper_inclusive
-        )
 
     def partition_rows(self, name: str, passing) -> list[int]:
         """Row ids of every partition whose policy value passes the guards.
@@ -329,39 +419,42 @@ class IndexManager:
         definition = self.get(name)
         if not definition.partitioned:
             raise ExecutionError(f"index {definition.name!r} is not partitioned")
-        entry = self._entry(definition)
-        qualifying = []
-        skipped = 0
-        for rows in entry.partitions.values():
-            if rows and rows[0] in passing:
-                qualifying.append(rows)
-            else:
-                skipped += 1
         with self._lock:
+            entry = self._entry(definition)
+            qualifying = []
+            skipped = 0
+            for rows in entry.partitions.values():
+                if rows and rows[0] in passing:
+                    qualifying.append(rows)
+                else:
+                    skipped += 1
             self._hits += 1
             self._partition_hits += len(qualifying)
             self._partition_skips += skipped
-        if len(qualifying) == 1:
-            return list(qualifying[0])
-        return list(merge(*qualifying))
+            if len(qualifying) == 1:
+                return list(qualifying[0])
+            return list(merge(*qualifying))
 
     def partition_count(self, name: str) -> int:
         """Number of distinct policy values in a partitioned index."""
         definition = self.get(name)
         if not definition.partitioned:
             return 0
-        return len(self._entry(definition).partitions)
+        with self._lock:
+            return len(self._entry(definition).partitions)
 
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Monotonic lookup/rebuild/partition counters plus catalog sizes."""
+        """Monotonic lookup/rebuild/carry-forward/partition counters plus
+        catalog sizes."""
         with self._lock:
             return {
                 "definitions": len(self._definitions),
                 "built": len(self._entries),
                 "hits": self._hits,
                 "rebuilds": self._rebuilds,
+                "carried_forward": self._carried_forward,
                 "partition_hits": self._partition_hits,
                 "partition_skips": self._partition_skips,
             }
@@ -375,10 +468,10 @@ class IndexManager:
             info = definition.to_dict()
             info["built"] = built is not None
             if built is not None:
-                info["version"] = built[0]
-                info["distinct_keys"] = len(built[2].structure)
-                if built[2].partitions is not None:
-                    info["partitions"] = len(built[2].partitions)
+                info["version"] = built.version
+                info["distinct_keys"] = len(built.structure)
+                if built.partitions is not None:
+                    info["partitions"] = len(built.partitions)
             out.append(info)
         return out
 

@@ -3,7 +3,7 @@
 ``dump``/``load`` serialize the whole catalog — schemas, rows, the
 ``BIT VARYING`` policy masks and secondary-index *definitions* — to a JSON
 document or file.  Index entries themselves are not serialized: they are
-derived state, rebuilt lazily (version-keyed) on first use after the load.
+derived state, built lazily on first use after the load.
 Registered functions are *not* serialized (code doesn't round-trip through
 JSON); reattach UDFs after loading, e.g. by rebuilding the access-control
 manager with :meth:`repro.core.admin.AccessControlManager.from_existing`.

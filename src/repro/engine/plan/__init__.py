@@ -34,6 +34,7 @@ from .optimizer import (
     FULL_PASSES,
     OPTIMIZER_ENV,
     Optimizer,
+    check_access_paths,
     resolve_optimizer_mode,
     split_equi_condition,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "SetOp",
     "Sort",
     "Values",
+    "check_access_paths",
     "has_outer_join",
     "resolve_optimizer_mode",
     "split_equi_condition",

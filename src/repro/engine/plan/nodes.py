@@ -111,15 +111,22 @@ class Scan(LogicalNode):
 
 
 class IndexScan(Scan):
-    """An equality probe of a secondary index (``column = literal``).
+    """An equality probe of a secondary index.
+
+    ``columns`` is the leading run of the index's key columns the probe
+    binds — all of them (one tree descent / hash probe) or, on a B-tree, a
+    proper prefix (a leaf walk while the prefix matches).  ``values`` holds
+    one entry per column: the literal's value, or the :class:`ast.Parameter`
+    itself, resolved from the parameter environment on every execution so
+    one prepared plan probes with each binding.
 
     Subclasses :class:`Scan` so every shape/pruning pass that handles
     scans handles index scans identically; the executor compiles it into a
     row-id lookup against the :class:`~repro.engine.index.IndexManager`
-    instead of a sequential walk.  The matched conjunct deliberately stays
-    in the residual filter (a *recheck*): the index only narrows the
-    candidate rows, so dropping the index — or a stale entry rebuilding
-    mid-flight — can never change results.
+    instead of a sequential walk.  The ``matched`` conjuncts deliberately
+    stay in the residual filter (a *recheck*): the index only narrows the
+    candidate rows, so dropping the index — or probing with a value the
+    tree cannot compare — can never change results.
     """
 
     kind = "IndexScan"
@@ -128,30 +135,42 @@ class IndexScan(Scan):
         self,
         scan: Scan,
         index_name: str,
-        column: str,
-        value: object,
+        columns: tuple[str, ...],
+        values: tuple[object, ...],
         estimated_rows: int | None = None,
+        matched: tuple[ast.Expression, ...] = (),
     ):
         super().__init__(scan.table_name, scan.binding, scan.shape)
         self.kept = scan.kept
         self.index_name = index_name
-        self.column = column
-        self.value = value
+        self.columns = columns
+        self.values = values
         self.estimated_rows = estimated_rows
+        self.matched = matched
 
-    def _predicate(self) -> str:
-        return f"{self.column} = {_print(ast.Literal(self.value))}"
+    def predicate(self) -> str:
+        """The probed condition, as EXPLAIN shows it."""
+        return " and ".join(
+            f"{column} = {_print_value(value)}"
+            for column, value in zip(self.columns, self.values)
+        )
 
     def label(self) -> str:
         text = f"{self.kind} {self.table_name}"
         if self.binding != self.table_name.lower():
             text += f" as {self.binding}"
-        text += f" using {self.index_name} [{self._predicate()}]"
+        text += f" using {self.index_name} [{self.predicate()}]"
         if self.estimated_rows is not None:
             text += f" (est={self.estimated_rows})"
         if self.kept is not None:
             text += f" (cols: {', '.join(self.kept)})"
         return text
+
+
+def _print_value(value: object) -> str:
+    if isinstance(value, ast.Parameter):
+        return _print(value)
+    return _print(ast.Literal(value))
 
 
 class IndexRangeScan(IndexScan):
@@ -174,22 +193,26 @@ class IndexRangeScan(IndexScan):
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
         estimated_rows: int | None = None,
+        matched: tuple[ast.Expression, ...] = (),
     ):
-        super().__init__(scan, index_name, column, None, estimated_rows)
+        super().__init__(
+            scan, index_name, (column,), (), estimated_rows, matched
+        )
         self.lower = lower
         self.upper = upper
         self.lower_inclusive = lower_inclusive
         self.upper_inclusive = upper_inclusive
 
-    def _predicate(self) -> str:
+    def predicate(self) -> str:
+        (column,) = self.columns
         parts = []
         if self.lower is not None:
             op = ">=" if self.lower_inclusive else ">"
-            parts.append(f"{self.column} {op} {_print(ast.Literal(self.lower))}")
+            parts.append(f"{column} {op} {_print_value(self.lower)}")
         if self.upper is not None:
             op = "<=" if self.upper_inclusive else "<"
-            parts.append(f"{self.column} {op} {_print(ast.Literal(self.upper))}")
-        return " and ".join(parts) if parts else f"{self.column} unbounded"
+            parts.append(f"{column} {op} {_print_value(self.upper)}")
+        return " and ".join(parts) if parts else f"{column} unbounded"
 
 
 class DerivedTable(LogicalNode):
@@ -281,6 +304,14 @@ class PolicyGuard(LogicalNode):
     :class:`~repro.engine.plan.bitmap.PolicyBitmapCache` — one UDF call per
     *distinct* policy value per mask, then a row-index set intersection —
     instead of one UDF call per row.
+
+    The bitmap is a set of *row ids* of the guarded table, so ``scan`` must
+    produce that table's rows with nothing in between: either every row in
+    storage order (a :class:`Scan`, ids are positions) or an access path
+    that knows the id of each row it yields (an :class:`IndexScan`, whose
+    candidates the guard intersects with the bitmap).  ``table_name`` and
+    ``binding`` pin the guarded table so the optimizer can assert that a
+    replaced ``scan`` still reads it.
     """
 
     kind = "PolicyGuard"
@@ -288,6 +319,8 @@ class PolicyGuard(LogicalNode):
     def __init__(self, guards: list[ast.FunctionCall], scan: Scan):
         self.guards = guards
         self.scan = scan
+        self.table_name = scan.table_name
+        self.binding = scan.binding
         #: Name of a policy-partitioned index the executor may prune with:
         #: whole partitions (runs of row ids sharing one policy value) are
         #: skipped when the bitmap says their value fails the mask.  Set by

@@ -16,7 +16,8 @@ passes the IR makes expressible:
    :class:`~repro.engine.plan.bitmap.PolicyBitmapCache` answers them with a
    row-index set instead of per-row UDF calls.
 4. ``access_path_selection`` — cost-based access paths (DESIGN.md §13):
-   convert a pushed filter's scan into an :class:`IndexScan` /
+   convert a pushed filter's scan — directly below it, or below the
+   :class:`PolicyGuard` between them — into an :class:`IndexScan` /
    :class:`IndexRangeScan` when a matching secondary index exists and the
    estimated selectivity (from ``ANALYZE`` statistics, with heuristic
    defaults) is favorable, and mark :class:`PolicyGuard` nodes whose table
@@ -268,10 +269,20 @@ class Optimizer:
         def visit(node: LogicalNode) -> LogicalNode:
             if isinstance(node, Filter):
                 node.input = visit(node.input)
-                if node.pushed and type(node.input) is Scan:
-                    replacement = self._select_index_path(block, node)
-                    if replacement is not None:
-                        node.input = replacement
+                below = node.input
+                if node.pushed and type(below) is Scan:
+                    node.input = self._select_index_path(block, node, below)
+                elif (
+                    node.pushed
+                    and isinstance(below, PolicyGuard)
+                    and type(below.scan) is Scan
+                    and below.partitioned is None
+                ):
+                    # An access path under the guard shows it a subset of
+                    # the tuples it would have seen, each with its row id.
+                    below.scan = self._select_index_path(
+                        block, node, below.scan
+                    )
                 return node
             if isinstance(node, PolicyGuard):
                 defn = manager.partitioned_for(node.scan.table_name)
@@ -290,69 +301,64 @@ class Optimizer:
         previous_root = block.source_root
         block.source_root = visit(block.source_root)
         self._rewire_spine(block, previous_root)
+        if __debug__:
+            check_access_paths(block)
 
     def _select_index_path(
-        self, block: BlockPlan, filter_node: Filter
-    ) -> Scan | None:
-        """The cheapest index access path for a pushed filter's scan.
+        self, block: BlockPlan, filter_node: Filter, scan: Scan
+    ) -> Scan:
+        """The cheapest index access path for a pushed filter's scan, or
+        ``scan`` itself when none qualifies.
 
-        The matched conjunct stays in the filter as a recheck, so the
+        The matched conjuncts stay in the filter as a recheck, so the
         conversion can only narrow the candidate set — never change
         results.  Scans whose residual calls the policy UDF are left alone:
         narrowing the rows the residual sees would change the per-row call
         count the differential harness audits.
         """
-        scan = filter_node.input
-        assert isinstance(scan, Scan)
         conjuncts = filter_node.conjuncts or []
-        if not conjuncts:
-            return None
         function_name = getattr(self.database, "policy_function", None)
         if function_name and any(
             _references_function(conjunct, function_name)
             for conjunct in conjuncts
         ):
-            return None
-        manager = self.database.indexes
+            return scan
         try:
             table = self.database.table(scan.table_name)
         except CatalogError:
-            return None
+            return scan
         row_count = len(table.rows)
         stats = self.database.statistics.fresh(table)
 
-        best: tuple[int, object, str, tuple] | None = None
-        for conjunct in conjuncts:
-            candidate = _index_candidate(conjunct, scan.binding)
-            if candidate is None:
+        # The lowest estimate wins; among equals the path binding more key
+        # columns, then the earlier conjunct, then hash over tree.
+        best_rank: tuple | None = None
+        best: IndexScan | None = None
+        for path, tree in _access_paths(
+            self.database.indexes.for_table(scan.table_name), conjuncts, scan
+        ):
+            path.estimated_rows = _estimate_path(stats, row_count, path)
+            if (
+                row_count
+                and path.estimated_rows / row_count
+                > INDEX_SELECTIVITY_THRESHOLD
+            ):
                 continue
-            column, spec = candidate
-            defn = _find_index(manager, scan.table_name, column, spec[0])
-            if defn is None:
-                continue
-            estimated = _estimate_candidate(stats, row_count, column, spec)
-            if row_count and estimated / row_count > INDEX_SELECTIVITY_THRESHOLD:
-                continue
-            if best is None or estimated < best[0]:
-                best = (estimated, defn, column, spec)
+            rank = (
+                path.estimated_rows,
+                -len(path.values),
+                min(conjuncts.index(c) for c in path.matched),
+                tree,
+            )
+            if best_rank is None or rank < best_rank:
+                best_rank, best = rank, path
         if best is None:
-            return None
-        estimated, defn, column, spec = best
-        if spec[0] == "eq":
-            replacement: IndexScan = IndexScan(
-                scan, defn.name, column, spec[1], estimated
-            )
-        else:
-            _, lower, upper, lower_inclusive, upper_inclusive = spec
-            replacement = IndexRangeScan(
-                scan, defn.name, column,
-                lower, upper, lower_inclusive, upper_inclusive, estimated,
-            )
+            return scan
         block.notes.append(
-            f"access_path_selection: {scan.binding} via {replacement.kind} "
-            f"on {defn.name} (est={estimated})"
+            f"access_path_selection: {scan.binding} via {best.kind} "
+            f"on {best.index_name} (est={best.estimated_rows})"
         )
-        return replacement
+        return best
 
     # -- hash-join selection -----------------------------------------------------
 
@@ -424,10 +430,13 @@ class Optimizer:
             base = self._estimate_rows(node.input)
             if base is None:
                 return None
+            below = node.input
+            if isinstance(below, PolicyGuard):
+                below = below.scan
             count = len(node.conjuncts or [])
-            if isinstance(node.input, IndexScan) and count:
-                count -= 1  # the matched conjunct is a recheck, counted already
-            if not count:
+            if isinstance(below, IndexScan):
+                count -= len(below.matched)  # rechecks, counted already
+            if count <= 0:
                 return base
             return max(1, round(base * (0.33 ** count)))
         if isinstance(node, PolicyGuard):
@@ -576,20 +585,23 @@ def _index_candidate(
     """Match a conjunct against the indexable predicate shapes.
 
     Returns ``(column, spec)`` where ``spec`` is ``("eq", value)`` or
-    ``("range", lower, upper, lower_inclusive, upper_inclusive)``; only
-    column-vs-literal comparisons qualify (parameters re-bind per
-    execution, so a prepared plan must not bake their values into an
-    access path).
+    ``("range", lower, upper, lower_inclusive, upper_inclusive)``.  An
+    equality may compare the column with a literal or with a parameter —
+    ``value`` is then the :class:`ast.Parameter`, which the index scan
+    resolves on every execution (the plan bakes in no binding); ranges
+    take literals only.
     """
     if isinstance(conjunct, ast.BinaryOp):
         left, right, op = conjunct.left, conjunct.right, conjunct.op
         if op == "=":
-            column = _scan_column(left, binding)
-            if column is not None and isinstance(right, ast.Literal):
-                return column, ("eq", right.value)
-            column = _scan_column(right, binding)
-            if column is not None and isinstance(left, ast.Literal):
-                return column, ("eq", left.value)
+            for column_side, value_side in ((left, right), (right, left)):
+                column = _scan_column(column_side, binding)
+                if column is None:
+                    continue
+                if isinstance(value_side, ast.Literal):
+                    return column, ("eq", value_side.value)
+                if isinstance(value_side, ast.Parameter):
+                    return column, ("eq", value_side)
             return None
         if op in _RANGE_OPS:
             column = _scan_column(left, binding)
@@ -637,39 +649,115 @@ def _index_candidate(
     return None
 
 
-def _find_index(manager, table_name: str, column: str, access: str):
-    """The best single-column index for ``column``: hash wins equality
-    probes, only a B-tree can serve a range."""
-    equality = access == "eq"
-    best = None
-    for defn in manager.for_table(table_name):
-        if len(defn.columns) != 1 or defn.columns[0] != column:
+def _access_paths(definitions, conjuncts: list, scan: Scan):
+    """Every index access path the conjuncts admit, estimates unset.
+
+    An equality path binds the longest leading run of an index's key
+    columns that equality conjuncts cover: the whole key on either
+    structure, a proper prefix on a B-tree only.  A range path needs a
+    single-column B-tree.  Yields ``(path, tree)``; ``tree`` is false for
+    a hash index, which beats a tree for the same equality (an O(1) probe
+    against a descent).
+    """
+    equalities: dict[str, tuple[object, ast.Expression]] = {}
+    ranges: list[tuple[str, tuple, ast.Expression]] = []
+    for conjunct in conjuncts:
+        candidate = _index_candidate(conjunct, scan.binding)
+        if candidate is None:
             continue
-        if defn.kind == "hash":
-            if equality:
-                return defn  # O(1) probe beats the tree descent
-            continue
-        if best is None:
-            best = defn
-    return best
+        column, spec = candidate
+        if spec[0] == "eq":
+            equalities.setdefault(column, (spec[1], conjunct))
+        else:
+            ranges.append((column, spec, conjunct))
+    for defn in definitions:
+        bound = 0
+        while bound < len(defn.columns) and defn.columns[bound] in equalities:
+            bound += 1
+        if bound == len(defn.columns) or (bound and defn.kind == "btree"):
+            columns = defn.columns[:bound]
+            yield IndexScan(
+                scan, defn.name, columns,
+                tuple(equalities[c][0] for c in columns),
+                matched=tuple(equalities[c][1] for c in columns),
+            ), defn.kind == "btree"
+        if defn.kind == "btree" and len(defn.columns) == 1:
+            for column, spec, conjunct in ranges:
+                if column == defn.columns[0]:
+                    yield IndexRangeScan(
+                        scan, defn.name, column, *spec[1:], matched=(conjunct,)
+                    ), True
 
 
-def _estimate_candidate(stats, row_count: int, column: str, spec: tuple) -> int:
-    """Estimated matching rows: fresh statistics, else heuristic defaults."""
-    if spec[0] == "eq":
+def _estimate_path(stats, row_count: int, path: IndexScan) -> int:
+    """Estimated matching rows: fresh statistics, else heuristic defaults.
+
+    A parameter's value is unknown at plan time, so it is estimated from
+    the column's NDV alone; the key columns of a composite probe are
+    treated as independent.
+    """
+    if isinstance(path, IndexRangeScan):
         if stats is not None:
-            estimated = stats.estimate_equal(column, spec[1])
+            estimated = stats.estimate_range(
+                path.columns[0], path.lower, path.upper,
+                path.lower_inclusive, path.upper_inclusive,
+            )
             if estimated is not None:
                 return estimated
-        return max(1, round(row_count * DEFAULT_EQUALITY_SELECTIVITY))
-    _, lower, upper, lower_inclusive, upper_inclusive = spec
-    if stats is not None:
-        estimated = stats.estimate_range(
-            column, lower, upper, lower_inclusive, upper_inclusive
+        return max(1, round(row_count * DEFAULT_RANGE_SELECTIVITY))
+    fraction = 1.0
+    for column, value in zip(path.columns, path.values):
+        estimated = None
+        if stats is not None:
+            estimated = stats.estimate_equal(
+                column, None if isinstance(value, ast.Parameter) else value
+            )
+        if estimated is None:
+            fraction *= DEFAULT_EQUALITY_SELECTIVITY
+        elif estimated == 0:
+            return 0
+        else:
+            fraction *= estimated / row_count
+    return max(1, round(row_count * fraction))
+
+
+def check_access_paths(block: BlockPlan) -> None:
+    """Assert the invariants that make an access path compliance-preserving.
+
+    Every :class:`PolicyGuard` sits directly on a scan (sequential or
+    index) of its own table — the bitmap it answers from holds that
+    table's row ids — and every index scan is the access path of a pushed
+    filter that still holds each conjunct the index matched, so the index
+    only ever narrows what the recheck and the guard see.
+    """
+    rechecked: set[int] = set()
+    nodes = list(_block_nodes(block.source_root))
+    for node in nodes:
+        if isinstance(node, PolicyGuard):
+            scan = node.scan
+            assert isinstance(scan, Scan), (
+                f"PolicyGuard on {node.binding} reads a {scan.kind}, not a scan"
+            )
+            assert (scan.table_name, scan.binding) == (
+                node.table_name, node.binding,
+            ), f"PolicyGuard on {node.binding} reads {scan.binding}"
+            assert node.partitioned is None or type(scan) is Scan, (
+                f"PolicyGuard on {node.binding} has two access paths"
+            )
+        if isinstance(node, Filter):
+            below = node.input
+            if isinstance(below, PolicyGuard):
+                below = below.scan
+            if isinstance(below, IndexScan):
+                held = {id(conjunct) for conjunct in node.conjuncts or []}
+                assert below.matched and all(
+                    id(conjunct) in held for conjunct in below.matched
+                ), f"{below.kind} on {below.binding} lost its recheck"
+                rechecked.add(id(below))
+    for node in nodes:
+        assert not isinstance(node, IndexScan) or id(node) in rechecked, (
+            f"{node.kind} on {node.binding} has no recheck filter"
         )
-        if estimated is not None:
-            return estimated
-    return max(1, round(row_count * DEFAULT_RANGE_SELECTIVITY))
 
 
 def _is_policy_guard(

@@ -51,6 +51,9 @@ INDEX_CANDIDATES = (
     ("nutritional_profiles", "profile_id", "btree"),
 )
 
+#: The composite B-tree every indexed world also carries: ``(name, target)``.
+COMPOSITE_INDEX = ("idx_sensed_data_key", "sensed_data (watch_id, timestamp)")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -65,7 +68,7 @@ class ScenarioSpec:
     user_count: int = 4
     #: Secondary indexes to create: ``-1`` draws 0–3 from the policy seed
     #: (the first one policy-partitioned), ``0`` disables, ``1``–``3`` pin
-    #: the count.  Index presence never changes enforced results — that is
+    #: the count; any indexed world also gets :data:`COMPOSITE_INDEX`.  Index presence never changes enforced results — that is
     #: exactly the invariant the differential harness checks — so older
     #: repro files without this field replay under the default.
     index_count: int = -1
@@ -111,7 +114,8 @@ class FuzzScenario:
     scenario: PatientsScenario
     grants: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Names of the secondary indexes created in this world, in creation
-    #: order (the first, when any exist, is policy-partitioned).
+    #: order (the first, when any exist, is policy-partitioned; the last is
+    #: the composite one).
     indexes: tuple[str, ...] = ()
 
     @property
@@ -198,7 +202,9 @@ def _create_indexes(instance: PatientsScenario, spec: ScenarioSpec) -> tuple[str
 
     Deterministic per policy seed.  When any index is created, the first
     is policy-partitioned so every indexed world exercises partition
-    pruning, and a final ``ANALYZE`` gives the cost model fresh statistics.
+    pruning, the composite ``sensed_data`` key rides along (beside the
+    spec's count) so full-key and prefix probes are exercised too, and a
+    final ``ANALYZE`` gives the cost model fresh statistics.
     """
     rng = random.Random(f"{spec.policy_seed}:indexes")
     count = spec.index_count
@@ -222,6 +228,8 @@ def _create_indexes(instance: PatientsScenario, spec: ScenarioSpec) -> tuple[str
         using = f" using {kind}" if kind != "btree" else ""
         database.execute(f"create index {name} on {table} ({column}){using}")
         created.append(name)
+    database.execute(f"create index {COMPOSITE_INDEX[0]} on {COMPOSITE_INDEX[1]}")
+    created.append(COMPOSITE_INDEX[0])
     database.execute("analyze")
     return tuple(created)
 

@@ -13,6 +13,11 @@ Soundness relies on the runner's consistent-error rule: a candidate that is
 no longer a valid query makes the oracle *and* every path error out, which
 the runner reports as ``ok`` — so broken candidates are rejected, never
 mistaken for smaller reproductions of the disagreement.
+
+:func:`lift_literals` runs the parameter-inlining reduction backwards
+(comparison literals become parameters): not a reduction, but the same AST
+rebuild, used by the index-equivalence battery to make every access path
+probe with execute-time bindings.
 """
 
 from __future__ import annotations
@@ -139,6 +144,31 @@ def _join_leaves(source: ast.TableSource) -> Iterator[ast.TableSource]:
         yield source
 
 
+def _rebuild(value, substitute):
+    """A copy of an AST with ``substitute(expression)`` applied top-down.
+
+    ``substitute`` returns the replacement for an expression, or ``None``
+    to keep it and descend.  Unchanged subtrees are shared, so the result
+    *is* ``value`` when nothing was substituted.
+    """
+    if isinstance(value, ast.Expression):
+        replacement = substitute(value)
+        if replacement is not None:
+            return replacement
+    if isinstance(value, tuple):
+        rebuilt = tuple(_rebuild(item, substitute) for item in value)
+        return rebuilt if rebuilt != value else value
+    if isinstance(value, (ast.Expression, ast.Select, ast.SetOperation)):
+        changes = {}
+        for field_info in dataclasses.fields(value):
+            member = getattr(value, field_info.name)
+            rebuilt = _rebuild(member, substitute)
+            if rebuilt is not member:
+                changes[field_info.name] = rebuilt
+        return dataclasses.replace(value, **changes) if changes else value
+    return value
+
+
 def _inline_parameters(select: ast.Select, params: dict) -> ast.Select | None:
     """All parameter placeholders replaced with their literal values."""
 
@@ -147,35 +177,59 @@ def _inline_parameters(select: ast.Select, params: dict) -> ast.Select | None:
     class _Missing(Exception):
         pass
 
-    def rebuild(value):
-        if isinstance(value, ast.Parameter):
-            key = (value.name or str(value.index)).lower()
-            if key not in lowered:
-                raise _Missing()
-            return ast.Literal(lowered[key])
-        if isinstance(value, ast.Expression):
-            changes = {}
-            for field_info in dataclasses.fields(value):
-                member = getattr(value, field_info.name)
-                rebuilt = rebuild(member)
-                if rebuilt is not member:
-                    changes[field_info.name] = rebuilt
-            return dataclasses.replace(value, **changes) if changes else value
-        if isinstance(value, tuple):
-            rebuilt = tuple(rebuild(item) for item in value)
-            return rebuilt if rebuilt != value else value
-        if isinstance(value, (ast.Select, ast.SetOperation)):
-            changes = {}
-            for field_info in dataclasses.fields(value):
-                member = getattr(value, field_info.name)
-                rebuilt = rebuild(member)
-                if rebuilt is not member:
-                    changes[field_info.name] = rebuilt
-            return dataclasses.replace(value, **changes) if changes else value
-        return value
+    def substitute(expression):
+        if not isinstance(expression, ast.Parameter):
+            return None
+        key = (expression.name or str(expression.index)).lower()
+        if key not in lowered:
+            raise _Missing()
+        return ast.Literal(lowered[key])
 
     try:
-        inlined = rebuild(select)
+        inlined = _rebuild(select, substitute)
     except _Missing:
         return None
     return inlined if inlined is not select else None
+
+
+_COMPARISONS = frozenset({"=", "<", "<=", ">", ">="})
+
+
+def lift_literals(case: FuzzCase) -> FuzzCase | None:
+    """The inverse of inlining: ``column <op> literal`` becomes ``column
+    <op> :liftN`` with the value moved into the case's parameters.
+
+    Same statement, same answer — but every access path the optimizer
+    picks for those comparisons now has to probe with a value it only
+    learns at execution time.  ``None`` when the statement has no such
+    comparison (or does not parse).
+    """
+    try:
+        statement = parse_statement(case.sql)
+    except ReproError:
+        return None
+    lifted: dict[str, object] = {}
+
+    def substitute(expression):
+        if not (
+            isinstance(expression, ast.BinaryOp)
+            and expression.op in _COMPARISONS
+        ):
+            return None
+        sides = [expression.left, expression.right]
+        for index, (value, other) in enumerate(zip(sides, reversed(sides))):
+            if (
+                isinstance(value, ast.Literal)
+                and value.value is not None
+                and isinstance(other, ast.ColumnRef)
+            ):
+                name = f"lift{len(lifted)}"
+                lifted[name] = value.value
+                sides[index] = ast.Parameter(name=name)
+                return ast.BinaryOp(expression.op, *sides)
+        return None
+
+    rebuilt = _rebuild(statement, substitute)
+    if not lifted:
+        return None
+    return case.with_sql(to_sql(rebuilt), params={**case.params, **lifted})

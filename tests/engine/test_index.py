@@ -2,7 +2,8 @@
 
 Covers mode resolution (explicit > ``$REPRO_INDEXES`` > default), the
 B+-tree and hash structures in isolation, the :class:`IndexManager`
-catalog lifecycle with its version-keyed lazy maintenance, the
+catalog lifecycle with its lazy maintenance (entries revalidated against
+the visible rows, rebuilt only when a position's key changed), the
 policy-partitioned layout's skip accounting, and the statistics
 collector's snapshots and cardinality estimators — including the empty /
 all-NULL / single-distinct edge cases and staleness after every DML
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, txn_scope
 from repro.engine.index import (
     INDEXES_ENV,
     BTreeIndex,
@@ -89,6 +90,21 @@ class TestBTreeIndex:
         for key in (30, 10, 20, 10):
             index.insert(key, key)
         assert [key for key, _ in index.items()] == [10, 20, 30]
+
+    def test_prefix_walks_the_leaves_while_the_prefix_matches(self) -> None:
+        index = BTreeIndex(order=4)
+        pairs = [(a, b) for a in range(12) for b in range(7)]
+        random.Random(3).shuffle(pairs)
+        # Row ids are the shuffled positions: a prefix's postings come back
+        # in row order, not key order, across several leaves.
+        for row_id, key in enumerate(pairs):
+            index.insert(key, row_id)
+        assert index.height > 1
+        for a in (0, 5, 11):
+            expected = [i for i, key in enumerate(pairs) if key[0] == a]
+            assert index.prefix((a,)) == expected
+        assert index.prefix((12,)) == []
+        assert index.prefix((3, 4)) == index.search((3, 4))
 
 
 class TestHashIndex:
@@ -172,10 +188,15 @@ class TestIndexMaintenance:
         indexed_db.execute("create index i_score on t (score)")
         manager = indexed_db.indexes
         assert manager.lookup_equal("i_score", 10) == [5]
-        rebuilds = manager.stats()["rebuilds"]
+        before = manager.stats()
+        # An autocommit INSERT extends the committed row list *in place*:
+        # the list the entry was built from now aliases the longer one, and
+        # only the recorded built length says row 30 is not indexed yet.
         indexed_db.execute("insert into t values (100, 'g0', 10, null)")
         assert manager.lookup_equal("i_score", 10) == [5, 30]
-        assert manager.stats()["rebuilds"] == rebuilds + 1
+        after = manager.stats()
+        assert after["rebuilds"] == before["rebuilds"]
+        assert after["carried_forward"] == before["carried_forward"] + 1
 
     def test_entry_is_reused_while_version_is_unchanged(self, indexed_db) -> None:
         indexed_db.execute("create index i_score on t (score)")
@@ -190,6 +211,209 @@ class TestIndexMaintenance:
         indexed_db.execute("create index i_grp on t (grp) using hash")
         with pytest.raises(ExecutionError):
             indexed_db.indexes.lookup_range("i_grp", "a", "z")
+        # A whole-key "prefix" is an equality probe; a proper one is not.
+        indexed_db.execute("create index h_gs on t (grp, score) using hash")
+        assert indexed_db.indexes.lookup_prefix("h_gs", ("g1", 8)) == [4]
+        with pytest.raises(ExecutionError):
+            indexed_db.indexes.lookup_prefix("h_gs", ("g1",))
+
+    def test_composite_full_key_and_prefix_lookups(self, indexed_db) -> None:
+        indexed_db.execute("create index i_gs on t (grp, score)")
+        manager = indexed_db.indexes
+        assert manager.lookup_equal("i_gs", ("g1", 8)) == [4]
+        assert manager.lookup_equal("i_gs", ("g1", 10)) == []
+        assert manager.lookup_prefix("i_gs", ("g1",)) == list(range(1, 30, 3))
+        assert manager.lookup_prefix("i_gs", ("g9",)) == []
+
+
+class TestEntryRevalidation:
+    """A built entry survives every row-list change that keeps it exact.
+
+    ``_delta`` runs one lookup and reports how the manager served it:
+    ``(rebuilds, carried_forward)`` since the previous call.
+    """
+
+    @pytest.fixture
+    def scored(self, indexed_db):
+        indexed_db.execute("create index i_score on t (score)")
+        manager = indexed_db.indexes
+        assert manager.lookup_equal("i_score", 10) == [5]
+        return indexed_db, manager
+
+    @staticmethod
+    def _delta(manager, before: dict) -> tuple[int, int]:
+        after = manager.stats()
+        return (
+            after["rebuilds"] - before["rebuilds"],
+            after["carried_forward"] - before["carried_forward"],
+        )
+
+    def test_non_key_update_carries_the_entry_forward(self, scored) -> None:
+        database, manager = scored
+        before = manager.stats()
+        database.execute("update t set grp = 'moved' where id = 5")
+        assert manager.lookup_equal("i_score", 10) == [5]
+        assert self._delta(manager, before) == (0, 1)
+        # The same version again is a plain probe.
+        assert manager.lookup_equal("i_score", 12) == [6]
+        assert self._delta(manager, before) == (0, 1)
+
+    def test_policy_change_carries_an_unpartitioned_entry(self, scored) -> None:
+        database, manager = scored
+        before = manager.stats()
+        database.table("t").set_column_value(
+            "policy", BitString.from_bits("11"), lambda row: row[0] < 10
+        )
+        assert manager.lookup_equal("i_score", 10) == [5]
+        assert self._delta(manager, before) == (0, 1)
+
+    def test_policy_change_rebuilds_a_partitioned_entry(self, indexed_db) -> None:
+        indexed_db.execute("create index i_part on t (grp) partition by policy")
+        manager = indexed_db.indexes
+        assert manager.partition_count("i_part") == 3
+        before = manager.stats()
+        indexed_db.table("t").set_column_value(
+            "policy", BitString.from_bits("11"), lambda row: row[0] == 0
+        )
+        # Row 0 left the mask-01 partition for a new one of its own.
+        assert manager.partition_count("i_part") == 4
+        assert manager.partition_rows("i_part", {0}) == [0]
+        assert self._delta(manager, before) == (1, 0)
+
+    def test_appended_rows_extend_a_partitioned_entry(self, indexed_db) -> None:
+        indexed_db.execute("create index i_part on t (grp) partition by policy")
+        manager = indexed_db.indexes
+        manager.partition_count("i_part")
+        before = manager.stats()
+        indexed_db.execute("insert into t values (100, 'g0', 1, b'01')")
+        assert manager.partition_rows("i_part", {0}) == [*range(0, 30, 3), 30]
+        assert self._delta(manager, before) == (0, 1)
+
+    def test_delete_rebuilds(self, scored) -> None:
+        database, manager = scored
+        before = manager.stats()
+        database.execute("delete from t where id = 2")
+        assert manager.lookup_equal("i_score", 10) == [4]
+        assert self._delta(manager, before) == (1, 0)
+
+    def test_key_changing_update_rebuilds(self, scored) -> None:
+        database, manager = scored
+        before = manager.stats()
+        database.execute("update t set score = 1000 where id = 5")
+        assert manager.lookup_equal("i_score", 10) == []
+        assert manager.lookup_equal("i_score", 1000) == [5]
+        assert self._delta(manager, before) == (1, 0)
+
+    def test_swapped_keys_at_equal_length_rebuild(self, scored) -> None:
+        # Same length, every key still present — but at other positions.
+        database, manager = scored
+        before = manager.stats()
+        database.execute("update t set score = 22 - score where id in (5, 6)")
+        assert manager.lookup_equal("i_score", 10) == [6]
+        assert manager.lookup_equal("i_score", 12) == [5]
+        assert self._delta(manager, before) == (1, 0)
+
+    def test_older_snapshot_beside_a_newer_one(self, scored) -> None:
+        database, manager = scored
+        if not database.transactions.enabled:
+            pytest.skip("snapshots need REPRO_TXN=on")
+        reader = database.transactions.begin()
+        database.execute("update t set grp = 'late' where id = 5")
+        before = manager.stats()
+        for _ in range(2):
+            # Latest state, then the pinned older one: the two row lists
+            # share every tuple but row 5, whose key is the same in both.
+            assert manager.lookup_equal("i_score", 10) == [5]
+            with txn_scope(reader):
+                assert manager.lookup_equal("i_score", 10) == [5]
+                assert database.table("t").rows[5][1] == "g2"
+        assert self._delta(manager, before) == (0, 4)
+        # An insert the old snapshot cannot see: the newer list is carried
+        # forward, the shorter older one can only be served by a rebuild.
+        database.execute("insert into t values (100, 'g0', 10, null)")
+        assert manager.lookup_equal("i_score", 10) == [5, 30]
+        with txn_scope(reader):
+            assert manager.lookup_equal("i_score", 10) == [5]
+        assert manager.lookup_equal("i_score", 10) == [5, 30]
+        database.transactions.rollback(reader)
+
+    def test_rolled_back_staged_write_never_leaks(self, scored) -> None:
+        database, manager = scored
+        if not database.transactions.enabled:
+            pytest.skip("staged writes need REPRO_TXN=on")
+        database.begin()
+        database.execute("update t set score = 1000 where id = 5")
+        database.execute("insert into t values (100, 'g0', 10, null)")
+        assert manager.lookup_equal("i_score", 10) == [30]
+        assert manager.lookup_equal("i_score", 1000) == [5]
+        database.rollback()
+        assert manager.lookup_equal("i_score", 10) == [5]
+        assert manager.lookup_equal("i_score", 1000) == []
+
+    def test_concurrent_lookups_across_snapshots_stay_exact(self) -> None:
+        """Readers at the latest state and at a pinned older snapshot share
+        one entry that a writer keeps growing: lookups alternate between
+        carrying the tree forward (in-place inserts *between* the probed
+        keys, leaf splits) and rebuilding it for the shorter list.  Rows
+        0–39 never move and never change key, so their lookups have one
+        right answer at any moment.
+        """
+        import sys
+        import threading
+
+        database = Database("stress")
+        if not database.transactions.enabled:
+            pytest.skip("snapshots need REPRO_TXN=on")
+        database.execute("create table m (id integer, reading double precision)")
+        database.table("m").append_rows((i, float(i)) for i in range(40))
+        database.execute("create index i_reading on m (reading)")
+        manager = database.indexes
+        pinned = database.transactions.begin()
+        stop = threading.Event()
+        wrong: list = []
+
+        def reader(seed: int, txn) -> None:
+            rng = random.Random(seed)
+            with txn_scope(txn):
+                while not stop.is_set():
+                    row_id = rng.randrange(40)
+                    found = manager.lookup_equal("i_reading", float(row_id))
+                    if found != [row_id]:
+                        wrong.append((seed, row_id, found))
+                        return
+
+        readers = [
+            threading.Thread(target=reader, args=(seed, txn))
+            for seed, txn in enumerate([None, pinned, None, pinned, None, pinned])
+        ]
+        rng = random.Random(17)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for step in range(300):
+                database.execute(
+                    f"insert into m values ({1000 + step}, {rng.uniform(0, 39)!r})"
+                )
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+            database.transactions.rollback(pinned)
+        assert not any(thread.is_alive() for thread in readers)
+        assert wrong == []
+        stats = manager.stats()
+        assert stats["carried_forward"] > 0 and stats["rebuilds"] > 1
+        assert len(manager.lookup_range("i_reading", 0.0, 39.0)) == 340
+
+    def test_schema_change_rebuilds(self, scored) -> None:
+        database, manager = scored
+        before = manager.stats()
+        database.execute("alter table t drop column grp")
+        assert manager.lookup_equal("i_score", 10) == [5]
+        assert self._delta(manager, before) == (1, 0)
 
 
 class TestPolicyPartitions:

@@ -2,9 +2,11 @@
 
 The planner-level contract of the index subsystem: which filters become
 ``IndexScan``/``IndexRangeScan`` nodes (and which must not — policy-UDF
-residuals, low selectivity, parameters), how policy-partitioned indexes
-annotate the guard, when statistics flip a hash join's build side, and
-what EXPLAIN shows for all of it.
+residuals, low selectivity), how a parameter becomes an execute-time
+probe, how composite keys are matched, how an index scan sits *under* a
+policy guard without ever disclosing a row the guard would have refused,
+how policy-partitioned indexes annotate the guard, when statistics flip a
+hash join's build side, and what EXPLAIN shows for all of it.
 """
 
 from __future__ import annotations
@@ -105,10 +107,6 @@ class TestAccessPathSelection:
         root = _root(indexed_db, "select a from t where b >= 0")
         assert not _find(root, IndexScan)
 
-    def test_parameters_are_never_index_keys(self, indexed_db) -> None:
-        root = _root(indexed_db, "select a from t where b = ?")
-        assert not _find(root, IndexScan)
-
     def test_policy_udf_residuals_disable_index_conversion(self, indexed_db) -> None:
         # Narrowing the rows a policy-function residual sees would change
         # the per-row UDF call count the paper's Figure-6 metric audits.
@@ -146,6 +144,238 @@ class TestAccessPathSelection:
         scans = _find(root, IndexScan)
         assert len(scans) == 1
         assert scans[0].estimated_rows == 2  # 20 rows * 0.1
+
+
+def _both_modes(database, sql, **kwargs):
+    """The same statement prepared with index paths on and off."""
+    return (
+        database.prepare(sql, optimizer="on", indexes="on", **kwargs),
+        database.prepare(sql, optimizer="on", indexes="off", **kwargs),
+    )
+
+
+class TestParameterProbes:
+    """``column = ?`` plans once and probes with each execution's binding."""
+
+    def test_one_plan_probes_with_each_binding(self, indexed_db) -> None:
+        on, off = _both_modes(indexed_db, "select a, c from t where b = ?")
+        (scan,) = _find(on._arms()[1][0].block.root, IndexScan)
+        assert scan.index_name == "i_b"
+        assert scan.estimated_rows == 1  # NDV alone: the value is unknown
+        before = indexed_db.indexes.stats()["hits"]
+        for value in (100, 0, 390, 105, -1, 100):
+            assert on.execute([value]).rows == off.execute([value]).rows
+        assert on.execute([100]).rows == [(10, "c2")]
+        assert indexed_db.indexes.stats()["hits"] == before + 7
+
+    def test_named_and_mirrored_parameters(self, indexed_db) -> None:
+        on, off = _both_modes(indexed_db, "select a from t where :key = c")
+        assert _find(on._arms()[1][0].block.root, IndexScan)
+        for value in ("c1", "c3", "nope"):
+            assert on.execute({"key": value}).rows == off.execute({"key": value}).rows
+
+    def test_null_binding_matches_nothing(self, indexed_db) -> None:
+        indexed_db.execute("insert into t values (99, null, 'c0')")
+        on, off = _both_modes(indexed_db, "select a from t where b = ?")
+        assert on.execute([None]).rows == off.execute([None]).rows == []
+
+    def test_type_mismatched_binding_keeps_scan_semantics(self, indexed_db) -> None:
+        from repro.errors import TypeMismatchError
+
+        # The tree cannot order 'x' against its integer keys: the probe
+        # degrades to the full scan and the recheck raises what a
+        # sequential scan raises.
+        on, off = _both_modes(indexed_db, "select a from t where b = ?")
+        for prepared in (on, off):
+            with pytest.raises(TypeMismatchError):
+                prepared.execute(["x"])
+        # A coercing comparison (integer column, float binding) still hits.
+        assert on.execute([100.0]).rows == off.execute([100.0]).rows == [(10,)]
+
+    def test_unbound_parameter_is_reported_not_probed(self, indexed_db) -> None:
+        from repro.errors import ExecutionError
+
+        on, off = _both_modes(indexed_db, "select a from t where b = ?")
+        for prepared in (on, off):
+            with pytest.raises(ExecutionError, match="missing values"):
+                prepared.execute()
+
+    def test_index_dropped_between_prepare_and_execute(self, indexed_db) -> None:
+        on, off = _both_modes(indexed_db, "select a from t where b = ?")
+        assert on.execute([100]).rows == [(10,)]
+        indexed_db.execute("drop index i_b")
+        for value in (100, 110, 5):
+            assert on.execute([value]).rows == off.execute([value]).rows
+
+
+class TestCompositeKeys:
+    @pytest.fixture()
+    def composite_db(self, indexed_db):
+        indexed_db.execute("create index i_cb on t (c, b)")
+        indexed_db.execute("drop index i_b")
+        indexed_db.execute("drop index i_c")
+        indexed_db.execute("analyze")
+        return indexed_db
+
+    def test_full_key_is_one_tuple_probe(self, composite_db) -> None:
+        on, off = _both_modes(
+            composite_db, "select a from t where b = ? and c = 'c2'"
+        )
+        (scan,) = _find(on._arms()[1][0].block.root, IndexScan)
+        assert scan.index_name == "i_cb"
+        assert scan.columns == ("c", "b")  # index order, not WHERE order
+        assert len(scan.matched) == 2
+        for value in (100, 20, 110, 7):
+            assert on.execute([value]).rows == off.execute([value]).rows
+        assert on.execute([100]).rows == [(10,)]
+
+    def test_leading_prefix_walks_the_leaves(self, composite_db) -> None:
+        on, off = _both_modes(composite_db, "select a from t where c = ?")
+        (scan,) = _find(on._arms()[1][0].block.root, IndexScan)
+        assert scan.columns == ("c",)
+        for value in ("c0", "c3", "zz"):
+            assert on.execute([value]).rows == off.execute([value]).rows
+        assert len(on.execute(["c1"]).rows) == 10
+
+    def test_trailing_column_alone_cannot_use_the_index(self, composite_db) -> None:
+        root = _root(composite_db, "select a from t where b = 100")
+        assert not _find(root, IndexScan)
+
+    def test_range_needs_a_single_column_tree(self, composite_db) -> None:
+        root = _root(composite_db, "select a from t where c > 'c1'")
+        assert not _find(root, IndexScan)
+
+    def test_composite_hash_needs_the_whole_key(self, indexed_db) -> None:
+        indexed_db.execute("create index h_cb on t (c, b) using hash")
+        indexed_db.execute("drop index i_c")
+        indexed_db.execute("drop index i_b")
+        assert not _find(
+            _root(indexed_db, "select a from t where c = 'c2'"), IndexScan
+        )
+        on, off = _both_modes(
+            indexed_db, "select a from t where c = 'c2' and b = ?"
+        )
+        assert _find(on._arms()[1][0].block.root, IndexScan)
+        assert on.execute([100]).rows == off.execute([100]).rows == [(10,)]
+
+    def test_more_bound_columns_beat_fewer(self, indexed_db) -> None:
+        # i_b (tree) and i_c (hash) each bind one column; the composite
+        # binds both and its independent-columns estimate is the lowest.
+        indexed_db.execute("create index i_cb on t (c, b)")
+        root = _root(indexed_db, "select a from t where b = 100 and c = 'c2'")
+        (scan,) = _find(root, IndexScan)
+        assert scan.index_name == "i_cb"
+
+
+class TestIndexScanUnderPolicyGuard:
+    """Access paths below the guard never widen what the guard lets out.
+
+    The world's purpose sees some patients and not others; every key of
+    the table is looked up through one prepared, enforced plan — the row
+    whose key matches but whose policy fails must come back from neither
+    executor.
+    """
+
+    PURPOSE = "p6"
+    SQL = "select watch_id, timestamp, beats from sensed_data where watch_id = ? and timestamp = ?"
+
+    @pytest.fixture(scope="class")
+    def guarded(self):
+        from repro.workload import apply_experiment_policies, build_patients_scenario
+
+        instance = build_patients_scenario(patients=12, samples_per_patient=4)
+        apply_experiment_policies(instance, selectivity=0.5, seed=7)
+        instance.database.execute(
+            "create index i_watch_ts on sensed_data (watch_id, timestamp)"
+        )
+        instance.monitor.set_optimizer("on")
+        rewritten = instance.monitor.execute_with_report(
+            self.SQL, self.PURPOSE, params=["watch0", 1]
+        ).rewritten_sql
+        return instance, rewritten
+
+    @pytest.mark.parametrize("executor", ["batch", "row"])
+    def test_every_key_agrees_with_the_full_scan(self, guarded, executor) -> None:
+        instance, rewritten = guarded
+        database = instance.database
+        on, off = _both_modes(database, rewritten, executor=executor)
+        root = on._arms()[1][0].block.root
+        (guard,) = _find(root, PolicyGuard)
+        assert isinstance(guard.scan, IndexScan)
+        assert "IndexScan" in "\n".join(on.describe())
+
+        keys = [row[:2] for row in database.table("sensed_data").rows]
+        visible = {
+            row[:2]
+            for row in instance.monitor.execute(
+                "select watch_id, timestamp from sensed_data", self.PURPOSE
+            ).rows
+        }
+        assert visible and len(visible) < len(keys)
+        before = database.indexes.stats()["hits"]
+        for key in keys:
+            found = on.execute(list(key)).rows
+            assert found == off.execute(list(key)).rows
+            assert [row[:2] for row in found] == ([key] if key in visible else [])
+        assert database.indexes.stats()["hits"] == before + len(keys)
+
+    @pytest.mark.parametrize("executor", ["batch", "row"])
+    def test_prefix_probe_under_the_guard(self, guarded, executor) -> None:
+        instance, _ = guarded
+        monitor = instance.monitor
+        monitor.set_executor(executor)
+        try:
+            for watch in ("watch0", "watch1", "watch2", "watch3", "nope"):
+                sql = f"select timestamp, beats from sensed_data where watch_id = '{watch}'"
+                monitor.set_indexes("on")
+                on = monitor.execute_with_report(sql, self.PURPOSE)
+                monitor.set_indexes("off")
+                off = monitor.execute_with_report(sql, self.PURPOSE)
+                assert on.result.rows == off.result.rows
+                assert on.compliance_checks == off.compliance_checks
+                assert on.index_hits == 1 and off.index_hits == 0
+        finally:
+            monitor.set_indexes(None)
+            monitor.set_executor(None)
+
+    @pytest.mark.parametrize("executor", ["batch", "row"])
+    def test_dropped_index_falls_back_to_positions(self, executor) -> None:
+        from repro.workload import apply_experiment_policies, build_patients_scenario
+
+        instance = build_patients_scenario(patients=8, samples_per_patient=3)
+        apply_experiment_policies(instance, selectivity=0.5, seed=7)
+        database = instance.database
+        database.execute(
+            "create index i_watch_ts on sensed_data (watch_id, timestamp)"
+        )
+        instance.monitor.set_optimizer("on")
+        rewritten = instance.monitor.execute_with_report(
+            self.SQL, self.PURPOSE, params=["watch0", 1]
+        ).rewritten_sql
+        on, off = _both_modes(database, rewritten, executor=executor)
+        database.execute("drop index i_watch_ts")
+        for row in database.table("sensed_data").rows:
+            assert on.execute(list(row[:2])).rows == off.execute(list(row[:2])).rows
+
+    def test_explain_analyze_counts_rows_against_the_index_scan(self, guarded) -> None:
+        import re
+
+        instance, _ = guarded
+        monitor = instance.monitor
+        monitor.set_indexes("on")
+        try:
+            lines = [
+                row[0]
+                for row in monitor.explain(
+                    self.SQL, self.PURPOSE, params=["watch0", 1], analyze=True
+                ).rows
+            ]
+        finally:
+            monitor.set_indexes(None)
+        (scan,) = [line for line in lines if line.strip().startswith("IndexScan")][-1:]
+        assert re.search(r"\(rows=1\b", scan), scan
+        guard = lines[lines.index(scan) - 1]
+        assert guard.strip().startswith("PolicyGuard") and "(rows=" in guard
 
 
 class TestBuildSideSelection:

@@ -19,6 +19,7 @@ from repro.engine.plan import (
     Aggregate,
     Filter,
     HashJoin,
+    IndexScan,
     Limit,
     NestedLoop,
     Optimizer,
@@ -27,6 +28,7 @@ from repro.engine.plan import (
     Project,
     Scan,
     Sort,
+    check_access_paths,
     resolve_optimizer_mode,
     walk,
 )
@@ -197,6 +199,93 @@ class TestPolicyGuardHoist:
             assert sorted(on.execute().rows) == sorted(off.execute().rows), sql
 
 
+class TestAccessPathInvariants:
+    """``check_access_paths``: soundness of index paths as an IR assertion.
+
+    The optimizer runs it after ``access_path_selection`` (under
+    ``__debug__``); here it is also pointed at deliberately broken plans.
+    """
+
+    SQL = "select beats from sensed_data where watch_id = ? and timestamp = ?"
+
+    @pytest.fixture()
+    def guarded_block(self, policy_scenario):
+        database = policy_scenario.database
+        database.execute("create index i_wt on sensed_data (watch_id, timestamp)")
+        rewritten = policy_scenario.monitor.rewrite(self.SQL, "p6")
+        prepared = database.prepare(rewritten, optimizer="on", indexes="on")
+        _, (arm,) = prepared._arms()
+        return arm.block
+
+    def test_index_scan_under_the_guard_satisfies_them(self, guarded_block) -> None:
+        (guard,) = [
+            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+        ]
+        assert isinstance(guard.scan, IndexScan)
+        assert (guard.scan.table_name, guard.scan.binding) == (
+            guard.table_name, guard.binding,
+        )
+        (recheck,) = [
+            n for n in walk(guarded_block.root)
+            if isinstance(n, Filter) and n.input is guard
+        ]
+        assert all(
+            any(c is held for held in recheck.conjuncts)
+            for c in guard.scan.matched
+        )
+        check_access_paths(guarded_block)
+
+    def test_every_plan_of_the_workload_satisfies_them(self, policy_scenario) -> None:
+        from repro.workload.queries import AD_HOC_QUERIES
+
+        database = policy_scenario.database
+        database.execute("create index i_wt on sensed_data (watch_id, timestamp)")
+        database.execute("create index i_beats on sensed_data (beats)")
+        database.execute("create index i_watch on users (watch_id) using hash")
+        for query in AD_HOC_QUERIES:
+            rewritten = policy_scenario.monitor.rewrite(query.sql, "p6")
+            prepared = database.prepare(rewritten, optimizer="on", indexes="on")
+            for arm in prepared._arms()[1]:
+                check_access_paths(arm.block)
+
+    def test_dropped_recheck_is_caught(self, guarded_block) -> None:
+        (guard,) = [
+            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+        ]
+        (recheck,) = [
+            n for n in walk(guarded_block.root)
+            if isinstance(n, Filter) and n.input is guard
+        ]
+        recheck.conjuncts = recheck.conjuncts[1:]
+        with pytest.raises(AssertionError, match="lost its recheck"):
+            check_access_paths(guarded_block)
+
+    def test_operator_between_guard_and_scan_is_caught(self, guarded_block) -> None:
+        (guard,) = [
+            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+        ]
+        guard.scan = Filter([], None, guard.scan, pushed=True)
+        with pytest.raises(AssertionError, match="not a scan"):
+            check_access_paths(guarded_block)
+
+    def test_guard_over_another_table_is_caught(self, guarded_block) -> None:
+        (guard,) = [
+            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+        ]
+        guard.scan.table_name = "users"
+        with pytest.raises(AssertionError, match="reads"):
+            check_access_paths(guarded_block)
+
+    def test_index_scan_without_a_filter_is_caught(self, guarded_block) -> None:
+        (guard,) = [
+            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+        ]
+        assert guarded_block.source_root.input is guard
+        guarded_block.source_root = guard  # splice the recheck filter out
+        with pytest.raises(AssertionError, match="no recheck filter"):
+            check_access_paths(guarded_block)
+
+
 class TestPolicyBitmapCache:
     @pytest.fixture()
     def world(self):
@@ -257,6 +346,33 @@ class TestPolicyBitmapCache:
         world.execute("insert into t values (7, 'r')")
         cache.passing_indices(*args)
         assert world.functions.call_count("accepts_p") == 3
+
+    def test_guard_lookup_keeps_the_intersection_and_its_order(self, world) -> None:
+        world.functions.register(
+            "accepts", lambda mask, policy: mask.bits() == "01" or policy != "q"
+        )
+        world.execute("insert into t values (6, 'pq')")
+        cache = PolicyBitmapCache()
+        table = world.table("t")
+        args = (table, "policy", ("01", "10"), world.functions, "accepts")
+        passing, ordered = cache.passing(*args)
+        # Mask 01 passes every non-NULL row, mask 10 everything but 'q'.
+        assert passing == {0, 2, 5} and ordered == [0, 2, 5]
+        assert cache.stats() == {"hits": 0, "built": 2, "entries": 2}
+        again, again_ordered = cache.passing(*args)
+        # One hit per mask per lookup, and the very same objects: no
+        # intersection, no sort on a warm guard.
+        assert again is passing and again_ordered is ordered
+        assert cache.stats()["hits"] == 2
+        single, single_ordered = cache.passing(
+            table, "policy", ("10",), world.functions, "accepts"
+        )
+        assert single == {0, 2, 5} and single_ordered == [0, 2, 5]
+        world.execute("delete from t where a = 1")
+        passing, ordered = cache.passing(*args)
+        assert passing == {1, 4} and ordered == [1, 4]
+        cache.forget("t")
+        assert len(cache) == 0
 
     def test_clear_drops_entries_but_keeps_counters(self, world) -> None:
         cache = PolicyBitmapCache()

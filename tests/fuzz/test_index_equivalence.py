@@ -14,7 +14,9 @@ Three layers of coverage:
 * every regression-corpus file replayed through the full differential
   harness under each index mode,
 * a 500-case seed-2015 campaign comparing indexes-on and indexes-off
-  execution of every generated case directly against each other, and
+  execution of every generated case directly against each other — as
+  generated, and again with its comparison literals lifted to parameters,
+  so every access path also probes with execute-time bindings — and
 * the campaign's audit records compared field-by-field.
 """
 
@@ -27,8 +29,10 @@ import pytest
 from repro.core import AuditLog
 from repro.errors import ReproError, UnauthorizedPurposeError
 from repro.fuzz import DifferentialRunner, FuzzQueryGenerator, build_fuzz_scenario, load_repro
+from repro.fuzz.generator import FuzzCase, case_rng
 from repro.fuzz.runner import normalize_rows
-from repro.fuzz.scenario import ScenarioSpec
+from repro.fuzz.scenario import COMPOSITE_INDEX, ScenarioSpec
+from repro.fuzz.shrinker import lift_literals
 
 CAMPAIGN_SEED = 2015
 CAMPAIGN_CASES = 500
@@ -38,8 +42,9 @@ CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
 
 INDEX_MODES = ("on", "off")
 
-#: The campaign world pins three indexes so the on-mode always has access
-#: paths (including a policy-partitioned one) to choose from.
+#: The campaign world pins three indexes (plus the composite one every
+#: indexed world carries) so the on-mode always has access paths —
+#: including a policy-partitioned one — to choose from.
 INDEXED_SPEC = ScenarioSpec(index_count=3)
 
 
@@ -63,16 +68,57 @@ def test_corpus_replays_clean_in_both_modes(mode_runner, path: Path) -> None:
     assert report.ok, report.describe()
 
 
+#: Key lookups run beside the campaign: the generator draws ranges, LIKEs
+#: and subqueries but almost no ``column = literal``, the one shape an
+#: equality probe (full key, key prefix, hash) serves.
+POINT_CASES = 60
+
+_POINT_SHAPES = (
+    "select temperature, beats from sensed_data "
+    "where watch_id = '{watch}' and timestamp = {ts}",
+    "select timestamp, beats from sensed_data where watch_id = '{watch}'",
+    "select count(beats) from sensed_data where {ts} = timestamp",
+    "select user_id from users where watch_id = '{watch}'",
+    "select users.user_id, sensed_data.beats from users join sensed_data "
+    "on users.watch_id = sensed_data.watch_id "
+    "where sensed_data.watch_id = '{watch}' and sensed_data.timestamp = {ts}",
+)
+
+#: A world whose policy-partitioned index lands on ``users``: nothing
+#: claims the ``sensed_data`` guard, so the composite key is probed under it.
+UNCLAIMED_SPEC = ScenarioSpec(index_count=3, policy_seed=411597)
+
+
+def point_cases(world, seed=CAMPAIGN_SEED):
+    """``POINT_CASES`` seeded key lookups, some on keys that do not exist."""
+    spec = world.spec
+    for index in range(POINT_CASES):
+        rng = case_rng(f"{seed}:points", index)
+        sql = _POINT_SHAPES[index % len(_POINT_SHAPES)].format(
+            watch=f"watch{rng.randrange(spec.patients + 2)}",
+            ts=rng.randint(0, spec.samples + 1),
+        )
+        yield FuzzCase(
+            seed=f"{seed}:points", index=index, kind="single", sql=sql,
+            purpose=rng.choice(list(world.purposes)),
+            user=rng.choice([None, *world.users]),
+        )
+
+
+def _build_audited_world(spec):
+    instance = build_fuzz_scenario(spec)
+    assert instance.indexes, "campaign world must carry secondary indexes"
+    audit = AuditLog(instance.database)
+    instance.monitor.attach_audit(audit)
+    return instance, audit
+
+
 class TestIndexCampaign:
-    """500 generated cases, each executed with indexes on and off."""
+    """500 generated cases and the key lookups, with indexes on and off."""
 
     @pytest.fixture(scope="class")
     def eq_world(self):
-        instance = build_fuzz_scenario(INDEXED_SPEC)
-        assert instance.indexes, "campaign world must carry secondary indexes"
-        audit = AuditLog(instance.database)
-        instance.monitor.attach_audit(audit)
-        return instance, audit
+        return _build_audited_world(INDEXED_SPEC)
 
     @staticmethod
     def _run_mode(world, audit, case, mode):
@@ -102,25 +148,84 @@ class TestIndexCampaign:
         )
         return outcome, trail
 
+    def _disagreements(self, world, audit, cases) -> tuple[list[str], int]:
+        """Run each case as generated and with its comparison literals
+        lifted to parameters, in both index modes: ``(disagreements, how
+        many cases had a literal to lift)``."""
+        previous = world.monitor.indexes_mode
+        disagreements = []
+        lifted_cases = 0
+        try:
+            for case in cases:
+                lifted = lift_literals(case)
+                lifted_cases += lifted is not None
+                outcomes = []
+                for form in filter(None, (case, lifted)):
+                    on = self._run_mode(world, audit, form, "on")
+                    off = self._run_mode(world, audit, form, "off")
+                    outcomes.append(on[0])
+                    if on != off:
+                        disagreements.append(
+                            f"{form.replay_token} ({form.kind}): {form.sql!r} "
+                            f"{form.params}\n  on:  {on}\n  off: {off}"
+                        )
+                # Binding at execute time answers what the literal answered
+                # (rows, columns and the complieswith count).
+                if len(set(outcomes)) > 1:
+                    disagreements.append(
+                        f"{case.replay_token}: literal vs lifted\n  {outcomes}"
+                    )
+                if len(disagreements) >= 5:
+                    break
+        finally:
+            world.monitor.set_indexes(previous)
+        return disagreements, lifted_cases
+
     def test_500_cases_agree_between_index_modes(self, eq_world) -> None:
         world, audit = eq_world
         generator = FuzzQueryGenerator.for_world(world, seed=CAMPAIGN_SEED)
-        previous = world.monitor.indexes_mode
-        disagreements = []
-        try:
-            for case in generator.cases(CAMPAIGN_CASES):
-                on = self._run_mode(world, audit, case, "on")
-                off = self._run_mode(world, audit, case, "off")
-                if on != off:
-                    disagreements.append(
-                        f"{case.replay_token} ({case.kind}): {case.sql!r}\n"
-                        f"  on:  {on}\n  off: {off}"
-                    )
-                    if len(disagreements) >= 5:
-                        break
-        finally:
-            world.monitor.set_indexes(previous)
+        disagreements, lifted_cases = self._disagreements(
+            world, audit, generator.cases(CAMPAIGN_CASES)
+        )
         assert disagreements == [], "\n\n".join(disagreements)
+        assert lifted_cases > CAMPAIGN_CASES // 4
+
+    @pytest.mark.parametrize(
+        "spec", [INDEXED_SPEC, UNCLAIMED_SPEC], ids=["claimed", "unclaimed"]
+    )
+    def test_key_lookups_agree_between_index_modes(self, spec) -> None:
+        world, audit = _build_audited_world(spec)
+        disagreements, lifted_cases = self._disagreements(
+            world, audit, point_cases(world)
+        )
+        assert disagreements == [], "\n\n".join(disagreements)
+        assert lifted_cases == POINT_CASES
+
+    def test_key_lookups_probe_with_bindings(self) -> None:
+        """The parameterised half is vacuous unless plans probe an index
+        with a binding — under the policy guard, composite key included."""
+        world, _ = _build_audited_world(UNCLAIMED_SPEC)
+        monitor = world.monitor
+        previous_optimizer = monitor.optimizer_mode
+        monitor.set_optimizer("on")
+        monitor.set_indexes("on")
+        probed: set[str] = set()
+        try:
+            for case in map(lift_literals, point_cases(world)):
+                try:
+                    plan = monitor.explain(
+                        case.sql, case.purpose, user=case.user, params=case.params
+                    )
+                except ReproError:
+                    continue
+                lines = [line for (line,) in plan.rows]
+                for guard, scan in zip(lines, lines[1:]):
+                    if "PolicyGuard" in guard and ":lift" in scan:
+                        probed.add(scan.split(" using ")[1].split()[0])
+        finally:
+            monitor.set_indexes(None)
+            monitor.set_optimizer(previous_optimizer)
+        assert COMPOSITE_INDEX[0] in probed and len(probed) > 1, probed
 
     def test_on_mode_actually_uses_indexes(self, eq_world) -> None:
         """The equivalence above is vacuous unless index paths really run."""

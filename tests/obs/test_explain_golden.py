@@ -6,7 +6,10 @@ benchmark purpose) against the deterministic scenario below, and the full
 output — rewritten SQL plus the plan tree — is compared line-for-line
 against committed golden files under ``tests/golden/``.  Any drift in the
 signature derivation, the rewriter, the printer or the planner now fails
-loudly with a diff.
+loudly with a diff.  The enforced point lookup on the composite
+``sensed_data`` key is pinned the same way, prepared (``?``) and literal:
+one index probe *under* the policy guard, the matched conjuncts kept above
+it as the recheck.
 
 To intentionally accept new plans::
 
@@ -45,8 +48,38 @@ def golden_monitor():
     return instance.monitor
 
 
-def explain_text(monitor, sql: str, purpose: str) -> str:
-    result = monitor.explain(sql, purpose)
+#: The enforced point lookups: ``name -> (sql, params)``.
+POINT_LOOKUPS = {
+    "point_prepared": (
+        "select temperature, beats from sensed_data "
+        "where watch_id = ? and timestamp = ?",
+        ["watch3", 5],
+    ),
+    "point_literal": (
+        "select temperature, beats from sensed_data "
+        "where watch_id = 'watch3' and timestamp = 5",
+        None,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def indexed_monitor():
+    """The golden world plus the composite key index (its own instance:
+    the q1–q8 goldens are pinned against an index-less world)."""
+    instance = build_patients_scenario(patients=25, samples_per_patient=8)
+    apply_experiment_policies(instance, selectivity=0.4, seed=99)
+    instance.database.execute(
+        "create index watch_ts on sensed_data (watch_id, timestamp)"
+    )
+    instance.monitor.set_optimizer("on")
+    instance.monitor.set_executor("batch", batch_size=1024)
+    instance.monitor.set_indexes("on")
+    return instance.monitor
+
+
+def explain_text(monitor, sql: str, purpose: str, params=None) -> str:
+    result = monitor.explain(sql, purpose, params=params)
     assert list(result.columns) == ["plan"]
     text = "\n".join(row[0] for row in result.rows) + "\n"
     # The catalog version counts every metadata commit since the world was
@@ -60,16 +93,31 @@ def explain_text(monitor, sql: str, purpose: str) -> str:
 def test_explain_matches_golden(golden_monitor, query, purpose, update_golden):
     text = explain_text(golden_monitor, query.sql, purpose)
     path = GOLDEN_DIR / f"explain_{query.name}_{purpose}.txt"
-    if update_golden:
+    _assert_golden(text, path, update_golden)
+
+
+def _assert_golden(text: str, path: Path, update: bool) -> None:
+    if update:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     assert path.exists(), (
         f"missing golden file {path.name}; regenerate with --update-golden"
     )
     assert text == path.read_text(encoding="utf-8"), (
-        f"EXPLAIN drift for {query.name}/{purpose}; if intentional, rerun "
+        f"EXPLAIN drift for {path.stem}; if intentional, rerun "
         "with --update-golden and commit the diff"
     )
+
+
+@pytest.mark.parametrize("name", POINT_LOOKUPS)
+def test_point_lookup_matches_golden(indexed_monitor, name, update_golden):
+    sql, params = POINT_LOOKUPS[name]
+    text = explain_text(indexed_monitor, sql, "p6", params)
+    _assert_golden(text, GOLDEN_DIR / f"explain_{name}_p6.txt", update_golden)
+    lines = text.splitlines()
+    (scan,) = [i for i, line in enumerate(lines) if "  IndexScan " in line][-1:]
+    assert lines[scan - 1].lstrip().startswith("PolicyGuard [")
+    assert lines[scan - 2].lstrip().startswith("Filter [watch_id = ")
 
 
 def test_golden_directory_has_exactly_the_expected_files() -> None:
@@ -77,7 +125,7 @@ def test_golden_directory_has_exactly_the_expected_files() -> None:
         f"explain_{query.name}_{purpose}.txt"
         for query in AD_HOC_QUERIES
         for purpose in PURPOSES
-    }
+    } | {f"explain_{name}_p6.txt" for name in POINT_LOOKUPS}
     present = {path.name for path in GOLDEN_DIR.glob("*.txt")}
     assert present == expected
 
