@@ -8,7 +8,6 @@ Regenerates the paper's figures as plain-text tables::
     python -m repro.bench optimizer         # per-row checks vs policy bitmaps
     python -m repro.bench columnar          # row vs batch executor latency
     python -m repro.bench shards            # threaded vs async sharded qps
-    python -m repro.bench txn               # rwlock fence vs mvcc snapshots
     python -m repro.bench all               # everything
     python -m repro.bench fig7 --patients 1000 --samples 1000   # paper scale
 
@@ -40,10 +39,8 @@ from .reporting import (
     indexes_table,
     optimizer_table,
     shards_table,
-    txn_table,
 )
 from .shards import run_shards
-from .txn import run_txn
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -89,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
             "columnar",
             "indexes",
             "shards",
-            "txn",
             "all",
         ),
         help=(
@@ -98,8 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             "optimizer = per-row checks vs policy-bitmap pre-filtering, "
             "columnar = row vs batch executor latency sweep, "
             "indexes = full-scan vs index vs partition-pruned access paths, "
-            "shards = threaded baseline vs async sharded throughput, "
-            "txn = reader latency under policy churn, rwlock vs mvcc)"
+            "shards = threaded baseline vs async sharded throughput)"
         ),
     )
     parser.add_argument("--patients", type=int, default=None)
@@ -151,19 +146,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=8,
         help="statement-mix iterations per session (shards experiment)",
-    )
-    parser.add_argument(
-        "--readers",
-        type=int,
-        nargs="+",
-        default=[1, 4, 8],
-        help="reader-session sweep for the txn experiment",
-    )
-    parser.add_argument(
-        "--reads-per-session",
-        type=int,
-        default=40,
-        help="reads per session under policy churn (txn experiment)",
     )
     parser.add_argument(
         "--json-out",
@@ -254,22 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         json_path = (
             args.json_out if args.figure == "shards" and args.json_out else None
         ) or "BENCH_shards.json"
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(run.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_path}")
-        if args.figure == "all":
-            print()
-    if args.figure in ("txn", "all"):
-        run = run_txn(
-            config,
-            reader_counts=tuple(args.readers),
-            reads_per_session=args.reads_per_session,
-        )
-        print(txn_table(run))
-        json_path = (
-            args.json_out if args.figure == "txn" and args.json_out else None
-        ) or "BENCH_txn.json"
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(run.to_dict(), handle, indent=2)
             handle.write("\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .experiments import Experiment2Result
 from .shards import ShardsRun
-from .txn import TxnRun
 from .harness import (
     ColumnarRun,
     ExperimentRun,
@@ -222,48 +221,6 @@ def shards_table(run: ShardsRun) -> str:
         f"(patients={run.config.patients}, "
         f"samples={run.config.samples_per_patient}, "
         f"selectivity={run.selectivity:g}, backend={run.backend})"
-    )
-    return f"{title}\n{_format_table(header, rows)}"
-
-
-def txn_table(run: TxnRun) -> str:
-    """Readers under policy churn: RW-lock fence vs MVCC snapshots.
-
-    ``qps`` counts completed reads per second across all sessions;
-    ``p50``/``p95`` are per-read round-trip latencies (the RW-lock rows
-    absorb every policy recompilation into this tail); ``churn`` is how
-    many policy writes landed during the window; ``writes``/``aborts``
-    are the sessions' UPDATE transactions and how many lost the
-    first-committer-wins race (structurally 0 for the lock rows — those
-    writes serialize instead of aborting).
-    """
-    header = [
-        "mode", "conflict", "readers", "reads", "qps",
-        "p50 ms", "p95 ms", "churn", "writes", "aborts", "abort%",
-    ]
-    rows = []
-    for sample in run.samples:
-        rows.append(
-            [
-                sample.mode,
-                sample.granularity,
-                str(sample.readers),
-                str(sample.reads),
-                f"{sample.read_throughput:.0f}",
-                _ms(sample.percentile(0.50)),
-                _ms(sample.percentile(0.95)),
-                str(sample.churn_writes),
-                str(sample.writes),
-                str(sample.aborts),
-                f"{sample.abort_rate * 100:.0f}",
-            ]
-        )
-    title = (
-        f"Transactions — reader latency under policy churn, "
-        f"RW-lock fence vs MVCC snapshots "
-        f"(patients={run.config.patients}, "
-        f"samples={run.config.samples_per_patient}, "
-        f"reads/session={run.reads_per_session})"
     )
     return f"{title}\n{_format_table(header, rows)}"
 

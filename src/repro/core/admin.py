@@ -17,14 +17,13 @@ encoders (cached, invalidated on purpose/schema changes).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..engine import Column, Database, SqlType, TableSchema
 from ..engine.functions import MemoizedFunction
 from ..engine.mvcc import current_transaction
 from ..engine.types import BitString
-from ..errors import ConfigurationError, ExecutionError, PolicyError
+from ..errors import ConfigurationError, PolicyError
 from .categories import CategoryRegistry, DataCategory, DEFAULT_CATEGORIES
 from .masks import MaskLayout, complies_with
 from .policy import Policy
@@ -33,27 +32,6 @@ from .purposes import Purpose, PurposeSet
 #: Names of the security meta-data tables: Pr/Pm/Pa from configuration
 #: (§5.1), plus the audit log (``al``) and the role extension's tables.
 META_TABLES = frozenset({"pr", "pm", "pa", "al", "ro", "ur", "rp"})
-
-#: Environment variable selecting how purpose-taxonomy edits treat open
-#: snapshots: ``versioned`` (default — old snapshots keep resolving the
-#: taxonomy as of their catalog version) or ``failfast`` (the PR 9
-#: semantics — active snapshots are doomed and raise on next use).
-REVOCATION_ENV = "REPRO_REVOCATION"
-
-#: The supported revocation modes.
-REVOCATION_MODES = ("versioned", "failfast")
-
-
-def resolve_revocation_mode(explicit: str | None = None) -> str:
-    """Resolve the revocation mode: explicit argument beats the env var."""
-    mode = (explicit or os.environ.get(REVOCATION_ENV) or "versioned").lower()
-    if mode not in REVOCATION_MODES:
-        raise ExecutionError(
-            f"unknown revocation mode {mode!r} "
-            f"(expected one of {REVOCATION_MODES})"
-        )
-    return mode
-
 
 @dataclass(frozen=True)
 class AcmState:
@@ -119,7 +97,6 @@ class AccessControlManager:
         self.database = database
         self.categories = categories or CategoryRegistry(DEFAULT_CATEGORIES)
         self.purposes = PurposeSet()
-        self.revocation_mode = resolve_revocation_mode()
         self._category_map: dict[tuple[str, str], DataCategory] = {}
         self._layouts: dict[tuple, MaskLayout] = {}
         self._configured = False
@@ -148,16 +125,14 @@ class AccessControlManager:
         """
         return self.database.catalog.version
 
-    def bump_policy_epoch(self, metadata_changed: bool = False) -> None:
+    def bump_policy_epoch(self) -> None:
         """Commit the current taxonomy to the catalog as a new version.
 
-        ``metadata_changed`` marks changes to the purpose set or schema
-        categorization.  Mask churn is ordinary row data and stays
-        snapshot-isolated; taxonomy edits are versioned catalog commits
-        that open snapshots simply do not see (they keep resolving the
-        :class:`AcmState` as of their pinned catalog version).  Under
-        ``REPRO_REVOCATION=failfast`` the PR 9 semantics are kept instead:
-        a metadata change dooms every active snapshot (DESIGN.md §16).
+        Mask churn is ordinary row data and stays snapshot-isolated;
+        taxonomy edits (purpose set, categorization) are versioned catalog
+        commits that open snapshots simply do not see — they keep
+        resolving the :class:`AcmState` as of their pinned catalog version
+        (DESIGN.md §16).
         """
         self.database.catalog.commit(
             [
@@ -173,11 +148,6 @@ class AccessControlManager:
             self.database.transactions.clock,
         )
         self.epoch_scoped.clear_all()
-        if metadata_changed and self.revocation_mode == "failfast":
-            self.database.transactions.invalidate_active_snapshots(
-                f"policy metadata change at catalog version "
-                f"{self.database.catalog.version}"
-            )
 
     def _enforcement_version(self) -> int:
         """The catalog version enforcement resolves against *right now*.
@@ -324,7 +294,7 @@ class AccessControlManager:
         if POLICY_COLUMN not in table.schema:
             table.add_column(Column(POLICY_COLUMN, SqlType.BIT_VARYING))
         self.invalidate_layouts(key)
-        self.bump_policy_epoch(metadata_changed=True)
+        self.bump_policy_epoch()
 
     def target_tables(self) -> list[str]:
         """The protected tables (every table except the meta-data ones)."""
@@ -341,7 +311,7 @@ class AccessControlManager:
         self.require_configured()
         self.purposes.add(purpose)
         self.database.table("pr").insert_row((purpose.id, purpose.description))
-        self.bump_policy_epoch(metadata_changed=True)
+        self.bump_policy_epoch()
 
     def remove_purpose(self, purpose_id: str) -> Purpose:
         """Remove a purpose from *Ps* and from Pr.
@@ -352,7 +322,7 @@ class AccessControlManager:
         self.require_configured()
         purpose = self.purposes.remove(purpose_id)
         self.database.table("pr").delete_rows(lambda row: row[0] == purpose_id)
-        self.bump_policy_epoch(metadata_changed=True)
+        self.bump_policy_epoch()
         return purpose
 
     # -- categorization (Pm) -------------------------------------------------------------
@@ -370,7 +340,7 @@ class AccessControlManager:
         pm.delete_rows(lambda row: row[0] == column_key and row[1] == table_key)
         pm.insert_row((column_key, table_key, category.code))
         self._category_map[(table_key, column_key)] = category
-        self.bump_policy_epoch(metadata_changed=True)
+        self.bump_policy_epoch()
 
     def category(self, table: str, column: str) -> DataCategory:
         """Categorizer protocol: Pm lookup with the *generic* fallback (§4.1).

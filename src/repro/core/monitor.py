@@ -383,18 +383,6 @@ class EnforcementMonitor:
         """The secured target database."""
         return self.admin.database
 
-    def _current_txn(self):
-        """The context's transaction against this monitor's database, if any.
-
-        A snapshot doomed by a policy *metadata* change fails fast here —
-        its enforcement state can no longer be reconstructed, so no query
-        may run under it (DESIGN.md §15).
-        """
-        txn = current_transaction(self.database.transactions)
-        if txn is not None:
-            txn._check_usable()
-        return txn
-
     def _current_epoch(self) -> int:
         """The policy epoch queries are enforced under *right now*.
 
@@ -403,9 +391,9 @@ class EnforcementMonitor:
         compiling and hitting plans for its snapshot's policy state
         (DESIGN.md §15).
         """
-        txn = self._current_txn()
+        txn = current_transaction(self.database.transactions)
         if txn is not None:
-            return txn.snapshot.epoch
+            return txn.snapshot.catalog_version
         return self.admin.policy_epoch
 
     # -- pipeline pieces ------------------------------------------------------------
@@ -524,7 +512,7 @@ class EnforcementMonitor:
             # starts pushing out live plans.  Epochs still pinned by an
             # active snapshot are kept: their readers can (and should) keep
             # hitting the plans compiled for their policy state.
-            pinned = self.database.transactions.pinned_epochs()
+            pinned = self.database.transactions.pinned_catalog_versions()
             live_epoch = self.admin.policy_epoch
             stale_keys = [
                 k
@@ -784,7 +772,7 @@ class EnforcementMonitor:
             f"Executor: mode={plan.executor} batch_size={plan.plan.batch_size}"
         )
         lines.append(f"Indexes: mode={plan.indexes}")
-        txn = self._current_txn()
+        txn = current_transaction(self.database.transactions)
         if txn is not None and not txn.ephemeral:
             lines.append(
                 f"Snapshot: ts={txn.snapshot.ts} "

@@ -21,16 +21,10 @@ from .catalog import Catalog, CatalogEntry, CatalogOp
 from .database import Database, PreparedQuery, bind_parameters
 from .functions import FunctionRegistry, MemoizedFunction
 from .mvcc import (
-    CONFLICT_ENV,
-    CONFLICT_MODES,
-    TXN_ENV,
-    TXN_MODES,
     Snapshot,
     Transaction,
     TransactionManager,
     current_transaction,
-    resolve_conflict_mode,
-    resolve_txn_mode,
     txn_scope,
 )
 from .index import (
@@ -94,10 +88,6 @@ __all__ = [
     "Table",
     "BitString",
     "SqlType",
-    "TXN_ENV",
-    "TXN_MODES",
-    "CONFLICT_ENV",
-    "CONFLICT_MODES",
     "Catalog",
     "CatalogEntry",
     "CatalogOp",
@@ -105,7 +95,5 @@ __all__ = [
     "Transaction",
     "TransactionManager",
     "current_transaction",
-    "resolve_conflict_mode",
-    "resolve_txn_mode",
     "txn_scope",
 ]

@@ -1,23 +1,17 @@
 """The versioned catalog: commit-stamped metadata entries (DESIGN.md §16).
 
-Until PR 10 the engine's metadata lived in mutable singletons — each
-:class:`~repro.engine.table.Table` held *the* schema, the
-:class:`~repro.engine.index.IndexManager` held *the* index definitions, and
-the access-control manager held *the* purpose taxonomy plus a side-channel
-``policy epoch`` counter that doomed every open snapshot whenever the
-taxonomy changed.  :class:`Catalog` replaces all of that with one versioned
-store: every metadata mutation commits a ``(kind, key) -> value`` entry
-stamped with a monotonically increasing **catalog version** (and, when the
-MVCC clock is attached, the commit timestamp), so
+The engine's metadata — table schemas, index definitions, the purpose
+taxonomy — lives in one versioned store: every metadata mutation commits a
+``(kind, key) -> value`` entry stamped with a monotonically increasing
+**catalog version** and the commit timestamp, so
 
 * a :class:`~repro.engine.mvcc.Snapshot` pins ``(commit ts, catalog
   version)`` and metadata reads resolve *as of* that version — taxonomy
   edits and DDL become ordinary versioned commits visible only to later
   snapshots;
-* the old policy epoch collapses into :attr:`Catalog.version` (every
-  consumer that keyed on the epoch — plan caches, ``compliesWith`` memos,
-  shard broadcasts — now keys on the catalog version, which advances on
-  policy churn *and* DDL);
+* the policy epoch *is* :attr:`Catalog.version` (plan caches,
+  ``compliesWith`` memos and shard broadcasts key on it, and it advances
+  on policy churn *and* DDL);
 * transactional DDL validates **first-committer-wins on the catalog
   entry**: two transactions staging a change to the same ``(kind, key)``
   conflict, independent writers to different entries commit freely.
@@ -37,10 +31,6 @@ Entry kinds used by the engine:
     key = ``"state"``, value = the access-control manager's immutable
     taxonomy snapshot (purposes + categorization) committed on every
     policy write.
-
-The catalog is deliberately independent of the MVCC machinery so the
-``REPRO_TXN=off`` engine keeps working: versions advance without a clock
-(``ts=0``) and nothing here requires a transaction manager.
 """
 
 from __future__ import annotations

@@ -295,7 +295,7 @@ class Database:
         table.attach_manager(self.transactions)
         self.tables[key] = table
         if record_catalog:
-            self._ddl_autocommit(
+            self.transactions.commit_ddl(
                 [
                     CatalogOp(
                         "table",
@@ -333,7 +333,7 @@ class Database:
                 CatalogOp("index", definition.name, None)
                 for definition in doomed
             )
-            self._ddl_autocommit(ops)
+            self.transactions.commit_ddl(ops)
 
     # -- transactions ------------------------------------------------------------
 
@@ -378,22 +378,6 @@ class Database:
             raise TransactionError(
                 f"{operation} is not allowed inside a transaction"
             )
-
-    def _ddl_autocommit(
-        self, ops: "list[CatalogOp]", table_effects: "dict | None" = None
-    ) -> None:
-        # Commit catalog ops outside any transaction: one commit timestamp,
-        # one WAL DDL record (DESIGN.md §16 — DDL no longer forces a
-        # checkpoint).  With MVCC off the catalog still versions (ts 0).
-        if self.transactions.enabled:
-            self.transactions.commit_ddl(ops, table_effects)
-            return
-        for op in ops:
-            if op.apply is not None:
-                op.apply(0)
-        for key, (table, op, rows, _written) in (table_effects or {}).items():
-            table._apply_plain(op, rows)
-        self.catalog.commit([(op.kind, op.key, op.value) for op in ops], 0)
 
     # -- statement execution -----------------------------------------------------
 
@@ -648,7 +632,7 @@ class Database:
         txn = current_transaction(self.transactions)
         if txn is None:
             normalized = self.indexes.create(definition)
-            self._ddl_autocommit(
+            self.transactions.commit_ddl(
                 [
                     CatalogOp(
                         "index",
@@ -683,7 +667,7 @@ class Database:
         txn = current_transaction(self.transactions)
         if txn is None:
             dropped = self.indexes.drop(statement.name)
-            self._ddl_autocommit(
+            self.transactions.commit_ddl(
                 [
                     CatalogOp(
                         "index",

@@ -21,8 +21,7 @@ This module gives the engine the concurrency model the ROADMAP asks for —
   :class:`~repro.errors.WriteConflictError` only when its own write set
   intersects a concurrent commit's.  Disjoint-row writers to the same
   table rebase onto the latest committed rows and commit.  Tables without
-  a primary key (and whole-schema changes) fall back to table granularity;
-  ``REPRO_CONFLICT=table`` restores the PR 9 behavior everywhere.
+  a primary key (and whole-schema changes) fall back to table granularity.
 * DDL stages in the transaction's **catalog overlay**
   (:class:`~repro.engine.catalog.CatalogOp`) and conflicts
   first-committer-wins on the catalog entry
@@ -40,15 +39,13 @@ touching a single operator.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import (
     CatalogConflictError,
-    ExecutionError,
     TransactionError,
     WriteConflictError,
 )
@@ -58,56 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .schema import TableSchema
     from .table import Table
 
-#: Environment variable gating the MVCC machinery (``"on"``/``"off"``).
-TXN_ENV = "REPRO_TXN"
-
-#: The valid transaction modes.
-TXN_MODES = ("on", "off")
-
-#: Environment variable selecting the write-write conflict granularity.
-CONFLICT_ENV = "REPRO_CONFLICT"
-
-#: The valid conflict granularities.
-CONFLICT_MODES = ("row", "table")
-
 _MISSING = object()
-
-
-def resolve_txn_mode(mode: str | None = None) -> str:
-    """Resolve the transaction mode.
-
-    Precedence: explicit argument > ``$REPRO_TXN`` > ``"on"`` — the same
-    explicit/env/default ladder as
-    :func:`~repro.engine.batch.resolve_executor_mode`.  ``"off"`` restores
-    the pre-MVCC engine: no version chains are kept, ``BEGIN`` raises, and
-    the server falls back to its reader/writer lock.
-    """
-    if mode is None:
-        mode = os.environ.get(TXN_ENV) or "on"
-    mode = mode.strip().lower()
-    if mode not in TXN_MODES:
-        raise ExecutionError(
-            f"unknown transaction mode {mode!r} (expected one of {TXN_MODES})"
-        )
-    return mode
-
-
-def resolve_conflict_mode(mode: str | None = None) -> str:
-    """Resolve the write-write conflict granularity.
-
-    Precedence: explicit argument > ``$REPRO_CONFLICT`` > ``"row"``.
-    ``"table"`` restores PR 9's coarse first-committer-wins (any concurrent
-    commit to a written table aborts); ``"row"`` validates primary-key
-    write sets and rebases disjoint writers.
-    """
-    if mode is None:
-        mode = os.environ.get(CONFLICT_ENV) or "row"
-    mode = mode.strip().lower()
-    if mode not in CONFLICT_MODES:
-        raise ExecutionError(
-            f"unknown conflict mode {mode!r} (expected one of {CONFLICT_MODES})"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -122,12 +70,6 @@ class Snapshot:
 
     ts: int
     catalog_version: int
-
-    @property
-    def epoch(self) -> int:
-        """Backward-compatible alias: the old policy epoch *is* the
-        catalog version now."""
-        return self.catalog_version
 
 
 class _StagedTable:
@@ -162,10 +104,6 @@ class Transaction:
         self.txn_id = txn_id
         self.snapshot = snapshot
         self.status = "active"
-        #: Set when policy *metadata* changed under this snapshot in
-        #: fail-fast revocation mode (see
-        #: :meth:`TransactionManager.invalidate_active_snapshots`).
-        self.invalidated_by: str | None = None
         #: True for per-statement read snapshots (the server's snapshot
         #: handoff), False for explicit BEGIN transactions.  Observability
         #: only — EXPLAIN renders ephemeral snapshots as "latest".
@@ -234,19 +172,6 @@ class Transaction:
         """Abort: discard the staged overlays."""
         self.manager.rollback(self)
 
-    def _check_usable(self) -> None:
-        if self.status != "active":
-            raise TransactionError(
-                f"transaction {self.txn_id} is {self.status}, not active"
-            )
-        if self.invalidated_by is not None:
-            from ..errors import SnapshotInvalidatedError
-
-            raise SnapshotInvalidatedError(
-                f"transaction {self.txn_id}: snapshot invalidated by "
-                f"{self.invalidated_by}; roll back and retry"
-            )
-
 
 #: The transaction active in the current thread/task context, if any.
 #: ``ContextVar`` (not a thread-local) so asyncio tasks inherit it.
@@ -285,14 +210,13 @@ def txn_scope(txn: "Transaction | None") -> Iterator[None]:
 
 @dataclass
 class TxnStats:
-    """Counters for the server stats verb and the txn benchmark."""
+    """Counters for the server stats verb."""
 
     begun: int = 0
     committed: int = 0
     rolled_back: int = 0
     conflicts: int = 0
     catalog_conflicts: int = 0
-    invalidated: int = 0
     rebased: int = 0
     active: int = 0
 
@@ -303,7 +227,6 @@ class TxnStats:
             "rolled_back": self.rolled_back,
             "conflicts": self.conflicts,
             "catalog_conflicts": self.catalog_conflicts,
-            "invalidated": self.invalidated,
             "rebased": self.rebased,
             "active": self.active,
         }
@@ -339,16 +262,9 @@ class TransactionManager:
 
     One manager per :class:`~repro.engine.database.Database`; standalone
     :class:`~repro.engine.table.Table` objects lazily create a private one.
-    ``enabled`` mirrors :func:`resolve_txn_mode` at construction: when off,
-    tables skip version-chain bookkeeping entirely and :meth:`begin`
-    raises, restoring the pre-MVCC engine byte for byte.
     """
 
-    def __init__(self, enabled: bool | None = None, conflict: str | None = None):
-        self.enabled = (
-            resolve_txn_mode(None) == "on" if enabled is None else enabled
-        )
-        self.conflict_mode = resolve_conflict_mode(conflict)
+    def __init__(self):
         self._lock = threading.Lock()
         self._clock = 0
         self._txn_counter = 0
@@ -358,9 +274,6 @@ class TransactionManager:
         #: :class:`~repro.engine.database.Database`.  ``None`` for
         #: standalone tables (catalog versions then stay 0).
         self.catalog: Catalog | None = None
-        #: Legacy callback returning a policy epoch; only consulted when no
-        #: catalog is attached (kept for embedders of bare managers).
-        self.epoch_provider: Callable[[], int] | None = None
         #: Durability hook (:class:`~repro.engine.wal.DurabilityManager`);
         #: ``None`` for purely in-memory databases.
         self.wal = None
@@ -382,12 +295,7 @@ class TransactionManager:
         """The catalog version new snapshots pin (0 when detached)."""
         if self.catalog is not None:
             return self.catalog.version
-        if self.epoch_provider is not None:
-            return self.epoch_provider()
         return 0
-
-    # Backward-compatible alias (pre-catalog name).
-    current_epoch = current_catalog_version
 
     # -- snapshot lifecycle ------------------------------------------------
 
@@ -399,10 +307,6 @@ class TransactionManager:
 
     def begin(self) -> Transaction:
         """Open a transaction pinned to a fresh snapshot."""
-        if not self.enabled:
-            raise TransactionError(
-                f"transactions are disabled (${TXN_ENV}=off)"
-            )
         with self._lock:
             self._txn_counter += 1
             txn = Transaction(self, self._txn_counter, self.snapshot())
@@ -478,11 +382,9 @@ class TransactionManager:
     ) -> "frozenset | None":
         """The primary-key write set of an autocommit statement.
 
-        ``None`` (= "all rows") for tables without a primary key, on
-        duplicate keys, and in ``REPRO_CONFLICT=table`` mode.
+        ``None`` (= "all rows") for tables without a primary key and on
+        duplicate keys.
         """
-        if self.conflict_mode != "row":
-            return None
         pk = table.row_key_indexes()
         if not pk:
             return None
@@ -555,13 +457,17 @@ class TransactionManager:
 
         Validation is two-layered: staged catalog ops (DDL) conflict on
         their catalog entry; staged row writes conflict on intersecting
-        primary-key write sets (row mode) or on any concurrent commit to
-        the table (table mode / no primary key).  Disjoint-row writers to
-        a concurrently-changed table *rebase*: their changes are replayed
-        over the latest committed rows so the loser-free commit does not
-        clobber the winner's rows.
+        primary-key write sets, or on any concurrent commit to the table
+        when a write set is unknown (no primary key, duplicate keys, a
+        schema change).  Disjoint-row writers to a concurrently-changed
+        table *rebase*: their changes are replayed over the latest
+        committed rows so the loser-free commit does not clobber the
+        winner's rows.
         """
-        txn._check_usable()
+        if txn.status != "active":
+            raise TransactionError(
+                f"transaction {txn.txn_id} is {txn.status}, not active"
+            )
         if not txn._staged and not txn._catalog_ops:
             # Read-only commit: nothing to validate or log.
             with self._lock:
@@ -648,7 +554,6 @@ class TransactionManager:
     def _validate_tables_locked(self, txn: Transaction) -> "dict[str, _WritePlan]":
         """Row-level first-committer-wins + rebase planning for staged DML."""
         plans: dict[str, _WritePlan] = {}
-        row_mode = self.conflict_mode == "row"
         for key, overlay in txn._staged.items():
             table = txn._tables[key]
             base = txn._staged_base[key]
@@ -663,15 +568,13 @@ class TransactionManager:
                     if pk
                     else None
                 )
-                if changed and not self._compatible_locked(
-                    table, txn, written, row_mode
-                ):
+                if changed and not self._compatible_locked(table, txn, written):
                     raise self._conflict_locked(txn, table)
                 plans[key] = _WritePlan(table, "append", rows, written)
                 continue
             written, rebase = self._replace_plan(overlay, pk)
             if changed:
-                if not self._compatible_locked(table, txn, written, row_mode):
+                if not self._compatible_locked(table, txn, written):
                     raise self._conflict_locked(txn, table)
                 # Rebase: replay this transaction's changes over the
                 # latest committed rows so the concurrent winner's
@@ -719,12 +622,10 @@ class TransactionManager:
         )
         return written, (updates, deletes, inserts, keyfn)
 
-    def _compatible_locked(
-        self, table: "Table", txn: Transaction, written, row_mode: bool
-    ) -> bool:
+    def _compatible_locked(self, table: "Table", txn: Transaction, written) -> bool:
         """Whether a staged write commits over concurrent commits to its
-        table: row mode, both write sets known, and disjoint."""
-        if not row_mode or written is None:
+        table: both write sets known, and disjoint."""
+        if written is None:
             return False
         theirs = table.written_since(txn.snapshot.ts)
         if theirs is None:
@@ -766,26 +667,6 @@ class TransactionManager:
         """
         with self._lock:
             return {t.snapshot.catalog_version for t in self._active.values()}
-
-    # Backward-compatible alias (pre-catalog name).
-    pinned_epochs = pinned_catalog_versions
-
-    def invalidate_active_snapshots(self, reason: str) -> int:
-        """Doom every active transaction (fail-fast revocation mode).
-
-        The default ``versioned`` revocation mode never calls this for
-        metadata changes — the taxonomy is resolved as of each snapshot's
-        catalog version instead.  ``REPRO_REVOCATION=failfast`` keeps the
-        PR 9 semantics for deployments where revocation must bite open
-        snapshots immediately: doomed transactions fail fast with
-        :class:`~repro.errors.SnapshotInvalidatedError` on next use.
-        """
-        with self._lock:
-            doomed = [t for t in self._active.values() if t.invalidated_by is None]
-            for txn in doomed:
-                txn.invalidated_by = reason
-            self.stats.invalidated += len(doomed)
-            return len(doomed)
 
     def _prune_tables(self, txn: Transaction) -> None:
         with self._lock:

@@ -5,18 +5,18 @@ evolution (ALTER TABLE) rewrites stored rows, which is what the paper's
 framework-configuration step does when it appends the ``policy`` column to
 every target-DB table (Section 5.1).
 
-Since the MVCC work (DESIGN.md §15) a table keeps two representations:
+A table keeps two representations (DESIGN.md §15):
 
 * ``_rows`` — the materialized latest-committed row list.  Readers outside
-  any transaction hit it directly, so the pre-MVCC hot path is unchanged.
+  any transaction hit it directly.
 * ``_versions`` — an append-only chain of :class:`TupleVersion` entries
   stamped with ``xmin``/``xmax`` commit timestamps.  A snapshot at ts
   sees exactly the versions with ``xmin <= ts`` and ``xmax`` unset or
   ``> ts``, reconstructed (and cached) on demand.
 
-Since the catalog work (DESIGN.md §16) the *schema* is versioned the same
-way: ALTER TABLE commits the rewritten rows and the new schema at one
-commit timestamp, ``_schema_log`` keeps ``(ts, schema)`` pairs, and the
+The *schema* is versioned the same way (DESIGN.md §16): ALTER TABLE
+commits the rewritten rows and the new schema at one commit timestamp,
+``_schema_log`` keeps ``(ts, schema)`` pairs, and the
 :attr:`schema` property resolves the schema as of the reading snapshot —
 an old snapshot sees old-width rows *and* the old schema.  Each committed
 write also records its primary-key **write set** in ``_write_log`` so the
@@ -34,9 +34,7 @@ can never leak staged or future state into another snapshot's reads.
 
 Writers outside a transaction autocommit through the owning
 :class:`~repro.engine.mvcc.TransactionManager` (one commit timestamp per
-statement, WAL-logged when durability is attached).  With ``REPRO_TXN=off``
-no version bookkeeping happens at all and the table behaves exactly like
-the pre-MVCC engine.
+statement, WAL-logged when durability is attached).
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ class Table:
         self._commit_log: list[tuple[int, int]] = [(0, 0)]
         #: ``(commit ts, write set)`` pairs, ascending.  The write set is a
         #: frozenset of primary-key tuples, or ``None`` for "all rows"
-        #: (no primary key, schema change, table-granularity mode).
+        #: (no primary key, duplicate keys, schema change).
         self._write_log: list[tuple[int, "frozenset | None"]] = []
         self._last_commit_ts: int = 0
         self._manager: TransactionManager | None = None
@@ -111,9 +109,6 @@ class Table:
             self._manager = TransactionManager()
         return self._manager
 
-    def _mvcc_on(self) -> bool:
-        return self._manager is not None and self._manager.enabled
-
     def _active_txn(self) -> "Transaction | None":
         """The context transaction, iff it belongs to this table's manager."""
         txn = _ACTIVE.get()
@@ -124,12 +119,6 @@ class Table:
             or txn.manager is not self._manager
         ):
             return None
-        return txn
-
-    def _write_txn(self) -> "Transaction | None":
-        txn = self._active_txn()
-        if txn is not None:
-            txn._check_usable()
         return txn
 
     @property
@@ -167,11 +156,8 @@ class Table:
         """Install a committed schema change at timestamp ``ts``."""
         self._schema = schema
         self._pk_cache = None
-        if self._mvcc_on():
-            self._schema_log.append((ts, schema))
-            self._last_schema_ts = ts
-        else:
-            self._schema_log = [(0, schema)]
+        self._schema_log.append((ts, schema))
+        self._last_schema_ts = ts
 
     def row_key_indexes(self) -> tuple[int, ...]:
         """Column indexes of the primary key in the latest committed schema.
@@ -212,14 +198,14 @@ class Table:
 
     @rows.setter
     def rows(self, new_rows: list[tuple]) -> None:
-        txn = self._write_txn()
+        txn = self._active_txn()
         if txn is not None:
             overlay = txn.stage(self)
             overlay.rows = list(new_rows)
             overlay.append_only = False
             overlay.bump += 1
             return
-        self._autocommit("replace", list(new_rows))
+        self.manager.commit_single(self, "replace", list(new_rows))
 
     def latest_rows(self) -> list[tuple]:
         """The latest committed rows, ignoring any ambient transaction.
@@ -268,7 +254,7 @@ class Table:
         reconstruction is safe against concurrent committed appends (their
         versions carry a later ``xmin`` and are filtered out).
         """
-        if not self._mvcc_on() or ts >= self._last_commit_ts:
+        if ts >= self._last_commit_ts:
             return self._rows
         cached = self._asof_cache.get(ts)
         if cached is None:
@@ -294,8 +280,8 @@ class Table:
         """Union of the write sets of commits after ``ts``.
 
         ``None`` means "potentially every row": at least one of those
-        commits had no row-level write set (no primary key, a schema
-        change, table-granularity mode), so a concurrent writer must
+        commits had no row-level write set (no primary key, duplicate
+        keys, a schema change), so a concurrent writer must
         conflict regardless of which rows it touched.
         """
         written: set = set()
@@ -341,42 +327,24 @@ class Table:
         """Apply an append-only commit at timestamp ``ts``."""
         self._rows.extend(rows)
         self._version += 1
-        if self._mvcc_on():
-            self._versions.extend(TupleVersion(row, ts) for row in rows)
-            self._commit_log.append((ts, self._version))
-            self._write_log.append((ts, written))
+        self._versions.extend(TupleVersion(row, ts) for row in rows)
+        self._commit_log.append((ts, self._version))
+        self._write_log.append((ts, written))
         self._last_commit_ts = ts
 
     def apply_committed_replace(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None
     ) -> None:
         """Apply a whole-list replacement commit at timestamp ``ts``."""
-        if self._mvcc_on():
-            for version in self._versions:
-                if version.xmax is None:
-                    version.xmax = ts
-            self._versions.extend(TupleVersion(row, ts) for row in rows)
+        for version in self._versions:
+            if version.xmax is None:
+                version.xmax = ts
+        self._versions.extend(TupleVersion(row, ts) for row in rows)
         self._rows = list(rows)
         self._version += 1
-        if self._mvcc_on():
-            self._commit_log.append((ts, self._version))
-            self._write_log.append((ts, written))
+        self._commit_log.append((ts, self._version))
+        self._write_log.append((ts, written))
         self._last_commit_ts = ts
-
-    def _autocommit(self, op: str, rows: list[tuple]) -> None:
-        """Commit a single-statement write with its own timestamp."""
-        manager = self.manager
-        if not manager.enabled:
-            self._apply_plain(op, rows)
-            return
-        manager.commit_single(self, op, rows)
-
-    def _apply_plain(self, op: str, rows: list[tuple]) -> None:
-        if op == "append":
-            self._rows.extend(rows)
-        else:
-            self._rows = rows
-        self._version += 1
 
     # -- DML -----------------------------------------------------------------
 
@@ -421,13 +389,13 @@ class Table:
         (or NULL); otherwise ``values`` must cover the full schema in order.
         """
         coerced = self._coerce_insert(values, columns)
-        txn = self._write_txn()
+        txn = self._active_txn()
         if txn is not None:
             overlay = txn.stage(self)
             overlay.rows.append(coerced)
             overlay.bump += 1
             return
-        self._autocommit("append", [coerced])
+        self.manager.commit_single(self, "append", [coerced])
 
     def append_rows(
         self, rows: Iterable[Iterable[object]], columns: tuple[str, ...] = ()
@@ -441,13 +409,13 @@ class Table:
         """
         coerced = [self._coerce_insert(row, columns) for row in rows]
         if coerced:
-            txn = self._write_txn()
+            txn = self._active_txn()
             if txn is not None:
                 overlay = txn.stage(self)
                 overlay.rows.extend(coerced)
                 overlay.bump += 1
             else:
-                self._autocommit("append", coerced)
+                self.manager.commit_single(self, "append", coerced)
         return len(coerced)
 
     def extend(self, rows: Iterable[Iterable[object]]) -> int:
@@ -504,7 +472,7 @@ class Table:
         """
         new_schema = self.schema.with_column(column)
         fill = column.default
-        txn = self._write_txn()
+        txn = self._active_txn()
         if txn is not None:
             self._stage_schema_change(
                 txn,
@@ -529,7 +497,7 @@ class Table:
         def narrow(row: tuple) -> tuple:
             return tuple(v for i, v in enumerate(row) if i != index)
 
-        txn = self._write_txn()
+        txn = self._active_txn()
         if txn is not None:
             self._stage_schema_change(
                 txn,
@@ -578,11 +546,6 @@ class Table:
     ) -> None:
         """Commit an ALTER outside any transaction: schema + rewritten rows
         land at one timestamp (WAL DDL record when durability is attached)."""
-        manager = self.manager
-        if not manager.enabled:
-            self.apply_committed_schema(new_schema, 0)
-            self._apply_plain("replace", new_rows)
-            return
         key = self.name.lower()
         op = CatalogOp(
             "schema",
@@ -591,7 +554,7 @@ class Table:
             wal=wal,
             apply=lambda ts: self.apply_committed_schema(new_schema, ts),
         )
-        manager.commit_ddl([op], {key: (self, "replace", new_rows, None)})
+        self.manager.commit_ddl([op], {key: (self, "replace", new_rows, None)})
 
     # -- column-level access (used by the policy administration layer) --------
 

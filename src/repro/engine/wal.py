@@ -324,13 +324,7 @@ class DurabilityManager:
         self.checkpoints = 0
         self.recovered_commits = 0
         self.torn_bytes = 0
-        manager = database.transactions
-        if not manager.enabled:
-            raise WalError(
-                "durability requires MVCC (REPRO_TXN=on); the WAL logs "
-                "commit timestamps"
-            )
-        manager.wal = self
+        database.transactions.wal = self
         database.durability = self
 
     # -- logging (called by the transaction manager, under its lock) --------

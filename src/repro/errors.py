@@ -112,14 +112,6 @@ class CatalogConflictError(TransactionError):
         self.committed_version = committed_version
 
 
-class SnapshotInvalidatedError(TransactionError):
-    """The policy *metadata* (purposes, categorization) changed under an open
-    snapshot while the engine runs in fail-fast revocation mode
-    (``REPRO_REVOCATION=failfast``); the transaction must be rolled back and
-    retried.  The default ``versioned`` mode resolves metadata as of the
-    snapshot's catalog version instead and never dooms snapshots."""
-
-
 class WalError(EngineError):
     """The write-ahead log is unreadable, unwritable or corrupt."""
 
@@ -207,14 +199,10 @@ class RemoteError(ServerError):
 class RemoteTxnConflictError(RemoteError):
     """Typed ``txn_conflict``: the server aborted this session's COMMIT
     because another transaction won the first-committer-wins race on a row
-    (or, with ``REPRO_CONFLICT=table``, a table) this transaction wrote."""
+    (or, for a table without a primary key, the table) this transaction
+    wrote."""
 
 
 class RemoteCatalogConflictError(RemoteError):
     """Typed ``catalog_conflict``: a concurrent DDL/taxonomy commit beat
     this transaction to the same catalog entry."""
-
-
-class RemoteSnapshotInvalidatedError(RemoteError):
-    """Typed ``snapshot_invalidated``: the session's snapshot was doomed by
-    a policy-metadata change under fail-fast revocation mode."""

@@ -497,7 +497,7 @@ class AsyncQueryServer:
                 cache_hit=report.cache_hit,
                 checks=report.compliance_checks,
                 route="txn-local",
-                epoch=session.txn.snapshot.epoch,
+                epoch=session.txn.snapshot.catalog_version,
             )
         report = await self.coordinator.query(
             sql, session.purpose, user=session.user, params=params
@@ -527,7 +527,7 @@ class AsyncQueryServer:
             return ok_response(
                 txn=session.txn.txn_id,
                 snapshot_ts=session.txn.snapshot.ts,
-                epoch=session.txn.snapshot.epoch,
+                epoch=session.txn.snapshot.catalog_version,
             )
         if isinstance(statement, ast.Commit):
             if session.txn is None:
@@ -617,10 +617,7 @@ class AsyncQueryServer:
 
     def _txn_stats(self) -> dict:
         database = self.monitor.database
-        stats = {
-            "mode": "on" if database.transactions.enabled else "off",
-            "manager": database.transactions.stats_dict(),
-        }
+        stats = {"manager": database.transactions.stats_dict()}
         if database.durability is not None:
             stats["wal"] = database.durability.stats()
         return stats

@@ -28,13 +28,11 @@ from dataclasses import dataclass
 from ..errors import (
     RemoteCatalogConflictError,
     RemoteError,
-    RemoteSnapshotInvalidatedError,
     RemoteTxnConflictError,
     WireProtocolError,
 )
 from .protocol import (
     E_CATALOG_CONFLICT,
-    E_SNAPSHOT_INVALIDATED,
     E_TXN_CONFLICT,
     recv_message,
     rows_from_wire,
@@ -45,7 +43,6 @@ from .protocol import (
 _TYPED_ERRORS: dict = {
     E_TXN_CONFLICT: RemoteTxnConflictError,
     E_CATALOG_CONFLICT: RemoteCatalogConflictError,
-    E_SNAPSHOT_INVALIDATED: RemoteSnapshotInvalidatedError,
 }
 
 
@@ -178,8 +175,7 @@ class Client:
         :class:`~repro.errors.RemoteCatalogConflictError` (code
         ``catalog_conflict``) for DDL racing on a catalog entry — the
         transaction is already rolled back server-side; retry the whole
-        transaction.  Under ``REPRO_REVOCATION=failfast`` a doomed snapshot
-        raises :class:`~repro.errors.RemoteSnapshotInvalidatedError`.
+        transaction.
         """
         response = self._call({"op": "execute", "sql": "commit"})
         return int(response["commit_ts"])

@@ -25,7 +25,6 @@ from ..errors import (
     CatalogConflictError,
     EngineError,
     ServerBusyError,
-    SnapshotInvalidatedError,
     SqlError,
     TransactionError,
     UnauthorizedPurposeError,
@@ -52,18 +51,14 @@ E_NO_SESSION = "no_session"
 E_INTERNAL = "internal_error"
 E_TXN_CONFLICT = "txn_conflict"
 E_CATALOG_CONFLICT = "catalog_conflict"
-E_SNAPSHOT_INVALIDATED = "snapshot_invalidated"
 E_TXN = "txn_error"
 
 #: Codes a client should treat as an enforcement decision, not a fault.
 DENIAL_CODES = frozenset({E_UNAUTHORIZED, E_POLICY})
 
 #: Codes that mean "retry the whole transaction": the statement was valid
-#: but lost a first-committer-wins race (row/table data, a catalog entry)
-#: or its snapshot was revoked under ``REPRO_REVOCATION=failfast``.
-RETRYABLE_CODES = frozenset(
-    {E_TXN_CONFLICT, E_CATALOG_CONFLICT, E_SNAPSHOT_INVALIDATED}
-)
+#: but lost a first-committer-wins race (row/table data, a catalog entry).
+RETRYABLE_CODES = frozenset({E_TXN_CONFLICT, E_CATALOG_CONFLICT})
 
 
 def error_code_for(exc: BaseException) -> str:
@@ -83,8 +78,6 @@ def error_code_for(exc: BaseException) -> str:
         return E_CATALOG_CONFLICT
     if isinstance(exc, WriteConflictError):
         return E_TXN_CONFLICT
-    if isinstance(exc, SnapshotInvalidatedError):
-        return E_SNAPSHOT_INVALIDATED
     if isinstance(exc, TransactionError):
         return E_TXN
     if isinstance(exc, EngineError):

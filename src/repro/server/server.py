@@ -11,9 +11,6 @@ and bounded:
   serialize on the writer side of the readers–writer lock, and multi-
   statement transactions (``BEGIN``/``COMMIT``/``ROLLBACK`` through
   ``execute``) settle write-write races first-committer-wins at COMMIT.
-  With ``REPRO_TXN=off`` reads fall back to holding the lock shared — the
-  pre-MVCC fence, where a reader never observes a half-applied write
-  because writes exclude readers entirely.
 * **Admission control** — statement work runs on a fixed
   :class:`~repro.server.admission.WorkerPool` behind a bounded queue;
   overload is answered with ``server_busy`` instead of queueing without
@@ -35,7 +32,7 @@ import threading
 from contextlib import contextmanager
 
 from ..core.monitor import EnforcementMonitor
-from ..engine import resolve_txn_mode, txn_scope
+from ..engine import txn_scope
 from ..errors import (
     CatalogConflictError,
     ReproError,
@@ -120,11 +117,6 @@ class QueryServer:
         )
         self.sessions = SessionManager(monitor)
         self.rwlock = ReadWriteLock()
-        # With MVCC on, reads run under a pinned snapshot instead of the
-        # read side of the lock (snapshot handoff): policy writes and DML
-        # never stall readers.  REPRO_TXN=off restores the pre-MVCC
-        # reader/writer fence.
-        self.txn_mode = resolve_txn_mode(None)
         self._pool: WorkerPool | None = None
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -164,6 +156,11 @@ class QueryServer:
             return
         self._running = False
         assert self._listener is not None and self._pool is not None
+        # close() alone does not wake a thread blocked in accept() on Linux.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -419,15 +416,13 @@ class QueryServer:
 
         Inside an open transaction: activate the session's transaction on
         this worker thread (its snapshot pins both data versions and the
-        policy epoch).  Otherwise, with MVCC on, pin an ephemeral read
-        snapshot — the *snapshot handoff* that replaces the read fence, so
-        writers never block this read.  With ``REPRO_TXN=off``: the
-        pre-MVCC shared lock.
+        policy epoch).  Otherwise pin an ephemeral read snapshot — the
+        *snapshot handoff*, so writers never block this read.
         """
         if session.txn is not None:
             with txn_scope(session.txn):
                 yield
-        elif self.txn_mode == "on":
+        else:
             # Pin the snapshot under the read side of the lock — a snapshot
             # can never begin in the middle of an exclusive admin batch or
             # a DML write — then release it and execute lock-free: writers
@@ -439,9 +434,6 @@ class QueryServer:
                 yield
             finally:
                 scope.__exit__(None, None, None)
-        else:
-            with self.rwlock.read_locked():
-                yield
 
     def _run_select(
         self, session: ServerSession, sql: str, params
@@ -499,7 +491,7 @@ class QueryServer:
             return ok_response(
                 txn=session.txn.txn_id,
                 snapshot_ts=session.txn.snapshot.ts,
-                epoch=session.txn.snapshot.epoch,
+                epoch=session.txn.snapshot.catalog_version,
             )
         if isinstance(statement, ast.Commit):
             if session.txn is None:
@@ -602,10 +594,7 @@ class QueryServer:
 
     def _txn_stats(self) -> dict:
         database = self.monitor.database
-        stats = {
-            "mode": self.txn_mode,
-            "manager": database.transactions.stats_dict(),
-        }
+        stats = {"manager": database.transactions.stats_dict()}
         if database.durability is not None:
             stats["wal"] = database.durability.stats()
         return stats

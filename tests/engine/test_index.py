@@ -315,8 +315,6 @@ class TestEntryRevalidation:
 
     def test_older_snapshot_beside_a_newer_one(self, scored) -> None:
         database, manager = scored
-        if not database.transactions.enabled:
-            pytest.skip("snapshots need REPRO_TXN=on")
         reader = database.transactions.begin()
         database.execute("update t set grp = 'late' where id = 5")
         before = manager.stats()
@@ -339,8 +337,6 @@ class TestEntryRevalidation:
 
     def test_rolled_back_staged_write_never_leaks(self, scored) -> None:
         database, manager = scored
-        if not database.transactions.enabled:
-            pytest.skip("staged writes need REPRO_TXN=on")
         database.begin()
         database.execute("update t set score = 1000 where id = 5")
         database.execute("insert into t values (100, 'g0', 10, null)")
@@ -362,8 +358,6 @@ class TestEntryRevalidation:
         import threading
 
         database = Database("stress")
-        if not database.transactions.enabled:
-            pytest.skip("snapshots need REPRO_TXN=on")
         database.execute("create table m (id integer, reading double precision)")
         database.table("m").append_rows((i, float(i)) for i in range(40))
         database.execute("create index i_reading on m (reading)")

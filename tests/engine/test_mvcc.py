@@ -16,28 +16,8 @@ import pytest
 
 from repro.engine import Snapshot, txn_scope
 from repro.engine.database import Database
-from repro.engine.mvcc import (
-    TransactionManager,
-    resolve_conflict_mode,
-    resolve_txn_mode,
-)
-from repro.errors import (
-    ExecutionError,
-    SnapshotInvalidatedError,
-    TransactionError,
-    WriteConflictError,
-)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _txn_on():
-    """This battery tests the MVCC engine itself — force it on so the suite
-    stays green under the CI off-mode leg (``REPRO_TXN=off``); the tests
-    that cover off-mode set the env themselves, after this."""
-    patch = pytest.MonkeyPatch()
-    patch.setenv("REPRO_TXN", "on")
-    yield
-    patch.undo()
+from repro.engine.mvcc import TransactionManager
+from repro.errors import TransactionError, WriteConflictError
 
 
 @pytest.fixture()
@@ -51,31 +31,6 @@ def db():
 
 def rows(db, sql="select id, v from t order by id"):
     return list(db.execute(sql).rows)
-
-
-# -- mode resolution ----------------------------------------------------------
-
-
-def test_resolve_txn_mode_ladder(monkeypatch) -> None:
-    monkeypatch.delenv("REPRO_TXN", raising=False)
-    assert resolve_txn_mode() == "on"
-    monkeypatch.setenv("REPRO_TXN", "off")
-    assert resolve_txn_mode() == "off"
-    assert resolve_txn_mode("on") == "on"  # explicit beats env
-    with pytest.raises(ExecutionError):
-        resolve_txn_mode("serializable")
-
-
-def test_disabled_manager_rejects_begin(monkeypatch) -> None:
-    monkeypatch.setenv("REPRO_TXN", "off")
-    database = Database("off-mode")
-    database.execute("create table t (id integer)")
-    assert database.transactions.enabled is False
-    with pytest.raises(TransactionError):
-        database.begin()
-    # Plain writes still work and keep no version chains.
-    database.execute("insert into t values (1)")
-    assert database.table("t").version == 1
 
 
 # -- the visibility matrix ----------------------------------------------------
@@ -299,14 +254,15 @@ def test_pre_txn_statistics_stay_fresh_across_rollback(db) -> None:
 # -- snapshot identity & enforcement scoping ----------------------------------
 
 
-def test_snapshot_pins_commit_ts_and_catalog_version() -> None:
-    manager = TransactionManager(enabled=True)
-    manager.epoch_provider = lambda: 7  # legacy path: no catalog attached
+def test_snapshot_pins_commit_ts_and_catalog_version(db) -> None:
+    # A manager without a catalog (standalone tables) pins version 0.
+    assert TransactionManager().snapshot() == Snapshot(ts=0, catalog_version=0)
+    manager = db.transactions
     snap = manager.snapshot()
-    assert snap == Snapshot(ts=0, catalog_version=7)
-    assert snap.epoch == 7  # backward-compatible alias
+    assert snap == Snapshot(ts=manager.clock, catalog_version=db.catalog.version)
+    assert snap.ts > 0 and snap.catalog_version > 0
     txn = manager.begin()
-    assert txn.snapshot.catalog_version == 7
+    assert txn.snapshot == snap
     manager.rollback(txn)
 
 
@@ -323,51 +279,17 @@ def test_snapshot_pins_database_catalog_version(db) -> None:
     db.transactions.rollback(fresh)
 
 
-def test_policy_metadata_change_dooms_snapshots_only_in_failfast(
-    policy_scenario,
-) -> None:
-    """``REPRO_REVOCATION=failfast`` keeps the PR 9 dooming semantics;
-    the default ``versioned`` mode (covered by
-    ``test_taxonomy_edit_is_versioned_under_open_snapshot``) does not."""
-    monitor = policy_scenario.monitor
-    admin = policy_scenario.admin
-    database = policy_scenario.database
-    admin.revocation_mode = "failfast"
-    try:
-        txn = database.transactions.begin()
-        with txn_scope(txn):
-            monitor.execute("select count(*) from sensed_data", "p6")
-        removed = admin.remove_purpose("p8")  # metadata: purpose set changed
-        try:
-            assert txn.invalidated_by is not None
-            with txn_scope(txn), pytest.raises(SnapshotInvalidatedError):
-                monitor.execute("select count(*) from sensed_data", "p6")
-        finally:
-            database.transactions.rollback(txn)
-            admin.define_purpose(removed)
-        # Fresh snapshots after the change work fine.
-        fresh = database.transactions.begin()
-        with txn_scope(fresh):
-            monitor.execute("select count(*) from sensed_data", "p6")
-        database.transactions.rollback(fresh)
-    finally:
-        admin.revocation_mode = "versioned"
-
-
 def test_taxonomy_edit_is_versioned_under_open_snapshot(policy_scenario) -> None:
-    """Default mode: purpose removal is a versioned catalog commit — an open
-    snapshot keeps resolving the taxonomy as of its catalog version instead
-    of being doomed (the heart of the PR 10 tentpole)."""
+    """Purpose removal is a versioned catalog commit — an open snapshot
+    keeps resolving the taxonomy as of its catalog version."""
     monitor = policy_scenario.monitor
     admin = policy_scenario.admin
     database = policy_scenario.database
-    assert admin.revocation_mode == "versioned"
     txn = database.transactions.begin()
     with txn_scope(txn):
         before = monitor.execute("select count(*) from sensed_data", "p6").rows
     removed = admin.remove_purpose("p8")
     try:
-        assert txn.invalidated_by is None  # not doomed
         with txn_scope(txn):
             pinned = monitor.execute(
                 "select count(*) from sensed_data", "p6"
@@ -613,7 +535,7 @@ def test_index_recreated_with_new_columns_keeps_snapshots_apart(db) -> None:
 
 def test_dml_conflicts_with_concurrent_alter(db) -> None:
     """A schema change writes "all rows": any concurrent DML on the table
-    must abort, even in row mode."""
+    must abort, whichever rows it touched."""
     txn = db.transactions.begin()
     with txn_scope(txn):
         db.execute("update t set v = 'staged' where id = 1")
@@ -636,16 +558,6 @@ def pkdb():
 
 def rrows(database, sql="select id, v from r order by id"):
     return list(database.execute(sql).rows)
-
-
-def test_resolve_conflict_mode_ladder(monkeypatch) -> None:
-    monkeypatch.delenv("REPRO_CONFLICT", raising=False)
-    assert resolve_conflict_mode() == "row"
-    monkeypatch.setenv("REPRO_CONFLICT", "table")
-    assert resolve_conflict_mode() == "table"
-    assert resolve_conflict_mode("row") == "row"  # explicit beats env
-    with pytest.raises(ExecutionError):
-        resolve_conflict_mode("page")
 
 
 def test_disjoint_row_writers_both_commit(pkdb) -> None:
@@ -767,20 +679,3 @@ def test_no_primary_key_falls_back_to_table_granularity(db) -> None:
     db.transactions.commit(first)
     with pytest.raises(WriteConflictError):
         db.transactions.commit(second)
-
-
-def test_table_mode_restores_coarse_conflicts(monkeypatch) -> None:
-    monkeypatch.setenv("REPRO_CONFLICT", "table")
-    database = Database("coarse")
-    database.execute("create table r (id integer primary key, v text)")
-    database.execute("insert into r values (1, 'a'), (2, 'b')")
-    assert database.transactions.conflict_mode == "table"
-    first = database.transactions.begin()
-    second = database.transactions.begin()
-    with txn_scope(first):
-        database.execute("update r set v = 'x' where id = 1")
-    with txn_scope(second):
-        database.execute("update r set v = 'y' where id = 2")
-    database.transactions.commit(first)
-    with pytest.raises(WriteConflictError):
-        database.transactions.commit(second)

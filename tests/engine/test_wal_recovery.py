@@ -29,12 +29,11 @@ import pytest
 from repro.engine.wal import (
     CHECKPOINT,
     COMMIT,
-    DurabilityManager,
     WriteAheadLog,
     open_database,
     resolve_wal_sync,
 )
-from repro.errors import InjectedFailure, WalError, WriteConflictError
+from repro.errors import InjectedFailure, WriteConflictError
 
 import random
 
@@ -48,17 +47,6 @@ FAILPOINT_SURVIVES = {
     "wal.before_sync": True,
     "wal.after_sync": True,
 }
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _txn_on():
-    """Durability requires MVCC — force it on so the battery stays green
-    under the CI off-mode leg; ``test_wal_requires_mvcc`` sets the env
-    itself, after this."""
-    patch = pytest.MonkeyPatch()
-    patch.setenv("REPRO_TXN", "on")
-    yield
-    patch.undo()
 
 
 def durable_db(directory):
@@ -153,15 +141,6 @@ def test_ddl_is_logged_not_checkpointed(tmp_path) -> None:
     assert recovered.table("extra").schema.column_names == ("id", "tag")
     assert recovered.indexes.get("i_extra").columns == ("id",)
     assert recovered.indexes.lookup_equal("i_extra", 7) == [0]
-
-
-def test_wal_requires_mvcc(tmp_path, monkeypatch) -> None:
-    monkeypatch.setenv("REPRO_TXN", "off")
-    from repro.engine.database import Database
-
-    database = Database("plain")
-    with pytest.raises(WalError):
-        DurabilityManager(database, tmp_path)
 
 
 def test_wal_sync_mode_resolution(monkeypatch) -> None:

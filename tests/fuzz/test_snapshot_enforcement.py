@@ -13,10 +13,6 @@ Three layers of coverage:
 * a quick generated batch plus the live-threads churn test (tier-1),
 * a slow-marked 500-case seed-2015 campaign — the acceptance headline:
   zero enforcement disagreements under concurrent policy churn.
-
-The ``REPRO_TXN=off`` leg pins the fallback: ``BEGIN`` fails cleanly with
-a :class:`~repro.errors.TransactionError` (wire code ``txn_error``) and
-plain differential runs still agree on every path.
 """
 
 from __future__ import annotations
@@ -28,9 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import txn_scope
-from repro.errors import RemoteError, TransactionError
 from repro.fuzz import (
-    DifferentialRunner,
     FuzzQueryGenerator,
     ScheduleRunner,
     load_repro,
@@ -49,17 +43,6 @@ CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
 #: Smaller world than the default spec: schedules re-run the pinned reader
 #: after every churn step, so per-case cost is ~(steps + 2) executions.
 SCHEDULE_SPEC = ScenarioSpec(patients=12, samples=4, user_count=4)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _txn_on():
-    """Schedules pin snapshots, so MVCC must be on regardless of the
-    ambient CI mode; the ``off_mode_world`` tests re-set the env
-    per-test, after this."""
-    patch = pytest.MonkeyPatch()
-    patch.setenv("REPRO_TXN", "on")
-    yield
-    patch.undo()
 
 
 @pytest.fixture(scope="module")
@@ -169,49 +152,3 @@ def test_pinned_reader_survives_live_policy_churn_threads() -> None:
         f"pinned reads leaked concurrent policy churn: row counts "
         f"{mismatches} != {len(reference)}"
     )
-
-
-# -- the REPRO_TXN=off leg ----------------------------------------------------
-
-
-@pytest.fixture()
-def off_mode_world(monkeypatch):
-    monkeypatch.setenv("REPRO_TXN", "off")
-    return build_fuzz_scenario(ScenarioSpec(patients=8, samples=3))
-
-
-def test_off_mode_begin_fails_cleanly(off_mode_world) -> None:
-    assert off_mode_world.database.transactions.enabled is False
-    with pytest.raises(TransactionError):
-        off_mode_world.database.execute("begin")
-    # The failed BEGIN must not poison subsequent statements.
-    result = off_mode_world.monitor.execute(
-        "select count(*) from sensed_data", "p6"
-    )
-    assert result.rows
-
-
-def test_off_mode_begin_fails_cleanly_over_the_wire(off_mode_world) -> None:
-    from repro.server import Client, QueryServer
-
-    with QueryServer(off_mode_world.monitor) as server:
-        assert server.txn_mode == "off"
-        with Client(*server.address) as client:
-            client.hello("u0", "p6")
-            with pytest.raises(RemoteError) as excinfo:
-                client.begin()
-            assert excinfo.value.code == "txn_error"
-            # The session and the RW-lock read path stay usable.
-            assert client.query("select count(*) from sensed_data").rows
-
-
-def test_off_mode_differential_paths_still_agree(off_mode_world) -> None:
-    with DifferentialRunner(world=off_mode_world) as runner:
-        generator = FuzzQueryGenerator.for_world(
-            off_mode_world, seed=CAMPAIGN_SEED
-        )
-        failures = []
-        for report in runner.run_cases(generator.cases(8)):
-            if not report.ok:
-                failures.append(report.describe())
-        assert not failures, "\n\n".join(failures)

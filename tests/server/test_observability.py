@@ -3,8 +3,9 @@
 Replays the frozen corpus queries over the wire protocol and checks that
 the metrics exposition returned by the ``stats`` verb accounts for every
 ``complieswith`` invocation the engine itself counted — the independent
-ledger the Figure 6 measurements rest on — and that ``explain`` over the
-wire returns the same plan text the monitor produces directly.
+ledger the Figure 6 measurements rest on — that ``explain`` over the
+wire returns the same plan text the monitor produces directly, and that
+both front ends report the same ``transactions`` section.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.core import COMPLIES_WITH
+from repro.engine.wal import DurabilityManager
 from repro.fuzz import load_repro
 from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario
 from repro.obs import parse_exposition
-from repro.server import Client, QueryServer
+from repro.server import AsyncQueryServer, Client, QueryServer
+from repro.shard import ShardCoordinator, WorldRecipe
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -67,3 +70,39 @@ def test_wire_explain_matches_monitor_explain():
             client.hello("u0", "p6")
             over_wire = client.explain(sql)
     assert over_wire == direct
+
+
+def _threaded_front_end():
+    world = build_fuzz_scenario(ScenarioSpec(patients=4, samples=2))
+    return QueryServer(world.monitor), None
+
+
+def _async_front_end():
+    recipe = WorldRecipe.for_patients(patients=4, samples=2)
+    coordinator = ShardCoordinator(recipe, 2, backend="inline")
+    return AsyncQueryServer(coordinator), coordinator
+
+
+@pytest.mark.parametrize("front_end", [_threaded_front_end, _async_front_end])
+def test_stats_transactions_section_shape(front_end, tmp_path):
+    """What ``benchmarks/e2e`` reads its MVCC and WAL counters from."""
+    server, coordinator = front_end()
+    durability = DurabilityManager(server.monitor.database, tmp_path)
+    try:
+        with server, Client(*server.address) as client:
+            transactions = client.stats()["transactions"]
+    finally:
+        durability.close()
+        if coordinator is not None:
+            coordinator.close()
+    assert set(transactions) == {"manager", "wal"}
+    assert set(transactions["manager"]) == {
+        "begun",
+        "committed",
+        "rolled_back",
+        "conflicts",
+        "catalog_conflicts",
+        "rebased",
+        "active",
+    }
+    assert {"appends", "syncs", "checkpoints"} <= set(transactions["wal"])

@@ -22,12 +22,10 @@ CLIENTS = 6
 SQL = "select user_id from users"
 
 
-def test_saturation_yields_server_busy_and_drains_back_to_healthy(monkeypatch):
-    # The gate below only blocks reads on the lock-fenced path: with MVCC
-    # on, SELECTs run under snapshots and sail past ``exclusive()``, so the
-    # queue would drain instead of saturating.  Admission control itself is
-    # mode-independent; pin the mode that makes the gate deterministic.
-    monkeypatch.setenv("REPRO_TXN", "off")
+def test_saturation_yields_server_busy_and_drains_back_to_healthy():
+    # The gate below blocks reads even though SELECTs execute lock-free:
+    # a read pins its snapshot under ``rwlock.read_locked()``, so it waits
+    # there for as long as ``exclusive()`` is held.
     scenario = build_patients_scenario(patients=10, samples_per_patient=3)
     scenario.admin.grant_purpose("reader", "p6")
 

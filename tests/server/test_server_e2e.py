@@ -11,6 +11,7 @@ client's transcript must match the serial one exactly, denials included.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -180,3 +181,15 @@ def test_unknown_prepared_statement_is_protocol_error():
             with pytest.raises(RemoteError) as excinfo:
                 client.execute_prepared("s999")
             assert excinfo.value.code == "protocol_error"
+
+
+def test_stop_wakes_the_accept_thread():
+    """``stop()`` must not rely on ``close()`` to interrupt ``accept()``:
+    on Linux it does not, and the join would burn its whole timeout."""
+    server = QueryServer(make_scenario().monitor).start()
+    accept_thread = server._accept_thread
+    assert accept_thread is not None and accept_thread.is_alive()
+    began = time.monotonic()
+    server.stop()
+    assert not accept_thread.is_alive()
+    assert time.monotonic() - began < 2
