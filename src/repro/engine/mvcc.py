@@ -28,8 +28,8 @@ This module gives the engine the concurrency model the ROADMAP asks for —
   (:class:`~repro.errors.CatalogConflictError`).
 
 The active transaction travels in a :class:`contextvars.ContextVar`, so it
-is inherited by the asyncio tasks of the sharded front end and can be
-activated per-statement on server worker threads via :func:`txn_scope` —
+is inherited by the asyncio tasks of the sharded transport and can be
+activated per statement by the server's request core via :func:`txn_scope` —
 every existing read path (executor scans, columnar batches, index builds,
 bitmap probes, statistics) becomes snapshot-consistent through the
 ``Table.rows`` / ``Table.version`` / ``Table.schema`` properties without

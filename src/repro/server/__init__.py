@@ -4,23 +4,24 @@ The paper's monitor is evaluated one query at a time on one connection; this
 package is the subsystem that serves the same enforcement pipeline to many
 clients at once:
 
-* :class:`QueryServer` — TCP service: length-prefixed JSON protocol, a
-  worker pool behind a bounded admission queue, and a readers–writer lock
-  giving parallel SELECTs / exclusive DML+policy writes;
+* :mod:`repro.server.core` — the one sans-IO implementation of the wire
+  protocol above the framing (verbs, session and transaction state machine,
+  error codes, admission accounting, response shapes, ``stats``);
+* :class:`QueryServer` — its threaded transport: a thread per connection
+  in front of one monitor, snapshot-handoff reads, a readers–writer lock
+  ordering snapshots against DML and policy writes;
+* :class:`AsyncQueryServer` — its asyncio transport over a hash-sharded
+  deployment (:mod:`repro.shard`, DESIGN.md §14): one event loop,
+  scatter-gather execution behind the coordinator's fence;
 * :class:`SessionManager` / :class:`ServerSession` — per-connection
   authenticated state (user, purpose, open prepared statements);
 * :class:`Client` — the matching synchronous client;
-* :class:`ReadWriteLock`, :class:`WorkerPool` — the concurrency primitives,
-  importable on their own;
-* :class:`AsyncQueryServer` — the asyncio front end over a hash-sharded
-  deployment (:mod:`repro.shard`, DESIGN.md §14): same protocol, one event
-  loop instead of a thread per connection, scatter-gather execution.
+* :class:`ReadWriteLock` — the concurrency primitive, importable on its own.
 
 ``python -m repro.server --port 7878`` serves the patients scenario
 (add ``--async --shards 3`` for the sharded event-loop server).
 """
 
-from .admission import WorkerPool
 from .async_server import AsyncQueryServer
 from .client import Client, QueryResult
 from .locks import ReadWriteLock
@@ -52,7 +53,6 @@ __all__ = [
     "ReadWriteLock",
     "ServerSession",
     "SessionManager",
-    "WorkerPool",
     "DENIAL_CODES",
     "E_BUSY",
     "E_ENGINE",

@@ -56,10 +56,6 @@ E_TXN = "txn_error"
 #: Codes a client should treat as an enforcement decision, not a fault.
 DENIAL_CODES = frozenset({E_UNAUTHORIZED, E_POLICY})
 
-#: Codes that mean "retry the whole transaction": the statement was valid
-#: but lost a first-committer-wins race (row/table data, a catalog entry).
-RETRYABLE_CODES = frozenset({E_TXN_CONFLICT, E_CATALOG_CONFLICT})
-
 
 def error_code_for(exc: BaseException) -> str:
     """Map an exception from the enforcement stack to a protocol code.
@@ -116,8 +112,8 @@ def _jsonable(value: object) -> str:
     return str(value)
 
 
-def send_message(sock: socket.socket, payload: dict) -> None:
-    """Frame and send one message."""
+def _encode(payload: dict) -> bytes:
+    """One frame — header and payload — ready to write."""
     data = json.dumps(payload, separators=(",", ":"), default=_jsonable).encode(
         "utf-8"
     )
@@ -125,18 +121,17 @@ def send_message(sock: socket.socket, payload: dict) -> None:
         raise WireProtocolError(
             f"outgoing frame of {len(data)} bytes exceeds MAX_FRAME"
         )
-    sock.sendall(HEADER.pack(len(data)) + data)
+    return HEADER.pack(len(data)) + data
 
 
-def recv_message(sock: socket.socket) -> dict | None:
-    """Receive one message; ``None`` on a clean EOF at a frame boundary."""
-    header = _recv_exactly(sock, HEADER.size, allow_eof=True)
-    if header is None:
-        return None
+def _payload_length(header: bytes) -> int:
     (length,) = HEADER.unpack(header)
     if length > MAX_FRAME:
         raise WireProtocolError(f"incoming frame of {length} bytes exceeds MAX_FRAME")
-    data = _recv_exactly(sock, length, allow_eof=False)
+    return length
+
+
+def _decode(data: bytes) -> dict:
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -148,16 +143,22 @@ def recv_message(sock: socket.socket) -> dict | None:
     return payload
 
 
+def send_message(sock: socket.socket, payload: dict) -> None:
+    """Frame and send one message."""
+    sock.sendall(_encode(payload))
+
+
+def recv_message(sock: socket.socket) -> dict | None:
+    """Receive one message; ``None`` on a clean EOF at a frame boundary."""
+    header = _recv_exactly(sock, HEADER.size, allow_eof=True)
+    if header is None:
+        return None
+    return _decode(_recv_exactly(sock, _payload_length(header), allow_eof=False))
+
+
 async def send_message_async(writer, payload: dict) -> None:
     """:func:`send_message` for an :class:`asyncio.StreamWriter`."""
-    data = json.dumps(payload, separators=(",", ":"), default=_jsonable).encode(
-        "utf-8"
-    )
-    if len(data) > MAX_FRAME:
-        raise WireProtocolError(
-            f"outgoing frame of {len(data)} bytes exceeds MAX_FRAME"
-        )
-    writer.write(HEADER.pack(len(data)) + data)
+    writer.write(_encode(payload))
     await writer.drain()
 
 
@@ -171,24 +172,13 @@ async def recv_message_async(reader) -> dict | None:
         raise WireProtocolError(
             f"connection closed mid-frame ({len(exc.partial)}/{HEADER.size} bytes)"
         ) from None
-    (length,) = HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise WireProtocolError(f"incoming frame of {length} bytes exceeds MAX_FRAME")
+    length = _payload_length(header)
     try:
-        data = await reader.readexactly(length)
+        return _decode(await reader.readexactly(length))
     except asyncio.IncompleteReadError as exc:
         raise WireProtocolError(
             f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
         ) from None
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireProtocolError(f"undecodable frame: {exc}") from None
-    if not isinstance(payload, dict):
-        raise WireProtocolError(
-            f"expected a JSON object frame, got {type(payload).__name__}"
-        )
-    return payload
 
 
 def _recv_exactly(

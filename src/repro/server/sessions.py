@@ -34,10 +34,8 @@ class ServerSession:
         self.statements = 0
         self.denials = 0
         #: The session's open transaction handle
-        #: (:class:`~repro.engine.mvcc.Transaction`), or ``None``.  Held
-        #: here rather than in a context var because each statement of the
-        #: session may run on a different pool worker thread; the server
-        #: activates it per statement with
+        #: (:class:`~repro.engine.mvcc.Transaction`), or ``None``; the
+        #: request core activates it per statement with
         #: :func:`~repro.engine.mvcc.txn_scope`.
         self.txn = None
         self.commits = 0
@@ -128,15 +126,6 @@ class SessionManager:
             session = self._sessions.pop(session_id, None)
         if session is not None:
             session.abandon_txn()
-
-    def get(self, session_id: str) -> ServerSession | None:
-        """The live session for an id, or ``None``."""
-        with self._lock:
-            return self._sessions.get(session_id)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
 
     def stats(self) -> dict:
         """Open/lifetime counts plus a per-session breakdown."""

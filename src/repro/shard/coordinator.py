@@ -358,16 +358,6 @@ class ShardCoordinator:
             trace=trace if trace.enabled else None,
         )
 
-    async def explain(
-        self, statement, purpose: str, user: str | None = None, analyze: bool = False
-    ) -> ResultSet:
-        """EXPLAIN against the local replica (plans are per-replica)."""
-        async with self.fence.read_locked():
-            await asyncio.sleep(0)
-            return self.monitor.explain(
-                statement, purpose, user=user, analyze=analyze
-            )
-
     # -- writes -----------------------------------------------------------------------
 
     async def execute(
@@ -376,7 +366,7 @@ class ShardCoordinator:
         """Run one DML statement: local replica first, then partition resync."""
         statement = parse_statement(sql)
         if isinstance(statement, (ast.Select, ast.SetOperation, ast.Explain)):
-            raise ValueError("execute() is the DML path; use query()/explain()")
+            raise ValueError("execute() is the DML path; use query()")
         async with self.fence.write_locked():
             self._route_cache.clear()
             affected = self.monitor.execute_statement(sql, purpose, user=user)
@@ -384,6 +374,20 @@ class ShardCoordinator:
             if table is not None:
                 await self._resync((table,))
         return int(affected)
+
+    async def commit(self, txn) -> int:
+        """Commit a transaction of the local replica; returns its commit ts.
+
+        The write fence drains in-flight scatters, so none straddles the
+        commit and the resync of the tables it wrote.
+        """
+        written = tuple(txn.written_tables())
+        async with self.fence.write_locked():
+            commit_ts = self.database.transactions.commit(txn)
+            if written:
+                self._route_cache.clear()
+                await self._resync(written)
+        return commit_ts
 
     async def policy_write(self, fn, tables: "tuple[str, ...] | None" = None):
         """Apply a policy mutation and broadcast the new epoch to every shard.

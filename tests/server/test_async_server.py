@@ -2,10 +2,12 @@
 
 The existing synchronous :class:`~repro.server.client.Client` drives an
 :class:`~repro.server.async_server.AsyncQueryServer` fronting a 3-shard
-inline deployment — same verbs, same error codes, same result shapes as
-the thread-per-connection server, checked against an identical unsharded
-single-node world.  One test swaps in the ``process`` backend to prove the
-multiprocessing transport speaks the same shard protocol.
+inline deployment, checked against an identical unsharded single-node
+world: what is particular to this transport — scatter routes, partial
+merges, resync after DML, the ``shards`` stats section.  One test swaps in
+the ``process`` backend to prove the multiprocessing transport speaks the
+same shard protocol.  Everything the two transports answer alike (verbs,
+error codes, transactions) is in ``test_wire_battery.py``.
 """
 
 from __future__ import annotations
@@ -14,16 +16,7 @@ import threading
 
 import pytest
 
-from repro.errors import RemoteError
 from repro.server import AsyncQueryServer, Client
-from repro.server.protocol import (
-    E_NO_SESSION,
-    E_PARSE,
-    E_PROTOCOL,
-    E_UNAUTHORIZED,
-    recv_message,
-    send_message,
-)
 from repro.shard import ShardCoordinator, WorldRecipe
 from repro.shard.recipe import build_world
 
@@ -91,48 +84,6 @@ def test_parameterized_query_roundtrip(client, reference) -> None:
     answer = client.query(sql, [70])
     expected = reference.monitor.execute(sql, "p6", params=[70])
     assert sorted(answer.rows) == sorted(expected.rows)
-
-
-def test_unauthorized_purpose_is_a_denial(server) -> None:
-    with Client(*server.address) as other:
-        other.hello("demo", "p6")
-        with pytest.raises(RemoteError) as excinfo:
-            other.set_purpose("p3")  # not granted to demo
-            other.query("select watch_id from sensed_data")
-        assert excinfo.value.code == E_UNAUTHORIZED
-
-
-def test_parse_errors_carry_the_parse_code(client) -> None:
-    with pytest.raises(RemoteError) as excinfo:
-        client.query("select from nothing at all")
-    assert excinfo.value.code == E_PARSE
-
-
-def test_query_without_session_is_rejected(server) -> None:
-    with Client(*server.address) as fresh:
-        with pytest.raises(RemoteError) as excinfo:
-            fresh.query("select watch_id from sensed_data")
-        assert excinfo.value.code == E_NO_SESSION
-
-
-def test_unknown_verb_is_a_protocol_error(client) -> None:
-    with pytest.raises(RemoteError) as excinfo:
-        client._call({"op": "scatter_everything"})
-    assert excinfo.value.code == E_PROTOCOL
-
-
-def test_malformed_frame_is_answered_not_fatal(server) -> None:
-    import socket
-
-    with socket.create_connection(server.address, timeout=10) as sock:
-        send_message(sock, {"no_op": True})
-        response = recv_message(sock)
-        assert response is not None and not response["ok"]
-        assert response["error"]["code"] == E_PROTOCOL
-    # The server survives the bad client: a healthy session still works.
-    with Client(*server.address) as healthy:
-        healthy.hello("demo", "p6")
-        assert healthy.query("select count(*) from users").rows
 
 
 def test_dml_write_is_visible_to_scatters(server) -> None:

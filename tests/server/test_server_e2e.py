@@ -13,8 +13,6 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
 from repro.core import Session
 from repro.errors import RemoteError, UnauthorizedPurposeError
 from repro.server import Client, QueryServer
@@ -141,46 +139,6 @@ def test_concurrent_sessions_match_serial_reference():
     assert stats["server"]["denials"] == CLIENTS
     assert stats["sessions"]["open"] == 0  # every client said bye
     assert stats["admission"]["rejected"] == 0
-
-
-def test_unknown_user_rejected_at_hello():
-    scenario = make_scenario()
-    with QueryServer(scenario.monitor) as server:
-        with Client(*server.address) as client:
-            with pytest.raises(RemoteError) as excinfo:
-                client.hello("mallory", GRANTED)
-            assert excinfo.value.code == "policy_denied"
-            # The connection survives the denial and can authenticate.
-            assert client.hello("user0", GRANTED)
-
-
-def test_second_hello_is_a_protocol_error():
-    scenario = make_scenario()
-    with QueryServer(scenario.monitor) as server:
-        with Client(*server.address) as client:
-            client.hello("user0", GRANTED)
-            with pytest.raises(RemoteError) as excinfo:
-                client.hello("user1", GRANTED)
-            assert excinfo.value.code == "protocol_error"
-
-
-def test_statement_before_hello_needs_session():
-    scenario = make_scenario()
-    with QueryServer(scenario.monitor) as server:
-        with Client(*server.address) as client:
-            with pytest.raises(RemoteError) as excinfo:
-                client.query("select user_id from users")
-            assert excinfo.value.code == "no_session"
-
-
-def test_unknown_prepared_statement_is_protocol_error():
-    scenario = make_scenario()
-    with QueryServer(scenario.monitor) as server:
-        with Client(*server.address) as client:
-            client.hello("user0", GRANTED)
-            with pytest.raises(RemoteError) as excinfo:
-                client.execute_prepared("s999")
-            assert excinfo.value.code == "protocol_error"
 
 
 def test_stop_wakes_the_accept_thread():
