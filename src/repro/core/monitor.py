@@ -290,6 +290,12 @@ class EnforcementMonitor:
             "repro_wal_total",
             "Write-ahead-log activity (event=append|sync|checkpoint)",
         )
+        registry.counter(
+            "repro_wal_bytes_total",
+            "Write-ahead-log bytes by the costliest row effect a record "
+            "carries (op=append|delta|replace); replace is the whole-table "
+            "fallback",
+        )
         registry.histogram(
             "repro_query_seconds", "End-to-end enforced execution latency"
         )
@@ -870,7 +876,7 @@ class EnforcementMonitor:
         rewritten = rewrite_statement(statement, purpose, self.deriver, self.admin)
         database = self.admin.database
         checks_before = database.function_calls(COMPLIES_WITH)
-        affected = database.execute(rewritten)
+        affected = database.execute(rewritten, indexes=self.indexes_mode)
         checks = database.function_calls(COMPLIES_WITH) - checks_before
         self._audit(
             user, purpose, statement_id, original_sql, "allowed",

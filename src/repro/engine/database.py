@@ -17,7 +17,7 @@ from .expressions import Env, ExpressionCompiler, Scope
 from .functions import FunctionRegistry
 from .index import IndexDefinition, IndexManager, StatisticsCollector
 from .mvcc import Transaction, TransactionManager, current_transaction
-from .plan import PolicyBitmapCache
+from .plan import PolicyBitmapCache, Scan, best_index_path, flatten_conjuncts
 from .result import ResultSet
 from .schema import Column, ColumnBinding, RowShape, TableSchema
 from .table import Table
@@ -381,21 +381,24 @@ class Database:
 
     # -- statement execution -----------------------------------------------------
 
-    def execute(self, sql: str | ast.Statement) -> ResultSet | int:
+    def execute(
+        self, sql: str | ast.Statement, indexes: str | None = None
+    ) -> ResultSet | int:
         """Execute one statement.
 
         Returns a :class:`ResultSet` for SELECT and an affected-row count for
-        DML; DDL returns 0.
+        DML; DDL returns 0.  ``indexes`` pins access-path selection for a
+        SELECT, UPDATE or DELETE as in :meth:`query`.
         """
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            return self.query(statement)
+            return self.query(statement, indexes=indexes)
         if isinstance(statement, ast.Insert):
             return self._execute_insert(statement)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement)
+            return self._execute_update(statement, indexes)
         if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement)
+            return self._execute_delete(statement, indexes)
         if isinstance(statement, ast.Begin):
             self.begin()
             return 0
@@ -560,7 +563,9 @@ class Database:
             statement.columns,
         )
 
-    def _row_compiler(self, table: Table) -> tuple[ExpressionCompiler, RowShape]:
+    def _row_compiler(
+        self, table: Table, indexes: str | None = None
+    ) -> tuple[SelectExecutor, ExpressionCompiler, RowShape]:
         bindings = [
             ColumnBinding(
                 table.name.lower(), column.name.lower(), index,
@@ -569,12 +574,74 @@ class Database:
             for index, column in enumerate(table.schema.columns)
         ]
         shape = RowShape(bindings)
-        executor = SelectExecutor(self)
-        return executor.compiler(Scope(shape)), shape
+        executor = SelectExecutor(self, indexes=indexes)
+        return executor, executor.compiler(Scope(shape)), shape
 
-    def _execute_update(self, statement: ast.Update) -> int:
+    def _index_candidates(
+        self,
+        executor: SelectExecutor,
+        table: Table,
+        shape: RowShape,
+        where: "ast.Expression | None",
+        env: Env,
+    ) -> "list[int] | None":
+        """Row positions an index narrows an UPDATE/DELETE's WHERE to.
+
+        The same access paths a SELECT gets (equality on a leading run of
+        an index's key columns, a range on a single-column B-tree) over the
+        top-level conjuncts of ``where``; the statement still evaluates its
+        *whole* predicate — ``complieswith`` conjuncts included — on every
+        candidate, so the index only spares rows a key conjunct rejects
+        outright.  Rows with a NULL key are candidates too: the conjunct is
+        unknown for them, not false, and a scan goes on to check them.
+
+        ``None`` means scan: indexes off, no selective path, a probe value
+        the tree cannot compare (or NULL), a conjunct ahead of the key that checks
+        policies itself (it would run on fewer rows), or a table this
+        transaction already staged (its overlay is private; the shared
+        index entries describe committed rows).
+        """
+        if where is None or executor.index_mode != "on":
+            return None
+        txn = current_transaction(self.transactions)
+        if txn is not None and txn.staged(table) is not None:
+            return None
+        name = table.name.lower()
+        conjuncts = flatten_conjuncts(where)
+        path = best_index_path(
+            self,
+            [d for d in self.indexes.for_table(name) if not d.partitioned],
+            conjuncts,
+            Scan(name, name, shape),
+        )
+        if path is None or None in path.values:
+            return None  # ``key = NULL`` is unknown, not false, on every row
+        keyed = max(conjuncts.index(conjunct) for conjunct in path.matched)
+        if any(self._checks_policies(c) for c in conjuncts[:keyed]):
+            return None
+        found = executor.compile_plan(path, None).candidate_ids(env)
+        if found is None:
+            return None
+        unknown = self.indexes.null_key_rows(path.index_name)
+        return sorted({*found, *unknown}) if unknown else found
+
+    def _checks_policies(self, expression: ast.Expression) -> bool:
+        """Whether evaluating ``expression`` can call the policy function —
+        in place, or from a subquery the rewriter guarded."""
+        return any(
+            node.child_selects()
+            or (
+                isinstance(node, ast.FunctionCall)
+                and node.name.lower() == self.policy_function
+            )
+            for node in ast.walk_expression(expression)
+        )
+
+    def _execute_update(
+        self, statement: ast.Update, indexes: str | None = None
+    ) -> int:
         table = self.table(statement.table)
-        compiler, _ = self._row_compiler(table)
+        executor, compiler, shape = self._row_compiler(table, indexes)
         predicate = (
             compiler.compile(statement.where)
             if statement.where is not None
@@ -595,11 +662,16 @@ class Database:
                 new_row[index] = compiled(row, env)
             return tuple(new_row)
 
-        return table.update_rows(matches, updater)
+        candidates = self._index_candidates(
+            executor, table, shape, statement.where, env
+        )
+        return table.update_rows(matches, updater, candidates)
 
-    def _execute_delete(self, statement: ast.Delete) -> int:
+    def _execute_delete(
+        self, statement: ast.Delete, indexes: str | None = None
+    ) -> int:
         table = self.table(statement.table)
-        compiler, _ = self._row_compiler(table)
+        executor, compiler, shape = self._row_compiler(table, indexes)
         predicate = (
             compiler.compile(statement.where)
             if statement.where is not None
@@ -610,7 +682,12 @@ class Database:
             count = len(table)
             table.truncate()
             return count
-        return table.delete_rows(lambda row: predicate(row, env) is True)
+        candidates = self._index_candidates(
+            executor, table, shape, statement.where, env
+        )
+        return table.delete_rows(
+            lambda row: predicate(row, env) is True, candidates
+        )
 
     # -- DDL -----------------------------------------------------------------------
 

@@ -104,7 +104,7 @@ class _IndexEntry:
 
     __slots__ = (
         "definition", "schema", "structure", "partitions",
-        "version", "rows", "length",
+        "version", "rows", "length", "nulls",
     )
 
     def __init__(self, definition: IndexDefinition, schema):
@@ -119,6 +119,9 @@ class _IndexEntry:
         self.version: object = None
         self.rows: list = []
         self.length = 0
+        #: Ascending ids of the rows the structure cannot hold: a NULL in
+        #: some key column.
+        self.nulls: list[int] = []
 
     def positions(self) -> list[int]:
         """Schema positions of the key columns, then the partition column."""
@@ -140,6 +143,8 @@ class _IndexEntry:
             key = tuple(row[p] for p in positions)
             if None not in key:
                 insert(key[0] if single else key, row_id)
+            else:
+                self.nulls.append(row_id)
             if partitions is not None:
                 partitions.setdefault(row[partition_position], []).append(row_id)
         self.rows = rows
@@ -378,7 +383,30 @@ class IndexManager:
         self._require_btree(definition, "prefix")
         with self._lock:
             self._hits += 1
-            return self._entry(definition).structure.prefix(prefix)
+            entry = self._entry(definition)
+            found = entry.structure.prefix(prefix)
+            if entry.nulls:
+                # A NULL in a later key column keeps a row out of the tree,
+                # not out of the prefix's matches.
+                positions = entry.positions()[: len(prefix)]
+                found = sorted(
+                    found
+                    + [
+                        row_id
+                        for row_id in entry.nulls
+                        if tuple(entry.rows[row_id][p] for p in positions)
+                        == prefix
+                    ]
+                )
+            return found
+
+    def null_key_rows(self, name: str) -> list[int]:
+        """Ids (ascending) of the rows with a NULL in a key column of
+        ``name`` — rows no probe returns, although a statement that counts
+        predicate evaluations still has to look at them."""
+        definition = self.get(name)
+        with self._lock:
+            return list(self._entry(definition).nulls)
 
     def lookup_range(
         self,

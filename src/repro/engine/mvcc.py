@@ -1,27 +1,40 @@
 """Snapshot-isolation MVCC: snapshots, transactions, the commit clock.
 
-This module gives the engine the concurrency model the ROADMAP asks for —
-*policy writes never stall readers*.  The design in one paragraph:
+The engine's concurrency model — *policy writes never stall readers*
+(DESIGN.md §15):
 
 * Every committed change to a table is stamped with a **commit timestamp**
   drawn from a single monotonic clock (:class:`TransactionManager`).
 * A :class:`Snapshot` is the pair ``(commit ts, catalog version)``: which
   data versions are visible *and* which metadata state — schemas, index
   definitions, the purpose taxonomy — the query is planned and enforced
-  under.  The catalog version (DESIGN.md §16) subsumes the old policy
-  epoch: a reader that began before a policy update or a DDL commit keeps
-  being enforced under its snapshot's metadata state.
+  under (DESIGN.md §16).  A reader that began before a policy update or a
+  DDL commit keeps being enforced under its snapshot's metadata state.
 * Tables keep per-tuple version chains (``xmin``/``xmax`` commit
   timestamps, :class:`TupleVersion` in :mod:`repro.engine.table`); a
   snapshot sees exactly the versions with ``xmin <= ts < xmax``.
-* A :class:`Transaction` stages its writes in per-table overlays and
-  validates **first-committer-wins** at commit.  Since PR 10 the conflict
-  granularity is the *row*: each commit records the set of primary keys it
-  wrote, and a transaction aborts with
+* A :class:`Transaction` stages its writes in per-table overlays.  At
+  commit each overlay is diffed against the rows it was staged from
+  (:func:`row_delta`, by tuple identity), and the commit — its conflict
+  check, its WAL record and its in-memory apply — is that **row delta**:
+  it costs what the transaction changed, not what the table holds.
+  Autocommit statements take the same path.
+* **Visible means durable.**  A commit appends its WAL record, applies it
+  and flushes the log without letting go of the manager lock, and a
+  snapshot is pinned under that lock: no snapshot can see — and no audited
+  read disclose — a row version a crash could still lose.  Memory and log
+  move together, which is what positional deltas are replayed against.
+  Commits therefore flush one at a time, and a pin waits out a flush in
+  progress.
+* Validation is **first-committer-wins** at *row* granularity: a commit
+  records the primary keys of the rows it wrote (old and new key of an
+  updated row), and a transaction aborts with
   :class:`~repro.errors.WriteConflictError` only when its own write set
-  intersects a concurrent commit's.  Disjoint-row writers to the same
-  table rebase onto the latest committed rows and commit.  Tables without
-  a primary key (and whole-schema changes) fall back to table granularity.
+  intersects a concurrent commit's.  A disjoint-row writer to a table
+  that changed since its snapshot *rebases* — its delta is re-addressed
+  to the latest committed rows by key — and commits.  Tables without a
+  primary key (and whole-schema changes) conflict at table granularity;
+  duplicate keys conflict rather than rebase.
 * DDL stages in the transaction's **catalog overlay**
   (:class:`~repro.engine.catalog.CatalogOp`) and conflicts
   first-committer-wins on the catalog entry
@@ -30,10 +43,10 @@ This module gives the engine the concurrency model the ROADMAP asks for —
 The active transaction travels in a :class:`contextvars.ContextVar`, so it
 is inherited by the asyncio tasks of the sharded transport and can be
 activated per statement by the server's request core via :func:`txn_scope` —
-every existing read path (executor scans, columnar batches, index builds,
-bitmap probes, statistics) becomes snapshot-consistent through the
-``Table.rows`` / ``Table.version`` / ``Table.schema`` properties without
-touching a single operator.
+every read path (executor scans, columnar batches, index builds, bitmap
+probes, statistics) is snapshot-consistent through the ``Table.rows`` /
+``Table.version`` / ``Table.schema`` properties without touching a single
+operator.
 """
 
 from __future__ import annotations
@@ -42,6 +55,8 @@ import contextlib
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_not
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import (
@@ -54,8 +69,6 @@ from .catalog import Catalog, CatalogOp
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .schema import TableSchema
     from .table import Table
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,9 @@ class _StagedTable:
     and write this list.  ``bump`` makes the staged ``Table.version``
     change on every staged write so version-keyed caches (bitmaps,
     indexes, statistics) never serve one staged state for another.
-    ``base_rows`` keeps the snapshot-time rows for the commit-time
-    write-set diff (which rows did this transaction actually change?).
+    ``base_rows`` keeps the snapshot-time rows: the commit diffs the overlay
+    against them by object identity (:func:`row_delta`) to find the rows
+    this transaction actually changed.
     """
 
     __slots__ = ("rows", "base_rows", "bump", "append_only")
@@ -91,8 +105,7 @@ class _StagedTable:
         self.base_rows: list[tuple] = list(rows)
         self.bump = 0
         #: True while the overlay only ever appended rows; such a table
-        #: commits as a cheap append (no version-chain closure, compact
-        #: WAL record) instead of a full replace.
+        #: commits its suffix as an append without diffing.
         self.append_only = True
 
 
@@ -109,9 +122,6 @@ class Transaction:
         #: only — EXPLAIN renders ephemeral snapshots as "latest".
         self.ephemeral = False
         self._staged: dict[str, _StagedTable] = {}
-        #: Row count of each staged table at staging time, to split the
-        #: append-only suffix out of the overlay at commit.
-        self._staged_base: dict[str, int] = {}
         self._tables: dict[str, "Table"] = {}
         #: Staged catalog mutations (transactional DDL), in statement order.
         self._catalog_ops: list[CatalogOp] = []
@@ -133,7 +143,6 @@ class Transaction:
             base = table.rows_as_of(self.snapshot.ts)
             overlay = _StagedTable(list(base))
             self._staged[key] = overlay
-            self._staged_base[key] = len(overlay.rows)
             self._tables[key] = table
         return overlay
 
@@ -147,8 +156,8 @@ class Transaction:
 
     def staged_catalog_value(self, kind: str, key: str) -> object:
         """The newest value this transaction staged for a catalog slot
-        (``_MISSING`` sentinel is not used: returns ``None`` when absent,
-        callers that need presence use :meth:`has_staged_catalog`)."""
+        (``None`` when absent; callers that need presence use
+        :meth:`has_staged_catalog`)."""
         for op in reversed(self._catalog_ops):
             if op.kind == kind and op.key == key.lower():
                 return op.value
@@ -233,28 +242,137 @@ class TxnStats:
 
 
 class _WritePlan:
-    """One staged table's validated commit effect."""
+    """One table's validated commit effect.
 
-    __slots__ = ("table", "op", "rows", "written", "rebased")
+    ``op``/``payload`` is the effect as the WAL logs it and the table
+    applies it: ``"append"`` (rows), ``"delta"`` (a :func:`row_delta`
+    triple, positions in the latest committed rows) or ``"replace"`` (the
+    whole new row list).  ``written`` is the primary-key write set, or
+    ``None`` for "every row".
+    """
 
-    def __init__(self, table, op, rows, written, rebased=False):
+    __slots__ = ("table", "op", "payload", "written", "rebased")
+
+    def __init__(self, table, op, payload, written, rebased=False):
         self.table = table
         self.op = op
-        self.rows = rows
+        self.payload = payload
         self.written = written
         self.rebased = rebased
 
+    def apply(self, ts: int) -> None:
+        self.table.apply_committed(self.op, self.payload, ts, self.written)
 
-def _key_map(rows: list[tuple], pk: tuple[int, ...]) -> "dict | None":
-    """Map primary key -> row; ``None`` when a duplicate key appears
-    (the diff cannot attribute writes, so fall back to table granularity)."""
-    mapping: dict = {}
-    for row in rows:
-        key = tuple(row[index] for index in pk)
-        if key in mapping:
-            return None
-        mapping[key] = row
-    return mapping
+
+def row_delta(
+    old: list[tuple], new: list[tuple]
+) -> "tuple[list[tuple[int, tuple]], list[int], list[tuple]]":
+    """``(updates, deletes, inserts)`` turning ``old`` into ``new``.
+
+    ``updates`` pairs a position in ``old`` with the row replacing it,
+    ``deletes`` lists positions in ``old`` (both ascending), ``inserts`` are
+    the rows appended after the survivors.  Rows are matched by *object
+    identity*: ``update_rows``/``delete_rows`` keep every untouched tuple
+    the same object in the same order, so a tuple that is not the one at its
+    position was written.  Applying the delta to ``old`` always yields
+    ``new`` exactly, whatever produced ``new``; a list that reorders rows
+    merely degrades to deletes plus inserts.
+    """
+    size = len(old)
+    if len(new) >= size:
+        # The positions holding another tuple object (a C-speed pass).
+        changed = list(compress(range(size), map(is_not, old, new)))
+        gone = {id(old[position]) for position in changed}
+        if not any(id(new[position]) in gone for position in changed):
+            # No row merely moved: in-place updates plus an appended tail.
+            return [(p, new[p]) for p in changed], [], new[size:]
+    # Rows were deleted: walk both lists from the first difference.  A new
+    # row that is one of the old tuples means the old row before it is gone;
+    # any other new row replaces the old row at its place.
+    start = next(compress(range(size), map(is_not, old, new)), min(size, len(new)))
+    old_ids = set(map(id, old))
+    updates: list[tuple[int, tuple]] = []
+    deletes: list[int] = []
+    position, cursor, end = start, start, len(new)
+    while position < size:
+        if cursor == end:
+            deletes.extend(range(position, size))
+            break
+        row = new[cursor]
+        if row is old[position]:
+            cursor += 1
+        elif id(row) in old_ids:
+            deletes.append(position)
+        else:
+            updates.append((position, row))
+            cursor += 1
+        position += 1
+    return updates, deletes, new[cursor:]
+
+
+def _keys(rows, pk: tuple[int, ...]) -> "frozenset | None":
+    """The primary keys of ``rows``; ``None`` — "every row" — for a table
+    without a primary key."""
+    if not pk:
+        return None
+    return frozenset(tuple(row[index] for index in pk) for row in rows)
+
+
+def _written_keys(old: list[tuple], delta, pk: tuple[int, ...]) -> "frozenset | None":
+    """The primary keys a delta over ``old`` writes: the old key of every
+    updated or deleted row and the new key of every updated or inserted one
+    (both sides, so assigning a key column conflicts on either value)."""
+    updates, deletes, inserts = delta
+    rows = [old[position] for position, _ in updates]
+    rows.extend(old[position] for position in deletes)
+    rows.extend(row for _, row in updates)
+    rows.extend(inserts)
+    return _keys(rows, pk)
+
+
+def _plan_write(table, old: list[tuple], new: list[tuple], pk) -> _WritePlan:
+    """The cheapest effect turning ``old`` — the latest committed rows —
+    into ``new``: an append when no existing row is touched, the whole list
+    when every one is (TRUNCATE, ALTER TABLE, an assignment to all rows),
+    the delta otherwise."""
+    delta = updates, deletes, inserts = row_delta(old, new)
+    written = _written_keys(old, delta, pk)
+    touched = len(updates) + len(deletes)
+    if not touched:
+        return _WritePlan(table, "append", inserts, written)
+    if touched >= len(old):
+        return _WritePlan(table, "replace", new, written)
+    return _WritePlan(table, "delta", delta, written)
+
+
+def _rebase(delta, base: list[tuple], latest: list[tuple], pk: tuple[int, ...]):
+    """Re-address a delta over ``base`` to positions in ``latest``, by key.
+
+    Only for write sets disjoint from every commit since ``base`` was read:
+    the rows the delta touches are then unchanged in ``latest`` and found
+    there under their (unique) primary key.
+    """
+    updates, deletes, inserts = delta
+
+    def key_of(row: tuple) -> tuple:
+        return tuple(row[index] for index in pk)
+
+    replaced = {key_of(base[position]): row for position, row in updates}
+    removed = {key_of(base[position]) for position in deletes}
+    moved_updates, moved_deletes = [], []
+    for position, row in enumerate(latest):
+        key = key_of(row)
+        if key in removed:
+            moved_deletes.append(position)
+        elif key in replaced:
+            moved_updates.append((position, replaced[key]))
+    return moved_updates, moved_deletes, inserts
+
+
+def _unique_keys(rows: list[tuple], pk: tuple[int, ...]) -> bool:
+    """Whether no two rows share a primary key (a rebase addresses rows by
+    key, so a duplicate makes it ambiguous)."""
+    return len(_keys(rows, pk)) == len(rows)
 
 
 class TransactionManager:
@@ -290,6 +408,17 @@ class TransactionManager:
         with self._lock:
             if ts > self._clock:
                 self._clock = ts
+
+    @contextlib.contextmanager
+    def commits_paused(self) -> Iterator[int]:
+        """Hold the commit lock; yields the clock.
+
+        No commit lands inside the block, so the tables are exactly the
+        state every commit up to the yielded timestamp produced — what a
+        checkpoint has to capture before it may discard the log.
+        """
+        with self._lock:
+            yield self._clock
 
     def current_catalog_version(self) -> int:
         """The catalog version new snapshots pin (0 when detached)."""
@@ -345,76 +474,49 @@ class TransactionManager:
 
     # -- commit ------------------------------------------------------------
 
-    def next_commit_ts(self) -> int:
-        """Allocate the next commit timestamp (autocommit writes)."""
-        with self._lock:
-            self._clock += 1
-            return self._clock
-
     def commit_single(self, table: "Table", op: str, rows: list[tuple]) -> int:
         """Commit one autocommit statement's write to one table.
 
-        Timestamp allocation, WAL logging and the in-memory apply happen
-        under the manager lock so autocommit writes serialize with
-        transactional commits and the apply order is the timestamp order.
-        The commit's row-level write set is recorded so concurrent
-        transactions validate against it at *their* commit.
+        ``op`` is ``"append"`` (``rows`` are the new rows) or ``"replace"``
+        (``rows`` is the statement's whole result list, diffed here against
+        the latest committed rows).  Timestamp allocation, WAL logging, the
+        in-memory apply and the log flush happen under the manager lock so
+        autocommit writes serialize with transactional commits, the apply
+        order is the timestamp order and no snapshot pins the write before
+        it is durable.  The commit's row-level write set is recorded so
+        concurrent transactions validate against it at *their* commit.
         """
-        lsn = None
         with self._lock:
             ts = self._clock + 1
-            written = self._autocommit_write_set(table, op, rows)
-            if self.wal is not None:
-                lsn = self.wal.log_commit(ts, {table.name.lower(): (op, rows)})
+            pk = table.row_key_indexes()
             if op == "append":
-                table.apply_committed_append(rows, ts, written=written)
+                plan = _WritePlan(table, "append", rows, _keys(rows, pk))
             else:
-                table.apply_committed_replace(rows, ts, written=written)
+                plan = _plan_write(table, table.latest_rows(), rows, pk)
+            lsn = None
+            if self.wal is not None:
+                lsn = self.wal.log_commit(
+                    ts, {table.name.lower(): (plan.op, plan.payload)}
+                )
+            plan.apply(ts)
             self._clock = ts
             table.prune_versions(self._oldest_locked())
-        if lsn is not None:
-            # Fsync outside the lock: concurrent committers group-commit.
-            self.wal.sync(lsn)
+            if lsn is not None:
+                # Still under the lock: durable before any snapshot pins it.
+                self.wal.sync(lsn)
         return ts
-
-    def _autocommit_write_set(
-        self, table: "Table", op: str, rows: list[tuple]
-    ) -> "frozenset | None":
-        """The primary-key write set of an autocommit statement.
-
-        ``None`` (= "all rows") for tables without a primary key and on
-        duplicate keys.
-        """
-        pk = table.row_key_indexes()
-        if not pk:
-            return None
-        if op == "append":
-            return frozenset(
-                tuple(row[index] for index in pk) for row in rows
-            )
-        base_map = _key_map(table.latest_rows(), pk)
-        over_map = _key_map(rows, pk)
-        if base_map is None or over_map is None:
-            return None
-        written = {
-            key
-            for key, row in over_map.items()
-            if base_map.get(key, _MISSING) != row
-        }
-        written.update(key for key in base_map if key not in over_map)
-        return frozenset(written)
 
     def commit_ddl(
         self,
         catalog_ops: list[CatalogOp],
-        table_effects: "dict[str, tuple] | None" = None,
+        table_effects: "dict[str, _WritePlan] | None" = None,
     ) -> int:
         """Commit an autocommit DDL statement: catalog entries + row effects.
 
-        ``table_effects`` maps table key to ``(table, op, rows, written)``
-        (e.g. the rewritten rows of an ALTER TABLE).  The whole statement
-        lands at one commit timestamp: WAL DDL record, schema/index apply,
-        row apply, catalog commit.
+        ``table_effects`` maps table key to its :class:`_WritePlan` (e.g.
+        the rewritten rows of an ALTER TABLE, a ``"replace"``).  The whole
+        statement lands at one commit timestamp: WAL DDL record,
+        schema/index apply, row apply, catalog commit.
         """
         table_effects = table_effects or {}
         lsn = None
@@ -425,44 +527,41 @@ class TransactionManager:
                     ts,
                     [op.wal for op in catalog_ops if op.wal is not None],
                     {
-                        key: (op, rows)
-                        for key, (_t, op, rows, _w) in table_effects.items()
+                        key: (plan.op, plan.payload)
+                        for key, plan in table_effects.items()
                     },
                 )
             for op in catalog_ops:
                 if op.apply is not None:
                     op.apply(ts)
-            for key, (table, op, rows, written) in table_effects.items():
-                if op == "append":
-                    table.apply_committed_append(rows, ts, written=written)
-                else:
-                    table.apply_committed_replace(rows, ts, written=written)
+            for plan in table_effects.values():
+                plan.apply(ts)
             self._clock = ts
             if self.catalog is not None:
                 self.catalog.commit(
                     [(op.kind, op.key, op.value) for op in catalog_ops], ts
                 )
-        if lsn is not None:
-            self.wal.sync(lsn)
+            if lsn is not None:
+                self.wal.sync(lsn)
         return ts
 
     def commit(self, txn: Transaction) -> int:
         """Validate first-committer-wins, log, apply; returns the commit ts.
 
-        Validation, WAL append and in-memory apply happen under the
-        manager lock, so the apply order *is* the timestamp order and a
-        concurrent snapshot can never observe half a commit (a table's
-        rows swap atomically per table; the clock only advances once every
-        staged table has been applied).
+        Validation, WAL append, in-memory apply and the log flush happen
+        under the manager lock, so the apply order *is* the timestamp
+        order and a concurrent snapshot can never observe half a commit (a
+        table's rows swap atomically per table; the clock only advances
+        once every staged table has been applied) nor one that is not yet
+        durable.
 
         Validation is two-layered: staged catalog ops (DDL) conflict on
         their catalog entry; staged row writes conflict on intersecting
         primary-key write sets, or on any concurrent commit to the table
-        when a write set is unknown (no primary key, duplicate keys, a
-        schema change).  Disjoint-row writers to a concurrently-changed
-        table *rebase*: their changes are replayed over the latest
-        committed rows so the loser-free commit does not clobber the
-        winner's rows.
+        when a write set is unknown (no primary key, a schema change).
+        Disjoint-row writers to a concurrently-changed table *rebase*:
+        their delta is re-addressed to the latest committed rows so the
+        loser-free commit does not clobber the winner's rows.
         """
         if txn.status != "active":
             raise TransactionError(
@@ -489,7 +588,7 @@ class TransactionManager:
                 self._prune_tables_locked(txn)
                 raise
             ts = self._clock + 1
-            ops = {key: (plan.op, plan.rows) for key, plan in plans.items()}
+            ops = {key: (plan.op, plan.payload) for key, plan in plans.items()}
             lsn = None
             if self.wal is not None:
                 if txn._catalog_ops:
@@ -507,15 +606,8 @@ class TransactionManager:
             for op in txn._catalog_ops:
                 if op.apply is not None:
                     op.apply(ts)
-            for key, plan in plans.items():
-                if plan.op == "append":
-                    plan.table.apply_committed_append(
-                        plan.rows, ts, written=plan.written
-                    )
-                else:
-                    plan.table.apply_committed_replace(
-                        plan.rows, ts, written=plan.written
-                    )
+            for plan in plans.values():
+                plan.apply(ts)
                 if plan.rebased:
                     self.stats.rebased += 1
             self._clock = ts
@@ -529,9 +621,9 @@ class TransactionManager:
             self.stats.committed += 1
             self.stats.active = len(self._active)
             self._prune_tables_locked(txn)
-        if lsn is not None:
-            # Fsync outside the lock: concurrent committers group-commit.
-            self.wal.sync(lsn)
+            if lsn is not None:
+                # Still under the lock: durable before any snapshot pins it.
+                self.wal.sync(lsn)
         return ts
 
     def _validate_catalog_locked(self, txn: Transaction) -> None:
@@ -552,75 +644,46 @@ class TransactionManager:
                 op.validate()
 
     def _validate_tables_locked(self, txn: Transaction) -> "dict[str, _WritePlan]":
-        """Row-level first-committer-wins + rebase planning for staged DML."""
+        """Row-level first-committer-wins + rebase planning for staged DML.
+
+        Without a concurrent commit to the table the plan costs what the
+        transaction changed: one identity pass over the overlay and the
+        keys of the changed rows.  Only a table that *did* change since the
+        snapshot pays a walk over its rows, to rebase.
+        """
         plans: dict[str, _WritePlan] = {}
         for key, overlay in txn._staged.items():
             table = txn._tables[key]
-            base = txn._staged_base[key]
+            base = overlay.base_rows
             changed = table.last_commit_ts > txn.snapshot.ts
             pk = () if key in txn._staged_schemas else table.row_key_indexes()
             if overlay.append_only:
-                rows = overlay.rows[base:]
-                written = (
-                    frozenset(
-                        tuple(row[index] for index in pk) for row in rows
-                    )
-                    if pk
-                    else None
-                )
+                rows = overlay.rows[len(base):]
+                written = _keys(rows, pk)
                 if changed and not self._compatible_locked(table, txn, written):
                     raise self._conflict_locked(txn, table)
                 plans[key] = _WritePlan(table, "append", rows, written)
                 continue
-            written, rebase = self._replace_plan(overlay, pk)
-            if changed:
-                if not self._compatible_locked(table, txn, written):
-                    raise self._conflict_locked(txn, table)
-                # Rebase: replay this transaction's changes over the
-                # latest committed rows so the concurrent winner's
-                # disjoint rows survive.
-                updates, deletes, inserts, keyfn = rebase
-                merged = []
-                for row in table.latest_rows():
-                    row_key = keyfn(row)
-                    if row_key in deletes:
-                        continue
-                    merged.append(updates.get(row_key, row))
-                merged.extend(inserts)
-                plans[key] = _WritePlan(
-                    table, "replace", merged, written, rebased=True
-                )
-            else:
-                plans[key] = _WritePlan(
-                    table, "replace", overlay.rows, written
-                )
+            if not changed:
+                plans[key] = _plan_write(table, base, overlay.rows, pk)
+                continue
+            delta = row_delta(base, overlay.rows)
+            written = _written_keys(base, delta, pk)
+            # A duplicate key makes "the row with this key" ambiguous: such
+            # a table conflicts as a whole, it never rebases.
+            if (
+                not self._compatible_locked(table, txn, written)
+                or not _unique_keys(base, pk)
+                or not _unique_keys(overlay.rows, pk)
+            ):
+                raise self._conflict_locked(txn, table)
+            # Rebase: re-address this transaction's changes to the latest
+            # committed rows so the concurrent winner's disjoint rows survive.
+            plans[key] = _WritePlan(
+                table, "delta", _rebase(delta, base, table.latest_rows(), pk),
+                written, rebased=True,
+            )
         return plans
-
-    def _replace_plan(self, overlay: _StagedTable, pk: tuple[int, ...]):
-        """The write set and rebase ingredients of a replace overlay."""
-        if not pk:
-            return None, None
-        base_map = _key_map(overlay.base_rows, pk)
-        over_map = _key_map(overlay.rows, pk)
-        if base_map is None or over_map is None:
-            return None, None
-
-        def keyfn(row: tuple) -> tuple:
-            return tuple(row[index] for index in pk)
-
-        updates = {
-            key: row
-            for key, row in over_map.items()
-            if key in base_map and base_map[key] != row
-        }
-        deletes = {key for key in base_map if key not in over_map}
-        inserts = [
-            row for row in overlay.rows if keyfn(row) not in base_map
-        ]
-        written = frozenset(
-            set(updates) | deletes | {keyfn(row) for row in inserts}
-        )
-        return written, (updates, deletes, inserts, keyfn)
 
     def _compatible_locked(self, table: "Table", txn: Transaction, written) -> bool:
         """Whether a staged write commits over concurrent commits to its

@@ -34,11 +34,12 @@ from .optimizer import (
     FULL_PASSES,
     OPTIMIZER_ENV,
     Optimizer,
+    best_index_path,
     check_access_paths,
     resolve_optimizer_mode,
     split_equi_condition,
 )
-from .planner import BlockPlan, Planner, has_outer_join
+from .planner import BlockPlan, Planner, flatten_conjuncts, has_outer_join
 
 __all__ = [
     "Aggregate",
@@ -63,7 +64,9 @@ __all__ = [
     "SetOp",
     "Sort",
     "Values",
+    "best_index_path",
     "check_access_paths",
+    "flatten_conjuncts",
     "has_outer_join",
     "resolve_optimizer_mode",
     "split_equi_condition",

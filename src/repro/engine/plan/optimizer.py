@@ -323,35 +323,12 @@ class Optimizer:
             for conjunct in conjuncts
         ):
             return scan
-        try:
-            table = self.database.table(scan.table_name)
-        except CatalogError:
-            return scan
-        row_count = len(table.rows)
-        stats = self.database.statistics.fresh(table)
-
-        # The lowest estimate wins; among equals the path binding more key
-        # columns, then the earlier conjunct, then hash over tree.
-        best_rank: tuple | None = None
-        best: IndexScan | None = None
-        for path, tree in _access_paths(
-            self.database.indexes.for_table(scan.table_name), conjuncts, scan
-        ):
-            path.estimated_rows = _estimate_path(stats, row_count, path)
-            if (
-                row_count
-                and path.estimated_rows / row_count
-                > INDEX_SELECTIVITY_THRESHOLD
-            ):
-                continue
-            rank = (
-                path.estimated_rows,
-                -len(path.values),
-                min(conjuncts.index(c) for c in path.matched),
-                tree,
-            )
-            if best_rank is None or rank < best_rank:
-                best_rank, best = rank, path
+        best = best_index_path(
+            self.database,
+            self.database.indexes.for_table(scan.table_name),
+            conjuncts,
+            scan,
+        )
         if best is None:
             return scan
         block.notes.append(
@@ -687,6 +664,41 @@ def _access_paths(definitions, conjuncts: list, scan: Scan):
                     yield IndexRangeScan(
                         scan, defn.name, column, *spec[1:], matched=(conjunct,)
                     ), True
+
+
+def best_index_path(
+    database, definitions, conjuncts: list, scan: Scan
+) -> IndexScan | None:
+    """The cheapest access path ``definitions`` offer for ``conjuncts``.
+
+    The lowest estimate wins; among equals the path binding more key
+    columns, then the earlier conjunct, then hash over tree.  ``None`` when
+    no path qualifies or none is selective enough to beat a scan.
+    """
+    try:
+        table = database.table(scan.table_name)
+    except CatalogError:
+        return None
+    row_count = len(table.rows)
+    stats = database.statistics.fresh(table)
+    best_rank: tuple | None = None
+    best: IndexScan | None = None
+    for path, tree in _access_paths(definitions, conjuncts, scan):
+        path.estimated_rows = _estimate_path(stats, row_count, path)
+        if (
+            row_count
+            and path.estimated_rows / row_count > INDEX_SELECTIVITY_THRESHOLD
+        ):
+            continue
+        rank = (
+            path.estimated_rows,
+            -len(path.values),
+            min(conjuncts.index(c) for c in path.matched),
+            tree,
+        )
+        if best_rank is None or rank < best_rank:
+            best_rank, best = rank, path
+    return best
 
 
 def _estimate_path(stats, row_count: int, path: IndexScan) -> int:

@@ -108,7 +108,7 @@ class Planner:
                 block_filter = Filter(None, select.where, source_root)
             else:
                 block_filter = Filter(
-                    _flatten_conjuncts(select.where), None, source_root
+                    flatten_conjuncts(select.where), None, source_root
                 )
 
         root: LogicalNode = source_root if block_filter is None else block_filter
@@ -189,7 +189,7 @@ class Planner:
         return DerivedTable(alias, source.select, prepared, RowShape(bindings))
 
 
-def _flatten_conjuncts(where: ast.Expression) -> list[ast.Expression]:
+def flatten_conjuncts(where: ast.Expression) -> list[ast.Expression]:
     """AND-flatten a WHERE clause, preserving source order."""
     stack = [where]
     ordered: list[ast.Expression] = []

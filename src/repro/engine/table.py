@@ -9,10 +9,20 @@ A table keeps two representations (DESIGN.md §15):
 
 * ``_rows`` — the materialized latest-committed row list.  Readers outside
   any transaction hit it directly.
-* ``_versions`` — an append-only chain of :class:`TupleVersion` entries
-  stamped with ``xmin``/``xmax`` commit timestamps.  A snapshot at ts
-  sees exactly the versions with ``xmin <= ts`` and ``xmax`` unset or
-  ``> ts``, reconstructed (and cached) on demand.
+* ``_versions`` — the chain of :class:`TupleVersion` entries stamped
+  with ``xmin``/``xmax`` commit timestamps.  A snapshot at ts sees
+  exactly the versions with ``xmin <= ts`` and ``xmax`` unset or
+  ``> ts``, reconstructed (and cached) on demand.  The live versions sit
+  in row order — a version replacing a row takes the place right after
+  it — so every snapshot reads its rows in their order; ``_dead``
+  remembers where the closed ones are, which keeps applying a row delta
+  and pruning proportional to what changed.
+
+A committed write arrives as one of three effects (:meth:`Table
+.apply_committed`): an append, a row delta (updated and deleted
+positions plus inserted rows) or a whole-list replacement.  Row lists are
+replaced, never mutated, by a delta, and untouched tuples stay the same
+objects.
 
 The *schema* is versioned the same way (DESIGN.md §16): ALTER TABLE
 commits the rewritten rows and the new schema at one commit timestamp,
@@ -40,16 +50,25 @@ statement, WAL-logged when durability is attached).
 from __future__ import annotations
 
 import bisect
+from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 from ..errors import ExecutionError
 from .catalog import CatalogOp
-from .mvcc import _ACTIVE, Transaction, TransactionManager
+from .mvcc import _ACTIVE, Transaction, TransactionManager, _WritePlan
 from .schema import Column, TableSchema
 from .types import coerce_value
 
 #: Bound on the per-table snapshot-reconstruction cache.
 _ASOF_CACHE_LIMIT = 8
+
+
+def _without(items: list, positions) -> list:
+    """A copy of ``items`` minus the given positions (a C-speed filter)."""
+    keep = [True] * len(items)
+    for position in positions:
+        keep[position] = False
+    return list(compress(items, keep))
 
 
 class TupleVersion:
@@ -84,12 +103,16 @@ class Table:
         #: :attr:`version` property to detect staleness.
         self._version: int = 0
         self._versions: list[TupleVersion] = []
+        #: Ascending chain positions of the closed versions (``xmax`` set)
+        #: still in ``_versions``; empty whenever no snapshot pins history.
+        #: A whole-list replacement leaves a ``range`` here.
+        self._dead: "list[int] | range" = []
         #: ``(commit ts, version)`` pairs, ascending; maps a snapshot ts to
         #: the committed ``version`` value it observes.
         self._commit_log: list[tuple[int, int]] = [(0, 0)]
         #: ``(commit ts, write set)`` pairs, ascending.  The write set is a
         #: frozenset of primary-key tuples, or ``None`` for "all rows"
-        #: (no primary key, duplicate keys, schema change).
+        #: (no primary key, schema change).
         self._write_log: list[tuple[int, "frozenset | None"]] = []
         self._last_commit_ts: int = 0
         self._manager: TransactionManager | None = None
@@ -280,9 +303,9 @@ class Table:
         """Union of the write sets of commits after ``ts``.
 
         ``None`` means "potentially every row": at least one of those
-        commits had no row-level write set (no primary key, duplicate
-        keys, a schema change), so a concurrent writer must
-        conflict regardless of which rows it touched.
+        commits had no row-level write set (no primary key, a schema
+        change), so a concurrent writer must conflict regardless of which
+        rows it touched.
         """
         written: set = set()
         for committed_ts, keys in reversed(self._write_log):
@@ -294,7 +317,11 @@ class Table:
         return frozenset(written)
 
     def prune_versions(self, horizon: int) -> None:
-        """Drop versions invisible to every snapshot at or after ``horizon``."""
+        """Drop versions invisible to every snapshot at or after ``horizon``.
+
+        Returns at once when no version is dead: an append-only table (the
+        audit trail) never walks or reallocates its chain.
+        """
         if self._write_log and self._write_log[0][0] <= horizon:
             self._write_log = [
                 entry for entry in self._write_log if entry[0] > horizon
@@ -306,31 +333,103 @@ class Table:
                     keep = index
             if keep > 0:
                 self._schema_log = self._schema_log[keep:]
-        if not self._versions:
-            return
-        live = [
-            v for v in self._versions if v.xmax is None or v.xmax > horizon
-        ]
-        if len(live) != len(self._versions):
-            self._versions = live
-            self._asof_cache.clear()
-        if len(self._commit_log) > 1:
+        if len(self._commit_log) > 1 and self._commit_log[1][0] <= horizon:
             cut = bisect.bisect_right(self._commit_log, (horizon, float("inf"))) - 1
-            if cut > 0:
-                self._commit_log = self._commit_log[cut:]
+            self._commit_log = self._commit_log[cut:]
+        if not self._dead:
+            return
+        versions = self._versions
+        dropped: list[int] = []
+        held: list[int] = []
+        for position in self._dead:
+            if versions[position].xmax <= horizon:
+                dropped.append(position)
+            else:
+                held.append(position - len(dropped))
+        if dropped:
+            self._versions = _without(versions, dropped)
+            self._dead = held
+            self._asof_cache.clear()
 
     # -- commit application (called by the transaction manager) ---------------
+
+    def apply_committed(
+        self, op: str, payload, ts: int, written: "frozenset | None" = None
+    ) -> None:
+        """Apply one committed effect — what a WAL record carries per table:
+        ``"append"`` (rows), ``"delta"`` (``(updates, deletes, inserts)``)
+        or ``"replace"`` (the whole row list)."""
+        if op == "append":
+            self.apply_committed_append(payload, ts, written)
+        elif op == "delta":
+            self.apply_committed_delta(*payload, ts, written)
+        else:
+            self.apply_committed_replace(payload, ts, written)
 
     def apply_committed_append(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None
     ) -> None:
         """Apply an append-only commit at timestamp ``ts``."""
         self._rows.extend(rows)
-        self._version += 1
         self._versions.extend(TupleVersion(row, ts) for row in rows)
-        self._commit_log.append((ts, self._version))
-        self._write_log.append((ts, written))
+        self._committed(ts, written)
+
+    def apply_committed_delta(
+        self,
+        updates: "list[tuple[int, tuple]]",
+        deletes: list[int],
+        inserts: list[tuple],
+        ts: int,
+        written: "frozenset | None" = None,
+    ) -> None:
+        """Apply a row delta at timestamp ``ts`` in time proportional to it.
+
+        ``updates`` pairs a position in the latest committed rows with the
+        row replacing it, ``deletes`` lists positions, ``inserts`` are
+        appended.  Only the touched rows' versions are closed, and a
+        replacing version takes the place right after its predecessor, so
+        the live versions stay in row order and a pinned snapshot keeps
+        reading its rows in their order.  Both lists are replaced, never
+        mutated (a reader may hold either), and untouched tuples stay the
+        same objects — index carry-forward and bitmap revalidation tell a
+        written row by identity.
+        """
+        versions, dead = self._versions, self._dead
+        successors = dict(updates)
+        chain: list[TupleVersion] = []
+        closed: list[int] = []  # the new chain's dead positions
+        copied = skipped = grown = 0
+        for position in sorted([*successors, *deletes]):
+            # The row's chain slot: its position, past the dead versions.
+            slot = position + skipped
+            while skipped < len(dead) and dead[skipped] <= slot:
+                closed.append(dead[skipped] + grown)
+                skipped += 1
+                slot += 1
+            versions[slot].xmax = ts
+            closed.append(slot + grown)
+            if position in successors:
+                chain += versions[copied : slot + 1]
+                chain.append(TupleVersion(successors[position], ts))
+                copied = slot + 1
+                grown += 1
+        closed.extend(position + grown for position in dead[skipped:])
+        chain += versions[copied:]
+        chain.extend(TupleVersion(row, ts) for row in inserts)
+
+        rows = list(self._rows)
+        for position, row in updates:
+            rows[position] = row
+        if deletes:
+            rows = _without(rows, deletes)
+        rows.extend(inserts)
+
+        self._versions, self._dead = chain, closed
+        # Before the rows: a snapshot older than ``ts`` must already take
+        # the reconstruction path when the new list appears.
         self._last_commit_ts = ts
+        self._rows = rows
+        self._committed(ts, written)
 
     def apply_committed_replace(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None
@@ -339,8 +438,13 @@ class Table:
         for version in self._versions:
             if version.xmax is None:
                 version.xmax = ts
+        self._dead = range(len(self._versions))
         self._versions.extend(TupleVersion(row, ts) for row in rows)
+        self._last_commit_ts = ts  # before the rows, as in a delta
         self._rows = list(rows)
+        self._committed(ts, written)
+
+    def _committed(self, ts: int, written: "frozenset | None") -> None:
         self._version += 1
         self._commit_log.append((ts, self._version))
         self._write_log.append((ts, written))
@@ -426,32 +530,46 @@ class Table:
         self,
         predicate: Callable[[tuple], bool],
         updater: Callable[[tuple], tuple],
+        candidates: "list[int] | None" = None,
     ) -> int:
-        """Apply ``updater`` to every row matching ``predicate``; return count."""
-        updated = 0
-        new_rows = []
+        """Apply ``updater`` to every row matching ``predicate``; return count.
+
+        ``candidates`` — ascending row positions, from an index — narrows
+        the rows ``predicate`` is evaluated on; ``None`` is every row.
+        Unmatched tuples stay the same objects at the same positions.
+        """
+        rows = self.rows
         schema = self.schema
-        for row in self.rows:
+        new_rows = list(rows)
+        if candidates is None:
+            pairs = enumerate(rows)
+        else:
+            pairs = ((position, rows[position]) for position in candidates)
+        updated = 0
+        for position, row in pairs:
             if predicate(row):
-                new_row = updater(row)
-                new_rows.append(
-                    tuple(
-                        coerce_value(column.sql_type, value)
-                        for column, value in zip(schema.columns, new_row)
-                    )
+                new_rows[position] = tuple(
+                    coerce_value(column.sql_type, value)
+                    for column, value in zip(schema.columns, updater(row))
                 )
                 updated += 1
-            else:
-                new_rows.append(row)
         self.rows = new_rows
         return updated
 
-    def delete_rows(self, predicate: Callable[[tuple], bool]) -> int:
-        """Delete every row matching ``predicate``; return the count."""
-        kept = [row for row in self.rows if not predicate(row)]
-        deleted = len(self.rows) - len(kept)
+    def delete_rows(
+        self,
+        predicate: Callable[[tuple], bool],
+        candidates: "list[int] | None" = None,
+    ) -> int:
+        """Delete every row matching ``predicate``; return the count
+        (``candidates`` as in :meth:`update_rows`)."""
+        rows = self.rows
+        if candidates is None:
+            kept = [row for row in rows if not predicate(row)]
+        else:
+            kept = _without(rows, [p for p in candidates if predicate(rows[p])])
         self.rows = kept
-        return deleted
+        return len(rows) - len(kept)
 
     def truncate(self) -> None:
         """Remove all rows."""
@@ -554,7 +672,9 @@ class Table:
             wal=wal,
             apply=lambda ts: self.apply_committed_schema(new_schema, ts),
         )
-        self.manager.commit_ddl([op], {key: (self, "replace", new_rows, None)})
+        self.manager.commit_ddl(
+            [op], {key: _WritePlan(self, "replace", new_rows, None)}
+        )
 
     # -- column-level access (used by the policy administration layer) --------
 

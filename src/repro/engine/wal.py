@@ -1,34 +1,42 @@
 """Write-ahead logging, checkpointing and crash recovery.
 
-The durability half of the MVCC work (DESIGN.md §15).  The protocol is
-redo-only physical logging of *committed* effects:
+The durability half of the transaction engine (DESIGN.md §15).  The
+protocol is redo-only logging of *committed* effects:
 
 * Every commit — transactional or autocommit — appends one
-  :data:`commit record <COMMIT>` describing its per-table effects
-  (``append`` of new rows, or a whole-list ``replace``) *before* the
-  in-memory apply.  A commit is durable exactly when its record is
-  fsynced; there is nothing to undo at recovery because uncommitted
-  staged state never reaches the log.
-* Records are framed as ``crc32 length json\\n``; recovery replays the
+  :data:`commit record <COMMIT>` describing its per-table effects *before*
+  the in-memory apply.  An effect is an ``append`` of new rows, a ``delta``
+  holding only the rows the commit wrote (updated and deleted rows by
+  their position in the table before the commit, inserted rows in order),
+  or a whole-list ``replace`` when every row changed.  A commit is durable
+  exactly when its record is fsynced; there is nothing to undo at recovery
+  because uncommitted staged state never reaches the log.
+* Records are framed as ``crc32 length json\n``; recovery replays the
   longest valid prefix and stops at the first torn or corrupt record, so
   a crash mid-append can never resurrect half a commit.
-* ``fsync`` is group-committed: concurrent committers coalesce on a
-  single flush (the first one in syncs everything written so far, the
-  rest observe their LSN already durable and return without touching the
-  disk).  ``REPRO_WAL_SYNC=off`` trades durability for speed in tests.
+* A commit flushes its record before it lets go of the
+  transaction-manager lock, so a snapshot — pinned under that lock — never
+  sees a commit that is not durable, and memory and log never disagree
+  about what has committed.  One ``fsync`` makes everything written so far
+  durable (:meth:`WriteAheadLog.sync_to` skips the flush when the LSN is
+  already covered).  ``REPRO_WAL_SYNC=off`` trades durability for speed in
+  tests.
 * A checkpoint writes a full database snapshot (via
   :mod:`repro.engine.persist`) with an atomic rename, then truncates the
-  log; recovery = load newest checkpoint + replay the WAL suffix.
+  log, all under the transaction-manager lock; recovery = load newest
+  checkpoint + replay the WAL suffix.  Replay is deterministic — every
+  record after the image, in commit order — which is what makes a
+  delta's positions exact.
 * DDL commits — transactional or autocommit — append a :data:`DDL`
   record carrying the logical catalog ops (create/drop table or index,
   add/drop column) *plus* the per-table row effects, all at one commit
   timestamp.  Recovery replays them in order like any other commit, so
-  DDL no longer forces a checkpoint (DESIGN.md §16).
+  DDL forces no checkpoint (DESIGN.md §16).
 
 Failpoints (:attr:`WriteAheadLog.failpoints`) simulate crashes at the
 exact moments that distinguish a correct recovery protocol from a lucky
 one: before the append, after a *partial* append (torn write), before the
-fsync, and after the fsync but before the in-memory apply.  The crash
+fsync, and after the fsync but before the commit acknowledges.  The crash
 harness in ``tests/engine/test_wal_recovery.py`` drives them.
 """
 
@@ -42,6 +50,7 @@ from pathlib import Path
 
 from ..errors import InjectedFailure, WalError
 from .database import Database
+from .persist import _decode_value, _encode_value
 
 #: Environment variable gating fsync on commit (``"on"``/``"off"``).
 WAL_SYNC_ENV = "REPRO_WAL_SYNC"
@@ -54,6 +63,9 @@ DDL = "ddl"
 
 #: Checkpoint-marker record type tag (first record of a fresh log).
 CHECKPOINT = "checkpoint"
+
+#: Per-table row effects a record can carry, cheapest first.
+EFFECT_OPS = ("append", "delta", "replace")
 
 _SNAPSHOT_NAME = "snapshot.json"
 _WAL_NAME = "wal.log"
@@ -73,7 +85,8 @@ def _frame(record: dict) -> bytes:
 
 
 class WriteAheadLog:
-    """An append-only, CRC-framed record log with group-committed fsync."""
+    """An append-only, CRC-framed record log; one fsync covers every
+    record written before it."""
 
     def __init__(self, path: "str | Path", sync: bool | None = None):
         self.path = Path(path)
@@ -84,6 +97,8 @@ class WriteAheadLog:
         self._synced_lsn = 0
         self.appends = 0
         self.syncs = 0
+        #: Bytes of every frame appended through this handle.
+        self.bytes = 0
         #: Active failpoint names; see module docstring.
         self.failpoints: set[str] = set()
         self._file = open(self.path, "ab")
@@ -99,8 +114,8 @@ class WriteAheadLog:
     def append(self, record: dict, sync: bool = True) -> int:
         """Append one record; returns its LSN (1-based record ordinal).
 
-        With ``sync`` the record is group-committed durable before the
-        call returns (subject to :attr:`sync_enabled`).
+        With ``sync`` the record is durable before the call returns
+        (subject to :attr:`sync_enabled`).
         """
         frame = _frame(record)
         with self._write_lock:
@@ -117,14 +132,15 @@ class WriteAheadLog:
             self._written_lsn += 1
             lsn = self._written_lsn
             self.appends += 1
+            self.bytes += len(frame)
         if sync:
             self.sync_to(lsn)
         return lsn
 
     def sync_to(self, lsn: int) -> None:
-        """Make every record up to ``lsn`` durable (group commit).
+        """Make every record up to ``lsn`` durable.
 
-        Committers racing here coalesce: whoever takes the sync lock first
+        Callers racing here coalesce: whoever takes the sync lock first
         fsyncs *everything written so far*; the rest find their LSN
         already covered and return without a second flush.
         """
@@ -192,6 +208,7 @@ class WriteAheadLog:
     def stats(self) -> dict[str, int]:
         return {
             "appends": self.appends,
+            "bytes": self.bytes,
             "syncs": self.syncs,
             "written_lsn": self._written_lsn,
             "synced_lsn": self._synced_lsn,
@@ -221,6 +238,52 @@ def _decode_frame(line: bytes) -> "dict | None":
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
+
+
+def _encode_effect(op: str, payload) -> dict:
+    """One table's committed effect as a record carries it.
+
+    ``append`` and ``replace`` hold rows; ``delta`` holds only the rows the
+    commit wrote, addressed by their position in the table *before* it.
+    Replay from a checkpoint applies every later record in commit order,
+    so the positions are exact on any table — keyed, key-less or with
+    duplicate keys — without a key → row map.
+    """
+    if op != "delta":
+        return {"op": op, "rows": [_encode_row(row) for row in payload]}
+    updates, deletes, inserts = payload
+    return {
+        "op": op,
+        "updates": [[position, _encode_row(row)] for position, row in updates],
+        "deletes": deletes,
+        "inserts": [_encode_row(row) for row in inserts],
+    }
+
+
+def _decode_effect(effect: dict) -> tuple:
+    """Inverse of :func:`_encode_effect`: ``(op, payload)``."""
+    op = effect["op"]
+    if op != "delta":
+        return op, [_decode_row(row) for row in effect["rows"]]
+    return op, (
+        [(position, _decode_row(row)) for position, row in effect["updates"]],
+        effect["deletes"],
+        [_decode_row(row) for row in effect["inserts"]],
+    )
+
+
+def _encode_row(row: tuple) -> list:
+    return [_encode_value(value) for value in row]
+
+
+def _decode_row(row: list) -> tuple:
+    return tuple(_decode_value(value) for value in row)
+
+
+def _replay_effects(database: Database, record: dict, ts: int) -> None:
+    """Reapply a record's per-table row effects at its commit timestamp."""
+    for table_name, effect in record.get("tables", {}).items():
+        database.table(table_name).apply_committed(*_decode_effect(effect), ts)
 
 
 def _encode_ddl_op(op: dict) -> dict:
@@ -288,16 +351,7 @@ def _replay_ddl(database: Database, record: dict, ts: int) -> None:
             entries.append(("index", op["name"].lower(), None))
         else:  # pragma: no cover - forward compatibility guard
             raise WalError(f"unknown DDL op {kind!r} in WAL record")
-    for table_name, effect in record.get("tables", {}).items():
-        table = database.table(table_name)
-        rows = [
-            tuple(persist._decode_value(value) for value in row)
-            for row in effect["rows"]
-        ]
-        if effect["op"] == "append":
-            table.apply_committed_append(rows, ts)
-        else:
-            table.apply_committed_replace(rows, ts)
+    _replay_effects(database, record, ts)
     if entries:
         database.catalog.commit(entries, ts)
 
@@ -324,96 +378,105 @@ class DurabilityManager:
         self.checkpoints = 0
         self.recovered_commits = 0
         self.torn_bytes = 0
+        #: Records logged / bytes written, by the costliest row effect.
+        self.records = dict.fromkeys(EFFECT_OPS, 0)
+        self.record_bytes = dict.fromkeys(EFFECT_OPS, 0)
         database.transactions.wal = self
         database.durability = self
 
     # -- logging (called by the transaction manager, under its lock) --------
 
-    def log_commit(self, ts: int, ops: "dict[str, tuple[str, list[tuple]]]") -> int:
+    def log_commit(self, ts: int, ops: "dict[str, tuple[str, object]]") -> int:
         """Log one commit's per-table effects; returns the record's LSN.
 
-        Called under the transaction-manager lock, *before* the in-memory
-        apply.  The fsync is deliberately not here: the committer calls
-        :meth:`sync` after releasing the manager lock, so concurrent
-        commits coalesce on one flush (group commit) instead of
-        serializing their fsyncs behind the lock.
+        ``ops`` maps table name to ``(op, payload)`` — see
+        :func:`_encode_effect`.  Called under the transaction-manager lock,
+        *before* the in-memory apply; the committer calls :meth:`sync`
+        after the apply, still under that lock, so no snapshot pins the
+        commit before it is durable.
         """
-        from .persist import _encode_value
-
-        record = {
-            "type": COMMIT,
-            "ts": ts,
-            "tables": {
-                name: {
-                    "op": op,
-                    "rows": [[_encode_value(v) for v in row] for row in rows],
-                }
-                for name, (op, rows) in ops.items()
-            },
-        }
-        return self.wal.append(record, sync=False)
+        return self._log({"type": COMMIT, "ts": ts}, ops)
 
     def log_ddl(
         self,
         ts: int,
         ops: "list[dict]",
-        table_ops: "dict[str, tuple[str, list[tuple]]]",
+        table_ops: "dict[str, tuple[str, object]]",
     ) -> int:
         """Log one DDL commit: logical catalog ops + row effects.
 
         ``ops`` are the :attr:`~repro.engine.catalog.CatalogOp.wal`
         descriptors of the statement's catalog mutations; ``table_ops``
-        carries any row rewrites committing at the same timestamp (the
-        widened rows of an ALTER TABLE).  Called under the
+        carries the row effects committing at the same timestamp, in
+        :meth:`log_commit`'s form (the widened rows of an ALTER TABLE, the
+        DML of a transaction that also ran DDL).  Called under the
         transaction-manager lock like :meth:`log_commit`.
         """
-        from .persist import _encode_value
-
         record = {
             "type": DDL,
             "ts": ts,
             "ops": [_encode_ddl_op(op) for op in ops],
-            "tables": {
-                name: {
-                    "op": op,
-                    "rows": [[_encode_value(v) for v in row] for row in rows],
-                }
-                for name, (op, rows) in table_ops.items()
-            },
         }
-        return self.wal.append(record, sync=False)
+        return self._log(record, table_ops)
+
+    def _log(self, record: dict, effects: "dict[str, tuple[str, object]]") -> int:
+        """Append ``record`` with its row effects; account it to the
+        costliest effect it carries (one whole-table ``replace`` makes the
+        record a replace record)."""
+        record["tables"] = {
+            name: _encode_effect(op, payload)
+            for name, (op, payload) in effects.items()
+        }
+        before = self.wal.bytes
+        lsn = self.wal.append(record, sync=False)
+        if effects:
+            op = max((op for op, _ in effects.values()), key=EFFECT_OPS.index)
+            self.records[op] += 1
+            self.record_bytes[op] += self.wal.bytes - before
+        return lsn
 
     def sync(self, lsn: int) -> None:
-        """Group-commit: return once the record at ``lsn`` is durable."""
+        """Return once the record at ``lsn`` is durable."""
         self.wal.sync_to(lsn)
 
     # -- checkpointing -------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Write an atomic full snapshot and truncate the log."""
+        """Write an atomic full snapshot and truncate the log.
+
+        All under the transaction-manager lock: the image, the clock it is
+        stamped with and the log swap describe one state.  A commit landing
+        between them would be acknowledged, absent from the image and
+        erased with the log — and delta records are addressed by position
+        in the image, so even a surviving one would replay onto the wrong
+        rows.
+        """
         from . import persist
 
-        document = persist.to_document(self.database)
-        document["wal_clock"] = self.database.transactions.clock
-        snapshot_path = self.directory / _SNAPSHOT_NAME
-        temp_path = snapshot_path.with_suffix(".json.tmp")
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, snapshot_path)
-        self.wal.truncate()
-        self.wal.append({"type": CHECKPOINT, "ts": self.database.transactions.clock})
+        with self.database.transactions.commits_paused() as clock:
+            document = persist.to_document(self.database)
+            document["wal_clock"] = clock
+            snapshot_path = self.directory / _SNAPSHOT_NAME
+            temp_path = snapshot_path.with_suffix(".json.tmp")
+            with open(temp_path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp_path, snapshot_path)
+            self.wal.truncate()
+            self.wal.append({"type": CHECKPOINT, "ts": clock})
         self.checkpoints += 1
 
     def close(self) -> None:
         self.wal.close()
 
-    def stats(self) -> dict[str, int]:
+    def stats(self) -> dict:
         stats = dict(self.wal.stats())
         stats["checkpoints"] = self.checkpoints
         stats["recovered_commits"] = self.recovered_commits
         stats["torn_bytes"] = self.torn_bytes
+        stats["records"] = dict(self.records)
+        stats["record_bytes"] = dict(self.record_bytes)
         return stats
 
 
@@ -461,16 +524,7 @@ def open_database(
         if record_type == DDL:
             _replay_ddl(database, record, ts)
         else:
-            for table_name, effect in record["tables"].items():
-                table = database.table(table_name)
-                rows = [
-                    tuple(persist._decode_value(value) for value in row)
-                    for row in effect["rows"]
-                ]
-                if effect["op"] == "append":
-                    table.apply_committed_append(rows, ts)
-                else:
-                    table.apply_committed_replace(rows, ts)
+            _replay_effects(database, record, ts)
         manager.advance_clock_to(ts)
         recovered += 1
     wal.close()

@@ -463,7 +463,24 @@ class RequestCore:
         self.metrics.gauge("repro_connections").set(
             stats["server"]["connections"]
         )
+        wal = stats["transactions"].get("wal")
+        if wal is not None:
+            self._scrape_wal(wal)
         return ok_response(stats=stats, metrics=self.metrics.render())
+
+    def _scrape_wal(self, wal: dict) -> None:
+        """Bring the WAL counters up to the durability manager's totals
+        (the log has no registry of its own; a scrape reads its stats)."""
+
+        def catch_up(name: str, total: int, **labels: str) -> None:
+            counter = self.metrics.counter(name)
+            counter.inc(max(0, total - counter.value(**labels)), **labels)
+
+        with self._lock:
+            for event in ("append", "sync", "checkpoint"):
+                catch_up("repro_wal_total", wal[event + "s"], event=event)
+            for op, total in wal["record_bytes"].items():
+                catch_up("repro_wal_bytes_total", total, op=op)
 
 
 class Transport:

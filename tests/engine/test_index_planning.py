@@ -267,6 +267,146 @@ class TestCompositeKeys:
         assert scan.index_name == "i_cb"
 
 
+    def test_prefix_probe_finds_rows_with_a_null_later_key(self, composite_db) -> None:
+        composite_db.execute("insert into t values (500, null, 'c2')")
+        on, off = _both_modes(composite_db, "select a from t where c = ?")
+        assert _find(on._arms()[1][0].block.root, IndexScan)
+        assert on.execute(["c2"]).rows == off.execute(["c2"]).rows
+        assert (500,) in on.execute(["c2"]).rows
+        # Appended later: the carried-forward entry learns about it too.
+        composite_db.execute("insert into t values (501, null, 'c2')")
+        assert on.execute(["c2"]).rows == off.execute(["c2"]).rows
+
+
+class TestIndexedDml:
+    """UPDATE/DELETE find their rows through the index, evaluate the whole
+    predicate on each candidate, and fall back to a scan whenever the index
+    cannot be shown to cover the statement."""
+
+    @staticmethod
+    def _world():
+        database = Database("dml")
+        database.execute("create table t (a integer, b integer, c text)")
+        rows = ", ".join(f"({i}, {i * 10}, 'c{i % 4}')" for i in range(40))
+        database.execute(f"insert into t values {rows}")
+        database.execute("insert into t values (90, null, 'c1'), (91, 100, null)")
+        database.execute("create index i_b on t (b)")
+        database.execute("create index i_cb on t (c, b)")
+        database.execute("analyze")
+        calls = []
+        database.register_function("chk", lambda value: calls.append(value) or True)
+        database.policy_function = "chk"
+        return database
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "update t set a = a + 1000 where b = 100 and chk(a)",
+            "update t set a = a + 1000 where c = 'c1' and chk(a)",
+            "update t set b = b + 1 where c = 'c2' and b = 20 and chk(a)",
+            "update t set a = 0 where b between 50 and 120 and chk(a)",
+            "update t set a = 0 where b = 12345 and chk(a)",
+            "delete from t where b = 100 and chk(a)",
+            "delete from t where c = 'c3' and a > 10 and chk(a)",
+            "delete from t where 50 > b and chk(a)",
+        ],
+    )
+    def test_same_rows_count_and_checks_as_a_scan(self, sql) -> None:
+        on, off = self._world(), self._world()
+        probes = on.indexes.stats()["hits"]
+        assert on.execute(sql, indexes="on") == off.execute(sql, indexes="off")
+        assert on.table("t").rows == off.table("t").rows
+        assert on.function_calls("chk") == off.function_calls("chk")
+        assert on.indexes.stats()["hits"] > probes
+        assert off.indexes.stats()["hits"] == 0
+
+    def test_the_index_spares_the_rows_the_key_rejects(self) -> None:
+        database = self._world()
+        rows_before = list(database.table("t").rows)
+        assert database.execute(
+            "update t set a = -1 where b = 100 and chk(a)", indexes="on"
+        ) == 2
+        # Checked: the two candidates, not the forty-two rows (the NULL-key
+        # row's conjunct is unknown, so it is looked at as a scan would).
+        assert database.function_calls("chk") == 3
+        changed = [
+            i for i, (old, new) in enumerate(zip(rows_before, database.table("t").rows))
+            if old is not new
+        ]
+        assert changed == [10, 41]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # A guarded subquery ahead of the key runs per row of a scan.
+            "update t set a = 0 where a in (select a from u) and b = 100",
+            "update t set a = 0 where chk(a) and b = 100",
+            # Unknown, not false, on every row: a scan checks them all.
+            "update t set a = 0 where b = null and chk(a)",
+            # Not a top-level conjunct.
+            "update t set a = 0 where b = 100 or b = 110",
+            # Nothing selective.
+            "delete from t where a >= 0",
+        ],
+    )
+    def test_uncovered_statements_scan(self, sql) -> None:
+        on, off = self._world(), self._world()
+        for database in (on, off):
+            database.execute("create table u (a integer)")
+            database.execute("insert into u values (10), (11)")
+        assert on.execute(sql, indexes="on") == off.execute(sql, indexes="off")
+        assert on.table("t").rows == off.table("t").rows
+        assert on.function_calls("chk") == off.function_calls("chk")
+        assert on.indexes.stats()["hits"] == 0
+
+    def test_incomparable_probe_value_scans_and_fails_like_a_scan(self) -> None:
+        from repro.errors import ReproError
+
+        on, off = self._world(), self._world()
+        outcomes = []
+        for database, mode in ((on, "on"), (off, "off")):
+            try:
+                outcomes.append(database.execute(
+                    "update t set a = 0 where b = 'text'", indexes=mode
+                ))
+            except ReproError as exc:
+                outcomes.append(type(exc).__name__)
+        assert outcomes[0] == outcomes[1]
+        assert on.table("t").rows == off.table("t").rows
+
+    def test_partitioned_index_alone_scans(self) -> None:
+        database = Database("part")
+        database.execute("create table t (a integer, policy text)")
+        database.execute("insert into t values (1, 'p'), (2, 'q'), (3, 'p')")
+        database.policy_column = "policy"
+        database.execute("create index i_p on t (a) partition by policy")
+        assert database.execute("update t set a = 9 where a = 2", indexes="on") == 1
+        assert database.indexes.stats()["hits"] == 0
+        assert [row[0] for row in database.table("t").rows] == [1, 9, 3]
+
+    def test_environment_switch_reaches_dml(self, monkeypatch) -> None:
+        database = self._world()
+        monkeypatch.setenv("REPRO_INDEXES", "off")
+        assert database.execute("update t set a = 0 where b = 100") == 2
+        assert database.indexes.stats()["hits"] == 0
+        monkeypatch.setenv("REPRO_INDEXES", "on")
+        assert database.execute("update t set a = 1 where b = 100") == 2
+        assert database.indexes.stats()["hits"] == 1
+
+    def test_staged_table_scans_and_sees_its_own_writes(self) -> None:
+        database = self._world()
+        database.begin()
+        assert database.execute("update t set b = 777 where b = 100", indexes="on") == 2
+        first = database.indexes.stats()["hits"]
+        # The overlay is private: no shared index entry describes it.
+        assert database.execute("update t set a = -7 where b = 777", indexes="on") == 2
+        assert database.execute("delete from t where b = 100", indexes="on") == 0
+        assert database.indexes.stats()["hits"] == first == 1
+        database.commit()
+        assert database.execute("delete from t where b = 777", indexes="on") == 2
+        assert database.indexes.stats()["hits"] == 2
+
+
 class TestIndexScanUnderPolicyGuard:
     """Access paths below the guard never widen what the guard lets out.
 

@@ -679,3 +679,228 @@ def test_no_primary_key_falls_back_to_table_granularity(db) -> None:
     db.transactions.commit(first)
     with pytest.raises(WriteConflictError):
         db.transactions.commit(second)
+
+
+# -- row-delta commits: a commit costs what it changes -------------------------
+
+
+def test_row_delta_reproduces_any_list() -> None:
+    """Applying ``row_delta(old, new)`` to ``old`` yields ``new`` — the very
+    same tuple objects in the same order — for statement-shaped edits
+    (in-place updates, deletes, appends, in any mix) and for arbitrary
+    lists (reorders degrade to deletes plus inserts)."""
+    import random
+
+    from repro.engine.mvcc import row_delta
+    from repro.engine.table import Table
+    from repro.engine.schema import Column, TableSchema
+    from repro.engine.types import SqlType
+
+    def applied(old, delta):
+        table = Table(TableSchema("x", [Column("a", SqlType.INTEGER)]))
+        table.apply_committed_append(list(old), 1)
+        table.apply_committed_delta(*delta, 2)
+        return table.rows
+
+    rng = random.Random(21)
+    for case in range(300):
+        old = [(i,) for i in range(rng.randrange(0, 12))]
+        new = list(old)
+        for _ in range(rng.randrange(0, 6)):
+            roll = rng.random()
+            if roll < 0.4 and new:
+                new[rng.randrange(len(new))] = (rng.randrange(100, 200),)
+            elif roll < 0.7 and new:
+                del new[rng.randrange(len(new))]
+            elif roll < 0.9:
+                new.append((rng.randrange(200, 300),))
+            else:
+                rng.shuffle(new)
+        updates, deletes, inserts = delta = row_delta(old, new)
+        result = applied(old, delta)
+        assert len(result) == len(new), case
+        assert all(a is b for a, b in zip(result, new)), case
+        assert [p for p, _ in updates] == sorted(p for p, _ in updates)
+        assert deletes == sorted(deletes)
+        assert not {p for p, _ in updates} & set(deletes)
+
+
+def test_row_delta_names_only_the_written_rows() -> None:
+    from repro.engine.mvcc import row_delta
+
+    old = [(i, "v") for i in range(50)]
+    new = list(old)
+    new[7] = (7, "x")
+    del new[20]
+    new.append((99, "n"))
+    assert row_delta(old, new) == ([(7, (7, "x"))], [20], [(99, "n")])
+    # A delete followed by as many inserts is not "every later row updated".
+    shifted = old[1:] + [(100, "n")]
+    assert row_delta(old, shifted) == ([], [0], [(100, "n")])
+    assert row_delta(old, []) == ([], list(range(50)), [])
+    assert row_delta([], old) == ([], [], old)
+
+
+def test_one_row_update_writes_one_key_and_closes_one_version(pkdb) -> None:
+    table = pkdb.table("r")
+    untouched = [table.rows[0], table.rows[2]]
+    reader = pkdb.transactions.begin()  # pins the old version
+    pkdb.begin()
+    pkdb.execute("update r set v = 'x' where id = 2")
+    pkdb.commit()
+    assert table._write_log[-1][1] == frozenset({(2,)})
+    assert [table.rows[0], table.rows[2]] == untouched
+    assert table.rows[0] is untouched[0] and table.rows[2] is untouched[1]
+    # One closed version, in its successor's place; the rest never moved.
+    assert [(v.row[0], v.xmax is None) for v in table._versions] == [
+        (1, True), (2, False), (2, True), (3, True),
+    ]
+    assert table._dead == [1]
+    pkdb.transactions.rollback(reader)
+    pkdb.execute("update r set v = 'y' where id = 3")  # commits prune
+    assert len(table._versions) == 3 and table._dead == []
+
+
+def test_key_changing_update_conflicts_on_old_and_new_key(pkdb) -> None:
+    for rival_sql in (
+        "update r set v = 'rival' where id = 2",  # the key it moved away from
+        "insert into r values (20, 'rival')",  # the key it moved to
+    ):
+        mover = pkdb.transactions.begin()
+        with txn_scope(mover):
+            pkdb.execute("update r set id = 20 where id = 2")
+        rival = pkdb.transactions.begin()
+        with txn_scope(rival):
+            pkdb.execute(rival_sql)
+        pkdb.transactions.commit(rival)
+        with pytest.raises(WriteConflictError):
+            pkdb.transactions.commit(mover)
+        pkdb.execute("delete from r where id = 20")
+
+
+def test_duplicate_key_conflicts_never_rebases(pkdb) -> None:
+    pkdb.execute("insert into r values (1, 'twin')")  # the key is not enforced
+    first = pkdb.transactions.begin()
+    second = pkdb.transactions.begin()
+    with txn_scope(first):
+        pkdb.execute("update r set v = 'x' where id = 2")
+    with txn_scope(second):
+        pkdb.execute("update r set v = 'y' where id = 3")
+    pkdb.transactions.commit(first)  # nothing concurrent: commits its delta
+    with pytest.raises(WriteConflictError):
+        pkdb.transactions.commit(second)
+    assert pkdb.transactions.stats.rebased == 0
+
+
+def test_commit_walks_keys_only_when_it_must_rebase(pkdb, monkeypatch) -> None:
+    """The no-conflict path of a transactional and of an autocommit write
+    looks at the changed rows' keys only; the per-table key walk belongs to
+    the rebase of a concurrent disjoint writer."""
+    from repro.engine import mvcc
+
+    walks: list[str] = []
+    for name in ("_unique_keys", "_rebase"):
+        original = getattr(mvcc, name)
+
+        def counted(*args, _name=name, _original=original):
+            walks.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(mvcc, name, counted)
+    pkdb.execute("update r set v = 'auto' where id = 1")
+    pkdb.begin()
+    pkdb.execute("update r set v = 'txn' where id = 2")
+    pkdb.execute("delete from r where id = 3")
+    pkdb.commit()
+    assert walks == []
+    loser_free = pkdb.transactions.begin()
+    with txn_scope(loser_free):
+        pkdb.execute("update r set v = 'late' where id = 1")
+    pkdb.execute("insert into r values (9, 'z')")
+    pkdb.transactions.commit(loser_free)
+    assert walks == ["_unique_keys", "_unique_keys", "_rebase"]
+    assert rrows(pkdb) == [(1, "late"), (2, "txn"), (9, "z")]
+
+
+def test_pinned_snapshots_read_identical_rows_across_delta_commits() -> None:
+    """Snapshots pinned at different moments of a run of delta commits
+    (updates, key changes, deletes, inserts, multi-statement transactions)
+    each keep reading the rows — same tuples, same order — they read when
+    they were pinned, and indexes probed under them agree."""
+    import random
+
+    database = Database("pinned")
+    database.execute("create table m (id integer primary key, v integer)")
+    database.table("m").append_rows((i, 0) for i in range(60))
+    database.execute("create index i_m on m (id)")
+    table = database.table("m")
+    rng = random.Random(5)
+    pins: list = []
+    next_id = 1000
+    try:
+        for step in range(120):
+            if step % 15 == 0:
+                txn = database.transactions.begin()
+                with txn_scope(txn):
+                    pins.append((txn, list(table.rows)))
+            ids = [row[0] for row in table.rows]
+            roll = rng.random()
+            if roll < 0.4:
+                database.execute(
+                    f"update m set v = {step} where id = {rng.choice(ids)}"
+                )
+            elif roll < 0.55:
+                database.execute(f"delete from m where id = {rng.choice(ids)}")
+            elif roll < 0.7:
+                database.execute(f"insert into m values ({next_id}, {step})")
+                next_id += 1
+            elif roll < 0.8:
+                database.execute(
+                    f"update m set id = {next_id} where id = {rng.choice(ids)}"
+                )
+                next_id += 1
+            else:
+                database.begin()
+                database.execute(f"insert into m values ({next_id}, {step})")
+                database.execute(f"update m set v = -1 where id = {next_id}")
+                database.execute(f"delete from m where id = {rng.choice(ids)}")
+                database.execute(f"update m set v = {step} where v = 0 and id < 5")
+                database.commit()
+                next_id += 1
+            for txn, copy in pins:
+                with txn_scope(txn):
+                    seen = table.rows
+                    assert len(seen) == len(copy)
+                    assert all(a is b for a, b in zip(seen, copy)), step
+                    probe = rng.choice(copy)
+                    position = database.indexes.lookup_equal("i_m", probe[0])
+                    assert [seen[p] for p in position] == [probe]
+    finally:
+        for txn, _ in pins:
+            database.transactions.rollback(txn)
+    # Nothing pinned any more: the next commit leaves the chain flat.
+    database.execute(f"insert into m values ({next_id}, 0)")
+    assert len(table._versions) == len(table.rows) and table._dead == []
+    assert [v.row for v in table._versions] == table.rows
+
+
+def test_append_only_autocommit_never_walks_the_version_chain(db) -> None:
+    """Finding 11: every audited read autocommits an insert into the audit
+    table; with nothing dead its ever-growing chain is neither iterated nor
+    reallocated by the commit's prune."""
+
+    class Chain(list):
+        walks = 0
+
+        def __iter__(self):
+            Chain.walks += 1
+            return super().__iter__()
+
+    table = db.table("t")
+    chain = table._versions = Chain(table._versions)
+    for i in range(10, 60):
+        db.execute(f"insert into t values ({i}, 'audit')")
+    assert table._versions is chain and len(chain) == len(table.rows) == 52
+    assert Chain.walks == 0
+    db.execute("update t set v = 'x' where id = 10")  # a dead version: prunes
+    assert table._versions is not chain and len(table._versions) == 52

@@ -14,7 +14,13 @@ commit protocol, reopens the directory with
   file, so recovery replays it (an unacknowledged commit may survive; an
   acknowledged one always does).
 
-``REPRO_CRASH_SEED`` rotates the randomized campaign's seed — the CI
+The same contract is checked for **delta commits** — the records an
+UPDATE/DELETE logs, holding only the written rows addressed by position —
+on a keyed table, a table without a primary key and one with duplicate
+keys, where "exactly the committed prefix" also means *the same rows in the
+same order* (positions replay onto nothing else).
+
+``REPRO_CRASH_SEED`` rotates the randomized campaigns' seed — the CI
 crash-recovery matrix replays this module under 20 different values.
 """
 
@@ -22,10 +28,16 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import shutil
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.engine import persist, txn_scope
+from repro.engine.database import Database
 from repro.engine.wal import (
     CHECKPOINT,
     COMMIT,
@@ -34,8 +46,6 @@ from repro.engine.wal import (
     resolve_wal_sync,
 )
 from repro.errors import InjectedFailure, WriteConflictError
-
-import random
 
 #: Rotated by the CI crash matrix; any int works locally.
 CRASH_SEED = int(os.environ.get("REPRO_CRASH_SEED", "2015"))
@@ -369,6 +379,49 @@ def test_randomized_crash_campaign(tmp_path) -> None:
         expected = recovered
 
 
+# -- visible means durable ----------------------------------------------------
+
+
+@pytest.mark.parametrize("transactional", [False, True])
+def test_no_snapshot_pins_a_commit_before_it_is_flushed(
+    tmp_path, transactional
+) -> None:
+    """While a commit's record is being flushed nobody can pin a snapshot;
+    the first snapshot pinned afterwards sees the commit."""
+    db, durability = durable_db(tmp_path)
+    wal = durability.wal
+    flush = wal.sync_to
+    pinned: list = []
+    waited: list[bool] = []
+
+    def pin() -> None:
+        pinned.append(db.transactions.begin())
+
+    def watched_flush(lsn: int) -> None:
+        reader = threading.Thread(target=pin)
+        reader.start()
+        reader.join(timeout=0.2)
+        waited.append(reader.is_alive())
+        flush(lsn)
+
+    wal.sync_to = watched_flush
+    if transactional:
+        db.execute("begin")
+        db.execute("insert into t values (1, 'a')")
+        db.execute("commit")
+    else:
+        db.execute("insert into t values (1, 'a')")
+    wal.sync_to = flush
+    assert waited == [True]
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(timeout=5)
+    (txn,) = pinned
+    assert txn.snapshot.ts == db.transactions.clock
+    db.transactions.rollback(txn)
+    durability.close()
+
+
 # -- group commit -------------------------------------------------------------
 
 
@@ -446,8 +499,6 @@ def test_write_conflict_is_not_logged(tmp_path) -> None:
     db.execute("insert into t values (1, 'x')")
     appends_before = durability.wal.appends
     txn = db.transactions.begin()
-    from repro.engine import txn_scope
-
     with txn_scope(txn):
         db.execute("update t set v = 'staged' where id = 1")
     db.execute("update t set v = 'winner' where id = 1")
@@ -457,3 +508,280 @@ def test_write_conflict_is_not_logged(tmp_path) -> None:
     durability.close()
     recovered, _ = durable_db(tmp_path)
     assert table_rows(recovered) == [(1, "winner")]
+
+
+# -- delta commits --------------------------------------------------------------
+
+#: Table → DDL.  ``k`` is keyed, ``t`` has no primary key, ``d`` declares one
+#: but holds every key twice (the engine does not enforce uniqueness).
+DELTA_TABLES = {
+    "k": "create table k (id integer primary key, v text)",
+    "t": "create table t (id integer, v text)",
+    "d": "create table d (id integer primary key, v text)",
+}
+
+
+def build_delta_world(db) -> None:
+    for name, ddl in DELTA_TABLES.items():
+        db.execute(ddl)
+        copies = 2 if name == "d" else 1
+        db.table(name).append_rows(
+            (i, f"{name}{i}") for i in range(8) for _ in range(copies)
+        )
+
+
+def delta_db(directory):
+    db, durability = open_database(directory)
+    if "k" not in db.tables:
+        build_delta_world(db)
+    return db, durability
+
+
+def ordered_rows(db) -> dict:
+    """Every table's rows in storage order — what positions address."""
+    return {name: list(db.table(name).rows) for name in DELTA_TABLES}
+
+
+def _statement(sql):
+    def scenario(db, table):
+        return lambda: db.execute(sql.format(t=table))
+
+    return scenario
+
+
+def _churn_transaction(db, table):
+    """Insert, update and delete one row, plus a surviving update and delete."""
+    db.execute("begin")
+    db.execute(f"insert into {table} values (50, 'new')")
+    db.execute(f"update {table} set v = 'touched' where id = 50")
+    db.execute(f"update {table} set v = 'kept' where id = 2")
+    db.execute(f"delete from {table} where id = 50")
+    db.execute(f"delete from {table} where id = 5")
+    db.execute(f"insert into {table} values (51, 'tail')")
+    return lambda: db.execute("commit")
+
+
+def _rebased_commit(db, table):
+    txn = db.transactions.begin()
+    with txn_scope(txn):
+        db.execute(f"update {table} set v = 'mine' where id = 1")
+        db.execute(f"delete from {table} where id = 4")
+    db.execute(f"delete from {table} where id = 0")  # shifts every position
+    db.execute(f"update {table} set v = 'theirs' where id = 6")
+    return lambda: db.transactions.commit(txn)
+
+
+def _ddl_with_delta(db, table):
+    db.execute("begin")
+    db.execute(f"create index i_crash on {table} (id)")
+    db.execute(f"update {table} set v = 'indexed' where id = 4")
+    return lambda: db.execute("commit")
+
+
+#: Name → (scenario, tables it runs on).  A scenario stages its work and
+#: returns the call that commits it — the one the failpoint kills.
+DELTA_SCENARIOS = {
+    "update": (_statement("update {t} set v = 'u' where id = 3"), "ktd"),
+    "key_change": (_statement("update {t} set id = 30 where id = 3"), "ktd"),
+    "delete": (_statement("delete from {t} where id = 3"), "ktd"),
+    "churn_txn": (_churn_transaction, "ktd"),
+    "ddl_with_delta": (_ddl_with_delta, "ktd"),
+    # Only a keyed table without duplicates rebases; the others conflict.
+    "rebased": (_rebased_commit, "k"),
+}
+
+DELTA_CASES = [
+    (name, table)
+    for name, (_, tables) in DELTA_SCENARIOS.items()
+    for table in tables
+]
+
+
+@pytest.mark.parametrize("failpoint", sorted(FAILPOINT_SURVIVES))
+@pytest.mark.parametrize("name,table", DELTA_CASES)
+def test_crash_mid_delta_commit(tmp_path, name, table, failpoint) -> None:
+    """Exact committed prefix, rows in order, for every delta shape."""
+    scenario = DELTA_SCENARIOS[name][0]
+    twin = Database("twin")
+    build_delta_world(twin)
+    scenario(twin, table)()
+    after = ordered_rows(twin)
+
+    db, durability = delta_db(tmp_path)
+    commit = scenario(db, table)
+    with txn_scope(None):  # the committed state, not the staged overlay
+        before = ordered_rows(db)
+    assert before != after
+    deltas = durability.records["delta"]
+    durability.wal.failpoints.add(failpoint)
+    with pytest.raises(InjectedFailure):
+        commit()
+    survives = FAILPOINT_SURVIVES[failpoint]
+    # The dying record really was a delta, not the whole-table fallback.
+    assert durability.records["delta"] == deltas + survives
+    assert durability.records["replace"] == 0
+
+    recovered, redo = delta_db(tmp_path)
+    assert ordered_rows(recovered) == (after if survives else before)
+    if name == "ddl_with_delta":
+        assert (recovered.indexes.find("i_crash") is not None) == survives
+    assert (redo.torn_bytes > 0) == (failpoint == "wal.partial_append")
+    # The healed log takes further deltas at the right positions.
+    recovered.execute(f"update {table} set v = 'next' where id = 7")
+    recovered.execute(f"delete from {table} where id = 6")
+    expected = ordered_rows(recovered)
+    redo.close()
+    final, last = delta_db(tmp_path)
+    assert ordered_rows(final) == expected
+    last.close()
+
+
+def test_torn_delta_frame_never_half_applies(tmp_path) -> None:
+    """Cut the log anywhere inside a delta frame: none of its updates,
+    deletes or inserts is applied."""
+    world = tmp_path / "world"
+    db, durability = delta_db(world)
+    before = ordered_rows(db)
+    whole = (world / "wal.log").stat().st_size
+    _churn_transaction(db, "k")()
+    after = ordered_rows(db)
+    durability.close()
+    end = (world / "wal.log").stat().st_size
+    assert durability.records["delta"] == 1
+    for cut in sorted({whole + 1, whole + 19, (whole + end) // 2, end - 2, end - 1}):
+        copy = tmp_path / f"cut{cut}"
+        shutil.copytree(world, copy)
+        os.truncate(copy / "wal.log", cut)
+        recovered, redo = delta_db(copy)
+        assert ordered_rows(recovered) == before, cut
+        assert redo.torn_bytes == cut - whole
+        redo.close()
+    intact, redo = delta_db(world)
+    assert ordered_rows(intact) == after
+    redo.close()
+
+
+def test_log_of_append_and_replace_records_replays_unchanged(tmp_path) -> None:
+    """A log written before delta records existed (``append`` and whole-list
+    ``replace`` effects only, DDL included) recovers to the very document
+    the engine that wrote it recovered."""
+    data = Path(__file__).parent / "data"
+    shutil.copy(data / "wal_append_replace.log", tmp_path / "wal.log")
+    ops = {
+        effect["op"]
+        for line in (tmp_path / "wal.log").read_text().splitlines()
+        for effect in json.loads(line.split(" ", 2)[2]).get("tables", {}).values()
+    }
+    assert ops == {"append", "replace"}
+    recovered, redo = open_database(tmp_path)
+    assert redo.recovered_commits == 10 and redo.torn_bytes == 0
+    expected = (data / "wal_append_replace.snapshot.json").read_text()
+    assert persist.dumps(recovered) == expected
+    assert recovered.indexes.lookup_equal("i_k", 40) == [2]
+    redo.close()
+
+
+def test_randomized_delta_crash_campaign(tmp_path) -> None:
+    """Seeded campaign over the three tables: random committed deltas
+    (single statements, churn transactions, rebased commits, checkpoints),
+    then a random delta dies at a random failpoint; every reopen must show
+    exactly the committed prefix with every row at its position."""
+    rng = random.Random(f"delta-campaign:{CRASH_SEED}")
+    directory = tmp_path / "world"
+    db, durability = delta_db(directory)
+    next_id = 100
+
+    def random_delta(target, table: str, fresh: int) -> None:
+        ids = [row[0] for row in target.table(table).rows]
+        roll = rng.random()
+        if roll < 0.3 and ids:
+            target.execute(
+                f"update {table} set v = 'u{fresh}' where id = {rng.choice(ids)}"
+            )
+        elif roll < 0.45 and ids:
+            target.execute(
+                f"update {table} set id = {fresh} where id = {rng.choice(ids)}"
+            )
+        elif roll < 0.6 and len(ids) > 4:
+            target.execute(f"delete from {table} where id = {rng.choice(ids)}")
+        elif roll < 0.8 and ids:
+            target.execute("begin")
+            target.execute(f"insert into {table} values ({fresh}, 'i{fresh}')")
+            target.execute(f"update {table} set v = 't{fresh}' where id = {fresh}")
+            target.execute(
+                f"update {table} set v = 'w{fresh}' where id = {rng.choice(ids)}"
+            )
+            if rng.random() < 0.5:
+                target.execute(f"delete from {table} where id = {fresh}")
+            target.execute("commit")
+        else:
+            target.execute(f"insert into {table} values ({fresh}, 'a{fresh}')")
+
+    for iteration in range(8):
+        for _ in range(rng.randint(1, 5)):
+            random_delta(db, rng.choice("ktd"), next_id)
+            next_id += 1
+        if rng.random() < 0.3:
+            durability.checkpoint()
+        expected = ordered_rows(db)
+        # What the doomed statement would leave, worked out on a copy.
+        twin = persist.loads(persist.dumps(db))
+        table = rng.choice("ktd")
+        state = rng.getstate()
+        random_delta(twin, table, next_id)
+        survived = ordered_rows(twin)
+        failpoint = rng.choice(sorted(FAILPOINT_SURVIVES))
+        durability.wal.failpoints.add(failpoint)
+        rng.setstate(state)
+        with pytest.raises(InjectedFailure):
+            random_delta(db, table, next_id)
+        rng.choice(sorted(FAILPOINT_SURVIVES))  # keep both streams aligned
+        next_id += 1
+
+        db, durability = delta_db(directory)
+        assert ordered_rows(db) == (
+            survived if FAILPOINT_SURVIVES[failpoint] else expected
+        ), f"iteration {iteration}: wrong rows or order after {failpoint}"
+
+
+# -- checkpoints racing commits --------------------------------------------------
+
+
+def test_checkpoint_racing_commits_loses_no_acknowledged_commit(tmp_path) -> None:
+    """A commit landing while a checkpoint is being taken is either in the
+    image or in the log that survives it — never acknowledged and erased."""
+    db, durability = delta_db(tmp_path)
+    acked: list[int] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def committer() -> None:
+        try:
+            for i in range(150):
+                db.execute(f"insert into k values ({1000 + i}, 'c')")
+                db.execute(f"update k set v = 'acked' where id = {1000 + i}")
+                acked.append(1000 + i)
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    thread = threading.Thread(target=committer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        while not done.is_set():
+            durability.checkpoint()
+    finally:
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive() and errors == []
+    assert durability.checkpoints > 1
+    expected = ordered_rows(db)
+    durability.close()
+    recovered, redo = delta_db(tmp_path)
+    assert ordered_rows(recovered) == expected
+    kept = {row[0]: row[1] for row in recovered.table("k").rows}
+    assert [kept.get(i) for i in acked] == ["acked"] * 150
+    redo.close()

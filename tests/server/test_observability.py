@@ -106,3 +106,34 @@ def test_stats_transactions_section_shape(front_end, tmp_path):
         "active",
     }
     assert {"appends", "syncs", "checkpoints"} <= set(transactions["wal"])
+
+
+def test_wal_stats_tell_a_delta_commit_from_a_whole_table_fallback(tmp_path):
+    """An operator can see a table silently falling back to ``replace``:
+    the ``wal`` section and ``repro_wal_bytes_total`` split records and
+    bytes by the costliest row effect a record carries."""
+    world = build_fuzz_scenario(ScenarioSpec(patients=4, samples=2))
+    database = world.database
+    durability = DurabilityManager(database, tmp_path)
+    try:
+        with QueryServer(world.monitor) as server:
+            with Client(*server.address) as client:
+                client.hello("u0", world.purposes[0])
+                idle = client.stats()["transactions"]["wal"]
+                # Autocommit UPDATE of a few rows: a delta record.
+                database.execute(
+                    "update sensed_data set beats = 1 where watch_id = 'watch1'"
+                )
+                # Assigning every row: nothing smaller than the table.
+                database.execute("update sensed_data set beats = 2")
+                wal = client.stats()["transactions"]["wal"]
+                samples = parse_exposition(client.metrics())
+    finally:
+        durability.close()
+    assert idle["records"] == {"append": 0, "delta": 0, "replace": 0}
+    assert wal["records"]["delta"] == 1 and wal["records"]["replace"] == 1
+    assert 0 < wal["record_bytes"]["delta"] < wal["record_bytes"]["replace"]
+    assert wal["bytes"] >= sum(wal["record_bytes"].values())
+    for op in ("append", "delta", "replace"):
+        assert samples[f'repro_wal_bytes_total{{op="{op}"}}'] == wal["record_bytes"][op]
+    assert samples['repro_wal_total{event="append"}'] == wal["appends"]
