@@ -3,87 +3,43 @@
 from .experiments import (
     DatasetScenarioResult,
     Experiment2Result,
-    run_columnar,
     run_experiment1,
     run_experiment2,
-    run_hotpath,
-    run_optimizer,
 )
 from .harness import (
     BENCH_PURPOSE,
-    COLUMNAR_BATCH_SIZES,
-    ColumnarMeasurement,
-    ColumnarRun,
     ExperimentConfig,
     ExperimentRun,
-    HotPathMeasurement,
-    HotPathRun,
-    OptimizerMeasurement,
-    OptimizerRun,
     PAPER_SELECTIVITIES,
     QueryMeasurement,
-    bitmap_build_bound,
     build_scenario,
-    count_checks,
     experiment_queries,
-    measure_columnar,
-    measure_hotpath,
-    measure_optimizer,
     measure_query,
     set_selectivity,
 )
 from .reporting import (
-    columnar_table,
+    cub_table,
     figure6_table,
     figure7_table,
     figure8_table,
-    hotpath_table,
-    optimizer_table,
-    shards_table,
-)
-from .shards import (
-    ShardsRun,
-    ShardsSample,
-    run_shards,
 )
 
 __all__ = [
-    "ShardsRun",
-    "ShardsSample",
-    "run_shards",
-    "shards_table",
     "DatasetScenarioResult",
     "Experiment2Result",
-    "run_columnar",
     "run_experiment1",
     "run_experiment2",
-    "run_hotpath",
-    "run_optimizer",
     "BENCH_PURPOSE",
-    "COLUMNAR_BATCH_SIZES",
-    "ColumnarMeasurement",
-    "ColumnarRun",
     "ExperimentConfig",
     "ExperimentRun",
-    "HotPathMeasurement",
-    "HotPathRun",
-    "OptimizerMeasurement",
-    "OptimizerRun",
     "PAPER_SELECTIVITIES",
     "QueryMeasurement",
-    "bitmap_build_bound",
     "build_scenario",
-    "count_checks",
     "experiment_queries",
-    "measure_columnar",
-    "measure_hotpath",
-    "measure_optimizer",
     "measure_query",
     "set_selectivity",
-    "columnar_table",
+    "cub_table",
     "figure6_table",
     "figure7_table",
     "figure8_table",
-    "hotpath_table",
-    "optimizer_table",
 ]

@@ -13,25 +13,13 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .harness import (
-    COLUMNAR_BATCH_SIZES,
-    ColumnarRun,
     ExperimentConfig,
     ExperimentRun,
-    HotPathRun,
-    IndexesRun,
-    OptimizerRun,
     build_scenario,
     experiment_queries,
-    measure_columnar,
-    measure_hotpath,
-    measure_indexes,
-    measure_optimizer,
     measure_query,
     set_selectivity,
 )
-
-#: Dataset sizes (``sensed_data`` rows) the indexes experiment sweeps.
-INDEXES_SIZES = (10_000, 100_000)
 
 
 def run_experiment1(config: ExperimentConfig | None = None) -> ExperimentRun:
@@ -41,7 +29,7 @@ def run_experiment1(config: ExperimentConfig | None = None) -> ExperimentRun:
     selectivity level; we do the same — the scenario is built once and only
     the ``policy`` column is rewritten between sweeps.
     """
-    config = config or ExperimentConfig.scaled()
+    config = config or ExperimentConfig()
     scenario = build_scenario(config)
     queries = experiment_queries(config)
     run = ExperimentRun(config)
@@ -51,90 +39,6 @@ def run_experiment1(config: ExperimentConfig | None = None) -> ExperimentRun:
             run.measurements.append(
                 measure_query(scenario, query, selectivity, config.repeat)
             )
-    return run
-
-
-def run_hotpath(
-    config: ExperimentConfig | None = None, executions: int = 5
-) -> HotPathRun:
-    """Prepared-pipeline experiment: cold vs cached enforcement latency.
-
-    For every (query, selectivity) sweep point this measures the full
-    pipeline on a cold plan cache, the prepare step alone, and repeated
-    executions through a prepared handle (plan cached), plus the cache hit
-    rate those executions achieved.  Regenerating policies between sweep
-    points bumps the policy epoch, so each selectivity level starts from a
-    genuinely invalidated cache.
-    """
-    config = config or ExperimentConfig.scaled()
-    scenario = build_scenario(config)
-    queries = experiment_queries(config)
-    run = HotPathRun(config)
-    for selectivity in config.selectivities:
-        set_selectivity(scenario, selectivity, config.policy_seed)
-        for query in queries:
-            run.measurements.append(
-                measure_hotpath(
-                    scenario, query, selectivity, config.repeat, executions
-                )
-            )
-    return run
-
-
-def run_optimizer(
-    config: ExperimentConfig | None = None, executions: int = 3
-) -> OptimizerRun:
-    """Optimizer experiment: bitmap pre-filtering vs per-row enforcement.
-
-    For every (query, selectivity) sweep point this executes the query once
-    with the pass pipeline off (the per-row evaluation model of Figure 6)
-    and once with it on (policy guards answered by cached bitmaps), from a
-    cold plan cache and cold bitmaps each time.  It records both check
-    counts, the static distinct-policy-value bound the optimized plan must
-    respect, whether the two modes returned identical rows, and the cached
-    (hot plan) execution latency under each mode.
-    """
-    config = config or ExperimentConfig.scaled()
-    scenario = build_scenario(config)
-    queries = experiment_queries(config)
-    run = OptimizerRun(config)
-    for selectivity in config.selectivities:
-        set_selectivity(scenario, selectivity, config.policy_seed)
-        for query in queries:
-            run.measurements.append(
-                measure_optimizer(
-                    scenario, query, selectivity, config.repeat, executions
-                )
-            )
-    return run
-
-
-def run_columnar(
-    config: ExperimentConfig | None = None,
-    batch_sizes: tuple[int, ...] = COLUMNAR_BATCH_SIZES,
-    selectivity: float = 0.4,
-    executions: int = 3,
-) -> ColumnarRun:
-    """Columnar experiment: row vs batch executor over the Figure-6 queries.
-
-    Fixes policy selectivity at Experiment 2's 0.4 and times every workload
-    query under the row-at-a-time reference executor and under the batch
-    executor at each swept page size (64/256/1024 rows by default), all on
-    cached prepared plans.  Unlike the other experiments this defaults to
-    the *unscaled* ``ExperimentConfig`` sizes: the executor comparison is a
-    throughput measurement, and at ``REPRO_SCALE``'s tiny default the
-    per-query work would be mostly fixed overhead.
-    """
-    config = config or ExperimentConfig()
-    scenario = build_scenario(config)
-    set_selectivity(scenario, selectivity, config.policy_seed)
-    run = ColumnarRun(config, selectivity=selectivity, batch_sizes=batch_sizes)
-    for query in experiment_queries(config):
-        run.measurements.append(
-            measure_columnar(
-                scenario, query, batch_sizes, config.repeat, executions
-            )
-        )
     return run
 
 
@@ -166,7 +70,7 @@ def run_experiment2(
     scenario; ``samples_sweep`` holds the per-patient sample counts, default
     a geometric ×10-style sweep scaled to the configured patient count.
     """
-    base_config = base_config or ExperimentConfig.scaled()
+    base_config = base_config or ExperimentConfig()
     if samples_sweep is None:
         base = max(2, base_config.samples_per_patient // 10)
         samples_sweep = (base, base * 5, base * 10, base * 50)
@@ -192,44 +96,3 @@ def run_experiment2(
             )
         )
     return result
-
-
-def run_indexes(
-    sizes: tuple[int, ...] = INDEXES_SIZES,
-    selectivity: float = 0.4,
-    samples_per_patient: int = 100,
-    executions: int = 3,
-    policy_seed: int = 411595,
-    data_seed: int = 20150311,
-) -> IndexesRun:
-    """Indexes experiment: full scan vs index scan vs partition pruning.
-
-    For each swept size a fresh patients scenario is built with
-    ``sensed_data`` at that many rows and scattered policies at the fixed
-    Experiment-2 selectivity, then the most selective workload probe (one
-    watch's samples) is timed under every access path (DESIGN.md §13).
-    Unlike the other experiments this sweep ignores ``REPRO_SCALE`` — the
-    access-path comparison is *about* the table sizes, so they are passed
-    explicitly (CI smoke passes small ones).
-    """
-    run = IndexesRun(
-        sizes=tuple(sizes),
-        selectivity=selectivity,
-        samples_per_patient=samples_per_patient,
-    )
-    for size in sizes:
-        patients = max(1, size // samples_per_patient)
-        config = ExperimentConfig(
-            patients=patients,
-            samples_per_patient=samples_per_patient,
-            policy_seed=policy_seed,
-            data_seed=data_seed,
-        )
-        scenario = build_scenario(config)
-        set_selectivity(scenario, selectivity, policy_seed)
-        run.measurements.append(
-            measure_indexes(
-                scenario, patients * samples_per_patient, executions
-            )
-        )
-    return run

@@ -8,11 +8,9 @@ complexity metric of Figure 6).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
-from ..core.admin import COMPLIES_WITH
 from ..workload import (
     AD_HOC_QUERIES,
     BenchmarkQuery,
@@ -30,16 +28,6 @@ PAPER_SELECTIVITIES = (0.0, 0.2, 0.4, 0.6)
 BENCH_PURPOSE = "p6"
 
 
-def scale_factor() -> float:
-    """Global dataset scale multiplier, from the ``REPRO_SCALE`` env var.
-
-    ``REPRO_SCALE=1`` reproduces the paper's Experiment 1 sizes (1,000
-    patients × 1,000 samples); the default 0.01 keeps the pure-Python engine
-    within seconds per query.
-    """
-    return float(os.environ.get("REPRO_SCALE", "0.01"))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sizing and sweep parameters for the experiments."""
@@ -52,17 +40,6 @@ class ExperimentConfig:
     policy_seed: int = 411595
     data_seed: int = 20150311
     repeat: int = 1
-
-    @classmethod
-    def scaled(cls, **overrides) -> "ExperimentConfig":
-        """Paper sizes multiplied by :func:`scale_factor`."""
-        factor = scale_factor()
-        defaults = {
-            "patients": max(10, int(1000 * factor)),
-            "samples_per_patient": max(10, int(1000 * factor)),
-        }
-        defaults.update(overrides)
-        return cls(**defaults)
 
 
 @dataclass
@@ -167,8 +144,7 @@ def measure_query(
     Figure 6 counts per-row ``compliesWith`` evaluations, so the measurement
     pins the optimizer off for its duration: bitmap pre-filtering would turn
     the metric into a distinct-policy-value count and break the figure's
-    selectivity/dataset-size relationships.  The optimizer's own experiment
-    (:func:`run_optimizer`) measures both modes side by side instead.
+    selectivity/dataset-size relationships.
     """
     monitor = scenario.monitor
     database = scenario.database
@@ -201,673 +177,4 @@ def measure_query(
         compliance_checks=checks,
         original_rows=original_rows,
         rewritten_rows=rewritten_rows,
-    )
-
-
-@dataclass
-class HotPathMeasurement:
-    """One (query, selectivity) cell of the prepared-pipeline experiment.
-
-    ``cold_time`` runs the whole enforcement pipeline on a cold plan cache
-    (parse → sign → rewrite → plan → execute); ``prepare_time`` is the same
-    pipeline without the execution; ``cached_time`` executes through a
-    prepared handle whose plan is already cached, so it isolates the cost
-    the cache removes from every repeated query.
-    """
-
-    query: str
-    selectivity: float
-    cold_time: float
-    prepare_time: float
-    cached_time: float
-    cache_hits: int
-    cache_lookups: int
-    stages: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        """Cold over cached latency (>1 means the cache pays off)."""
-        if self.cached_time <= 0:
-            return float("inf")
-        return self.cold_time / self.cached_time
-
-    @property
-    def hit_rate(self) -> float:
-        """Plan-cache hit share during the cached executions."""
-        if self.cache_lookups == 0:
-            return 1.0
-        return self.cache_hits / self.cache_lookups
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of this cell (for ``BENCH_hotpath.json``)."""
-        return {
-            "query": self.query,
-            "selectivity": self.selectivity,
-            "cold_time_s": self.cold_time,
-            "prepare_time_s": self.prepare_time,
-            "cached_time_s": self.cached_time,
-            "speedup": self.speedup,
-            "cache_hits": self.cache_hits,
-            "cache_lookups": self.cache_lookups,
-            "hit_rate": self.hit_rate,
-            "stages_s": dict(self.stages),
-        }
-
-
-@dataclass
-class HotPathRun:
-    """All hot-path measurements of one experiment configuration."""
-
-    config: ExperimentConfig
-    measurements: list[HotPathMeasurement] = field(default_factory=list)
-
-    def cell(self, query: str, selectivity: float) -> HotPathMeasurement:
-        """Look up a single measurement."""
-        for measurement in self.measurements:
-            if (
-                measurement.query == query
-                and abs(measurement.selectivity - selectivity) < 1e-9
-            ):
-                return measurement
-        raise KeyError((query, selectivity))
-
-    def queries(self) -> list[str]:
-        """Distinct query names, in first-seen order."""
-        seen: list[str] = []
-        for measurement in self.measurements:
-            if measurement.query not in seen:
-                seen.append(measurement.query)
-        return seen
-
-    def selectivities(self) -> list[float]:
-        """Distinct selectivity values, in first-seen order."""
-        seen: list[float] = []
-        for measurement in self.measurements:
-            if measurement.selectivity not in seen:
-                seen.append(measurement.selectivity)
-        return seen
-
-    def hit_rate(self) -> float:
-        """Aggregate plan-cache hit rate over all cached executions."""
-        lookups = sum(m.cache_lookups for m in self.measurements)
-        if lookups == 0:
-            return 1.0
-        return sum(m.cache_hits for m in self.measurements) / lookups
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the whole run (for ``BENCH_hotpath.json``)."""
-        return {
-            "config": {
-                "patients": self.config.patients,
-                "samples_per_patient": self.config.samples_per_patient,
-                "selectivities": list(self.config.selectivities),
-                "repeat": self.config.repeat,
-            },
-            "hit_rate": self.hit_rate(),
-            "measurements": [m.to_dict() for m in self.measurements],
-        }
-
-
-def measure_hotpath(
-    scenario: PatientsScenario,
-    query: BenchmarkQuery,
-    selectivity: float,
-    repeat: int = 1,
-    executions: int = 5,
-) -> HotPathMeasurement:
-    """Measure cold vs cached enforcement latency for one query."""
-    monitor = scenario.monitor
-
-    def cold() -> None:
-        monitor.clear_plan_cache()
-        monitor.execute(query.sql, BENCH_PURPOSE)
-
-    cold_time = time_query(cold, repeat)
-
-    def cold_prepare() -> None:
-        monitor.clear_plan_cache()
-        monitor.prepare(query.sql, BENCH_PURPOSE)
-
-    prepare_time = time_query(cold_prepare, repeat)
-
-    prepared = monitor.prepare(query.sql, BENCH_PURPOSE)
-    before = monitor.plan_cache_info()
-    cached_time = time_query(prepared.execute, max(repeat, executions))
-    after = monitor.plan_cache_info()
-    hits = after["hits"] - before["hits"]
-    lookups = hits + (after["misses"] - before["misses"])
-
-    # One traced execution for the per-stage (parse/plan/execute) breakdown.
-    # Run outside the timed loops so the instrumentation cannot skew the
-    # cold/cached numbers; tracing is restored to its previous state after.
-    previous_tracing = monitor.tracing_enabled
-    monitor.set_tracing(True)
-    try:
-        traced = monitor.execute_with_report(query.sql, BENCH_PURPOSE)
-        stages = traced.trace.stage_seconds() if traced.trace is not None else {}
-    finally:
-        monitor.set_tracing(previous_tracing)
-
-    return HotPathMeasurement(
-        query=query.name,
-        selectivity=selectivity,
-        cold_time=cold_time,
-        prepare_time=prepare_time,
-        cached_time=cached_time,
-        cache_hits=hits,
-        cache_lookups=lookups,
-        stages=stages,
-    )
-
-
-def bitmap_build_bound(
-    scenario: PatientsScenario, sql: str, purpose: str = BENCH_PURPOSE
-) -> int:
-    """Worst-case ``compliesWith`` cost of the bitmap pre-filtered plan.
-
-    The optimizer hoists policy conjuncts into ``PolicyGuard`` nodes whose
-    bitmaps are built once per distinct non-NULL policy value per
-    ``(table, mask)`` pair.  Collecting every ``complieswith(mask,
-    binding.policy)`` conjunct the rewriter injected — including inside
-    IN/EXISTS/scalar subqueries and derived tables — therefore gives a
-    static bound: an execution from a cold bitmap cache never invokes
-    ``compliesWith`` more than Σ distinct policy values over the distinct
-    ``(table, mask)`` pairs.  (Conjuncts the optimizer leaves in residual
-    filters, e.g. under outer joins, fall back to per-row evaluation and may
-    exceed this figure by design.)
-    """
-    import dataclasses as dc
-
-    from ..sql import ast
-
-    database = scenario.database
-    function_name = (database.policy_function or "complieswith").lower()
-    statement = scenario.monitor.rewrite(sql, purpose)
-    pairs: set[tuple[str, str]] = set()
-
-    def visit_value(value, bindings: dict[str, str]) -> None:
-        if isinstance(value, ast.Select):
-            visit_select(value)
-            return
-        if (
-            isinstance(value, ast.FunctionCall)
-            and value.name.lower() == function_name
-            and len(value.args) == 2
-            and isinstance(value.args[0], ast.BitStringLiteral)
-            and isinstance(value.args[1], ast.ColumnRef)
-            and value.args[1].table
-        ):
-            table = bindings.get(value.args[1].table.lower())
-            if table is not None:
-                pairs.add((table, value.args[0].bits))
-        if dc.is_dataclass(value):
-            for field_info in dc.fields(value):
-                visit_value(getattr(value, field_info.name), bindings)
-        elif isinstance(value, (tuple, list)):
-            for item in value:
-                visit_value(item, bindings)
-
-    def add_bindings(source, bindings: dict[str, str]) -> None:
-        if isinstance(source, ast.TableName):
-            bindings[source.binding.lower()] = source.name.lower()
-        elif isinstance(source, ast.Join):
-            add_bindings(source.left, bindings)
-            add_bindings(source.right, bindings)
-
-    def visit_select(select: ast.Select) -> None:
-        bindings: dict[str, str] = {}
-        for source in select.sources:
-            add_bindings(source, bindings)
-        for field_info in dc.fields(select):
-            visit_value(getattr(select, field_info.name), bindings)
-
-    def visit_statement(node) -> None:
-        if isinstance(node, ast.SetOperation):
-            visit_statement(node.left)
-            visit_statement(node.right)
-        else:
-            visit_select(node)
-
-    visit_statement(statement)
-    bound = 0
-    for table_name, _mask in pairs:
-        table = database.table(table_name)
-        index = table.schema.column_index(database.policy_column)
-        bound += len({row[index] for row in table.rows if row[index] is not None})
-    return bound
-
-
-@dataclass
-class OptimizerMeasurement:
-    """One (query, selectivity) cell of the optimizer on/off comparison."""
-
-    query: str
-    selectivity: float
-    checks_off: int
-    checks_on_cold: int
-    checks_on_warm: int
-    bitmap_bound: int
-    rows_match: bool
-    cached_time_off: float
-    cached_time_on: float
-
-    @property
-    def within_bound(self) -> bool:
-        """Cold optimized checks never exceed the distinct-value bound.
-
-        Only meaningful when every policy conjunct was hoisted (bound > 0 or
-        the query touches no policies at all); residual guards under outer
-        joins fall back to per-row evaluation by design.
-        """
-        return self.checks_on_cold <= max(self.bitmap_bound, self.checks_off)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of this cell (for ``BENCH_optimizer.json``)."""
-        return {
-            "query": self.query,
-            "selectivity": self.selectivity,
-            "checks_off": self.checks_off,
-            "checks_on_cold": self.checks_on_cold,
-            "checks_on_warm": self.checks_on_warm,
-            "bitmap_bound": self.bitmap_bound,
-            "within_bound": self.within_bound,
-            "rows_match": self.rows_match,
-            "cached_time_off_s": self.cached_time_off,
-            "cached_time_on_s": self.cached_time_on,
-        }
-
-
-@dataclass
-class OptimizerRun:
-    """All optimizer-comparison measurements of one configuration."""
-
-    config: ExperimentConfig
-    measurements: list[OptimizerMeasurement] = field(default_factory=list)
-
-    def cell(self, query: str, selectivity: float) -> OptimizerMeasurement:
-        """Look up a single measurement."""
-        for measurement in self.measurements:
-            if (
-                measurement.query == query
-                and abs(measurement.selectivity - selectivity) < 1e-9
-            ):
-                return measurement
-        raise KeyError((query, selectivity))
-
-    def queries(self) -> list[str]:
-        """Distinct query names, in first-seen order."""
-        seen: list[str] = []
-        for measurement in self.measurements:
-            if measurement.query not in seen:
-                seen.append(measurement.query)
-        return seen
-
-    def selectivities(self) -> list[float]:
-        """Distinct selectivity values, in first-seen order."""
-        seen: list[float] = []
-        for measurement in self.measurements:
-            if measurement.selectivity not in seen:
-                seen.append(measurement.selectivity)
-        return seen
-
-    def violations(self) -> list[OptimizerMeasurement]:
-        """Cells whose cold optimized checks exceeded the bound."""
-        return [m for m in self.measurements if not m.within_bound]
-
-    def mismatches(self) -> list[OptimizerMeasurement]:
-        """Cells where the two modes disagreed on the result rows."""
-        return [m for m in self.measurements if not m.rows_match]
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the whole run (for ``BENCH_optimizer.json``)."""
-        return {
-            "config": {
-                "patients": self.config.patients,
-                "samples_per_patient": self.config.samples_per_patient,
-                "selectivities": list(self.config.selectivities),
-                "repeat": self.config.repeat,
-            },
-            "violations": [m.query for m in self.violations()],
-            "mismatches": [m.query for m in self.mismatches()],
-            "measurements": [m.to_dict() for m in self.measurements],
-        }
-
-
-def measure_optimizer(
-    scenario: PatientsScenario,
-    query: BenchmarkQuery,
-    selectivity: float,
-    repeat: int = 1,
-    executions: int = 3,
-) -> OptimizerMeasurement:
-    """Compare one query's enforcement cost with the optimizer on vs off."""
-    monitor = scenario.monitor
-    database = scenario.database
-    previous_mode = monitor.optimizer_mode
-
-    def run_mode(mode: str):
-        monitor.set_optimizer(mode)
-        monitor.clear_plan_cache()
-        monitor.clear_policy_bitmaps()
-        before = database.function_calls(COMPLIES_WITH)
-        report = monitor.execute_with_report(query.sql, BENCH_PURPOSE)
-        cold = database.function_calls(COMPLIES_WITH) - before
-        before = database.function_calls(COMPLIES_WITH)
-        monitor.execute(query.sql, BENCH_PURPOSE)
-        warm = database.function_calls(COMPLIES_WITH) - before
-        prepared = monitor.prepare(query.sql, BENCH_PURPOSE)
-        cached_time = time_query(prepared.execute, max(repeat, executions))
-        return report, cold, warm, cached_time
-
-    try:
-        off_report, off_cold, _off_warm, off_time = run_mode("off")
-        on_report, on_cold, on_warm, on_time = run_mode("on")
-    finally:
-        monitor.set_optimizer(previous_mode)
-
-    bound = bitmap_build_bound(scenario, query.sql)
-    return OptimizerMeasurement(
-        query=query.name,
-        selectivity=selectivity,
-        checks_off=off_cold,
-        checks_on_cold=on_cold,
-        checks_on_warm=on_warm,
-        bitmap_bound=bound,
-        rows_match=list(off_report.result) == list(on_report.result),
-        cached_time_off=off_time,
-        cached_time_on=on_time,
-    )
-
-
-#: Batch sizes the columnar experiment sweeps (the last is the default
-#: page size the batch executor resolves without an override).
-COLUMNAR_BATCH_SIZES: tuple[int, ...] = (64, 256, 1024)
-
-
-@dataclass
-class ColumnarMeasurement:
-    """One query of the row vs batch executor comparison (DESIGN.md §12)."""
-
-    query: str
-    rows_returned: int
-    row_time: float
-    batch_times: dict[int, float]
-    rows_match: bool
-
-    def speedup(self, batch_size: int) -> float:
-        """Row-mode latency over batch-mode latency at ``batch_size``."""
-        batch_time = self.batch_times[batch_size]
-        return self.row_time / batch_time if batch_time else float("inf")
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of this query (for ``BENCH_columnar.json``)."""
-        return {
-            "query": self.query,
-            "rows": self.rows_returned,
-            "row_time_s": self.row_time,
-            "batch_time_s": {
-                str(size): t for size, t in self.batch_times.items()
-            },
-            "speedup": {
-                str(size): self.speedup(size) for size in self.batch_times
-            },
-            "rows_match": self.rows_match,
-        }
-
-
-@dataclass
-class ColumnarRun:
-    """All row-vs-batch measurements of one configuration."""
-
-    config: ExperimentConfig
-    selectivity: float
-    batch_sizes: tuple[int, ...] = COLUMNAR_BATCH_SIZES
-    measurements: list[ColumnarMeasurement] = field(default_factory=list)
-
-    @property
-    def default_batch_size(self) -> int:
-        """The sweep's reference page size (the largest swept)."""
-        return max(self.batch_sizes)
-
-    def aggregate_speedup(self, batch_size: int | None = None) -> float:
-        """Total row-mode time over total batch-mode time."""
-        size = batch_size if batch_size is not None else self.default_batch_size
-        row = sum(m.row_time for m in self.measurements)
-        batch = sum(m.batch_times[size] for m in self.measurements)
-        return row / batch if batch else float("inf")
-
-    def mismatches(self) -> list[ColumnarMeasurement]:
-        """Queries where the two executors disagreed on the result rows."""
-        return [m for m in self.measurements if not m.rows_match]
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the whole run (for ``BENCH_columnar.json``)."""
-        return {
-            "config": {
-                "patients": self.config.patients,
-                "samples_per_patient": self.config.samples_per_patient,
-                "repeat": self.config.repeat,
-            },
-            "selectivity": self.selectivity,
-            "batch_sizes": list(self.batch_sizes),
-            "default_batch_size": self.default_batch_size,
-            "aggregate_speedup": {
-                str(size): self.aggregate_speedup(size)
-                for size in self.batch_sizes
-            },
-            "mismatches": [m.query for m in self.mismatches()],
-            "measurements": [m.to_dict() for m in self.measurements],
-        }
-
-
-def measure_columnar(
-    scenario: PatientsScenario,
-    query: BenchmarkQuery,
-    batch_sizes: tuple[int, ...] = COLUMNAR_BATCH_SIZES,
-    repeat: int = 1,
-    executions: int = 3,
-) -> ColumnarMeasurement:
-    """Time one query under the row executor and each swept batch size.
-
-    Every mode runs from a cold plan cache and cold policy bitmaps, then
-    times the *cached* prepared plan (best of ``executions``) — the hot
-    path the executor comparison is about.  Result rows are compared
-    against the row-mode reference for every batch size.
-    """
-    monitor = scenario.monitor
-    previous_mode = monitor.executor_mode
-    previous_size = monitor.batch_size
-
-    def run_mode(mode: str, batch_size: int | None = None):
-        monitor.set_executor(mode, batch_size=batch_size)
-        monitor.clear_plan_cache()
-        monitor.clear_policy_bitmaps()
-        report = monitor.execute_with_report(query.sql, BENCH_PURPOSE)
-        prepared = monitor.prepare(query.sql, BENCH_PURPOSE)
-        return report, time_query(prepared.execute, max(repeat, executions))
-
-    try:
-        row_report, row_time = run_mode("row")
-        reference = list(row_report.result)
-        batch_times: dict[int, float] = {}
-        rows_match = True
-        for size in batch_sizes:
-            batch_report, batch_time = run_mode("batch", size)
-            batch_times[size] = batch_time
-            rows_match = rows_match and list(batch_report.result) == reference
-    finally:
-        monitor.set_executor(previous_mode, batch_size=previous_size)
-
-    return ColumnarMeasurement(
-        query=query.name,
-        rows_returned=len(reference),
-        row_time=row_time,
-        batch_times=batch_times,
-        rows_match=rows_match,
-    )
-
-
-def count_checks(scenario: PatientsScenario, sql: str, purpose: str = BENCH_PURPOSE) -> int:
-    """The number of ``complieswith`` invocations one execution performs.
-
-    Counted under the per-row evaluation model (optimizer off), matching the
-    complexity analysis of Section 5 and Figure 6.
-    """
-    database = scenario.database
-    monitor = scenario.monitor
-    previous_mode = monitor.optimizer_mode
-    monitor.set_optimizer("off")
-    try:
-        before = database.function_calls(COMPLIES_WITH)
-        monitor.execute(sql, purpose)
-        return database.function_calls(COMPLIES_WITH) - before
-    finally:
-        monitor.set_optimizer(previous_mode)
-
-
-# -- indexes experiment --------------------------------------------------------
-
-
-@dataclass
-class IndexesMeasurement:
-    """One dataset size of the access-path comparison (DESIGN.md §13).
-
-    ``full_scan_time``/``index_time`` time the *unenforced* selective probe
-    (an enforced scan keeps its policy guard between the pushed filter and
-    the base table, so the index conversion targets plain scans).  The
-    ``guard_*`` pair times the same probe under enforcement, where the
-    policy-partitioned index prunes non-compliant partitions at the guard.
-    """
-
-    rows: int
-    rows_returned: int
-    full_scan_time: float
-    index_time: float
-    guard_full_time: float
-    guard_partitioned_time: float
-    partition_count: int
-    partition_skips: int
-    rows_match: bool
-
-    @property
-    def index_speedup(self) -> float:
-        """Sequential-scan latency over index-scan latency."""
-        return self.full_scan_time / self.index_time if self.index_time else float("inf")
-
-    @property
-    def partitioned_speedup(self) -> float:
-        """Guarded full-scan latency over partition-pruned latency."""
-        if not self.guard_partitioned_time:
-            return float("inf")
-        return self.guard_full_time / self.guard_partitioned_time
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of this size (for ``BENCH_indexes.json``)."""
-        return {
-            "rows": self.rows,
-            "rows_returned": self.rows_returned,
-            "full_scan_time_s": self.full_scan_time,
-            "index_time_s": self.index_time,
-            "index_speedup": self.index_speedup,
-            "guard_full_time_s": self.guard_full_time,
-            "guard_partitioned_time_s": self.guard_partitioned_time,
-            "partitioned_speedup": self.partitioned_speedup,
-            "partition_count": self.partition_count,
-            "partition_skips": self.partition_skips,
-            "rows_match": self.rows_match,
-        }
-
-
-@dataclass
-class IndexesRun:
-    """All sizes of the access-path experiment."""
-
-    sizes: tuple[int, ...]
-    selectivity: float
-    samples_per_patient: int
-    measurements: list[IndexesMeasurement] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the whole run (for ``BENCH_indexes.json``)."""
-        return {
-            "experiment": "indexes",
-            "selectivity": self.selectivity,
-            "samples_per_patient": self.samples_per_patient,
-            "sizes": [m.to_dict() for m in self.measurements],
-        }
-
-
-def measure_indexes(
-    scenario: PatientsScenario,
-    size: int,
-    executions: int = 3,
-) -> IndexesMeasurement:
-    """Time the selective probe under each access path at one table size.
-
-    The probe is a single-watch equality on ``sensed_data`` — the most
-    selective predicate the workload offers (one patient's samples out of
-    ``size`` rows).  Every arm runs once cold (building indexes, statistics
-    and bitmaps), then times the cached prepared plan, best of
-    ``executions``.
-    """
-    database = scenario.database
-    monitor = scenario.monitor
-    watch = database.query(
-        "select min(watch_id) from sensed_data", indexes="off"
-    ).scalar()
-    sql = f"select * from sensed_data where watch_id = '{watch}'"
-
-    # The comparison is about access paths, so the pass pipeline itself is
-    # pinned on regardless of any REPRO_OPTIMIZER override.
-    def time_unenforced(mode: str) -> tuple[list, float]:
-        prepared = database.prepare(sql, optimizer="on", indexes=mode)
-        rows = list(prepared.execute())
-        return rows, time_query(prepared.execute, executions)
-
-    def time_enforced(mode: str) -> float:
-        monitor.set_indexes(mode)
-        monitor.clear_plan_cache()
-        monitor.clear_policy_bitmaps()
-        monitor.execute(sql, BENCH_PURPOSE)
-        prepared = monitor.prepare(sql, BENCH_PURPOSE)
-        return time_query(prepared.execute, executions)
-
-    previous = monitor.indexes_mode
-    previous_optimizer = monitor.optimizer_mode
-    monitor.set_optimizer("on")
-    try:
-        full_rows, full_time = time_unenforced("off")
-
-        database.execute(
-            "create index bench_watch on sensed_data (watch_id) using hash"
-        )
-        database.execute("analyze sensed_data")
-        index_rows, index_time = time_unenforced("on")
-
-        guard_full_time = time_enforced("off")
-        database.execute(
-            "create index bench_part on sensed_data (watch_id) "
-            f"partition by {database.policy_column}"
-        )
-        skips_before = database.indexes.stats()["partition_skips"]
-        guard_partitioned_time = time_enforced("on")
-        skips = database.indexes.stats()["partition_skips"] - skips_before
-        partition_count = database.indexes.partition_count("bench_part")
-    finally:
-        monitor.set_indexes(previous)
-        monitor.set_optimizer(previous_optimizer)
-        for name in ("bench_watch", "bench_part"):
-            if database.indexes.find(name) is not None:
-                database.execute(f"drop index {name}")
-
-    return IndexesMeasurement(
-        rows=size,
-        rows_returned=len(full_rows),
-        full_scan_time=full_time,
-        index_time=index_time,
-        guard_full_time=guard_full_time,
-        guard_partitioned_time=guard_partitioned_time,
-        partition_count=partition_count,
-        partition_skips=skips,
-        rows_match=sorted(index_rows) == sorted(full_rows),
     )

@@ -6,22 +6,14 @@ import pytest
 
 from repro.bench import (
     ExperimentConfig,
-    bitmap_build_bound,
     build_scenario,
-    columnar_table,
-    count_checks,
     experiment_queries,
     figure6_table,
     figure7_table,
     figure8_table,
-    measure_columnar,
-    measure_optimizer,
     measure_query,
-    optimizer_table,
-    run_columnar,
     run_experiment1,
     run_experiment2,
-    run_optimizer,
     set_selectivity,
 )
 from repro.workload import get_query
@@ -44,12 +36,6 @@ class TestConfig:
         config = dataclasses.replace(SMALL, include_random=True)
         assert len(experiment_queries(config)) == 28
 
-    def test_scaled_config_minimums(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.001")
-        config = ExperimentConfig.scaled()
-        assert config.patients >= 10
-        assert config.samples_per_patient >= 10
-
 
 class TestMeasurement:
     def test_measure_query_fields(self):
@@ -62,12 +48,6 @@ class TestMeasurement:
         assert measurement.compliance_checks > 0
         assert measurement.original_time > 0
         assert measurement.rewritten_time > 0
-
-    def test_count_checks_matches_report(self):
-        scenario = build_scenario(SMALL)
-        set_selectivity(scenario, 0.0, 1)
-        checks = count_checks(scenario, get_query("q2").sql)
-        assert checks == scenario.sensed_rows  # one signature, no filter
 
 
 class TestExperiment1:
@@ -140,127 +120,3 @@ class TestExperiment2:
             big_run.cell("q2", 0.4).compliance_checks
             > small_run.cell("q2", 0.4).compliance_checks
         )
-
-
-class TestOptimizerExperiment:
-    @pytest.fixture(scope="class")
-    def run(self):
-        return run_optimizer(SMALL)
-
-    def test_grid_complete(self, run):
-        assert run.queries() == [f"q{i}" for i in range(1, 9)]
-        assert run.selectivities() == [0.0, 0.5]
-        assert len(run.measurements) == 16
-
-    def test_modes_agree_on_rows_everywhere(self, run):
-        assert run.mismatches() == []
-
-    def test_cold_checks_respect_the_distinct_value_bound(self, run):
-        # q1-q8 hoist every policy conjunct (no outer joins), so the cold
-        # optimized execution pays at most one compliesWith per distinct
-        # policy value per (table, mask) — the acceptance criterion.
-        for measurement in run.measurements:
-            assert measurement.checks_on_cold <= measurement.bitmap_bound, (
-                measurement.query,
-                measurement.selectivity,
-            )
-        assert run.violations() == []
-
-    def test_warm_executions_are_free(self, run):
-        # Every guard is bitmap-answered, so a repeat execution invokes the
-        # UDF zero times.
-        for measurement in run.measurements:
-            assert measurement.checks_on_warm == 0, measurement.query
-
-    def test_off_mode_reproduces_figure6_counts(self, run):
-        # The off column is the per-row model: q2 at s=0 checks every
-        # sensed_data row exactly once (single signature, no filter).
-        cell = run.cell("q2", 0.0)
-        assert cell.checks_off == SMALL.patients * SMALL.samples_per_patient
-
-    def test_table_renders(self, run):
-        table = optimizer_table(run)
-        assert "q1" in table and "bound" in table
-        assert "bound violations: 0" in table
-        assert "result mismatches: 0" in table
-
-    def test_to_dict_round_trips_the_cells(self, run):
-        payload = run.to_dict()
-        assert payload["violations"] == [] and payload["mismatches"] == []
-        assert len(payload["measurements"]) == 16
-        cell = payload["measurements"][0]
-        for key in (
-            "query",
-            "selectivity",
-            "checks_off",
-            "checks_on_cold",
-            "checks_on_warm",
-            "bitmap_bound",
-            "within_bound",
-            "rows_match",
-            "cached_time_off_s",
-            "cached_time_on_s",
-        ):
-            assert key in cell
-
-    def test_measure_optimizer_restores_the_mode(self):
-        scenario = build_scenario(SMALL)
-        set_selectivity(scenario, 0.5, SMALL.policy_seed)
-        scenario.monitor.set_optimizer("off")
-        measure_optimizer(scenario, get_query("q1"), 0.5)
-        assert scenario.monitor.optimizer_mode == "off"
-
-    def test_bitmap_bound_counts_subquery_guards(self):
-        # q6's IN sub-query carries its own complieswith conjunct; the bound
-        # must include it, so it is strictly larger than q5's two-table one
-        # under identical policies.
-        scenario = build_scenario(SMALL)
-        set_selectivity(scenario, 0.5, SMALL.policy_seed)
-        q5 = bitmap_build_bound(scenario, get_query("q5").sql)
-        q6 = bitmap_build_bound(scenario, get_query("q6").sql)
-        assert q6 > q5
-
-class TestColumnarExperiment:
-    @pytest.fixture(scope="class")
-    def run(self):
-        return run_columnar(SMALL, batch_sizes=(16, 64))
-
-    def test_covers_every_query_and_batch_size(self, run):
-        assert [m.query for m in run.measurements] == [
-            f"q{i}" for i in range(1, 9)
-        ]
-        assert run.batch_sizes == (16, 64)
-        assert run.default_batch_size == 64
-        for measurement in run.measurements:
-            assert set(measurement.batch_times) == {16, 64}
-            assert measurement.row_time > 0
-            assert all(t > 0 for t in measurement.batch_times.values())
-
-    def test_executors_agree_on_rows_everywhere(self, run):
-        assert run.mismatches() == []
-
-    def test_table_renders(self, run):
-        table = columnar_table(run)
-        assert "q1" in table and "batch=64" in table
-        assert "result mismatches: 0" in table
-        assert "aggregate speedup at batch=64" in table
-
-    def test_to_dict_round_trips_the_cells(self, run):
-        payload = run.to_dict()
-        assert payload["mismatches"] == []
-        assert payload["batch_sizes"] == [16, 64]
-        assert payload["default_batch_size"] == 64
-        assert set(payload["aggregate_speedup"]) == {"16", "64"}
-        assert len(payload["measurements"]) == 8
-        cell = payload["measurements"][0]
-        for key in ("query", "rows", "row_time_s", "batch_time_s", "speedup", "rows_match"):
-            assert key in cell
-        assert set(cell["batch_time_s"]) == {"16", "64"}
-
-    def test_measure_columnar_restores_the_executor(self):
-        scenario = build_scenario(SMALL)
-        set_selectivity(scenario, 0.5, SMALL.policy_seed)
-        scenario.monitor.set_executor("row", batch_size=32)
-        measure_columnar(scenario, get_query("q1"), batch_sizes=(16,))
-        assert scenario.monitor.executor_mode == "row"
-        assert scenario.monitor.batch_size == 32

@@ -9,6 +9,8 @@ full pipeline.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.engine import Database
@@ -31,6 +33,12 @@ from repro.engine.plan import (
     check_access_paths,
     resolve_optimizer_mode,
     walk,
+)
+from repro.sql import ast
+from repro.workload import (
+    AD_HOC_QUERIES,
+    apply_experiment_policies,
+    build_patients_scenario,
 )
 
 
@@ -387,6 +395,116 @@ class TestPolicyBitmapCache:
         # After a clear the verdict memo is gone too: full rebuild cost.
         cache.passing_indices(*args)
         assert world.functions.call_count("accepts_p") == 4
+
+
+def _bitmap_build_bound(scenario, sql: str, purpose: str) -> int:
+    """Worst-case ``compliesWith`` cost of the bitmap pre-filtered plan.
+
+    The optimizer hoists policy conjuncts into ``PolicyGuard`` nodes whose
+    bitmaps are built once per distinct non-NULL policy value per
+    ``(table, mask)`` pair.  Collecting every ``complieswith(mask,
+    binding.policy)`` conjunct the rewriter injected — including inside
+    IN/EXISTS/scalar subqueries and derived tables — therefore gives a
+    static bound: an execution from a cold bitmap cache never invokes
+    ``compliesWith`` more than Σ distinct policy values over the distinct
+    ``(table, mask)`` pairs.  (Conjuncts the optimizer leaves in residual
+    filters, e.g. under outer joins, fall back to per-row evaluation and may
+    exceed this figure by design.)
+    """
+    database = scenario.database
+    function_name = (database.policy_function or "complieswith").lower()
+    statement = scenario.monitor.rewrite(sql, purpose)
+    pairs: set[tuple[str, str]] = set()
+
+    def visit_value(value, bindings: dict[str, str]) -> None:
+        if isinstance(value, ast.Select):
+            visit_select(value)
+            return
+        if (
+            isinstance(value, ast.FunctionCall)
+            and value.name.lower() == function_name
+            and len(value.args) == 2
+            and isinstance(value.args[0], ast.BitStringLiteral)
+            and isinstance(value.args[1], ast.ColumnRef)
+            and value.args[1].table
+        ):
+            table = bindings.get(value.args[1].table.lower())
+            if table is not None:
+                pairs.add((table, value.args[0].bits))
+        if dataclasses.is_dataclass(value):
+            for field_info in dataclasses.fields(value):
+                visit_value(getattr(value, field_info.name), bindings)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                visit_value(item, bindings)
+
+    def add_bindings(source, bindings: dict[str, str]) -> None:
+        if isinstance(source, ast.TableName):
+            bindings[source.binding.lower()] = source.name.lower()
+        elif isinstance(source, ast.Join):
+            add_bindings(source.left, bindings)
+            add_bindings(source.right, bindings)
+
+    def visit_select(select: ast.Select) -> None:
+        bindings: dict[str, str] = {}
+        for source in select.sources:
+            add_bindings(source, bindings)
+        for field_info in dataclasses.fields(select):
+            visit_value(getattr(select, field_info.name), bindings)
+
+    def visit_statement(node) -> None:
+        if isinstance(node, ast.SetOperation):
+            visit_statement(node.left)
+            visit_statement(node.right)
+        else:
+            visit_select(node)
+
+    visit_statement(statement)
+    bound = 0
+    for table_name, _mask in pairs:
+        table = database.table(table_name)
+        index = table.schema.column_index(database.policy_column)
+        bound += len({row[index] for row in table.rows if row[index] is not None})
+    return bound
+
+
+class TestBitmapContract:
+    """End-to-end through the monitor: what q1-q8 pay for ``compliesWith``."""
+
+    PATIENTS, SAMPLES = 15, 4
+
+    @pytest.mark.parametrize("selectivity", [0.0, 0.5])
+    @pytest.mark.parametrize("query", AD_HOC_QUERIES, ids=lambda q: q.name)
+    def test_cold_bounded_warm_free_rows_equal(self, query, selectivity) -> None:
+        scenario = build_patients_scenario(
+            patients=self.PATIENTS, samples_per_patient=self.SAMPLES
+        )
+        apply_experiment_policies(scenario, selectivity, seed=411595)
+        monitor = scenario.monitor
+
+        # The test pins each mode itself, so it means the same under the
+        # REPRO_OPTIMIZER=off leg of CI.
+        monitor.set_optimizer("off")
+        per_row = monitor.execute_with_report(query.sql, "p6")
+        monitor.set_optimizer("on")
+        monitor.clear_plan_cache()
+        monitor.clear_policy_bitmaps()
+        cold = monitor.execute_with_report(query.sql, "p6")
+        warm = monitor.execute_with_report(query.sql, "p6")
+
+        # q1-q8 hoist every policy conjunct (no outer joins), so from cold
+        # caches an optimized execution pays at most one compliesWith per
+        # distinct policy value per guarded (table, mask) ...
+        assert cold.compliance_checks <= _bitmap_build_bound(
+            scenario, query.sql, "p6"
+        )
+        # ... and a repeat, every guard bitmap-answered, pays none.
+        assert warm.compliance_checks == 0
+        assert list(cold.result) == list(per_row.result)
+        if query.name == "q2":
+            # The per-row model of Figure 6: one signature, no filter, so
+            # every sensed_data row is checked exactly once.
+            assert per_row.compliance_checks == self.PATIENTS * self.SAMPLES
 
 
 class TestTableVersion:
