@@ -29,7 +29,6 @@ from ..engine import (
     ResultSet,
     current_transaction,
     resolve_batch_size,
-    resolve_executor_mode,
     resolve_index_mode,
     resolve_optimizer_mode,
     txn_scope,
@@ -90,7 +89,6 @@ class CompiledEnforcedPlan:
     purpose: str
     epoch: int
     optimizer: str
-    executor: str
     indexes: str
     original_sql: str
     statement: "ast.Select | ast.SetOperation"
@@ -187,6 +185,10 @@ class EnforcementMonitor:
     stays consistent.
     """
 
+    #: A constant, kept for the same frozen benchmark seam as the
+    #: ``executor`` argument of :meth:`repro.engine.Database.prepare`.
+    executor_mode = "batch"
+
     def __init__(
         self,
         admin: AccessControlManager,
@@ -194,7 +196,6 @@ class EnforcementMonitor:
         plan_cache_size: int = 128,
         parse_cache_size: int = 256,
         optimizer: str | None = None,
-        executor: str | None = None,
         batch_size: int | None = None,
         indexes: str | None = None,
     ):
@@ -205,7 +206,6 @@ class EnforcementMonitor:
         self.metrics = None
         self.tracing_enabled = False
         self.optimizer_mode = resolve_optimizer_mode(optimizer)
-        self.executor_mode = resolve_executor_mode(executor)
         self.batch_size = resolve_batch_size(batch_size)
         self.indexes_mode = resolve_index_mode(indexes)
         self.plan_cache_size = plan_cache_size
@@ -325,20 +325,6 @@ class EnforcementMonitor:
         cached and are simply not hit while this mode is active.
         """
         self.optimizer_mode = resolve_optimizer_mode(mode)
-
-    def set_executor(self, mode: str | None, batch_size: int | None = None) -> None:
-        """Switch the physical-execution mode for *future* compilations.
-
-        ``"batch"`` runs the columnar batch-at-a-time operators; ``"row"``
-        replays the tuple-at-a-time reference executor; ``None`` re-resolves
-        from ``$REPRO_EXECUTOR``.  As with :meth:`set_optimizer`, plan-cache
-        keys embed the executor mode, so plans compiled for the other mode
-        stay cached and simply stop being hit.  ``batch_size`` optionally
-        re-pins the rows-per-batch page size (``None`` re-resolves from
-        ``$REPRO_BATCH_SIZE``).
-        """
-        self.executor_mode = resolve_executor_mode(mode)
-        self.batch_size = resolve_batch_size(batch_size)
 
     def set_indexes(self, mode: str | None) -> None:
         """Switch access-path selection for *future* compilations.
@@ -476,10 +462,8 @@ class EnforcementMonitor:
         with self._cache_lock:
             epoch = self._current_epoch()
             mode = self.optimizer_mode
-            executor = self.executor_mode
-            batch_size = self.batch_size
             indexes = self.indexes_mode
-            key = (qid, purpose, epoch, mode, executor, batch_size, indexes)
+            key = (qid, purpose, epoch, mode, indexes)
             plan = self._plan_cache.get(key)
             if plan is not None:
                 self._plan_cache.move_to_end(key)
@@ -500,7 +484,6 @@ class EnforcementMonitor:
                 purpose=purpose,
                 epoch=epoch,
                 optimizer=mode,
-                executor=executor,
                 indexes=indexes,
                 original_sql=to_sql(statement),
                 statement=statement,
@@ -509,8 +492,7 @@ class EnforcementMonitor:
                 signature=signature,
                 plan=self.database.prepare(
                     rewritten, optimizer=mode,
-                    executor=executor, batch_size=batch_size,
-                    indexes=indexes,
+                    batch_size=self.batch_size, indexes=indexes,
                 ),
             )
             # Keys embed the current epoch, so entries compiled under earlier
@@ -698,7 +680,6 @@ class EnforcementMonitor:
                 "maxsize": self.plan_cache_size,
                 "epoch": self.admin.policy_epoch,
                 "optimizer": self.optimizer_mode,
-                "executor": self.executor_mode,
                 "batch_size": self.batch_size,
                 "indexes": self.indexes_mode,
             }
@@ -775,7 +756,7 @@ class EnforcementMonitor:
         lines.append(f"Optimizer: mode={plan.optimizer}")
         lines.extend(f"  {note}" for note in plan.plan.optimizer_notes())
         lines.append(
-            f"Executor: mode={plan.executor} batch_size={plan.plan.batch_size}"
+            f"Executor: batch_size={plan.plan.batch_size}"
         )
         lines.append(f"Indexes: mode={plan.indexes}")
         txn = current_transaction(self.database.transactions)

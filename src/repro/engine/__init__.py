@@ -8,15 +8,7 @@ value type for policy masks, and a UDF registry with invocation counters
 """
 
 from . import persist
-from .batch import (
-    BATCH_SIZE_ENV,
-    DEFAULT_BATCH_SIZE,
-    EXECUTOR_ENV,
-    EXECUTOR_MODES,
-    ColumnBatch,
-    resolve_batch_size,
-    resolve_executor_mode,
-)
+from .batch import DEFAULT_BATCH_SIZE, ColumnBatch, resolve_batch_size
 from .catalog import Catalog, CatalogEntry, CatalogOp
 from .database import Database, PreparedQuery, bind_parameters
 from .functions import FunctionRegistry, MemoizedFunction
@@ -53,13 +45,9 @@ from .table import Table
 from .types import BitString, SqlType
 
 __all__ = [
-    "BATCH_SIZE_ENV",
     "DEFAULT_BATCH_SIZE",
-    "EXECUTOR_ENV",
-    "EXECUTOR_MODES",
     "ColumnBatch",
     "resolve_batch_size",
-    "resolve_executor_mode",
     "Database",
     "PreparedQuery",
     "bind_parameters",

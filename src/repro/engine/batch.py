@@ -1,61 +1,29 @@
-"""Columnar batches and executor-mode resolution (DESIGN.md §12).
+"""Columnar batches: the page format of the one physical executor (DESIGN.md §12).
 
-The batch executor moves the hot path from one-Python-frame-per-row to
-one-frame-per-*batch*: a :class:`ColumnBatch` stores a page of rows as
-per-column value sequences, so scans transpose whole pages with C-level
-``zip``, filters keep rows with one list comprehension per column, and the
-policy guard answers a whole batch with one slice of the cached bitmap.
-
-Mode resolution mirrors the optimizer's (`repro.engine.plan.optimizer`):
-an explicit argument wins, then ``$REPRO_EXECUTOR``, then the default
-``"batch"``.  ``"row"`` replays the original tuple-at-a-time operators
-exactly and is kept as the differential reference the fuzzer compares
-against.
+The hot path costs one Python frame per *batch*, not per row: a
+:class:`ColumnBatch` stores a page of rows as per-column value sequences,
+so scans transpose whole pages with C-level ``zip``, filters keep rows with
+one list comprehension per column, and the policy guard answers a whole
+batch with one slice of the cached bitmap.  Operators whose work is per
+pair of rows anyway (nested loops, cross joins) and derived tables produce
+row tuples; :func:`batches_from_rows` and :meth:`ColumnBatch.to_rows` are
+the two adaptors :class:`~repro.engine.executor.SourcePlan` joins them to
+the batch pipeline with.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError
 
-#: Environment variable consulted when no explicit executor mode is given.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Environment variable consulted when no explicit batch size is given.
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-
-#: Rows per batch when neither an argument nor the env var overrides it.
+#: Rows per batch when no explicit size is given.
 DEFAULT_BATCH_SIZE = 1024
-
-#: The valid executor modes.
-EXECUTOR_MODES = ("batch", "row")
-
-
-def resolve_executor_mode(mode: str | None = None) -> str:
-    """Resolve the physical-execution mode.
-
-    Precedence: explicit argument > ``$REPRO_EXECUTOR`` > ``"batch"`` —
-    the same explicit/env/default ladder as
-    :func:`~repro.engine.plan.optimizer.resolve_optimizer_mode`.
-    """
-    if mode is None:
-        mode = os.environ.get(EXECUTOR_ENV) or "batch"
-    mode = mode.strip().lower()
-    if mode not in EXECUTOR_MODES:
-        raise ExecutionError(
-            f"unknown executor mode {mode!r} (expected one of {EXECUTOR_MODES})"
-        )
-    return mode
 
 
 def resolve_batch_size(size: int | None = None) -> int:
-    """Resolve the rows-per-batch page size (argument > env > default)."""
-    if size is None:
-        raw = os.environ.get(BATCH_SIZE_ENV)
-        size = int(raw) if raw else DEFAULT_BATCH_SIZE
-    size = int(size)
+    """The rows-per-batch page size: ``size``, or the default for ``None``."""
+    size = DEFAULT_BATCH_SIZE if size is None else int(size)
     if size < 1:
         raise ExecutionError(f"batch size must be positive, got {size}")
     return size
@@ -122,8 +90,8 @@ def batches_from_rows(
 ) -> Iterator[ColumnBatch]:
     """Chunk a row stream into column batches of at most ``batch_size`` rows.
 
-    The adapter every non-batch-native operator (nested loops, derived
-    tables) uses to join the columnar pipeline.
+    The adaptor every row-native operator (nested loops, cross joins,
+    derived tables) joins the columnar pipeline through.
     """
     page: list[tuple] = []
     for row in rows:

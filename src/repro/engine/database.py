@@ -40,18 +40,16 @@ class PreparedQuery:
         database: "Database",
         statement: "ast.Select | ast.SetOperation",
         optimizer: str | None = None,
-        executor: str | None = None,
         batch_size: int | None = None,
         indexes: str | None = None,
     ):
         self.database = database
         self.statement = statement
         self.executor = SelectExecutor(
-            database, optimizer=optimizer, executor=executor,
-            batch_size=batch_size, indexes=indexes,
+            database, optimizer=optimizer, batch_size=batch_size,
+            indexes=indexes,
         )
         self.optimizer_mode = self.executor.optimizer_mode
-        self.executor_mode = self.executor.executor_mode
         self.batch_size = self.executor.batch_size
         self.indexes_mode = self.executor.index_mode
         self.parameters = ast.collect_parameters(statement)
@@ -136,6 +134,11 @@ class PreparedQuery:
 
         walk(self._plan)
         return ops, arms
+
+    @property
+    def columns(self) -> list[str]:
+        """Output column names (a set operation shows its leftmost arm's)."""
+        return self._arms()[1][0].output_columns
 
     def describe_arms(self, annotate=None) -> list[str]:
         """Physical plan lines with set-operation arms labeled explicitly.
@@ -448,17 +451,14 @@ class Database:
         self,
         sql: "str | ast.Select | ast.SetOperation",
         optimizer: str | None = None,
-        executor: str | None = None,
         indexes: str | None = None,
     ) -> ResultSet:
         """Execute a SELECT (or a set-operation chain) and return rows.
 
         ``optimizer`` pins the pass pipeline for this query ("on"/"off");
         ``None`` resolves from ``REPRO_OPTIMIZER`` (default "on").
-        ``executor`` pins the physical mode ("batch"/"row"); ``None``
-        resolves from ``REPRO_EXECUTOR`` (default "batch").  ``indexes``
-        pins access-path selection ("on"/"off"); ``None`` resolves from
-        ``REPRO_INDEXES`` (default "on").
+        ``indexes`` pins access-path selection ("on"/"off"); ``None``
+        resolves from ``REPRO_INDEXES`` (default "on").
         """
         if isinstance(sql, str):
             statement = parse_statement(sql)
@@ -469,17 +469,11 @@ class Database:
         if isinstance(statement, ast.SetOperation):
             from .result import combine_set_operation
 
-            left = self.query(
-                statement.left,
-                optimizer=optimizer, executor=executor, indexes=indexes,
-            )
-            right = self.query(
-                statement.right,
-                optimizer=optimizer, executor=executor, indexes=indexes,
-            )
+            left = self.query(statement.left, optimizer=optimizer, indexes=indexes)
+            right = self.query(statement.right, optimizer=optimizer, indexes=indexes)
             return combine_set_operation(left, right, statement.op, statement.all)
         return SelectExecutor(
-            self, optimizer=optimizer, executor=executor, indexes=indexes
+            self, optimizer=optimizer, indexes=indexes
         ).execute_select(statement)
 
     def prepare(
@@ -495,12 +489,18 @@ class Database:
         The returned :class:`PreparedQuery` is bound to the current schema
         (``*`` expansion, column resolution) but reads table contents at
         execution time, so it observes later inserts/updates.  ``optimizer``
-        overrides the plan-rewrite mode (``"on"``/``"off"``); ``executor``
-        overrides the physical mode (``"batch"``/``"row"``); ``indexes``
-        overrides access-path selection (``"on"``/``"off"``); ``None``
-        resolves each from its env var (``$REPRO_OPTIMIZER`` /
-        ``$REPRO_EXECUTOR`` / ``$REPRO_INDEXES``).
+        overrides the plan-rewrite mode (``"on"``/``"off"``) and ``indexes``
+        access-path selection (``"on"``/``"off"``); ``None`` resolves each
+        from its env var (``$REPRO_OPTIMIZER`` / ``$REPRO_INDEXES``).
+        ``batch_size`` is the rows-per-page of the batch pipeline.
+
+        There is one physical executor; ``executor`` is accepted as ``None``
+        or ``"batch"`` only because the frozen ``benchmarks/e2e/layers.py``
+        (``--trace 1``) still passes ``monitor.executor_mode`` here —
+        ROADMAP item 1 lists the argument for the benchmark PR to remove.
         """
+        if executor not in (None, "batch"):
+            raise ExecutionError(f"unknown executor mode {executor!r}")
         if isinstance(sql, str):
             statement = parse_statement(sql)
         else:
@@ -509,8 +509,7 @@ class Database:
             raise ExecutionError("prepare() requires a SELECT statement")
         return PreparedQuery(
             self, statement,
-            optimizer=optimizer, executor=executor, batch_size=batch_size,
-            indexes=indexes,
+            optimizer=optimizer, batch_size=batch_size, indexes=indexes,
         )
 
     def execute_prepared(

@@ -18,6 +18,13 @@ stages (DESIGN.md §11):
     FROM → WHERE → GROUP BY/aggregate → HAVING → project → DISTINCT →
     ORDER BY → LIMIT/OFFSET
 
+There is one physical executor (DESIGN.md §12): every operator that holds
+logic has exactly one implementation — batch-native where pages pay off
+(scans, filters, policy guards, hash joins, and the block's own WHERE /
+projection / grouping), row-native where the work is per pair or per
+result row anyway (nested loops, cross joins, derived tables) — and
+:class:`SourcePlan` adapts between the two shapes at the edges.
+
 Correlated subqueries are supported through the :class:`Scope` chain; an
 uncorrelated subquery's result is computed once per statement execution and
 cached, matching how a conventional engine executes uncorrelated subplans.
@@ -26,20 +33,15 @@ cached, matching how a conventional engine executes uncorrelated subplans.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from ..errors import CatalogError, ExecutionError, ExpressionError
 from ..sql import ast
 from .aggregates import make_aggregate
-from .batch import (
-    ColumnBatch,
-    batches_from_rows,
-    resolve_batch_size,
-    resolve_executor_mode,
-)
+from .batch import ColumnBatch, batches_from_rows, resolve_batch_size
 from .expressions import (
-    CompiledExpr,
     Env,
     ExpressionCompiler,
     Scope,
@@ -69,48 +71,54 @@ class TrackingScope(Scope):
 
 
 class SourcePlan:
-    """A physical FROM-clause operator: a row shape plus a row producer.
+    """A physical FROM-clause operator: a row shape plus its one producer.
 
     ``kind``/``detail``/``children`` describe the node for EXPLAIN output.
 
-    Under the batch executor a node may also carry a ``batch_producer``
-    yielding :class:`~repro.engine.batch.ColumnBatch` pages; nodes without
-    a batch-native implementation (nested loops, derived tables) join the
-    columnar pipeline by chunking their row stream.  Each node is consumed
-    by exactly one parent through exactly one of :meth:`rows` /
-    :meth:`batches` per execution, so the trace's per-node row ledger stays
-    per-row-accurate in either mode.
+    A batch-native node carries a ``batch_producer`` yielding
+    :class:`~repro.engine.batch.ColumnBatch` pages, a row-native one a
+    ``producer`` yielding tuples — never both.  A parent pulls whichever
+    shape it works in: :meth:`rows` flattens a batch-native child's pages,
+    :meth:`batches` chunks a row-native child's stream into ``batch_size``
+    pages.  Each node is consumed by exactly one parent through exactly one
+    of the two per execution, so the trace's per-node row ledger stays
+    per-row-accurate.
 
     An index scan also carries ``candidate_ids``: ``env`` → the ascending
     row ids its probe selects (``None`` when the index is gone and every
     row is a candidate).  A policy guard above it needs the id of each row
     it is shown, so it resolves the ids itself and hands them back through
-    ``rows(env, ids)`` / ``batches(env, ids)`` — one probe per execution,
-    the scanned rows still counted against the scan.
+    ``batches(env, ids)`` — one probe per execution, the scanned rows still
+    counted against the scan.
     """
 
     def __init__(
         self,
         shape: RowShape,
-        producer: Callable[..., Iterable[tuple]],
-        kind: str = "source",
+        kind: str,
         detail: str = "",
         children: "list[SourcePlan] | None" = None,
+        *,
+        producer: "Callable[..., Iterable[tuple]] | None" = None,
         batch_producer: "Callable[..., Iterator[ColumnBatch]] | None" = None,
         batch_size: int | None = None,
         candidate_ids: "Callable[[Env], list[int] | None] | None" = None,
     ):
         self.shape = shape
-        self.producer = producer
         self.kind = kind
         self.detail = detail
         self.children = children or []
+        self.producer = producer
         self.batch_producer = batch_producer
         self.batch_size = batch_size
         self.candidate_ids = candidate_ids
 
     def rows(self, env: Env, *ids) -> Iterable[tuple]:
-        """Produce this node's rows for the given environment."""
+        """Produce this node's output as row tuples."""
+        if self.producer is None:
+            return chain.from_iterable(
+                batch.to_rows() for batch in self.batches(env, *ids)
+            )
         if env.trace is not None:
             return env.trace.count_rows(self, self.producer(env, *ids))
         return self.producer(env, *ids)
@@ -118,18 +126,15 @@ class SourcePlan:
     def batches(self, env: Env, *ids) -> Iterator[ColumnBatch]:
         """Produce this node's output as column batches.
 
-        Falls back to chunking the row producer when the node has no
-        batch-native implementation.  Traced executions credit the sum of
-        batch lengths (not the batch count) to this node, keeping EXPLAIN
-        ANALYZE's ``rows=`` figures identical across executor modes.
+        Traced executions credit the sum of batch lengths (not the batch
+        count) to this node, so EXPLAIN ANALYZE's ``rows=`` figures mean
+        rows whichever shape the node was pulled in.
         """
         if self.batch_producer is not None:
             produced = self.batch_producer(env, *ids)
         else:
             produced = batches_from_rows(
-                self.producer(env, *ids),
-                self.shape.width(),
-                self.batch_size or resolve_batch_size(),
+                self.producer(env, *ids), self.shape.width(), self.batch_size
             )
         if env.trace is not None:
             return env.trace.count_batches(self, produced)
@@ -179,17 +184,28 @@ class PreparedSelect:
                 )
 
         compiler = executor.compiler(self.scope)
+        # The vectorized fast path falls back to the compiler's row closures
+        # for subquery/CASE expressions (DESIGN.md §12): same scope and
+        # registry, so name resolution and correlation tracking agree.
+        vectors = VectorCompiler(compiler)
         residual_where = block.residual_where()
         self.residual_where_ast = residual_where
-        self.where = (
-            compiler.compile(residual_where) if residual_where is not None else None
+        self.where_vector: VectorExpr | None = (
+            vectors.compile(residual_where) if residual_where is not None else None
         )
 
         self.items = self._expand_items(select.items, source_plan.shape)
         self.aggregated, self.aggregate_specs = self._collect_aggregates()
+        self.descending = [item.descending for item in select.order_by]
 
         if self.aggregated:
-            self.group_keys = [compiler.compile(e) for e in select.group_by]
+            self.group_key_vectors = [vectors.compile(e) for e in select.group_by]
+            self.agg_arg_vectors: "list[VectorExpr | None]" = [
+                (vectors.compile(arg) if arg is not None else None)
+                for (_, _, _, arg) in self.aggregate_specs
+            ]
+            # HAVING, the select list and ORDER BY see one representative
+            # row per group plus the aggregate slots: row closures.
             post_slots = {key: i for i, (key, _, _, _) in enumerate(self.aggregate_specs)}
             post_compiler = executor.compiler(self.scope, aggregate_slots=post_slots)
             self.projections = [post_compiler.compile(item.expression) for item in self.items]
@@ -198,51 +214,20 @@ class PreparedSelect:
                 if select.having is not None
                 else None
             )
-            self.order_keys = self._compile_order(post_compiler)
-            self.agg_args = [
-                (compiler.compile(arg) if arg is not None else None)
-                for (_, _, _, arg) in self.aggregate_specs
+            self.order_keys = [
+                post_compiler.compile(expression)
+                for expression in self._order_expressions()
             ]
         else:
             if select.having is not None:
                 raise ExecutionError("HAVING requires GROUP BY or aggregates")
-            self.group_keys = []
-            self.projections = [compiler.compile(item.expression) for item in self.items]
-            self.having = None
-            self.order_keys = self._compile_order(compiler)
-            self.agg_args = []
-
-        # Batch-mode compilation rides alongside the row closures: the same
-        # scope and registry, so name resolution and correlation tracking
-        # agree, with the vectorized fast path falling back to the row
-        # closures for subquery/CASE expressions (DESIGN.md §12).
-        self.batch_mode = executor.batch_mode
-        self.batch_size = executor.batch_size
-        self.where_vector: VectorExpr | None = None
-        self.projection_vectors: list[VectorExpr] = []
-        self.order_key_vectors: list[tuple[VectorExpr, bool]] = []
-        self.group_key_vectors: list[VectorExpr] = []
-        self.agg_arg_vectors: "list[VectorExpr | None]" = []
-        if self.batch_mode:
-            vectors = VectorCompiler(compiler)
-            if residual_where is not None:
-                self.where_vector = vectors.compile(residual_where)
-            if self.aggregated:
-                self.group_key_vectors = [
-                    vectors.compile(e) for e in select.group_by
-                ]
-                self.agg_arg_vectors = [
-                    (vectors.compile(arg) if arg is not None else None)
-                    for (_, _, _, arg) in self.aggregate_specs
-                ]
-            else:
-                self.projection_vectors = [
-                    vectors.compile(item.expression) for item in self.items
-                ]
-                self.order_key_vectors = [
-                    (vectors.compile(expression), descending)
-                    for expression, descending in self._order_expressions()
-                ]
+            self.projection_vectors = [
+                vectors.compile(item.expression) for item in self.items
+            ]
+            self.order_key_vectors = [
+                vectors.compile(expression)
+                for expression in self._order_expressions()
+            ]
 
         self.output_columns = [self._output_name(item) for item in self.items]
         self.output_bindings = self._derive_output_bindings()
@@ -319,9 +304,9 @@ class PreparedSelect:
         aggregated = bool(specs) or bool(self.select.group_by)
         return aggregated, list(specs.values())
 
-    def _order_expressions(self) -> list[tuple[ast.Expression, bool]]:
+    def _order_expressions(self) -> list[ast.Expression]:
         """ORDER BY expressions with ordinals and output aliases resolved."""
-        resolved: list[tuple[ast.Expression, bool]] = []
+        resolved: list[ast.Expression] = []
         for order_item in self.select.order_by:
             expression = order_item.expression
             # ORDER BY <ordinal> selects the i-th projected column.
@@ -338,14 +323,8 @@ class PreparedSelect:
                     if item.alias and item.alias.lower() == expression.name.lower():
                         expression = item.expression
                         break
-            resolved.append((expression, order_item.descending))
+            resolved.append(expression)
         return resolved
-
-    def _compile_order(self, compiler: ExpressionCompiler) -> list[tuple[CompiledExpr, bool]]:
-        return [
-            (compiler.compile(expression), descending)
-            for expression, descending in self._order_expressions()
-        ]
 
     def _output_name(self, item: ast.SelectItem) -> str:
         if item.alias:
@@ -447,25 +426,13 @@ class PreparedSelect:
         return cached
 
     def _execute(self, env: Env) -> list[tuple]:
-        if self.batch_mode:
-            batches = self.source_plan.batches(env)
-            if self.where_vector is not None:
-                batches = self._filter_batches(batches, env)
-            if self.aggregated:
-                projected = self._execute_aggregated_batches(batches, env)
-            else:
-                projected = self._execute_plain_batches(batches, env)
+        batches = self.source_plan.batches(env)
+        if self.where_vector is not None:
+            batches = self._filter_batches(batches, env)
+        if self.aggregated:
+            projected = self._execute_aggregated(batches, env)
         else:
-            source_rows = self.source_plan.rows(env)
-            if self.where is not None:
-                where = self.where
-                source_rows = (
-                    row for row in source_rows if where(row, env) is True
-                )
-            if self.aggregated:
-                projected = self._execute_aggregated(source_rows, env)
-            else:
-                projected = self._execute_plain(source_rows, env)
+            projected = self._execute_plain(batches, env)
 
         if self.select.distinct:
             seen: set = set()
@@ -477,7 +444,7 @@ class PreparedSelect:
                 deduped.append((row, order_key))
             projected = deduped
 
-        if self.order_keys:
+        if self.descending:
             projected.sort(key=lambda pair: pair[1])
 
         rows = [row for row, _ in projected]
@@ -489,51 +456,17 @@ class PreparedSelect:
             env.trace.add_rows(self, len(rows))
         return rows
 
-    def _order_key(self, row: tuple, env: Env) -> tuple:
-        key = []
-        for compiled, descending in self.order_keys:
-            value = compiled(row, env)
-            # NULLs sort last for ASC, first for DESC (PostgreSQL default).
-            null_rank = value is None
-            if descending:
-                key.append((not null_rank, _Reversed(value)))
-            else:
-                key.append((null_rank, value))
-        return tuple(key)
+    def _order_key(self, values: Iterable) -> tuple:
+        """The sort key of one result row from its ORDER BY values.
 
-    def _execute_plain(self, source_rows: Iterable[tuple], env: Env) -> list:
-        projections = self.projections
-        results = []
-        for row in source_rows:
-            projected = tuple(projection(row, env) for projection in projections)
-            order_key = self._order_key(row, env) if self.order_keys else ()
-            results.append((projected, order_key))
-        return results
-
-    def _execute_aggregated(self, source_rows: Iterable[tuple], env: Env) -> list:
-        groups: dict[tuple, list] = {}
-        group_order: list[tuple] = []
-        for row in source_rows:
-            key = tuple(
-                _group_key_value(compiled(row, env)) for compiled in self.group_keys
-            )
-            group = groups.get(key)
-            if group is None:
-                accumulators = [
-                    make_aggregate(name, star, distinct)
-                    for (_, name, (star, distinct), _) in self.aggregate_specs
-                ]
-                group = [row, accumulators]
-                groups[key] = group
-                group_order.append(key)
-            for accumulator, arg in zip(group[1], self.agg_args):
-                if arg is None:
-                    accumulator.add(row)  # count(*): any non-None marker
-                else:
-                    accumulator.add(arg(row, env))
-        return self._finalize_groups(groups, group_order, env)
-
-    # -- batch-at-a-time pipeline (DESIGN.md §12) ------------------------------
+        NULLs sort last for ASC, first for DESC (PostgreSQL default).
+        """
+        return tuple([
+            (value is not None, _Reversed(value))
+            if descending
+            else (value is None, value)
+            for value, descending in zip(values, self.descending)
+        ])
 
     def _filter_batches(
         self, batches: Iterator[ColumnBatch], env: Env
@@ -547,9 +480,7 @@ class PreparedSelect:
                 continue
             yield batch if len(keep) == len(batch) else batch.take(keep)
 
-    def _execute_plain_batches(
-        self, batches: Iterator[ColumnBatch], env: Env
-    ) -> list:
+    def _execute_plain(self, batches: Iterator[ColumnBatch], env: Env) -> list:
         projection_vectors = self.projection_vectors
         order_vectors = self.order_key_vectors
         results: list = []
@@ -559,20 +490,13 @@ class PreparedSelect:
             if not order_vectors:
                 results.extend(zip(projected_rows, repeat(())))
                 continue
-            key_columns = [vector(batch, env) for vector, _ in order_vectors]
-            for i, projected in enumerate(projected_rows):
-                key = []
-                for (_, descending), column in zip(order_vectors, key_columns):
-                    value = column[i]
-                    null_rank = value is None
-                    if descending:
-                        key.append((not null_rank, _Reversed(value)))
-                    else:
-                        key.append((null_rank, value))
-                results.append((projected, tuple(key)))
+            key_columns = [vector(batch, env) for vector in order_vectors]
+            results.extend(
+                zip(projected_rows, map(self._order_key, zip(*key_columns)))
+            )
         return results
 
-    def _execute_aggregated_batches(
+    def _execute_aggregated(
         self, batches: Iterator[ColumnBatch], env: Env
     ) -> list:
         groups: dict[tuple, list] = {}
@@ -610,7 +534,7 @@ class PreparedSelect:
     def _finalize_groups(
         self, groups: dict[tuple, list], group_order: list[tuple], env: Env
     ) -> list:
-        """HAVING + projection over group representatives (both executors)."""
+        """HAVING + projection over group representatives."""
         if not groups and not self.select.group_by:
             # Aggregates over an empty input still yield one row.
             width = self.source_plan.shape.width()
@@ -637,8 +561,8 @@ class PreparedSelect:
                 projection(representative, group_env)
                 for projection in self.projections
             )
-            order_key = (
-                self._order_key(representative, group_env) if self.order_keys else ()
+            order_key = self._order_key(
+                compiled(representative, group_env) for compiled in self.order_keys
             )
             results.append((projected, order_key))
         return results
@@ -663,26 +587,20 @@ class _Reversed:
         return isinstance(other, _Reversed) and self.value == other.value
 
 
-def _group_key_value(value: object) -> object:
-    """Make a grouping value hashable (floats/ints unify via equality)."""
-    return value
-
-
 class SelectExecutor:
     """Compiles optimized logical plans and runs SELECT statements.
 
-    The executor no longer makes planning decisions of its own: the
+    The executor makes no planning decisions of its own: the
     :class:`~repro.engine.plan.Planner` shapes the plan, the
     :class:`~repro.engine.plan.Optimizer` (one per executor, carrying the
     resolved mode) rewrites it, and :meth:`compile_plan` turns each logical
-    node into a physical :class:`SourcePlan` row producer.
+    node into its one physical :class:`SourcePlan` operator.
     """
 
     def __init__(
         self,
         database,
         optimizer: str | None = None,
-        executor: str | None = None,
         batch_size: int | None = None,
         indexes: str | None = None,
     ):
@@ -691,8 +609,6 @@ class SelectExecutor:
         self.optimizer = Optimizer(
             resolve_optimizer_mode(optimizer), database, indexes=self.index_mode
         )
-        self.executor_mode = resolve_executor_mode(executor)
-        self.batch_mode = self.executor_mode == "batch"
         self.batch_size = resolve_batch_size(batch_size)
 
     @property
@@ -709,6 +625,10 @@ class SelectExecutor:
         return ExpressionCompiler(
             scope, self.database.functions, planner=self, aggregate_slots=aggregate_slots
         )
+
+    def vector(self, scope: Scope, expression: ast.Expression) -> VectorExpr:
+        """Compile one expression to a batch evaluator under ``scope``."""
+        return VectorCompiler(self.compiler(scope)).compile(expression)
 
     def prepare_subquery(self, select: ast.Select, scope: Scope) -> PreparedSelect:
         """Plan a nested SELECT whose enclosing block has ``scope``."""
@@ -736,12 +656,8 @@ class SelectExecutor:
         """Compile one optimized logical node into a physical operator."""
         if isinstance(node, plan_ir.Values):
             return SourcePlan(
-                node.shape, lambda env: [()], kind="Values", detail="(one row)",
-                batch_producer=(
-                    (lambda env: iter([ColumnBatch([], 1)]))
-                    if self.batch_mode else None
-                ),
-                batch_size=self.batch_size,
+                node.shape, "Values", "(one row)",
+                batch_producer=lambda env: iter([ColumnBatch([], 1)]),
             )
         if isinstance(node, plan_ir.IndexScan):  # before Scan: a subclass
             return self._compile_index_scan(node)
@@ -768,10 +684,10 @@ class SelectExecutor:
             return f"{table.name} as {node.binding}"
         return table.name
 
-    def _fetchers(self, table, node: plan_ir.Scan):
-        """``(rows, batches)`` emitters shared by every base-table access.
+    def _fetcher(self, table, node: plan_ir.Scan):
+        """The page emitter shared by every base-table access.
 
-        Each takes the visible row list and the ascending row ids to emit
+        Takes the visible row list and the ascending row ids to emit
         (``None`` = every row) and applies the scan's column narrowing.
         """
         width = node.shape.width()
@@ -782,15 +698,7 @@ class SelectExecutor:
             else None
         )
 
-        def fetch_rows(rows: list, ids: "list[int] | None") -> Iterable[tuple]:
-            source = rows if ids is None else [rows[i] for i in ids]
-            if kept is None:
-                return source
-            return (tuple(row[p] for p in kept) for row in source)
-
-        def fetch_batches(
-            rows: list, ids: "list[int] | None"
-        ) -> Iterator[ColumnBatch]:
+        def fetch(rows: list, ids: "list[int] | None") -> Iterator[ColumnBatch]:
             source = rows if ids is None else [rows[i] for i in ids]
             for start in range(0, len(source), batch_size):
                 page = source[start : start + batch_size]
@@ -801,21 +709,16 @@ class SelectExecutor:
                         [[row[p] for row in page] for p in kept], len(page)
                     )
 
-        return fetch_rows, fetch_batches
+        return fetch
 
     def _compile_scan(self, node: plan_ir.Scan) -> SourcePlan:
         table = self.database.table(node.table_name)
-        fetch_rows, fetch_batches = self._fetchers(table, node)
+        fetch = self._fetcher(table, node)
         # table.rows is read at execution time (not planning time): prepared
         # plans are re-executed after inserts/updates replace the row list.
         return SourcePlan(
-            node.shape, lambda env: fetch_rows(table.rows, None),
-            kind="SeqScan", detail=self._scan_detail(table, node),
-            batch_producer=(
-                (lambda env: fetch_batches(table.rows, None))
-                if self.batch_mode else None
-            ),
-            batch_size=self.batch_size,
+            node.shape, "SeqScan", self._scan_detail(table, node),
+            batch_producer=lambda env: fetch(table.rows, None),
         )
 
     def _compile_index_scan(self, node: plan_ir.IndexScan) -> SourcePlan:
@@ -833,7 +736,7 @@ class SelectExecutor:
         detail += f" using {node.index_name} [{node.predicate()}]"
         if node.estimated_rows is not None:
             detail += f" (est={node.estimated_rows})"
-        fetch_rows, fetch_batches = self._fetchers(table, node)
+        fetch = self._fetcher(table, node)
         ranged = isinstance(node, plan_ir.IndexRangeScan)
         values = node.values
 
@@ -863,31 +766,22 @@ class SelectExecutor:
             except (CatalogError, TypeError):
                 return None  # index dropped, or an incomparable probe value
 
-        def produce(env: Env, *ids) -> Iterable[tuple]:
+        def produce(env: Env, *ids) -> Iterator[ColumnBatch]:
             (chosen,) = ids or (candidate_ids(env),)
-            return fetch_rows(table.rows, chosen)
-
-        def produce_batches(env: Env, *ids) -> Iterator[ColumnBatch]:
-            (chosen,) = ids or (candidate_ids(env),)
-            return fetch_batches(table.rows, chosen)
+            return fetch(table.rows, chosen)
 
         return SourcePlan(
-            node.shape, produce, kind=node.kind, detail=detail,
-            batch_producer=produce_batches if self.batch_mode else None,
-            batch_size=self.batch_size, candidate_ids=candidate_ids,
+            node.shape, node.kind, detail,
+            batch_producer=produce, candidate_ids=candidate_ids,
         )
 
     def _compile_derived(self, node: plan_ir.DerivedTable) -> SourcePlan:
         prepared = node.prepared
-        plan = SourcePlan(
-            node.shape,
-            lambda env: prepared.rows(env),
-            kind="Subquery",
-            detail=node.alias,
+        return SourcePlan(
+            node.shape, "Subquery", node.alias, [prepared.source_plan],
+            producer=lambda env: prepared.rows(env),
             batch_size=self.batch_size,
         )
-        plan.children = [prepared.source_plan]
-        return plan
 
     def _compile_filter(
         self, node: plan_ir.Filter, parent_scope: Scope | None
@@ -897,46 +791,29 @@ class SelectExecutor:
         # Pushed conjuncts resolve fully inside the leaf (that is what made
         # them pushable), so they compile without the enclosing scope chain.
         scope = TrackingScope(child.shape, parent=None)
-        predicates = [self.compiler(scope).compile(expr) for expr in claimed]
+        predicates = [self.vector(scope, expr) for expr in claimed]
 
-        def produce(env: Env) -> Iterable[tuple]:
-            # Pull through the child's rows() (not its raw producer) so a
-            # traced execution counts the scanned rows against the child.
-            for row in child.rows(env):
-                if all(predicate(row, env) is True for predicate in predicates):
-                    yield row
-
-        batch_producer = None
-        if self.batch_mode:
-            vector_predicates = [
-                VectorCompiler(self.compiler(scope)).compile(expr)
-                for expr in claimed
-            ]
-
-            def produce_batches(env: Env) -> Iterator[ColumnBatch]:
-                for batch in child.batches(env):
-                    # Progressive narrowing: each conjunct sees only the rows
-                    # the previous ones kept, matching row mode's and-chain.
-                    for vector in vector_predicates:
-                        values = vector(batch, env)
-                        keep = [i for i, v in enumerate(values) if v is True]
-                        if len(keep) == len(batch):
-                            continue
-                        batch = batch.take(keep)
-                        if not batch.length:
-                            break
-                    if batch.length:
-                        yield batch
-
-            batch_producer = produce_batches
+        def produce(env: Env) -> Iterator[ColumnBatch]:
+            for batch in child.batches(env):
+                # Progressive narrowing: each conjunct sees only the rows
+                # the previous ones kept — an and-chain's short circuit.
+                for predicate in predicates:
+                    values = predicate(batch, env)
+                    keep = [i for i, v in enumerate(values) if v is True]
+                    if len(keep) == len(batch):
+                        continue
+                    batch = batch.take(keep)
+                    if not batch.length:
+                        break
+                if batch.length:
+                    yield batch
 
         from ..sql.printer import print_expression
 
         detail = " and ".join(print_expression(expr) for expr in claimed)
         return SourcePlan(
-            child.shape, produce,
-            kind="Filter", detail=f"[{detail}]", children=[child],
-            batch_producer=batch_producer, batch_size=self.batch_size,
+            child.shape, "Filter", f"[{detail}]", [child],
+            batch_producer=produce,
         )
 
     def _compile_policy_guard(
@@ -960,7 +837,7 @@ class SelectExecutor:
         manager = self.database.indexes
         partitioned = node.partitioned
         candidate_ids = child.candidate_ids
-        fetch_rows, fetch_batches = self._fetchers(table, node.scan)
+        fetch = self._fetcher(table, node.scan)
 
         masks = tuple(guard.args[0].bits for guard in node.guards)
 
@@ -984,64 +861,46 @@ class SelectExecutor:
             except CatalogError:
                 return None  # index dropped since planning
 
-        def scan(env: Env, pull):
-            """``(ids, stream)``: the id of each row the scan shows the
-            guard (``None`` = its position) and the scan's rows or batches,
-            pulled through the child with the ids resolved exactly once."""
-            if candidate_ids is None:
-                return None, pull(env)
-            ids = candidate_ids(env)
-            return ids, pull(env, ids)
-
-        def produce(env: Env) -> Iterable[tuple]:
+        def produce(env: Env) -> Iterator[ColumnBatch]:
             ids = partition_ids(env)
             if ids is not None:
-                yield from fetch_rows(table.rows, ids)
+                yield from fetch(table.rows, ids)
                 return
-            allowed, _ = passing(env)
-            ids, rows = scan(env, child.rows)
-            for row_id, row in enumerate(rows) if ids is None else zip(ids, rows):
-                if row_id in allowed:
-                    yield row
-
-        batch_producer = None
-        if self.batch_mode:
-
-            def produce_batches(env: Env) -> Iterator[ColumnBatch]:
-                ids = partition_ids(env)
-                if ids is not None:
-                    yield from fetch_batches(table.rows, ids)
-                    return
-                allowed, ordered = passing(env)
-                ids, batches = scan(env, child.batches)
-                offset = 0
-                if ids is not None:
-                    for batch in batches:
-                        page = ids[offset : offset + batch.length]
-                        offset += batch.length
-                        keep = [k for k, i in enumerate(page) if i in allowed]
-                        if len(keep) == batch.length:
-                            yield batch
-                        elif keep:
-                            yield batch.take(keep)
-                    return
-                # The cache already collapses the BitString AND to one
-                # evaluation per distinct policy value, so a batch costs a
-                # slice of the ascending passing list rather than a
-                # membership probe per row.
+            allowed, ordered = passing(env)
+            # The id of each row the scan shows: its candidate id under an
+            # index scan (resolved here, exactly once, and handed down to
+            # the scan), its position in the stream otherwise.
+            if candidate_ids is None:
+                batches = child.batches(env)
+            else:
+                ids = candidate_ids(env)
+                batches = child.batches(env, ids)
+            offset = 0
+            if ids is not None:
                 for batch in batches:
-                    length = batch.length
-                    lo = bisect_left(ordered, offset)
-                    hi = bisect_left(ordered, offset + length)
-                    offset += length
-                    if lo == hi:
-                        continue
-                    if hi - lo == length:
+                    page = ids[offset : offset + batch.length]
+                    offset += batch.length
+                    keep = [k for k, i in enumerate(page) if i in allowed]
+                    if len(keep) == batch.length:
                         yield batch
-                        continue
-                    yield batch.take([p - (offset - length) for p in ordered[lo:hi]])
-
-            batch_producer = produce_batches
+                    elif keep:
+                        yield batch.take(keep)
+                return
+            # The cache already collapses the BitString AND to one
+            # evaluation per distinct policy value, so a batch costs a
+            # slice of the ascending passing list rather than a membership
+            # probe per row.
+            for batch in batches:
+                length = batch.length
+                lo = bisect_left(ordered, offset)
+                hi = bisect_left(ordered, offset + length)
+                offset += length
+                if lo == hi:
+                    continue
+                if hi - lo == length:
+                    yield batch
+                    continue
+                yield batch.take([p - (offset - length) for p in ordered[lo:hi]])
 
         from ..sql.printer import print_expression
 
@@ -1050,9 +909,7 @@ class SelectExecutor:
         if partitioned is not None:
             detail += f" (partitions: {partitioned})"
         return SourcePlan(
-            child.shape, produce,
-            kind="PolicyGuard", detail=detail, children=[child],
-            batch_producer=batch_producer, batch_size=self.batch_size,
+            child.shape, "PolicyGuard", detail, [child], batch_producer=produce,
         )
 
     def _compile_cross_join(
@@ -1068,8 +925,8 @@ class SelectExecutor:
                     yield left_row + right_row
 
         return SourcePlan(
-            node.shape, produce, kind="NestedLoop", detail="(cross)",
-            children=[left, right], batch_size=self.batch_size,
+            node.shape, "NestedLoop", "(cross)", [left, right],
+            producer=produce, batch_size=self.batch_size,
         )
 
     def _compile_nested_loop(
@@ -1102,229 +959,132 @@ class SelectExecutor:
                         yield (None,) * left_width + right_row
 
         return SourcePlan(
-            node.shape, produce,
-            kind="NestedLoop", detail=f"({kind.lower()})",
-            children=[left, right], batch_size=self.batch_size,
+            node.shape, "NestedLoop", f"({kind.lower()})", [left, right],
+            producer=produce, batch_size=self.batch_size,
         )
 
     def _compile_hash_join(
         self, node: plan_ir.HashJoin, parent_scope: Scope | None
     ) -> SourcePlan:
+        """Columnar hash join: one build/probe body for every variant.
+
+        The build side buckets *global row indices* per key and keeps its
+        values column-wise; the probe side gathers matching (probe, build)
+        index pairs per page, and output pages are built by per-column
+        takes — no row tuple is ever constructed.  The build side is the
+        right input unless the optimizer's cost-based swap (INNER only)
+        chose the smaller left one; output order follows the probe side,
+        all matches of one probe row together, columns always left-then-
+        right.  The residual predicate is evaluated on the candidate pairs
+        as one batch.  A LEFT join splices a NULL-extended row in for every
+        probe row left without a match, a RIGHT join appends the build rows
+        nothing matched.
+        """
         left = self.compile_plan(node.left, parent_scope)
         right = self.compile_plan(node.right, parent_scope)
         kind = node.join_kind
         equi_pairs = node.equi_pairs
-        residual_predicate = (
-            self.compiler(TrackingScope(node.shape, parent_scope)).compile(
-                node.residual
-            )
+        left_scope = TrackingScope(left.shape, parent_scope)
+        right_scope = TrackingScope(right.shape, parent_scope)
+        left_keys = [self.vector(left_scope, le) for le, _ in equi_pairs]
+        right_keys = [self.vector(right_scope, re) for _, re in equi_pairs]
+        residual = (
+            self.vector(TrackingScope(node.shape, parent_scope), node.residual)
             if node.residual is not None
             else None
         )
-        left_scope = TrackingScope(left.shape, parent_scope)
-        right_scope = TrackingScope(right.shape, parent_scope)
-        left_keys = [self.compiler(left_scope).compile(le) for le, _ in equi_pairs]
-        right_keys = [self.compiler(right_scope).compile(re) for _, re in equi_pairs]
-        left_width = left.shape.width()
-        right_width = right.shape.width()
-        build_side = node.build_side
+        build_left = kind == "INNER" and node.build_side == "left"
+        if build_left:
+            build, build_keys, probe, probe_keys = left, left_keys, right, right_keys
+        else:
+            build, build_keys, probe, probe_keys = right, right_keys, left, left_keys
+        build_width = build.shape.width()
+        probe_width = probe.shape.width()
+        single_key = len(equi_pairs) == 1
 
-        def produce_build_left(env: Env) -> Iterable[tuple]:
-            # Cost-based swap (INNER only): hash the smaller left input and
-            # probe with the right.  Output order follows the probe side,
-            # with all matches of one probe row emitted together — a set
-            # equal to the build-right path's output.
-            build: dict[tuple, list[tuple]] = {}
-            for left_row in left.rows(env):
-                key = tuple(k(left_row, env) for k in left_keys)
-                if any(v is None for v in key):
-                    continue  # NULL never joins
-                build.setdefault(key, []).append(left_row)
-            for right_row in right.rows(env):
-                key = tuple(k(right_row, env) for k in right_keys)
-                if any(v is None for v in key):
-                    continue
-                for left_row in build.get(key, ()):
-                    combined = left_row + right_row
-                    if (
-                        residual_predicate is not None
-                        and residual_predicate(combined, env) is not True
-                    ):
-                        continue
-                    yield combined
+        def batch_keys(batch, vectors, env):
+            """One hashable join key per row: a scalar for single-column
+            joins (the common case — no per-row tuple construction), a
+            tuple otherwise.  Scalar and 1-tuple keys hash/compare the
+            same way, so match semantics are unchanged."""
+            columns = [k(batch, env) for k in vectors]
+            return columns[0] if single_key else list(zip(*columns))
 
-        def produce(env: Env) -> Iterable[tuple]:
-            build: dict[tuple, list[tuple]] = {}
-            right_rows = list(right.rows(env))
-            for right_row in right_rows:
-                key = tuple(k(right_row, env) for k in right_keys)
-                if any(v is None for v in key):
-                    continue  # NULL never joins
-                build.setdefault(key, []).append(right_row)
+        def produce(env: Env) -> Iterator[ColumnBatch]:
+            buckets: dict[object, list[int]] = {}
+            bucket_get = buckets.get
+            build_columns: list[list] = [[] for _ in range(build_width)]
+            base = 0
+            for batch in build.batches(env):
+                keys = batch_keys(batch, build_keys, env)
+                for column, values in zip(build_columns, batch.columns):
+                    column.extend(values)
+                for offset, key in enumerate(keys):
+                    if (key is None) if single_key else (None in key):
+                        continue  # NULL never joins
+                    bucket = bucket_get(key)
+                    if bucket is None:
+                        buckets[key] = [base + offset]
+                    else:
+                        bucket.append(base + offset)
+                base += batch.length
+            # Build index -1 reads this NULL: the padding of a LEFT join.
+            for column in build_columns:
+                column.append(None)
 
-            matched_right: set[int] = set()
-            for left_row in left.rows(env):
-                key = tuple(k(left_row, env) for k in left_keys)
-                matches = build.get(key, ()) if not any(v is None for v in key) else ()
-                emitted = False
-                for right_row in matches:
-                    combined = left_row + right_row
-                    if (
-                        residual_predicate is not None
-                        and residual_predicate(combined, env) is not True
-                    ):
-                        continue
-                    emitted = True
-                    if kind == "RIGHT":
-                        matched_right.add(id(right_row))
-                    yield combined
-                if not emitted and kind == "LEFT":
-                    yield left_row + (None,) * right_width
-            if kind == "RIGHT":
-                for right_row in right_rows:
-                    if id(right_row) not in matched_right:
-                        yield (None,) * left_width + right_row
+            def joined(batch, probe_take, build_take) -> ColumnBatch:
+                probed = [[column[i] for i in probe_take] for column in batch.columns]
+                built = [[column[j] for j in build_take] for column in build_columns]
+                return ColumnBatch(
+                    built + probed if build_left else probed + built,
+                    len(probe_take),
+                )
 
-        if kind == "INNER" and build_side == "left":
-            # The swapped variant has no batch-native implementation; the
-            # batch pipeline chunks its row stream (SourcePlan.batches).
-            from ..sql.printer import print_expression
-
-            keys = ", ".join(
-                f"{print_expression(le)} = {print_expression(re)}"
-                for le, re in equi_pairs
-            )
-            return SourcePlan(
-                node.shape, produce_build_left,
-                kind="HashJoin", detail=f"(inner) on {keys} (build: left)",
-                children=[left, right], batch_size=self.batch_size,
-            )
-
-        batch_producer = None
-        if self.batch_mode:
-            width = node.shape.width()
-            left_key_vectors = [
-                VectorCompiler(self.compiler(left_scope)).compile(le)
-                for le, _ in equi_pairs
-            ]
-            right_key_vectors = [
-                VectorCompiler(self.compiler(right_scope)).compile(re)
-                for _, re in equi_pairs
-            ]
-
-            single_key = len(equi_pairs) == 1
-
-            def batch_keys(batch, vectors, env):
-                """One hashable join key per row: a scalar for single-column
-                joins (the common case — no per-row tuple construction), a
-                tuple otherwise.  Scalar and 1-tuple keys hash/compare the
-                same way, so match semantics are unchanged."""
-                columns = [k(batch, env) for k in vectors]
-                return columns[0] if single_key else list(zip(*columns))
-
-            if kind == "INNER" and residual_predicate is None:
-
-                def produce_batches(env: Env) -> Iterator[ColumnBatch]:
-                    # Fully columnar inner join: the build side buckets
-                    # *global row indices* per key and keeps right values
-                    # column-wise, the probe side gathers matching (left,
-                    # right) index pairs, and output batches are built by
-                    # per-column takes — no row tuple is ever constructed.
-                    buckets: dict[object, list[int]] = {}
-                    bucket_get = buckets.get
-                    right_columns: list[list] = [[] for _ in range(right_width)]
-                    base = 0
-                    for rbatch in right.batches(env):
-                        keys = batch_keys(rbatch, right_key_vectors, env)
-                        for column, values in zip(right_columns, rbatch.columns):
-                            column.extend(values)
-                        for offset, key in enumerate(keys):
-                            if (key is None) if single_key else (None in key):
-                                continue  # NULL never joins
-                            bucket = bucket_get(key)
-                            if bucket is None:
-                                buckets[key] = [base + offset]
-                            else:
-                                bucket.append(base + offset)
-                        base += rbatch.length
-
-                    # NULL probe keys were never stored, so bucket_get()
-                    # already misses them — no per-row NULL check needed.
-                    for lbatch in left.batches(env):
-                        keys = batch_keys(lbatch, left_key_vectors, env)
-                        left_take: list[int] = []
-                        right_take: list[int] = []
-                        lt_append = left_take.append
-                        rt_append = right_take.append
-                        for i, key in enumerate(keys):
-                            bucket = bucket_get(key)
-                            if bucket is not None:
-                                for j in bucket:
-                                    lt_append(i)
-                                    rt_append(j)
-                        if not left_take:
-                            continue
-                        out = [
-                            [column[i] for i in left_take]
-                            for column in lbatch.columns
-                        ]
-                        out.extend(
-                            [column[j] for j in right_take]
-                            for column in right_columns
+            matched: set[int] = set()
+            # NULL probe keys were never stored, so bucket_get() already
+            # misses them — no per-row NULL check needed.
+            for batch in probe.batches(env):
+                keys = batch_keys(batch, probe_keys, env)
+                probe_take: list[int] = []
+                build_take: list[int] = []
+                pt_append = probe_take.append
+                bt_append = build_take.append
+                for i, key in enumerate(keys):
+                    bucket = bucket_get(key)
+                    if bucket is not None:
+                        for j in bucket:
+                            pt_append(i)
+                            bt_append(j)
+                if residual is not None and probe_take:
+                    verdicts = residual(joined(batch, probe_take, build_take), env)
+                    keep = [k for k, v in enumerate(verdicts) if v is True]
+                    if len(keep) < len(probe_take):
+                        probe_take = [probe_take[k] for k in keep]
+                        build_take = [build_take[k] for k in keep]
+                if kind == "RIGHT":
+                    matched.update(build_take)
+                elif kind == "LEFT":
+                    hit = set(probe_take)
+                    if len(hit) < batch.length:
+                        pairs = sorted(
+                            chain(
+                                zip(probe_take, build_take),
+                                ((i, -1) for i in range(batch.length) if i not in hit),
+                            ),
+                            key=itemgetter(0),
                         )
-                        yield ColumnBatch(out, len(left_take))
-
-            else:
-
-                def produce_batches(env: Env) -> Iterator[ColumnBatch]:
-                    # Build side: vectorized key columns over whole batches.
-                    build: dict[object, list[tuple]] = {}
-                    right_rows: list[tuple] = []
-                    for rbatch in right.batches(env):
-                        keys = batch_keys(rbatch, right_key_vectors, env)
-                        rows = rbatch.to_rows()
-                        right_rows.extend(rows)
-                        for right_row, key in zip(rows, keys):
-                            if (key is None) if single_key else (None in key):
-                                continue  # NULL never joins
-                            build.setdefault(key, []).append(right_row)
-
-                    # Probe side.  NULL keys were never stored, so
-                    # build.get() already misses them.
-                    build_get = build.get
-                    matched_right: set[int] = set()
-                    for lbatch in left.batches(env):
-                        keys = batch_keys(lbatch, left_key_vectors, env)
-                        out: list[tuple] = []
-                        append = out.append
-                        for left_row, key in zip(lbatch.to_rows(), keys):
-                            emitted = False
-                            for right_row in build_get(key, ()):
-                                combined = left_row + right_row
-                                if (
-                                    residual_predicate is not None
-                                    and residual_predicate(combined, env)
-                                    is not True
-                                ):
-                                    continue
-                                emitted = True
-                                if kind == "RIGHT":
-                                    matched_right.add(id(right_row))
-                                append(combined)
-                            if not emitted and kind == "LEFT":
-                                append(left_row + (None,) * right_width)
-                        if out:
-                            yield ColumnBatch.from_rows(out, width)
-                    if kind == "RIGHT":
-                        out = [
-                            (None,) * left_width + right_row
-                            for right_row in right_rows
-                            if id(right_row) not in matched_right
-                        ]
-                        if out:
-                            yield ColumnBatch.from_rows(out, width)
-
-            batch_producer = produce_batches
+                        probe_take = [i for i, _ in pairs]
+                        build_take = [j for _, j in pairs]
+                if probe_take:
+                    yield joined(batch, probe_take, build_take)
+            if kind == "RIGHT":
+                rest = [j for j in range(base) if j not in matched]
+                if rest:
+                    yield ColumnBatch(
+                        [[None] * len(rest) for _ in range(probe_width)]
+                        + [[column[j] for j in rest] for column in build_columns],
+                        len(rest),
+                    )
 
         from ..sql.printer import print_expression
 
@@ -1332,9 +1092,9 @@ class SelectExecutor:
             f"{print_expression(le)} = {print_expression(re)}"
             for le, re in equi_pairs
         )
+        detail = f"({kind.lower()}) on {keys}"
+        if build_left:
+            detail += " (build: left)"
         return SourcePlan(
-            node.shape, produce,
-            kind="HashJoin", detail=f"({kind.lower()}) on {keys}",
-            children=[left, right],
-            batch_producer=batch_producer, batch_size=self.batch_size,
+            node.shape, "HashJoin", detail, [left, right], batch_producer=produce,
         )

@@ -46,7 +46,8 @@ def resolve_index_mode(mode: str | None = None) -> str:
     """Resolve the access-path mode.
 
     Precedence: explicit argument > ``$REPRO_INDEXES`` > ``"on"`` — the
-    same ladder as :func:`~repro.engine.batch.resolve_executor_mode`.
+    same ladder as
+    :func:`~repro.engine.plan.optimizer.resolve_optimizer_mode`.
     """
     if mode is None:
         mode = os.environ.get(INDEXES_ENV) or "on"

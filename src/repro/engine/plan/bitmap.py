@@ -83,8 +83,8 @@ class PolicyBitmapCache:
         """Row indices passing *every* mask: ``(set, ascending list)``.
 
         What a guard asks once per execution: the set answers membership
-        (index candidates, partitions, the row executor), the list is what
-        the batch executor slices per page.  Each mask's own entry is
+        (index candidates, partitions), the list is what a guard over a
+        sequential scan slices per page.  Each mask's own entry is
         looked up (and counted as a hit or a build) exactly as
         :meth:`passing_indices` would; the intersection and its ascending
         list are kept beside them and reused until one of those entries is

@@ -5,7 +5,7 @@ A :class:`VectorCompiler` turns an AST expression into a batch evaluator
 evaluates column-at-a-time; any node the compiler does not vectorize —
 subqueries, CASE, aggregate references — falls back to the row-at-a-time
 closure from :class:`~repro.engine.expressions.ExpressionCompiler` applied
-over the batch's materialized tuples, so batch mode never changes what an
+over the batch's materialized tuples, so vectorizing never changes what an
 expression *means*, only how many Python frames it costs.
 
 Short-circuit semantics are preserved by **masked evaluation**: for
@@ -14,8 +14,8 @@ only on the row subset the left operand did not already decide — exactly
 the rows the row-at-a-time Kleene closures would have evaluated it on.
 That is not a stylistic point: a residual ``complieswith`` conjunct behind
 ``a > 5 AND complieswith(...)`` must invoke the UDF only for rows passing
-``a > 5``, or the Figure-6 check counts (and the differential fuzzer)
-would diverge between the two executor modes.
+``a > 5``, or the Figure-6 check counts would depend on whether an
+expression took the vectorized path or the row closures.
 """
 
 from __future__ import annotations
@@ -517,7 +517,7 @@ class VectorCompiler:
         def call(batch: ColumnBatch, env: Env) -> list:
             # Arguments are evaluated unconditionally (like the row closure);
             # registry.call still applies strictness and counts invocations,
-            # so complieswith accounting is identical across executor modes.
+            # so complieswith accounting matches the row closure's.
             columns = [arg(batch, env) for arg in args]
             if not columns:
                 return [registry.call(name, ()) for _ in range(batch.length)]
@@ -543,7 +543,7 @@ def _masked(
     This is what keeps vectorized evaluation order-equivalent to the row
     closures: rows the left operand already decided never reach the right
     operand, so data-dependent errors and UDF invocation counts match the
-    row executor's short-circuit behaviour.
+    row closures' short-circuit behaviour.
     """
     if len(indices) == length:
         return fn(batch, env)

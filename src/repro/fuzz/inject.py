@@ -1,24 +1,29 @@
-"""Deliberate enforcement bugs, for validating that the fuzzer catches them.
+"""Deliberate bugs, for validating that the fuzzer catches them.
 
 A differential oracle is only trustworthy if it *fails* when the system
 under test is broken.  :func:`inject_bug` patches a known defect into the
-production rewriter for the duration of a ``with`` block; running the fuzzer
-under it must produce disagreements (and minimized repro files), otherwise
-the oracle is vacuous.  Used by the acceptance test and by the CLI's
-``--inject-bug`` flag.
+production pipeline for the duration of a ``with`` block — one in
+enforcement (the rewriter forgets a compliance conjunct), one in the
+executor (the vectorized ``>=`` against a literal evaluates as ``>``);
+running the fuzzer under either must produce disagreements (and minimized
+repro files), otherwise the oracle is vacuous.  The second is the one an
+oracle that ran its expectation on the engine's own executor could not
+see.  Used by the acceptance tests and by the CLI's ``--inject-bug`` flag.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from contextlib import contextmanager
 
 from ..core import monitor as monitor_module
 from ..core.admin import COMPLIES_WITH
+from ..engine import vector as vector_module
 from ..sql import ast
 
 #: Injectable defects, by name.
-BUGS = ("drop-conjunct",)
+BUGS = ("drop-conjunct", "ge-as-gt")
 
 
 def _is_compliance_conjunct(expression: ast.Expression) -> bool:
@@ -67,26 +72,32 @@ def _drop_one_compliance_conjunct(select: ast.Select) -> ast.Select:
 
 @contextmanager
 def inject_bug(name: str):
-    """Patch defect ``name`` into the enforcement pipeline for a block.
+    """Patch defect ``name`` into the production pipeline for a block.
 
-    The patch targets the rewriter reference the monitor actually calls,
-    so both the ad-hoc and the prepared/cached paths (and therefore the
-    server) compile through the buggy rewrite.  The plan cache is *not*
-    cleared here; the runner clears it per path, so buggy plans never
-    outlive the block in practice, and tests that want a pristine cache
-    afterwards should clear it explicitly.
+    Both patches target what compilation actually reads — the rewriter
+    reference the monitor calls, the operator table the vector compiler
+    binds comparisons from — so the ad-hoc and the prepared/cached paths
+    (and therefore the server) all compile the defect in.  The plan cache
+    is *not* cleared here; the runner clears it per path, so buggy plans
+    never outlive the block in practice, and tests that want a pristine
+    cache afterwards should clear it explicitly.
     """
     if name not in BUGS:
         raise ValueError(f"unknown bug {name!r}; known: {BUGS}")
-    real_rewrite = monitor_module.rewrite_query
+    if name == "drop-conjunct":
+        real_rewrite = monitor_module.rewrite_query
 
-    def buggy_rewrite(select, signature, layouts):
-        return _drop_one_compliance_conjunct(
-            real_rewrite(select, signature, layouts)
-        )
+        def buggy(select, signature, layouts):
+            return _drop_one_compliance_conjunct(
+                real_rewrite(select, signature, layouts)
+            )
 
-    monitor_module.rewrite_query = buggy_rewrite
+        holder, key = vars(monitor_module), "rewrite_query"
+    else:
+        holder, key, buggy = vector_module._RAW_COMPARE, ">=", operator.gt
+    real = holder[key]
+    holder[key] = buggy
     try:
         yield
     finally:
-        monitor_module.rewrite_query = real_rewrite
+        holder[key] = real

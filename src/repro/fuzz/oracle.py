@@ -22,28 +22,41 @@ table that was pre-filtered to the policy-compliant rows.  The oracle:
    resolve unchanged), recursing into subqueries exactly where Listing 2's
    ``rwSubQueries`` does — correlated references attributed to an *outer*
    binding get no filter in the inner block, matching the rewriter;
-4. executes the rebuilt statement on a scratch database with a fresh
-   engine, so no state of the production pipeline can leak into the
-   expectation.
+4. loads the shadow copies into an in-memory ``sqlite3`` database — plain
+   Python values, policy masks as bit text, ``LIKE`` made case-sensitive —
+   and runs the printed statement there.
 
-The only shared code between oracle and implementation is signature
-derivation, mask encoding and the SELECT executor; the rewriter, the plan
-cache, the prepared-statement machinery and the wire protocol — the
-subsystems the differential runner is meant to falsify — contribute
-nothing to the expected result.
+The rows therefore come from an engine that shares no operator, no
+expression evaluator, no planner and no optimizer with the system under
+test: a defect in any of those shows up as a disagreement instead of being
+reproduced on both sides.  What oracle and implementation still share is
+signature derivation, :mod:`repro.core.masks` and the SQL parser, printer
+and binder; the rewriter, the plan cache, the prepared-statement machinery
+and the wire protocol contribute nothing to the expected result either.
+
+sqlite is the more permissive of the two (select-list aliases in WHERE,
+mixed-type comparisons), so what counts as a *valid* statement stays the
+production parser's and binder's call: the statement is planned — never
+executed — on the production database before sqlite sees it, and whatever
+that raises is the oracle's answer.  Anything sqlite itself refuses comes
+back as a :class:`~repro.errors.ReproError` too, so the runner's
+consistent-error rule covers both.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
 
 from ..core.admin import AccessControlManager, POLICY_COLUMN
 from ..core.masks import complies_with
 from ..core.query_model import query_id as compute_query_id
 from ..core.signatures import QuerySignature, SignatureDeriver, TableSignature
-from ..engine import Database, TableSchema
+from ..engine.database import bind_parameters
 from ..engine.result import ResultSet
-from ..sql import ast, parse_statement
+from ..engine.types import BitString
+from ..errors import ExecutionError
+from ..sql import ast, parse_statement, to_sql
 
 
 class EnforcementOracle:
@@ -69,24 +82,50 @@ class EnforcementOracle:
                 f"oracle expects a SELECT statement, got {type(statement).__name__}"
             )
         self.admin.purposes.get(purpose)  # same validation as the monitor
-        scratch = Database("oracle")
-        self._shadows: dict[tuple[str, tuple[str, ...]], str] = {}
-        for name in self.admin.target_tables():
-            source = self.admin.database.table(name)
-            self._copy_table(scratch, source.schema, name, source.rows)
-        transformed = self._transform_statement(statement, purpose, scratch)
-        return scratch.prepare(transformed).execute(params)
+        database = self.admin.database
+        # Shadows are aliased back to the bindings they replace, so the
+        # original statement binds exactly as the transformed one would.
+        bound = database.prepare(statement)
+        values = bind_parameters(params, bound.parameters)
+        #: ⟨table, mask set⟩ → (shadow name, schema, pre-filtered rows)
+        self._shadows: dict[tuple[str, tuple[str, ...]], tuple] = {}
+        transformed = self._transform_statement(statement, purpose)
+        tables = [
+            (name, database.table(name).schema, database.table(name).rows)
+            for name in self.admin.target_tables()
+        ]
+        connection = sqlite3.connect(":memory:")
+        try:
+            connection.execute("pragma case_sensitive_like = on")
+            for name, schema, rows in [*tables, *self._shadows.values()]:
+                self._load(connection, name, schema, rows)
+            rows = connection.execute(
+                to_sql(transformed), {str(key): v for key, v in values.items()}
+            ).fetchall()
+        except sqlite3.Error as exc:
+            raise ExecutionError(f"sqlite reference: {exc}") from exc
+        finally:
+            connection.close()
+        return ResultSet(bound.columns, rows)
 
     # -- shadow tables ---------------------------------------------------------
 
     @staticmethod
-    def _copy_table(scratch: Database, schema, name: str, rows) -> None:
-        table = scratch.create_table(TableSchema(name, list(schema.columns)))
-        table.rows = list(rows)
+    def _load(connection: sqlite3.Connection, name: str, schema, rows) -> None:
+        """One untyped sqlite table: no column affinity, so every value keeps
+        the storage class of its Python type; policy masks go in as bit text
+        (what :func:`~.runner.normalize_value` compares them as)."""
+        columns = [f'"{column.name}"' for column in schema.columns]
+        connection.execute(f'create table "{name}" ({", ".join(columns)})')
+        connection.executemany(
+            f'insert into "{name}" values ({", ".join("?" * len(columns))})',
+            (
+                [v.bits() if isinstance(v, BitString) else v for v in row]
+                for row in rows
+            ),
+        )
 
-    def _shadow_for(
-        self, scratch: Database, table_signature: TableSignature, purpose: str
-    ) -> str:
+    def _shadow_for(self, table_signature: TableSignature, purpose: str) -> str:
         """The pre-filtered copy for one ⟨table, mask set⟩ combination."""
         layout = self.admin.layout(table_signature.table)
         masks = [
@@ -94,20 +133,19 @@ class EnforcementOracle:
             for action in table_signature.actions
         ]
         key = (table_signature.table, tuple(sorted(m.bits() for m in masks)))
-        name = self._shadows.get(key)
-        if name is not None:
-            return name
-        source = self.admin.database.table(table_signature.table)
-        policy_index = source.schema.column_index(POLICY_COLUMN)
-        rows = [
-            row
-            for row in source.rows
-            if self._admits(row[policy_index], masks)
-        ]
-        name = f"__oracle_{table_signature.table}_{len(self._shadows)}"
-        self._copy_table(scratch, source.schema, name, rows)
-        self._shadows[key] = name
-        return name
+        if key not in self._shadows:
+            source = self.admin.database.table(table_signature.table)
+            policy_index = source.schema.column_index(POLICY_COLUMN)
+            self._shadows[key] = (
+                f"__oracle_{table_signature.table}_{len(self._shadows)}",
+                source.schema,
+                [
+                    row
+                    for row in source.rows
+                    if self._admits(row[policy_index], masks)
+                ],
+            )
+        return self._shadows[key][0]
 
     @staticmethod
     def _admits(policy_mask, masks) -> bool:
@@ -124,46 +162,45 @@ class EnforcementOracle:
         self,
         statement: "ast.Select | ast.SetOperation",
         purpose: str,
-        scratch: Database,
     ) -> "ast.Select | ast.SetOperation":
         """Per-branch transformation: each SELECT gets its own signature,
         mirroring the monitor's branch-by-branch set-operation enforcement."""
         if isinstance(statement, ast.SetOperation):
             return dataclasses.replace(
                 statement,
-                left=self._transform_statement(statement.left, purpose, scratch),
-                right=self._transform_statement(statement.right, purpose, scratch),
+                left=self._transform_statement(statement.left, purpose),
+                right=self._transform_statement(statement.right, purpose),
             )
         signature = self.deriver.derive(statement, purpose)
-        return self._transform_select(statement, signature, scratch)
+        return self._transform_select(statement, signature)
 
     def _transform_select(
-        self, select: ast.Select, signature: QuerySignature, scratch: Database
+        self, select: ast.Select, signature: QuerySignature
     ) -> ast.Select:
         sources = tuple(
-            self._transform_source(source, signature, scratch)
+            self._transform_source(source, signature)
             for source in select.sources
         )
         items = tuple(
             dataclasses.replace(
                 item,
                 expression=self._transform_expression(
-                    item.expression, signature, scratch
+                    item.expression, signature
                 ),
             )
             for item in select.items
         )
         where = (
-            self._transform_expression(select.where, signature, scratch)
+            self._transform_expression(select.where, signature)
             if select.where is not None
             else None
         )
         group_by = tuple(
-            self._transform_expression(expression, signature, scratch)
+            self._transform_expression(expression, signature)
             for expression in select.group_by
         )
         having = (
-            self._transform_expression(select.having, signature, scratch)
+            self._transform_expression(select.having, signature)
             if select.having is not None
             else None
         )
@@ -171,7 +208,7 @@ class EnforcementOracle:
             dataclasses.replace(
                 item,
                 expression=self._transform_expression(
-                    item.expression, signature, scratch
+                    item.expression, signature
                 ),
             )
             for item in select.order_by
@@ -190,13 +227,12 @@ class EnforcementOracle:
         self,
         source: ast.TableSource,
         signature: QuerySignature,
-        scratch: Database,
     ) -> ast.TableSource:
         if isinstance(source, ast.TableName):
             table_signature = signature.table_signature(source.binding)
             if table_signature is None or not table_signature.actions:
                 return source  # unreferenced source: no conjuncts, no filter
-            shadow = self._shadow_for(scratch, table_signature, signature.purpose)
+            shadow = self._shadow_for(table_signature, signature.purpose)
             # Alias the shadow back to the original binding so every
             # qualified column reference resolves exactly as before.
             return ast.TableName(shadow, alias=source.binding)
@@ -209,17 +245,17 @@ class EnforcementOracle:
             return dataclasses.replace(
                 source,
                 select=self._transform_select(
-                    source.select, sub_signature, scratch
+                    source.select, sub_signature
                 ),
             )
         if isinstance(source, ast.Join):
             return dataclasses.replace(
                 source,
-                left=self._transform_source(source.left, signature, scratch),
-                right=self._transform_source(source.right, signature, scratch),
+                left=self._transform_source(source.left, signature),
+                right=self._transform_source(source.right, signature),
                 condition=(
                     self._transform_expression(
-                        source.condition, signature, scratch
+                        source.condition, signature
                     )
                     if source.condition is not None
                     else None
@@ -231,7 +267,6 @@ class EnforcementOracle:
         self,
         expression: ast.Expression,
         signature: QuerySignature,
-        scratch: Database,
     ) -> ast.Expression:
         """Rebuild an expression, redirecting nested subqueries.
 
@@ -243,13 +278,13 @@ class EnforcementOracle:
 
         def sub(select: ast.Select) -> ast.Select:
             sub_signature = signature.subquery_signature(compute_query_id(select))
-            return self._transform_select(select, sub_signature, scratch)
+            return self._transform_select(select, sub_signature)
 
         if isinstance(expression, ast.InSubquery):
             return dataclasses.replace(
                 expression,
                 operand=self._transform_expression(
-                    expression.operand, signature, scratch
+                    expression.operand, signature
                 ),
                 subquery=sub(expression.subquery),
             )
@@ -261,17 +296,17 @@ class EnforcementOracle:
         changes = {}
         for field_info in dataclasses.fields(expression):
             value = getattr(expression, field_info.name)
-            rebuilt = self._transform_value(value, signature, scratch)
+            rebuilt = self._transform_value(value, signature)
             if rebuilt is not value:
                 changes[field_info.name] = rebuilt
         return dataclasses.replace(expression, **changes) if changes else expression
 
-    def _transform_value(self, value, signature, scratch):
+    def _transform_value(self, value, signature):
         if isinstance(value, ast.Expression):
-            return self._transform_expression(value, signature, scratch)
+            return self._transform_expression(value, signature)
         if isinstance(value, tuple):
             rebuilt = tuple(
-                self._transform_value(item, signature, scratch) for item in value
+                self._transform_value(item, signature) for item in value
             )
             return rebuilt if rebuilt != value else value
         return value

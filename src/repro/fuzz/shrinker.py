@@ -12,7 +12,11 @@ smaller failing case (a greedy fixed point).
 Soundness relies on the runner's consistent-error rule: a candidate that is
 no longer a valid query makes the oracle *and* every path error out, which
 the runner reports as ``ok`` — so broken candidates are rejected, never
-mistaken for smaller reproductions of the disagreement.
+mistaken for smaller reproductions of the disagreement.  The oracle's
+engine (sqlite) is the more permissive of the two, so it takes validity
+from the production binder before it runs anything; the one statement
+both sides accept and SQL leaves undefined — a column shown beside an
+aggregate with no GROUP BY naming it — is never offered as a candidate.
 
 :func:`lift_literals` runs the parameter-inlining reduction backwards
 (comparison literals become parameters): not a reduction, but the same AST
@@ -102,7 +106,9 @@ def _select_reductions(select: ast.Select) -> Iterator[ast.Select]:
     if select.having is not None:
         yield dataclasses.replace(select, having=None)
     if select.group_by:
-        yield dataclasses.replace(select, group_by=(), having=None)
+        ungrouped = dataclasses.replace(select, group_by=(), having=None)
+        if not _shows_a_bare_column_beside_an_aggregate(ungrouped):
+            yield ungrouped
     if select.distinct:
         yield dataclasses.replace(select, distinct=False)
     if select.limit is not None or select.offset is not None:
@@ -119,6 +125,32 @@ def _select_reductions(select: ast.Select) -> Iterator[ast.Select]:
     if len(select.sources) == 1 and isinstance(select.sources[0], ast.Join):
         for leaf in _join_leaves(select.sources[0]):
             yield dataclasses.replace(select, sources=(leaf,))
+
+
+def _shows_a_bare_column_beside_an_aggregate(select: ast.Select) -> bool:
+    """Whether the select list mixes aggregates with columns outside them.
+
+    Ungrouped, such a statement has one result row and SQL does not say
+    which input row the bare column is read from: this engine shows the
+    first, sqlite the one holding a ``min``/``max`` or an arbitrary one.
+    The two disagreeing there says nothing about the failure being shrunk.
+    """
+
+    def bare_column(expression: ast.Expression) -> bool:
+        if isinstance(expression, ast.ColumnRef):
+            return True
+        if (
+            isinstance(expression, ast.FunctionCall)
+            and expression.name.lower() in ast.AGGREGATE_FUNCTIONS
+        ):
+            return False
+        return any(map(bare_column, expression.child_expressions()))
+
+    expressions = [item.expression for item in select.items]
+    return any(map(bare_column, expressions)) and any(
+        ast.expression_aggregates(expression, ast.AGGREGATE_FUNCTIONS)
+        for expression in expressions
+    )
 
 
 def _conjuncts(expression: ast.Expression) -> list[ast.Expression]:

@@ -80,7 +80,7 @@ class Trace:
         self._stack: list[Span] = []
         #: id(plan node) → rows produced by that node during this execution.
         self.node_rows: dict[int, int] = {}
-        #: id(plan node) → column batches produced (batch executor only).
+        #: id(plan node) → column batches produced (nodes pulled as batches).
         self.node_batches: dict[int, int] = {}
 
     @contextmanager
@@ -114,9 +114,9 @@ class Trace:
     def count_batches(self, node: object, batches: Iterable) -> Iterator:
         """Yield batches unchanged while crediting their *row* totals.
 
-        The ledger stays per-row-accurate under the batch executor: each
-        batch adds ``len(batch)`` to ``node_rows`` (so EXPLAIN ANALYZE's
-        ``rows=`` figures match row mode exactly) and 1 to ``node_batches``.
+        The ledger stays per-row-accurate: each batch adds ``len(batch)``
+        to ``node_rows`` (so EXPLAIN ANALYZE's ``rows=`` figures mean rows
+        whichever shape a node is pulled in) and 1 to ``node_batches``.
         """
         key = id(node)
         rows = self.node_rows
@@ -140,7 +140,7 @@ class Trace:
         return self.node_rows.get(id(node))
 
     def batches_for(self, node: object) -> int | None:
-        """Batches recorded for a plan node, or ``None`` under row mode."""
+        """Batches recorded for a plan node (``None``: pulled as rows)."""
         return self.node_batches.get(id(node))
 
     def annotation(self, node: object) -> str:

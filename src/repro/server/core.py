@@ -440,10 +440,7 @@ class RequestCore:
                 "mode": monitor.optimizer_mode,
                 "bitmaps": database.policy_bitmaps.stats(),
             },
-            "executor": {
-                "mode": monitor.executor_mode,
-                "batch_size": monitor.batch_size,
-            },
+            "executor": {"batch_size": monitor.batch_size},
             "indexes": {
                 "mode": monitor.indexes_mode,
                 "manager": database.indexes.stats(),

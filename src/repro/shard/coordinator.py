@@ -160,7 +160,6 @@ class ShardCoordinator:
         shard_count: int,
         backend: str = "inline",
         optimizer: str | None = None,
-        executor: str | None = None,
         indexes: str | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -171,7 +170,7 @@ class ShardCoordinator:
         self.recipe = recipe
         self.shard_count = shard_count
         self.backend = backend
-        self.world = build_world(recipe).apply_modes(optimizer, executor, indexes)
+        self.world = build_world(recipe).apply_modes(optimizer, indexes)
         self.monitor = self.world.monitor
         self.admin = self.world.admin
         self.database = self.world.database
@@ -199,7 +198,7 @@ class ShardCoordinator:
             "repro_shard_seconds", "Per-shard call latency within scatters"
         )
         self.fence = AsyncReadWriteLock()
-        modes = (optimizer, executor, indexes)
+        modes = (optimizer, indexes)
         if backend == "inline":
             self._shards: list = [
                 InlineShard(ShardWorker(recipe, index, shard_count, *modes))

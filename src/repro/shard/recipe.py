@@ -99,14 +99,11 @@ class BuiltWorld:
     def apply_modes(
         self,
         optimizer: str | None = None,
-        executor: str | None = None,
         indexes: str | None = None,
     ) -> "BuiltWorld":
         """Pin enforcement modes (``None`` keeps the environment default)."""
         if optimizer is not None:
             self.monitor.set_optimizer(optimizer)
-        if executor is not None:
-            self.monitor.set_executor(executor)
         if indexes is not None:
             self.monitor.set_indexes(indexes)
         return self

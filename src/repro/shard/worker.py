@@ -50,14 +50,13 @@ class ShardWorker:
         shard_index: int,
         shard_count: int,
         optimizer: str | None = None,
-        executor: str | None = None,
         indexes: str | None = None,
     ):
         if not 0 <= shard_index < shard_count:
             raise ValueError("shard_index must be within shard_count")
         self.shard_index = shard_index
         self.shard_count = shard_count
-        self.world = build_world(recipe).apply_modes(optimizer, executor, indexes)
+        self.world = build_world(recipe).apply_modes(optimizer, indexes)
         self.monitor = self.world.monitor
         self.admin = self.world.admin
         # Each shard keeps its own registry so the coordinator can audit
@@ -211,7 +210,6 @@ class ProcessShard:
         shard_index: int,
         shard_count: int,
         optimizer: str | None = None,
-        executor: str | None = None,
         indexes: str | None = None,
     ):
         import multiprocessing
@@ -225,7 +223,7 @@ class ProcessShard:
                 recipe,
                 shard_index,
                 shard_count,
-                (optimizer, executor, indexes),
+                (optimizer, indexes),
             ),
             daemon=True,
         )

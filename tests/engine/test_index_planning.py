@@ -146,11 +146,11 @@ class TestAccessPathSelection:
         assert scans[0].estimated_rows == 2  # 20 rows * 0.1
 
 
-def _both_modes(database, sql, **kwargs):
+def _both_modes(database, sql):
     """The same statement prepared with index paths on and off."""
     return (
-        database.prepare(sql, optimizer="on", indexes="on", **kwargs),
-        database.prepare(sql, optimizer="on", indexes="off", **kwargs),
+        database.prepare(sql, optimizer="on", indexes="on"),
+        database.prepare(sql, optimizer="on", indexes="off"),
     )
 
 
@@ -412,8 +412,7 @@ class TestIndexScanUnderPolicyGuard:
 
     The world's purpose sees some patients and not others; every key of
     the table is looked up through one prepared, enforced plan — the row
-    whose key matches but whose policy fails must come back from neither
-    executor.
+    whose key matches but whose policy fails must not come back.
     """
 
     PURPOSE = "p6"
@@ -434,11 +433,10 @@ class TestIndexScanUnderPolicyGuard:
         ).rewritten_sql
         return instance, rewritten
 
-    @pytest.mark.parametrize("executor", ["batch", "row"])
-    def test_every_key_agrees_with_the_full_scan(self, guarded, executor) -> None:
+    def test_every_key_agrees_with_the_full_scan(self, guarded) -> None:
         instance, rewritten = guarded
         database = instance.database
-        on, off = _both_modes(database, rewritten, executor=executor)
+        on, off = _both_modes(database, rewritten)
         root = on._arms()[1][0].block.root
         (guard,) = _find(root, PolicyGuard)
         assert isinstance(guard.scan, IndexScan)
@@ -459,11 +457,9 @@ class TestIndexScanUnderPolicyGuard:
             assert [row[:2] for row in found] == ([key] if key in visible else [])
         assert database.indexes.stats()["hits"] == before + len(keys)
 
-    @pytest.mark.parametrize("executor", ["batch", "row"])
-    def test_prefix_probe_under_the_guard(self, guarded, executor) -> None:
+    def test_prefix_probe_under_the_guard(self, guarded) -> None:
         instance, _ = guarded
         monitor = instance.monitor
-        monitor.set_executor(executor)
         try:
             for watch in ("watch0", "watch1", "watch2", "watch3", "nope"):
                 sql = f"select timestamp, beats from sensed_data where watch_id = '{watch}'"
@@ -476,10 +472,8 @@ class TestIndexScanUnderPolicyGuard:
                 assert on.index_hits == 1 and off.index_hits == 0
         finally:
             monitor.set_indexes(None)
-            monitor.set_executor(None)
 
-    @pytest.mark.parametrize("executor", ["batch", "row"])
-    def test_dropped_index_falls_back_to_positions(self, executor) -> None:
+    def test_dropped_index_falls_back_to_positions(self) -> None:
         from repro.workload import apply_experiment_policies, build_patients_scenario
 
         instance = build_patients_scenario(patients=8, samples_per_patient=3)
@@ -492,7 +486,7 @@ class TestIndexScanUnderPolicyGuard:
         rewritten = instance.monitor.execute_with_report(
             self.SQL, self.PURPOSE, params=["watch0", 1]
         ).rewritten_sql
-        on, off = _both_modes(database, rewritten, executor=executor)
+        on, off = _both_modes(database, rewritten)
         database.execute("drop index i_watch_ts")
         for row in database.table("sensed_data").rows:
             assert on.execute(list(row[:2])).rows == off.execute(list(row[:2])).rows

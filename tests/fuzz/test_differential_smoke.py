@@ -5,8 +5,10 @@ paths only, to stay well under ten seconds); the open-ended variant with
 the wire-protocol paths included is marked ``slow`` and runs in the
 nightly fuzz job.  Also covers the fuzzer's own guarantees: per-case
 determinism, global-random independence, repro-file round-trips, and —
-the self-test that makes the oracle trustworthy — that a deliberately
-injected rewriter bug is caught, minimized and replayable.
+the self-tests that make the oracle trustworthy — that a deliberately
+injected rewriter bug is caught, minimized and replayable, that an
+injected executor bug is caught at all, and that the shrinker stays sound
+under a reference engine more permissive than the one it checks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.generator import FUZZ_KINDS
 from repro.fuzz.runner import normalize_rows
+from repro.fuzz.shrinker import candidates
 from repro.fuzz.scenario import ScenarioSpec
 
 SMOKE_SEED = 2015
@@ -118,6 +121,48 @@ def test_injected_bug_is_caught_minimized_and_replayable(
     runner.world.monitor.clear_plan_cache()
     fixed_replay, _ = replay(path, use_server=False)
     assert fixed_replay.ok, "repro still fails after the bug is removed"
+
+
+def test_injected_executor_bug_is_caught(world, runner) -> None:
+    """A vectorized ``>=`` that evaluates as ``>`` must produce a
+    disagreement.  It did not while the oracle ran its expectation on the
+    engine's own executor — both sides were wrong together."""
+    generator = FuzzQueryGenerator.for_world(world, seed=SMOKE_SEED)
+    with inject_bug("ge-as-gt"):
+        caught = [
+            report.case.sql
+            for report in map(runner.run_case, generator.cases(SMOKE_CASES))
+            if not report.ok
+        ]
+    runner.world.monitor.clear_plan_cache()
+    assert caught, "injected executor bug went undetected"
+    assert all(">=" in sql for sql in caught), caught
+
+
+def test_shrinker_stays_sound_under_the_permissive_reference(runner) -> None:
+    """sqlite accepts statements this engine refuses or leaves undefined;
+    none of them may pass for a smaller reproduction."""
+    case = FuzzQueryGenerator(seed=SMOKE_SEED).case(3)
+    # A select-list alias in WHERE binds in sqlite, not here: validity is
+    # the production binder's call, so the oracle errors with every path.
+    aliased = runner.run_case(
+        case.with_sql("select beats as b from sensed_data where b > 100")
+    )
+    assert aliased.ok and all(p.outcome == "error" for p in aliased.paths)
+    # What only sqlite refuses is a reported disagreement, not a crash.
+    foreign = runner.run_case(
+        case.with_sql("select greatest(beats, 100) from sensed_data")
+    )
+    assert any("sqlite reference" in failure for failure in foreign.failures)
+    # Ungrouping ``position, min(beats)`` leaves the row ``position`` is
+    # read from to the engine — sqlite and this one differ — so it is not
+    # a candidate until the bare column has been dropped.
+    grouped = "select position, min(beats) from sensed_data group by position"
+    offered = [c.sql for c in candidates(case.with_sql(grouped))]
+    assert "select position, min(beats) from sensed_data" not in offered
+    assert "select min(beats) from sensed_data group by position" in offered
+    (ungrouped,) = candidates(case.with_sql(offered[0]))
+    assert ungrouped.sql == "select min(beats) from sensed_data"
 
 
 class TestOptimizerEquivalence:

@@ -1,18 +1,22 @@
-"""Differential testing of the batch executor against the row reference.
+"""Differential testing of the executor against the sqlite reference.
 
-The batch executor (DESIGN.md §12) must be observationally identical to
-the row-at-a-time reference: same rows and columns, same denial/error
-outcome, the *same* ``complieswith`` invocation count (masked vectorized
-evaluation preserves short-circuit semantics, and the policy guard resolves
-its bitmap once per execution in both modes), and the same audit trail.
+The engine's one physical executor (DESIGN.md §12) must be observationally
+identical to the oracle's ``sqlite3`` run over policy-pre-filtered tables
+(:mod:`repro.fuzz.oracle`): same rows and columns, same denial/error
+outcome, and an audit trail that says what happened — one record per
+execution carrying the submission's user and purpose, the row count and the
+``complieswith`` count the execution reported.
 
 Three layers of coverage:
 
 * every regression-corpus file replayed through the full differential
-  harness under each executor mode,
-* a 500-case seed-2015 campaign comparing row and batch execution of
-  every generated case directly against each other, and
-* the campaign's audit records compared field-by-field.
+  harness in both page modes — the default 1 024-row page, which the
+  25 × 8-row fuzz world fits into whole, and 7-row pages, where the policy
+  guard's offset arithmetic, the id-paged index path and the hash join's
+  build-side ``base`` all cross page boundaries,
+* a 500-case seed-2015 campaign comparing every generated case and its
+  audit records field by field against the reference, and
+* the first 200 of those cases again at 7-row pages.
 """
 
 from __future__ import annotations
@@ -22,29 +26,35 @@ from pathlib import Path
 import pytest
 
 from repro.core import AuditLog
+from repro.engine import DEFAULT_BATCH_SIZE
 from repro.errors import ReproError, UnauthorizedPurposeError
-from repro.fuzz import DifferentialRunner, FuzzQueryGenerator, build_fuzz_scenario, load_repro
+from repro.fuzz import (
+    DifferentialRunner,
+    EnforcementOracle,
+    FuzzQueryGenerator,
+    build_fuzz_scenario,
+    load_repro,
+)
 from repro.fuzz.runner import normalize_rows
 from repro.fuzz.scenario import ScenarioSpec
 
 CAMPAIGN_SEED = 2015
 CAMPAIGN_CASES = 500
+PAGED_CASES = 200
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
 
-EXECUTOR_MODES = ("batch", "row")
+#: Rows per page in each mode.
+PAGE_MODES = {"batch": DEFAULT_BATCH_SIZE, "paged": 7}
 
 
-@pytest.fixture(scope="module", params=EXECUTOR_MODES)
+@pytest.fixture(scope="module", params=PAGE_MODES)
 def mode_runner(request):
-    """One full differential harness (server included) per executor mode."""
+    """One full differential harness (server included) per page mode."""
     with DifferentialRunner(spec=ScenarioSpec()) as runner:
-        runner.world.monitor.set_executor(request.param)
-        try:
-            yield runner
-        finally:
-            runner.world.monitor.set_executor(None)
+        runner.world.monitor.batch_size = PAGE_MODES[request.param]
+        yield runner
 
 
 @pytest.mark.parametrize(
@@ -57,19 +67,35 @@ def test_corpus_replays_clean_in_both_modes(mode_runner, path: Path) -> None:
 
 
 class TestExecutorCampaign:
-    """500 generated cases, each executed under row and batch modes."""
-
-    @pytest.fixture(scope="class")
-    def eq_world(self):
-        instance = build_fuzz_scenario(ScenarioSpec())
-        audit = AuditLog(instance.database)
-        instance.monitor.attach_audit(audit)
-        return instance, audit
+    """Generated cases, each executed by the engine and by sqlite."""
 
     @staticmethod
-    def _run_mode(world, audit, case, mode):
+    def _world(batch_size: int):
+        instance = build_fuzz_scenario(ScenarioSpec())
+        instance.monitor.batch_size = batch_size
+        audit = AuditLog(instance.database)
+        instance.monitor.attach_audit(audit)
+        return instance, audit, EnforcementOracle(instance.admin)
+
+    @staticmethod
+    def _reference(world, oracle, case):
+        """What sqlite says the submission returns."""
+        if case.user is not None and not world.is_authorized(case.user, case.purpose):
+            return ("denied", None, None)
+        try:
+            expected = oracle.expected(case.sql, case.purpose, case.params or None)
+        except ReproError:
+            return ("error", None, None)
+        return (
+            "rows",
+            tuple(c.lower() for c in expected.columns),
+            tuple(normalize_rows(expected.rows)),
+        )
+
+    @staticmethod
+    def _engine(world, audit, case):
+        """What the engine returns, and the audit trail it should and did leave."""
         monitor = world.monitor
-        monitor.set_executor(mode)
         monitor.clear_plan_cache()
         monitor.clear_policy_bitmaps()
         audit_before = len(audit)
@@ -78,38 +104,48 @@ class TestExecutorCampaign:
                 case.sql, case.purpose, user=case.user, params=case.params or None
             )
         except UnauthorizedPurposeError:
-            outcome = ("denied", None, None, None)
-        except ReproError as exc:
-            outcome = ("error", type(exc).__name__, None, None)
+            outcome = ("denied", None, None)
+            owed = (("denied", case.user, case.purpose, 0, 0),)
+        except ReproError:
+            outcome = ("error", None, None)
+            owed = ()
         else:
             outcome = (
                 "rows",
                 tuple(c.lower() for c in report.result.columns),
                 tuple(normalize_rows(report.result.rows)),
-                report.compliance_checks,
+            )
+            owed = (
+                (
+                    "allowed", case.user, case.purpose,
+                    len(report.result), report.compliance_checks,
+                ),
             )
         trail = tuple(
             (r.outcome, r.user, r.purpose, r.rows, r.compliance_checks)
             for r in audit.records[audit_before:]
         )
-        return outcome, trail
+        return outcome, owed, trail
 
-    def test_500_cases_agree_between_executors(self, eq_world) -> None:
-        world, audit = eq_world
+    def _campaign(self, cases: int, batch_size: int) -> None:
+        world, audit, oracle = self._world(batch_size)
         generator = FuzzQueryGenerator.for_world(world, seed=CAMPAIGN_SEED)
-        previous = world.monitor.executor_mode
         disagreements = []
-        try:
-            for case in generator.cases(CAMPAIGN_CASES):
-                row = self._run_mode(world, audit, case, "row")
-                batch = self._run_mode(world, audit, case, "batch")
-                if row != batch:
-                    disagreements.append(
-                        f"{case.replay_token} ({case.kind}): {case.sql!r}\n"
-                        f"  row:   {row}\n  batch: {batch}"
-                    )
-                    if len(disagreements) >= 5:
-                        break
-        finally:
-            world.monitor.set_executor(previous)
+        for case in generator.cases(cases):
+            reference = self._reference(world, oracle, case)
+            outcome, owed, trail = self._engine(world, audit, case)
+            if outcome != reference or trail != owed:
+                disagreements.append(
+                    f"{case.replay_token} ({case.kind}): {case.sql!r}\n"
+                    f"  sqlite: {reference}\n  engine: {outcome}\n"
+                    f"  audit:  {trail} (owed {owed})"
+                )
+                if len(disagreements) >= 5:
+                    break
         assert disagreements == [], "\n\n".join(disagreements)
+
+    def test_500_cases_agree_between_executors(self) -> None:
+        self._campaign(CAMPAIGN_CASES, PAGE_MODES["batch"])
+
+    def test_200_cases_agree_across_page_boundaries(self) -> None:
+        self._campaign(PAGED_CASES, PAGE_MODES["paged"])

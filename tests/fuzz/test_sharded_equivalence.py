@@ -6,10 +6,9 @@ fronting :class:`~repro.shard.coordinator.ShardCoordinator` at shard
 counts 1 and 3 (``DifferentialRunner(sharded_counts=(1, 3))``).  The
 sharded paths must agree with the oracle on rows, columns and denial
 outcomes, and — because sharded deployments pin
-``optimizer=off, executor=row, indexes=off``, where per-row
-``complieswith`` evaluation is exactly conserved under row partitioning —
-must agree with *each other* on compliance-check counts across shard
-counts.
+``optimizer=off, indexes=off``, where every guard conjunct is evaluated
+per row and that count is exactly conserved under row partitioning — must
+agree with *each other* on compliance-check counts across shard counts.
 
 Two layers of coverage:
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import COMPLIES_WITH
 from repro.fuzz import EnforcementOracle, load_repro
+from repro.fuzz.runner import normalize_rows
 from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario
 from repro.obs import MetricsRegistry
 
@@ -64,7 +65,9 @@ def _authorized(world, case) -> bool:
 
 
 def _sorted_rows(result):
-    return sorted(result.rows, key=repr)
+    # The oracle's rows come from sqlite: policy masks as bit text, float
+    # sums in its own join order — compared the way the fuzzer compares.
+    return normalize_rows(result.rows)
 
 
 @pytest.mark.parametrize("name,case", CASES, ids=[name for name, _ in CASES])

@@ -38,12 +38,10 @@ def golden_monitor():
     """The deterministic world all golden plans are produced against."""
     instance = build_patients_scenario(patients=25, samples_per_patient=8)
     apply_experiment_policies(instance, selectivity=0.4, seed=99)
-    # Golden files are produced with the full pass pipeline, the batch
-    # executor at the default page size and index-based access paths on;
-    # pin all three so the comparison is stable even when the suite runs
-    # under REPRO_OPTIMIZER=off, REPRO_EXECUTOR=row or REPRO_INDEXES=off.
+    # Golden files are produced with the full pass pipeline and index-based
+    # access paths on; pin both so the comparison is stable even when the
+    # suite runs under REPRO_OPTIMIZER=off or REPRO_INDEXES=off.
     instance.monitor.set_optimizer("on")
-    instance.monitor.set_executor("batch", batch_size=1024)
     instance.monitor.set_indexes("on")
     return instance.monitor
 
@@ -73,7 +71,6 @@ def indexed_monitor():
         "create index watch_ts on sensed_data (watch_id, timestamp)"
     )
     instance.monitor.set_optimizer("on")
-    instance.monitor.set_executor("batch", batch_size=1024)
     instance.monitor.set_indexes("on")
     return instance.monitor
 
@@ -171,39 +168,6 @@ class TestExplainAnalyze:
             if not line.startswith(("Execution: ", "Timing: "))
         ]
         assert stripped == plain
-
-    def test_analyze_row_ledger_is_per_row_accurate_in_batch_mode(
-        self, golden_monitor
-    ):
-        """Batch mode's (rows=N) figures must equal row mode's exactly.
-
-        The ledger credits the *sum of batch lengths* to each node, not the
-        batch count, so EXPLAIN ANALYZE under the batch executor reports the
-        same per-node row totals as the row-at-a-time reference.
-        """
-        import re
-
-        query = AD_HOC_QUERIES[0]
-
-        def row_counts(mode: str) -> list[str]:
-            golden_monitor.set_executor(mode, batch_size=1024)
-            golden_monitor.clear_plan_cache()
-            golden_monitor.clear_policy_bitmaps()
-            try:
-                lines = [
-                    row[0]
-                    for row in golden_monitor.explain(
-                        query.sql, "p6", analyze=True
-                    ).rows
-                ]
-            finally:
-                golden_monitor.set_executor("batch", batch_size=1024)
-            counted = [line for line in lines if "(rows=" in line]
-            if mode == "batch":
-                assert any(", batches=" in line for line in counted), counted
-            return [re.sub(r", batches=\d+", "", line) for line in counted]
-
-        assert row_counts("batch") == row_counts("row")
 
     def test_analyze_row_counts_are_real(self, golden_monitor):
         query = AD_HOC_QUERIES[0]  # q1: distinct watch_id over sensed_data
