@@ -29,6 +29,10 @@ class AuditRecord:
     outcome: str  # "allowed" | "denied" | "purpose_switch"
     rows: int
     compliance_checks: int
+    #: How a shard coordinator executed the statement (``scatter_rows`` /
+    #: ``scatter_agg`` / ``single``); empty for a monitor's own executions.
+    #: Kept in memory only — the ``al`` table keeps its persisted shape.
+    route: str = ""
 
 
 class AuditLog:
@@ -70,6 +74,7 @@ class AuditLog:
         outcome: str,
         rows: int = 0,
         compliance_checks: int = 0,
+        route: str = "",
     ) -> AuditRecord:
         """Append one event to the log (memory + the ``al`` table)."""
         with self._lock:
@@ -82,6 +87,7 @@ class AuditLog:
                 outcome=outcome,
                 rows=rows,
                 compliance_checks=compliance_checks,
+                route=route,
             )
             self.records.append(entry)
             self.database.table(self.TABLE).insert_row(

@@ -349,7 +349,7 @@ class EnforcementMonitor:
         if self.metrics is not None:
             self.metrics.counter("repro_queries_total").inc(outcome=outcome)
 
-    def _audit(
+    def record_audit(
         self,
         user: str | None,
         purpose: str,
@@ -358,14 +358,22 @@ class EnforcementMonitor:
         outcome: str,
         rows: int = 0,
         checks: int = 0,
+        route: str = "",
     ) -> None:
+        """Write one audit record, if a log is attached.
+
+        Every execution path of this monitor ends here; so does a shard
+        coordinator, which audits a scattered statement once, under the
+        ``route`` it took (shard-side executions are not audited).
+        """
         if self.audit is not None:
             # Audit rows are written outside any ambient transaction: the
             # record of an attempt must survive even when the transaction
             # that made it rolls back (and must never be staged).
             with txn_scope(None):
                 self.audit.record(
-                    user, purpose, query_id, statement, outcome, rows, checks
+                    user, purpose, query_id, statement, outcome, rows, checks,
+                    route,
                 )
             if self.metrics is not None:
                 self.metrics.counter("repro_audit_records_total").inc()
@@ -575,7 +583,7 @@ class EnforcementMonitor:
         if trace is None:
             trace = self._begin_trace()
         if user is not None and not self.authorizer.is_authorized(user, purpose):
-            self._audit(
+            self.record_audit(
                 user,
                 purpose,
                 qid,
@@ -622,7 +630,7 @@ class EnforcementMonitor:
             rows=len(result), checks=checks, memo_hits=memo_hits
         )
 
-        self._audit(
+        self.record_audit(
             user, purpose, qid, original_sql, "allowed",
             rows=len(result), checks=checks,
         )
@@ -748,7 +756,7 @@ class EnforcementMonitor:
         statement, qid, text = self._resolve(query, allow_set_ops=True)
         original_sql = text if text is not None else to_sql(statement)
         if user is not None and not self.authorizer.is_authorized(user, purpose):
-            self._audit(user, purpose, qid, original_sql, "denied")
+            self.record_audit(user, purpose, qid, original_sql, "denied")
             raise UnauthorizedPurposeError(user, purpose)
         plan, hit = self._compiled_plan(statement, qid, purpose)
 
@@ -804,7 +812,7 @@ class EnforcementMonitor:
         else:
             lines.extend(plan.plan.describe_arms())
 
-        self._audit(
+        self.record_audit(
             user, purpose, qid, original_sql, "explain", rows=rows, checks=checks
         )
         if self.metrics is not None:
@@ -850,7 +858,7 @@ class EnforcementMonitor:
         original_sql = text if text is not None else to_sql(statement)
         statement_id = compute_query_id(original_sql)
         if user is not None and not self.authorizer.is_authorized(user, purpose):
-            self._audit(user, purpose, statement_id, original_sql, "denied")
+            self.record_audit(user, purpose, statement_id, original_sql, "denied")
             self._count_query("denied")
             raise UnauthorizedPurposeError(user, purpose)
         self.admin.purposes.get(purpose)
@@ -859,7 +867,7 @@ class EnforcementMonitor:
         checks_before = database.function_calls(COMPLIES_WITH)
         affected = database.execute(rewritten, indexes=self.indexes_mode)
         checks = database.function_calls(COMPLIES_WITH) - checks_before
-        self._audit(
+        self.record_audit(
             user, purpose, statement_id, original_sql, "allowed",
             rows=affected, checks=checks,
         )

@@ -58,7 +58,7 @@ class Session:
         """
         self.monitor.admin.purposes.get(purpose)
         previous, self._purpose = self._purpose, purpose
-        self.monitor._audit(
+        self.monitor.record_audit(
             self.user,
             purpose,
             "-",

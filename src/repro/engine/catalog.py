@@ -151,6 +151,21 @@ class Catalog:
                     return entry.value
             return None
 
+    def kinds_since(self, version: int) -> set[str]:
+        """The entry kinds that have a commit newer than ``version``.
+
+        Pruning never drops a slot's newest entry, so this stays exact
+        however much history is gone.  A shard coordinator uses it to tell
+        catalog movement it can ship (DDL kinds only) from movement it
+        cannot (an ``"acm"`` commit made behind its back).
+        """
+        with self._lock:
+            return {
+                kind
+                for (kind, _key), history in self._entries.items()
+                if history and history[-1].version > version
+            }
+
     def has_entry(self, kind: str, key: str) -> bool:
         with self._lock:
             return bool(self._entries.get((kind, key.lower())))

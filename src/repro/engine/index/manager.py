@@ -356,6 +356,12 @@ class IndexManager:
         self._rebuilds += 1
         return entry
 
+    def build(self, name: str) -> None:
+        """Build (or revalidate) index ``name`` now, not at its first probe."""
+        definition = self.get(name)
+        with self._lock:
+            self._entry(definition)
+
     # -- lookups ---------------------------------------------------------------
 
     def lookup_equal(self, name: str, key) -> list[int]:

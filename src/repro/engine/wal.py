@@ -286,7 +286,7 @@ def _replay_effects(database: Database, record: dict, ts: int) -> None:
         database.table(table_name).apply_committed(*_decode_effect(effect), ts)
 
 
-def _encode_ddl_op(op: dict) -> dict:
+def encode_ddl_op(op: dict) -> dict:
     """Make a CatalogOp WAL descriptor JSON-serializable.
 
     Embedded engine objects — a :class:`~repro.engine.schema.Column`, a
@@ -313,8 +313,14 @@ def _encode_ddl_op(op: dict) -> dict:
     return encoded
 
 
-def _replay_ddl(database: Database, record: dict, ts: int) -> None:
-    """Reapply one DDL record: catalog ops first, then the row effects."""
+def apply_ddl(database: Database, record: dict, ts: int) -> None:
+    """Apply one DDL record at ``ts``: catalog ops first, then row effects.
+
+    The one applier of logical DDL ops (``ops`` as :func:`encode_ddl_op`
+    produces them): recovery replays logged records through it, and a
+    shard worker applies the ops its coordinator ships through it
+    (:mod:`repro.shard.worker`, verb ``ddl``).
+    """
     from . import persist
     from .index import IndexDefinition
     from .schema import TableSchema
@@ -415,7 +421,7 @@ class DurabilityManager:
         record = {
             "type": DDL,
             "ts": ts,
-            "ops": [_encode_ddl_op(op) for op in ops],
+            "ops": [encode_ddl_op(op) for op in ops],
         }
         return self._log(record, table_ops)
 
@@ -522,7 +528,7 @@ def open_database(
         if ts <= checkpoint_clock:
             continue
         if record_type == DDL:
-            _replay_ddl(database, record, ts)
+            apply_ddl(database, record, ts)
         else:
             _replay_effects(database, record, ts)
         manager.advance_clock_to(ts)

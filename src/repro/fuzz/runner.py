@@ -26,7 +26,12 @@ reach enforcement by:
     shard counts* (they
     are compared among the sharded paths, not against the default-mode
     paths, and cache-hit expectations do not apply to the separate
-    replica worlds).
+    replica worlds).  One more deployment at the largest shard count runs
+    at default modes (``sharded-N-default``: bitmaps, indexes on) and is
+    compared on rows only.  Before a case runs through them, a seeded
+    ``ddl-index`` step creates or drops a secondary index straight on
+    every replica's database, with no epoch bump: the coordinator has to
+    ship it to its shards by itself, and the default-mode shards probe it.
 
 All row-returning paths must agree with the oracle on columns and row
 multiset, report the same ``complieswith`` invocation count, and match the
@@ -56,6 +61,7 @@ failures) without masking real disagreements.
 from __future__ import annotations
 
 import dataclasses
+import random
 from dataclasses import dataclass, field
 
 from ..core.admin import POLICY_COLUMN
@@ -167,7 +173,7 @@ class DifferentialRunner:
         self.use_server = use_server
         self.sharded_counts = tuple(sharded_counts)
         self._server: QueryServer | None = None
-        self._sharded: dict = {}  # shard count -> running AsyncQueryServer
+        self._sharded: dict = {}  # (shard count, pinned) -> AsyncQueryServer
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -177,24 +183,56 @@ class DifferentialRunner:
             self._server = QueryServer(self.world.monitor).start()
         return self._server
 
-    def sharded_server(self, count: int):
-        """The running async sharded deployment for one shard count (lazy)."""
-        if count not in self._sharded:
+    def sharded_server(self, count: int, pinned: bool = True):
+        """The running async sharded deployment for one shard count (lazy).
+
+        ``pinned`` deployments run ``optimizer=off, indexes=off``: per-row
+        complieswith counts are conserved exactly under partitioning only
+        when every guard conjunct is evaluated row by row with no
+        bitmap/memo hoisting.  The other one runs at default modes.
+        """
+        if (count, pinned) not in self._sharded:
             from ..server.async_server import AsyncQueryServer
             from ..shard import ShardCoordinator, WorldRecipe
 
+            modes = {"optimizer": "off", "indexes": "off"} if pinned else {}
             coordinator = ShardCoordinator(
-                WorldRecipe.for_fuzz(self.world.spec),
-                count,
-                backend="inline",
-                # Pinned modes: per-row complieswith counts are conserved
-                # exactly under partitioning only when every guard conjunct
-                # is evaluated row by row with no bitmap/memo hoisting.
-                optimizer="off",
-                indexes="off",
+                WorldRecipe.for_fuzz(self.world.spec), count, backend="inline", **modes
             )
-            self._sharded[count] = AsyncQueryServer(coordinator).start()
-        return self._sharded[count]
+            self._sharded[count, pinned] = AsyncQueryServer(coordinator).start()
+        return self._sharded[count, pinned]
+
+    def _sharded_legs(self) -> "list[tuple[int, bool]]":
+        """``(count, pinned)`` per sharded path: every count pinned, then
+        the largest once more at default modes."""
+        if not self.sharded_counts:
+            return []
+        legs = [(count, True) for count in self.sharded_counts]
+        return legs + [(max(self.sharded_counts), False)]
+
+    def toggle_replica_index(self, rng: random.Random) -> str:
+        """``ddl-index`` on every sharded replica; returns its description.
+
+        The statement runs straight on the coordinator's database from this
+        thread, as an operator's session would, and nothing is broadcast:
+        the next statement through the coordinator must find the shards
+        level with the replica all the same.
+        """
+        table = rng.choice(sorted(self.world.admin.target_tables()))
+        columns = [
+            column.name
+            for column in self.world.database.table(table).schema.columns
+            if column.name.lower() != POLICY_COLUMN
+        ]
+        name = f"idx_fuzz_{table}"
+        create = f"create index {name} on {table} ({rng.choice(columns)})"
+        ddl = ""
+        for leg in self._sharded_legs():
+            database = self.sharded_server(*leg).coordinator.database
+            exists = database.indexes.find(name) is not None
+            ddl = f"drop index {name}" if exists else create
+            database.execute(ddl)
+        return ddl
 
     def close(self) -> None:
         if self._server is not None:
@@ -250,8 +288,11 @@ class DifferentialRunner:
         )
 
         if self.sharded_counts:
+            self.toggle_replica_index(
+                random.Random(f"{case.replay_token}:ddl-index")
+            )
             sharded = [
-                self._sharded_path(case, count) for count in self.sharded_counts
+                self._sharded_path(case, *leg) for leg in self._sharded_legs()
             ]
             self._check_sharded(
                 case,
@@ -367,12 +408,14 @@ class DifferentialRunner:
             cache_hit=answer.cache_hit,
         )
 
-    def _sharded_path(self, case: FuzzCase, count: int) -> PathResult:
-        name = f"sharded-{count}"
+    def _sharded_path(
+        self, case: FuzzCase, count: int, pinned: bool = True
+    ) -> PathResult:
+        name = f"sharded-{count}" if pinned else f"sharded-{count}-default"
         user = case.user if case.user is not None else self.world.users[0]
         params = case.params or None
         try:
-            with Client(*self.sharded_server(count).address) as client:
+            with Client(*self.sharded_server(count, pinned).address) as client:
                 client.hello(user, case.purpose)
                 answer = client.query(case.sql, params)
         except RemoteError as exc:
@@ -386,7 +429,9 @@ class DifferentialRunner:
             "rows",
             columns=[c.lower() for c in answer.columns],
             rows=normalize_rows(answer.rows),
-            checks=answer.checks,
+            # Bitmaps and memos make default-mode counts depend on what ran
+            # before: that leg is compared on rows only.
+            checks=answer.checks if pinned else None,
             cache_hit=answer.cache_hit,
         )
 
@@ -543,6 +588,8 @@ class DifferentialRunner:
                     f"{len(expected_rows)} "
                     f"(first diff: {_first_difference(path.rows, expected_rows)})"
                 )
+            if path.checks is None:
+                continue
             if baseline_checks is None:
                 baseline_checks = path.checks
             elif path.checks != baseline_checks:

@@ -25,6 +25,11 @@ For each :class:`~.generator.FuzzCase` the runner:
 A case whose reference errors must keep erroring at every pinned read
 (consistent-error rule, as in :class:`~.runner.DifferentialRunner`).
 
+With ``sharded_counts`` the ``ddl-index`` step also runs on the replica of
+every sharded deployment (no epoch bump), and the case then has to answer
+through each of them exactly as it did before the schedule started: an
+index is an access path, never an answer.
+
 Schedules are deterministic per ``(case.replay_token, schedule seed)``:
 every step draws from one :class:`random.Random`, so a failing schedule
 replays from its token alone.
@@ -91,6 +96,12 @@ class ScheduleReport:
         return "\n".join(lines)
 
 
+def _answer(path) -> tuple:
+    """What a sharded path answered, without the cache-hit flag (the DDL
+    moves the epoch, so plans recompile)."""
+    return (path.outcome, path.columns, path.rows, path.checks)
+
+
 class ScheduleRunner(DifferentialRunner):
     """A differential runner that also drives interleaved schedules.
 
@@ -100,8 +111,19 @@ class ScheduleRunner(DifferentialRunner):
     schedules pin transactions in-process, not over the wire.
     """
 
-    def __init__(self, world=None, spec=None, use_server: bool = False):
-        super().__init__(world=world, spec=spec, use_server=use_server)
+    def __init__(
+        self,
+        world=None,
+        spec=None,
+        use_server: bool = False,
+        sharded_counts: "tuple[int, ...]" = (),
+    ):
+        super().__init__(
+            world=world,
+            spec=spec,
+            use_server=use_server,
+            sharded_counts=sharded_counts,
+        )
         self._policies: PolicyManager | None = None
 
     def _policy_manager(self) -> PolicyManager:
@@ -221,6 +243,11 @@ class ScheduleRunner(DifferentialRunner):
             f"{case.replay_token}:{schedule_seed if schedule_seed is not None else 'schedule'}"
         )
         transactions = self.world.database.transactions
+        # The replica worlds see none of the schedule's policy or data
+        # churn, only its index DDL: their answers may never move.
+        sharded_before = [
+            self._sharded_path(case, *leg) for leg in self._sharded_legs()
+        ]
 
         txn = transactions.begin()
         try:
@@ -231,6 +258,16 @@ class ScheduleRunner(DifferentialRunner):
                 read = self._pinned_read(txn, case, f"after {steps[-1]}")
                 reads.append(read)
                 self._compare(reference, read, failures)
+                if sharded_before and "ddl-index" in steps[-1]:
+                    steps[-1] += f" + replicas[{self.toggle_replica_index(rng)}]"
+                    for leg, before in zip(self._sharded_legs(), sharded_before):
+                        after = self._sharded_path(case, *leg)
+                        if _answer(after) != _answer(before):
+                            failures.append(
+                                f"{after.path} after {steps[-1]}: "
+                                f"{_answer(after)} != {_answer(before)} "
+                                f"before the schedule"
+                            )
         finally:
             transactions.rollback(txn)
 

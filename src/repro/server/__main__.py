@@ -14,7 +14,6 @@ interrupted.  Connect with :class:`repro.server.Client`::
 from __future__ import annotations
 
 import argparse
-import asyncio
 
 from ..core import AuditLog, default_purpose_set
 from ..workload import apply_experiment_policies, build_patients_scenario
@@ -89,9 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             recipe, max(1, args.shards), backend=args.backend
         )
         coordinator.monitor.attach_audit(AuditLog(coordinator.database))
-        # Creating the audit table moved the local replica's catalog version,
-        # which is the epoch scatters are checked against: broadcast it.
-        asyncio.run(coordinator.bump_epoch())
         server: "AsyncQueryServer | QueryServer" = AsyncQueryServer(
             coordinator,
             host=args.host,

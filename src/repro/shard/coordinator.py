@@ -2,13 +2,19 @@
 
 :class:`ShardCoordinator` owns one full local replica (for ``LOCAL``-routed
 statements) plus N shard workers, and turns every statement into one of
-three executions (:mod:`repro.shard.router`):
+four executions (:mod:`repro.shard.router`):
 
 * ``SCATTER_ROWS`` — the original SELECT fans out verbatim; results
   concatenate.
 * ``SCATTER_AGG`` — the decomposed partial-aggregate statement fans out;
   partial rows fold through the :class:`~repro.shard.partial.MergeSpec`.
+* ``SINGLE`` — a lookup on a table's full primary key goes verbatim to the
+  one shard the bound key hashes to.
 * ``LOCAL`` — the statement runs on the local replica's monitor.
+
+Shards never see users: the coordinator authorizes the purpose once and
+writes the one audit record of a scattered statement (a ``LOCAL`` one is
+audited by the replica's monitor, like any single-node execution).
 
 **Two-phase epoch broadcast.**  Policy and DML writes take the write side
 of an :class:`AsyncReadWriteLock` (the *fence*), which first drains every
@@ -22,6 +28,23 @@ the epoch it executed under, and the coordinator rejects (and retries) any
 scatter whose responses straddle two epochs — with a correct fence that
 code path never fires, which is exactly what the epoch-race stress test
 pins down.
+
+**Catalog shipping.**  The epoch is the replica's catalog version, and DDL
+moves it too.  The coordinator remembers the version it last broadcast;
+when the replica has since moved by DDL alone (``index`` / ``schema`` /
+``table`` catalog entries — ``CREATE INDEX`` run straight on
+:attr:`ShardCoordinator.database`, the audit trail's ``CREATE TABLE``) the
+next :meth:`~ShardCoordinator.query` takes the fence, sends every shard the
+logical ops that bring its tables and indexes level with the replica's
+(the WAL's op dicts, applied by the WAL's applier), pushes the rows of
+altered tables and broadcasts the epoch; :meth:`~ShardCoordinator.policy_write`
+does the same as part of every write.  (A DDL that commits on the replica
+under a scatter in flight costs that scatter one retry, which ships it.)
+Movement that is *not* DDL and did
+not come through ``policy_write`` — an ``acm`` commit made behind the
+coordinator's back — is left alone: the coordinator cannot know which
+policy cells changed, so scatters keep failing closed with
+:class:`SplitEpochError` until a ``policy_write`` resyncs them.
 """
 
 from __future__ import annotations
@@ -31,7 +54,9 @@ import time
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
 
+from ..core.query_model import query_id
 from ..engine import ResultSet
+from ..engine.wal import encode_ddl_op
 from ..errors import (
     AccessControlError,
     ExecutionError,
@@ -46,17 +71,22 @@ from ..sql import ast, parse_statement
 from ..sql.printer import to_sql
 from .partial import decompose, merge_rows
 from .recipe import WorldRecipe, build_world
-from .router import Route, classify, partition_rows
+from .router import Route, classify, partition_rows, single_shard
 from .worker import InlineShard, ProcessShard, ShardWorker
 
 #: How many times a split-epoch scatter is retried before giving up.  With
-#: the write fence held through both broadcast phases a retry never fires;
-#: the bound exists so a fence regression fails loudly instead of looping.
+#: the write fence held through both broadcast phases the only retry that
+#: fires is the one a DDL commit on the replica costs the scatter it lands
+#: under (the retry ships it); the bound exists so a fence regression fails
+#: loudly instead of looping.
 EPOCH_RETRIES = 3
 
 #: Bound on distinct cached route decisions (cleared wholesale at the cap —
 #: route entries are tiny and real workloads repeat far fewer statements).
 ROUTE_CACHE_LIMIT = 512
+
+#: Catalog entry kinds whose commits the coordinator can ship as DDL ops.
+_DDL_KINDS = frozenset({"index", "schema", "table"})
 
 #: Wire-code → exception class for errors propagated up from shards.
 _SHARD_ERRORS = {
@@ -69,6 +99,28 @@ _SHARD_ERRORS = {
 
 class SplitEpochError(ServerError):
     """A scatter observed two policy epochs — the fence was breached."""
+
+
+def _schema_ops(table: str, old: tuple, new: tuple) -> list[dict]:
+    """The column ops that turn a shard's ``old`` columns into ``new``.
+
+    ALTER TABLE removes a column in place or appends one, so ``new`` is
+    the surviving columns of ``old``, in order, then the appended ones.
+    """
+    dropped, added, position = [], (), 0
+    for index, column in enumerate(new):
+        try:
+            found = old.index(column, position)
+        except ValueError:
+            added = new[index:]
+            break
+        dropped.extend(old[position:found])
+        position = found + 1
+    dropped.extend(old[position:])
+    return [
+        {"op": "drop_column", "table": table, "column": column.name}
+        for column in dropped
+    ] + [{"op": "add_column", "table": table, "column": column} for column in added]
 
 
 class AsyncReadWriteLock:
@@ -221,6 +273,19 @@ class ShardCoordinator:
         # statement's route.  Write paths additionally clear it eagerly.
         self._route_cache: dict = {}
         self._route_cache_version = self.database.catalog.version
+        # What the shards hold as far as DDL goes — the recipe world's
+        # tables (key → columns) and the indexes over them — and the
+        # catalog version they were last brought level with.  A table
+        # created on the replica later (the audit trail's ``al``) is
+        # coordinator-local: never shipped, always routed ``local``.
+        self._shard_tables = {
+            key: table.schema.columns for key, table in self.database.tables.items()
+        }
+        self._shard_indexes = {
+            definition.name: definition
+            for definition in self.database.indexes.definitions()
+        }
+        self._shipped_version = self.database.catalog.version
 
     def close(self) -> None:
         """Release the shard transports (processes for the process backend)."""
@@ -229,23 +294,28 @@ class ShardCoordinator:
 
     # -- scatter plumbing -----------------------------------------------------------
 
-    async def _scatter(self, request: dict, trace=NULL_TRACE) -> list[dict]:
-        """Send one request to every shard concurrently; gather responses."""
-        self.metrics.counter("repro_shard_fanout_total").inc(len(self._shards))
+    async def _scatter(
+        self, request: dict, trace=NULL_TRACE, targets=None
+    ) -> list[dict]:
+        """Send one request to the ``targets`` shards (default: every shard)
+        concurrently; gather the responses, failing on the first bad one."""
+        if targets is None:
+            targets = range(len(self._shards))
+        self.metrics.counter("repro_shard_fanout_total").inc(len(targets))
         histogram = self.metrics.histogram("repro_shard_seconds")
 
-        async def call(index: int, shard) -> dict:
+        async def call(index: int) -> dict:
             begin = time.perf_counter()
             with trace.span(f"shard{index}"):
-                response = await shard.call(request)
+                response = await self._shards[index].call(request)
             histogram.observe(time.perf_counter() - begin, shard=str(index))
             return response
 
-        return list(
-            await asyncio.gather(
-                *(call(index, shard) for index, shard in enumerate(self._shards))
-            )
-        )
+        responses = list(await asyncio.gather(*map(call, targets)))
+        for response in responses:
+            if not response.get("ok"):
+                self._raise_shard_error(response)
+        return responses
 
     @staticmethod
     def _raise_shard_error(response: dict) -> None:
@@ -263,11 +333,27 @@ class ShardCoordinator:
         self, sql: str, purpose: str, user: str | None = None, params=None
     ) -> ShardedReport:
         """Enforce and execute one SELECT across the deployment."""
-        async with self.fence.read_locked():
-            return await self._query_fenced(sql, purpose, user, params)
+        attempt = 0
+        while True:
+            if self._catalog_shippable():
+                async with self.fence.write_locked():
+                    # Checked again: a concurrent caller may have shipped
+                    # it while this one waited for the fence.
+                    if self._catalog_shippable():
+                        await self._ship_catalog()
+            try:
+                async with self.fence.read_locked():
+                    return await self._query_fenced(sql, purpose, user, params)
+            except SplitEpochError:
+                self.metrics.counter("repro_shard_epoch_retries_total").inc()
+                attempt += 1
+                if attempt == EPOCH_RETRIES:
+                    raise
 
     def _routed(self, sql: str):
-        """``(route, shard_sql, merge_spec)`` for one statement, cached."""
+        """``(route, shard_sql, merge_spec, key, query_id)`` for one
+        statement, cached (the key recipe of a ``SINGLE`` route is cached,
+        its target shard is computed from each execution's bindings)."""
         version = self.database.catalog.version
         if version != self._route_cache_version:
             self._route_cache.clear()
@@ -276,12 +362,13 @@ class ShardCoordinator:
         if cached is not None:
             return cached
         statement = parse_statement(sql)
-        plan = classify(statement, self.database)
+        plan = classify(statement, self.database, self._shard_tables.keys())
+        shard_sql, merge_spec = sql, None
         if plan.route is Route.SCATTER_AGG:
             shard_select, merge_spec = decompose(statement)
-            routed = (plan.route, to_sql(shard_select), merge_spec)
-        else:
-            routed = (plan.route, sql, None)
+            shard_sql = to_sql(shard_select)
+        qid = "" if plan.route is Route.LOCAL else query_id(to_sql(statement))
+        routed = (plan.route, shard_sql, merge_spec, plan.key, qid)
         if len(self._route_cache) >= ROUTE_CACHE_LIMIT:
             self._route_cache.clear()
         self._route_cache[sql] = routed
@@ -290,7 +377,7 @@ class ShardCoordinator:
     async def _query_fenced(
         self, sql: str, purpose: str, user: str | None, params
     ) -> ShardedReport:
-        route, shard_sql, merge_spec = self._routed(sql)
+        route, shard_sql, merge_spec, key, qid = self._routed(sql)
         trace = Trace() if self.monitor.tracing_enabled else NULL_TRACE
         if route is Route.LOCAL:
             self._count_route("local")
@@ -311,29 +398,28 @@ class ShardCoordinator:
         if user is not None and not self.monitor.authorizer.is_authorized(
             user, purpose
         ):
+            self.monitor.record_audit(user, purpose, qid, sql, "denied")
             raise UnauthorizedPurposeError(user, purpose)
+        targets = None
+        if route is Route.SINGLE:
+            target = single_shard(key, params, self.shard_count)
+            if target is None:
+                route = Route.SCATTER_ROWS
+            else:
+                targets = (target,)
         request = {
             "verb": "query",
             "sql": shard_sql,
             "purpose": purpose,
             "params": params,
         }
-
-        responses: list[dict] = []
-        for attempt in range(EPOCH_RETRIES):
-            responses = await self._scatter(request, trace=trace)
-            for response in responses:
-                if not response.get("ok"):
-                    self._raise_shard_error(response)
-            epochs = {response["epoch"] for response in responses}
-            if epochs == {self.admin.policy_epoch}:
-                break
-            self.metrics.counter("repro_shard_epoch_retries_total").inc()
-            if attempt == EPOCH_RETRIES - 1:
-                raise SplitEpochError(
-                    f"scatter observed epochs {sorted(epochs)} at coordinator "
-                    f"epoch {self.admin.policy_epoch}"
-                )
+        responses = await self._scatter(request, trace, targets)
+        epochs = {response["epoch"] for response in responses}
+        if epochs != {self.admin.policy_epoch}:
+            raise SplitEpochError(
+                f"scatter observed epochs {sorted(epochs)} at coordinator "
+                f"epoch {self.admin.policy_epoch}"
+            )
 
         if route is Route.SCATTER_AGG:
             assert merge_spec is not None
@@ -346,10 +432,15 @@ class ShardCoordinator:
             rows = [
                 tuple(row) for response in responses for row in response["rows"]
             ]
+        checks = sum(response["checks"] for response in responses)
         self._count_route(route.value)
+        self.monitor.record_audit(
+            user, purpose, qid, sql, "allowed",
+            rows=len(rows), checks=checks, route=route.value,
+        )
         return ShardedReport(
             result=ResultSet(columns, rows),
-            compliance_checks=sum(r["checks"] for r in responses),
+            compliance_checks=checks,
             cache_hit=all(r["cache_hit"] for r in responses),
             route=route.value,
             epoch=self.admin.policy_epoch,
@@ -392,15 +483,16 @@ class ShardCoordinator:
         """Apply a policy mutation and broadcast the new epoch to every shard.
 
         ``fn`` runs against the local replica's
-        :class:`~repro.shard.recipe.BuiltWorld` under the write fence.  The
-        rows of ``tables`` (default: every policy-protected table) are then
-        re-partitioned and pushed down, the policy epoch — bumped by ``fn``
-        or, failing that, here — is broadcast, and one ack per shard is
-        collected before any fenced reader resumes.
+        :class:`~repro.shard.recipe.BuiltWorld` under the write fence.  Any
+        DDL the replica has and the shards lack is shipped, the rows of
+        ``tables`` (default: every policy-protected table) and of altered
+        tables are re-partitioned and pushed down, the policy epoch —
+        bumped by ``fn`` or, failing that, here — is broadcast, and one ack
+        per shard is collected before any fenced reader resumes.
 
-        Mutations must be expressible as row rewrites + an epoch bump
-        (policy-mask writes, DML side effects); admin-state changes such as
-        grants or re-categorizations are part of the
+        Mutations must be expressible as DDL ops, row rewrites + an epoch
+        bump (policy-mask writes, DML side effects); admin-state changes
+        such as grants or re-categorizations are part of the
         :class:`~repro.shard.recipe.WorldRecipe` and cannot be replayed to
         already-built shards.
         """
@@ -410,59 +502,127 @@ class ShardCoordinator:
             result = fn(self.world)
             if self.admin.policy_epoch == epoch_before:
                 self.admin.bump_policy_epoch()
-            await self._resync(
+            await self._ship_catalog(
                 tuple(self.admin.target_tables()) if tables is None else tables
             )
-            await self._broadcast_epoch()
         return result
 
     async def bump_epoch(self) -> int:
-        """Fence, bump and broadcast without touching any rows."""
+        """Fence, bump and broadcast without touching any policy rows."""
         await self.policy_write(lambda world: None, tables=())
         return self.admin.policy_epoch
 
+    def _catalog_shippable(self) -> bool:
+        """Whether the replica's catalog has moved since the last broadcast
+        by DDL alone (the only movement a reader may ship by itself)."""
+        catalog = self.database.catalog
+        if catalog.version == self._shipped_version:
+            return False
+        kinds = catalog.kinds_since(self._shipped_version)
+        return bool(kinds) and kinds <= _DDL_KINDS
+
+    async def _ship_catalog(self, tables: "tuple[str, ...]" = ()) -> None:
+        """Bring every shard level with the replica's catalog version.
+
+        Called under the write fence.  The version is read first: DDL that
+        commits on the replica while this runs may or may not be in the
+        ops, but it is past ``target`` either way, so the next check still
+        sees it as unshipped.
+        """
+        target = self.database.catalog.version
+        altered = await self._ship_ddl(target)
+        await self._resync(tuple(dict.fromkeys((*altered, *tables))))
+        await self._broadcast_epoch(target)
+
+    async def _ship_ddl(self, target: int) -> list[str]:
+        """Send the shards the logical DDL ops that turn the tables and
+        indexes they hold into the replica's; returns the altered tables,
+        whose rows must follow."""
+        database = self.database
+        ops: list[dict] = []
+        tables = dict(self._shard_tables)
+        for key in self._shard_tables:
+            # Dropped since — and if it exists again it is a new,
+            # coordinator-local table that only shares the name.
+            if (
+                database.catalog.last_commit_version("table", key)
+                > self._shipped_version
+            ):
+                ops.append({"op": "drop_table", "table": key})
+                del tables[key]
+        altered = []
+        for key, columns in tables.items():
+            current = database.table(key).schema.columns
+            if current != columns:
+                ops.extend(_schema_ops(key, columns, current))
+                tables[key] = current
+                altered.append(key)
+        held = {
+            name: definition
+            for name, definition in self._shard_indexes.items()
+            if definition.table in tables  # DROP TABLE cascades on the shard
+        }
+        live = {
+            definition.name: definition
+            for definition in database.indexes.definitions()
+            if definition.table in tables
+        }
+        # Drops first: a dropped column may have taken its index with it.
+        ops[:0] = [
+            {"op": "drop_index", "name": name}
+            for name, definition in held.items()
+            if live.get(name) != definition
+        ]
+        ops.extend(
+            {"op": "create_index", "definition": definition}
+            for name, definition in live.items()
+            if held.get(name) != definition
+        )
+        if ops:
+            request = {"verb": "ddl", "ops": [encode_ddl_op(op) for op in ops]}
+            for response in await self._scatter(request):
+                if response["catalog_version"] > target:
+                    raise SplitEpochError(
+                        f"shard catalog version {response['catalog_version']} "
+                        f"is ahead of the coordinator's {target}"
+                    )
+            self._shard_tables, self._shard_indexes = tables, live
+        return altered
+
     async def _resync(self, tables: "tuple[str, ...]") -> None:
         for name in tables:
+            if name.lower() not in self._shard_tables:
+                continue  # coordinator-local: the shards have no such table
             partitions = partition_rows(
                 self.database.table(name),
                 self.shard_count,
                 self.database.policy_column,
             )
-            responses = await self._scatter_sync(name, partitions)
-            for response in responses:
-                if not response.get("ok"):
-                    self._raise_shard_error(response)
-            self._resyncs += 1
-            self.metrics.counter("repro_shard_resyncs_total").inc()
-
-    async def _scatter_sync(
-        self, table: str, partitions: "list[list[tuple]]"
-    ) -> list[dict]:
-        return list(
-            await asyncio.gather(
+            responses = await asyncio.gather(
                 *(
                     shard.call(
                         {
                             "verb": "sync_table",
-                            "table": table,
+                            "table": name,
                             "rows": partitions[index],
                         }
                     )
                     for index, shard in enumerate(self._shards)
                 )
             )
-        )
+            for response in responses:
+                if not response.get("ok"):
+                    self._raise_shard_error(response)
+            self._resyncs += 1
+            self.metrics.counter("repro_shard_resyncs_total").inc()
 
-    async def _broadcast_epoch(self) -> None:
-        target = self.admin.policy_epoch
-        responses = await self._scatter({"verb": "epoch", "epoch": target})
-        for response in responses:
-            if not response.get("ok"):
-                self._raise_shard_error(response)
+    async def _broadcast_epoch(self, target: int) -> None:
+        for response in await self._scatter({"verb": "epoch", "epoch": target}):
             if response["epoch"] != target:
                 raise SplitEpochError(
                     f"shard acked epoch {response['epoch']}, expected {target}"
                 )
+        self._shipped_version = target
         self._epoch_broadcasts += 1
         self.metrics.counter("repro_shard_epoch_broadcasts_total").inc()
 
@@ -492,7 +652,5 @@ class ShardCoordinator:
             "resyncs": self._resyncs,
             "routes": dict(self._route_counts),
             "fence": self.fence.state(),
-            "shards": [
-                response.get("stats", response) for response in responses
-            ],
+            "shards": [response["stats"] for response in responses],
         }

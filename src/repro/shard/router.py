@@ -25,11 +25,27 @@ Two decisions live here:
       single-node left-to-right accumulation bit for bit, which integer
       arithmetic guarantees and IEEE doubles do not.
 
+  ``SINGLE``
+      A ``SCATTER_ROWS`` statement whose WHERE is a conjunction holding
+      ``column = literal-or-parameter`` for every column of a declared
+      primary key.  Every row it can return has that key, and placement is
+      a function of the key, so one shard holds them all:
+      :func:`single_shard` computes it from the bound values of each
+      execution.  Placement hashes ``repr``, so a bound value that *equals*
+      the stored key without being spelled like it (``4.0`` against an
+      INTEGER key) would hash elsewhere: unless every value's Python type is
+      exactly the column's stored type the execution falls back to the full
+      scatter, which answers (or raises) as the single node does.
+
   ``LOCAL``
       Everything else (joins, subqueries, set operations, ORDER BY/LIMIT,
       DISTINCT, HAVING, float SUM/AVG, ...) runs on the coordinator's full
-      replica.  Correct first; the scatter routes are the hot paths the
-      workload generator actually emits.
+      replica — and so does every statement over a *coordinator-local*
+      table: one that is not in ``partitioned`` (the tables of the recipe
+      world the shards were built from) because it was created on the
+      replica afterwards, like the audit trail's ``al``.  Correct first; the
+      scatter routes are the hot paths the workload generator actually
+      emits.
 """
 
 from __future__ import annotations
@@ -39,6 +55,8 @@ import zlib
 from dataclasses import dataclass
 
 from ..engine import Database
+from ..engine.database import bind_parameters
+from ..engine.plan import flatten_conjuncts
 from ..engine.table import Table
 from ..engine.types import SqlType
 from ..sql import ast
@@ -49,12 +67,17 @@ _ORDER_FREE_AGGREGATES = frozenset({"count", "min", "max"})
 #: Aggregates whose partials merge exactly only over integer arguments.
 _SUM_LIKE_AGGREGATES = frozenset({"sum", "avg"})
 
+#: Key column type → the one Python type its stored values have.  DOUBLE is
+#: left out on purpose: ``-0.0 = 0.0`` holds but the two hash apart.
+_STORED_TYPE = {SqlType.INTEGER: int, SqlType.TEXT: str, SqlType.BOOLEAN: bool}
+
 
 class Route(enum.Enum):
     """How a statement executes in the sharded deployment."""
 
     SCATTER_ROWS = "scatter_rows"
     SCATTER_AGG = "scatter_agg"
+    SINGLE = "single"
     LOCAL = "local"
 
 
@@ -65,6 +88,9 @@ class RoutePlan:
     route: Route
     table: str | None = None
     reason: str = ""
+    #: ``SINGLE`` only: per primary-key column, in key order, the stored
+    #: Python type and the literal or parameter the WHERE equates it with.
+    key: tuple = ()
 
 
 # -- row placement -----------------------------------------------------------------
@@ -97,6 +123,24 @@ def shard_of(row: tuple, key_indexes: tuple[int, ...], shard_count: int) -> int:
     """The shard a row lives on (deterministic across processes)."""
     key = repr(tuple(row[index] for index in key_indexes))
     return zlib.crc32(key.encode("utf-8")) % shard_count
+
+
+def single_shard(key: tuple, params, shard_count: int) -> int | None:
+    """The shard a ``SINGLE`` execution goes to; ``None`` → scatter instead.
+
+    ``key`` is :attr:`RoutePlan.key`; ``params`` the execution's bindings.
+    """
+    bound = bind_parameters(params, ())
+    values = []
+    for stored_type, operand in key:
+        if isinstance(operand, ast.Parameter):
+            value = bound.get(operand.key)
+        else:
+            value = operand.value
+        if type(value) is not stored_type:
+            return None
+        values.append(value)
+    return shard_of(tuple(values), tuple(range(len(values))), shard_count)
 
 
 def partition_rows(
@@ -153,8 +197,46 @@ def _aggregate_shardable(
     return False
 
 
-def classify(statement: ast.Statement, database: Database) -> RoutePlan:
-    """Decide the route for one statement (see module docstring)."""
+def _key_recipe(select: ast.Select, table: Table, binding: str) -> tuple:
+    """:attr:`RoutePlan.key` for a plain select, ``()`` when it has none."""
+    schema = table.schema
+    primary = [column for column in schema.columns if column.primary_key]
+    if not primary or select.where is None:
+        return ()
+    equated: dict[str, ast.Expression] = {}
+    for conjunct in flatten_conjuncts(select.where):
+        if not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":
+            continue
+        for ref, operand in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if (
+                isinstance(ref, ast.ColumnRef)
+                and (ref.table is None or ref.table.lower() == binding.lower())
+                and isinstance(operand, (ast.Literal, ast.Parameter))
+            ):
+                equated.setdefault(ref.name.lower(), operand)
+    recipe = []
+    for column in primary:
+        stored_type = _STORED_TYPE.get(column.sql_type)
+        operand = equated.get(column.name.lower())
+        if stored_type is None or operand is None:
+            return ()
+        recipe.append((stored_type, operand))
+    return tuple(recipe)
+
+
+def classify(
+    statement: ast.Statement,
+    database: Database,
+    partitioned: "frozenset[str] | None" = None,
+) -> RoutePlan:
+    """Decide the route for one statement (see module docstring).
+
+    ``partitioned`` names (lower-cased) the tables the shards hold; ``None``
+    means every table of ``database``.
+    """
     if not isinstance(statement, ast.Select):
         return RoutePlan(Route.LOCAL, reason="not a plain SELECT")
     select = statement
@@ -164,6 +246,8 @@ def classify(statement: ast.Statement, database: Database) -> RoutePlan:
     source = sources[0]
     if not database.has_table(source.name):
         return RoutePlan(Route.LOCAL, reason="unknown table")
+    if partitioned is not None and source.name.lower() not in partitioned:
+        return RoutePlan(Route.LOCAL, reason="coordinator-local table")
     if _has_subquery(select):
         return RoutePlan(Route.LOCAL, reason="subquery")
     if (
@@ -195,6 +279,9 @@ def classify(statement: ast.Statement, database: Database) -> RoutePlan:
         return RoutePlan(Route.LOCAL, reason="aggregate outside select list")
 
     if not any(item_aggregates) and not select.group_by:
+        key = _key_recipe(select, table, binding)
+        if key:
+            return RoutePlan(Route.SINGLE, table=source.name, key=key)
         return RoutePlan(Route.SCATTER_ROWS, table=source.name)
 
     # Aggregate shape: every select item is either exactly one shardable

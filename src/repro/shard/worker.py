@@ -13,6 +13,12 @@ answers a tiny message-dict protocol:
 ``sync_table``
     Replace one table's partition rows (DML and policy writes re-partition
     on the coordinator and push the new rows down).
+``ddl``
+    Apply logical DDL ops (``create_index``, ``drop_index``, ``add_column``,
+    ``drop_column``, ``drop_table``) the coordinator's replica committed, in
+    the JSON-ready form the WAL logs them in and through the WAL's own
+    applier (:func:`repro.engine.wal.apply_ddl`).  A created index is built
+    at once; the rows of an altered table follow in a ``sync_table``.
 ``epoch``
     Adopt the coordinator's policy epoch: bump the local admin until it
     matches, which clears every epoch-scoped cache (``compliesWith`` memo,
@@ -34,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import threading
 
+from ..engine.wal import apply_ddl
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..server.protocol import error_code_for
@@ -89,6 +96,8 @@ class ShardWorker:
                 return self._handle_query(request)
             if verb == "sync_table":
                 return self._handle_sync(request)
+            if verb == "ddl":
+                return self._handle_ddl(request)
             if verb == "epoch":
                 return self._handle_epoch(request)
             if verb == "stats":
@@ -129,6 +138,24 @@ class ShardWorker:
         self._syncs += 1
         return {"ok": True, "rows": len(table.rows)}
 
+    def _handle_ddl(self, request: dict) -> dict:
+        database = self.world.database
+        transactions = database.transactions
+        ops = request["ops"]
+        with transactions.commits_paused() as clock:
+            apply_ddl(database, {"ops": ops}, clock + 1)
+        transactions.advance_clock_to(clock + 1)
+        # A new index is built here, under the coordinator's write fence,
+        # not by the first reader that probes it — unless this batch also
+        # altered its table, whose rows are about to be replaced.
+        altered = {
+            op["table"] for op in ops if op["op"] in ("add_column", "drop_column")
+        }
+        for op in ops:
+            if op["op"] == "create_index" and op["definition"]["table"] not in altered:
+                database.indexes.build(op["definition"]["name"])
+        return {"ok": True, "catalog_version": database.catalog.version}
+
     def _handle_epoch(self, request: dict) -> dict:
         target = int(request["epoch"])
         while self.admin.policy_epoch < target:
@@ -143,9 +170,16 @@ class ShardWorker:
     def stats(self) -> dict:
         """The shard's row of the coordinator's ``stats`` section."""
         database = self.world.database
+        index_stats = database.indexes.stats()
         return {
             "shard": self.shard_index,
             "epoch": self.admin.policy_epoch,
+            "catalog_version": database.catalog.version,
+            "indexes": {
+                "names": [d.name for d in database.indexes.definitions()],
+                "hits": index_stats["hits"],
+                "rebuilds": index_stats["rebuilds"],
+            },
             "epoch_bumps": self._epoch_bumps,
             "epoch_invalidations": int(
                 self.monitor.metrics.counter(

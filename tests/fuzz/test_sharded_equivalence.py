@@ -9,6 +9,11 @@ outcomes, and — because sharded deployments pin
 ``optimizer=off, indexes=off``, where every guard conjunct is evaluated
 per row and that count is exactly conserved under row partitioning — must
 agree with *each other* on compliance-check counts across shard counts.
+A third deployment — 3 shards at default modes, ``sharded-3-default`` — is
+compared on rows only, and before every case a seeded ``ddl-index`` step
+creates or drops an index straight on each replica with no epoch bump, so
+catalog shipping runs under every case and the default-mode shards probe
+what was shipped.
 
 Two layers of coverage:
 
@@ -66,6 +71,39 @@ def test_sharded_paths_are_reported_per_case(sharded_runner) -> None:
     report = sharded_runner.run_case(case)
     names = {path.path for path in report.paths}
     assert {f"sharded-{count}" for count in SHARD_COUNTS} <= names
+    assert f"sharded-{max(SHARD_COUNTS)}-default" in names
+
+
+def test_replica_index_ddl_was_shipped_under_the_cases(sharded_runner) -> None:
+    """Each case toggles ``idx_fuzz_*`` on the replicas, nobody calls
+    ``bump_epoch()``, and every deployment's shards end level with their
+    replica."""
+    generator = FuzzQueryGenerator.for_world(sharded_runner.world, seed=7)
+    cases = list(generator.cases(6))
+    # One lookup on sensed_data's full key, so an index path is on offer.
+    watch, timestamp = sharded_runner.world.database.table("sensed_data").rows[0][:2]
+    cases[-1] = cases[-1].with_sql(
+        "select beats from sensed_data where watch_id = :w and timestamp = :t",
+        {"w": watch, "t": timestamp},
+    )
+    for case in cases:
+        report = sharded_runner.run_case(case)
+        assert report.ok, report.describe()
+    assert len(sharded_runner._sharded) == len(SHARD_COUNTS) + 1
+    for (_count, pinned), server in sharded_runner._sharded.items():
+        coordinator = server.coordinator
+        stats = server.submit(coordinator.stats()).result(timeout=30)
+        assert stats["epoch_broadcasts"] >= 6
+        replica = {d.name for d in coordinator.database.indexes.definitions()}
+        for shard in stats["shards"]:
+            assert shard["catalog_version"] == stats["catalog_version"]
+            assert set(shard["indexes"]["names"]) == replica
+        hits = sum(shard["indexes"]["hits"] for shard in stats["shards"])
+        # The default leg follows the environment (REPRO_OPTIMIZER /
+        # REPRO_INDEXES replays of this suite turn its probing off too).
+        monitor = coordinator.monitor
+        probing = (monitor.optimizer_mode, monitor.indexes_mode) == ("on", "on")
+        assert (hits > 0) is probing
 
 
 def test_sharded_deployments_partition_without_loss(sharded_runner) -> None:

@@ -152,3 +152,26 @@ def test_pinned_reader_survives_live_policy_churn_threads() -> None:
         f"pinned reads leaked concurrent policy churn: row counts "
         f"{mismatches} != {len(reference)}"
     )
+
+
+# -- index DDL reaching sharded replicas ----------------------------------------
+
+
+def test_schedule_index_ddl_reaches_sharded_replicas() -> None:
+    """``ddl-index`` steps also run on the replica of shard counts 1 and 3
+    (pinned modes) and a default-mode 3-shard deployment, with no epoch
+    bump; every case answers through them as before the schedule."""
+    with ScheduleRunner(spec=SCHEDULE_SPEC, sharded_counts=(1, 3)) as runner:
+        generator = FuzzQueryGenerator.for_world(runner.world, seed=CAMPAIGN_SEED)
+        reports = list(runner.run_schedules(generator.cases(12), churn_steps=6))
+        shipped = [step for r in reports for step in r.steps if "replicas[" in step]
+        assert any("create index" in step for step in shipped)
+        assert any("drop index" in step for step in shipped)
+        failures = [report.describe() for report in reports if not report.ok]
+        assert not failures, "\n\n".join(failures)
+        for (count, _pinned), server in runner._sharded.items():
+            stats = server.submit(server.coordinator.stats()).result(timeout=30)
+            assert stats["epoch_broadcasts"] > 0
+            replica = {d.name for d in server.coordinator.database.indexes.definitions()}
+            for shard in stats["shards"]:
+                assert set(shard["indexes"]["names"]) == replica

@@ -170,5 +170,35 @@ def test_process_backend_speaks_the_same_protocol() -> None:
                 expected = build_world(recipe).monitor.execute(sql, "p6")
                 assert sorted(answer.rows) == sorted(expected.rows)
                 assert answer.route == "scatter_rows"
+
+                # DDL on the replica crosses the pipe as the WAL's JSON-ready
+                # op dicts (verb ``ddl``) and the altered rows follow.
+                reference = build_world(recipe)
+                for database in (coordinator.database, reference.database):
+                    database.execute(
+                        "create index i_key on sensed_data (watch_id, timestamp)"
+                    )
+                    database.execute(
+                        "alter table users add column ward integer default 7"
+                    )
+                for route, sql, params in (
+                    ("scatter_rows", "select user_id, ward from users", None),
+                    (
+                        "single",
+                        "select beats from sensed_data "
+                        "where watch_id = ? and timestamp = ?",
+                        ["watch1", 2],
+                    ),
+                ):
+                    answer = client.query(sql, params)
+                    expected = reference.monitor.execute(sql, "p6", params=params)
+                    assert answer.route == route
+                    assert sorted(map(tuple, answer.rows)) == sorted(expected.rows)
+                for shard in client.stats()["shards"]["shards"]:
+                    assert "i_key" in shard["indexes"]["names"]
+                    assert shard["catalog_version"] == coordinator.database.catalog.version
+                    # Two commits on the replica, one shipped batch of ops: the
+                    # epoch broadcast tops the shard's version up by the rest.
+                    assert shard["epoch_bumps"] == 1
     finally:
         coordinator.close()

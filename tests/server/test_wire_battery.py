@@ -254,8 +254,8 @@ def test_commit_publishes_to_later_statements(front, client, other):
     assert _profile(client, "user1") == (41, "txn-local" if front.sharded else None)
     assert _profile(other, "user1")[0] == before  # isolated until COMMIT
     assert client.commit() > 0
-    # Visible to a scattered read: COMMIT resynced the shards.
-    assert _profile(other, "user1") == (41, "scatter_rows" if front.sharded else None)
+    # Visible on the shard the key lives on: COMMIT resynced the shards.
+    assert _profile(other, "user1") == (41, "single" if front.sharded else None)
     session = _session(client)
     assert (session["commits"], session["txn_open"]) == (1, False)
 

@@ -17,10 +17,18 @@ The controlled tail round then pins the invalidation accounting: one
 bump must invalidate exactly one cached plan on the coordinator's local
 replica and on every shard — the ``repro_epoch_invalidations`` counters
 agree across the whole deployment.
+
+A second race has no cooperating writer at all: a thread issues index DDL
+straight on the coordinator's replica — an operator's session, not a
+coordinator call — while wire clients scatter and look keys up.  Every
+statement must still answer with the single-node rows: the coordinator
+ships the DDL by itself, at the latest when a scatter finds the replica's
+catalog ahead of the shards' and retries.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -169,3 +177,87 @@ def test_epoch_invalidation_counts_match_across_deployment(deployment) -> None:
     assert after_local - before_local == 1, (
         "coordinator replica invalidations disagree with the shards"
     )
+
+
+POINT_SQL = "select beats from sensed_data where watch_id = ? and timestamp = ?"
+DDL_ROUNDS = 10
+
+
+def test_replica_index_ddl_race_never_fails_a_statement(deployment) -> None:
+    from repro.shard.recipe import build_world
+
+    server, coordinator = deployment
+    reference = build_world(RECIPE)
+    expected_scatter = sorted(reference.monitor.execute(SCATTER_SQL, "p6").rows)
+    keys = [list(row[:2]) for row in reference.database.table("sensed_data").rows]
+    expected_point = {
+        tuple(key): reference.monitor.execute(POINT_SQL, "p6", params=key).rows
+        for key in keys
+    }
+    failures: list[str] = []
+    progress = [0] * READERS
+    stop = threading.Event()
+
+    def reader(index: int) -> None:
+        try:
+            with Client(*server.address) as client:
+                client.hello("demo", "p6")
+                while not stop.is_set():
+                    key = keys[(progress[index] * READERS + index) % len(keys)]
+                    scatter, point = client.query(SCATTER_SQL), client.query(POINT_SQL, key)
+                    if sorted(map(tuple, scatter.rows)) != expected_scatter:
+                        failures.append(f"reader{index}: scatter rows moved")
+                    if [tuple(r) for r in point.rows] != expected_point[tuple(key)]:
+                        failures.append(f"reader{index}: lookup {key} rows moved")
+                    if (scatter.route, point.route) != ("scatter_rows", "single"):
+                        failures.append(f"reader{index}: routes {scatter.route}/{point.route}")
+                    progress[index] += 1
+        except Exception as exc:  # noqa: BLE001 - surfaced via failures
+            failures.append(f"reader{index}: {type(exc).__name__}: {exc}")
+            progress[index] = 10**9  # never hold the writer up
+
+    def ddl_writer() -> None:
+        database = coordinator.database
+        try:
+            for round_ in range(DDL_ROUNDS):
+                # One DDL per reader round trip at most, so a statement is
+                # straddled once, not EPOCH_RETRIES times in a row.
+                seen = list(progress)
+                while any(now <= then for now, then in zip(progress, seen)):
+                    stop.wait(0.001)
+                if round_ % 2 == 0:
+                    database.execute(
+                        "create index i_race on sensed_data (watch_id, timestamp)"
+                    )
+                else:
+                    database.execute("drop index i_race")
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"ddl writer: {type(exc).__name__}: {exc}")
+        finally:
+            stop.set()
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(READERS)]
+    threads.append(threading.Thread(target=ddl_writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # more interleavings of DDL thread and loop
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "stress thread hung"
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert failures == [], "\n".join(failures[:10])
+
+    # Every DDL was shipped by a reader's statement, none by a bump_epoch().
+    with Client(*server.address) as client:
+        client.hello("demo", "p6")
+        client.query(SCATTER_SQL)
+    assert coordinator.epoch_broadcasts >= DDL_ROUNDS // 2
+    stats = _shard_stats(server, coordinator)
+    replica = {d.name for d in coordinator.database.indexes.definitions()}
+    for shard in stats["shards"]:
+        assert shard["epoch"] == coordinator.admin.policy_epoch
+        assert set(shard["indexes"]["names"]) == replica

@@ -11,6 +11,7 @@ from repro.shard.router import (
     partition_key_indexes,
     partition_rows,
     shard_of,
+    single_shard,
 )
 from repro.sql import parse_statement
 
@@ -152,3 +153,138 @@ class TestClassify:
             database,
         )
         assert plan.route is Route.LOCAL
+
+
+# -- the SINGLE route ----------------------------------------------------------------
+
+
+@pytest.fixture()
+def keyed(database):
+    """Adds a composite-key table: ``samples (watch_id TEXT, ts INTEGER)``."""
+    database.create_table(
+        TableSchema(
+            "samples",
+            [
+                Column("watch_id", SqlType.TEXT, primary_key=True),
+                Column("ts", SqlType.INTEGER, primary_key=True),
+                Column("beats", SqlType.INTEGER),
+                Column(POLICY, SqlType.TEXT),
+            ],
+        )
+    )
+    database.table("samples").extend(
+        [(f"w{i % 5}", i, 60 + i, "m") for i in range(40)]
+    )
+    return database
+
+
+def _plan(database, sql: str, **kwargs):
+    return classify(parse_statement(sql), database, **kwargs)
+
+
+SINGLE_QUERIES = (
+    # (sql, params) — every one names the key ('w3', 8)
+    ("select beats from samples where watch_id = 'w3' and ts = 8", None),
+    ("select beats from samples where 8 = ts and 'w3' = watch_id", None),
+    ("select beats from samples s where s.watch_id = 'w3' and s.ts = 8", None),
+    ("select beats from samples where watch_id = ? and ts = ?", ["w3", 8]),
+    ("select beats from samples where ts = $2 and watch_id = $1", ("w3", 8)),
+    (
+        "select beats from samples where watch_id = :w and ts = :t",
+        {"w": "w3", "T": 8},
+    ),
+    (
+        "select beats from samples where watch_id = ? and beats > 0 and ts = 8",
+        ["w3"],
+    ),
+)
+
+NOT_SINGLE_QUERIES = (
+    # partial key
+    "select beats from samples where watch_id = 'w3'",
+    "select beats from samples where ts = 8 and beats = 68",
+    # a key column under OR, or compared by anything but equality
+    "select beats from samples where watch_id = 'w3' and (ts = 8 or ts = 9)",
+    "select beats from samples where watch_id = 'w3' or ts = 8",
+    "select beats from samples where watch_id = 'w3' and ts >= 8",
+    "select beats from samples where watch_id = 'w3' and ts in (8)",
+    "select beats from samples where not (watch_id = 'w3' and ts = 8)",
+    # equated with something that is not a literal or a parameter
+    "select beats from samples where watch_id = 'w3' and ts = beats",
+    "select beats from samples where watch_id = 'w3' and ts = 4 + 4",
+    # no WHERE at all
+    "select beats from samples",
+    # a key-less table: placement hashes the whole row
+    "select beats from readings where watch_id = 'w3' and beats = 8 and temp = 1.5",
+)
+
+
+class TestSingleRoute:
+    @pytest.mark.parametrize("shard_count", (1, 3))
+    @pytest.mark.parametrize("sql,params", SINGLE_QUERIES)
+    def test_full_key_equality_names_the_rows_shard(
+        self, keyed, sql: str, params, shard_count: int
+    ) -> None:
+        plan = _plan(keyed, sql)
+        assert plan.route is Route.SINGLE, plan
+        table = keyed.table("samples")
+        partitions = partition_rows(table, shard_count, POLICY)
+        target = single_shard(plan.key, params, shard_count)
+        holders = [
+            index
+            for index, rows in enumerate(partitions)
+            if any(row[:2] == ("w3", 8) for row in rows)
+        ]
+        assert holders == [target]
+
+    @pytest.mark.parametrize("sql", NOT_SINGLE_QUERIES)
+    def test_anything_less_scatters(self, keyed, sql: str) -> None:
+        assert _plan(keyed, sql).route is Route.SCATTER_ROWS
+
+    @pytest.mark.parametrize(
+        "value", (8.0, "8", True, None), ids=("float", "text", "bool", "null")
+    )
+    def test_a_value_not_spelled_like_the_stored_key_scatters(
+        self, keyed, value
+    ) -> None:
+        """Placement hashes ``repr``: ``8.0`` equals the stored ``8`` and
+        hashes elsewhere, so only the exact stored type picks a shard."""
+        plan = _plan(keyed, "select beats from samples where watch_id = ? and ts = ?")
+        assert single_shard(plan.key, ["w3", 8], 3) is not None
+        assert single_shard(plan.key, ["w3", value], 3) is None
+        assert single_shard(plan.key, [3, 8], 3) is None
+
+    def test_literal_of_another_type_scatters_at_execution(self, keyed) -> None:
+        plan = _plan(
+            keyed, "select beats from samples where watch_id = 'w3' and ts = 8.0"
+        )
+        assert plan.route is Route.SINGLE
+        assert single_shard(plan.key, None, 3) is None
+
+    def test_a_missing_binding_scatters(self, keyed) -> None:
+        """The shards then raise what the single node raises."""
+        plan = _plan(keyed, "select beats from samples where watch_id = ? and ts = ?")
+        assert single_shard(plan.key, ["w3"], 3) is None
+        assert single_shard(plan.key, None, 3) is None
+
+    def test_double_keys_never_route_single(self, database) -> None:
+        """``-0.0 = 0.0`` holds and the two hash apart."""
+        database.create_table(
+            TableSchema(
+                "gauges",
+                [Column("level", SqlType.DOUBLE, primary_key=True), Column(POLICY, SqlType.TEXT)],
+            )
+        )
+        plan = _plan(database, "select level from gauges where level = 0.0")
+        assert plan.route is Route.SCATTER_ROWS
+
+
+class TestCoordinatorLocalTables:
+    def test_a_table_the_shards_do_not_hold_routes_local(self, database) -> None:
+        partitioned = frozenset({"users"})
+        for sql in ("select count(*) from readings", "select beats from readings"):
+            plan = _plan(database, sql, partitioned=partitioned)
+            assert plan.route is Route.LOCAL
+            assert plan.reason == "coordinator-local table"
+        plan = _plan(database, "select user_id from users", partitioned=partitioned)
+        assert plan.route is Route.SCATTER_ROWS
