@@ -29,7 +29,6 @@ from ..engine import (
     ResultSet,
     current_transaction,
     resolve_batch_size,
-    resolve_index_mode,
     resolve_optimizer_mode,
     txn_scope,
 )
@@ -67,7 +66,7 @@ class EnforcementReport:
     bitmap_built: int = 0
     bitmap_hits: int = 0
     #: Secondary-index probes and policy-partition skips performed by this
-    #: execution (both stay 0 with ``REPRO_INDEXES=off`` or no indexes).
+    #: execution (both stay 0 with the optimizer off or no indexes).
     index_hits: int = 0
     partition_skips: int = 0
     trace: "object | None" = None
@@ -89,7 +88,6 @@ class CompiledEnforcedPlan:
     purpose: str
     epoch: int
     optimizer: str
-    indexes: str
     original_sql: str
     statement: "ast.Select | ast.SetOperation"
     rewritten: "ast.Select | ast.SetOperation"
@@ -173,8 +171,9 @@ class EnforcementMonitor:
     (the paper's future-work item 3).
 
     ``plan_cache_size`` bounds the compiled-plan LRU cache (keyed by
-    ⟨query id, purpose, policy epoch⟩); ``parse_cache_size`` bounds the
-    policy-independent SQL-text → AST memo in front of it.
+    ⟨query id, purpose, policy epoch, optimizer mode⟩);
+    ``parse_cache_size`` bounds the policy-independent SQL-text → AST memo
+    in front of it.
 
     The caches and their counters are lock-guarded, so one monitor can serve
     many threads (the :mod:`repro.server` deployment): cache hits and plan
@@ -185,9 +184,11 @@ class EnforcementMonitor:
     stays consistent.
     """
 
-    #: A constant, kept for the same frozen benchmark seam as the
-    #: ``executor`` argument of :meth:`repro.engine.Database.prepare`.
+    #: Constants, kept for the same frozen benchmark seam as the
+    #: ``executor`` and ``indexes`` arguments of
+    #: :meth:`repro.engine.Database.prepare`.
     executor_mode = "batch"
+    indexes_mode = "on"
 
     def __init__(
         self,
@@ -197,7 +198,6 @@ class EnforcementMonitor:
         parse_cache_size: int = 256,
         optimizer: str | None = None,
         batch_size: int | None = None,
-        indexes: str | None = None,
     ):
         self.admin = admin
         self.authorizer = authorizer if authorizer is not None else admin
@@ -207,7 +207,6 @@ class EnforcementMonitor:
         self.tracing_enabled = False
         self.optimizer_mode = resolve_optimizer_mode(optimizer)
         self.batch_size = resolve_batch_size(batch_size)
-        self.indexes_mode = resolve_index_mode(indexes)
         self.plan_cache_size = plan_cache_size
         self.parse_cache_size = parse_cache_size
         self._plan_cache: "OrderedDict[tuple, CompiledEnforcedPlan]" = (
@@ -318,25 +317,13 @@ class EnforcementMonitor:
     def set_optimizer(self, mode: str | None) -> None:
         """Switch the plan-rewrite mode for *future* compilations.
 
-        ``"on"`` runs the full pass pipeline (guard hoisting, pruning,
-        folding); ``"off"`` replays the legacy executor's plans exactly;
-        ``None`` re-resolves from ``$REPRO_OPTIMIZER``.  Plan-cache keys
-        embed the mode, so already-compiled plans of the other mode stay
-        cached and are simply not hit while this mode is active.
+        ``"on"`` (or ``None``) runs the full pass pipeline (guard
+        hoisting, access paths, pruning, folding); ``"off"`` is the paper's
+        per-row ``complieswith`` pipeline (Fig. 6).  Plan-cache keys embed
+        the mode, so already-compiled plans of the other mode stay cached
+        and are simply not hit while this mode is active.
         """
         self.optimizer_mode = resolve_optimizer_mode(mode)
-
-    def set_indexes(self, mode: str | None) -> None:
-        """Switch access-path selection for *future* compilations.
-
-        ``"on"`` lets the optimizer choose index scans, partition-pruned
-        policy guards and cost-based build sides; ``"off"`` plans every
-        query exactly as the pre-index engine did (the differential
-        reference); ``None`` re-resolves from ``$REPRO_INDEXES``.  Plan
-        cache keys embed the mode, so plans of the other mode stay cached
-        and simply stop being hit.
-        """
-        self.indexes_mode = resolve_index_mode(mode)
 
     def clear_policy_bitmaps(self) -> None:
         """Drop the engine's cached policy bitmaps (counters are kept)."""
@@ -464,14 +451,13 @@ class EnforcementMonitor:
 
         Returns ``(plan, cache_hit)``.  On a miss the full pipeline runs —
         signature derivation, rewriting, printing, engine planning — and
-        the result is cached under ⟨query id, purpose, epoch⟩ with LRU
-        eviction beyond :attr:`plan_cache_size`.
+        the result is cached under ⟨query id, purpose, epoch, optimizer
+        mode⟩ with LRU eviction beyond :attr:`plan_cache_size`.
         """
         with self._cache_lock:
             epoch = self._current_epoch()
             mode = self.optimizer_mode
-            indexes = self.indexes_mode
-            key = (qid, purpose, epoch, mode, indexes)
+            key = (qid, purpose, epoch, mode)
             plan = self._plan_cache.get(key)
             if plan is not None:
                 self._plan_cache.move_to_end(key)
@@ -492,15 +478,13 @@ class EnforcementMonitor:
                 purpose=purpose,
                 epoch=epoch,
                 optimizer=mode,
-                indexes=indexes,
                 original_sql=to_sql(statement),
                 statement=statement,
                 rewritten=rewritten,
                 rewritten_sql=to_sql(rewritten),
                 signature=signature,
                 plan=self.database.prepare(
-                    rewritten, optimizer=mode,
-                    batch_size=self.batch_size, indexes=indexes,
+                    rewritten, optimizer=mode, batch_size=self.batch_size
                 ),
             )
             # Keys embed the current epoch, so entries compiled under earlier
@@ -689,7 +673,6 @@ class EnforcementMonitor:
                 "epoch": self.admin.policy_epoch,
                 "optimizer": self.optimizer_mode,
                 "batch_size": self.batch_size,
-                "indexes": self.indexes_mode,
             }
 
     def clear_plan_cache(self) -> None:
@@ -766,7 +749,6 @@ class EnforcementMonitor:
         lines.append(
             f"Executor: batch_size={plan.plan.batch_size}"
         )
-        lines.append(f"Indexes: mode={plan.indexes}")
         txn = current_transaction(self.database.transactions)
         if txn is not None and not txn.ephemeral:
             lines.append(
@@ -865,7 +847,7 @@ class EnforcementMonitor:
         rewritten = rewrite_statement(statement, purpose, self.deriver, self.admin)
         database = self.admin.database
         checks_before = database.function_calls(COMPLIES_WITH)
-        affected = database.execute(rewritten, indexes=self.indexes_mode)
+        affected = database.execute(rewritten)
         checks = database.function_calls(COMPLIES_WITH) - checks_before
         self.record_audit(
             user, purpose, statement_id, original_sql, "allowed",

@@ -21,8 +21,6 @@ from .mvcc import (
 )
 from .index import (
     INDEX_KINDS,
-    INDEX_MODES,
-    INDEXES_ENV,
     BTreeIndex,
     HashIndex,
     IndexDefinition,
@@ -30,12 +28,10 @@ from .index import (
     StatisticsCollector,
     TableStatistics,
     collect_table_statistics,
-    resolve_index_mode,
 )
 from .plan import (
     BASELINE_PASSES,
     FULL_PASSES,
-    OPTIMIZER_ENV,
     PolicyBitmapCache,
     resolve_optimizer_mode,
 )
@@ -55,8 +51,6 @@ __all__ = [
     "FunctionRegistry",
     "MemoizedFunction",
     "INDEX_KINDS",
-    "INDEX_MODES",
-    "INDEXES_ENV",
     "BTreeIndex",
     "HashIndex",
     "IndexDefinition",
@@ -64,10 +58,8 @@ __all__ = [
     "StatisticsCollector",
     "TableStatistics",
     "collect_table_statistics",
-    "resolve_index_mode",
     "BASELINE_PASSES",
     "FULL_PASSES",
-    "OPTIMIZER_ENV",
     "PolicyBitmapCache",
     "resolve_optimizer_mode",
     "ResultSet",

@@ -41,17 +41,14 @@ class PreparedQuery:
         statement: "ast.Select | ast.SetOperation",
         optimizer: str | None = None,
         batch_size: int | None = None,
-        indexes: str | None = None,
     ):
         self.database = database
         self.statement = statement
         self.executor = SelectExecutor(
-            database, optimizer=optimizer, batch_size=batch_size,
-            indexes=indexes,
+            database, optimizer=optimizer, batch_size=batch_size
         )
         self.optimizer_mode = self.executor.optimizer_mode
         self.batch_size = self.executor.batch_size
-        self.indexes_mode = self.executor.index_mode
         self.parameters = ast.collect_parameters(statement)
         self._plan = self._prepare_node(statement)
 
@@ -384,24 +381,21 @@ class Database:
 
     # -- statement execution -----------------------------------------------------
 
-    def execute(
-        self, sql: str | ast.Statement, indexes: str | None = None
-    ) -> ResultSet | int:
+    def execute(self, sql: str | ast.Statement) -> ResultSet | int:
         """Execute one statement.
 
         Returns a :class:`ResultSet` for SELECT and an affected-row count for
-        DML; DDL returns 0.  ``indexes`` pins access-path selection for a
-        SELECT, UPDATE or DELETE as in :meth:`query`.
+        DML; DDL returns 0.
         """
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            return self.query(statement, indexes=indexes)
+            return self.query(statement)
         if isinstance(statement, ast.Insert):
             return self._execute_insert(statement)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement, indexes)
+            return self._execute_update(statement)
         if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, indexes)
+            return self._execute_delete(statement)
         if isinstance(statement, ast.Begin):
             self.begin()
             return 0
@@ -451,14 +445,11 @@ class Database:
         self,
         sql: "str | ast.Select | ast.SetOperation",
         optimizer: str | None = None,
-        indexes: str | None = None,
     ) -> ResultSet:
         """Execute a SELECT (or a set-operation chain) and return rows.
 
-        ``optimizer`` pins the pass pipeline for this query ("on"/"off");
-        ``None`` resolves from ``REPRO_OPTIMIZER`` (default "on").
-        ``indexes`` pins access-path selection ("on"/"off"); ``None``
-        resolves from ``REPRO_INDEXES`` (default "on").
+        ``optimizer`` picks the pass pipeline for this query: ``"on"`` (or
+        ``None``) or ``"off"``, the per-row ``complieswith`` pipeline.
         """
         if isinstance(sql, str):
             statement = parse_statement(sql)
@@ -469,12 +460,10 @@ class Database:
         if isinstance(statement, ast.SetOperation):
             from .result import combine_set_operation
 
-            left = self.query(statement.left, optimizer=optimizer, indexes=indexes)
-            right = self.query(statement.right, optimizer=optimizer, indexes=indexes)
+            left = self.query(statement.left, optimizer=optimizer)
+            right = self.query(statement.right, optimizer=optimizer)
             return combine_set_operation(left, right, statement.op, statement.all)
-        return SelectExecutor(
-            self, optimizer=optimizer, indexes=indexes
-        ).execute_select(statement)
+        return SelectExecutor(self, optimizer=optimizer).execute_select(statement)
 
     def prepare(
         self,
@@ -489,18 +478,20 @@ class Database:
         The returned :class:`PreparedQuery` is bound to the current schema
         (``*`` expansion, column resolution) but reads table contents at
         execution time, so it observes later inserts/updates.  ``optimizer``
-        overrides the plan-rewrite mode (``"on"``/``"off"``) and ``indexes``
-        access-path selection (``"on"``/``"off"``); ``None`` resolves each
-        from its env var (``$REPRO_OPTIMIZER`` / ``$REPRO_INDEXES``).
-        ``batch_size`` is the rows-per-page of the batch pipeline.
+        picks the plan-rewrite mode as in :meth:`query`; ``batch_size`` is
+        the rows-per-page of the batch pipeline.
 
-        There is one physical executor; ``executor`` is accepted as ``None``
-        or ``"batch"`` only because the frozen ``benchmarks/e2e/layers.py``
-        (``--trace 1``) still passes ``monitor.executor_mode`` here —
-        ROADMAP item 1 lists the argument for the benchmark PR to remove.
+        There is one physical executor and no index mode; ``executor``
+        (``None``/``"batch"``) and ``indexes`` (``None``/``"on"``) are
+        accepted only because the frozen ``benchmarks/e2e/layers.py``
+        (``--trace 1``) still passes ``monitor.executor_mode`` and
+        ``monitor.indexes_mode`` here — ROADMAP item 1 lists both arguments
+        for the benchmark PR to remove.
         """
         if executor not in (None, "batch"):
             raise ExecutionError(f"unknown executor mode {executor!r}")
+        if indexes not in (None, "on"):
+            raise ExecutionError(f"unknown index mode {indexes!r}")
         if isinstance(sql, str):
             statement = parse_statement(sql)
         else:
@@ -508,8 +499,7 @@ class Database:
         if not isinstance(statement, (ast.Select, ast.SetOperation)):
             raise ExecutionError("prepare() requires a SELECT statement")
         return PreparedQuery(
-            self, statement,
-            optimizer=optimizer, batch_size=batch_size, indexes=indexes,
+            self, statement, optimizer=optimizer, batch_size=batch_size
         )
 
     def execute_prepared(
@@ -563,7 +553,7 @@ class Database:
         )
 
     def _row_compiler(
-        self, table: Table, indexes: str | None = None
+        self, table: Table
     ) -> tuple[SelectExecutor, ExpressionCompiler, RowShape]:
         bindings = [
             ColumnBinding(
@@ -573,7 +563,7 @@ class Database:
             for index, column in enumerate(table.schema.columns)
         ]
         shape = RowShape(bindings)
-        executor = SelectExecutor(self, indexes=indexes)
+        executor = SelectExecutor(self)
         return executor, executor.compiler(Scope(shape)), shape
 
     def _index_candidates(
@@ -594,13 +584,13 @@ class Database:
         outright.  Rows with a NULL key are candidates too: the conjunct is
         unknown for them, not false, and a scan goes on to check them.
 
-        ``None`` means scan: indexes off, no selective path, a probe value
-        the tree cannot compare (or NULL), a conjunct ahead of the key that checks
+        ``None`` means scan: no selective path, a probe value the tree
+        cannot compare (or NULL), a conjunct ahead of the key that checks
         policies itself (it would run on fewer rows), or a table this
         transaction already staged (its overlay is private; the shared
         index entries describe committed rows).
         """
-        if where is None or executor.index_mode != "on":
+        if where is None:
             return None
         txn = current_transaction(self.transactions)
         if txn is not None and txn.staged(table) is not None:
@@ -636,11 +626,9 @@ class Database:
             for node in ast.walk_expression(expression)
         )
 
-    def _execute_update(
-        self, statement: ast.Update, indexes: str | None = None
-    ) -> int:
+    def _execute_update(self, statement: ast.Update) -> int:
         table = self.table(statement.table)
-        executor, compiler, shape = self._row_compiler(table, indexes)
+        executor, compiler, shape = self._row_compiler(table)
         predicate = (
             compiler.compile(statement.where)
             if statement.where is not None
@@ -666,11 +654,9 @@ class Database:
         )
         return table.update_rows(matches, updater, candidates)
 
-    def _execute_delete(
-        self, statement: ast.Delete, indexes: str | None = None
-    ) -> int:
+    def _execute_delete(self, statement: ast.Delete) -> int:
         table = self.table(statement.table)
-        executor, compiler, shape = self._row_compiler(table, indexes)
+        executor, compiler, shape = self._row_compiler(table)
         predicate = (
             compiler.compile(statement.where)
             if statement.where is not None

@@ -49,8 +49,7 @@ from .expressions import (
 )
 from . import plan as plan_ir
 from .aggregates import is_aggregate_name
-from .index import resolve_index_mode
-from .plan import Optimizer, Planner, resolve_optimizer_mode
+from .plan import Optimizer, Planner
 from .result import ResultSet
 from .schema import ColumnBinding, RowShape
 from .vector import VectorCompiler, VectorExpr
@@ -602,13 +601,9 @@ class SelectExecutor:
         database,
         optimizer: str | None = None,
         batch_size: int | None = None,
-        indexes: str | None = None,
     ):
         self.database = database
-        self.index_mode = resolve_index_mode(indexes)
-        self.optimizer = Optimizer(
-            resolve_optimizer_mode(optimizer), database, indexes=self.index_mode
-        )
+        self.optimizer = Optimizer(optimizer, database)
         self.batch_size = resolve_batch_size(batch_size)
 
     @property

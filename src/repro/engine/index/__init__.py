@@ -1,4 +1,4 @@
-"""Secondary indexes, table statistics and access-path mode resolution.
+"""Secondary indexes and table statistics.
 
 The subsystem mirrors the layering of the rest of the engine:
 
@@ -13,18 +13,13 @@ The subsystem mirrors the layering of the rest of the engine:
   visible rows, rebuilt only when a key moved) and the
   policy-partitioned row layout.
 
-Mode resolution follows the optimizer's and executor's explicit/env/default
-ladder: an explicit argument wins, then ``$REPRO_INDEXES``, then the
-default ``"on"``.  ``"off"`` compiles every query exactly as before this
-subsystem existed and is the differential reference the fuzzer compares
-against.
+There is no index mode: the full optimizer pipeline chooses an access
+path whenever an index serves the query.  The reference an index path is
+checked against is the same data with the index dropped.
 """
 
 from __future__ import annotations
 
-import os
-
-from ...errors import ExecutionError
 from .btree import BTreeIndex
 from .hash import HashIndex
 from .manager import INDEX_KINDS, IndexDefinition, IndexManager
@@ -35,41 +30,14 @@ from .statistics import (
     collect_table_statistics,
 )
 
-#: Environment variable consulted when no explicit index mode is given.
-INDEXES_ENV = "REPRO_INDEXES"
-
-#: The valid index modes.
-INDEX_MODES = ("on", "off")
-
-
-def resolve_index_mode(mode: str | None = None) -> str:
-    """Resolve the access-path mode.
-
-    Precedence: explicit argument > ``$REPRO_INDEXES`` > ``"on"`` — the
-    same ladder as
-    :func:`~repro.engine.plan.optimizer.resolve_optimizer_mode`.
-    """
-    if mode is None:
-        mode = os.environ.get(INDEXES_ENV) or "on"
-    mode = mode.strip().lower()
-    if mode not in INDEX_MODES:
-        raise ExecutionError(
-            f"unknown index mode {mode!r} (expected one of {INDEX_MODES})"
-        )
-    return mode
-
-
 __all__ = [
     "BTreeIndex",
     "ColumnStatistics",
     "HashIndex",
-    "INDEXES_ENV",
     "INDEX_KINDS",
-    "INDEX_MODES",
     "IndexDefinition",
     "IndexManager",
     "StatisticsCollector",
     "TableStatistics",
     "collect_table_statistics",
-    "resolve_index_mode",
 ]

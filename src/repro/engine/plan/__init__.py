@@ -32,7 +32,6 @@ from .nodes import (
 from .optimizer import (
     BASELINE_PASSES,
     FULL_PASSES,
-    OPTIMIZER_ENV,
     Optimizer,
     best_index_path,
     check_access_paths,
@@ -54,7 +53,6 @@ __all__ = [
     "Limit",
     "LogicalNode",
     "NestedLoop",
-    "OPTIMIZER_ENV",
     "Optimizer",
     "Planner",
     "PolicyBitmapCache",

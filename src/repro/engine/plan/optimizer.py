@@ -21,12 +21,10 @@ passes the IR makes expressible:
    :class:`IndexRangeScan` when a matching secondary index exists and the
    estimated selectivity (from ``ANALYZE`` statistics, with heuristic
    defaults) is favorable, and mark :class:`PolicyGuard` nodes whose table
-   carries a policy-partitioned index for partition pruning.  Runs only
-   when the index mode resolves to ``on``.
+   carries a policy-partitioned index for partition pruning.
 5. ``hash_join_selection`` — replace conditioned nested loops whose ON
    clause contains side-separable equalities with hash joins; with fresh
-   statistics (and indexes on) the smaller estimated side becomes the
-   build side.
+   statistics the smaller estimated side becomes the build side.
 6. ``projection_pruning`` — narrow base-table scans to the columns the rest
    of the plan references.
 
@@ -43,7 +41,6 @@ conjuncts is re-checked against the pre-pruning ``binder_shape``.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from ...errors import CatalogError
 from ...sql import ast
@@ -62,9 +59,6 @@ from .nodes import (
     walk,
 )
 from .planner import BlockPlan
-
-#: Environment variable consulted when no explicit mode is given.
-OPTIMIZER_ENV = "REPRO_OPTIMIZER"
 
 #: The legacy rewrites: what the pre-IR executor always did.
 BASELINE_PASSES = ("predicate_pushdown", "hash_join_selection")
@@ -94,28 +88,19 @@ _RANGE_OPS = frozenset({"<", "<=", ">", ">="})
 
 
 def resolve_optimizer_mode(mode: str | None = None) -> str:
-    """Normalize an optimizer mode: explicit > ``$REPRO_OPTIMIZER`` > on."""
-    if mode is None:
-        mode = os.environ.get(OPTIMIZER_ENV) or "on"
-    mode = mode.lower()
+    """Normalize an optimizer mode; ``None`` means ``"on"``."""
+    mode = (mode or "on").lower()
     if mode not in ("on", "off"):
         raise ValueError(f"optimizer mode must be 'on' or 'off', got {mode!r}")
     return mode
 
 
 class Optimizer:
-    """Runs the pass pipeline for one mode over block plans.
+    """Runs the pass pipeline for one mode over block plans."""
 
-    ``indexes`` carries the resolved index mode (``"on"``/``"off"``): it
-    gates the ``access_path_selection`` pass and the cost-based build-side
-    choice in ``hash_join_selection``, so ``REPRO_INDEXES=off`` reproduces
-    the pre-index plans exactly (the differential reference).
-    """
-
-    def __init__(self, mode: str, database, indexes: str = "on"):
+    def __init__(self, mode: str | None, database):
         self.mode = resolve_optimizer_mode(mode)
         self.database = database
-        self.index_mode = indexes
         self.passes = FULL_PASSES if self.mode == "on" else BASELINE_PASSES
 
     def optimize(self, block: BlockPlan) -> BlockPlan:
@@ -260,8 +245,6 @@ class Optimizer:
     # -- access-path selection (DESIGN.md §13) -----------------------------------
 
     def _pass_access_path_selection(self, block: BlockPlan) -> None:
-        if self.index_mode != "on":
-            return  # REPRO_INDEXES=off: the differential reference plans
         manager = getattr(self.database, "indexes", None)
         if manager is None or not len(manager):
             return
@@ -371,15 +354,13 @@ class Optimizer:
         self._rewire_spine(block, previous_root)
 
     def _choose_build_side(self, block: BlockPlan, join: HashJoin) -> None:
-        """Hash the smaller estimated input (INNER joins, indexes on).
+        """Hash the smaller estimated input (INNER joins, full pipeline).
 
         Estimates come only from fresh ``ANALYZE`` statistics (or index
         path estimates derived from them), so without an ``ANALYZE`` the
         legacy build-on-the-right behavior is preserved bit for bit.
         """
-        if self.mode != "on" or self.index_mode != "on":
-            return
-        if join.join_kind != "INNER":
+        if self.mode != "on" or join.join_kind != "INNER":
             return
         left = self._estimate_rows(join.left)
         right = self._estimate_rows(join.right)

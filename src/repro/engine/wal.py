@@ -19,8 +19,8 @@ protocol is redo-only logging of *committed* effects:
   sees a commit that is not durable, and memory and log never disagree
   about what has committed.  One ``fsync`` makes everything written so far
   durable (:meth:`WriteAheadLog.sync_to` skips the flush when the LSN is
-  already covered).  ``REPRO_WAL_SYNC=off`` trades durability for speed in
-  tests.
+  already covered).  Commits fsync by default; ``sync=False`` is for a
+  log opened only to be replayed.
 * A checkpoint writes a full database snapshot (via
   :mod:`repro.engine.persist`) with an atomic rename, then truncates the
   log, all under the transaction-manager lock; recovery = load newest
@@ -52,9 +52,6 @@ from ..errors import InjectedFailure, WalError
 from .database import Database
 from .persist import _decode_value, _encode_value
 
-#: Environment variable gating fsync on commit (``"on"``/``"off"``).
-WAL_SYNC_ENV = "REPRO_WAL_SYNC"
-
 #: Commit-record type tag.
 COMMIT = "commit"
 
@@ -71,13 +68,6 @@ _SNAPSHOT_NAME = "snapshot.json"
 _WAL_NAME = "wal.log"
 
 
-def resolve_wal_sync(mode: str | None = None) -> bool:
-    """Whether commits fsync (explicit argument > ``$REPRO_WAL_SYNC`` > on)."""
-    if mode is None:
-        mode = os.environ.get(WAL_SYNC_ENV) or "on"
-    return mode.strip().lower() != "off"
-
-
 def _frame(record: dict) -> bytes:
     payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
     crc = zlib.crc32(payload) & 0xFFFFFFFF
@@ -88,9 +78,9 @@ class WriteAheadLog:
     """An append-only, CRC-framed record log; one fsync covers every
     record written before it."""
 
-    def __init__(self, path: "str | Path", sync: bool | None = None):
+    def __init__(self, path: "str | Path", sync: bool = True):
         self.path = Path(path)
-        self.sync_enabled = resolve_wal_sync() if sync is None else sync
+        self.sync_enabled = sync
         self._write_lock = threading.Lock()
         self._sync_lock = threading.Lock()
         self._written_lsn = 0
@@ -375,7 +365,7 @@ class DurabilityManager:
         self,
         database: Database,
         directory: "str | Path",
-        sync: bool | None = None,
+        sync: bool = True,
     ):
         self.database = database
         self.directory = Path(directory)
@@ -489,7 +479,7 @@ class DurabilityManager:
 def open_database(
     directory: "str | Path",
     name: str = "db",
-    sync: bool | None = None,
+    sync: bool = True,
 ) -> "tuple[Database, DurabilityManager]":
     """Open (or create) a durable database rooted at ``directory``.
 

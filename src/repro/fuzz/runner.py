@@ -20,17 +20,16 @@ reach enforcement by:
     N-shard :class:`~repro.shard.coordinator.ShardCoordinator` whose
     replica worlds are rebuilt from this world's
     :class:`~.scenario.ScenarioSpec`.  Sharded deployments pin
-    ``optimizer=off, indexes=off`` — in that mode every guard conjunct is
-    evaluated per row, and the per-row ``complieswith`` count is exactly
-    conserved under row partitioning, so check counts must agree *across
-    shard counts* (they
-    are compared among the sharded paths, not against the default-mode
-    paths, and cache-hit expectations do not apply to the separate
-    replica worlds).  One more deployment at the largest shard count runs
-    at default modes (``sharded-N-default``: bitmaps, indexes on) and is
-    compared on rows only.  Before a case runs through them, a seeded
-    ``ddl-index`` step creates or drops a secondary index straight on
-    every replica's database, with no epoch bump: the coordinator has to
+    ``optimizer="off"`` — in that mode every guard conjunct is evaluated
+    per row, and the per-row ``complieswith`` count is exactly conserved
+    under row partitioning, so check counts must agree *across shard
+    counts* (they are compared among the sharded paths, not against the
+    default-mode paths, and cache-hit expectations do not apply to the
+    separate replica worlds).  One more deployment at the largest shard
+    count runs the full pipeline (``sharded-N-default``: bitmaps, index
+    paths) and is compared on rows only.  Before a case runs through them,
+    a seeded ``ddl-index`` step creates or drops a secondary index straight
+    on every replica's database, with no epoch bump: the coordinator has to
     ship it to its shards by itself, and the default-mode shards probe it.
 
 All row-returning paths must agree with the oracle on columns and row
@@ -186,18 +185,19 @@ class DifferentialRunner:
     def sharded_server(self, count: int, pinned: bool = True):
         """The running async sharded deployment for one shard count (lazy).
 
-        ``pinned`` deployments run ``optimizer=off, indexes=off``: per-row
+        ``pinned`` deployments run ``optimizer="off"``: per-row
         complieswith counts are conserved exactly under partitioning only
         when every guard conjunct is evaluated row by row with no
-        bitmap/memo hoisting.  The other one runs at default modes.
+        bitmap/memo hoisting.  The other one runs the full pipeline.
         """
         if (count, pinned) not in self._sharded:
             from ..server.async_server import AsyncQueryServer
             from ..shard import ShardCoordinator, WorldRecipe
 
-            modes = {"optimizer": "off", "indexes": "off"} if pinned else {}
             coordinator = ShardCoordinator(
-                WorldRecipe.for_fuzz(self.world.spec), count, backend="inline", **modes
+                WorldRecipe.for_fuzz(self.world.spec),
+                count,
+                optimizer="off" if pinned else None,
             )
             self._sharded[count, pinned] = AsyncQueryServer(coordinator).start()
         return self._sharded[count, pinned]

@@ -65,10 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         "--shards", type=int, default=1,
         help="shard-worker count for the async server (implies --async)",
     )
-    parser.add_argument(
-        "--backend", choices=("inline", "process"), default="inline",
-        help="shard transport: in-process workers or one process per shard",
-    )
     args = parser.parse_args(argv)
     use_async = args.use_async or args.shards > 1
 
@@ -84,9 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             selectivity=args.selectivity,
             grants=tuple(grants),
         )
-        coordinator = ShardCoordinator(
-            recipe, max(1, args.shards), backend=args.backend
-        )
+        coordinator = ShardCoordinator(recipe, max(1, args.shards))
         coordinator.monitor.attach_audit(AuditLog(coordinator.database))
         server: "AsyncQueryServer | QueryServer" = AsyncQueryServer(
             coordinator,
@@ -95,9 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             max_concurrent=args.workers,
             max_pending=args.max_pending,
         )
-        flavor = (
-            f"asyncio, {coordinator.shard_count} {args.backend} shard(s)"
-        )
+        flavor = f"asyncio, {coordinator.shard_count} shard(s)"
     else:
         scenario = build_patients_scenario(
             patients=args.patients, samples_per_patient=args.samples

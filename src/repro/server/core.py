@@ -442,7 +442,6 @@ class RequestCore:
             },
             "executor": {"batch_size": monitor.batch_size},
             "indexes": {
-                "mode": monitor.indexes_mode,
                 "manager": database.indexes.stats(),
                 "catalog": database.indexes.describe(),
                 "statistics": {

@@ -3,9 +3,9 @@
 The package splits one logical deployment into a scatter-gather
 :class:`ShardCoordinator` (full local replica + routing + merge) and N
 :class:`ShardWorker` replicas, each pruned to one hash partition of every
-table.  Worlds are rebuilt from picklable :class:`WorldRecipe` descriptions
-rather than shipped; policy and DML writes reach shards through a fenced
-two-phase epoch broadcast.  See DESIGN.md §14 for the architecture.
+table.  Worlds are rebuilt from deterministic :class:`WorldRecipe`
+descriptions rather than copied; policy and DML writes reach shards
+through a fenced two-phase epoch broadcast.  See DESIGN.md §14 for the architecture.
 """
 
 from .coordinator import (
@@ -25,7 +25,7 @@ from .router import (
     partition_rows,
     shard_of,
 )
-from .worker import InlineShard, ProcessShard, ShardWorker
+from .worker import InlineShard, ShardWorker
 
 __all__ = [
     "AsyncReadWriteLock",
@@ -34,7 +34,6 @@ __all__ = [
     "InlineShard",
     "MergeColumn",
     "MergeSpec",
-    "ProcessShard",
     "Route",
     "RoutePlan",
     "ShardCoordinator",

@@ -72,7 +72,7 @@ from ..sql.printer import to_sql
 from .partial import decompose, merge_rows
 from .recipe import WorldRecipe, build_world
 from .router import Route, classify, partition_rows, single_shard
-from .worker import InlineShard, ProcessShard, ShardWorker
+from .worker import InlineShard, ShardWorker
 
 #: How many times a split-epoch scatter is retried before giving up.  With
 #: the write fence held through both broadcast phases the only retry that
@@ -204,7 +204,14 @@ class ShardedReport:
 
 
 class ShardCoordinator:
-    """Scatter-gather front end over N hash-partitioned shard workers."""
+    """Scatter-gather front end over N hash-partitioned shard workers.
+
+    ``optimizer="off"`` pins the replica and every shard to the per-row
+    ``complieswith`` pipeline.  There is one shard transport, in-process;
+    ``backend`` accepts only ``"inline"`` because the frozen
+    ``benchmarks/e2e/serve.py`` and ``layers.py`` still pass it — ROADMAP
+    item 1 lists the argument for the benchmark PR to remove.
+    """
 
     def __init__(
         self,
@@ -212,18 +219,17 @@ class ShardCoordinator:
         shard_count: int,
         backend: str = "inline",
         optimizer: str | None = None,
-        indexes: str | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        if backend not in ("inline", "process"):
+        if backend != "inline":
             raise ValueError(f"unknown shard backend {backend!r}")
         self.recipe = recipe
         self.shard_count = shard_count
-        self.backend = backend
-        self.world = build_world(recipe).apply_modes(optimizer, indexes)
+        self.world = build_world(recipe)
         self.monitor = self.world.monitor
+        self.monitor.set_optimizer(optimizer)
         self.admin = self.world.admin
         self.database = self.world.database
         self.metrics = metrics or self.monitor.metrics or MetricsRegistry()
@@ -250,17 +256,10 @@ class ShardCoordinator:
             "repro_shard_seconds", "Per-shard call latency within scatters"
         )
         self.fence = AsyncReadWriteLock()
-        modes = (optimizer, indexes)
-        if backend == "inline":
-            self._shards: list = [
-                InlineShard(ShardWorker(recipe, index, shard_count, *modes))
-                for index in range(shard_count)
-            ]
-        else:
-            self._shards = [
-                ProcessShard(recipe, index, shard_count, *modes)
-                for index in range(shard_count)
-            ]
+        self._shards = [
+            InlineShard(ShardWorker(recipe, index, shard_count, optimizer))
+            for index in range(shard_count)
+        ]
         self._epoch_broadcasts = 0
         self._resyncs = 0
         self._route_counts: dict[str, int] = {}
@@ -288,9 +287,7 @@ class ShardCoordinator:
         self._shipped_version = self.database.catalog.version
 
     def close(self) -> None:
-        """Release the shard transports (processes for the process backend)."""
-        for shard in self._shards:
-            shard.close()
+        """Nothing to release: every shard runs in this process."""
 
     # -- scatter plumbing -----------------------------------------------------------
 
@@ -638,7 +635,6 @@ class ShardCoordinator:
         responses = await self._scatter({"verb": "stats"})
         return {
             "shard_count": self.shard_count,
-            "backend": self.backend,
             "epoch": self.admin.policy_epoch,
             "catalog_version": self.database.catalog.version,
             "route_cache": {

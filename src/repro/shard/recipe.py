@@ -1,11 +1,10 @@
-"""World recipes: picklable descriptions of a deployable scenario.
+"""World recipes: deterministic descriptions of a deployable scenario.
 
 A sharded deployment needs N+1 *identical* worlds: one full replica on the
 coordinator (for queries that cannot be scattered) and one pruned replica
-per shard worker.  Worker processes cannot share Python objects with the
-coordinator, so worlds are never shipped — instead a :class:`WorldRecipe`
+per shard worker.  Worlds are never copied — a :class:`WorldRecipe`
 carries the deterministic construction parameters and every participant
-rebuilds the same world locally (:func:`build_world`), exactly the way a
+rebuilds the same world from it (:func:`build_world`), exactly the way a
 fuzz repro file rebuilds the failure scenario from its
 :class:`~repro.fuzz.scenario.ScenarioSpec`.
 
@@ -95,18 +94,6 @@ class BuiltWorld:
     monitor: EnforcementMonitor
     admin: AccessControlManager
     database: Database
-
-    def apply_modes(
-        self,
-        optimizer: str | None = None,
-        indexes: str | None = None,
-    ) -> "BuiltWorld":
-        """Pin enforcement modes (``None`` keeps the environment default)."""
-        if optimizer is not None:
-            self.monitor.set_optimizer(optimizer)
-        if indexes is not None:
-            self.monitor.set_indexes(indexes)
-        return self
 
 
 def build_world(recipe: WorldRecipe) -> BuiltWorld:

@@ -6,8 +6,8 @@ Two decisions live here:
   its partition key (the table's primary-key columns when declared, the
   full row otherwise, always excluding the policy column whose cells are
   rewritten by policy writes).  The hash is ``zlib.crc32`` over a
-  canonical ``repr``, *not* Python's salted ``hash()`` — worker processes
-  must agree on placement across interpreter launches.
+  canonical ``repr``, *not* Python's salted ``hash()`` — placement must
+  not change between interpreter launches.
 
 * **Query routing** — :func:`classify` decides how a statement executes:
 

@@ -27,18 +27,15 @@ answers a tiny message-dict protocol:
 ``stats``
     Observability snapshot.
 
-Two transports wrap the same worker: :class:`InlineShard` keeps the worker
-in-process (awaitable, used by tests and the differential battery — a
-cooperative yield before each call preserves the interleavings the epoch
-fence must survive), and :class:`ProcessShard` runs it in a separate
-``multiprocessing`` process connected by a pipe, giving real CPU
-parallelism on multi-core hosts.
+One transport wraps the worker: :class:`InlineShard` keeps it in the
+coordinator's process and on its event loop, with a cooperative yield
+before each call that preserves the interleavings the epoch fence must
+survive.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 from ..engine.wal import apply_ddl
 from ..errors import ReproError
@@ -57,14 +54,14 @@ class ShardWorker:
         shard_index: int,
         shard_count: int,
         optimizer: str | None = None,
-        indexes: str | None = None,
     ):
         if not 0 <= shard_index < shard_count:
             raise ValueError("shard_index must be within shard_count")
         self.shard_index = shard_index
         self.shard_count = shard_count
-        self.world = build_world(recipe).apply_modes(optimizer, indexes)
+        self.world = build_world(recipe)
         self.monitor = self.world.monitor
+        self.monitor.set_optimizer(optimizer)
         self.admin = self.world.admin
         # Each shard keeps its own registry so the coordinator can audit
         # epoch-scoped invalidations shard by shard (the epoch-race test
@@ -199,7 +196,7 @@ class InlineShard:
     ``call`` yields to the loop before executing, so a scatter of N shard
     calls interleaves with concurrent coordinator work exactly like a
     remote transport would — without the yield, the epoch fence would be
-    untestable (and bugs in it invisible) under the inline backend.
+    untestable (and bugs in it invisible).
     """
 
     def __init__(self, worker: ShardWorker):
@@ -209,79 +206,3 @@ class InlineShard:
         await asyncio.sleep(0)
         return self.worker.handle(request)
 
-    def close(self) -> None:
-        """Nothing to release in-process."""
-
-
-def _shard_process_main(
-    conn, recipe: WorldRecipe, shard_index: int, shard_count: int, modes: tuple
-) -> None:
-    """Child-process loop: build the worker, answer until EOF/None."""
-    worker = ShardWorker(recipe, shard_index, shard_count, *modes)
-    while True:
-        try:
-            request = conn.recv()
-        except EOFError:
-            return
-        if request is None:
-            return
-        conn.send(worker.handle(request))
-
-
-class ProcessShard:
-    """Process transport: the worker lives behind a ``multiprocessing`` pipe.
-
-    Requests serialize per shard (one pipe, one in-flight request); the
-    blocking ``send``/``recv`` pair runs on the event loop's default thread
-    pool so concurrent scatters to *different* shards overlap.  The spawn
-    start method keeps the child's interpreter state independent of the
-    (threaded) coordinator process.
-    """
-
-    def __init__(
-        self,
-        recipe: WorldRecipe,
-        shard_index: int,
-        shard_count: int,
-        optimizer: str | None = None,
-        indexes: str | None = None,
-    ):
-        import multiprocessing
-
-        context = multiprocessing.get_context("spawn")
-        self._parent_conn, child_conn = context.Pipe(duplex=True)
-        self._process = context.Process(
-            target=_shard_process_main,
-            args=(
-                child_conn,
-                recipe,
-                shard_index,
-                shard_count,
-                (optimizer, indexes),
-            ),
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        self._lock = threading.Lock()
-
-    def _request(self, request: dict) -> dict:
-        with self._lock:
-            self._parent_conn.send(request)
-            return self._parent_conn.recv()
-
-    async def call(self, request: dict) -> dict:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._request, request)
-
-    def close(self) -> None:
-        try:
-            with self._lock:
-                self._parent_conn.send(None)
-        except (OSError, ValueError):
-            pass
-        self._process.join(timeout=10)
-        if self._process.is_alive():  # pragma: no cover - stuck worker
-            self._process.terminate()
-            self._process.join(timeout=5)
-        self._parent_conn.close()

@@ -1,9 +1,9 @@
 """The secondary-index subsystem: structures, catalog and statistics.
 
-Covers mode resolution (explicit > ``$REPRO_INDEXES`` > default), the
-B+-tree and hash structures in isolation, the :class:`IndexManager`
-catalog lifecycle with its lazy maintenance (entries revalidated against
-the visible rows, rebuilt only when a position's key changed), the
+Covers the B+-tree and hash structures in isolation, the
+:class:`IndexManager` catalog lifecycle with its lazy maintenance (entries
+revalidated against the visible rows, rebuilt only when a position's key
+changed), the
 policy-partitioned layout's skip accounting, and the statistics
 collector's snapshots and cardinality estimators — including the empty /
 all-NULL / single-distinct edge cases and staleness after every DML
@@ -18,37 +18,14 @@ import pytest
 
 from repro.engine import Database, txn_scope
 from repro.engine.index import (
-    INDEXES_ENV,
     BTreeIndex,
     HashIndex,
     IndexDefinition,
     StatisticsCollector,
     collect_table_statistics,
-    resolve_index_mode,
 )
 from repro.engine.types import BitString
 from repro.errors import CatalogError, ExecutionError
-
-
-class TestModeResolution:
-    def test_default_is_on(self, monkeypatch) -> None:
-        monkeypatch.delenv(INDEXES_ENV, raising=False)
-        assert resolve_index_mode(None) == "on"
-
-    def test_environment_variable_is_honoured(self, monkeypatch) -> None:
-        monkeypatch.setenv(INDEXES_ENV, "off")
-        assert resolve_index_mode(None) == "off"
-
-    def test_explicit_mode_beats_the_environment(self, monkeypatch) -> None:
-        monkeypatch.setenv(INDEXES_ENV, "off")
-        assert resolve_index_mode("on") == "on"
-
-    def test_case_is_normalized(self) -> None:
-        assert resolve_index_mode("OFF") == "off"
-
-    def test_unknown_mode_is_rejected(self) -> None:
-        with pytest.raises(ExecutionError):
-            resolve_index_mode("sometimes")
 
 
 class TestBTreeIndex:

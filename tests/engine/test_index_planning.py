@@ -7,19 +7,21 @@ probe, how composite keys are matched, how an index scan sits *under* a
 policy guard without ever disclosing a row the guard would have refused,
 how policy-partitioned indexes annotate the guard, when statistics flip a
 hash join's build side, and what EXPLAIN shows for all of it.
+
+The reference every index path is compared against is a twin: the same
+rows, policies and statistics with every index dropped.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, persist
 from repro.engine.plan import (
     HashJoin,
     IndexRangeScan,
     IndexScan,
     PolicyGuard,
-    Scan,
     walk,
 )
 
@@ -38,13 +40,25 @@ def indexed_db():
     return database
 
 
-def _root(database, sql, **kwargs):
-    # Pin both planner modes: these tests assert specific plan shapes and
-    # must not drift when the suite runs under REPRO_OPTIMIZER=off or
-    # REPRO_INDEXES=off (the CI mode matrix).
-    kwargs.setdefault("optimizer", "on")
-    kwargs.setdefault("indexes", "on")
-    prepared = database.prepare(sql, **kwargs)
+def _drop_indexes(database):
+    """Drop every index: the same rows, policies and statistics, and no
+    access path but the scan."""
+    for definition in database.indexes.definitions():
+        database.execute(f"drop index {definition.name}")
+    return database
+
+
+def _twin(database):
+    """A copy of ``database`` (rows, statistics) with every index dropped."""
+    twin = persist.from_document(persist.to_document(database))
+    for name in twin.table_names():
+        if database.statistics.fresh(database.table(name)) is not None:
+            twin.statistics.collect(name)
+    return _drop_indexes(twin)
+
+
+def _root(database, sql):
+    prepared = database.prepare(sql)
     _, arms = prepared._arms()
     assert len(arms) == 1
     return arms[0].block.root
@@ -83,9 +97,7 @@ class TestAccessPathSelection:
         assert not _find(ranged, IndexScan)
 
     def test_matched_conjunct_stays_in_the_residual_filter(self, indexed_db) -> None:
-        prepared = indexed_db.prepare(
-            "select a from t where b = 100", optimizer="on", indexes="on"
-        )
+        prepared = indexed_db.prepare("select a from t where b = 100")
         _, arms = prepared._arms()
         filters = [
             node
@@ -95,11 +107,6 @@ class TestAccessPathSelection:
         assert any(
             any("b" in str(c) for c in (f.conjuncts or [])) for f in filters
         ), "index scans only narrow candidates; the filter still rechecks"
-
-    def test_off_mode_plans_a_sequential_scan(self, indexed_db) -> None:
-        root = _root(indexed_db, "select a from t where b = 100", indexes="off")
-        assert not _find(root, IndexScan)
-        assert _find(root, Scan)
 
     def test_low_selectivity_predicates_stay_sequential(self, indexed_db) -> None:
         # b >= 0 matches every row: estimated fraction is far above the
@@ -124,13 +131,17 @@ class TestAccessPathSelection:
         assert not _find(root, IndexScan)
 
     def test_selection_is_noted(self, indexed_db) -> None:
-        prepared = indexed_db.prepare(
-            "select a from t where b = 100", optimizer="on", indexes="on"
-        )
+        prepared = indexed_db.prepare("select a from t where b = 100")
         assert any(
             "access_path_selection" in note
             for note in prepared.optimizer_notes()
         )
+
+    def test_there_is_no_index_mode_to_switch_off(self, indexed_db) -> None:
+        from repro.errors import ExecutionError
+
+        with pytest.raises(ExecutionError, match="unknown index mode"):
+            indexed_db.prepare("select a from t where b = 100", indexes="off")
 
     def test_estimates_without_statistics_use_defaults(self) -> None:
         database = Database()
@@ -146,12 +157,11 @@ class TestAccessPathSelection:
         assert scans[0].estimated_rows == 2  # 20 rows * 0.1
 
 
-def _both_modes(database, sql):
-    """The same statement prepared with index paths on and off."""
-    return (
-        database.prepare(sql, optimizer="on", indexes="on"),
-        database.prepare(sql, optimizer="on", indexes="off"),
-    )
+def _both_modes(database, sql, twin=None):
+    """The same statement prepared on ``database`` and on its twin without
+    indexes (:func:`_twin` unless one is given)."""
+    twin = _twin(database) if twin is None else twin
+    return database.prepare(sql), twin.prepare(sql)
 
 
 class TestParameterProbes:
@@ -274,7 +284,8 @@ class TestCompositeKeys:
         assert on.execute(["c2"]).rows == off.execute(["c2"]).rows
         assert (500,) in on.execute(["c2"]).rows
         # Appended later: the carried-forward entry learns about it too.
-        composite_db.execute("insert into t values (501, null, 'c2')")
+        for database in (composite_db, off.database):
+            database.execute("insert into t values (501, null, 'c2')")
         assert on.execute(["c2"]).rows == off.execute(["c2"]).rows
 
 
@@ -312,9 +323,9 @@ class TestIndexedDml:
         ],
     )
     def test_same_rows_count_and_checks_as_a_scan(self, sql) -> None:
-        on, off = self._world(), self._world()
+        on, off = self._world(), _drop_indexes(self._world())
         probes = on.indexes.stats()["hits"]
-        assert on.execute(sql, indexes="on") == off.execute(sql, indexes="off")
+        assert on.execute(sql) == off.execute(sql)
         assert on.table("t").rows == off.table("t").rows
         assert on.function_calls("chk") == off.function_calls("chk")
         assert on.indexes.stats()["hits"] > probes
@@ -323,9 +334,7 @@ class TestIndexedDml:
     def test_the_index_spares_the_rows_the_key_rejects(self) -> None:
         database = self._world()
         rows_before = list(database.table("t").rows)
-        assert database.execute(
-            "update t set a = -1 where b = 100 and chk(a)", indexes="on"
-        ) == 2
+        assert database.execute("update t set a = -1 where b = 100 and chk(a)") == 2
         # Checked: the two candidates, not the forty-two rows (the NULL-key
         # row's conjunct is unknown, so it is looked at as a scan would).
         assert database.function_calls("chk") == 3
@@ -350,11 +359,11 @@ class TestIndexedDml:
         ],
     )
     def test_uncovered_statements_scan(self, sql) -> None:
-        on, off = self._world(), self._world()
+        on, off = self._world(), _drop_indexes(self._world())
         for database in (on, off):
             database.execute("create table u (a integer)")
             database.execute("insert into u values (10), (11)")
-        assert on.execute(sql, indexes="on") == off.execute(sql, indexes="off")
+        assert on.execute(sql) == off.execute(sql)
         assert on.table("t").rows == off.table("t").rows
         assert on.function_calls("chk") == off.function_calls("chk")
         assert on.indexes.stats()["hits"] == 0
@@ -362,13 +371,13 @@ class TestIndexedDml:
     def test_incomparable_probe_value_scans_and_fails_like_a_scan(self) -> None:
         from repro.errors import ReproError
 
-        on, off = self._world(), self._world()
+        on, off = self._world(), _drop_indexes(self._world())
         outcomes = []
-        for database, mode in ((on, "on"), (off, "off")):
+        for database in (on, off):
             try:
-                outcomes.append(database.execute(
-                    "update t set a = 0 where b = 'text'", indexes=mode
-                ))
+                outcomes.append(
+                    database.execute("update t set a = 0 where b = 'text'")
+                )
             except ReproError as exc:
                 outcomes.append(type(exc).__name__)
         assert outcomes[0] == outcomes[1]
@@ -380,30 +389,21 @@ class TestIndexedDml:
         database.execute("insert into t values (1, 'p'), (2, 'q'), (3, 'p')")
         database.policy_column = "policy"
         database.execute("create index i_p on t (a) partition by policy")
-        assert database.execute("update t set a = 9 where a = 2", indexes="on") == 1
+        assert database.execute("update t set a = 9 where a = 2") == 1
         assert database.indexes.stats()["hits"] == 0
         assert [row[0] for row in database.table("t").rows] == [1, 9, 3]
-
-    def test_environment_switch_reaches_dml(self, monkeypatch) -> None:
-        database = self._world()
-        monkeypatch.setenv("REPRO_INDEXES", "off")
-        assert database.execute("update t set a = 0 where b = 100") == 2
-        assert database.indexes.stats()["hits"] == 0
-        monkeypatch.setenv("REPRO_INDEXES", "on")
-        assert database.execute("update t set a = 1 where b = 100") == 2
-        assert database.indexes.stats()["hits"] == 1
 
     def test_staged_table_scans_and_sees_its_own_writes(self) -> None:
         database = self._world()
         database.begin()
-        assert database.execute("update t set b = 777 where b = 100", indexes="on") == 2
+        assert database.execute("update t set b = 777 where b = 100") == 2
         first = database.indexes.stats()["hits"]
         # The overlay is private: no shared index entry describes it.
-        assert database.execute("update t set a = -7 where b = 777", indexes="on") == 2
-        assert database.execute("delete from t where b = 100", indexes="on") == 0
+        assert database.execute("update t set a = -7 where b = 777") == 2
+        assert database.execute("delete from t where b = 100") == 0
         assert database.indexes.stats()["hits"] == first == 1
         database.commit()
-        assert database.execute("delete from t where b = 777", indexes="on") == 2
+        assert database.execute("delete from t where b = 777") == 2
         assert database.indexes.stats()["hits"] == 2
 
 
@@ -418,25 +418,34 @@ class TestIndexScanUnderPolicyGuard:
     PURPOSE = "p6"
     SQL = "select watch_id, timestamp, beats from sensed_data where watch_id = ? and timestamp = ?"
 
-    @pytest.fixture(scope="class")
-    def guarded(self):
+    @staticmethod
+    def _world(patients=12, samples=4):
         from repro.workload import apply_experiment_policies, build_patients_scenario
 
-        instance = build_patients_scenario(patients=12, samples_per_patient=4)
+        instance = build_patients_scenario(patients=patients, samples_per_patient=samples)
         apply_experiment_policies(instance, selectivity=0.5, seed=7)
         instance.database.execute(
             "create index i_watch_ts on sensed_data (watch_id, timestamp)"
         )
-        instance.monitor.set_optimizer("on")
-        rewritten = instance.monitor.execute_with_report(
+        return instance
+
+    def _rewritten(self, instance) -> str:
+        return instance.monitor.execute_with_report(
             self.SQL, self.PURPOSE, params=["watch0", 1]
         ).rewritten_sql
-        return instance, rewritten
+
+    @pytest.fixture(scope="class")
+    def guarded(self):
+        """The indexed world, its enforced point lookup and its twin."""
+        instance = self._world()
+        twin = self._world()
+        _drop_indexes(twin.database)
+        return instance, self._rewritten(instance), twin
 
     def test_every_key_agrees_with_the_full_scan(self, guarded) -> None:
-        instance, rewritten = guarded
+        instance, rewritten, twin = guarded
         database = instance.database
-        on, off = _both_modes(database, rewritten)
+        on, off = _both_modes(database, rewritten, twin.database)
         root = on._arms()[1][0].block.root
         (guard,) = _find(root, PolicyGuard)
         assert isinstance(guard.scan, IndexScan)
@@ -456,37 +465,26 @@ class TestIndexScanUnderPolicyGuard:
             assert found == off.execute(list(key)).rows
             assert [row[:2] for row in found] == ([key] if key in visible else [])
         assert database.indexes.stats()["hits"] == before + len(keys)
+        assert twin.database.indexes.stats()["hits"] == 0
 
     def test_prefix_probe_under_the_guard(self, guarded) -> None:
-        instance, _ = guarded
-        monitor = instance.monitor
-        try:
-            for watch in ("watch0", "watch1", "watch2", "watch3", "nope"):
-                sql = f"select timestamp, beats from sensed_data where watch_id = '{watch}'"
-                monitor.set_indexes("on")
-                on = monitor.execute_with_report(sql, self.PURPOSE)
-                monitor.set_indexes("off")
-                off = monitor.execute_with_report(sql, self.PURPOSE)
-                assert on.result.rows == off.result.rows
-                assert on.compliance_checks == off.compliance_checks
-                assert on.index_hits == 1 and off.index_hits == 0
-        finally:
-            monitor.set_indexes(None)
+        instance, _, twin = guarded
+        for watch in ("watch0", "watch1", "watch2", "watch3", "nope"):
+            sql = f"select timestamp, beats from sensed_data where watch_id = '{watch}'"
+            on, off = (
+                world.monitor.execute_with_report(sql, self.PURPOSE)
+                for world in (instance, twin)
+            )
+            assert on.result.rows == off.result.rows
+            assert on.compliance_checks == off.compliance_checks
+            assert on.index_hits == 1 and off.index_hits == 0
 
     def test_dropped_index_falls_back_to_positions(self) -> None:
-        from repro.workload import apply_experiment_policies, build_patients_scenario
-
-        instance = build_patients_scenario(patients=8, samples_per_patient=3)
-        apply_experiment_policies(instance, selectivity=0.5, seed=7)
+        instance = self._world(patients=8, samples=3)
+        twin = self._world(patients=8, samples=3)
+        _drop_indexes(twin.database)
         database = instance.database
-        database.execute(
-            "create index i_watch_ts on sensed_data (watch_id, timestamp)"
-        )
-        instance.monitor.set_optimizer("on")
-        rewritten = instance.monitor.execute_with_report(
-            self.SQL, self.PURPOSE, params=["watch0", 1]
-        ).rewritten_sql
-        on, off = _both_modes(database, rewritten)
+        on, off = _both_modes(database, self._rewritten(instance), twin.database)
         database.execute("drop index i_watch_ts")
         for row in database.table("sensed_data").rows:
             assert on.execute(list(row[:2])).rows == off.execute(list(row[:2])).rows
@@ -494,18 +492,13 @@ class TestIndexScanUnderPolicyGuard:
     def test_explain_analyze_counts_rows_against_the_index_scan(self, guarded) -> None:
         import re
 
-        instance, _ = guarded
-        monitor = instance.monitor
-        monitor.set_indexes("on")
-        try:
-            lines = [
-                row[0]
-                for row in monitor.explain(
-                    self.SQL, self.PURPOSE, params=["watch0", 1], analyze=True
-                ).rows
-            ]
-        finally:
-            monitor.set_indexes(None)
+        instance, _, _ = guarded
+        lines = [
+            row[0]
+            for row in instance.monitor.explain(
+                self.SQL, self.PURPOSE, params=["watch0", 1], analyze=True
+            ).rows
+        ]
         (scan,) = [line for line in lines if line.strip().startswith("IndexScan")][-1:]
         assert re.search(r"\(rows=1\b", scan), scan
         guard = lines[lines.index(scan) - 1]
@@ -542,17 +535,23 @@ class TestBuildSideSelection:
         assert _find(flipped, HashJoin)[0].build_side == "right"
 
     def test_flipped_join_returns_the_same_rows(self) -> None:
-        database = Database()
-        database.execute("create table small (a integer)")
-        database.execute("create table big (a integer, v integer)")
-        database.execute("insert into small values (1), (3)")
-        rows = ", ".join(f"({i}, {i * 10})" for i in range(50))
-        database.execute(f"insert into big values {rows}")
-        database.execute("analyze")
+        def world(analyze: bool) -> Database:
+            database = Database()
+            database.execute("create table small (a integer)")
+            database.execute("create table big (a integer, v integer)")
+            database.execute("insert into small values (1), (3)")
+            rows = ", ".join(f"({i}, {i * 10})" for i in range(50))
+            database.execute(f"insert into big values {rows}")
+            if analyze:
+                database.execute("analyze")
+            return database
+
         sql = "select small.a, big.v from small join big on small.a = big.a"
-        with_stats = database.query(sql, optimizer="on", indexes="on").rows
-        legacy = database.query(sql, optimizer="on", indexes="off").rows
-        assert sorted(with_stats) == sorted(legacy) == [(1, 10), (3, 30)]
+        flipped, legacy = world(analyze=True), world(analyze=False)
+        assert _find(_root(flipped, sql), HashJoin)[0].build_side == "left"
+        assert _find(_root(legacy, sql), HashJoin)[0].build_side == "right"
+        with_stats = flipped.query(sql).rows
+        assert sorted(with_stats) == sorted(legacy.query(sql).rows) == [(1, 10), (3, 30)]
 
     def test_outer_joins_never_flip(self) -> None:
         database = Database()
@@ -575,12 +574,7 @@ class TestPartitionAnnotation:
     def world(self):
         from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario
 
-        instance = build_fuzz_scenario(ScenarioSpec(index_count=1))
-        # Pruning needs the hoisted guard and the access-path pass; pin
-        # both modes against the CI matrix's env overrides.
-        instance.monitor.set_optimizer("on")
-        instance.monitor.set_indexes("on")
-        return instance
+        return build_fuzz_scenario(ScenarioSpec(index_count=1))
 
     def test_guard_is_annotated_with_the_partitioned_index(self, world) -> None:
         table = world.database.indexes.definitions()[0].table
@@ -600,26 +594,10 @@ class TestPartitionAnnotation:
         assert after["partition_hits"] > before["partition_hits"]
         assert after["partition_skips"] >= before["partition_skips"]
 
-    def test_off_mode_does_not_annotate_the_guard(self, world) -> None:
-        monitor = world.monitor
-        monitor.set_indexes("off")
-        try:
-            monitor.clear_plan_cache()
-            result = monitor.explain(
-                f"select * from {world.database.indexes.definitions()[0].table}",
-                world.purposes[0],
-            )
-        finally:
-            monitor.set_indexes(None)
-        plan = "\n".join(row[0] for row in result.rows)
-        assert "partitions:" not in plan
-
 
 class TestExplainSurface:
     def test_explain_shows_the_access_path_and_estimate(self, indexed_db) -> None:
-        prepared = indexed_db.prepare(
-            "select a from t where b = 100", optimizer="on", indexes="on"
-        )
+        prepared = indexed_db.prepare("select a from t where b = 100")
         text = "\n".join(prepared.describe())
         assert "IndexScan" in text
         assert "using i_b" in text
@@ -629,8 +607,6 @@ class TestExplainSurface:
         from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario
 
         world = build_fuzz_scenario(ScenarioSpec(index_count=1))
-        world.monitor.set_optimizer("on")
-        world.monitor.set_indexes("on")
         table = world.database.indexes.definitions()[0].table
         result = world.monitor.explain(
             f"select * from {table}", world.purposes[0], analyze=True
@@ -638,4 +614,3 @@ class TestExplainSurface:
         text = "\n".join(row[0] for row in result.rows)
         assert "index_hits=" in text
         assert "partition_skips=" in text
-        assert "Indexes: mode=on" in text

@@ -1,8 +1,8 @@
 """The logical-plan IR, the rule-based optimizer and the policy bitmaps.
 
-Covers mode resolution (explicit > ``$REPRO_OPTIMIZER`` > default), the
-canonical tree the planner builds, each optimizer pass in isolation via
-the plan it produces, the distinct-value economics of the bitmap cache,
+Covers mode resolution (``None`` means on), the canonical tree the planner
+builds, each optimizer pass in isolation via the plan it produces, the
+distinct-value economics of the bitmap cache,
 and the contract that ``optimizer=off`` reproduces the same rows as the
 full pipeline.
 """
@@ -17,7 +17,6 @@ from repro.engine import Database
 from repro.engine.plan import (
     BASELINE_PASSES,
     FULL_PASSES,
-    OPTIMIZER_ENV,
     Aggregate,
     Filter,
     HashJoin,
@@ -43,17 +42,8 @@ from repro.workload import (
 
 
 class TestModeResolution:
-    def test_default_is_on(self, monkeypatch) -> None:
-        monkeypatch.delenv(OPTIMIZER_ENV, raising=False)
+    def test_default_is_on(self) -> None:
         assert resolve_optimizer_mode(None) == "on"
-
-    def test_environment_variable_is_honoured(self, monkeypatch) -> None:
-        monkeypatch.setenv(OPTIMIZER_ENV, "off")
-        assert resolve_optimizer_mode(None) == "off"
-
-    def test_explicit_mode_beats_the_environment(self, monkeypatch) -> None:
-        monkeypatch.setenv(OPTIMIZER_ENV, "off")
-        assert resolve_optimizer_mode("on") == "on"
 
     def test_case_is_normalized(self) -> None:
         assert resolve_optimizer_mode("OFF") == "off"
@@ -221,7 +211,7 @@ class TestAccessPathInvariants:
         database = policy_scenario.database
         database.execute("create index i_wt on sensed_data (watch_id, timestamp)")
         rewritten = policy_scenario.monitor.rewrite(self.SQL, "p6")
-        prepared = database.prepare(rewritten, optimizer="on", indexes="on")
+        prepared = database.prepare(rewritten)
         _, (arm,) = prepared._arms()
         return arm.block
 
@@ -252,7 +242,7 @@ class TestAccessPathInvariants:
         database.execute("create index i_watch on users (watch_id) using hash")
         for query in AD_HOC_QUERIES:
             rewritten = policy_scenario.monitor.rewrite(query.sql, "p6")
-            prepared = database.prepare(rewritten, optimizer="on", indexes="on")
+            prepared = database.prepare(rewritten)
             for arm in prepared._arms()[1]:
                 check_access_paths(arm.block)
 
@@ -482,8 +472,6 @@ class TestBitmapContract:
         apply_experiment_policies(scenario, selectivity, seed=411595)
         monitor = scenario.monitor
 
-        # The test pins each mode itself, so it means the same under the
-        # REPRO_OPTIMIZER=off leg of CI.
         monitor.set_optimizer("off")
         per_row = monitor.execute_with_report(query.sql, "p6")
         monitor.set_optimizer("on")

@@ -43,7 +43,6 @@ from repro.engine.wal import (
     COMMIT,
     WriteAheadLog,
     open_database,
-    resolve_wal_sync,
 )
 from repro.errors import InjectedFailure, WriteConflictError
 
@@ -153,12 +152,12 @@ def test_ddl_is_logged_not_checkpointed(tmp_path) -> None:
     assert recovered.indexes.lookup_equal("i_extra", 7) == [0]
 
 
-def test_wal_sync_mode_resolution(monkeypatch) -> None:
-    monkeypatch.delenv("REPRO_WAL_SYNC", raising=False)
-    assert resolve_wal_sync() is True
-    monkeypatch.setenv("REPRO_WAL_SYNC", "off")
-    assert resolve_wal_sync() is False
-    assert resolve_wal_sync("on") is True
+def test_wal_sync_mode_resolution(tmp_path) -> None:
+    """By default, a commit fsyncs before it returns."""
+    db, durability = durable_db(tmp_path)
+    syncs = durability.wal.syncs
+    db.execute("insert into t values (1, 'synced')")
+    assert durability.wal.syncs == syncs + 1
 
 
 # -- the injected-failure crash harness ---------------------------------------

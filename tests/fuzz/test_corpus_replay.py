@@ -7,6 +7,11 @@ denied submission, each oracle-checked when the corpus was built
 the whole differential harness — oracle, all five paths, audit and
 invariant checks — pinned against regressions without paying for a fuzzing
 campaign in tier-1 time.
+
+Each file replays twice: through the full optimizer pipeline, and — the
+``rowcheck-*`` leg — through a monitor pinned to ``optimizer="off"``, the
+paper's per-row ``complieswith`` pipeline that Fig. 6 counts, in process
+and over the wire alike.
 """
 
 from __future__ import annotations
@@ -31,6 +36,14 @@ def corpus_runner():
         yield runner
 
 
+@pytest.fixture(scope="module")
+def rowcheck_runner():
+    """The same harness with the monitor on the per-row pipeline."""
+    with DifferentialRunner(spec=ScenarioSpec()) as runner:
+        runner.world.monitor.set_optimizer("off")
+        yield runner
+
+
 def test_corpus_is_present() -> None:
     assert len(CORPUS_FILES) >= 30, "regression corpus missing or truncated"
 
@@ -47,6 +60,16 @@ def test_corpus_case_replays_clean(corpus_runner, path: Path) -> None:
     )
     report = corpus_runner.run_case(case)
     assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize(
+    "path", CORPUS_FILES, ids=[f"rowcheck-{p.stem}" for p in CORPUS_FILES]
+)
+def test_corpus_case_replays_clean_per_row(rowcheck_runner, path: Path) -> None:
+    _, case, _ = load_repro(path)
+    report = rowcheck_runner.run_case(case)
+    assert report.ok, report.describe()
+    assert {p.path for p in report.paths} >= {"ad-hoc", "server-query"}
 
 
 def test_corpus_files_are_wellformed() -> None:

@@ -1,23 +1,28 @@
 """Differential testing of index-accelerated plans against full scans.
 
-``REPRO_INDEXES=off`` is the differential reference: every query plans
-exactly as the pre-index engine did.  With indexes on, the optimizer may
-reroute scans through secondary indexes, prune policy partitions and flip
-hash-join build sides — none of which may change the observable outcome:
-same rows and columns, same denial/error outcome, the *same*
-``complieswith`` invocation count (index paths are never chosen for
-residuals that call the policy UDF, and partition verdicts come from the
-same bitmap cache), and the same audit trail.
+The reference is a twin world: built from the same spec, then every index
+in ``indexes.definitions()`` dropped — the same rows, policies and
+statistics, and no access path but the scan.  In the indexed world the
+optimizer may reroute scans through secondary indexes, prune policy
+partitions and find UPDATE/DELETE candidates by key — none of which may
+change the observable outcome: same rows and columns, same denial/error
+outcome, the *same* ``complieswith`` invocation count (index paths are
+never chosen for residuals that call the policy UDF, and partition
+verdicts come from the same bitmap cache), and the same audit trail.
 
 Three layers of coverage:
 
 * every regression-corpus file replayed through the full differential
-  harness under each index mode,
-* a 500-case seed-2015 campaign comparing indexes-on and indexes-off
-  execution of every generated case directly against each other — as
-  generated, and again with its comparison literals lifted to parameters,
-  so every access path also probes with execute-time bindings — and
-* the campaign's audit records compared field-by-field.
+  harness in the indexed world and in its twin,
+* a 500-case seed-2015 campaign comparing the two worlds' execution of
+  every generated case directly against each other — as generated, and
+  again with its comparison literals lifted to parameters, so every access
+  path also probes with execute-time bindings — audit records included,
+  and
+* keyed and derived UPDATE/DELETE statements run in lockstep on both.
+
+None of it is vacuous: the indexed world probes its indexes, the twin
+never does.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import AuditLog
+from repro.core.admin import COMPLIES_WITH
 from repro.errors import ReproError, UnauthorizedPurposeError
 from repro.fuzz import DifferentialRunner, FuzzQueryGenerator, build_fuzz_scenario, load_repro
 from repro.fuzz.generator import FuzzCase, case_rng
@@ -40,23 +46,33 @@ CAMPAIGN_CASES = 500
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
 
-INDEX_MODES = ("on", "off")
-
 #: The campaign world pins three indexes (plus the composite one every
-#: indexed world carries) so the on-mode always has access paths —
-#: including a policy-partitioned one — to choose from.
+#: indexed world carries) so it always has access paths — including a
+#: policy-partitioned one — to choose from.
 INDEXED_SPEC = ScenarioSpec(index_count=3)
 
 
-@pytest.fixture(scope="module", params=INDEX_MODES)
+def build_twin(spec):
+    """The world ``spec`` builds, with every index dropped."""
+    twin = build_fuzz_scenario(spec)
+    database = twin.database
+    for definition in database.indexes.definitions():
+        database.execute(f"drop index {definition.name}")
+    assert not database.indexes.definitions()
+    return twin
+
+
+def index_hits(world) -> int:
+    return world.database.indexes.stats()["hits"]
+
+
+@pytest.fixture(scope="module", params=("on", "off"))
 def mode_runner(request):
-    """One full differential harness (server included) per index mode."""
-    with DifferentialRunner(spec=INDEXED_SPEC) as runner:
-        runner.world.monitor.set_indexes(request.param)
-        try:
-            yield runner
-        finally:
-            runner.world.monitor.set_indexes(None)
+    """One full differential harness (server included) per world: ``on``
+    the indexed one, ``off`` its twin."""
+    build = build_fuzz_scenario if request.param == "on" else build_twin
+    with DifferentialRunner(world=build(INDEXED_SPEC)) as runner:
+        yield runner
 
 
 @pytest.mark.parametrize(
@@ -105,25 +121,36 @@ def point_cases(world, seed=CAMPAIGN_SEED):
         )
 
 
-def _build_audited_world(spec):
-    instance = build_fuzz_scenario(spec)
-    assert instance.indexes, "campaign world must carry secondary indexes"
-    audit = AuditLog(instance.database)
-    instance.monitor.attach_audit(audit)
-    return instance, audit
+def _audited(world):
+    audit = AuditLog(world.database)
+    world.monitor.attach_audit(audit)
+    return world, audit
+
+
+def _audited_pair(spec):
+    """``(indexed, twin)``, each ``(world, audit)``."""
+    indexed = build_fuzz_scenario(spec)
+    assert indexed.indexes, "campaign world must carry secondary indexes"
+    return _audited(indexed), _audited(build_twin(spec))
+
+
+def _trail(audit, before):
+    return tuple(
+        (r.outcome, r.user, r.purpose, r.rows, r.compliance_checks)
+        for r in audit.records[before:]
+    )
 
 
 class TestIndexCampaign:
-    """500 generated cases and the key lookups, with indexes on and off."""
+    """500 generated cases and the key lookups, indexed world vs. twin."""
 
     @pytest.fixture(scope="class")
-    def eq_world(self):
-        return _build_audited_world(INDEXED_SPEC)
+    def eq_worlds(self):
+        return _audited_pair(INDEXED_SPEC)
 
     @staticmethod
-    def _run_mode(world, audit, case, mode):
+    def _run(world, audit, case):
         monitor = world.monitor
-        monitor.set_indexes(mode)
         monitor.clear_plan_cache()
         monitor.clear_policy_bitmaps()
         audit_before = len(audit)
@@ -142,113 +169,96 @@ class TestIndexCampaign:
                 tuple(normalize_rows(report.result.rows)),
                 report.compliance_checks,
             )
-        trail = tuple(
-            (r.outcome, r.user, r.purpose, r.rows, r.compliance_checks)
-            for r in audit.records[audit_before:]
-        )
-        return outcome, trail
+        return outcome, _trail(audit, audit_before)
 
-    def _disagreements(self, world, audit, cases) -> tuple[list[str], int]:
+    def _disagreements(self, worlds, cases) -> tuple[list[str], int]:
         """Run each case as generated and with its comparison literals
-        lifted to parameters, in both index modes: ``(disagreements, how
-        many cases had a literal to lift)``."""
-        previous = world.monitor.indexes_mode
+        lifted to parameters, in the indexed world and its twin:
+        ``(disagreements, how many cases had a literal to lift)``."""
+        indexed, twin = worlds
         disagreements = []
         lifted_cases = 0
-        try:
-            for case in cases:
-                lifted = lift_literals(case)
-                lifted_cases += lifted is not None
-                outcomes = []
-                for form in filter(None, (case, lifted)):
-                    on = self._run_mode(world, audit, form, "on")
-                    off = self._run_mode(world, audit, form, "off")
-                    outcomes.append(on[0])
-                    if on != off:
-                        disagreements.append(
-                            f"{form.replay_token} ({form.kind}): {form.sql!r} "
-                            f"{form.params}\n  on:  {on}\n  off: {off}"
-                        )
-                # Binding at execute time answers what the literal answered
-                # (rows, columns and the complieswith count).
-                if len(set(outcomes)) > 1:
+        for case in cases:
+            lifted = lift_literals(case)
+            lifted_cases += lifted is not None
+            outcomes = []
+            for form in filter(None, (case, lifted)):
+                on = self._run(*indexed, form)
+                off = self._run(*twin, form)
+                outcomes.append(on[0])
+                if on != off:
                     disagreements.append(
-                        f"{case.replay_token}: literal vs lifted\n  {outcomes}"
+                        f"{form.replay_token} ({form.kind}): {form.sql!r} "
+                        f"{form.params}\n  indexed: {on}\n  dropped: {off}"
                     )
-                if len(disagreements) >= 5:
-                    break
-        finally:
-            world.monitor.set_indexes(previous)
+            # Binding at execute time answers what the literal answered
+            # (rows, columns and the complieswith count).
+            if len(set(outcomes)) > 1:
+                disagreements.append(
+                    f"{case.replay_token}: literal vs lifted\n  {outcomes}"
+                )
+            if len(disagreements) >= 5:
+                break
         return disagreements, lifted_cases
 
-    def test_500_cases_agree_between_index_modes(self, eq_world) -> None:
-        world, audit = eq_world
-        generator = FuzzQueryGenerator.for_world(world, seed=CAMPAIGN_SEED)
+    @staticmethod
+    def _assert_not_vacuous(worlds) -> None:
+        (indexed, _), (twin, _) = worlds
+        assert index_hits(indexed) > 0
+        assert index_hits(twin) == 0
+
+    def test_500_cases_agree_between_index_modes(self, eq_worlds) -> None:
+        generator = FuzzQueryGenerator.for_world(eq_worlds[0][0], seed=CAMPAIGN_SEED)
         disagreements, lifted_cases = self._disagreements(
-            world, audit, generator.cases(CAMPAIGN_CASES)
+            eq_worlds, generator.cases(CAMPAIGN_CASES)
         )
         assert disagreements == [], "\n\n".join(disagreements)
         assert lifted_cases > CAMPAIGN_CASES // 4
+        self._assert_not_vacuous(eq_worlds)
 
     @pytest.mark.parametrize(
         "spec", [INDEXED_SPEC, UNCLAIMED_SPEC], ids=["claimed", "unclaimed"]
     )
     def test_key_lookups_agree_between_index_modes(self, spec) -> None:
-        world, audit = _build_audited_world(spec)
+        worlds = _audited_pair(spec)
         disagreements, lifted_cases = self._disagreements(
-            world, audit, point_cases(world)
+            worlds, point_cases(worlds[0][0])
         )
         assert disagreements == [], "\n\n".join(disagreements)
         assert lifted_cases == POINT_CASES
+        self._assert_not_vacuous(worlds)
 
     def test_key_lookups_probe_with_bindings(self) -> None:
         """The parameterised half is vacuous unless plans probe an index
         with a binding — under the policy guard, composite key included."""
-        world, _ = _build_audited_world(UNCLAIMED_SPEC)
-        monitor = world.monitor
-        previous_optimizer = monitor.optimizer_mode
-        monitor.set_optimizer("on")
-        monitor.set_indexes("on")
+        world = build_fuzz_scenario(UNCLAIMED_SPEC)
         probed: set[str] = set()
-        try:
-            for case in map(lift_literals, point_cases(world)):
-                try:
-                    plan = monitor.explain(
-                        case.sql, case.purpose, user=case.user, params=case.params
-                    )
-                except ReproError:
-                    continue
-                lines = [line for (line,) in plan.rows]
-                for guard, scan in zip(lines, lines[1:]):
-                    if "PolicyGuard" in guard and ":lift" in scan:
-                        probed.add(scan.split(" using ")[1].split()[0])
-        finally:
-            monitor.set_indexes(None)
-            monitor.set_optimizer(previous_optimizer)
+        for case in map(lift_literals, point_cases(world)):
+            try:
+                plan = world.monitor.explain(
+                    case.sql, case.purpose, user=case.user, params=case.params
+                )
+            except ReproError:
+                continue
+            lines = [line for (line,) in plan.rows]
+            for guard, scan in zip(lines, lines[1:]):
+                if "PolicyGuard" in guard and ":lift" in scan:
+                    probed.add(scan.split(" using ")[1].split()[0])
         assert COMPOSITE_INDEX[0] in probed and len(probed) > 1, probed
 
-    def test_on_mode_actually_uses_indexes(self, eq_world) -> None:
+    def test_on_mode_actually_uses_indexes(self, eq_worlds) -> None:
         """The equivalence above is vacuous unless index paths really run."""
-        world, _ = eq_world
+        world, _ = eq_worlds[0]
         monitor = world.monitor
-        previous_optimizer = monitor.optimizer_mode
-        # Index paths hang off the full pass pipeline; pin it on so this
-        # check holds under the CI matrix's REPRO_OPTIMIZER=off run.
-        monitor.set_optimizer("on")
-        monitor.set_indexes("on")
         monitor.clear_plan_cache()
-        try:
-            before = world.database.indexes.stats()
-            generator = FuzzQueryGenerator.for_world(world, seed=CAMPAIGN_SEED)
-            for case in generator.cases(100):
-                try:
-                    monitor.execute(case.sql, case.purpose, params=case.params or None)
-                except ReproError:
-                    pass
-            after = world.database.indexes.stats()
-        finally:
-            monitor.set_indexes(None)
-            monitor.set_optimizer(previous_optimizer)
+        before = world.database.indexes.stats()
+        generator = FuzzQueryGenerator.for_world(world, seed=CAMPAIGN_SEED)
+        for case in generator.cases(100):
+            try:
+                monitor.execute(case.sql, case.purpose, params=case.params or None)
+            except ReproError:
+                pass
+        after = world.database.indexes.stats()
         touched = (
             (after["hits"] - before["hits"])
             + (after["partition_hits"] - before["partition_hits"])
@@ -318,18 +328,9 @@ def _derived_dml(world, count):
 
 
 class TestIndexedDml:
-    """Two identical worlds, indexes on and off, driven in lockstep: every
-    UPDATE/DELETE leaves the same rows in the same order, the same affected
-    count and the same ``complieswith`` count."""
-
-    @staticmethod
-    def _worlds(spec):
-        worlds = {}
-        for mode in INDEX_MODES:
-            world = build_fuzz_scenario(spec)
-            world.monitor.set_indexes(mode)
-            worlds[mode] = world
-        return worlds
+    """The indexed world and its twin driven in lockstep: every UPDATE/DELETE
+    leaves the same rows in the same order, the same affected count, the
+    same ``complieswith`` count and the same audit record."""
 
     @staticmethod
     def _state(world):
@@ -337,11 +338,10 @@ class TestIndexedDml:
         return {name: list(database.table(name).rows) for name in database.tables}
 
     @classmethod
-    def _run(cls, world, sql, purpose, user, rolled_back=False):
-        from repro.core.admin import COMPLIES_WITH
-
+    def _run(cls, world, audit, sql, purpose, user, rolled_back=False):
         database, monitor = world.database, world.monitor
         before = database.function_calls(COMPLIES_WITH)
+        audit_before = len(audit)
         if rolled_back:
             database.begin()
         try:
@@ -354,55 +354,57 @@ class TestIndexedDml:
         state = cls._state(world)
         if rolled_back:
             database.rollback()
-        return outcome, database.function_calls(COMPLIES_WITH) - before, state
+        checks = database.function_calls(COMPLIES_WITH) - before
+        return outcome, checks, _trail(audit, audit_before), state
 
     def _lockstep(self, worlds, statements):
+        indexed, twin = worlds
         disagreements = []
         affected = 0
         for sql, purpose, user, rolled_back in statements:
-            on = self._run(worlds["on"], sql, purpose, user, rolled_back)
-            off = self._run(worlds["off"], sql, purpose, user, rolled_back)
+            on = self._run(*indexed, sql, purpose, user, rolled_back)
+            off = self._run(*twin, sql, purpose, user, rolled_back)
             if on != off:
                 disagreements.append(
-                    f"{sql!r} as {purpose}/{user}\n  on:  {on[:2]}\n  off: {off[:2]}"
+                    f"{sql!r} as {purpose}/{user}\n"
+                    f"  indexed: {on[:3]}\n  dropped: {off[:3]}"
                 )
                 break
             if on[0][0] == "rows":
                 affected += on[0][1]
         assert disagreements == [], "\n\n".join(disagreements)
+        assert index_hits(twin[0]) == 0
         return affected
 
     @pytest.mark.parametrize(
         "spec", [INDEXED_SPEC, UNCLAIMED_SPEC], ids=["claimed", "unclaimed"]
     )
     def test_keyed_statements_agree_between_index_modes(self, spec) -> None:
-        worlds = self._worlds(spec)
-        probes = worlds["on"].database.indexes.stats()["hits"]
+        worlds = _audited_pair(spec)
+        indexed = worlds[0][0]
+        probes = index_hits(indexed)
         affected = self._lockstep(
-            worlds,
-            [(sql, p, u, False) for sql, p, u in _keyed_dml(worlds["on"])],
+            worlds, [(sql, p, u, False) for sql, p, u in _keyed_dml(indexed)]
         )
         # Not vacuous: rows were written, and found through an index.
         assert affected > 0
-        assert worlds["on"].database.indexes.stats()["hits"] > probes
-        assert worlds["off"].database.indexes.stats()["hits"] == 0
+        assert index_hits(indexed) > probes
 
     def test_derived_statements_agree_between_index_modes(self) -> None:
-        worlds = self._worlds(INDEXED_SPEC)
+        worlds = _audited_pair(INDEXED_SPEC)
         statements = []
-        for update, delete, purpose, user in _derived_dml(worlds["on"], 300):
+        for update, delete, purpose, user in _derived_dml(worlds[0][0], 300):
             statements.append((update, purpose, user, False))
             # The delete runs against a table nothing has staged yet, so it
             # may take an index path too; rolled back, the world survives.
             statements.append((delete, purpose, user, True))
         assert len(statements) > 150
         assert self._lockstep(worlds, statements) > 0
-        assert worlds["on"].database.indexes.stats()["hits"] > 0
+        assert index_hits(worlds[0][0]) > 0
 
     def test_second_statement_on_a_staged_table_scans(self) -> None:
         world = build_fuzz_scenario(UNCLAIMED_SPEC)
         database, monitor = world.database, world.monitor
-        monitor.set_indexes("on")
         purpose = next(iter(world.purposes))
         sql = (
             "update sensed_data set beats = beats + 1 "
@@ -425,11 +427,9 @@ class TestIndexedDml:
         predicate: aimed by key at a row whose policy denies everything, the
         statement finds it, checks it and leaves it alone."""
         from repro.core import Policy, PolicyRule
-        from repro.core.admin import COMPLIES_WITH
 
         world = build_fuzz_scenario(UNCLAIMED_SPEC)
         database, monitor, admin = world.database, world.monitor, world.admin
-        monitor.set_indexes("on")
         admin.apply_policy(Policy("sensed_data", (PolicyRule.pass_all(),)))
         admin.apply_policy(
             Policy(

@@ -38,11 +38,6 @@ def golden_monitor():
     """The deterministic world all golden plans are produced against."""
     instance = build_patients_scenario(patients=25, samples_per_patient=8)
     apply_experiment_policies(instance, selectivity=0.4, seed=99)
-    # Golden files are produced with the full pass pipeline and index-based
-    # access paths on; pin both so the comparison is stable even when the
-    # suite runs under REPRO_OPTIMIZER=off or REPRO_INDEXES=off.
-    instance.monitor.set_optimizer("on")
-    instance.monitor.set_indexes("on")
     return instance.monitor
 
 
@@ -70,8 +65,6 @@ def indexed_monitor():
     instance.database.execute(
         "create index watch_ts on sensed_data (watch_id, timestamp)"
     )
-    instance.monitor.set_optimizer("on")
-    instance.monitor.set_indexes("on")
     return instance.monitor
 
 

@@ -4,10 +4,9 @@ The existing synchronous :class:`~repro.server.client.Client` drives an
 :class:`~repro.server.async_server.AsyncQueryServer` fronting a 3-shard
 inline deployment, checked against an identical unsharded single-node
 world: what is particular to this transport — scatter routes, partial
-merges, resync after DML, the ``shards`` stats section.  One test swaps in
-the ``process`` backend to prove the multiprocessing transport speaks the
-same shard protocol.  Everything the two transports answer alike (verbs,
-error codes, transactions) is in ``test_wire_battery.py``.
+merges, resync after DML, the ``shards`` stats section.  Everything the
+two transports answer alike (verbs, error codes, transactions) is in
+``test_wire_battery.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ RECIPE = WorldRecipe.for_patients(
 
 @pytest.fixture(scope="module")
 def server():
-    coordinator = ShardCoordinator(RECIPE, 3, backend="inline")
+    coordinator = ShardCoordinator(RECIPE, 3)
     with AsyncQueryServer(coordinator) as instance:
         yield instance
     coordinator.close()
@@ -112,7 +111,6 @@ def test_stats_exposes_the_shards_section(server, client) -> None:
     assert stats["server"]["loop"] == "asyncio"
     shards = stats["shards"]
     assert shards["shard_count"] == 3
-    assert shards["backend"] == "inline"
     assert len(shards["shards"]) == 3
     assert shards["routes"].get("scatter_rows", 0) >= 1
     assert stats["lock"] == shards["fence"]
@@ -155,50 +153,3 @@ def test_eight_concurrent_clients_agree_with_single_node(
         assert not thread.is_alive(), "client thread hung"
     assert failures == [], "\n".join(failures)
 
-
-def test_process_backend_speaks_the_same_protocol() -> None:
-    recipe = WorldRecipe.for_patients(
-        patients=6, samples=2, grants=(("demo", "p6"),)
-    )
-    coordinator = ShardCoordinator(recipe, 2, backend="process")
-    try:
-        with AsyncQueryServer(coordinator) as server:
-            with Client(*server.address) as client:
-                client.hello("demo", "p6")
-                sql = "select watch_id, beats from sensed_data"
-                answer = client.query(sql)
-                expected = build_world(recipe).monitor.execute(sql, "p6")
-                assert sorted(answer.rows) == sorted(expected.rows)
-                assert answer.route == "scatter_rows"
-
-                # DDL on the replica crosses the pipe as the WAL's JSON-ready
-                # op dicts (verb ``ddl``) and the altered rows follow.
-                reference = build_world(recipe)
-                for database in (coordinator.database, reference.database):
-                    database.execute(
-                        "create index i_key on sensed_data (watch_id, timestamp)"
-                    )
-                    database.execute(
-                        "alter table users add column ward integer default 7"
-                    )
-                for route, sql, params in (
-                    ("scatter_rows", "select user_id, ward from users", None),
-                    (
-                        "single",
-                        "select beats from sensed_data "
-                        "where watch_id = ? and timestamp = ?",
-                        ["watch1", 2],
-                    ),
-                ):
-                    answer = client.query(sql, params)
-                    expected = reference.monitor.execute(sql, "p6", params=params)
-                    assert answer.route == route
-                    assert sorted(map(tuple, answer.rows)) == sorted(expected.rows)
-                for shard in client.stats()["shards"]["shards"]:
-                    assert "i_key" in shard["indexes"]["names"]
-                    assert shard["catalog_version"] == coordinator.database.catalog.version
-                    # Two commits on the replica, one shipped batch of ops: the
-                    # epoch broadcast tops the shard's version up by the rest.
-                    assert shard["epoch_bumps"] == 1
-    finally:
-        coordinator.close()

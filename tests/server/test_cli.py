@@ -13,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.server import Client
+from repro.server.__main__ import main
 from repro.shard import WorldRecipe
 from repro.shard.recipe import build_world
 
@@ -34,7 +37,7 @@ def test_sharded_cli_answers_a_scattered_select():
     try:
         banner = child.stdout.readline()
         assert banner.startswith("repro.server listening on "), banner
-        assert "3 inline shard(s)" in banner
+        assert "3 shard(s)" in banner
         host, _, port = banner.split()[3].rpartition(":")
         with Client(host, int(port)) as client:
             client.hello("demo", "p6")
@@ -47,3 +50,11 @@ def test_sharded_cli_answers_a_scattered_select():
     expected = build_world(recipe).monitor.execute(SQL, "p6")
     assert answer.route == "scatter_rows"
     assert sorted(answer.rows) == sorted(expected.rows)
+
+
+def test_there_is_no_backend_flag(capsys):
+    """One shard transport: ``--backend`` is a usage error, not a choice."""
+    with pytest.raises(SystemExit) as exited:
+        main(["--shards", "3", "--backend", "process"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err

@@ -79,7 +79,7 @@ def _threaded_front_end():
 
 def _async_front_end():
     recipe = WorldRecipe.for_patients(patients=4, samples=2)
-    coordinator = ShardCoordinator(recipe, 2, backend="inline")
+    coordinator = ShardCoordinator(recipe, 2)
     return AsyncQueryServer(coordinator), coordinator
 
 

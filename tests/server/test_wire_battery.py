@@ -1,12 +1,12 @@
 """One wire battery over both transports of the request core.
 
 Every test runs against the threaded :class:`QueryServer` and against the
-:class:`AsyncQueryServer` over one and over three inline shards, all built
-from the same :class:`WorldRecipe`: the protocol is implemented once
+:class:`AsyncQueryServer` over one and over three shards, all built from
+the same :class:`WorldRecipe`: the protocol is implemented once
 (:mod:`repro.server.core`), so verbs, error codes, counters and the
 ``BEGIN``/``COMMIT``/``ROLLBACK`` state machine must answer alike.  What is
-particular to a transport (scatter routes, the process backend, the accept
-thread) is tested in ``test_async_server.py`` / ``test_server_e2e.py``.
+particular to a transport (scatter routes, the accept thread) is tested in
+``test_async_server.py`` / ``test_server_e2e.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def front(request):
     manager that holds every new statement at the transport's fence."""
     shards = request.param
     if shards:
-        coordinator = ShardCoordinator(RECIPE, shards, backend="inline")
+        coordinator = ShardCoordinator(RECIPE, shards)
         server = AsyncQueryServer(coordinator)
         cleanup = coordinator.close
 

@@ -25,7 +25,7 @@ RECIPE = WorldRecipe.for_patients(
 
 @pytest.fixture()
 def coordinator():
-    instance = ShardCoordinator(RECIPE, 3, backend="inline")
+    instance = ShardCoordinator(RECIPE, 3)
     yield instance
     instance.close()
 
@@ -39,6 +39,11 @@ def reference_world():
     from repro.shard.recipe import build_world
 
     return build_world(RECIPE)
+
+
+def test_inline_is_the_only_shard_transport() -> None:
+    with pytest.raises(ValueError, match="unknown shard backend"):
+        ShardCoordinator(RECIPE, 3, backend="process")
 
 
 class TestQueryRoutes:
@@ -191,7 +196,6 @@ class TestStats:
         )
         stats = run(coordinator.stats())
         assert stats["shard_count"] == 3
-        assert stats["backend"] == "inline"
         assert stats["routes"] == {
             "scatter_rows": 1,
             "scatter_agg": 1,
@@ -281,15 +285,7 @@ class TestCatalogShipping:
             assert "i_key" in shard["indexes"]["names"]
             assert shard["catalog_version"] == coordinator.database.catalog.version
 
-    @pytest.fixture()
-    def probing(self):
-        """Pinned on, whatever REPRO_OPTIMIZER / REPRO_INDEXES say."""
-        instance = ShardCoordinator(RECIPE, 3, optimizer="on", indexes="on")
-        yield instance
-        instance.close()
-
-    def test_shards_probe_the_shipped_index(self, probing) -> None:
-        coordinator = probing
+    def test_shards_probe_the_shipped_index(self, coordinator) -> None:
         coordinator.database.execute(
             "create index i_key on sensed_data (watch_id, timestamp)"
         )
@@ -420,7 +416,7 @@ class TestCatalogShipping:
 class TestSingleRoute:
     @pytest.mark.parametrize("shard_count", (1, 3))
     def test_point_lookups_go_to_one_shard_and_agree(self, shard_count: int) -> None:
-        coordinator = ShardCoordinator(RECIPE, shard_count, backend="inline")
+        coordinator = ShardCoordinator(RECIPE, shard_count)
         reference = reference_world()
         try:
             fanout = coordinator.metrics.counter("repro_shard_fanout_total")
@@ -459,14 +455,13 @@ class TestSingleRoute:
         assert report.result.rows == expected.rows
 
     def test_per_row_check_counts_are_conserved_across_shard_counts(self) -> None:
-        """Optimizer and indexes off: every guard conjunct runs per row
-        that passes the key filter, wherever that row lives."""
-        reference = reference_world().apply_modes("off", "off")
+        """Optimizer off: every guard conjunct runs per row that passes the
+        key filter, wherever that row lives."""
+        reference = reference_world()
+        reference.monitor.set_optimizer("off")
         counts = {}
         for shard_count in (1, 3):
-            coordinator = ShardCoordinator(
-                RECIPE, shard_count, optimizer="off", indexes="off"
-            )
+            coordinator = ShardCoordinator(RECIPE, shard_count, optimizer="off")
             try:
                 counts[shard_count] = [
                     run(

@@ -53,7 +53,7 @@ RECIPE = WorldRecipe.for_patients(
 
 @pytest.fixture()
 def deployment():
-    coordinator = ShardCoordinator(RECIPE, SHARDS, backend="inline")
+    coordinator = ShardCoordinator(RECIPE, SHARDS)
     server = AsyncQueryServer(coordinator, max_concurrent=READERS + 2)
     with server:
         yield server, coordinator
