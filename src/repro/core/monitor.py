@@ -61,9 +61,11 @@ class EnforcementReport:
     compliance_checks: int
     cache_hit: bool = False
     memo_hits: int = 0
-    #: Policy bitmaps built / reused by hoisted guards during this execution
-    #: (both stay 0 with the optimizer off or no guards hoisted).
+    #: Policy bitmaps built in full / revalidated for another table version
+    #: / reused by hoisted guards during this execution (all stay 0 with the
+    #: optimizer off or no guards hoisted).
     bitmap_built: int = 0
+    bitmap_revalidated: int = 0
     bitmap_hits: int = 0
     #: Secondary-index probes and policy-partition skips performed by this
     #: execution (both stay 0 with the optimizer off or no indexes).
@@ -251,7 +253,8 @@ class EnforcementMonitor:
         )
         registry.counter(
             "repro_policy_bitmap_total",
-            "Policy bitmaps reused (event=hit) or built (event=built) by "
+            "Policy bitmaps reused (event=hit), revalidated for another "
+            "table version (event=revalidated) or built (event=built) by "
             "hoisted guards",
         )
         registry.counter(
@@ -597,8 +600,10 @@ class EnforcementMonitor:
         checks = database.function_calls(COMPLIES_WITH) - checks_before
         memo_hits = self.admin.compliance_memo_info()["hits"] - memo_before
         bitmap_after = database.policy_bitmaps.stats()
-        bitmap_built = bitmap_after["built"] - bitmap_before["built"]
-        bitmap_hits = bitmap_after["hits"] - bitmap_before["hits"]
+        bitmap_events = {
+            event: bitmap_after[event] - bitmap_before[event]
+            for event in ("hits", "built", "revalidated")
+        }
         index_after = database.indexes.stats()
         index_events = {
             event: index_after[key] - index_before[key]
@@ -623,14 +628,13 @@ class EnforcementMonitor:
             metrics = self.metrics
             metrics.counter("repro_complieswith_total").inc(checks)
             metrics.counter("repro_complieswith_memo_hits_total").inc(memo_hits)
-            if bitmap_hits:
-                metrics.counter("repro_policy_bitmap_total").inc(
-                    bitmap_hits, event="hit"
-                )
-            if bitmap_built:
-                metrics.counter("repro_policy_bitmap_total").inc(
-                    bitmap_built, event="built"
-                )
+            for event, key in (
+                ("hit", "hits"), ("revalidated", "revalidated"), ("built", "built")
+            ):
+                if bitmap_events[key]:
+                    metrics.counter("repro_policy_bitmap_total").inc(
+                        bitmap_events[key], event=event
+                    )
             for event, delta in index_events.items():
                 if delta:
                     metrics.counter("repro_index_total").inc(delta, event=event)
@@ -653,8 +657,9 @@ class EnforcementMonitor:
             compliance_checks=checks,
             cache_hit=hit,
             memo_hits=memo_hits,
-            bitmap_built=bitmap_built,
-            bitmap_hits=bitmap_hits,
+            bitmap_built=bitmap_events["built"],
+            bitmap_revalidated=bitmap_events["revalidated"],
+            bitmap_hits=bitmap_events["hits"],
             index_hits=index_events["hit"],
             partition_skips=index_events["partition_skip"],
             trace=trace if trace.enabled else None,
@@ -781,6 +786,8 @@ class EnforcementMonitor:
                 f"Execution: rows={rows} checks={checks} "
                 f"memo_hits={memo_hits} cache_hit={str(hit).lower()} "
                 f"bitmap_built={bitmap_after['built'] - bitmap_before['built']} "
+                f"bitmap_revalidated="
+                f"{bitmap_after['revalidated'] - bitmap_before['revalidated']} "
                 f"bitmap_hits={bitmap_after['hits'] - bitmap_before['hits']} "
                 f"index_hits={index_after['hits'] - index_before['hits']} "
                 f"partition_skips="

@@ -295,55 +295,119 @@ class TestPolicyBitmapCache:
         database.functions.register("accepts_p", lambda mask, policy: policy == "p")
         return database
 
+    @staticmethod
+    def _passing(cache, world, mask="01") -> frozenset:
+        return cache.passing(
+            world.table("t"), "policy", (mask,), world.functions, "accepts_p"
+        )[0]
+
     def test_build_costs_one_call_per_distinct_value(self, world) -> None:
         cache = PolicyBitmapCache()
-        table = world.table("t")
-        passing = cache.passing_indices(
-            table, "policy", "01", world.functions, "accepts_p"
-        )
-        assert passing == {0, 2}
+        assert self._passing(cache, world) == {0, 2}
         # 'p' and 'q' — NULL rows are excluded without a call (strict UDF).
         assert world.functions.call_count("accepts_p") == 2
-        assert cache.stats() == {"hits": 0, "built": 1, "entries": 1}
+        assert cache.stats() == {
+            "hits": 0, "built": 1, "revalidated": 0, "entries": 1
+        }
 
     def test_repeat_lookup_is_a_hit(self, world) -> None:
         cache = PolicyBitmapCache()
-        table = world.table("t")
-        args = (table, "policy", "01", world.functions, "accepts_p")
-        cache.passing_indices(*args)
-        again = cache.passing_indices(*args)
-        assert again == {0, 2}
+        self._passing(cache, world)
+        assert self._passing(cache, world) == {0, 2}
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats()["hits"] == 1
 
     def test_distinct_masks_build_distinct_bitmaps(self, world) -> None:
         cache = PolicyBitmapCache()
-        table = world.table("t")
-        cache.passing_indices(table, "policy", "01", world.functions, "accepts_p")
-        cache.passing_indices(table, "policy", "10", world.functions, "accepts_p")
+        self._passing(cache, world, "01")
+        self._passing(cache, world, "10")
         assert cache.stats()["built"] == 2
         assert len(cache) == 2
 
     def test_data_change_rebuilds_but_reuses_verdicts(self, world) -> None:
         cache = PolicyBitmapCache()
-        table = world.table("t")
-        args = (table, "policy", "01", world.functions, "accepts_p")
-        cache.passing_indices(*args)
+        self._passing(cache, world)
         world.execute("insert into t values (6, 'p')")
-        passing = cache.passing_indices(*args)
-        assert passing == {0, 2, 5}
-        # The rebuild re-reads the rows but finds both verdicts memoized.
+        assert self._passing(cache, world) == {0, 2, 5}
+        # Only the appended row is re-judged, and its verdict is memoized.
         assert world.functions.call_count("accepts_p") == 2
-        assert cache.stats()["built"] == 2
+        assert cache.stats() == {
+            "hits": 0, "built": 1, "revalidated": 1, "entries": 1
+        }
 
     def test_new_value_after_data_change_is_evaluated(self, world) -> None:
         cache = PolicyBitmapCache()
-        table = world.table("t")
-        args = (table, "policy", "01", world.functions, "accepts_p")
-        cache.passing_indices(*args)
+        self._passing(cache, world)
         world.execute("insert into t values (7, 'r')")
-        cache.passing_indices(*args)
+        self._passing(cache, world)
         assert world.functions.call_count("accepts_p") == 3
+
+    def test_non_policy_update_keeps_the_identical_set(self, world) -> None:
+        cache = PolicyBitmapCache()
+        before = self._passing(cache, world)
+        world.execute("update t set a = 10 where a = 1")
+        after = self._passing(cache, world)
+        assert after is before
+        assert world.functions.call_count("accepts_p") == 2
+        assert cache.stats()["revalidated"] == 1
+        assert cache.stats()["built"] == 1
+
+    def test_policy_cell_update_flips_one_row(self, world) -> None:
+        cache = PolicyBitmapCache()
+        before = self._passing(cache, world)
+        world.execute("update t set policy = 'p' where a = 2")
+        after = self._passing(cache, world)
+        assert before == {0, 2} and after == {0, 1, 2}
+        world.execute("update t set policy = 'r' where a = 3")
+        assert self._passing(cache, world) == {0, 1}
+        # 'p' is memoized; 'r' is the only new value judged.
+        assert world.functions.call_count("accepts_p") == 3
+        assert cache.stats()["revalidated"] == 2
+        assert cache.stats()["built"] == 1
+
+    def test_delete_falls_back_to_a_full_build(self, world) -> None:
+        cache = PolicyBitmapCache()
+        self._passing(cache, world)
+        world.execute("delete from t where a = 1")
+        assert self._passing(cache, world) == {1}
+        assert cache.stats()["built"] == 2
+        assert cache.stats()["revalidated"] == 0
+        assert world.functions.call_count("accepts_p") == 2
+
+    def test_alter_table_falls_back_to_a_full_build(self, world) -> None:
+        cache = PolicyBitmapCache()
+        self._passing(cache, world)
+        world.execute("alter table t add column extra integer")
+        assert self._passing(cache, world) == {0, 2}
+        assert cache.stats()["built"] == 2
+        assert cache.stats()["revalidated"] == 0
+
+    def test_entries_are_bounded_and_evict_oldest_first(self, world) -> None:
+        from repro.engine.plan.bitmap import _ENTRY_LIMIT
+
+        world.functions.register(
+            "accepts", lambda mask, policy: mask.bits()[0] == "1" or policy == "p"
+        )
+        cache = PolicyBitmapCache()
+        table = world.table("t")
+
+        def lookup(bits):
+            return cache.passing(
+                table, "policy", (bits,), world.functions, "accepts"
+            )
+
+        masks = [format(i, "08b") for i in range(2 * _ENTRY_LIMIT)]
+        for bits in masks:
+            expected = {0, 1, 2, 4} if bits[0] == "1" else {0, 2}
+            passing, ordered = lookup(bits)
+            assert passing == expected and ordered == sorted(expected)
+            assert len(cache) <= _ENTRY_LIMIT
+        # The first mask was evicted (with its guard): asking again builds
+        # it afresh and still answers correctly.
+        built = cache.stats()["built"]
+        assert lookup(masks[0]) == ({0, 2}, [0, 2])
+        assert cache.stats()["built"] == built + 1
+        assert len(cache) == _ENTRY_LIMIT
 
     def test_guard_lookup_keeps_the_intersection_and_its_order(self, world) -> None:
         world.functions.register(
@@ -356,7 +420,9 @@ class TestPolicyBitmapCache:
         passing, ordered = cache.passing(*args)
         # Mask 01 passes every non-NULL row, mask 10 everything but 'q'.
         assert passing == {0, 2, 5} and ordered == [0, 2, 5]
-        assert cache.stats() == {"hits": 0, "built": 2, "entries": 2}
+        assert cache.stats() == {
+            "hits": 0, "built": 2, "revalidated": 0, "entries": 2
+        }
         again, again_ordered = cache.passing(*args)
         # One hit per mask per lookup, and the very same objects: no
         # intersection, no sort on a warm guard.
@@ -366,6 +432,10 @@ class TestPolicyBitmapCache:
             table, "policy", ("10",), world.functions, "accepts"
         )
         assert single == {0, 2, 5} and single_ordered == [0, 2, 5]
+        # A commit that flips no verdict keeps the guard's objects too.
+        world.execute("update t set a = 60 where a = 6")
+        again, again_ordered = cache.passing(*args)
+        assert again is passing and again_ordered is ordered
         world.execute("delete from t where a = 1")
         passing, ordered = cache.passing(*args)
         assert passing == {1, 4} and ordered == [1, 4]
@@ -374,16 +444,14 @@ class TestPolicyBitmapCache:
 
     def test_clear_drops_entries_but_keeps_counters(self, world) -> None:
         cache = PolicyBitmapCache()
-        table = world.table("t")
-        args = (table, "policy", "01", world.functions, "accepts_p")
-        cache.passing_indices(*args)
-        cache.passing_indices(*args)
+        self._passing(cache, world)
+        self._passing(cache, world)
         cache.clear()
         assert len(cache) == 0
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["built"] == 1
         # After a clear the verdict memo is gone too: full rebuild cost.
-        cache.passing_indices(*args)
+        self._passing(cache, world)
         assert world.functions.call_count("accepts_p") == 4
 
 

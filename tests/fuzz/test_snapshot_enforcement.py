@@ -10,7 +10,8 @@ Three layers of coverage:
 
 * the frozen regression corpus replayed as schedules on every test run
   (tier-1),
-* a quick generated batch plus the live-threads churn test (tier-1),
+* a quick generated batch plus the live-threads tests — policy churn, and
+  delta commits over revalidated policy bitmaps (tier-1),
 * a slow-marked 500-case seed-2015 campaign — the acceptance headline:
   zero enforcement disagreements under concurrent policy churn.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import EnforcementMonitor
 from repro.engine import txn_scope
 from repro.fuzz import (
     FuzzQueryGenerator,
@@ -151,6 +153,72 @@ def test_pinned_reader_survives_live_policy_churn_threads() -> None:
     assert not mismatches, (
         f"pinned reads leaked concurrent policy churn: row counts "
         f"{mismatches} != {len(reference)}"
+    )
+
+
+def test_pinned_reader_survives_live_revalidated_bitmaps_threads() -> None:
+    """A reader thread re-executes under its pinned snapshot while a writer
+    thread commits one-row deltas (beats, policy cells, inserts) and reads
+    at head after each, so the shared policy-bitmap entries are revalidated
+    back and forth between the two versions (DESIGN.md §11)."""
+    world = build_fuzz_scenario(ScenarioSpec(patients=10, samples=4))
+    database, monitor = world.database, world.monitor
+    sql = "select watch_id, beats from sensed_data where beats >= 60"
+    txn = database.transactions.begin()
+    with txn_scope(txn):
+        reference = normalize_rows(monitor.execute(sql, "p6").rows)
+    keys = [row[:2] for row in database.table("sensed_data").rows]
+    masks = sorted({row[-1].bits() for row in database.table("sensed_data").rows})
+    revalidated = database.policy_bitmaps.stats()["revalidated"]
+
+    stop = threading.Event()
+    committed = 0
+
+    def write() -> None:
+        nonlocal committed
+        rng = random.Random(11)
+        while not stop.is_set():
+            watch, timestamp = rng.choice(keys)
+            where = f"watch_id = '{watch}' and timestamp = {timestamp}"
+            database.execute(
+                rng.choice(
+                    (
+                        f"update sensed_data set beats = {rng.randint(40, 90)} "
+                        f"where {where}",
+                        f"update sensed_data set policy = "
+                        f"b'{rng.choice(masks)}' where {where}",
+                        f"insert into sensed_data values ('{watch}', "
+                        f"{100_000 + committed}, 36.6, 'gym', 70, "
+                        f"b'{rng.choice(masks)}')",
+                    )
+                )
+            )
+            monitor.execute(sql, "p6")
+            committed += 1
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    mismatches = []
+    try:
+        for _ in range(40):
+            with txn_scope(txn):
+                rows = normalize_rows(monitor.execute(sql, "p6").rows)
+            if rows != reference:
+                mismatches.append(len(rows))
+    finally:
+        stop.set()
+        writer.join()
+        database.transactions.rollback(txn)
+    assert committed > 0, "the writer thread never committed"
+    assert database.policy_bitmaps.stats()["revalidated"] > revalidated
+    assert not mismatches, (
+        f"pinned reads leaked concurrent commits: row counts "
+        f"{mismatches} != {len(reference)}"
+    )
+    # Head agrees with the paper's per-row pipeline after the churn.
+    per_row = EnforcementMonitor(world.admin, optimizer="off")
+    assert normalize_rows(monitor.execute(sql, "p6").rows) == normalize_rows(
+        per_row.execute(sql, "p6").rows
     )
 
 
