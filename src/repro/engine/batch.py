@@ -4,11 +4,16 @@ The hot path costs one Python frame per *batch*, not per row: a
 :class:`ColumnBatch` stores a page of rows as per-column value sequences,
 so scans transpose whole pages with C-level ``zip``, filters keep rows with
 one list comprehension per column, and the policy guard answers a whole
-batch with one slice of the cached bitmap.  Operators whose work is per
-pair of rows anyway (nested loops, cross joins) and derived tables produce
-row tuples; :func:`batches_from_rows` and :meth:`ColumnBatch.to_rows` are
-the two adaptors :class:`~repro.engine.executor.SourcePlan` joins them to
-the batch pipeline with.
+batch with one slice of the cached bitmap.  Every expression is evaluated
+over a batch (:mod:`repro.engine.expressions`), wherever it runs: a
+nested loop's condition over one left row paired with every right row, an
+aggregated block's HAVING and select list over its group representatives,
+an UPDATE's WHERE and SET over its candidate rows.  Operators whose work is
+per pair of rows anyway (nested loops, cross joins) and derived tables
+produce row tuples; :func:`batches_from_rows` and
+:meth:`ColumnBatch.to_rows` are the two adaptors
+:class:`~repro.engine.executor.SourcePlan` joins them to the batch pipeline
+with.
 """
 
 from __future__ import annotations
@@ -68,10 +73,6 @@ class ColumnBatch:
         if not self.columns:
             return [()] * self.length
         return list(zip(*self.columns))
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """Iterate row tuples (the per-row fallback path)."""
-        return iter(self.to_rows())
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """A new batch keeping only the given row positions, in order."""

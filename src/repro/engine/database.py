@@ -13,7 +13,8 @@ from ..errors import CatalogError, ExecutionError, TransactionError
 from ..sql import ast, parse_statement
 from .catalog import Catalog, CatalogOp
 from .executor import PreparedSelect, SelectExecutor
-from .expressions import Env, ExpressionCompiler, Scope
+from .batch import ColumnBatch
+from .expressions import Env, ExpressionCompiler, Scope, evaluate_constant
 from .functions import FunctionRegistry
 from .index import IndexDefinition, IndexManager, StatisticsCollector
 from .mvcc import Transaction, TransactionManager, current_transaction
@@ -552,7 +553,7 @@ class Database:
             statement.columns,
         )
 
-    def _row_compiler(
+    def _dml_compiler(
         self, table: Table
     ) -> tuple[SelectExecutor, ExpressionCompiler, RowShape]:
         bindings = [
@@ -565,6 +566,33 @@ class Database:
         shape = RowShape(bindings)
         executor = SelectExecutor(self)
         return executor, executor.compiler(Scope(shape)), shape
+
+    def _matching_rows(
+        self,
+        executor: SelectExecutor,
+        table: Table,
+        shape: RowShape,
+        where: "ast.Expression | None",
+        predicate,
+        env: Env,
+    ) -> tuple[list[int], ColumnBatch]:
+        """The positions of the rows an UPDATE/DELETE's WHERE selects, and
+        those rows as one batch.
+
+        ``predicate`` (the compiled ``where``) runs once, over every
+        candidate row as one batch: the rows an index narrows ``where`` to,
+        or every row.
+        """
+        rows = table.rows
+        positions = self._index_candidates(executor, table, shape, where, env)
+        if positions is None:
+            positions = list(range(len(rows)))
+        batch = ColumnBatch.from_rows([rows[p] for p in positions], shape.width())
+        if predicate is None:
+            return positions, batch
+        verdicts = predicate(batch, env)
+        keep = [i for i, verdict in enumerate(verdicts) if verdict is True]
+        return [positions[i] for i in keep], batch.take(keep)
 
     def _index_candidates(
         self,
@@ -628,7 +656,7 @@ class Database:
 
     def _execute_update(self, statement: ast.Update) -> int:
         table = self.table(statement.table)
-        executor, compiler, shape = self._row_compiler(table)
+        executor, compiler, shape = self._dml_compiler(table)
         predicate = (
             compiler.compile(statement.where)
             if statement.where is not None
@@ -639,24 +667,21 @@ class Database:
             for name, expression in statement.assignments
         ]
         env = Env(subq={})
-
-        def matches(row: tuple) -> bool:
-            return predicate is None or predicate(row, env) is True
-
-        def updater(row: tuple) -> tuple:
-            new_row = list(row)
-            for index, compiled in assignments:
-                new_row[index] = compiled(row, env)
-            return tuple(new_row)
-
-        candidates = self._index_candidates(
-            executor, table, shape, statement.where, env
+        positions, matched = self._matching_rows(
+            executor, table, shape, statement.where, predicate, env
         )
-        return table.update_rows(matches, updater, candidates)
+        columns = list(matched.columns)
+        for index, assign in assignments:
+            columns[index] = assign(matched, env)
+        # update_rows visits the positions in order, one updater call each.
+        replacements = iter(zip(*columns))
+        return table.update_rows(
+            lambda row: True, lambda row: next(replacements), positions
+        )
 
     def _execute_delete(self, statement: ast.Delete) -> int:
         table = self.table(statement.table)
-        executor, compiler, shape = self._row_compiler(table)
+        executor, compiler, shape = self._dml_compiler(table)
         predicate = (
             compiler.compile(statement.where)
             if statement.where is not None
@@ -667,12 +692,10 @@ class Database:
             count = len(table)
             table.truncate()
             return count
-        candidates = self._index_candidates(
-            executor, table, shape, statement.where, env
+        positions, _ = self._matching_rows(
+            executor, table, shape, statement.where, predicate, env
         )
-        return table.delete_rows(
-            lambda row: predicate(row, env) is True, candidates
-        )
+        return table.delete_rows(lambda row: True, positions)
 
     # -- DDL -----------------------------------------------------------------------
 
@@ -790,5 +813,4 @@ def _column_from_def(definition: ast.ColumnDef) -> Column:
 def _constant(expression: ast.Expression, database: "Database | None") -> object:
     """Evaluate a row-independent expression (INSERT values, defaults)."""
     registry = database.functions if database is not None else FunctionRegistry()
-    compiler = ExpressionCompiler(Scope(RowShape([])), registry)
-    return compiler.compile(expression)((), Env())
+    return evaluate_constant(expression, registry)

@@ -10,8 +10,8 @@ stages (DESIGN.md §11):
    selection, constant folding, projection pruning — the set depends on the
    optimizer mode), and
 3. this module compiles the optimized IR into physical
-   :class:`SourcePlan` operators and the block's projection/aggregation/
-   ordering closures.
+   :class:`SourcePlan` operators and the block's WHERE, grouping,
+   projection and ordering expressions into batch evaluators.
 
 ``rows(env)`` then runs the pipeline:
 
@@ -20,10 +20,13 @@ stages (DESIGN.md §11):
 
 There is one physical executor (DESIGN.md §12): every operator that holds
 logic has exactly one implementation — batch-native where pages pay off
-(scans, filters, policy guards, hash joins, and the block's own WHERE /
-projection / grouping), row-native where the work is per pair or per
-result row anyway (nested loops, cross joins, derived tables) — and
-:class:`SourcePlan` adapts between the two shapes at the edges.
+(scans, filters, policy guards, hash joins), row-native where the work is
+per pair or per result row anyway (nested loops, cross joins, derived
+tables) — and :class:`SourcePlan` adapts between the two shapes at the
+edges.  Every expression is evaluated over a batch, whichever operator
+runs it: an aggregated block's HAVING, select list and ORDER BY run over
+one batch of group representatives, a nested loop's condition over one
+left row paired with every right row.
 
 Correlated subqueries are supported through the :class:`Scope` chain; an
 uncorrelated subquery's result is computed once per statement execution and
@@ -42,6 +45,7 @@ from ..sql import ast
 from .aggregates import make_aggregate
 from .batch import ColumnBatch, batches_from_rows, resolve_batch_size
 from .expressions import (
+    AGGREGATE_SOURCE,
     Env,
     ExpressionCompiler,
     Scope,
@@ -52,7 +56,6 @@ from .aggregates import is_aggregate_name
 from .plan import Optimizer, Planner
 from .result import ResultSet
 from .schema import ColumnBinding, RowShape
-from .vector import VectorCompiler, VectorExpr
 
 
 class TrackingScope(Scope):
@@ -183,14 +186,10 @@ class PreparedSelect:
                 )
 
         compiler = executor.compiler(self.scope)
-        # The vectorized fast path falls back to the compiler's row closures
-        # for subquery/CASE expressions (DESIGN.md §12): same scope and
-        # registry, so name resolution and correlation tracking agree.
-        vectors = VectorCompiler(compiler)
         residual_where = block.residual_where()
         self.residual_where_ast = residual_where
-        self.where_vector: VectorExpr | None = (
-            vectors.compile(residual_where) if residual_where is not None else None
+        self.where = (
+            compiler.compile(residual_where) if residual_where is not None else None
         )
 
         self.items = self._expand_items(select.items, source_plan.shape)
@@ -198,35 +197,26 @@ class PreparedSelect:
         self.descending = [item.descending for item in select.order_by]
 
         if self.aggregated:
-            self.group_key_vectors = [vectors.compile(e) for e in select.group_by]
-            self.agg_arg_vectors: "list[VectorExpr | None]" = [
-                (vectors.compile(arg) if arg is not None else None)
+            self.group_keys = [compiler.compile(e) for e in select.group_by]
+            self.aggregate_args = [
+                (compiler.compile(arg) if arg is not None else None)
                 for (_, _, _, arg) in self.aggregate_specs
             ]
-            # HAVING, the select list and ORDER BY see one representative
-            # row per group plus the aggregate slots: row closures.
-            post_slots = {key: i for i, (key, _, _, _) in enumerate(self.aggregate_specs)}
-            post_compiler = executor.compiler(self.scope, aggregate_slots=post_slots)
-            self.projections = [post_compiler.compile(item.expression) for item in self.items]
-            self.having = (
-                post_compiler.compile(select.having)
-                if select.having is not None
-                else None
-            )
-            self.order_keys = [
-                post_compiler.compile(expression)
-                for expression in self._order_expressions()
-            ]
+            # HAVING, the select list and ORDER BY run over one batch of
+            # group representatives whose extra columns are the aggregates.
+            self.output_scope = TrackingScope(self._group_shape(), parent_scope)
         else:
             if select.having is not None:
                 raise ExecutionError("HAVING requires GROUP BY or aggregates")
-            self.projection_vectors = [
-                vectors.compile(item.expression) for item in self.items
-            ]
-            self.order_key_vectors = [
-                vectors.compile(expression)
-                for expression in self._order_expressions()
-            ]
+            self.output_scope = self.scope
+        output = executor.compiler(self.output_scope)
+        self.projections = [output.compile(item.expression) for item in self.items]
+        self.having = (
+            output.compile(select.having) if select.having is not None else None
+        )
+        self.order_keys = [
+            output.compile(expression) for expression in self._order_expressions()
+        ]
 
         self.output_columns = [self._output_name(item) for item in self.items]
         self.output_bindings = self._derive_output_bindings()
@@ -302,6 +292,19 @@ class PreparedSelect:
 
         aggregated = bool(specs) or bool(self.select.group_by)
         return aggregated, list(specs.values())
+
+    def _group_shape(self) -> RowShape:
+        """The group batch's shape: the source columns, then one column per
+        aggregate call, bound under ``AGGREGATE_SOURCE`` by its key."""
+        shape = self.source_plan.shape
+        width = shape.width()
+        return RowShape([
+            *shape.bindings,
+            *(
+                ColumnBinding(AGGREGATE_SOURCE, key, width + slot)
+                for slot, (key, _, _, _) in enumerate(self.aggregate_specs)
+            ),
+        ])
 
     def _order_expressions(self) -> list[ast.Expression]:
         """ORDER BY expressions with ordinals and output aliases resolved."""
@@ -404,7 +407,7 @@ class PreparedSelect:
     @property
     def correlated(self) -> bool:
         """True when this block references columns of an enclosing block."""
-        return self.scope.escaped
+        return self.scope.escaped or self.output_scope.escaped
 
     def rows(self, env: Env) -> list[tuple]:
         """Execute the pipeline; uncorrelated results are cached.
@@ -426,12 +429,11 @@ class PreparedSelect:
 
     def _execute(self, env: Env) -> list[tuple]:
         batches = self.source_plan.batches(env)
-        if self.where_vector is not None:
+        if self.where is not None:
             batches = self._filter_batches(batches, env)
         if self.aggregated:
-            projected = self._execute_aggregated(batches, env)
-        else:
-            projected = self._execute_plain(batches, env)
+            batches = [self._group(batches, env)]
+        projected = [pair for batch in batches for pair in self._project(batch, env)]
 
         if self.select.distinct:
             seen: set = set()
@@ -470,8 +472,8 @@ class PreparedSelect:
     def _filter_batches(
         self, batches: Iterator[ColumnBatch], env: Env
     ) -> Iterator[ColumnBatch]:
-        """Apply the vectorized residual WHERE, dropping non-True rows."""
-        where = self.where_vector
+        """Apply the residual WHERE, dropping non-True rows."""
+        where = self.where
         for batch in batches:
             values = where(batch, env)
             keep = [i for i, v in enumerate(values) if v is True]
@@ -479,32 +481,31 @@ class PreparedSelect:
                 continue
             yield batch if len(keep) == len(batch) else batch.take(keep)
 
-    def _execute_plain(self, batches: Iterator[ColumnBatch], env: Env) -> list:
-        projection_vectors = self.projection_vectors
-        order_vectors = self.order_key_vectors
-        results: list = []
-        for batch in batches:
-            columns = [vector(batch, env) for vector in projection_vectors]
-            projected_rows = list(zip(*columns))
-            if not order_vectors:
-                results.extend(zip(projected_rows, repeat(())))
-                continue
-            key_columns = [vector(batch, env) for vector in order_vectors]
-            results.extend(
-                zip(projected_rows, map(self._order_key, zip(*key_columns)))
-            )
-        return results
+    def _project(self, batch: ColumnBatch, env: Env) -> Iterable[tuple]:
+        """``(result row, sort key)`` for each row of ``batch`` that HAVING
+        keeps: the select list and ORDER BY run only on those."""
+        if self.having is not None:
+            verdicts = self.having(batch, env)
+            keep = [i for i, v in enumerate(verdicts) if v is True]
+            if not keep:
+                return ()
+            if len(keep) < batch.length:
+                batch = batch.take(keep)
+        rows = zip(*[projection(batch, env) for projection in self.projections])
+        if not self.order_keys:
+            return zip(rows, repeat(()))
+        keys = zip(*[order_key(batch, env) for order_key in self.order_keys])
+        return zip(rows, map(self._order_key, keys))
 
-    def _execute_aggregated(
-        self, batches: Iterator[ColumnBatch], env: Env
-    ) -> list:
+    def _group(self, batches: Iterator[ColumnBatch], env: Env) -> ColumnBatch:
+        """Aggregate ``batches`` into one batch of group representatives
+        whose extra columns are the aggregate results (``_group_shape``)."""
         groups: dict[tuple, list] = {}
-        group_order: list[tuple] = []
         for batch in batches:
-            key_columns = [vector(batch, env) for vector in self.group_key_vectors]
+            key_columns = [key(batch, env) for key in self.group_keys]
             arg_columns = [
-                (vector(batch, env) if vector is not None else None)
-                for vector in self.agg_arg_vectors
+                (arg(batch, env) if arg is not None else None)
+                for arg in self.aggregate_args
             ]
             keys = (
                 list(zip(*key_columns))
@@ -514,57 +515,37 @@ class PreparedSelect:
             for i, key in enumerate(keys):
                 group = groups.get(key)
                 if group is None:
-                    accumulators = [
-                        make_aggregate(name, star, distinct)
-                        for (_, name, (star, distinct), _) in self.aggregate_specs
-                    ]
                     # Representative rows are materialized lazily — only the
                     # first row of each group ever becomes a tuple.
-                    group = [batch.row(i), accumulators]
+                    group = [batch.row(i), self._accumulators()]
                     groups[key] = group
-                    group_order.append(key)
                 for accumulator, column in zip(group[1], arg_columns):
                     if column is None:
                         accumulator.add(True)  # count(*): any non-None marker
                     else:
                         accumulator.add(column[i])
-        return self._finalize_groups(groups, group_order, env)
-
-    def _finalize_groups(
-        self, groups: dict[tuple, list], group_order: list[tuple], env: Env
-    ) -> list:
-        """HAVING + projection over group representatives."""
+        width = self.source_plan.shape.width()
         if not groups and not self.select.group_by:
             # Aggregates over an empty input still yield one row.
-            width = self.source_plan.shape.width()
-            empty_row = (None,) * width
-            accumulators = [
-                make_aggregate(name, star, distinct)
-                for (_, name, (star, distinct), _) in self.aggregate_specs
-            ]
-            groups[()] = [empty_row, accumulators]
-            group_order.append(())
+            groups[()] = [(None,) * width, self._accumulators()]
+        representatives = ColumnBatch.from_rows(
+            [representative for representative, _ in groups.values()], width
+        )
+        results = [
+            [accumulator.result() for accumulator in accumulators]
+            for _, accumulators in groups.values()
+        ]
+        aggregates = [
+            [values[slot] for values in results]
+            for slot in range(len(self.aggregate_specs))
+        ]
+        return ColumnBatch([*representatives.columns, *aggregates], len(groups))
 
-        results = []
-        for key in group_order:
-            representative, accumulators = groups[key]
-            agg_values = tuple(acc.result() for acc in accumulators)
-            group_env = Env(
-                agg=agg_values, outer_row=env.outer_row,
-                outer_env=env.outer_env, params=env.params,
-                trace=env.trace,
-            )
-            if self.having is not None and self.having(representative, group_env) is not True:
-                continue
-            projected = tuple(
-                projection(representative, group_env)
-                for projection in self.projections
-            )
-            order_key = self._order_key(
-                compiled(representative, group_env) for compiled in self.order_keys
-            )
-            results.append((projected, order_key))
-        return results
+    def _accumulators(self) -> list:
+        return [
+            make_aggregate(name, star, distinct)
+            for (_, name, (star, distinct), _) in self.aggregate_specs
+        ]
 
 
 class _Reversed:
@@ -613,26 +594,15 @@ class SelectExecutor:
 
     # -- compiler / subquery hooks ---------------------------------------------------
 
-    def compiler(
-        self, scope: Scope, aggregate_slots: dict[str, int] | None = None
-    ) -> ExpressionCompiler:
-        """Build an expression compiler bound to this executor."""
-        return ExpressionCompiler(
-            scope, self.database.functions, planner=self, aggregate_slots=aggregate_slots
-        )
-
-    def vector(self, scope: Scope, expression: ast.Expression) -> VectorExpr:
-        """Compile one expression to a batch evaluator under ``scope``."""
-        return VectorCompiler(self.compiler(scope)).compile(expression)
-
-    def prepare_subquery(self, select: ast.Select, scope: Scope) -> PreparedSelect:
-        """Plan a nested SELECT whose enclosing block has ``scope``."""
-        return PreparedSelect(self, select, scope)
+    def compiler(self, scope: Scope) -> ExpressionCompiler:
+        """An expression compiler for ``scope`` that plans nested SELECTs here."""
+        return ExpressionCompiler(scope, self.database.functions, self)
 
     def prepare_block(
         self, select: ast.Select, parent_scope: Scope | None
     ) -> PreparedSelect:
-        """Plan one SELECT block (the planner's derived-table hook)."""
+        """Plan one nested SELECT block: a derived table (no parent scope) or
+        a subquery inside an expression of the block with ``parent_scope``."""
         return PreparedSelect(self, select, parent_scope)
 
     # -- public API ---------------------------------------------------------------
@@ -785,8 +755,8 @@ class SelectExecutor:
         claimed = list(node.conjuncts or [])
         # Pushed conjuncts resolve fully inside the leaf (that is what made
         # them pushable), so they compile without the enclosing scope chain.
-        scope = TrackingScope(child.shape, parent=None)
-        predicates = [self.vector(scope, expr) for expr in claimed]
+        compiler = self.compiler(TrackingScope(child.shape, parent=None))
+        predicates = [compiler.compile(expr) for expr in claimed]
 
         def produce(env: Env) -> Iterator[ColumnBatch]:
             for batch in child.batches(env):
@@ -937,15 +907,23 @@ class SelectExecutor:
 
         def produce(env: Env) -> Iterable[tuple]:
             right_rows = list(right.rows(env))
+            right_columns = ColumnBatch.from_rows(right_rows, right_width).columns
+            count = len(right_rows)
             matched_right: set[int] = set()
             for left_row in left.rows(env):
                 emitted = False
-                for index, right_row in enumerate(right_rows):
-                    combined = left_row + right_row
-                    if predicate(combined, env) is True:
-                        emitted = True
-                        matched_right.add(index)
-                        yield combined
+                if count:
+                    # The condition runs once per left row, over the batch
+                    # of that row paired with every right row.
+                    pairs = ColumnBatch(
+                        [*([value] * count for value in left_row), *right_columns],
+                        count,
+                    )
+                    for index, verdict in enumerate(predicate(pairs, env)):
+                        if verdict is True:
+                            emitted = True
+                            matched_right.add(index)
+                            yield left_row + right_rows[index]
                 if not emitted and kind == "LEFT":
                     yield left_row + (None,) * right_width
             if kind == "RIGHT":
@@ -979,12 +957,14 @@ class SelectExecutor:
         right = self.compile_plan(node.right, parent_scope)
         kind = node.join_kind
         equi_pairs = node.equi_pairs
-        left_scope = TrackingScope(left.shape, parent_scope)
-        right_scope = TrackingScope(right.shape, parent_scope)
-        left_keys = [self.vector(left_scope, le) for le, _ in equi_pairs]
-        right_keys = [self.vector(right_scope, re) for _, re in equi_pairs]
+        left_compiler = self.compiler(TrackingScope(left.shape, parent_scope))
+        right_compiler = self.compiler(TrackingScope(right.shape, parent_scope))
+        left_keys = [left_compiler.compile(le) for le, _ in equi_pairs]
+        right_keys = [right_compiler.compile(re) for _, re in equi_pairs]
         residual = (
-            self.vector(TrackingScope(node.shape, parent_scope), node.residual)
+            self.compiler(TrackingScope(node.shape, parent_scope)).compile(
+                node.residual
+            )
             if node.residual is not None
             else None
         )
@@ -997,12 +977,12 @@ class SelectExecutor:
         probe_width = probe.shape.width()
         single_key = len(equi_pairs) == 1
 
-        def batch_keys(batch, vectors, env):
+        def batch_keys(batch, evaluators, env):
             """One hashable join key per row: a scalar for single-column
             joins (the common case — no per-row tuple construction), a
             tuple otherwise.  Scalar and 1-tuple keys hash/compare the
             same way, so match semantics are unchanged."""
-            columns = [k(batch, env) for k in vectors]
+            columns = [k(batch, env) for k in evaluators]
             return columns[0] if single_key else list(zip(*columns))
 
         def produce(env: Env) -> Iterator[ColumnBatch]:

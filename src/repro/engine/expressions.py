@@ -1,30 +1,48 @@
-"""Expression compilation: AST → Python closures.
+"""Expression compilation: AST → column-batch evaluators.
 
-Expressions are compiled once per statement execution into closures of shape
-``fn(row, env) -> value`` where ``row`` is the current joined-row tuple and
-``env`` carries aggregate results and outer rows (for correlated
-subqueries).  SQL three-valued logic is implemented with ``None`` as the
-UNKNOWN/NULL marker; ``AND``/``OR`` use Kleene semantics with left-to-right
-short-circuit evaluation, which is what makes the paper's rewritten queries
-cheap: the original filter predicate is evaluated before the appended
-``compliesWith`` conjuncts, so filtered-out tuples never pay a policy check
-(Section 6.3's analysis of Figure 6 depends on this behaviour).
+Every expression compiles once per statement preparation into an evaluator
+``fn(batch, env) -> list`` producing one value per row of a
+:class:`~repro.engine.batch.ColumnBatch`; a single row is a batch of one.
+``env`` carries parameters, the outer rows of correlated subqueries and the
+per-execution subquery cache.  SQL three-valued logic is implemented with
+``None`` as the UNKNOWN/NULL marker.
+
+Short-circuit semantics are preserved by **masked evaluation**: wherever SQL
+evaluates an operand only when the earlier ones left the answer open — the
+right side of ``AND``/``OR``, of a comparison or of arithmetic after a
+non-NULL left side, a CASE's WHENs and THENs, an IN list's later items, a
+LIKE pattern or an IN subquery after a non-NULL operand — that operand runs
+only on the row subset still undecided (:func:`_masked`).  That is what
+makes the paper's rewritten queries cheap: the original filter predicate is
+evaluated before the appended ``compliesWith`` conjuncts, so filtered-out
+tuples never pay a policy check (Section 6.3's analysis of Figure 6 depends
+on this behaviour), however the rows happen to be paged.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
-from typing import Callable, Protocol
+from typing import Callable, Sequence
 
-from ..errors import ExecutionError, ExpressionError, TypeMismatchError
+from ..errors import (
+    AmbiguousColumnError,
+    CatalogError,
+    ExecutionError,
+    ExpressionError,
+    TypeMismatchError,
+)
 from ..sql import ast
+from ..sql.printer import print_expression
+from .aggregates import is_aggregate_name
+from .batch import ColumnBatch
 from .schema import RowShape
 from .types import BitString, SqlType
 
 
 class Env:
-    """Per-evaluation environment: aggregate slots, outer rows, parameters.
+    """Per-evaluation environment: outer rows, parameters, caches, trace.
 
     ``params`` maps parameter keys (1-based ints for positional/numbered
     placeholders, lower-cased strings for named ones) to bound values; it is
@@ -43,18 +61,16 @@ class Env:
     subquery environments shares no state across executions.
     """
 
-    __slots__ = ("agg", "outer_row", "outer_env", "params", "subq", "trace")
+    __slots__ = ("outer_row", "outer_env", "params", "subq", "trace")
 
     def __init__(
         self,
-        agg: tuple | None = None,
         outer_row: tuple | None = None,
         outer_env: "Env | None" = None,
         params: "dict[int | str, object] | None" = None,
         subq: "dict[int, list[tuple]] | None" = None,
         trace=None,
     ):
-        self.agg = agg
         self.outer_row = outer_row
         self.outer_env = outer_env
         self.params = params
@@ -62,25 +78,13 @@ class Env:
         self.trace = trace
 
 
-EMPTY_ENV = Env()
+#: A compiled expression: one value per row of the input batch.
+BatchExpr = Callable[[ColumnBatch, Env], Sequence]
 
-CompiledExpr = Callable[[tuple, Env], object]
-
-
-class SubqueryPlanner(Protocol):
-    """What the compiler needs from the executor to plan nested SELECTs."""
-
-    def prepare_subquery(self, select: ast.Select, scope: "Scope") -> "PreparedSubquery":
-        """Prepare a nested SELECT for evaluation inside an expression."""
-
-
-class PreparedSubquery(Protocol):
-    """A planned nested SELECT."""
-
-    correlated: bool
-
-    def rows(self, env: Env) -> list[tuple]:
-        """Execute and return the result rows (cached when uncorrelated)."""
+#: The source name of the extra columns an aggregated block's group batch
+#: carries: one per aggregate call, named by its :func:`aggregate_key`.  No
+#: FROM binding can be called this, so only an aggregate call resolves there.
+AGGREGATE_SOURCE = "<aggregate>"
 
 
 class Scope:
@@ -102,8 +106,6 @@ class Scope:
         *ambiguous* reference in an inner block must not silently bind to an
         enclosing block, so only unknown-column failures walk outward.
         """
-        from ..errors import AmbiguousColumnError, CatalogError
-
         scope: Scope | None = self
         depth = 0
         while scope is not None:
@@ -121,33 +123,24 @@ class Scope:
 
 
 class ExpressionCompiler:
-    """Compiles AST expressions against a scope.
+    """Compiles AST expressions against a scope into batch evaluators.
 
     Args:
         scope: Lexical scope used to resolve column references.
         registry: Scalar-function registry (for :class:`ast.FunctionCall`).
-        planner: Executor callback used to plan nested SELECTs.
-        aggregate_slots: When compiling post-grouping expressions (select
-            list, HAVING, ORDER BY of an aggregate query), maps the printed
-            form of each aggregate call to its slot in ``env.agg``.
+        executor: The :class:`~repro.engine.executor.SelectExecutor` that
+            plans nested SELECTs; ``None`` where subqueries are not allowed.
     """
 
-    def __init__(
-        self,
-        scope: Scope,
-        registry,
-        planner: SubqueryPlanner | None = None,
-        aggregate_slots: dict[str, int] | None = None,
-    ):
+    def __init__(self, scope: Scope, registry, executor=None):
         self.scope = scope
         self.registry = registry
-        self.planner = planner
-        self.aggregate_slots = aggregate_slots
+        self.executor = executor
 
     # -- entry point -------------------------------------------------------------
 
-    def compile(self, expr: ast.Expression) -> CompiledExpr:
-        """Compile ``expr`` to a closure ``fn(row, env)``."""
+    def compile(self, expr: ast.Expression) -> BatchExpr:
+        """Compile ``expr`` to an evaluator ``fn(batch, env) -> list``."""
         method = getattr(self, f"_compile_{type(expr).__name__}", None)
         if method is None:
             raise ExpressionError(f"cannot compile {type(expr).__name__}")
@@ -155,20 +148,23 @@ class ExpressionCompiler:
 
     # -- leaves ----------------------------------------------------------------
 
-    def _compile_Literal(self, expr: ast.Literal) -> CompiledExpr:
+    def _compile_Literal(self, expr: ast.Literal) -> BatchExpr:
         value = expr.value
-        return lambda row, env: value
+        return lambda batch, env: [value] * batch.length
 
-    def _compile_BitStringLiteral(self, expr: ast.BitStringLiteral) -> CompiledExpr:
+    def _compile_BitStringLiteral(self, expr: ast.BitStringLiteral) -> BatchExpr:
         value = BitString.from_bits(expr.bits)
-        return lambda row, env: value
+        return lambda batch, env: [value] * batch.length
 
-    def _compile_ColumnRef(self, expr: ast.ColumnRef) -> CompiledExpr:
+    def _compile_ColumnRef(self, expr: ast.ColumnRef) -> BatchExpr:
         depth, index = self.scope.resolve(expr.name, expr.table)
         if depth == 0:
-            return lambda row, env: row[index]
+            return lambda batch, env: batch.columns[index]
 
-        def outer_ref(row: tuple, env: Env) -> object:
+        # An outer reference is constant within one execution of this block.
+        def outer_ref(batch: ColumnBatch, env: Env) -> list:
+            if not batch.length:
+                return []
             current = env
             for _ in range(depth - 1):
                 if current.outer_env is None:
@@ -176,324 +172,277 @@ class ExpressionCompiler:
                 current = current.outer_env
             if current.outer_row is None:
                 raise ExecutionError("correlated reference without outer row")
-            return current.outer_row[index]
+            return [current.outer_row[index]] * batch.length
 
         return outer_ref
 
-    def _compile_Parameter(self, expr: ast.Parameter) -> CompiledExpr:
+    def _compile_Parameter(self, expr: ast.Parameter) -> BatchExpr:
         key = expr.key
         placeholder = expr.placeholder
 
-        def parameter(row: tuple, env: Env) -> object:
-            params = env.params
-            if params is None:
+        def parameter(batch: ColumnBatch, env: Env) -> list:
+            if not batch.length:
+                return []
+            if env.params is None:
                 raise ExecutionError(
                     f"no parameters bound (placeholder {placeholder})"
                 )
             try:
-                return params[key]
+                value = env.params[key]
             except KeyError:
                 raise ExecutionError(
                     f"no value bound for parameter {placeholder}"
                 ) from None
+            return [value] * batch.length
 
         return parameter
 
-    def _compile_Star(self, expr: ast.Star) -> CompiledExpr:
+    def _compile_Star(self, expr: ast.Star) -> BatchExpr:
         raise ExpressionError("'*' is only valid in a select list or count(*)")
 
-    # -- operators ----------------------------------------------------------------
+    # -- operators --------------------------------------------------------------
 
-    def _compile_UnaryOp(self, expr: ast.UnaryOp) -> CompiledExpr:
+    def _compile_UnaryOp(self, expr: ast.UnaryOp) -> BatchExpr:
         operand = self.compile(expr.operand)
         if expr.op == "NOT":
-            def negate(row: tuple, env: Env) -> object:
-                value = operand(row, env)
-                if value is None:
-                    return None
-                return not _as_bool(value)
-            return negate
+            # Predicate operands produce real bools; `not v` short-cuts the
+            # _as_bool type check for them without changing its errors.
+            return lambda batch, env: [
+                None
+                if v is None
+                else (not v)
+                if v.__class__ is bool
+                else (not _as_bool(v))
+                for v in operand(batch, env)
+            ]
         if expr.op == "-":
-            def minus(row: tuple, env: Env) -> object:
-                value = operand(row, env)
-                if value is None:
-                    return None
-                return -_number(value)
-            return minus
+            return lambda batch, env: [
+                None if v is None else -_number(v) for v in operand(batch, env)
+            ]
         if expr.op == "+":
             return operand
         raise ExpressionError(f"unknown unary operator {expr.op!r}")
 
-    def _compile_BinaryOp(self, expr: ast.BinaryOp) -> CompiledExpr:
+    def _compile_BinaryOp(self, expr: ast.BinaryOp) -> BatchExpr:
         if expr.op == "AND":
-            return self._compile_and(expr)
+            return self._kleene(expr, decisive=False)
         if expr.op == "OR":
-            return self._compile_or(expr)
+            return self._kleene(expr, decisive=True)
         left = self.compile(expr.left)
         right = self.compile(expr.right)
+        const = _constant_operand(expr.right)
         if expr.op in _COMPARATORS:
-            compare = _COMPARATORS[expr.op]
-
-            def comparison(row: tuple, env: Env) -> object:
-                lhs = left(row, env)
-                if lhs is None:
-                    return None
-                rhs = right(row, env)
-                if rhs is None:
-                    return None
-                return compare(_comparable(lhs), _comparable(rhs))
-
-            return comparison
+            if const is not _NO_CONST:
+                return _comparison_const(left, expr.op, const)
+            return _null_propagating(left, right, _COMPARATORS[expr.op])
         if expr.op in _ARITHMETIC:
-            operate = _ARITHMETIC[expr.op]
-
-            def arithmetic(row: tuple, env: Env) -> object:
-                lhs = left(row, env)
-                if lhs is None:
-                    return None
-                rhs = right(row, env)
-                if rhs is None:
-                    return None
-                return operate(lhs, rhs)
-
-            return arithmetic
+            if const is not _NO_CONST:
+                return _arithmetic_const(left, expr.op, const)
+            return _null_propagating(left, right, _ARITHMETIC[expr.op])
         if expr.op == "||":
-            def concat(row: tuple, env: Env) -> object:
-                lhs = left(row, env)
-                rhs = right(row, env)
-                if lhs is None or rhs is None:
-                    return None
-                if isinstance(lhs, BitString) and isinstance(rhs, BitString):
-                    return lhs + rhs
-                return _text(lhs) + _text(rhs)
+
+            def concat(batch: ColumnBatch, env: Env) -> list:
+                lhs = left(batch, env)
+                rhs = right(batch, env)
+                out: list = [None] * len(lhs)
+                for i, (l, r) in enumerate(zip(lhs, rhs)):
+                    if l is None or r is None:
+                        continue
+                    if isinstance(l, BitString) and isinstance(r, BitString):
+                        out[i] = l + r
+                    else:
+                        out[i] = _text(l) + _text(r)
+                return out
+
             return concat
         raise ExpressionError(f"unknown binary operator {expr.op!r}")
 
-    def _compile_and(self, expr: ast.BinaryOp) -> CompiledExpr:
+    def _kleene(self, expr: ast.BinaryOp, decisive: bool) -> BatchExpr:
+        """Kleene ``AND`` (``decisive`` False) or ``OR`` (True): the right
+        operand runs only on the rows the left one did not decide."""
         left = self.compile(expr.left)
         right = self.compile(expr.right)
 
-        def kleene_and(row: tuple, env: Env) -> object:
-            lhs = left(row, env)
-            if lhs is not None and not _as_bool(lhs):
-                return False
-            rhs = right(row, env)
-            if rhs is not None and not _as_bool(rhs):
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return True
+        def connective(batch: ColumnBatch, env: Env) -> list:
+            lhs = left(batch, env)
+            out: list = [None] * len(lhs)
+            undecided = []
+            for i, v in enumerate(lhs):
+                if v is not None and _as_bool(v) is decisive:
+                    out[i] = decisive
+                else:
+                    undecided.append(i)
+            for i, r in zip(undecided, _masked(right, batch, env, undecided)):
+                if r is not None and _as_bool(r) is decisive:
+                    out[i] = decisive
+                elif lhs[i] is not None and r is not None:
+                    out[i] = not decisive
+            return out
 
-        return kleene_and
+        return connective
 
-    def _compile_or(self, expr: ast.BinaryOp) -> CompiledExpr:
-        left = self.compile(expr.left)
-        right = self.compile(expr.right)
+    # -- predicates --------------------------------------------------------------
 
-        def kleene_or(row: tuple, env: Env) -> object:
-            lhs = left(row, env)
-            if lhs is not None and _as_bool(lhs):
-                return True
-            rhs = right(row, env)
-            if rhs is not None and _as_bool(rhs):
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return False
-
-        return kleene_or
-
-    # -- predicates ------------------------------------------------------------------
-
-    def _compile_Like(self, expr: ast.Like) -> CompiledExpr:
+    def _compile_IsNull(self, expr: ast.IsNull) -> BatchExpr:
         operand = self.compile(expr.operand)
-        pattern = self.compile(expr.pattern)
-        negated = expr.negated
+        if expr.negated:
+            return lambda batch, env: [
+                v is not None for v in operand(batch, env)
+            ]
+        return lambda batch, env: [v is None for v in operand(batch, env)]
 
-        def like(row: tuple, env: Env) -> object:
-            value = operand(row, env)
-            if value is None:
-                return None
-            pattern_value = pattern(row, env)
-            if pattern_value is None:
-                return None
-            matched = bool(
-                _like_regex(_text(pattern_value)).match(_text(value))
-            )
-            return (not matched) if negated else matched
-
-        return like
-
-    def _compile_Between(self, expr: ast.Between) -> CompiledExpr:
+    def _compile_Between(self, expr: ast.Between) -> BatchExpr:
         operand = self.compile(expr.operand)
         low = self.compile(expr.low)
         high = self.compile(expr.high)
         negated = expr.negated
 
-        def between(row: tuple, env: Env) -> object:
-            value = operand(row, env)
-            low_value = low(row, env)
-            high_value = high(row, env)
-            if value is None or low_value is None or high_value is None:
-                return None
-            result = (
-                _comparable(low_value) <= _comparable(value) <= _comparable(high_value)
-            )
-            return (not result) if negated else result
+        def between(batch: ColumnBatch, env: Env) -> list:
+            # All three operands are evaluated on every row, NULL or not.
+            values = operand(batch, env)
+            lows = low(batch, env)
+            highs = high(batch, env)
+            out: list = [None] * len(values)
+            for i, (v, lo, hi) in enumerate(zip(values, lows, highs)):
+                if v is None or lo is None or hi is None:
+                    continue
+                result = _comparable(lo) <= _comparable(v) <= _comparable(hi)
+                out[i] = (not result) if negated else result
+            return out
 
         return between
 
-    def _compile_IsNull(self, expr: ast.IsNull) -> CompiledExpr:
+    def _compile_Like(self, expr: ast.Like) -> BatchExpr:
         operand = self.compile(expr.operand)
         negated = expr.negated
+        if isinstance(expr.pattern, ast.Literal):
+            return _like_literal(operand, expr.pattern.value, negated)
+        pattern = self.compile(expr.pattern)
 
-        def is_null(row: tuple, env: Env) -> bool:
-            value = operand(row, env)
-            return (value is not None) if negated else (value is None)
+        def like(batch: ColumnBatch, env: Env) -> list:
+            values = operand(batch, env)
+            out: list = [None] * len(values)
+            present = [i for i, v in enumerate(values) if v is not None]
+            for i, p in zip(present, _masked(pattern, batch, env, present)):
+                if p is not None:
+                    matched = _like_regex(_text(p)).match(_text(values[i]))
+                    out[i] = (matched is None) if negated else (matched is not None)
+            return out
 
-        return is_null
+        return like
 
-    def _compile_InList(self, expr: ast.InList) -> CompiledExpr:
+    def _compile_InList(self, expr: ast.InList) -> BatchExpr:
         operand = self.compile(expr.operand)
+        negated = expr.negated
+        if all(isinstance(item, ast.Literal) for item in expr.items):
+            members = _membership([item.value for item in expr.items], negated)
+            return lambda batch, env: members(operand(batch, env))
         items = [self.compile(item) for item in expr.items]
-        negated = expr.negated
 
-        def in_list(row: tuple, env: Env) -> object:
-            value = operand(row, env)
-            if value is None:
-                return None
-            saw_null = False
-            matched = False
+        def in_list(batch: ColumnBatch, env: Env) -> list:
+            # x IN (a, b) is x = a OR x = b: each item runs only on the rows
+            # no earlier item matched.
+            values = operand(batch, env)
+            out: list = [None] * len(values)
+            undecided = [i for i, v in enumerate(values) if v is not None]
+            unknown: set[int] = set()
             for item in items:
-                candidate = item(row, env)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    matched = True
-                    break
-            if matched:
-                return not negated
-            if saw_null:
-                return None
-            return negated
+                missed = []
+                for i, c in zip(undecided, _masked(item, batch, env, undecided)):
+                    if c is None:
+                        unknown.add(i)
+                        missed.append(i)
+                    elif _sql_equals(values[i], c):
+                        out[i] = not negated
+                    else:
+                        missed.append(i)
+                undecided = missed
+            for i in undecided:
+                if i not in unknown:
+                    out[i] = negated
+            return out
 
         return in_list
 
-    def _compile_InSubquery(self, expr: ast.InSubquery) -> CompiledExpr:
+    def _compile_InSubquery(self, expr: ast.InSubquery) -> BatchExpr:
         operand = self.compile(expr.operand)
         prepared = self._plan_subquery(expr.subquery)
         negated = expr.negated
 
-        def in_subquery(row: tuple, env: Env) -> object:
-            value = operand(row, env)
-            if value is None:
-                return None
-            inner_env = Env(
-                outer_row=row,
-                outer_env=env,
-                params=env.params,
-                subq=env.subq,
-                trace=env.trace,
-            )
-            saw_null = False
-            matched = False
-            for result_row in prepared.rows(inner_env):
-                candidate = result_row[0]
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    matched = True
-                    break
-            if matched:
-                return not negated
-            if saw_null:
-                return None
-            return negated
+        def in_subquery(batch: ColumnBatch, env: Env) -> list:
+            values = operand(batch, env)
+            out: list = [None] * len(values)
+            present = [i for i, v in enumerate(values) if v is not None]
+            if not present:
+                return out  # a NULL operand never runs the subquery
+            if not prepared.correlated:  # one execution, one membership set
+                rows = prepared.rows(_inner_env(env))
+                return _membership([row[0] for row in rows], negated)(values)
+            results = _subquery_results(prepared, batch.take(present), env)
+            for i, rows in zip(present, results):
+                out[i] = _member(values[i], [row[0] for row in rows], negated)
+            return out
 
         return in_subquery
 
-    def _compile_Exists(self, expr: ast.Exists) -> CompiledExpr:
+    def _compile_Exists(self, expr: ast.Exists) -> BatchExpr:
         prepared = self._plan_subquery(expr.subquery)
         negated = expr.negated
+        return lambda batch, env: [
+            bool(rows) is not negated
+            for rows in _subquery_results(prepared, batch, env)
+        ]
 
-        def exists(row: tuple, env: Env) -> bool:
-            inner_env = Env(
-                outer_row=row,
-                outer_env=env,
-                params=env.params,
-                subq=env.subq,
-                trace=env.trace,
-            )
-            found = bool(prepared.rows(inner_env))
-            return (not found) if negated else found
-
-        return exists
-
-    def _compile_ScalarSubquery(self, expr: ast.ScalarSubquery) -> CompiledExpr:
+    def _compile_ScalarSubquery(self, expr: ast.ScalarSubquery) -> BatchExpr:
         prepared = self._plan_subquery(expr.subquery)
+        return lambda batch, env: [
+            _scalar(rows) for rows in _subquery_results(prepared, batch, env)
+        ]
 
-        def scalar(row: tuple, env: Env) -> object:
-            inner_env = Env(
-                outer_row=row,
-                outer_env=env,
-                params=env.params,
-                subq=env.subq,
-                trace=env.trace,
-            )
-            result = prepared.rows(inner_env)
-            if not result:
-                return None
-            if len(result) > 1:
-                raise ExecutionError("scalar subquery returned more than one row")
-            return result[0][0]
-
-        return scalar
-
-    def _plan_subquery(self, select: ast.Select) -> PreparedSubquery:
-        if self.planner is None:
+    def _plan_subquery(self, select: ast.Select):
+        if self.executor is None:
             raise ExpressionError("subqueries are not allowed in this context")
-        return self.planner.prepare_subquery(select, self.scope)
+        return self.executor.prepare_block(select, self.scope)
 
     # -- calls ------------------------------------------------------------------------
 
-    def _compile_FunctionCall(self, expr: ast.FunctionCall) -> CompiledExpr:
-        from .aggregates import is_aggregate_name
-
+    def _compile_FunctionCall(self, expr: ast.FunctionCall) -> BatchExpr:
         if is_aggregate_name(expr.name):
-            return self._compile_aggregate_ref(expr)
+            return self._aggregate_column(expr)
         registry = self.registry
         name = expr.name
         args = [self.compile(arg) for arg in expr.args]
 
-        def call(row: tuple, env: Env) -> object:
-            return registry.call(name, tuple(arg(row, env) for arg in args))
+        def call(batch: ColumnBatch, env: Env) -> list:
+            # Arguments are evaluated on every row; registry.call applies
+            # strictness and counts invocations (complieswith accounting).
+            columns = [arg(batch, env) for arg in args]
+            if not columns:
+                return [registry.call(name, ()) for _ in range(batch.length)]
+            return [registry.call(name, row) for row in zip(*columns)]
 
         return call
 
-    def _compile_aggregate_ref(self, expr: ast.FunctionCall) -> CompiledExpr:
-        if self.aggregate_slots is None:
-            raise ExpressionError(
-                f"aggregate {expr.name}() is not allowed in this clause"
-            )
+    def _aggregate_column(self, expr: ast.FunctionCall) -> BatchExpr:
+        """An aggregate call reads its column of the group batch."""
         key = aggregate_key(expr)
-        try:
-            slot = self.aggregate_slots[key]
-        except KeyError:
-            raise ExpressionError(
-                f"aggregate {key} was not collected for this query"
-            ) from None
-        return lambda row, env: env.agg[slot]
+        for binding in self.scope.shape.bindings:
+            if binding.source == AGGREGATE_SOURCE and binding.name == key:
+                index = binding.index
+                return lambda batch, env: batch.columns[index]
+        raise ExpressionError(
+            f"aggregate {expr.name}() is not allowed in this clause"
+        )
 
-    def _compile_Cast(self, expr: ast.Cast) -> CompiledExpr:
+    def _compile_Cast(self, expr: ast.Cast) -> BatchExpr:
         operand = self.compile(expr.operand)
         target = SqlType.from_name(expr.type_name)
+        return lambda batch, env: [
+            _cast_value(v, target) for v in operand(batch, env)
+        ]
 
-        def cast(row: tuple, env: Env) -> object:
-            return _cast_value(operand(row, env), target)
-
-        return cast
-
-    def _compile_CaseWhen(self, expr: ast.CaseWhen) -> CompiledExpr:
+    def _compile_CaseWhen(self, expr: ast.CaseWhen) -> BatchExpr:
+        subject = self.compile(expr.operand) if expr.operand is not None else None
         whens = [
             (self.compile(condition), self.compile(result))
             for condition, result in expr.whens
@@ -501,41 +450,269 @@ class ExpressionCompiler:
         else_result = (
             self.compile(expr.else_result) if expr.else_result is not None else None
         )
-        if expr.operand is None:
-            def searched_case(row: tuple, env: Env) -> object:
-                for condition, result in whens:
-                    value = condition(row, env)
-                    if value is not None and _as_bool(value):
-                        return result(row, env)
-                if else_result is not None:
-                    return else_result(row, env)
-                return None
-            return searched_case
 
-        operand = self.compile(expr.operand)
-
-        def simple_case(row: tuple, env: Env) -> object:
-            subject = operand(row, env)
+        def case(batch: ColumnBatch, env: Env) -> list:
+            out: list = [None] * batch.length
+            subjects = subject(batch, env) if subject is not None else None
+            undecided = list(range(batch.length))
+            # Each WHEN runs on the rows no earlier WHEN decided, each THEN
+            # (and the ELSE) only on the rows it answers.
             for condition, result in whens:
-                if condition(row, env) == subject:
-                    return result(row, env)
+                if not undecided:
+                    break
+                verdicts = _masked(condition, batch, env, undecided)
+                if subjects is None:
+                    hits = [v is not None and _as_bool(v) for v in verdicts]
+                else:  # CASE x WHEN v: x = v
+                    hits = [
+                        v is not None
+                        and subjects[i] is not None
+                        and _sql_equals(subjects[i], v)
+                        for i, v in zip(undecided, verdicts)
+                    ]
+                chosen = [i for i, hit in zip(undecided, hits) if hit]
+                undecided = [i for i, hit in zip(undecided, hits) if not hit]
+                for i, value in zip(chosen, _masked(result, batch, env, chosen)):
+                    out[i] = value
             if else_result is not None:
-                return else_result(row, env)
-            return None
+                for i, value in zip(
+                    undecided, _masked(else_result, batch, env, undecided)
+                ):
+                    out[i] = value
+            return out
 
-        return simple_case
+        return case
 
 
 # ---------------------------------------------------------------------------
-# Helpers
+# Evaluation helpers
 # ---------------------------------------------------------------------------
+
+
+def evaluate_constant(expression: ast.Expression, registry) -> object:
+    """Evaluate a row-independent expression — an INSERT value, a column
+    default, a literal subtree the optimizer folds — as a zero-width batch
+    of one row, so its value matches runtime evaluation bit for bit."""
+    compiled = ExpressionCompiler(Scope(RowShape([])), registry).compile(expression)
+    return compiled(ColumnBatch([], 1), Env())[0]
 
 
 def aggregate_key(call: ast.FunctionCall) -> str:
     """Canonical text key used to deduplicate aggregate calls within a query."""
-    from ..sql.printer import print_expression
-
     return print_expression(call)
+
+
+def _masked(
+    fn: BatchExpr, batch: ColumnBatch, env: Env, indices: list[int]
+) -> Sequence:
+    """``fn`` evaluated on the rows at ascending ``indices`` only: one value
+    per index.
+
+    Rows an earlier operand already decided never reach ``fn``, so
+    data-dependent errors and UDF invocation counts are those of a
+    row-at-a-time short circuit.
+    """
+    if len(indices) == batch.length:
+        return fn(batch, env)
+    if not indices:
+        return []
+    return fn(batch.take(indices), env)
+
+
+def _null_propagating(
+    left: BatchExpr, right: BatchExpr, operate: Callable[[object, object], object]
+) -> BatchExpr:
+    """A binary operator that is NULL when either side is: the right operand
+    runs only on the rows whose left value is not NULL."""
+
+    def binary(batch: ColumnBatch, env: Env) -> list:
+        lhs = left(batch, env)
+        out: list = [None] * len(lhs)
+        present = [i for i, v in enumerate(lhs) if v is not None]
+        for i, r in zip(present, _masked(right, batch, env, present)):
+            if r is not None:
+                out[i] = operate(lhs[i], r)
+        return out
+
+    return binary
+
+
+def _inner_env(env: Env, outer_row: tuple | None = None) -> Env:
+    """The environment a nested SELECT runs in below ``env``."""
+    return Env(
+        outer_row=outer_row,
+        outer_env=env,
+        params=env.params,
+        subq=env.subq,
+        trace=env.trace,
+    )
+
+
+def _subquery_results(prepared, batch: ColumnBatch, env: Env) -> list:
+    """A nested SELECT's result rows for each row of ``batch``.
+
+    A correlated SELECT runs once per row, with that row as its outer row;
+    an uncorrelated one runs once (its result is cached per execution in
+    ``env.subq``) and every row shares it.
+    """
+    if not batch.length:
+        return []
+    if prepared.correlated:
+        return [prepared.rows(_inner_env(env, row)) for row in batch.to_rows()]
+    return [prepared.rows(_inner_env(env))] * batch.length
+
+
+def _scalar(rows: list[tuple]) -> object:
+    if not rows:
+        return None
+    if len(rows) > 1:
+        raise ExecutionError("scalar subquery returned more than one row")
+    return rows[0][0]
+
+
+def _member(value: object, candidates: list, negated: bool) -> object:
+    """``value IN (candidates)`` as ``value = c1 OR value = c2 OR …``: the
+    first match wins, and a NULL candidate turns a miss into unknown."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif _sql_equals(value, candidate):
+            return not negated
+    return None if saw_null else negated
+
+
+def _membership(candidates: list, negated: bool) -> Callable[[Sequence], list]:
+    """:func:`_member` over a fixed candidate list, for a column of values
+    (NULL in, NULL out).
+
+    A value of the one kind every non-NULL candidate shares is answered by a
+    set lookup: no comparison can raise, so any match is the first match.
+    Any other value walks the candidates, raising ``=``'s type error.
+    """
+    present = [c for c in candidates if c is not None]
+    kinds = {_kind(c) for c in present}
+    if len(kinds) != 1:
+        return lambda values: [
+            None if v is None else _member(v, candidates, negated) for v in values
+        ]
+    (kind,) = kinds
+    classes = (int, float) if kind is float else (kind,)
+    members = set(present)
+    hit = not negated
+    miss = None if len(present) < len(candidates) else negated
+    return lambda values: [
+        None
+        if v is None
+        else (hit if v in members else miss)
+        if v.__class__ in classes
+        else _member(v, candidates, negated)
+        for v in values
+    ]
+
+
+def _kind(value: object) -> type:
+    """What ``=`` compares a value as: every number alike, else its type."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float
+    return type(value)
+
+
+def _like_literal(operand: BatchExpr, pattern: object, negated: bool) -> BatchExpr:
+    """LIKE against a literal pattern: one regex for the whole batch."""
+
+    def like(batch: ColumnBatch, env: Env) -> list:
+        values = operand(batch, env)
+        if pattern is None:
+            return [None] * len(values)
+        out: list = [None] * len(values)
+        regex = None
+        for i, v in enumerate(values):
+            if v is None:
+                continue
+            if regex is None:
+                # Compiled on the first present row, not at build time, so a
+                # non-text pattern raises only when a row reaches it.
+                regex = _like_regex(_text(pattern))
+            matched = regex.match(v if v.__class__ is str else _text(v)) is not None
+            out[i] = (not matched) if negated else matched
+        return out
+
+    return like
+
+
+#: Sentinel distinguishing "no constant operand" from a NULL literal.
+_NO_CONST = object()
+
+
+def _constant_operand(expr: ast.Expression) -> object:
+    """The Python value of a literal operand, or ``_NO_CONST``."""
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.BitStringLiteral):
+        return BitString.from_bits(expr.bits)
+    return _NO_CONST
+
+
+def _comparison_const(left: BatchExpr, op: str, const: object) -> BatchExpr:
+    """Comparison against a literal: one raw operator call per row.
+
+    The literal is side-effect-free, so skipping masked evaluation of the
+    right operand cannot change UDF counts or error order.  Rows whose type
+    matches the constant's take the unguarded operator; any mismatch drops
+    to the guarded comparator for its exact ``TypeMismatchError``.
+    """
+    if const is None:
+        # NULL literal: the result is NULL for every row, but the left
+        # operand is still evaluated (it may carry counted UDF calls).
+        return lambda batch, env: [None] * len(left(batch, env))
+    raw = _RAW_COMPARE[op]
+    compare = _COMPARATORS[op]
+    if const.__class__ is int or const.__class__ is float:
+        return lambda batch, env: [
+            None
+            if v is None
+            else raw(v, const)
+            if v.__class__ is int or v.__class__ is float
+            else compare(v, const)
+            for v in left(batch, env)
+        ]
+    fast_type = const.__class__
+    return lambda batch, env: [
+        None
+        if v is None
+        else raw(v, const)
+        if v.__class__ is fast_type
+        else compare(v, const)
+        for v in left(batch, env)
+    ]
+
+
+def _arithmetic_const(left: BatchExpr, op: str, const: object) -> BatchExpr:
+    """Arithmetic with a literal operand, mirroring the comparison path."""
+    operate = _ARITHMETIC[op]
+    if const is None:
+        return lambda batch, env: [None] * len(left(batch, env))
+    if const.__class__ is int or const.__class__ is float:
+        raw = _RAW_ARITH[op]
+        return lambda batch, env: [
+            None
+            if v is None
+            else raw(v, const)
+            if v.__class__ is int or v.__class__ is float
+            else operate(v, const)
+            for v in left(batch, env)
+        ]
+    # Non-numeric literal: every present row fails; operate() checks the
+    # left value first.
+    return lambda batch, env: [
+        None if v is None else operate(v, const) for v in left(batch, env)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Value semantics
+# ---------------------------------------------------------------------------
 
 
 def _as_bool(value: object) -> bool:
@@ -576,19 +753,37 @@ def _compare_guard(left: object, right: object) -> None:
 
 def _cmp(op: Callable[[object, object], bool]) -> Callable[[object, object], bool]:
     def compare(left: object, right: object) -> bool:
-        _compare_guard(left, right)
+        _compare_guard(_comparable(left), _comparable(right))
         return op(left, right)
 
     return compare
 
 
 _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
-    "=": _cmp(lambda a, b: a == b),
-    "<>": _cmp(lambda a, b: a != b),
-    "<": _cmp(lambda a, b: a < b),
-    "<=": _cmp(lambda a, b: a <= b),
-    ">": _cmp(lambda a, b: a > b),
-    ">=": _cmp(lambda a, b: a >= b),
+    "=": _cmp(operator.eq),
+    "<>": _cmp(operator.ne),
+    "<": _cmp(operator.lt),
+    "<=": _cmp(operator.le),
+    ">": _cmp(operator.gt),
+    ">=": _cmp(operator.ge),
+}
+
+#: ``=`` on two non-NULL values, type rule included: also what IN lists, IN
+#: subqueries and simple CASE match with.
+_sql_equals = _COMPARATORS["="]
+
+#: Unguarded operator implementations for the constant-operand fast path.
+#: Applied only after the element's type has been checked against the
+#: constant's, so the type guards in ``_COMPARATORS``/``_ARITHMETIC`` are
+#: provably redundant on this path.  ``repro.fuzz.inject``'s ``ge-as-gt``
+#: patches this table.
+_RAW_COMPARE: dict[str, Callable[[object, object], bool]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -611,6 +806,15 @@ def _mod(a: float, b: float) -> float | int:
     return a % b
 
 
+_RAW_ARITH: dict[str, Callable[[float, float], object]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _int_div,
+    "%": _mod,
+}
+
+
 def _arith(op: Callable[[float, float], object]) -> Callable[[object, object], object]:
     def operate(left: object, right: object) -> object:
         return op(_number(left), _number(right))
@@ -619,11 +823,7 @@ def _arith(op: Callable[[float, float], object]) -> Callable[[object, object], o
 
 
 _ARITHMETIC: dict[str, Callable[[object, object], object]] = {
-    "+": _arith(lambda a, b: a + b),
-    "-": _arith(lambda a, b: a - b),
-    "*": _arith(lambda a, b: a * b),
-    "/": _arith(_int_div),
-    "%": _arith(_mod),
+    symbol: _arith(op) for symbol, op in _RAW_ARITH.items()
 }
 
 

@@ -44,6 +44,7 @@ import dataclasses
 
 from ...errors import CatalogError
 from ...sql import ast
+from ..expressions import evaluate_constant
 from ..schema import RowShape
 from .nodes import (
     DerivedTable,
@@ -869,16 +870,6 @@ def _all_literal_arithmetic(expression: ast.Expression) -> bool:
     return False
 
 
-def _evaluate_constant(expression: ast.Expression, registry) -> object:
-    # Evaluate through the real expression compiler so folded values match
-    # runtime arithmetic (integer division, modulo, numeric coercion) bit
-    # for bit.
-    from ..expressions import Env, ExpressionCompiler, Scope
-
-    compiler = ExpressionCompiler(Scope(RowShape([])), registry)
-    return compiler.compile(expression)((), Env())
-
-
 def _fold_expression(
     expression: ast.Expression, registry
 ) -> tuple[ast.Expression, bool]:
@@ -888,7 +879,7 @@ def _fold_expression(
         return expression, False
     if _is_foldable(expression):
         try:
-            value = _evaluate_constant(expression, registry)
+            value = evaluate_constant(expression, registry)
         except Exception:
             return expression, False  # e.g. division by zero: fold at runtime
         if value is None or (

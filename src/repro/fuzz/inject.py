@@ -4,9 +4,9 @@ A differential oracle is only trustworthy if it *fails* when the system
 under test is broken.  :func:`inject_bug` patches a known defect into the
 production pipeline for the duration of a ``with`` block — one in
 enforcement (the rewriter forgets a compliance conjunct), one in the
-executor (the vectorized ``>=`` against a literal evaluates as ``>``);
-running the fuzzer under either must produce disagreements (and minimized
-repro files), otherwise the oracle is vacuous.  The second is the one an
+executor (``>=`` against a literal evaluates as ``>``); running the fuzzer
+under either must produce disagreements (and minimized repro files),
+otherwise the oracle is vacuous.  The second is the one an
 oracle that ran its expectation on the engine's own executor could not
 see.  Used by the acceptance tests and by the CLI's ``--inject-bug`` flag.
 """
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 from ..core import monitor as monitor_module
 from ..core.admin import COMPLIES_WITH
-from ..engine import vector as vector_module
+from ..engine import expressions as expressions_module
 from ..sql import ast
 
 #: Injectable defects, by name.
@@ -75,8 +75,8 @@ def inject_bug(name: str):
     """Patch defect ``name`` into the production pipeline for a block.
 
     Both patches target what compilation actually reads — the rewriter
-    reference the monitor calls, the operator table the vector compiler
-    binds comparisons from — so the ad-hoc and the prepared/cached paths
+    reference the monitor calls, the operator table the expression
+    compiler binds comparisons from — so the ad-hoc and the prepared/cached paths
     (and therefore the server) all compile the defect in.  The plan cache
     is *not* cleared here; the runner clears it per path, so buggy plans
     never outlive the block in practice, and tests that want a pristine
@@ -94,7 +94,7 @@ def inject_bug(name: str):
 
         holder, key = vars(monitor_module), "rewrite_query"
     else:
-        holder, key, buggy = vector_module._RAW_COMPARE, ">=", operator.gt
+        holder, key, buggy = expressions_module._RAW_COMPARE, ">=", operator.gt
     real = holder[key]
     holder[key] = buggy
     try:

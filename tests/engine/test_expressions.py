@@ -162,6 +162,82 @@ class TestPredicates:
         assert value(db, "case when n = 1 then 'x' else 'y' end") == "y"
 
 
+class TestEqualityRule:
+    """``CASE x WHEN v`` and ``x IN (…)`` compare with ``=``: NULL never
+    matches, and a type mismatch raises as ``=`` does."""
+
+    def test_simple_case_never_matches_null(self, db):
+        assert value(db, "case n when null then 1 else 2 end") == 2
+
+    def test_simple_case_type_mismatch_raises(self, db):
+        with pytest.raises(TypeMismatchError):
+            value(db, "case i when 'seven' then 1 else 2 end")
+
+    def test_in_list_applies_the_type_rule_of_equals(self, db):
+        with pytest.raises(TypeMismatchError):
+            value(db, "i = true")
+        with pytest.raises(TypeMismatchError):
+            value(db, "i in (true)")
+        with pytest.raises(TypeMismatchError):
+            value(db, "i in (1, 'x')")
+        assert value(db, "i in (7, 'x')") is True  # the first match wins
+        with pytest.raises(TypeMismatchError):
+            value(db, "i in (f, s)")
+
+    def test_in_subquery_applies_the_type_rule_of_equals(self, db):
+        with pytest.raises(TypeMismatchError):
+            value(db, "i in (select b from t)")
+        with pytest.raises(TypeMismatchError):
+            value(db, "i in (select u.b from t u where u.i = t.i)")
+        assert value(db, "i in (select u.i from t u where u.i = t.i)") is True
+        assert value(db, "i not in (select n from t)") is None
+
+
+class TestMaskedEvaluation:
+    """Each operand runs only on the rows SQL's short circuit reaches it on,
+    counted here through a ``complieswith`` UDF over ten rows."""
+
+    @pytest.fixture()
+    def world(self):
+        from repro.core.masks import complies_with
+        from repro.engine.types import BitString
+
+        database = Database()
+        database.execute("create table m (k integer, policy bit varying)")
+        for k in range(10):
+            database.table("m").insert_row((k, BitString.from_bits("1" if k % 2 else "0")))
+        database.register_function("complieswith", complies_with)
+        return database
+
+    def calls(self, world, sql):
+        world.reset_function_counters()
+        rows = world.query(sql).rows
+        return rows, world.function_calls("complieswith")
+
+    def test_case_when_runs_only_on_undecided_rows(self, world):
+        rows, calls = self.calls(
+            world,
+            "select case when k < 3 then 'low' "
+            "when complieswith(b'1', policy) then 'ok' else 'denied' end from m",
+        )
+        assert calls == 7
+        assert [r[0] for r in rows] == ["low"] * 3 + ["ok", "denied"] * 3 + ["ok"]
+
+    def test_case_then_runs_only_on_rows_its_when_decided(self, world):
+        rows, calls = self.calls(
+            world, "select case when k >= 8 then complieswith(b'1', policy) end from m"
+        )
+        assert calls == 2
+        assert [r[0] for r in rows] == [None] * 8 + [False, True]
+
+    def test_in_items_stop_at_the_first_match(self, world):
+        rows, calls = self.calls(
+            world, "select true in (k < 5, complieswith(b'1', policy)) from m"
+        )
+        assert calls == 5
+        assert [r[0] for r in rows] == [True] * 5 + [True, False] * 2 + [True]
+
+
 class TestCastAndConcat:
     def test_cast_text_to_int(self, db):
         assert value(db, "cast('42' as integer)") == 42
