@@ -53,39 +53,6 @@ POLICY_COLUMN = "policy"
 COMPLIES_WITH = "complieswith"
 
 
-class EpochScoped:
-    """Caches whose contents are only valid within one policy epoch.
-
-    Several layers memoize work derived from policy state — the
-    ``complieswith`` argument memo, the engine's policy-bitmap cache, and
-    anything an extension registers.  They all share one invalidation rule
-    ("discard on policy-epoch bump"), so they register here once and
-    :meth:`AccessControlManager.bump_policy_epoch` clears them together
-    instead of each call site remembering every cache.
-    """
-
-    def __init__(self) -> None:
-        self._caches: list = []
-
-    def register(self, cache) -> None:
-        """Track a cache exposing ``clear()``; duplicates are ignored."""
-        if not hasattr(cache, "clear"):
-            raise TypeError(
-                f"{type(cache).__name__} has no clear() method"
-            )
-        if any(existing is cache for existing in self._caches):
-            return
-        self._caches.append(cache)
-
-    def clear_all(self) -> None:
-        """Invalidate every registered cache (the epoch just bumped)."""
-        for cache in self._caches:
-            cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._caches)
-
-
 class AccessControlManager:
     """Configures and serves access-control meta-data for one target DB."""
 
@@ -101,9 +68,6 @@ class AccessControlManager:
         self._layouts: dict[tuple, MaskLayout] = {}
         self._configured = False
         self._compliance_memo = MemoizedFunction(complies_with)
-        self.epoch_scoped = EpochScoped()
-        self.epoch_scoped.register(self._compliance_memo)
-        self.epoch_scoped.register(database.policy_bitmaps)
 
     #: Bound on the versioned layout cache (old versions age out by LRU-ish
     #: insertion order; pinned readers just rebuild from catalog state).
@@ -132,7 +96,8 @@ class AccessControlManager:
         taxonomy edits (purpose set, categorization) are versioned catalog
         commits that open snapshots simply do not see — they keep
         resolving the :class:`AcmState` as of their pinned catalog version
-        (DESIGN.md §16).
+        (DESIGN.md §16).  The compliance memo and the policy bitmaps hold
+        verdicts derived from the old taxonomy, so both are emptied.
         """
         self.database.catalog.commit(
             [
@@ -147,7 +112,8 @@ class AccessControlManager:
             ],
             self.database.transactions.clock,
         )
-        self.epoch_scoped.clear_all()
+        self._compliance_memo.clear()
+        self.database.policy_bitmaps.clear()
 
     def _enforcement_version(self) -> int:
         """The catalog version enforcement resolves against *right now*.

@@ -67,10 +67,9 @@ class EnforcementReport:
     bitmap_built: int = 0
     bitmap_revalidated: int = 0
     bitmap_hits: int = 0
-    #: Secondary-index probes and policy-partition skips performed by this
-    #: execution (both stay 0 with the optimizer off or no indexes).
+    #: Secondary-index probes performed by this execution (0 with the
+    #: optimizer off or no indexes).
     index_hits: int = 0
-    partition_skips: int = 0
     trace: "object | None" = None
 
 
@@ -265,8 +264,7 @@ class EnforcementMonitor:
             "repro_index_total",
             "Secondary-index activity: probes (event=hit), entries "
             "revalidated for another table version (event=carried_forward) "
-            "or rebuilt (event=rebuild), policy partitions read "
-            "(event=partition_hit) or skipped (event=partition_skip)",
+            "or rebuilt (event=rebuild)",
         )
         registry.counter(
             "repro_audit_records_total", "Records written to the audit log"
@@ -611,8 +609,6 @@ class EnforcementMonitor:
                 ("hit", "hits"),
                 ("rebuild", "rebuilds"),
                 ("carried_forward", "carried_forward"),
-                ("partition_hit", "partition_hits"),
-                ("partition_skip", "partition_skips"),
             )
         }
         execute_span.annotate(
@@ -661,7 +657,6 @@ class EnforcementMonitor:
             bitmap_revalidated=bitmap_events["revalidated"],
             bitmap_hits=bitmap_events["hits"],
             index_hits=index_events["hit"],
-            partition_skips=index_events["partition_skip"],
             trace=trace if trace.enabled else None,
         )
 
@@ -789,9 +784,7 @@ class EnforcementMonitor:
                 f"bitmap_revalidated="
                 f"{bitmap_after['revalidated'] - bitmap_before['revalidated']} "
                 f"bitmap_hits={bitmap_after['hits'] - bitmap_before['hits']} "
-                f"index_hits={index_after['hits'] - index_before['hits']} "
-                f"partition_skips="
-                f"{index_after['partition_skips'] - index_before['partition_skips']}"
+                f"index_hits={index_after['hits'] - index_before['hits']}"
             )
             stages = " ".join(
                 f"{stage}={seconds * 1000:.3f}ms"

@@ -627,7 +627,7 @@ class Database:
         conjuncts = flatten_conjuncts(where)
         path = best_index_path(
             self,
-            [d for d in self.indexes.for_table(name) if not d.partitioned],
+            self.indexes.for_table(name),
             conjuncts,
             Scan(name, name, shape),
         )
@@ -712,7 +712,6 @@ class Database:
             table=statement.table,
             columns=statement.columns,
             kind=statement.kind,
-            partitioned_by=statement.partitioned_by,
         )
         txn = current_transaction(self.transactions)
         if txn is None:

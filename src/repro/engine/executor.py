@@ -35,7 +35,6 @@ cached, matching how a conventional engine executes uncorrelated subplans.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -86,12 +85,13 @@ class SourcePlan:
     of the two per execution, so the trace's per-node row ledger stays
     per-row-accurate.
 
+    A base-table scan emits the ascending row ids a policy guard above it
+    hands down through ``batches(env, ids)``, and every row without them.
     An index scan also carries ``candidate_ids``: ``env`` → the ascending
     row ids its probe selects (``None`` when the index is gone and every
-    row is a candidate).  A policy guard above it needs the id of each row
-    it is shown, so it resolves the ids itself and hands them back through
-    ``batches(env, ids)`` — one probe per execution, the scanned rows still
-    counted against the scan.
+    row is a candidate).  The guard resolves those itself and hands them
+    back — one probe per execution, the scanned rows still counted against
+    the scan.
     """
 
     def __init__(
@@ -683,7 +683,7 @@ class SelectExecutor:
         # plans are re-executed after inserts/updates replace the row list.
         return SourcePlan(
             node.shape, "SeqScan", self._scan_detail(table, node),
-            batch_producer=lambda env: fetch(table.rows, None),
+            batch_producer=lambda env, ids=None: fetch(table.rows, ids),
         )
 
     def _compile_index_scan(self, node: plan_ir.IndexScan) -> SourcePlan:
@@ -786,12 +786,13 @@ class SelectExecutor:
     ) -> SourcePlan:
         """Answer the hoisted guards from the policy bitmap: row-id sets.
 
-        The bitmap holds row ids of the guarded table, so the guard must
-        know the id of every row its scan shows it.  A sequential scan
-        shows every row in storage order (id = position in the stream); an
-        index scan shows the rows of its candidate ids, which the guard
-        resolves itself — filtering an index scan's stream *by position*
-        would test the wrong tuples' policies.
+        The bitmap holds row ids of the guarded table, so the guard works
+        out which ids it may emit and hands them to its scan through
+        ``batches(env, ids)``.  Over a sequential scan, or an index scan
+        whose index is gone, that is the bitmap's ascending passing list.
+        Over a live index scan it is the probe's candidates: the scan reads
+        each of them (so EXPLAIN ANALYZE counts the rows the probe examined
+        against it) and the guard keeps the ones in the passing set.
         """
         child = self.compile_plan(node.scan, parent_scope)
         table = self.database.table(node.scan.table_name)
@@ -799,82 +800,34 @@ class SelectExecutor:
         policy_column = self.database.policy_column
         registry = self.database.functions
         bitmaps = self.database.policy_bitmaps
-        manager = self.database.indexes
-        partitioned = node.partitioned
         candidate_ids = child.candidate_ids
-        fetch = self._fetcher(table, node.scan)
 
         masks = tuple(guard.args[0].bits for guard in node.guards)
 
-        def passing(env: Env) -> tuple[frozenset, list[int]]:
-            # Exactly one call per execution on every path below, so the
-            # cache's per-mask hit/built accounting is path-independent.
-            return bitmaps.passing(
+        def produce(env: Env) -> Iterator[ColumnBatch]:
+            allowed, ordered = bitmaps.passing(
                 table, policy_column, masks, registry, function_name
             )
-
-        def partition_ids(env: Env) -> "list[int] | None":
-            # Row ids from the policy-partitioned index's qualifying
-            # partitions (ascending storage order), or None to fall back
-            # to the bitmap intersection over the scan.  Verdicts still come
-            # from the bitmap cache, so the per-distinct-value UDF call
-            # accounting is identical on both paths.
-            if partitioned is None:
-                return None
-            try:
-                return manager.partition_rows(partitioned, passing(env)[0])
-            except CatalogError:
-                return None  # index dropped since planning
-
-        def produce(env: Env) -> Iterator[ColumnBatch]:
-            ids = partition_ids(env)
-            if ids is not None:
-                yield from fetch(table.rows, ids)
+            ids = None if candidate_ids is None else candidate_ids(env)
+            if ids is None:
+                yield from child.batches(env, ordered)
                 return
-            allowed, ordered = passing(env)
-            # The id of each row the scan shows: its candidate id under an
-            # index scan (resolved here, exactly once, and handed down to
-            # the scan), its position in the stream otherwise.
-            if candidate_ids is None:
-                batches = child.batches(env)
-            else:
-                ids = candidate_ids(env)
-                batches = child.batches(env, ids)
             offset = 0
-            if ids is not None:
-                for batch in batches:
-                    page = ids[offset : offset + batch.length]
-                    offset += batch.length
-                    keep = [k for k, i in enumerate(page) if i in allowed]
-                    if len(keep) == batch.length:
-                        yield batch
-                    elif keep:
-                        yield batch.take(keep)
-                return
-            # The cache already collapses the BitString AND to one
-            # evaluation per distinct policy value, so a batch costs a
-            # slice of the ascending passing list rather than a membership
-            # probe per row.
-            for batch in batches:
-                length = batch.length
-                lo = bisect_left(ordered, offset)
-                hi = bisect_left(ordered, offset + length)
-                offset += length
-                if lo == hi:
-                    continue
-                if hi - lo == length:
+            for batch in child.batches(env, ids):
+                page = ids[offset : offset + batch.length]
+                offset += batch.length
+                keep = [k for k, i in enumerate(page) if i in allowed]
+                if len(keep) == batch.length:
                     yield batch
-                    continue
-                yield batch.take([p - (offset - length) for p in ordered[lo:hi]])
+                elif keep:
+                    yield batch.take(keep)
 
         from ..sql.printer import print_expression
 
         detail = " and ".join(print_expression(guard) for guard in node.guards)
-        detail = f"[{detail}]"
-        if partitioned is not None:
-            detail += f" (partitions: {partitioned})"
         return SourcePlan(
-            child.shape, "PolicyGuard", detail, [child], batch_producer=produce,
+            child.shape, "PolicyGuard", f"[{detail}]", [child],
+            batch_producer=produce,
         )
 
     def _compile_cross_join(

@@ -9,13 +9,15 @@ The subsystem mirrors the layering of the rest of the engine:
   (row counts, NDV, min/max, equi-depth histograms) collected by
   ``ANALYZE`` and consumed by the optimizer's cost model;
 * :mod:`~repro.engine.index.manager` — the :class:`IndexManager` owning
-  index lifecycles, lazy maintenance (entries revalidated against the
-  visible rows, rebuilt only when a key moved) and the
-  policy-partitioned row layout.
+  index lifecycles and lazy maintenance (entries revalidated against the
+  visible rows, rebuilt only when a key moved).
 
 There is no index mode: the full optimizer pipeline chooses an access
 path whenever an index serves the query.  The reference an index path is
-checked against is the same data with the index dropped.
+checked against is the same data with the index dropped.  Indexes know
+nothing of policies: rows are grouped by policy value once, in the
+policy bitmap cache, and a guard over an index scan keeps the probe's
+candidates that its bitmap passes.
 """
 
 from __future__ import annotations

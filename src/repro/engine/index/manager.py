@@ -1,12 +1,11 @@
-"""Index lifecycles, lazy maintenance and policy-partitioned layouts.
+"""Index lifecycles and lazy maintenance.
 
 :class:`IndexManager` owns every secondary index of one database.  An
-index *definition* (name, table, key columns, structure kind, optional
-policy partitioning) is durable catalog state — it survives DML, is
-persisted by :mod:`repro.engine.persist` and round-trips through ``CREATE
-INDEX`` / ``DROP INDEX``.  The built *entry* (the B+-tree / hash structure
-plus the partition layout) is a cache that remembers the row list it
-describes:
+index *definition* (name, table, key columns, structure kind) is durable
+catalog state — it survives DML, is persisted by
+:mod:`repro.engine.persist` and round-trips through ``CREATE INDEX`` /
+``DROP INDEX``.  The built *entry* (the B+-tree / hash structure) is a
+cache that remembers the row list it describes:
 
 * a lookup at the ``Table.version`` the entry was last validated for is a
   plain probe;
@@ -16,36 +15,24 @@ describes:
   position, so it is exact for another list iff every position up to the
   built length holds either the very same tuple object (``update_rows``
   and ``rows_as_of`` reuse unchanged tuples) or a tuple with the same key
-  (and, for partitioned layouts, policy) values; rows appended past the
-  built length are inserted.  Anything else — a delete, a key-changing
-  update, a schema change — rebuilds from scratch;
+  values; rows appended past the built length are inserted.  Anything
+  else — a delete, a key-changing update, a schema change — rebuilds from
+  scratch;
 * a dropped-and-recreated index or table never serves stale row ids.
 
 Entries are mutated in place when carried forward, so every lookup
 validates and probes under the manager lock.
-
-**Policy-partitioned indexes** additionally group the table's row ids by
-the exact value of the policy-mask column.  Because a hoisted
-``complieswith`` guard passes or fails *per distinct policy value* — never
-per row — a partition either qualifies wholesale or can be skipped without
-touching any of its rows.  The executor asks :meth:`IndexManager
-.partition_rows` with the bitmap cache's passing-row set; the manager
-checks one representative row id per partition, counts the skipped
-partitions, and returns the qualifying row ids merged back into ascending
-storage order so emission matches a sequential scan exactly.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from heapq import merge
-from itertools import compress
-from operator import is_not
 from typing import TYPE_CHECKING
 
 from ...errors import CatalogError, ExecutionError
 from ..mvcc import current_transaction
+from ..table import replaced_positions
 from .btree import BTreeIndex
 from .hash import HashIndex
 
@@ -65,12 +52,6 @@ class IndexDefinition:
     table: str
     columns: tuple[str, ...]
     kind: str = "btree"
-    #: The policy column when the index is policy-partitioned, else ``None``.
-    partitioned_by: str | None = None
-
-    @property
-    def partitioned(self) -> bool:
-        return self.partitioned_by is not None
 
     def to_dict(self) -> dict:
         """JSON-ready form (what snapshots persist)."""
@@ -79,23 +60,23 @@ class IndexDefinition:
             "table": self.table,
             "columns": list(self.columns),
             "kind": self.kind,
-            "partitioned_by": self.partitioned_by,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "IndexDefinition":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.  Other keys are ignored: a snapshot
+        or WAL record from when an index could also group its rows by
+        policy names that column too, and loads as a plain index."""
         return cls(
             name=str(payload["name"]),
             table=str(payload["table"]),
             columns=tuple(str(c) for c in payload["columns"]),
             kind=str(payload.get("kind") or "btree"),
-            partitioned_by=payload.get("partitioned_by"),
         )
 
 
 class _IndexEntry:
-    """A built index structure plus (optionally) its policy partitions.
+    """A built index structure.
 
     ``rows`` is the row list the entry was last validated against and
     ``length`` how many of its rows are indexed: append commits extend the
@@ -103,8 +84,8 @@ class _IndexEntry:
     """
 
     __slots__ = (
-        "definition", "schema", "structure", "partitions",
-        "version", "rows", "length", "nulls",
+        "definition", "schema", "structure", "version", "rows", "length",
+        "nulls",
     )
 
     def __init__(self, definition: IndexDefinition, schema):
@@ -112,9 +93,6 @@ class _IndexEntry:
         self.schema = schema
         self.structure = (
             BTreeIndex() if definition.kind == "btree" else HashIndex()
-        )
-        self.partitions: dict | None = (
-            {} if definition.partitioned_by is not None else None
         )
         self.version: object = None
         self.rows: list = []
@@ -124,18 +102,12 @@ class _IndexEntry:
         self.nulls: list[int] = []
 
     def positions(self) -> list[int]:
-        """Schema positions of the key columns, then the partition column."""
-        columns = list(self.definition.columns)
-        if self.definition.partitioned_by is not None:
-            columns.append(self.definition.partitioned_by)
-        return [self.schema.column_index(c) for c in columns]
+        """Schema positions of the key columns."""
+        return [self.schema.column_index(c) for c in self.definition.columns]
 
     def extend(self, rows: list) -> None:
         """Index ``rows[self.length:]`` and adopt ``rows`` as the row list."""
         positions = self.positions()
-        partitions = self.partitions
-        if partitions is not None:
-            partition_position = positions.pop()
         single = len(positions) == 1
         insert = self.structure.insert
         for row_id in range(self.length, len(rows)):
@@ -145,23 +117,20 @@ class _IndexEntry:
                 insert(key[0] if single else key, row_id)
             else:
                 self.nulls.append(row_id)
-            if partitions is not None:
-                partitions.setdefault(row[partition_position], []).append(row_id)
         self.rows = rows
         self.length = len(rows)
 
     def carry_forward(self, rows: list) -> bool:
         """Make the entry describe ``rows`` if that needs no rebuild."""
-        old, length = self.rows, self.length
-        if len(rows) < length:
+        old = self.rows
+        changed = replaced_positions(old, self.length, rows)
+        if changed is None:
             return False
-        if rows is not old:
-            positions = self.positions()
-            # The positions holding another tuple object (a C-speed pass).
-            for row_id in compress(range(length), map(is_not, old, rows)):
-                before, after = old[row_id], rows[row_id]
-                if any(before[p] != after[p] for p in positions):
-                    return False
+        positions = self.positions()
+        for row_id in changed:
+            before, after = old[row_id], rows[row_id]
+            if any(before[p] != after[p] for p in positions):
+                return False
         self.extend(rows)
         return True
 
@@ -181,8 +150,6 @@ class IndexManager:
         self._hits = 0
         self._rebuilds = 0
         self._carried_forward = 0
-        self._partition_hits = 0
-        self._partition_skips = 0
 
     # -- catalog ---------------------------------------------------------------
 
@@ -202,11 +169,6 @@ class IndexManager:
             table=definition.table.lower(),
             columns=tuple(c.lower() for c in definition.columns),
             kind=definition.kind.lower(),
-            partitioned_by=(
-                definition.partitioned_by.lower()
-                if definition.partitioned_by is not None
-                else None
-            ),
         )
         if normalized.kind not in INDEX_KINDS:
             raise CatalogError(
@@ -218,14 +180,6 @@ class IndexManager:
         table = self._database.table(normalized.table)
         for column in normalized.columns:
             table.schema.column_index(column)  # raises on unknown columns
-        if normalized.partitioned_by is not None:
-            policy_column = getattr(self._database, "policy_column", None)
-            if normalized.partitioned_by != (policy_column or "").lower():
-                raise CatalogError(
-                    f"index {normalized.name!r}: partitioning column "
-                    f"{normalized.partitioned_by!r} is not the policy column"
-                )
-            table.schema.column_index(normalized.partitioned_by)
         return normalized
 
     def register(self, normalized: IndexDefinition) -> IndexDefinition:
@@ -318,13 +272,6 @@ class IndexManager:
         """Every definition on one table, sorted by name."""
         key = table_name.lower()
         return [d for d in self.definitions() if d.table == key]
-
-    def partitioned_for(self, table_name: str) -> IndexDefinition | None:
-        """The first policy-partitioned index on ``table_name``, if any."""
-        for definition in self.for_table(table_name):
-            if definition.partitioned:
-                return definition
-        return None
 
     # -- build cache -----------------------------------------------------------
 
@@ -439,49 +386,11 @@ class IndexManager:
                 f"support {access} lookups"
             )
 
-    def partition_rows(self, name: str, passing) -> list[int]:
-        """Row ids of every partition whose policy value passes the guards.
-
-        ``passing`` is the bitmap cache's (already guard-intersected) set of
-        passing row ids.  A ``complieswith`` verdict is uniform across a
-        partition — all of its rows share one policy value — so membership
-        of one representative row id decides the whole run.  Qualifying
-        partitions are merged back into ascending storage order; skipped
-        ones (NULL-policy partitions included) are counted without touching
-        their rows.
-        """
-        definition = self.get(name)
-        if not definition.partitioned:
-            raise ExecutionError(f"index {definition.name!r} is not partitioned")
-        with self._lock:
-            entry = self._entry(definition)
-            qualifying = []
-            skipped = 0
-            for rows in entry.partitions.values():
-                if rows and rows[0] in passing:
-                    qualifying.append(rows)
-                else:
-                    skipped += 1
-            self._hits += 1
-            self._partition_hits += len(qualifying)
-            self._partition_skips += skipped
-            if len(qualifying) == 1:
-                return list(qualifying[0])
-            return list(merge(*qualifying))
-
-    def partition_count(self, name: str) -> int:
-        """Number of distinct policy values in a partitioned index."""
-        definition = self.get(name)
-        if not definition.partitioned:
-            return 0
-        with self._lock:
-            return len(self._entry(definition).partitions)
-
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Monotonic lookup/rebuild/carry-forward/partition counters plus
-        catalog sizes."""
+        """Monotonic lookup/rebuild/carry-forward counters plus catalog
+        sizes."""
         with self._lock:
             return {
                 "definitions": len(self._definitions),
@@ -489,8 +398,6 @@ class IndexManager:
                 "hits": self._hits,
                 "rebuilds": self._rebuilds,
                 "carried_forward": self._carried_forward,
-                "partition_hits": self._partition_hits,
-                "partition_skips": self._partition_skips,
             }
 
     def describe(self) -> list[dict]:
@@ -504,8 +411,6 @@ class IndexManager:
             if built is not None:
                 info["version"] = built.version
                 info["distinct_keys"] = len(built.structure)
-                if built.partitions is not None:
-                    info["partitions"] = len(built.partitions)
             out.append(info)
         return out
 

@@ -10,8 +10,7 @@ manager with :meth:`repro.core.admin.AccessControlManager.from_existing`.
 
 Format history: version 1 had no ``indexes`` list; version 2 added it
 together with the ``policy`` marker object (the enforcement framework's
-policy function/column names, needed to re-validate partitioned index
-definitions at load time); version 3 added ``catalog_version`` (the
+policy function/column names); version 3 added ``catalog_version`` (the
 versioned-catalog counter, DESIGN.md §16) so a reloaded database's catalog
 version never moves backwards across a checkpoint.  Older documents still
 load (no indexes / catalog version 0).
@@ -111,9 +110,7 @@ def from_document(document: dict) -> Database:
         table.rows = [
             tuple(_decode_value(value) for value in row) for row in entry["rows"]
         ]
-    # Restore the policy markers before the index catalog: creating a
-    # partitioned definition re-validates its column against them.  Both
-    # keys are absent in version-1 snapshots.
+    # Both policy keys are absent in version-1 snapshots.
     policy = document.get("policy") or {}
     database.policy_function = policy.get("function")
     database.policy_column = policy.get("column")

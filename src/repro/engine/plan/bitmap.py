@@ -20,8 +20,8 @@ passing row indices, and reuses that set across executions until either
   entry's (a delete) or another schema object (ALTER TABLE) falls back to
   a full build, which still costs zero UDF calls for values already
   judged; or
-* the policy epoch bumps (``clear()`` via the admin's ``EpochScoped``
-  registration — masks may now mean something different, so verdicts are
+* the policy epoch bumps (``AccessControlManager.bump_policy_epoch`` calls
+  ``clear()`` — masks may now mean something different, so verdicts are
   discarded wholesale).
 
 At most :data:`_ENTRY_LIMIT` entries are kept; the oldest goes first.
@@ -33,9 +33,10 @@ guard becomes a set-membership test instead of a per-row function call.
 from __future__ import annotations
 
 import threading
-from itertools import chain, compress
-from operator import is_not
+from itertools import chain
 from typing import TYPE_CHECKING
+
+from ..table import replaced_positions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..functions import FunctionRegistry
@@ -110,8 +111,8 @@ class PolicyBitmapCache:
         """Row indices passing *every* mask: ``(set, ascending list)``.
 
         What a guard asks once per execution: the set answers membership
-        (index candidates, partitions), the list is what a guard over a
-        sequential scan slices per page.  Each mask's own entry is looked
+        of an index scan's candidates, the list is the row ids a guard
+        hands its sequential scan.  Each mask's own entry is looked
         up and counted as a hit, a revalidation or a build; the
         intersection and its ascending list are kept beside them and
         reused while every mask's passing set is the very same object, so
@@ -200,14 +201,10 @@ class PolicyBitmapCache:
         rows past the entry's length; ``False`` (rebuild) when ``rows`` is
         shorter than the entry, i.e. some row was deleted.
         """
-        old, length, end = entry.rows, entry.length, len(rows)
-        if end < length:
+        changed = replaced_positions(entry.rows, entry.length, rows)
+        if changed is None:
             return False
-        changed = (
-            () if rows is old
-            # The positions holding another tuple object (a C-speed pass).
-            else compress(range(length), map(is_not, old, rows))
-        )
+        length, end = entry.length, len(rows)
         position, verdicts, passing = entry.position, entry.verdicts, entry.passing
         gained: list[int] = []
         lost: list[int] = []

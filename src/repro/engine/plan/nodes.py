@@ -321,12 +321,6 @@ class PolicyGuard(LogicalNode):
         self.scan = scan
         self.table_name = scan.table_name
         self.binding = scan.binding
-        #: Name of a policy-partitioned index the executor may prune with:
-        #: whole partitions (runs of row ids sharing one policy value) are
-        #: skipped when the bitmap says their value fails the mask.  Set by
-        #: the optimizer's ``access_path_selection`` pass; ``None`` keeps
-        #: the positional bitmap-intersection path.
-        self.partitioned: str | None = None
 
     @property
     def shape(self) -> RowShape | None:  # type: ignore[override]
@@ -337,10 +331,7 @@ class PolicyGuard(LogicalNode):
 
     def label(self) -> str:
         rendered = " and ".join(_print(guard) for guard in self.guards)
-        text = f"PolicyGuard [{rendered}]"
-        if self.partitioned is not None:
-            text += f" (partitions: {self.partitioned})"
-        return text
+        return f"PolicyGuard [{rendered}]"
 
 
 class NestedLoop(LogicalNode):

@@ -20,8 +20,7 @@ passes the IR makes expressible:
    :class:`PolicyGuard` between them — into an :class:`IndexScan` /
    :class:`IndexRangeScan` when a matching secondary index exists and the
    estimated selectivity (from ``ANALYZE`` statistics, with heuristic
-   defaults) is favorable, and mark :class:`PolicyGuard` nodes whose table
-   carries a policy-partitioned index for partition pruning.
+   defaults) is favorable.
 5. ``hash_join_selection`` — replace conditioned nested loops whose ON
    clause contains side-separable equalities with hash joins; with fresh
    statistics the smaller estimated side becomes the build side.
@@ -260,21 +259,11 @@ class Optimizer:
                     node.pushed
                     and isinstance(below, PolicyGuard)
                     and type(below.scan) is Scan
-                    and below.partitioned is None
                 ):
                     # An access path under the guard shows it a subset of
                     # the tuples it would have seen, each with its row id.
                     below.scan = self._select_index_path(
                         block, node, below.scan
-                    )
-                return node
-            if isinstance(node, PolicyGuard):
-                defn = manager.partitioned_for(node.scan.table_name)
-                if defn is not None and type(node.scan) is Scan:
-                    node.partitioned = defn.name
-                    block.notes.append(
-                        f"access_path_selection: guard on {node.scan.binding} "
-                        f"prunes partitions of {defn.name}"
                     )
                 return node
             if isinstance(node, (NestedLoop, HashJoin)):
@@ -735,9 +724,6 @@ def check_access_paths(block: BlockPlan) -> None:
             assert (scan.table_name, scan.binding) == (
                 node.table_name, node.binding,
             ), f"PolicyGuard on {node.binding} reads {scan.binding}"
-            assert node.partitioned is None or type(scan) is Scan, (
-                f"PolicyGuard on {node.binding} has two access paths"
-            )
         if isinstance(node, Filter):
             below = node.input
             if isinstance(below, PolicyGuard):

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import compress
+from operator import is_not
 from typing import Callable, Iterable, Iterator
 
 from ..errors import ExecutionError
@@ -69,6 +70,23 @@ def _without(items: list, positions) -> list:
     for position in positions:
         keep[position] = False
     return list(compress(items, keep))
+
+
+def replaced_positions(old: list, length: int, rows: list):
+    """The positions below ``length`` where ``rows`` holds another tuple
+    object than ``old``, or ``None`` when ``rows`` is shorter than
+    ``length`` (a row was deleted: whatever was derived from ``old`` must
+    be rebuilt).
+
+    A commit keeps every untouched tuple the very same object, so this one
+    C-speed identity pass is how an index entry or a policy bitmap derived
+    from ``old[:length]`` finds the rows it has to look at again.
+    """
+    if len(rows) < length:
+        return None
+    if rows is old:
+        return ()
+    return compress(range(length), map(is_not, old, rows))
 
 
 class TupleVersion:

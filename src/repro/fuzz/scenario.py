@@ -66,11 +66,12 @@ class ScenarioSpec:
     policy_seed: int = 411595
     selectivity: float = 0.4
     user_count: int = 4
-    #: Secondary indexes to create: ``-1`` draws 0–3 from the policy seed
-    #: (the first one policy-partitioned), ``0`` disables, ``1``–``3`` pin
-    #: the count; any indexed world also gets :data:`COMPOSITE_INDEX`.  Index presence never changes enforced results — that is
-    #: exactly the invariant the differential harness checks — so older
-    #: repro files without this field replay under the default.
+    #: Secondary indexes to create: ``-1`` draws 0–3 from the policy seed,
+    #: ``0`` disables, ``1``–``3`` pin the count; any indexed world also
+    #: gets :data:`COMPOSITE_INDEX`.  Index presence never changes enforced
+    #: results — that is exactly the invariant the differential harness
+    #: checks — so older repro files without this field replay under the
+    #: default.
     index_count: int = -1
 
     def __post_init__(self) -> None:
@@ -114,8 +115,7 @@ class FuzzScenario:
     scenario: PatientsScenario
     grants: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Names of the secondary indexes created in this world, in creation
-    #: order (the first, when any exist, is policy-partitioned; the last is
-    #: the composite one).
+    #: order (the last, when any exist, is the composite one).
     indexes: tuple[str, ...] = ()
 
     @property
@@ -200,11 +200,11 @@ def _grant_users(instance: PatientsScenario, spec: ScenarioSpec) -> dict:
 def _create_indexes(instance: PatientsScenario, spec: ScenarioSpec) -> tuple[str, ...]:
     """Create the spec's secondary indexes through the DDL surface.
 
-    Deterministic per policy seed.  When any index is created, the first
-    is policy-partitioned so every indexed world exercises partition
-    pruning, the composite ``sensed_data`` key rides along (beside the
-    spec's count) so full-key and prefix probes are exercised too, and a
-    final ``ANALYZE`` gives the cost model fresh statistics.
+    Deterministic per policy seed: ``count`` distinct candidates drawn in
+    shuffled order.  When any index is created, the composite
+    ``sensed_data`` key rides along (beside the spec's count) so full-key
+    and prefix probes are exercised too, and a final ``ANALYZE`` gives the
+    cost model fresh statistics.
     """
     rng = random.Random(f"{spec.policy_seed}:indexes")
     count = spec.index_count
@@ -214,16 +214,9 @@ def _create_indexes(instance: PatientsScenario, spec: ScenarioSpec) -> tuple[str
         return ()
     database = instance.database
     created: list[str] = []
-    table, column, _ = rng.choice(INDEX_CANDIDATES)
-    name = f"idx_part_{table}"
-    database.execute(
-        f"create index {name} on {table} ({column}) "
-        f"partition by {database.policy_column}"
-    )
-    created.append(name)
     candidates = list(INDEX_CANDIDATES)
     rng.shuffle(candidates)
-    for table, column, kind in candidates[: count - 1]:
+    for table, column, kind in candidates[:count]:
         name = f"idx_{table}_{column}"
         using = f" using {kind}" if kind != "btree" else ""
         database.execute(f"create index {name} on {table} ({column}){using}")

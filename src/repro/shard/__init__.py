@@ -22,8 +22,8 @@ from .router import (
     RoutePlan,
     classify,
     partition_key_indexes,
-    partition_rows,
     shard_of,
+    split_rows,
 )
 from .worker import InlineShard, ShardWorker
 
@@ -46,6 +46,6 @@ __all__ = [
     "decompose",
     "merge_rows",
     "partition_key_indexes",
-    "partition_rows",
     "shard_of",
+    "split_rows",
 ]

@@ -71,7 +71,7 @@ from ..sql import ast, parse_statement
 from ..sql.printer import to_sql
 from .partial import decompose, merge_rows
 from .recipe import WorldRecipe, build_world
-from .router import Route, classify, partition_rows, single_shard
+from .router import Route, classify, single_shard, split_rows
 from .worker import InlineShard, ShardWorker
 
 #: How many times a split-epoch scatter is retried before giving up.  With
@@ -590,7 +590,7 @@ class ShardCoordinator:
         for name in tables:
             if name.lower() not in self._shard_tables:
                 continue  # coordinator-local: the shards have no such table
-            partitions = partition_rows(
+            partitions = split_rows(
                 self.database.table(name),
                 self.shard_count,
                 self.database.policy_column,

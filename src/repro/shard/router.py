@@ -143,7 +143,7 @@ def single_shard(key: tuple, params, shard_count: int) -> int | None:
     return shard_of(tuple(values), tuple(range(len(values))), shard_count)
 
 
-def partition_rows(
+def split_rows(
     table: Table, shard_count: int, policy_column: str
 ) -> list[list[tuple]]:
     """Split a table's rows into per-shard lists, preserving order."""

@@ -42,7 +42,7 @@ from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..server.protocol import error_code_for
 from .recipe import WorldRecipe, build_world
-from .router import partition_rows
+from .router import split_rows
 
 
 class ShardWorker:
@@ -78,7 +78,7 @@ class ShardWorker:
         database = self.world.database
         for name in database.table_names():
             table = database.table(name)
-            partitions = partition_rows(
+            partitions = split_rows(
                 table, self.shard_count, database.policy_column
             )
             table.rows = partitions[self.shard_index]

@@ -425,19 +425,16 @@ class AlterTableDropColumn(Statement):
 
 @dataclass(frozen=True)
 class CreateIndex(Statement):
-    """``CREATE INDEX name ON table (cols) [USING kind] [PARTITION BY col]``.
+    """``CREATE INDEX name ON table (cols) [USING kind]``.
 
-    ``kind`` selects the structure (``btree`` default, or ``hash``);
-    ``partitioned_by`` names the policy column when the index additionally
-    groups its row ids by policy value for guard-time partition pruning.
-    ``INDEX``, ``USING`` and ``PARTITION`` are soft keywords.
+    ``kind`` selects the structure (``btree`` default, or ``hash``).
+    ``INDEX`` and ``USING`` are soft keywords.
     """
 
     name: str
     table: str
     columns: tuple[str, ...]
     kind: str = "btree"
-    partitioned_by: str | None = None
 
 
 @dataclass(frozen=True)

@@ -463,11 +463,7 @@ class Parser:
         kind = "btree"
         if self._match_word("USING"):
             kind = self._expect_identifier().lower()
-        partitioned_by = None
-        if self._match_word("PARTITION"):
-            self._expect_keyword("BY")
-            partitioned_by = self._expect_identifier()
-        return ast.CreateIndex(name, table, tuple(columns), kind, partitioned_by)
+        return ast.CreateIndex(name, table, tuple(columns), kind)
 
     def _drop_table(self) -> ast.Statement:
         self._expect_keyword("DROP")

@@ -118,8 +118,6 @@ def _print_create_index(statement: ast.CreateIndex) -> str:
     )
     if statement.kind != "btree":
         text += f" using {statement.kind}"
-    if statement.partitioned_by is not None:
-        text += f" partition by {statement.partitioned_by}"
     return text
 
 

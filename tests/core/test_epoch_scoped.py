@@ -1,53 +1,26 @@
-"""The shared epoch-scoped cache registry and its headline regression:
-a policy update between prepare and execute must never serve stale
-policy bitmaps (or stale compliance-memo verdicts) to the execution.
+"""Epoch-scoped caches and their headline regression: a policy update
+between prepare and execute must never serve stale policy bitmaps (or
+stale compliance-memo verdicts) to the execution.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.admin import EpochScoped
 from repro.workload import apply_experiment_policies, build_patients_scenario
 
 Q1 = "select distinct watch_id from sensed_data"
 
 
 class TestEpochScoped:
-    def test_register_requires_a_clear_method(self) -> None:
-        scoped = EpochScoped()
-        with pytest.raises(TypeError):
-            scoped.register(object())
-
-    def test_clear_all_clears_every_registered_cache(self) -> None:
-        scoped = EpochScoped()
-        first, second = {"a": 1}, {"b": 2}
-        scoped.register(first)
-        scoped.register(second)
-        scoped.clear_all()
-        assert first == {} and second == {}
-
-    def test_duplicate_registration_is_ignored(self) -> None:
-        scoped = EpochScoped()
-        cache = {"a": 1}
-        scoped.register(cache)
-        scoped.register(cache)
-        assert len(scoped) == 1
-
-    def test_admin_registers_memo_and_bitmaps(self, policy_scenario) -> None:
-        admin = policy_scenario.admin
-        database = policy_scenario.database
-        assert any(
-            cache is database.policy_bitmaps for cache in admin.epoch_scoped._caches
-        )
-
     def test_epoch_bump_drops_cached_bitmaps(self, policy_scenario) -> None:
         monitor = policy_scenario.monitor
         monitor.set_optimizer("on")
         monitor.execute(Q1, "p6")
+        admin = policy_scenario.admin
         assert len(policy_scenario.database.policy_bitmaps) > 0
-        policy_scenario.admin.bump_policy_epoch()
+        assert admin.compliance_memo_info()["cached"] > 0
+        admin.bump_policy_epoch()
         assert len(policy_scenario.database.policy_bitmaps) == 0
+        assert admin.compliance_memo_info()["cached"] == 0
 
 
 class TestNoStaleBitmaps:
@@ -66,7 +39,7 @@ class TestNoStaleBitmaps:
         before = prepared.execute_with_report()
         # Re-scatter the policies: a different selectivity and seed changes
         # which rows comply.  The writers bump the policy epoch, which must
-        # clear the bitmap cache through the shared EpochScoped registry.
+        # clear the bitmap cache.
         apply_experiment_policies(instance, selectivity=0.0, seed=1234)
         after = prepared.execute_with_report()
         # Ground truth from the per-row evaluation model, which consults no

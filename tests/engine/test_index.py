@@ -3,9 +3,7 @@
 Covers the B+-tree and hash structures in isolation, the
 :class:`IndexManager` catalog lifecycle with its lazy maintenance (entries
 revalidated against the visible rows, rebuilt only when a position's key
-changed), the
-policy-partitioned layout's skip accounting, and the statistics
-collector's snapshots and cardinality estimators — including the empty /
+changed), and the statistics collector's snapshots and cardinality estimators — including the empty /
 all-NULL / single-distinct edge cases and staleness after every DML
 write path.
 """
@@ -144,12 +142,6 @@ class TestIndexManagerCatalog:
                 IndexDefinition(name="i", table="t", columns=("grp",), kind="gin")
             )
 
-    def test_partitioning_must_use_the_policy_column(self, indexed_db) -> None:
-        with pytest.raises(CatalogError):
-            indexed_db.execute("create index i on t (grp) partition by grp")
-        indexed_db.execute("create index i on t (grp) partition by policy")
-        assert indexed_db.indexes.get("i").partitioned
-
     def test_drop_unknown_raises(self, indexed_db) -> None:
         with pytest.raises(CatalogError):
             indexed_db.execute("drop index nope")
@@ -242,28 +234,6 @@ class TestEntryRevalidation:
             "policy", BitString.from_bits("11"), lambda row: row[0] < 10
         )
         assert manager.lookup_equal("i_score", 10) == [5]
-        assert self._delta(manager, before) == (0, 1)
-
-    def test_policy_change_rebuilds_a_partitioned_entry(self, indexed_db) -> None:
-        indexed_db.execute("create index i_part on t (grp) partition by policy")
-        manager = indexed_db.indexes
-        assert manager.partition_count("i_part") == 3
-        before = manager.stats()
-        indexed_db.table("t").set_column_value(
-            "policy", BitString.from_bits("11"), lambda row: row[0] == 0
-        )
-        # Row 0 left the mask-01 partition for a new one of its own.
-        assert manager.partition_count("i_part") == 4
-        assert manager.partition_rows("i_part", {0}) == [0]
-        assert self._delta(manager, before) == (1, 0)
-
-    def test_appended_rows_extend_a_partitioned_entry(self, indexed_db) -> None:
-        indexed_db.execute("create index i_part on t (grp) partition by policy")
-        manager = indexed_db.indexes
-        manager.partition_count("i_part")
-        before = manager.stats()
-        indexed_db.execute("insert into t values (100, 'g0', 1, b'01')")
-        assert manager.partition_rows("i_part", {0}) == [*range(0, 30, 3), 30]
         assert self._delta(manager, before) == (0, 1)
 
     def test_delete_rebuilds(self, scored) -> None:
@@ -385,31 +355,6 @@ class TestEntryRevalidation:
         database.execute("alter table t drop column grp")
         assert manager.lookup_equal("i_score", 10) == [5]
         assert self._delta(manager, before) == (1, 0)
-
-
-class TestPolicyPartitions:
-    def test_partition_rows_skips_failing_partitions(self, indexed_db) -> None:
-        indexed_db.execute("create index i on t (grp) partition by policy")
-        manager = indexed_db.indexes
-        # Three partitions: mask 01 (rows 0,3,...), mask 10 (rows 1,4,...)
-        # and NULL (rows 2,5,...).  Pass only the mask-01 partition.
-        assert manager.partition_count("i") == 3
-        passing = set(range(0, 30, 3))
-        rows = manager.partition_rows("i", passing)
-        assert rows == sorted(passing)
-        stats = manager.stats()
-        assert stats["partition_hits"] == 1
-        assert stats["partition_skips"] == 2
-
-    def test_all_partitions_qualify_in_storage_order(self, indexed_db) -> None:
-        indexed_db.execute("create index i on t (grp) partition by policy")
-        rows = indexed_db.indexes.partition_rows("i", set(range(30)))
-        assert rows == list(range(30))
-
-    def test_partition_rows_rejects_unpartitioned_indexes(self, indexed_db) -> None:
-        indexed_db.execute("create index i_grp on t (grp)")
-        with pytest.raises(ExecutionError):
-            indexed_db.indexes.partition_rows("i_grp", set())
 
 
 class TestStatisticsSnapshots:

@@ -1,11 +1,11 @@
-"""Cost-based access-path selection, partition pruning and build sides.
+"""Cost-based access-path selection, guarded scans and build sides.
 
 The planner-level contract of the index subsystem: which filters become
 ``IndexScan``/``IndexRangeScan`` nodes (and which must not — policy-UDF
 residuals, low selectivity), how a parameter becomes an execute-time
 probe, how composite keys are matched, how an index scan sits *under* a
 policy guard without ever disclosing a row the guard would have refused,
-how policy-partitioned indexes annotate the guard, when statistics flip a
+which rows a guard hands its sequential scan, when statistics flip a
 hash join's build side, and what EXPLAIN shows for all of it.
 
 The reference every index path is compared against is a twin: the same
@@ -383,16 +383,6 @@ class TestIndexedDml:
         assert outcomes[0] == outcomes[1]
         assert on.table("t").rows == off.table("t").rows
 
-    def test_partitioned_index_alone_scans(self) -> None:
-        database = Database("part")
-        database.execute("create table t (a integer, policy text)")
-        database.execute("insert into t values (1, 'p'), (2, 'q'), (3, 'p')")
-        database.policy_column = "policy"
-        database.execute("create index i_p on t (a) partition by policy")
-        assert database.execute("update t set a = 9 where a = 2") == 1
-        assert database.indexes.stats()["hits"] == 0
-        assert [row[0] for row in database.table("t").rows] == [1, 9, 3]
-
     def test_staged_table_scans_and_sees_its_own_writes(self) -> None:
         database = self._world()
         database.begin()
@@ -504,6 +494,36 @@ class TestIndexScanUnderPolicyGuard:
         guard = lines[lines.index(scan) - 1]
         assert guard.strip().startswith("PolicyGuard") and "(rows=" in guard
 
+    def test_explain_analyze_seq_scan_reads_only_the_passing_rows(
+        self, guarded
+    ) -> None:
+        import re
+
+        instance, _, _ = guarded
+        database = instance.database
+        table = database.table("sensed_data")
+        sql = "select watch_id, beats from sensed_data"
+        rewritten = instance.monitor.execute_with_report(
+            sql, self.PURPOSE
+        ).rewritten_sql
+        (guard,) = _find(_root(database, rewritten), PolicyGuard)
+        assert not isinstance(guard.scan, IndexScan)
+        _, passing = database.policy_bitmaps.passing(
+            table,
+            database.policy_column,
+            tuple(call.args[0].bits for call in guard.guards),
+            database.functions,
+            database.policy_function,
+        )
+        assert 0 < len(passing) < len(table)
+        counts = {}
+        for row in instance.monitor.explain(sql, self.PURPOSE, analyze=True).rows:
+            # The physical plan's lines, not the logical ones above them.
+            found = re.search(r"\(rows=(\d+)", row[0])
+            if found and row[0].strip().startswith(("PolicyGuard", "SeqScan")):
+                counts[row[0].split()[0]] = int(found[1])
+        assert counts == {"PolicyGuard": len(passing), "SeqScan": len(passing)}
+
 
 class TestBuildSideSelection:
     def test_no_statistics_keeps_the_legacy_build_side(self, indexed_db) -> None:
@@ -569,32 +589,6 @@ class TestBuildSideSelection:
         assert joins and joins[0].build_side == "right"
 
 
-class TestPartitionAnnotation:
-    @pytest.fixture()
-    def world(self):
-        from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario
-
-        return build_fuzz_scenario(ScenarioSpec(index_count=1))
-
-    def test_guard_is_annotated_with_the_partitioned_index(self, world) -> None:
-        table = world.database.indexes.definitions()[0].table
-        report = world.monitor.execute_with_report(
-            f"select * from {table}", world.purposes[0]
-        )
-        result = world.monitor.explain(f"select * from {table}", world.purposes[0])
-        plan = "\n".join(row[0] for row in result.rows)
-        assert "partitions:" in plan
-        assert report.result is not None
-
-    def test_partition_pruning_skips_partitions(self, world) -> None:
-        table = world.database.indexes.definitions()[0].table
-        before = world.database.indexes.stats()
-        world.monitor.execute(f"select * from {table}", world.purposes[0])
-        after = world.database.indexes.stats()
-        assert after["partition_hits"] > before["partition_hits"]
-        assert after["partition_skips"] >= before["partition_skips"]
-
-
 class TestExplainSurface:
     def test_explain_shows_the_access_path_and_estimate(self, indexed_db) -> None:
         prepared = indexed_db.prepare("select a from t where b = 100")
@@ -613,4 +607,3 @@ class TestExplainSurface:
         )
         text = "\n".join(row[0] for row in result.rows)
         assert "index_hits=" in text
-        assert "partition_skips=" in text

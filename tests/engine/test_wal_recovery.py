@@ -32,12 +32,14 @@ import random
 import shutil
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.engine import persist, txn_scope
 from repro.engine.database import Database
+from repro.engine.index import IndexDefinition
 from repro.engine.wal import (
     CHECKPOINT,
     COMMIT,
@@ -663,7 +665,9 @@ def test_torn_delta_frame_never_half_applies(tmp_path) -> None:
 def test_log_of_append_and_replace_records_replays_unchanged(tmp_path) -> None:
     """A log written before delta records existed (``append`` and whole-list
     ``replace`` effects only, DDL included) recovers to the very document
-    the engine that wrote it recovered."""
+    the engine that wrote it recovered.  Its ``create_index`` record still
+    carries the ``"partitioned_by"`` key indexes no longer have; the
+    expected document is that engine's, minus that key."""
     data = Path(__file__).parent / "data"
     shutil.copy(data / "wal_append_replace.log", tmp_path / "wal.log")
     ops = {
@@ -677,6 +681,42 @@ def test_log_of_append_and_replace_records_replays_unchanged(tmp_path) -> None:
     expected = (data / "wal_append_replace.snapshot.json").read_text()
     assert persist.dumps(recovered) == expected
     assert recovered.indexes.lookup_equal("i_k", 40) == [2]
+    redo.close()
+
+
+def test_create_index_record_grouped_by_policy_replays_as_a_plain_index(
+    tmp_path,
+) -> None:
+    """A ``create_index`` record from when an index could also group its
+    rows by policy carries ``"partitioned_by": "policy"``.  Replay registers
+    a plain index on the key columns, and its lookups agree with an index
+    created fresh."""
+    db, durability = open_database(tmp_path)
+    db.execute("create table t (id integer, g integer, policy bit varying)")
+    db.execute("insert into t values (1, 10, null), (2, 20, null), (3, 10, null)")
+    db.execute("create index i_g on t (g)")
+    durability.close()
+    log = tmp_path / "wal.log"
+    frames = []
+    for line in log.read_bytes().splitlines():
+        record = json.loads(line.split(b" ", 2)[2])
+        for op in record.get("ops", ()):
+            if op["op"] == "create_index":
+                op["definition"]["partitioned_by"] = "policy"
+        payload = json.dumps(record, separators=(",", ":")).encode()
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        frames.append(b"%08x %08x %s\n" % (crc, len(payload), payload))
+    assert b'"partitioned_by":"policy"' in b"".join(frames)
+    log.write_bytes(b"".join(frames))
+    recovered, redo = open_database(tmp_path)
+    assert redo.torn_bytes == 0
+    assert recovered.indexes.get("i_g") == IndexDefinition("i_g", "t", ("g",))
+    recovered.execute("create index fresh on t (g)")
+    for key in (10, 20, 30):
+        assert recovered.indexes.lookup_equal("i_g", key) == (
+            recovered.indexes.lookup_equal("fresh", key)
+        )
+    assert recovered.indexes.lookup_equal("i_g", 10) == [0, 2]
     redo.close()
 
 

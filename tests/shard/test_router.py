@@ -9,9 +9,9 @@ from repro.shard.router import (
     Route,
     classify,
     partition_key_indexes,
-    partition_rows,
     shard_of,
     single_shard,
+    split_rows,
 )
 from repro.sql import parse_statement
 
@@ -74,7 +74,7 @@ class TestRowPlacement:
         table = database.table("users")
         rows = [(f"u{i}", f"name{i}", "m") for i in range(40)]
         table.extend(rows)
-        partitions = partition_rows(table, 4, POLICY)
+        partitions = split_rows(table, 4, POLICY)
         assert sum(len(p) for p in partitions) == len(rows)
         assert sorted(r for p in partitions for r in p) == sorted(rows)
         # Order within a shard preserves table order.
@@ -228,7 +228,7 @@ class TestSingleRoute:
         plan = _plan(keyed, sql)
         assert plan.route is Route.SINGLE, plan
         table = keyed.table("samples")
-        partitions = partition_rows(table, shard_count, POLICY)
+        partitions = split_rows(table, shard_count, POLICY)
         target = single_shard(plan.key, params, shard_count)
         holders = [
             index

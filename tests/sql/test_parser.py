@@ -310,7 +310,6 @@ class TestIndexStatements:
         assert statement.table == "t"
         assert statement.columns == ("a",)
         assert statement.kind == "btree"
-        assert statement.partitioned_by is None
 
     def test_create_index_using_hash(self):
         statement = parse_statement("create index i on t (a, b) using hash")
@@ -318,10 +317,10 @@ class TestIndexStatements:
         assert statement.columns == ("a", "b")
 
     def test_create_index_partition_by(self):
-        statement = parse_statement(
-            "create index i on t (a) partition by policy"
-        )
-        assert statement.partitioned_by == "policy"
+        # Rows are grouped by policy once, in the policy bitmap cache; an
+        # index has no policy clause.
+        with pytest.raises(ParseError):
+            parse_statement("create index i on t (a) partition by policy")
 
     def test_drop_index(self):
         statement = parse_statement("drop index i")

@@ -47,7 +47,6 @@ def test_select_roundtrip_is_fixpoint(sql):
         "alter table t drop column p",
         "create index i on t (a)",
         "create index i on t (a, b) using hash",
-        "create index i on t (a) partition by policy",
         "drop index i",
         "analyze",
         "analyze t",
