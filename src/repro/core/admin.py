@@ -40,7 +40,7 @@ class AcmState:
     Committed to the database catalog under ``("acm", "state")`` on every
     policy-relevant write, so snapshot-pinned readers resolve purposes and
     categorizations *as of their catalog version* instead of racing live
-    mutations (DESIGN.md §16).
+    mutations (DESIGN.md §15).
     """
 
     purposes: tuple[Purpose, ...] = ()
@@ -96,7 +96,7 @@ class AccessControlManager:
         taxonomy edits (purpose set, categorization) are versioned catalog
         commits that open snapshots simply do not see — they keep
         resolving the :class:`AcmState` as of their pinned catalog version
-        (DESIGN.md §16).  The compliance memo and the policy bitmaps hold
+        (DESIGN.md §15).  The compliance memo and the policy bitmaps hold
         verdicts derived from the old taxonomy, so both are emptied.
         """
         self.database.catalog.commit(

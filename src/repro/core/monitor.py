@@ -582,35 +582,15 @@ class EnforcementMonitor:
             plan_span.annotate(cache_hit=hit, nodes=plan.plan.plan_summary())
         original_sql = text if text is not None else plan.original_sql
 
-        database = self.admin.database
-        memo_before = self.admin.compliance_memo_info()["hits"]
-        checks_before = database.function_calls(COMPLIES_WITH)
-        bitmap_before = database.policy_bitmaps.stats()
-        index_before = database.indexes.stats()
         with trace.span("execute") as execute_span:
             try:
-                result = database.execute_prepared(
-                    plan.plan, params, trace=trace if trace.enabled else None
+                result, spent = self._execute_counted(
+                    plan.plan, params, trace if trace.enabled else None
                 )
             except Exception:
                 self._count_query("error")
                 raise
-        checks = database.function_calls(COMPLIES_WITH) - checks_before
-        memo_hits = self.admin.compliance_memo_info()["hits"] - memo_before
-        bitmap_after = database.policy_bitmaps.stats()
-        bitmap_events = {
-            event: bitmap_after[event] - bitmap_before[event]
-            for event in ("hits", "built", "revalidated")
-        }
-        index_after = database.indexes.stats()
-        index_events = {
-            event: index_after[key] - index_before[key]
-            for event, key in (
-                ("hit", "hits"),
-                ("rebuild", "rebuilds"),
-                ("carried_forward", "carried_forward"),
-            )
-        }
+        checks, memo_hits = spent["checks"], spent["memo_hits"]
         execute_span.annotate(
             rows=len(result), checks=checks, memo_hits=memo_hits
         )
@@ -624,16 +604,16 @@ class EnforcementMonitor:
             metrics = self.metrics
             metrics.counter("repro_complieswith_total").inc(checks)
             metrics.counter("repro_complieswith_memo_hits_total").inc(memo_hits)
-            for event, key in (
-                ("hit", "hits"), ("revalidated", "revalidated"), ("built", "built")
-            ):
-                if bitmap_events[key]:
+            for event in ("hit", "revalidated", "built"):
+                if spent[f"bitmap_{event}"]:
                     metrics.counter("repro_policy_bitmap_total").inc(
-                        bitmap_events[key], event=event
+                        spent[f"bitmap_{event}"], event=event
                     )
-            for event, delta in index_events.items():
-                if delta:
-                    metrics.counter("repro_index_total").inc(delta, event=event)
+            for event in ("hit", "rebuild", "carried_forward"):
+                if spent[f"index_{event}"]:
+                    metrics.counter("repro_index_total").inc(
+                        spent[f"index_{event}"], event=event
+                    )
             metrics.counter("repro_plan_cache_total").inc(
                 result="hit" if hit else "miss"
             )
@@ -653,12 +633,37 @@ class EnforcementMonitor:
             compliance_checks=checks,
             cache_hit=hit,
             memo_hits=memo_hits,
-            bitmap_built=bitmap_events["built"],
-            bitmap_revalidated=bitmap_events["revalidated"],
-            bitmap_hits=bitmap_events["hits"],
-            index_hits=index_events["hit"],
+            bitmap_built=spent["bitmap_built"],
+            bitmap_revalidated=spent["bitmap_revalidated"],
+            bitmap_hits=spent["bitmap_hit"],
+            index_hits=spent["index_hit"],
             trace=trace if trace.enabled else None,
         )
+
+    def _execute_counted(self, plan, params, trace) -> "tuple[ResultSet, dict]":
+        """Run a compiled plan; returns its result and what the run cost:
+        ``complieswith`` calls, memo hits, policy-bitmap and index events —
+        one before/after reading shared by every execution and EXPLAIN
+        ANALYZE."""
+        before = self._counters()
+        result = self.admin.database.execute_prepared(plan, params, trace=trace)
+        after = self._counters()
+        return result, {name: after[name] - count for name, count in before.items()}
+
+    def _counters(self) -> dict[str, int]:
+        database = self.admin.database
+        bitmaps = database.policy_bitmaps.stats()
+        indexes = database.indexes.stats()
+        return {
+            "checks": database.function_calls(COMPLIES_WITH),
+            "memo_hits": self.admin.compliance_memo_info()["hits"],
+            "bitmap_hit": bitmaps["hits"],
+            "bitmap_revalidated": bitmaps["revalidated"],
+            "bitmap_built": bitmaps["built"],
+            "index_hit": indexes["hits"],
+            "index_rebuild": indexes["rebuilds"],
+            "index_carried_forward": indexes["carried_forward"],
+        }
 
     # -- cache instrumentation ---------------------------------------------------------
 
@@ -761,30 +766,20 @@ class EnforcementMonitor:
             lines.append(f"Snapshot: latest catalog={plan.epoch}")
         lines.append("Logical:")
         lines.extend(f"  {line}" for line in plan.plan.logical_lines())
-        rows = checks = memo_hits = 0
+        rows = checks = 0
         if analyze:
             trace = Trace()
-            database = self.admin.database
-            memo_before = self.admin.compliance_memo_info()["hits"]
-            checks_before = database.function_calls(COMPLIES_WITH)
-            bitmap_before = database.policy_bitmaps.stats()
-            index_before = database.indexes.stats()
             with trace.span("execute"):
-                result = database.execute_prepared(plan.plan, params, trace=trace)
-            checks = database.function_calls(COMPLIES_WITH) - checks_before
-            memo_hits = self.admin.compliance_memo_info()["hits"] - memo_before
-            bitmap_after = database.policy_bitmaps.stats()
-            index_after = database.indexes.stats()
-            rows = len(result)
+                result, spent = self._execute_counted(plan.plan, params, trace)
+            rows, checks = len(result), spent["checks"]
             lines.extend(plan.plan.describe_arms(annotate=trace.annotation))
             lines.append(
                 f"Execution: rows={rows} checks={checks} "
-                f"memo_hits={memo_hits} cache_hit={str(hit).lower()} "
-                f"bitmap_built={bitmap_after['built'] - bitmap_before['built']} "
-                f"bitmap_revalidated="
-                f"{bitmap_after['revalidated'] - bitmap_before['revalidated']} "
-                f"bitmap_hits={bitmap_after['hits'] - bitmap_before['hits']} "
-                f"index_hits={index_after['hits'] - index_before['hits']}"
+                f"memo_hits={spent['memo_hits']} cache_hit={str(hit).lower()} "
+                f"bitmap_built={spent['bitmap_built']} "
+                f"bitmap_revalidated={spent['bitmap_revalidated']} "
+                f"bitmap_hits={spent['bitmap_hit']} "
+                f"index_hits={spent['index_hit']}"
             )
             stages = " ".join(
                 f"{stage}={seconds * 1000:.3f}ms"

@@ -1,4 +1,4 @@
-"""The versioned catalog: commit-stamped metadata entries (DESIGN.md §16).
+"""The versioned catalog: commit-stamped metadata entries (DESIGN.md §15).
 
 The engine's metadata — table schemas, index definitions, the purpose
 taxonomy — lives in one versioned store: every metadata mutation commits a
@@ -15,6 +15,12 @@ taxonomy — lives in one versioned store: every metadata mutation commits a
 * transactional DDL validates **first-committer-wins on the catalog
   entry**: two transactions staging a change to the same ``(kind, key)``
   conflict, independent writers to different entries commit freely.
+
+DDL stages a :class:`CatalogOp` — the slot it conflicts on and the logical
+op — and commits like any other write.  The staging code writes no entry:
+the one applier, :meth:`~repro.engine.database.Database.apply_commit`,
+commits them at the commit's timestamp, live and at recovery alike (a
+DROP TABLE's cascaded index tombstones included).
 
 Entry kinds used by the engine:
 
@@ -36,7 +42,7 @@ Entry kinds used by the engine:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
@@ -56,24 +62,21 @@ class CatalogEntry:
 
 @dataclass
 class CatalogOp:
-    """A staged catalog mutation carried by a transaction (or autocommit DDL).
+    """A catalog mutation staged by a transaction's DDL statement.
 
-    ``wal`` is the WAL-serializable op descriptor (the durability layer
-    encodes embedded :class:`Column`/:class:`IndexDefinition` objects);
-    ``apply`` performs the in-memory side effect at commit time (set the
-    table's schema, register the index, ...), receiving the commit
-    timestamp; ``validate`` runs during commit validation, *before* the
-    WAL append, and may raise to abort the commit cleanly.
+    ``kind``/``key`` name the catalog slot it conflicts on
+    (first-committer-wins).  ``ddl`` is the logical op — ``{"op":
+    "create_index", "definition": ...}`` and the like — that the commit
+    logs and hands to the one applier,
+    :meth:`~repro.engine.database.Database.apply_commit`.  ``validate``
+    runs during commit validation, *before* the WAL append, and may raise
+    to abort the commit cleanly.
     """
 
     kind: str
     key: str
-    value: object
-    wal: dict | None = None
-    apply: Callable[[int], None] | None = None
-    validate: Callable[[], None] | None = None
-    #: Human-readable description for conflict errors ("CREATE INDEX i_x").
-    describe: str = field(default="")
+    ddl: dict
+    validate: Callable[[], object] | None = None
 
 
 class Catalog:

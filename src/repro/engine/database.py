@@ -9,6 +9,8 @@ parsed or textual SQL statements.  SELECT goes through
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..errors import CatalogError, ExecutionError, TransactionError
 from ..sql import ast, parse_statement
 from .catalog import Catalog, CatalogOp
@@ -17,7 +19,7 @@ from .batch import ColumnBatch
 from .expressions import Env, ExpressionCompiler, Scope, evaluate_constant
 from .functions import FunctionRegistry
 from .index import IndexDefinition, IndexManager, StatisticsCollector
-from .mvcc import Transaction, TransactionManager, current_transaction
+from .mvcc import Transaction, TransactionManager, WritePlan, current_transaction
 from .plan import PolicyBitmapCache, Scan, best_index_path, flatten_conjuncts
 from .result import ResultSet
 from .schema import Column, ColumnBinding, RowShape, TableSchema
@@ -256,11 +258,11 @@ class Database:
         self.statistics = StatisticsCollector(self)
         # MVCC: the commit clock + active-snapshot registry (DESIGN.md §15).
         self.transactions = TransactionManager()
-        # The versioned metadata catalog (DESIGN.md §16): schemas, index
+        # The versioned metadata catalog (DESIGN.md §15): schemas, index
         # definitions and the purpose taxonomy as commit-stamped versions.
         # Snapshots pin ``catalog.version``; it subsumes the policy epoch.
         self.catalog = Catalog()
-        self.transactions.catalog = self.catalog
+        self.transactions.database = self
         # Durability hook; set by engine.wal.DurabilityManager when attached.
         self.durability = None
 
@@ -281,60 +283,101 @@ class Database:
         """All table names, in creation order."""
         return [table.name for table in self.tables.values()]
 
-    def create_table(self, schema: TableSchema, record_catalog: bool = True) -> Table:
-        """Create a table from a prepared schema.
+    def create_table(self, schema: TableSchema) -> Table:
+        """Create a table from a prepared schema (an autocommit DDL commit).
 
-        The creation commits a ``("table", name)`` catalog entry (and a WAL
-        DDL record when durability is attached); WAL replay passes
-        ``record_catalog=False`` because it stamps the entry itself at the
-        recovered commit's timestamp.
+        CREATE/DROP TABLE stay outside transactions: a staged table would
+        need catalog-overlaid name resolution through every reader.
         """
+        self._forbid_txn("CREATE TABLE")
         key = schema.name.lower()
-        if key in self.tables:
-            raise CatalogError(f"table {schema.name!r} already exists")
-        table = Table(schema)
-        table.attach_manager(self.transactions)
-        self.tables[key] = table
-        if record_catalog:
-            self.transactions.commit_ddl(
-                [
-                    CatalogOp(
-                        "table",
-                        key,
-                        schema,
-                        wal={"op": "create_table", "schema": schema},
-                        describe=f"CREATE TABLE {schema.name}",
-                    )
-                ]
-            )
-        return table
-
-    def drop_table(self, name: str, record_catalog: bool = True) -> None:
-        """Drop a table (and its indexes/statistics); unknown names raise."""
-        key = name.lower()
-        if key not in self.tables:
-            raise CatalogError(f"unknown table {name!r}")
-        del self.tables[key]
-        doomed = self.indexes.drop_for_table(key)
-        self.statistics.forget(key)
-        self.policy_bitmaps.forget(key)
-        if record_catalog:
-            ops = [
+        with self.transactions.statement_transaction() as txn:
+            txn.add_catalog_op(
                 CatalogOp(
                     "table",
                     key,
-                    None,
-                    wal={"op": "drop_table", "table": key},
-                    describe=f"DROP TABLE {name}",
+                    {"op": "create_table", "schema": schema},
+                    validate=lambda: self._require_table_absent(schema.name),
                 )
-            ]
-            # The cascade-dropped indexes get catalog tombstones in the same
-            # commit (no WAL descriptor: replaying drop_table re-cascades).
-            ops.extend(
-                CatalogOp("index", definition.name, None)
-                for definition in doomed
             )
-            self.transactions.commit_ddl(ops)
+        return self.tables[key]
+
+    def drop_table(self, name: str) -> None:
+        """Drop a table and, in the same commit, its indexes; unknown names
+        raise."""
+        self._forbid_txn("DROP TABLE")
+        key = name.lower()
+        with self.transactions.statement_transaction() as txn:
+            txn.add_catalog_op(
+                CatalogOp(
+                    "table",
+                    key,
+                    {"op": "drop_table", "table": key},
+                    validate=lambda: self.table(name),
+                )
+            )
+
+    def _require_table_absent(self, name: str) -> None:
+        if name.lower() in self.tables:
+            raise CatalogError(f"table {name!r} already exists")
+
+    # -- commit application ------------------------------------------------------
+
+    def apply_commit(
+        self, ts: int, ddl: "Iterable[dict]", plans: "Iterable[WritePlan]"
+    ) -> None:
+        """Apply one commit at ``ts``: its catalog ops, then its row effects,
+        then its catalog entries, stamped ``ts``.
+
+        The one applier: the transaction manager runs it under its lock for
+        every live commit, recovery for every logged one, and a shard worker
+        for the DDL its coordinator ships.  ``ddl`` are logical catalog ops
+        holding engine objects (:func:`~repro.engine.wal.decode_ddl_op`
+        turns logged ones back into these); ``plans`` are
+        :class:`~repro.engine.mvcc.WritePlan` row effects.  Only committed
+        state is read — ``Table._schema`` and the live index catalog, never
+        a snapshot — so a committing transaction's staged schema is not
+        applied twice.
+        """
+        entries: list[tuple[str, str, object]] = []
+        for op in ddl:
+            entries.extend(self._apply_catalog_op(op, ts))
+        for plan in plans:
+            plan.table.apply_committed(plan.op, plan.payload, ts, plan.written)
+        if entries:
+            self.catalog.commit(entries, ts)
+
+    def _apply_catalog_op(self, op: dict, ts: int) -> "list[tuple[str, str, object]]":
+        """Apply one logical catalog op; returns the catalog entries it
+        commits."""
+        kind = op["op"]
+        if kind == "create_table":
+            schema = op["schema"]
+            table = Table(schema)
+            table.attach_manager(self.transactions)
+            self.tables[schema.name.lower()] = table
+            return [("table", schema.name.lower(), schema)]
+        if kind == "drop_table":
+            key = op["table"].lower()
+            del self.tables[key]
+            self.statistics.forget(key)
+            self.policy_bitmaps.forget(key)
+            # The cascade: every index of the table is dropped and
+            # tombstoned in this same commit.
+            return [("table", key, None)] + [
+                ("index", definition.name, None)
+                for definition in self.indexes.drop_for_table(key)
+            ]
+        if kind in ("add_column", "drop_column"):
+            table = self.table(op["table"])
+            schema = table.apply_committed_alter(op, ts)
+            return [("schema", table.name.lower(), schema)]
+        if kind == "create_index":
+            definition = self.indexes.register(op["definition"])
+            return [("index", definition.name, definition)]
+        if kind == "drop_index":
+            return [("index", self.indexes.drop(op["name"]).name, None)]
+        raise CatalogError(f"unknown catalog op {kind!r}")
 
     # -- transactions ------------------------------------------------------------
 
@@ -407,20 +450,13 @@ class Database:
             self.rollback()
             return 0
         if isinstance(statement, ast.CreateTable):
-            # CREATE/DROP TABLE stay autocommit-only: a staged table would
-            # need catalog-overlaid name resolution through every reader.
-            # They are still WAL-logged DDL commits (no forced checkpoint).
-            self._forbid_txn("CREATE TABLE")
-            self._execute_create(statement)
+            columns = [_column_from_def(column) for column in statement.columns]
+            self.create_table(TableSchema(statement.name, columns))
             return 0
         if isinstance(statement, ast.DropTable):
-            self._forbid_txn("DROP TABLE")
             self.drop_table(statement.name)
             return 0
         if isinstance(statement, ast.AlterTableAddColumn):
-            # Transactional: Table.add_column stages inside a transaction
-            # (first-committer-wins on the schema catalog entry) and
-            # autocommits a DDL record otherwise.
             self.table(statement.table).add_column(
                 _column_from_def(statement.column)
             )
@@ -452,19 +488,7 @@ class Database:
         ``optimizer`` picks the pass pipeline for this query: ``"on"`` (or
         ``None``) or ``"off"``, the per-row ``complieswith`` pipeline.
         """
-        if isinstance(sql, str):
-            statement = parse_statement(sql)
-            if not isinstance(statement, (ast.Select, ast.SetOperation)):
-                raise ExecutionError("query() requires a SELECT statement")
-        else:
-            statement = sql
-        if isinstance(statement, ast.SetOperation):
-            from .result import combine_set_operation
-
-            left = self.query(statement.left, optimizer=optimizer)
-            right = self.query(statement.right, optimizer=optimizer)
-            return combine_set_operation(left, right, statement.op, statement.all)
-        return SelectExecutor(self, optimizer=optimizer).execute_select(statement)
+        return self.prepare(sql, optimizer).execute()
 
     def prepare(
         self,
@@ -493,12 +517,11 @@ class Database:
             raise ExecutionError(f"unknown executor mode {executor!r}")
         if indexes not in (None, "on"):
             raise ExecutionError(f"unknown index mode {indexes!r}")
-        if isinstance(sql, str):
-            statement = parse_statement(sql)
-        else:
-            statement = sql
+        statement = parse_statement(sql) if isinstance(sql, str) else sql
         if not isinstance(statement, (ast.Select, ast.SetOperation)):
-            raise ExecutionError("prepare() requires a SELECT statement")
+            raise ExecutionError(
+                f"expected a SELECT statement, got {type(statement).__name__}"
+            )
         return PreparedQuery(
             self, statement, optimizer=optimizer, batch_size=batch_size
         )
@@ -518,22 +541,7 @@ class Database:
         filters and the residual WHERE — useful to confirm where the
         ``complieswith`` conjuncts are evaluated.
         """
-        if isinstance(sql, str):
-            statement = parse_statement(sql)
-        else:
-            statement = sql
-        if isinstance(statement, ast.SetOperation):
-            parts = []
-            for index, branch in enumerate(statement.branches()):
-                if index:
-                    parts.append(f"-- {statement.op.lower()} --")
-                parts.append(self.explain(branch))
-            return "\n".join(parts)
-        if not isinstance(statement, ast.Select):
-            raise ExecutionError("explain() requires a SELECT statement")
-        executor = SelectExecutor(self)
-        prepared = PreparedSelect(executor, statement, parent_scope=None)
-        return "\n".join(prepared.describe())
+        return "\n".join(self.prepare(sql).describe())
 
     # -- DML -----------------------------------------------------------------------
 
@@ -699,83 +707,45 @@ class Database:
 
     # -- DDL -----------------------------------------------------------------------
 
-    def _execute_create(self, statement: ast.CreateTable) -> None:
-        columns = [_column_from_def(definition) for definition in statement.columns]
-        self.create_table(TableSchema(statement.name, columns))
-
     def _execute_create_index(self, statement: ast.CreateIndex) -> None:
-        """CREATE INDEX: staged in the transaction's catalog overlay when one
-        is active (visible at commit, first-committer-wins on the index
-        name), an autocommit DDL record otherwise."""
+        """CREATE INDEX: staged in the transaction's catalog overlay, visible
+        at commit, first-committer-wins on the index name."""
         definition = IndexDefinition(
             name=statement.name,
             table=statement.table,
             columns=statement.columns,
             kind=statement.kind,
         )
-        txn = current_transaction(self.transactions)
-        if txn is None:
-            normalized = self.indexes.create(definition)
-            self.transactions.commit_ddl(
-                [
-                    CatalogOp(
-                        "index",
-                        normalized.name,
-                        normalized,
-                        wal={"op": "create_index", "definition": normalized},
-                        describe=f"CREATE INDEX {normalized.name}",
-                    )
-                ]
+        with self.transactions.statement_transaction() as txn:
+            normalized = self.indexes.normalize(definition)
+            if (
+                self.indexes.find(normalized.name) is not None
+                or txn.has_staged_catalog("index", normalized.name)
+            ):
+                raise CatalogError(f"index {normalized.name!r} already exists")
+            txn.add_catalog_op(
+                CatalogOp(
+                    "index",
+                    normalized.name,
+                    {"op": "create_index", "definition": normalized},
+                    validate=lambda: self._require_index_absent(normalized.name),
+                )
             )
-            return
-        normalized = self.indexes.normalize(definition)
-        if (
-            self.indexes.find(normalized.name) is not None
-            or txn.has_staged_catalog("index", normalized.name)
-        ):
-            raise CatalogError(f"index {normalized.name!r} already exists")
-        txn.add_catalog_op(
-            CatalogOp(
-                "index",
-                normalized.name,
-                normalized,
-                wal={"op": "create_index", "definition": normalized},
-                apply=lambda ts: self.indexes.register(normalized),
-                validate=lambda: self._require_index_absent(normalized.name),
-                describe=f"CREATE INDEX {normalized.name}",
-            )
-        )
 
     def _execute_drop_index(self, statement: ast.DropIndex) -> None:
-        """DROP INDEX: staged when a transaction is active, else autocommit."""
-        txn = current_transaction(self.transactions)
-        if txn is None:
-            dropped = self.indexes.drop(statement.name)
-            self.transactions.commit_ddl(
-                [
-                    CatalogOp(
-                        "index",
-                        dropped.name,
-                        None,
-                        wal={"op": "drop_index", "name": dropped.name},
-                        describe=f"DROP INDEX {dropped.name}",
-                    )
-                ]
-            )
-            return
+        """DROP INDEX: staged like CREATE INDEX; unknown names raise at
+        statement time."""
         key = statement.name.lower()
-        self.indexes.get(key)  # unknown names raise at statement time
-        txn.add_catalog_op(
-            CatalogOp(
-                "index",
-                key,
-                None,
-                wal={"op": "drop_index", "name": key},
-                apply=lambda ts: self.indexes.drop(key),
-                validate=lambda: self.indexes.get(key),
-                describe=f"DROP INDEX {key}",
+        with self.transactions.statement_transaction() as txn:
+            self.indexes.get(key)
+            txn.add_catalog_op(
+                CatalogOp(
+                    "index",
+                    key,
+                    {"op": "drop_index", "name": key},
+                    validate=lambda: self.indexes.get(key),
+                )
             )
-        )
 
     def _require_index_absent(self, name: str) -> None:
         if self.indexes.find(name) is not None:

@@ -53,7 +53,6 @@ from .expressions import (
 from . import plan as plan_ir
 from .aggregates import is_aggregate_name
 from .plan import Optimizer, Planner
-from .result import ResultSet
 from .schema import ColumnBinding, RowShape
 
 
@@ -604,14 +603,6 @@ class SelectExecutor:
         """Plan one nested SELECT block: a derived table (no parent scope) or
         a subquery inside an expression of the block with ``parent_scope``."""
         return PreparedSelect(self, select, parent_scope)
-
-    # -- public API ---------------------------------------------------------------
-
-    def execute_select(self, select: ast.Select) -> ResultSet:
-        """Run a top-level SELECT and return its result set."""
-        prepared = PreparedSelect(self, select, parent_scope=None)
-        rows = prepared.rows(Env(subq={}))
-        return ResultSet(prepared.output_columns, rows)
 
     # -- physical compilation ---------------------------------------------------------
 

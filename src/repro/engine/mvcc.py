@@ -1,44 +1,30 @@
-"""Snapshot-isolation MVCC: snapshots, transactions, the commit clock.
+"""Snapshot-isolation MVCC: snapshots, transactions and the commit path.
 
-The engine's concurrency model — *policy writes never stall readers*
-(DESIGN.md §15):
+The engine's concurrency model — *policy writes never stall readers* —
+and its one write path (DESIGN.md §15):
 
-* Every committed change to a table is stamped with a **commit timestamp**
-  drawn from a single monotonic clock (:class:`TransactionManager`).
 * A :class:`Snapshot` is the pair ``(commit ts, catalog version)``: which
-  data versions are visible *and* which metadata state — schemas, index
-  definitions, the purpose taxonomy — the query is planned and enforced
-  under (DESIGN.md §16).  A reader that began before a policy update or a
-  DDL commit keeps being enforced under its snapshot's metadata state.
-* Tables keep per-tuple version chains (``xmin``/``xmax`` commit
-  timestamps, :class:`TupleVersion` in :mod:`repro.engine.table`); a
-  snapshot sees exactly the versions with ``xmin <= ts < xmax``.
-* A :class:`Transaction` stages its writes in per-table overlays.  At
-  commit each overlay is diffed against the rows it was staged from
-  (:func:`row_delta`, by tuple identity), and the commit — its conflict
-  check, its WAL record and its in-memory apply — is that **row delta**:
-  it costs what the transaction changed, not what the table holds.
-  Autocommit statements take the same path.
-* **Visible means durable.**  A commit appends its WAL record, applies it
-  and flushes the log without letting go of the manager lock, and a
-  snapshot is pinned under that lock: no snapshot can see — and no audited
-  read disclose — a row version a crash could still lose.  Memory and log
-  move together, which is what positional deltas are replayed against.
-  Commits therefore flush one at a time, and a pin waits out a flush in
-  progress.
-* Validation is **first-committer-wins** at *row* granularity: a commit
-  records the primary keys of the rows it wrote (old and new key of an
-  updated row), and a transaction aborts with
-  :class:`~repro.errors.WriteConflictError` only when its own write set
-  intersects a concurrent commit's.  A disjoint-row writer to a table
-  that changed since its snapshot *rebases* — its delta is re-addressed
-  to the latest committed rows by key — and commits.  Tables without a
-  primary key (and whole-schema changes) conflict at table granularity;
-  duplicate keys conflict rather than rebase.
-* DDL stages in the transaction's **catalog overlay**
-  (:class:`~repro.engine.catalog.CatalogOp`) and conflicts
-  first-committer-wins on the catalog entry
-  (:class:`~repro.errors.CatalogConflictError`).
+  row versions are visible (``xmin <= ts < xmax``, :class:`TupleVersion`
+  in :mod:`repro.engine.table`) *and* which schemas, index definitions and
+  purpose taxonomy the query is planned and enforced under.
+* **Stage.**  A :class:`Transaction` writes per-table overlays and stages
+  DDL as :class:`~repro.engine.catalog.CatalogOp` entries.  Outside
+  ``BEGIN`` a DDL statement is its own transaction
+  (:meth:`TransactionManager.statement_transaction`); an autocommit DML
+  statement builds none (:meth:`TransactionManager.commit_single`).
+* **Validate** first-committer-wins: a catalog op conflicts on its catalog
+  entry (:class:`~repro.errors.CatalogConflictError`), a row write on the
+  primary keys of the rows it changed (:func:`row_delta`, by tuple
+  identity; :class:`~repro.errors.WriteConflictError`).  A disjoint-row
+  writer to a table that changed since its snapshot *rebases* onto the
+  latest rows by key.  Tables without a primary key, duplicate keys and
+  schema changes conflict as a whole.
+* **Log, apply, flush** in one body, :meth:`TransactionManager
+  ._commit_locked`, under the manager lock: the next timestamp, one WAL
+  record (:meth:`~repro.engine.wal.DurabilityManager.log_commit`), the one
+  applier (:meth:`~repro.engine.database.Database.apply_commit`, which
+  recovery replays the record through), the clock, pruning, the fsync.  A
+  snapshot is pinned under that lock, so *visible means durable*.
 
 The active transaction travels in a :class:`contextvars.ContextVar`, so it
 is inherited by the asyncio tasks of the sharded transport and can be
@@ -61,6 +47,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..errors import (
     CatalogConflictError,
+    ReproError,
     TransactionError,
     WriteConflictError,
 )
@@ -78,7 +65,7 @@ class Snapshot:
     ``ts`` is the highest commit timestamp visible to the snapshot;
     ``catalog_version`` is the metadata version — schemas, indexes, purpose
     taxonomy — the snapshot's queries are planned and enforced under (plan
-    cache + ``compliesWith`` memo keying, DESIGN.md §16).
+    cache + ``compliesWith`` memo keying, DESIGN.md §15).
     """
 
     ts: int
@@ -153,15 +140,6 @@ class Transaction:
     def add_catalog_op(self, op: CatalogOp) -> None:
         """Stage a catalog mutation (transactional DDL)."""
         self._catalog_ops.append(op)
-
-    def staged_catalog_value(self, kind: str, key: str) -> object:
-        """The newest value this transaction staged for a catalog slot
-        (``None`` when absent; callers that need presence use
-        :meth:`has_staged_catalog`)."""
-        for op in reversed(self._catalog_ops):
-            if op.kind == kind and op.key == key.lower():
-                return op.value
-        return None
 
     def has_staged_catalog(self, kind: str, key: str) -> bool:
         return any(
@@ -241,14 +219,14 @@ class TxnStats:
         }
 
 
-class _WritePlan:
-    """One table's validated commit effect.
+class WritePlan:
+    """One table's commit effect.
 
     ``op``/``payload`` is the effect as the WAL logs it and the table
     applies it: ``"append"`` (rows), ``"delta"`` (a :func:`row_delta`
     triple, positions in the latest committed rows) or ``"replace"`` (the
     whole new row list).  ``written`` is the primary-key write set, or
-    ``None`` for "every row".
+    ``None`` for "every row" (and for a replayed effect).
     """
 
     __slots__ = ("table", "op", "payload", "written", "rebased")
@@ -259,9 +237,6 @@ class _WritePlan:
         self.payload = payload
         self.written = written
         self.rebased = rebased
-
-    def apply(self, ts: int) -> None:
-        self.table.apply_committed(self.op, self.payload, ts, self.written)
 
 
 def row_delta(
@@ -330,7 +305,7 @@ def _written_keys(old: list[tuple], delta, pk: tuple[int, ...]) -> "frozenset | 
     return _keys(rows, pk)
 
 
-def _plan_write(table, old: list[tuple], new: list[tuple], pk) -> _WritePlan:
+def _plan_write(table, old: list[tuple], new: list[tuple], pk) -> WritePlan:
     """The cheapest effect turning ``old`` — the latest committed rows —
     into ``new``: an append when no existing row is touched, the whole list
     when every one is (TRUNCATE, ALTER TABLE, an assignment to all rows),
@@ -339,10 +314,10 @@ def _plan_write(table, old: list[tuple], new: list[tuple], pk) -> _WritePlan:
     written = _written_keys(old, delta, pk)
     touched = len(updates) + len(deletes)
     if not touched:
-        return _WritePlan(table, "append", inserts, written)
+        return WritePlan(table, "append", inserts, written)
     if touched >= len(old):
-        return _WritePlan(table, "replace", new, written)
-    return _WritePlan(table, "delta", delta, written)
+        return WritePlan(table, "replace", new, written)
+    return WritePlan(table, "delta", delta, written)
 
 
 def _rebase(delta, base: list[tuple], latest: list[tuple], pk: tuple[int, ...]):
@@ -376,10 +351,10 @@ def _unique_keys(rows: list[tuple], pk: tuple[int, ...]) -> bool:
 
 
 class TransactionManager:
-    """The commit clock, the active-snapshot registry and commit validation.
+    """The commit clock, the active-snapshot registry and the commit path.
 
-    One manager per :class:`~repro.engine.database.Database`; standalone
-    :class:`~repro.engine.table.Table` objects lazily create a private one.
+    One manager per :class:`~repro.engine.database.Database` (a standalone
+    :class:`~repro.engine.table.Table` joins a private one).
     """
 
     def __init__(self):
@@ -388,13 +363,19 @@ class TransactionManager:
         self._txn_counter = 0
         self._active: dict[int, Transaction] = {}
         self.stats = TxnStats()
-        #: The owning database's versioned catalog; wired by
-        #: :class:`~repro.engine.database.Database`.  ``None`` for
-        #: standalone tables (catalog versions then stay 0).
-        self.catalog: Catalog | None = None
+        #: The owning :class:`~repro.engine.database.Database`, wired by it:
+        #: its catalog is what snapshots pin, and its ``apply_commit`` is
+        #: the one applier every commit goes through.
+        self.database = None
         #: Durability hook (:class:`~repro.engine.wal.DurabilityManager`);
         #: ``None`` for purely in-memory databases.
         self.wal = None
+
+    @property
+    def catalog(self) -> "Catalog | None":
+        """The owning database's versioned catalog (``None`` when detached:
+        catalog versions then stay 0)."""
+        return None if self.database is None else self.database.catalog
 
     # -- clock -------------------------------------------------------------
 
@@ -466,11 +447,25 @@ class TransactionManager:
         if txn.status != "active":
             return
         with self._lock:
-            txn.status = "aborted"
-            self._active.pop(txn.txn_id, None)
-            self.stats.rolled_back += 1
-            self.stats.active = len(self._active)
-        self._prune_tables(txn)
+            self._end_locked(txn, "aborted")
+
+    @contextlib.contextmanager
+    def statement_transaction(self) -> Iterator[Transaction]:
+        """The context's transaction, or one that commits when the block
+        exits: DDL stages through this, so an autocommit CREATE INDEX or
+        ALTER TABLE commits exactly like one inside BEGIN … COMMIT."""
+        txn = current_transaction(self)
+        if txn is not None:
+            yield txn
+            return
+        txn = self.begin()
+        try:
+            with txn_scope(txn):
+                yield txn
+        except BaseException:
+            self.rollback(txn)
+            raise
+        self.commit(txn)
 
     # -- commit ------------------------------------------------------------
 
@@ -479,81 +474,21 @@ class TransactionManager:
 
         ``op`` is ``"append"`` (``rows`` are the new rows) or ``"replace"``
         (``rows`` is the statement's whole result list, diffed here against
-        the latest committed rows).  Timestamp allocation, WAL logging, the
-        in-memory apply and the log flush happen under the manager lock so
-        autocommit writes serialize with transactional commits, the apply
-        order is the timestamp order and no snapshot pins the write before
-        it is durable.  The commit's row-level write set is recorded so
-        concurrent transactions validate against it at *their* commit.
+        the latest committed rows).  No :class:`Transaction` is built: every
+        audited read autocommits an append, so this stays the plan plus
+        :meth:`_commit_locked`.  The commit's row-level write set is recorded
+        so concurrent transactions validate against it at *their* commit.
         """
         with self._lock:
-            ts = self._clock + 1
             pk = table.row_key_indexes()
             if op == "append":
-                plan = _WritePlan(table, "append", rows, _keys(rows, pk))
+                plan = WritePlan(table, "append", rows, _keys(rows, pk))
             else:
                 plan = _plan_write(table, table.latest_rows(), rows, pk)
-            lsn = None
-            if self.wal is not None:
-                lsn = self.wal.log_commit(
-                    ts, {table.name.lower(): (plan.op, plan.payload)}
-                )
-            plan.apply(ts)
-            self._clock = ts
-            table.prune_versions(self._oldest_locked())
-            if lsn is not None:
-                # Still under the lock: durable before any snapshot pins it.
-                self.wal.sync(lsn)
-        return ts
-
-    def commit_ddl(
-        self,
-        catalog_ops: list[CatalogOp],
-        table_effects: "dict[str, _WritePlan] | None" = None,
-    ) -> int:
-        """Commit an autocommit DDL statement: catalog entries + row effects.
-
-        ``table_effects`` maps table key to its :class:`_WritePlan` (e.g.
-        the rewritten rows of an ALTER TABLE, a ``"replace"``).  The whole
-        statement lands at one commit timestamp: WAL DDL record,
-        schema/index apply, row apply, catalog commit.
-        """
-        table_effects = table_effects or {}
-        lsn = None
-        with self._lock:
-            ts = self._clock + 1
-            if self.wal is not None:
-                lsn = self.wal.log_ddl(
-                    ts,
-                    [op.wal for op in catalog_ops if op.wal is not None],
-                    {
-                        key: (plan.op, plan.payload)
-                        for key, plan in table_effects.items()
-                    },
-                )
-            for op in catalog_ops:
-                if op.apply is not None:
-                    op.apply(ts)
-            for plan in table_effects.values():
-                plan.apply(ts)
-            self._clock = ts
-            if self.catalog is not None:
-                self.catalog.commit(
-                    [(op.kind, op.key, op.value) for op in catalog_ops], ts
-                )
-            if lsn is not None:
-                self.wal.sync(lsn)
-        return ts
+            return self._commit_locked([plan])
 
     def commit(self, txn: Transaction) -> int:
-        """Validate first-committer-wins, log, apply; returns the commit ts.
-
-        Validation, WAL append, in-memory apply and the log flush happen
-        under the manager lock, so the apply order *is* the timestamp
-        order and a concurrent snapshot can never observe half a commit (a
-        table's rows swap atomically per table; the clock only advances
-        once every staged table has been applied) nor one that is not yet
-        durable.
+        """Validate first-committer-wins, then commit; returns the commit ts.
 
         Validation is two-layered: staged catalog ops (DDL) conflict on
         their catalog entry; staged row writes conflict on intersecting
@@ -561,70 +496,77 @@ class TransactionManager:
         when a write set is unknown (no primary key, a schema change).
         Disjoint-row writers to a concurrently-changed table *rebase*:
         their delta is re-addressed to the latest committed rows so the
-        loser-free commit does not clobber the winner's rows.
+        loser-free commit does not clobber the winner's rows.  A commit that
+        fails validation is rolled back and never reaches the log.
         """
         if txn.status != "active":
             raise TransactionError(
                 f"transaction {txn.txn_id} is {txn.status}, not active"
             )
-        if not txn._staged and not txn._catalog_ops:
-            # Read-only commit: nothing to validate or log.
-            with self._lock:
-                txn.status = "committed"
-                self._active.pop(txn.txn_id, None)
-                self.stats.committed += 1
-                self.stats.active = len(self._active)
-            self._prune_tables(txn)
-            return self._clock
         with self._lock:
+            if not txn._staged and not txn._catalog_ops:
+                # Read-only commit: nothing to validate or log.
+                self._end_locked(txn, "committed")
+                return self._clock
             try:
                 self._validate_catalog_locked(txn)
                 plans = self._validate_tables_locked(txn)
-            except TransactionError:
-                txn.status = "aborted"
-                self._active.pop(txn.txn_id, None)
-                self.stats.rolled_back += 1
-                self.stats.active = len(self._active)
-                self._prune_tables_locked(txn)
+            except ReproError:
+                self._end_locked(txn, "aborted")
                 raise
-            ts = self._clock + 1
-            ops = {key: (plan.op, plan.payload) for key, plan in plans.items()}
-            lsn = None
-            if self.wal is not None:
-                if txn._catalog_ops:
-                    lsn = self.wal.log_ddl(
-                        ts,
-                        [
-                            op.wal
-                            for op in txn._catalog_ops
-                            if op.wal is not None
-                        ],
-                        ops,
-                    )
-                elif ops:
-                    lsn = self.wal.log_commit(ts, ops)
-            for op in txn._catalog_ops:
-                if op.apply is not None:
-                    op.apply(ts)
-            for plan in plans.values():
-                plan.apply(ts)
-                if plan.rebased:
-                    self.stats.rebased += 1
-            self._clock = ts
-            if self.catalog is not None and txn._catalog_ops:
-                self.catalog.commit(
-                    [(op.kind, op.key, op.value) for op in txn._catalog_ops],
-                    ts,
-                )
-            txn.status = "committed"
-            self._active.pop(txn.txn_id, None)
-            self.stats.committed += 1
-            self.stats.active = len(self._active)
-            self._prune_tables_locked(txn)
-            if lsn is not None:
-                # Still under the lock: durable before any snapshot pins it.
-                self.wal.sync(lsn)
+            self.stats.rebased += sum(plan.rebased for plan in plans)
+            return self._commit_locked(
+                plans, [op.ddl for op in txn._catalog_ops], txn
+            )
+
+    def _commit_locked(
+        self,
+        plans: "list[WritePlan]",
+        ddl: "list[dict]" = (),
+        txn: "Transaction | None" = None,
+    ) -> int:
+        """The one commit body, under the manager lock: take the next
+        timestamp, log, apply, advance the clock, prune, flush.
+
+        Autocommit writes and transactions alike, so the apply order *is*
+        the timestamp order, a concurrent snapshot never observes half a
+        commit (the clock advances once every effect is applied) and — the
+        flush happening before the lock is released — never one that is not
+        yet durable.  ``ddl`` are the logical catalog ops: logged with the
+        row effects in one record, applied by the same applier recovery
+        replays the record with.
+        """
+        ts = self._clock + 1
+        lsn = None
+        if self.wal is not None:
+            lsn = self.wal.log_commit(
+                ts,
+                {plan.table.name.lower(): (plan.op, plan.payload) for plan in plans},
+                ddl,
+            )
+        self.database.apply_commit(ts, ddl, plans)
+        self._clock = ts
+        if txn is not None:
+            self._end_locked(txn, "committed")
+        else:
+            horizon = self._oldest_locked()
+            for plan in plans:
+                plan.table.prune_versions(horizon)
+        if lsn is not None:
+            self.wal.sync(lsn)
         return ts
+
+    def _end_locked(self, txn: Transaction, status: str) -> None:
+        """Retire ``txn`` as ``"committed"`` or ``"aborted"`` and prune what
+        only its snapshot still held."""
+        txn.status = status
+        self._active.pop(txn.txn_id, None)
+        if status == "committed":
+            self.stats.committed += 1
+        else:
+            self.stats.rolled_back += 1
+        self.stats.active = len(self._active)
+        self._prune_tables_locked(txn)
 
     def _validate_catalog_locked(self, txn: Transaction) -> None:
         """First-committer-wins on catalog entries (DDL conflicts)."""
@@ -643,7 +585,7 @@ class TransactionManager:
             if op.validate is not None:
                 op.validate()
 
-    def _validate_tables_locked(self, txn: Transaction) -> "dict[str, _WritePlan]":
+    def _validate_tables_locked(self, txn: Transaction) -> "list[WritePlan]":
         """Row-level first-committer-wins + rebase planning for staged DML.
 
         Without a concurrent commit to the table the plan costs what the
@@ -651,21 +593,28 @@ class TransactionManager:
         keys of the changed rows.  Only a table that *did* change since the
         snapshot pays a walk over its rows, to rebase.
         """
-        plans: dict[str, _WritePlan] = {}
+        plans: list[WritePlan] = []
         for key, overlay in txn._staged.items():
             table = txn._tables[key]
             base = overlay.base_rows
             changed = table.last_commit_ts > txn.snapshot.ts
-            pk = () if key in txn._staged_schemas else table.row_key_indexes()
+            if key in txn._staged_schemas:
+                # A schema change rewrites every row: it commits the whole
+                # list and conflicts with any concurrent commit to the table.
+                if changed:
+                    raise self._conflict_locked(txn, table)
+                plans.append(WritePlan(table, "replace", overlay.rows, None))
+                continue
+            pk = table.row_key_indexes()
             if overlay.append_only:
                 rows = overlay.rows[len(base):]
                 written = _keys(rows, pk)
                 if changed and not self._compatible_locked(table, txn, written):
                     raise self._conflict_locked(txn, table)
-                plans[key] = _WritePlan(table, "append", rows, written)
+                plans.append(WritePlan(table, "append", rows, written))
                 continue
             if not changed:
-                plans[key] = _plan_write(table, base, overlay.rows, pk)
+                plans.append(_plan_write(table, base, overlay.rows, pk))
                 continue
             delta = row_delta(base, overlay.rows)
             written = _written_keys(base, delta, pk)
@@ -679,10 +628,10 @@ class TransactionManager:
                 raise self._conflict_locked(txn, table)
             # Rebase: re-address this transaction's changes to the latest
             # committed rows so the concurrent winner's disjoint rows survive.
-            plans[key] = _WritePlan(
+            plans.append(WritePlan(
                 table, "delta", _rebase(delta, base, table.latest_rows(), pk),
                 written, rebased=True,
-            )
+            ))
         return plans
 
     def _compatible_locked(self, table: "Table", txn: Transaction, written) -> bool:
@@ -696,16 +645,8 @@ class TransactionManager:
         return not (written & theirs)
 
     def _conflict_locked(self, txn: Transaction, table: "Table") -> WriteConflictError:
-        txn.status = "aborted"
-        self._active.pop(txn.txn_id, None)
         self.stats.conflicts += 1
-        self.stats.rolled_back += 1
-        self.stats.active = len(self._active)
-        error = WriteConflictError(
-            table.name, txn.snapshot.ts, table.last_commit_ts
-        )
-        self._prune_tables_locked(txn)
-        return error
+        return WriteConflictError(table.name, txn.snapshot.ts, table.last_commit_ts)
 
     # -- snapshot horizon / version pruning --------------------------------
 
@@ -730,10 +671,6 @@ class TransactionManager:
         """
         with self._lock:
             return {t.snapshot.catalog_version for t in self._active.values()}
-
-    def _prune_tables(self, txn: Transaction) -> None:
-        with self._lock:
-            self._prune_tables_locked(txn)
 
     def _prune_tables_locked(self, txn: Transaction) -> None:
         horizon = self._oldest_locked()

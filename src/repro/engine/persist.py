@@ -11,7 +11,7 @@ manager with :meth:`repro.core.admin.AccessControlManager.from_existing`.
 Format history: version 1 had no ``indexes`` list; version 2 added it
 together with the ``policy`` marker object (the enforcement framework's
 policy function/column names); version 3 added ``catalog_version`` (the
-versioned-catalog counter, DESIGN.md §16) so a reloaded database's catalog
+versioned-catalog counter, DESIGN.md §15) so a reloaded database's catalog
 version never moves backwards across a checkpoint.  Older documents still
 load (no indexes / catalog version 0).
 """

@@ -24,7 +24,7 @@ positions plus inserted rows) or a whole-list replacement.  Row lists are
 replaced, never mutated, by a delta, and untouched tuples stay the same
 objects.
 
-The *schema* is versioned the same way (DESIGN.md §16): ALTER TABLE
+The *schema* is versioned the same way (DESIGN.md §15): ALTER TABLE
 commits the rewritten rows and the new schema at one commit timestamp,
 ``_schema_log`` keeps ``(ts, schema)`` pairs, and the
 :attr:`schema` property resolves the schema as of the reading snapshot —
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..errors import ExecutionError
 from .catalog import CatalogOp
-from .mvcc import _ACTIVE, Transaction, TransactionManager, _WritePlan
+from .mvcc import _ACTIVE, Transaction, TransactionManager
 from .schema import Column, TableSchema
 from .types import coerce_value
 
@@ -145,9 +145,14 @@ class Table:
 
     @property
     def manager(self) -> TransactionManager:
-        """The owning transaction manager (created lazily when detached)."""
+        """The owning transaction manager.  A detached table joins a private
+        database on first use, whose applier its commits then go through."""
         if self._manager is None:
-            self._manager = TransactionManager()
+            from .database import Database  # import cycle: database → table
+
+            database = Database()
+            database.tables[self.name.lower()] = self
+            self.attach_manager(database.transactions)
         return self._manager
 
     def _active_txn(self) -> "Transaction | None":
@@ -193,12 +198,19 @@ class Table:
                 return schema
         return self._schema_log[0][1]
 
-    def apply_committed_schema(self, schema: TableSchema, ts: int) -> None:
-        """Install a committed schema change at timestamp ``ts``."""
+    def apply_committed_alter(self, ddl: dict, ts: int) -> TableSchema:
+        """Apply a committed ``add_column``/``drop_column`` op at ``ts`` to
+        the latest committed schema — never a snapshot's or a transaction's
+        staged one — and return the new schema."""
+        if ddl["op"] == "add_column":
+            schema = self._schema.with_column(ddl["column"])
+        else:
+            schema = self._schema.without_column(ddl["column"])
         self._schema = schema
         self._pk_cache = None
         self._schema_log.append((ts, schema))
         self._last_schema_ts = ts
+        return schema
 
     def row_key_indexes(self) -> tuple[int, ...]:
         """Column indexes of the primary key in the latest committed schema.
@@ -596,103 +608,49 @@ class Table:
     # -- DDL -----------------------------------------------------------------
 
     def add_column(self, column: Column) -> None:
-        """Append a column, filling existing rows with its default.
-
-        Since the catalog work (DESIGN.md §16) ALTER TABLE is a versioned
-        commit, not a barrier: inside a transaction it stages the new
-        schema and the widened rows in the transaction's overlay (visible
-        only to that transaction until commit, first-committer-wins on the
-        table's ``schema`` catalog entry); outside one it autocommits rows
-        and schema at a single timestamp, so pinned snapshots keep seeing
-        the old rows under the old schema.
-        """
-        new_schema = self.schema.with_column(column)
+        """Append a column, filling existing rows with its default."""
         fill = column.default
-        txn = self._active_txn()
-        if txn is not None:
+        with self.manager.statement_transaction() as txn:
             self._stage_schema_change(
                 txn,
-                new_schema,
+                self.schema.with_column(column),
                 lambda row: (*row, fill),
-                wal={"op": "add_column", "table": self.name, "column": column},
-                describe=f"ALTER TABLE {self.name} ADD COLUMN {column.name}",
+                {"op": "add_column", "table": self.name, "column": column},
             )
-            return
-        new_rows = [(*row, fill) for row in self._rows]
-        self._autocommit_schema_change(
-            new_schema,
-            new_rows,
-            wal={"op": "add_column", "table": self.name, "column": column},
-        )
 
     def drop_column(self, name: str) -> None:
         """Drop a column and rewrite stored rows."""
-        index = self.schema.column_index(name)
-        new_schema = self.schema.without_column(name)
-
-        def narrow(row: tuple) -> tuple:
-            return tuple(v for i, v in enumerate(row) if i != index)
-
-        txn = self._active_txn()
-        if txn is not None:
+        with self.manager.statement_transaction() as txn:
+            index = self.schema.column_index(name)
             self._stage_schema_change(
                 txn,
-                new_schema,
-                narrow,
-                wal={"op": "drop_column", "table": self.name, "column": name},
-                describe=f"ALTER TABLE {self.name} DROP COLUMN {name}",
+                self.schema.without_column(name),
+                lambda row: row[:index] + row[index + 1 :],
+                {"op": "drop_column", "table": self.name, "column": name},
             )
-            return
-        new_rows = [narrow(row) for row in self._rows]
-        self._autocommit_schema_change(
-            new_schema,
-            new_rows,
-            wal={"op": "drop_column", "table": self.name, "column": name},
-        )
 
     def _stage_schema_change(
         self,
         txn: Transaction,
         new_schema: TableSchema,
         rewrite: Callable[[tuple], tuple],
-        wal: dict,
-        describe: str,
+        ddl: dict,
     ) -> None:
-        """Stage an ALTER in the transaction: rewrite the overlay rows and
-        record the schema as a catalog op (conflicting first-committer-wins
-        on the table's ``schema`` entry)."""
+        """Stage an ALTER TABLE in ``txn``.
+
+        ALTER TABLE is a versioned commit, not a barrier: the new schema and
+        the rewritten rows are visible only to ``txn`` until it commits
+        (first-committer-wins on the table's ``schema`` catalog entry), and
+        then land at one timestamp — pinned snapshots keep seeing the old
+        rows under the old schema.  Outside a transaction the statement is
+        its own (:meth:`TransactionManager.statement_transaction`).
+        """
         overlay = txn.stage(self)
         overlay.rows = [rewrite(row) for row in overlay.rows]
         overlay.append_only = False
         overlay.bump += 1
         txn._staged_schemas[self.name.lower()] = new_schema
-        txn.add_catalog_op(
-            CatalogOp(
-                "schema",
-                self.name.lower(),
-                new_schema,
-                wal=wal,
-                apply=lambda ts: self.apply_committed_schema(new_schema, ts),
-                describe=describe,
-            )
-        )
-
-    def _autocommit_schema_change(
-        self, new_schema: TableSchema, new_rows: list[tuple], wal: dict
-    ) -> None:
-        """Commit an ALTER outside any transaction: schema + rewritten rows
-        land at one timestamp (WAL DDL record when durability is attached)."""
-        key = self.name.lower()
-        op = CatalogOp(
-            "schema",
-            key,
-            new_schema,
-            wal=wal,
-            apply=lambda ts: self.apply_committed_schema(new_schema, ts),
-        )
-        self.manager.commit_ddl(
-            [op], {key: _WritePlan(self, "replace", new_rows, None)}
-        )
+        txn.add_catalog_op(CatalogOp("schema", self.name.lower(), ddl))
 
     # -- column-level access (used by the policy administration layer) --------
 

@@ -1,14 +1,16 @@
 """Write-ahead logging, checkpointing and crash recovery.
 
-The durability half of the transaction engine (DESIGN.md §15).  The
-protocol is redo-only logging of *committed* effects:
+The durability half of the write path (DESIGN.md §15).  The protocol is
+redo-only logging of *committed* effects:
 
-* Every commit — transactional or autocommit — appends one
-  :data:`commit record <COMMIT>` describing its per-table effects *before*
-  the in-memory apply.  An effect is an ``append`` of new rows, a ``delta``
-  holding only the rows the commit wrote (updated and deleted rows by
-  their position in the table before the commit, inserted rows in order),
-  or a whole-list ``replace`` when every row changed.  A commit is durable
+* Every commit — autocommit or transaction, DML or DDL — appends one
+  :data:`commit record <COMMIT>` through one writer
+  (:meth:`DurabilityManager.log_commit`) *before* the in-memory apply: its
+  logical catalog ops, if it has any (create/drop table or index, add/drop
+  column), then per table an ``append`` of new rows, a ``delta`` holding
+  only the rows the commit wrote (updated and deleted rows by their
+  position in the table before the commit, inserted rows in order), or a
+  whole-list ``replace`` when every row changed.  A commit is durable
   exactly when its record is fsynced; there is nothing to undo at recovery
   because uncommitted staged state never reaches the log.
 * Records are framed as ``crc32 length json\n``; recovery replays the
@@ -25,13 +27,10 @@ protocol is redo-only logging of *committed* effects:
   :mod:`repro.engine.persist`) with an atomic rename, then truncates the
   log, all under the transaction-manager lock; recovery = load newest
   checkpoint + replay the WAL suffix.  Replay is deterministic — every
-  record after the image, in commit order — which is what makes a
-  delta's positions exact.
-* DDL commits — transactional or autocommit — append a :data:`DDL`
-  record carrying the logical catalog ops (create/drop table or index,
-  add/drop column) *plus* the per-table row effects, all at one commit
-  timestamp.  Recovery replays them in order like any other commit, so
-  DDL forces no checkpoint (DESIGN.md §16).
+  record after the image, in commit order, through the same applier the
+  live commit used (:meth:`~repro.engine.database.Database.apply_commit`)
+  — which is what makes a delta's positions exact and a recovered
+  database enforce as the live one did.  DDL forces no checkpoint.
 
 Failpoints (:attr:`WriteAheadLog.failpoints`) simulate crashes at the
 exact moments that distinguish a correct recovery protocol from a lucky
@@ -50,12 +49,16 @@ from pathlib import Path
 
 from ..errors import InjectedFailure, WalError
 from .database import Database
-from .persist import _decode_value, _encode_value
+from .index import IndexDefinition
+from .mvcc import WritePlan
+from .persist import _decode_column, _decode_value, _encode_column, _encode_value
+from .schema import Column, TableSchema
 
 #: Commit-record type tag.
 COMMIT = "commit"
 
-#: DDL-commit record type tag: catalog ops + row effects at one timestamp.
+#: The tag records carrying catalog ops were once written under; replay
+#: reads them like any commit record.
 DDL = "ddl"
 
 #: Checkpoint-marker record type tag (first record of a fresh log).
@@ -270,23 +273,14 @@ def _decode_row(row: list) -> tuple:
     return tuple(_decode_value(value) for value in row)
 
 
-def _replay_effects(database: Database, record: dict, ts: int) -> None:
-    """Reapply a record's per-table row effects at its commit timestamp."""
-    for table_name, effect in record.get("tables", {}).items():
-        database.table(table_name).apply_committed(*_decode_effect(effect), ts)
-
-
 def encode_ddl_op(op: dict) -> dict:
-    """Make a CatalogOp WAL descriptor JSON-serializable.
+    """Make a logical catalog op JSON-serializable.
 
     Embedded engine objects — a :class:`~repro.engine.schema.Column`, a
     :class:`~repro.engine.schema.TableSchema`, an
     :class:`~repro.engine.index.IndexDefinition` — are flattened here so
     the staging code can hand over live objects.
     """
-    from .persist import _encode_column
-    from .schema import Column, TableSchema
-
     encoded = {}
     for key, value in op.items():
         if isinstance(value, Column):
@@ -303,53 +297,21 @@ def encode_ddl_op(op: dict) -> dict:
     return encoded
 
 
-def apply_ddl(database: Database, record: dict, ts: int) -> None:
-    """Apply one DDL record at ``ts``: catalog ops first, then row effects.
-
-    The one applier of logical DDL ops (``ops`` as :func:`encode_ddl_op`
-    produces them): recovery replays logged records through it, and a
-    shard worker applies the ops its coordinator ships through it
-    (:mod:`repro.shard.worker`, verb ``ddl``).
-    """
-    from . import persist
-    from .index import IndexDefinition
-    from .schema import TableSchema
-
-    entries = []
-    for op in record.get("ops", ()):
-        kind = op["op"]
-        if kind == "create_table":
-            schema = TableSchema(
-                op["schema"]["name"],
-                [persist._decode_column(c) for c in op["schema"]["columns"]],
-            )
-            database.create_table(schema, record_catalog=False)
-            entries.append(("table", schema.name.lower(), schema))
-        elif kind == "drop_table":
-            database.drop_table(op["table"], record_catalog=False)
-            entries.append(("table", op["table"].lower(), None))
-        elif kind == "add_column":
-            table = database.table(op["table"])
-            schema = table.schema.with_column(persist._decode_column(op["column"]))
-            table.apply_committed_schema(schema, ts)
-            entries.append(("schema", op["table"].lower(), schema))
-        elif kind == "drop_column":
-            table = database.table(op["table"])
-            schema = table.schema.without_column(op["column"])
-            table.apply_committed_schema(schema, ts)
-            entries.append(("schema", op["table"].lower(), schema))
-        elif kind == "create_index":
-            definition = IndexDefinition.from_dict(op["definition"])
-            database.indexes.create(definition)
-            entries.append(("index", definition.name.lower(), definition))
-        elif kind == "drop_index":
-            database.indexes.drop(op["name"])
-            entries.append(("index", op["name"].lower(), None))
-        else:  # pragma: no cover - forward compatibility guard
-            raise WalError(f"unknown DDL op {kind!r} in WAL record")
-    _replay_effects(database, record, ts)
-    if entries:
-        database.catalog.commit(entries, ts)
+def decode_ddl_op(op: dict) -> dict:
+    """Inverse of :func:`encode_ddl_op`: the op with engine objects, as
+    :meth:`~repro.engine.database.Database.apply_commit` takes it."""
+    kind = op["op"]
+    if kind == "create_table":
+        schema = op["schema"]
+        columns = [_decode_column(column) for column in schema["columns"]]
+        return {**op, "schema": TableSchema(schema["name"], columns)}
+    if kind == "add_column":
+        return {**op, "column": _decode_column(op["column"])}
+    if kind == "create_index":
+        return {**op, "definition": IndexDefinition.from_dict(op["definition"])}
+    if kind in ("drop_table", "drop_column", "drop_index"):
+        return op
+    raise WalError(f"unknown DDL op {kind!r} in WAL record")
 
 
 class DurabilityManager:
@@ -382,43 +344,27 @@ class DurabilityManager:
 
     # -- logging (called by the transaction manager, under its lock) --------
 
-    def log_commit(self, ts: int, ops: "dict[str, tuple[str, object]]") -> int:
-        """Log one commit's per-table effects; returns the record's LSN.
-
-        ``ops`` maps table name to ``(op, payload)`` — see
-        :func:`_encode_effect`.  Called under the transaction-manager lock,
-        *before* the in-memory apply; the committer calls :meth:`sync`
-        after the apply, still under that lock, so no snapshot pins the
-        commit before it is durable.
-        """
-        return self._log({"type": COMMIT, "ts": ts}, ops)
-
-    def log_ddl(
+    def log_commit(
         self,
         ts: int,
-        ops: "list[dict]",
-        table_ops: "dict[str, tuple[str, object]]",
+        effects: "dict[str, tuple[str, object]]",
+        ddl: "list[dict]" = (),
     ) -> int:
-        """Log one DDL commit: logical catalog ops + row effects.
+        """Log one commit; returns the record's LSN.
 
-        ``ops`` are the :attr:`~repro.engine.catalog.CatalogOp.wal`
-        descriptors of the statement's catalog mutations; ``table_ops``
-        carries the row effects committing at the same timestamp, in
-        :meth:`log_commit`'s form (the widened rows of an ALTER TABLE, the
-        DML of a transaction that also ran DDL).  Called under the
-        transaction-manager lock like :meth:`log_commit`.
+        ``effects`` maps table name to ``(op, payload)`` — see
+        :func:`_encode_effect`; ``ddl`` are the commit's logical catalog ops,
+        which the record carries ahead of them (a record without any is
+        ``{"type": "commit", "ts", "tables"}``).  Called under the
+        transaction-manager lock, *before* the in-memory apply; the committer
+        calls :meth:`sync` after the apply, still under that lock, so no
+        snapshot pins the commit before it is durable.  The record is
+        accounted to the costliest effect it carries (one whole-table
+        ``replace`` makes it a replace record).
         """
-        record = {
-            "type": DDL,
-            "ts": ts,
-            "ops": [encode_ddl_op(op) for op in ops],
-        }
-        return self._log(record, table_ops)
-
-    def _log(self, record: dict, effects: "dict[str, tuple[str, object]]") -> int:
-        """Append ``record`` with its row effects; account it to the
-        costliest effect it carries (one whole-table ``replace`` makes the
-        record a replace record)."""
+        record: dict = {"type": COMMIT, "ts": ts}
+        if ddl:
+            record["ops"] = [encode_ddl_op(op) for op in ddl]
         record["tables"] = {
             name: _encode_effect(op, payload)
             for name, (op, payload) in effects.items()
@@ -511,16 +457,21 @@ def open_database(
     records, torn = wal.replay()
     recovered = 0
     for record in records:
-        record_type = record.get("type")
-        if record_type not in (COMMIT, DDL):
+        if record.get("type") not in (COMMIT, DDL):
             continue
         ts = int(record["ts"])
         if ts <= checkpoint_clock:
             continue
-        if record_type == DDL:
-            apply_ddl(database, record, ts)
-        else:
-            _replay_effects(database, record, ts)
+        # The tables a record's row effects name exist before its catalog
+        # ops run: a CREATE TABLE commits no rows.
+        database.apply_commit(
+            ts,
+            [decode_ddl_op(op) for op in record.get("ops", ())],
+            [
+                WritePlan(database.table(name), *_decode_effect(effect), None)
+                for name, effect in record.get("tables", {}).items()
+            ],
+        )
         manager.advance_clock_to(ts)
         recovered += 1
     wal.close()

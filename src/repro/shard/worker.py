@@ -16,9 +16,11 @@ answers a tiny message-dict protocol:
 ``ddl``
     Apply logical DDL ops (``create_index``, ``drop_index``, ``add_column``,
     ``drop_column``, ``drop_table``) the coordinator's replica committed, in
-    the JSON-ready form the WAL logs them in and through the WAL's own
-    applier (:func:`repro.engine.wal.apply_ddl`).  A created index is built
-    at once; the rows of an altered table follow in a ``sync_table``.
+    the JSON-ready form the WAL logs them in, through the applier every
+    commit and every recovery goes through
+    (:meth:`repro.engine.database.Database.apply_commit`).  A created index
+    is built at once; the rows of an altered table follow in a
+    ``sync_table``.
 ``epoch``
     Adopt the coordinator's policy epoch: bump the local admin until it
     matches, which clears every epoch-scoped cache (``compliesWith`` memo,
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 
-from ..engine.wal import apply_ddl
+from ..engine.wal import decode_ddl_op
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..server.protocol import error_code_for
@@ -140,7 +142,7 @@ class ShardWorker:
         transactions = database.transactions
         ops = request["ops"]
         with transactions.commits_paused() as clock:
-            apply_ddl(database, {"ops": ops}, clock + 1)
+            database.apply_commit(clock + 1, [decode_ddl_op(op) for op in ops], ())
         transactions.advance_clock_to(clock + 1)
         # A new index is built here, under the coordinator's write fence,
         # not by the first reader that probes it — unless this batch also

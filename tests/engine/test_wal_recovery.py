@@ -72,6 +72,19 @@ def table_rows(db):
     return sorted(db.table("t").rows)
 
 
+def catalog_state(db):
+    """The index definitions and table schemas a transaction sees."""
+    txn = db.transactions.begin()
+    try:
+        with txn_scope(txn):
+            return db.indexes.definitions(), {
+                name: tuple(table.schema.columns)
+                for name, table in db.tables.items()
+            }
+    finally:
+        db.transactions.rollback(txn)
+
+
 def apply_step(db, step: int, rng: random.Random) -> None:
     """One committed unit of work: autocommit or a small transaction."""
     if rng.random() < 0.4:
@@ -103,7 +116,7 @@ def test_commits_survive_reopen(tmp_path) -> None:
 
     recovered, redo = durable_db(tmp_path)
     assert table_rows(recovered) == expected
-    # 8 workload commits + the CREATE TABLE DDL record (DESIGN.md §16).
+    # 8 workload commits + the CREATE TABLE DDL record (DESIGN.md §15).
     assert redo.recovered_commits == 9
     assert redo.torn_bytes == 0
 
@@ -137,7 +150,7 @@ def test_checkpoint_truncates_and_recovery_replays_suffix(tmp_path) -> None:
 
 
 def test_ddl_is_logged_not_checkpointed(tmp_path) -> None:
-    """DDL appends a WAL DDL record (DESIGN.md §16) instead of forcing a
+    """DDL appends a WAL DDL record (DESIGN.md §15) instead of forcing a
     checkpoint, and recovery replays it like any other commit."""
     db, durability = durable_db(tmp_path)
     checkpoints_before = durability.checkpoints
@@ -152,6 +165,25 @@ def test_ddl_is_logged_not_checkpointed(tmp_path) -> None:
     assert recovered.table("extra").schema.column_names == ("id", "tag")
     assert recovered.indexes.get("i_extra").columns == ("id",)
     assert recovered.indexes.lookup_equal("i_extra", 7) == [0]
+
+
+def test_replayed_drop_table_tombstones_its_indexes(tmp_path) -> None:
+    """Recovery enforces what the live database did: a replayed DROP TABLE
+    commits catalog tombstones for the indexes it cascades, so after
+    recovery a transaction no longer sees them and the names are free."""
+    db, durability = open_database(tmp_path)
+    db.execute("create table t (id integer)")
+    db.execute("create index i_t on t (id)")
+    db.execute("drop table t")
+    durability.close()
+    recovered, redo = open_database(tmp_path)
+    recovered.execute("create table u (id integer)")
+    recovered.execute("begin")
+    assert recovered.indexes.find("i_t") is None
+    recovered.execute("create index i_t on u (id)")
+    recovered.execute("commit")
+    assert recovered.indexes.get("i_t").table == "u"
+    redo.close()
 
 
 def test_wal_sync_mode_resolution(tmp_path) -> None:
@@ -348,10 +380,15 @@ def test_randomized_crash_campaign(tmp_path) -> None:
             )
             with pytest.raises(InjectedFailure):
                 db.execute(doomed_sql)
+            live = db
             db, durability = durable_db(directory)
             assert table_rows(db) == expected, (
                 f"iteration {iteration}: rows drifted across a DDL crash "
                 f"at {failpoint}"
+            )
+            assert catalog_state(db) == catalog_state(live), (
+                f"iteration {iteration}: the recovered catalog differs from "
+                f"the live one after a DDL crash at {failpoint}"
             )
             exists = db.indexes.find("idx_crash") is not None
             survived = FAILPOINT_SURVIVES[failpoint]
