@@ -77,7 +77,7 @@ class AccessControlManager:
 
     @property
     def policy_epoch(self) -> int:
-        """The database catalog version (PR 10: the epoch IS the catalog).
+        """The database catalog version: the policy epoch is the catalog's.
 
         Every mutation that can alter what a rewritten query returns —
         storing policy masks, (re)categorizing columns, changing the purpose

@@ -579,7 +579,8 @@ class EnforcementMonitor:
             raise UnauthorizedPurposeError(user, purpose)
         with trace.span("plan") as plan_span:
             plan, hit = self._compiled_plan(statement, qid, purpose)
-            plan_span.annotate(cache_hit=hit, nodes=plan.plan.plan_summary())
+            if trace.enabled:
+                plan_span.annotate(cache_hit=hit, nodes=plan.plan.plan_summary())
         original_sql = text if text is not None else plan.original_sql
 
         with trace.span("execute") as execute_span:
@@ -764,15 +765,13 @@ class EnforcementMonitor:
             # No transaction, or a per-statement read snapshot (which by
             # construction sees the latest committed state).
             lines.append(f"Snapshot: latest catalog={plan.epoch}")
-        lines.append("Logical:")
-        lines.extend(f"  {line}" for line in plan.plan.logical_lines())
         rows = checks = 0
         if analyze:
             trace = Trace()
             with trace.span("execute"):
                 result, spent = self._execute_counted(plan.plan, params, trace)
             rows, checks = len(result), spent["checks"]
-            lines.extend(plan.plan.describe_arms(annotate=trace.annotation))
+            lines.extend(plan.plan.describe(annotate=trace.annotation))
             lines.append(
                 f"Execution: rows={rows} checks={checks} "
                 f"memo_hits={spent['memo_hits']} cache_hit={str(hit).lower()} "
@@ -787,7 +786,7 @@ class EnforcementMonitor:
             )
             lines.append(f"Timing: {stages}")
         else:
-            lines.extend(plan.plan.describe_arms())
+            lines.extend(plan.plan.describe())
 
         self.record_audit(
             user, purpose, qid, original_sql, "explain", rows=rows, checks=checks

@@ -77,9 +77,10 @@ class Session:
         return self.monitor.execute_statement(sql, self._purpose, user=self.user)
 
     def explain(self, sql: str) -> str:
-        """The rewritten query's plan, as the engine will execute it."""
-        rewritten = self.monitor.rewrite(sql, self._purpose)
-        return self.monitor.database.explain(rewritten)
+        """EXPLAIN under the session's user and purpose: authorized and
+        audited like every other statement, one line per plan row."""
+        result = self.monitor.explain(sql, self._purpose, user=self.user)
+        return "\n".join(line for (line,) in result.rows)
 
     def rewritten_sql(self, sql: str) -> str:
         """What the monitor would actually submit for this statement."""

@@ -14,7 +14,7 @@ from typing import Callable
 from ..errors import ExpressionError, TypeMismatchError
 
 
-class Aggregate:
+class Accumulator:
     """Base accumulator."""
 
     def add(self, value: object) -> None:
@@ -24,7 +24,7 @@ class Aggregate:
         raise NotImplementedError
 
 
-class CountAggregate(Aggregate):
+class CountAggregate(Accumulator):
     """``count(expr)`` — number of non-NULL inputs."""
 
     def __init__(self) -> None:
@@ -38,7 +38,7 @@ class CountAggregate(Aggregate):
         return self.count
 
 
-class CountStarAggregate(Aggregate):
+class CountStarAggregate(Accumulator):
     """``count(*)`` — number of rows, NULLs included."""
 
     def __init__(self) -> None:
@@ -57,7 +57,7 @@ def _require_number(value: object, name: str) -> float:
     return value
 
 
-class SumAggregate(Aggregate):
+class SumAggregate(Accumulator):
     """``sum(expr)``."""
 
     def __init__(self) -> None:
@@ -74,7 +74,7 @@ class SumAggregate(Aggregate):
         return self.total if self.seen else None
 
 
-class AvgAggregate(Aggregate):
+class AvgAggregate(Accumulator):
     """``avg(expr)``."""
 
     def __init__(self) -> None:
@@ -93,7 +93,7 @@ class AvgAggregate(Aggregate):
         return self.total / self.count
 
 
-class MinAggregate(Aggregate):
+class MinAggregate(Accumulator):
     """``min(expr)``."""
 
     def __init__(self) -> None:
@@ -109,7 +109,7 @@ class MinAggregate(Aggregate):
         return self.best
 
 
-class MaxAggregate(Aggregate):
+class MaxAggregate(Accumulator):
     """``max(expr)``."""
 
     def __init__(self) -> None:
@@ -125,10 +125,10 @@ class MaxAggregate(Aggregate):
         return self.best
 
 
-class DistinctAggregate(Aggregate):
+class DistinctAggregate(Accumulator):
     """Wraps another aggregate, feeding it each distinct non-NULL value once."""
 
-    def __init__(self, inner: Aggregate):
+    def __init__(self, inner: Accumulator):
         self.inner = inner
         self.seen: set = set()
         self.saw_row = False
@@ -149,7 +149,7 @@ class DistinctAggregate(Aggregate):
         return self.inner.result()
 
 
-_FACTORIES: dict[str, Callable[[], Aggregate]] = {
+_FACTORIES: dict[str, Callable[[], Accumulator]] = {
     "count": CountAggregate,
     "sum": SumAggregate,
     "avg": AvgAggregate,
@@ -158,7 +158,7 @@ _FACTORIES: dict[str, Callable[[], Aggregate]] = {
 }
 
 
-def make_aggregate(name: str, star: bool = False, distinct: bool = False) -> Aggregate:
+def make_aggregate(name: str, star: bool = False, distinct: bool = False) -> Accumulator:
     """Build an accumulator for an aggregate call.
 
     Args:

@@ -95,27 +95,6 @@ class PreparedQuery:
             node.all,
         )
 
-    def describe(self, annotate=None) -> list[str]:
-        """EXPLAIN-style plan lines (set-operation branches concatenated).
-
-        ``annotate`` threads through to every block's
-        :meth:`~repro.engine.executor.PreparedSelect.describe` for EXPLAIN
-        ANALYZE row-count suffixes.
-        """
-        lines: list[str] = []
-
-        def walk(plan) -> None:
-            if isinstance(plan, PreparedSelect):
-                lines.extend(plan.describe(annotate=annotate))
-                return
-            node, left, right = plan
-            walk(left)
-            lines.append(f"-- {node.op.lower()} --")
-            walk(right)
-
-        walk(self._plan)
-        return lines
-
     # -- optimizer surface ----------------------------------------------------------
 
     def _arms(self) -> "tuple[list[str], list[PreparedSelect]]":
@@ -140,13 +119,14 @@ class PreparedQuery:
         """Output column names (a set operation shows its leftmost arm's)."""
         return self._arms()[1][0].output_columns
 
-    def describe_arms(self, annotate=None) -> list[str]:
-        """Physical plan lines with set-operation arms labeled explicitly.
+    def describe(self, annotate=None) -> list[str]:
+        """EXPLAIN lines: the physical plan of every set-operation arm.
 
-        A single SELECT renders exactly like :meth:`describe`; a
-        set-operation chain labels each branch (``Union arm 1/2`` ...) and
-        indents its plan beneath the label, so EXPLAIN output attributes
-        every operator to its branch.
+        A single SELECT renders as its block's
+        :meth:`~repro.engine.executor.PreparedSelect.describe`; a
+        set-operation chain labels each arm (``Union arm 1/2`` ...) and
+        indents its plan beneath the label.  ``annotate`` threads through
+        for EXPLAIN ANALYZE's row-count suffixes.
         """
         ops, arms = self._arms()
         if len(arms) == 1:
@@ -172,16 +152,6 @@ class PreparedQuery:
             )
         return notes
 
-    def logical_lines(self) -> list[str]:
-        """The optimized logical plan(s) as indented EXPLAIN lines."""
-        ops, arms = self._arms()
-        if len(arms) == 1:
-            return arms[0].logical_lines()
-        lines = [f"SetOp [{' '.join(op.lower() for op in ops)}]"]
-        for arm in arms:
-            lines.extend("  " + line for line in arm.logical_lines())
-        return lines
-
     def plan_summary(self) -> dict[str, int]:
         """Count of plan nodes by kind (``{"HashJoin": 1, "SeqScan": 2}``).
 
@@ -195,15 +165,8 @@ class PreparedQuery:
             for child in node.children:
                 visit(child)
 
-        def walk(plan) -> None:
-            if isinstance(plan, PreparedSelect):
-                visit(plan.source_plan)
-                return
-            _node, left, right = plan
-            walk(left)
-            walk(right)
-
-        walk(self._plan)
+        for arm in self._arms()[1]:
+            visit(arm.source_plan)
         return counts
 
 

@@ -3,8 +3,8 @@
 A :class:`PreparedSelect` is built per statement preparation in three
 stages (DESIGN.md §11):
 
-1. the :class:`~repro.engine.plan.Planner` turns the SELECT block into a
-   logical-plan IR,
+1. the :class:`~repro.engine.plan.Planner` turns the SELECT block's FROM
+   clause and WHERE into the plan IR,
 2. the :class:`~repro.engine.plan.Optimizer` runs its pass pipeline
    (predicate pushdown, ``complieswith``-guard hoisting, hash-join
    selection, constant folding, projection pruning — the set depends on the
@@ -226,10 +226,6 @@ class PreparedSelect:
     def optimizer_notes(self) -> list[str]:
         """Per-pass annotations recorded while optimizing this block."""
         return self.block.notes
-
-    def logical_lines(self) -> list[str]:
-        """The optimized logical plan, rendered as indented lines."""
-        return self.block.logical_lines()
 
     # -- planning helpers ---------------------------------------------------------
 
@@ -636,9 +632,17 @@ class SelectExecutor:
         )
 
     def _scan_detail(self, table, node: plan_ir.Scan) -> str:
+        """A scan's EXPLAIN text: table, alias, access path, pruned columns."""
+        detail = table.name
         if node.binding != table.name.lower():
-            return f"{table.name} as {node.binding}"
-        return table.name
+            detail += f" as {node.binding}"
+        if isinstance(node, plan_ir.IndexScan):
+            detail += f" using {node.index_name} [{node.predicate()}]"
+            if node.estimated_rows is not None:
+                detail += f" (est={node.estimated_rows})"
+        if node.kept is not None:
+            detail += f" (cols: {', '.join(node.kept)})"
+        return detail
 
     def _fetcher(self, table, node: plan_ir.Scan):
         """The page emitter shared by every base-table access.
@@ -688,10 +692,6 @@ class SelectExecutor:
         """
         table = self.database.table(node.table_name)
         manager = self.database.indexes
-        detail = self._scan_detail(table, node)
-        detail += f" using {node.index_name} [{node.predicate()}]"
-        if node.estimated_rows is not None:
-            detail += f" (est={node.estimated_rows})"
         fetch = self._fetcher(table, node)
         ranged = isinstance(node, plan_ir.IndexRangeScan)
         values = node.values
@@ -727,7 +727,7 @@ class SelectExecutor:
             return fetch(table.rows, chosen)
 
         return SourcePlan(
-            node.shape, node.kind, detail,
+            node.shape, type(node).__name__, self._scan_detail(table, node),
             batch_producer=produce, candidate_ids=candidate_ids,
         )
 

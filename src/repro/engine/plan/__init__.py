@@ -1,7 +1,7 @@
 """Logical plans and the rule-based optimizer.
 
 The plan subsystem splits SELECT processing into three explicit stages
-(DESIGN.md §11): a :class:`Planner` builds a logical-plan IR from the
+(DESIGN.md §11): a :class:`Planner` builds the FROM-tree IR from the
 (rewritten) AST, an :class:`Optimizer` runs an ordered pass pipeline over
 it, and the executor compiles the optimized IR into physical operators.
 :class:`PolicyBitmapCache` backs the ``policy_guard_hoist`` pass, answering
@@ -12,20 +12,15 @@ row.
 
 from .bitmap import PolicyBitmapCache
 from .nodes import (
-    Aggregate,
     DerivedTable,
     Filter,
     HashJoin,
     IndexRangeScan,
     IndexScan,
-    Limit,
     LogicalNode,
     NestedLoop,
     PolicyGuard,
-    Project,
     Scan,
-    SetOp,
-    Sort,
     Values,
     walk,
 )
@@ -41,7 +36,6 @@ from .optimizer import (
 from .planner import BlockPlan, Planner, flatten_conjuncts, has_outer_join
 
 __all__ = [
-    "Aggregate",
     "BASELINE_PASSES",
     "BlockPlan",
     "DerivedTable",
@@ -50,17 +44,13 @@ __all__ = [
     "HashJoin",
     "IndexRangeScan",
     "IndexScan",
-    "Limit",
     "LogicalNode",
     "NestedLoop",
     "Optimizer",
     "Planner",
     "PolicyBitmapCache",
     "PolicyGuard",
-    "Project",
     "Scan",
-    "SetOp",
-    "Sort",
     "Values",
     "best_index_path",
     "check_access_paths",

@@ -1,13 +1,15 @@
-"""The logical-plan IR.
+"""The plan IR: a SELECT block's FROM tree.
 
-A :class:`~repro.engine.plan.planner.Planner` turns one SELECT block into a
-tree of these nodes — the *logical* plan — which the rule-based
+A :class:`~repro.engine.plan.planner.Planner` turns one SELECT block's FROM
+clause and WHERE into a tree of these nodes, which the rule-based
 :class:`~repro.engine.plan.optimizer.Optimizer` then transforms (predicate
 pushdown, ``complieswith``-guard hoisting, projection pruning, constant
 folding, hash-join selection) before the executor compiles it into physical
-:class:`~repro.engine.executor.SourcePlan` operators.
+:class:`~repro.engine.executor.SourcePlan` operators.  Grouping,
+projection, ordering and LIMIT are not nodes: the executor runs them from
+the block's AST, and EXPLAIN prints the physical tree.
 
-The node set mirrors the classic relational-operator vocabulary:
+The node set:
 
 ========================  ======================================================
 node                      meaning
@@ -21,11 +23,6 @@ node                      meaning
                           policy bitmap cache instead of per-row UDF calls
 :class:`NestedLoop`       nested-loop (or cross) join
 :class:`HashJoin`         equi-join executed by hashing the right side
-:class:`Aggregate`        GROUP BY / aggregate evaluation
-:class:`Project`          the SELECT list (with DISTINCT)
-:class:`Sort`             ORDER BY
-:class:`Limit`            LIMIT / OFFSET
-:class:`SetOp`            UNION / INTERSECT / EXCEPT over block plans
 :class:`Values`           the implicit one-row source of a FROM-less SELECT
 ========================  ======================================================
 
@@ -42,47 +39,22 @@ from ...sql import ast
 from ..schema import RowShape
 
 
-def _print(expr: ast.Expression) -> str:
-    from ...sql.printer import print_expression
-
-    return print_expression(expr)
-
-
 class LogicalNode:
-    """Base class of all logical-plan nodes."""
+    """Base class of all plan-IR nodes."""
 
-    #: Display name used by :meth:`label` (subclasses override).
-    kind = "Node"
-
-    #: The tuple layout this node produces (source-side nodes only).
+    #: The tuple layout this node produces.
     shape: RowShape | None = None
 
     def children(self) -> tuple["LogicalNode", ...]:
         """The node's inputs, left to right."""
         return ()
 
-    def label(self) -> str:
-        """One-line description of this node for logical EXPLAIN output."""
-        return self.kind
-
-    def render(self, indent: int = 0) -> list[str]:
-        """The logical subtree as indented EXPLAIN lines."""
-        lines = ["  " * indent + self.label()]
-        for child in self.children():
-            lines.extend(child.render(indent + 1))
-        return lines
-
 
 class Values(LogicalNode):
     """The implicit single-row, zero-column source of a FROM-less SELECT."""
 
-    kind = "Values"
-
     def __init__(self) -> None:
         self.shape = RowShape([])
-
-    def label(self) -> str:
-        return "Values (one row)"
 
 
 class Scan(LogicalNode):
@@ -93,21 +65,11 @@ class Scan(LogicalNode):
     is narrowed accordingly.
     """
 
-    kind = "Scan"
-
     def __init__(self, table_name: str, binding: str, shape: RowShape):
         self.table_name = table_name
         self.binding = binding
         self.shape = shape
         self.kept: tuple[str, ...] | None = None
-
-    def label(self) -> str:
-        text = f"Scan {self.table_name}"
-        if self.binding != self.table_name.lower():
-            text += f" as {self.binding}"
-        if self.kept is not None:
-            text += f" (cols: {', '.join(self.kept)})"
-        return text
 
 
 class IndexScan(Scan):
@@ -128,8 +90,6 @@ class IndexScan(Scan):
     candidate rows, so dropping the index — or probing with a value the
     tree cannot compare — can never change results.
     """
-
-    kind = "IndexScan"
 
     def __init__(
         self,
@@ -155,22 +115,13 @@ class IndexScan(Scan):
             for column, value in zip(self.columns, self.values)
         )
 
-    def label(self) -> str:
-        text = f"{self.kind} {self.table_name}"
-        if self.binding != self.table_name.lower():
-            text += f" as {self.binding}"
-        text += f" using {self.index_name} [{self.predicate()}]"
-        if self.estimated_rows is not None:
-            text += f" (est={self.estimated_rows})"
-        if self.kept is not None:
-            text += f" (cols: {', '.join(self.kept)})"
-        return text
-
 
 def _print_value(value: object) -> str:
-    if isinstance(value, ast.Parameter):
-        return _print(value)
-    return _print(ast.Literal(value))
+    from ...sql.printer import print_expression
+
+    if not isinstance(value, ast.Parameter):
+        value = ast.Literal(value)
+    return print_expression(value)
 
 
 class IndexRangeScan(IndexScan):
@@ -180,8 +131,6 @@ class IndexRangeScan(IndexScan):
     operators observe the same row order a sequential scan plus filter
     would.
     """
-
-    kind = "IndexRangeScan"
 
     def __init__(
         self,
@@ -218,8 +167,6 @@ class IndexRangeScan(IndexScan):
 class DerivedTable(LogicalNode):
     """A FROM-clause subquery; the inner block is planned independently."""
 
-    kind = "DerivedTable"
-
     def __init__(self, alias: str, select: ast.Select, prepared, shape: RowShape):
         self.alias = alias
         self.select = select
@@ -228,11 +175,8 @@ class DerivedTable(LogicalNode):
         self.shape = shape
 
     def children(self) -> tuple[LogicalNode, ...]:
-        block = getattr(self.prepared, "block", None)
-        return (block.root,) if block is not None else ()
-
-    def label(self) -> str:
-        return f"DerivedTable {self.alias}"
+        block = self.prepared.block
+        return (block.source_root if block.filter is None else block.filter,)
 
 
 class Filter(LogicalNode):
@@ -244,8 +188,6 @@ class Filter(LogicalNode):
     ``original`` expression is carried instead.  ``pushed`` marks leaf
     filters created by the pushdown pass.
     """
-
-    kind = "Filter"
 
     def __init__(
         self,
@@ -283,18 +225,6 @@ class Filter(LogicalNode):
             )
         return residual
 
-    def render(self, indent: int = 0) -> list[str]:
-        # A fully claimed filter is a no-op; rendering "Filter [true]" would
-        # suggest residual work, so the node disappears from the plan text.
-        if self.is_empty():
-            return self.input.render(indent)
-        return super().render(indent)
-
-    def label(self) -> str:
-        expression = self.residual_expression()
-        rendered = _print(expression) if expression is not None else "true"
-        return f"Filter [{rendered}]"
-
 
 class PolicyGuard(LogicalNode):
     """A hoisted per-table ``complieswith`` conjunct over a base-table scan.
@@ -314,8 +244,6 @@ class PolicyGuard(LogicalNode):
     replaced ``scan`` still reads it.
     """
 
-    kind = "PolicyGuard"
-
     def __init__(self, guards: list[ast.FunctionCall], scan: Scan):
         self.guards = guards
         self.scan = scan
@@ -329,15 +257,9 @@ class PolicyGuard(LogicalNode):
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.scan,)
 
-    def label(self) -> str:
-        rendered = " and ".join(_print(guard) for guard in self.guards)
-        return f"PolicyGuard [{rendered}]"
-
 
 class NestedLoop(LogicalNode):
     """A nested-loop join (``condition is None`` means cross join)."""
-
-    kind = "NestedLoop"
 
     def __init__(
         self,
@@ -356,16 +278,9 @@ class NestedLoop(LogicalNode):
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.left, self.right)
 
-    def label(self) -> str:
-        if self.condition is None:
-            return "NestedLoop (cross)"
-        return f"NestedLoop ({self.join_kind.lower()}) on {_print(self.condition)}"
-
 
 class HashJoin(LogicalNode):
     """An equi-join selected by the ``hash_join_selection`` pass."""
-
-    kind = "HashJoin"
 
     def __init__(
         self,
@@ -390,124 +305,9 @@ class HashJoin(LogicalNode):
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.left, self.right)
 
-    def label(self) -> str:
-        keys = ", ".join(
-            f"{_print(le)} = {_print(re)}" for le, re in self.equi_pairs
-        )
-        text = f"HashJoin ({self.join_kind.lower()}) on {keys}"
-        if self.build_side != "right":
-            text += f" (build: {self.build_side})"
-        return text
-
-
-class Aggregate(LogicalNode):
-    """GROUP BY / aggregate evaluation over one input."""
-
-    kind = "Aggregate"
-
-    def __init__(self, group_by: tuple[ast.Expression, ...], input: LogicalNode):
-        self.group_by = group_by
-        self.input = input
-
-    def children(self) -> tuple[LogicalNode, ...]:
-        return (self.input,)
-
-    def label(self) -> str:
-        if not self.group_by:
-            return "Aggregate"
-        keys = ", ".join(_print(e) for e in self.group_by)
-        return f"Aggregate group by [{keys}]"
-
-
-class Project(LogicalNode):
-    """The SELECT list (plus DISTINCT) over one input."""
-
-    kind = "Project"
-
-    def __init__(
-        self,
-        items: tuple[ast.SelectItem, ...],
-        distinct: bool,
-        input: LogicalNode,
-    ):
-        self.items = items
-        self.distinct = distinct
-        self.input = input
-
-    def children(self) -> tuple[LogicalNode, ...]:
-        return (self.input,)
-
-    def label(self) -> str:
-        rendered = ", ".join(
-            "*" if isinstance(item.expression, ast.Star) and item.expression.table is None
-            else f"{item.expression.table}.*" if isinstance(item.expression, ast.Star)
-            else _print(item.expression)
-            for item in self.items
-        )
-        prefix = "Project distinct" if self.distinct else "Project"
-        return f"{prefix} [{rendered}]"
-
-
-class Sort(LogicalNode):
-    """ORDER BY over one input."""
-
-    kind = "Sort"
-
-    def __init__(self, order_by: tuple[ast.OrderItem, ...], input: LogicalNode):
-        self.order_by = order_by
-        self.input = input
-
-    def children(self) -> tuple[LogicalNode, ...]:
-        return (self.input,)
-
-    def label(self) -> str:
-        keys = ", ".join(
-            _print(item.expression) + (" desc" if item.descending else "")
-            for item in self.order_by
-        )
-        return f"Sort [{keys}]"
-
-
-class Limit(LogicalNode):
-    """LIMIT / OFFSET over one input."""
-
-    kind = "Limit"
-
-    def __init__(self, limit: int | None, offset: int | None, input: LogicalNode):
-        self.limit = limit
-        self.offset = offset
-        self.input = input
-
-    def children(self) -> tuple[LogicalNode, ...]:
-        return (self.input,)
-
-    def label(self) -> str:
-        parts = []
-        if self.limit is not None:
-            parts.append(f"limit {self.limit}")
-        if self.offset is not None:
-            parts.append(f"offset {self.offset}")
-        return f"Limit [{' '.join(parts)}]"
-
-
-class SetOp(LogicalNode):
-    """A UNION / INTERSECT / EXCEPT chain over per-block logical plans."""
-
-    kind = "SetOp"
-
-    def __init__(self, ops: list[str], branches: list[LogicalNode]):
-        self.ops = ops
-        self.branches = branches
-
-    def children(self) -> tuple[LogicalNode, ...]:
-        return tuple(self.branches)
-
-    def label(self) -> str:
-        return f"SetOp [{' '.join(op.lower() for op in self.ops)}]"
-
 
 def walk(node: LogicalNode) -> Iterable[LogicalNode]:
-    """Depth-first, left-to-right iteration over a logical tree."""
+    """Depth-first, left-to-right iteration over a plan tree."""
     yield node
     for child in node.children():
         yield from walk(child)

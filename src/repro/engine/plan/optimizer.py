@@ -56,7 +56,6 @@ from .nodes import (
     PolicyGuard,
     Scan,
     Values,
-    walk,
 )
 from .planner import BlockPlan
 
@@ -135,21 +134,6 @@ class Optimizer:
                 f"constant_folding: folded {folded} expression(s)"
             )
 
-    def _rewire_spine(self, block: BlockPlan, previous_root) -> None:
-        """Re-point the spine at a replaced source tree.
-
-        Passes that return a new node for ``block.source_root`` must update
-        whoever held the old one: the block filter when there is a WHERE,
-        otherwise the spine's bottom node (Aggregate/Project/...), which
-        references the source tree directly.
-        """
-        if block.filter is not None:
-            block.filter.input = block.source_root
-        elif block.source_root is not previous_root:
-            for node in walk(block.root):
-                if getattr(node, "input", None) is previous_root:
-                    node.input = block.source_root
-
     # -- predicate pushdown ------------------------------------------------------
 
     def _pass_predicate_pushdown(self, block: BlockPlan) -> None:
@@ -181,8 +165,7 @@ class Optimizer:
                 node.right = visit(node.right)
             return node
 
-        block.source_root = visit(block.source_root)
-        block_filter.input = block.source_root
+        _replace_sources(block, visit(block.source_root))
         # Claimed conjuncts leave the residual; keep them (in original WHERE
         # order) for the block-wide ambiguity re-check.
         block.claimed = [expr for expr, consumed in ledger if consumed]
@@ -238,9 +221,7 @@ class Optimizer:
                 node.input = visit(node.input)
             return node
 
-        previous_root = block.source_root
-        block.source_root = visit(block.source_root)
-        self._rewire_spine(block, previous_root)
+        _replace_sources(block, visit(block.source_root))
 
     # -- access-path selection (DESIGN.md §13) -----------------------------------
 
@@ -271,9 +252,7 @@ class Optimizer:
                 node.right = visit(node.right)
             return node
 
-        previous_root = block.source_root
-        block.source_root = visit(block.source_root)
-        self._rewire_spine(block, previous_root)
+        _replace_sources(block, visit(block.source_root))
         if __debug__:
             check_access_paths(block)
 
@@ -305,8 +284,9 @@ class Optimizer:
         if best is None:
             return scan
         block.notes.append(
-            f"access_path_selection: {scan.binding} via {best.kind} "
-            f"on {best.index_name} (est={best.estimated_rows})"
+            f"access_path_selection: {scan.binding} via "
+            f"{type(best).__name__} on {best.index_name} "
+            f"(est={best.estimated_rows})"
         )
         return best
 
@@ -339,9 +319,7 @@ class Optimizer:
                     return join
             return node
 
-        previous_root = block.source_root
-        block.source_root = visit(block.source_root)
-        self._rewire_spine(block, previous_root)
+        _replace_sources(block, visit(block.source_root))
 
     def _choose_build_side(self, block: BlockPlan, join: HashJoin) -> None:
         """Hash the smaller estimated input (INNER joins, full pipeline).
@@ -475,6 +453,13 @@ def _print(expression: ast.Expression) -> str:
     from ...sql.printer import print_expression
 
     return print_expression(expression)
+
+
+def _replace_sources(block: BlockPlan, root: LogicalNode) -> None:
+    """Install a pass's rewritten FROM tree under the block filter."""
+    block.source_root = root
+    if block.filter is not None:
+        block.filter.input = root
 
 
 def _block_nodes(node: LogicalNode):
@@ -719,7 +704,8 @@ def check_access_paths(block: BlockPlan) -> None:
         if isinstance(node, PolicyGuard):
             scan = node.scan
             assert isinstance(scan, Scan), (
-                f"PolicyGuard on {node.binding} reads a {scan.kind}, not a scan"
+                f"PolicyGuard on {node.binding} reads a "
+                f"{type(scan).__name__}, not a scan"
             )
             assert (scan.table_name, scan.binding) == (
                 node.table_name, node.binding,
@@ -732,11 +718,14 @@ def check_access_paths(block: BlockPlan) -> None:
                 held = {id(conjunct) for conjunct in node.conjuncts or []}
                 assert below.matched and all(
                     id(conjunct) in held for conjunct in below.matched
-                ), f"{below.kind} on {below.binding} lost its recheck"
+                ), (
+                    f"{type(below).__name__} on {below.binding} "
+                    "lost its recheck"
+                )
                 rechecked.add(id(below))
     for node in nodes:
         assert not isinstance(node, IndexScan) or id(node) in rechecked, (
-            f"{node.kind} on {node.binding} has no recheck filter"
+            f"{type(node).__name__} on {node.binding} has no recheck filter"
         )
 
 

@@ -1,11 +1,12 @@
-"""Logical planning: rewritten AST → plan IR.
+"""Planning: rewritten AST → plan IR.
 
 The :class:`Planner` translates one SELECT block into a :class:`BlockPlan`:
-a logical operator spine (``Limit → Sort → Project → Aggregate → Filter``)
-over a FROM tree of :class:`~repro.engine.plan.nodes.Scan` /
+a FROM tree of :class:`~repro.engine.plan.nodes.Scan` /
 :class:`~repro.engine.plan.nodes.DerivedTable` /
-:class:`~repro.engine.plan.nodes.NestedLoop` nodes.  The planner performs
-*no* optimization — every conditioned join starts as a nested loop and the
+:class:`~repro.engine.plan.nodes.NestedLoop` nodes under the block's WHERE
+:class:`~repro.engine.plan.nodes.Filter`.  Grouping, projection, ordering
+and LIMIT stay in the AST, where the executor runs them.  The planner
+performs *no* optimization — every conditioned join starts as a nested loop and the
 whole WHERE clause sits in the block filter — so the optimizer's pass
 pipeline is the only place plans change shape, and ``optimizer=off`` can
 reproduce the legacy executor's behavior exactly by running the legacy
@@ -15,20 +16,8 @@ subset of passes.
 from __future__ import annotations
 
 from ...sql import ast
-from ..aggregates import is_aggregate_name
 from ..schema import ColumnBinding, RowShape
-from .nodes import (
-    DerivedTable,
-    Filter,
-    Aggregate,
-    Limit,
-    LogicalNode,
-    NestedLoop,
-    Project,
-    Scan,
-    Sort,
-    Values,
-)
+from .nodes import DerivedTable, Filter, LogicalNode, NestedLoop, Scan, Values
 
 
 def has_outer_join(sources: tuple[ast.TableSource, ...]) -> bool:
@@ -45,12 +34,11 @@ def has_outer_join(sources: tuple[ast.TableSource, ...]) -> bool:
 
 
 class BlockPlan:
-    """One SELECT block's logical plan plus optimizer bookkeeping.
+    """One SELECT block's plan IR plus optimizer bookkeeping.
 
-    ``root`` is the full operator spine; ``source_root`` the FROM region the
-    optimizer rewrites; ``filter`` the block's WHERE holder (shared with the
-    spine, so pass mutations show through).  ``binder_shape`` snapshots the
-    block's merged row shape *before* any pass runs: pushed-down conjuncts
+    ``source_root`` is the FROM tree the optimizer rewrites; ``filter`` the
+    block's WHERE holder, whose input is ``source_root``.  ``binder_shape``
+    snapshots the block's merged row shape *before* any pass runs: pushed-down conjuncts
     are re-resolved against it block-wide, because later passes (projection
     pruning) may narrow the physical shapes past what name resolution saw.
     """
@@ -58,18 +46,14 @@ class BlockPlan:
     def __init__(
         self,
         select: ast.Select,
-        root: LogicalNode,
         source_root: LogicalNode,
         filter: Filter | None,
         binder_shape: RowShape,
-        aggregated: bool,
     ):
         self.select = select
-        self.root = root
         self.source_root = source_root
         self.filter = filter
         self.binder_shape = binder_shape
-        self.aggregated = aggregated
         #: Conjuncts claimed by predicate pushdown, in original WHERE order.
         self.claimed: list[ast.Expression] = []
         #: ``complieswith`` conjuncts hoisted into PolicyGuard nodes.
@@ -82,10 +66,6 @@ class BlockPlan:
         if self.filter is None:
             return None
         return self.filter.residual_expression()
-
-    def logical_lines(self) -> list[str]:
-        """The optimized logical plan as indented EXPLAIN lines."""
-        return self.root.render()
 
 
 class Planner:
@@ -110,20 +90,7 @@ class Planner:
                 block_filter = Filter(
                     flatten_conjuncts(select.where), None, source_root
                 )
-
-        root: LogicalNode = source_root if block_filter is None else block_filter
-        aggregated = _is_aggregated(select)
-        if aggregated:
-            root = Aggregate(select.group_by, root)
-        root = Project(select.items, select.distinct, root)
-        if select.order_by:
-            root = Sort(select.order_by, root)
-        if select.limit is not None or select.offset is not None:
-            root = Limit(select.limit, select.offset, root)
-
-        return BlockPlan(
-            select, root, source_root, block_filter, binder_shape, aggregated
-        )
+        return BlockPlan(select, source_root, block_filter, binder_shape)
 
     # -- FROM planning -----------------------------------------------------------
 
@@ -203,20 +170,3 @@ def flatten_conjuncts(where: ast.Expression) -> list[ast.Expression]:
     # The stack pops left-first, so `ordered` preserves source order.
     return ordered
 
-
-def _is_aggregated(select: ast.Select) -> bool:
-    """Mirror of the executor's aggregate detection, for spine display."""
-    if select.group_by:
-        return True
-
-    def has_aggregate(expression: ast.Expression) -> bool:
-        return any(
-            isinstance(node, ast.FunctionCall) and is_aggregate_name(node.name)
-            for node in ast.walk_expression(expression)
-        )
-
-    if any(has_aggregate(item.expression) for item in select.items):
-        return True
-    if select.having is not None and has_aggregate(select.having):
-        return True
-    return any(has_aggregate(item.expression) for item in select.order_by)

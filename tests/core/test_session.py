@@ -56,6 +56,30 @@ class TestSession:
         assert "SeqScan users" in plan
         assert "complieswith" in plan
 
+    def test_explain_under_unauthorized_purpose_is_denied(self, ready):
+        from repro.core import AuditLog
+
+        audit = AuditLog(ready.database)
+        ready.monitor.attach_audit(audit)
+        session = Session(ready.monitor, user="alice", purpose="p1")
+        session.set_purpose("p7")  # alice holds p1 and p6 only
+        with pytest.raises(UnauthorizedPurposeError):
+            session.explain("select user_id from users")
+        (denial,) = audit.denials()
+        assert (denial.user, denial.purpose) == ("alice", "p7")
+
+    def test_explain_is_audited_once(self, ready):
+        from repro.core import AuditLog
+
+        audit = AuditLog(ready.database)
+        ready.monitor.attach_audit(audit)
+        session = Session(ready.monitor, user="alice", purpose="p1")
+        plan = session.explain("select user_id from users")
+        assert plan.startswith("rewritten: ")
+        explained = [r for r in audit.records if r.outcome == "explain"]
+        assert len(explained) == 1
+        assert (explained[0].user, explained[0].purpose) == ("alice", "p1")
+
     def test_unknown_user_rejected_at_construction(self, ready):
         with pytest.raises(PolicyError):
             Session(ready.monitor, user="mallory", purpose="p1")

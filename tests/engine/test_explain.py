@@ -68,7 +68,26 @@ class TestExplain:
     def test_set_operation_branches(self, db):
         plan = db.explain("select v from a union select w from b")
         assert plan.count("Select") == 2
-        assert "-- union --" in plan
+        assert plan.splitlines() == [
+            "Union arm 1/2",
+            "  Select",
+            "    SeqScan a (cols: v)",
+            "Union arm 2/2",
+            "  Select",
+            "    SeqScan b (cols: w)",
+        ]
+
+    def test_pruned_scan_lists_its_columns(self, db):
+        plan = db.explain("select v from a where v > 0")
+        assert plan.splitlines()[-1] == "    SeqScan a (cols: v)"
+
+    def test_full_width_scan_lists_no_columns(self, db):
+        assert "(cols:" not in db.explain("select * from a")
+
+    def test_plan_tree_printed_once(self, db):
+        plan = db.explain("select k, sum(v) from a group by k order by k")
+        assert plan.count("SeqScan a") == 1
+        assert plan.splitlines()[0] == "Select [aggregate] [sort]"
 
     def test_no_from(self, db):
         plan = db.explain("select 1")
@@ -85,3 +104,16 @@ class TestExplain:
         # The filter must stay above the join, not at the scan.
         assert "Where [a.v > 5]" in plan
         assert "Filter" not in plan
+
+
+def test_enforced_plan_prints_pruned_columns_once(policy_scenario):
+    """``monitor.explain`` prints the physical tree once, with the pruned
+    scan's column list on its line — the hoisted guard reads the policy
+    column through the bitmap, so it is not among them."""
+    result = policy_scenario.monitor.explain(
+        "select beats from sensed_data where beats > 80", "p6"
+    )
+    lines = [line for (line,) in result.rows]
+    (scan,) = [line for line in lines if "Scan sensed_data" in line]
+    assert scan.strip() == "SeqScan sensed_data (cols: beats)"
+    assert sum(line.startswith("Select") for line in lines) == 1

@@ -18,6 +18,7 @@ import pytest
 
 from repro.engine import Database, persist
 from repro.engine.plan import (
+    Filter,
     HashJoin,
     IndexRangeScan,
     IndexScan,
@@ -57,53 +58,51 @@ def _twin(database):
     return _drop_indexes(twin)
 
 
-def _root(database, sql):
+def _block(database, sql):
     prepared = database.prepare(sql)
     _, arms = prepared._arms()
     assert len(arms) == 1
-    return arms[0].block.root
+    return arms[0].block
 
 
-def _find(root, node_type):
-    return [node for node in walk(root) if isinstance(node, node_type)]
+def _find(block, node_type):
+    """The block's IR nodes of ``node_type``: WHERE filter and FROM tree."""
+    top = block.source_root if block.filter is None else block.filter
+    return [node for node in walk(top) if isinstance(node, node_type)]
 
 
 class TestAccessPathSelection:
     def test_equality_filter_becomes_an_index_scan(self, indexed_db) -> None:
-        root = _root(indexed_db, "select a from t where b = 100")
-        scans = _find(root, IndexScan)
+        block = _block(indexed_db, "select a from t where b = 100")
+        scans = _find(block, IndexScan)
         assert len(scans) == 1
         assert scans[0].index_name == "i_b"
         assert scans[0].estimated_rows == 1
 
     def test_range_filter_becomes_an_index_range_scan(self, indexed_db) -> None:
-        root = _root(indexed_db, "select a from t where b > 100 and b <= 140")
-        scans = _find(root, IndexRangeScan)
+        block = _block(indexed_db, "select a from t where b > 100 and b <= 140")
+        scans = _find(block, IndexRangeScan)
         assert len(scans) == 1
         # Each conjunct is a separate candidate; the cheaper bound wins.
         assert scans[0].lower is not None or scans[0].upper is not None
 
     def test_between_carries_both_bounds(self, indexed_db) -> None:
-        root = _root(indexed_db, "select a from t where b between 100 and 140")
-        scans = _find(root, IndexRangeScan)
+        block = _block(indexed_db, "select a from t where b between 100 and 140")
+        scans = _find(block, IndexRangeScan)
         assert len(scans) == 1
         assert scans[0].lower == 100 and scans[0].lower_inclusive
         assert scans[0].upper == 140 and scans[0].upper_inclusive
 
     def test_hash_index_serves_equality_only(self, indexed_db) -> None:
-        equal = _root(indexed_db, "select a from t where c = 'c1'")
+        equal = _block(indexed_db, "select a from t where c = 'c1'")
         assert _find(equal, IndexScan)
-        ranged = _root(indexed_db, "select a from t where c > 'c1'")
+        ranged = _block(indexed_db, "select a from t where c > 'c1'")
         assert not _find(ranged, IndexScan)
 
     def test_matched_conjunct_stays_in_the_residual_filter(self, indexed_db) -> None:
         prepared = indexed_db.prepare("select a from t where b = 100")
         _, arms = prepared._arms()
-        filters = [
-            node
-            for node in walk(arms[0].block.root)
-            if type(node).__name__ == "Filter"
-        ]
+        filters = _find(arms[0].block, Filter)
         assert any(
             any("b" in str(c) for c in (f.conjuncts or [])) for f in filters
         ), "index scans only narrow candidates; the filter still rechecks"
@@ -111,24 +110,24 @@ class TestAccessPathSelection:
     def test_low_selectivity_predicates_stay_sequential(self, indexed_db) -> None:
         # b >= 0 matches every row: estimated fraction is far above the
         # 0.5 threshold, so the index would only add overhead.
-        root = _root(indexed_db, "select a from t where b >= 0")
-        assert not _find(root, IndexScan)
+        block = _block(indexed_db, "select a from t where b >= 0")
+        assert not _find(block, IndexScan)
 
     def test_policy_udf_residuals_disable_index_conversion(self, indexed_db) -> None:
         # Narrowing the rows a policy-function residual sees would change
         # the per-row UDF call count the paper's Figure-6 metric audits.
         indexed_db.policy_function = "abs"
         try:
-            root = _root(
+            block = _block(
                 indexed_db, "select a from t where b = 100 and abs(a) >= 0"
             )
         finally:
             indexed_db.policy_function = None
-        assert not _find(root, IndexScan)
+        assert not _find(block, IndexScan)
 
     def test_unindexed_column_stays_sequential(self, indexed_db) -> None:
-        root = _root(indexed_db, "select a from t where a = 3")
-        assert not _find(root, IndexScan)
+        block = _block(indexed_db, "select a from t where a = 3")
+        assert not _find(block, IndexScan)
 
     def test_selection_is_noted(self, indexed_db) -> None:
         prepared = indexed_db.prepare("select a from t where b = 100")
@@ -151,8 +150,8 @@ class TestAccessPathSelection:
         database.execute("create index i_b on t (b)")
         # No ANALYZE: the default 0.1 equality selectivity still clears
         # the conversion threshold.
-        root = _root(database, "select a from t where b = 3")
-        scans = _find(root, IndexScan)
+        block = _block(database, "select a from t where b = 3")
+        scans = _find(block, IndexScan)
         assert len(scans) == 1
         assert scans[0].estimated_rows == 2  # 20 rows * 0.1
 
@@ -169,7 +168,7 @@ class TestParameterProbes:
 
     def test_one_plan_probes_with_each_binding(self, indexed_db) -> None:
         on, off = _both_modes(indexed_db, "select a, c from t where b = ?")
-        (scan,) = _find(on._arms()[1][0].block.root, IndexScan)
+        (scan,) = _find(on._arms()[1][0].block, IndexScan)
         assert scan.index_name == "i_b"
         assert scan.estimated_rows == 1  # NDV alone: the value is unknown
         before = indexed_db.indexes.stats()["hits"]
@@ -180,7 +179,7 @@ class TestParameterProbes:
 
     def test_named_and_mirrored_parameters(self, indexed_db) -> None:
         on, off = _both_modes(indexed_db, "select a from t where :key = c")
-        assert _find(on._arms()[1][0].block.root, IndexScan)
+        assert _find(on._arms()[1][0].block, IndexScan)
         for value in ("c1", "c3", "nope"):
             assert on.execute({"key": value}).rows == off.execute({"key": value}).rows
 
@@ -231,7 +230,7 @@ class TestCompositeKeys:
         on, off = _both_modes(
             composite_db, "select a from t where b = ? and c = 'c2'"
         )
-        (scan,) = _find(on._arms()[1][0].block.root, IndexScan)
+        (scan,) = _find(on._arms()[1][0].block, IndexScan)
         assert scan.index_name == "i_cb"
         assert scan.columns == ("c", "b")  # index order, not WHERE order
         assert len(scan.matched) == 2
@@ -241,46 +240,46 @@ class TestCompositeKeys:
 
     def test_leading_prefix_walks_the_leaves(self, composite_db) -> None:
         on, off = _both_modes(composite_db, "select a from t where c = ?")
-        (scan,) = _find(on._arms()[1][0].block.root, IndexScan)
+        (scan,) = _find(on._arms()[1][0].block, IndexScan)
         assert scan.columns == ("c",)
         for value in ("c0", "c3", "zz"):
             assert on.execute([value]).rows == off.execute([value]).rows
         assert len(on.execute(["c1"]).rows) == 10
 
     def test_trailing_column_alone_cannot_use_the_index(self, composite_db) -> None:
-        root = _root(composite_db, "select a from t where b = 100")
-        assert not _find(root, IndexScan)
+        block = _block(composite_db, "select a from t where b = 100")
+        assert not _find(block, IndexScan)
 
     def test_range_needs_a_single_column_tree(self, composite_db) -> None:
-        root = _root(composite_db, "select a from t where c > 'c1'")
-        assert not _find(root, IndexScan)
+        block = _block(composite_db, "select a from t where c > 'c1'")
+        assert not _find(block, IndexScan)
 
     def test_composite_hash_needs_the_whole_key(self, indexed_db) -> None:
         indexed_db.execute("create index h_cb on t (c, b) using hash")
         indexed_db.execute("drop index i_c")
         indexed_db.execute("drop index i_b")
         assert not _find(
-            _root(indexed_db, "select a from t where c = 'c2'"), IndexScan
+            _block(indexed_db, "select a from t where c = 'c2'"), IndexScan
         )
         on, off = _both_modes(
             indexed_db, "select a from t where c = 'c2' and b = ?"
         )
-        assert _find(on._arms()[1][0].block.root, IndexScan)
+        assert _find(on._arms()[1][0].block, IndexScan)
         assert on.execute([100]).rows == off.execute([100]).rows == [(10,)]
 
     def test_more_bound_columns_beat_fewer(self, indexed_db) -> None:
         # i_b (tree) and i_c (hash) each bind one column; the composite
         # binds both and its independent-columns estimate is the lowest.
         indexed_db.execute("create index i_cb on t (c, b)")
-        root = _root(indexed_db, "select a from t where b = 100 and c = 'c2'")
-        (scan,) = _find(root, IndexScan)
+        block = _block(indexed_db, "select a from t where b = 100 and c = 'c2'")
+        (scan,) = _find(block, IndexScan)
         assert scan.index_name == "i_cb"
 
 
     def test_prefix_probe_finds_rows_with_a_null_later_key(self, composite_db) -> None:
         composite_db.execute("insert into t values (500, null, 'c2')")
         on, off = _both_modes(composite_db, "select a from t where c = ?")
-        assert _find(on._arms()[1][0].block.root, IndexScan)
+        assert _find(on._arms()[1][0].block, IndexScan)
         assert on.execute(["c2"]).rows == off.execute(["c2"]).rows
         assert (500,) in on.execute(["c2"]).rows
         # Appended later: the carried-forward entry learns about it too.
@@ -436,8 +435,8 @@ class TestIndexScanUnderPolicyGuard:
         instance, rewritten, twin = guarded
         database = instance.database
         on, off = _both_modes(database, rewritten, twin.database)
-        root = on._arms()[1][0].block.root
-        (guard,) = _find(root, PolicyGuard)
+        block = on._arms()[1][0].block
+        (guard,) = _find(block, PolicyGuard)
         assert isinstance(guard.scan, IndexScan)
         assert "IndexScan" in "\n".join(on.describe())
 
@@ -506,7 +505,7 @@ class TestIndexScanUnderPolicyGuard:
         rewritten = instance.monitor.execute_with_report(
             sql, self.PURPOSE
         ).rewritten_sql
-        (guard,) = _find(_root(database, rewritten), PolicyGuard)
+        (guard,) = _find(_block(database, rewritten), PolicyGuard)
         assert not isinstance(guard.scan, IndexScan)
         _, passing = database.policy_bitmaps.passing(
             table,
@@ -518,7 +517,6 @@ class TestIndexScanUnderPolicyGuard:
         assert 0 < len(passing) < len(table)
         counts = {}
         for row in instance.monitor.explain(sql, self.PURPOSE, analyze=True).rows:
-            # The physical plan's lines, not the logical ones above them.
             found = re.search(r"\(rows=(\d+)", row[0])
             if found and row[0].strip().startswith(("PolicyGuard", "SeqScan")):
                 counts[row[0].split()[0]] = int(found[1])
@@ -532,8 +530,8 @@ class TestBuildSideSelection:
         database.execute("create table u (a integer)")
         database.execute("insert into t values (1)")
         database.execute("insert into u values (1), (2), (3)")
-        root = _root(database, "select t.a from t join u on t.a = u.a")
-        joins = _find(root, HashJoin)
+        block = _block(database, "select t.a from t join u on t.a = u.a")
+        joins = _find(block, HashJoin)
         assert joins and all(j.build_side == "right" for j in joins)
 
     def test_smaller_left_side_becomes_the_build_side(self) -> None:
@@ -544,12 +542,12 @@ class TestBuildSideSelection:
         rows = ", ".join(f"({i})" for i in range(50))
         database.execute(f"insert into big values {rows}")
         database.execute("analyze")
-        root = _root(
+        block = _block(
             database, "select small.a from small join big on small.a = big.a"
         )
-        joins = _find(root, HashJoin)
+        joins = _find(block, HashJoin)
         assert joins and joins[0].build_side == "left"
-        flipped = _root(
+        flipped = _block(
             database, "select small.a from big join small on big.a = small.a"
         )
         assert _find(flipped, HashJoin)[0].build_side == "right"
@@ -568,8 +566,8 @@ class TestBuildSideSelection:
 
         sql = "select small.a, big.v from small join big on small.a = big.a"
         flipped, legacy = world(analyze=True), world(analyze=False)
-        assert _find(_root(flipped, sql), HashJoin)[0].build_side == "left"
-        assert _find(_root(legacy, sql), HashJoin)[0].build_side == "right"
+        assert _find(_block(flipped, sql), HashJoin)[0].build_side == "left"
+        assert _find(_block(legacy, sql), HashJoin)[0].build_side == "right"
         with_stats = flipped.query(sql).rows
         assert sorted(with_stats) == sorted(legacy.query(sql).rows) == [(1, 10), (3, 30)]
 
@@ -581,11 +579,11 @@ class TestBuildSideSelection:
         rows = ", ".join(f"({i})" for i in range(50))
         database.execute(f"insert into big values {rows}")
         database.execute("analyze")
-        root = _root(
+        block = _block(
             database,
             "select small.a from small left join big on small.a = big.a",
         )
-        joins = _find(root, HashJoin)
+        joins = _find(block, HashJoin)
         assert joins and joins[0].build_side == "right"
 
 

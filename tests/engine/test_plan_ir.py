@@ -1,6 +1,6 @@
 """The logical-plan IR, the rule-based optimizer and the policy bitmaps.
 
-Covers mode resolution (``None`` means on), the canonical tree the planner
+Covers mode resolution (``None`` means on), the FROM tree the planner
 builds, each optimizer pass in isolation via the plan it produces, the
 distinct-value economics of the bitmap cache,
 and the contract that ``optimizer=off`` reproduces the same rows as the
@@ -17,18 +17,14 @@ from repro.engine import Database
 from repro.engine.plan import (
     BASELINE_PASSES,
     FULL_PASSES,
-    Aggregate,
     Filter,
     HashJoin,
     IndexScan,
-    Limit,
     NestedLoop,
     Optimizer,
     PolicyBitmapCache,
     PolicyGuard,
-    Project,
     Scan,
-    Sort,
     check_access_paths,
     resolve_optimizer_mode,
     walk,
@@ -71,39 +67,28 @@ def plan_db():
     return database
 
 
-def _root(database, sql, optimizer="on"):
+def _nodes(block):
+    """Every IR node of one block: its WHERE filter, then the FROM tree."""
+    return list(walk(block.source_root if block.filter is None else block.filter))
+
+
+def _block(database, sql, optimizer="on"):
     prepared = database.prepare(sql, optimizer=optimizer)
     _, arms = prepared._arms()
     assert len(arms) == 1
-    return arms[0].block.root
-
-
-def _kinds(root):
-    return [type(node).__name__ for node in walk(root)]
+    return arms[0].block
 
 
 class TestPlanner:
-    def test_canonical_spine(self, plan_db) -> None:
-        root = _root(
-            plan_db, "select a from t where b > 10 order by a limit 2", "off"
-        )
-        kinds = _kinds(root)
-        assert kinds[0] == "Limit" and "Sort" in kinds and "Project" in kinds
-        assert isinstance(root, Limit)
-
-    def test_aggregate_node_for_group_by(self, plan_db) -> None:
-        root = _root(plan_db, "select c, sum(b) from t group by c", "off")
-        assert any(isinstance(node, Aggregate) for node in walk(root))
-
     def test_equi_join_compiles_to_hash_join(self, plan_db) -> None:
-        root = _root(plan_db, "select t.a, d from t join u on t.a = u.a")
-        assert any(isinstance(node, HashJoin) for node in walk(root))
-        assert not any(isinstance(node, NestedLoop) for node in walk(root))
+        block = _block(plan_db, "select t.a, d from t join u on t.a = u.a")
+        assert any(isinstance(node, HashJoin) for node in _nodes(block))
+        assert not any(isinstance(node, NestedLoop) for node in _nodes(block))
 
     def test_non_equi_join_stays_nested_loop(self, plan_db) -> None:
-        root = _root(plan_db, "select t.a, d from t join u on t.a < u.a")
-        assert any(isinstance(node, NestedLoop) for node in walk(root))
-        assert not any(isinstance(node, HashJoin) for node in walk(root))
+        block = _block(plan_db, "select t.a, d from t join u on t.a < u.a")
+        assert any(isinstance(node, NestedLoop) for node in _nodes(block))
+        assert not any(isinstance(node, HashJoin) for node in _nodes(block))
 
 
 class TestPasses:
@@ -114,7 +99,7 @@ class TestPasses:
         _, (arm,) = prepared._arms()
         pushed = [
             node
-            for node in walk(arm.block.root)
+            for node in _nodes(arm.block)
             if isinstance(node, Filter) and node.pushed
         ]
         assert pushed and isinstance(pushed[0].input, Scan)
@@ -132,14 +117,14 @@ class TestPasses:
     def test_projection_pruning_narrows_the_scan(self, plan_db) -> None:
         prepared = plan_db.prepare("select a from t where b > 10", optimizer="on")
         _, (arm,) = prepared._arms()
-        scans = [n for n in walk(arm.block.root) if isinstance(n, Scan)]
+        scans = [n for n in _nodes(arm.block) if isinstance(n, Scan)]
         assert list(scans[0].kept) == ["a", "b"]
         assert sorted(prepared.execute().rows) == [(2,), (3,)]
 
     def test_pruning_skipped_for_star(self, plan_db) -> None:
         prepared = plan_db.prepare("select * from t", optimizer="on")
         _, (arm,) = prepared._arms()
-        scans = [n for n in walk(arm.block.root) if isinstance(n, Scan)]
+        scans = [n for n in _nodes(arm.block) if isinstance(n, Scan)]
         assert scans[0].kept is None
 
     def test_off_mode_emits_no_optimizer_only_notes(self, plan_db) -> None:
@@ -160,12 +145,12 @@ class TestPolicyGuardHoist:
         rewritten = monitor.rewrite("select distinct watch_id from sensed_data", "p6")
         prepared = policy_scenario.database.prepare(rewritten, optimizer="on")
         _, (arm,) = prepared._arms()
-        guards = [n for n in walk(arm.block.root) if isinstance(n, PolicyGuard)]
+        guards = [n for n in _nodes(arm.block) if isinstance(n, PolicyGuard)]
         assert len(guards) == 1
         assert isinstance(guards[0].scan, Scan)
         # The guarded conjunct no longer appears in any row-at-a-time filter.
         residual = [
-            n for n in walk(arm.block.root) if isinstance(n, Filter) and not n.is_empty()
+            n for n in _nodes(arm.block) if isinstance(n, Filter) and not n.is_empty()
         ]
         assert residual == []
 
@@ -175,7 +160,7 @@ class TestPolicyGuardHoist:
         prepared = policy_scenario.database.prepare(rewritten, optimizer="off")
         _, (arm,) = prepared._arms()
         assert not any(
-            isinstance(n, PolicyGuard) for n in walk(arm.block.root)
+            isinstance(n, PolicyGuard) for n in _nodes(arm.block)
         )
 
     def test_both_modes_return_identical_rows(self, policy_scenario) -> None:
@@ -217,14 +202,14 @@ class TestAccessPathInvariants:
 
     def test_index_scan_under_the_guard_satisfies_them(self, guarded_block) -> None:
         (guard,) = [
-            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+            n for n in _nodes(guarded_block) if isinstance(n, PolicyGuard)
         ]
         assert isinstance(guard.scan, IndexScan)
         assert (guard.scan.table_name, guard.scan.binding) == (
             guard.table_name, guard.binding,
         )
         (recheck,) = [
-            n for n in walk(guarded_block.root)
+            n for n in _nodes(guarded_block)
             if isinstance(n, Filter) and n.input is guard
         ]
         assert all(
@@ -248,10 +233,10 @@ class TestAccessPathInvariants:
 
     def test_dropped_recheck_is_caught(self, guarded_block) -> None:
         (guard,) = [
-            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+            n for n in _nodes(guarded_block) if isinstance(n, PolicyGuard)
         ]
         (recheck,) = [
-            n for n in walk(guarded_block.root)
+            n for n in _nodes(guarded_block)
             if isinstance(n, Filter) and n.input is guard
         ]
         recheck.conjuncts = recheck.conjuncts[1:]
@@ -260,7 +245,7 @@ class TestAccessPathInvariants:
 
     def test_operator_between_guard_and_scan_is_caught(self, guarded_block) -> None:
         (guard,) = [
-            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+            n for n in _nodes(guarded_block) if isinstance(n, PolicyGuard)
         ]
         guard.scan = Filter([], None, guard.scan, pushed=True)
         with pytest.raises(AssertionError, match="not a scan"):
@@ -268,7 +253,7 @@ class TestAccessPathInvariants:
 
     def test_guard_over_another_table_is_caught(self, guarded_block) -> None:
         (guard,) = [
-            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+            n for n in _nodes(guarded_block) if isinstance(n, PolicyGuard)
         ]
         guard.scan.table_name = "users"
         with pytest.raises(AssertionError, match="reads"):
@@ -276,7 +261,7 @@ class TestAccessPathInvariants:
 
     def test_index_scan_without_a_filter_is_caught(self, guarded_block) -> None:
         (guard,) = [
-            n for n in walk(guarded_block.root) if isinstance(n, PolicyGuard)
+            n for n in _nodes(guarded_block) if isinstance(n, PolicyGuard)
         ]
         assert guarded_block.source_root.input is guard
         guarded_block.source_root = guard  # splice the recheck filter out

@@ -84,7 +84,8 @@ class TestPlanReuse:
 
     def test_describe_covers_set_operation_branches(self, db):
         prepared = db.prepare("select k from t union all select k from t")
-        assert any("union" in line for line in prepared.describe())
+        lines = prepared.describe()
+        assert lines[0] == "Union arm 1/2" and "Union arm 2/2" in lines
 
 
 class TestApi:

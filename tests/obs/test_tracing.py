@@ -120,3 +120,31 @@ class TestNullTrace:
         span.annotate(rows=3)
         assert span.attrs == {}
         assert span.find("anything") is None
+
+
+class TestPlanSummary:
+    """The plan span's ``nodes`` fingerprint is built for traced runs only."""
+
+    SQL = "select avg(beats) from sensed_data"
+
+    def test_built_only_when_tracing(self, policy_scenario, monkeypatch) -> None:
+        from repro.engine import PreparedQuery
+
+        calls = []
+        summary = PreparedQuery.plan_summary
+
+        def counted(prepared):
+            calls.append(prepared)
+            return summary(prepared)
+
+        monkeypatch.setattr(PreparedQuery, "plan_summary", counted)
+        monitor = policy_scenario.monitor
+        monitor.set_tracing(False)
+        assert monitor.execute_with_report(self.SQL, "p6").trace is None
+        assert calls == []
+        monitor.set_tracing(True)
+        traced = monitor.execute_with_report(self.SQL, "p6")
+        assert len(calls) == 1
+        assert traced.trace.find("plan").attrs["nodes"] == {
+            "PolicyGuard": 1, "SeqScan": 1,
+        }
