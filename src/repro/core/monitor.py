@@ -61,9 +61,9 @@ class EnforcementReport:
     compliance_checks: int
     cache_hit: bool = False
     memo_hits: int = 0
-    #: Policy bitmaps built in full / revalidated for another table version
-    #: / reused by hoisted guards during this execution (all stay 0 with the
-    #: optimizer off or no guards hoisted).
+    #: Hoisted guards' verdict maps built from nothing / policy posting
+    #: indexes carried to another table version / verdict maps reused during
+    #: this execution (all stay 0 with the optimizer off or no guards hoisted).
     bitmap_built: int = 0
     bitmap_revalidated: int = 0
     bitmap_hits: int = 0
@@ -252,9 +252,10 @@ class EnforcementMonitor:
         )
         registry.counter(
             "repro_policy_bitmap_total",
-            "Policy bitmaps reused (event=hit), revalidated for another "
-            "table version (event=revalidated) or built (event=built) by "
-            "hoisted guards",
+            "Hoisted guards' per-mask verdict maps reused (event=hit) or "
+            "built from nothing (event=built); policy posting indexes "
+            "carried to another table version (event=revalidated) or built "
+            "by a full pass over a table's rows (event=row_pass)",
         )
         registry.counter(
             "repro_epoch_invalidations_total",
@@ -605,7 +606,7 @@ class EnforcementMonitor:
             metrics = self.metrics
             metrics.counter("repro_complieswith_total").inc(checks)
             metrics.counter("repro_complieswith_memo_hits_total").inc(memo_hits)
-            for event in ("hit", "revalidated", "built"):
+            for event in ("hit", "revalidated", "built", "row_pass"):
                 if spent[f"bitmap_{event}"]:
                     metrics.counter("repro_policy_bitmap_total").inc(
                         spent[f"bitmap_{event}"], event=event
@@ -661,6 +662,7 @@ class EnforcementMonitor:
             "bitmap_hit": bitmaps["hits"],
             "bitmap_revalidated": bitmaps["revalidated"],
             "bitmap_built": bitmaps["built"],
+            "bitmap_row_pass": bitmaps["row_passes"],
             "index_hit": indexes["hits"],
             "index_rebuild": indexes["rebuilds"],
             "index_carried_forward": indexes["carried_forward"],

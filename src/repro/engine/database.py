@@ -210,9 +210,10 @@ class Database:
         # Policy-enforcement hooks, set by the admin layer when the
         # framework is configured.  ``policy_function``/``policy_column``
         # tell the optimizer what a rewriter-injected guard conjunct looks
-        # like; ``policy_bitmaps`` caches the row-index sets those guards
-        # are answered with (one ``complieswith`` call per distinct policy
-        # value instead of one per row).
+        # like; ``policy_bitmaps`` answers those guards from one policy
+        # posting index per table and one verdict map per (table, mask):
+        # one ``complieswith`` call per distinct policy value instead of
+        # one per row.
         self.policy_function: str | None = None
         self.policy_column: str | None = None
         self.policy_bitmaps = PolicyBitmapCache()

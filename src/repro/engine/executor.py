@@ -775,15 +775,15 @@ class SelectExecutor:
     def _compile_policy_guard(
         self, node: plan_ir.PolicyGuard, parent_scope: Scope | None
     ) -> SourcePlan:
-        """Answer the hoisted guards from the policy bitmap: row-id sets.
+        """Answer the hoisted guards from the policy posting lists.
 
-        The bitmap holds row ids of the guarded table, so the guard works
-        out which ids it may emit and hands them to its scan through
+        The guard hands its scan the row ids it may emit through
         ``batches(env, ids)``.  Over a sequential scan, or an index scan
-        whose index is gone, that is the bitmap's ascending passing list.
-        Over a live index scan it is the probe's candidates: the scan reads
-        each of them (so EXPLAIN ANALYZE counts the rows the probe examined
-        against it) and the guard keeps the ones in the passing set.
+        whose index is gone, those are the ascending ids of the rows whose
+        policy passes every mask.  Over a live index scan they are the
+        probe's candidates: the scan reads each of them (so EXPLAIN ANALYZE
+        counts the rows the probe examined against it) and the guard keeps
+        the ones whose policy value passes, judging only their values.
         """
         child = self.compile_plan(node.scan, parent_scope)
         table = self.database.table(node.scan.table_name)
@@ -796,18 +796,24 @@ class SelectExecutor:
         masks = tuple(guard.args[0].bits for guard in node.guards)
 
         def produce(env: Env) -> Iterator[ColumnBatch]:
-            allowed, ordered = bitmaps.passing(
-                table, policy_column, masks, registry, function_name
-            )
             ids = None if candidate_ids is None else candidate_ids(env)
             if ids is None:
+                ordered = bitmaps.passing_ids(
+                    table, policy_column, masks, registry, function_name
+                )
                 yield from child.batches(env, ordered)
                 return
+            rows = table.rows
+            position = table.schema.column_index(policy_column)
+            allowed = bitmaps.admitted(
+                table, masks, {rows[i][position] for i in ids}, registry,
+                function_name,
+            )
             offset = 0
             for batch in child.batches(env, ids):
                 page = ids[offset : offset + batch.length]
                 offset += batch.length
-                keep = [k for k, i in enumerate(page) if i in allowed]
+                keep = [k for k, i in enumerate(page) if rows[i][position] in allowed]
                 if len(keep) == batch.length:
                     yield batch
                 elif keep:

@@ -16,8 +16,8 @@ There is no index mode: the full optimizer pipeline chooses an access
 path whenever an index serves the query.  The reference an index path is
 checked against is the same data with the index dropped.  Indexes know
 nothing of policies: rows are grouped by policy value once, in the
-policy bitmap cache, and a guard over an index scan keeps the probe's
-candidates that its bitmap passes.
+policy posting index, and a guard over an index scan keeps the probe's
+candidates whose policy value passes.
 """
 
 from __future__ import annotations

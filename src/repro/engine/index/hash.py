@@ -1,13 +1,15 @@
 """An equality-only hash index.
 
-One dict from key to its ascending row-id posting list.  Like the B+-tree
-this structure is insert-only: after DML the manager revalidates the
-entry against the new rows (inserting appended ones) or rebuilds it; a
-key is never removed in place.
+One dict from key to its ascending row-id posting list.  A secondary
+index only ever inserts: after DML the manager revalidates the entry
+against the new rows (inserting appended ones) or rebuilds it.  The
+policy posting index (``plan/bitmap.py``) also moves a row id from one
+key to another when a commit rewrites the row's key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterator
 
 
@@ -19,9 +21,17 @@ class HashIndex:
         self._entries = 0
 
     def insert(self, key, row_id: int) -> None:
-        """Add one ``(key, row id)`` pair (row ids arrive in row order)."""
-        self._buckets.setdefault(key, []).append(row_id)
+        """Add one ``(key, row id)`` pair, keeping its posting list ascending."""
+        insort(self._buckets.setdefault(key, []), row_id)
         self._entries += 1
+
+    def remove(self, key, row_id: int) -> None:
+        """Drop one ``(key, row id)`` pair; a key left without ids goes."""
+        ids = self._buckets[key]
+        del ids[bisect_left(ids, row_id)]
+        if not ids:
+            del self._buckets[key]
+        self._entries -= 1
 
     def search(self, key) -> list[int]:
         """Row ids (ascending) whose key equals ``key``."""
@@ -40,5 +50,5 @@ class HashIndex:
 
     @property
     def entries(self) -> int:
-        """Number of ``(key, row id)`` pairs inserted."""
+        """Number of ``(key, row id)`` pairs held."""
         return self._entries

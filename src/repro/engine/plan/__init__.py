@@ -5,8 +5,8 @@ The plan subsystem splits SELECT processing into three explicit stages
 (rewritten) AST, an :class:`Optimizer` runs an ordered pass pipeline over
 it, and the executor compiles the optimized IR into physical operators.
 :class:`PolicyBitmapCache` backs the ``policy_guard_hoist`` pass, answering
-the rewriter's per-table ``complieswith`` conjuncts with cached row-index
-sets — one UDF evaluation per *distinct* policy value instead of one per
+the rewriter's per-table ``complieswith`` conjuncts from policy posting
+lists — one UDF evaluation per *distinct* policy value instead of one per
 row.
 """
 

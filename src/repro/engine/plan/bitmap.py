@@ -1,273 +1,266 @@
-"""Policy-mask row bitmaps.
+"""Policy posting lists and per-mask verdicts.
 
 The rewriter's Def.-15 conjunct ``complieswith(b'<mask>', t.policy)`` is a
-pure function of two values: the (plan-constant) action-aware mask and the
-row's policy column.  A table with *n* rows therefore needs at most
-*|distinct policy values|* UDF evaluations — not *n* — to classify every
-row.  :class:`PolicyBitmapCache` exploits that: per ``(table, mask)`` it
-evaluates the UDF once per distinct policy value, records the set of
-passing row indices, and reuses that set across executions until either
+pure function of the (plan-constant) mask and the row's policy value, and
+a table holds few distinct policy values.  :class:`PolicyBitmapCache`
+therefore groups rows by policy value once, as Sieve does before it
+evaluates any policy, and judges each value once per mask:
 
-* the table's visible row state changes (``Table.version`` differs: a
-  commit, a snapshot reading an older state, a staged overlay).  The entry
-  is then **revalidated** against the visible row list, not rebuilt: a
-  delta commit keeps every untouched tuple the very same object, so one
-  C-speed identity pass finds the positions holding another tuple, and
-  only those rows (plus rows appended past the old length) are re-judged
-  through the per-value verdict memo.  When no row's verdict flips the
-  entry keeps its very same ``frozenset``, so a guard's cached
-  intersection and order stay valid too.  A row list shorter than the
-  entry's (a delete) or another schema object (ALTER TABLE) falls back to
-  a full build, which still costs zero UDF calls for values already
-  judged; or
-* the policy epoch bumps (``AccessControlManager.bump_policy_epoch`` calls
-  ``clear()`` — masks may now mean something different, so verdicts are
-  discarded wholesale).
+* **Per table, one posting index** (a ``HashIndex``): each distinct
+  non-NULL policy value → its ascending row ids, built in one pass over
+  the visible rows (a *row pass*).  It is row data only, so ``clear()``
+  keeps it.  Another visible row list (a commit, a pinned snapshot, a
+  staged overlay) carries it by one C-speed identity pass
+  (``replaced_positions``: a commit keeps untouched tuples the very same
+  objects): a replaced row whose policy value changed moves between two
+  lists, appended rows extend them.  A shorter row list (a DELETE) or
+  another schema object (ALTER TABLE) rebuilds it, once per table.
+* **Per ``(table, mask)``, one verdict map**: policy value → verdict, so
+  at most |distinct values| UDF calls whatever the row count.
 
-At most :data:`_ENTRY_LIMIT` entries are kept; the oldest goes first.
-
-This is the in-memory analogue of the paper's bitwise-AND fast path: the
-guard becomes a set-membership test instead of a per-row function call.
+A guard intersects its masks' verdicts over the values: over a sequential
+scan :meth:`~PolicyBitmapCache.passing_ids` merges the passing values'
+posting lists, over an index probe :meth:`~PolicyBitmapCache.admitted`
+judges its candidates' values only.  A policy-epoch bump
+(``AccessControlManager.bump_policy_epoch``) clears the verdict maps and
+the merges; at most :data:`_ENTRY_LIMIT` verdict maps and
+:data:`_GUARD_LIMIT` merges are kept, the oldest going first.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import chain
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
+from ..index.hash import HashIndex
 from ..table import replaced_positions
+from ..types import BitString
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..functions import FunctionRegistry
     from ..table import Table
 
-#: Bound on the cached ``(table, mask)`` entries.  The paper's q1–q8 plus
-#: a point lookup keep about 30 live, the fuzz corpus replay about 150; an
-#: ad-hoc workload that meets a new mask per statement would otherwise grow
-#: the cache until the next policy epoch bump, and each entry holds a
-#: passing set and a row list as long as its table.
+#: Bound on the cached ``(table, mask)`` verdict maps.  The paper's q1–q8
+#: plus a point lookup keep about 30 live, the fuzz corpus replay about
+#: 150; an ad-hoc workload that meets a new mask per statement would
+#: otherwise grow them until the next policy epoch bump.
 _ENTRY_LIMIT = 256
 
+#: Bound on the cached guard merges, each one row id per passing row.
+_GUARD_LIMIT = 64
 
-class _BitmapEntry:
-    """One mask's passing row ids, and what they were derived from.
 
-    ``rows``/``length`` are the row list the entry was last validated
-    against and how many of its rows are judged (append commits extend the
+class _Postings:
+    """One table's posting index and the rows it describes.
+
+    ``rows[:length]`` are the rows indexed (an append commit extends the
     committed list in place, so the list may have grown since); ``schema``
-    and ``position`` locate the policy column in those rows; ``verdicts``
-    memoizes the UDF per distinct policy value.
+    and ``position`` locate the policy column in them; ``stamp`` changes
+    whenever a row id joins, leaves or changes lists.
     """
 
-    __slots__ = (
-        "version", "passing", "verdicts", "rows", "length", "schema",
-        "position",
-    )
+    __slots__ = ("index", "rows", "length", "schema", "position", "stamp")
 
-    def __init__(
-        self, version, passing, verdicts, rows, length, schema, position
-    ):
-        self.version = version
-        self.passing: frozenset = passing
-        self.verdicts: dict = verdicts
-        self.rows: list = rows
-        self.length = length
-        self.schema = schema
-        self.position = position
+    def __init__(self, rows, schema, position, stamp):
+        self.index = HashIndex()
+        self.rows, self.length = rows, len(rows)
+        self.schema, self.position, self.stamp = schema, position, stamp
+        insert = self.index.insert
+        for row_id in range(self.length):
+            value = rows[row_id][position]
+            if value is not None:
+                insert(value, row_id)
+
+    def carry(self, rows, stamp) -> bool:
+        """Make the index describe ``rows``; ``False`` when only a rebuild
+        can (``rows`` is shorter: some row was deleted)."""
+        old, position, index = self.rows, self.position, self.index
+        changed = replaced_positions(old, self.length, rows)
+        if changed is None:
+            return False
+        # Read once: an append commit extends the committed list in place,
+        # and rows past this length are indexed by the next carry.
+        end = len(rows)
+        moved = False
+        for row_id in changed:
+            before, after = old[row_id][position], rows[row_id][position]
+            if before != after:
+                if before is not None:
+                    index.remove(before, row_id)
+                if after is not None:
+                    index.insert(after, row_id)
+                moved = True
+        for row_id in range(self.length, end):
+            value = rows[row_id][position]
+            if value is not None:
+                index.insert(value, row_id)
+                moved = True
+        if moved:
+            self.stamp = stamp
+        self.rows, self.length = rows, end
+        return True
 
 
 class PolicyBitmapCache:
-    """Row bitmaps for hoisted ``complieswith`` guards.
-
-    Entries are keyed by ``(table name, mask bits)`` and carry the table
-    row-storage version they were last validated for, the frozen set of
-    passing row indices, the row list it describes, and the
-    per-distinct-policy-value verdict memo that lets a revalidation or
-    rebuild skip UDF calls for values already judged.
-    """
+    """Posting indexes, verdict maps and guard merges for hoisted
+    ``complieswith`` guards (see the module docstring)."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._entries: dict[tuple[str, str], _BitmapEntry] = {}
-        #: What a guard asks for, kept beside the passing sets it was
-        #: derived from: ``(table, masks)`` → (those sets, the row indices
-        #: passing every mask, the same indices as an ascending list).
-        self._guards: dict[tuple[str, tuple], tuple] = {}
+        self._postings: dict[str, _Postings] = {}
+        #: ``(table, mask bits)`` → {policy value: verdict}.
+        self._verdicts: dict[tuple[str, str], dict] = {}
+        #: ``(table, masks)`` → (posting stamp, ascending passing row ids).
+        self._guards: dict[tuple[str, tuple], tuple[int, list[int]]] = {}
+        self._stamps = count(1)
         # Monotonic counters (survive clear()) so monitors can report
         # deltas the same way the complieswith ledger does.
         self._hits = 0
         self._built = 0
         self._revalidated = 0
+        self._row_passes = 0
 
-    def passing(
+    def passing_ids(
         self,
         table: "Table",
         policy_column: str,
         masks: tuple[str, ...],
         registry: "FunctionRegistry",
         function_name: str,
-    ) -> tuple[frozenset, list[int]]:
-        """Row indices passing *every* mask: ``(set, ascending list)``.
+    ) -> list[int]:
+        """Ascending ids of the visible rows whose policy passes every mask.
 
-        What a guard asks once per execution: the set answers membership
-        of an index scan's candidates, the list is the row ids a guard
-        hands its sequential scan.  Each mask's own entry is looked
-        up and counted as a hit, a revalidation or a build; the
-        intersection and its ascending list are kept beside them and
-        reused while every mask's passing set is the very same object, so
-        a warm guard costs dictionary lookups, not a set intersection and
-        a sort over the passing ids.
+        What a guard hands its sequential scan: the merge of the passing
+        values' posting lists, kept per ``(table, masks)`` and returned as
+        the very same list while no row id changed lists, so a warm guard
+        costs dictionary lookups.  Callers must not mutate it.
 
         UDF invocations route through ``registry.call`` so the engine's
         per-function counter, the monitor's report delta, and the metrics
         layer keep agreeing about how many ``complieswith`` evaluations an
-        execution cost.  ``NULL`` policies are skipped entirely — the UDF
-        is strict, so the seed engine never invoked (or counted) it for
-        them, and a NULL policy never passes.
+        execution cost.  ``NULL`` policies are never judged (the UDF is
+        strict) and never pass.
         """
         with self._lock:
-            sets = tuple(
-                self._entry(table, policy_column, bits, registry, function_name)
-                for bits in masks
-            )
+            maps = self._verdict_maps(table, masks)
+            postings = self._postings_of(table, policy_column)
             key = (table.name.lower(), masks)
             guard = self._guards.get(key)
-            if guard is None or any(
-                ours is not theirs for ours, theirs in zip(guard[0], sets)
-            ):
-                ordered = sorted(sets, key=len)
-                passing = ordered[0].intersection(*ordered[1:])
-                if len(passing) == len(ordered[0]):
-                    passing = ordered[0]  # nested masks: share, do not copy
-                guard = (sets, passing, sorted(passing))
-                self._guards[key] = guard
-            return guard[1], guard[2]
-
-    def _entry(
-        self, table, policy_column, mask_bits, registry, function_name
-    ) -> frozenset:
-        """One mask's passing row ids; caller holds the lock."""
-        key = (table.name.lower(), mask_bits)
-        version = table.version
-        entry = self._entries.get(key)
-        if entry is not None and entry.version == version:
-            self._hits += 1
-            return entry.passing
-        rows, schema = table.rows, table.schema
-        if (
-            entry is not None
-            and entry.schema is schema
-            and self._revalidate(entry, rows, mask_bits, registry, function_name)
-        ):
-            entry.version = version
-            self._revalidated += 1
-            return entry.passing
-        if entry is not None:
-            verdicts = entry.verdicts
-        else:
-            verdicts = {}
-            while len(self._entries) >= _ENTRY_LIMIT:
-                self._evict(next(iter(self._entries)))
-        position = schema.column_index(policy_column)
-        # Read once: an append commit extends the committed list in place,
-        # and rows past this length are judged again by the next revalidation.
-        length = len(rows)
-        passing = set()
-        for index, row in enumerate(rows):
-            value = row[position]
-            if value is None:
-                continue
-            verdict = verdicts.get(value)
-            if verdict is None:
-                verdict = verdicts[value] = _judge(
-                    mask_bits, value, registry, function_name
+            if guard is None or guard[0] != postings.stamp:
+                items = list(postings.index.items())
+                allowed = _allowed(
+                    maps, masks, [value for value, _ in items], registry,
+                    function_name,
                 )
-            if verdict:
-                passing.add(index)
-        entry = _BitmapEntry(
-            version, frozenset(passing), verdicts, rows, length, schema,
-            position,
+                lists = [ids for value, ids in items if value in allowed]
+                guard = (postings.stamp, sorted(chain.from_iterable(lists)))
+                self._guards.pop(key, None)
+                while len(self._guards) >= _GUARD_LIMIT:
+                    del self._guards[next(iter(self._guards))]
+                self._guards[key] = guard
+            return guard[1]
+
+    def admitted(
+        self,
+        table: "Table",
+        masks: tuple[str, ...],
+        values,
+        registry: "FunctionRegistry",
+        function_name: str,
+    ) -> set:
+        """The policy ``values`` (an index probe's candidates') passing
+        every mask, each judged at most once per mask; NULL never passes."""
+        with self._lock:
+            return _allowed(
+                self._verdict_maps(table, masks), masks, values, registry,
+                function_name,
+            )
+
+    def _verdict_maps(self, table, masks) -> list[dict]:
+        """Each mask's verdict map, counted as a hit or as built from
+        nothing; caller holds the lock."""
+        name = table.name.lower()
+        maps = []
+        for bits in masks:
+            verdicts = self._verdicts.get((name, bits))
+            if verdicts is None:
+                while len(self._verdicts) >= _ENTRY_LIMIT:
+                    del self._verdicts[next(iter(self._verdicts))]
+                verdicts = self._verdicts[(name, bits)] = {}
+                self._built += 1
+            else:
+                self._hits += 1
+            maps.append(verdicts)
+        return maps
+
+    def _postings_of(self, table, policy_column) -> _Postings:
+        """The table's posting index, describing its visible rows; caller
+        holds the lock."""
+        name = table.name.lower()
+        rows = table.rows
+        postings = self._postings.get(name)
+        schema = table.schema
+        if postings is not None:
+            if postings.rows is rows and postings.length == len(rows):
+                return postings
+            if postings.schema is schema and postings.carry(
+                rows, next(self._stamps)
+            ):
+                self._revalidated += 1
+                return postings
+        postings = self._postings[name] = _Postings(
+            rows, schema, schema.column_index(policy_column), next(self._stamps)
         )
-        self._entries[key] = entry
-        self._built += 1
-        return entry.passing
-
-    @staticmethod
-    def _revalidate(entry, rows, mask_bits, registry, function_name) -> bool:
-        """Make ``entry`` describe ``rows`` if that needs no full build.
-
-        Re-judges only the positions holding another tuple object and the
-        rows past the entry's length; ``False`` (rebuild) when ``rows`` is
-        shorter than the entry, i.e. some row was deleted.
-        """
-        changed = replaced_positions(entry.rows, entry.length, rows)
-        if changed is None:
-            return False
-        length, end = entry.length, len(rows)
-        position, verdicts, passing = entry.position, entry.verdicts, entry.passing
-        gained: list[int] = []
-        lost: list[int] = []
-        for row_id in chain(changed, range(length, end)):
-            value = rows[row_id][position]
-            verdict = False
-            if value is not None:
-                verdict = verdicts.get(value)
-                if verdict is None:
-                    verdict = verdicts[value] = _judge(
-                        mask_bits, value, registry, function_name
-                    )
-            if verdict != (row_id in passing):
-                (gained if verdict else lost).append(row_id)
-        if gained or lost:
-            entry.passing = passing.difference(lost).union(gained)
-        entry.rows, entry.length = rows, end
-        return True
-
-    def _evict(self, key: tuple[str, str]) -> None:
-        """Drop one entry and every guard derived from it."""
-        del self._entries[key]
-        table, bits = key
-        for guard_key in [
-            k for k in self._guards if k[0] == table and bits in k[1]
-        ]:
-            del self._guards[guard_key]
+        self._row_passes += 1
+        return postings
 
     def stats(self) -> dict:
-        """Monotonic ``hits`` / ``built`` / ``revalidated`` totals plus the
-        live entry count."""
+        """Monotonic totals plus the live verdict-map count.
+
+        ``hits`` / ``built`` count a guard's verdict-map lookups that found
+        the map / created it from nothing; ``revalidated`` counts posting
+        indexes carried to other rows by identity and ``row_passes`` full
+        walks over a table's rows.
+        """
         with self._lock:
             return {
                 "hits": self._hits,
                 "built": self._built,
                 "revalidated": self._revalidated,
-                "entries": len(self._entries),
+                "row_passes": self._row_passes,
+                "entries": len(self._verdicts),
             }
 
     def clear(self) -> None:
-        """Drop every bitmap and verdict (catalog-version invalidation)."""
+        """Drop every verdict and merge (policy-epoch invalidation); the
+        posting indexes hold row data only and stay."""
         with self._lock:
-            self._entries.clear()
+            self._verdicts.clear()
             self._guards.clear()
 
     def forget(self, table_name: str) -> None:
-        """Drop every entry of one table (DROP TABLE cleanup) so a later
-        same-named table can never inherit its bitmaps or verdicts."""
+        """Drop everything of one table (DROP TABLE cleanup) so a later
+        same-named table can never inherit its postings or verdicts."""
         key = table_name.lower()
         with self._lock:
-            for entries in (self._entries, self._guards):
+            self._postings.pop(key, None)
+            for entries in (self._verdicts, self._guards):
                 for entry_key in [k for k in entries if k[0] == key]:
                     del entries[entry_key]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._verdicts)
 
 
-def _judge(mask_bits: str, value, registry, function_name) -> bool:
-    """One ``complieswith(mask, value)`` evaluation, counted by the registry."""
-    from ..types import BitString
-
-    return bool(
-        registry.call(function_name, (BitString.from_bits(mask_bits), value))
-    )
+def _allowed(maps, masks, values, registry, function_name) -> set:
+    """The non-NULL ``values`` that pass every mask.  Each value a mask's
+    verdict map has not met yet costs one ``complieswith`` call."""
+    values = [value for value in values if value is not None]
+    for bits, verdicts in zip(masks, maps):
+        for value in values:
+            if value not in verdicts:
+                mask = BitString.from_bits(bits)
+                verdicts[value] = bool(registry.call(function_name, (mask, value)))
+    return {value for value in values if all(v[value] for v in maps)}

@@ -232,16 +232,15 @@ class PolicyGuard(LogicalNode):
     The guards are the rewriter's Def.-15 conjuncts verbatim; at execution
     time they are answered from the
     :class:`~repro.engine.plan.bitmap.PolicyBitmapCache` — one UDF call per
-    *distinct* policy value per mask, then a row-index set intersection —
-    instead of one UDF call per row.
+    *distinct* policy value per mask — instead of one UDF call per row.
 
-    The bitmap is a set of *row ids* of the guarded table, so ``scan`` must
+    The guard answers in *row ids* of the guarded table, so ``scan`` must
     produce that table's rows with nothing in between: either every row in
     storage order (a :class:`Scan`, ids are positions) or an access path
     that knows the id of each row it yields (an :class:`IndexScan`, whose
-    candidates the guard intersects with the bitmap).  ``table_name`` and
-    ``binding`` pin the guarded table so the optimizer can assert that a
-    replaced ``scan`` still reads it.
+    candidates the guard keeps when their policy value passes).
+    ``table_name`` and ``binding`` pin the guarded table so the optimizer
+    can assert that a replaced ``scan`` still reads it.
     """
 
     def __init__(self, guards: list[ast.FunctionCall], scan: Scan):

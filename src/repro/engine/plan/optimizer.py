@@ -13,8 +13,8 @@ passes the IR makes expressible:
 3. ``policy_guard_hoist`` — lift the rewriter's per-table ``complieswith``
    conjuncts out of pushed filters into :class:`PolicyGuard` nodes directly
    above their base-table scans, where the
-   :class:`~repro.engine.plan.bitmap.PolicyBitmapCache` answers them with a
-   row-index set instead of per-row UDF calls.
+   :class:`~repro.engine.plan.bitmap.PolicyBitmapCache` answers them from
+   policy posting lists instead of per-row UDF calls.
 4. ``access_path_selection`` — cost-based access paths (DESIGN.md §13):
    convert a pushed filter's scan — directly below it, or below the
    :class:`PolicyGuard` between them — into an :class:`IndexScan` /
@@ -693,7 +693,7 @@ def check_access_paths(block: BlockPlan) -> None:
     """Assert the invariants that make an access path compliance-preserving.
 
     Every :class:`PolicyGuard` sits directly on a scan (sequential or
-    index) of its own table — the bitmap it answers from holds that
+    index) of its own table — the posting lists it answers from hold that
     table's row ids — and every index scan is the access path of a pushed
     filter that still holds each conjunct the index matched, so the index
     only ever narrows what the recheck and the guard see.

@@ -36,7 +36,8 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden files under tests/golden/ instead of comparing",
+        help="rewrite the golden files under tests/golden/ and "
+        "tests/bench/golden/ instead of comparing",
     )
 
 

@@ -94,6 +94,20 @@ class TestHashIndex:
         assert len(index) == 2
         assert index.entries == 4
 
+    def test_moving_an_id_keeps_both_lists_ascending(self) -> None:
+        index = HashIndex()
+        for row_id in (1, 3, 5):
+            index.insert("a", row_id)
+        index.insert("b", 4)
+        index.remove("a", 3)
+        index.insert("b", 3)
+        index.remove("b", 4)
+        index.insert("a", 4)
+        assert index.search("a") == [1, 4, 5] and index.search("b") == [3]
+        index.remove("b", 3)
+        # A key left without ids is gone.
+        assert len(index) == 1 and index.entries == 3
+
 
 @pytest.fixture
 def indexed_db() -> Database:

@@ -507,7 +507,7 @@ class TestIndexScanUnderPolicyGuard:
         ).rewritten_sql
         (guard,) = _find(_block(database, rewritten), PolicyGuard)
         assert not isinstance(guard.scan, IndexScan)
-        _, passing = database.policy_bitmaps.passing(
+        passing = database.policy_bitmaps.passing_ids(
             table,
             database.policy_column,
             tuple(call.args[0].bits for call in guard.guards),

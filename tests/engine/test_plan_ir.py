@@ -281,24 +281,25 @@ class TestPolicyBitmapCache:
         return database
 
     @staticmethod
-    def _passing(cache, world, mask="01") -> frozenset:
-        return cache.passing(
+    def _passing(cache, world, mask="01") -> list[int]:
+        return cache.passing_ids(
             world.table("t"), "policy", (mask,), world.functions, "accepts_p"
-        )[0]
+        )
 
     def test_build_costs_one_call_per_distinct_value(self, world) -> None:
         cache = PolicyBitmapCache()
-        assert self._passing(cache, world) == {0, 2}
+        assert self._passing(cache, world) == [0, 2]
         # 'p' and 'q' — NULL rows are excluded without a call (strict UDF).
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats() == {
-            "hits": 0, "built": 1, "revalidated": 0, "entries": 1
+            "hits": 0, "built": 1, "revalidated": 0, "row_passes": 1,
+            "entries": 1,
         }
 
     def test_repeat_lookup_is_a_hit(self, world) -> None:
         cache = PolicyBitmapCache()
         self._passing(cache, world)
-        assert self._passing(cache, world) == {0, 2}
+        assert self._passing(cache, world) == [0, 2]
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats()["hits"] == 1
 
@@ -309,15 +310,25 @@ class TestPolicyBitmapCache:
         assert cache.stats()["built"] == 2
         assert len(cache) == 2
 
+    def test_new_mask_on_an_unchanged_table_walks_no_rows(self, world) -> None:
+        cache = PolicyBitmapCache()
+        self._passing(cache, world, "01")
+        calls = world.functions.call_count("accepts_p")
+        assert self._passing(cache, world, "10") == [0, 2]
+        # One verdict per distinct value ('p', 'q'), no pass over the rows.
+        assert world.functions.call_count("accepts_p") - calls <= 2
+        assert cache.stats()["row_passes"] == 1
+
     def test_data_change_rebuilds_but_reuses_verdicts(self, world) -> None:
         cache = PolicyBitmapCache()
         self._passing(cache, world)
         world.execute("insert into t values (6, 'p')")
-        assert self._passing(cache, world) == {0, 2, 5}
-        # Only the appended row is re-judged, and its verdict is memoized.
+        assert self._passing(cache, world) == [0, 2, 5]
+        # Only the appended row joins a posting list; 'p' is memoized.
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats() == {
-            "hits": 0, "built": 1, "revalidated": 1, "entries": 1
+            "hits": 1, "built": 1, "revalidated": 1, "row_passes": 1,
+            "entries": 1,
         }
 
     def test_new_value_after_data_change_is_evaluated(self, world) -> None:
@@ -332,39 +343,64 @@ class TestPolicyBitmapCache:
         before = self._passing(cache, world)
         world.execute("update t set a = 10 where a = 1")
         after = self._passing(cache, world)
+        # The guard's ordered list is the very same object: no merge.
         assert after is before
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats()["revalidated"] == 1
         assert cache.stats()["built"] == 1
+        assert cache.stats()["row_passes"] == 1
 
     def test_policy_cell_update_flips_one_row(self, world) -> None:
         cache = PolicyBitmapCache()
         before = self._passing(cache, world)
         world.execute("update t set policy = 'p' where a = 2")
         after = self._passing(cache, world)
-        assert before == {0, 2} and after == {0, 1, 2}
+        assert before == [0, 2] and after == [0, 1, 2]
         world.execute("update t set policy = 'r' where a = 3")
-        assert self._passing(cache, world) == {0, 1}
+        assert self._passing(cache, world) == [0, 1]
         # 'p' is memoized; 'r' is the only new value judged.
         assert world.functions.call_count("accepts_p") == 3
         assert cache.stats()["revalidated"] == 2
         assert cache.stats()["built"] == 1
 
+    def test_policy_cell_update_moves_ids_without_a_row_pass(self, world) -> None:
+        cache = PolicyBitmapCache()
+        self._passing(cache, world)
+        world.execute("update t set policy = 'q' where a = 1")
+        world.execute("update t set policy = 'p' where a = 4")  # was NULL
+        world.execute("update t set policy = null where a = 3")
+        moved = self._passing(cache, world)
+        assert cache.stats()["row_passes"] == 1
+        assert moved == self._passing(PolicyBitmapCache(), world) == [3]
+
     def test_delete_falls_back_to_a_full_build(self, world) -> None:
         cache = PolicyBitmapCache()
         self._passing(cache, world)
         world.execute("delete from t where a = 1")
-        assert self._passing(cache, world) == {1}
-        assert cache.stats()["built"] == 2
+        assert self._passing(cache, world) == [1]
+        # One pass rebuilds the posting index; the verdict map survives.
+        assert cache.stats()["row_passes"] == 2
+        assert cache.stats()["built"] == 1
         assert cache.stats()["revalidated"] == 0
         assert world.functions.call_count("accepts_p") == 2
+
+    def test_delete_costs_one_row_pass_however_many_masks(self, world) -> None:
+        cache = PolicyBitmapCache()
+        masks = ("01", "10", "11")
+        for bits in masks:
+            self._passing(cache, world, bits)
+        world.execute("delete from t where a = 1")
+        for bits in masks:
+            assert self._passing(cache, world, bits) == [1]
+        assert cache.stats()["row_passes"] == 2
 
     def test_alter_table_falls_back_to_a_full_build(self, world) -> None:
         cache = PolicyBitmapCache()
         self._passing(cache, world)
         world.execute("alter table t add column extra integer")
-        assert self._passing(cache, world) == {0, 2}
-        assert cache.stats()["built"] == 2
+        assert self._passing(cache, world) == [0, 2]
+        assert cache.stats()["row_passes"] == 2
+        assert cache.stats()["built"] == 1
         assert cache.stats()["revalidated"] == 0
 
     def test_entries_are_bounded_and_evict_oldest_first(self, world) -> None:
@@ -377,20 +413,18 @@ class TestPolicyBitmapCache:
         table = world.table("t")
 
         def lookup(bits):
-            return cache.passing(
+            return cache.passing_ids(
                 table, "policy", (bits,), world.functions, "accepts"
             )
 
         masks = [format(i, "08b") for i in range(2 * _ENTRY_LIMIT)]
         for bits in masks:
-            expected = {0, 1, 2, 4} if bits[0] == "1" else {0, 2}
-            passing, ordered = lookup(bits)
-            assert passing == expected and ordered == sorted(expected)
+            assert lookup(bits) == ([0, 1, 2, 4] if bits[0] == "1" else [0, 2])
             assert len(cache) <= _ENTRY_LIMIT
-        # The first mask was evicted (with its guard): asking again builds
-        # it afresh and still answers correctly.
+        # The first mask was evicted: asking again builds its verdict map
+        # afresh and still answers correctly.
         built = cache.stats()["built"]
-        assert lookup(masks[0]) == ({0, 2}, [0, 2])
+        assert lookup(masks[0]) == [0, 2]
         assert cache.stats()["built"] == built + 1
         assert len(cache) == _ENTRY_LIMIT
 
@@ -402,28 +436,25 @@ class TestPolicyBitmapCache:
         cache = PolicyBitmapCache()
         table = world.table("t")
         args = (table, "policy", ("01", "10"), world.functions, "accepts")
-        passing, ordered = cache.passing(*args)
+        ordered = cache.passing_ids(*args)
         # Mask 01 passes every non-NULL row, mask 10 everything but 'q'.
-        assert passing == {0, 2, 5} and ordered == [0, 2, 5]
+        assert ordered == [0, 2, 5]
         assert cache.stats() == {
-            "hits": 0, "built": 2, "revalidated": 0, "entries": 2
+            "hits": 0, "built": 2, "revalidated": 0, "row_passes": 1,
+            "entries": 2,
         }
-        again, again_ordered = cache.passing(*args)
-        # One hit per mask per lookup, and the very same objects: no
-        # intersection, no sort on a warm guard.
-        assert again is passing and again_ordered is ordered
+        # One hit per mask per lookup, and the very same list: no merge on
+        # a warm guard.
+        assert cache.passing_ids(*args) is ordered
         assert cache.stats()["hits"] == 2
-        single, single_ordered = cache.passing(
+        assert cache.passing_ids(
             table, "policy", ("10",), world.functions, "accepts"
-        )
-        assert single == {0, 2, 5} and single_ordered == [0, 2, 5]
-        # A commit that flips no verdict keeps the guard's objects too.
+        ) == [0, 2, 5]
+        # A commit that moves no row id between lists keeps the list too.
         world.execute("update t set a = 60 where a = 6")
-        again, again_ordered = cache.passing(*args)
-        assert again is passing and again_ordered is ordered
+        assert cache.passing_ids(*args) is ordered
         world.execute("delete from t where a = 1")
-        passing, ordered = cache.passing(*args)
-        assert passing == {1, 4} and ordered == [1, 4]
+        assert cache.passing_ids(*args) == [1, 4]
         cache.forget("t")
         assert len(cache) == 0
 
@@ -435,9 +466,65 @@ class TestPolicyBitmapCache:
         assert len(cache) == 0
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["built"] == 1
-        # After a clear the verdict memo is gone too: full rebuild cost.
+        # After a clear the verdicts are gone too; the postings are not.
         self._passing(cache, world)
         assert world.functions.call_count("accepts_p") == 4
+        assert cache.stats()["row_passes"] == 1
+
+    def test_index_probe_guard_judges_only_its_candidates_values(
+        self, policy_scenario
+    ) -> None:
+        database, monitor = policy_scenario.database, policy_scenario.monitor
+        database.execute("create index i_wt on sensed_data (watch_id, timestamp)")
+        sql = "select beats from sensed_data where watch_id = ? and timestamp = ?"
+        monitor.execute_with_report(sql, "p6", params=["watch3", 5])
+        monitor.clear_policy_bitmaps()
+        before = database.policy_bitmaps.stats()
+        report = monitor.execute_with_report(sql, "p6", params=["watch3", 5])
+        after = database.policy_bitmaps.stats()
+        masks = after["built"] - before["built"]
+        # One candidate, so one policy value judged per mask, and no pass
+        # over the table's rows.
+        assert report.index_hits == 1 and masks > 0
+        assert report.compliance_checks == masks
+        assert after["row_passes"] == 0
+
+    def test_256_single_mask_guards_stay_small(self) -> None:
+        """The cache holds row ids once per table and per kept merge, not
+        once per mask: 256 distinct masks on the 100×100 world."""
+        import re
+        import tracemalloc
+        from itertools import combinations
+
+        scenario = build_patients_scenario(patients=100, samples_per_patient=100)
+        apply_experiment_policies(scenario, 0.4)
+        database = scenario.database
+        rewritten = scenario.monitor.rewrite_sql("select beats from sensed_data", "p6")
+        width = len(re.findall(r"b'([01]+)'", rewritten)[0])
+        masks = [
+            "".join("1" if i in ones else "0" for i in range(width))
+            for size in (0, 1, 2)
+            for ones in combinations(range(width), size)
+        ][:256]
+        table = database.table("sensed_data")
+        cache = PolicyBitmapCache()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            passing = [
+                len(
+                    cache.passing_ids(
+                        table, database.policy_column, (bits,),
+                        database.functions, database.policy_function,
+                    )
+                )
+                for bits in masks
+            ]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(masks)) == 256 and sum(passing) > 256 * 1000
+        assert grown < 16 * 2**20, f"{grown / 2**20:.1f} MB"
 
 
 def _bitmap_build_bound(scenario, sql: str, purpose: str) -> int:
