@@ -1,23 +1,28 @@
 """Aggregate function implementations.
 
-Each aggregate is an accumulator class with ``add(value)`` / ``result()``.
-SQL semantics are followed: NULL inputs are skipped; ``count(*)`` counts
-rows; ``sum``/``avg``/``min``/``max`` over an empty (or all-NULL) group
-return NULL while ``count`` returns 0.  ``DISTINCT`` variants deduplicate
-values before accumulation.
+Each aggregate is an accumulator class with ``fold(values)`` / ``result()``.
+The executor folds a page at a time: one ``fold`` call per group per page,
+with that group's slice of the argument column in scan order (``count(*)``
+is handed any sequence of the group's length).  SQL semantics are followed:
+NULL inputs are skipped; ``count(*)`` counts rows; ``sum``/``avg``/``min``/
+``max`` over an empty (or all-NULL) group return NULL while ``count``
+returns 0.  ``DISTINCT`` variants deduplicate values before accumulation.
+Totals are added left to right, never with ``sum()``/``math.fsum`` (whose
+float rounding differs); ``min``/``max`` refuse values WHERE's ``<`` refuses.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..errors import ExpressionError, TypeMismatchError
+from .types import require_orderable
 
 
 class Accumulator:
     """Base accumulator."""
 
-    def add(self, value: object) -> None:
+    def fold(self, values: Sequence) -> None:
         raise NotImplementedError
 
     def result(self) -> object:
@@ -30,9 +35,8 @@ class CountAggregate(Accumulator):
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, value: object) -> None:
-        if value is not None:
-            self.count += 1
+    def fold(self, values: Sequence) -> None:
+        self.count += len(values) - values.count(None)
 
     def result(self) -> int:
         return self.count
@@ -44,8 +48,8 @@ class CountStarAggregate(Accumulator):
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, value: object) -> None:
-        self.count += 1
+    def fold(self, values: Sequence) -> None:
+        self.count += len(values)
 
     def result(self) -> int:
         return self.count
@@ -64,11 +68,17 @@ class SumAggregate(Accumulator):
         self.total: float | int = 0
         self.seen = False
 
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        self.total += _require_number(value, "sum")
-        self.seen = True
+    def fold(self, values: Sequence) -> None:
+        total, seen = self.total, self.seen
+        for value in values:
+            if value is None:
+                continue
+            kind = type(value)
+            if kind is not int and kind is not float:
+                _require_number(value, "sum")
+            total += value
+            seen = True
+        self.total, self.seen = total, seen
 
     def result(self) -> object:
         return self.total if self.seen else None
@@ -81,11 +91,17 @@ class AvgAggregate(Accumulator):
         self.total = 0.0
         self.count = 0
 
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        self.total += _require_number(value, "avg")
-        self.count += 1
+    def fold(self, values: Sequence) -> None:
+        total, count = self.total, self.count
+        for value in values:
+            if value is None:
+                continue
+            kind = type(value)
+            if kind is not int and kind is not float:
+                _require_number(value, "avg")
+            total += value
+            count += 1
+        self.total, self.count = total, count
 
     def result(self) -> object:
         if self.count == 0:
@@ -93,36 +109,39 @@ class AvgAggregate(Accumulator):
         return self.total / self.count
 
 
-class MinAggregate(Accumulator):
+class _ExtremeAggregate(Accumulator):
+    """``min``/``max``: ``pick`` over the best so far and the new values is
+    the left-to-right scan (first extreme wins), after the inputs pass the
+    comparability rule of ``<``."""
+
+    pick: Callable
+
+    def __init__(self) -> None:
+        self.best: object = None
+
+    def fold(self, values: Sequence) -> None:
+        present = [value for value in values if value is not None]
+        if not present:
+            return
+        if self.best is not None:
+            present.insert(0, self.best)
+        require_orderable(present)
+        self.best = self.pick(present)
+
+    def result(self) -> object:
+        return self.best
+
+
+class MinAggregate(_ExtremeAggregate):
     """``min(expr)``."""
 
-    def __init__(self) -> None:
-        self.best: object = None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        if self.best is None or value < self.best:
-            self.best = value
-
-    def result(self) -> object:
-        return self.best
+    pick = min
 
 
-class MaxAggregate(Accumulator):
+class MaxAggregate(_ExtremeAggregate):
     """``max(expr)``."""
 
-    def __init__(self) -> None:
-        self.best: object = None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        if self.best is None or value > self.best:
-            self.best = value
-
-    def result(self) -> object:
-        return self.best
+    pick = max
 
 
 class DistinctAggregate(Accumulator):
@@ -131,19 +150,16 @@ class DistinctAggregate(Accumulator):
     def __init__(self, inner: Accumulator):
         self.inner = inner
         self.seen: set = set()
-        self.saw_row = False
 
-    def add(self, value: object) -> None:
-        self.saw_row = True
-        if value is None:
-            # count(*) distinct is not valid SQL; NULLs never reach inner
-            # aggregates anyway, matching the non-distinct behaviour.
-            self.inner.add(None)
-            return
-        if value in self.seen:
-            return
-        self.seen.add(value)
-        self.inner.add(value)
+    def fold(self, values: Sequence) -> None:
+        seen = self.seen
+        fresh = []
+        for value in values:
+            if value is None or value in seen:
+                continue
+            seen.add(value)
+            fresh.append(value)
+        self.inner.fold(fresh)
 
     def result(self) -> object:
         return self.inner.result()
@@ -158,8 +174,11 @@ _FACTORIES: dict[str, Callable[[], Accumulator]] = {
 }
 
 
-def make_aggregate(name: str, star: bool = False, distinct: bool = False) -> Accumulator:
-    """Build an accumulator for an aggregate call.
+def aggregate_factory(
+    name: str, star: bool = False, distinct: bool = False
+) -> Callable[[], Accumulator]:
+    """The zero-argument constructor of an aggregate call's accumulator,
+    resolved once so that each new group pays only the construction.
 
     Args:
         name: Aggregate name (case-insensitive).
@@ -170,14 +189,14 @@ def make_aggregate(name: str, star: bool = False, distinct: bool = False) -> Acc
     if key == "count" and star:
         if distinct:
             raise ExpressionError("count(distinct *) is not valid SQL")
-        return CountStarAggregate()
+        return CountStarAggregate
     try:
-        aggregate = _FACTORIES[key]()
+        factory = _FACTORIES[key]
     except KeyError:
         raise ExpressionError(f"unknown aggregate function {name!r}") from None
     if distinct:
-        return DistinctAggregate(aggregate)
-    return aggregate
+        return lambda: DistinctAggregate(factory())
+    return factory
 
 
 def is_aggregate_name(name: str) -> bool:

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..errors import CatalogError, ExecutionError, ExpressionError
 from ..sql import ast
-from .aggregates import make_aggregate
+from .aggregates import aggregate_factory
 from .batch import ColumnBatch, batches_from_rows, resolve_batch_size
 from .expressions import (
     AGGREGATE_SOURCE,
@@ -54,6 +54,7 @@ from . import plan as plan_ir
 from .aggregates import is_aggregate_name
 from .plan import Optimizer, Planner
 from .schema import ColumnBinding, RowShape
+from .types import require_orderable
 
 
 class TrackingScope(Scope):
@@ -440,8 +441,14 @@ class PreparedSelect:
                 deduped.append((row, order_key))
             projected = deduped
 
-        if self.descending:
-            projected.sort(key=lambda pair: pair[1])
+        # One stable sort per ORDER BY key, the last key first.  NULLs sort
+        # last for ASC, first for DESC (PostgreSQL default).
+        for slot in reversed(range(len(self.descending))):
+            require_orderable([key[slot] for _, key in projected])
+            projected.sort(
+                key=lambda pair: (pair[1][slot] is None, pair[1][slot]),
+                reverse=self.descending[slot],
+            )
 
         rows = [row for row, _ in projected]
         if self.select.offset is not None:
@@ -451,18 +458,6 @@ class PreparedSelect:
         if env.trace is not None:
             env.trace.add_rows(self, len(rows))
         return rows
-
-    def _order_key(self, values: Iterable) -> tuple:
-        """The sort key of one result row from its ORDER BY values.
-
-        NULLs sort last for ASC, first for DESC (PostgreSQL default).
-        """
-        return tuple([
-            (value is not None, _Reversed(value))
-            if descending
-            else (value is None, value)
-            for value, descending in zip(values, self.descending)
-        ])
 
     def _filter_batches(
         self, batches: Iterator[ColumnBatch], env: Env
@@ -477,8 +472,8 @@ class PreparedSelect:
             yield batch if len(keep) == len(batch) else batch.take(keep)
 
     def _project(self, batch: ColumnBatch, env: Env) -> Iterable[tuple]:
-        """``(result row, sort key)`` for each row of ``batch`` that HAVING
-        keeps: the select list and ORDER BY run only on those."""
+        """``(result row, ORDER BY values)`` for each row of ``batch`` that
+        HAVING keeps: the select list and ORDER BY run only on those."""
         if self.having is not None:
             verdicts = self.having(batch, env)
             keep = [i for i, v in enumerate(verdicts) if v is True]
@@ -490,39 +485,62 @@ class PreparedSelect:
         if not self.order_keys:
             return zip(rows, repeat(()))
         keys = zip(*[order_key(batch, env) for order_key in self.order_keys])
-        return zip(rows, map(self._order_key, keys))
+        return zip(rows, keys)
 
     def _group(self, batches: Iterator[ColumnBatch], env: Env) -> ColumnBatch:
         """Aggregate ``batches`` into one batch of group representatives
-        whose extra columns are the aggregate results (``_group_shape``)."""
-        groups: dict[tuple, list] = {}
+        whose extra columns are the aggregate results (``_group_shape``).
+
+        A page at a time: its rows are partitioned by key (ascending
+        positions per key, keys in first-appearance order), then each
+        accumulator folds each group's slice of its argument column in one
+        call.  A single-column key is the scalar, as in ``HashJoin``."""
+        groups: dict[object, list] = {}
+        factories = [
+            aggregate_factory(name, star, distinct)
+            for (_, name, (star, distinct), _) in self.aggregate_specs
+        ]
+        single_key = len(self.group_keys) == 1
         for batch in batches:
+            length = batch.length
+            if not length:
+                continue
             key_columns = [key(batch, env) for key in self.group_keys]
             arg_columns = [
                 (arg(batch, env) if arg is not None else None)
                 for arg in self.aggregate_args
             ]
-            keys = (
-                list(zip(*key_columns))
-                if key_columns
-                else [()] * batch.length
-            )
-            for i, key in enumerate(keys):
+            if key_columns:
+                parts: dict[object, list] = {}
+                part = parts.get
+                keys = key_columns[0] if single_key else zip(*key_columns)
+                for i, key in enumerate(keys):
+                    positions = part(key)
+                    if positions is None:
+                        parts[key] = [i]
+                    else:
+                        positions.append(i)
+            else:
+                parts = {(): range(length)}
+            for key, positions in parts.items():
                 group = groups.get(key)
                 if group is None:
                     # Representative rows are materialized lazily — only the
                     # first row of each group ever becomes a tuple.
-                    group = [batch.row(i), self._accumulators()]
+                    group = [batch.row(positions[0]), [new() for new in factories]]
                     groups[key] = group
+                whole = len(positions) == length
                 for accumulator, column in zip(group[1], arg_columns):
-                    if column is None:
-                        accumulator.add(True)  # count(*): any non-None marker
+                    if column is None:  # count(*): only the length counts
+                        accumulator.fold(positions)
+                    elif whole:
+                        accumulator.fold(column)
                     else:
-                        accumulator.add(column[i])
+                        accumulator.fold([column[i] for i in positions])
         width = self.source_plan.shape.width()
         if not groups and not self.select.group_by:
             # Aggregates over an empty input still yield one row.
-            groups[()] = [(None,) * width, self._accumulators()]
+            groups[()] = [(None,) * width, [new() for new in factories]]
         representatives = ColumnBatch.from_rows(
             [representative for representative, _ in groups.values()], width
         )
@@ -535,31 +553,6 @@ class PreparedSelect:
             for slot in range(len(self.aggregate_specs))
         ]
         return ColumnBatch([*representatives.columns, *aggregates], len(groups))
-
-    def _accumulators(self) -> list:
-        return [
-            make_aggregate(name, star, distinct)
-            for (_, name, (star, distinct), _) in self.aggregate_specs
-        ]
-
-
-class _Reversed:
-    """Wrapper inverting comparison order, for ORDER BY ... DESC keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object):
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        if self.value is None:
-            return other.value is not None  # NULLs first for DESC
-        if other.value is None:
-            return False
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.value == other.value
 
 
 class SelectExecutor:

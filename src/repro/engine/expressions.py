@@ -38,7 +38,7 @@ from ..sql.printer import print_expression
 from .aggregates import is_aggregate_name
 from .batch import ColumnBatch
 from .schema import RowShape
-from .types import BitString, SqlType
+from .types import BitString, SqlType, compare_guard, comparable
 
 
 class Env:
@@ -306,7 +306,7 @@ class ExpressionCompiler:
             for i, (v, lo, hi) in enumerate(zip(values, lows, highs)):
                 if v is None or lo is None or hi is None:
                     continue
-                result = _comparable(lo) <= _comparable(v) <= _comparable(hi)
+                result = comparable(lo) <= comparable(v) <= comparable(hi)
                 out[i] = (not result) if negated else result
             return out
 
@@ -733,27 +733,9 @@ def _text(value: object) -> str:
     return value
 
 
-def _comparable(value: object) -> object:
-    """Validate that a value participates in ordering comparisons."""
-    if isinstance(value, (int, float, str, bool, BitString)):
-        return value
-    raise TypeMismatchError(f"value {value!r} is not comparable")
-
-
-def _compare_guard(left: object, right: object) -> None:
-    left_numeric = isinstance(left, (int, float)) and not isinstance(left, bool)
-    right_numeric = isinstance(right, (int, float)) and not isinstance(right, bool)
-    if left_numeric != right_numeric or (
-        not left_numeric and type(left) is not type(right)
-    ):
-        raise TypeMismatchError(
-            f"cannot compare {type(left).__name__} with {type(right).__name__}"
-        )
-
-
 def _cmp(op: Callable[[object, object], bool]) -> Callable[[object, object], bool]:
     def compare(left: object, right: object) -> bool:
-        _compare_guard(_comparable(left), _comparable(right))
+        compare_guard(comparable(left), comparable(right))
         return op(left, right)
 
     return compare

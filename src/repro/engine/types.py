@@ -15,7 +15,7 @@ mask).
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..errors import MaskError, TypeMismatchError
 
@@ -191,6 +191,41 @@ class BitString:
 
     def __str__(self) -> str:
         return self.bits()
+
+
+def comparable(value: object) -> object:
+    """Validate that a value participates in ordering comparisons."""
+    if isinstance(value, (int, float, str, bool, BitString)):
+        return value
+    raise TypeMismatchError(f"value {value!r} is not comparable")
+
+
+def compare_guard(left: object, right: object) -> None:
+    """Raise unless ``left`` and ``right`` may be compared: two numbers
+    (``bool`` is not one) or two values of one exact type."""
+    left_numeric = isinstance(left, (int, float)) and not isinstance(left, bool)
+    right_numeric = isinstance(right, (int, float)) and not isinstance(right, bool)
+    if left_numeric != right_numeric or (
+        not left_numeric and type(left) is not type(right)
+    ):
+        raise TypeMismatchError(
+            f"cannot compare {type(left).__name__} with {type(right).__name__}"
+        )
+
+
+def require_orderable(values: Iterable) -> None:
+    """Raise unless the non-NULL ``values`` (MIN/MAX inputs, ORDER BY keys)
+    may be ordered by WHERE's ``<`` rule.  Checking each against the first
+    suffices: the rule is an equivalence (numbers; else one exact type)."""
+    first = None
+    for value in values:
+        if value is None or type(value) is type(first):
+            continue
+        comparable(value)
+        if first is None:
+            first = value
+        else:
+            compare_guard(value, first)
 
 
 def python_type_matches(sql_type: SqlType, value: object) -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..engine.aggregates import aggregate_factory
 from ..errors import ExecutionError
 from ..sql import ast
 from ..sql.printer import print_expression
@@ -141,14 +142,12 @@ def _merge_sum(values: list):
     return total
 
 
-def _merge_min(values: list):
-    present = [value for value in values if value is not None]
-    return min(present) if present else None
-
-
-def _merge_max(values: list):
-    present = [value for value in values if value is not None]
-    return max(present) if present else None
+def _merge_extreme(name: str, values: list):
+    """MIN/MAX of the partials by the engine's own accumulator, so a mix the
+    engine refuses to order raises the same ``TypeMismatchError``."""
+    accumulator = aggregate_factory(name)()
+    accumulator.fold(values)
+    return accumulator.result()
 
 
 def _merge_avg(sums: list, counts: list):
@@ -197,13 +196,11 @@ def _fold(
             row.append(
                 _merge_sum([p[column.partial_indexes[0]] for p in partials])
             )
-        elif column.kind == "min":
+        elif column.kind in ("min", "max"):
             row.append(
-                _merge_min([p[column.partial_indexes[0]] for p in partials])
-            )
-        elif column.kind == "max":
-            row.append(
-                _merge_max([p[column.partial_indexes[0]] for p in partials])
+                _merge_extreme(
+                    column.kind, [p[column.partial_indexes[0]] for p in partials]
+                )
             )
         elif column.kind == "avg":
             row.append(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeMismatchError
 
 
 @pytest.fixture()
@@ -164,6 +164,50 @@ class TestAggregation:
             "select count(*) from emp group by salary > 75"
         )
         assert sorted(result.column("count")) == [2, 3]
+
+
+class TestComparability:
+    """MIN/MAX and ORDER BY apply the rule WHERE's ``<`` applies: numbers
+    compare with numbers, anything else only with its own type."""
+
+    @pytest.fixture()
+    def mixed(self):
+        database = Database()
+        database.execute(
+            "create table m (a integer, b text, c boolean, d double precision)"
+        )
+        database.execute(
+            "insert into m values (1, 'x', true, 0.5), (2, 'y', false, null), "
+            "(3, 'z', true, 2.5)"
+        )
+        return database
+
+    INT_OR_TEXT = "case when a > 1 then a else b end"
+    INT_OR_BOOL = "case when a > 1 then a else c end"
+
+    def test_where_refuses_bool_against_int(self, mixed):
+        with pytest.raises(TypeMismatchError, match="cannot compare bool with int"):
+            mixed.query(f"select a from m where ({self.INT_OR_BOOL}) > 1")
+
+    @pytest.mark.parametrize("name", ["min", "max"])
+    @pytest.mark.parametrize("mix", [INT_OR_TEXT, INT_OR_BOOL])
+    def test_min_max_refuse_incomparable_values(self, mixed, name, mix):
+        with pytest.raises(TypeMismatchError, match="cannot compare"):
+            mixed.query(f"select {name}({mix}) from m")
+
+    @pytest.mark.parametrize("mix", [INT_OR_TEXT, INT_OR_BOOL])
+    @pytest.mark.parametrize("direction", ["", " desc"])
+    def test_order_by_refuses_incomparable_values(self, mixed, mix, direction):
+        with pytest.raises(TypeMismatchError, match="cannot compare"):
+            mixed.query(f"select a from m order by {mix}{direction}")
+
+    def test_numbers_and_nulls_still_order(self, mixed):
+        result = mixed.query(
+            "select a, min(case when a > 1 then d else a end), "
+            "max(case when a > 1 then d else a end) from m group by a "
+            "order by case when a = 2 then d else a end desc"
+        )
+        assert result.rows == [(2, None, None), (3, 2.5, 2.5), (1, 1, 1)]
 
 
 class TestDerivedTables:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.core import Session
 from repro.errors import RemoteError, UnauthorizedPurposeError
 from repro.server import Client, QueryServer
@@ -151,3 +153,27 @@ def test_stop_wakes_the_accept_thread():
     server.stop()
     assert not accept_thread.is_alive()
     assert time.monotonic() - began < 2
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select max(case when user_id = 'user0' then 0 else user_id end) from users",
+        "select user_id from users order by case when user_id = 'user0' then 0 "
+        "else user_id end",
+    ],
+)
+def test_incomparable_values_answer_engine_error(sql):
+    """MIN/MAX and ORDER BY over an int/text mix raise the engine's
+    TypeMismatchError, which the wire reports as ``engine_error`` (a bare
+    Python TypeError would be ``internal_error``)."""
+    scenario = build_patients_scenario(patients=4, samples_per_patient=2)
+    apply_experiment_policies(scenario, selectivity=0.0, seed=3)  # all rows pass
+    scenario.admin.grant_purpose("user0", GRANTED)
+    with QueryServer(scenario.monitor, workers=1) as server:
+        with Client(*server.address) as client:
+            client.hello("user0", GRANTED)
+            with pytest.raises(RemoteError) as caught:
+                client.query(sql)
+            assert caught.value.code == "engine_error"
+            assert client.query("select max(user_id) from users").rows == [("user3",)]

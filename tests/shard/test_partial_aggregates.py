@@ -20,8 +20,7 @@ from repro.shard.partial import (
     MergeSpec,
     _merge_avg,
     _merge_count,
-    _merge_max,
-    _merge_min,
+    _merge_extreme,
     _merge_sum,
     decompose,
     merge_rows,
@@ -177,9 +176,16 @@ class TestMergeOperators:
         assert _merge_sum([None, 4, 1]) == 5
 
     def test_min_max_skip_null_partials(self) -> None:
-        assert _merge_min([None, 7, 3]) == 3
-        assert _merge_max([None, 7, 3]) == 7
-        assert _merge_min([None, None]) is None
+        assert _merge_extreme("min", [None, 7, 3]) == 3
+        assert _merge_extreme("max", [None, 7, 3]) == 7
+        assert _merge_extreme("min", [None, None]) is None
+
+    def test_min_max_refuse_partials_the_engine_cannot_order(self) -> None:
+        from repro.errors import TypeMismatchError
+
+        for partials in ([3, "a"], [True, 2]):
+            with pytest.raises(TypeMismatchError, match="cannot compare"):
+                _merge_extreme("max", partials)
 
     def test_avg_null_on_zero_merged_count(self) -> None:
         assert _merge_avg([None, None], [0, 0]) is None
