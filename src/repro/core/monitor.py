@@ -179,10 +179,13 @@ class EnforcementMonitor:
     The caches and their counters are lock-guarded, so one monitor can serve
     many threads (the :mod:`repro.server` deployment): cache hits and plan
     compilation serialize on the monitor's lock, while the executions
-    themselves run outside it.  Callers that interleave reads with policy
-    or data *writes* must provide their own exclusion (the server's
-    readers–writer lock); the monitor only guarantees its internal state
-    stays consistent.
+    themselves run outside it.  Writers are ordered by the engine: an
+    autocommit DML statement reads and commits under the transaction
+    manager's write fence, so concurrent statements lose no committed
+    write.  An admin batch that must look atomic to readers (a policy
+    rewrite plus its epoch bump) holds that fence itself
+    (:meth:`~repro.engine.mvcc.TransactionManager.exclusive`); the monitor
+    never takes the fence while holding its own lock.
     """
 
     #: Constants, kept for the same frozen benchmark seam as the
@@ -693,7 +696,7 @@ class EnforcementMonitor:
 
     def execute(
         self,
-        query: str | ast.Select,
+        query: "str | ast.Select | ast.SetOperation",
         purpose: str,
         user: str | None = None,
         params=None,
@@ -703,7 +706,7 @@ class EnforcementMonitor:
 
     def execute_with_report(
         self,
-        query: str | ast.Select,
+        query: "str | ast.Select | ast.SetOperation",
         purpose: str,
         user: str | None = None,
         params=None,
@@ -824,10 +827,8 @@ class EnforcementMonitor:
             )
         if isinstance(statement, (ast.Begin, ast.Commit, ast.Rollback)):
             return self.execute_txn_control(statement)
-        if isinstance(statement, ast.Select):
+        if isinstance(statement, (ast.Select, ast.SetOperation)):
             return self.execute(statement if text is None else text, purpose, user)
-        if isinstance(statement, ast.SetOperation):
-            return self._execute_set_operation(statement, purpose, user, text)
         if not isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
             raise AccessControlError(
                 "DDL statements are not executable through the monitor"
@@ -840,11 +841,16 @@ class EnforcementMonitor:
             self._count_query("denied")
             raise UnauthorizedPurposeError(user, purpose)
         self.admin.purposes.get(purpose)
-        rewritten = rewrite_statement(statement, purpose, self.deriver, self.admin)
         database = self.admin.database
-        checks_before = database.function_calls(COMPLIES_WITH)
-        affected = database.execute(rewritten)
-        checks = database.function_calls(COMPLIES_WITH) - checks_before
+        # One hold of the write fence over rewrite and run: the signature
+        # and the masks it is checked against come from one policy state.
+        with database.transactions.autocommit_exclusive():
+            rewritten = rewrite_statement(
+                statement, purpose, self.deriver, self.admin
+            )
+            checks_before = database.function_calls(COMPLIES_WITH)
+            affected = database.execute(rewritten)
+            checks = database.function_calls(COMPLIES_WITH) - checks_before
         self.record_audit(
             user, purpose, statement_id, original_sql, "allowed",
             rows=affected, checks=checks,
@@ -898,30 +904,6 @@ class EnforcementMonitor:
         self.metrics.gauge("repro_active_snapshots").set(
             database.transactions.active_count()
         )
-
-    def _execute_set_operation(
-        self,
-        statement: ast.SetOperation,
-        purpose: str,
-        user: str | None,
-        text: str | None = None,
-        params=None,
-    ) -> ResultSet:
-        """Enforce a UNION/INTERSECT/EXCEPT chain through the cached path.
-
-        Goes through the same :meth:`_run_cached` as plain SELECTs, so the
-        execution is audited and its ``complieswith`` invocations counted
-        like every other enforced query.
-        """
-        self.admin.require_configured()
-        statement, qid, resolved_text = (
-            self._resolve(text, allow_set_ops=True)
-            if text is not None
-            else (statement, compute_query_id(to_sql(statement)), None)
-        )
-        return self._run_cached(
-            statement, qid, purpose, user, params, resolved_text
-        ).result
 
     def execute_unprotected(self, query: str | ast.Select) -> ResultSet:
         """Run the *original* query, bypassing enforcement.

@@ -398,12 +398,16 @@ class Database:
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         if isinstance(statement, (ast.Select, ast.SetOperation)):
             return self.query(statement)
-        if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement)
-        if isinstance(statement, ast.Update):
-            return self._execute_update(statement)
-        if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement)
+        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+            # Autocommit DML reads and commits as one step under the write
+            # fence, so no concurrent commit lands in between and is
+            # overwritten.
+            with self.transactions.autocommit_exclusive():
+                if isinstance(statement, ast.Insert):
+                    return self._execute_insert(statement)
+                if isinstance(statement, ast.Update):
+                    return self._execute_update(statement)
+                return self._execute_delete(statement)
         if isinstance(statement, ast.Begin):
             self.begin()
             return 0

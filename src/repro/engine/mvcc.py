@@ -25,6 +25,11 @@ and its one write path (DESIGN.md §15):
   applier (:meth:`~repro.engine.database.Database.apply_commit`, which
   recovery replays the record through), the clock, pruning, the fsync.  A
   snapshot is pinned under that lock, so *visible means durable*.
+* **Order writers** with one re-entrant fence
+  (:meth:`TransactionManager.exclusive`): every commit and every snapshot
+  pin takes it before the manager lock, and an autocommit statement that
+  reads before it writes holds it from the read to the commit, so no
+  concurrent commit lands in between and is overwritten.
 
 The active transaction travels in a :class:`contextvars.ContextVar`, so it
 is inherited by the asyncio tasks of the sharded transport and can be
@@ -358,6 +363,9 @@ class TransactionManager:
     """
 
     def __init__(self):
+        #: The write fence (:meth:`exclusive`); lock order is fence →
+        #: ``_lock``, and nothing takes the fence while holding ``_lock``.
+        self._fence = threading.RLock()
         self._lock = threading.Lock()
         self._clock = 0
         self._txn_counter = 0
@@ -391,15 +399,28 @@ class TransactionManager:
                 self._clock = ts
 
     @contextlib.contextmanager
-    def commits_paused(self) -> Iterator[int]:
-        """Hold the commit lock; yields the clock.
+    def exclusive(self) -> Iterator[int]:
+        """Hold the write fence; yields the clock.
 
-        No commit lands inside the block, so the tables are exactly the
-        state every commit up to the yielded timestamp produced — what a
-        checkpoint has to capture before it may discard the log.
+        No commit lands and no snapshot is pinned inside the block, so the
+        tables are exactly the state every commit up to the yielded
+        timestamp produced — what a checkpoint captures before it discards
+        the log, what an autocommit read-modify-write commits over, and
+        what an admin batch (policy rewrite plus epoch bump) needs to
+        appear to readers as one step.  The fence is re-entrant: the
+        holder's own commits and snapshots go through.  Rollbacks do not
+        take it.
         """
-        with self._lock:
+        with self._fence:
             yield self._clock
+
+    def autocommit_exclusive(self):
+        """:meth:`exclusive` for a statement outside any transaction of this
+        manager; nothing inside one, where first-committer-wins decides at
+        COMMIT."""
+        if current_transaction(self) is not None:
+            return contextlib.nullcontext()
+        return self.exclusive()
 
     def current_catalog_version(self) -> int:
         """The catalog version new snapshots pin (0 when detached)."""
@@ -417,7 +438,7 @@ class TransactionManager:
 
     def begin(self) -> Transaction:
         """Open a transaction pinned to a fresh snapshot."""
-        with self._lock:
+        with self._fence, self._lock:
             self._txn_counter += 1
             txn = Transaction(self, self._txn_counter, self.snapshot())
             self._active[txn.txn_id] = txn
@@ -429,11 +450,11 @@ class TransactionManager:
     def read_snapshot(self) -> Iterator["Transaction"]:
         """A registered read-only snapshot for the extent of a statement.
 
-        This is the server's *snapshot handoff*: instead of holding the
-        read side of the RW lock for the duration of a SELECT, the worker
-        pins a snapshot (protecting its versions from pruning) and reads
-        lock-free.  Exiting the scope unregisters without commit
-        validation — a read-only transaction has nothing to validate.
+        This is the server's *snapshot handoff*: the worker holds the
+        fence only while it pins a snapshot (protecting its versions from
+        pruning), then reads lock-free.  Exiting the scope unregisters
+        without commit validation — a read-only transaction has nothing to
+        validate.
         """
         txn = self.begin()
         txn.ephemeral = True
@@ -478,8 +499,11 @@ class TransactionManager:
         audited read autocommits an append, so this stays the plan plus
         :meth:`_commit_locked`.  The commit's row-level write set is recorded
         so concurrent transactions validate against it at *their* commit.
+        A ``"replace"`` that read ``rows`` before the call is only safe
+        under :meth:`exclusive`, which ``Database.execute`` holds for
+        autocommit DML.
         """
-        with self._lock:
+        with self._fence, self._lock:
             pk = table.row_key_indexes()
             if op == "append":
                 plan = WritePlan(table, "append", rows, _keys(rows, pk))
@@ -503,7 +527,7 @@ class TransactionManager:
             raise TransactionError(
                 f"transaction {txn.txn_id} is {txn.status}, not active"
             )
-        with self._lock:
+        with self._fence, self._lock:
             if not txn._staged and not txn._catalog_ops:
                 # Read-only commit: nothing to validate or log.
                 self._end_locked(txn, "committed")

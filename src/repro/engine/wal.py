@@ -386,8 +386,8 @@ class DurabilityManager:
     def checkpoint(self) -> None:
         """Write an atomic full snapshot and truncate the log.
 
-        All under the transaction-manager lock: the image, the clock it is
-        stamped with and the log swap describe one state.  A commit landing
+        All under the transaction manager's fence: the image, the clock it
+        is stamped with and the log swap describe one state.  A commit landing
         between them would be acknowledged, absent from the image and
         erased with the log — and delta records are addressed by position
         in the image, so even a surviving one would replay onto the wrong
@@ -395,7 +395,7 @@ class DurabilityManager:
         """
         from . import persist
 
-        with self.database.transactions.commits_paused() as clock:
+        with self.database.transactions.exclusive() as clock:
             document = persist.to_document(self.database)
             document["wal_clock"] = clock
             snapshot_path = self.directory / _SNAPSHOT_NAME

@@ -8,15 +8,14 @@ clients at once:
   protocol above the framing (verbs, session and transaction state machine,
   error codes, admission accounting, response shapes, ``stats``);
 * :class:`QueryServer` — its threaded transport: a thread per connection
-  in front of one monitor, snapshot-handoff reads, a readers–writer lock
-  ordering snapshots against DML and policy writes;
+  in front of one monitor, snapshot-handoff reads; writers are ordered by
+  the engine's write fence, not by the server;
 * :class:`AsyncQueryServer` — its asyncio transport over a hash-sharded
   deployment (:mod:`repro.shard`, DESIGN.md §14): one event loop,
   scatter-gather execution behind the coordinator's fence;
 * :class:`SessionManager` / :class:`ServerSession` — per-connection
   authenticated state (user, purpose, open prepared statements);
-* :class:`Client` — the matching synchronous client;
-* :class:`ReadWriteLock` — the concurrency primitive, importable on its own.
+* :class:`Client` — the matching synchronous client.
 
 ``python -m repro.server --port 7878`` serves the patients scenario
 (add ``--async --shards 3`` for the sharded event-loop server).
@@ -24,7 +23,6 @@ clients at once:
 
 from .async_server import AsyncQueryServer
 from .client import Client, QueryResult
-from .locks import ReadWriteLock
 from .protocol import (
     DENIAL_CODES,
     E_BUSY,
@@ -50,7 +48,6 @@ __all__ = [
     "Client",
     "QueryResult",
     "QueryServer",
-    "ReadWriteLock",
     "ServerSession",
     "SessionManager",
     "DENIAL_CODES",

@@ -14,8 +14,10 @@ multiplexing every connection and a
   statement inside an open transaction runs locally (route
   ``"txn-local"``), and ``COMMIT`` takes the write fence and resyncs the
   written tables to the shards, like autocommit DML.
-* The fence is the coordinator's *async* readers–writer lock; an admission
-  slot is an :class:`asyncio.Semaphore` permit.
+* The fence is the coordinator's *async* readers–writer lock, which orders
+  scatters against the shards' copies (the local replica's commits are
+  ordered by its engine's write fence, as on the threaded transport); an
+  admission slot is an :class:`asyncio.Semaphore` permit.
 * The event loop runs on one daemon thread, so the blocking
   ``start()``/``stop()``/context-manager lifecycle — and the synchronous
   :class:`~repro.server.client.Client` — work unchanged.

@@ -14,10 +14,10 @@ shape, the metric registrations and the shared ``stats`` sections.
 (:class:`~repro.server.server.QueryServer` on threads,
 :class:`~repro.server.async_server.AsyncQueryServer` on an event loop) does
 only what differs between the two: it runs a job inside
-:meth:`RequestCore.admitted` behind its own semaphore and fence, against
-its own backend (the monitor, or a shard coordinator), and hands the
-outcome to :meth:`RequestCore.complete` — or the exception to
-:meth:`RequestCore.failure` — to be encoded.
+:meth:`RequestCore.admitted` behind its own semaphore (and snapshot scope
+or shard fence), against its own backend (the monitor, or a shard
+coordinator), and hands the outcome to :meth:`RequestCore.complete` — or
+the exception to :meth:`RequestCore.failure` — to be encoded.
 """
 
 from __future__ import annotations
@@ -407,7 +407,8 @@ class RequestCore:
     def stats(self, server: dict, **sections) -> dict:
         """The ``stats`` object: ``server`` (the transport's view of itself)
         completed with the core's counters, the shared sections, and the
-        transport's own ``sections`` (``lock``, ``shards``)."""
+        transport's own ``sections`` (the async transport's ``lock``, the
+        coordinator's fence, and ``shards``)."""
         monitor, database = self.monitor, self.monitor.database
         with self._lock:
             server = {

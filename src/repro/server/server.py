@@ -9,26 +9,28 @@ particular to serving it from threads:
   executed and answered on that connection's own thread.
 * **Admission slots.**  A statement runs inside the core's admission
   accounting and behind a semaphore of ``workers`` permits.
-* **Snapshot handoff (MVCC).**  Enforced SELECTs (``query``, ``prepare``,
-  ``execute_prepared``) pin a snapshot (commit ts × catalog version) under
-  the read side of a readers–writer lock and then read lock-free, so DML
-  and policy updates never stall readers; autocommit DML, ``COMMIT`` and
-  in-process admin mutations (:meth:`QueryServer.exclusive`) serialize on
-  the write side, and multi-statement transactions settle write-write
-  races first-committer-wins at COMMIT.
+* **Snapshot handoff (MVCC).**  An autocommit statement other than DML
+  (``query``, ``prepare``, ``execute_prepared``, EXPLAIN) pins a snapshot
+  (commit ts × catalog version) and then reads lock-free, so DML and
+  policy updates never stall readers.  Ordering writers is the engine's
+  job, not this transport's: pinning a snapshot, every commit and
+  autocommit DML take the transaction manager's write fence
+  (:meth:`~repro.engine.mvcc.TransactionManager.exclusive`, which
+  :meth:`QueryServer.exclusive` hands to in-process admin mutations), and
+  multi-statement transactions settle write-write races
+  first-committer-wins at COMMIT.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import nullcontext, suppress
 
 from ..core.monitor import EnforcementMonitor
 from ..errors import WireProtocolError
 from ..obs.metrics import MetricsRegistry
 from .core import Job, Reply, Transport
-from .locks import ReadWriteLock
 from .protocol import recv_message, send_message
 from .sessions import ServerSession
 
@@ -55,7 +57,6 @@ class QueryServer(Transport):
         metrics: "MetricsRegistry | None" = None,
     ):
         super().__init__(monitor, host, port, workers, max_pending, metrics)
-        self.rwlock = ReadWriteLock()
         self._slots = threading.BoundedSemaphore(workers)
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -102,18 +103,17 @@ class QueryServer(Transport):
         for thread in list(self._conn_threads):
             thread.join(timeout=5)
 
-    @contextmanager
     def exclusive(self):
-        """Exclusive access for administrative mutations.
+        """Exclusive access for administrative mutations: the engine's
+        write fence.
 
         Policy changes go through the admin API in-process, not over the
         wire; wrapping them in ``with server.exclusive():`` orders them
         against in-flight query traffic exactly like DML — no reader pins
-        its snapshot while the mutation is mid-flight, and every later read
-        sees the bumped policy epoch.
+        its snapshot and no writer commits while the mutation is
+        mid-flight, and every later read sees the bumped policy epoch.
         """
-        with self.rwlock.write_locked():
-            yield
+        return self.monitor.database.transactions.exclusive()
 
     # -- accept / connection loops --------------------------------------------------
 
@@ -183,50 +183,23 @@ class QueryServer(Transport):
         return Reply(response, session)
 
     def _execute(self, job: Job) -> dict:
-        """Run one admitted statement on this connection's thread."""
+        """Run one admitted statement on this connection's thread.
+
+        BEGIN, COMMIT and DML call the engine, which orders them itself.
+        Any other autocommit statement reads under an ephemeral snapshot;
+        inside an open transaction it reads the session's snapshot.
+        """
         transactions = self.monitor.database.transactions
         if job.kind == "begin":
-            # Under the read lock: a transaction cannot pin its snapshot
-            # in the middle of an exclusive admin batch (see _fenced).
-            with self.rwlock.read_locked():
-                outcome = transactions.begin()
+            outcome = transactions.begin()
         elif job.kind == "commit":
-            # Under the write lock: commits order against autocommit
-            # DML and in-process admin mutations (`exclusive()`).
             with self.core.committing(job.session) as txn:
-                with self.rwlock.write_locked():
-                    outcome = transactions.commit(txn)
+                outcome = transactions.commit(txn)
         else:
-            with self._fenced(job):
+            autocommit_read = job.session.txn is None and job.kind != "dml"
+            with transactions.read_snapshot() if autocommit_read else nullcontext():
                 outcome = self.core.run_local(job)
         return self.core.complete(job, outcome)
-
-    @contextmanager
-    def _fenced(self, job: Job):
-        """Order one statement against writers.
-
-        Inside an open transaction nothing is needed: reads see the
-        session's snapshot and DML stages privately (the write-write race
-        is settled at COMMIT).  Autocommit DML runs under the write lock.
-        An autocommit read pins an ephemeral snapshot under the read side —
-        a snapshot can never begin in the middle of an exclusive admin
-        batch or a DML write — then releases the lock and executes
-        lock-free: writers never block the read itself (the snapshot
-        handoff).
-        """
-        if job.session.txn is not None:
-            yield
-        elif job.kind == "dml":
-            with self.rwlock.write_locked():
-                yield
-        else:
-            scope = self.monitor.database.transactions.read_snapshot()
-            with self.rwlock.read_locked():
-                scope.__enter__()
-            try:
-                yield
-            finally:
-                scope.__exit__(None, None, None)
 
     # -- observability ----------------------------------------------------------------
 
@@ -234,4 +207,4 @@ class QueryServer(Transport):
         """Everything observable about the service, one JSON object."""
         with self._state_lock:
             server = self._server_section(len(self._connections))
-        return self.core.stats(server, lock=self.rwlock.state())
+        return self.core.stats(server)

@@ -124,12 +124,15 @@ def _schema_ops(table: str, old: tuple, new: tuple) -> list[dict]:
 
 
 class AsyncReadWriteLock:
-    """The asyncio twin of :class:`repro.server.locks.ReadWriteLock`.
+    """The coordinator's fence: a writer-preferring asyncio readers–writer
+    lock.
 
-    Same discipline, same writer preference: scatters hold the lock shared,
-    epoch broadcasts and resyncs hold it exclusive, and arriving readers
-    queue behind a waiting writer so a stream of SELECTs cannot starve a
-    policy write.
+    Scatters hold it shared, epoch broadcasts and resyncs hold it
+    exclusive, and arriving readers queue behind a waiting writer so a
+    stream of SELECTs cannot starve a policy write.  It orders a scatter
+    against the shards' copies of the data — something the local
+    replica's write fence (:meth:`~repro.engine.mvcc.TransactionManager
+    .exclusive`) cannot see, since the shards are other databases.
     """
 
     def __init__(self) -> None:

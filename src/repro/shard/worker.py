@@ -141,9 +141,9 @@ class ShardWorker:
         database = self.world.database
         transactions = database.transactions
         ops = request["ops"]
-        with transactions.commits_paused() as clock:
+        with transactions.exclusive() as clock:
             database.apply_commit(clock + 1, [decode_ddl_op(op) for op in ops], ())
-        transactions.advance_clock_to(clock + 1)
+            transactions.advance_clock_to(clock + 1)
         # A new index is built here, under the coordinator's write fence,
         # not by the first reader that probes it — unless this batch also
         # altered its table, whose rows are about to be replaced.

@@ -1,7 +1,7 @@
 """Overload acceptance: saturation answers ``server_busy``, then drains.
 
 The admission queue is made tiny (one worker, one slot) and the worker is
-gated deterministically: the test holds the server's write lock via
+gated deterministically: the test holds the engine's write fence via
 ``server.exclusive()``, so the first admitted SELECT blocks inside the
 worker and the second occupies the only queue slot.  Every further request
 must be answered immediately with ``server_busy`` — no hangs, no dropped
@@ -24,7 +24,7 @@ SQL = "select user_id from users"
 
 def test_saturation_yields_server_busy_and_drains_back_to_healthy():
     # The gate below blocks reads even though SELECTs execute lock-free:
-    # a read pins its snapshot under ``rwlock.read_locked()``, so it waits
+    # pinning a read's snapshot takes the engine's write fence, so it waits
     # there for as long as ``exclusive()`` is held.
     scenario = build_patients_scenario(patients=10, samples_per_patient=3)
     scenario.admin.grant_purpose("reader", "p6")

@@ -76,7 +76,7 @@ def test_readers_vs_policy_writer_serial_equivalence():
         for _ in range(TOGGLES):
             even_passes = not even_passes
             with server.exclusive():
-                # Inside the write lock the N per-row policy updates are
+                # Inside the write fence the N per-row policy updates are
                 # one atomic batch from any reader's point of view.
                 _apply_parity_state(scenario, even_passes=even_passes)
 

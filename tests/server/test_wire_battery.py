@@ -243,6 +243,49 @@ def test_admission_pending_counts_waiting_not_running(front, client, other):
     assert not thread.is_alive() and len(answers) == 1
 
 
+# -- write ordering ----------------------------------------------------------------------
+
+
+def test_concurrent_autocommit_increments_keep_every_write(front):
+    """Writers are ordered by the engine (the threaded transport has no lock
+    of its own): concurrent read-modify-write statements on disjoint rows
+    lose none of their increments."""
+    users, rounds = ("user0", "user1", "user4", "user9"), 25
+    clients = [_connect(front) for _ in users]
+    failures: list[BaseException] = []
+    start = threading.Barrier(len(users), timeout=10)
+
+    def increment(connection: Client, user_id: str) -> None:
+        sql = (
+            "update users set nutritional_profile_id = "
+            f"nutritional_profile_id + 1 where user_id = '{user_id}'"
+        )
+        try:
+            start.wait()
+            for _ in range(rounds):
+                assert connection.execute(sql) == 1
+        except BaseException as exc:  # surfaced on the test thread
+            failures.append(exc)
+
+    try:
+        before = [_profile(clients[0], user_id)[0] for user_id in users]
+        threads = [
+            threading.Thread(target=increment, args=pair)
+            for pair in zip(clients, users)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        after = [_profile(clients[0], user_id)[0] for user_id in users]
+        assert after == [value + rounds for value in before]
+    finally:
+        for connection in clients:
+            connection.close()
+
+
 # -- BEGIN / COMMIT / ROLLBACK -----------------------------------------------------------
 
 
