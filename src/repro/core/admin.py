@@ -143,15 +143,15 @@ class AccessControlManager:
     def compliance_memo_info(self) -> dict[str, int]:
         """Observability snapshot of the ``complieswith`` memo.
 
-        ``hits``/``misses`` are monotonic invocation counters (they survive
-        epoch clears); ``cached`` is the current number of memoized
-        argument tuples.
+        ``hits``/``misses`` are the database total's monotonic ``memo.hit``
+        / ``memo.miss`` counts (they survive epoch clears); ``cached`` is
+        the current number of memoized argument tuples.
         """
-        memo = self._compliance_memo
+        total = self.database.cost_total
         return {
-            "hits": memo.hit_count(),
-            "misses": memo.miss_count(),
-            "cached": memo.cached_results(),
+            "hits": total["memo.hit"],
+            "misses": total["memo.miss"],
+            "cached": self._compliance_memo.cached_results(),
         }
 
     # -- configuration (Section 5.1) ---------------------------------------------

@@ -15,14 +15,17 @@ wrappers over the same cache.  Cache keys embed the admin's *policy epoch*
 policy, categorization or purpose-set change transparently forces a fresh
 rewrite — a prepared query can never replay a plan compiled under policies
 that no longer hold.
+
+Every execution charges a fresh cost ledger that the monitor reads back for
+its report, audit record and metrics, however many run beside it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field
 
 from ..engine import (
     Database,
@@ -43,12 +46,17 @@ from .rewriter import rewrite_query
 from .signatures import QuerySignature, SignatureDeriver
 
 
+#: The metric family each ledger event family is counted under.
+_EVENT_FAMILIES = {"bitmap": "repro_policy_bitmap_total", "index": "repro_index_total"}
+
+
 @dataclass
 class EnforcementReport:
     """Everything observable about one monitored execution.
 
-    ``memo_hits`` is how many of the ``compliance_checks`` were answered
-    from the ``complieswith`` memo; ``trace`` is the execution's recorded
+    ``costs`` is the execution's own ledger: its ``complieswith`` calls
+    (``compliance_checks``), ``memo.*``, ``bitmap.*`` and ``index.*``
+    events, whatever ran beside it.  ``trace`` is the execution's recorded
     :class:`~repro.obs.tracing.Trace` when the monitor has tracing enabled
     (``None`` otherwise — disabled tracing records nothing).
     """
@@ -60,16 +68,7 @@ class EnforcementReport:
     result: ResultSet
     compliance_checks: int
     cache_hit: bool = False
-    memo_hits: int = 0
-    #: Hoisted guards' verdict maps built from nothing / policy posting
-    #: indexes carried to another table version / verdict maps reused during
-    #: this execution (all stay 0 with the optimizer off or no guards hoisted).
-    bitmap_built: int = 0
-    bitmap_revalidated: int = 0
-    bitmap_hits: int = 0
-    #: Secondary-index probes performed by this execution (0 with the
-    #: optimizer off or no indexes).
-    index_hits: int = 0
+    costs: Counter = field(default_factory=Counter)
     trace: "object | None" = None
 
 
@@ -337,9 +336,32 @@ class EnforcementMonitor:
     def _begin_trace(self) -> Trace:
         return Trace() if self.tracing_enabled else NULL_TRACE
 
-    def _count_query(self, outcome: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("repro_queries_total").inc(outcome=outcome)
+    def _count_query(self, outcome: str, spent: "Counter | None" = None) -> None:
+        """Count one data-access statement and, if it ran, its ledger."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        metrics.counter("repro_queries_total").inc(outcome=outcome)
+        if spent is None:
+            return
+        metrics.counter("repro_complieswith_total").inc(spent[COMPLIES_WITH])
+        metrics.counter("repro_complieswith_memo_hits_total").inc(spent["memo.hit"])
+        for key, count in spent.items():
+            family, _, event = key.partition(".")
+            if count and event and family in _EVENT_FAMILIES:
+                metrics.counter(_EVENT_FAMILIES[family]).inc(count, event=event)
+
+    def _authorize(self, user, purpose, qid, statement, text, counted=True) -> None:
+        """Raise :class:`UnauthorizedPurposeError` unless ``user`` (if any)
+        may act for ``purpose``: a denial is audited under the caller's raw
+        SQL and counted, unless it is an EXPLAIN's (``counted=False``)."""
+        if user is None or self.authorizer.is_authorized(user, purpose):
+            return
+        sql = text if text is not None else to_sql(statement)
+        self.record_audit(user, purpose, qid, sql, "denied")
+        if counted:
+            self._count_query("denied")
+        raise UnauthorizedPurposeError(user, purpose)
 
     def record_audit(
         self,
@@ -571,16 +593,7 @@ class EnforcementMonitor:
         started = time.perf_counter() if self.metrics is not None else 0.0
         if trace is None:
             trace = self._begin_trace()
-        if user is not None and not self.authorizer.is_authorized(user, purpose):
-            self.record_audit(
-                user,
-                purpose,
-                qid,
-                text if text is not None else to_sql(statement),
-                "denied",
-            )
-            self._count_query("denied")
-            raise UnauthorizedPurposeError(user, purpose)
+        self._authorize(user, purpose, qid, statement, text)
         with trace.span("plan") as plan_span:
             plan, hit = self._compiled_plan(statement, qid, purpose)
             if trace.enabled:
@@ -595,30 +608,16 @@ class EnforcementMonitor:
             except Exception:
                 self._count_query("error")
                 raise
-        checks, memo_hits = spent["checks"], spent["memo_hits"]
-        execute_span.annotate(
-            rows=len(result), checks=checks, memo_hits=memo_hits
-        )
+        checks, memo_hits = spent[COMPLIES_WITH], spent["memo.hit"]
+        execute_span.annotate(rows=len(result), checks=checks, memo_hits=memo_hits)
 
         self.record_audit(
             user, purpose, qid, original_sql, "allowed",
             rows=len(result), checks=checks,
         )
-        self._count_query("ok")
+        self._count_query("ok", spent)
         if self.metrics is not None:
             metrics = self.metrics
-            metrics.counter("repro_complieswith_total").inc(checks)
-            metrics.counter("repro_complieswith_memo_hits_total").inc(memo_hits)
-            for event in ("hit", "revalidated", "built", "row_pass"):
-                if spent[f"bitmap_{event}"]:
-                    metrics.counter("repro_policy_bitmap_total").inc(
-                        spent[f"bitmap_{event}"], event=event
-                    )
-            for event in ("hit", "rebuild", "carried_forward"):
-                if spent[f"index_{event}"]:
-                    metrics.counter("repro_index_total").inc(
-                        spent[f"index_{event}"], event=event
-                    )
             metrics.counter("repro_plan_cache_total").inc(
                 result="hit" if hit else "miss"
             )
@@ -637,39 +636,18 @@ class EnforcementMonitor:
             result=result,
             compliance_checks=checks,
             cache_hit=hit,
-            memo_hits=memo_hits,
-            bitmap_built=spent["bitmap_built"],
-            bitmap_revalidated=spent["bitmap_revalidated"],
-            bitmap_hits=spent["bitmap_hit"],
-            index_hits=spent["index_hit"],
+            costs=spent,
             trace=trace if trace.enabled else None,
         )
 
-    def _execute_counted(self, plan, params, trace) -> "tuple[ResultSet, dict]":
-        """Run a compiled plan; returns its result and what the run cost:
-        ``complieswith`` calls, memo hits, policy-bitmap and index events —
-        one before/after reading shared by every execution and EXPLAIN
-        ANALYZE."""
-        before = self._counters()
-        result = self.admin.database.execute_prepared(plan, params, trace=trace)
-        after = self._counters()
-        return result, {name: after[name] - count for name, count in before.items()}
-
-    def _counters(self) -> dict[str, int]:
-        database = self.admin.database
-        bitmaps = database.policy_bitmaps.stats()
-        indexes = database.indexes.stats()
-        return {
-            "checks": database.function_calls(COMPLIES_WITH),
-            "memo_hits": self.admin.compliance_memo_info()["hits"],
-            "bitmap_hit": bitmaps["hits"],
-            "bitmap_revalidated": bitmaps["revalidated"],
-            "bitmap_built": bitmaps["built"],
-            "bitmap_row_pass": bitmaps["row_passes"],
-            "index_hit": indexes["hits"],
-            "index_rebuild": indexes["rebuilds"],
-            "index_carried_forward": indexes["carried_forward"],
-        }
+    def _execute_counted(self, plan, params, trace) -> "tuple[ResultSet, Counter]":
+        """Run a compiled plan; returns its result and its own ledger, what
+        the run cost — shared by every execution and EXPLAIN ANALYZE."""
+        with self.database.cost_total.ledger(None) as spent:
+            result = self.database.execute_prepared(
+                plan, params, trace=trace, costs=spent
+            )
+        return result, spent
 
     # -- cache instrumentation ---------------------------------------------------------
 
@@ -749,9 +727,7 @@ class EnforcementMonitor:
         self.admin.require_configured()
         statement, qid, text = self._resolve(query, allow_set_ops=True)
         original_sql = text if text is not None else to_sql(statement)
-        if user is not None and not self.authorizer.is_authorized(user, purpose):
-            self.record_audit(user, purpose, qid, original_sql, "denied")
-            raise UnauthorizedPurposeError(user, purpose)
+        self._authorize(user, purpose, qid, statement, original_sql, counted=False)
         plan, hit = self._compiled_plan(statement, qid, purpose)
 
         lines = [f"rewritten: {plan.rewritten_sql}"]
@@ -775,15 +751,15 @@ class EnforcementMonitor:
             trace = Trace()
             with trace.span("execute"):
                 result, spent = self._execute_counted(plan.plan, params, trace)
-            rows, checks = len(result), spent["checks"]
+            rows, checks = len(result), spent[COMPLIES_WITH]
             lines.extend(plan.plan.describe(annotate=trace.annotation))
             lines.append(
                 f"Execution: rows={rows} checks={checks} "
-                f"memo_hits={spent['memo_hits']} cache_hit={str(hit).lower()} "
-                f"bitmap_built={spent['bitmap_built']} "
-                f"bitmap_revalidated={spent['bitmap_revalidated']} "
-                f"bitmap_hits={spent['bitmap_hit']} "
-                f"index_hits={spent['index_hit']}"
+                f"memo_hits={spent['memo.hit']} cache_hit={str(hit).lower()} "
+                f"bitmap_built={spent['bitmap.built']} "
+                f"bitmap_revalidated={spent['bitmap.revalidated']} "
+                f"bitmap_hits={spent['bitmap.hit']} "
+                f"index_hits={spent['index.hit']}"
             )
             stages = " ".join(
                 f"{stage}={seconds * 1000:.3f}ms"
@@ -836,28 +812,22 @@ class EnforcementMonitor:
         self.admin.require_configured()
         original_sql = text if text is not None else to_sql(statement)
         statement_id = compute_query_id(original_sql)
-        if user is not None and not self.authorizer.is_authorized(user, purpose):
-            self.record_audit(user, purpose, statement_id, original_sql, "denied")
-            self._count_query("denied")
-            raise UnauthorizedPurposeError(user, purpose)
+        self._authorize(user, purpose, statement_id, statement, original_sql)
         self.admin.purposes.get(purpose)
         database = self.admin.database
         # One hold of the write fence over rewrite and run: the signature
         # and the masks it is checked against come from one policy state.
-        with database.transactions.autocommit_exclusive():
+        fence = database.transactions.autocommit_exclusive()
+        with fence, database.cost_total.ledger(None) as spent:
             rewritten = rewrite_statement(
                 statement, purpose, self.deriver, self.admin
             )
-            checks_before = database.function_calls(COMPLIES_WITH)
-            affected = database.execute(rewritten)
-            checks = database.function_calls(COMPLIES_WITH) - checks_before
+            affected = database.execute(rewritten, costs=spent)
         self.record_audit(
             user, purpose, statement_id, original_sql, "allowed",
-            rows=affected, checks=checks,
+            rows=affected, checks=spent[COMPLIES_WITH],
         )
-        self._count_query("ok")
-        if self.metrics is not None:
-            self.metrics.counter("repro_complieswith_total").inc(checks)
+        self._count_query("ok", spent)
         return affected
 
     def execute_txn_control(self, statement: "ast.Begin | ast.Commit | ast.Rollback") -> int:

@@ -3,8 +3,9 @@
 This package is the substrate standing in for PostgreSQL in the paper's
 evaluation: a catalog of heap tables, a SQL executor with hash joins,
 grouping/aggregation, subqueries and three-valued logic, a ``BIT VARYING``
-value type for policy masks, and a UDF registry with invocation counters
-(used to measure the number of ``compliesWith`` calls, Figure 6).
+value type for policy masks, and a UDF registry whose invocations each
+execution charges to its own cost ledger (used to measure the number of
+``compliesWith`` calls, Figure 6).
 """
 
 from . import persist

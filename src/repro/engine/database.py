@@ -2,9 +2,9 @@
 
 :class:`Database` is the stand-in for PostgreSQL in the paper's evaluation
 (Section 6.3).  It owns the table catalog, the scalar-function registry
-(where the enforcement framework installs ``complieswith``), and executes
-parsed or textual SQL statements.  SELECT goes through
-:class:`~repro.engine.executor.SelectExecutor`; DML/DDL are handled here.
+(where the enforcement framework installs ``complieswith``) and the total
+its executions' cost ledgers fold into, and executes SQL statements: SELECT
+through :class:`~repro.engine.executor.SelectExecutor`, DML/DDL here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .catalog import Catalog, CatalogOp
 from .executor import PreparedSelect, SelectExecutor
 from .batch import ColumnBatch
 from .expressions import Env, ExpressionCompiler, Scope, evaluate_constant
-from .functions import FunctionRegistry
+from .functions import CostTotal, FunctionRegistry
 from .index import IndexDefinition, IndexManager, StatisticsCollector
 from .mvcc import Transaction, TransactionManager, WritePlan, current_transaction
 from .plan import PolicyBitmapCache, Scan, best_index_path, flatten_conjuncts
@@ -64,7 +64,7 @@ class PreparedQuery:
             )
         return PreparedSelect(self.executor, node, parent_scope=None)
 
-    def execute(self, params=None, trace=None) -> ResultSet:
+    def execute(self, params=None, trace=None, costs=None) -> ResultSet:
         """Run the prepared pipeline under the given parameter bindings.
 
         ``params`` is a sequence (bound to ``$1``, ``$2``, ... in order) or
@@ -72,15 +72,17 @@ class PreparedQuery:
         :class:`ExecutionError` before execution starts.  ``trace`` (a
         :class:`~repro.obs.tracing.Trace`) makes plan nodes record per-node
         row counts for this execution only; ``None`` is the untraced fast
-        path.
+        path.  ``costs`` is the caller's ledger to charge (``None``: a
+        ledger of its own, folded into the database total at the end).
         """
         bound = bind_parameters(params, self.parameters)
         # A fresh subquery-result cache per execution: the compiled plan is
         # immutable and may be running on several threads at once, so all
         # per-run state lives in the environment.
-        return self._execute_node(
-            self._plan, Env(params=bound, subq={}, trace=trace)
-        )
+        with self.database.cost_total.ledger(costs) as ledger:
+            return self._execute_node(
+                self._plan, Env(params=bound, subq={}, trace=trace, costs=ledger)
+            )
 
     def _execute_node(self, plan, env: Env) -> ResultSet:
         if isinstance(plan, PreparedSelect):
@@ -206,7 +208,9 @@ class Database:
     def __init__(self, name: str = "db"):
         self.name = name
         self.tables: dict[str, Table] = {}
-        self.functions = FunctionRegistry()
+        # What every finished execution spent: the counters below read it.
+        self.cost_total = CostTotal()
+        self.functions = FunctionRegistry(self.cost_total)
         # Policy-enforcement hooks, set by the admin layer when the
         # framework is configured.  ``policy_function``/``policy_column``
         # tell the optimizer what a rewriter-injected guard conjunct looks
@@ -216,7 +220,7 @@ class Database:
         # one per row.
         self.policy_function: str | None = None
         self.policy_column: str | None = None
-        self.policy_bitmaps = PolicyBitmapCache()
+        self.policy_bitmaps = PolicyBitmapCache(self.cost_total)
         # Secondary-index catalog and optimizer statistics (DESIGN.md §13).
         self.indexes = IndexManager(self)
         self.statistics = StatisticsCollector(self)
@@ -389,25 +393,27 @@ class Database:
 
     # -- statement execution -----------------------------------------------------
 
-    def execute(self, sql: str | ast.Statement) -> ResultSet | int:
+    def execute(self, sql: str | ast.Statement, costs=None) -> ResultSet | int:
         """Execute one statement.
 
         Returns a :class:`ResultSet` for SELECT and an affected-row count for
-        DML; DDL returns 0.
+        DML; DDL returns 0.  ``costs`` as for :meth:`PreparedQuery.execute`.
         """
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            return self.query(statement)
+            return self.prepare(statement).execute(costs=costs)
         if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
             # Autocommit DML reads and commits as one step under the write
             # fence, so no concurrent commit lands in between and is
             # overwritten.
-            with self.transactions.autocommit_exclusive():
+            fence = self.transactions.autocommit_exclusive()
+            with fence, self.cost_total.ledger(costs) as ledger:
+                env = Env(subq={}, costs=ledger)
                 if isinstance(statement, ast.Insert):
-                    return self._execute_insert(statement)
+                    return self._execute_insert(statement, env)
                 if isinstance(statement, ast.Update):
-                    return self._execute_update(statement)
-                return self._execute_delete(statement)
+                    return self._execute_update(statement, env)
+                return self._execute_delete(statement, env)
         if isinstance(statement, ast.Begin):
             self.begin()
             return 0
@@ -495,12 +501,12 @@ class Database:
         )
 
     def execute_prepared(
-        self, prepared: PreparedQuery, params=None, trace=None
+        self, prepared: PreparedQuery, params=None, trace=None, costs=None
     ) -> ResultSet:
         """Run a prepared query under parameter bindings (see :meth:`prepare`)."""
         if prepared.database is not self:
             raise ExecutionError("prepared query belongs to a different database")
-        return prepared.execute(params, trace=trace)
+        return prepared.execute(params, trace=trace, costs=costs)
 
     def explain(self, sql: "str | ast.Select | ast.SetOperation") -> str:
         """An EXPLAIN-style plan description for a query.
@@ -513,17 +519,17 @@ class Database:
 
     # -- DML -----------------------------------------------------------------------
 
-    def _execute_insert(self, statement: ast.Insert) -> int:
+    def _execute_insert(self, statement: ast.Insert, env: Env) -> int:
         table = self.table(statement.table)
         # Bulk-append: one version bump per statement (not per row), so the
         # policy-bitmap cache rebuilds once after an INSERT ... SELECT or a
         # multi-row VALUES list.
         if statement.select is not None:
-            result = self.query(statement.select)
+            result = self.prepare(statement.select).execute(costs=env.costs)
             return table.append_rows(result.rows, statement.columns)
         return table.append_rows(
             (
-                [_constant(expression, self) for expression in value_row]
+                [_constant(expression, self, env.costs) for expression in value_row]
                 for value_row in statement.rows
             ),
             statement.columns,
@@ -615,7 +621,7 @@ class Database:
         found = executor.compile_plan(path, None).candidate_ids(env)
         if found is None:
             return None
-        unknown = self.indexes.null_key_rows(path.index_name)
+        unknown = self.indexes.null_key_rows(path.index_name, env.costs)
         return sorted({*found, *unknown}) if unknown else found
 
     def _checks_policies(self, expression: ast.Expression) -> bool:
@@ -630,7 +636,7 @@ class Database:
             for node in ast.walk_expression(expression)
         )
 
-    def _execute_update(self, statement: ast.Update) -> int:
+    def _execute_update(self, statement: ast.Update, env: Env) -> int:
         table = self.table(statement.table)
         executor, compiler, shape = self._dml_compiler(table)
         predicate = (
@@ -642,7 +648,6 @@ class Database:
             (table.schema.column_index(name), compiler.compile(expression))
             for name, expression in statement.assignments
         ]
-        env = Env(subq={})
         positions, matched = self._matching_rows(
             executor, table, shape, statement.where, predicate, env
         )
@@ -655,7 +660,7 @@ class Database:
             lambda row: True, lambda row: next(replacements), positions
         )
 
-    def _execute_delete(self, statement: ast.Delete) -> int:
+    def _execute_delete(self, statement: ast.Delete, env: Env) -> int:
         table = self.table(statement.table)
         executor, compiler, shape = self._dml_compiler(table)
         predicate = (
@@ -663,7 +668,6 @@ class Database:
             if statement.where is not None
             else None
         )
-        env = Env(subq={})
         if predicate is None:
             count = len(table)
             table.truncate()
@@ -747,7 +751,7 @@ def _column_from_def(definition: ast.ColumnDef) -> Column:
     )
 
 
-def _constant(expression: ast.Expression, database: "Database | None") -> object:
+def _constant(expression: ast.Expression, database: "Database | None", costs=None):
     """Evaluate a row-independent expression (INSERT values, defaults)."""
     registry = database.functions if database is not None else FunctionRegistry()
-    return evaluate_constant(expression, registry)
+    return evaluate_constant(expression, registry, costs)

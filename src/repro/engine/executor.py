@@ -694,7 +694,7 @@ class SelectExecutor:
                 return manager.lookup_range(
                     node.index_name,
                     node.lower, node.upper,
-                    node.lower_inclusive, node.upper_inclusive,
+                    node.lower_inclusive, node.upper_inclusive, env.costs,
                 )
             key = []
             for value in values:
@@ -705,7 +705,7 @@ class SelectExecutor:
                 if value is None:
                     return []  # column = NULL is never true
                 key.append(value)
-            return manager.lookup_prefix(node.index_name, tuple(key))
+            return manager.lookup_prefix(node.index_name, tuple(key), env.costs)
 
         def candidate_ids(env: Env) -> "list[int] | None":
             # Resolved at execution time: prepared plans are re-executed
@@ -792,7 +792,8 @@ class SelectExecutor:
             ids = None if candidate_ids is None else candidate_ids(env)
             if ids is None:
                 ordered = bitmaps.passing_ids(
-                    table, policy_column, masks, registry, function_name
+                    table, policy_column, masks, registry, function_name,
+                    env.costs,
                 )
                 yield from child.batches(env, ordered)
                 return
@@ -800,7 +801,7 @@ class SelectExecutor:
             position = table.schema.column_index(policy_column)
             allowed = bitmaps.admitted(
                 table, masks, {rows[i][position] for i in ids}, registry,
-                function_name,
+                function_name, env.costs,
             )
             offset = 0
             for batch in child.batches(env, ids):

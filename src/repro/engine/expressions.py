@@ -3,8 +3,8 @@
 Every expression compiles once per statement preparation into an evaluator
 ``fn(batch, env) -> list`` producing one value per row of a
 :class:`~repro.engine.batch.ColumnBatch`; a single row is a batch of one.
-``env`` carries parameters, the outer rows of correlated subqueries and the
-per-execution subquery cache.  SQL three-valued logic is implemented with
+``env`` carries parameters, the outer rows of correlated subqueries, the
+per-execution subquery cache and cost ledger.  SQL three-valued logic uses
 ``None`` as the UNKNOWN/NULL marker.
 
 Short-circuit semantics are preserved by **masked evaluation**: wherever SQL
@@ -58,10 +58,11 @@ class Env:
     ``None``, the default and the fast path): when present, plan nodes
     report per-node row counts into it for EXPLAIN ANALYZE.  Like ``params``
     it is owned by one execution on one thread, so threading it into
-    subquery environments shares no state across executions.
+    subquery environments shares no state across executions; so does
+    ``costs``, the execution's cost ledger (``None``: outside any execution).
     """
 
-    __slots__ = ("outer_row", "outer_env", "params", "subq", "trace")
+    __slots__ = ("outer_row", "outer_env", "params", "subq", "trace", "costs")
 
     def __init__(
         self,
@@ -70,12 +71,14 @@ class Env:
         params: "dict[int | str, object] | None" = None,
         subq: "dict[int, list[tuple]] | None" = None,
         trace=None,
+        costs=None,
     ):
         self.outer_row = outer_row
         self.outer_env = outer_env
         self.params = params
         self.subq = subq
         self.trace = trace
+        self.costs = costs
 
 
 #: A compiled expression: one value per row of the input batch.
@@ -415,11 +418,12 @@ class ExpressionCompiler:
 
         def call(batch: ColumnBatch, env: Env) -> list:
             # Arguments are evaluated on every row; registry.call applies
-            # strictness and counts invocations (complieswith accounting).
+            # strictness and charges invocations (complieswith accounting).
             columns = [arg(batch, env) for arg in args]
+            costs = env.costs
             if not columns:
-                return [registry.call(name, ()) for _ in range(batch.length)]
-            return [registry.call(name, row) for row in zip(*columns)]
+                return [registry.call(name, (), costs) for _ in range(batch.length)]
+            return [registry.call(name, row, costs) for row in zip(*columns)]
 
         return call
 
@@ -489,12 +493,12 @@ class ExpressionCompiler:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_constant(expression: ast.Expression, registry) -> object:
+def evaluate_constant(expression: ast.Expression, registry, costs=None) -> object:
     """Evaluate a row-independent expression — an INSERT value, a column
     default, a literal subtree the optimizer folds — as a zero-width batch
     of one row, so its value matches runtime evaluation bit for bit."""
     compiled = ExpressionCompiler(Scope(RowShape([])), registry).compile(expression)
-    return compiled(ColumnBatch([], 1), Env())[0]
+    return compiled(ColumnBatch([], 1), Env(costs=costs))[0]
 
 
 def aggregate_key(call: ast.FunctionCall) -> str:
@@ -545,6 +549,7 @@ def _inner_env(env: Env, outer_row: tuple | None = None) -> Env:
         params=env.params,
         subq=env.subq,
         trace=env.trace,
+        costs=env.costs,
     )
 
 

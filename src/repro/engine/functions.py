@@ -1,28 +1,71 @@
-"""Scalar function registry.
+"""Scalar function registry and per-execution cost ledgers.
 
 The engine ships with a small set of builtins and lets callers register
 user-defined functions — the enforcement framework registers
 ``complieswith`` here, mirroring the paper's PostgreSQL C UDF (Section 6.3).
 
-Every registered function carries an invocation counter; Figure 6 of the
-paper measures exactly "the number of times function compliesWith is invoked
-to check the compliance of a query action signature with a policy", so the
-benchmark harness reads :meth:`FunctionRegistry.call_count`.
+Figure 6 of the paper measures exactly "the number of times function
+compliesWith is invoked to check the compliance of a query action signature
+with a policy".  Each execution charges its invocations — and its memo,
+policy-bitmap and index events — to its own ledger (a ``Counter`` on its
+:class:`~repro.engine.expressions.Env`), and whoever created the ledger
+folds it into the database's :class:`CostTotal` when the run ends.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from ..errors import ExpressionError, TypeMismatchError
 
 
+class CostTotal:
+    """The database's running cost total: every finished execution's
+    ledger plus the calls made outside any execution (locked, monotonic)."""
+
+    def __init__(self) -> None:
+        self._counts: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def charge(self, costs: "Counter | None", key: str) -> None:
+        """Charge one ``key`` to ``costs``, the running execution's ledger;
+        outside any execution (``None``), to this total directly."""
+        if costs is not None:
+            costs[key] += 1
+        else:
+            with self._lock:
+                self._counts[key] += 1
+
+    @contextmanager
+    def ledger(self, costs: "Counter | None") -> Iterator[Counter]:
+        """The ledger an execution charges: its caller's ``costs``, or a
+        fresh one folded in here when the run ends (or raises)."""
+        ledger = Counter() if costs is None else costs
+        try:
+            yield ledger
+        finally:
+            if costs is None:
+                with self._lock:
+                    self._counts.update(ledger)
+
+    def __getitem__(self, key: str) -> int:
+        with self._lock:
+            return self._counts[key]
+
+    def reset(self, keys: Iterable[str]) -> None:
+        with self._lock:
+            for key in keys:
+                self._counts.pop(key, None)
+
+
 @dataclass
 class RegisteredFunction:
-    """A scalar function plus its bookkeeping.
+    """A registered scalar function.
 
     Attributes:
         func: The Python callable.  It receives already-evaluated argument
@@ -31,30 +74,23 @@ class RegisteredFunction:
         strict: When True (the default, like PostgreSQL STRICT functions),
             the function is not invoked if any argument is NULL — the result
             is NULL and the invocation is *not* counted.
-        calls: Number of times ``func`` was actually invoked.  Incremented
-            under ``lock``: ``calls += 1`` is a read-modify-write that loses
-            counts when concurrent query threads interleave, and Figure 6's
-            metric (and the server's stats) are built on this counter.
     """
 
     name: str
     func: Callable[..., object]
     strict: bool = True
-    calls: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 class MemoizedFunction:
     """A pure scalar function wrapped with a bounded argument→result memo.
 
     Register the *wrapper* instead of swapping registry entries on every
-    change: :meth:`FunctionRegistry.call` increments the invocation counter
-    before delegating here, so memo hits are still counted — the Figure-6
-    metric measures how often the rewritten query *invokes* ``complieswith``,
-    not how often the underlying bit arithmetic actually runs.  (Re-calling
-    :meth:`FunctionRegistry.register` would also zero the counter, losing
-    the measurement.)  Arguments must be hashable; unhashable calls fall
-    through to the wrapped function uncached.
+    change: :meth:`FunctionRegistry.call` charges the invocation before
+    delegating here, so memo hits are still counted — the Figure-6 metric
+    measures how often the rewritten query *invokes* ``complieswith``, not
+    how often the underlying bit arithmetic actually runs.  A call also
+    charges ``memo.hit`` or ``memo.miss``.  Arguments must be hashable;
+    unhashable calls fall through to the wrapped function uncached.
 
     The memo is guarded by a lock so concurrent query threads can share it:
     lookups, the clear-on-overflow sequence and epoch-driven :meth:`clear`
@@ -65,21 +101,24 @@ class MemoizedFunction:
     every policy check.
     """
 
-    __slots__ = ("func", "maxsize", "_cache", "_lock", "_hits", "_misses")
+    __slots__ = ("func", "maxsize", "_cache", "_lock")
 
     def __init__(self, func: Callable[..., object], maxsize: int = 4096):
         self.func = func
         self.maxsize = maxsize
         self._cache: dict[tuple, object] = {}
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
 
-    def __call__(self, *args: object) -> object:
+    def call(self, args: tuple, total: CostTotal, costs: "Counter | None") -> object:
+        """``func(*args)``, from the memo when it holds ``args``.  Charged
+        under the lock: releasing it first slowed 4 contending threads 35 %."""
         try:
             with self._lock:
                 result = self._cache[args]
-                self._hits += 1
+                if costs is None:
+                    total.charge(None, "memo.hit")
+                else:
+                    costs["memo.hit"] += 1
                 return result
         except KeyError:
             pass
@@ -87,18 +126,14 @@ class MemoizedFunction:
             return self.func(*args)
         result = self.func(*args)
         with self._lock:
-            self._misses += 1
             if len(self._cache) >= self.maxsize:
                 self._cache.clear()
             self._cache[args] = result
+            total.charge(costs, "memo.miss")
         return result
 
     def clear(self) -> None:
-        """Drop every memoized result (call when the inputs' meaning shifts).
-
-        Hit/miss counters survive the clear — they account invocations, not
-        cache contents, and the observability layer reads them as monotonic.
-        """
+        """Drop every memoized result (call when the inputs' meaning shifts)."""
         with self._lock:
             self._cache.clear()
 
@@ -107,21 +142,13 @@ class MemoizedFunction:
         with self._lock:
             return len(self._cache)
 
-    def hit_count(self) -> int:
-        """Invocations answered from the memo (monotonic, survives clears)."""
-        with self._lock:
-            return self._hits
-
-    def miss_count(self) -> int:
-        """Invocations that ran the wrapped function and stored the result."""
-        with self._lock:
-            return self._misses
-
 
 class FunctionRegistry:
-    """Name → scalar function mapping with per-function call counters."""
+    """Name → scalar function mapping; invocations are charged by name to
+    ``cost_total``, the database's (a registry of its own gets its own)."""
 
-    def __init__(self) -> None:
+    def __init__(self, cost_total: CostTotal | None = None) -> None:
+        self.cost_total = cost_total if cost_total is not None else CostTotal()
         self._functions: dict[str, RegisteredFunction] = {}
         _install_builtins(self)
 
@@ -146,29 +173,30 @@ class FunctionRegistry:
         except KeyError:
             raise ExpressionError(f"unknown function {name!r}") from None
 
-    def call(self, name: str, args: tuple) -> object:
-        """Invoke a registered function on evaluated arguments."""
+    def call(self, name: str, args: tuple, costs: "Counter | None" = None) -> object:
+        """Invoke a registered function on evaluated arguments, charging
+        the invocation to ``costs`` (see :meth:`CostTotal.charge`)."""
         registered = self.get(name)
         if registered.strict and any(arg is None for arg in args):
             return None
-        with registered.lock:
-            registered.calls += 1
+        # Charged inline, not through CostTotal.charge: this runs per row.
+        if costs is None:
+            self.cost_total.charge(None, registered.name)
+        else:
+            costs[registered.name] += 1
+        if type(registered.func) is MemoizedFunction:
+            return registered.func.call(args, self.cost_total, costs)
         return registered.func(*args)
 
     # -- instrumentation ---------------------------------------------------------
 
     def call_count(self, name: str) -> int:
         """How many times ``name`` was invoked since the last reset."""
-        key = name.lower()
-        if key not in self._functions:
-            return 0
-        return self._functions[key].calls
+        return self.cost_total[name.lower()]
 
     def reset_counters(self) -> None:
         """Zero every function's invocation counter."""
-        for registered in self._functions.values():
-            with registered.lock:
-                registered.calls = 0
+        self.cost_total.reset(self._functions)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ cache that remembers the row list it describes:
 
 Entries are mutated in place when carried forward, so every lookup
 validates and probes under the manager lock.
+A lookup charges ``index.*`` events to the calling execution's cost
+ledger; ``stats()`` reads the total they fold into.
 """
 
 from __future__ import annotations
@@ -136,20 +138,13 @@ class _IndexEntry:
 
 
 class IndexManager:
-    """Per-database index catalog, build cache and lookup counters."""
+    """Per-database index catalog and build cache."""
 
     def __init__(self, database: "Database"):
         self._database = database
         self._lock = threading.RLock()
         self._definitions: dict[str, IndexDefinition] = {}
         self._entries: dict[str, _IndexEntry] = {}
-        # Monotonic counters, reported like the bitmap cache's stats() so
-        # the monitor and metrics layer can take per-execution deltas.
-        # Every lookup is a hit; one that found the entry at another table
-        # version also counts a carry-forward (revalidated) or a rebuild.
-        self._hits = 0
-        self._rebuilds = 0
-        self._carried_forward = 0
 
     # -- catalog ---------------------------------------------------------------
 
@@ -275,7 +270,7 @@ class IndexManager:
 
     # -- build cache -----------------------------------------------------------
 
-    def _entry(self, definition: IndexDefinition) -> _IndexEntry:
+    def _entry(self, definition: IndexDefinition, costs) -> _IndexEntry:
         """The entry for ``definition``, exact for the visible rows.
 
         Callers hold the manager lock until they are done probing: a
@@ -294,24 +289,24 @@ class IndexManager:
                 return entry
             if entry.carry_forward(rows):
                 entry.version = version
-                self._carried_forward += 1
+                self._database.cost_total.charge(costs, "index.carried_forward")
                 return entry
         entry = _IndexEntry(definition, schema)
         entry.extend(rows)
         entry.version = version
         self._entries[definition.name] = entry
-        self._rebuilds += 1
+        self._database.cost_total.charge(costs, "index.rebuild")
         return entry
 
     def build(self, name: str) -> None:
         """Build (or revalidate) index ``name`` now, not at its first probe."""
         definition = self.get(name)
         with self._lock:
-            self._entry(definition)
+            self._entry(definition, None)
 
     # -- lookups ---------------------------------------------------------------
 
-    def lookup_equal(self, name: str, key) -> list[int]:
+    def lookup_equal(self, name: str, key, costs=None) -> list[int]:
         """Row ids (ascending) matching ``key`` on index ``name``.
 
         ``key`` is the column value for a single-column index and the tuple
@@ -319,10 +314,10 @@ class IndexManager:
         """
         definition = self.get(name)
         with self._lock:
-            self._hits += 1
-            return self._entry(definition).structure.search(key)
+            self._database.cost_total.charge(costs, "index.hit")
+            return self._entry(definition, costs).structure.search(key)
 
-    def lookup_prefix(self, name: str, prefix: tuple) -> list[int]:
+    def lookup_prefix(self, name: str, prefix: tuple, costs=None) -> list[int]:
         """Row ids (ascending) whose leading key columns equal ``prefix``.
 
         A prefix covering every key column is an equality probe (either
@@ -331,12 +326,12 @@ class IndexManager:
         definition = self.get(name)
         if len(prefix) == len(definition.columns):
             return self.lookup_equal(
-                name, prefix[0] if len(prefix) == 1 else prefix
+                name, prefix[0] if len(prefix) == 1 else prefix, costs
             )
         self._require_btree(definition, "prefix")
         with self._lock:
-            self._hits += 1
-            entry = self._entry(definition)
+            self._database.cost_total.charge(costs, "index.hit")
+            entry = self._entry(definition, costs)
             found = entry.structure.prefix(prefix)
             if entry.nulls:
                 # A NULL in a later key column keeps a row out of the tree,
@@ -353,13 +348,13 @@ class IndexManager:
                 )
             return found
 
-    def null_key_rows(self, name: str) -> list[int]:
+    def null_key_rows(self, name: str, costs=None) -> list[int]:
         """Ids (ascending) of the rows with a NULL in a key column of
         ``name`` — rows no probe returns, although a statement that counts
         predicate evaluations still has to look at them."""
         definition = self.get(name)
         with self._lock:
-            return list(self._entry(definition).nulls)
+            return list(self._entry(definition, costs).nulls)
 
     def lookup_range(
         self,
@@ -368,13 +363,14 @@ class IndexManager:
         upper=None,
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
+        costs=None,
     ) -> list[int]:
         """Row ids (ascending) inside the bound pair on B-tree index ``name``."""
         definition = self.get(name)
         self._require_btree(definition, "range")
         with self._lock:
-            self._hits += 1
-            return self._entry(definition).structure.range(
+            self._database.cost_total.charge(costs, "index.hit")
+            return self._entry(definition, costs).structure.range(
                 lower, upper, lower_inclusive, upper_inclusive
             )
 
@@ -389,15 +385,16 @@ class IndexManager:
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Monotonic lookup/rebuild/carry-forward counters plus catalog
+        """Monotonic lookup/rebuild/carry-forward totals plus catalog
         sizes."""
+        total = self._database.cost_total
         with self._lock:
             return {
                 "definitions": len(self._definitions),
                 "built": len(self._entries),
-                "hits": self._hits,
-                "rebuilds": self._rebuilds,
-                "carried_forward": self._carried_forward,
+                "hits": total["index.hit"],
+                "rebuilds": total["index.rebuild"],
+                "carried_forward": total["index.carried_forward"],
             }
 
     def describe(self) -> list[dict]:
@@ -413,11 +410,6 @@ class IndexManager:
                 info["distinct_keys"] = len(built.structure)
             out.append(info)
         return out
-
-    def clear_entries(self) -> None:
-        """Drop every built structure (definitions survive)."""
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

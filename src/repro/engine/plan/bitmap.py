@@ -25,6 +25,8 @@ judges its candidates' values only.  A policy-epoch bump
 (``AccessControlManager.bump_policy_epoch``) clears the verdict maps and
 the merges; at most :data:`_ENTRY_LIMIT` verdict maps and
 :data:`_GUARD_LIMIT` merges are kept, the oldest going first.
+A lookup charges its ``bitmap.*`` events and UDF calls to the calling
+execution's cost ledger; ``stats()`` reads the total they fold into.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from ..index.hash import HashIndex
 from ..table import replaced_positions
+from ..functions import CostTotal
 from ..types import BitString
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -106,7 +109,8 @@ class PolicyBitmapCache:
     """Posting indexes, verdict maps and guard merges for hoisted
     ``complieswith`` guards (see the module docstring)."""
 
-    def __init__(self) -> None:
+    def __init__(self, cost_total: CostTotal | None = None) -> None:
+        self.cost_total = cost_total if cost_total is not None else CostTotal()
         self._lock = threading.RLock()
         self._postings: dict[str, _Postings] = {}
         #: ``(table, mask bits)`` → {policy value: verdict}.
@@ -114,12 +118,6 @@ class PolicyBitmapCache:
         #: ``(table, masks)`` → (posting stamp, ascending passing row ids).
         self._guards: dict[tuple[str, tuple], tuple[int, list[int]]] = {}
         self._stamps = count(1)
-        # Monotonic counters (survive clear()) so monitors can report
-        # deltas the same way the complieswith ledger does.
-        self._hits = 0
-        self._built = 0
-        self._revalidated = 0
-        self._row_passes = 0
 
     def passing_ids(
         self,
@@ -128,6 +126,7 @@ class PolicyBitmapCache:
         masks: tuple[str, ...],
         registry: "FunctionRegistry",
         function_name: str,
+        costs=None,
     ) -> list[int]:
         """Ascending ids of the visible rows whose policy passes every mask.
 
@@ -136,22 +135,20 @@ class PolicyBitmapCache:
         the very same list while no row id changed lists, so a warm guard
         costs dictionary lookups.  Callers must not mutate it.
 
-        UDF invocations route through ``registry.call`` so the engine's
-        per-function counter, the monitor's report delta, and the metrics
-        layer keep agreeing about how many ``complieswith`` evaluations an
-        execution cost.  ``NULL`` policies are never judged (the UDF is
-        strict) and never pass.
+        UDF invocations route through ``registry.call``, charging
+        ``costs`` like any other call.  ``NULL`` policies are never judged
+        (the UDF is strict) and never pass.
         """
         with self._lock:
-            maps = self._verdict_maps(table, masks)
-            postings = self._postings_of(table, policy_column)
+            maps = self._verdict_maps(table, masks, costs)
+            postings = self._postings_of(table, policy_column, costs)
             key = (table.name.lower(), masks)
             guard = self._guards.get(key)
             if guard is None or guard[0] != postings.stamp:
                 items = list(postings.index.items())
                 allowed = _allowed(
                     maps, masks, [value for value, _ in items], registry,
-                    function_name,
+                    function_name, costs,
                 )
                 lists = [ids for value, ids in items if value in allowed]
                 guard = (postings.stamp, sorted(chain.from_iterable(lists)))
@@ -168,16 +165,17 @@ class PolicyBitmapCache:
         values,
         registry: "FunctionRegistry",
         function_name: str,
+        costs=None,
     ) -> set:
         """The policy ``values`` (an index probe's candidates') passing
         every mask, each judged at most once per mask; NULL never passes."""
         with self._lock:
             return _allowed(
-                self._verdict_maps(table, masks), masks, values, registry,
-                function_name,
+                self._verdict_maps(table, masks, costs), masks, values,
+                registry, function_name, costs,
             )
 
-    def _verdict_maps(self, table, masks) -> list[dict]:
+    def _verdict_maps(self, table, masks, costs) -> list[dict]:
         """Each mask's verdict map, counted as a hit or as built from
         nothing; caller holds the lock."""
         name = table.name.lower()
@@ -188,13 +186,13 @@ class PolicyBitmapCache:
                 while len(self._verdicts) >= _ENTRY_LIMIT:
                     del self._verdicts[next(iter(self._verdicts))]
                 verdicts = self._verdicts[(name, bits)] = {}
-                self._built += 1
+                self.cost_total.charge(costs, "bitmap.built")
             else:
-                self._hits += 1
+                self.cost_total.charge(costs, "bitmap.hit")
             maps.append(verdicts)
         return maps
 
-    def _postings_of(self, table, policy_column) -> _Postings:
+    def _postings_of(self, table, policy_column, costs) -> _Postings:
         """The table's posting index, describing its visible rows; caller
         holds the lock."""
         name = table.name.lower()
@@ -207,12 +205,12 @@ class PolicyBitmapCache:
             if postings.schema is schema and postings.carry(
                 rows, next(self._stamps)
             ):
-                self._revalidated += 1
+                self.cost_total.charge(costs, "bitmap.revalidated")
                 return postings
         postings = self._postings[name] = _Postings(
             rows, schema, schema.column_index(policy_column), next(self._stamps)
         )
-        self._row_passes += 1
+        self.cost_total.charge(costs, "bitmap.row_pass")
         return postings
 
     def stats(self) -> dict:
@@ -223,12 +221,13 @@ class PolicyBitmapCache:
         indexes carried to other rows by identity and ``row_passes`` full
         walks over a table's rows.
         """
+        total = self.cost_total
         with self._lock:
             return {
-                "hits": self._hits,
-                "built": self._built,
-                "revalidated": self._revalidated,
-                "row_passes": self._row_passes,
+                "hits": total["bitmap.hit"],
+                "built": total["bitmap.built"],
+                "revalidated": total["bitmap.revalidated"],
+                "row_passes": total["bitmap.row_pass"],
                 "entries": len(self._verdicts),
             }
 
@@ -254,7 +253,7 @@ class PolicyBitmapCache:
             return len(self._verdicts)
 
 
-def _allowed(maps, masks, values, registry, function_name) -> set:
+def _allowed(maps, masks, values, registry, function, costs) -> set:
     """The non-NULL ``values`` that pass every mask.  Each value a mask's
     verdict map has not met yet costs one ``complieswith`` call."""
     values = [value for value in values if value is not None]
@@ -262,5 +261,5 @@ def _allowed(maps, masks, values, registry, function_name) -> set:
         for value in values:
             if value not in verdicts:
                 mask = BitString.from_bits(bits)
-                verdicts[value] = bool(registry.call(function_name, (mask, value)))
+                verdicts[value] = bool(registry.call(function, (mask, value), costs))
     return {value for value in values if all(v[value] for v in maps)}

@@ -466,7 +466,7 @@ class TestIndexScanUnderPolicyGuard:
             )
             assert on.result.rows == off.result.rows
             assert on.compliance_checks == off.compliance_checks
-            assert on.index_hits == 1 and off.index_hits == 0
+            assert on.costs["index.hit"] == 1 and off.costs["index.hit"] == 0
 
     def test_dropped_index_falls_back_to_positions(self) -> None:
         instance = self._world(patients=8, samples=3)

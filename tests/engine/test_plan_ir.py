@@ -485,7 +485,7 @@ class TestPolicyBitmapCache:
         masks = after["built"] - before["built"]
         # One candidate, so one policy value judged per mask, and no pass
         # over the table's rows.
-        assert report.index_hits == 1 and masks > 0
+        assert report.costs["index.hit"] == 1 and masks > 0
         assert report.compliance_checks == masks
         assert after["row_passes"] == 0
 

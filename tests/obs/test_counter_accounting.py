@@ -1,20 +1,24 @@
 """Counter accounting over the frozen fuzz corpus.
 
 Replays every authorized corpus case through a metrics-instrumented
-monitor and cross-checks three *independently maintained* accounting
-layers for the Figure 6 complexity metric:
+monitor and cross-checks the three *readers* of the one cost ledger each
+execution charges its ``complieswith`` calls to (the Figure 6
+complexity metric):
 
-1. the engine's per-function invocation counter
-   (``database.function_calls(COMPLIES_WITH)``),
-2. the report's ``compliance_checks`` (the monitor's own delta), and
-3. the observability layer's ``repro_complieswith_total`` counter.
+1. the engine's total (``database.function_calls(COMPLIES_WITH)``), which
+   the ledger is folded into when the run ends,
+2. the report's ``compliance_checks``, which reads the ledger itself, and
+3. the observability layer's ``repro_complieswith_total`` counter, which
+   the monitor adds the ledger to.
 
 A drift between any two means the metrics pipeline is lying about the
-paper's headline cost measure.  The same replays also pin the memo
-ledger (hits + misses must equal total invocations, since strict-NULL
-calls bypass both) and — crucially for the "instrumentation is
-off-path" guarantee — that tracing-enabled executions return row-for-row
-what tracing-disabled executions return, with identical check counts.
+paper's headline cost measure.  The same replays also pin the memo's
+``memo.hit`` / ``memo.miss`` totals (hits + misses must equal total
+invocations, since strict-NULL calls bypass both) and — crucially for
+the "instrumentation is off-path" guarantee — that tracing-enabled
+executions return row-for-row what tracing-disabled executions return,
+with identical check counts.  ``tests/core/test_cost_ledger.py`` checks
+the same agreement with threads running beside each other.
 """
 
 from __future__ import annotations
