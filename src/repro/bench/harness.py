@@ -141,7 +141,7 @@ def measure_query(
 ) -> QueryMeasurement:
     """Measure one query under the currently installed policies.
 
-    Figure 6 counts per-row ``compliesWith`` evaluations, so the measurement
+    Figure 6 counts per-row ``compliesWith`` invocations, so the measurement
     pins the optimizer off for its duration: bitmap pre-filtering would turn
     the metric into a distinct-policy-value count and break the figure's
     selectivity/dataset-size relationships.

@@ -417,13 +417,10 @@ class ExpressionCompiler:
         args = [self.compile(arg) for arg in expr.args]
 
         def call(batch: ColumnBatch, env: Env) -> list:
-            # Arguments are evaluated on every row; registry.call applies
+            # Arguments are evaluated on every row; call_batch applies
             # strictness and charges invocations (complieswith accounting).
             columns = [arg(batch, env) for arg in args]
-            costs = env.costs
-            if not columns:
-                return [registry.call(name, (), costs) for _ in range(batch.length)]
-            return [registry.call(name, row, costs) for row in zip(*columns)]
+            return registry.call_batch(name, columns, batch.length, env.costs)
 
         return call
 

@@ -10,6 +10,9 @@ with a policy".  Each execution charges its invocations — and its memo,
 policy-bitmap and index events — to its own ledger (a ``Counter`` on its
 :class:`~repro.engine.expressions.Env`), and whoever created the ledger
 folds it into the database's :class:`CostTotal` when the run ends.
+An invocation is charged per row but dispatched once per page
+(:meth:`FunctionRegistry.call_batch`): a memoized — pure — function
+evaluates each distinct argument once a page.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 from typing import Callable, Iterable, Iterator
 
 from ..errors import ExpressionError, TypeMismatchError
@@ -32,14 +37,16 @@ class CostTotal:
         self._counts: Counter = Counter()
         self._lock = threading.Lock()
 
-    def charge(self, costs: "Counter | None", key: str) -> None:
-        """Charge one ``key`` to ``costs``, the running execution's ledger;
-        outside any execution (``None``), to this total directly."""
+    def charge(self, costs: "Counter | None", key: str, count: int = 1) -> None:
+        """Charge ``count`` of ``key`` to ``costs``, the running execution's
+        ledger; outside any execution (``None``), to this total directly."""
+        if not count:
+            return
         if costs is not None:
-            costs[key] += 1
+            costs[key] += count
         else:
             with self._lock:
-                self._counts[key] += 1
+                self._counts[key] += count
 
     @contextmanager
     def ledger(self, costs: "Counter | None") -> Iterator[Counter]:
@@ -65,16 +72,10 @@ class CostTotal:
 
 @dataclass
 class RegisteredFunction:
-    """A registered scalar function.
-
-    Attributes:
-        func: The Python callable.  It receives already-evaluated argument
-            values.  SQL NULL is passed through as ``None``; ``strict``
-            functions short-circuit to NULL instead of being called.
-        strict: When True (the default, like PostgreSQL STRICT functions),
-            the function is not invoked if any argument is NULL — the result
-            is NULL and the invocation is *not* counted.
-    """
+    """A registered scalar function: ``func`` receives evaluated arguments,
+    SQL NULL as ``None``.  A ``strict`` one (the default, like PostgreSQL
+    STRICT functions) is not invoked when an argument is NULL: the result
+    is NULL and the invocation is *not* counted."""
 
     name: str
     func: Callable[..., object]
@@ -84,19 +85,19 @@ class RegisteredFunction:
 class MemoizedFunction:
     """A pure scalar function wrapped with a bounded argument→result memo.
 
-    Register the *wrapper* instead of swapping registry entries on every
-    change: :meth:`FunctionRegistry.call` charges the invocation before
-    delegating here, so memo hits are still counted — the Figure-6 metric
-    measures how often the rewritten query *invokes* ``complieswith``, not
-    how often the underlying bit arithmetic actually runs.  A call also
-    charges ``memo.hit`` or ``memo.miss``.  Arguments must be hashable;
-    unhashable calls fall through to the wrapped function uncached.
+    Register the *wrapper* rather than swapping registry entries on every
+    change: :meth:`FunctionRegistry.call_batch` charges every invocation
+    before delegating here, so memo hits are still counted — Figure 6
+    counts how often the rewritten query *invokes* ``complieswith``, not
+    how often its bit arithmetic runs.  Each invocation also charges ``memo.hit`` or
+    ``memo.miss``; one with an unhashable argument is a miss, uncached.
 
     The memo is guarded by a lock so concurrent query threads can share it:
     lookups, the clear-on-overflow sequence and epoch-driven :meth:`clear`
     calls would otherwise interleave (a reader could observe a cache that a
-    policy change is mid-way through invalidating).  The wrapped function
-    itself runs outside the lock — it is pure, so a racing duplicate
+    policy change is mid-way through invalidating).  A page takes it once
+    for its lookups and once more to store what it missed; the wrapped
+    function runs outside it — it is pure, so a racing duplicate
     computation is harmless while holding the lock across it would serialize
     every policy check.
     """
@@ -109,28 +110,38 @@ class MemoizedFunction:
         self._cache: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
-    def call(self, args: tuple, total: CostTotal, costs: "Counter | None") -> object:
-        """``func(*args)``, from the memo when it holds ``args``.  Charged
-        under the lock: releasing it first slowed 4 contending threads 35 %."""
-        try:
-            with self._lock:
-                result = self._cache[args]
-                if costs is None:
-                    total.charge(None, "memo.hit")
-                else:
-                    costs["memo.hit"] += 1
-                return result
-        except KeyError:
-            pass
-        except TypeError:
-            return self.func(*args)
-        result = self.func(*args)
+    def results(self, columns: list, rows: list, total: CostTotal, costs) -> list:
+        """``func(*row)`` for every row of ``rows`` (the tuples of
+        ``columns``).  Rows are grouped by argument identity at C speed and
+        only one row a group is hashed by value; the misses charged are the
+        distinct values the memo lacked when the page started plus every
+        row with an unhashable argument, the other rows are hits."""
+        keys = list(zip(*[map(id, column) for column in columns])) if columns else rows
+        distinct = dict(zip(keys, rows))
+        found: dict = {}
+        missing: dict[tuple, list] = {}  # argument value -> identity keys
+        unhashable: set[tuple] = set()
         with self._lock:
-            if len(self._cache) >= self.maxsize:
-                self._cache.clear()
-            self._cache[args] = result
-            total.charge(costs, "memo.miss")
-        return result
+            for key, args in distinct.items():
+                try:
+                    found[key] = self._cache[args]
+                except KeyError:
+                    missing.setdefault(args, []).append(key)
+                except TypeError:
+                    unhashable.add(key)
+        found.update((key, self.func(*distinct[key])) for key in unhashable)
+        computed = {args: self.func(*args) for args in missing}
+        found.update((key, computed[args]) for args in missing for key in missing[args])
+        if computed:
+            with self._lock:
+                for args, result in computed.items():
+                    if len(self._cache) >= self.maxsize:
+                        self._cache.clear()
+                    self._cache[args] = result
+        misses = len(computed) + sum(map(unhashable.__contains__, keys))
+        total.charge(costs, "memo.hit", len(rows) - misses)
+        total.charge(costs, "memo.miss", misses)
+        return list(map(found.__getitem__, keys))
 
     def clear(self) -> None:
         """Drop every memoized result (call when the inputs' meaning shifts)."""
@@ -174,19 +185,33 @@ class FunctionRegistry:
             raise ExpressionError(f"unknown function {name!r}") from None
 
     def call(self, name: str, args: tuple, costs: "Counter | None" = None) -> object:
-        """Invoke a registered function on evaluated arguments, charging
-        the invocation to ``costs`` (see :meth:`CostTotal.charge`)."""
+        """Invoke a registered function on one row of evaluated arguments:
+        :meth:`call_batch` on a one-row page."""
+        return self.call_batch(name, [[arg] for arg in args], 1, costs)[0]
+
+    def call_batch(
+        self, name: str, columns: list, length: int, costs: "Counter | None" = None
+    ) -> list:
+        """Invoke a registered function on a page of ``length`` rows whose
+        evaluated arguments are ``columns``, one result per row.  A strict
+        function's rows with a NULL argument answer NULL uncharged; every
+        other row is one invocation charged to ``costs``.  A
+        :class:`MemoizedFunction` (pure) evaluates each distinct argument
+        once a page; any other function is called per row, in row order."""
         registered = self.get(name)
-        if registered.strict and any(arg is None for arg in args):
-            return None
-        # Charged inline, not through CostTotal.charge: this runs per row.
-        if costs is None:
-            self.cost_total.charge(None, registered.name)
-        else:
-            costs[registered.name] += 1
+        nulls: set[int] = set()
+        for column in columns if registered.strict else ():
+            nulls.update(compress(range(length), map(is_, column, repeat(None))))
+        if nulls:
+            live = [i for i in range(length) if i not in nulls]
+            page = [[column[i] for i in live] for column in columns]
+            results = iter(self.call_batch(name, page, len(live), costs))
+            return [None if i in nulls else next(results) for i in range(length)]
+        rows = list(zip(*columns)) if columns else [()] * length
+        self.cost_total.charge(costs, registered.name, length)
         if type(registered.func) is MemoizedFunction:
-            return registered.func.call(args, self.cost_total, costs)
-        return registered.func(*args)
+            return registered.func.results(columns, rows, self.cost_total, costs)
+        return [registered.func(*row) for row in rows]
 
     # -- instrumentation ---------------------------------------------------------
 

@@ -135,7 +135,7 @@ class PolicyBitmapCache:
         the very same list while no row id changed lists, so a warm guard
         costs dictionary lookups.  Callers must not mutate it.
 
-        UDF invocations route through ``registry.call``, charging
+        UDF invocations route through ``registry.call_batch``, charging
         ``costs`` like any other call.  ``NULL`` policies are never judged
         (the UDF is strict) and never pass.
         """
@@ -254,12 +254,14 @@ class PolicyBitmapCache:
 
 
 def _allowed(maps, masks, values, registry, function, costs) -> set:
-    """The non-NULL ``values`` that pass every mask.  Each value a mask's
-    verdict map has not met yet costs one ``complieswith`` call."""
+    """The non-NULL (distinct) ``values`` that pass every mask.  Each value
+    a mask's verdict map has not met yet costs one ``complieswith`` call;
+    a mask judges its new values as one page."""
     values = [value for value in values if value is not None]
     for bits, verdicts in zip(masks, maps):
-        for value in values:
-            if value not in verdicts:
-                mask = BitString.from_bits(bits)
-                verdicts[value] = bool(registry.call(function, (mask, value), costs))
+        fresh = [value for value in values if value not in verdicts]
+        if fresh:
+            mask = [BitString.from_bits(bits)] * len(fresh)
+            judged = registry.call_batch(function, [mask, fresh], len(fresh), costs)
+            verdicts.update(zip(fresh, map(bool, judged)))
     return {value for value in values if all(v[value] for v in maps)}

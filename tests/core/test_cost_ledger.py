@@ -8,7 +8,8 @@ readers and compares with the count of the same statement run alone; the
 metric and the engine total must grow by exactly the sum of the runs.
 
 The world is the Fig. 6 probe: patients 50 × 100 at selectivity 0.4 with
-the optimizer off, where q2 for ``p6`` makes 5 000 ``compliesWith`` calls.
+the optimizer off, where q1 and q2 for ``p6`` make 5 000 ``compliesWith``
+calls each.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.obs import MetricsRegistry
 from repro.workload import apply_experiment_policies, build_patients_scenario
 from repro.workload.queries import get_query
 
+Q1 = get_query("q1").sql
 Q2 = get_query("q2").sql
 PURPOSE = "p6"
 THREADS = 4
@@ -120,6 +122,38 @@ def test_every_concurrent_report_reads_its_own_checks(world) -> None:
         database.function_calls(COMPLIES_WITH) - engine_before
         == THREADS * RUNS * serial
     )
+
+
+def test_contended_memo_keeps_hits_plus_misses_per_report(world) -> None:
+    """The memo is taken once a page, by four threads at once, starting
+    cold: every report still reads ``memo.hit + memo.miss`` = its checks."""
+    monitor = world.monitor
+    serial = monitor.execute_with_report(Q1, PURPOSE).compliance_checks
+    assert serial == 5000
+    world.admin.bump_policy_epoch()  # empties the memo
+    checks = monitor.metrics.counter("repro_complieswith_total")
+    hits = monitor.metrics.counter("repro_complieswith_memo_hits_total")
+    before = checks.total(), hits.total()
+    reports: list = []
+
+    def work(_: int) -> None:
+        for _ in range(RUNS):
+            reports.append(monitor.execute_with_report(Q1, PURPOSE))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _on_threads(work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(reports) == THREADS * RUNS
+    assert {
+        (r.compliance_checks, r.costs["memo.hit"] + r.costs["memo.miss"])
+        for r in reports
+    } == {(serial, serial)}
+    assert sum(r.costs["memo.miss"] for r in reports) > 0
+    assert checks.total() - before[0] == sum(r.compliance_checks for r in reports)
+    assert hits.total() - before[1] == sum(r.costs["memo.hit"] for r in reports)
 
 
 def test_enforced_update_audits_its_own_checks_beside_readers(world) -> None:

@@ -1,8 +1,12 @@
 """Scalar function registry tests, including the UDF call counters."""
 
-import pytest
+from collections import Counter
 
-from repro.engine.functions import FunctionRegistry
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine.functions import FunctionRegistry, MemoizedFunction
+from repro.engine.types import BitString
 from repro.errors import ExpressionError, TypeMismatchError
 
 
@@ -112,3 +116,106 @@ class TestCounters:
 
     def test_unknown_function_count_is_zero(self, registry):
         assert registry.call_count("missing") == 0
+
+
+class TestMemoAccounting:
+    def test_unhashable_argument_is_charged_as_a_miss(self, registry):
+        registry.register("size", MemoizedFunction(len))
+        costs = Counter()
+        assert registry.call("size", ([1, 2],), costs) == 2
+        assert registry.call("size", ([1, 2],), costs) == 2
+        assert costs == Counter({"size": 2, "memo.miss": 2})
+
+
+# -- call_batch against a per-row reference fold --------------------------------
+
+_SHARED = (BitString(5, 4), BitString(9, 4), 7, "x", [1])
+_VALUES = st.one_of(
+    st.sampled_from(_SHARED),  # identity duplicates across rows
+    st.builds(BitString, st.sampled_from([5, 9]), st.just(4)),  # equal, distinct
+    st.none(),
+    st.integers(0, 3),
+    st.builds(list, st.lists(st.integers(0, 1), max_size=2)),  # unhashable
+)
+
+
+@st.composite
+def _pages(draw):
+    width = draw(st.integers(0, 3))
+    length = draw(st.integers(0, 12))
+    column = st.lists(_VALUES, min_size=length, max_size=length)
+    return [draw(column) for _ in range(width)], length
+
+
+def _rows(columns, length):
+    return list(zip(*columns)) if columns else [()] * length
+
+
+def _reference(func, strict, memo, columns, length, costs):
+    """The per-row fold ``call_batch`` must agree with: each row its own
+    strictness check, charge and memo lookup."""
+    out = []
+    for args in _rows(columns, length):
+        if strict and any(arg is None for arg in args):
+            out.append(None)
+            continue
+        costs["f"] += 1
+        if memo is None:
+            out.append(func(*args))
+            continue
+        try:
+            hit = args in memo
+        except TypeError:
+            costs["memo.miss"] += 1
+            out.append(func(*args))
+            continue
+        costs["memo.hit" if hit else "memo.miss"] += 1
+        if not hit:
+            memo[args] = func(*args)
+        out.append(memo[args])
+    return out
+
+
+def _pure(*args):
+    return repr(args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(warm=_pages(), page=_pages(), strict=st.booleans())
+def test_memoized_batch_matches_per_row_fold(warm, page, strict):
+    registry = FunctionRegistry()
+    registry.register("f", MemoizedFunction(_pure), strict=strict)
+    memo: dict = {}
+    _reference(_pure, strict, memo, *warm, Counter())
+    registry.call_batch("f", *warm, Counter())
+    expected, costs = Counter(), Counter()
+    assert registry.call_batch("f", *page, costs) == _reference(
+        _pure, strict, memo, *page, expected
+    )
+    assert costs == expected
+    assert costs["memo.hit"] + costs["memo.miss"] == costs["f"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(page=_pages(), strict=st.booleans())
+def test_impure_udf_sees_every_live_row_in_order(page, strict):
+    seen: list = []
+
+    def impure(*args):
+        seen.append(args)
+        return len(seen)
+
+    registry = FunctionRegistry()
+    registry.register("f", impure, strict=strict)
+    costs = Counter()
+    results = registry.call_batch("f", *page, costs)
+    live = [
+        args for args in _rows(*page)
+        if not (strict and any(arg is None for arg in args))
+    ]
+    assert len(seen) == len(live) == costs["f"]
+    assert all(x is y for got, row in zip(seen, live) for x, y in zip(got, row))
+    seen.clear()
+    expected = Counter()
+    assert results == _reference(impure, strict, None, *page, expected)
+    assert costs == expected
