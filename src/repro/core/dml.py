@@ -31,7 +31,7 @@ from ..sql import ast
 from .actions import ActionType, JointAccess
 from .admin import AccessControlManager, COMPLIES_WITH, POLICY_COLUMN
 from .rewriter import rewrite_query
-from .signatures import QuerySignature, SignatureDeriver
+from .signatures import SignatureDeriver
 
 
 def synthetic_select(statement: ast.Update | ast.Delete) -> ast.Select:
@@ -49,15 +49,6 @@ def synthetic_select(statement: ast.Update | ast.Delete) -> ast.Select:
         sources=(ast.TableName(statement.table),),
         where=statement.where,
     )
-
-
-def derive_dml_signature(
-    statement: ast.Update | ast.Delete,
-    purpose: str,
-    deriver: SignatureDeriver,
-) -> QuerySignature:
-    """Signature of the statement's read-side (via the synthetic SELECT)."""
-    return deriver.derive(synthetic_select(statement), purpose)
 
 
 def _touch_conjunct(

@@ -642,6 +642,10 @@ class SelectExecutor:
 
         Takes the visible row list and the ascending row ids to emit
         (``None`` = every row) and applies the scan's column narrowing.
+        Pages slice the table's column image (``Table.column_image``) when
+        it keeps one for the list — a full scan builds or carries it, an id
+        fetch only reads it — and transpose row tuples otherwise (a pinned
+        snapshot's list, a staged overlay).
         """
         width = node.shape.width()
         batch_size = self.batch_size
@@ -652,6 +656,22 @@ class SelectExecutor:
         )
 
         def fetch(rows: list, ids: "list[int] | None") -> Iterator[ColumnBatch]:
+            image = table.column_image(rows, ids is None)
+            if image is not None:
+                _, length, columns = image
+                if kept is not None:
+                    columns = [columns[p] for p in kept]
+                if ids is None:
+                    for start in range(0, length, batch_size):
+                        page = [c[start : start + batch_size] for c in columns]
+                        yield ColumnBatch(page, min(batch_size, length - start))
+                    return
+                for start in range(0, len(ids), batch_size):
+                    page = ids[start : start + batch_size]
+                    gather = itemgetter(*page)  # of one id: the bare value
+                    pick = (lambda c: (gather(c),)) if len(page) == 1 else gather
+                    yield ColumnBatch([pick(c) for c in columns], len(page))
+                return
             source = rows if ids is None else [rows[i] for i in ids]
             for start in range(0, len(source), batch_size):
                 page = source[start : start + batch_size]

@@ -415,12 +415,13 @@ class ExpressionCompiler:
         registry = self.registry
         name = expr.name
         args = [self.compile(arg) for arg in expr.args]
+        constant = tuple(isinstance(arg, _CONSTANTS) for arg in expr.args)
 
         def call(batch: ColumnBatch, env: Env) -> list:
             # Arguments are evaluated on every row; call_batch applies
             # strictness and charges invocations (complieswith accounting).
             columns = [arg(batch, env) for arg in args]
-            return registry.call_batch(name, columns, batch.length, env.costs)
+            return registry.call_batch(name, columns, batch.length, env.costs, constant)
 
         return call
 
@@ -645,6 +646,9 @@ def _like_literal(operand: BatchExpr, pattern: object, negated: bool) -> BatchEx
 
 #: Sentinel distinguishing "no constant operand" from a NULL literal.
 _NO_CONST = object()
+
+#: Leaves that evaluate to one object repeated on every row of a batch.
+_CONSTANTS = (ast.Literal, ast.BitStringLiteral, ast.Parameter)
 
 
 def _constant_operand(expr: ast.Expression) -> object:

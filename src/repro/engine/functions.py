@@ -12,7 +12,8 @@ policy-bitmap and index events — to its own ledger (a ``Counter`` on its
 folds it into the database's :class:`CostTotal` when the run ends.
 An invocation is charged per row but dispatched once per page
 (:meth:`FunctionRegistry.call_batch`): a memoized — pure — function
-evaluates each distinct argument once a page.
+evaluates each distinct argument once a page, keyed on the arguments that
+vary (a literal or a parameter repeats one object down the page).
 """
 
 from __future__ import annotations
@@ -110,17 +111,25 @@ class MemoizedFunction:
         self._cache: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
-    def results(self, columns: list, rows: list, total: CostTotal, costs) -> list:
-        """``func(*row)`` for every row of ``rows`` (the tuples of
-        ``columns``).  Rows are grouped by argument identity at C speed and
-        only one row a group is hashed by value; the misses charged are the
-        distinct values the memo lacked when the page started plus every
-        row with an unhashable argument, the other rows are hits."""
-        keys = list(zip(*[map(id, column) for column in columns])) if columns else rows
-        distinct = dict(zip(keys, rows))
+    def results(
+        self, columns: list, constant: tuple, length: int, total: CostTotal, costs
+    ) -> list:
+        """``func(*row)`` for each of the ``length`` rows of ``columns``.
+        Rows are grouped by the identity of their varying arguments at C
+        speed (a ``constant`` column repeats one object and keys nothing)
+        and only one row a group is hashed by value; the misses charged are
+        the distinct values the memo lacked when the page started plus
+        every row with an unhashable argument, the other rows are hits."""
+        varying = [c for c, fixed in zip(columns, constant) if not fixed] or columns[:1]
+        ids = [map(id, column) for column in varying]
+        keys = list(ids[0] if len(ids) == 1 else zip(*ids)) or [()] * length
+        distinct = {
+            key: tuple(column[i] for column in columns)
+            for key, i in dict(zip(keys, range(length))).items()
+        }
         found: dict = {}
         missing: dict[tuple, list] = {}  # argument value -> identity keys
-        unhashable: set[tuple] = set()
+        unhashable: set = set()
         with self._lock:
             for key, args in distinct.items():
                 try:
@@ -139,7 +148,7 @@ class MemoizedFunction:
                         self._cache.clear()
                     self._cache[args] = result
         misses = len(computed) + sum(map(unhashable.__contains__, keys))
-        total.charge(costs, "memo.hit", len(rows) - misses)
+        total.charge(costs, "memo.hit", length - misses)
         total.charge(costs, "memo.miss", misses)
         return list(map(found.__getitem__, keys))
 
@@ -190,28 +199,37 @@ class FunctionRegistry:
         return self.call_batch(name, [[arg] for arg in args], 1, costs)[0]
 
     def call_batch(
-        self, name: str, columns: list, length: int, costs: "Counter | None" = None
+        self, name: str, columns: list, length: int,
+        costs: "Counter | None" = None, constant: "tuple[bool, ...] | None" = None,
     ) -> list:
         """Invoke a registered function on a page of ``length`` rows whose
         evaluated arguments are ``columns``, one result per row.  A strict
         function's rows with a NULL argument answer NULL uncharged; every
         other row is one invocation charged to ``costs``.  A
         :class:`MemoizedFunction` (pure) evaluates each distinct argument
-        once a page; any other function is called per row, in row order."""
+        once a page; any other function is called per row, in row order.
+        ``constant`` flags the columns that repeat one object on every row
+        (a literal, a bound parameter): they need no NULL scan and key no
+        memo lookup."""
         registered = self.get(name)
+        constant = constant or (False,) * len(columns)
         nulls: set[int] = set()
-        for column in columns if registered.strict else ():
-            nulls.update(compress(range(length), map(is_, column, repeat(None))))
+        for column, fixed in zip(columns, constant) if registered.strict else ():
+            if fixed and length and column[0] is None:
+                return [None] * length
+            if not fixed:
+                nulls.update(compress(range(length), map(is_, column, repeat(None))))
         if nulls:
             live = [i for i in range(length) if i not in nulls]
             page = [[column[i] for i in live] for column in columns]
-            results = iter(self.call_batch(name, page, len(live), costs))
+            results = iter(self.call_batch(name, page, len(live), costs, constant))
             return [None if i in nulls else next(results) for i in range(length)]
-        rows = list(zip(*columns)) if columns else [()] * length
         self.cost_total.charge(costs, registered.name, length)
-        if type(registered.func) is MemoizedFunction:
-            return registered.func.results(columns, rows, self.cost_total, costs)
-        return [registered.func(*row) for row in rows]
+        func = registered.func
+        if type(func) is MemoizedFunction:
+            return func.results(columns, constant, length, self.cost_total, costs)
+        rows = zip(*columns) if columns else [()] * length
+        return [func(*row) for row in rows]
 
     # -- instrumentation ---------------------------------------------------------
 

@@ -674,11 +674,6 @@ class TransactionManager:
 
     # -- snapshot horizon / version pruning --------------------------------
 
-    def oldest_snapshot_ts(self) -> int:
-        """The pruning horizon: versions dead before this ts are garbage."""
-        with self._lock:
-            return self._oldest_locked()
-
     def _oldest_locked(self) -> int:
         if not self._active:
             return self._clock

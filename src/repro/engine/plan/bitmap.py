@@ -262,6 +262,8 @@ def _allowed(maps, masks, values, registry, function, costs) -> set:
         fresh = [value for value in values if value not in verdicts]
         if fresh:
             mask = [BitString.from_bits(bits)] * len(fresh)
-            judged = registry.call_batch(function, [mask, fresh], len(fresh), costs)
+            judged = registry.call_batch(
+                function, [mask, fresh], len(fresh), costs, (True, False)
+            )
             verdicts.update(zip(fresh, map(bool, judged)))
     return {value for value in values if all(v[value] for v in maps)}

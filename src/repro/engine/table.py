@@ -52,7 +52,7 @@ from __future__ import annotations
 import bisect
 from itertools import compress
 from operator import is_not
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError
 from .catalog import CatalogOp
@@ -136,6 +136,8 @@ class Table:
         self._manager: TransactionManager | None = None
         self._asof_cache: dict[int, list[tuple]] = {}
         self._pk_cache: "tuple[TableSchema, tuple[int, ...]] | None" = None
+        #: The latest committed rows' ``(rows, length, columns)``, or None.
+        self._image: "tuple[list, int, list[Sequence]] | None" = None
 
     # -- transaction plumbing ------------------------------------------------
 
@@ -267,6 +269,39 @@ class Table:
         write-set diffs and rebases.
         """
         return self._rows
+
+    def column_image(
+        self, rows: list, build: bool
+    ) -> "tuple[list, int, list[Sequence]] | None":
+        """``(rows, length, columns)``: the columns of the visible list
+        ``rows``, or ``None`` when the table keeps none for it.
+
+        Only the latest committed list has an image.  With ``build`` (a
+        full scan) a missing one is transposed and a stale one carried
+        forward the way a policy posting index is: copy the columns, patch
+        the rows ``replaced_positions`` reports, extend the appended ones.
+        A shorter list, or one whose every row was replaced (ALTER TABLE
+        rewrites them all, maybe to another width), is transposed afresh.
+        Without ``build`` (an id fetch) only an image of ``rows`` as they
+        are is returned.  Images are never mutated, so readers share them.
+        """
+        image, length = self._image, len(rows)
+        if image is not None and image[0] is rows and image[1] == length:
+            return image
+        if not build or not length or rows is not self._rows:
+            return None
+        changed = image and replaced_positions(image[0], image[1], rows)
+        if changed is None or len(changed := list(changed)) == image[1]:
+            columns = list(zip(*rows[:length]))
+        else:
+            columns = [list(column) for column in image[2]]
+            for position in changed:
+                for column, value in zip(columns, rows[position]):
+                    column[position] = value
+            for column, values in zip(columns, zip(*rows[image[1] : length])):
+                column.extend(values)
+        self._image = image = (rows, length, columns)
+        return image
 
     @property
     def version(self) -> "int | tuple":

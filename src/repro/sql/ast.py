@@ -599,13 +599,6 @@ def join_conditions(select: Select) -> Iterator[Expression]:
         yield from _conditions(source)
 
 
-def replace_where(select: Select, where: Expression | None) -> Select:
-    """Return a copy of ``select`` with a new WHERE clause."""
-    import dataclasses
-
-    return dataclasses.replace(select, where=where)
-
-
 def conjoin(left: Expression | None, right: Expression) -> Expression:
     """AND-combine two predicates, treating ``None`` as absent."""
     if left is None:

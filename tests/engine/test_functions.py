@@ -139,12 +139,29 @@ _VALUES = st.one_of(
 )
 
 
+#: What a compiled constant argument repeats on every row: a literal, a
+#: ``BitString`` literal, a bound parameter (any value) or a NULL constant.
+_CONSTANTS = st.one_of(
+    st.sampled_from(_SHARED),
+    st.builds(BitString, st.sampled_from([5, 9]), st.just(4)),
+    _VALUES,
+    st.none(),
+)
+
+
 @st.composite
-def _pages(draw):
+def _pages(draw, constants: bool = True):
+    """``(columns, length, constant)``: a page of argument columns, some of
+    them (with ``constants``) one value repeated and flagged constant."""
     width = draw(st.integers(0, 3))
     length = draw(st.integers(0, 12))
     column = st.lists(_VALUES, min_size=length, max_size=length)
-    return [draw(column) for _ in range(width)], length
+    columns, constant = [], []
+    for _ in range(width):
+        fixed = constants and draw(st.booleans())
+        columns.append([draw(_CONSTANTS)] * length if fixed else draw(column))
+        constant.append(fixed)
+    return columns, length, tuple(constant)
 
 
 def _rows(columns, length):
@@ -180,23 +197,24 @@ def _pure(*args):
     return repr(args)
 
 
-@settings(max_examples=200, deadline=None)
-@given(warm=_pages(), page=_pages(), strict=st.booleans())
+@settings(max_examples=300, deadline=None)
+@given(warm=_pages(constants=False), page=_pages(), strict=st.booleans())
 def test_memoized_batch_matches_per_row_fold(warm, page, strict):
     registry = FunctionRegistry()
     registry.register("f", MemoizedFunction(_pure), strict=strict)
     memo: dict = {}
-    _reference(_pure, strict, memo, *warm, Counter())
-    registry.call_batch("f", *warm, Counter())
+    _reference(_pure, strict, memo, *warm[:2], Counter())
+    registry.call_batch("f", *warm[:2], Counter())
+    columns, length, constant = page
     expected, costs = Counter(), Counter()
-    assert registry.call_batch("f", *page, costs) == _reference(
-        _pure, strict, memo, *page, expected
+    assert registry.call_batch("f", columns, length, costs, constant) == _reference(
+        _pure, strict, memo, columns, length, expected
     )
     assert costs == expected
     assert costs["memo.hit"] + costs["memo.miss"] == costs["f"]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(page=_pages(), strict=st.booleans())
 def test_impure_udf_sees_every_live_row_in_order(page, strict):
     seen: list = []
@@ -207,15 +225,33 @@ def test_impure_udf_sees_every_live_row_in_order(page, strict):
 
     registry = FunctionRegistry()
     registry.register("f", impure, strict=strict)
+    columns, length, constant = page
     costs = Counter()
-    results = registry.call_batch("f", *page, costs)
+    results = registry.call_batch("f", columns, length, costs, constant)
     live = [
-        args for args in _rows(*page)
+        args for args in _rows(columns, length)
         if not (strict and any(arg is None for arg in args))
     ]
     assert len(seen) == len(live) == costs["f"]
     assert all(x is y for got, row in zip(seen, live) for x, y in zip(got, row))
     seen.clear()
     expected = Counter()
-    assert results == _reference(impure, strict, None, *page, expected)
+    assert results == _reference(impure, strict, None, columns, length, expected)
     assert costs == expected
+
+
+def test_constant_mask_keys_the_memo_on_the_policy_column_alone():
+    """``complieswith(b'<mask>', policy)``'s shape: a constant first column,
+    a varying second one; a NULL constant answers the page NULL uncharged."""
+    calls: list = []
+    registry = FunctionRegistry()
+    registry.register("f", MemoizedFunction(lambda *args: calls.append(args) or 1))
+    mask, policies = BitString(5, 4), [BitString(9, 4), BitString(9, 4), None, 7]
+    costs = Counter()
+    results = registry.call_batch("f", [[mask] * 4, policies], 4, costs, (True, False))
+    assert results == [1, 1, None, 1]
+    assert calls == [(mask, BitString(9, 4)), (mask, 7)]
+    assert costs == Counter({"f": 3, "memo.miss": 2, "memo.hit": 1})
+    costs = Counter()
+    assert registry.call_batch("f", [[None] * 4, policies], 4, costs, (True, False)) == [None] * 4
+    assert costs == Counter()
