@@ -26,6 +26,7 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..engine import (
     Database,
@@ -35,11 +36,12 @@ from ..engine import (
     resolve_optimizer_mode,
     txn_scope,
 )
-from ..engine.database import PreparedQuery
+from ..engine.database import PreparedQuery, bind_parameters
 from ..errors import ParseError, UnauthorizedPurposeError
 from ..obs.tracing import NULL_TRACE, Trace
-from ..sql import ast, parse_select, parse_statement
-from ..sql.printer import print_select, to_sql
+from ..sql import ast, parse_select, parse_statement, tokenize
+from ..sql.printer import bound_literals, print_select, to_sql
+from ..sql.shape import parameterize
 from .admin import AccessControlManager, COMPLIES_WITH
 from .query_model import query_id as compute_query_id
 from .rewriter import rewrite_query
@@ -59,10 +61,10 @@ class EnforcementReport:
     events, whatever ran beside it.  ``trace`` is the execution's recorded
     :class:`~repro.obs.tracing.Trace` when the monitor has tracing enabled
     (``None`` otherwise — disabled tracing records nothing).
+    ``rewritten_sql`` is printed when read.
     """
 
     original_sql: str
-    rewritten_sql: str
     purpose: str
     signature: QuerySignature | None
     result: ResultSet
@@ -70,18 +72,51 @@ class EnforcementReport:
     cache_hit: bool = False
     costs: Counter = field(default_factory=Counter)
     trace: "object | None" = None
+    resolved: "Resolved | None" = field(default=None, repr=False)
+    plan: "CompiledEnforcedPlan | None" = field(default=None, repr=False)
+
+    @property
+    def rewritten_sql(self) -> str:
+        """The enforced SQL that ran, with the caller's literals."""
+        return self.plan.rewritten_for(self.resolved)
+
+
+class Resolved(NamedTuple):
+    """A query as compiled — the *shape* (:mod:`repro.sql.shape`), its lifted
+    ``values`` and the ``shape_id`` keying the plan cache — and as written:
+    ``query_id`` and raw ``text`` (``None`` for an AST, its own shape)."""
+
+    statement: "ast.Select | ast.SetOperation"
+    shape_id: str
+    query_id: str
+    values: tuple
+    text: str | None
+
+    def bindings(self, params):
+        """What a run binds: the lifted values, if any (the caller's text has
+        no placeholder, so ``params`` is only checked), else ``params``."""
+        if not self.values:
+            return params
+        bind_parameters(params, ())
+        return self.values
+
+    def printed(self, node) -> str:
+        """``node`` (the shape or a tree compiled from it) as the caller's SQL."""
+        with bound_literals(self.values):
+            return to_sql(node)
 
 
 @dataclass(frozen=True)
 class CompiledEnforcedPlan:
-    """One plan-cache entry: everything derived from ⟨query, purpose⟩.
+    """One plan-cache entry: everything derived from ⟨shape, purpose⟩.
 
     Valid exactly as long as the policy epoch it was compiled under; the
     cache key embeds :attr:`epoch`, so entries from older epochs simply
     stop being found (and are purged on the next insertion).
 
     ``signature`` is ``None`` for set-operation chains, where each SELECT
-    branch carries its own signature inside the rewritten tree.
+    branch carries its own signature inside the rewritten tree.  Every
+    field is the shape's: ``query_id`` is its shape id.
     """
 
     query_id: str
@@ -94,6 +129,12 @@ class CompiledEnforcedPlan:
     rewritten_sql: str
     signature: QuerySignature | None
     plan: PreparedQuery
+
+    def rewritten_for(self, resolved: Resolved) -> str:
+        """:attr:`rewritten_sql` with ``resolved``'s lifted literals."""
+        if not resolved.values:
+            return self.rewritten_sql
+        return resolved.printed(self.rewritten)
 
 
 class PreparedEnforcedQuery:
@@ -108,31 +149,25 @@ class PreparedEnforcedQuery:
     """
 
     def __init__(
-        self,
-        monitor: "EnforcementMonitor",
-        statement: "ast.Select | ast.SetOperation",
-        query_id: str,
-        purpose: str,
-        original_sql: str | None = None,
+        self, monitor: "EnforcementMonitor", resolved: Resolved, purpose: str
     ):
         self.monitor = monitor
-        self.statement = statement
-        self.query_id = query_id
+        self.resolved = resolved
+        self.statement = resolved.statement
+        self.query_id = resolved.query_id
         self.purpose = purpose
-        self.original_sql = original_sql
+        self.original_sql = resolved.text
 
     @property
     def plan(self) -> CompiledEnforcedPlan:
         """The currently valid compiled plan (recompiled if the epoch moved)."""
-        plan, _ = self.monitor._compiled_plan(
-            self.statement, self.query_id, self.purpose
-        )
+        plan, _ = self.monitor._compiled_plan(self.resolved, self.purpose)
         return plan
 
     @property
     def rewritten_sql(self) -> str:
         """The enforced SQL the next execution will run."""
-        return self.plan.rewritten_sql
+        return self.plan.rewritten_for(self.resolved)
 
     @property
     def signature(self) -> QuerySignature | None:
@@ -141,8 +176,9 @@ class PreparedEnforcedQuery:
 
     @property
     def parameters(self) -> "list[ast.Parameter]":
-        """The placeholders the query declares, in binding order."""
-        return self.plan.plan.parameters
+        """The placeholders the caller's text declares, in binding order
+        (none when its literals were lifted: the shape's are bound here)."""
+        return [] if self.resolved.values else self.plan.plan.parameters
 
     def execute(self, params=None, user: str | None = None) -> ResultSet:
         """Run the prepared query under ``params``; returns filtered rows."""
@@ -152,14 +188,7 @@ class PreparedEnforcedQuery:
         self, params=None, user: str | None = None
     ) -> EnforcementReport:
         """Run the prepared query and return the full enforcement report."""
-        return self.monitor._run_cached(
-            self.statement,
-            self.query_id,
-            self.purpose,
-            user,
-            params,
-            text=self.original_sql,
-        )
+        return self.monitor._run_cached(self.resolved, self.purpose, user, params)
 
 
 class EnforcementMonitor:
@@ -170,10 +199,15 @@ class EnforcementMonitor:
     :class:`~repro.core.roles.RoleManager` to get role-based authorization
     (the paper's future-work item 3).
 
+    Every SQL text compiles as its *shape* (:mod:`repro.sql.shape`), so
+    texts that differ only in ``column = literal`` operands share one plan
+    and run with their own values bound; reports, EXPLAIN lines and audit
+    records print those values and read as for the literal text.
+
     ``plan_cache_size`` bounds the compiled-plan LRU cache (keyed by
-    ⟨query id, purpose, policy epoch, optimizer mode⟩);
-    ``parse_cache_size`` bounds the policy-independent SQL-text → AST memo
-    in front of it.
+    ⟨shape id, purpose, policy epoch, optimizer mode⟩);
+    ``parse_cache_size`` bounds each policy-independent memo in front of
+    it: raw text → :class:`Resolved`, and shape → parsed shape.
 
     The caches and their counters are lock-guarded, so one monitor can serve
     many threads (the :mod:`repro.server` deployment): cache hits and plan
@@ -215,12 +249,11 @@ class EnforcementMonitor:
         self._plan_cache: "OrderedDict[tuple, CompiledEnforcedPlan]" = (
             OrderedDict()
         )
-        self._parse_memo: "OrderedDict[str, tuple[ast.Select | ast.SetOperation, str]]" = (
-            OrderedDict()
-        )
+        self._text_memo: "OrderedDict[str, Resolved]" = OrderedDict()
+        self._shape_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        # Guards both OrderedDict caches and the hit/miss counters: their
+        # Guards the OrderedDict caches and the hit/miss counters: their
         # get / move_to_end / popitem sequences are multi-step and corrupt
         # the LRU order (or lose counts) when query threads interleave.
         # Reentrant because a cache miss compiles under the lock and the
@@ -252,6 +285,12 @@ class EnforcementMonitor:
         registry.counter(
             "repro_plan_cache_total", "Compiled-plan cache lookups by result"
         )
+        parses = registry.counter(
+            "repro_parse_total", "SQL texts by result: repeated (text_hit), "
+            "of a known shape (shape_hit) or parsed (miss)",
+        )
+        for result in ("text_hit", "shape_hit", "miss"):
+            parses.inc(0, result=result)
         registry.counter(
             "repro_policy_bitmap_total",
             "Hoisted guards' per-mask verdict maps reused (event=hit) or "
@@ -429,58 +468,90 @@ class EnforcementMonitor:
 
     # -- prepared pipeline -----------------------------------------------------------
 
-    def _resolve(
-        self, query, allow_set_ops: bool = False
-    ) -> "tuple[ast.Select | ast.SetOperation, str, str | None]":
-        """Parse (memoized) and identify a query.
+    def _resolve(self, query) -> Resolved:
+        """Map a query to the shape the monitor compiles (:class:`Resolved`).
 
-        Returns ``(statement, query_id, text)``; ``text`` is the raw SQL
-        exactly as the caller wrote it (used in reports and audit records)
-        and ``None`` for AST inputs.  The memo is keyed by the raw text and
-        holds only policy-independent results, so it never needs epoch
-        invalidation; the query id hashes the *printed* form, making it
-        stable across formatting variants of the same statement.
+        A repeated text is one hit in the raw-text memo; a new one is
+        tokenized and parameterized, and a hit in the shape memo (keyed on
+        the shape's tokens) spares the parse.  Both memos are
+        policy-independent.  The caller's query id hashes the shape printed
+        with its values: the text's printed form, stable across formatting.
+        An AST input is the one unnormalized path.
         """
         if isinstance(query, str):
-            with self._cache_lock:
-                cached = self._parse_memo.get(query)
-                if cached is None:
-                    statement = parse_statement(query)
-                    if not isinstance(statement, (ast.Select, ast.SetOperation)):
-                        raise ParseError(
-                            "expected a SELECT statement, got "
-                            f"{type(statement).__name__}"
-                        )
-                    cached = (statement, compute_query_id(to_sql(statement)))
-                    self._parse_memo[query] = cached
-                    if len(self._parse_memo) > self.parse_cache_size:
-                        self._parse_memo.popitem(last=False)
-                else:
-                    self._parse_memo.move_to_end(query)
-            statement, qid = cached
-            text: str | None = query
+            resolved = self._lookup(query)
         else:
-            statement, text = query, None
-            qid = compute_query_id(to_sql(statement))
-        if not allow_set_ops and not isinstance(statement, ast.Select):
+            qid = compute_query_id(to_sql(query))
+            resolved = Resolved(query, qid, qid, (), None)
+        if not isinstance(resolved.statement, (ast.Select, ast.SetOperation)):
             raise ParseError(
-                f"expected a SELECT statement, got {type(statement).__name__}"
+                "expected a SELECT statement, got "
+                f"{type(resolved.statement).__name__}"
             )
-        return statement, qid, text
+        return resolved
+
+    def parse(self, sql: str) -> ast.Statement:
+        """Parse a statement of any kind; a SELECT resolves through the
+        memos (as its shape), so running the same text next parses nothing."""
+        return self._lookup(sql).statement
+
+    def _lookup(self, text: str) -> Resolved:
+        """The memo side of :meth:`_resolve`.  Only memo reads and writes
+        hold the cache lock: tokenizing, parsing and printing run outside
+        it.  A statement other than a SELECT is parsed and remembered
+        nowhere, with no id: the monitor compiles only SELECTs."""
+        resolved = self._recall(self._text_memo, text)
+        if resolved is not None:
+            self._count_parse("text_hit")
+            return resolved
+        tokens, values = parameterize(tokenize(text))
+        if not tokens[0].is_keyword("SELECT"):
+            self._count_parse("miss")
+            return Resolved(parse_statement(tokens), "", "", (), text)
+        key = tuple(token[:2] for token in tokens)
+        shape = self._recall(self._shape_memo, key)
+        self._count_parse("miss" if shape is None else "shape_hit")
+        if shape is None:
+            statement = parse_statement(tokens)
+            shape = (statement, compute_query_id(to_sql(statement)))
+            self._remember(self._shape_memo, key, shape)
+        statement, shape_id = shape
+        resolved = Resolved(statement, shape_id, shape_id, values, text)
+        if values:
+            resolved = resolved._replace(
+                query_id=compute_query_id(resolved.printed(statement))
+            )
+        return self._remember(self._text_memo, text, resolved)
+
+    def _recall(self, memo: OrderedDict, key):
+        with self._cache_lock:
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+            return value
+
+    def _remember(self, memo: OrderedDict, key, value):
+        with self._cache_lock:
+            memo[key] = value
+            if len(memo) > self.parse_cache_size:
+                memo.popitem(last=False)
+        return value
+
+    def _count_parse(self, result: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter("repro_parse_total").inc(result=result)
 
     def _compiled_plan(
-        self,
-        statement: "ast.Select | ast.SetOperation",
-        qid: str,
-        purpose: str,
+        self, resolved: Resolved, purpose: str
     ) -> tuple[CompiledEnforcedPlan, bool]:
-        """The compiled plan for ⟨query, purpose⟩ at the current epoch.
+        """The compiled plan for ⟨shape, purpose⟩ at the current epoch.
 
         Returns ``(plan, cache_hit)``.  On a miss the full pipeline runs —
         signature derivation, rewriting, printing, engine planning — and
-        the result is cached under ⟨query id, purpose, epoch, optimizer
+        the result is cached under ⟨shape id, purpose, epoch, optimizer
         mode⟩ with LRU eviction beyond :attr:`plan_cache_size`.
         """
+        statement, qid = resolved.statement, resolved.shape_id
         with self._cache_lock:
             epoch = self._current_epoch()
             mode = self.optimizer_mode
@@ -567,18 +638,16 @@ class EnforcementMonitor:
         compiled plan against current table contents.
         """
         self.admin.require_configured()
-        statement, qid, text = self._resolve(query, allow_set_ops=True)
-        self._compiled_plan(statement, qid, purpose)  # compile eagerly
-        return PreparedEnforcedQuery(self, statement, qid, purpose, text)
+        resolved = self._resolve(query)
+        self._compiled_plan(resolved, purpose)  # compile eagerly
+        return PreparedEnforcedQuery(self, resolved, purpose)
 
     def _run_cached(
         self,
-        statement: "ast.Select | ast.SetOperation",
-        qid: str,
+        resolved: Resolved,
         purpose: str,
         user: str | None,
         params,
-        text: str | None = None,
         trace: "Trace | None" = None,
     ) -> EnforcementReport:
         """Authorize, fetch the compiled plan, execute, audit — the one
@@ -593,12 +662,14 @@ class EnforcementMonitor:
         started = time.perf_counter() if self.metrics is not None else 0.0
         if trace is None:
             trace = self._begin_trace()
-        self._authorize(user, purpose, qid, statement, text)
+        qid = resolved.query_id
+        self._authorize(user, purpose, qid, resolved.statement, resolved.text)
         with trace.span("plan") as plan_span:
-            plan, hit = self._compiled_plan(statement, qid, purpose)
+            plan, hit = self._compiled_plan(resolved, purpose)
             if trace.enabled:
                 plan_span.annotate(cache_hit=hit, nodes=plan.plan.plan_summary())
-        original_sql = text if text is not None else plan.original_sql
+        original_sql = resolved.text or plan.original_sql
+        params = resolved.bindings(params)
 
         with trace.span("execute") as execute_span:
             try:
@@ -630,7 +701,6 @@ class EnforcementMonitor:
                     stage_histogram.observe(seconds, stage=stage)
         return EnforcementReport(
             original_sql=original_sql,
-            rewritten_sql=plan.rewritten_sql,
             purpose=purpose,
             signature=plan.signature,
             result=result,
@@ -638,6 +708,8 @@ class EnforcementMonitor:
             cache_hit=hit,
             costs=spent,
             trace=trace if trace.enabled else None,
+            resolved=resolved,
+            plan=plan,
         )
 
     def _execute_counted(self, plan, params, trace) -> "tuple[ResultSet, Counter]":
@@ -652,12 +724,14 @@ class EnforcementMonitor:
     # -- cache instrumentation ---------------------------------------------------------
 
     def plan_cache_info(self) -> dict:
-        """Hit/miss counters and current occupancy of the plan cache."""
+        """Hit/miss counters and occupancy of the plan cache and its memos."""
         with self._cache_lock:
             return {
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "size": len(self._plan_cache),
+                "shapes": len(self._shape_memo),
+                "texts": len(self._text_memo),
                 "maxsize": self.plan_cache_size,
                 "epoch": self.admin.policy_epoch,
                 "optimizer": self.optimizer_mode,
@@ -668,7 +742,8 @@ class EnforcementMonitor:
         """Drop all cached plans and parse results (counters are kept)."""
         with self._cache_lock:
             self._plan_cache.clear()
-            self._parse_memo.clear()
+            self._shape_memo.clear()
+            self._text_memo.clear()
 
     # -- execution --------------------------------------------------------------------
 
@@ -700,10 +775,8 @@ class EnforcementMonitor:
         self.admin.require_configured()
         trace = self._begin_trace()
         with trace.span("parse"):
-            statement, qid, text = self._resolve(query, allow_set_ops=True)
-        return self._run_cached(
-            statement, qid, purpose, user, params, text, trace=trace
-        )
+            resolved = self._resolve(query)
+        return self._run_cached(resolved, purpose, user, params, trace=trace)
 
     def explain(
         self,
@@ -725,12 +798,14 @@ class EnforcementMonitor:
         ``repro_complieswith_total``) the tests pin down.
         """
         self.admin.require_configured()
-        statement, qid, text = self._resolve(query, allow_set_ops=True)
-        original_sql = text if text is not None else to_sql(statement)
+        resolved = self._resolve(query)
+        statement, qid = resolved.statement, resolved.query_id
+        original_sql = resolved.text or to_sql(statement)
         self._authorize(user, purpose, qid, statement, original_sql, counted=False)
-        plan, hit = self._compiled_plan(statement, qid, purpose)
+        plan, hit = self._compiled_plan(resolved, purpose)
+        params = resolved.bindings(params)
 
-        lines = [f"rewritten: {plan.rewritten_sql}"]
+        lines = [f"rewritten: {plan.rewritten_for(resolved)}"]
         lines.append(f"Optimizer: mode={plan.optimizer}")
         lines.extend(f"  {note}" for note in plan.plan.optimizer_notes())
         lines.append(
@@ -752,7 +827,8 @@ class EnforcementMonitor:
             with trace.span("execute"):
                 result, spent = self._execute_counted(plan.plan, params, trace)
             rows, checks = len(result), spent[COMPLIES_WITH]
-            lines.extend(plan.plan.describe(annotate=trace.annotation))
+            with bound_literals(resolved.values):
+                lines.extend(plan.plan.describe(annotate=trace.annotation))
             lines.append(
                 f"Execution: rows={rows} checks={checks} "
                 f"memo_hits={spent['memo.hit']} cache_hit={str(hit).lower()} "
@@ -767,7 +843,8 @@ class EnforcementMonitor:
             )
             lines.append(f"Timing: {stages}")
         else:
-            lines.extend(plan.plan.describe())
+            with bound_literals(resolved.values):
+                lines.extend(plan.plan.describe())
 
         self.record_audit(
             user, purpose, qid, original_sql, "explain", rows=rows, checks=checks
@@ -783,6 +860,7 @@ class EnforcementMonitor:
         sql: "str | ast.Statement",
         purpose: str,
         user: str | None = None,
+        text: str | None = None,
     ) -> ResultSet | int:
         """Enforce and run any SELECT or DML statement.
 
@@ -791,12 +869,16 @@ class EnforcementMonitor:
         touch policy-compliant tuples, returning the affected-row count;
         ``INSERT ... SELECT`` enforces the source query.  DDL is rejected —
         schema changes go through the administration modules.
+        A caller that parsed ``sql`` already (:meth:`parse`) passes the
+        source ``text`` beside it, for audit records and the memo.
         """
         from ..errors import AccessControlError
         from .dml import rewrite_statement
 
-        statement = parse_statement(sql) if isinstance(sql, str) else sql
-        text = sql if isinstance(sql, str) else None
+        if isinstance(sql, str):
+            statement, text = self.parse(sql), sql
+        else:
+            statement = sql
         if isinstance(statement, ast.Explain):
             return self.explain(
                 statement.statement, purpose, user=user, analyze=statement.analyze

@@ -10,6 +10,12 @@ engine's left-to-right short-circuit evaluation, tuples eliminated by the
 query's own filters never pay a policy check, reproducing the
 filter-amplification effect discussed with Figure 6.
 
+A binding on the nullable side of an outer join gets its conjuncts in the
+ON clause of the innermost such join instead: a policy filters its table,
+not the join result, so a preserved row whose partners all fail their
+policy is null-extended (the null-extended row discloses no tuple of the
+nullable side) instead of being dropped by a NULL policy in WHERE.
+
 Table signatures whose FROM-clause binding is a derived table get no
 conjunct in the outer block — a derived table has no ``policy`` column; its
 base tables are protected by the conjuncts added inside the rewritten
@@ -45,14 +51,21 @@ def rewrite_query(
     ``signature`` must be the query signature derived for ``select`` with
     the same purpose the query runs under.
     """
-    rewritten_sources = tuple(
-        _rewrite_source(source, signature, layouts) for source in select.sources
-    )
     base_bindings = {
         source.binding.lower()
         for source in ast.select_sources(select)
         if isinstance(source, ast.TableName)
     }
+    # Derived tables get none: they are enforced inside the sub-query.
+    unplaced = {
+        table.binding: _compliance_conjuncts(table, signature.purpose, layouts)
+        for table in signature.tables
+        if table.binding in base_bindings
+    }
+    rewritten_sources = tuple(
+        _rewrite_source(source, signature, layouts, unplaced)
+        for source in select.sources
+    )
 
     where = (
         _rewrite_expression(select.where, signature, layouts)
@@ -83,12 +96,8 @@ def rewrite_query(
         for item in select.order_by
     )
 
-    for table_signature in signature.tables:
-        if table_signature.binding not in base_bindings:
-            continue  # derived table: enforced inside the sub-query
-        for conjunct in _compliance_conjuncts(
-            table_signature, signature.purpose, layouts
-        ):
+    for conjuncts in unplaced.values():
+        for conjunct in conjuncts:
             where = ast.conjoin(where, conjunct)
 
     return dataclasses.replace(
@@ -128,24 +137,29 @@ def _rewrite_source(
     source: ast.TableSource,
     signature: QuerySignature,
     layouts: LayoutProvider,
+    unplaced: "dict[str, list[ast.Expression]]",
 ) -> ast.TableSource:
+    """Rewrite a FROM item; an outer join takes the conjuncts of the
+    bindings on its nullable side that no inner outer join took, out of
+    ``unplaced``, into its ON clause."""
     if isinstance(source, ast.SubquerySource):
         sub_signature = signature.subquery_signature(compute_query_id(source.select))
         return dataclasses.replace(
             source, select=rewrite_query(source.select, sub_signature, layouts)
         )
-    if isinstance(source, ast.Join):
-        return dataclasses.replace(
-            source,
-            left=_rewrite_source(source.left, signature, layouts),
-            right=_rewrite_source(source.right, signature, layouts),
-            condition=(
-                _rewrite_expression(source.condition, signature, layouts)
-                if source.condition is not None
-                else None
-            ),
-        )
-    return source
+    if not isinstance(source, ast.Join):
+        return source
+    left = _rewrite_source(source.left, signature, layouts, unplaced)
+    right = _rewrite_source(source.right, signature, layouts, unplaced)
+    condition = source.condition
+    if condition is not None:
+        condition = _rewrite_expression(condition, signature, layouts)
+    nullable = {"LEFT": source.right, "RIGHT": source.left}.get(source.kind)
+    if nullable is not None:
+        for leaf in ast.source_leaves(nullable):
+            for conjunct in unplaced.pop(leaf.binding.lower(), ()):
+                condition = ast.conjoin(condition, conjunct)
+    return dataclasses.replace(source, left=left, right=right, condition=condition)
 
 
 def _rewrite_expression(

@@ -74,7 +74,9 @@ class TrackingScope(Scope):
 class SourcePlan:
     """A physical FROM-clause operator: a row shape plus its one producer.
 
-    ``kind``/``detail``/``children`` describe the node for EXPLAIN output.
+    ``kind``/``detail``/``children`` describe the node for EXPLAIN output;
+    a ``detail`` printing expressions is a callable rendered when described,
+    under the caller's :func:`~repro.sql.printer.bound_literals`.
 
     A batch-native node carries a ``batch_producer`` yielding
     :class:`~repro.engine.batch.ColumnBatch` pages, a row-native one a
@@ -98,7 +100,7 @@ class SourcePlan:
         self,
         shape: RowShape,
         kind: str,
-        detail: str = "",
+        detail: "str | Callable[[], str]" = "",
         children: "list[SourcePlan] | None" = None,
         *,
         producer: "Callable[..., Iterable[tuple]] | None" = None,
@@ -150,7 +152,8 @@ class SourcePlan:
         such as ``" (rows=N)"`` for EXPLAIN ANALYZE; ``None`` renders the
         bare plan.
         """
-        label = self.kind if not self.detail else f"{self.kind} {self.detail}"
+        detail = self.detail() if callable(self.detail) else self.detail
+        label = self.kind if not detail else f"{self.kind} {detail}"
         if annotate is not None:
             label += annotate(self)
         lines = ["  " * indent + label]
@@ -740,7 +743,7 @@ class SelectExecutor:
             return fetch(table.rows, chosen)
 
         return SourcePlan(
-            node.shape, type(node).__name__, self._scan_detail(table, node),
+            node.shape, type(node).__name__, lambda: self._scan_detail(table, node),
             batch_producer=produce, candidate_ids=candidate_ids,
         )
 
@@ -779,10 +782,11 @@ class SelectExecutor:
 
         from ..sql.printer import print_expression
 
-        detail = " and ".join(print_expression(expr) for expr in claimed)
+        def detail() -> str:
+            return f"[{' and '.join(print_expression(e) for e in claimed)}]"
+
         return SourcePlan(
-            child.shape, "Filter", f"[{detail}]", [child],
-            batch_producer=produce,
+            child.shape, "Filter", detail, [child], batch_producer=produce,
         )
 
     def _compile_policy_guard(

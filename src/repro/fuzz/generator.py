@@ -3,9 +3,10 @@
 :class:`FuzzQueryGenerator` extends the Figure 5 query classes with the
 shapes the paper's r1–r20 never exercise — nested subqueries (IN / EXISTS /
 scalar / derived tables), set-operation chains, parameter placeholders,
-``SELECT *`` — and pairs every query with a randomized ⟨purpose, user⟩
-submission context, so generated cases cover the denied as well as the
-allowed authorization outcome.
+``SELECT *``, ``column = literal`` in WHERE / ON / HAVING — and pairs
+every query with a randomized ⟨purpose, user⟩ submission context, so
+generated cases cover the denied as well as the allowed authorization
+outcome.
 
 Reproducibility contract: case *i* of seed *s* draws all of its randomness
 from :func:`repro.workload.randgen.case_rng`, an RNG derived from the pair
@@ -33,6 +34,7 @@ EXTRA_KINDS: tuple[str, ...] = (
     "star_select",
     "parameterized",
     "nested_subquery",
+    "point_equality",
 )
 
 #: Every shape the fuzzer can draw.
@@ -303,3 +305,22 @@ class FuzzQueryGenerator:
                 "where sensed_data.timestamp >= :p0"
             )
         return sql, params
+
+    def _point_equality(self, rng: random.Random, base) -> tuple[str, dict]:
+        """``column = literal`` in WHERE, ON or HAVING (the literals a
+        statement shape lifts), maybe beside a drawn predicate."""
+        watch = f"'watch{rng.randrange(self.spec.patients)}'"
+        ts = rng.randint(1, self.spec.samples)
+        extra = ""
+        if rng.random() < 0.4:
+            column = rng.choice(base._table_columns("sensed_data"))
+            extra = f" and {base._predicate(column, True)}"
+        return rng.choice((
+            "select watch_id, timestamp, beats from sensed_data where "
+            f"watch_id = {watch} and timestamp = {ts}{extra}",
+            "select users.user_id, sensed_data.beats from users join sensed_data on "
+            f"users.watch_id = sensed_data.watch_id and sensed_data.timestamp = {ts} "
+            f"where users.watch_id = {watch}{extra}",
+            f"select watch_id, max(beats) from sensed_data where true{extra} "
+            f"group by watch_id having watch_id = {watch}",
+        )), {}

@@ -14,6 +14,11 @@ reach enforcement by:
 ``server-query`` / ``server-prepared``
     The same statement over the :mod:`repro.server` wire protocol, ad-hoc
     and via remote prepare/execute.
+``sibling`` / ``sibling-literal``
+    The text with each literal its shape lifts (:mod:`repro.sql.shape`)
+    redrawn from its column's values: ad-hoc, where it must hit the plan the
+    case compiled and audit its own text and id, and parsed, which the
+    monitor compiles as written; both against the oracle's sibling answer.
 ``sharded-N`` (opt-in via ``sharded_counts``)
     The same statement over the wire against an
     :class:`~repro.server.async_server.AsyncQueryServer` fronting an
@@ -65,17 +70,21 @@ from dataclasses import dataclass, field
 
 from ..core.admin import POLICY_COLUMN
 from ..core.audit import AuditLog
+from ..core.query_model import query_id
 from ..engine.types import BitString
 from ..errors import RemoteError, ReproError, UnauthorizedPurposeError
 from ..server import Client, QueryServer
-from ..sql import parse_statement
+from ..sql import ast, parse_statement, print_expression, to_sql, tokenize
+from ..sql.parser import literal_value
+from ..sql.shape import parameterize
+from ..sql.tokens import TokenType
 from .generator import FuzzCase
 from .oracle import EnforcementOracle
 from .scenario import FuzzScenario, ScenarioSpec, build_fuzz_scenario
 
 #: Paths that must report ``cache_hit=True`` (the plan was compiled by an
 #: earlier path of the same case, under an unchanged policy epoch).
-_WARM_PATHS = ("prepared-cold", "cached", "server-query", "server-prepared")
+_WARM_PATHS = ("prepared-cold", "cached", "server-query", "server-prepared", "sibling")
 
 
 def normalize_value(value):
@@ -259,15 +268,7 @@ class DifferentialRunner:
             case.user, case.purpose
         )
 
-        try:
-            expected = self.oracle.expected(case.sql, case.purpose, params)
-            expected_rows = normalize_rows(expected.rows)
-            expected_columns = [c.lower() for c in expected.columns]
-            oracle_error: str | None = None
-        except ReproError as exc:
-            expected, expected_rows, expected_columns = None, None, None
-            oracle_error = f"{type(exc).__name__}: {exc}"
-
+        oracle_error, expected_rows, expected_columns = self._expected(case)
         paths = [
             self._adhoc_path("ad-hoc", case, clear_cache=True),
             self._prepared_path(case),
@@ -286,6 +287,16 @@ class DifferentialRunner:
             expected_rows,
             expected_columns,
         )
+
+        sibling = self._sibling(case)
+        if sibling is not None:
+            legs = [
+                self._adhoc_path("sibling", sibling, False),
+                self._adhoc_path("sibling-literal", sibling, False, parsed=True),
+            ]
+            expected = self._expected(sibling)
+            self._check_paths(sibling, legs, failures, denial_expected, *expected)
+            paths.extend(legs)
 
         if self.sharded_counts:
             self.toggle_replica_index(
@@ -315,9 +326,58 @@ class DifferentialRunner:
 
         return CaseReport(case=case, ok=not failures, failures=failures, paths=paths)
 
+    def _expected(self, case: FuzzCase):
+        """The oracle's ``(error, rows, columns)`` for a case."""
+        try:
+            expected = self.oracle.expected(case.sql, case.purpose, case.params or None)
+        except ReproError as exc:
+            return f"{type(exc).__name__}: {exc}", None, None
+        return (
+            None,
+            normalize_rows(expected.rows),
+            [c.lower() for c in expected.columns],
+        )
+
+    def _sibling(self, case: FuzzCase) -> "FuzzCase | None":
+        """The case with each lifted literal redrawn (seeded) from the other
+        values its column holds; ``None`` when its text lifts none."""
+        tokens = tokenize(case.sql)
+        shape, values = parameterize(tokens)
+        if not values:
+            return None
+        rng = random.Random(f"{case.replay_token}:sibling")
+        pieces, copied = [], 0
+        for index, token in enumerate(shape):
+            if token.type is TokenType.PARAMETER:
+                literal, value = tokens[index], literal_value(tokens[index])
+                domain = self._column_values(tokens[index - 2].value) - {value}
+                drawn = ast.Literal(rng.choice(sorted(domain, key=repr) or [value]))
+                pieces += [case.sql[copied : literal.position], print_expression(drawn)]
+                copied = literal.position + len(literal.value)
+                if literal.type is TokenType.STRING:
+                    copied += literal.value.count("'") + 2
+        return case.with_sql("".join(pieces) + case.sql[copied:])
+
+    def _column_values(self, column: str) -> set:
+        """The strings and non-negative numbers a column holds in any table
+        (each prints as one literal token, so a sibling keeps its shape)."""
+        database, column = self.world.database, column.lower()
+        tables = [database.table(name) for name in self.world.admin.target_tables()]
+        return {
+            value
+            for table in tables
+            if column in table.schema and column != POLICY_COLUMN
+            for value in (row[table.schema.column_index(column)] for row in table.rows)
+            if isinstance(value, str) or (type(value) in (int, float) and value >= 0)
+        }
+
     # -- execution paths -------------------------------------------------------
 
-    def _adhoc_path(self, name: str, case: FuzzCase, clear_cache: bool) -> PathResult:
+    def _adhoc_path(
+        self, name: str, case: FuzzCase, clear_cache: bool, parsed: bool = False
+    ) -> PathResult:
+        """One in-process execution of the case's text, or with ``parsed``
+        of the statement parsed from it (compiled as written, unshaped)."""
         monitor = self.world.monitor
         if clear_cache:
             monitor.clear_plan_cache()
@@ -326,13 +386,17 @@ class DifferentialRunner:
         # paths of the same case.
         monitor.clear_policy_bitmaps()
         audit_before = len(self.audit)
+        text = None if parsed else case.sql
         try:
             report = monitor.execute_with_report(
-                case.sql, case.purpose, user=case.user, params=case.params or None
+                text or parse_statement(case.sql),
+                case.purpose,
+                user=case.user,
+                params=case.params or None,
             )
         except UnauthorizedPurposeError:
             result = PathResult(name, "denied")
-            self._check_audit(name, result, audit_before, None)
+            self._check_audit(name, result, audit_before, None, text)
             return result
         except ReproError as exc:
             return PathResult(name, "error", error=f"{type(exc).__name__}: {exc}")
@@ -342,9 +406,10 @@ class DifferentialRunner:
             columns=[c.lower() for c in report.result.columns],
             rows=normalize_rows(report.result.rows),
             checks=report.compliance_checks,
-            cache_hit=report.cache_hit,
+            # A parsed statement compiles a plan of its own.
+            cache_hit=None if parsed else report.cache_hit,
         )
-        self._check_audit(name, result, audit_before, report)
+        self._check_audit(name, result, audit_before, report, text)
         return result
 
     def _prepared_path(self, case: FuzzCase) -> PathResult:
@@ -439,15 +504,23 @@ class DifferentialRunner:
     # -- assertions ------------------------------------------------------------
 
     def _check_audit(
-        self, name: str, result: PathResult, audit_before: int, report
+        self, name: str, result: PathResult, audit_before: int, report,
+        text: str | None = None,
     ) -> None:
-        """Every in-process execution leaves exactly one matching record."""
+        """Every in-process execution leaves exactly one matching record;
+        given the ``text`` that ran, one carrying it and its query id."""
         delta = self.audit.records[audit_before:]
         if len(delta) != 1:
             result.error = f"{len(delta)} audit records written (expected 1)"
             result.outcome = "error"
             return
         record = delta[0]
+        if text is not None and (record.statement, record.query_id) != (
+            text, query_id(to_sql(parse_statement(text)))
+        ):
+            result.outcome = "error"
+            result.error = f"audit record {record} is not the text's"
+            return
         expected_outcome = "denied" if result.outcome == "denied" else "allowed"
         if record.outcome != expected_outcome:
             result.error = (
@@ -637,19 +710,6 @@ class DifferentialRunner:
                 "the original enforced result"
             )
 
-    # -- batches ---------------------------------------------------------------
-
-    def run_cases(self, cases, stop_after: int | None = None):
-        """Run an iterable of cases, yielding each :class:`CaseReport`."""
-        seen_failures = 0
-        for case in cases:
-            report = self.run_case(case)
-            yield report
-            if not report.ok:
-                seen_failures += 1
-                if stop_after is not None and seen_failures >= stop_after:
-                    return
-
 
 def _first_difference(actual: list[tuple], expected: list[tuple]) -> str:
     from collections import Counter
@@ -663,3 +723,4 @@ def _first_difference(actual: list[tuple], expected: list[tuple]) -> str:
     if missing:
         return f"missing row {next(iter(missing))!r}"
     return "multisets equal (ordering artifact?)"
+

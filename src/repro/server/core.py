@@ -38,7 +38,7 @@ from ..errors import (
     WriteConflictError,
 )
 from ..obs.metrics import MetricsRegistry
-from ..sql import ast, parse_statement
+from ..sql import ast
 from .protocol import (
     DENIAL_CODES,
     E_INTERNAL,
@@ -94,16 +94,17 @@ class Job:
     """A validated request only a transport can finish.
 
     ``kind`` is ``stats`` (answered outside admission) or a statement:
-    ``select`` / ``dml`` / ``prepare`` (``sql``, ``params``), ``explain``
-    (``statement``), ``execute_prepared`` (``prepared``, ``params``),
-    ``begin`` or ``commit``.
+    ``select`` / ``prepare`` (``sql``, ``params``), ``dml`` (``sql`` and
+    the ``statement`` parsed from it), ``explain`` (``statement``),
+    ``execute_prepared`` (``prepared``, ``params``), ``begin`` or
+    ``commit``.
     """
 
     kind: str
     session: ServerSession | None
     sql: str | None = None
     params: object = None
-    statement: ast.Explain | None = None
+    statement: ast.Statement | None = None
     prepared: PreparedEnforcedQuery | None = None
 
 
@@ -240,7 +241,9 @@ class RequestCore:
 
     def _op_execute(self, session: ServerSession, request: dict) -> "Job | dict":
         sql = _required(request, "sql")
-        statement = parse_statement(sql)  # parse errors answered inline
+        # Parse errors are answered inline.  The one parse is reused: a
+        # SELECT's by the monitor's memo, a DML statement's by the job.
+        statement = self.monitor.parse(sql)
         if isinstance(statement, ast.Begin):
             if session.txn is not None:
                 raise TransactionError("a transaction is already in progress")
@@ -261,7 +264,7 @@ class RequestCore:
             return Job("explain", session, statement=statement)
         if isinstance(statement, (ast.Select, ast.SetOperation)):
             return Job("select", session, sql=sql)
-        return Job("dml", session, sql=sql)
+        return Job("dml", session, sql=sql, statement=statement)
 
     def _op_prepare(self, session: ServerSession, request: dict) -> Job:
         return Job("prepare", session, sql=_required(request, "sql"))
@@ -344,7 +347,7 @@ class RequestCore:
             if job.kind == "prepare":
                 return monitor.prepare(job.sql, session.purpose)
             return monitor.execute_statement(
-                job.sql, session.purpose, user=session.user
+                job.statement, session.purpose, user=session.user, text=job.sql
             )
 
     @contextmanager

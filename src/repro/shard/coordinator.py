@@ -459,7 +459,9 @@ class ShardCoordinator:
             raise ValueError("execute() is the DML path; use query()")
         async with self.fence.write_locked():
             self._route_cache.clear()
-            affected = self.monitor.execute_statement(sql, purpose, user=user)
+            affected = self.monitor.execute_statement(
+                statement, purpose, user=user, text=sql
+            )
             table = getattr(statement, "table", None)
             if table is not None:
                 await self._resync((table,))

@@ -571,18 +571,19 @@ def expression_aggregates(expr: Expression, aggregate_names: frozenset[str]) -> 
     ]
 
 
+def source_leaves(source: TableSource) -> Iterator[TableSource]:
+    """Yield every leaf (non-Join) source of one FROM item."""
+    if isinstance(source, Join):
+        yield from source_leaves(source.left)
+        yield from source_leaves(source.right)
+    else:
+        yield source
+
+
 def select_sources(select: Select) -> Iterator[TableSource]:
     """Yield every leaf (non-Join) source of a SELECT's FROM clause."""
-
-    def _leaves(source: TableSource) -> Iterator[TableSource]:
-        if isinstance(source, Join):
-            yield from _leaves(source.left)
-            yield from _leaves(source.right)
-        else:
-            yield source
-
     for source in select.sources:
-        yield from _leaves(source)
+        yield from source_leaves(source)
 
 
 def join_conditions(select: Select) -> Iterator[Expression]:

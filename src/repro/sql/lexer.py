@@ -1,248 +1,99 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled pattern, one match per token.
 
-Turns a SQL source string into a list of :class:`~repro.sql.tokens.Token`.
-Supports:
-
-* line comments (``-- ...``) and block comments (``/* ... */``),
-* single-quoted string literals with ``''`` escaping,
-* double-quoted identifiers,
-* bit-string literals ``b'0101'`` (used for policy masks in rewritten
-  queries, mirroring PostgreSQL's syntax),
-* integer and floating point numeric literals,
-* query parameter placeholders — ``?`` (positional), ``$n`` (numbered,
-  PostgreSQL style) and ``:name`` (named) — used by prepared statements,
-* the operator and punctuation inventory of :mod:`repro.sql.tokens`.
+Turns a SQL source string into a list of :class:`~repro.sql.tokens.Token`:
+keywords (upper-cased), identifiers (``"quoted"`` ones too), numbers,
+``'strings'`` with ``''`` escapes, bit strings ``b'0101'`` (policy masks,
+PostgreSQL syntax), the placeholders ``?``, ``$n`` and ``:name``, operators
+and punctuation; ``--`` and ``/* */`` comments are skipped.  Alternatives
+are tried in order at each offset, so a comment wins over ``-`` and ``/``,
+a bit string over a word and ``.5`` over ``.``; the last takes any single
+character and reports it.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
-from .tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    PUNCTUATION,
-    SINGLE_CHAR_OPERATORS,
-    Token,
-    TokenType,
+from .tokens import KEYWORDS, Token, TokenType
+
+_PATTERN = re.compile(
+    r"""
+    (?P<skip>(?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)+)
+  | (?P<comment>/\*)
+  | (?P<bitstring>[bB]'[01]*'?)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<number>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<string>'[^']*(?:''[^']*)*'?)
+  | (?P<quoted>"[^"]*(?:""[^"]*)*"?)
+  | (?P<parameter>\?|\$\d+|:[^\W\d]\w*)
+  | (?P<operator><>|<=|>=|!=|\|\||[-+*/%<>=&|])
+  | (?P<punctuation>[(),.;])
+  | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
 )
+
+_UNTERMINATED = {"string": "string literal", "quoted": "quoted identifier"}
+_VERBATIM = {
+    "number": TokenType.NUMBER,
+    "operator": TokenType.OPERATOR,
+    "punctuation": TokenType.PUNCTUATION,
+}
+
+
+#: Builds a Token without the Python-level ``__new__`` of a named tuple.
+_new = tuple.__new__
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Tokenize ``sql`` and return the token list (terminated by EOF)."""
-    return Lexer(sql).tokenize()
+    """Tokenize ``sql`` and return the token list (terminated by EOF).
 
-
-class Lexer:
-    """Single-pass scanner over a SQL source string."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-        self._token_line = 1
-        self._token_column = 1
-
-    # -- public API --------------------------------------------------------
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole source and return the token list."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                break
-            self._scan_token()
-        self._emit(TokenType.EOF, "")
-        return self.tokens
-
-    # -- internals ----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
+    The EOF token sits at ``len(sql)`` but carries the line and column of
+    the last token (1, 1 when there is none), which is where "unexpected
+    end" parse errors point.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    token_line = token_column = 1
+    for match in _PATTERN.finditer(sql):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        if kind != "skip":
+            token_line, token_column = line, start - line_start + 1
+            token_type, value = _VERBATIM.get(kind), text
+            if token_type is not None:
+                pass
+            elif kind == "word":
+                value = text.upper()
+                if value in KEYWORDS:
+                    token_type = TokenType.KEYWORD
                 else:
-                    self.column += 1
-                self.pos += 1
-
-    def _emit(self, token_type: TokenType, value: str, start: int | None = None) -> None:
-        position = self.pos if start is None else start
-        self.tokens.append(
-            Token(token_type, value, position, self._token_line, self._token_column)
-        )
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.pos, self.line, self.column)
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
+                    token_type, value = TokenType.IDENTIFIER, text
+            elif kind == "string" or kind == "quoted":
+                quote = text[0]
+                if text.count(quote) % 2:
+                    raise _error(sql, len(sql), f"unterminated {_UNTERMINATED[kind]}")
+                token_type = TokenType.STRING if quote == "'" else TokenType.IDENTIFIER
+                value = text[1:-1].replace(quote + quote, quote)
+            elif kind == "parameter":
+                token_type, value = TokenType.PARAMETER, text[1:]
+            elif kind == "bitstring":
+                if len(text) < 3 or text[-1] != "'":
+                    raise _error(sql, match.end(), "unterminated bit-string literal")
+                token_type, value = TokenType.BITSTRING, text[2:-1]
+            elif kind == "comment":
+                raise _error(sql, len(sql), "unterminated block comment")
             else:
-                return
+                raise _error(sql, start, f"unexpected character {text!r}")
+            append(_new(Token, (token_type, value, start, token_line, token_column)))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+    append(Token(TokenType.EOF, "", len(sql), token_line, token_column))
+    return tokens
 
-    def _scan_token(self) -> None:
-        start = self.pos
-        self._token_line = self.line
-        self._token_column = self.column
-        ch = self._peek()
 
-        # Bit-string literal: b'0101' / B'0101'
-        if ch in "bB" and self._peek(1) == "'":
-            self._scan_bitstring(start)
-            return
-        if ch.isalpha() or ch == "_":
-            self._scan_word(start)
-            return
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            self._scan_number(start)
-            return
-        if ch == "'":
-            self._scan_string(start)
-            return
-        if ch == '"':
-            self._scan_quoted_identifier(start)
-            return
-        # Parameter placeholders.  The token value encodes the flavour:
-        # "" for a positional "?", digits for "$n", a word for ":name".
-        if ch == "?":
-            self._advance()
-            self._emit(TokenType.PARAMETER, "", start)
-            return
-        if ch == "$" and self._peek(1).isdigit():
-            self._advance()
-            digits_start = self.pos
-            while self._peek().isdigit():
-                self._advance()
-            self._emit(TokenType.PARAMETER, self.source[digits_start : self.pos], start)
-            return
-        if ch == ":" and (self._peek(1).isalpha() or self._peek(1) == "_"):
-            self._advance()
-            name_start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            self._emit(TokenType.PARAMETER, self.source[name_start : self.pos], start)
-            return
-        for op in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                self._emit(TokenType.OPERATOR, op, start)
-                return
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            self._emit(TokenType.OPERATOR, ch, start)
-            return
-        if ch in PUNCTUATION:
-            self._advance()
-            self._emit(TokenType.PUNCTUATION, ch, start)
-            return
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _scan_word(self, start: int) -> None:
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        upper = text.upper()
-        if upper in KEYWORDS:
-            self._emit(TokenType.KEYWORD, upper, start)
-        else:
-            self._emit(TokenType.IDENTIFIER, text, start)
-
-    def _scan_number(self, start: int) -> None:
-        seen_dot = False
-        seen_exp = False
-        while True:
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not seen_dot and not seen_exp:
-                # A trailing '.' followed by a non-digit belongs to
-                # qualified names (e.g. "1." never appears in our SQL).
-                if not self._peek(1).isdigit():
-                    break
-                seen_dot = True
-                self._advance()
-            elif ch in "eE" and not seen_exp and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                seen_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        self._emit(TokenType.NUMBER, self.source[start : self.pos], start)
-
-    def _scan_string(self, start: int) -> None:
-        self._advance()  # opening quote
-        chunks: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chunks.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
-            else:
-                chunks.append(ch)
-                self._advance()
-        self._emit(TokenType.STRING, "".join(chunks), start)
-
-    def _scan_bitstring(self, start: int) -> None:
-        self._advance(2)  # b'
-        bits_start = self.pos
-        # NB: compare against a tuple — `"" in "01"` is True, and _peek()
-        # returns "" at end of input.
-        while self._peek() in ("0", "1"):
-            self._advance()
-        bits = self.source[bits_start : self.pos]
-        if self._peek() != "'":
-            raise self._error("unterminated bit-string literal")
-        self._advance()
-        self._emit(TokenType.BITSTRING, bits, start)
-
-    def _scan_quoted_identifier(self, start: int) -> None:
-        self._advance()  # opening quote
-        chunks: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated quoted identifier")
-            ch = self._peek()
-            if ch == '"':
-                if self._peek(1) == '"':
-                    chunks.append('"')
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
-            else:
-                chunks.append(ch)
-                self._advance()
-        self._emit(TokenType.IDENTIFIER, "".join(chunks), start)
+def _error(sql: str, position: int, message: str) -> LexError:
+    line = sql.count("\n", 0, position) + 1
+    return LexError(message, position, line, position - sql.rfind("\n", 0, position))

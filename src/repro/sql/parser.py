@@ -18,8 +18,8 @@ from .tokens import Token, TokenType
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
 
-def parse_statement(sql: str) -> ast.Statement:
-    """Parse a single SQL statement and return its AST."""
+def parse_statement(sql: "str | list[Token]") -> ast.Statement:
+    """Parse a single SQL statement (text or token list) and return its AST."""
     parser = Parser(sql)
     statement = parser.statement()
     parser.expect_end()
@@ -42,12 +42,22 @@ def parse_expression(sql: str) -> ast.Expression:
     return expression
 
 
-class Parser:
-    """Token-stream parser; one instance per source string."""
+def literal_value(token: Token) -> object:
+    """The value of a NUMBER or STRING token, as a literal holds it."""
+    text = token.value
+    if token.type is TokenType.STRING:
+        return text
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
 
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = tokenize(source)
+
+class Parser:
+    """Token-stream parser; one instance per source string or token list
+    (an EOF-terminated list as :func:`~repro.sql.lexer.tokenize` returns)."""
+
+    def __init__(self, source: "str | list[Token]"):
+        self.tokens = tokenize(source) if isinstance(source, str) else source
         self.index = 0
         # Auto-numbering for "?" placeholders: like SQLite, each "?" takes
         # one more than the highest parameter index seen so far.
@@ -56,8 +66,9 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if not offset:  # the index never passes EOF: _advance stops there
+            return self.tokens[self.index]
+        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self.tokens[self.index]
@@ -66,7 +77,8 @@ class Parser:
         return token
 
     def _check_keyword(self, *words: str) -> bool:
-        return self._peek().is_keyword(*words)
+        token = self.tokens[self.index]
+        return token.type is TokenType.KEYWORD and token.value in words
 
     def _match_keyword(self, *words: str) -> bool:
         if self._check_keyword(*words):
@@ -570,15 +582,9 @@ class Parser:
 
     def _primary(self) -> ast.Expression:
         token = self._peek()
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.value)
+            return ast.Literal(literal_value(token))
         if token.type is TokenType.BITSTRING:
             self._advance()
             return ast.BitStringLiteral(token.value)

@@ -9,7 +9,13 @@ the engine.  Output round-trips through :func:`repro.sql.parser.parse_select`
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from . import ast
+
+#: Values the ``$1..$k`` placeholders print as inside :func:`bound_literals`.
+_BOUND: "ContextVar[tuple]" = ContextVar("bound_literals", default=())
 
 # Binding strength used to decide where parentheses are required.
 _PRECEDENCE = {
@@ -19,6 +25,18 @@ _PRECEDENCE = {
     "+": 5, "-": 5, "||": 5,
     "*": 6, "/": 6, "%": 6,
 }
+
+
+@contextmanager
+def bound_literals(values: tuple):
+    """Print ``$k`` as the literal ``values[k - 1]`` in this scope: a
+    statement shape (:mod:`repro.sql.shape`), and anything printed from its
+    plan, then reads as the text it was lifted from."""
+    token = _BOUND.set(values)
+    try:
+        yield
+    finally:
+        _BOUND.reset(token)
 
 
 def to_sql(node: ast.Statement | ast.Expression) -> str:
@@ -188,6 +206,9 @@ def print_expression(expr: ast.Expression, parent_precedence: int = 0) -> str:
     if isinstance(expr, ast.BitStringLiteral):
         return f"b'{expr.bits}'"
     if isinstance(expr, ast.Parameter):
+        values = _BOUND.get()
+        if values:
+            return _print_literal(values[expr.index - 1])
         # "?" placeholders print in their numbered form, so the printed
         # text re-parses to an identical AST (and hashes to the same
         # query id as the "$n" spelling).

@@ -1,6 +1,6 @@
 """Token model for the SQL lexer.
 
-The lexer produces a flat list of :class:`Token` objects.  Keywords are
+The lexer produces a flat list of :class:`Token` tuples.  Keywords are
 recognized case-insensitively and normalized to upper case in
 :attr:`Token.value`; identifiers keep their original spelling (SQL
 identifiers are matched case-insensitively downstream, like PostgreSQL's
@@ -10,11 +10,11 @@ default folding, but we preserve the source text for round-tripping).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
-    """Lexical categories produced by :class:`repro.sql.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.sql.lexer.tokenize`."""
 
     KEYWORD = "keyword"
     IDENTIFIER = "identifier"
@@ -47,16 +47,8 @@ KEYWORDS = frozenset(
 # lexed as identifiers so that schemas like the paper's
 # sensed_data(watch_id, timestamp, ...) can use them as column names.
 
-#: Multi-character operators, longest first so the lexer can match greedily.
-MULTI_CHAR_OPERATORS = ("<>", "<=", ">=", "!=", "||")
 
-SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>=&|")
-
-PUNCTUATION = frozenset("(),.;")
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical unit.
 
     Attributes:
@@ -77,6 +69,3 @@ class Token:
     def is_keyword(self, *words: str) -> bool:
         """Return ``True`` if this token is one of the given keywords."""
         return self.type is TokenType.KEYWORD and self.value in words
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.value!r})"

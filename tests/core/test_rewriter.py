@@ -175,3 +175,37 @@ class TestMaskContent:
             admin.apply_policy(Policy(table, (PolicyRule.pass_none(),)))
         rewritten = rewrite(fresh_scenario, FIG3_QUERY)
         assert len(fresh_scenario.database.query(rewritten)) == 0
+
+
+class TestOuterJoins:
+    """A policy filters its table, not the join result: the nullable side's
+    conjuncts go to the innermost outer join's ON clause."""
+
+    def bindings(self, expression):
+        return {call.args[1].table for call in compliance_calls(expression)}
+
+    def test_left_join_nullable_side_goes_to_on(self, scenario):
+        rewritten = rewrite(
+            scenario,
+            "select u.user_id from users u left join sensed_data s "
+            "on u.watch_id = s.watch_id",
+        )
+        assert self.bindings(rewritten.sources[0].condition) == {"s"}
+        assert self.bindings(rewritten.where) == {"u"}
+
+    def test_right_join_and_nesting(self, scenario):
+        rewritten = rewrite(
+            scenario,
+            "select users.user_id from users left join sensed_data "
+            "on users.watch_id = sensed_data.watch_id right join "
+            "nutritional_profiles on users.nutritional_profile_id = "
+            "nutritional_profiles.profile_id",
+        )
+        outer = rewritten.sources[0]
+        assert self.bindings(outer.left.condition) == {"sensed_data"}
+        assert self.bindings(outer.condition) == {"users"}
+        assert self.bindings(rewritten.where) == {"nutritional_profiles"}
+
+    def test_inner_joins_keep_where(self, scenario):
+        rewritten = rewrite(scenario, FIG3_QUERY)
+        assert compliance_calls(rewritten.sources[0].condition) == []

@@ -123,3 +123,110 @@ class TestCommentsAndWhitespace:
         x = tokens[1]
         assert x.line == 2
         assert x.column == 3
+
+
+def _lex_error(sql):
+    with pytest.raises(LexError) as info:
+        tokenize(sql)
+    error = info.value
+    return str(error), error.position, error.line, error.column
+
+
+class TestErrorContract:
+    """Message, offset, line and column of every LexError, and the token
+    positions parse errors quote — pinned so a scanner rewrite keeps them."""
+
+    def test_unterminated_string_spanning_lines(self):
+        assert _lex_error("select 'ab\ncd") == (
+            "unterminated string literal (line 2, column 3)", 13, 2, 3,
+        )
+
+    def test_unterminated_string_after_escaped_quote(self):
+        assert _lex_error("select 'a''") == (
+            "unterminated string literal (line 1, column 12)", 11, 1, 12,
+        )
+
+    def test_unterminated_bitstring_stops_at_first_non_bit(self):
+        assert _lex_error("select b'01\n1'") == (
+            "unterminated bit-string literal (line 1, column 12)", 11, 1, 12,
+        )
+
+    def test_unterminated_quoted_identifier_spanning_lines(self):
+        assert _lex_error('select "ab\ncd') == (
+            "unterminated quoted identifier (line 2, column 3)", 13, 2, 3,
+        )
+
+    def test_unterminated_block_comment_spanning_lines(self):
+        assert _lex_error("select /* a\nb") == (
+            "unterminated block comment (line 2, column 2)", 13, 2, 2,
+        )
+
+    @pytest.mark.parametrize(
+        "sql, char, position, line, column",
+        [
+            ("select $", "$", 7, 1, 8),
+            ("select $x", "$", 7, 1, 8),
+            ("select :", ":", 7, 1, 8),
+            ("select :1", ":", 7, 1, 8),
+            ("select a\n$ 1", "$", 9, 2, 1),
+            ("select a\n  :", ":", 11, 2, 3),
+        ],
+    )
+    def test_dollar_and_colon_without_continuation(
+        self, sql, char, position, line, column
+    ):
+        assert _lex_error(sql) == (
+            f"unexpected character {char!r} (line {line}, column {column})",
+            position, line, column,
+        )
+
+    def test_token_after_multiline_comment(self):
+        tokens = tokenize("select /* a\n bc */ x, -- z\n  y")
+        assert [(t.value, t.position, t.line, t.column) for t in tokens] == [
+            ("SELECT", 0, 1, 1),
+            ("x", 19, 2, 8),
+            (",", 20, 2, 9),
+            ("y", 29, 3, 3),
+            ("", 30, 3, 3),
+        ]
+
+    def test_eof_takes_the_last_tokens_line_and_column(self):
+        # The EOF token sits at the end offset but reports where the last
+        # token started (1, 1 when there is none).
+        eof = tokenize("select a from")[-1]
+        assert (eof.type, eof.position, eof.line, eof.column) == (
+            TokenType.EOF, 13, 1, 10,
+        )
+        for sql, expected in (("select -- c", (11, 1, 1)), ("", (0, 1, 1))):
+            eof = tokenize(sql)[-1]
+            assert (eof.position, eof.line, eof.column) == expected
+
+    @pytest.mark.parametrize(
+        "sql, message, position",
+        [
+            ("select a from", "expected identifier, found '' (line 1, column 10)", 13),
+            (
+                "select a from t where",
+                "unexpected token '' in expression (line 1, column 17)",
+                21,
+            ),
+            (
+                "select\n  a from t where x =\n",
+                "unexpected token '' in expression (line 2, column 20)",
+                28,
+            ),
+            (
+                "select a from t /* c\n */ where",
+                "unexpected token '' in expression (line 2, column 5)",
+                30,
+            ),
+            ("select (1", "expected ')', found '' (line 1, column 9)", 9),
+        ],
+    )
+    def test_unexpected_end_quotes_the_eof_token(self, sql, message, position):
+        from repro.errors import ParseError
+        from repro.sql import parse_statement
+
+        with pytest.raises(ParseError) as info:
+            parse_statement(sql)
+        assert (str(info.value), info.value.position) == (message, position)
