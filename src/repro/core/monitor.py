@@ -295,7 +295,7 @@ class EnforcementMonitor:
             "repro_policy_bitmap_total",
             "Hoisted guards' per-mask verdict maps reused (event=hit) or "
             "built from nothing (event=built); policy posting indexes "
-            "carried to another table version (event=revalidated) or built "
+            "carried to another row list (event=revalidated) or built "
             "by a full pass over a table's rows (event=row_pass)",
         )
         registry.counter(
@@ -305,7 +305,7 @@ class EnforcementMonitor:
         registry.counter(
             "repro_index_total",
             "Secondary-index activity: probes (event=hit), entries "
-            "revalidated for another table version (event=carried_forward) "
+            "carried to another row list (event=carried_forward) "
             "or rebuilt (event=rebuild)",
         )
         registry.counter(

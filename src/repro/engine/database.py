@@ -521,9 +521,9 @@ class Database:
 
     def _execute_insert(self, statement: ast.Insert, env: Env) -> int:
         table = self.table(statement.table)
-        # Bulk-append: one version bump per statement (not per row), so the
-        # policy-bitmap cache rebuilds once after an INSERT ... SELECT or a
-        # multi-row VALUES list.
+        # Bulk-append: one commit per statement (not per row), so the policy
+        # posting index follows an INSERT ... SELECT or a multi-row VALUES
+        # list in one pass.
         if statement.select is not None:
             result = self.prepare(statement.select).execute(costs=env.costs)
             return table.append_rows(result.rows, statement.columns)

@@ -9,8 +9,9 @@ The subsystem mirrors the layering of the rest of the engine:
   (row counts, NDV, min/max, equi-depth histograms) collected by
   ``ANALYZE`` and consumed by the optimizer's cost model;
 * :mod:`~repro.engine.index.manager` — the :class:`IndexManager` owning
-  index lifecycles and lazy maintenance (entries revalidated against the
-  visible rows, rebuilt only when a key moved).
+  index lifecycles and lazy maintenance (each entry a ``RowIndex``
+  following the visible rows, rebuilt only for a shorter list or another
+  schema).
 
 There is no index mode: the full optimizer pipeline chooses an access
 path whenever an index serves the query.  The reference an index path is

@@ -3,16 +3,15 @@
 Keys live in the leaves; inner nodes hold separator copies only, and the
 leaves are chained left-to-right so a range lookup descends once and then
 walks siblings.  Duplicate keys are collapsed into one leaf slot holding
-the list of matching row ids (appended in row order, so per-key posting
-lists are ascending).
+the ascending list of matching row ids.
 
-The tree is insert-only.  The :class:`~repro.engine.index.manager
-.IndexManager` keeps a built tree across row-storage changes for as long
-as it is still exact for the new row list — unchanged keys at unchanged
-positions, appended rows inserted at the tail — and rebuilds it from
-scratch otherwise (a delete, a key-changing update).  That keeps the
-structure tiny (no rebalancing deletes) without giving up transparent
-maintenance.
+:meth:`BTreeIndex.remove` takes one ``(key, row id)`` pair out without
+rebalancing: a key left without ids leaves its leaf, and a leaf may stay
+empty — separators still route through it and the leaf chain skips it.
+That is what a :class:`~repro.engine.index.manager.RowIndex` needs to
+follow a key-changing update (move the row id from its old key to its
+new one); a delete still rebuilds the whole index, so the tree never
+drifts far from balanced.
 
 Composite keys are tuples; :meth:`BTreeIndex.prefix` serves equality on a
 leading subset of the key columns by walking the leaves while the prefix
@@ -21,7 +20,7 @@ matches.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterator
 
 #: Maximum keys per node before a split.
@@ -55,14 +54,12 @@ class BTreeIndex:
         self._root: _Leaf | _Inner = _Leaf()
         self._first: _Leaf = self._root
         self._distinct = 0
-        self._entries = 0
 
     # -- construction ----------------------------------------------------------
 
     def insert(self, key, row_id: int) -> None:
-        """Add one ``(key, row id)`` pair (row ids arrive in row order)."""
+        """Add one ``(key, row id)`` pair, keeping its posting list ascending."""
         split = self._insert(self._root, key, row_id)
-        self._entries += 1
         if split is not None:
             separator, right = split
             root = _Inner()
@@ -74,7 +71,7 @@ class BTreeIndex:
         if isinstance(node, _Leaf):
             slot = bisect_left(node.keys, key)
             if slot < len(node.keys) and node.keys[slot] == key:
-                node.postings[slot].append(row_id)
+                insort(node.postings[slot], row_id)
                 return None
             node.keys.insert(slot, key)
             node.postings.insert(slot, [row_id])
@@ -107,6 +104,17 @@ class BTreeIndex:
         del node.keys[mid:]
         del node.children[mid + 1 :]
         return promoted, sibling
+
+    def remove(self, key, row_id: int) -> None:
+        """Drop one ``(key, row id)`` pair; a key left without ids leaves
+        its leaf (no rebalancing)."""
+        leaf = self._leaf_for(key)
+        slot = bisect_left(leaf.keys, key)
+        ids = leaf.postings[slot]
+        del ids[bisect_left(ids, row_id)]
+        if not ids:
+            del leaf.keys[slot], leaf.postings[slot]
+            self._distinct -= 1
 
     # -- lookups ---------------------------------------------------------------
 
@@ -199,5 +207,5 @@ class BTreeIndex:
 
     @property
     def entries(self) -> int:
-        """Number of ``(key, row id)`` pairs inserted."""
-        return self._entries
+        """Number of ``(key, row id)`` pairs held (counted on demand)."""
+        return sum(len(ids) for _, ids in self.items())

@@ -1,10 +1,10 @@
 """An equality-only hash index.
 
-One dict from key to its ascending row-id posting list.  A secondary
-index only ever inserts: after DML the manager revalidates the entry
-against the new rows (inserting appended ones) or rebuilds it.  The
-policy posting index (``plan/bitmap.py``) also moves a row id from one
-key to another when a commit rewrites the row's key.
+One dict from key to its ascending row-id posting list.  Like the B-tree
+it inserts and removes single ``(key, row id)`` pairs, which is how a
+:class:`~repro.engine.index.manager.RowIndex` — a hash secondary index or
+a table's policy posting index — moves a row id from one key to another
+when a commit rewrites the row's key.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ class HashIndex:
 
     def __init__(self) -> None:
         self._buckets: dict = {}
-        self._entries = 0
 
     def insert(self, key, row_id: int) -> None:
         """Add one ``(key, row id)`` pair, keeping its posting list ascending."""
         insort(self._buckets.setdefault(key, []), row_id)
-        self._entries += 1
 
     def remove(self, key, row_id: int) -> None:
         """Drop one ``(key, row id)`` pair; a key left without ids goes."""
@@ -31,7 +29,6 @@ class HashIndex:
         del ids[bisect_left(ids, row_id)]
         if not ids:
             del self._buckets[key]
-        self._entries -= 1
 
     def search(self, key) -> list[int]:
         """Row ids (ascending) whose key equals ``key``."""
@@ -50,5 +47,5 @@ class HashIndex:
 
     @property
     def entries(self) -> int:
-        """Number of ``(key, row id)`` pairs held."""
-        return self._entries
+        """Number of ``(key, row id)`` pairs held (counted on demand)."""
+        return sum(map(len, self._buckets.values()))

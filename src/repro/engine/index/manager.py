@@ -4,32 +4,34 @@
 index *definition* (name, table, key columns, structure kind) is durable
 catalog state — it survives DML, is persisted by
 :mod:`repro.engine.persist` and round-trips through ``CREATE INDEX`` /
-``DROP INDEX``.  The built *entry* (the B+-tree / hash structure) is a
-cache that remembers the row list it describes:
+``DROP INDEX``.  The built *entry* is a :class:`RowIndex` — the
+structure a table's policy posting index is too — valid for exactly the
+row list object and length it describes (``repro.engine.table`` says why
+that pair names one state):
 
-* a lookup at the ``Table.version`` the entry was last validated for is a
-  plain probe;
-* at any other version (a commit, a policy change, a snapshot reading an
-  older state, a staged overlay) the entry is **revalidated** against the
-  visible row list instead of rebuilt.  The structure maps key → row
-  position, so it is exact for another list iff every position up to the
-  built length holds either the very same tuple object (``update_rows``
-  and ``rows_as_of`` reuse unchanged tuples) or a tuple with the same key
-  values; rows appended past the built length are inserted.  Anything
-  else — a delete, a key-changing update, a schema change — rebuilds from
-  scratch;
+* a lookup whose visible row list is that list at that length is a plain
+  probe;
+* any other list (a commit, a policy change, a snapshot reading an older
+  state, a staged overlay) is **followed** instead of rebuilt: one
+  identity pass (``replaced_positions``) finds the replaced rows, whose
+  ids move from their old key to their new one, and appended rows are
+  inserted.  A shorter list (a delete) or another schema object (ALTER
+  TABLE) rebuilds from scratch;
 * a dropped-and-recreated index or table never serves stale row ids.
 
-Entries are mutated in place when carried forward, so every lookup
-validates and probes under the manager lock.
-A lookup charges ``index.*`` events to the calling execution's cost
-ledger; ``stats()`` reads the total they fold into.
+Entries are mutated in place when followed, so every lookup validates and
+probes under the manager lock.  A lookup charges ``index.*`` events to
+the calling execution's cost ledger; ``stats()`` reads the total they
+fold into.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from ...errors import CatalogError, ExecutionError
@@ -77,64 +79,83 @@ class IndexDefinition:
         )
 
 
-class _IndexEntry:
-    """A built index structure.
+class RowIndex:
+    """Key → ascending row ids over ``rows[:length]``.
 
-    ``rows`` is the row list the entry was last validated against and
-    ``length`` how many of its rows are indexed: append commits extend the
-    committed list *in place*, so the retained list may have grown since.
+    The one structure derived from a table's rows by key: a secondary
+    index (``structure`` a B-tree or a hash over the definition's
+    columns) and a table's policy posting index (a hash over the policy
+    column) are both one.  Rows with a NULL in a key column go to
+    ``nulls`` (ascending).  ``rows`` is the list described: an append
+    commit extends the committed list in place, so it may have grown
+    past ``length``.  ``stamp`` moves whenever a row id joins, leaves or
+    changes keys.
     """
 
     __slots__ = (
-        "definition", "schema", "structure", "version", "rows", "length",
-        "nulls",
+        "structure", "schema", "positions", "key", "rows", "length", "nulls",
+        "stamp",
     )
 
-    def __init__(self, definition: IndexDefinition, schema):
-        self.definition = definition
-        self.schema = schema
-        self.structure = (
-            BTreeIndex() if definition.kind == "btree" else HashIndex()
-        )
-        self.version: object = None
-        self.rows: list = []
-        self.length = 0
-        #: Ascending ids of the rows the structure cannot hold: a NULL in
-        #: some key column.
-        self.nulls: list[int] = []
+    def __init__(self, structure, schema, columns, rows: list):
+        self.structure, self.schema = structure, schema
+        self.positions = [schema.column_index(c) for c in columns]
+        #: Row → key: the value for one column, the tuple for several.
+        self.key = itemgetter(*self.positions)
+        self.rows, self.length, self.nulls = rows, 0, []
+        self.stamp = 0
+        self._extend(len(rows))
 
-    def positions(self) -> list[int]:
-        """Schema positions of the key columns."""
-        return [self.schema.column_index(c) for c in self.definition.columns]
+    def describes(self, rows: list) -> bool:
+        """Whether the index is exact for ``rows`` as it is."""
+        return self.rows is rows and self.length == len(rows)
 
-    def extend(self, rows: list) -> None:
-        """Index ``rows[self.length:]`` and adopt ``rows`` as the row list."""
-        positions = self.positions()
-        single = len(positions) == 1
-        insert = self.structure.insert
-        for row_id in range(self.length, len(rows)):
-            row = rows[row_id]
-            key = tuple(row[p] for p in positions)
-            if None not in key:
-                insert(key[0] if single else key, row_id)
-            else:
-                self.nulls.append(row_id)
-        self.rows = rows
-        self.length = len(rows)
-
-    def carry_forward(self, rows: list) -> bool:
-        """Make the entry describe ``rows`` if that needs no rebuild."""
-        old = self.rows
-        changed = replaced_positions(old, self.length, rows)
+    def follow(self, rows: list) -> bool:
+        """Make the index describe ``rows``; ``False`` when only a rebuild
+        can (``rows`` is shorter: some row was deleted)."""
+        old, length, key = self.rows, self.length, self.key
+        changed = replaced_positions(old, length, rows)
         if changed is None:
             return False
-        positions = self.positions()
+        moved = False
         for row_id in changed:
-            before, after = old[row_id], rows[row_id]
-            if any(before[p] != after[p] for p in positions):
-                return False
-        self.extend(rows)
+            before, after = key(old[row_id]), key(rows[row_id])
+            if before != after:
+                self._place(before, row_id, False)
+                self._place(after, row_id, True)
+                moved = True
+        self.rows = rows
+        # Read once: an append commit extends the committed list in place,
+        # and rows past this length are indexed by the next follow.
+        end = len(rows)
+        if moved or end > length:
+            self._extend(end)
+            self.stamp += 1
         return True
+
+    def _place(self, key, row_id: int, insert: bool) -> None:
+        """Insert (or remove) one ``(key, row id)`` pair."""
+        if key is None or (len(self.positions) > 1 and None in key):
+            if insert:
+                insort(self.nulls, row_id)
+            else:
+                del self.nulls[bisect_left(self.nulls, row_id)]
+        elif insert:
+            self.structure.insert(key, row_id)
+        else:
+            self.structure.remove(key, row_id)
+
+    def _extend(self, end: int) -> None:
+        """Index ``rows[length:end]`` (ids past every indexed one)."""
+        insert, nulls = self.structure.insert, self.nulls
+        single = len(self.positions) == 1
+        keys = map(self.key, islice(self.rows, self.length, end))
+        for row_id, value in enumerate(keys, self.length):
+            if value is None or (not single and None in value):
+                nulls.append(row_id)
+            else:
+                insert(value, row_id)
+        self.length = end
 
 
 class IndexManager:
@@ -144,7 +165,8 @@ class IndexManager:
         self._database = database
         self._lock = threading.RLock()
         self._definitions: dict[str, IndexDefinition] = {}
-        self._entries: dict[str, _IndexEntry] = {}
+        #: name → (the definition built for, its entry).
+        self._entries: dict[str, tuple[IndexDefinition, RowIndex]] = {}
 
     # -- catalog ---------------------------------------------------------------
 
@@ -270,31 +292,25 @@ class IndexManager:
 
     # -- build cache -----------------------------------------------------------
 
-    def _entry(self, definition: IndexDefinition, costs) -> _IndexEntry:
+    def _entry(self, definition: IndexDefinition, costs) -> RowIndex:
         """The entry for ``definition``, exact for the visible rows.
 
         Callers hold the manager lock until they are done probing: a
-        concurrent lookup at another snapshot may carry the entry forward
-        (insert into the tree) at any time.
+        concurrent lookup at another snapshot may follow the entry to
+        other rows (move ids in the structure) at any time.
         """
         table = self._database.table(definition.table)
-        version, rows, schema = table.version, table.rows, table.schema
-        entry = self._entries.get(definition.name)
-        if (
-            entry is not None
-            and entry.definition == definition
-            and entry.schema is schema
-        ):
-            if entry.version == version:
+        rows, schema = table.rows, table.schema
+        built, entry = self._entries.get(definition.name, (None, None))
+        if built == definition and entry.schema is schema:
+            if entry.describes(rows):
                 return entry
-            if entry.carry_forward(rows):
-                entry.version = version
+            if entry.follow(rows):
                 self._database.cost_total.charge(costs, "index.carried_forward")
                 return entry
-        entry = _IndexEntry(definition, schema)
-        entry.extend(rows)
-        entry.version = version
-        self._entries[definition.name] = entry
+        structure = BTreeIndex() if definition.kind == "btree" else HashIndex()
+        entry = RowIndex(structure, schema, definition.columns, rows)
+        self._entries[definition.name] = (definition, entry)
         self._database.cost_total.charge(costs, "index.rebuild")
         return entry
 
@@ -336,16 +352,11 @@ class IndexManager:
             if entry.nulls:
                 # A NULL in a later key column keeps a row out of the tree,
                 # not out of the prefix's matches.
-                positions = entry.positions()[: len(prefix)]
-                found = sorted(
-                    found
-                    + [
-                        row_id
-                        for row_id in entry.nulls
-                        if tuple(entry.rows[row_id][p] for p in positions)
-                        == prefix
-                    ]
-                )
+                rows, width = entry.rows, len(prefix)
+                found = sorted(found + [
+                    row_id for row_id in entry.nulls
+                    if entry.key(rows[row_id])[:width] == prefix
+                ])
             return found
 
     def null_key_rows(self, name: str, costs=None) -> list[int]:
@@ -406,8 +417,8 @@ class IndexManager:
             info = definition.to_dict()
             info["built"] = built is not None
             if built is not None:
-                info["version"] = built.version
-                info["distinct_keys"] = len(built.structure)
+                info["rows"] = built[1].length
+                info["distinct_keys"] = len(built[1].structure)
             out.append(info)
         return out
 

@@ -2,11 +2,12 @@
 
 ``ANALYZE`` routes here: :class:`StatisticsCollector` snapshots per-table
 row counts and per-column NDV / null counts / min-max / equi-depth
-histograms, stamped with the ``Table.version`` they were computed against.
-The optimizer only trusts *fresh* statistics (version still matching); a
-DML statement bumps the version and silently invalidates the snapshot
-until the next ``ANALYZE`` — the same staleness protocol the policy
-bitmap cache and the index manager use.
+histograms, remembering the visible row list they were computed from.
+The optimizer only trusts *fresh* statistics: the reader's visible list
+is that very list at that length.  Every write either appends to the list
+or replaces it, so a DML statement (staged or committed) silently
+invalidates the snapshot until the next ``ANALYZE`` — the staleness rule
+the column image, index entries and the policy posting index use.
 
 The policy-mask column is collected like any other: its distinct-value
 count is exactly the PolicyBitmapCache's per-mask UDF budget, so the
@@ -51,19 +52,20 @@ class ColumnStatistics:
 
 @dataclass(frozen=True)
 class TableStatistics:
-    """One table's statistics snapshot, version-stamped for staleness."""
+    """One table's statistics snapshot of the row list ``rows``."""
 
     table: str
-    version: int
     row_count: int
     columns: dict[str, ColumnStatistics] = field(default_factory=dict)
+    rows: list = field(default_factory=list, repr=False, compare=False)
 
     def column(self, name: str) -> ColumnStatistics | None:
         return self.columns.get(name.lower())
 
     def is_fresh(self, table: "Table") -> bool:
-        """Whether the snapshot still describes the table's row storage."""
-        return self.version == table.version
+        """Whether the snapshot still describes the table's visible rows."""
+        rows = table.rows
+        return rows is self.rows and len(rows) == self.row_count
 
     # -- cardinality estimates ------------------------------------------------
 
@@ -158,9 +160,9 @@ def collect_table_statistics(
         )
     return TableStatistics(
         table=table.name.lower(),
-        version=table.version,
         row_count=len(rows),
         columns=columns,
+        rows=rows,
     )
 
 
@@ -214,7 +216,7 @@ class StatisticsCollector:
             return self._snapshots.get(table_name.lower())
 
     def fresh(self, table: "Table") -> TableStatistics | None:
-        """The snapshot for ``table`` iff it is still version-consistent."""
+        """The snapshot for ``table`` iff it describes the visible rows."""
         snapshot = self.get(table.name)
         if snapshot is not None and snapshot.is_fresh(table):
             return snapshot
@@ -255,7 +257,6 @@ class StatisticsCollector:
         for name, snapshot in sorted(snapshots.items()):
             entry = {
                 "rows": snapshot.row_count,
-                "version": snapshot.version,
                 "columns": len(snapshot.columns),
             }
             try:

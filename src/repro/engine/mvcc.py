@@ -36,8 +36,7 @@ is inherited by the asyncio tasks of the sharded transport and can be
 activated per statement by the server's request core via :func:`txn_scope` —
 every read path (executor scans, columnar batches, index builds, bitmap
 probes, statistics) is snapshot-consistent through the ``Table.rows`` /
-``Table.version`` / ``Table.schema`` properties without touching a single
-operator.
+``Table.schema`` properties without touching a single operator.
 """
 
 from __future__ import annotations
@@ -82,20 +81,19 @@ class _StagedTable:
 
     Created on the transaction's first write to the table by cloning the
     snapshot-visible rows; all further statements in the transaction read
-    and write this list.  ``bump`` makes the staged ``Table.version``
-    change on every staged write so version-keyed caches (bitmaps,
-    indexes, statistics) never serve one staged state for another.
+    this list, append to it or replace it with a new one — so, as for a
+    committed list, (list, length) names one staged state and caches
+    derived from the rows never serve one staged state for another.
     ``base_rows`` keeps the snapshot-time rows: the commit diffs the overlay
     against them by object identity (:func:`row_delta`) to find the rows
     this transaction actually changed.
     """
 
-    __slots__ = ("rows", "base_rows", "bump", "append_only")
+    __slots__ = ("rows", "base_rows", "append_only")
 
     def __init__(self, rows: list[tuple]):
         self.rows = rows
         self.base_rows: list[tuple] = list(rows)
-        self.bump = 0
         #: True while the overlay only ever appended rows; such a table
         #: commits its suffix as an append without diffing.
         self.append_only = True

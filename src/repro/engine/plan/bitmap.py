@@ -6,15 +6,12 @@ a table holds few distinct policy values.  :class:`PolicyBitmapCache`
 therefore groups rows by policy value once, as Sieve does before it
 evaluates any policy, and judges each value once per mask:
 
-* **Per table, one posting index** (a ``HashIndex``): each distinct
-  non-NULL policy value → its ascending row ids, built in one pass over
-  the visible rows (a *row pass*).  It is row data only, so ``clear()``
-  keeps it.  Another visible row list (a commit, a pinned snapshot, a
-  staged overlay) carries it by one C-speed identity pass
-  (``replaced_positions``: a commit keeps untouched tuples the very same
-  objects): a replaced row whose policy value changed moves between two
-  lists, appended rows extend them.  A shorter row list (a DELETE) or
-  another schema object (ALTER TABLE) rebuilds it, once per table.
+* **Per table, one posting index**, a hash
+  :class:`~repro.engine.index.manager.RowIndex` on the policy column:
+  each distinct non-NULL policy value → its ascending row ids, built in
+  one pass over the visible rows (a *row pass*) and followed to another
+  visible row list exactly as an index entry is.  It is row data only,
+  so ``clear()`` keeps it.
 * **Per ``(table, mask)``, one verdict map**: policy value → verdict, so
   at most |distinct values| UDF calls whatever the row count.
 
@@ -32,11 +29,11 @@ execution's cost ledger; ``stats()`` reads the total they fold into.
 from __future__ import annotations
 
 import threading
-from itertools import chain, count
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from ..index.hash import HashIndex
-from ..table import replaced_positions
+from ..index.manager import RowIndex
 from ..functions import CostTotal
 from ..types import BitString
 
@@ -54,57 +51,6 @@ _ENTRY_LIMIT = 256
 _GUARD_LIMIT = 64
 
 
-class _Postings:
-    """One table's posting index and the rows it describes.
-
-    ``rows[:length]`` are the rows indexed (an append commit extends the
-    committed list in place, so the list may have grown since); ``schema``
-    and ``position`` locate the policy column in them; ``stamp`` changes
-    whenever a row id joins, leaves or changes lists.
-    """
-
-    __slots__ = ("index", "rows", "length", "schema", "position", "stamp")
-
-    def __init__(self, rows, schema, position, stamp):
-        self.index = HashIndex()
-        self.rows, self.length = rows, len(rows)
-        self.schema, self.position, self.stamp = schema, position, stamp
-        insert = self.index.insert
-        for row_id in range(self.length):
-            value = rows[row_id][position]
-            if value is not None:
-                insert(value, row_id)
-
-    def carry(self, rows, stamp) -> bool:
-        """Make the index describe ``rows``; ``False`` when only a rebuild
-        can (``rows`` is shorter: some row was deleted)."""
-        old, position, index = self.rows, self.position, self.index
-        changed = replaced_positions(old, self.length, rows)
-        if changed is None:
-            return False
-        # Read once: an append commit extends the committed list in place,
-        # and rows past this length are indexed by the next carry.
-        end = len(rows)
-        moved = False
-        for row_id in changed:
-            before, after = old[row_id][position], rows[row_id][position]
-            if before != after:
-                if before is not None:
-                    index.remove(before, row_id)
-                if after is not None:
-                    index.insert(after, row_id)
-                moved = True
-        for row_id in range(self.length, end):
-            value = rows[row_id][position]
-            if value is not None:
-                index.insert(value, row_id)
-                moved = True
-        if moved:
-            self.stamp = stamp
-        self.rows, self.length = rows, end
-        return True
-
-
 class PolicyBitmapCache:
     """Posting indexes, verdict maps and guard merges for hoisted
     ``complieswith`` guards (see the module docstring)."""
@@ -112,12 +58,12 @@ class PolicyBitmapCache:
     def __init__(self, cost_total: CostTotal | None = None) -> None:
         self.cost_total = cost_total if cost_total is not None else CostTotal()
         self._lock = threading.RLock()
-        self._postings: dict[str, _Postings] = {}
+        self._postings: dict[str, RowIndex] = {}
         #: ``(table, mask bits)`` → {policy value: verdict}.
         self._verdicts: dict[tuple[str, str], dict] = {}
-        #: ``(table, masks)`` → (posting stamp, ascending passing row ids).
-        self._guards: dict[tuple[str, tuple], tuple[int, list[int]]] = {}
-        self._stamps = count(1)
+        #: ``(table, masks)`` → (posting index, its stamp, ascending passing
+        #: row ids).
+        self._guards: dict[tuple[str, tuple], tuple] = {}
 
     def passing_ids(
         self,
@@ -144,19 +90,25 @@ class PolicyBitmapCache:
             postings = self._postings_of(table, policy_column, costs)
             key = (table.name.lower(), masks)
             guard = self._guards.get(key)
-            if guard is None or guard[0] != postings.stamp:
-                items = list(postings.index.items())
+            if (
+                guard is None
+                or guard[0] is not postings
+                or guard[1] != postings.stamp
+            ):
+                items = list(postings.structure.items())
                 allowed = _allowed(
                     maps, masks, [value for value, _ in items], registry,
                     function_name, costs,
                 )
                 lists = [ids for value, ids in items if value in allowed]
-                guard = (postings.stamp, sorted(chain.from_iterable(lists)))
+                guard = (
+                    postings, postings.stamp, sorted(chain.from_iterable(lists))
+                )
                 self._guards.pop(key, None)
                 while len(self._guards) >= _GUARD_LIMIT:
                     del self._guards[next(iter(self._guards))]
                 self._guards[key] = guard
-            return guard[1]
+            return guard[2]
 
     def admitted(
         self,
@@ -192,29 +144,27 @@ class PolicyBitmapCache:
             maps.append(verdicts)
         return maps
 
-    def _postings_of(self, table, policy_column, costs) -> _Postings:
+    def _postings_of(self, table, policy_column, costs) -> RowIndex:
         """The table's posting index, describing its visible rows; caller
         holds the lock."""
         name = table.name.lower()
-        rows = table.rows
+        rows, schema = table.rows, table.schema
         postings = self._postings.get(name)
-        schema = table.schema
-        if postings is not None:
-            if postings.rows is rows and postings.length == len(rows):
+        if postings is not None and postings.schema is schema:
+            if postings.describes(rows):
                 return postings
-            if postings.schema is schema and postings.carry(
-                rows, next(self._stamps)
-            ):
+            if postings.follow(rows):
                 self.cost_total.charge(costs, "bitmap.revalidated")
                 return postings
-        postings = self._postings[name] = _Postings(
-            rows, schema, schema.column_index(policy_column), next(self._stamps)
+        postings = self._postings[name] = RowIndex(
+            HashIndex(), schema, (policy_column,), rows
         )
         self.cost_total.charge(costs, "bitmap.row_pass")
         return postings
 
     def stats(self) -> dict:
-        """Monotonic totals plus the live verdict-map count.
+        """Monotonic totals plus the live verdict-map and posting-index
+        counts.
 
         ``hits`` / ``built`` count a guard's verdict-map lookups that found
         the map / created it from nothing; ``revalidated`` counts posting
@@ -229,6 +179,7 @@ class PolicyBitmapCache:
                 "revalidated": total["bitmap.revalidated"],
                 "row_passes": total["bitmap.row_pass"],
                 "entries": len(self._verdicts),
+                "postings": len(self._postings),
             }
 
     def clear(self) -> None:

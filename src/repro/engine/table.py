@@ -33,14 +33,17 @@ write also records its primary-key **write set** in ``_write_log`` so the
 transaction manager can validate first-committer-wins at row granularity
 (:meth:`written_since`).
 
-The :attr:`rows`, :attr:`version` and :attr:`schema` properties consult
-the context's active transaction (:mod:`repro.engine.mvcc`): inside a
-transaction they serve the staged overlay/schema or the snapshot
-reconstruction, and ``version`` returns a value that *identifies the
-snapshot state* — an int for committed states, a ``("txn", id, bump)``
-tuple for staged ones — so every cache keyed on ``Table.version`` (policy
-bitmaps, index builds, table statistics) is snapshot-keyed for free and
-can never leak staged or future state into another snapshot's reads.
+The :attr:`rows` and :attr:`schema` properties consult the context's
+active transaction (:mod:`repro.engine.mvcc`): inside a transaction they
+serve the staged overlay/schema or the snapshot reconstruction.  A
+visible row list is only ever mutated by appending — an update, a delete,
+a replacement and every staged rewrite build a new list — so the pair
+(row list object, length) names exactly one committed or staged state.
+Everything derived from the rows (the column image, index entries and
+the policy posting index, ANALYZE statistics) is valid for exactly the
+pair it was built from, so no staged or future state can leak into
+another snapshot's reads; all but the statistics are carried to another
+list by :func:`replaced_positions`.
 
 Writers outside a transaction autocommit through the owning
 :class:`~repro.engine.mvcc.TransactionManager` (one commit timestamp per
@@ -49,7 +52,6 @@ statement, WAL-logged when durability is attached).
 
 from __future__ import annotations
 
-import bisect
 from itertools import compress
 from operator import is_not
 from typing import Callable, Iterable, Iterator, Sequence
@@ -116,18 +118,11 @@ class Table:
         self._schema_log: list[tuple[int, TableSchema]] = [(0, schema)]
         self._last_schema_ts: int = 0
         self._rows: list[tuple] = []
-        #: Bumped on every committed change; cached artifacts derived from
-        #: the rows (policy bitmaps, index builds, statistics) key on the
-        #: :attr:`version` property to detect staleness.
-        self._version: int = 0
         self._versions: list[TupleVersion] = []
         #: Ascending chain positions of the closed versions (``xmax`` set)
         #: still in ``_versions``; empty whenever no snapshot pins history.
         #: A whole-list replacement leaves a ``range`` here.
         self._dead: "list[int] | range" = []
-        #: ``(commit ts, version)`` pairs, ascending; maps a snapshot ts to
-        #: the committed ``version`` value it observes.
-        self._commit_log: list[tuple[int, int]] = [(0, 0)]
         #: ``(commit ts, write set)`` pairs, ascending.  The write set is a
         #: frozenset of primary-key tuples, or ``None`` for "all rows"
         #: (no primary key, schema change).
@@ -258,7 +253,6 @@ class Table:
             overlay = txn.stage(self)
             overlay.rows = list(new_rows)
             overlay.append_only = False
-            overlay.bump += 1
             return
         self.manager.commit_single(self, "replace", list(new_rows))
 
@@ -304,25 +298,6 @@ class Table:
         return image
 
     @property
-    def version(self) -> "int | tuple":
-        """Snapshot identity of the visible row state.
-
-        An int for committed states (strictly increasing per commit); a
-        ``("txn", txn_id, bump)`` tuple while reading a staged overlay.
-        Tuples never compare equal to ints, so version-keyed caches can
-        neither serve committed artifacts for staged state nor retain
-        staged artifacts after rollback.
-        """
-        txn = self._active_txn()
-        if txn is not None:
-            overlay = txn.staged(self)
-            if overlay is not None:
-                return ("txn", txn.txn_id, overlay.bump)
-            if txn.snapshot.ts < self._last_commit_ts:
-                return self.version_as_of(txn.snapshot.ts)
-        return self._version
-
-    @property
     def name(self) -> str:
         """The table name."""
         return self._schema.name
@@ -351,18 +326,6 @@ class Table:
                 self._asof_cache.clear()
             self._asof_cache[ts] = cached
         return cached
-
-    def version_as_of(self, ts: int) -> int:
-        """The committed ``version`` value a snapshot at ``ts`` observes.
-
-        Snapshots over an unchanged table share the latest committed int,
-        so version-keyed caches (bitmaps, indexes, statistics) are shared
-        across snapshots whenever sharing is sound.
-        """
-        if ts >= self._last_commit_ts:
-            return self._version
-        index = bisect.bisect_right(self._commit_log, (ts, float("inf"))) - 1
-        return self._commit_log[max(index, 0)][1]
 
     def written_since(self, ts: int) -> "frozenset | None":
         """Union of the write sets of commits after ``ts``.
@@ -398,9 +361,6 @@ class Table:
                     keep = index
             if keep > 0:
                 self._schema_log = self._schema_log[keep:]
-        if len(self._commit_log) > 1 and self._commit_log[1][0] <= horizon:
-            cut = bisect.bisect_right(self._commit_log, (horizon, float("inf"))) - 1
-            self._commit_log = self._commit_log[cut:]
         if not self._dead:
             return
         versions = self._versions
@@ -456,8 +416,8 @@ class Table:
         the live versions stay in row order and a pinned snapshot keeps
         reading its rows in their order.  Both lists are replaced, never
         mutated (a reader may hold either), and untouched tuples stay the
-        same objects — index carry-forward and bitmap revalidation tell a
-        written row by identity.
+        same objects — a structure following the rows tells a written row
+        by identity.
         """
         versions, dead = self._versions, self._dead
         successors = dict(updates)
@@ -510,8 +470,6 @@ class Table:
         self._committed(ts, written)
 
     def _committed(self, ts: int, written: "frozenset | None") -> None:
-        self._version += 1
-        self._commit_log.append((ts, self._version))
         self._write_log.append((ts, written))
         self._last_commit_ts = ts
 
@@ -552,37 +510,26 @@ class Table:
         return coerced
 
     def insert_row(self, values: Iterable[object], columns: tuple[str, ...] = ()) -> None:
-        """Insert one row.
-
-        When ``columns`` is given, missing columns get their declared default
-        (or NULL); otherwise ``values`` must cover the full schema in order.
-        """
-        coerced = self._coerce_insert(values, columns)
-        txn = self._active_txn()
-        if txn is not None:
-            overlay = txn.stage(self)
-            overlay.rows.append(coerced)
-            overlay.bump += 1
-            return
-        self.manager.commit_single(self, "append", [coerced])
+        """Insert one row (see :meth:`append_rows`)."""
+        self.append_rows([values], columns)
 
     def append_rows(
         self, rows: Iterable[Iterable[object]], columns: tuple[str, ...] = ()
     ) -> int:
-        """Insert many rows with a *single* version bump.
+        """Insert many rows as *one* commit (or one staged write).
 
-        The bulk-load counterpart of :meth:`insert_row`: every row is
-        coerced and NOT NULL-checked up front, then storage and ``version``
-        change atomically — either all rows land (one bump, so one bitmap
-        rebuild) or, on a bad row, none do.  Returns the inserted count.
+        When ``columns`` is given, missing columns get their declared
+        default (or NULL); otherwise each row must cover the full schema in
+        order.  Every row is coerced and NOT NULL-checked up front, then
+        storage changes atomically — either all rows land (one commit, so
+        one index or posting-index pass over them) or, on a bad row, none
+        do.  Returns the inserted count.
         """
         coerced = [self._coerce_insert(row, columns) for row in rows]
         if coerced:
             txn = self._active_txn()
             if txn is not None:
-                overlay = txn.stage(self)
-                overlay.rows.extend(coerced)
-                overlay.bump += 1
+                txn.stage(self).rows.extend(coerced)
             else:
                 self.manager.commit_single(self, "append", coerced)
         return len(coerced)
@@ -683,7 +630,6 @@ class Table:
         overlay = txn.stage(self)
         overlay.rows = [rewrite(row) for row in overlay.rows]
         overlay.append_only = False
-        overlay.bump += 1
         txn._staged_schemas[self.name.lower()] = new_schema
         txn.add_catalog_op(CatalogOp("schema", self.name.lower(), ddl))
 

@@ -119,9 +119,9 @@ def populate_patients(
     users = database.table("users")
     sensed = database.table("sensed_data")
     profiles = database.table("nutritional_profiles")
-    # Rows are staged per table and bulk-appended once: one version bump per
-    # table instead of one per row, so the policy-bitmap cache (keyed on
-    # Table.version) is invalidated once per load.  The RNG draw order is
+    # Rows are staged per table and bulk-appended once: one commit per
+    # table instead of one per row, so the policy posting index follows
+    # the load in one pass.  The RNG draw order is
     # unchanged, so generated data matches the old per-row loader exactly.
     user_rows: list[tuple] = []
     profile_rows: list[tuple] = []

@@ -60,8 +60,9 @@ class TestNoStaleBitmaps:
         table = database.table("sensed_data")
         survivors = len(first.result)
         # Dropping rows through the storage property (the path every DML
-        # helper funnels through) bumps Table.version, so the next
-        # execution rebuilds its bitmap instead of filtering stale indices.
+        # helper funnels through) commits a shorter row list, so the next
+        # execution rebuilds its posting index instead of filtering stale
+        # row ids.
         table.rows = table.rows[: len(table.rows) // 2]
         second = monitor.execute_with_report(Q1, "p6")
         monitor.set_optimizer("off")

@@ -2,8 +2,9 @@
 
 Covers the B+-tree and hash structures in isolation, the
 :class:`IndexManager` catalog lifecycle with its lazy maintenance (entries
-revalidated against the visible rows, rebuilt only when a position's key
-changed), and the statistics collector's snapshots and cardinality estimators — including the empty /
+follow the visible rows, moving a row id whose key changed, and rebuild
+only for a shorter list or another schema), and the statistics
+collector's snapshots and cardinality estimators — including the empty /
 all-NULL / single-distinct edge cases and staleness after every DML
 write path.
 """
@@ -81,6 +82,49 @@ class TestBTreeIndex:
         assert index.prefix((12,)) == []
         assert index.prefix((3, 4)) == index.search((3, 4))
 
+    def test_removing_a_keys_last_id_drops_the_key(self) -> None:
+        index = BTreeIndex(order=4)
+        for key in range(20):
+            index.insert((key, key % 2), key)
+        index.insert((7, 1), 40)
+        index.remove((7, 1), 7)
+        assert index.search((7, 1)) == [40]
+        assert (len(index), index.entries) == (20, 20)
+        index.remove((7, 1), 40)
+        assert (len(index), index.entries) == (19, 19)
+        assert index.search((7, 1)) == []
+        assert index.range((6, 0), (8, 0)) == [6, 8]
+        assert index.prefix((7,)) == []
+        assert [key for key, _ in index.items()] == [
+            (key, key % 2) for key in range(20) if key != 7
+        ]
+
+    def test_an_emptied_leaf_still_routes_inserts_and_lookups(self) -> None:
+        index = BTreeIndex(order=4)
+        for key in range(40):
+            index.insert(key, key)
+        assert index.height > 1
+        doomed = range(10, 20)  # spans at least one whole leaf
+        for key in doomed:
+            index.remove(key, key)
+        assert len(index) == 30
+        assert all(index.search(key) == [] for key in doomed)
+        assert index.range(5, 25) == [5, 6, 7, 8, 9, 20, 21, 22, 23, 24, 25]
+        for key in doomed:
+            index.insert(key, key + 100)
+        assert all(index.search(key) == [key + 100] for key in doomed)
+        assert index.range(9, 11) == [9, 110, 111]
+        assert [key for key, _ in index.items()] == list(range(40))
+
+    def test_an_out_of_order_insert_keeps_the_posting_list_ascending(
+        self,
+    ) -> None:
+        index = BTreeIndex()
+        for row_id in (2, 9, 5, 0, 7):
+            index.insert("k", row_id)
+        assert index.search("k") == [0, 2, 5, 7, 9]
+        assert index.range("a", "z") == [0, 2, 5, 7, 9]
+
 
 class TestHashIndex:
     def test_search_and_postings_order(self) -> None:
@@ -95,18 +139,22 @@ class TestHashIndex:
         assert index.entries == 4
 
     def test_moving_an_id_keeps_both_lists_ascending(self) -> None:
-        index = HashIndex()
-        for row_id in (1, 3, 5):
-            index.insert("a", row_id)
-        index.insert("b", 4)
-        index.remove("a", 3)
-        index.insert("b", 3)
-        index.remove("b", 4)
-        index.insert("a", 4)
-        assert index.search("a") == [1, 4, 5] and index.search("b") == [3]
-        index.remove("b", 3)
-        # A key left without ids is gone.
-        assert len(index) == 1 and index.entries == 3
+        # Both structures move ids the same way: a RowIndex following a
+        # key-changing update removes the id from one key, inserts it at
+        # another.
+        for index in (HashIndex(), BTreeIndex(order=4)):
+            for row_id in (1, 3, 5):
+                index.insert("a", row_id)
+            index.insert("b", 4)
+            index.remove("a", 3)
+            index.insert("b", 3)
+            index.remove("b", 4)
+            index.insert("a", 4)
+            assert index.search("a") == [1, 4, 5] and index.search("b") == [3]
+            index.remove("b", 3)
+            # A key left without ids is gone.
+            assert len(index) == 1 and index.entries == 3
+            assert index.search("b") == []
 
 
 @pytest.fixture
@@ -257,22 +305,40 @@ class TestEntryRevalidation:
         assert manager.lookup_equal("i_score", 10) == [4]
         assert self._delta(manager, before) == (1, 0)
 
-    def test_key_changing_update_rebuilds(self, scored) -> None:
+    def test_key_changing_update_carries_the_entry_forward(self, scored) -> None:
+        # The row id moves from its old key to its new one.
         database, manager = scored
         before = manager.stats()
         database.execute("update t set score = 1000 where id = 5")
         assert manager.lookup_equal("i_score", 10) == []
         assert manager.lookup_equal("i_score", 1000) == [5]
-        assert self._delta(manager, before) == (1, 0)
+        assert manager.lookup_range("i_score", 8, 12) == [4, 6]
+        assert self._delta(manager, before) == (0, 1)
 
-    def test_swapped_keys_at_equal_length_rebuild(self, scored) -> None:
+    def test_swapped_keys_at_equal_length_carry(self, scored) -> None:
         # Same length, every key still present — but at other positions.
         database, manager = scored
         before = manager.stats()
         database.execute("update t set score = 22 - score where id in (5, 6)")
         assert manager.lookup_equal("i_score", 10) == [6]
         assert manager.lookup_equal("i_score", 12) == [5]
-        assert self._delta(manager, before) == (1, 0)
+        assert self._delta(manager, before) == (0, 1)
+
+    def test_key_moving_into_and_out_of_null(self, indexed_db) -> None:
+        # A row whose key becomes NULL leaves the structure for the null
+        # list, and comes back when its key does.
+        indexed_db.execute("create index i_gs on t (grp, score)")
+        manager = indexed_db.indexes
+        assert manager.lookup_prefix("i_gs", ("g2",)) == list(range(2, 30, 3))
+        before = manager.stats()
+        indexed_db.execute("update t set score = null where id = 5")
+        assert manager.null_key_rows("i_gs") == [5]
+        assert manager.lookup_equal("i_gs", ("g2", 10)) == []
+        assert manager.lookup_prefix("i_gs", ("g2",)) == list(range(2, 30, 3))
+        indexed_db.execute("update t set score = 11 where id = 5")
+        assert manager.null_key_rows("i_gs") == []
+        assert manager.lookup_equal("i_gs", ("g2", 11)) == [5]
+        assert self._delta(manager, before) == (0, 2)
 
     def test_older_snapshot_beside_a_newer_one(self, scored) -> None:
         database, manager = scored

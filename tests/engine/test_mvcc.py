@@ -1,9 +1,10 @@
 """Snapshot-isolation MVCC semantics (DESIGN.md §15).
 
-The visibility matrix, write-write conflict detection, staged-overlay
-version identity (which is what keeps version-keyed caches — statistics,
-bitmaps, indexes — from ever serving staged state), snapshot-scoped
-enforcement, and version-chain pruning.  The WAL/crash half lives in
+The visibility matrix, write-write conflict detection, staged state that
+never outlives its transaction in a cache derived from the rows
+(statistics, the policy posting index; index entries in
+``test_index.py``), snapshot-scoped enforcement, and version-chain
+pruning.  The WAL/crash half lives in
 ``test_wal_recovery.py``; the differential schedules in
 ``tests/fuzz/test_snapshot_enforcement.py``.
 """
@@ -85,16 +86,17 @@ def test_two_snapshots_see_distinct_histories(db) -> None:
     db.transactions.rollback(new)
 
 
-def test_version_as_of_tracks_commit_history(db) -> None:
+def test_rows_as_of_tracks_commit_history(db) -> None:
     table = db.table("t")
-    v0 = table.version
     ts0 = db.transactions.clock
     pin = db.transactions.begin()  # pin ts0 so history is not pruned away
     try:
         db.execute("insert into t values (3, 'c')")
-        assert table.version > v0
-        assert table.version_as_of(ts0) == v0
+        ts1 = db.transactions.clock
+        db.execute("update t set v = 'b2' where id = 2")
         assert table.rows_as_of(ts0) == [(1, "a"), (2, "b")]
+        assert table.rows_as_of(ts1) == [(1, "a"), (2, "b"), (3, "c")]
+        assert table.rows_as_of(db.transactions.clock) is table.rows
     finally:
         db.transactions.rollback(pin)
 
@@ -190,32 +192,46 @@ def test_aborted_transaction_is_unusable(db) -> None:
         db.transactions.commit(txn)
 
 
-# -- staged version identity (version-keyed caches, satellite 3) --------------
+# -- staged state never leaks through a cache derived from the rows -----------
 
 
-def test_staged_version_never_equals_a_committed_version(db) -> None:
+def test_staged_rows_never_leak_into_the_posting_index(db) -> None:
+    """The posting index follows a staged overlay (its own list object)
+    and back: after a rollback the committed rows are served again, and
+    a later commit of other rows never sees the staged ones."""
+    db.execute("alter table t add column policy text")
+    db.execute("update t set policy = 'ok' where id = 1")
+    db.functions.register("accepts", lambda mask, policy: policy == "ok")
     table = db.table("t")
-    committed = table.version
+
+    def passing() -> list[int]:
+        return db.policy_bitmaps.passing_ids(
+            table, "policy", ("1",), db.functions, "accepts"
+        )
+
+    assert passing() == [0]
     txn = db.transactions.begin()
     with txn_scope(txn):
-        db.execute("update t set v = 'x' where id = 1")
-        staged_v1 = table.version
-        assert isinstance(staged_v1, tuple) and staged_v1[0] == "txn"
-        db.execute("update t set v = 'y' where id = 2")
-        assert table.version != staged_v1  # bump per staged write
+        db.execute("update t set policy = 'ok' where id = 2")
+        db.execute("update t set policy = 'no' where id = 1")
+        assert passing() == [1]
+        db.execute("insert into t values (3, 'c', 'ok')")
+        assert passing() == [1, 2]
     db.transactions.rollback(txn)
-    assert table.version == committed
+    assert passing() == [0]
+    db.execute("insert into t values (4, 'd', 'no')")
+    assert passing() == [0]
 
 
 def test_analyze_inside_txn_is_invalidated_by_rollback(db) -> None:
     """The PR 7 statistics fix: stats built from staged state die with it.
 
-    ANALYZE stamps the snapshot with ``table.version``; under staging that
-    is the ``("txn", id, bump)`` tuple, which can never equal a committed
-    integer version — so once the transaction rolls back (or commits,
-    changing the committed version) the snapshot reads as stale and the
-    optimizer falls back to heuristics instead of trusting numbers
-    describing rows that never existed.
+    ANALYZE remembers the row list it read; under staging that is the
+    transaction's overlay, a list no committed state ever is — so once
+    the transaction rolls back (or commits, which replaces or extends the
+    committed list) the snapshot reads as stale and the optimizer falls
+    back to heuristics instead of trusting numbers describing rows that
+    never existed.
     """
     table = db.table("t")
     txn = db.transactions.begin()

@@ -293,7 +293,7 @@ class TestPolicyBitmapCache:
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats() == {
             "hits": 0, "built": 1, "revalidated": 0, "row_passes": 1,
-            "entries": 1,
+            "entries": 1, "postings": 1,
         }
 
     def test_repeat_lookup_is_a_hit(self, world) -> None:
@@ -328,7 +328,7 @@ class TestPolicyBitmapCache:
         assert world.functions.call_count("accepts_p") == 2
         assert cache.stats() == {
             "hits": 1, "built": 1, "revalidated": 1, "row_passes": 1,
-            "entries": 1,
+            "entries": 1, "postings": 1,
         }
 
     def test_new_value_after_data_change_is_evaluated(self, world) -> None:
@@ -441,7 +441,7 @@ class TestPolicyBitmapCache:
         assert ordered == [0, 2, 5]
         assert cache.stats() == {
             "hits": 0, "built": 2, "revalidated": 0, "row_passes": 1,
-            "entries": 2,
+            "entries": 2, "postings": 1,
         }
         # One hit per mask per lookup, and the very same list: no merge on
         # a warm guard.
@@ -635,21 +635,41 @@ class TestBitmapContract:
             assert per_row.compliance_checks == self.PATIENTS * self.SAMPLES
 
 
-class TestTableVersion:
-    def test_every_mutation_path_bumps_the_version(self, plan_db) -> None:
-        table = plan_db.table("t")
-        start = table.version
-        plan_db.execute("insert into t values (9, 90, 'w')")
-        after_insert = table.version
-        assert after_insert > start
-        plan_db.execute("update t set b = 0 where a = 9")
-        after_update = table.version
-        assert after_update > after_insert
-        plan_db.execute("delete from t where a = 9")
-        assert table.version > after_update
+class TestDerivedStateFollowsTheRows:
+    """Statistics and index entries describe exactly the row list they
+    were built from: after any write an earlier ANALYZE reads as stale and
+    an index probe answers from the new rows."""
 
-    def test_direct_storage_assignment_bumps_the_version(self, plan_db) -> None:
+    @staticmethod
+    def _analyzed(database):
+        database.execute("analyze t")
+        return database.statistics.fresh(database.table("t"))
+
+    def test_every_mutation_path_stales_statistics_and_refreshes_probes(
+        self, plan_db
+    ) -> None:
         table = plan_db.table("t")
-        start = table.version
+        plan_db.execute("create index t_b on t (b)")
+        for sql, probe, want in (
+            ("insert into t values (9, 90, 'w')", 90, [3]),
+            ("update t set b = 0 where a = 9", 0, [3]),
+            ("delete from t where a = 9", 0, []),
+        ):
+            assert self._analyzed(plan_db) is not None
+            plan_db.execute(sql)
+            assert plan_db.statistics.fresh(table) is None, sql
+            assert plan_db.indexes.lookup_equal("t_b", probe) == want, sql
+        assert plan_db.indexes.lookup_equal("t_b", 90) == []
+        assert self._analyzed(plan_db).row_count == 3
+
+    def test_direct_storage_assignment_stales_statistics_and_refreshes_probes(
+        self, plan_db
+    ) -> None:
+        table = plan_db.table("t")
+        plan_db.execute("create index t_b on t (b)")
+        assert plan_db.indexes.lookup_equal("t_b", 20) == [1]
+        assert self._analyzed(plan_db) is not None
         table.rows = table.rows[:1]
-        assert table.version > start
+        assert plan_db.statistics.fresh(table) is None
+        assert plan_db.indexes.lookup_equal("t_b", 20) == []
+        assert plan_db.indexes.lookup_equal("t_b", 10) == [0]

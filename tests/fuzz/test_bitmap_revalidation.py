@@ -1,7 +1,7 @@
 """Revalidated policy bitmaps under pinned snapshots and delta commits.
 
-A policy-bitmap entry whose table version moved is revalidated by tuple
-identity, not rebuilt (DESIGN.md §11): only the rows a commit replaced or
+A policy posting index whose table's visible row list moved is followed
+by tuple identity, not rebuilt (DESIGN.md §11): only the rows a commit replaced or
 appended are re-judged.  This battery pins snapshots at several versions,
 interleaves commits of every kind — non-policy updates, policy-cell
 updates (by SQL, which bumps no epoch, and through ``admin.apply_policy``,

@@ -141,6 +141,30 @@ def test_concurrent_sessions_match_serial_reference():
     assert stats["server"]["denials"] == CLIENTS
     assert stats["sessions"]["open"] == 0  # every client said bye
     assert stats["admission"]["rejected"] == 0
+    # The derived-state counters benchmarks/e2e reads keep their names;
+    # every guarded table (users, sensed_data) keeps one posting index.
+    bitmaps = stats["optimizer"]["bitmaps"]
+    assert {"built", "row_passes", "revalidated"} <= set(bitmaps)
+    assert bitmaps["postings"] == 2
+    assert "rebuilds" in stats["indexes"]["manager"]
+
+
+def test_stats_describe_indexes_and_statistics_by_rows():
+    """A built index reports how many rows its entry describes, and a
+    statistics summary says whether it is fresh, neither a version."""
+    scenario = make_scenario()
+    database = scenario.database
+    database.execute("create index sd_watch on sensed_data (watch_id)")
+    database.execute("analyze sensed_data")
+    database.indexes.build("sd_watch")
+    with QueryServer(scenario.monitor, workers=1) as server:
+        with Client(*server.address) as client:
+            indexes = client.stats()["indexes"]
+    (entry,) = indexes["catalog"]
+    assert entry["built"] and entry["rows"] == 64 and "version" not in entry
+    summary = indexes["statistics"]["tables"]["sensed_data"]
+    assert summary["fresh"] and summary["rows"] == 64
+    assert "version" not in summary
 
 
 def test_stop_wakes_the_accept_thread():
