@@ -3,7 +3,7 @@
 The hot path costs one Python frame per *batch*, not per row: a
 :class:`ColumnBatch` stores a page of rows as per-column value sequences,
 so scans transpose whole pages with C-level ``zip``, filters keep rows with
-one list comprehension per column, and the policy guard answers a whole
+one ``itemgetter`` gather per column, and the policy guard answers a whole
 batch with one slice of the cached bitmap.  Every expression is evaluated
 over a batch (:mod:`repro.engine.expressions`), wherever it runs: a
 nested loop's condition over one left row paired with every right row, an
@@ -18,7 +18,9 @@ with.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, islice, repeat
+from operator import is_, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError
 
@@ -40,7 +42,7 @@ class ColumnBatch:
     ``columns[j][i]`` is row *i*'s value for column *j*; ``length`` is the
     row count (kept explicitly so zero-width shapes — ``Values`` — still
     know how many rows they carry).  Columns are never mutated in place:
-    operators that drop rows build new column lists via :meth:`take`, so a
+    operators that drop rows build new column tuples via :meth:`take`, so a
     batch may safely share column storage with its producer.
     """
 
@@ -76,10 +78,8 @@ class ColumnBatch:
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """A new batch keeping only the given row positions, in order."""
-        return ColumnBatch(
-            [[column[i] for i in indices] for column in self.columns],
-            len(indices),
-        )
+        gather = gatherer(indices)
+        return ColumnBatch([gather(column) for column in self.columns], len(indices))
 
     def project(self, indices: Sequence[int]) -> "ColumnBatch":
         """A new batch keeping only the given columns (RowShape slicing)."""
@@ -94,11 +94,25 @@ def batches_from_rows(
     The adaptor every row-native operator (nested loops, cross joins,
     derived tables) joins the columnar pipeline through.
     """
-    page: list[tuple] = []
-    for row in rows:
-        page.append(row)
-        if len(page) >= batch_size:
-            yield ColumnBatch.from_rows(page, width)
-            page = []
-    if page:
+    rows = iter(rows)
+    while page := list(islice(rows, batch_size)):
         yield ColumnBatch.from_rows(page, width)
+
+
+def gatherer(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """A function from a column to its values at ``indices``, in order, as
+    a tuple: one C-level ``itemgetter`` call per column (of one index it
+    would return the bare value, of none it cannot be built)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        index = indices[0]
+        return lambda column: (column[index],)
+    return lambda column: ()
+
+
+def true_positions(values: Sequence) -> list[int]:
+    """The ascending positions of the values that are exactly ``True`` —
+    ``v is True``, so NULL, ``False`` and a truthy ``1`` all drop: the rows
+    a WHERE, HAVING, ON residual or DML predicate keeps."""
+    return list(compress(range(len(values)), map(is_, values, repeat(True))))

@@ -15,7 +15,7 @@ from ..errors import CatalogError, ExecutionError, TransactionError
 from ..sql import ast, parse_statement
 from .catalog import Catalog, CatalogOp
 from .executor import PreparedSelect, SelectExecutor
-from .batch import ColumnBatch
+from .batch import ColumnBatch, true_positions
 from .expressions import Env, ExpressionCompiler, Scope, evaluate_constant
 from .functions import CostTotal, FunctionRegistry
 from .index import IndexDefinition, IndexManager, StatisticsCollector
@@ -572,8 +572,7 @@ class Database:
         batch = ColumnBatch.from_rows([rows[p] for p in positions], shape.width())
         if predicate is None:
             return positions, batch
-        verdicts = predicate(batch, env)
-        keep = [i for i, verdict in enumerate(verdicts) if verdict is True]
+        keep = true_positions(predicate(batch, env))
         return [positions[i] for i in keep], batch.take(keep)
 
     def _index_candidates(

@@ -35,14 +35,20 @@ cached, matching how a conventional engine executes uncorrelated subplans.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import contains, is_, is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from ..errors import CatalogError, ExecutionError, ExpressionError
 from ..sql import ast
 from .aggregates import aggregate_factory
-from .batch import ColumnBatch, batches_from_rows, resolve_batch_size
+from .batch import (
+    ColumnBatch,
+    batches_from_rows,
+    gatherer,
+    resolve_batch_size,
+    true_positions,
+)
 from .expressions import (
     AGGREGATE_SOURCE,
     Env,
@@ -432,28 +438,14 @@ class PreparedSelect:
             batches = self._filter_batches(batches, env)
         if self.aggregated:
             batches = [self._group(batches, env)]
-        projected = [pair for batch in batches for pair in self._project(batch, env)]
-
-        if self.select.distinct:
-            seen: set = set()
-            deduped = []
-            for row, order_key in projected:
-                if row in seen:
-                    continue
-                seen.add(row)
-                deduped.append((row, order_key))
-            projected = deduped
-
-        # One stable sort per ORDER BY key, the last key first.  NULLs sort
-        # last for ASC, first for DESC (PostgreSQL default).
-        for slot in reversed(range(len(self.descending))):
-            require_orderable([key[slot] for _, key in projected])
-            projected.sort(
-                key=lambda pair: (pair[1][slot] is None, pair[1][slot]),
-                reverse=self.descending[slot],
-            )
-
-        rows = [row for row, _ in projected]
+        rows: list[tuple] = []
+        keys: list[list] = [[] for _ in self.order_keys]
+        for batch in batches:
+            self._project(batch, env, rows, keys)
+        if keys:
+            rows = self._sorted(rows, keys)
+        elif self.select.distinct:
+            rows = list(dict.fromkeys(rows))
         if self.select.offset is not None:
             rows = rows[self.select.offset :]
         if self.select.limit is not None:
@@ -468,27 +460,47 @@ class PreparedSelect:
         """Apply the residual WHERE, dropping non-True rows."""
         where = self.where
         for batch in batches:
-            values = where(batch, env)
-            keep = [i for i, v in enumerate(values) if v is True]
+            keep = true_positions(where(batch, env))
             if not keep:
                 continue
             yield batch if len(keep) == len(batch) else batch.take(keep)
 
-    def _project(self, batch: ColumnBatch, env: Env) -> Iterable[tuple]:
-        """``(result row, ORDER BY values)`` for each row of ``batch`` that
-        HAVING keeps: the select list and ORDER BY run only on those."""
+    def _project(
+        self, batch: ColumnBatch, env: Env, rows: list[tuple], keys: list[list]
+    ) -> None:
+        """Append the result row of each row of ``batch`` that HAVING keeps
+        to ``rows``, and its ORDER BY values to ``keys`` (one list per key):
+        the select list and ORDER BY run only on those rows."""
         if self.having is not None:
-            verdicts = self.having(batch, env)
-            keep = [i for i, v in enumerate(verdicts) if v is True]
+            keep = true_positions(self.having(batch, env))
             if not keep:
-                return ()
+                return
             if len(keep) < batch.length:
                 batch = batch.take(keep)
-        rows = zip(*[projection(batch, env) for projection in self.projections])
-        if not self.order_keys:
-            return zip(rows, repeat(()))
-        keys = zip(*[order_key(batch, env) for order_key in self.order_keys])
-        return zip(rows, keys)
+        rows.extend(zip(*[projection(batch, env) for projection in self.projections]))
+        for column, order_key in zip(keys, self.order_keys):
+            column.extend(order_key(batch, env))
+
+    def _sorted(self, rows: list[tuple], keys: list[list]) -> list[tuple]:
+        """``rows`` in ORDER BY order (``keys``: one value list per key).
+
+        DISTINCT first keeps each row's first appearance, with its keys.
+        Then one stable sort of the row positions per key, the last key
+        first; NULLs sort last for ASC, first for DESC (PostgreSQL
+        default).
+        """
+        if self.select.distinct:
+            # Iterated backwards, each row's slot ends holding its first
+            # position.
+            first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
+            order = sorted(first.values())
+        else:
+            order = list(range(len(rows)))
+        for column, descending in reversed(list(zip(keys, self.descending))):
+            require_orderable(gatherer(order)(column))
+            ranks = [(value is None, value) for value in column]
+            order.sort(key=ranks.__getitem__, reverse=descending)
+        return list(gatherer(order)(rows))
 
     def _group(self, batches: Iterator[ColumnBatch], env: Env) -> ColumnBatch:
         """Aggregate ``batches`` into one batch of group representatives
@@ -671,9 +683,8 @@ class SelectExecutor:
                     return
                 for start in range(0, len(ids), batch_size):
                     page = ids[start : start + batch_size]
-                    gather = itemgetter(*page)  # of one id: the bare value
-                    pick = (lambda c: (gather(c),)) if len(page) == 1 else gather
-                    yield ColumnBatch([pick(c) for c in columns], len(page))
+                    gather = gatherer(page)
+                    yield ColumnBatch([gather(c) for c in columns], len(page))
                 return
             source = rows if ids is None else [rows[i] for i in ids]
             for start in range(0, len(source), batch_size):
@@ -770,8 +781,7 @@ class SelectExecutor:
                 # Progressive narrowing: each conjunct sees only the rows
                 # the previous ones kept — an and-chain's short circuit.
                 for predicate in predicates:
-                    values = predicate(batch, env)
-                    keep = [i for i, v in enumerate(values) if v is True]
+                    keep = true_positions(predicate(batch, env))
                     if len(keep) == len(batch):
                         continue
                     batch = batch.take(keep)
@@ -909,16 +919,22 @@ class SelectExecutor:
     ) -> SourcePlan:
         """Columnar hash join: one build/probe body for every variant.
 
-        The build side buckets *global row indices* per key and keeps its
+        The build side maps each key to *global row indices* and keeps its
         values column-wise; the probe side gathers matching (probe, build)
         index pairs per page, and output pages are built by per-column
-        takes — no row tuple is ever constructed.  The build side is the
-        right input unless the optimizer's cost-based swap (INNER only)
-        chose the smaller left one; output order follows the probe side,
-        all matches of one probe row together, columns always left-then-
-        right.  The residual predicate is evaluated on the candidate pairs
-        as one batch.  A LEFT join splices a NULL-extended row in for every
-        probe row left without a match, a RIGHT join appends the build rows
+        takes — no row tuple is ever constructed.  While every non-NULL
+        build key is unique the map is ``key → index``, built a page at a
+        time by ``dict(zip(keys, ids))``, and a probe page is one
+        ``map(index.get, keys)``; a page that matched completely keeps its
+        own columns.  The first build page that repeats a key (within
+        itself or with an earlier page) converts the map once to
+        ``key → [indices]`` buckets.  The build side is the right input
+        unless the optimizer (INNER only) chose the smaller left one;
+        output order follows the probe side, all matches of one probe row
+        together in build order, columns always left-then-right.  The
+        residual predicate is evaluated on the candidate pairs as one
+        batch.  A LEFT join splices a NULL-extended row in for every probe
+        row left without a match, a RIGHT join appends the build rows
         nothing matched.
         """
         left = self.compile_plan(node.left, parent_scope)
@@ -944,6 +960,7 @@ class SelectExecutor:
         build_width = build.shape.width()
         probe_width = probe.shape.width()
         single_key = len(equi_pairs) == 1
+        has_null = is_ if single_key else contains  # (key, None) -> NULL in key
 
         def batch_keys(batch, evaluators, env):
             """One hashable join key per row: a scalar for single-column
@@ -954,14 +971,28 @@ class SelectExecutor:
             return columns[0] if single_key else list(zip(*columns))
 
         def produce(env: Env) -> Iterator[ColumnBatch]:
-            buckets: dict[object, list[int]] = {}
-            bucket_get = buckets.get
+            index: dict[object, int] = {}  # key -> its one build row
+            buckets: "dict[object, list[int]] | None" = None  # once one repeats
             build_columns: list[list] = [[] for _ in range(build_width)]
             base = 0
             for batch in build.batches(env):
                 keys = batch_keys(batch, build_keys, env)
                 for column, values in zip(build_columns, batch.columns):
                     column.extend(values)
+                if buckets is None:
+                    page = dict(zip(keys, range(base, base + batch.length)))
+                    nulls = sum(map(has_null, keys, repeat(None)))
+                    if nulls and single_key:  # NULL never joins
+                        del page[None]
+                    elif nulls:
+                        page = {k: j for k, j in page.items() if None not in k}
+                    unique = len(page) + nulls == batch.length
+                    if unique and index.keys().isdisjoint(page):
+                        index.update(page)
+                        base += batch.length
+                        continue
+                    buckets = {key: [j] for key, j in index.items()}
+                bucket_get = buckets.get
                 for offset, key in enumerate(keys):
                     if (key is None) if single_key else (None in key):
                         continue  # NULL never joins
@@ -974,39 +1005,52 @@ class SelectExecutor:
             # Build index -1 reads this NULL: the padding of a LEFT join.
             for column in build_columns:
                 column.append(None)
+            lookup = index.get if buckets is None else buckets.get
 
             def joined(batch, probe_take, build_take) -> ColumnBatch:
-                probed = [[column[i] for i in probe_take] for column in batch.columns]
-                built = [[column[j] for j in build_take] for column in build_columns]
+                # probe_take None: every probe row once, in order, as it is.
+                if probe_take is None:
+                    probed = batch.columns
+                else:
+                    gather = gatherer(probe_take)
+                    probed = [gather(c) for c in batch.columns]
+                gather = gatherer(build_take)
+                built = [gather(c) for c in build_columns]
                 return ColumnBatch(
-                    built + probed if build_left else probed + built,
-                    len(probe_take),
+                    [*built, *probed] if build_left else [*probed, *built],
+                    len(build_take),
                 )
 
             matched: set[int] = set()
-            # NULL probe keys were never stored, so bucket_get() already
-            # misses them — no per-row NULL check needed.
+            # NULL probe keys were never stored, so lookup() already misses
+            # them — no per-row NULL check needed.
             for batch in probe.batches(env):
                 keys = batch_keys(batch, probe_keys, env)
-                probe_take: list[int] = []
-                build_take: list[int] = []
-                pt_append = probe_take.append
-                bt_append = build_take.append
-                for i, key in enumerate(keys):
-                    bucket = bucket_get(key)
-                    if bucket is not None:
-                        for j in bucket:
-                            pt_append(i)
-                            bt_append(j)
-                if residual is not None and probe_take:
-                    verdicts = residual(joined(batch, probe_take, build_take), env)
-                    keep = [k for k, v in enumerate(verdicts) if v is True]
-                    if len(keep) < len(probe_take):
-                        probe_take = [probe_take[k] for k in keep]
-                        build_take = [build_take[k] for k in keep]
+                probe_take: "list[int] | None" = None
+                if buckets is None:
+                    build_take = list(map(lookup, keys))
+                    if None in build_take:
+                        hit = list(map(is_not, build_take, repeat(None)))
+                        probe_take = list(compress(range(batch.length), hit))
+                        build_take = list(compress(build_take, hit))
+                else:
+                    probe_take, build_take = [], []
+                    for i, key in enumerate(keys):
+                        bucket = lookup(key)
+                        if bucket is not None:
+                            build_take.extend(bucket)
+                            probe_take.extend(repeat(i, len(bucket)))
+                if residual is not None and build_take:
+                    keep = true_positions(
+                        residual(joined(batch, probe_take, build_take), env)
+                    )
+                    if len(keep) < len(build_take):
+                        gather = gatherer(keep)
+                        probe_take = keep if probe_take is None else gather(probe_take)
+                        build_take = gather(build_take)
                 if kind == "RIGHT":
                     matched.update(build_take)
-                elif kind == "LEFT":
+                elif kind == "LEFT" and probe_take is not None:
                     hit = set(probe_take)
                     if len(hit) < batch.length:
                         pairs = sorted(
@@ -1018,7 +1062,7 @@ class SelectExecutor:
                         )
                         probe_take = [i for i, _ in pairs]
                         build_take = [j for _, j in pairs]
-                if probe_take:
+                if build_take:
                     yield joined(batch, probe_take, build_take)
             if kind == "RIGHT":
                 rest = [j for j in range(base) if j not in matched]

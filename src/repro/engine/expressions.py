@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 from ..errors import (
@@ -378,9 +379,13 @@ class ExpressionCompiler:
             present = [i for i, v in enumerate(values) if v is not None]
             if not present:
                 return out  # a NULL operand never runs the subquery
-            if not prepared.correlated:  # one execution, one membership set
-                rows = prepared.rows(_inner_env(env))
-                return _membership([row[0] for row in rows], negated)(values)
+            if not prepared.correlated:  # one membership set per execution
+                memo = {} if env.subq is None else env.subq
+                key = (id(prepared), negated)  # beside the rows, at id(prepared)
+                if key not in memo:
+                    rows = prepared.rows(_inner_env(env))
+                    memo[key] = _membership([row[0] for row in rows], negated)
+                return memo[key](values)
             results = _subquery_results(prepared, batch.take(present), env)
             for i, rows in zip(present, results):
                 out[i] = _member(values[i], [row[0] for row in rows], negated)
@@ -622,10 +627,21 @@ def _kind(value: object) -> type:
 
 
 def _like_literal(operand: BatchExpr, pattern: object, negated: bool) -> BatchExpr:
-    """LIKE against a literal pattern: one regex for the whole batch."""
+    """LIKE against a literal pattern: one regex for the whole batch, or
+    over an all-text page one ``map`` of ``==`` (a pattern without ``%`` or
+    ``_``) or ``str.startswith`` (one trailing ``%``, no ``_``)."""
+    test = None
+    if pattern.__class__ is str and "_" not in pattern:
+        if "%" not in pattern:
+            test, needle = operator.eq, pattern
+        elif pattern.find("%") == len(pattern) - 1:
+            test, needle = str.startswith, pattern[:-1]
 
     def like(batch: ColumnBatch, env: Env) -> list:
         values = operand(batch, env)
+        if test is not None and {str}.issuperset(map(type, values)):
+            matched = map(test, values, repeat(needle))
+            return list(map(operator.not_, matched) if negated else matched)
         if pattern is None:
             return [None] * len(values)
         out: list = [None] * len(values)
@@ -661,12 +677,14 @@ def _constant_operand(expr: ast.Expression) -> object:
 
 
 def _comparison_const(left: BatchExpr, op: str, const: object) -> BatchExpr:
-    """Comparison against a literal: one raw operator call per row.
+    """Comparison against a literal: one raw operator ``map`` per page.
 
     The literal is side-effect-free, so skipping masked evaluation of the
-    right operand cannot change UDF counts or error order.  Rows whose type
-    matches the constant's take the unguarded operator; any mismatch drops
-    to the guarded comparator for its exact ``TypeMismatchError``.
+    right operand cannot change UDF counts or error order.  A page whose
+    values all share the constant's class (any number, for a number) takes
+    the unguarded operator; any other page (a NULL, a ``bool``, a mismatch)
+    goes row by row, a mismatch through the guarded comparator for its
+    exact ``TypeMismatchError``.
     """
     if const is None:
         # NULL literal: the result is NULL for every row, but the left
@@ -674,24 +692,22 @@ def _comparison_const(left: BatchExpr, op: str, const: object) -> BatchExpr:
         return lambda batch, env: [None] * len(left(batch, env))
     raw = _RAW_COMPARE[op]
     compare = _COMPARATORS[op]
-    if const.__class__ is int or const.__class__ is float:
-        return lambda batch, env: [
+    fast = {int, float} if const.__class__ in (int, float) else {const.__class__}
+
+    def comparison(batch: ColumnBatch, env: Env) -> list:
+        values = left(batch, env)
+        if fast.issuperset(map(type, values)):
+            return list(map(raw, values, repeat(const)))
+        return [
             None
             if v is None
             else raw(v, const)
-            if v.__class__ is int or v.__class__ is float
+            if v.__class__ in fast
             else compare(v, const)
-            for v in left(batch, env)
+            for v in values
         ]
-    fast_type = const.__class__
-    return lambda batch, env: [
-        None
-        if v is None
-        else raw(v, const)
-        if v.__class__ is fast_type
-        else compare(v, const)
-        for v in left(batch, env)
-    ]
+
+    return comparison
 
 
 def _arithmetic_const(left: BatchExpr, op: str, const: object) -> BatchExpr:

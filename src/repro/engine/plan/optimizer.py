@@ -22,8 +22,9 @@ passes the IR makes expressible:
    estimated selectivity (from ``ANALYZE`` statistics, with heuristic
    defaults) is favorable.
 5. ``hash_join_selection`` — replace conditioned nested loops whose ON
-   clause contains side-separable equalities with hash joins; with fresh
-   statistics the smaller estimated side becomes the build side.
+   clause contains side-separable equalities with hash joins; an INNER
+   join builds on its smaller estimated side (fresh statistics, else the
+   table's live row count).
 6. ``projection_pruning`` — narrow base-table scans to the columns the rest
    of the plan references.
 
@@ -324,9 +325,11 @@ class Optimizer:
     def _choose_build_side(self, block: BlockPlan, join: HashJoin) -> None:
         """Hash the smaller estimated input (INNER joins, full pipeline).
 
-        Estimates come only from fresh ``ANALYZE`` statistics (or index
-        path estimates derived from them), so without an ``ANALYZE`` the
-        legacy build-on-the-right behavior is preserved bit for bit.
+        A base table is estimated from fresh ``ANALYZE`` statistics, else
+        from its live row count at plan time.  A side with no estimate (a
+        derived table, a nested join) keeps the right input as the build
+        side, and so do ties; outer joins and the ``off`` pipeline never
+        flip, so Fig. 6's plans cannot move.
         """
         if self.mode != "on" or join.join_kind != "INNER":
             return
@@ -351,7 +354,7 @@ class Optimizer:
             except CatalogError:
                 return None
             stats = self.database.statistics.fresh(table)
-            return stats.row_count if stats is not None else None
+            return stats.row_count if stats is not None else len(table.rows)
         if isinstance(node, Filter):
             base = self._estimate_rows(node.input)
             if base is None:
@@ -365,7 +368,7 @@ class Optimizer:
             if count <= 0:
                 return base
             return max(1, round(base * (0.33 ** count)))
-        if isinstance(node, PolicyGuard):
+        if isinstance(node, PolicyGuard):  # counting would call complieswith
             base = self._estimate_rows(node.scan)
             return None if base is None else max(1, base // 2)
         return None

@@ -94,11 +94,11 @@ def error_response(code: str, message: str) -> dict:
 
 
 def result_to_wire(result: ResultSet) -> dict:
-    """Serialize a result set (columns + row tuples) for the wire."""
-    return {
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-    }
+    """Serialize a result set (columns + row tuples) for the wire.
+
+    The rows go as the tuples they are: ``json`` encodes a tuple as the
+    array a list would be, so no row is copied."""
+    return {"columns": list(result.columns), "rows": list(result.rows)}
 
 
 def rows_from_wire(payload: dict) -> list[tuple]:

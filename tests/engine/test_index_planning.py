@@ -524,15 +524,26 @@ class TestIndexScanUnderPolicyGuard:
 
 
 class TestBuildSideSelection:
-    def test_no_statistics_keeps_the_legacy_build_side(self, indexed_db) -> None:
+    def test_no_statistics_builds_the_smaller_side(self) -> None:
         database = Database()
         database.execute("create table t (a integer)")
         database.execute("create table u (a integer)")
         database.execute("insert into t values (1)")
         database.execute("insert into u values (1), (2), (3)")
+        # Without ANALYZE the live row counts decide: t (1 row) builds.
         block = _block(database, "select t.a from t join u on t.a = u.a")
-        joins = _find(block, HashJoin)
-        assert joins and all(j.build_side == "right" for j in joins)
+        assert [j.build_side for j in _find(block, HashJoin)] == ["left"]
+        assert "hash_join_selection: build side = left (est 1 vs 3)" in block.notes
+        swapped = _block(database, "select t.a from u join t on u.a = t.a")
+        assert [j.build_side for j in _find(swapped, HashJoin)] == ["right"]
+        # A side with no estimate (a derived table) keeps the right build.
+        derived = _block(
+            database, "select t.a from t join (select a from u) d on t.a = d.a"
+        )
+        assert [j.build_side for j in _find(derived, HashJoin)] == ["right"]
+        # Outer joins never flip.
+        outer = _block(database, "select t.a from t left join u on t.a = u.a")
+        assert [j.build_side for j in _find(outer, HashJoin)] == ["right"]
 
     def test_smaller_left_side_becomes_the_build_side(self) -> None:
         database = Database()
@@ -553,23 +564,28 @@ class TestBuildSideSelection:
         assert _find(flipped, HashJoin)[0].build_side == "right"
 
     def test_flipped_join_returns_the_same_rows(self) -> None:
-        def world(analyze: bool) -> Database:
-            database = Database()
-            database.execute("create table small (a integer)")
-            database.execute("create table big (a integer, v integer)")
-            database.execute("insert into small values (1), (3)")
-            rows = ", ".join(f"({i}, {i * 10})" for i in range(50))
-            database.execute(f"insert into big values {rows}")
-            if analyze:
-                database.execute("analyze")
-            return database
-
+        database = Database()
+        database.execute("create table small (a integer)")
+        database.execute("create table big (a integer, v integer)")
+        database.execute("insert into small values (1), (3), (null)")
+        # Duplicate and NULL keys on the big side: the flipped build is
+        # unique, the reference's build buckets its repeated keys.
+        rows = ", ".join(f"({i % 25}, {i * 10})" for i in range(50))
+        database.execute(f"insert into big values {rows}, (null, 0)")
         sql = "select small.a, big.v from small join big on small.a = big.a"
-        flipped, legacy = world(analyze=True), world(analyze=False)
-        assert _find(_block(flipped, sql), HashJoin)[0].build_side == "left"
-        assert _find(_block(legacy, sql), HashJoin)[0].build_side == "right"
-        with_stats = flipped.query(sql).rows
-        assert sorted(with_stats) == sorted(legacy.query(sql).rows) == [(1, 10), (3, 30)]
+        reference = (
+            "select small.a, b.v from small"
+            " join (select a, v from big) b on small.a = b.a"
+        )
+        # No ANALYZE: the smaller live side builds; a derived side has no
+        # estimate, so the reference keeps the right build.
+        assert _find(_block(database, sql), HashJoin)[0].build_side == "left"
+        assert _find(_block(database, reference), HashJoin)[0].build_side == "right"
+        flipped = database.query(sql).rows
+        expected = [(1, 10), (1, 260), (3, 30), (3, 280)]
+        assert sorted(flipped) == sorted(database.query(reference).rows) == expected
+        outer = "select small.a, big.v from small left join big on small.a = big.a"
+        assert _find(_block(database, outer), HashJoin)[0].build_side == "right"
 
     def test_outer_joins_never_flip(self) -> None:
         database = Database()

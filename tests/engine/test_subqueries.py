@@ -98,6 +98,29 @@ class TestScalarSubquery:
 
 
 class TestSubqueryCaching:
+    def test_in_subquery_membership_is_built_once_per_execution(self, db, monkeypatch):
+        from repro.engine import expressions
+
+        db.execute(
+            "insert into emp values "
+            + ", ".join(f"('e{i}', {i % 4}, {i})" for i in range(30))
+        )
+        sql = "select name from emp where dept_id in (select id from dept where id < 3)"
+        expected = db.query(sql).rows
+        built = []
+        original = expressions._membership
+
+        def counting(candidates, negated):
+            built.append(list(candidates))
+            return original(candidates, negated)
+
+        monkeypatch.setattr(expressions, "_membership", counting)
+        # 33 outer rows in 7-row pages: five pages, one membership set.
+        assert db.prepare(sql, batch_size=7).execute().rows == expected
+        assert built == [[1, 2]]
+        assert db.prepare(sql, batch_size=7).execute().rows == expected
+        assert built == [[1, 2], [1, 2]]  # the memo lives for one execution
+
     def test_uncorrelated_subquery_evaluated_once(self, db):
         calls = {"n": 0}
 

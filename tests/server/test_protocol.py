@@ -27,11 +27,15 @@ from repro.server.protocol import (
     MAX_FRAME,
     error_code_for,
     error_response,
+    _encode,
     ok_response,
     recv_message,
+    result_to_wire,
     rows_from_wire,
     send_message,
 )
+from repro.engine.result import ResultSet
+from repro.engine.types import BitString
 
 
 @pytest.fixture()
@@ -120,3 +124,12 @@ class TestErrorCodes:
 def test_rows_from_wire_restores_tuples():
     payload = {"columns": ["a", "b"], "rows": [[1, "x"], [2, "y"]]}
     assert rows_from_wire(payload) == [(1, "x"), (2, "y")]
+
+
+def test_result_rows_encode_as_the_list_of_lists_would():
+    rows = [(1.5, None, BitString.from_bits("1010")), (-0.0, "x", None), (2, 1e300, "")]
+    result = ResultSet(["a", "b", "c"], rows)
+    as_lists = {"columns": ["a", "b", "c"], "rows": [list(row) for row in rows]}
+    assert _encode(ok_response(result=result_to_wire(result))) == _encode(
+        ok_response(result=as_lists)
+    )
