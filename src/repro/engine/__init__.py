@@ -26,9 +26,6 @@ from .index import (
     HashIndex,
     IndexDefinition,
     IndexManager,
-    StatisticsCollector,
-    TableStatistics,
-    collect_table_statistics,
 )
 from .plan import (
     BASELINE_PASSES,
@@ -56,9 +53,6 @@ __all__ = [
     "HashIndex",
     "IndexDefinition",
     "IndexManager",
-    "StatisticsCollector",
-    "TableStatistics",
-    "collect_table_statistics",
     "BASELINE_PASSES",
     "FULL_PASSES",
     "PolicyBitmapCache",

@@ -18,7 +18,7 @@ from .executor import PreparedSelect, SelectExecutor
 from .batch import ColumnBatch, true_positions
 from .expressions import Env, ExpressionCompiler, Scope, evaluate_constant
 from .functions import CostTotal, FunctionRegistry
-from .index import IndexDefinition, IndexManager, StatisticsCollector
+from .index import IndexDefinition, IndexManager
 from .mvcc import Transaction, TransactionManager, WritePlan, current_transaction
 from .plan import PolicyBitmapCache, Scan, best_index_path, flatten_conjuncts
 from .result import ResultSet
@@ -221,9 +221,8 @@ class Database:
         self.policy_function: str | None = None
         self.policy_column: str | None = None
         self.policy_bitmaps = PolicyBitmapCache(self.cost_total)
-        # Secondary-index catalog and optimizer statistics (DESIGN.md §13).
+        # Secondary-index catalog (DESIGN.md §13).
         self.indexes = IndexManager(self)
-        self.statistics = StatisticsCollector(self)
         # MVCC: the commit clock + active-snapshot registry (DESIGN.md §15).
         self.transactions = TransactionManager()
         # The versioned metadata catalog (DESIGN.md §15): schemas, index
@@ -328,7 +327,6 @@ class Database:
         if kind == "drop_table":
             key = op["table"].lower()
             del self.tables[key]
-            self.statistics.forget(key)
             self.policy_bitmaps.forget(key)
             # The cascade: every index of the table is dropped and
             # tombstoned in this same commit.
@@ -444,12 +442,6 @@ class Database:
         if isinstance(statement, ast.DropIndex):
             self._execute_drop_index(statement)
             return 0
-        if isinstance(statement, ast.Analyze):
-            # ANALYZE reports the number of tables whose statistics were
-            # refreshed, mirroring DML's affected-row convention.  Inside a
-            # transaction the stats snapshot is stamped with the *staged*
-            # version identity, so it can never outlive a rollback.
-            return len(self.statistics.collect(statement.table))
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
     def query(
@@ -593,7 +585,7 @@ class Database:
         outright.  Rows with a NULL key are candidates too: the conjunct is
         unknown for them, not false, and a scan goes on to check them.
 
-        ``None`` means scan: no selective path, a probe value the tree
+        ``None`` means scan: no index path, a probe value the tree
         cannot compare (or NULL), a conjunct ahead of the key that checks
         policies itself (it would run on fewer rows), or a table this
         transaction already staged (its overlay is private; the shared
@@ -607,10 +599,7 @@ class Database:
         name = table.name.lower()
         conjuncts = flatten_conjuncts(where)
         path = best_index_path(
-            self,
-            self.indexes.for_table(name),
-            conjuncts,
-            Scan(name, name, shape),
+            self.indexes.for_table(name), conjuncts, Scan(name, name, shape)
         )
         if path is None or None in path.values:
             return None  # ``key = NULL`` is unknown, not false, on every row

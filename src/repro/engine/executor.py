@@ -646,8 +646,6 @@ class SelectExecutor:
             detail += f" as {node.binding}"
         if isinstance(node, plan_ir.IndexScan):
             detail += f" using {node.index_name} [{node.predicate()}]"
-            if node.estimated_rows is not None:
-                detail += f" (est={node.estimated_rows})"
         if node.kept is not None:
             detail += f" (cols: {', '.join(node.kept)})"
         return detail
@@ -928,14 +926,18 @@ class SelectExecutor:
         ``map(index.get, keys)``; a page that matched completely keeps its
         own columns.  The first build page that repeats a key (within
         itself or with an earlier page) converts the map once to
-        ``key → [indices]`` buckets.  The build side is the right input
-        unless the optimizer (INNER only) chose the smaller left one;
-        output order follows the probe side, all matches of one probe row
-        together in build order, columns always left-then-right.  The
-        residual predicate is evaluated on the candidate pairs as one
-        batch.  A LEFT join splices a NULL-extended row in for every probe
-        row left without a match, a RIGHT join appends the build rows
-        nothing matched.
+        ``key → [indices]`` buckets.  The build side is the right input,
+        or — ``build_side == "smaller"``, INNER joins on the full pipeline —
+        whichever input turns out smaller on this execution: pages are
+        pulled from the input that has yielded fewer rows so far (ties:
+        right) until one input ends; that one builds, and the other is
+        probed from its pulled pages, then its rest.  Either way each input
+        is read once, in full.  Output order follows the probe side, all
+        matches of one probe row together in build order, columns always
+        left-then-right.  The residual predicate is evaluated on the
+        candidate pairs as one batch.  A LEFT join splices a NULL-extended
+        row in for every probe row left without a match, a RIGHT join
+        appends the build rows nothing matched.
         """
         left = self.compile_plan(node.left, parent_scope)
         right = self.compile_plan(node.right, parent_scope)
@@ -952,13 +954,7 @@ class SelectExecutor:
             if node.residual is not None
             else None
         )
-        build_left = kind == "INNER" and node.build_side == "left"
-        if build_left:
-            build, build_keys, probe, probe_keys = left, left_keys, right, right_keys
-        else:
-            build, build_keys, probe, probe_keys = right, right_keys, left, left_keys
-        build_width = build.shape.width()
-        probe_width = probe.shape.width()
+        smaller = kind == "INNER" and node.build_side == "smaller"
         single_key = len(equi_pairs) == 1
         has_null = is_ if single_key else contains  # (key, None) -> NULL in key
 
@@ -970,12 +966,33 @@ class SelectExecutor:
             columns = [k(batch, env) for k in evaluators]
             return columns[0] if single_key else list(zip(*columns))
 
+        def sides(env: Env):
+            """``(build_left, build pages, probe pages)`` for one execution."""
+            if not smaller:
+                return False, right.batches(env), left.batches(env)
+            inputs = (left.batches(env), right.batches(env))
+            pulled: tuple[list, list] = ([], [])
+            counts = [0, 0]
+            while True:
+                side = 0 if counts[0] < counts[1] else 1
+                batch = next(inputs[side], None)
+                if batch is None:  # this input ended: it is the smaller one
+                    other = 1 - side
+                    return side == 0, pulled[side], chain(pulled[other], inputs[other])
+                pulled[side].append(batch)
+                counts[side] += batch.length
+
         def produce(env: Env) -> Iterator[ColumnBatch]:
+            build_left, build_pages, probe_pages = sides(env)
+            if build_left:
+                build, build_keys, probe_keys = left, left_keys, right_keys
+            else:
+                build, build_keys, probe_keys = right, right_keys, left_keys
             index: dict[object, int] = {}  # key -> its one build row
             buckets: "dict[object, list[int]] | None" = None  # once one repeats
-            build_columns: list[list] = [[] for _ in range(build_width)]
+            build_columns: list[list] = [[] for _ in range(build.shape.width())]
             base = 0
-            for batch in build.batches(env):
+            for batch in build_pages:
                 keys = batch_keys(batch, build_keys, env)
                 for column, values in zip(build_columns, batch.columns):
                     column.extend(values)
@@ -1024,7 +1041,7 @@ class SelectExecutor:
             matched: set[int] = set()
             # NULL probe keys were never stored, so lookup() already misses
             # them — no per-row NULL check needed.
-            for batch in probe.batches(env):
+            for batch in probe_pages:
                 keys = batch_keys(batch, probe_keys, env)
                 probe_take: "list[int] | None" = None
                 if buckets is None:
@@ -1068,7 +1085,7 @@ class SelectExecutor:
                 rest = [j for j in range(base) if j not in matched]
                 if rest:
                     yield ColumnBatch(
-                        [[None] * len(rest) for _ in range(probe_width)]
+                        [[None] * len(rest) for _ in range(left.shape.width())]
                         + [[column[j] for j in rest] for column in build_columns],
                         len(rest),
                     )
@@ -1079,9 +1096,7 @@ class SelectExecutor:
             f"{print_expression(le)} = {print_expression(re)}"
             for le, re in equi_pairs
         )
-        detail = f"({kind.lower()}) on {keys}"
-        if build_left:
-            detail += " (build: left)"
         return SourcePlan(
-            node.shape, "HashJoin", detail, [left, right], batch_producer=produce,
+            node.shape, "HashJoin", f"({kind.lower()}) on {keys}", [left, right],
+            batch_producer=produce,
         )

@@ -1,13 +1,10 @@
-"""Secondary indexes and table statistics.
+"""Secondary indexes.
 
 The subsystem mirrors the layering of the rest of the engine:
 
 * :mod:`~repro.engine.index.btree` — an order-preserving B+-tree over one
   (possibly composite) key: point, prefix and range lookups;
 * :mod:`~repro.engine.index.hash` — an equality-only hash index;
-* :mod:`~repro.engine.index.statistics` — per-table/column statistics
-  (row counts, NDV, min/max, equi-depth histograms) collected by
-  ``ANALYZE`` and consumed by the optimizer's cost model;
 * :mod:`~repro.engine.index.manager` — the :class:`IndexManager` owning
   index lifecycles and lazy maintenance (each entry a ``RowIndex``
   following the visible rows, rebuilt only for a shorter list or another
@@ -26,21 +23,11 @@ from __future__ import annotations
 from .btree import BTreeIndex
 from .hash import HashIndex
 from .manager import INDEX_KINDS, IndexDefinition, IndexManager
-from .statistics import (
-    ColumnStatistics,
-    StatisticsCollector,
-    TableStatistics,
-    collect_table_statistics,
-)
 
 __all__ = [
     "BTreeIndex",
-    "ColumnStatistics",
     "HashIndex",
     "INDEX_KINDS",
     "IndexDefinition",
     "IndexManager",
-    "StatisticsCollector",
-    "TableStatistics",
-    "collect_table_statistics",
 ]

@@ -35,7 +35,7 @@ The active transaction travels in a :class:`contextvars.ContextVar`, so it
 is inherited by the asyncio tasks of the sharded transport and can be
 activated per statement by the server's request core via :func:`txn_scope` —
 every read path (executor scans, columnar batches, index builds, bitmap
-probes, statistics) is snapshot-consistent through the ``Table.rows`` /
+probes) is snapshot-consistent through the ``Table.rows`` /
 ``Table.schema`` properties without touching a single operator.
 """
 

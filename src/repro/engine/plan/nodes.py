@@ -97,7 +97,6 @@ class IndexScan(Scan):
         index_name: str,
         columns: tuple[str, ...],
         values: tuple[object, ...],
-        estimated_rows: int | None = None,
         matched: tuple[ast.Expression, ...] = (),
     ):
         super().__init__(scan.table_name, scan.binding, scan.shape)
@@ -105,7 +104,6 @@ class IndexScan(Scan):
         self.index_name = index_name
         self.columns = columns
         self.values = values
-        self.estimated_rows = estimated_rows
         self.matched = matched
 
     def predicate(self) -> str:
@@ -141,12 +139,9 @@ class IndexRangeScan(IndexScan):
         upper: object = None,
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
-        estimated_rows: int | None = None,
         matched: tuple[ast.Expression, ...] = (),
     ):
-        super().__init__(
-            scan, index_name, (column,), (), estimated_rows, matched
-        )
+        super().__init__(scan, index_name, (column,), (), matched)
         self.lower = lower
         self.upper = upper
         self.lower_inclusive = lower_inclusive
@@ -296,9 +291,9 @@ class HashJoin(LogicalNode):
         self.left = left
         self.right = right
         self.shape = shape
-        #: Which input is hashed.  The legacy choice is ``"right"``; the
-        #: optimizer flips INNER joins to ``"left"`` when fresh statistics
-        #: say the left input is smaller.
+        #: Which input is hashed: ``"right"`` (the legacy choice), or
+        #: ``"smaller"`` — set by the full pipeline on INNER joins — for
+        #: whichever input the executor finds smaller on each execution.
         self.build_side: str = "right"
 
     def children(self) -> tuple[LogicalNode, ...]:

@@ -15,16 +15,15 @@ passes the IR makes expressible:
    above their base-table scans, where the
    :class:`~repro.engine.plan.bitmap.PolicyBitmapCache` answers them from
    policy posting lists instead of per-row UDF calls.
-4. ``access_path_selection`` — cost-based access paths (DESIGN.md §13):
+4. ``access_path_selection`` — structural access paths (DESIGN.md §13):
    convert a pushed filter's scan — directly below it, or below the
    :class:`PolicyGuard` between them — into an :class:`IndexScan` /
-   :class:`IndexRangeScan` when a matching secondary index exists and the
-   estimated selectivity (from ``ANALYZE`` statistics, with heuristic
-   defaults) is favorable.
+   :class:`IndexRangeScan` when a matching secondary index exists; an
+   equality probe beats a range, a longer bound key prefix a shorter one.
 5. ``hash_join_selection`` — replace conditioned nested loops whose ON
    clause contains side-separable equalities with hash joins; an INNER
-   join builds on its smaller estimated side (fresh statistics, else the
-   table's live row count).
+   join builds on whichever input turns out smaller, decided by the
+   executor on each execution.
 6. ``projection_pruning`` — narrow base-table scans to the columns the rest
    of the plan references.
 
@@ -74,15 +73,6 @@ FULL_PASSES = (
 )
 
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
-
-#: Heuristic selectivities used when no fresh statistics exist.
-DEFAULT_EQUALITY_SELECTIVITY = 0.1
-DEFAULT_RANGE_SELECTIVITY = 0.25
-
-#: An index access path is only chosen when the estimated fraction of
-#: surviving rows is at most this (a near-full scan through an index is
-#: strictly worse than the sequential scan).
-INDEX_SELECTIVITY_THRESHOLD = 0.5
 
 _RANGE_OPS = frozenset({"<", "<=", ">", ">="})
 
@@ -260,7 +250,7 @@ class Optimizer:
     def _select_index_path(
         self, block: BlockPlan, filter_node: Filter, scan: Scan
     ) -> Scan:
-        """The cheapest index access path for a pushed filter's scan, or
+        """The best-ranked index access path for a pushed filter's scan, or
         ``scan`` itself when none qualifies.
 
         The matched conjuncts stay in the filter as a recheck, so the
@@ -277,17 +267,13 @@ class Optimizer:
         ):
             return scan
         best = best_index_path(
-            self.database,
-            self.database.indexes.for_table(scan.table_name),
-            conjuncts,
-            scan,
+            self.database.indexes.for_table(scan.table_name), conjuncts, scan
         )
         if best is None:
             return scan
         block.notes.append(
             f"access_path_selection: {scan.binding} via "
-            f"{type(best).__name__} on {best.index_name} "
-            f"(est={best.estimated_rows})"
+            f"{type(best).__name__} on {best.index_name}"
         )
         return best
 
@@ -316,62 +302,12 @@ class Optimizer:
                         node.join_kind, pairs, residual,
                         node.left, node.right, node.shape,
                     )
-                    self._choose_build_side(block, join)
+                    if self.mode == "on" and node.join_kind == "INNER":
+                        join.build_side = "smaller"
                     return join
             return node
 
         _replace_sources(block, visit(block.source_root))
-
-    def _choose_build_side(self, block: BlockPlan, join: HashJoin) -> None:
-        """Hash the smaller estimated input (INNER joins, full pipeline).
-
-        A base table is estimated from fresh ``ANALYZE`` statistics, else
-        from its live row count at plan time.  A side with no estimate (a
-        derived table, a nested join) keeps the right input as the build
-        side, and so do ties; outer joins and the ``off`` pipeline never
-        flip, so Fig. 6's plans cannot move.
-        """
-        if self.mode != "on" or join.join_kind != "INNER":
-            return
-        left = self._estimate_rows(join.left)
-        right = self._estimate_rows(join.right)
-        if left is None or right is None:
-            return
-        if left < right:
-            join.build_side = "left"
-            block.notes.append(
-                f"hash_join_selection: build side = left "
-                f"(est {left} vs {right})"
-            )
-
-    def _estimate_rows(self, node: LogicalNode) -> int | None:
-        """Estimated output cardinality, or ``None`` when unknowable."""
-        if isinstance(node, IndexScan):  # covers IndexRangeScan
-            return node.estimated_rows
-        if isinstance(node, Scan):
-            try:
-                table = self.database.table(node.table_name)
-            except CatalogError:
-                return None
-            stats = self.database.statistics.fresh(table)
-            return stats.row_count if stats is not None else len(table.rows)
-        if isinstance(node, Filter):
-            base = self._estimate_rows(node.input)
-            if base is None:
-                return None
-            below = node.input
-            if isinstance(below, PolicyGuard):
-                below = below.scan
-            count = len(node.conjuncts or [])
-            if isinstance(below, IndexScan):
-                count -= len(below.matched)  # rechecks, counted already
-            if count <= 0:
-                return base
-            return max(1, round(base * (0.33 ** count)))
-        if isinstance(node, PolicyGuard):  # counting would call complieswith
-            base = self._estimate_rows(node.scan)
-            return None if base is None else max(1, base // 2)
-        return None
 
     # -- projection pruning ------------------------------------------------------
 
@@ -586,7 +522,7 @@ def _index_candidate(
 
 
 def _access_paths(definitions, conjuncts: list, scan: Scan):
-    """Every index access path the conjuncts admit, estimates unset.
+    """Every index access path the conjuncts admit.
 
     An equality path binds the longest leading run of an index's key
     columns that equality conjuncts cover: the whole key on either
@@ -625,71 +561,21 @@ def _access_paths(definitions, conjuncts: list, scan: Scan):
                     ), True
 
 
-def best_index_path(
-    database, definitions, conjuncts: list, scan: Scan
-) -> IndexScan | None:
-    """The cheapest access path ``definitions`` offer for ``conjuncts``.
+def best_index_path(definitions, conjuncts: list, scan: Scan) -> IndexScan | None:
+    """The best-ranked access path ``definitions`` offer for ``conjuncts``.
 
-    The lowest estimate wins; among equals the path binding more key
-    columns, then the earlier conjunct, then hash over tree.  ``None`` when
-    no path qualifies or none is selective enough to beat a scan.
+    Ranked by structure alone: an equality probe before a range, then the
+    path binding more key columns, then the earlier matched conjunct, then
+    hash over tree.  ``None`` when no path qualifies.
     """
-    try:
-        table = database.table(scan.table_name)
-    except CatalogError:
-        return None
-    row_count = len(table.rows)
-    stats = database.statistics.fresh(table)
-    best_rank: tuple | None = None
-    best: IndexScan | None = None
-    for path, tree in _access_paths(definitions, conjuncts, scan):
-        path.estimated_rows = _estimate_path(stats, row_count, path)
-        if (
-            row_count
-            and path.estimated_rows / row_count > INDEX_SELECTIVITY_THRESHOLD
-        ):
-            continue
-        rank = (
-            path.estimated_rows,
-            -len(path.values),
-            min(conjuncts.index(c) for c in path.matched),
-            tree,
-        )
-        if best_rank is None or rank < best_rank:
-            best_rank, best = rank, path
-    return best
 
+    def rank(candidate) -> tuple:
+        path, tree = candidate
+        first = min(map(conjuncts.index, path.matched))
+        return isinstance(path, IndexRangeScan), -len(path.values), first, tree
 
-def _estimate_path(stats, row_count: int, path: IndexScan) -> int:
-    """Estimated matching rows: fresh statistics, else heuristic defaults.
-
-    A parameter's value is unknown at plan time, so it is estimated from
-    the column's NDV alone; the key columns of a composite probe are
-    treated as independent.
-    """
-    if isinstance(path, IndexRangeScan):
-        if stats is not None:
-            estimated = stats.estimate_range(
-                path.columns[0], path.lower, path.upper,
-                path.lower_inclusive, path.upper_inclusive,
-            )
-            if estimated is not None:
-                return estimated
-        return max(1, round(row_count * DEFAULT_RANGE_SELECTIVITY))
-    fraction = 1.0
-    for column, value in zip(path.columns, path.values):
-        estimated = None
-        if stats is not None:
-            estimated = stats.estimate_equal(
-                column, None if isinstance(value, ast.Parameter) else value
-            )
-        if estimated is None:
-            fraction *= DEFAULT_EQUALITY_SELECTIVITY
-        elif estimated == 0:
-            return 0
-        else:
-            fraction *= estimated / row_count
-    return max(1, round(row_count * fraction))
+    best = min(_access_paths(definitions, conjuncts, scan), key=rank, default=None)
+    return None if best is None else best[0]
 
 
 def check_access_paths(block: BlockPlan) -> None:

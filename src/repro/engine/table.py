@@ -40,10 +40,9 @@ visible row list is only ever mutated by appending — an update, a delete,
 a replacement and every staged rewrite build a new list — so the pair
 (row list object, length) names exactly one committed or staged state.
 Everything derived from the rows (the column image, index entries and
-the policy posting index, ANALYZE statistics) is valid for exactly the
-pair it was built from, so no staged or future state can leak into
-another snapshot's reads; all but the statistics are carried to another
-list by :func:`replaced_positions`.
+the policy posting index) is valid for exactly the pair it was built
+from, so no staged or future state can leak into another snapshot's
+reads; each is carried to another list by :func:`replaced_positions`.
 
 Writers outside a transaction autocommit through the owning
 :class:`~repro.engine.mvcc.TransactionManager` (one commit timestamp per

@@ -203,8 +203,7 @@ def _create_indexes(instance: PatientsScenario, spec: ScenarioSpec) -> tuple[str
     Deterministic per policy seed: ``count`` distinct candidates drawn in
     shuffled order.  When any index is created, the composite
     ``sensed_data`` key rides along (beside the spec's count) so full-key
-    and prefix probes are exercised too, and a final ``ANALYZE`` gives the
-    cost model fresh statistics.
+    and prefix probes are exercised too.
     """
     rng = random.Random(f"{spec.policy_seed}:indexes")
     count = spec.index_count
@@ -223,7 +222,6 @@ def _create_indexes(instance: PatientsScenario, spec: ScenarioSpec) -> tuple[str
         created.append(name)
     database.execute(f"create index {COMPOSITE_INDEX[0]} on {COMPOSITE_INDEX[1]}")
     created.append(COMPOSITE_INDEX[0])
-    database.execute("analyze")
     return tuple(created)
 
 

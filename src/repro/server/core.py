@@ -448,10 +448,6 @@ class RequestCore:
             "indexes": {
                 "manager": database.indexes.stats(),
                 "catalog": database.indexes.describe(),
-                "statistics": {
-                    "collections": database.statistics.stats()["collections"],
-                    "tables": database.statistics.summary(),
-                },
             },
             "transactions": transactions,
             "catalog": catalog,

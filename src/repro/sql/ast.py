@@ -445,17 +445,6 @@ class DropIndex(Statement):
 
 
 @dataclass(frozen=True)
-class Analyze(Statement):
-    """``ANALYZE [table]`` — collect optimizer statistics.
-
-    With no table every table is analyzed.  Like ``EXPLAIN``, ``ANALYZE``
-    is a soft keyword recognized only at the very start of a statement.
-    """
-
-    table: str | None = None
-
-
-@dataclass(frozen=True)
 class Explain(Statement):
     """``EXPLAIN [ANALYZE] <select or set-operation>``.
 

@@ -159,14 +159,7 @@ class Parser:
             if not self._check_keyword("SELECT"):
                 raise self._error("EXPLAIN requires a SELECT statement")
             return ast.Explain(self._query_expression(), analyze=analyze)
-        # Bare ANALYZE (statistics collection).  Checked after EXPLAIN so
-        # "explain analyze select ..." still reads ANALYZE as the flag.
-        if self._match_word("ANALYZE"):
-            table = None
-            if self._peek().type is TokenType.IDENTIFIER:
-                table = self._advance().value
-            return ast.Analyze(table)
-        # Transaction control: soft keywords, like EXPLAIN/ANALYZE above.
+        # Transaction control: soft keywords, like EXPLAIN above.
         if self._match_word("BEGIN"):
             self._match_transaction_noise()
             return ast.Begin()

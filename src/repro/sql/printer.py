@@ -62,8 +62,6 @@ def to_sql(node: ast.Statement | ast.Expression) -> str:
         return _print_create_index(node)
     if isinstance(node, ast.DropIndex):
         return f"drop index {node.name}"
-    if isinstance(node, ast.Analyze):
-        return f"analyze {node.table}" if node.table else "analyze"
     if isinstance(node, ast.AlterTableAddColumn):
         return f"alter table {node.table} add column {_print_column_def(node.column)}"
     if isinstance(node, ast.AlterTableDropColumn):

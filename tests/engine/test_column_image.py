@@ -6,19 +6,16 @@ commits by tuple identity (``Table.column_image``); an id fetch (an index
 probe, a policy guard) reads the image only when it already describes its
 rows; a pinned snapshot's list and a staged overlay are read row by row.
 Index entries and the policy posting index follow the visible list the
-same way, and ANALYZE statistics are fresh for exactly the list analyzed.
-This battery commits random sequences of appends, delta updates, deletes,
-whole-list replacements and ``ALTER TABLE … ADD COLUMN``, interleaved with
-pinned snapshots and open transactions that stage writes of their own and
-with ``ANALYZE`` in a random reader's context, and after every step checks
-each reader — head, every pin, every open transaction — against its
+same way.  This battery commits random sequences of appends, delta
+updates, deletes, whole-list replacements and ``ALTER TABLE … ADD
+COLUMN``, interleaved with pinned snapshots and open transactions that
+stage writes of their own, and after every step checks each reader — head, every pin, every open transaction — against its
 visible row list: a full scan, a narrowed scan and an index fetch must
 return exactly those rows, an image, where one is kept, must be the
 list's columns, probes of a B-tree index on ``w`` (which ``update-many``
 and ``txn`` steps change: key-changing updates) and of a hash index on
-``v`` must return exactly the matching row ids, a ``passing_ids`` guard
-over a pure UDF exactly the passing ones, and the statistics must be
-fresh exactly when the reader's list is the one analyzed.
+``v`` must return exactly the matching row ids, and a ``passing_ids``
+guard over a pure UDF exactly the passing ones.
 
 The tier-1 run is one short seed at a small page size; the ``slow``-marked
 campaign runs ten seeds with longer sequences.
@@ -58,7 +55,6 @@ class CampaignResult:
     steps: list[str] = field(default_factory=list)
     image_reads: int = 0  # index fetches served from a kept image
     carried: int = 0  # index entries and posting indexes followed
-    fresh_reads: int = 0  # readers whose list was the one analyzed
 
 
 def _commit(db: Database, rng: random.Random, kind: str, step: int) -> str:
@@ -136,12 +132,9 @@ def _check(db: Database, where: str, step: str) -> tuple[list[str], bool]:
     return problems, image is not None  # what the index fetch read
 
 
-def _check_derived(
-    db: Database, where: str, step: str, analyzed
-) -> tuple[list[str], bool]:
-    """Compare this context's index probes, policy guard and statistics
-    freshness with its visible rows; ``analyzed`` is the (list, rows)
-    the last ANALYZE read.  Also says whether the statistics were fresh."""
+def _check_derived(db: Database, where: str, step: str) -> list[str]:
+    """Compare this context's index probes and policy guard with its
+    visible rows."""
     table = db.table("t")
     rows = table.rows
     indexes = db.indexes
@@ -185,17 +178,7 @@ def _check_derived(
         db.policy_bitmaps.passing_ids(table, "v", MASKS, db.functions, "accepts"),
         ids(1, lambda value: all(accepts(mask, value) for mask in masks)),
     )
-    stats = db.statistics.fresh(table)
-    differs(
-        "statistics fresh",
-        stats is not None,
-        analyzed is not None and analyzed[0] is rows
-        and len(analyzed[1]) == len(rows),
-    )
-    if stats is not None:
-        differs("analyzed rows", list(rows), analyzed[1])
-        differs("row_count", stats.row_count, len(rows))
-    return problems, stats is not None
+    return problems
 
 
 def run_campaign(seed: int, steps: int) -> CampaignResult:
@@ -207,10 +190,6 @@ def run_campaign(seed: int, steps: int) -> CampaignResult:
     db.functions.register("accepts", accepts)
     db.table("t").append_rows([(k, f"v{k}", k % 5) for k in range(20)])
     rng = random.Random(seed)
-    # ANALYZE draws from its own generator: the commit sequence of a seed
-    # is the one it has always been.
-    analyze_rng = random.Random(-seed)
-    analyzed = None
     result = CampaignResult()
     pins: list = []
     open_txns: list = []
@@ -237,22 +216,12 @@ def run_campaign(seed: int, steps: int) -> CampaignResult:
             readers = [("head", None)]
             readers += [(f"pin {i}", txn) for i, txn in enumerate(pins)]
             readers += [(f"txn {i}", txn) for i, txn in enumerate(open_txns)]
-            if analyze_rng.random() < 0.3:
-                where, txn = analyze_rng.choice(readers)
-                with txn_scope(txn):
-                    db.execute("analyze t")
-                    rows = db.table("t").rows
-                    analyzed = (rows, list(rows))
-                result.steps.append(f"analyze t @ {where}")
             for where, txn in readers:
                 with txn_scope(txn):
                     problems, image_read = _check(db, where, result.steps[-1])
-                    derived, fresh = _check_derived(
-                        db, where, result.steps[-1], analyzed
-                    )
+                    derived = _check_derived(db, where, result.steps[-1])
                 result.disagreements += problems + derived
                 result.image_reads += image_read and txn is None
-                result.fresh_reads += fresh
         result.carried = (
             db.indexes.stats()["carried_forward"]
             + db.policy_bitmaps.stats()["revalidated"]
@@ -268,7 +237,7 @@ def test_column_image_agrees_with_the_visible_rows() -> None:
     result = run_campaign(seed=2015, steps=30)
     assert not result.disagreements, "\n".join(result.disagreements)
     assert result.image_reads > 0
-    assert result.carried > 0 and result.fresh_reads > 0
+    assert result.carried > 0
 
 
 def test_a_commit_leaves_the_old_image_intact() -> None:
@@ -359,4 +328,4 @@ def test_column_image_campaign(seed: int) -> None:
     result = run_campaign(seed=seed, steps=80)
     assert not result.disagreements, "\n".join(result.disagreements)
     assert result.image_reads > 0
-    assert result.carried > 0 and result.fresh_reads > 0
+    assert result.carried > 0

@@ -1,12 +1,9 @@
-"""The secondary-index subsystem: structures, catalog and statistics.
+"""The secondary-index subsystem: structures and catalog.
 
-Covers the B+-tree and hash structures in isolation, the
+Covers the B+-tree and hash structures in isolation and the
 :class:`IndexManager` catalog lifecycle with its lazy maintenance (entries
 follow the visible rows, moving a row id whose key changed, and rebuild
-only for a shorter list or another schema), and the statistics
-collector's snapshots and cardinality estimators — including the empty /
-all-NULL / single-distinct edge cases and staleness after every DML
-write path.
+only for a shorter list or another schema).
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ from repro.engine.index import (
     BTreeIndex,
     HashIndex,
     IndexDefinition,
-    StatisticsCollector,
-    collect_table_statistics,
 )
 from repro.engine.types import BitString
 from repro.errors import CatalogError, ExecutionError
@@ -435,120 +430,3 @@ class TestEntryRevalidation:
         database.execute("alter table t drop column grp")
         assert manager.lookup_equal("i_score", 10) == [5]
         assert self._delta(manager, before) == (1, 0)
-
-
-class TestStatisticsSnapshots:
-    def test_collect_covers_count_ndv_bounds_and_histogram(self, indexed_db) -> None:
-        stats = collect_table_statistics(indexed_db.table("t"))
-        assert stats.row_count == 30
-        score = stats.column("score")
-        assert score.distinct == 30
-        assert (score.minimum, score.maximum) == (0, 58)
-        assert score.histogram
-        grp = stats.column("grp")
-        assert grp.distinct == 3
-
-    def test_unorderable_policy_column_still_gets_ndv(self, indexed_db) -> None:
-        stats = collect_table_statistics(indexed_db.table("t"))
-        policy = stats.column("policy")
-        assert policy.distinct == 2
-        assert policy.null_count == 10
-        assert policy.minimum is None
-        assert policy.histogram == ()
-
-    def test_empty_table(self) -> None:
-        database = Database()
-        database.execute("create table e (v integer)")
-        stats = collect_table_statistics(database.table("e"))
-        assert stats.row_count == 0
-        assert stats.column("v").distinct == 0
-        assert stats.column("v").histogram == ()
-        assert stats.estimate_equal("v", 1) == 0
-
-    def test_all_null_column(self) -> None:
-        database = Database()
-        database.execute("create table n (v integer)")
-        database.execute("insert into n values (null), (null), (null)")
-        stats = collect_table_statistics(database.table("n"))
-        column = stats.column("v")
-        assert column.null_count == 3
-        assert column.distinct == 0
-        assert stats.estimate_equal("v", 1) == 0
-
-    def test_single_distinct_column(self) -> None:
-        database = Database()
-        database.execute("create table s (v integer)")
-        database.execute("insert into s values (7), (7), (7), (7)")
-        stats = collect_table_statistics(database.table("s"))
-        assert stats.column("v").distinct == 1
-        assert stats.estimate_equal("v", 7) == 4
-        assert stats.estimate_equal("v", 8) == 0  # outside [min, max]
-
-
-class TestStatisticsCollector:
-    @pytest.fixture
-    def collected(self, indexed_db):
-        collector = StatisticsCollector(indexed_db)
-        collector.collect()
-        return indexed_db, collector
-
-    def test_analyze_returns_refreshed_table_count(self, indexed_db) -> None:
-        assert indexed_db.execute("analyze") == 1
-        assert indexed_db.execute("analyze t") == 1
-
-    def test_fresh_after_collect(self, collected) -> None:
-        database, collector = collected
-        table = database.table("t")
-        assert collector.fresh(table) is not None
-        assert not collector.is_stale(table)
-
-    def test_stale_after_append_rows(self, collected) -> None:
-        database, collector = collected
-        table = database.table("t")
-        table.append_rows([(200, "g0", 1, None)])
-        assert collector.is_stale(table)
-        assert collector.fresh(table) is None
-
-    def test_stale_after_extend(self, collected) -> None:
-        database, collector = collected
-        table = database.table("t")
-        table.extend([(201, "g1", 2, None), (202, "g2", 3, None)])
-        assert collector.is_stale(table)
-
-    def test_stale_after_delete(self, collected) -> None:
-        database, collector = collected
-        table = database.table("t")
-        table.delete_rows(lambda row: row[0] == 0)
-        assert collector.is_stale(table)
-
-    def test_forget_and_clear(self, collected) -> None:
-        database, collector = collected
-        collector.forget("t")
-        assert collector.get("t") is None
-        collector.collect()
-        collector.clear()
-        assert collector.get("t") is None
-
-
-class TestCardinalityEstimates:
-    @pytest.fixture
-    def stats(self, indexed_db):
-        return collect_table_statistics(indexed_db.table("t"))
-
-    def test_equality_is_uniform_over_ndv(self, stats) -> None:
-        assert stats.estimate_equal("grp", "g1") == 10
-        assert stats.estimate_equal("score", 10) == 1
-
-    def test_equality_outside_bounds_is_zero(self, stats) -> None:
-        assert stats.estimate_equal("score", 999) == 0
-
-    def test_unknown_column_estimates_to_none(self, stats) -> None:
-        assert stats.estimate_equal("nope", 1) is None
-        assert stats.estimate_range("nope", 1, 2) is None
-
-    def test_range_tracks_the_histogram(self, stats) -> None:
-        # scores are 0,2,...,58 uniform; [0, 28] covers about half the rows.
-        estimate = stats.estimate_range("score", 0, 28)
-        assert 10 <= estimate <= 20
-        assert stats.estimate_range("score", None, 999) == 30
-        assert stats.estimate_range("score", 999, None) == 0

@@ -1,15 +1,15 @@
-"""Cost-based access-path selection, guarded scans and build sides.
+"""Structural access-path selection, guarded scans and build sides.
 
 The planner-level contract of the index subsystem: which filters become
 ``IndexScan``/``IndexRangeScan`` nodes (and which must not — policy-UDF
-residuals, low selectivity), how a parameter becomes an execute-time
-probe, how composite keys are matched, how an index scan sits *under* a
-policy guard without ever disclosing a row the guard would have refused,
-which rows a guard hands its sequential scan, when statistics flip a
-hash join's build side, and what EXPLAIN shows for all of it.
+residuals), how a parameter becomes an execute-time probe, how composite
+keys are matched, how an index scan sits *under* a policy guard without
+ever disclosing a row the guard would have refused, which rows a guard
+hands its sequential scan, which input of a hash join builds on each
+execution, and what EXPLAIN shows for all of it.
 
 The reference every index path is compared against is a twin: the same
-rows, policies and statistics with every index dropped.
+rows and policies with every index dropped.
 """
 
 from __future__ import annotations
@@ -37,25 +37,20 @@ def indexed_db():
     database.execute("insert into u values (1, 100), (2, 200)")
     database.execute("create index i_b on t (b)")
     database.execute("create index i_c on t (c) using hash")
-    database.execute("analyze")
     return database
 
 
 def _drop_indexes(database):
-    """Drop every index: the same rows, policies and statistics, and no
-    access path but the scan."""
+    """Drop every index: the same rows and policies, and no access path
+    but the scan."""
     for definition in database.indexes.definitions():
         database.execute(f"drop index {definition.name}")
     return database
 
 
 def _twin(database):
-    """A copy of ``database`` (rows, statistics) with every index dropped."""
-    twin = persist.from_document(persist.to_document(database))
-    for name in twin.table_names():
-        if database.statistics.fresh(database.table(name)) is not None:
-            twin.statistics.collect(name)
-    return _drop_indexes(twin)
+    """A copy of ``database``'s rows with every index dropped."""
+    return _drop_indexes(persist.from_document(persist.to_document(database)))
 
 
 def _block(database, sql):
@@ -77,14 +72,13 @@ class TestAccessPathSelection:
         scans = _find(block, IndexScan)
         assert len(scans) == 1
         assert scans[0].index_name == "i_b"
-        assert scans[0].estimated_rows == 1
 
     def test_range_filter_becomes_an_index_range_scan(self, indexed_db) -> None:
         block = _block(indexed_db, "select a from t where b > 100 and b <= 140")
         scans = _find(block, IndexRangeScan)
         assert len(scans) == 1
-        # Each conjunct is a separate candidate; the cheaper bound wins.
-        assert scans[0].lower is not None or scans[0].upper is not None
+        # Each conjunct is a separate candidate; the earlier one wins.
+        assert (scans[0].lower, scans[0].upper) == (100, None)
 
     def test_between_carries_both_bounds(self, indexed_db) -> None:
         block = _block(indexed_db, "select a from t where b between 100 and 140")
@@ -106,12 +100,6 @@ class TestAccessPathSelection:
         assert any(
             any("b" in str(c) for c in (f.conjuncts or [])) for f in filters
         ), "index scans only narrow candidates; the filter still rechecks"
-
-    def test_low_selectivity_predicates_stay_sequential(self, indexed_db) -> None:
-        # b >= 0 matches every row: estimated fraction is far above the
-        # 0.5 threshold, so the index would only add overhead.
-        block = _block(indexed_db, "select a from t where b >= 0")
-        assert not _find(block, IndexScan)
 
     def test_policy_udf_residuals_disable_index_conversion(self, indexed_db) -> None:
         # Narrowing the rows a policy-function residual sees would change
@@ -142,19 +130,6 @@ class TestAccessPathSelection:
         with pytest.raises(ExecutionError, match="unknown index mode"):
             indexed_db.prepare("select a from t where b = 100", indexes="off")
 
-    def test_estimates_without_statistics_use_defaults(self) -> None:
-        database = Database()
-        database.execute("create table t (a integer, b integer)")
-        rows = ", ".join(f"({i}, {i})" for i in range(20))
-        database.execute(f"insert into t values {rows}")
-        database.execute("create index i_b on t (b)")
-        # No ANALYZE: the default 0.1 equality selectivity still clears
-        # the conversion threshold.
-        block = _block(database, "select a from t where b = 3")
-        scans = _find(block, IndexScan)
-        assert len(scans) == 1
-        assert scans[0].estimated_rows == 2  # 20 rows * 0.1
-
 
 def _both_modes(database, sql, twin=None):
     """The same statement prepared on ``database`` and on its twin without
@@ -170,7 +145,6 @@ class TestParameterProbes:
         on, off = _both_modes(indexed_db, "select a, c from t where b = ?")
         (scan,) = _find(on._arms()[1][0].block, IndexScan)
         assert scan.index_name == "i_b"
-        assert scan.estimated_rows == 1  # NDV alone: the value is unknown
         before = indexed_db.indexes.stats()["hits"]
         for value in (100, 0, 390, 105, -1, 100):
             assert on.execute([value]).rows == off.execute([value]).rows
@@ -223,7 +197,6 @@ class TestCompositeKeys:
         indexed_db.execute("create index i_cb on t (c, b)")
         indexed_db.execute("drop index i_b")
         indexed_db.execute("drop index i_c")
-        indexed_db.execute("analyze")
         return indexed_db
 
     def test_full_key_is_one_tuple_probe(self, composite_db) -> None:
@@ -269,7 +242,7 @@ class TestCompositeKeys:
 
     def test_more_bound_columns_beat_fewer(self, indexed_db) -> None:
         # i_b (tree) and i_c (hash) each bind one column; the composite
-        # binds both and its independent-columns estimate is the lowest.
+        # binds both.
         indexed_db.execute("create index i_cb on t (c, b)")
         block = _block(indexed_db, "select a from t where b = 100 and c = 'c2'")
         (scan,) = _find(block, IndexScan)
@@ -302,7 +275,6 @@ class TestIndexedDml:
         database.execute("insert into t values (90, null, 'c1'), (91, 100, null)")
         database.execute("create index i_b on t (b)")
         database.execute("create index i_cb on t (c, b)")
-        database.execute("analyze")
         calls = []
         database.register_function("chk", lambda value: calls.append(value) or True)
         database.policy_function = "chk"
@@ -353,7 +325,7 @@ class TestIndexedDml:
             "update t set a = 0 where b = null and chk(a)",
             # Not a top-level conjunct.
             "update t set a = 0 where b = 100 or b = 110",
-            # Nothing selective.
+            # No index on the column.
             "delete from t where a >= 0",
         ],
     )
@@ -524,44 +496,59 @@ class TestIndexScanUnderPolicyGuard:
 
 
 class TestBuildSideSelection:
+    """An INNER hash join on the full pipeline builds on whichever input
+    turns out smaller, on each execution (ties: the right input).  Output
+    follows the probe input's row order, which shows the choice."""
+
     def test_no_statistics_builds_the_smaller_side(self) -> None:
         database = Database()
         database.execute("create table t (a integer)")
         database.execute("create table u (a integer)")
-        database.execute("insert into t values (1)")
+        database.execute("insert into t values (3), (1)")
         database.execute("insert into u values (1), (2), (3)")
-        # Without ANALYZE the live row counts decide: t (1 row) builds.
-        block = _block(database, "select t.a from t join u on t.a = u.a")
-        assert [j.build_side for j in _find(block, HashJoin)] == ["left"]
-        assert "hash_join_selection: build side = left (est 1 vs 3)" in block.notes
-        swapped = _block(database, "select t.a from u join t on u.a = t.a")
-        assert [j.build_side for j in _find(swapped, HashJoin)] == ["right"]
-        # A side with no estimate (a derived table) keeps the right build.
-        derived = _block(
-            database, "select t.a from t join (select a from u) d on t.a = d.a"
-        )
-        assert [j.build_side for j in _find(derived, HashJoin)] == ["right"]
-        # Outer joins never flip.
+        sql = "select t.a from t join u on t.a = u.a"
+        block = _block(database, sql)
+        assert [j.build_side for j in _find(block, HashJoin)] == ["smaller"]
+        assert not any("build side" in note for note in block.notes)
+        assert "build" not in "\n".join(database.prepare(sql).describe())
+        # t (2 rows) builds, so u's order shows; the off pipeline builds u.
+        assert database.query(sql).rows == [(1,), (3,)]
+        assert database.query(sql, optimizer="off").rows == [(3,), (1,)]
+        swapped = "select t.a from u join t on u.a = t.a"
+        assert database.query(swapped).rows == [(1,), (3,)]
+        # A derived table is measured like any other input.
+        derived = "select t.a from t join (select a from u) d on t.a = d.a"
+        assert [j.build_side for j in _find(_block(database, derived), HashJoin)] == [
+            "smaller"
+        ]
+        assert database.query(derived).rows == [(1,), (3,)]
+        # Outer joins and the off pipeline never flip.
         outer = _block(database, "select t.a from t left join u on t.a = u.a")
         assert [j.build_side for j in _find(outer, HashJoin)] == ["right"]
+        off = database.prepare(sql, optimizer="off")
+        assert [j.build_side for j in _find(off._arms()[1][0].block, HashJoin)] == [
+            "right"
+        ]
 
     def test_smaller_left_side_becomes_the_build_side(self) -> None:
         database = Database()
         database.execute("create table small (a integer)")
         database.execute("create table big (a integer)")
-        database.execute("insert into small values (1), (2)")
-        rows = ", ".join(f"({i})" for i in range(50))
+        database.execute("insert into small values (2), (1)")
+        rows = ", ".join(f"({i})" for i in reversed(range(50)))
         database.execute(f"insert into big values {rows}")
-        database.execute("analyze")
-        block = _block(
-            database, "select small.a from small join big on small.a = big.a"
-        )
-        joins = _find(block, HashJoin)
-        assert joins and joins[0].build_side == "left"
-        flipped = _block(
-            database, "select small.a from big join small on big.a = small.a"
-        )
-        assert _find(flipped, HashJoin)[0].build_side == "right"
+        sql = "select small.a from small join big on small.a = big.a"
+        assert database.query(sql).rows == [(2,), (1,)]  # big's order
+        flipped = "select small.a from big join small on big.a = small.a"
+        assert database.query(flipped).rows == [(2,), (1,)]
+        # Equal inputs: the right one builds, the left one's order shows.
+        database.execute("create table twin (a integer)")
+        database.execute("insert into twin values (1), (2)")
+        tie = "select small.a from small join twin on small.a = twin.a"
+        assert database.query(tie).rows == [(2,), (1,)]
+        assert database.query(
+            "select twin.a from twin join small on twin.a = small.a"
+        ).rows == [(1,), (2,)]
 
     def test_flipped_join_returns_the_same_rows(self) -> None:
         database = Database()
@@ -573,17 +560,10 @@ class TestBuildSideSelection:
         rows = ", ".join(f"({i % 25}, {i * 10})" for i in range(50))
         database.execute(f"insert into big values {rows}, (null, 0)")
         sql = "select small.a, big.v from small join big on small.a = big.a"
-        reference = (
-            "select small.a, b.v from small"
-            " join (select a, v from big) b on small.a = b.a"
-        )
-        # No ANALYZE: the smaller live side builds; a derived side has no
-        # estimate, so the reference keeps the right build.
-        assert _find(_block(database, sql), HashJoin)[0].build_side == "left"
-        assert _find(_block(database, reference), HashJoin)[0].build_side == "right"
         flipped = database.query(sql).rows
-        expected = [(1, 10), (1, 260), (3, 30), (3, 280)]
-        assert sorted(flipped) == sorted(database.query(reference).rows) == expected
+        reference = database.query(sql, optimizer="off").rows
+        assert flipped == [(1, 10), (3, 30), (1, 260), (3, 280)]  # big's order
+        assert sorted(flipped) == sorted(reference)
         outer = "select small.a, big.v from small left join big on small.a = big.a"
         assert _find(_block(database, outer), HashJoin)[0].build_side == "right"
 
@@ -591,25 +571,25 @@ class TestBuildSideSelection:
         database = Database()
         database.execute("create table small (a integer)")
         database.execute("create table big (a integer)")
-        database.execute("insert into small values (1)")
+        database.execute("insert into small values (3), (1)")
         rows = ", ".join(f"({i})" for i in range(50))
         database.execute(f"insert into big values {rows}")
-        database.execute("analyze")
-        block = _block(
-            database,
-            "select small.a from small left join big on small.a = big.a",
-        )
-        joins = _find(block, HashJoin)
+        sql = "select small.a from small left join big on small.a = big.a"
+        joins = _find(_block(database, sql), HashJoin)
         assert joins and joins[0].build_side == "right"
+        assert database.query(sql).rows == [(3,), (1,)]  # small probes
+        right = "select big.a from big right join small on big.a = small.a"
+        assert _find(_block(database, right), HashJoin)[0].build_side == "right"
+        assert database.query(right).rows == [(1,), (3,)]  # big probes
 
 
 class TestExplainSurface:
-    def test_explain_shows_the_access_path_and_estimate(self, indexed_db) -> None:
+    def test_explain_shows_the_access_path(self, indexed_db) -> None:
         prepared = indexed_db.prepare("select a from t where b = 100")
         text = "\n".join(prepared.describe())
         assert "IndexScan" in text
         assert "using i_b" in text
-        assert "est=" in text
+        assert "est=" not in text
 
     def test_explain_analyze_reports_index_counters(self) -> None:
         from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario

@@ -2,8 +2,7 @@
 
 The visibility matrix, write-write conflict detection, staged state that
 never outlives its transaction in a cache derived from the rows
-(statistics, the policy posting index; index entries in
-``test_index.py``), snapshot-scoped enforcement, and version-chain
+(the policy posting index; index entries in ``test_index.py``), snapshot-scoped enforcement, and version-chain
 pruning.  The WAL/crash half lives in
 ``test_wal_recovery.py``; the differential schedules in
 ``tests/fuzz/test_snapshot_enforcement.py``.
@@ -221,50 +220,6 @@ def test_staged_rows_never_leak_into_the_posting_index(db) -> None:
     assert passing() == [0]
     db.execute("insert into t values (4, 'd', 'no')")
     assert passing() == [0]
-
-
-def test_analyze_inside_txn_is_invalidated_by_rollback(db) -> None:
-    """The PR 7 statistics fix: stats built from staged state die with it.
-
-    ANALYZE remembers the row list it read; under staging that is the
-    transaction's overlay, a list no committed state ever is — so once
-    the transaction rolls back (or commits, which replaces or extends the
-    committed list) the snapshot reads as stale and the optimizer falls
-    back to heuristics instead of trusting numbers describing rows that
-    never existed.
-    """
-    table = db.table("t")
-    txn = db.transactions.begin()
-    with txn_scope(txn):
-        db.execute("insert into t values (3, 'c')")
-        db.execute("analyze t")
-        staged_stats = db.statistics.get("t")
-        assert staged_stats.row_count == 3
-        assert db.statistics.fresh(table) is staged_stats  # fresh while staged
-    db.transactions.rollback(txn)
-    assert db.statistics.fresh(table) is None, (
-        "statistics collected from rolled-back staged rows survived the "
-        "rollback"
-    )
-    assert db.statistics.is_stale(table)
-    # Re-ANALYZE against committed state makes them fresh again.
-    db.execute("analyze t")
-    fresh = db.statistics.fresh(table)
-    assert fresh is not None and fresh.row_count == 2
-
-
-def test_pre_txn_statistics_stay_fresh_across_rollback(db) -> None:
-    table = db.table("t")
-    db.execute("analyze t")
-    before = db.statistics.fresh(table)
-    assert before is not None
-    txn = db.transactions.begin()
-    with txn_scope(txn):
-        db.execute("insert into t values (3, 'c')")
-        # Under staging the committed snapshot must NOT look fresh.
-        assert db.statistics.fresh(table) is None
-    db.transactions.rollback(txn)
-    assert db.statistics.fresh(table) is before
 
 
 # -- snapshot identity & enforcement scoping ----------------------------------

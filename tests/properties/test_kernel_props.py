@@ -7,13 +7,15 @@ take the per-row path.  Each property feeds pages that go both ways and
 compares against a per-row reference at page sizes 1, 7 and 1 024: the
 selection kernel, literal comparisons and LIKE (results and the exact
 ``TypeMismatchError`` text), the result tail (DISTINCT and ORDER BY) and the
-hash join (INNER, LEFT and RIGHT, building on either side, with and without
-a residual, NULL and composite keys) against a nested loop.
+hash join (INNER, LEFT and RIGHT, with and without a residual, NULL and
+composite keys) against a nested loop.  An INNER join builds on whichever
+input turns out smaller on each execution (ties: the right one); the
+reference orders its output the same way, so a build side picked by the
+wrong rule — or an outer join that flips at all — shows as a different
+row order.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,20 +194,32 @@ def join_world(left: list, right: list) -> Database:
     return database
 
 
-def run_join(database: Database, sql: str, build_side: str, size: int) -> list:
-    """``sql``'s rows with its one hash join building on ``build_side``."""
+def run_join(database: Database, sql: str, size: int) -> list:
+    """``sql``'s rows, every hash join free to build on the smaller input
+    (which the executor allows INNER joins only)."""
     executor = SelectExecutor(database, batch_size=size)
     block = Planner(executor).plan_block(parse_select(sql))
     executor.optimizer.optimize(block)
-    (join,) = [n for n in walk(block.source_root) if isinstance(n, HashJoin)]
-    join.build_side = build_side
+    joins = [n for n in walk(block.source_root) if isinstance(n, HashJoin)]
+    assert joins
+    for join in joins:
+        join.build_side = "smaller"
     return list(executor.compile_plan(block.source_root, None).rows(Env(subq={})))
 
 
-def nested_loop(left, right, kind, composite, residual, build_left) -> list:
+def inner_loop(left, right, matches) -> list:
+    """An INNER hash join's output order: probe order, all matches of one
+    probe row in build order; the left input builds exactly when it is
+    smaller than the right one."""
+    if len(left) < len(right):
+        return [l + r for r in right for l in left if matches(l, r)]
+    return [l + r for l in left for r in right if matches(l, r)]
+
+
+def nested_loop(left, right, kind, composite, residual) -> list:
     """The reference: every pair tested row by row, in the hash join's
-    output order (probe order, then build order; a RIGHT join's unmatched
-    build rows last)."""
+    output order (an outer join always probes with its left input; a RIGHT
+    join's unmatched build rows last)."""
 
     def matches(l, r) -> bool:
         width = 2 if composite else 1
@@ -213,8 +227,8 @@ def nested_loop(left, right, kind, composite, residual, build_left) -> list:
             return False
         return not residual or (l[2] is not None and r[2] is not None and l[2] <= r[2])
 
-    if build_left and kind == "INNER":
-        return [l + r for r in right for l in left if matches(l, r)]
+    if kind == "INNER":
+        return inner_loop(left, right, matches)
     out, matched = [], set()
     for l in left:
         hits = [j for j, r in enumerate(right) if matches(l, r)]
@@ -247,26 +261,24 @@ def join_sql(kind: str, composite: bool, residual: bool) -> str:
 def test_hash_join_matches_a_nested_loop(left, right, kind, composite, residual):
     database = join_world(left, right)
     sql = join_sql(kind, composite, residual)
-    for build_side in ("left", "right"):
-        expected = nested_loop(
-            left, right, kind, composite, residual, build_side == "left"
-        )
-        for size in PAGE_SIZES:
-            got = run_join(database, sql, build_side, size)
-            assert got == expected, (build_side, size)
-    assert Counter(database.query(sql).rows) == Counter(expected)
+    expected = nested_loop(left, right, kind, composite, residual)
+    for size in PAGE_SIZES:
+        assert run_join(database, sql, size) == expected, size
+    assert database.query(sql).rows == expected
 
 
 def test_a_duplicate_key_first_seen_in_a_later_page():
     # Build keys 0..6 fill the first 7-row page uniquely; the second page
     # repeats key 0 and adds a NULL: the build converts to buckets there.
+    # The left input is the larger one, so the INNER join builds right too.
     right = [(k, 0, k) for k in range(7)] + [(0, 0, 9), (None, 0, 1)]
     left = [(0, 0, 0), (6, 0, 0), (None, 0, 0), (5, 0, 0)]
+    left += [(3, 0, v) for v in range(6)]
     database = join_world(left, right)
     for kind in ("INNER", "LEFT", "RIGHT"):
         sql = join_sql(kind, False, False)
-        expected = nested_loop(left, right, kind, False, False, False)
-        assert run_join(database, sql, "right", 7) == expected, kind
+        expected = nested_loop(left, right, kind, False, False)
+        assert run_join(database, sql, 7) == expected, kind
 
 
 def test_a_full_length_take_list_that_is_not_the_identity():
@@ -278,5 +290,98 @@ def test_a_full_length_take_list_that_is_not_the_identity():
     for kind in ("INNER", "LEFT", "RIGHT"):
         for residual in (False, True):
             sql = join_sql(kind, False, residual)
-            expected = nested_loop(left, right, kind, False, residual, False)
-            assert run_join(database, sql, "right", 7) == expected, (kind, residual)
+            expected = nested_loop(left, right, kind, False, residual)
+            assert run_join(database, sql, 7) == expected, (kind, residual)
+
+
+# -- the run-time build side ---------------------------------------------------------
+
+
+def _key(l, r) -> bool:
+    return l[0] is not None and l[0] == r[0]
+
+
+@pytest.mark.parametrize(
+    "left_size, right_size",
+    [(3, 3), (7, 7), (8, 8), (0, 4), (4, 0), (0, 0), (6, 8), (8, 6), (7, 8)],
+)
+def test_build_side_edges(left_size, right_size):
+    # Every row matches every row of the other side, so the output order
+    # says which input built: ties and empty inputs build right.
+    left = [(1, 0, v) for v in range(left_size)]
+    right = [(1, 0, 10 + v) for v in range(right_size)]
+    database = join_world(left, right)
+    sql = join_sql("INNER", False, False)
+    expected = inner_loop(left, right, _key)
+    for size in PAGE_SIZES:
+        assert run_join(database, sql, size) == expected, size
+    for kind in ("LEFT", "RIGHT"):  # never flip, whichever side is smaller
+        sql = join_sql(kind, False, False)
+        expected = nested_loop(left, right, kind, False, False)
+        for size in PAGE_SIZES:
+            assert run_join(database, sql, size) == expected, (kind, size)
+
+
+def test_a_derived_input_is_measured_by_its_output():
+    # l holds more rows than r, but the derived table keeps fewer: it builds.
+    left = [(k % 3, 0, k) for k in range(12)]
+    right = [(k % 3, 0, 20 + k) for k in range(5)]
+    database = join_world(left, right)
+    sql = (
+        "select * from (select * from l where v < 4) d"
+        " join r on d.k1 = r.k1"
+    )
+    kept = [row for row in left if row[2] < 4]
+    expected = inner_loop(kept, right, _key)
+    assert expected != [l + r for l in kept for r in right if _key(l, r)]
+    for size in PAGE_SIZES:
+        assert run_join(database, sql, size) == expected, size
+
+
+def test_a_nested_join_input_is_measured_by_its_output():
+    # (l ⋈ r) yields fewer rows than m, so the outer join builds on it.
+    left = [(k, 0, k) for k in range(4)]
+    right = [(k, 0, 10 + k) for k in range(2, 9)]
+    middle = [(k % 4, 0, 30 + k) for k in range(9)]
+    database = join_world(left, right)
+    database.execute("create table m (k1 integer, k2 integer, v integer)")
+    for row in middle:
+        database.table("m").insert_row(row)
+    sql = "select * from l join r on l.k1 = r.k1 join m on r.k1 = m.k1"
+    inner = inner_loop(left, right, _key)
+    expected = inner_loop(inner, middle, lambda lr, m: lr[3] == m[0])
+    assert len(inner) < len(middle)
+    assert expected != [lr + m for lr in inner for m in middle if lr[3] == m[0]]
+    for size in PAGE_SIZES:
+        assert run_join(database, sql, size) == expected, size
+    assert database.query(sql).rows == expected
+
+
+def test_a_prepared_join_flips_its_build_side_as_the_rows_change():
+    left = [(k % 3, 0, k) for k in range(3)]
+    right = [(k % 3, 0, 10 + k) for k in range(6)]
+    database = join_world(left, right)
+    sql = join_sql("INNER", False, False)
+    prepared = database.prepare(sql, batch_size=7)
+
+    def joins() -> list:
+        block = prepared._arms()[1][0].block
+        return [n for n in walk(block.source_root) if isinstance(n, HashJoin)]
+
+    def built_left() -> list:  # r probes: its order
+        return [l + r for r in right for l in left if _key(l, r)]
+
+    def built_right() -> list:  # l probes: its order
+        return [l + r for l in left for r in right if _key(l, r)]
+
+    (join,) = joins()
+    assert join.build_side == "smaller"
+    first = prepared.execute().rows
+    assert first == built_left() != built_right()
+    for v in range(3, 12):
+        database.table("l").insert_row((v % 3, 0, v))
+        left.append((v % 3, 0, v))
+    assert joins() == [join]  # one plan, and the rows decide again
+    second = prepared.execute().rows
+    assert second == built_right() != built_left()
+    assert second == database.prepare(sql, batch_size=7).execute().rows

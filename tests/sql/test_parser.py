@@ -327,14 +327,11 @@ class TestIndexStatements:
         assert isinstance(statement, ast.DropIndex)
         assert statement.name == "i"
 
-    def test_analyze_all_tables(self):
-        statement = parse_statement("analyze")
-        assert isinstance(statement, ast.Analyze)
-        assert statement.table is None
-
-    def test_analyze_one_table(self):
-        statement = parse_statement("analyze t")
-        assert statement.table == "t"
+    def test_bare_analyze_is_not_a_statement(self):
+        # Only EXPLAIN ANALYZE reads the word; there are no statistics.
+        for sql in ("analyze", "analyze t"):
+            with pytest.raises(ParseError):
+                parse_statement(sql)
 
     def test_index_stays_a_soft_keyword(self):
         # ``index`` and ``analyze`` must remain usable as identifiers.

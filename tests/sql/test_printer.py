@@ -48,8 +48,6 @@ def test_select_roundtrip_is_fixpoint(sql):
         "create index i on t (a)",
         "create index i on t (a, b) using hash",
         "drop index i",
-        "analyze",
-        "analyze t",
     ],
 )
 def test_statement_roundtrip_is_fixpoint(sql):
