@@ -4,9 +4,11 @@ The engine's concurrency model — *policy writes never stall readers* —
 and its one write path (DESIGN.md §15):
 
 * A :class:`Snapshot` is the pair ``(commit ts, catalog version)``: which
-  row versions are visible (``xmin <= ts < xmax``, :class:`TupleVersion`
-  in :mod:`repro.engine.table`) *and* which schemas, index definitions and
-  purpose taxonomy the query is planned and enforced under.
+  row list each table shows it (the one the latest commit at or before
+  ts left, :meth:`~repro.engine.table.Table.rows_as_of`) *and* which
+  schemas, index definitions and purpose taxonomy the query is planned
+  and enforced under.  Every commit prunes the history of the tables it
+  wrote to the lists the active snapshots pin.
 * **Stage.**  A :class:`Transaction` writes per-table overlays and stages
   DDL as :class:`~repro.engine.catalog.CatalogOp` entries.  Outside
   ``BEGIN`` a DDL statement is its own transaction
@@ -449,7 +451,7 @@ class TransactionManager:
         """A registered read-only snapshot for the extent of a statement.
 
         This is the server's *snapshot handoff*: the worker holds the
-        fence only while it pins a snapshot (protecting its versions from
+        fence only while it pins a snapshot (protecting its row lists from
         pruning), then reads lock-free.  Exiting the scope unregisters
         without commit validation — a read-only transaction has nothing to
         validate.
@@ -571,9 +573,9 @@ class TransactionManager:
         if txn is not None:
             self._end_locked(txn, "committed")
         else:
-            horizon = self._oldest_locked()
+            pinned_ts = self._pinned_locked()
             for plan in plans:
-                plan.table.prune_versions(horizon)
+                plan.table.prune_history(pinned_ts)
         if lsn is not None:
             self.wal.sync(lsn)
         return ts
@@ -670,14 +672,11 @@ class TransactionManager:
         self.stats.conflicts += 1
         return WriteConflictError(table.name, txn.snapshot.ts, table.last_commit_ts)
 
-    # -- snapshot horizon / version pruning --------------------------------
+    # -- snapshot horizon / history pruning --------------------------------
 
-    def _oldest_locked(self) -> int:
-        if not self._active:
-            return self._clock
-        return min(
-            (t.snapshot.ts for t in self._active.values()), default=self._clock
-        )
+    def _pinned_locked(self) -> set[int]:
+        """The snapshot timestamps active transactions pin."""
+        return {t.snapshot.ts for t in self._active.values()}
 
     def pinned_catalog_versions(self) -> set[int]:
         """Catalog versions still pinned by an active snapshot.
@@ -690,9 +689,9 @@ class TransactionManager:
             return {t.snapshot.catalog_version for t in self._active.values()}
 
     def _prune_tables_locked(self, txn: Transaction) -> None:
-        horizon = self._oldest_locked()
+        pinned_ts = self._pinned_locked()
         for table in txn._tables.values():
-            table.prune_versions(horizon)
+            table.prune_history(pinned_ts)
         if self.catalog is not None:
             if self._active:
                 pinned = min(

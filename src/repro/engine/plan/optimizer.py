@@ -527,12 +527,17 @@ def _access_paths(definitions, conjuncts: list, scan: Scan):
     An equality path binds the longest leading run of an index's key
     columns that equality conjuncts cover: the whole key on either
     structure, a proper prefix on a B-tree only.  A range path needs a
-    single-column B-tree.  Yields ``(path, tree)``; ``tree`` is false for
-    a hash index, which beats a tree for the same equality (an O(1) probe
-    against a descent).
+    single-column B-tree; it takes its lower bound from the column's first
+    lower-bounded conjunct and its upper bound from the first
+    upper-bounded one, so ``b > 1 and b <= 4`` walks one key interval as
+    ``b between 1 and 4`` does.  Yields ``(path, tree)``; ``tree`` is
+    false for a hash index, which beats a tree for the same equality (an
+    O(1) probe against a descent).
     """
     equalities: dict[str, tuple[object, ast.Expression]] = {}
-    ranges: list[tuple[str, tuple, ast.Expression]] = []
+    #: column → (bound, inclusive, conjunct) of its first lower/upper bound.
+    lowers: dict[str, tuple[object, bool, ast.Expression]] = {}
+    uppers: dict[str, tuple[object, bool, ast.Expression]] = {}
     for conjunct in conjuncts:
         candidate = _index_candidate(conjunct, scan.binding)
         if candidate is None:
@@ -540,8 +545,12 @@ def _access_paths(definitions, conjuncts: list, scan: Scan):
         column, spec = candidate
         if spec[0] == "eq":
             equalities.setdefault(column, (spec[1], conjunct))
-        else:
-            ranges.append((column, spec, conjunct))
+            continue
+        _range, lower, upper, lower_inclusive, upper_inclusive = spec
+        if lower is not None:
+            lowers.setdefault(column, (lower, lower_inclusive, conjunct))
+        if upper is not None:
+            uppers.setdefault(column, (upper, upper_inclusive, conjunct))
     for defn in definitions:
         bound = 0
         while bound < len(defn.columns) and defn.columns[bound] in equalities:
@@ -554,11 +563,17 @@ def _access_paths(definitions, conjuncts: list, scan: Scan):
                 matched=tuple(equalities[c][1] for c in columns),
             ), defn.kind == "btree"
         if defn.kind == "btree" and len(defn.columns) == 1:
-            for column, spec, conjunct in ranges:
-                if column == defn.columns[0]:
-                    yield IndexRangeScan(
-                        scan, defn.name, column, *spec[1:], matched=(conjunct,)
-                    ), True
+            column = defn.columns[0]
+            lower, lower_inclusive, low = lowers.get(column, (None, True, None))
+            upper, upper_inclusive, high = uppers.get(column, (None, True, None))
+            if low is not None or high is not None:
+                matched = (low,) if low is high else tuple(
+                    c for c in (low, high) if c is not None
+                )
+                yield IndexRangeScan(
+                    scan, defn.name, column, lower, upper,
+                    lower_inclusive, upper_inclusive, matched=matched,
+                ), True
 
 
 def best_index_path(definitions, conjuncts: list, scan: Scan) -> IndexScan | None:

@@ -1,28 +1,28 @@
-"""Row storage with per-tuple version chains (MVCC).
+"""Row storage with a short history of committed row lists (MVCC).
 
 A :class:`Table` stores rows as Python tuples in insertion order.  Schema
 evolution (ALTER TABLE) rewrites stored rows, which is what the paper's
 framework-configuration step does when it appends the ``policy`` column to
 every target-DB table (Section 5.1).
 
-A table keeps two representations (DESIGN.md §15):
+A committed row list is only ever mutated by appending — an update, a
+delete, a replacement and every staged rewrite build a new list — so the
+pair (row list object, length) names exactly one committed or staged
+state.  A table keeps (DESIGN.md §15):
 
-* ``_rows`` — the materialized latest-committed row list.  Readers outside
-  any transaction hit it directly.
-* ``_versions`` — the chain of :class:`TupleVersion` entries stamped
-  with ``xmin``/``xmax`` commit timestamps.  A snapshot at ts sees
-  exactly the versions with ``xmin <= ts`` and ``xmax`` unset or
-  ``> ts``, reconstructed (and cached) on demand.  The live versions sit
-  in row order — a version replacing a row takes the place right after
-  it — so every snapshot reads its rows in their order; ``_dead``
-  remembers where the closed ones are, which keeps applying a row delta
-  and pruning proportional to what changed.
+* ``_rows`` — the latest committed row list.  Readers outside any
+  transaction, and snapshots no later than its commit, hit it directly.
+* ``_history`` — ``[commit ts, row list, length]`` entries, ascending: the
+  pair each commit left.  A pinned snapshot at ts reads the newest entry
+  no later than ts, cut to its length once if later appends extended the
+  list in place.  Pruning keeps the last entry and any entry a pinned
+  snapshot still reads, so the history is one entry when nothing is
+  pinned and one per pinned timestamp under pins.
 
 A committed write arrives as one of three effects (:meth:`Table
 .apply_committed`): an append, a row delta (updated and deleted
-positions plus inserted rows) or a whole-list replacement.  Row lists are
-replaced, never mutated, by a delta, and untouched tuples stay the same
-objects.
+positions plus inserted rows) or a whole-list replacement.  Untouched
+tuples stay the same objects.
 
 The *schema* is versioned the same way (DESIGN.md §15): ALTER TABLE
 commits the rewritten rows and the new schema at one commit timestamp,
@@ -35,12 +35,9 @@ transaction manager can validate first-committer-wins at row granularity
 
 The :attr:`rows` and :attr:`schema` properties consult the context's
 active transaction (:mod:`repro.engine.mvcc`): inside a transaction they
-serve the staged overlay/schema or the snapshot reconstruction.  A
-visible row list is only ever mutated by appending — an update, a delete,
-a replacement and every staged rewrite build a new list — so the pair
-(row list object, length) names exactly one committed or staged state.
-Everything derived from the rows (the column image, index entries and
-the policy posting index) is valid for exactly the pair it was built
+serve the staged overlay/schema or the snapshot's row list.  Everything
+derived from the rows (the column image, index entries and the policy
+posting index) is valid for exactly the (list, length) pair it was built
 from, so no staged or future state can leak into another snapshot's
 reads; each is carried to another list by :func:`replaced_positions`.
 
@@ -53,16 +50,13 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import is_not
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError
 from .catalog import CatalogOp
 from .mvcc import _ACTIVE, Transaction, TransactionManager
 from .schema import Column, TableSchema
 from .types import coerce_value
-
-#: Bound on the per-table snapshot-reconstruction cache.
-_ASOF_CACHE_LIMIT = 8
 
 
 def _without(items: list, positions) -> list:
@@ -90,25 +84,8 @@ def replaced_positions(old: list, length: int, rows: list):
     return compress(range(length), map(is_not, old, rows))
 
 
-class TupleVersion:
-    """One version of one row: visible to snapshots in ``[xmin, xmax)``."""
-
-    __slots__ = ("row", "xmin", "xmax")
-
-    def __init__(self, row: tuple, xmin: int, xmax: "int | None" = None):
-        self.row = row
-        self.xmin = xmin
-        self.xmax = xmax
-
-    def visible_at(self, ts: int) -> bool:
-        return self.xmin <= ts and (self.xmax is None or self.xmax > ts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TupleVersion(xmin={self.xmin}, xmax={self.xmax}, row={self.row!r})"
-
-
 class Table:
-    """A heap table: a schema, a row list and an MVCC version chain."""
+    """A heap table: a schema, a row list and the row lists snapshots pin."""
 
     def __init__(self, schema: TableSchema):
         self._schema = schema
@@ -117,18 +94,15 @@ class Table:
         self._schema_log: list[tuple[int, TableSchema]] = [(0, schema)]
         self._last_schema_ts: int = 0
         self._rows: list[tuple] = []
-        self._versions: list[TupleVersion] = []
-        #: Ascending chain positions of the closed versions (``xmax`` set)
-        #: still in ``_versions``; empty whenever no snapshot pins history.
-        #: A whole-list replacement leaves a ``range`` here.
-        self._dead: "list[int] | range" = []
+        #: ``[commit ts, row list, length]`` entries, ascending — the row
+        #: history a pinned snapshot resolves :attr:`rows` against.
+        self._history: list[list] = [[0, self._rows, 0]]
         #: ``(commit ts, write set)`` pairs, ascending.  The write set is a
         #: frozenset of primary-key tuples, or ``None`` for "all rows"
         #: (no primary key, schema change).
         self._write_log: list[tuple[int, "frozenset | None"]] = []
         self._last_commit_ts: int = 0
         self._manager: TransactionManager | None = None
-        self._asof_cache: dict[int, list[tuple]] = {}
         self._pk_cache: "tuple[TableSchema, tuple[int, ...]] | None" = None
         #: The latest committed rows' ``(rows, length, columns)``, or None.
         self._image: "tuple[list, int, list[Sequence]] | None" = None
@@ -234,15 +208,14 @@ class Table:
 
         Outside a transaction: the latest committed rows.  Inside one: the
         transaction's staged overlay if it wrote this table, otherwise the
-        reconstruction as of the transaction's snapshot timestamp.
+        row list as of the transaction's snapshot timestamp.
         """
         txn = self._active_txn()
         if txn is not None:
             overlay = txn.staged(self)
             if overlay is not None:
                 return overlay.rows
-            if txn.snapshot.ts < self._last_commit_ts:
-                return self.rows_as_of(txn.snapshot.ts)
+            return self.rows_as_of(txn.snapshot.ts)
         return self._rows
 
     @rows.setter
@@ -307,24 +280,28 @@ class Table:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
-    # -- snapshot reconstruction ----------------------------------------------
+    # -- snapshot history -----------------------------------------------------
 
     def rows_as_of(self, ts: int) -> list[tuple]:
-        """The committed rows visible to a snapshot at ``ts``.
+        """The committed rows a snapshot pinned at ``ts`` reads: the list
+        the latest commit at or before ``ts`` left.
 
-        Reconstructed from the version chain and cached per timestamp; the
-        reconstruction is safe against concurrent committed appends (their
-        versions carry a later ``xmin`` and are filtered out).
+        Defined for pinned timestamps, whose entries pruning keeps.  A list
+        later appends extended in place is cut to its entry's length once,
+        so every snapshot between two commits reads one list object.  The
+        latest list is read before the timestamp: a commit publishes its
+        history entry and timestamp before its list.
         """
+        rows = self._rows
         if ts >= self._last_commit_ts:
-            return self._rows
-        cached = self._asof_cache.get(ts)
-        if cached is None:
-            cached = [v.row for v in self._versions if v.visible_at(ts)]
-            if len(self._asof_cache) >= _ASOF_CACHE_LIMIT:
-                self._asof_cache.clear()
-            self._asof_cache[ts] = cached
-        return cached
+            return rows
+        for entry in reversed(self._history):
+            if entry[0] <= ts:
+                break
+        rows, length = entry[1], entry[2]
+        if len(rows) > length:
+            entry[1] = rows = rows[:length]
+        return rows
 
     def written_since(self, ts: int) -> "frozenset | None":
         """Union of the write sets of commits after ``ts``.
@@ -343,12 +320,17 @@ class Table:
             written |= keys
         return frozenset(written)
 
-    def prune_versions(self, horizon: int) -> None:
-        """Drop versions invisible to every snapshot at or after ``horizon``.
+    def prune_history(self, pinned: "Collection[int]") -> None:
+        """Drop what no snapshot pinned at a timestamp in ``pinned`` reads.
 
-        Returns at once when no version is dead: an append-only table (the
-        audit trail) never walks or reallocates its chain.
+        Of the row history the last entry stays, and any other only if a
+        pinned timestamp falls in ``[its ts, the next entry's ts)``; write
+        sets and schemas at or before the oldest pin go.  One entry per
+        pinned timestamp, not every entry since the oldest pin: a delta
+        commit copies the row list, so a long pin would otherwise hold a
+        full list per commit.
         """
+        horizon = min(pinned, default=float("inf"))
         if self._write_log and self._write_log[0][0] <= horizon:
             self._write_log = [
                 entry for entry in self._write_log if entry[0] > horizon
@@ -360,20 +342,13 @@ class Table:
                     keep = index
             if keep > 0:
                 self._schema_log = self._schema_log[keep:]
-        if not self._dead:
-            return
-        versions = self._versions
-        dropped: list[int] = []
-        held: list[int] = []
-        for position in self._dead:
-            if versions[position].xmax <= horizon:
-                dropped.append(position)
-            else:
-                held.append(position - len(dropped))
-        if dropped:
-            self._versions = _without(versions, dropped)
-            self._dead = held
-            self._asof_cache.clear()
+        history = self._history
+        if len(history) > 1:
+            self._history = [
+                entry
+                for entry, later in zip(history, history[1:])
+                if any(entry[0] <= ts < later[0] for ts in pinned)
+            ] + [history[-1]]
 
     # -- commit application (called by the transaction manager) ---------------
 
@@ -393,10 +368,11 @@ class Table:
     def apply_committed_append(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None
     ) -> None:
-        """Apply an append-only commit at timestamp ``ts``."""
+        """Apply an append-only commit at timestamp ``ts``: the latest list
+        grows in place."""
+        self._last_commit_ts = ts  # before the list grows, as in _committed
         self._rows.extend(rows)
-        self._versions.extend(TupleVersion(row, ts) for row in rows)
-        self._committed(ts, written)
+        self._committed(self._rows, ts, written)
 
     def apply_committed_delta(
         self,
@@ -406,71 +382,36 @@ class Table:
         ts: int,
         written: "frozenset | None" = None,
     ) -> None:
-        """Apply a row delta at timestamp ``ts`` in time proportional to it.
+        """Apply a row delta at timestamp ``ts``.
 
         ``updates`` pairs a position in the latest committed rows with the
         row replacing it, ``deletes`` lists positions, ``inserts`` are
-        appended.  Only the touched rows' versions are closed, and a
-        replacing version takes the place right after its predecessor, so
-        the live versions stay in row order and a pinned snapshot keeps
-        reading its rows in their order.  Both lists are replaced, never
-        mutated (a reader may hold either), and untouched tuples stay the
-        same objects — a structure following the rows tells a written row
-        by identity.
+        appended.  The rows go into a new list (a reader may hold the old
+        one), and untouched tuples stay the same objects — a structure
+        following the rows tells a written row by identity.
         """
-        versions, dead = self._versions, self._dead
-        successors = dict(updates)
-        chain: list[TupleVersion] = []
-        closed: list[int] = []  # the new chain's dead positions
-        copied = skipped = grown = 0
-        for position in sorted([*successors, *deletes]):
-            # The row's chain slot: its position, past the dead versions.
-            slot = position + skipped
-            while skipped < len(dead) and dead[skipped] <= slot:
-                closed.append(dead[skipped] + grown)
-                skipped += 1
-                slot += 1
-            versions[slot].xmax = ts
-            closed.append(slot + grown)
-            if position in successors:
-                chain += versions[copied : slot + 1]
-                chain.append(TupleVersion(successors[position], ts))
-                copied = slot + 1
-                grown += 1
-        closed.extend(position + grown for position in dead[skipped:])
-        chain += versions[copied:]
-        chain.extend(TupleVersion(row, ts) for row in inserts)
-
         rows = list(self._rows)
         for position, row in updates:
             rows[position] = row
         if deletes:
             rows = _without(rows, deletes)
         rows.extend(inserts)
-
-        self._versions, self._dead = chain, closed
-        # Before the rows: a snapshot older than ``ts`` must already take
-        # the reconstruction path when the new list appears.
-        self._last_commit_ts = ts
-        self._rows = rows
-        self._committed(ts, written)
+        self._committed(rows, ts, written)
 
     def apply_committed_replace(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None
     ) -> None:
         """Apply a whole-list replacement commit at timestamp ``ts``."""
-        for version in self._versions:
-            if version.xmax is None:
-                version.xmax = ts
-        self._dead = range(len(self._versions))
-        self._versions.extend(TupleVersion(row, ts) for row in rows)
-        self._last_commit_ts = ts  # before the rows, as in a delta
-        self._rows = list(rows)
-        self._committed(ts, written)
+        self._committed(list(rows), ts, written)
 
-    def _committed(self, ts: int, written: "frozenset | None") -> None:
+    def _committed(self, rows: list, ts: int, written: "frozenset | None") -> None:
+        """Record ``rows`` as the list the commit at ``ts`` left and make it
+        the latest.  History and timestamp come before the list: a snapshot
+        older than ``ts`` must already read its own entry when it appears."""
+        self._history.append([ts, rows, len(rows)])
         self._write_log.append((ts, written))
         self._last_commit_ts = ts
+        self._rows = rows
 
     # -- DML -----------------------------------------------------------------
 

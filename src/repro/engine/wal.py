@@ -464,14 +464,17 @@ def open_database(
             continue
         # The tables a record's row effects name exist before its catalog
         # ops run: a CREATE TABLE commits no rows.
+        plans = [
+            WritePlan(database.table(name), *_decode_effect(effect), None)
+            for name, effect in record.get("tables", {}).items()
+        ]
         database.apply_commit(
-            ts,
-            [decode_ddl_op(op) for op in record.get("ops", ())],
-            [
-                WritePlan(database.table(name), *_decode_effect(effect), None)
-                for name, effect in record.get("tables", {}).items()
-            ],
+            ts, [decode_ddl_op(op) for op in record.get("ops", ())], plans
         )
+        # Nothing pins a snapshot during recovery: each table keeps only
+        # the list its last commit left.
+        for plan in plans:
+            plan.table.prune_history(())
         manager.advance_clock_to(ts)
         recovered += 1
     wal.close()

@@ -139,10 +139,6 @@ class Trace:
         """Rows recorded for a plan node, or ``None`` if it never ran."""
         return self.node_rows.get(id(node))
 
-    def batches_for(self, node: object) -> int | None:
-        """Batches recorded for a plan node (``None``: pulled as rows)."""
-        return self.node_batches.get(id(node))
-
     def annotation(self, node: object) -> str:
         """The ``describe()`` suffix: ``" (rows=N[, batches=M])"`` or ``""``."""
         rows = self.node_rows.get(id(node))
@@ -214,24 +210,6 @@ class NullTrace:
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[_NullSpan]:
         yield _NULL_SPAN
-
-    def count_rows(self, node: object, rows: Iterable[tuple]) -> Iterable[tuple]:
-        return rows
-
-    def count_batches(self, node: object, batches: Iterable) -> Iterable:
-        return batches
-
-    def add_rows(self, node: object, count: int) -> None:
-        pass
-
-    def rows_for(self, node: object) -> None:
-        return None
-
-    def batches_for(self, node: object) -> None:
-        return None
-
-    def annotation(self, node: object) -> str:
-        return ""
 
     def find(self, name: str) -> None:
         return None

@@ -223,7 +223,7 @@ class AsyncQueryServer(Transport):
             return self.core.complete(job, commit_ts)
         if session.txn is not None:
             # Snapshot reads cannot scatter — the shard replicas do not
-            # share the coordinator's version chains — so an open
+            # keep the coordinator's row history — so an open
             # transaction works on the local replica under its snapshot,
             # fence-free (that is the point of MVCC); DML stages privately
             # and the shards see the rows at COMMIT's resync.

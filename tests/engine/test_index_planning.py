@@ -74,11 +74,23 @@ class TestAccessPathSelection:
         assert scans[0].index_name == "i_b"
 
     def test_range_filter_becomes_an_index_range_scan(self, indexed_db) -> None:
-        block = _block(indexed_db, "select a from t where b > 100 and b <= 140")
+        sql = "select a from t where b > 100 and b <= 140"
+        block = _block(indexed_db, sql)
         scans = _find(block, IndexRangeScan)
         assert len(scans) == 1
-        # Each conjunct is a separate candidate; the earlier one wins.
-        assert (scans[0].lower, scans[0].upper) == (100, None)
+        # The two bound conjuncts become one interval, and both stay
+        # matched (the recheck filter keeps each).
+        scan = scans[0]
+        assert (scan.lower, scan.upper) == (100, 140)
+        assert (scan.lower_inclusive, scan.upper_inclusive) == (False, True)
+        assert len(scan.matched) == 2
+        assert indexed_db.execute(sql).rows == [(11,), (12,), (13,), (14,)]
+        # An empty interval probes nothing, and agrees with the twin.
+        empty = "select a from t where b > 140 and b < 100"
+        (scan,) = _find(_block(indexed_db, empty), IndexRangeScan)
+        assert (scan.lower, scan.upper) == (140, 100)
+        assert indexed_db.execute(empty).rows == []
+        assert _twin(indexed_db).execute(empty).rows == []
 
     def test_between_carries_both_bounds(self, indexed_db) -> None:
         block = _block(indexed_db, "select a from t where b between 100 and 140")

@@ -2,8 +2,8 @@
 
 The visibility matrix, write-write conflict detection, staged state that
 never outlives its transaction in a cache derived from the rows
-(the policy posting index; index entries in ``test_index.py``), snapshot-scoped enforcement, and version-chain
-pruning.  The WAL/crash half lives in
+(the policy posting index; index entries in ``test_index.py``), snapshot-scoped enforcement, and the row
+history pruned to what pinned snapshots read.  The WAL/crash half lives in
 ``test_wal_recovery.py``; the differential schedules in
 ``tests/fuzz/test_snapshot_enforcement.py``.
 """
@@ -86,18 +86,22 @@ def test_two_snapshots_see_distinct_histories(db) -> None:
 
 
 def test_rows_as_of_tracks_commit_history(db) -> None:
+    # rows_as_of is defined for pinned timestamps: pruning keeps only what
+    # an active snapshot reads.
     table = db.table("t")
     ts0 = db.transactions.clock
-    pin = db.transactions.begin()  # pin ts0 so history is not pruned away
+    pins = [db.transactions.begin()]
     try:
         db.execute("insert into t values (3, 'c')")
         ts1 = db.transactions.clock
+        pins.append(db.transactions.begin())
         db.execute("update t set v = 'b2' where id = 2")
         assert table.rows_as_of(ts0) == [(1, "a"), (2, "b")]
         assert table.rows_as_of(ts1) == [(1, "a"), (2, "b"), (3, "c")]
         assert table.rows_as_of(db.transactions.clock) is table.rows
     finally:
-        db.transactions.rollback(pin)
+        for pin in pins:
+            db.transactions.rollback(pin)
 
 
 # -- BEGIN/COMMIT/ROLLBACK through the SQL surface ---------------------------
@@ -313,18 +317,43 @@ def test_read_snapshot_is_ephemeral_and_unregisters(db) -> None:
     assert manager.active_count() == 0
 
 
-def test_version_chains_prune_to_flat_when_idle(db) -> None:
+def test_history_prunes_to_one_list_when_idle(db) -> None:
     table = db.table("t")
     for i in range(10, 30):
         db.execute(f"update t set v = 'v{i}' where id = 1")
-    # No active snapshots: each commit prunes dead versions behind the clock.
-    assert len(table._versions) <= len(table.rows) + 1
+    # No active snapshots: each commit keeps only the list it left.
+    assert len(table._history) == 1 and table._history[0][1] is table.rows
     snap = db.transactions.begin()
-    db.execute("update t set v = 'held' where id = 1")
-    held = len(table._versions)
+    for i in range(20):
+        db.execute(f"update t set v = 'held{i}' where id = 1")
+    # One pin: its list and the latest, however many commits landed since.
+    assert len(table._history) == 2
     db.transactions.rollback(snap)
     db.execute("update t set v = 'done' where id = 1")
-    assert len(table._versions) <= held
+    assert len(table._history) == 1 and table._history[0][1] is table.rows
+
+
+def test_long_pin_holds_one_list_across_one_row_commits() -> None:
+    database = Database("long-pin")
+    database.execute("create table w (id integer primary key, v integer)")
+    database.table("w").append_rows((i, 0) for i in range(10_000))
+    table = database.table("w")
+    pin = database.transactions.begin()
+    with txn_scope(pin):
+        pinned = list(table.rows)
+    try:
+        for step in range(300):
+            database.execute(f"update w set v = {step + 1} where id = {step}")
+            assert len(table._history) <= 2
+        with txn_scope(pin):
+            seen = table.rows
+        assert len(seen) == len(pinned)
+        assert all(a is b for a, b in zip(seen, pinned))
+        assert table.rows[299] == (299, 300)
+    finally:
+        database.transactions.rollback(pin)
+    database.execute("update w set v = -1 where id = 0")
+    assert len(table._history) == 1
 
 
 def test_concurrent_writers_one_wins_per_table(db) -> None:
@@ -712,24 +741,24 @@ def test_row_delta_names_only_the_written_rows() -> None:
     assert row_delta([], old) == ([], [], old)
 
 
-def test_one_row_update_writes_one_key_and_closes_one_version(pkdb) -> None:
+def test_one_row_update_writes_one_key_and_keeps_one_list(pkdb) -> None:
     table = pkdb.table("r")
+    before = table.rows
     untouched = [table.rows[0], table.rows[2]]
-    reader = pkdb.transactions.begin()  # pins the old version
+    reader = pkdb.transactions.begin()  # pins the pre-commit list
     pkdb.begin()
     pkdb.execute("update r set v = 'x' where id = 2")
     pkdb.commit()
     assert table._write_log[-1][1] == frozenset({(2,)})
     assert [table.rows[0], table.rows[2]] == untouched
     assert table.rows[0] is untouched[0] and table.rows[2] is untouched[1]
-    # One closed version, in its successor's place; the rest never moved.
-    assert [(v.row[0], v.xmax is None) for v in table._versions] == [
-        (1, True), (2, False), (2, True), (3, True),
-    ]
-    assert table._dead == [1]
+    # The pinned reader reads the pre-commit list object itself.
+    with txn_scope(reader):
+        assert table.rows is before
+    assert [entry[1] for entry in table._history] == [before, table.rows]
     pkdb.transactions.rollback(reader)
     pkdb.execute("update r set v = 'y' where id = 3")  # commits prune
-    assert len(table._versions) == 3 and table._dead == []
+    assert len(table._history) == 1
 
 
 def test_key_changing_update_conflicts_on_old_and_new_key(pkdb) -> None:
@@ -849,29 +878,19 @@ def test_pinned_snapshots_read_identical_rows_across_delta_commits() -> None:
     finally:
         for txn, _ in pins:
             database.transactions.rollback(txn)
-    # Nothing pinned any more: the next commit leaves the chain flat.
+    # Nothing pinned any more: the next commit leaves one list.
     database.execute(f"insert into m values ({next_id}, 0)")
-    assert len(table._versions) == len(table.rows) and table._dead == []
-    assert [v.row for v in table._versions] == table.rows
+    assert len(table._history) == 1
 
 
-def test_append_only_autocommit_never_walks_the_version_chain(db) -> None:
+def test_append_only_autocommit_never_copies_the_row_list(db) -> None:
     """Finding 11: every audited read autocommits an insert into the audit
-    table; with nothing dead its ever-growing chain is neither iterated nor
-    reallocated by the commit's prune."""
-
-    class Chain(list):
-        walks = 0
-
-        def __iter__(self):
-            Chain.walks += 1
-            return super().__iter__()
-
+    table; with nothing pinned each append extends the one latest list in
+    place and the commit's prune leaves one history entry."""
     table = db.table("t")
-    chain = table._versions = Chain(table._versions)
+    rows = table.rows
     for i in range(10, 60):
         db.execute(f"insert into t values ({i}, 'audit')")
-    assert table._versions is chain and len(chain) == len(table.rows) == 52
-    assert Chain.walks == 0
-    db.execute("update t set v = 'x' where id = 10")  # a dead version: prunes
-    assert table._versions is not chain and len(table._versions) == 52
+        assert len(table._history) == 1
+    assert table.rows is rows and len(rows) == 52
+    assert table._history == [[db.transactions.clock, rows, 52]]

@@ -121,6 +121,23 @@ def test_commits_survive_reopen(tmp_path) -> None:
     assert redo.torn_bytes == 0
 
 
+def test_replayed_delta_commits_keep_one_row_list(tmp_path) -> None:
+    db, durability = durable_db(tmp_path)
+    db.execute("insert into t values " + ", ".join(f"({i}, 'x')" for i in range(50)))
+    for step in range(30):
+        db.execute(f"update t set v = 'u{step}' where id = {step}")
+    expected = table_rows(db)
+    durability.close()
+
+    recovered, redo = durable_db(tmp_path)
+    assert table_rows(recovered) == expected
+    # Nothing pins a snapshot during recovery: no replayed delta commit
+    # leaves its copy of the row list behind.
+    table = recovered.table("t")
+    assert len(table._history) == 1 and table._history[0][1] is table.rows
+    redo.close()
+
+
 def test_rolled_back_transaction_leaves_no_trace(tmp_path) -> None:
     db, durability = durable_db(tmp_path)
     db.execute("insert into t values (1, 'keep')")

@@ -101,15 +101,6 @@ class TestNullTrace:
         assert trace.find("plan") is None
         assert trace.to_dict() == {"stages": [], "total_s": 0.0}
 
-    def test_row_hooks_are_no_ops(self) -> None:
-        trace = NullTrace()
-        node = object()
-        rows = [(1,), (2,)]
-        assert list(trace.count_rows(node, iter(rows))) == rows
-        trace.add_rows(node, 4)
-        assert trace.rows_for(node) is None
-        assert trace.annotation(node) == ""
-
     def test_enabled_flags_distinguish_the_two(self) -> None:
         assert Trace.enabled is True
         assert NullTrace.enabled is False
