@@ -44,7 +44,6 @@ from .purposes import Purpose, PurposeSet, default_purpose_set
 from .query_model import QueryModel, query_id
 from .rewriter import rewrite_query
 from .roles import RoleManager, ROLE_TABLES
-from .guard import AdministrationError, AdministrationGuard
 from .audit import AuditLog, AuditRecord
 from .session import Session
 from .signatures import (
@@ -69,7 +68,6 @@ __all__ = [
     "Purpose", "PurposeSet", "default_purpose_set",
     "QueryModel", "query_id", "rewrite_query",
     "RoleManager", "ROLE_TABLES",
-    "AdministrationError", "AdministrationGuard",
     "AuditLog", "AuditRecord", "Session",
     "ActionSignature", "QuerySignature", "SignatureDeriver", "TableSignature",
 ]

@@ -38,9 +38,10 @@ class AcmState:
     """One immutable version of the access-control taxonomy.
 
     Committed to the database catalog under ``("acm", "state")`` on every
-    policy-relevant write, so snapshot-pinned readers resolve purposes and
+    taxonomy edit, so snapshot-pinned readers resolve purposes and
     categorizations *as of their catalog version* instead of racing live
-    mutations (DESIGN.md §15).
+    mutations (DESIGN.md §15).  Stored policy masks are row data, not part
+    of it.
     """
 
     purposes: tuple[Purpose, ...] = ()
@@ -79,25 +80,28 @@ class AccessControlManager:
     def policy_epoch(self) -> int:
         """The database catalog version: the policy epoch is the catalog's.
 
-        Every mutation that can alter what a rewritten query returns —
-        storing policy masks, (re)categorizing columns, changing the purpose
-        set, protecting new tables, mask migrations — commits a new
-        :class:`AcmState` to the catalog and hence advances this version.
-        Cached enforcement plans embed the version they were compiled
-        under, so a commit invalidates them without any back-pointers from
-        here to the monitors holding the caches.
+        Every edit that changes how a query is rewritten — (re)categorizing
+        columns, changing the purpose set, protecting new tables, mask
+        migrations — commits a new :class:`AcmState` to the catalog and
+        hence advances this version.  Cached enforcement plans embed the
+        version they were compiled under, so a commit invalidates them
+        without any back-pointers from here to the monitors holding the
+        caches.  Storing policy masks is a row commit and moves nothing
+        here: a plan reads the masks at run time (§5.3).
         """
         return self.database.catalog.version
 
     def bump_policy_epoch(self) -> None:
-        """Commit the current taxonomy to the catalog as a new version.
+        """Commit the current taxonomy to the catalog as a new version:
+        the taxonomy changed.
 
-        Mask churn is ordinary row data and stays snapshot-isolated;
-        taxonomy edits (purpose set, categorization) are versioned catalog
+        Taxonomy edits (purpose set, categorization) are versioned catalog
         commits that open snapshots simply do not see — they keep
         resolving the :class:`AcmState` as of their pinned catalog version
-        (DESIGN.md §15).  The compliance memo and the policy bitmaps hold
-        verdicts derived from the old taxonomy, so both are emptied.
+        (DESIGN.md §15).  Mask stores are ordinary row commits and never
+        call this.  Nothing is emptied: a ``complieswith`` verdict is a
+        pure function of two bit strings, so the compliance memo and the
+        policy verdict maps hold no state a new taxonomy could make stale.
         """
         self.database.catalog.commit(
             [
@@ -112,8 +116,6 @@ class AccessControlManager:
             ],
             self.database.transactions.clock,
         )
-        self._compliance_memo.clear()
-        self.database.policy_bitmaps.clear()
 
     def _enforcement_version(self) -> int:
         """The catalog version enforcement resolves against *right now*.
@@ -144,7 +146,7 @@ class AccessControlManager:
         """Observability snapshot of the ``complieswith`` memo.
 
         ``hits``/``misses`` are the database total's monotonic ``memo.hit``
-        / ``memo.miss`` counts (they survive epoch clears); ``cached`` is
+        / ``memo.miss`` counts (they survive overflow clears); ``cached`` is
         the current number of memoized argument tuples.
         """
         total = self.database.cost_total
@@ -374,10 +376,10 @@ class AccessControlManager:
         """The mask layout of a target table at the enforcement version.
 
         Cached by *content* — ⟨table, columns, purpose ids⟩ as resolved at
-        the enforcement version — so mask churn (which moves the catalog
-        version without touching the taxonomy) keeps hitting one cached
-        layout, while taxonomy edits and schema changes resolve to a
-        different key.  Pinned readers resolve the key as of their snapshot
+        the enforcement version — so a catalog commit that leaves the
+        taxonomy alone (an index DDL) keeps hitting one cached layout,
+        while taxonomy edits and schema changes resolve to a different
+        key.  Pinned readers resolve the key as of their snapshot
         and so keep (or rebuild) *their* layout untouched.
         """
         self.require_configured()
@@ -426,10 +428,13 @@ class AccessControlManager:
         mask: BitString,
         tuple_selector: tuple[str, object] | None = None,
     ) -> int:
-        """Store a pre-encoded policy mask (used by the workload generators)."""
+        """Store a pre-encoded policy mask (used by the workload generators).
+
+        One ordinary row commit, snapshot-isolated like any write: the
+        policy epoch does not move.
+        """
         self.require_configured()
         target = self.database.table(table)
-        self.bump_policy_epoch()
         if tuple_selector is None:
             return target.set_column_value(POLICY_COLUMN, mask)
         column, value = tuple_selector
@@ -454,7 +459,8 @@ class AccessControlManager:
         ``values`` covers the logical columns (in ``columns`` order, or
         schema order when ``columns`` is empty); ``policy`` is either a
         :class:`~repro.core.policy.Policy` (encoded against this table's
-        layout) or a pre-encoded mask.
+        layout) or a pre-encoded mask.  One row commit; the policy epoch
+        does not move.
         """
         self.require_configured()
         layout = self.layout(table)
@@ -479,7 +485,4 @@ class AccessControlManager:
                 f"expected {len(logical)} values for columns {logical}, "
                 f"got {len(tuple(values))}"
             )
-        target.insert_row(
-            (*values, mask), (*logical, POLICY_COLUMN)
-        )
-        self.bump_policy_epoch()
+        target.insert_row((*values, mask), (*logical, POLICY_COLUMN))

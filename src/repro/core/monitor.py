@@ -12,9 +12,11 @@ returns a :class:`PreparedEnforcedQuery` that replays the compiled plan on
 every execution, and :meth:`execute` / :meth:`execute_with_report` are thin
 wrappers over the same cache.  Cache keys embed the admin's *policy epoch*
 (:attr:`~repro.core.admin.AccessControlManager.policy_epoch`), so any
-policy, categorization or purpose-set change transparently forces a fresh
-rewrite — a prepared query can never replay a plan compiled under policies
-that no longer hold.
+categorization or purpose-set change transparently forces a fresh rewrite
+— a prepared query can never replay a plan compiled under a taxonomy that
+no longer holds.  Stored policy masks are not in a plan: its guards read
+them at run time, so a cached plan enforces a mask stored after it
+compiled.
 
 Every execution charges a fresh cost ledger that the monitor reads back for
 its report, audit record and metrics, however many run beside it.
@@ -144,8 +146,8 @@ class PreparedEnforcedQuery:
     resolves the current plan through the monitor's epoch-keyed cache.  As
     long as policies are unchanged that is a dictionary hit replaying the
     compiled plan (no parsing, signature derivation or rewriting); after a
-    policy, categorization or purpose-set change the epoch has moved and
-    the next execution recompiles against the new state.
+    categorization or purpose-set change the epoch has moved and the next
+    execution recompiles against the new state.
     """
 
     def __init__(
@@ -215,8 +217,8 @@ class EnforcementMonitor:
     themselves run outside it.  Writers are ordered by the engine: an
     autocommit DML statement reads and commits under the transaction
     manager's write fence, so concurrent statements lose no committed
-    write.  An admin batch that must look atomic to readers (a policy
-    rewrite plus its epoch bump) holds that fence itself
+    write.  An admin batch that must look atomic to readers (a taxonomy
+    edit plus its mask migration) holds that fence itself
     (:meth:`~repro.engine.mvcc.TransactionManager.exclusive`); the monitor
     never takes the fence while holding its own lock.
     """
@@ -231,7 +233,7 @@ class EnforcementMonitor:
         self,
         admin: AccessControlManager,
         authorizer=None,
-        plan_cache_size: int = 128,
+        plan_cache_size: int = 32,
         parse_cache_size: int = 256,
         optimizer: str | None = None,
         batch_size: int | None = None,
@@ -440,8 +442,8 @@ class EnforcementMonitor:
         """The policy epoch queries are enforced under *right now*.
 
         Inside a transaction this is the snapshot's epoch, not the admin's
-        live epoch: a reader that began before a policy update keeps
-        compiling and hitting plans for its snapshot's policy state
+        live epoch: a reader that began before a taxonomy edit keeps
+        compiling and hitting plans for its snapshot's taxonomy
         (DESIGN.md §15).
         """
         txn = current_transaction(self.database.transactions)

@@ -50,12 +50,12 @@ class PolicyManager:
         return rows
 
     def remove_policies(self, table: str) -> int:
-        """Drop registered policies for a table and clear its stored masks."""
+        """Drop registered policies for a table and clear its stored masks
+        (one row commit, like any mask store)."""
         key = table.lower()
         before = len(self._policies)
         self._policies = [p for p in self._policies if p.table.lower() != key]
         self.admin.database.table(key).set_column_value(POLICY_COLUMN, None)
-        self.admin.bump_policy_epoch()
         return before - len(self._policies)
 
     def reapply_all(self) -> int:

@@ -94,9 +94,9 @@ class MemoizedFunction:
     ``memo.miss``; one with an unhashable argument is a miss, uncached.
 
     The memo is guarded by a lock so concurrent query threads can share it:
-    lookups, the clear-on-overflow sequence and epoch-driven :meth:`clear`
-    calls would otherwise interleave (a reader could observe a cache that a
-    policy change is mid-way through invalidating).  A page takes it once
+    lookups and the clear-on-overflow sequence would otherwise interleave
+    (a reader could observe a cache another thread is mid-way through
+    clearing).  A page takes it once
     for its lookups and once more to store what it missed; the wrapped
     function runs outside it — it is pure, so a racing duplicate
     computation is harmless while holding the lock across it would serialize

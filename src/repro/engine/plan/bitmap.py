@@ -18,10 +18,12 @@ evaluates any policy, and judges each value once per mask:
 A guard intersects its masks' verdicts over the values: over a sequential
 scan :meth:`~PolicyBitmapCache.passing_ids` merges the passing values'
 posting lists, over an index probe :meth:`~PolicyBitmapCache.admitted`
-judges its candidates' values only.  A policy-epoch bump
-(``AccessControlManager.bump_policy_epoch``) clears the verdict maps and
-the merges; at most :data:`_ENTRY_LIMIT` verdict maps and
-:data:`_GUARD_LIMIT` merges are kept, the oldest going first.
+judges its candidates' values only.  A verdict is a pure function of
+two bit strings, so no commit makes one stale: a mask store is a row
+write the posting index follows, and a taxonomy edit compiles new masks
+that key new maps.  Nothing is swept; at most :data:`_ENTRY_LIMIT`
+verdict maps and :data:`_GUARD_LIMIT` merges are kept, the oldest going
+first.
 A lookup charges its ``bitmap.*`` events and UDF calls to the calling
 execution's cost ledger; ``stats()`` reads the total they fold into.
 """
@@ -44,11 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bound on the cached ``(table, mask)`` verdict maps.  The paper's q1–q8
 #: plus a point lookup keep about 30 live, the fuzz corpus replay about
 #: 150; an ad-hoc workload that meets a new mask per statement would
-#: otherwise grow them until the next policy epoch bump.
+#: otherwise grow them without end.
 _ENTRY_LIMIT = 256
 
 #: Bound on the cached guard merges, each one row id per passing row.
-_GUARD_LIMIT = 64
+#: The paper's q1–q8 in both modes keep 16 live.
+_GUARD_LIMIT = 32
 
 
 class PolicyBitmapCache:
@@ -183,8 +186,8 @@ class PolicyBitmapCache:
             }
 
     def clear(self) -> None:
-        """Drop every verdict and merge (policy-epoch invalidation); the
-        posting indexes hold row data only and stay."""
+        """Drop every verdict and merge, so the next guards start cold;
+        the posting indexes hold row data only and stay."""
         with self._lock:
             self._verdicts.clear()
             self._guards.clear()

@@ -6,18 +6,21 @@ policy state its snapshot captured, no matter what commits around it*.
 
 For each :class:`~.generator.FuzzCase` the runner:
 
-1. computes the **serial frozen-policy reference** — the oracle's expected
-   answer under the world state at pin time;
-2. opens a transaction, pinning a :class:`~repro.engine.mvcc.Snapshot`
-   (commit ts × policy epoch);
-3. interleaves a seeded schedule of committed writer steps — scattered
-   policy-mask churn (which bumps the policy epoch), row duplications,
-   row deletions, index DDL, and taxonomy edits (a scratch purpose
-   defined/removed with mask migration) — re-running the pinned reader
-   after **every** step;
-4. requires every pinned read to reproduce the reference exactly: same
+1. opens a transaction, pinning a :class:`~repro.engine.mvcc.Snapshot`
+   (commit ts × policy epoch), and takes the **pinned reference** — the
+   reader's first answer, which must equal the oracle's at that snapshot;
+2. interleaves a seeded schedule of committed writer steps — scattered
+   policy-mask churn, grants and revocations (a pass-all or pass-none mask
+   stored on the rows sharing one key value), all of them row commits
+   that move no epoch; row duplications, row deletions, index DDL, epoch
+   bumps and taxonomy edits (a scratch purpose defined/removed with mask
+   migration) — re-running the pinned reader after **every** step;
+3. requires every pinned read to reproduce the reference exactly: same
    rows, same columns, same denial outcome, and (with the bitmap cache
    cleared before each read) the same ``complieswith`` count;
+4. after every grant and revocation, requires a statement that starts
+   after it committed to agree with the oracle at the latest commit, so
+   no such statement returns a revoked row;
 5. after rolling the reader back, requires a fresh latest-snapshot read to
    agree with the oracle recomputed under the churned state — the schedule
    must not leave enforcement broken for later readers.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..core.policy import Policy, PolicyRule
 from ..core.policy_manager import PolicyManager
 from ..core.purposes import Purpose
 from ..errors import ReproError, UnauthorizedPurposeError
@@ -50,6 +54,8 @@ from .runner import DifferentialRunner, normalize_rows
 #: Writer-step kinds a schedule may draw (weights in ``_churn_step``).
 SCHEDULE_OPS = (
     "mask-churn",
+    "grant",
+    "revoke",
     "epoch-bump",
     "dml-duplicate",
     "dml-delete",
@@ -135,6 +141,7 @@ class ScheduleRunner(DifferentialRunner):
     # -- the pinned reader -------------------------------------------------
 
     def _pinned_read(self, txn, case: FuzzCase, label: str) -> PinnedRead:
+        """One read under ``txn``'s snapshot (``None``: the latest commit)."""
         from ..engine import txn_scope
 
         monitor = self.world.monitor
@@ -170,7 +177,7 @@ class ScheduleRunner(DifferentialRunner):
         op = rng.choice(SCHEDULE_OPS)
         if op == "mask-churn":
             # Rewrite the whole table's policy masks with a fresh scattered
-            # policy — ordinary (versioned) row data plus an epoch bump.
+            # policy — ordinary (versioned) row data, no epoch bump.
             policy = scattered_policy(
                 table,
                 compliant=rng.random() < 0.5,
@@ -219,6 +226,14 @@ class ScheduleRunner(DifferentialRunner):
         if not rows:
             admin.bump_policy_epoch()
             return f"{index}:epoch-bump[{table} empty]"
+        if op in ("grant", "revoke"):
+            # Open (grant) or close (revoke) the rows sharing one value of
+            # the first column to every purpose: one row commit.
+            column = storage.schema.columns[0].name
+            value = rng.choice(rows)[0]
+            rule = PolicyRule.pass_all() if op == "grant" else PolicyRule.pass_none()
+            admin.apply_policy(Policy(table, (rule,), tuple_selector=(column, value)))
+            return f"{index}:{op}[{table}.{column} = {value!r}]"
         if op == "dml-duplicate":
             # Duplicate one committed row (schema-safe DML on any table).
             storage.append_rows([rng.choice(rows)])
@@ -253,11 +268,14 @@ class ScheduleRunner(DifferentialRunner):
         try:
             reference = self._pinned_read(txn, case, "pre-churn")
             reads.append(reference)
+            self._check_oracle(reference, case, failures)
             for index in range(churn_steps):
                 steps.append(self._churn_step(rng, index))
                 read = self._pinned_read(txn, case, f"after {steps[-1]}")
                 reads.append(read)
                 self._compare(reference, read, failures)
+                if ":grant[" in steps[-1] or ":revoke[" in steps[-1]:
+                    self._check_latest(case, failures, f"latest after {steps[-1]}")
                 if sharded_before and "ddl-index" in steps[-1]:
                     steps[-1] += f" + replicas[{self.toggle_replica_index(rng)}]"
                     for leg, before in zip(self._sharded_legs(), sharded_before):
@@ -305,10 +323,17 @@ class ScheduleRunner(DifferentialRunner):
                 f"reference's {reference.checks}"
             )
 
-    def _check_latest(self, case: FuzzCase, failures: list[str]) -> None:
-        """Post-churn: a fresh read must match the recomputed oracle."""
-        monitor = self.world.monitor
-        monitor.clear_policy_bitmaps()
+    def _check_latest(
+        self, case: FuzzCase, failures: list[str], label: str = "latest"
+    ) -> None:
+        """A fresh read at the latest commit must match the oracle there."""
+        self._check_oracle(self._pinned_read(None, case, label), case, failures)
+
+    def _check_oracle(
+        self, read: PinnedRead, case: FuzzCase, failures: list[str]
+    ) -> None:
+        """``read`` must be the oracle's answer at the latest commit (for
+        the pinned reference, its snapshot)."""
         denial_expected = case.user is not None and not self.world.is_authorized(
             case.user, case.purpose
         )
@@ -318,32 +343,28 @@ class ScheduleRunner(DifferentialRunner):
             )
             expected_rows = normalize_rows(expected.rows)
         except ReproError:
-            expected_rows = None  # consistent-error: latest read may error too
-        try:
-            report = monitor.execute_with_report(
-                case.sql, case.purpose, user=case.user, params=case.params or None
-            )
-        except UnauthorizedPurposeError:
+            expected_rows = None  # consistent-error: the read may error too
+        if read.outcome == "denied":
             if not denial_expected:
-                failures.append("latest: unexpected denial after churn")
+                failures.append(f"{read.label}: unexpected denial")
             return
-        except ReproError as exc:
+        if read.outcome == "error":
             if expected_rows is not None:
                 failures.append(
-                    f"latest: post-churn read failed but the oracle did not: "
-                    f"{type(exc).__name__}: {exc}"
+                    f"{read.label}: read failed but the oracle did not: "
+                    f"{read.error}"
                 )
             return
         if denial_expected:
-            failures.append("latest: expected denial after churn, got rows")
+            failures.append(f"{read.label}: expected denial, got rows")
             return
         if expected_rows is None:
-            failures.append("latest: oracle errored post-churn but the read did not")
+            failures.append(f"{read.label}: oracle errored but the read did not")
             return
-        if normalize_rows(report.result.rows) != expected_rows:
+        if read.rows != expected_rows:
             failures.append(
-                "latest: post-churn read disagrees with the oracle recomputed "
-                "under the churned policy state"
+                f"{read.label}: {len(read.rows)} rows disagree with the "
+                f"oracle's {len(expected_rows)} at the same commit"
             )
 
     # -- batches -----------------------------------------------------------

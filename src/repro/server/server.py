@@ -111,7 +111,7 @@ class QueryServer(Transport):
         wire; wrapping them in ``with server.exclusive():`` orders them
         against in-flight query traffic exactly like DML — no reader pins
         its snapshot and no writer commits while the mutation is
-        mid-flight, and every later read sees the bumped policy epoch.
+        mid-flight, and every later read sees all of it.
         """
         return self.monitor.database.transactions.exclusive()
 

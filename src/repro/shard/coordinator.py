@@ -18,16 +18,26 @@ audited by the replica's monitor, like any single-node execution).
 
 **Two-phase epoch broadcast.**  Policy and DML writes take the write side
 of an :class:`AsyncReadWriteLock` (the *fence*), which first drains every
-in-flight scatter and blocks new ones.  Phase one applies the write to the
-local replica and pushes re-partitioned rows down (``sync_table``); phase
-two broadcasts the bumped policy epoch and collects one ack per shard —
-each shard adopts the epoch, clearing its epoch-scoped caches
-(``compliesWith`` memo, policy bitmaps) and invalidating its cached plans.
+in-flight scatter and blocks new ones.  The write applies to the local
+replica; a policy write then broadcasts the replica's policy epoch and
+collects one ack per shard — each shard adopts the epoch, which
+invalidates its cached plans when a taxonomy edit moved it — and every
+write pushes the re-partitioned rows that moved down (``sync_table``).
 Only then does the fence open.  Every shard's ``query`` response carries
 the epoch it executed under, and the coordinator rejects (and retries) any
 scatter whose responses straddle two epochs — with a correct fence that
 code path never fires, which is exactly what the epoch-race stress test
 pins down.
+
+**Row resync.**  A policy mask is row data (a mask store moves no epoch),
+so the epoch cannot tell the shards that masks changed.  One rule moves
+rows instead: the coordinator records the commit timestamp of every
+shard-held table's rows as it pushes them, and pushes a table again
+whenever that timestamp has moved — after its own writes, and, before it
+scatters, in :meth:`~ShardCoordinator.query` for a commit made straight
+on the replica (``apply_policy``, an ``UPDATE … SET policy``, any DML,
+an ALTER TABLE).  No scatter serves rows the replica's committed masks
+forbid.
 
 **Catalog shipping.**  The epoch is the replica's catalog version, and DDL
 moves it too.  The coordinator remembers the version it last broadcast;
@@ -36,15 +46,15 @@ when the replica has since moved by DDL alone (``index`` / ``schema`` /
 :attr:`ShardCoordinator.database`, the audit trail's ``CREATE TABLE``) the
 next :meth:`~ShardCoordinator.query` takes the fence, sends every shard the
 logical ops that bring its tables and indexes level with the replica's
-(the WAL's op dicts, applied by the WAL's applier), pushes the rows of
-altered tables and broadcasts the epoch; :meth:`~ShardCoordinator.policy_write`
+(the WAL's op dicts, applied by the WAL's applier), broadcasts the epoch
+and pushes the rows that moved; :meth:`~ShardCoordinator.policy_write`
 does the same as part of every write.  (A DDL that commits on the replica
 under a scatter in flight costs that scatter one retry, which ships it.)
-Movement that is *not* DDL and did
-not come through ``policy_write`` — an ``acm`` commit made behind the
-coordinator's back — is left alone: the coordinator cannot know which
-policy cells changed, so scatters keep failing closed with
-:class:`SplitEpochError` until a ``policy_write`` resyncs them.
+Movement that is *not* DDL and did not come through ``policy_write`` — a
+taxonomy (``acm``) commit made behind the coordinator's back — is left
+alone: the shards cannot replay a taxonomy edit, so scatters keep failing
+closed with :class:`SplitEpochError` until a ``policy_write`` resyncs
+them, and no rows are pushed while the catalogs disagree.
 """
 
 from __future__ import annotations
@@ -288,6 +298,11 @@ class ShardCoordinator:
             for definition in self.database.indexes.definitions()
         }
         self._shipped_version = self.database.catalog.version
+        # The commit timestamp of each shard-held table's rows as the
+        # shards last received them (they start as built from the recipe).
+        self._pushed = {
+            key: table.last_commit_ts for key, table in self.database.tables.items()
+        }
 
     def close(self) -> None:
         """Nothing to release: every shard runs in this process."""
@@ -335,12 +350,14 @@ class ShardCoordinator:
         """Enforce and execute one SELECT across the deployment."""
         attempt = 0
         while True:
-            if self._catalog_shippable():
+            if self._catalog_shippable() or self._moved_tables():
                 async with self.fence.write_locked():
-                    # Checked again: a concurrent caller may have shipped
-                    # it while this one waited for the fence.
+                    # Checked again: a concurrent caller may have brought
+                    # the shards level while this one waited for the fence.
                     if self._catalog_shippable():
                         await self._ship_catalog()
+                    else:
+                        await self._resync(self._moved_tables())
             try:
                 async with self.fence.read_locked():
                     return await self._query_fenced(sql, purpose, user, params)
@@ -462,9 +479,7 @@ class ShardCoordinator:
             affected = self.monitor.execute_statement(
                 statement, purpose, user=user, text=sql
             )
-            table = getattr(statement, "table", None)
-            if table is not None:
-                await self._resync((table,))
+            await self._resync(self._moved_tables())
         return int(affected)
 
     async def commit(self, txn) -> int:
@@ -478,40 +493,35 @@ class ShardCoordinator:
             commit_ts = self.database.transactions.commit(txn)
             if written:
                 self._route_cache.clear()
-                await self._resync(written)
+            await self._resync(self._moved_tables())
         return commit_ts
 
-    async def policy_write(self, fn, tables: "tuple[str, ...] | None" = None):
+    async def policy_write(self, fn):
         """Apply a policy mutation and broadcast the new epoch to every shard.
 
         ``fn`` runs against the local replica's
         :class:`~repro.shard.recipe.BuiltWorld` under the write fence.  Any
-        DDL the replica has and the shards lack is shipped, the rows of
-        ``tables`` (default: every policy-protected table) and of altered
-        tables are re-partitioned and pushed down, the policy epoch —
-        bumped by ``fn`` or, failing that, here — is broadcast, and one ack
-        per shard is collected before any fenced reader resumes.
+        DDL the replica has and the shards lack is shipped, the replica's
+        policy epoch — moved only if ``fn`` moved it — is broadcast with
+        one ack per shard collected, and the rows of every table whose
+        committed rows moved are re-partitioned and pushed down, all before
+        any fenced reader resumes.
 
-        Mutations must be expressible as DDL ops, row rewrites + an epoch
-        bump (policy-mask writes, DML side effects); admin-state changes
-        such as grants or re-categorizations are part of the
+        Mutations must be expressible as DDL ops and row rewrites
+        (policy-mask writes, DML side effects); admin-state changes such as
+        grants or re-categorizations are part of the
         :class:`~repro.shard.recipe.WorldRecipe` and cannot be replayed to
         already-built shards.
         """
         async with self.fence.write_locked():
             self._route_cache.clear()
-            epoch_before = self.admin.policy_epoch
             result = fn(self.world)
-            if self.admin.policy_epoch == epoch_before:
-                self.admin.bump_policy_epoch()
-            await self._ship_catalog(
-                tuple(self.admin.target_tables()) if tables is None else tables
-            )
+            await self._ship_catalog()
         return result
 
     async def bump_epoch(self) -> int:
         """Fence, bump and broadcast without touching any policy rows."""
-        await self.policy_write(lambda world: None, tables=())
+        await self.policy_write(lambda world: world.admin.bump_policy_epoch())
         return self.admin.policy_epoch
 
     def _catalog_shippable(self) -> bool:
@@ -523,8 +533,22 @@ class ShardCoordinator:
         kinds = catalog.kinds_since(self._shipped_version)
         return bool(kinds) and kinds <= _DDL_KINDS
 
-    async def _ship_catalog(self, tables: "tuple[str, ...]" = ()) -> None:
-        """Bring every shard level with the replica's catalog version.
+    def _moved_tables(self) -> list[str]:
+        """Shard-held tables whose committed rows moved since they were
+        last pushed down; none while the shards' catalog is behind, whose
+        scatters fail closed until it is shipped."""
+        database = self.database
+        if database.catalog.version != self._shipped_version:
+            return []
+        return [
+            name
+            for name in self._shard_tables
+            if database.tables[name].last_commit_ts != self._pushed[name]
+        ]
+
+    async def _ship_catalog(self) -> None:
+        """Bring every shard level with the replica's catalog version, then
+        push the rows that moved (an ALTER TABLE's among them).
 
         Called under the write fence.  The version is read first: DDL that
         commits on the replica while this runs may or may not be in the
@@ -532,14 +556,13 @@ class ShardCoordinator:
         sees it as unshipped.
         """
         target = self.database.catalog.version
-        altered = await self._ship_ddl(target)
-        await self._resync(tuple(dict.fromkeys((*altered, *tables))))
+        await self._ship_ddl(target)
         await self._broadcast_epoch(target)
+        await self._resync(self._moved_tables())
 
-    async def _ship_ddl(self, target: int) -> list[str]:
+    async def _ship_ddl(self, target: int) -> None:
         """Send the shards the logical DDL ops that turn the tables and
-        indexes they hold into the replica's; returns the altered tables,
-        whose rows must follow."""
+        indexes they hold into the replica's."""
         database = self.database
         ops: list[dict] = []
         tables = dict(self._shard_tables)
@@ -552,13 +575,11 @@ class ShardCoordinator:
             ):
                 ops.append({"op": "drop_table", "table": key})
                 del tables[key]
-        altered = []
         for key, columns in tables.items():
             current = database.table(key).schema.columns
             if current != columns:
                 ops.extend(_schema_ops(key, columns, current))
                 tables[key] = current
-                altered.append(key)
         held = {
             name: definition
             for name, definition in self._shard_indexes.items()
@@ -589,16 +610,16 @@ class ShardCoordinator:
                         f"is ahead of the coordinator's {target}"
                     )
             self._shard_tables, self._shard_indexes = tables, live
-        return altered
 
-    async def _resync(self, tables: "tuple[str, ...]") -> None:
+    async def _resync(self, tables: list[str]) -> None:
+        """Re-partition each shard-held table's rows and push them down."""
         for name in tables:
-            if name.lower() not in self._shard_tables:
-                continue  # coordinator-local: the shards have no such table
+            table = self.database.table(name)
+            # Read before the rows: a commit landing in between moves the
+            # timestamp past this one, and the next query pushes again.
+            self._pushed[name] = table.last_commit_ts
             partitions = split_rows(
-                self.database.table(name),
-                self.shard_count,
-                self.database.policy_column,
+                table, self.shard_count, self.database.policy_column
             )
             responses = await asyncio.gather(
                 *(

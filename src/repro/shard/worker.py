@@ -23,9 +23,7 @@ answers a tiny message-dict protocol:
     ``sync_table``.
 ``epoch``
     Adopt the coordinator's policy epoch: bump the local admin until it
-    matches, which clears every epoch-scoped cache (``compliesWith`` memo,
-    policy bitmaps) and invalidates cached plans (their keys embed the
-    epoch).
+    matches, which invalidates cached plans (their keys embed the epoch).
 ``stats``
     Observability snapshot.
 

@@ -109,9 +109,6 @@ def apply_scattered_policies(
             )
             assignment[index] = compliant
         storage.rows = new_rows
-        # Masks were written past store_policy_mask, so invalidate cached
-        # enforcement plans here.
-        admin.bump_policy_epoch()
         return assignment
 
     entity_index = storage.schema.column_index(entity_column)
@@ -129,7 +126,6 @@ def apply_scattered_policies(
         (*row[:policy_index], masks[row[entity_index]], *row[policy_index + 1 :])
         for row in storage.rows
     ]
-    admin.bump_policy_epoch()
     return assignment
 
 
@@ -223,7 +219,6 @@ def apply_random_policies(
             (*row[:policy_index], make_mask(), *row[policy_index + 1 :])
             for row in storage.rows
         ]
-        admin.bump_policy_epoch()
         return len(storage.rows)
 
     entity_index = storage.schema.column_index(entity_column)
@@ -236,7 +231,6 @@ def apply_random_policies(
         (*row[:policy_index], masks[row[entity_index]], *row[policy_index + 1 :])
         for row in storage.rows
     ]
-    admin.bump_policy_epoch()
     return len(masks)
 
 

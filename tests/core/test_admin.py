@@ -181,6 +181,25 @@ class TestPolicyInstallation:
         with pytest.raises(PolicyError):
             admin.apply_policy(bad)
 
+    def test_a_mask_store_is_one_row_commit_and_no_epoch(self, admin, db):
+        """Masks are row data (§5.3): each store advances the commit clock
+        by one and leaves the catalog version (the policy epoch) alone."""
+        writes = (
+            lambda: admin.store_policy_mask("t", BitString.ones(24)),
+            lambda: admin.apply_policy(Policy("t", (PolicyRule.pass_none(),))),
+            lambda: admin.insert_with_policy(
+                "t", (3, "z"), Policy("t", (PolicyRule.pass_all(),))
+            ),
+        )
+        for write in writes:
+            clock, version = db.transactions.clock, db.catalog.version
+            write()
+            assert db.transactions.clock == clock + 1
+            assert db.catalog.version == version
+        assert admin.policy_masks("t") == [BitString.zeros(24)] * 2 + [
+            BitString.ones(24)
+        ]
+
     def test_rows_without_policy_are_invisible(self, admin, db):
         # NULL policy + STRICT UDF → complieswith yields NULL → row filtered.
         from repro.core import EnforcementMonitor

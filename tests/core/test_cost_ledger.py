@@ -130,7 +130,7 @@ def test_contended_memo_keeps_hits_plus_misses_per_report(world) -> None:
     monitor = world.monitor
     serial = monitor.execute_with_report(Q1, PURPOSE).compliance_checks
     assert serial == 5000
-    world.admin.bump_policy_epoch()  # empties the memo
+    world.admin._compliance_memo.clear()  # start the memo cold
     checks = monitor.metrics.counter("repro_complieswith_total")
     hits = monitor.metrics.counter("repro_complieswith_memo_hits_total")
     before = checks.total(), hits.total()

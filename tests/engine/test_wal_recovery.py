@@ -37,6 +37,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import (
+    AccessControlManager,
+    ActionType,
+    EnforcementMonitor,
+    JointAccess,
+    Policy,
+    PolicyRule,
+    Purpose,
+    PurposeSet,
+)
 from repro.engine import persist, txn_scope
 from repro.engine.database import Database
 from repro.engine.index import IndexDefinition
@@ -835,6 +845,85 @@ def test_randomized_delta_crash_campaign(tmp_path) -> None:
         assert ordered_rows(db) == (
             survived if FAILPOINT_SURVIVES[failpoint] else expected
         ), f"iteration {iteration}: wrong rows or order after {failpoint}"
+
+
+# -- mask stores ------------------------------------------------------------------
+
+#: What the enforced answers are read with, per purpose.
+MASK_QUERIES = ("select id, v from m", "select count(v) from m")
+
+
+def policy_db(directory):
+    """A durable database with one protected table ``m``; a reopened one
+    is re-attached from its Pr/Pm tables."""
+    db, durability = open_database(directory)
+    if "pr" in db.tables:
+        return db, durability, AccessControlManager.from_existing(db)
+    db.execute("create table m (id integer primary key, v text)")
+    db.table("m").append_rows((i, f"m{i}") for i in range(8))
+    admin = AccessControlManager(db)
+    admin.configure(
+        purposes=PurposeSet([Purpose("p1", "treatment"), Purpose("p2", "research")])
+    )
+    admin.apply_policy(Policy("m", (PolicyRule.pass_all(),)))
+    return db, durability, admin
+
+
+def enforced_state(admin) -> tuple:
+    """The stored masks and every enforced answer, per purpose."""
+    monitor = EnforcementMonitor(admin)
+    return admin.policy_masks("m"), [
+        sorted(monitor.execute(sql, purpose).rows)
+        for sql in MASK_QUERIES
+        for purpose in ("p1", "p2")
+    ]
+
+
+def random_mask_policy(rng: random.Random):
+    """A pass-none or p1-only policy on one row, or on the whole table."""
+    rule = rng.choice(
+        (
+            PolicyRule.pass_none(),
+            PolicyRule.of(["id", "v"], ["p1"], ActionType.indirect(JointAccess.none())),
+        )
+    )
+    selector = ("id", rng.randrange(8)) if rng.random() < 0.7 else None
+    return Policy("m", (rule,), tuple_selector=selector)
+
+
+@pytest.mark.parametrize("failpoint", sorted(FAILPOINT_SURVIVES))
+def test_crash_mid_mask_store(tmp_path, failpoint) -> None:
+    """A mask store is one row commit: it appends one WAL record and moves
+    no epoch, and recovery brings back exactly the committed prefix's masks
+    and enforced answers."""
+    rng = random.Random(f"mask-store:{CRASH_SEED}:{failpoint}")
+    db, durability, admin = policy_db(tmp_path)
+    appends, version = durability.wal.appends, db.catalog.version
+    admin.apply_policy(random_mask_policy(rng))
+    assert durability.wal.appends == appends + 1
+    assert db.catalog.version == version
+    before = enforced_state(admin)
+
+    # What the doomed store would leave, worked out on a twin (drawn until
+    # it changes something, so the two outcomes are told apart).
+    twin, twin_durability, twin_admin = policy_db(tmp_path / "twin")
+    after = before
+    while after == before:
+        doomed = random_mask_policy(rng)
+        twin.table("m").rows = list(db.table("m").rows)
+        twin_admin.apply_policy(doomed)
+        after = enforced_state(twin_admin)
+    twin_durability.close()
+
+    durability.wal.failpoints.add(failpoint)
+    with pytest.raises(InjectedFailure):
+        admin.apply_policy(doomed)
+
+    recovered, redo, recovered_admin = policy_db(tmp_path)
+    survives = FAILPOINT_SURVIVES[failpoint]
+    assert enforced_state(recovered_admin) == (after if survives else before)
+    assert (redo.torn_bytes > 0) == (failpoint == "wal.partial_append")
+    redo.close()
 
 
 # -- checkpoints racing commits --------------------------------------------------

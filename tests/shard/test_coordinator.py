@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.core import Policy, PolicyRule
 from repro.errors import (
     ExecutionError,
     TypeMismatchError,
@@ -150,13 +151,14 @@ class TestWrites:
             ]
             world.database.table("sensed_data").rows = rows
 
-        run(coordinator.policy_write(grant_everywhere, tables=("sensed_data",)))
-        assert coordinator.admin.policy_epoch == epoch_before + 1
+        run(coordinator.policy_write(grant_everywhere))
+        # Masks are rows: the write moves no epoch, the resync carries it.
+        assert coordinator.admin.policy_epoch == epoch_before
         widened = run(
             coordinator.query("select * from sensed_data", "p6", user="demo")
         )
         assert len(widened.result.rows) == len(table)
-        assert widened.epoch == epoch_before + 1
+        assert widened.epoch == epoch_before
 
     def test_bump_epoch_reaches_every_shard(self, coordinator) -> None:
         target = run(coordinator.bump_epoch())
@@ -411,6 +413,28 @@ class TestCatalogShipping:
         database.execute("create index i_last on sensed_data (position)")
         with pytest.raises(SplitEpochError, match="ahead of the coordinator"):
             run(coordinator.query(POINT_SQL, "p6", user="demo", params=["watch1", 1]))
+
+
+class TestReplicaRowCommits:
+    """A row commit made straight on the replica — a policy mask is one —
+    reaches the shards before the next scatter."""
+
+    @pytest.mark.parametrize("revocation", ("apply_policy", "update"))
+    def test_revocation_on_the_replica_is_never_served_stale(
+        self, coordinator, revocation
+    ) -> None:
+        sql = "select watch_id, beats from sensed_data where beats > 0"
+        assert run(coordinator.query(sql, "p6", user="demo")).result.rows
+        if revocation == "apply_policy":
+            coordinator.admin.apply_policy(
+                Policy("sensed_data", (PolicyRule.pass_none(),))
+            )
+        else:
+            coordinator.database.execute("update sensed_data set policy = NULL")
+        assert coordinator.monitor.execute(sql, "p6").rows == []
+        report = run(coordinator.query(sql, "p6", user="demo"))
+        assert report.route == "scatter_rows"
+        assert report.result.rows == []
 
 
 class TestSingleRoute:

@@ -1,7 +1,6 @@
 """Full-stack integration: every module in one realistic deployment flow.
 
-Configure → categorize → roles → guarded administration → policies →
-sessions → queries/DML → set operations → audit → snapshot → reload →
+Configure → categorize → policies → roles → sessions → queries/DML → set operations → audit → snapshot → reload →
 continue enforcing.  One long scenario, asserted step by step.
 """
 
@@ -10,7 +9,6 @@ import pytest
 from repro.core import (
     AccessControlManager,
     ActionType,
-    AdministrationGuard,
     Aggregation,
     AuditLog,
     EnforcementMonitor,
@@ -55,14 +53,12 @@ def test_full_stack_flow(deployment):
     db, admin = deployment
     manager = PolicyManager(admin)
 
-    # --- guarded administration ------------------------------------------------
-    guard = AdministrationGuard(admin, manager)
-    guard.add_administrator("dba")
-    guard.categorize("patients", "pid", IDENTIFIER, acting_user="dba")
-    guard.categorize("patients", "diagnosis", SENSITIVE, acting_user="dba")
-    guard.categorize("patients", "heart_rate", SENSITIVE, acting_user="dba")
+    # --- administration ----------------------------------------------------------
+    admin.categorize("patients", "pid", IDENTIFIER)
+    admin.categorize("patients", "diagnosis", SENSITIVE)
+    admin.categorize("patients", "heart_rate", SENSITIVE)
 
-    guard.add_policy(
+    manager.add_policy(
         Policy(
             "patients",
             (
@@ -91,7 +87,6 @@ def test_full_stack_flow(deployment):
                 ),
             ),
         ),
-        acting_user="dba",
     )
 
     # --- roles + monitor + audit --------------------------------------------------
