@@ -24,6 +24,7 @@ from ..engine.functions import MemoizedFunction
 from ..engine.mvcc import current_transaction
 from ..engine.types import BitString
 from ..errors import ConfigurationError, PolicyError
+from ..sql import ast
 from .categories import CategoryRegistry, DataCategory, DEFAULT_CATEGORIES
 from .masks import MaskLayout, complies_with
 from .policy import Policy
@@ -431,16 +432,18 @@ class AccessControlManager:
         """Store a pre-encoded policy mask (used by the workload generators).
 
         One ordinary row commit, snapshot-isolated like any write: the
-        policy epoch does not move.
+        policy epoch does not move.  A ``tuple_selector`` is an UPDATE's
+        ``WHERE column = value``, which an index narrows like any DML's.
         """
         self.require_configured()
-        target = self.database.table(table)
         if tuple_selector is None:
-            return target.set_column_value(POLICY_COLUMN, mask)
+            return self.database.table(table).set_column_value(POLICY_COLUMN, mask)
         column, value = tuple_selector
-        index = target.schema.column_index(column)
-        return target.set_column_value(
-            POLICY_COLUMN, mask, predicate=lambda row: row[index] == value
+        selected = ast.ColumnRef(column)
+        where = ast.BinaryOp("=", selected, ast.Literal(value))
+        assign = ((POLICY_COLUMN, ast.BitStringLiteral(mask.bits())),)
+        return self.database.execute(
+            ast.Update(table, assign, ast.IsNull(selected) if value is None else where)
         )
 
     def policy_masks(self, table: str) -> list[BitString | None]:

@@ -6,6 +6,10 @@ with privacy policies.  :class:`AuditLog` records every execution the
 enforcement monitor performs (and every denial), both in memory and in an
 ``al`` meta-table of the target database so the trail survives with the
 data and can itself be queried with SQL.
+
+An audit row is a non-durable append commit: its WAL frame is written at
+once and rides the next fsync of any kind, so an audited read costs no
+fsync; an OS crash may lose the frames since the last one (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -90,12 +94,13 @@ class AuditLog:
                 route=route,
             )
             self.records.append(entry)
-            self.database.table(self.TABLE).insert_row(
-                (
+            self.database.table(self.TABLE).append_rows(
+                [(
                     entry.sequence, entry.user, entry.purpose, entry.query_id,
                     entry.statement, entry.outcome, entry.rows,
                     entry.compliance_checks,
-                )
+                )],
+                durable=False,
             )
             return entry
 

@@ -9,6 +9,7 @@ through :class:`~repro.engine.executor.SelectExecutor`, DML/DDL here.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 from ..errors import CatalogError, ExecutionError, TransactionError
@@ -24,7 +25,7 @@ from .plan import PolicyBitmapCache, Scan, best_index_path, flatten_conjuncts
 from .result import ResultSet
 from .schema import Column, ColumnBinding, RowShape, TableSchema
 from .table import Table
-from .types import SqlType
+from .types import SqlType, coerce_value
 
 
 class PreparedQuery:
@@ -291,7 +292,7 @@ class Database:
     # -- commit application ------------------------------------------------------
 
     def apply_commit(
-        self, ts: int, ddl: "Iterable[dict]", plans: "Iterable[WritePlan]"
+        self, ts: int, ddl: "Iterable[dict]", plans: "Iterable[WritePlan]", pins=()
     ) -> None:
         """Apply one commit at ``ts``: its catalog ops, then its row effects,
         then its catalog entries, stamped ``ts``.
@@ -304,13 +305,13 @@ class Database:
         :class:`~repro.engine.mvcc.WritePlan` row effects.  Only committed
         state is read — ``Table._schema`` and the live index catalog, never
         a snapshot — so a committing transaction's staged schema is not
-        applied twice.
+        applied twice.  ``pins`` as for :meth:`Table.apply_committed`.
         """
         entries: list[tuple[str, str, object]] = []
         for op in ddl:
             entries.extend(self._apply_catalog_op(op, ts))
         for plan in plans:
-            plan.table.apply_committed(plan.op, plan.payload, ts, plan.written)
+            plan.table.apply_committed(plan.op, plan.payload, ts, plan.written, pins)
         if entries:
             self.catalog.commit(entries, ts)
 
@@ -641,7 +642,8 @@ class Database:
         )
         columns = list(matched.columns)
         for index, assign in assignments:
-            columns[index] = assign(matched, env)
+            coerce = partial(coerce_value, table.schema.columns[index].sql_type)
+            columns[index] = list(map(coerce, assign(matched, env)))
         # update_rows visits the positions in order, one updater call each.
         replacements = iter(zip(*columns))
         return table.update_rows(

@@ -26,7 +26,8 @@ and its one write path (DESIGN.md §15):
   record (:meth:`~repro.engine.wal.DurabilityManager.log_commit`), the one
   applier (:meth:`~repro.engine.database.Database.apply_commit`, which
   recovery replays the record through), the clock, pruning, the fsync.  A
-  snapshot is pinned under that lock, so *visible means durable*.
+  snapshot is pinned under that lock, so *visible means durable* — but
+  for a ``durable=False`` commit (an audit row), which the next fsync covers.
 * **Order writers** with one re-entrant fence
   (:meth:`TransactionManager.exclusive`): every commit and every snapshot
   pin takes it before the manager lock, and an autocommit statement that
@@ -115,6 +116,8 @@ class Transaction:
         self.ephemeral = False
         self._staged: dict[str, _StagedTable] = {}
         self._tables: dict[str, "Table"] = {}
+        #: Tables whose committed rows this snapshot read (see ``Table.rows``).
+        self._read: set["Table"] = set()
         #: Staged catalog mutations (transactional DDL), in statement order.
         self._catalog_ops: list[CatalogOp] = []
         #: Schemas staged by ALTER TABLE, visible only to this transaction
@@ -132,6 +135,7 @@ class Transaction:
         key = table.name.lower()
         overlay = self._staged.get(key)
         if overlay is None:
+            self._read.add(table)  # as in Table.rows: no append extends base mid-copy
             base = table.rows_as_of(self.snapshot.ts)
             overlay = _StagedTable(list(base))
             self._staged[key] = overlay
@@ -490,7 +494,7 @@ class TransactionManager:
 
     # -- commit ------------------------------------------------------------
 
-    def commit_single(self, table: "Table", op: str, rows: list[tuple]) -> int:
+    def commit_single(self, table: "Table", op: str, rows: list[tuple], durable=True) -> int:
         """Commit one autocommit statement's write to one table.
 
         ``op`` is ``"append"`` (``rows`` are the new rows) or ``"replace"``
@@ -501,7 +505,7 @@ class TransactionManager:
         so concurrent transactions validate against it at *their* commit.
         A ``"replace"`` that read ``rows`` before the call is only safe
         under :meth:`exclusive`, which ``Database.execute`` holds for
-        autocommit DML.
+        autocommit DML.  ``durable`` as for :meth:`_commit_locked`.
         """
         with self._fence, self._lock:
             pk = table.row_key_indexes()
@@ -509,7 +513,7 @@ class TransactionManager:
                 plan = WritePlan(table, "append", rows, _keys(rows, pk))
             else:
                 plan = _plan_write(table, table.latest_rows(), rows, pk)
-            return self._commit_locked([plan])
+            return self._commit_locked([plan], durable=durable)
 
     def commit(self, txn: Transaction) -> int:
         """Validate first-committer-wins, then commit; returns the commit ts.
@@ -548,6 +552,7 @@ class TransactionManager:
         plans: "list[WritePlan]",
         ddl: "list[dict]" = (),
         txn: "Transaction | None" = None,
+        durable: bool = True,
     ) -> int:
         """The one commit body, under the manager lock: take the next
         timestamp, log, apply, advance the clock, prune, flush.
@@ -559,6 +564,10 @@ class TransactionManager:
         yet durable.  ``ddl`` are the logical catalog ops: logged with the
         row effects in one record, applied by the same applier recovery
         replays the record with.
+
+        ``durable=False`` is the one exception, for an audit row: its frame
+        is written to the OS, not fsynced; the next fsync of any kind covers
+        it (:meth:`~repro.engine.wal.DurabilityManager.sync`).
         """
         ts = self._clock + 1
         lsn = None
@@ -568,16 +577,17 @@ class TransactionManager:
                 {plan.table.name.lower(): (plan.op, plan.payload) for plan in plans},
                 ddl,
             )
-        self.database.apply_commit(ts, ddl, plans)
+        pins = [t for t in self._active.values() if t is not txn]
+        self.database.apply_commit(ts, ddl, plans, pins)
         self._clock = ts
         if txn is not None:
             self._end_locked(txn, "committed")
         else:
-            pinned_ts = self._pinned_locked()
+            pinned_ts = {t.snapshot.ts for t in pins}
             for plan in plans:
                 plan.table.prune_history(pinned_ts)
         if lsn is not None:
-            self.wal.sync(lsn)
+            self.wal.sync(lsn, durable)
         return ts
 
     def _end_locked(self, txn: Transaction, status: str) -> None:

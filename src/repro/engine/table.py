@@ -15,9 +15,10 @@ state.  A table keeps (DESIGN.md §15):
 * ``_history`` — ``[commit ts, row list, length]`` entries, ascending: the
   pair each commit left.  A pinned snapshot at ts reads the newest entry
   no later than ts, cut to its length once if later appends extended the
-  list in place.  Pruning keeps the last entry and any entry a pinned
-  snapshot still reads, so the history is one entry when nothing is
-  pinned and one per pinned timestamp under pins.
+  list in place; an append never extends a list a pinned reader took.
+  Pruning keeps the last entry and any entry a pinned snapshot still
+  reads, so the history is one entry when nothing is pinned and one per
+  pinned timestamp under pins.
 
 A committed write arrives as one of three effects (:meth:`Table
 .apply_committed`): an append, a row delta (updated and deleted
@@ -215,6 +216,7 @@ class Table:
             overlay = txn.staged(self)
             if overlay is not None:
                 return overlay.rows
+            txn._read.add(self)  # before the clock is read: see apply_committed_append
             return self.rows_as_of(txn.snapshot.ts)
         return self._rows
 
@@ -287,10 +289,10 @@ class Table:
         the latest commit at or before ``ts`` left.
 
         Defined for pinned timestamps, whose entries pruning keeps.  A list
-        later appends extended in place is cut to its entry's length once,
-        so every snapshot between two commits reads one list object.  The
-        latest list is read before the timestamp: a commit publishes its
-        history entry and timestamp before its list.
+        later appends extended, or may be extending, is cut to its entry's
+        length once, so every snapshot between two commits reads one list
+        object that never grows.  The latest list is read before the
+        timestamp: a commit publishes its history entry and timestamp first.
         """
         rows = self._rows
         if ts >= self._last_commit_ts:
@@ -299,7 +301,7 @@ class Table:
             if entry[0] <= ts:
                 break
         rows, length = entry[1], entry[2]
-        if len(rows) > length:
+        if rows is self._rows or len(rows) > length:  # a list once replaced never grows
             entry[1] = rows = rows[:length]
         return rows
 
@@ -353,24 +355,30 @@ class Table:
     # -- commit application (called by the transaction manager) ---------------
 
     def apply_committed(
-        self, op: str, payload, ts: int, written: "frozenset | None" = None
+        self, op: str, payload, ts: int, written: "frozenset | None" = None, pins=()
     ) -> None:
         """Apply one committed effect — what a WAL record carries per table:
         ``"append"`` (rows), ``"delta"`` (``(updates, deletes, inserts)``)
-        or ``"replace"`` (the whole row list)."""
+        or ``"replace"`` (the whole row list).  ``pins`` are the active
+        transactions other than the committing one."""
         if op == "append":
-            self.apply_committed_append(payload, ts, written)
+            self.apply_committed_append(payload, ts, written, pins)
         elif op == "delta":
             self.apply_committed_delta(*payload, ts, written)
         else:
             self.apply_committed_replace(payload, ts, written)
 
     def apply_committed_append(
-        self, rows: list[tuple], ts: int, written: "frozenset | None" = None
+        self, rows: list[tuple], ts: int, written: "frozenset | None" = None, pins=()
     ) -> None:
-        """Apply an append-only commit at timestamp ``ts``: the latest list
-        grows in place."""
-        self._last_commit_ts = ts  # before the list grows, as in _committed
+        """Apply an append-only commit at ``ts``: the latest list grows in
+        place unless one of ``pins`` no older than its commit read this table.
+        The clock moves before that check and a reader marks the table before
+        it reads the clock, so a reader not seen here reads a cut entry."""
+        last, self._last_commit_ts = self._last_commit_ts, ts
+        if any(t.snapshot.ts >= last and self in t._read for t in pins):
+            self._committed(self._rows + rows, ts, written)
+            return
         self._rows.extend(rows)
         self._committed(self._rows, ts, written)
 
@@ -454,7 +462,7 @@ class Table:
         self.append_rows([values], columns)
 
     def append_rows(
-        self, rows: Iterable[Iterable[object]], columns: tuple[str, ...] = ()
+        self, rows: Iterable[Iterable[object]], columns: tuple[str, ...] = (), durable: bool = True
     ) -> int:
         """Insert many rows as *one* commit (or one staged write).
 
@@ -463,7 +471,8 @@ class Table:
         order.  Every row is coerced and NOT NULL-checked up front, then
         storage changes atomically — either all rows land (one commit, so
         one index or posting-index pass over them) or, on a bad row, none
-        do.  Returns the inserted count.
+        do.  Returns the inserted count; ``durable`` as for
+        :meth:`~repro.engine.mvcc.TransactionManager._commit_locked`.
         """
         coerced = [self._coerce_insert(row, columns) for row in rows]
         if coerced:
@@ -471,7 +480,7 @@ class Table:
             if txn is not None:
                 txn.stage(self).rows.extend(coerced)
             else:
-                self.manager.commit_single(self, "append", coerced)
+                self.manager.commit_single(self, "append", coerced, durable)
         return len(coerced)
 
     def extend(self, rows: Iterable[Iterable[object]]) -> int:
@@ -486,12 +495,12 @@ class Table:
     ) -> int:
         """Apply ``updater`` to every row matching ``predicate``; return count.
 
+        ``updater`` returns the row to store, already coerced.
         ``candidates`` — ascending row positions, from an index — narrows
         the rows ``predicate`` is evaluated on; ``None`` is every row.
         Unmatched tuples stay the same objects at the same positions.
         """
         rows = self.rows
-        schema = self.schema
         new_rows = list(rows)
         if candidates is None:
             pairs = enumerate(rows)
@@ -500,10 +509,7 @@ class Table:
         updated = 0
         for position, row in pairs:
             if predicate(row):
-                new_rows[position] = tuple(
-                    coerce_value(column.sql_type, value)
-                    for column, value in zip(schema.columns, updater(row))
-                )
+                new_rows[position] = tuple(updater(row))
                 updated += 1
         self.rows = new_rows
         return updated

@@ -23,6 +23,10 @@ redo-only logging of *committed* effects:
   durable (:meth:`WriteAheadLog.sync_to` skips the flush when the LSN is
   already covered).  Commits fsync by default; ``sync=False`` is for a
   log opened only to be replayed.
+* The exception is a non-durable commit (an audit row): its frame reaches
+  the OS at once, so a killed process loses nothing, but only the next
+  fsync of any kind makes it durable (:meth:`DurabilityManager.sync`), so
+  an OS crash can lose the up to :data:`PENDING_LIMIT` frames it covers.
 * A checkpoint writes a full database snapshot (via
   :mod:`repro.engine.persist`) with an atomic rename, then truncates the
   log, all under the transaction-manager lock; recovery = load newest
@@ -66,6 +70,9 @@ CHECKPOINT = "checkpoint"
 
 #: Per-table row effects a record can carry, cheapest first.
 EFFECT_OPS = ("append", "delta", "replace")
+
+#: Unsynced frames a non-durable commit leaves before it fsyncs itself.
+PENDING_LIMIT = 64
 
 _SNAPSHOT_NAME = "snapshot.json"
 _WAL_NAME = "wal.log"
@@ -194,8 +201,13 @@ class WriteAheadLog:
             self._synced_lsn = 0
 
     def close(self) -> None:
+        """Fsync what non-durable commits left pending, then close."""
         with self._write_lock:
             if not self._file.closed:
+                if self.sync_enabled and self._synced_lsn < self._written_lsn:
+                    os.fsync(self._file.fileno())
+                    self.syncs += 1
+                self._synced_lsn = self._written_lsn
                 self._file.close()
 
     def stats(self) -> dict[str, int]:
@@ -377,9 +389,11 @@ class DurabilityManager:
             self.record_bytes[op] += self.wal.bytes - before
         return lsn
 
-    def sync(self, lsn: int) -> None:
-        """Return once the record at ``lsn`` is durable."""
-        self.wal.sync_to(lsn)
+    def sync(self, lsn: int, durable: bool = True) -> None:
+        """Return once the record at ``lsn`` is durable — a non-durable one
+        only once :data:`PENDING_LIMIT` frames wait for an fsync."""
+        if durable or lsn - self.wal._synced_lsn >= PENDING_LIMIT:
+            self.wal.sync_to(lsn)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -200,6 +200,34 @@ class TestPolicyInstallation:
             BitString.ones(24)
         ]
 
+    def test_selected_mask_store_matches_with_and_without_an_index(self, tmp_path):
+        """A tuple-selected store takes its rows from an index on the
+        selector column, like any UPDATE: the masks, the one commit and its
+        WAL record are the ones a scan writes."""
+        from repro.engine.wal import open_database
+
+        outcomes = []
+        for indexed in (False, True):
+            db, durability = open_database(tmp_path / str(indexed))
+            db.execute("create table t (a integer, b text)")
+            db.table("t").append_rows((i % 7, f"r{i}") for i in range(60))
+            admin = AccessControlManager(db)
+            admin.configure(purposes=default_purpose_set())
+            admin.apply_policy(Policy("t", (PolicyRule.pass_all(),)))
+            if indexed:
+                db.execute("create index t_a on t (a)")
+            clock, appends = db.transactions.clock, durability.wal.appends
+            probes = db.indexes.stats()["hits"]
+            count = admin.store_policy_mask("t", BitString.zeros(24), ("a", 3))
+            assert db.transactions.clock == clock + 1
+            assert durability.wal.appends == appends + 1
+            assert (db.indexes.stats()["hits"] > probes) == indexed
+            records, _torn = durability.wal.replay()
+            outcomes.append((count, admin.policy_masks("t"), records[-1]["tables"]))
+            durability.close()
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 9
+
     def test_rows_without_policy_are_invisible(self, admin, db):
         # NULL policy + STRICT UDF → complieswith yields NULL → row filtered.
         from repro.core import EnforcementMonitor

@@ -894,3 +894,77 @@ def test_append_only_autocommit_never_copies_the_row_list(db) -> None:
         assert len(table._history) == 1
     assert table.rows is rows and len(rows) == 52
     assert table._history == [[db.transactions.clock, rows, 52]]
+
+
+def test_an_append_never_grows_a_list_a_pinned_reader_holds() -> None:
+    """A list taken under a pin keeps the length the snapshot saw: an
+    append committed while a reader that took the latest list is pinned
+    goes into a new list instead of extending that one.  A pin that never
+    read the table (an audited read appending to ``al``) copies nothing."""
+    database = Database("held")
+    database.execute("create table t (id integer, v text)")
+    database.execute("create table other (id integer)")
+    database.execute("insert into t values (1, 'a')")
+    table = database.table("t")
+    with database.transactions.read_snapshot():
+        database.execute("select id from other")
+        latest = table.latest_rows()
+        with txn_scope(None):
+            database.execute("insert into t values (0, 'unread')")
+        assert table.latest_rows() is latest
+    database.execute("delete from t where id = 0")
+    with database.transactions.read_snapshot():
+        held = table.rows
+        with txn_scope(None):
+            database.execute("insert into t values (2, 'b')")
+        assert (len(held), len(table.rows)) == (1, 1)
+    assert len(table.rows) == 2 and held == [(1, "a")]
+    # Nothing pinned: the next append extends the latest list again.
+    latest = table.rows
+    database.execute("insert into t values (3, 'c')")
+    assert table.rows is latest and len(table._history) == 1
+
+
+def test_pinned_join_over_the_audit_table_while_another_thread_audits() -> None:
+    """Every audited statement appends to ``al``; a pinned reader joining
+    ``al`` with itself must count the rows its snapshot saw, however many
+    audit rows other threads commit while it scans."""
+    import sys
+
+    from repro.core.audit import AuditLog
+
+    database = Database("audited")
+    audit = AuditLog(database)
+    for _ in range(50):
+        audit.record("u", "p", "q", "select 1", "allowed")
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def auditor() -> None:
+        try:
+            while not stop.is_set():
+                with txn_scope(None):
+                    audit.record("u", "p", "q", "select 1", "allowed")
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=auditor)
+    try:
+        with database.transactions.read_snapshot():
+            held = database.table("al").rows
+            seen = len(held)
+            thread.start()
+            for _ in range(20):
+                (count,) = database.execute(
+                    "select count(*) from al a join al b on a.seq = b.seq"
+                ).rows[0]
+                assert count == seen
+            assert len(held) == seen
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(audit) > seen
+    assert len(database.table("al").rows) == len(audit)

@@ -14,6 +14,10 @@ commit protocol, reopens the directory with
   file, so recovery replays it (an unacknowledged commit may survive; an
   acknowledged one always does).
 
+Audit rows are non-durable commits: their frames reach the file unsynced
+and ride the next fsync, so a crash at any of those points of the data
+commit that follows them still recovers every audit row written before it.
+
 The same contract is checked for **delta commits** — the records an
 UPDATE/DELETE logs, holding only the written rows addressed by position —
 on a keyed table, a table without a primary key and one with duplicate
@@ -47,12 +51,14 @@ from repro.core import (
     Purpose,
     PurposeSet,
 )
+from repro.core.audit import AuditLog
 from repro.engine import persist, txn_scope
 from repro.engine.database import Database
 from repro.engine.index import IndexDefinition
 from repro.engine.wal import (
     CHECKPOINT,
     COMMIT,
+    PENDING_LIMIT,
     WriteAheadLog,
     open_database,
 )
@@ -966,4 +972,101 @@ def test_checkpoint_racing_commits_loses_no_acknowledged_commit(tmp_path) -> Non
     assert ordered_rows(recovered) == expected
     kept = {row[0]: row[1] for row in recovered.table("k").rows}
     assert [kept.get(i) for i in acked] == ["acked"] * 150
+    redo.close()
+
+
+# -- audit records ride the next fsync --------------------------------------------
+
+
+def audited_db(directory):
+    """:func:`policy_db` plus an audit log: every enforced read appends a
+    non-durable row to ``al``."""
+    db, durability, admin = policy_db(directory)
+    monitor = EnforcementMonitor(admin)
+    monitor.attach_audit(AuditLog(db))
+    return db, durability, monitor
+
+
+def audit_seqs(db) -> list[int]:
+    return sorted(row[0] for row in db.table("al").rows)
+
+
+def pending(wal) -> int:
+    """Frames written but not yet fsynced."""
+    stats = wal.stats()
+    return stats["written_lsn"] - stats["synced_lsn"]
+
+
+def test_an_audited_read_appends_one_frame_and_no_fsync(tmp_path) -> None:
+    db, durability, monitor = audited_db(tmp_path)
+    wal = durability.wal
+    appends, syncs = wal.appends, wal.syncs
+    monitor.execute("select id, v from m", "p1")
+    assert (wal.appends, wal.syncs, pending(wal)) == (appends + 1, syncs, 1)
+    durability.close()
+
+
+def test_the_next_data_commit_fsyncs_the_pending_audit_frames(tmp_path) -> None:
+    db, durability, monitor = audited_db(tmp_path)
+    wal = durability.wal
+    for purpose in ("p1", "p2", "p1"):
+        monitor.execute("select count(v) from m", purpose)
+    assert pending(wal) == 3
+    syncs, audit_lsn = wal.syncs, wal.stats()["written_lsn"]
+    db.execute("update m set v = 'x' where id = 1")
+    assert wal.syncs == syncs + 1
+    assert wal.stats()["synced_lsn"] == audit_lsn + 1 and pending(wal) == 0
+    durability.close()
+
+
+@pytest.mark.parametrize("failpoint", sorted(FAILPOINT_SURVIVES))
+def test_crash_mid_commit_after_pending_audit_frames(tmp_path, failpoint) -> None:
+    """A process crash at any failpoint of a data commit that follows
+    unsynced audit frames loses none of them: recovery brings back every
+    audit row written before the crash plus the committed prefix."""
+    rng = random.Random(f"audit:{CRASH_SEED}:{failpoint}")
+    db, durability, monitor = audited_db(tmp_path)
+    for step in range(rng.randint(1, 4)):
+        db.execute(f"update m set v = 's{step}' where id = {rng.randrange(8)}")
+        for _ in range(rng.randint(1, 4)):
+            monitor.execute(rng.choice(MASK_QUERIES), rng.choice(("p1", "p2")))
+    assert pending(durability.wal) > 0
+    written = audit_seqs(db)
+    prefix = {row[0]: row[1] for row in db.table("m").rows}
+
+    durability.wal.failpoints.add(failpoint)
+    with pytest.raises(InjectedFailure):
+        db.execute("update m set v = 'doomed' where id = 0")
+
+    recovered, redo, _admin = policy_db(tmp_path)
+    assert audit_seqs(recovered) == written
+    if FAILPOINT_SURVIVES[failpoint]:
+        prefix[0] = "doomed"
+    assert {row[0]: row[1] for row in recovered.table("m").rows} == prefix
+    redo.close()
+
+
+def test_the_pending_limit_th_audit_frame_fsyncs(tmp_path) -> None:
+    db, durability, monitor = audited_db(tmp_path)
+    wal = durability.wal
+    syncs = wal.syncs
+    for _ in range(PENDING_LIMIT - 1):
+        monitor.audit.record("u", "p1", "q", "select 1", "allowed")
+    assert (wal.syncs, pending(wal)) == (syncs, PENDING_LIMIT - 1)
+    monitor.audit.record("u", "p1", "q", "select 1", "allowed")
+    assert (wal.syncs, pending(wal)) == (syncs + 1, 0)
+    durability.close()
+
+
+def test_close_fsyncs_pending_audit_frames(tmp_path) -> None:
+    db, durability, monitor = audited_db(tmp_path)
+    monitor.execute("select id, v from m", "p1")
+    monitor.execute("select id, v from m", "p2")
+    written, syncs = audit_seqs(db), durability.wal.syncs
+    durability.close()
+    stats = durability.wal.stats()
+    assert stats["synced_lsn"] == stats["written_lsn"]
+    assert stats["syncs"] == syncs + 1
+    recovered, redo, _admin = policy_db(tmp_path)
+    assert audit_seqs(recovered) == written
     redo.close()
