@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from ..engine import Column, Database, SqlType, TableSchema
 from ..engine.functions import MemoizedFunction
-from ..engine.mvcc import current_transaction
 from ..engine.types import BitString
 from ..errors import ConfigurationError, PolicyError
 from ..sql import ast
@@ -117,17 +116,6 @@ class AccessControlManager:
             ],
             self.database.transactions.clock,
         )
-
-    def _enforcement_version(self) -> int:
-        """The catalog version enforcement resolves against *right now*.
-
-        Inside a transaction this is the snapshot's pinned catalog version;
-        outside it is the live catalog head.
-        """
-        txn = current_transaction(self.database.transactions)
-        if txn is not None:
-            return txn.snapshot.catalog_version
-        return self.database.catalog.version
 
     def _acm_state(self, version: int) -> AcmState | None:
         """The taxonomy as of ``version`` (``None`` before the first commit)."""
@@ -314,11 +302,12 @@ class AccessControlManager:
     def category(self, table: str, column: str) -> DataCategory:
         """Categorizer protocol: Pm lookup with the *generic* fallback (§4.1).
 
-        Resolved as of the enforcement version, so snapshot-pinned readers
+        Resolved as of the visible catalog version, so snapshot-pinned readers
         see the categorization their snapshot began under.
         """
         key = (table.lower(), column.lower())
-        state = self._acm_state(self._enforcement_version())
+        version = self.database.transactions.visible_catalog_version()
+        state = self._acm_state(version)
         if state is not None:
             return state.categories.get(key, self.categories.default)
         return self._category_map.get(key, self.categories.default)
@@ -374,10 +363,10 @@ class AccessControlManager:
         return self.database.has_table(key) and key not in META_TABLES
 
     def layout(self, table: str) -> MaskLayout:
-        """The mask layout of a target table at the enforcement version.
+        """The mask layout of a target table at the visible catalog version.
 
         Cached by *content* — ⟨table, columns, purpose ids⟩ as resolved at
-        the enforcement version — so a catalog commit that leaves the
+        the visible catalog version — so a catalog commit that leaves the
         taxonomy alone (an index DDL) keeps hitting one cached layout,
         while taxonomy edits and schema changes resolve to a different
         key.  Pinned readers resolve the key as of their snapshot
@@ -387,7 +376,7 @@ class AccessControlManager:
         key = table.lower()
         if key in META_TABLES or not self.database.has_table(key):
             raise PolicyError(f"{table!r} is not a protected target table")
-        version = self._enforcement_version()
+        version = self.database.transactions.visible_catalog_version()
         columns = self.table_columns(key)
         purposes = self._purposes_at(version)
         cache_key = (key, columns, purposes.ids())

@@ -47,12 +47,15 @@ class AuditLog:
     def __init__(self, database: Database):
         self.database = database
         self.records: list[AuditRecord] = []
-        self._sequence = itertools.count(1)
         # One record() = a sequence draw, a list append and a table insert;
         # the lock keeps those atomic when many server threads audit at once
         # (so `al` rows never appear out of sequence order).
         self._lock = threading.Lock()
-        if not database.has_table(self.TABLE):
+        if database.has_table(self.TABLE):
+            # A reopened database: `seq` continues after its largest value.
+            last = max(database.table(self.TABLE).column_values("seq"), default=0)
+        else:
+            last = 0
             database.create_table(
                 TableSchema(
                     self.TABLE,
@@ -68,6 +71,7 @@ class AuditLog:
                     ],
                 )
             )
+        self._sequence = itertools.count(last + 1)
 
     def record(
         self,

@@ -114,7 +114,7 @@ class CompiledEnforcedPlan:
 
     Valid exactly as long as the policy epoch it was compiled under; the
     cache key embeds :attr:`epoch`, so entries from older epochs simply
-    stop being found (and are purged on the next insertion).
+    stop being found, and the LRU bound evicts them like any other.
 
     ``signature`` is ``None`` for set-operation chains, where each SELECT
     branch carries its own signature inside the rewritten tree.  Every
@@ -301,10 +301,6 @@ class EnforcementMonitor:
             "by a full pass over a table's rows (event=row_pass)",
         )
         registry.counter(
-            "repro_epoch_invalidations_total",
-            "Cached plans purged because the policy epoch moved",
-        )
-        registry.counter(
             "repro_index_total",
             "Secondary-index activity: probes (event=hit), entries "
             "carried to another row list (event=carried_forward) "
@@ -438,19 +434,6 @@ class EnforcementMonitor:
         """The secured target database."""
         return self.admin.database
 
-    def _current_epoch(self) -> int:
-        """The policy epoch queries are enforced under *right now*.
-
-        Inside a transaction this is the snapshot's epoch, not the admin's
-        live epoch: a reader that began before a taxonomy edit keeps
-        compiling and hitting plans for its snapshot's taxonomy
-        (DESIGN.md §15).
-        """
-        txn = current_transaction(self.database.transactions)
-        if txn is not None:
-            return txn.snapshot.catalog_version
-        return self.admin.policy_epoch
-
     # -- pipeline pieces ------------------------------------------------------------
 
     def derive_signature(self, query: str | ast.Select, purpose: str) -> QuerySignature:
@@ -555,7 +538,9 @@ class EnforcementMonitor:
         """
         statement, qid = resolved.statement, resolved.shape_id
         with self._cache_lock:
-            epoch = self._current_epoch()
+            # A reader pinned before a taxonomy edit keeps compiling and
+            # hitting plans for its snapshot's taxonomy (DESIGN.md §15).
+            epoch = self.database.transactions.visible_catalog_version()
             mode = self.optimizer_mode
             key = (qid, purpose, epoch, mode)
             plan = self._plan_cache.get(key)
@@ -587,24 +572,6 @@ class EnforcementMonitor:
                     rewritten, optimizer=mode, batch_size=self.batch_size
                 ),
             )
-            # Keys embed the current epoch, so entries compiled under earlier
-            # epochs can never be hit again — drop them before LRU eviction
-            # starts pushing out live plans.  Epochs still pinned by an
-            # active snapshot are kept: their readers can (and should) keep
-            # hitting the plans compiled for their policy state.
-            pinned = self.database.transactions.pinned_catalog_versions()
-            live_epoch = self.admin.policy_epoch
-            stale_keys = [
-                k
-                for k in self._plan_cache
-                if k[2] != epoch and k[2] != live_epoch and k[2] not in pinned
-            ]
-            for stale in stale_keys:
-                del self._plan_cache[stale]
-            if stale_keys and self.metrics is not None:
-                self.metrics.counter("repro_epoch_invalidations_total").inc(
-                    len(stale_keys)
-                )
             self._plan_cache[key] = plan
             while len(self._plan_cache) > self.plan_cache_size:
                 self._plan_cache.popitem(last=False)

@@ -1,17 +1,19 @@
 """The versioned catalog: commit-stamped metadata entries (DESIGN.md §15).
 
 The engine's metadata — table schemas, index definitions, the purpose
-taxonomy — lives in one versioned store: every metadata mutation commits a
-``(kind, key) -> value`` entry stamped with a monotonically increasing
-**catalog version** and the commit timestamp, so
+taxonomy — lives in one versioned store, the only record of its history:
+every metadata mutation commits a ``(kind, key) -> value`` entry stamped
+with a monotonically increasing **catalog version** and the commit
+timestamp, so
 
 * a :class:`~repro.engine.mvcc.Snapshot` pins ``(commit ts, catalog
-  version)`` and metadata reads resolve *as of* that version — taxonomy
-  edits and DDL become ordinary versioned commits visible only to later
-  snapshots;
-* the policy epoch *is* :attr:`Catalog.version` (plan caches,
-  ``compliesWith`` memos and shard broadcasts key on it, and it advances
-  on policy churn *and* DDL);
+  version)`` and metadata reads resolve *as of* the version
+  :meth:`~repro.engine.mvcc.TransactionManager.visible_catalog_version`
+  names — taxonomy edits and DDL become ordinary versioned commits
+  visible only to later snapshots;
+* the policy epoch *is* :attr:`Catalog.version` (plan caches and shard
+  broadcasts key on it, and it advances on taxonomy edits and DDL, never
+  on a mask store, which is a row write);
 * transactional DDL validates **first-committer-wins on the catalog
   entry**: two transactions staging a change to the same ``(kind, key)``
   conflict, independent writers to different entries commit freely.
@@ -36,7 +38,7 @@ Entry kinds used by the engine:
 ``"acm"``
     key = ``"state"``, value = the access-control manager's immutable
     taxonomy snapshot (purposes + categorization) committed on every
-    policy write.
+    taxonomy edit.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class Catalog:
 
     Histories are kept per slot so reads can resolve *as of* any still
     pinned catalog version; :meth:`prune` trims history below the oldest
-    pinned version (the metadata counterpart of tuple-version pruning).
+    pinned version, the one pruning rule for metadata.
     """
 
     def __init__(self) -> None:
@@ -135,24 +137,31 @@ class Catalog:
             history = self._entries.get((kind, key.lower()))
             return history[-1].version if history else 0
 
-    def value_at(
-        self, kind: str, key: str, version: int | None = None
-    ) -> object:
-        """The newest value committed at or before ``version`` (or latest).
-
-        Returns ``None`` when the slot has no entry at or before the
-        version — callers fall back to their live (pre-catalog) state.
-        """
+    def entry_at(self, kind: str, key: str, version: int) -> CatalogEntry | None:
+        """The newest entry of ``(kind, key)`` committed at or before
+        ``version``, or ``None`` when it has none."""
         with self._lock:
-            history = self._entries.get((kind, key.lower()))
-            if not history:
-                return None
-            if version is None:
-                return history[-1].value
-            for entry in reversed(history):
-                if entry.version <= version:
-                    return entry.value
-            return None
+            return _at(self._entries.get((kind, key.lower()), ()), version)
+
+    def value_at(self, kind: str, key: str, version: int) -> object:
+        """The value of :meth:`entry_at` (``None`` without an entry)."""
+        entry = self.entry_at(kind, key, version)
+        return None if entry is None else entry.value
+
+    def values_at(self, kind: str, version: int) -> dict[str, object]:
+        """Every key under ``kind`` whose value at ``version`` is not a
+        tombstone, mapped to that value."""
+        with self._lock:
+            found = (
+                (key, _at(history, version))
+                for (k, key), history in self._entries.items()
+                if k == kind
+            )
+            return {
+                key: entry.value
+                for key, entry in found
+                if entry is not None and entry.value is not None
+            }
 
     def kinds_since(self, version: int) -> set[str]:
         """The entry kinds that have a commit newer than ``version``.
@@ -169,20 +178,6 @@ class Catalog:
                 if history and history[-1].version > version
             }
 
-    def has_entry(self, kind: str, key: str) -> bool:
-        with self._lock:
-            return bool(self._entries.get((kind, key.lower())))
-
-    def keys(self, kind: str) -> list[str]:
-        """Every key with history under ``kind`` (dropped entries included).
-
-        Snapshot-pinned readers use this to resurrect metadata that was
-        dropped from the live state after their snapshot began (e.g. an
-        index definition a pinned plan still probes).
-        """
-        with self._lock:
-            return [key for (k, key) in self._entries if k == kind]
-
     # -- pruning ----------------------------------------------------------
 
     def prune(self, horizon_version: int) -> None:
@@ -190,7 +185,7 @@ class Catalog:
 
         For each slot, the newest entry at or before the horizon stays (it
         is what a snapshot pinned exactly at the horizon resolves to); all
-        older entries go.  Called alongside tuple-version pruning.
+        older entries go.  Called whenever a transaction ends.
         """
         with self._lock:
             for slot, history in self._entries.items():
@@ -213,3 +208,11 @@ class Catalog:
                 "slots": len(self._entries),
                 "entries": sum(len(h) for h in self._entries.values()),
             }
+
+
+def _at(history, version: int) -> CatalogEntry | None:
+    """The newest entry of ``history`` at or before ``version``."""
+    for entry in reversed(history):
+        if entry.version <= version:
+            return entry
+    return None

@@ -294,8 +294,9 @@ class Database:
     def apply_commit(
         self, ts: int, ddl: "Iterable[dict]", plans: "Iterable[WritePlan]", pins=()
     ) -> None:
-        """Apply one commit at ``ts``: its catalog ops, then its row effects,
-        then its catalog entries, stamped ``ts``.
+        """Apply one commit at ``ts``: its row effects, then its catalog
+        entries at one new catalog version, then the live state those
+        entries describe.
 
         The one applier: the transaction manager runs it under its lock for
         every live commit, recovery for every logged one, and a shard worker
@@ -303,48 +304,77 @@ class Database:
         holding engine objects (:func:`~repro.engine.wal.decode_ddl_op`
         turns logged ones back into these); ``plans`` are
         :class:`~repro.engine.mvcc.WritePlan` row effects.  Only committed
-        state is read — ``Table._schema`` and the live index catalog, never
-        a snapshot — so a committing transaction's staged schema is not
+        state is read — latest schemas and the latest catalog, never a
+        snapshot — so a committing transaction's staged schema is not
         applied twice.  ``pins`` as for :meth:`Table.apply_committed`.
         """
-        entries: list[tuple[str, str, object]] = []
+        entries: dict[tuple[str, str], object] = {}
         for op in ddl:
-            entries.extend(self._apply_catalog_op(op, ts))
+            self._catalog_entries(op, entries)
         for plan in plans:
             plan.table.apply_committed(plan.op, plan.payload, ts, plan.written, pins)
-        if entries:
-            self.catalog.commit(entries, ts)
+        if not entries:
+            return
+        version = self.catalog.commit(
+            [(kind, key, value) for (kind, key), value in entries.items()], ts
+        )
+        for (kind, key), value in entries.items():
+            if kind == "index":
+                self.indexes.discard(key)
+            elif kind == "schema":
+                self.tables[key].commit_schema(value, version)
+            elif value is None:
+                del self.tables[key]
+                self.policy_bitmaps.forget(key)
+            else:
+                table = Table(value)
+                table._created_version = table._schema_version = version
+                table.attach_manager(self.transactions)
+                self.tables[key] = table
 
-    def _apply_catalog_op(self, op: dict, ts: int) -> "list[tuple[str, str, object]]":
-        """Apply one logical catalog op; returns the catalog entries it
-        commits."""
+    def _catalog_entries(self, op: dict, entries: dict) -> None:
+        """Add the catalog entries of one logical catalog op to ``entries``
+        (``(kind, key) -> value``; a later op on a slot overwrites)."""
         kind = op["op"]
         if kind == "create_table":
-            schema = op["schema"]
-            table = Table(schema)
-            table.attach_manager(self.transactions)
-            self.tables[schema.name.lower()] = table
-            return [("table", schema.name.lower(), schema)]
-        if kind == "drop_table":
+            entries["table", op["schema"].name.lower()] = op["schema"]
+        elif kind == "drop_table":
             key = op["table"].lower()
-            del self.tables[key]
-            self.policy_bitmaps.forget(key)
-            # The cascade: every index of the table is dropped and
-            # tombstoned in this same commit.
-            return [("table", key, None)] + [
-                ("index", definition.name, None)
-                for definition in self.indexes.drop_for_table(key)
-            ]
-        if kind in ("add_column", "drop_column"):
-            table = self.table(op["table"])
-            schema = table.apply_committed_alter(op, ts)
-            return [("schema", table.name.lower(), schema)]
-        if kind == "create_index":
-            definition = self.indexes.register(op["definition"])
-            return [("index", definition.name, definition)]
-        if kind == "drop_index":
-            return [("index", self.indexes.drop(op["name"]).name, None)]
-        raise CatalogError(f"unknown catalog op {kind!r}")
+            entries["table", key] = None
+            self._cascade_to_indexes(entries, key)
+        elif kind in ("add_column", "drop_column"):
+            key = op["table"].lower()
+            schema = entries.get(("schema", key)) or self.table(key)._schema
+            if kind == "add_column":
+                entries["schema", key] = schema.with_column(op["column"])
+            else:
+                entries["schema", key] = schema.without_column(op["column"])
+                self._cascade_to_indexes(entries, key, op["column"].lower())
+        elif kind == "create_index":
+            entries["index", op["definition"].name] = op["definition"]
+        elif kind == "drop_index":
+            entries["index", op["name"].lower()] = None
+        else:
+            raise CatalogError(f"unknown catalog op {kind!r}")
+
+    def _cascade_to_indexes(
+        self, entries: dict, table: str, column: "str | None" = None
+    ) -> None:
+        """Tombstone, in this same commit, every index of ``table`` (only
+        those keyed on ``column``, when given) — one the commit creates
+        too: an index on a column that is gone could never be probed or
+        reloaded from a checkpoint."""
+        indexes = self.catalog.values_at("index", self.catalog.version)
+        indexes.update(
+            (name, value) for (kind, name), value in entries.items() if kind == "index"
+        )
+        for name, definition in indexes.items():
+            if (
+                definition is not None
+                and definition.table == table
+                and (column is None or column in definition.columns)
+            ):
+                entries["index", name] = None
 
     # -- transactions ------------------------------------------------------------
 
@@ -670,14 +700,18 @@ class Database:
     # -- DDL -----------------------------------------------------------------------
 
     def _execute_create_index(self, statement: ast.CreateIndex) -> None:
+        self.create_index(
+            IndexDefinition(
+                name=statement.name,
+                table=statement.table,
+                columns=statement.columns,
+                kind=statement.kind,
+            )
+        )
+
+    def create_index(self, definition: IndexDefinition) -> None:
         """CREATE INDEX: staged in the transaction's catalog overlay, visible
         at commit, first-committer-wins on the index name."""
-        definition = IndexDefinition(
-            name=statement.name,
-            table=statement.table,
-            columns=statement.columns,
-            kind=statement.kind,
-        )
         with self.transactions.statement_transaction() as txn:
             normalized = self.indexes.normalize(definition)
             if (

@@ -2,10 +2,11 @@
 
 :class:`IndexManager` owns every secondary index of one database.  An
 index *definition* (name, table, key columns, structure kind) is durable
-catalog state — it survives DML, is persisted by
-:mod:`repro.engine.persist` and round-trips through ``CREATE INDEX`` /
-``DROP INDEX``.  The built *entry* is a :class:`RowIndex` — the
-structure a table's policy posting index is too — valid for exactly the
+catalog state — committed to the versioned catalog by ``CREATE INDEX`` /
+``DROP INDEX``, read as of the reader's visible catalog version and
+persisted by :mod:`repro.engine.persist`.  The built *entry* is a
+:class:`RowIndex` — the structure a table's policy posting index is
+too — valid for exactly the
 row list object and length it describes (``repro.engine.table`` says why
 that pair names one state):
 
@@ -35,7 +36,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from ...errors import CatalogError, ExecutionError
-from ..mvcc import current_transaction
 from ..table import replaced_positions
 from .btree import BTreeIndex
 from .hash import HashIndex
@@ -159,27 +159,22 @@ class RowIndex:
 
 
 class IndexManager:
-    """Per-database index catalog and build cache."""
+    """Per-database index resolution and build cache."""
 
     def __init__(self, database: "Database"):
         self._database = database
         self._lock = threading.RLock()
-        self._definitions: dict[str, IndexDefinition] = {}
         #: name → (the definition built for, its entry).
         self._entries: dict[str, tuple[IndexDefinition, RowIndex]] = {}
 
     # -- catalog ---------------------------------------------------------------
 
-    def create(self, definition: IndexDefinition) -> IndexDefinition:
-        """Validate and register ``definition`` (build happens lazily)."""
-        return self.register(self.normalize(definition))
-
     def normalize(self, definition: IndexDefinition) -> IndexDefinition:
-        """Lower-case and validate ``definition`` without registering it.
+        """Lower-case and validate ``definition``.
 
-        Transactional CREATE INDEX validates at statement time with this,
-        then registers via :meth:`register` only when the transaction
-        commits (first-committer-wins on the catalog entry).
+        CREATE INDEX validates at statement time with this; the catalog
+        entry is committed only when the transaction commits
+        (first-committer-wins on the catalog entry).
         """
         normalized = IndexDefinition(
             name=definition.name.lower(),
@@ -199,91 +194,37 @@ class IndexManager:
             table.schema.column_index(column)  # raises on unknown columns
         return normalized
 
-    def register(self, normalized: IndexDefinition) -> IndexDefinition:
-        """Register an already-normalized definition (duplicate names raise)."""
+    def discard(self, name: str) -> None:
+        """Forget the built entry of ``name`` (its catalog entry moved)."""
         with self._lock:
-            if normalized.name in self._definitions:
-                raise CatalogError(f"index {normalized.name!r} already exists")
-            self._definitions[normalized.name] = normalized
-        return normalized
-
-    def drop(self, name: str) -> IndexDefinition:
-        """Drop one index; unknown names raise :class:`CatalogError`."""
-        key = name.lower()
-        with self._lock:
-            if key not in self._definitions:
-                raise CatalogError(f"unknown index {name!r}")
-            self._entries.pop(key, None)
-            return self._definitions.pop(key)
-
-    def drop_for_table(self, table_name: str) -> list[IndexDefinition]:
-        """Drop every index of one table (DROP TABLE cleanup)."""
-        key = table_name.lower()
-        with self._lock:
-            doomed = [d for d in self._definitions.values() if d.table == key]
-            for definition in doomed:
-                self._definitions.pop(definition.name, None)
-                self._entries.pop(definition.name, None)
-        return doomed
+            self._entries.pop(name, None)
 
     def get(self, name: str) -> IndexDefinition:
         """The definition named ``name``; unknown names raise.
 
-        Resolved *as of* the ambient transaction's pinned catalog version:
-        an index created after a snapshot began is invisible to it, and one
-        dropped after it began is resurrected from catalog history — pinned
-        plans keep their access path no matter what DDL commits around
-        them.
+        Resolved *as of* the visible catalog version: an index created
+        after a snapshot began is invisible to it, and one dropped after it
+        began is still there — pinned plans keep their access path no
+        matter what DDL commits around them.
         """
-        definition = self._resolve(name, self._ambient_version())
+        definition = self.find(name)
         if definition is None:
             raise CatalogError(f"unknown index {name!r}")
         return definition
 
     def find(self, name: str) -> IndexDefinition | None:
-        return self._resolve(name, self._ambient_version())
+        database = self._database
+        return database.catalog.value_at(
+            "index", name, database.transactions.visible_catalog_version()
+        )
 
     def definitions(self) -> list[IndexDefinition]:
-        """Every definition visible at the ambient version, sorted by name."""
-        version = self._ambient_version()
-        with self._lock:
-            names = set(self._definitions)
-        if version is not None:
-            catalog = getattr(self._database, "catalog", None)
-            if catalog is not None:
-                names.update(catalog.keys("index"))
-        resolved = (self._resolve(name, version) for name in sorted(names))
-        return [definition for definition in resolved if definition is not None]
-
-    def _ambient_version(self) -> "int | None":
-        """The pinned catalog version, or ``None`` outside a transaction."""
-        transactions = getattr(self._database, "transactions", None)
-        if transactions is None:
-            return None
-        txn = current_transaction(transactions)
-        if txn is None:
-            return None
-        return txn.snapshot.catalog_version
-
-    def _resolve(
-        self, name: str, version: "int | None"
-    ) -> IndexDefinition | None:
-        """``name``'s definition as of ``version`` (``None`` = latest live).
-
-        Slots with no catalog history (definitions seeded before the first
-        catalog commit, e.g. checkpoint reloads) fall back to the live
-        state, matching :meth:`Catalog.value_at` semantics.
-        """
-        key = name.lower()
-        with self._lock:
-            live = self._definitions.get(key)
-        if version is None:
-            return live
-        catalog = getattr(self._database, "catalog", None)
-        if catalog is None or not catalog.has_entry("index", key):
-            return live
-        value = catalog.value_at("index", key, version)
-        return value if isinstance(value, IndexDefinition) else None
+        """Every definition visible at the visible version, sorted by name."""
+        database = self._database
+        visible = database.catalog.values_at(
+            "index", database.transactions.visible_catalog_version()
+        )
+        return [visible[name] for name in sorted(visible)]
 
     def for_table(self, table_name: str) -> list[IndexDefinition]:
         """Every definition on one table, sorted by name."""
@@ -399,9 +340,10 @@ class IndexManager:
         """Monotonic lookup/rebuild/carry-forward totals plus catalog
         sizes."""
         total = self._database.cost_total
+        definitions = len(self)
         with self._lock:
             return {
-                "definitions": len(self._definitions),
+                "definitions": definitions,
                 "built": len(self._entries),
                 "hits": total["index.hit"],
                 "rebuilds": total["index.rebuild"],
@@ -423,5 +365,4 @@ class IndexManager:
         return out
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._definitions)
+        return len(self.definitions())

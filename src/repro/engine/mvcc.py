@@ -49,7 +49,7 @@ import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import compress
-from operator import is_not
+from operator import is_not, itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import (
@@ -294,12 +294,20 @@ def row_delta(
     return updates, deletes, new[cursor:]
 
 
+def _pk_tuples(rows, pk: tuple[int, ...]):
+    """The primary-key tuple of each of ``rows``, in order, at C speed
+    (``itemgetter`` gives a one-column key as a scalar: ``zip`` wraps it).
+    Every write-set key comes from here."""
+    key = itemgetter(*pk)
+    return zip(map(key, rows)) if len(pk) == 1 else map(key, rows)
+
+
 def _keys(rows, pk: tuple[int, ...]) -> "frozenset | None":
     """The primary keys of ``rows``; ``None`` — "every row" — for a table
     without a primary key."""
     if not pk:
         return None
-    return frozenset(tuple(row[index] for index in pk) for row in rows)
+    return frozenset(_pk_tuples(rows, pk))
 
 
 def _written_keys(old: list[tuple], delta, pk: tuple[int, ...]) -> "frozenset | None":
@@ -337,15 +345,13 @@ def _rebase(delta, base: list[tuple], latest: list[tuple], pk: tuple[int, ...]):
     there under their (unique) primary key.
     """
     updates, deletes, inserts = delta
-
-    def key_of(row: tuple) -> tuple:
-        return tuple(row[index] for index in pk)
-
-    replaced = {key_of(base[position]): row for position, row in updates}
-    removed = {key_of(base[position]) for position in deletes}
+    replaced = dict(zip(
+        _pk_tuples([base[position] for position, _ in updates], pk),
+        [row for _, row in updates],
+    ))
+    removed = set(_pk_tuples([base[position] for position in deletes], pk))
     moved_updates, moved_deletes = [], []
-    for position, row in enumerate(latest):
-        key = key_of(row)
+    for position, key in enumerate(_pk_tuples(latest, pk)):
         if key in removed:
             moved_deletes.append(position)
         elif key in replaced:
@@ -431,6 +437,18 @@ class TransactionManager:
         if self.catalog is not None:
             return self.catalog.version
         return 0
+
+    def visible_catalog_version(self) -> int:
+        """The catalog version metadata reads resolve at: the ambient
+        transaction's pinned version, or the latest outside one.
+
+        The one rule for which schemas, index definitions and taxonomy a
+        reader sees, and the epoch its plans are cached under.
+        """
+        txn = current_transaction(self)
+        if txn is not None:
+            return txn.snapshot.catalog_version
+        return self.current_catalog_version()
 
     # -- snapshot lifecycle ------------------------------------------------
 
@@ -630,6 +648,10 @@ class TransactionManager:
         plans: list[WritePlan] = []
         for key, overlay in txn._staged.items():
             table = txn._tables[key]
+            if self.database.tables.get(key) is not table:
+                # Dropped since the snapshot: a logged write to it would
+                # name a table recovery no longer has.
+                raise self._conflict_locked(txn, table)
             base = overlay.base_rows
             changed = table.last_commit_ts > txn.snapshot.ts
             if key in txn._staged_schemas:
@@ -687,16 +709,6 @@ class TransactionManager:
     def _pinned_locked(self) -> set[int]:
         """The snapshot timestamps active transactions pin."""
         return {t.snapshot.ts for t in self._active.values()}
-
-    def pinned_catalog_versions(self) -> set[int]:
-        """Catalog versions still pinned by an active snapshot.
-
-        The enforcement monitor's plan-cache purge keeps entries for these
-        versions so a pinned reader's plans survive concurrent policy
-        churn and DDL.
-        """
-        with self._lock:
-            return {t.snapshot.catalog_version for t in self._active.values()}
 
     def _prune_tables_locked(self, txn: Transaction) -> None:
         pinned_ts = self._pinned_locked()

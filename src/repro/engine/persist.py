@@ -115,10 +115,10 @@ def from_document(document: dict) -> Database:
     database.policy_function = policy.get("function")
     database.policy_column = policy.get("column")
     for entry in document.get("indexes", ()):
-        database.indexes.create(IndexDefinition.from_dict(entry))
-    # Restore the catalog-version floor last: registrations above already
+        database.create_index(IndexDefinition.from_dict(entry))
+    # Restore the catalog-version floor last: the commits above already
     # advanced the counter from zero, and the stored value (stamped after
-    # the same registrations pre-checkpoint) must win ties.
+    # the same commits pre-checkpoint) must win ties.
     database.catalog.advance_to(int(document.get("catalog_version", 0)))
     return database
 

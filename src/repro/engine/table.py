@@ -25,11 +25,12 @@ A committed write arrives as one of three effects (:meth:`Table
 positions plus inserted rows) or a whole-list replacement.  Untouched
 tuples stay the same objects.
 
-The *schema* is versioned the same way (DESIGN.md §15): ALTER TABLE
-commits the rewritten rows and the new schema at one commit timestamp,
-``_schema_log`` keeps ``(ts, schema)`` pairs, and the
-:attr:`schema` property resolves the schema as of the reading snapshot —
-an old snapshot sees old-width rows *and* the old schema.  Each committed
+The *schema* history is the catalog's (DESIGN.md §15): ALTER TABLE
+commits the rewritten rows at one timestamp and the new schema at one
+catalog version, and the table keeps only the latest schema and the
+version it was committed at.  A snapshot pinned before that version reads
+its schema from the catalog entry it sees — an old snapshot sees
+old-width rows *and* the old schema.  Each committed
 write also records its primary-key **write set** in ``_write_log`` so the
 transaction manager can validate first-committer-wins at row granularity
 (:meth:`written_since`).
@@ -90,10 +91,9 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self._schema = schema
-        #: ``(commit ts, schema)`` pairs, ascending — the schema history a
-        #: pinned snapshot resolves :attr:`schema` against.
-        self._schema_log: list[tuple[int, TableSchema]] = [(0, schema)]
-        self._last_schema_ts: int = 0
+        #: Catalog versions of this table's CREATE and of its latest schema
+        #: commit; a reader pinned before the latter asks the catalog.
+        self._created_version = self._schema_version = 0
         self._rows: list[tuple] = []
         #: ``[commit ts, row list, length]`` entries, ascending — the row
         #: history a pinned snapshot resolves :attr:`rows` against.
@@ -122,8 +122,12 @@ class Table:
             from .database import Database  # import cycle: database → table
 
             database = Database()
-            database.tables[self.name.lower()] = self
+            key = self.name.lower()
+            database.tables[key] = self
             self.attach_manager(database.transactions)
+            self._created_version = self._schema_version = database.catalog.commit(
+                [("table", key, self._schema)]
+            )
         return self._manager
 
     def _active_txn(self) -> "Transaction | None":
@@ -150,38 +154,35 @@ class Table:
         """The visible schema.
 
         Inside a transaction: the schema staged by this transaction's
-        ALTER TABLE if any, otherwise the schema as of the snapshot
-        timestamp.  Outside: the latest committed schema.
+        ALTER TABLE if any, otherwise the schema as of the snapshot's
+        catalog version.  Outside: the latest committed schema.
         """
         txn = self._active_txn()
         if txn is not None:
             staged = txn.staged_schema(self)
             if staged is not None:
                 return staged
-            if txn.snapshot.ts < self._last_schema_ts:
-                return self.schema_as_of(txn.snapshot.ts)
+            version = self._manager.visible_catalog_version()
+            if version < self._schema_version:
+                return self._schema_at(version)
         return self._schema
 
-    def schema_as_of(self, ts: int) -> TableSchema:
-        """The committed schema visible to a snapshot at ``ts``."""
-        for committed_ts, schema in reversed(self._schema_log):
-            if committed_ts <= ts:
-                return schema
-        return self._schema_log[0][1]
+    def _schema_at(self, version: int) -> TableSchema:
+        """This table's schema as of catalog ``version``: its newest ALTER
+        at or before it, else its CREATE's schema — never that of an
+        earlier table of the same name."""
+        catalog, key = self._manager.catalog, self.name.lower()
+        altered = catalog.entry_at("schema", key, version)
+        if altered is not None and altered.version > self._created_version:
+            return altered.value
+        return catalog.value_at("table", key, self._created_version)
 
-    def apply_committed_alter(self, ddl: dict, ts: int) -> TableSchema:
-        """Apply a committed ``add_column``/``drop_column`` op at ``ts`` to
-        the latest committed schema — never a snapshot's or a transaction's
-        staged one — and return the new schema."""
-        if ddl["op"] == "add_column":
-            schema = self._schema.with_column(ddl["column"])
-        else:
-            schema = self._schema.without_column(ddl["column"])
+    def commit_schema(self, schema: TableSchema, version: int) -> None:
+        """Make ``schema``, committed at catalog ``version``, the latest.
+        The version moves first: from then on a reader pinned before it
+        asks the catalog, which already holds the entry."""
+        self._schema_version = version
         self._schema = schema
-        self._pk_cache = None
-        self._schema_log.append((ts, schema))
-        self._last_schema_ts = ts
-        return schema
 
     def row_key_indexes(self) -> tuple[int, ...]:
         """Column indexes of the primary key in the latest committed schema.
@@ -327,7 +328,7 @@ class Table:
 
         Of the row history the last entry stays, and any other only if a
         pinned timestamp falls in ``[its ts, the next entry's ts)``; write
-        sets and schemas at or before the oldest pin go.  One entry per
+        sets at or before the oldest pin go.  One entry per
         pinned timestamp, not every entry since the oldest pin: a delta
         commit copies the row list, so a long pin would otherwise hold a
         full list per commit.
@@ -337,13 +338,6 @@ class Table:
             self._write_log = [
                 entry for entry in self._write_log if entry[0] > horizon
             ]
-        if len(self._schema_log) > 1 and self._schema_log[1][0] <= horizon:
-            keep = 0
-            for index, (committed_ts, _schema) in enumerate(self._schema_log):
-                if committed_ts <= horizon:
-                    keep = index
-            if keep > 0:
-                self._schema_log = self._schema_log[keep:]
         history = self._history
         if len(history) > 1:
             self._history = [

@@ -667,9 +667,6 @@ class ShardCoordinator:
                 "size": len(self._route_cache),
                 "version": self._route_cache_version,
             },
-            "epoch_invalidations": int(
-                self.metrics.counter("repro_epoch_invalidations_total").value()
-            ),
             "epoch_broadcasts": self._epoch_broadcasts,
             "resyncs": self._resyncs,
             "routes": dict(self._route_counts),

@@ -39,7 +39,6 @@ import asyncio
 
 from ..engine.wal import decode_ddl_op
 from ..errors import ReproError
-from ..obs.metrics import MetricsRegistry
 from ..server.protocol import error_code_for
 from .recipe import WorldRecipe, build_world
 from .router import split_rows
@@ -63,11 +62,6 @@ class ShardWorker:
         self.monitor = self.world.monitor
         self.monitor.set_optimizer(optimizer)
         self.admin = self.world.admin
-        # Each shard keeps its own registry so the coordinator can audit
-        # epoch-scoped invalidations shard by shard (the epoch-race test
-        # cross-checks these against the coordinator's own counter).
-        if self.monitor.metrics is None:
-            self.monitor.attach_metrics(MetricsRegistry())
         self._queries = 0
         self._epoch_bumps = 0
         self._syncs = 0
@@ -178,11 +172,6 @@ class ShardWorker:
                 "rebuilds": index_stats["rebuilds"],
             },
             "epoch_bumps": self._epoch_bumps,
-            "epoch_invalidations": int(
-                self.monitor.metrics.counter(
-                    "repro_epoch_invalidations_total"
-                ).value()
-            ),
             "queries": self._queries,
             "syncs": self._syncs,
             "rows": {name: len(database.table(name)) for name in database.table_names()},

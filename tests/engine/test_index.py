@@ -195,7 +195,7 @@ class TestIndexManagerCatalog:
 
     def test_unknown_kind_is_rejected(self, indexed_db) -> None:
         with pytest.raises(CatalogError):
-            indexed_db.indexes.create(
+            indexed_db.create_index(
                 IndexDefinition(name="i", table="t", columns=("grp",), kind="gin")
             )
 

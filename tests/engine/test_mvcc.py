@@ -402,6 +402,72 @@ def test_schema_change_is_versioned_not_barriered(db) -> None:
         db.transactions.rollback(pinned)
 
 
+# -- metadata history is the catalog's -----------------------------------------
+
+
+def test_three_pins_around_two_alters_each_read_their_own_schema(db) -> None:
+    table = db.table("t")
+    first = db.transactions.begin()
+    db.execute("alter table t add column x integer")
+    second = db.transactions.begin()
+    db.execute("alter table t drop column v")
+    third = db.transactions.begin()
+    try:
+        for pin, columns, width in (
+            (first, ("id", "v"), 2),
+            (second, ("id", "v", "x"), 3),
+            (third, ("id", "x"), 2),
+        ):
+            with txn_scope(pin):
+                assert table.schema.column_names == columns
+                assert {len(row) for row in table.rows} == {width}
+                assert rows(db, "select * from t order by id")[0][0] == 1
+    finally:
+        for pin in (first, second, third):
+            db.transactions.rollback(pin)
+    assert table.schema.column_names == ("id", "x")
+
+
+def test_recreated_table_never_reads_the_dropped_tables_schema(db) -> None:
+    """The catalog keeps the dropped ``u``'s ALTER next to the new ``u``'s
+    entries: a reader pinned before the new table's ALTER resolves to the
+    new CREATE's columns, as does one pinned before the new table existed."""
+    db.execute("create table u (a integer, b integer)")
+    db.execute("alter table u add column c integer")
+    before_drop = db.transactions.begin()
+    db.execute("drop table u")
+    db.execute("create table u (x text, y text)")
+    before_alter = db.transactions.begin()
+    db.execute("alter table u add column z text")
+    table = db.table("u")
+    try:
+        for pin in (before_drop, before_alter):
+            with txn_scope(pin):
+                assert table.schema.column_names == ("x", "y")
+        assert table.schema.column_names == ("x", "y", "z")
+    finally:
+        db.transactions.rollback(before_drop)
+        db.transactions.rollback(before_alter)
+
+
+def test_catalog_history_prunes_to_one_entry_per_slot(db) -> None:
+    db.execute("create index i_t on t (id)")
+    pins = [db.transactions.begin()]
+    db.execute("alter table t add column x integer")
+    pins.append(db.transactions.begin())
+    db.execute("drop index i_t")
+    db.execute("create index i_t on t (v)")
+    pins.append(db.transactions.begin())
+    db.execute("alter table t drop column x")
+    assert db.catalog.stats()["entries"] > db.catalog.stats()["slots"]
+    for pin in pins:
+        db.transactions.rollback(pin)
+    stats = db.catalog.stats()
+    assert stats["entries"] == stats["slots"]
+    assert db.table("t").schema.column_names == ("id", "v")
+    assert db.indexes.get("i_t").columns == ("v",)
+
+
 # -- transactional DDL (PR 10) ------------------------------------------------
 
 
@@ -667,6 +733,58 @@ def test_four_disjoint_writers_all_commit(pkdb) -> None:
         thread.join()
     assert outcomes.count("committed") == 4, outcomes
     assert rrows(pkdb) == [(1, "w1"), (2, "w2"), (3, "w3"), (4, "w4")]
+
+
+@pytest.fixture()
+def compositedb():
+    """A table keyed by two columns: write sets hold ``(k1, k2)`` pairs."""
+    from repro.engine.schema import Column, TableSchema
+    from repro.engine.types import SqlType
+
+    database = Database("mvcc-composite")
+    database.create_table(
+        TableSchema(
+            "c",
+            [
+                Column("k1", SqlType.INTEGER, primary_key=True),
+                Column("k2", SqlType.TEXT, primary_key=True),
+                Column("v", SqlType.TEXT),
+            ],
+        )
+    )
+    database.execute(
+        "insert into c values (1, 'a', 'x'), (1, 'b', 'x'), (2, 'a', 'x')"
+    )
+    return database
+
+
+def test_composite_key_disjoint_writers_rebase(compositedb) -> None:
+    first = compositedb.transactions.begin()
+    second = compositedb.transactions.begin()
+    with txn_scope(first):
+        compositedb.execute("update c set v = 'f' where k1 = 1 and k2 = 'a'")
+    with txn_scope(second):
+        compositedb.execute("update c set v = 's' where k1 = 1 and k2 = 'b'")
+        compositedb.execute("delete from c where k1 = 2")
+    compositedb.transactions.commit(first)
+    compositedb.transactions.commit(second)
+    assert compositedb.transactions.stats.rebased == 1
+    assert sorted(compositedb.execute("select * from c").rows) == [
+        (1, "a", "f"), (1, "b", "s"),
+    ]
+
+
+def test_composite_key_overlapping_writers_conflict(compositedb) -> None:
+    first = compositedb.transactions.begin()
+    second = compositedb.transactions.begin()
+    with txn_scope(first):
+        compositedb.execute("update c set v = 'f' where k1 = 1 and k2 = 'b'")
+    with txn_scope(second):
+        compositedb.execute("update c set v = 's' where k1 = 1")
+    compositedb.transactions.commit(first)
+    with pytest.raises(WriteConflictError):
+        compositedb.transactions.commit(second)
+    assert compositedb.transactions.stats.rebased == 0
 
 
 def test_no_primary_key_falls_back_to_table_granularity(db) -> None:

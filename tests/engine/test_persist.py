@@ -113,6 +113,46 @@ class TestIndexRoundTrip:
         restored = persist.loads(persist.dumps(database))
         assert restored.indexes.lookup_equal("i_a", 2) == [1]
 
+    def test_pinned_reader_keeps_a_reloaded_index_after_drop(self):
+        """A reloaded index is a catalog entry like any other: a snapshot
+        pinned before DROP INDEX still finds it and plans its IndexScan."""
+        from repro.engine import txn_scope
+        from repro.engine.plan import IndexScan, walk
+
+        restored = persist.loads(persist.dumps(self._database()))
+        restored.execute("create index i_a on t (a)")
+        restored = persist.loads(persist.dumps(restored))
+        pinned = restored.transactions.begin()
+        restored.execute("drop index i_a")
+        assert restored.indexes.find("i_a") is None
+        with txn_scope(pinned):
+            assert restored.indexes.find("i_a") == IndexDefinition("i_a", "t", ("a",))
+            prepared = restored.prepare("select b from t where a = 2")
+            (arm,) = prepared._arms()[1]
+            scans = [
+                node for node in walk(arm.block.filter or arm.block.source_root)
+                if isinstance(node, IndexScan)
+            ]
+            assert [scan.index_name for scan in scans] == ["i_a"]
+            assert prepared.execute().rows == [("y",)]
+        restored.transactions.rollback(pinned)
+
+    def test_drop_column_drops_the_indexes_keyed_on_it(self):
+        """An index on a dropped column goes in the same commit, so a
+        checkpoint never carries a definition its reload cannot build."""
+        database = self._database()
+        database.execute("create index i_a on t (a)")
+        database.execute("create index i_b on t (b)")
+        database.execute("create index i_ab on t (a, b)")
+        database.execute("begin")
+        database.execute("create index i_staged on t (b)")
+        database.execute("alter table t drop column b")
+        database.execute("commit")
+        assert [d.name for d in database.indexes.definitions()] == ["i_a"]
+        restored = persist.loads(persist.dumps(database))
+        assert [d.name for d in restored.indexes.definitions()] == ["i_a"]
+        assert restored.indexes.lookup_equal("i_a", 2) == [1]
+
     def test_version_1_snapshots_still_load(self):
         database = self._database()
         database.execute("create index i_a on t (a)")

@@ -137,6 +137,19 @@ def test_commits_survive_reopen(tmp_path) -> None:
     assert redo.torn_bytes == 0
 
 
+def test_audit_sequence_continues_on_a_reopened_database(tmp_path) -> None:
+    db, durability = open_database(tmp_path)
+    audit = AuditLog(db)
+    for step in range(3):
+        audit.record("u", "p", f"q{step}", "select 1", "allowed")
+    durability.close()
+
+    reopened, durability = open_database(tmp_path)
+    AuditLog(reopened).record("u", "p", "q3", "select 1", "allowed")
+    durability.close()
+    assert sorted(reopened.table("al").column_values("seq")) == [1, 2, 3, 4]
+
+
 def test_replayed_delta_commits_keep_one_row_list(tmp_path) -> None:
     db, durability = durable_db(tmp_path)
     db.execute("insert into t values " + ", ".join(f"({i}, 'x')" for i in range(50)))
@@ -579,6 +592,32 @@ def test_write_conflict_is_not_logged(tmp_path) -> None:
     durability.close()
     recovered, _ = durable_db(tmp_path)
     assert table_rows(recovered) == [(1, "winner")]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["update t set v = 'staged' where id = 1", "alter table t add column x integer"],
+)
+def test_write_to_a_table_dropped_since_the_snapshot_is_not_logged(
+    tmp_path, statement
+) -> None:
+    """A transaction that wrote a table dropped after its snapshot aborts
+    before the log: a record naming the table would fail recovery."""
+    db, durability = durable_db(tmp_path)
+    db.execute("insert into t values (1, 'x')")
+    db.execute("create table keep (id integer)")
+    txn = db.transactions.begin()
+    with txn_scope(txn):
+        db.execute(statement)
+    db.execute("drop table t")
+    appends_before = durability.wal.appends
+    with pytest.raises(WriteConflictError):
+        db.transactions.commit(txn)
+    assert durability.wal.appends == appends_before
+    assert db.transactions.active_count() == 0
+    durability.close()
+    recovered, _ = open_database(tmp_path)
+    assert list(recovered.tables) == ["keep"]
 
 
 # -- delta commits --------------------------------------------------------------

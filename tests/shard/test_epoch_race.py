@@ -13,10 +13,10 @@ request was sent.
 A breached fence surfaces in two ways, both asserted: a split-epoch scatter
 increments ``repro_shard_epoch_retries_total`` (and raises after three
 straddles), and a stale answer shows an epoch below the acked floor.
-The controlled tail round then pins the invalidation accounting: one
-bump must invalidate exactly one cached plan on the coordinator's local
-replica and on every shard — the ``repro_epoch_invalidations`` counters
-agree across the whole deployment.
+The controlled tail round then pins the recompile accounting: after one
+bump, each cached statement compiles exactly once more on the
+coordinator's local replica and on every shard — the plan-cache miss
+counters agree across the whole deployment.
 
 A second race has no cooperating writer at all: a thread issues index DDL
 straight on the coordinator's replica — an operator's session, not a
@@ -140,42 +140,41 @@ def test_epoch_bump_race_never_serves_stale_epochs(deployment) -> None:
 
 
 def test_epoch_invalidation_counts_match_across_deployment(deployment) -> None:
-    """One controlled round: cache a plan everywhere, bump once, re-prepare
-    everywhere.  Every shard and the coordinator's local replica must each
-    report exactly one epoch invalidation for the bump."""
+    """One controlled round: cache a plan everywhere, bump once, re-query
+    everywhere.  The old plans are unreachable under the new epoch, so
+    every shard and the coordinator's local replica each recompile exactly
+    one plan for the bump."""
     server, coordinator = deployment
+
+    def misses() -> tuple[int, dict[int, int]]:
+        stats = _shard_stats(server, coordinator)
+        return coordinator.monitor.plan_cache_info()["misses"], {
+            shard["shard"]: shard["plan_cache"]["misses"]
+            for shard in stats["shards"]
+        }
+
     with Client(*server.address) as client:
         client.hello("demo", "p6")
         # Flush any construction-time staleness and cache one plan per
         # shard (scatter) and one on the local replica (local route).
         client.query(SCATTER_SQL)
         client.query(LOCAL_SQL)
-
-        before_local = _counter(coordinator, "repro_epoch_invalidations_total")
-        before_shards = {
-            shard["shard"]: shard["epoch_invalidations"]
-            for shard in _shard_stats(server, coordinator)["shards"]
-        }
+        before_local, before_shards = misses()
 
         server.submit(coordinator.bump_epoch()).result(timeout=30)
         client.query(SCATTER_SQL)
         client.query(LOCAL_SQL)
-
-        after_local = _counter(coordinator, "repro_epoch_invalidations_total")
-        after_shards = {
-            shard["shard"]: shard["epoch_invalidations"]
-            for shard in _shard_stats(server, coordinator)["shards"]
-        }
+        after_local, after_shards = misses()
 
     deltas = {
         shard: after_shards[shard] - before_shards[shard]
         for shard in after_shards
     }
     assert deltas == {shard: 1 for shard in range(SHARDS)}, (
-        f"per-shard invalidations diverged: {deltas}"
+        f"per-shard recompiles diverged: {deltas}"
     )
     assert after_local - before_local == 1, (
-        "coordinator replica invalidations disagree with the shards"
+        "coordinator replica recompiles disagree with the shards"
     )
 
 
