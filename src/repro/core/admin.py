@@ -135,7 +135,7 @@ class AccessControlManager:
         """Observability snapshot of the ``complieswith`` memo.
 
         ``hits``/``misses`` are the database total's monotonic ``memo.hit``
-        / ``memo.miss`` counts (they survive overflow clears); ``cached`` is
+        / ``memo.miss`` counts (they survive evictions); ``cached`` is
         the current number of memoized argument tuples.
         """
         total = self.database.cost_total

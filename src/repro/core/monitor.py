@@ -50,6 +50,8 @@ from .rewriter import rewrite_query
 from .signatures import QuerySignature, SignatureDeriver
 
 
+#: The most entries each parse memo (text → resolved, shape → parsed) keeps.
+PARSE_CACHE_SIZE = 256
 #: The metric family each ledger event family is counted under.
 _EVENT_FAMILIES = {"bitmap": "repro_policy_bitmap_total", "index": "repro_index_total"}
 
@@ -208,8 +210,8 @@ class EnforcementMonitor:
 
     ``plan_cache_size`` bounds the compiled-plan LRU cache (keyed by
     ⟨shape id, purpose, policy epoch, optimizer mode⟩);
-    ``parse_cache_size`` bounds each policy-independent memo in front of
-    it: raw text → :class:`Resolved`, and shape → parsed shape.
+    :data:`PARSE_CACHE_SIZE` bounds each policy-independent memo in front
+    of it: raw text → :class:`Resolved`, and shape → parsed shape.
 
     The caches and their counters are lock-guarded, so one monitor can serve
     many threads (the :mod:`repro.server` deployment): cache hits and plan
@@ -234,7 +236,6 @@ class EnforcementMonitor:
         admin: AccessControlManager,
         authorizer=None,
         plan_cache_size: int = 32,
-        parse_cache_size: int = 256,
         optimizer: str | None = None,
         batch_size: int | None = None,
     ):
@@ -247,7 +248,6 @@ class EnforcementMonitor:
         self.optimizer_mode = resolve_optimizer_mode(optimizer)
         self.batch_size = resolve_batch_size(batch_size)
         self.plan_cache_size = plan_cache_size
-        self.parse_cache_size = parse_cache_size
         self._plan_cache: "OrderedDict[tuple, CompiledEnforcedPlan]" = (
             OrderedDict()
         )
@@ -518,7 +518,7 @@ class EnforcementMonitor:
     def _remember(self, memo: OrderedDict, key, value):
         with self._cache_lock:
             memo[key] = value
-            if len(memo) > self.parse_cache_size:
+            if len(memo) > PARSE_CACHE_SIZE:
                 memo.popitem(last=False)
         return value
 

@@ -116,23 +116,24 @@ class PolicyManager:
         storage = self.admin.database.table(table)
         policy_index = storage.schema.column_index(POLICY_COLUMN)
         cache: dict[BitString, BitString] = {}
-        rewritten = 0
-        new_rows = []
-        for row in storage.rows:
+
+        def migrated(row: tuple) -> "BitString | None":
             mask = row[policy_index]
             if mask is None:
-                new_rows.append(row)
-                continue
-            migrated = cache.get(mask)
-            if migrated is None:
-                migrated = self._migrate_mask(mask, old_layout, new_layout)
-                cache[mask] = migrated
-            if migrated != mask:
-                row = (*row[:policy_index], migrated, *row[policy_index + 1 :])
-                rewritten += 1
-            new_rows.append(row)
-        storage.rows = new_rows
-        return rewritten
+                return None
+            if mask not in cache:
+                cache[mask] = self._migrate_mask(mask, old_layout, new_layout)
+            return cache[mask]
+
+        def changes(row: tuple) -> bool:
+            mask = migrated(row)
+            return mask is not None and mask != row[policy_index]
+
+        # Only the rows whose mask changes are written.
+        return storage.update_rows(
+            changes,
+            lambda row: (*row[:policy_index], migrated(row), *row[policy_index + 1 :]),
+        )
 
     def _migrate_mask(
         self, mask: BitString, old_layout: MaskLayout, new_layout: MaskLayout

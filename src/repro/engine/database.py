@@ -682,19 +682,13 @@ class Database:
 
     def _execute_delete(self, statement: ast.Delete, env: Env) -> int:
         table = self.table(statement.table)
-        executor, compiler, shape = self._dml_compiler(table)
-        predicate = (
-            compiler.compile(statement.where)
-            if statement.where is not None
-            else None
-        )
-        if predicate is None:
-            count = len(table)
-            table.truncate()
-            return count
-        positions, _ = self._matching_rows(
-            executor, table, shape, statement.where, predicate, env
-        )
+        positions = None
+        if statement.where is not None:
+            executor, compiler, shape = self._dml_compiler(table)
+            positions, _ = self._matching_rows(
+                executor, table, shape, statement.where,
+                compiler.compile(statement.where), env,
+            )
         return table.delete_rows(lambda row: True, positions)
 
     # -- DDL -----------------------------------------------------------------------

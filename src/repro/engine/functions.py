@@ -83,6 +83,11 @@ class RegisteredFunction:
     strict: bool = True
 
 
+#: The most argument tuples a :class:`MemoizedFunction` keeps; a full memo
+#: evicts its oldest entry, as the policy bitmap cache does.
+MEMO_LIMIT = 4096
+
+
 class MemoizedFunction:
     """A pure scalar function wrapped with a bounded argument→result memo.
 
@@ -94,20 +99,18 @@ class MemoizedFunction:
     ``memo.miss``; one with an unhashable argument is a miss, uncached.
 
     The memo is guarded by a lock so concurrent query threads can share it:
-    lookups and the clear-on-overflow sequence would otherwise interleave
-    (a reader could observe a cache another thread is mid-way through
-    clearing).  A page takes it once
+    lookups and the evict-on-overflow sequence would otherwise interleave
+    (two threads could evict the same oldest entry).  A page takes it once
     for its lookups and once more to store what it missed; the wrapped
     function runs outside it — it is pure, so a racing duplicate
     computation is harmless while holding the lock across it would serialize
     every policy check.
     """
 
-    __slots__ = ("func", "maxsize", "_cache", "_lock")
+    __slots__ = ("func", "_cache", "_lock")
 
-    def __init__(self, func: Callable[..., object], maxsize: int = 4096):
+    def __init__(self, func: Callable[..., object]):
         self.func = func
-        self.maxsize = maxsize
         self._cache: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
@@ -144,8 +147,8 @@ class MemoizedFunction:
         if computed:
             with self._lock:
                 for args, result in computed.items():
-                    if len(self._cache) >= self.maxsize:
-                        self._cache.clear()
+                    if len(self._cache) >= MEMO_LIMIT:
+                        del self._cache[next(iter(self._cache))]
                     self._cache[args] = result
         misses = len(computed) + sum(map(unhashable.__contains__, keys))
         total.charge(costs, "memo.hit", length - misses)

@@ -9,15 +9,20 @@ and its one write path (DESIGN.md §15):
   schemas, index definitions and purpose taxonomy the query is planned
   and enforced under.  Every commit prunes the history of the tables it
   wrote to the lists the active snapshots pin.
-* **Stage.**  A :class:`Transaction` writes per-table overlays and stages
-  DDL as :class:`~repro.engine.catalog.CatalogOp` entries.  Outside
-  ``BEGIN`` a DDL statement is its own transaction
+* **Stage.**  A write names its rows: ``Table.update_rows`` /
+  ``delete_rows`` hand the positions they chose on to the write as a
+  delta ``(updates, deletes, inserts)`` over the list they read.  A
+  :class:`Transaction` folds each statement's delta into a per-table
+  overlay over the snapshot's rows and stages DDL as
+  :class:`~repro.engine.catalog.CatalogOp` entries.  Outside ``BEGIN`` a
+  DDL statement is its own transaction
   (:meth:`TransactionManager.statement_transaction`); an autocommit DML
-  statement builds none (:meth:`TransactionManager.commit_single`).
+  statement builds none and commits its delta as it stands
+  (:meth:`TransactionManager.commit_single`).  No commit diffs lists.
 * **Validate** first-committer-wins: a catalog op conflicts on its catalog
   entry (:class:`~repro.errors.CatalogConflictError`), a row write on the
-  primary keys of the rows it changed (:func:`row_delta`, by tuple
-  identity; :class:`~repro.errors.WriteConflictError`).  A disjoint-row
+  primary keys of the rows its delta names
+  (:class:`~repro.errors.WriteConflictError`).  A disjoint-row
   writer to a table that changed since its snapshot *rebases* onto the
   latest rows by key.  Tables without a primary key, duplicate keys and
   schema changes conflict as a whole.
@@ -49,7 +54,7 @@ import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import compress
-from operator import is_not, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import (
@@ -80,26 +85,66 @@ class Snapshot:
 
 
 class _StagedTable:
-    """A transaction's private overlay over one table.
+    """A transaction's private overlay over one table: its writes as one
+    delta over ``base``, the snapshot's row list itself (never copied;
+    :meth:`Transaction.stage` marks the table read first, so no append
+    extends it).
 
-    Created on the transaction's first write to the table by cloning the
-    snapshot-visible rows; all further statements in the transaction read
-    this list, append to it or replace it with a new one — so, as for a
-    committed list, (list, length) names one staged state and caches
+    ``updates`` maps a base position to the row replacing it, ``deletes``
+    holds base positions and ``inserts`` the rows appended after the
+    survivors — the record the commit plans from, so it never diffs lists.
+    :attr:`rows`, what statements inside the transaction read, is that
+    delta applied to ``base``: built on the first read after a write, so, as
+    for a committed list, (list, length) names one staged state and caches
     derived from the rows never serve one staged state for another.
-    ``base_rows`` keeps the snapshot-time rows: the commit diffs the overlay
-    against them by object identity (:func:`row_delta`) to find the rows
-    this transaction actually changed.
     """
 
-    __slots__ = ("rows", "base_rows", "append_only")
+    __slots__ = ("base", "updates", "deletes", "inserts", "_rows")
 
-    def __init__(self, rows: list[tuple]):
-        self.rows = rows
-        self.base_rows: list[tuple] = list(rows)
-        #: True while the overlay only ever appended rows; such a table
-        #: commits its suffix as an append without diffing.
-        self.append_only = True
+    def __init__(self, base: list[tuple]):
+        self.base = base
+        self.updates: dict[int, tuple] = {}
+        self.deletes: set[int] = set()
+        self.inserts: list[tuple] = []
+        self._rows: "list[tuple] | None" = base
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows the transaction sees: ``base`` with its writes applied."""
+        if self._rows is None:
+            self._rows = apply_delta(self.base, self.delta())
+        return self._rows
+
+    def delta(self) -> "tuple[list[tuple[int, tuple]], list[int], list[tuple]]":
+        """``(updates, deletes, inserts)`` over ``base``, positions ascending."""
+        return sorted(self.updates.items()), sorted(self.deletes), self.inserts
+
+    def write(self, updates, deletes, inserts) -> None:
+        """Fold one statement's delta, addressed to :attr:`rows`, into the
+        overlay.  A visible position below the survivors' count is a base
+        row — through the survivors of ``base`` once a delete has happened —
+        and one above it a row this transaction inserted."""
+        kept = len(self.base) - len(self.deletes)
+        survivors = range(len(self.base))
+        if self.deletes and (updates or deletes):
+            survivors = sorted(set(survivors) - self.deletes)
+        for position, row in updates:
+            if position < kept:
+                self.updates[survivors[position]] = row
+            else:
+                self.inserts[position - kept] = row
+        for position in deletes:
+            if position < kept:
+                self.updates.pop(survivors[position], None)
+                self.deletes.add(survivors[position])
+        dropped = [position - kept for position in deletes if position >= kept]
+        if dropped:
+            self.inserts = _without(self.inserts, dropped)
+        self.inserts.extend(inserts)
+        if updates or deletes or self._rows is self.base:
+            self._rows = None
+        elif self._rows is not None:
+            self._rows.extend(inserts)  # an append grows the staged list in place
 
 
 class Transaction:
@@ -135,9 +180,8 @@ class Transaction:
         key = table.name.lower()
         overlay = self._staged.get(key)
         if overlay is None:
-            self._read.add(table)  # as in Table.rows: no append extends base mid-copy
-            base = table.rows_as_of(self.snapshot.ts)
-            overlay = _StagedTable(list(base))
+            self._read.add(table)  # as in Table.rows: no append extends base
+            overlay = _StagedTable(table.rows_as_of(self.snapshot.ts))
             self._staged[key] = overlay
             self._tables[key] = table
         return overlay
@@ -232,9 +276,9 @@ class WritePlan:
     """One table's commit effect.
 
     ``op``/``payload`` is the effect as the WAL logs it and the table
-    applies it: ``"append"`` (rows), ``"delta"`` (a :func:`row_delta`
-    triple, positions in the latest committed rows) or ``"replace"`` (the
-    whole new row list).  ``written`` is the primary-key write set, or
+    applies it: ``"append"`` (rows), ``"delta"`` (``(updates, deletes,
+    inserts)``, positions in the latest committed rows) or ``"replace"``
+    (the whole new row list).  ``written`` is the primary-key write set, or
     ``None`` for "every row" (and for a replayed effect).
     """
 
@@ -248,50 +292,27 @@ class WritePlan:
         self.rebased = rebased
 
 
-def row_delta(
-    old: list[tuple], new: list[tuple]
-) -> "tuple[list[tuple[int, tuple]], list[int], list[tuple]]":
-    """``(updates, deletes, inserts)`` turning ``old`` into ``new``.
+def _without(items: list, positions) -> list:
+    """A copy of ``items`` minus the given positions (a C-speed filter)."""
+    keep = [True] * len(items)
+    for position in positions:
+        keep[position] = False
+    return list(compress(items, keep))
 
-    ``updates`` pairs a position in ``old`` with the row replacing it,
-    ``deletes`` lists positions in ``old`` (both ascending), ``inserts`` are
-    the rows appended after the survivors.  Rows are matched by *object
-    identity*: ``update_rows``/``delete_rows`` keep every untouched tuple
-    the same object in the same order, so a tuple that is not the one at its
-    position was written.  Applying the delta to ``old`` always yields
-    ``new`` exactly, whatever produced ``new``; a list that reorders rows
-    merely degrades to deletes plus inserts.
-    """
-    size = len(old)
-    if len(new) >= size:
-        # The positions holding another tuple object (a C-speed pass).
-        changed = list(compress(range(size), map(is_not, old, new)))
-        gone = {id(old[position]) for position in changed}
-        if not any(id(new[position]) in gone for position in changed):
-            # No row merely moved: in-place updates plus an appended tail.
-            return [(p, new[p]) for p in changed], [], new[size:]
-    # Rows were deleted: walk both lists from the first difference.  A new
-    # row that is one of the old tuples means the old row before it is gone;
-    # any other new row replaces the old row at its place.
-    start = next(compress(range(size), map(is_not, old, new)), min(size, len(new)))
-    old_ids = set(map(id, old))
-    updates: list[tuple[int, tuple]] = []
-    deletes: list[int] = []
-    position, cursor, end = start, start, len(new)
-    while position < size:
-        if cursor == end:
-            deletes.extend(range(position, size))
-            break
-        row = new[cursor]
-        if row is old[position]:
-            cursor += 1
-        elif id(row) in old_ids:
-            deletes.append(position)
-        else:
-            updates.append((position, row))
-            cursor += 1
-        position += 1
-    return updates, deletes, new[cursor:]
+
+def apply_delta(rows: list[tuple], delta) -> list[tuple]:
+    """A new list: ``rows`` with ``delta`` — ``(updates, deletes,
+    inserts)``, positions in ``rows`` — applied.  Untouched tuples stay
+    the same objects, so a structure following the rows tells a written
+    row by identity."""
+    updates, deletes, inserts = delta
+    rows = list(rows)
+    for position, row in updates:
+        rows[position] = row
+    if deletes:
+        rows = _without(rows, deletes)
+    rows.extend(inserts)
+    return rows
 
 
 def _pk_tuples(rows, pk: tuple[int, ...]):
@@ -322,18 +343,18 @@ def _written_keys(old: list[tuple], delta, pk: tuple[int, ...]) -> "frozenset | 
     return _keys(rows, pk)
 
 
-def _plan_write(table, old: list[tuple], new: list[tuple], pk) -> WritePlan:
-    """The cheapest effect turning ``old`` — the latest committed rows —
-    into ``new``: an append when no existing row is touched, the whole list
-    when every one is (TRUNCATE, ALTER TABLE, an assignment to all rows),
-    the delta otherwise."""
-    delta = updates, deletes, inserts = row_delta(old, new)
-    written = _written_keys(old, delta, pk)
+def _plan_write(table, base: list[tuple], delta, pk) -> WritePlan:
+    """The cheapest effect of ``delta`` over ``base``: an append when no
+    existing row is touched, the whole list when every one is (TRUNCATE,
+    ALTER TABLE, an assignment to all rows, a replacement), the delta
+    otherwise.  The write set is the delta's keys (:func:`_written_keys`)."""
+    updates, deletes, inserts = delta
+    written = _written_keys(base, delta, pk)
     touched = len(updates) + len(deletes)
     if not touched:
         return WritePlan(table, "append", inserts, written)
-    if touched >= len(old):
-        return WritePlan(table, "replace", new, written)
+    if touched >= len(base):
+        return WritePlan(table, "replace", apply_delta(base, delta), written)
     return WritePlan(table, "delta", delta, written)
 
 
@@ -512,25 +533,22 @@ class TransactionManager:
 
     # -- commit ------------------------------------------------------------
 
-    def commit_single(self, table: "Table", op: str, rows: list[tuple], durable=True) -> int:
+    def commit_single(self, table: "Table", delta, durable=True) -> int:
         """Commit one autocommit statement's write to one table.
 
-        ``op`` is ``"append"`` (``rows`` are the new rows) or ``"replace"``
-        (``rows`` is the statement's whole result list, diffed here against
-        the latest committed rows).  No :class:`Transaction` is built: every
-        audited read autocommits an append, so this stays the plan plus
+        ``delta`` is ``(updates, deletes, inserts)`` addressed to the latest
+        committed rows: the positions the statement chose itself
+        (``Table.update_rows``/``delete_rows``, which read and commit under
+        :meth:`autocommit_exclusive`, so no other writer lands in between),
+        or only inserts.  It is planned as it stands (:func:`_plan_write`);
+        nothing is diffed.  No :class:`Transaction` is built: every audited
+        read autocommits an append, so this stays the plan plus
         :meth:`_commit_locked`.  The commit's row-level write set is recorded
         so concurrent transactions validate against it at *their* commit.
-        A ``"replace"`` that read ``rows`` before the call is only safe
-        under :meth:`exclusive`, which ``Database.execute`` holds for
-        autocommit DML.  ``durable`` as for :meth:`_commit_locked`.
+        ``durable`` as for :meth:`_commit_locked`.
         """
         with self._fence, self._lock:
-            pk = table.row_key_indexes()
-            if op == "append":
-                plan = WritePlan(table, "append", rows, _keys(rows, pk))
-            else:
-                plan = _plan_write(table, table.latest_rows(), rows, pk)
+            plan = _plan_write(table, table.latest_rows(), delta, table.row_key_indexes())
             return self._commit_locked([plan], durable=durable)
 
     def commit(self, txn: Transaction) -> int:
@@ -640,10 +658,10 @@ class TransactionManager:
     def _validate_tables_locked(self, txn: Transaction) -> "list[WritePlan]":
         """Row-level first-committer-wins + rebase planning for staged DML.
 
-        Without a concurrent commit to the table the plan costs what the
-        transaction changed: one identity pass over the overlay and the
-        keys of the changed rows.  Only a table that *did* change since the
-        snapshot pays a walk over its rows, to rebase.
+        Each overlay already holds its delta over the snapshot's rows, so
+        without a concurrent commit to the table the plan costs what the
+        transaction changed: the keys of the changed rows.  Only a table that
+        *did* change since the snapshot pays a walk over its rows, to rebase.
         """
         plans: list[WritePlan] = []
         for key, overlay in txn._staged.items():
@@ -652,7 +670,6 @@ class TransactionManager:
                 # Dropped since the snapshot: a logged write to it would
                 # name a table recovery no longer has.
                 raise self._conflict_locked(txn, table)
-            base = overlay.base_rows
             changed = table.last_commit_ts > txn.snapshot.ts
             if key in txn._staged_schemas:
                 # A schema change rewrites every row: it commits the whole
@@ -662,32 +679,25 @@ class TransactionManager:
                 plans.append(WritePlan(table, "replace", overlay.rows, None))
                 continue
             pk = table.row_key_indexes()
-            if overlay.append_only:
-                rows = overlay.rows[len(base):]
-                written = _keys(rows, pk)
-                if changed and not self._compatible_locked(table, txn, written):
+            delta, base = overlay.delta(), overlay.base
+            plan = _plan_write(table, base, delta, pk)
+            if changed:
+                if not self._compatible_locked(table, txn, plan.written):
                     raise self._conflict_locked(txn, table)
-                plans.append(WritePlan(table, "append", rows, written))
-                continue
-            if not changed:
-                plans.append(_plan_write(table, base, overlay.rows, pk))
-                continue
-            delta = row_delta(base, overlay.rows)
-            written = _written_keys(base, delta, pk)
-            # A duplicate key makes "the row with this key" ambiguous: such
-            # a table conflicts as a whole, it never rebases.
-            if (
-                not self._compatible_locked(table, txn, written)
-                or not _unique_keys(base, pk)
-                or not _unique_keys(overlay.rows, pk)
-            ):
-                raise self._conflict_locked(txn, table)
-            # Rebase: re-address this transaction's changes to the latest
-            # committed rows so the concurrent winner's disjoint rows survive.
-            plans.append(WritePlan(
-                table, "delta", _rebase(delta, base, table.latest_rows(), pk),
-                written, rebased=True,
-            ))
+                if plan.op != "append":
+                    # A duplicate key makes "the row with this key"
+                    # ambiguous: such a table conflicts as a whole, it
+                    # never rebases.
+                    if not _unique_keys(base, pk) or not _unique_keys(overlay.rows, pk):
+                        raise self._conflict_locked(txn, table)
+                    # Rebase: re-address this transaction's changes to the
+                    # latest rows so the concurrent winner's disjoint rows
+                    # survive.
+                    plan = WritePlan(
+                        table, "delta", _rebase(delta, base, table.latest_rows(), pk),
+                        plan.written, rebased=True,
+                    )
+            plans.append(plan)
         return plans
 
     def _compatible_locked(self, table: "Table", txn: Transaction, written) -> bool:

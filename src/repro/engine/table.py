@@ -5,10 +5,17 @@ evolution (ALTER TABLE) rewrites stored rows, which is what the paper's
 framework-configuration step does when it appends the ``policy`` column to
 every target-DB table (Section 5.1).
 
-A committed row list is only ever mutated by appending — an update, a
-delete, a replacement and every staged rewrite build a new list — so the
-pair (row list object, length) names exactly one committed or staged
-state.  A table keeps (DESIGN.md §15):
+A write names its rows: :meth:`Table.update_rows` and
+:meth:`Table.delete_rows` hand the positions they chose, with the new
+rows, to the write as one delta ``(updates, deletes, inserts)`` over the
+list they read — a transaction's overlay folds it in, an autocommit
+commits it as it stands — so no commit ever diffs two row lists.  The
+:attr:`Table.rows` setter is what it says: a replacement of every row
+(its write set the keys before and after).  A committed row list is only
+ever mutated by appending — an update, a delete, a replacement and every
+staged rewrite build a new list — so the pair (row list object, length)
+names exactly one committed or staged state.  A table keeps (DESIGN.md
+§15):
 
 * ``_rows`` — the latest committed row list.  Readers outside any
   transaction, and snapshots no later than its commit, hit it directly.
@@ -41,7 +48,8 @@ serve the staged overlay/schema or the snapshot's row list.  Everything
 derived from the rows (the column image, index entries and the policy
 posting index) is valid for exactly the (list, length) pair it was built
 from, so no staged or future state can leak into another snapshot's
-reads; each is carried to another list by :func:`replaced_positions`.
+reads; each is carried to another list by :func:`replaced_positions`,
+the one identity pass left, which serves this derived state only.
 
 Writers outside a transaction autocommit through the owning
 :class:`~repro.engine.mvcc.TransactionManager` (one commit timestamp per
@@ -56,17 +64,9 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError
 from .catalog import CatalogOp
-from .mvcc import _ACTIVE, Transaction, TransactionManager
+from .mvcc import _ACTIVE, Transaction, TransactionManager, apply_delta
 from .schema import Column, TableSchema
 from .types import coerce_value
-
-
-def _without(items: list, positions) -> list:
-    """A copy of ``items`` minus the given positions (a C-speed filter)."""
-    keep = [True] * len(items)
-    for position in positions:
-        keep[position] = False
-    return list(compress(items, keep))
 
 
 def replaced_positions(old: list, length: int, rows: list):
@@ -84,6 +84,15 @@ def replaced_positions(old: list, length: int, rows: list):
     if rows is old:
         return ()
     return compress(range(length), map(is_not, old, rows))
+
+
+def _matching(rows: list, predicate, candidates) -> list[int]:
+    """The ascending positions of ``rows`` — among ``candidates`` when given
+    — whose row satisfies ``predicate``.  Only the rows present when it is
+    called are visited, even if an append extends ``rows`` meanwhile."""
+    if candidates is None:
+        return list(compress(range(len(rows)), map(predicate, rows)))
+    return [position for position in candidates if predicate(rows[position])]
 
 
 class Table:
@@ -223,19 +232,25 @@ class Table:
 
     @rows.setter
     def rows(self, new_rows: list[tuple]) -> None:
+        # Replaces every visible row; listed, as the write reads it twice.
+        with self.manager.autocommit_exclusive():
+            self._write([], list(range(len(self.rows))), list(new_rows))
+
+    def _write(self, updates, deletes, inserts, durable: bool = True) -> None:
+        """Hand a delta addressed to the visible rows to the write: the
+        transaction's overlay, or one autocommit (whose caller read the rows
+        under the fence it still holds)."""
         txn = self._active_txn()
         if txn is not None:
-            overlay = txn.stage(self)
-            overlay.rows = list(new_rows)
-            overlay.append_only = False
-            return
-        self.manager.commit_single(self, "replace", list(new_rows))
+            txn.stage(self).write(updates, deletes, inserts)
+        else:
+            self.manager.commit_single(self, (updates, deletes, inserts), durable)
 
     def latest_rows(self) -> list[tuple]:
         """The latest committed rows, ignoring any ambient transaction.
 
-        Used by the transaction manager (under its lock) for commit-time
-        write-set diffs and rebases.
+        Used by the transaction manager (under its lock) to plan and rebase
+        commits.
         """
         return self._rows
 
@@ -352,15 +367,18 @@ class Table:
         self, op: str, payload, ts: int, written: "frozenset | None" = None, pins=()
     ) -> None:
         """Apply one committed effect — what a WAL record carries per table:
-        ``"append"`` (rows), ``"delta"`` (``(updates, deletes, inserts)``)
-        or ``"replace"`` (the whole row list).  ``pins`` are the active
+        ``"append"`` (rows, :meth:`apply_committed_append`), ``"delta"``
+        (``(updates, deletes, inserts)``, positions in the latest rows) or
+        ``"replace"`` (the whole row list).  A delta or a replacement goes
+        into a new list (a reader may hold the old one); a delta keeps the
+        untouched tuples the same objects, so a structure following the
+        rows tells a written row by identity.  ``pins`` are the active
         transactions other than the committing one."""
         if op == "append":
             self.apply_committed_append(payload, ts, written, pins)
-        elif op == "delta":
-            self.apply_committed_delta(*payload, ts, written)
         else:
-            self.apply_committed_replace(payload, ts, written)
+            rows = apply_delta(self._rows, payload) if op == "delta" else list(payload)
+            self._committed(rows, ts, written)
 
     def apply_committed_append(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None, pins=()
@@ -375,36 +393,6 @@ class Table:
             return
         self._rows.extend(rows)
         self._committed(self._rows, ts, written)
-
-    def apply_committed_delta(
-        self,
-        updates: "list[tuple[int, tuple]]",
-        deletes: list[int],
-        inserts: list[tuple],
-        ts: int,
-        written: "frozenset | None" = None,
-    ) -> None:
-        """Apply a row delta at timestamp ``ts``.
-
-        ``updates`` pairs a position in the latest committed rows with the
-        row replacing it, ``deletes`` lists positions, ``inserts`` are
-        appended.  The rows go into a new list (a reader may hold the old
-        one), and untouched tuples stay the same objects — a structure
-        following the rows tells a written row by identity.
-        """
-        rows = list(self._rows)
-        for position, row in updates:
-            rows[position] = row
-        if deletes:
-            rows = _without(rows, deletes)
-        rows.extend(inserts)
-        self._committed(rows, ts, written)
-
-    def apply_committed_replace(
-        self, rows: list[tuple], ts: int, written: "frozenset | None" = None
-    ) -> None:
-        """Apply a whole-list replacement commit at timestamp ``ts``."""
-        self._committed(list(rows), ts, written)
 
     def _committed(self, rows: list, ts: int, written: "frozenset | None") -> None:
         """Record ``rows`` as the list the commit at ``ts`` left and make it
@@ -470,11 +458,7 @@ class Table:
         """
         coerced = [self._coerce_insert(row, columns) for row in rows]
         if coerced:
-            txn = self._active_txn()
-            if txn is not None:
-                txn.stage(self).rows.extend(coerced)
-            else:
-                self.manager.commit_single(self, "append", coerced, durable)
+            self._write([], [], coerced, durable)
         return len(coerced)
 
     def extend(self, rows: Iterable[Iterable[object]]) -> int:
@@ -491,22 +475,19 @@ class Table:
 
         ``updater`` returns the row to store, already coerced.
         ``candidates`` — ascending row positions, from an index — narrows
-        the rows ``predicate`` is evaluated on; ``None`` is every row.
-        Unmatched tuples stay the same objects at the same positions.
+        the rows ``predicate`` is evaluated on; ``None`` is every row.  The
+        write is the chosen positions with their new rows; outside a
+        transaction the rows are read and committed under one hold of the
+        write fence, so no other writer's commit lands in between.
         """
-        rows = self.rows
-        new_rows = list(rows)
-        if candidates is None:
-            pairs = enumerate(rows)
-        else:
-            pairs = ((position, rows[position]) for position in candidates)
-        updated = 0
-        for position, row in pairs:
-            if predicate(row):
-                new_rows[position] = tuple(updater(row))
-                updated += 1
-        self.rows = new_rows
-        return updated
+        with self.manager.autocommit_exclusive():
+            rows = self.rows
+            updates = [
+                (position, tuple(updater(rows[position])))
+                for position in _matching(rows, predicate, candidates)
+            ]
+            self._write(updates, [], [])
+        return len(updates)
 
     def delete_rows(
         self,
@@ -514,18 +495,15 @@ class Table:
         candidates: "list[int] | None" = None,
     ) -> int:
         """Delete every row matching ``predicate``; return the count
-        (``candidates`` as in :meth:`update_rows`)."""
-        rows = self.rows
-        if candidates is None:
-            kept = [row for row in rows if not predicate(row)]
-        else:
-            kept = _without(rows, [p for p in candidates if predicate(rows[p])])
-        self.rows = kept
-        return len(rows) - len(kept)
+        (``candidates`` and the fence as in :meth:`update_rows`)."""
+        with self.manager.autocommit_exclusive():
+            deletes = _matching(self.rows, predicate, candidates)
+            self._write([], deletes, [])
+        return len(deletes)
 
     def truncate(self) -> None:
         """Remove all rows."""
-        self.rows = []
+        self.delete_rows(lambda row: True)
 
     # -- DDL -----------------------------------------------------------------
 
@@ -567,9 +545,8 @@ class Table:
         rows under the old schema.  Outside a transaction the statement is
         its own (:meth:`TransactionManager.statement_transaction`).
         """
-        overlay = txn.stage(self)
-        overlay.rows = [rewrite(row) for row in overlay.rows]
-        overlay.append_only = False
+        rows = self.rows
+        txn.stage(self).write([], list(range(len(rows))), list(map(rewrite, rows)))
         txn._staged_schemas[self.name.lower()] = new_schema
         txn.add_catalog_op(CatalogOp("schema", self.name.lower(), ddl))
 
@@ -594,8 +571,4 @@ class Table:
         def updater(row: tuple) -> tuple:
             return (*row[:index], coerced, *row[index + 1 :])
 
-        if predicate is None:
-            updated = self.rows
-            self.rows = [updater(row) for row in updated]
-            return len(updated)
-        return self.update_rows(predicate, updater)
+        return self.update_rows(predicate or (lambda row: True), updater)

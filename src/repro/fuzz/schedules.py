@@ -238,8 +238,7 @@ class ScheduleRunner(DifferentialRunner):
             # Duplicate one committed row (schema-safe DML on any table).
             storage.append_rows([rng.choice(rows)])
             return f"{index}:dml-duplicate[{table}]"
-        victim = rng.randrange(len(rows))
-        storage.rows = [row for i, row in enumerate(rows) if i != victim]
+        storage.delete_rows(lambda row: True, [rng.randrange(len(rows))])
         return f"{index}:dml-delete[{table}]"
 
     # -- one schedule ------------------------------------------------------

@@ -72,6 +72,24 @@ def test_disjoint_autocommit_increments_lose_nothing() -> None:
     assert _counts(db) == [INCREMENTS] * THREADS
 
 
+def test_disjoint_update_rows_increments_lose_nothing() -> None:
+    """``Table.update_rows`` reads and commits under the fence too, and
+    commits only the positions it chose: a concurrent commit to another
+    row is never diffed away."""
+    db = Database("fence-api")
+    _counters(db)
+    table = db.table("t")
+
+    def increment(sql: str) -> int:
+        key = int(sql.rsplit("=", 1)[1])
+        return table.update_rows(
+            lambda row: row[0] == key, lambda row: (row[0], row[1] + 1)
+        )
+
+    _hammer(increment)
+    assert _counts(db) == [INCREMENTS] * THREADS
+
+
 def _enforced(db: Database) -> EnforcementMonitor:
     _counters(db)
     admin = AccessControlManager(db)

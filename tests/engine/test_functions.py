@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.functions import FunctionRegistry, MemoizedFunction
+from repro.engine.functions import MEMO_LIMIT, FunctionRegistry, MemoizedFunction
 from repro.engine.types import BitString
 from repro.errors import ExpressionError, TypeMismatchError
 
@@ -255,3 +255,18 @@ def test_constant_mask_keys_the_memo_on_the_policy_column_alone():
     costs = Counter()
     assert registry.call_batch("f", [[None] * 4, policies], 4, costs, (True, False)) == [None] * 4
     assert costs == Counter()
+
+
+def test_a_full_memo_evicts_only_its_oldest_entry():
+    """One argument past the limit drops the first argument memoized, not
+    the whole memo: the second is still a hit, the first a miss again."""
+    memo = MemoizedFunction(lambda value: value + 1)
+    registry = FunctionRegistry()
+    registry.register("f", memo)
+    arguments = list(range(MEMO_LIMIT + 1))
+    registry.call_batch("f", [arguments], len(arguments), Counter())
+    assert memo.cached_results() == MEMO_LIMIT == 4096
+    for argument, outcome in ((1, "memo.hit"), (0, "memo.miss")):
+        costs = Counter()
+        assert registry.call_batch("f", [[argument]], 1, costs) == [argument + 1]
+        assert costs[outcome] == 1, argument

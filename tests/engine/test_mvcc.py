@@ -802,61 +802,161 @@ def test_no_primary_key_falls_back_to_table_granularity(db) -> None:
 # -- row-delta commits: a commit costs what it changes -------------------------
 
 
-def test_row_delta_reproduces_any_list() -> None:
-    """Applying ``row_delta(old, new)`` to ``old`` yields ``new`` — the very
-    same tuple objects in the same order — for statement-shaped edits
-    (in-place updates, deletes, appends, in any mix) and for arbitrary
-    lists (reorders degrade to deletes plus inserts)."""
+@pytest.mark.parametrize("method", ["update", "delete"])
+def test_a_write_keeps_a_row_committed_between_its_read_and_its_commit(method) -> None:
+    """A write commits the positions it chose, addressed to the list it
+    read: a row appended meanwhile — here by the predicate's own first
+    call — survives it instead of being diffed away."""
+    database = Database("lost-update")
+    database.execute("create table u (k integer primary key, v text)")
+    database.execute("insert into u values (1, 'a'), (2, 'b')")
+    table = database.table("u")
+    calls = []
+
+    def predicate(row):
+        if not calls:
+            database.execute("insert into u values (3, 'c')")
+        calls.append(row)
+        return row[0] == 1
+
+    if method == "update":
+        assert table.update_rows(predicate, lambda row: (row[0], "A")) == 1
+        assert table.rows == [(1, "A"), (2, "b"), (3, "c")]
+    else:
+        assert table.delete_rows(predicate) == 1
+        assert table.rows == [(2, "b"), (3, "c")]
+
+
+def test_the_rows_setter_replaces_every_row() -> None:
+    """``Table.rows = …`` is a replacement: any iterable, inside or outside
+    a transaction, with the keys before and after as its write set."""
+    database = Database("replace")
+    database.execute("create table u (k integer primary key, v text)")
+    database.execute("insert into u values (1, 'a'), (2, 'b')")
+    table = database.table("u")
+    pin = database.transactions.begin()  # keeps the write log unpruned
+    table.rows = ((k, "g") for k in (2, 3))
+    assert table.rows == [(2, "g"), (3, "g")]
+    assert table._write_log[-1][1] == frozenset({(1,), (2,), (3,)})
+    database.begin()
+    table.rows = ((k, "h") for k in (4,))
+    assert table.rows == [(4, "h")]
+    database.commit()
+    assert table.rows == [(4, "h")]
+    database.transactions.rollback(pin)
+
+
+#: The tables composed transactions run on: keyed (with an index, so a
+#: transaction's first statement writes the positions a probe found),
+#: key-less, and keyed with every key stored twice.
+COMPOSED_TABLES = {
+    "k": ("create table k (id integer primary key, v text)", 1),
+    "n": ("create table n (id integer, v text)", 1),
+    "d": ("create table d (id integer primary key, v text)", 2),
+}
+
+
+def _composed_statement(rng, table, visible, fresh) -> str:
+    """One UPDATE, DELETE or INSERT over the rows the transaction reads —
+    its own inserts among them."""
+    ids = sorted({row[0] for row in visible})
+    roll = rng.random()
+    if roll < 0.3 or not ids:
+        new = rng.choice(ids) if table == "d" and ids and rng.random() < 0.3 else next(fresh)
+        return f"insert into {table} values ({new}, 'i{new}')"
+    target = rng.choice(ids)
+    if rng.random() < 0.8:
+        where = f"id = {target}"
+    else:
+        where = f"id >= {target} and id < {target + 3}"
+    if roll < 0.65:
+        if where.startswith("id =") and rng.random() < 0.2:
+            return f"update {table} set id = {next(fresh)} where {where}"
+        return f"update {table} set v = 'u{next(fresh)}' where {where}"
+    return f"delete from {table} where {where}"
+
+
+@pytest.mark.parametrize("table", list(COMPOSED_TABLES))
+def test_composed_transactions_commit_replay_and_rebase_what_they_read(
+    tmp_path, table
+) -> None:
+    """Random transactions of 1-6 UPDATE/DELETE/INSERT statements — writes
+    to rows the transaction inserted, statements after a delete — fold into
+    one delta over the snapshot's rows.  What the transaction reads is what
+    the same statements leave when each autocommits on a twin of the
+    snapshot; after COMMIT the committed list is the one the transaction
+    last read; the logged record replays to the same rows; and on the
+    keyed table a disjoint concurrent commit rebases into both writes."""
+    import itertools
     import random
+    import re
 
-    from repro.engine.mvcc import row_delta
-    from repro.engine.table import Table
-    from repro.engine.schema import Column, TableSchema
-    from repro.engine.types import SqlType
+    from repro.engine.wal import open_database
 
-    def applied(old, delta):
-        table = Table(TableSchema("x", [Column("a", SqlType.INTEGER)]))
-        table.apply_committed_append(list(old), 1)
-        table.apply_committed_delta(*delta, 2)
-        return table.rows
-
-    rng = random.Random(21)
-    for case in range(300):
-        old = [(i,) for i in range(rng.randrange(0, 12))]
-        new = list(old)
-        for _ in range(rng.randrange(0, 6)):
-            roll = rng.random()
-            if roll < 0.4 and new:
-                new[rng.randrange(len(new))] = (rng.randrange(100, 200),)
-            elif roll < 0.7 and new:
-                del new[rng.randrange(len(new))]
-            elif roll < 0.9:
-                new.append((rng.randrange(200, 300),))
-            else:
-                rng.shuffle(new)
-        updates, deletes, inserts = delta = row_delta(old, new)
-        result = applied(old, delta)
-        assert len(result) == len(new), case
-        assert all(a is b for a, b in zip(result, new)), case
-        assert [p for p, _ in updates] == sorted(p for p, _ in updates)
-        assert deletes == sorted(deletes)
-        assert not {p for p, _ in updates} & set(deletes)
-
-
-def test_row_delta_names_only_the_written_rows() -> None:
-    from repro.engine.mvcc import row_delta
-
-    old = [(i, "v") for i in range(50)]
-    new = list(old)
-    new[7] = (7, "x")
-    del new[20]
-    new.append((99, "n"))
-    assert row_delta(old, new) == ([(7, (7, "x"))], [20], [(99, "n")])
-    # A delete followed by as many inserts is not "every later row updated".
-    shifted = old[1:] + [(100, "n")]
-    assert row_delta(old, shifted) == ([], [0], [(100, "n")])
-    assert row_delta(old, []) == ([], list(range(50)), [])
-    assert row_delta([], old) == ([], [], old)
+    ddl, copies = COMPOSED_TABLES[table]
+    db, durability = open_database(tmp_path, sync=False)
+    db.execute(ddl)
+    if table == "k":
+        db.execute("create index i_composed on k (id)")
+    db.table(table).append_rows(
+        (i, f"v{i}") for i in range(12) for _ in range(copies)
+    )
+    rng = random.Random(f"composed-{table}")
+    fresh = itertools.count(100)
+    after_delete = own_insert_written = rebased = 0
+    for case in range(150):
+        txn = db.transactions.begin()
+        base = db.table(table).rows_as_of(txn.snapshot.ts)
+        twin = Database("twin")
+        twin.execute(ddl)
+        twin.table(table).append_rows(base)
+        inserted: set = set()
+        deleted = False
+        with txn_scope(txn):
+            for _ in range(rng.randint(1, 6)):
+                sql = _composed_statement(rng, table, db.table(table).rows, fresh)
+                after_delete += deleted
+                deleted = deleted or sql.startswith("delete")
+                if sql.startswith("insert"):
+                    inserted.add(int(sql.split("(")[1].split(",")[0]))
+                elif any(re.search(rf"where id >?= {i}\b", sql) for i in inserted):
+                    own_insert_written += 1
+                db.execute(sql)
+                twin.execute(sql)
+            seen = list(db.table(table).rows)
+        assert seen == twin.table(table).rows, case
+        # A row updated and then deleted is only a delete in the record.
+        updates, deletes, _ = txn.staged(db.table(table)).delta()
+        assert not {position for position, _ in updates} & set(deletes), case
+        theirs = None
+        if table == "k" and case % 2:
+            base_ids = set(map(id, base))
+            seen_ids = set(map(id, seen))
+            written = {r[0] for r in base if id(r) not in seen_ids}
+            written |= {r[0] for r in seen if id(r) not in base_ids}
+            untouched = sorted({r[0] for r in base} - written)
+            if untouched:
+                theirs, new = rng.choice(untouched), next(fresh)
+                with txn_scope(None):
+                    db.execute(f"update k set v = 'theirs' where id = {theirs}")
+                    db.execute(f"insert into k values ({new}, 'theirs')")
+        before = db.transactions.stats.rebased
+        db.transactions.commit(txn)
+        rebased += db.transactions.stats.rebased - before
+        committed = list(db.table(table).rows)
+        if theirs is None:
+            assert committed == seen, case
+        else:
+            assert sorted(committed) == sorted(
+                [(i, "theirs" if i == theirs else v) for i, v in seen]
+                + [(new, "theirs")]
+            ), case
+        durability.close()
+        db, durability = open_database(tmp_path, sync=False)
+        assert list(db.table(table).rows) == committed, case
+    durability.close()
+    assert after_delete and own_insert_written
+    assert bool(rebased) == (table == "k")
 
 
 def test_one_row_update_writes_one_key_and_keeps_one_list(pkdb) -> None:
