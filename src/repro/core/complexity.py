@@ -73,20 +73,7 @@ def _accumulate(
                 compute_query_id(source.select)
             )
             _accumulate(source.select, sub_signature, database, terms)
-    for expression in _clause_expressions(select):
+    for expression in ast.clause_expressions(select):
         for nested in ast.iter_subqueries(expression):
             sub_signature = signature.subquery_signature(compute_query_id(nested))
             _accumulate(nested, sub_signature, database, terms)
-
-
-def _clause_expressions(select: ast.Select) -> list[ast.Expression]:
-    expressions: list[ast.Expression] = [item.expression for item in select.items]
-    if select.where is not None:
-        expressions.append(select.where)
-    expressions.extend(select.group_by)
-    if select.having is not None:
-        expressions.append(select.having)
-    for order_item in select.order_by:
-        expressions.append(order_item.expression)
-    expressions.extend(ast.join_conditions(select))
-    return expressions

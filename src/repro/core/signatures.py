@@ -117,7 +117,7 @@ class SignatureDeriver:
                 subqueries.append(
                     self._derive_block(source.select, purpose, parent=None)
                 )
-        for expression in _clause_expressions(select):
+        for expression in ast.clause_expressions(select):
             for nested in ast.iter_subqueries(expression):
                 subqueries.append(
                     self._derive_block(nested, purpose, parent=resolver)
@@ -129,19 +129,6 @@ class SignatureDeriver:
             tables=tables,
             subqueries=tuple(subqueries),
         )
-
-
-def _clause_expressions(select: ast.Select) -> list[ast.Expression]:
-    expressions: list[ast.Expression] = [item.expression for item in select.items]
-    if select.where is not None:
-        expressions.append(select.where)
-    expressions.extend(select.group_by)
-    if select.having is not None:
-        expressions.append(select.having)
-    for order_item in select.order_by:
-        expressions.append(order_item.expression)
-    expressions.extend(ast.join_conditions(select))
-    return expressions
 
 
 def _group_into_table_signatures(tuples: list[InfoTuple]) -> tuple[TableSignature, ...]:

@@ -299,10 +299,10 @@ class Database:
         entries describe.
 
         The one applier: the transaction manager runs it under its lock for
-        every live commit, recovery for every logged one, and a shard worker
-        for the DDL its coordinator ships.  ``ddl`` are logical catalog ops
-        holding engine objects (:func:`~repro.engine.wal.decode_ddl_op`
-        turns logged ones back into these); ``plans`` are
+        every live commit, :func:`~repro.engine.codec.apply_record` for each
+        logged one and checkpoint image, a shard worker for the DDL its
+        coordinator ships.  ``ddl`` are logical catalog ops holding engine
+        objects (:func:`~repro.engine.codec.decode_op` makes them); ``plans`` are
         :class:`~repro.engine.mvcc.WritePlan` row effects.  Only committed
         state is read — latest schemas and the latest catalog, never a
         snapshot — so a committing transaction's staged schema is not

@@ -68,9 +68,9 @@ class IndexDefinition:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "IndexDefinition":
-        """Inverse of :meth:`to_dict`.  Other keys are ignored: a snapshot
-        or WAL record from when an index could also group its rows by
-        policy names that column too, and loads as a plain index."""
+        """Inverse of :meth:`to_dict`.  Other keys are ignored: a WAL
+        record from when an index could also group its rows by policy
+        names that column too, and loads as a plain index."""
         return cls(
             name=str(payload["name"]),
             table=str(payload["table"]),

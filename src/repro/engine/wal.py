@@ -1,18 +1,15 @@
 """Write-ahead logging, checkpointing and crash recovery.
 
-The durability half of the write path (DESIGN.md §15).  The protocol is
-redo-only logging of *committed* effects:
+The durability half of the write path (DESIGN.md §15): redo-only logging
+of *committed* effects.  What a record holds and how it applies is
+:mod:`repro.engine.codec`'s; this module frames, fsyncs, checkpoints and
+recovers.
 
 * Every commit — autocommit or transaction, DML or DDL — appends one
-  :data:`commit record <COMMIT>` through one writer
-  (:meth:`DurabilityManager.log_commit`) *before* the in-memory apply: its
-  logical catalog ops, if it has any (create/drop table or index, add/drop
-  column), then per table an ``append`` of new rows, a ``delta`` holding
-  only the rows the commit wrote (updated and deleted rows by their
-  position in the table before the commit, inserted rows in order), or a
-  whole-list ``replace`` when every row changed.  A commit is durable
-  exactly when its record is fsynced; there is nothing to undo at recovery
-  because uncommitted staged state never reaches the log.
+  :data:`commit record <COMMIT>` (:meth:`DurabilityManager.log_commit`)
+  *before* the in-memory apply.  It is durable exactly when its record is
+  fsynced; uncommitted staged state never reaches the log, so recovery has
+  nothing to undo.
 * Records are framed as ``crc32 length json\n``; recovery replays the
   longest valid prefix and stops at the first torn or corrupt record, so
   a crash mid-append can never resurrect half a commit.
@@ -27,14 +24,12 @@ redo-only logging of *committed* effects:
   the OS at once, so a killed process loses nothing, but only the next
   fsync of any kind makes it durable (:meth:`DurabilityManager.sync`), so
   an OS crash can lose the up to :data:`PENDING_LIMIT` frames it covers.
-* A checkpoint writes a full database snapshot (via
-  :mod:`repro.engine.persist`) with an atomic rename, then truncates the
-  log, all under the transaction-manager lock; recovery = load newest
-  checkpoint + replay the WAL suffix.  Replay is deterministic — every
-  record after the image, in commit order, through the same applier the
-  live commit used (:meth:`~repro.engine.database.Database.apply_commit`)
-  — which is what makes a delta's positions exact and a recovered
-  database enforce as the live one did.  DDL forces no checkpoint.
+* A checkpoint writes the database as one commit record at its clock
+  (:func:`repro.engine.persist.to_document`) with an atomic rename, then
+  truncates the log, all under the write fence.  Recovery applies that
+  image, then every later WAL record in commit order, through the one
+  :func:`~repro.engine.codec.apply_record` — which makes a delta's
+  positions exact and a recovered database enforce as the live one did.
 
 Failpoints (:attr:`WriteAheadLog.failpoints`) simulate crashes at the
 exact moments that distinguish a correct recovery protocol from a lucky
@@ -51,12 +46,10 @@ import threading
 import zlib
 from pathlib import Path
 
-from ..errors import InjectedFailure, WalError
+from ..errors import InjectedFailure
+from . import persist
+from .codec import apply_record, encode_effect, encode_op
 from .database import Database
-from .index import IndexDefinition
-from .mvcc import WritePlan
-from .persist import _decode_column, _decode_value, _encode_column, _encode_value
-from .schema import Column, TableSchema
 
 #: Commit-record type tag.
 COMMIT = "commit"
@@ -245,87 +238,6 @@ def _decode_frame(line: bytes) -> "dict | None":
         return None
 
 
-def _encode_effect(op: str, payload) -> dict:
-    """One table's committed effect as a record carries it.
-
-    ``append`` and ``replace`` hold rows; ``delta`` holds only the rows the
-    commit wrote, addressed by their position in the table *before* it.
-    Replay from a checkpoint applies every later record in commit order,
-    so the positions are exact on any table — keyed, key-less or with
-    duplicate keys — without a key → row map.
-    """
-    if op != "delta":
-        return {"op": op, "rows": [_encode_row(row) for row in payload]}
-    updates, deletes, inserts = payload
-    return {
-        "op": op,
-        "updates": [[position, _encode_row(row)] for position, row in updates],
-        "deletes": deletes,
-        "inserts": [_encode_row(row) for row in inserts],
-    }
-
-
-def _decode_effect(effect: dict) -> tuple:
-    """Inverse of :func:`_encode_effect`: ``(op, payload)``."""
-    op = effect["op"]
-    if op != "delta":
-        return op, [_decode_row(row) for row in effect["rows"]]
-    return op, (
-        [(position, _decode_row(row)) for position, row in effect["updates"]],
-        effect["deletes"],
-        [_decode_row(row) for row in effect["inserts"]],
-    )
-
-
-def _encode_row(row: tuple) -> list:
-    return [_encode_value(value) for value in row]
-
-
-def _decode_row(row: list) -> tuple:
-    return tuple(_decode_value(value) for value in row)
-
-
-def encode_ddl_op(op: dict) -> dict:
-    """Make a logical catalog op JSON-serializable.
-
-    Embedded engine objects — a :class:`~repro.engine.schema.Column`, a
-    :class:`~repro.engine.schema.TableSchema`, an
-    :class:`~repro.engine.index.IndexDefinition` — are flattened here so
-    the staging code can hand over live objects.
-    """
-    encoded = {}
-    for key, value in op.items():
-        if isinstance(value, Column):
-            encoded[key] = _encode_column(value)
-        elif isinstance(value, TableSchema):
-            encoded[key] = {
-                "name": value.name,
-                "columns": [_encode_column(column) for column in value.columns],
-            }
-        elif hasattr(value, "to_dict"):
-            encoded[key] = value.to_dict()
-        else:
-            encoded[key] = value
-    return encoded
-
-
-def decode_ddl_op(op: dict) -> dict:
-    """Inverse of :func:`encode_ddl_op`: the op with engine objects, as
-    :meth:`~repro.engine.database.Database.apply_commit` takes it."""
-    kind = op["op"]
-    if kind == "create_table":
-        schema = op["schema"]
-        columns = [_decode_column(column) for column in schema["columns"]]
-        return {**op, "schema": TableSchema(schema["name"], columns)}
-    if kind == "add_column":
-        return {**op, "column": _decode_column(op["column"])}
-    if kind == "create_index":
-        return {**op, "definition": IndexDefinition.from_dict(op["definition"])}
-    if kind in ("drop_table", "drop_column", "drop_index"):
-        return op
-    raise WalError(f"unknown DDL op {kind!r} in WAL record")
-
-
 class DurabilityManager:
     """Glue between a database, its transaction manager and the disk.
 
@@ -365,8 +277,9 @@ class DurabilityManager:
         """Log one commit; returns the record's LSN.
 
         ``effects`` maps table name to ``(op, payload)`` — see
-        :func:`_encode_effect`; ``ddl`` are the commit's logical catalog ops,
-        which the record carries ahead of them (a record without any is
+        :func:`~repro.engine.codec.encode_effect`; ``ddl`` are the commit's
+        logical catalog ops, which the record carries ahead of them (a
+        record without any is
         ``{"type": "commit", "ts", "tables"}``).  Called under the
         transaction-manager lock, *before* the in-memory apply; the committer
         calls :meth:`sync` after the apply, still under that lock, so no
@@ -376,9 +289,9 @@ class DurabilityManager:
         """
         record: dict = {"type": COMMIT, "ts": ts}
         if ddl:
-            record["ops"] = [encode_ddl_op(op) for op in ddl]
+            record["ops"] = [encode_op(op) for op in ddl]
         record["tables"] = {
-            name: _encode_effect(op, payload)
+            name: encode_effect(op, payload)
             for name, (op, payload) in effects.items()
         }
         before = self.wal.bytes
@@ -407,11 +320,8 @@ class DurabilityManager:
         in the image, so even a surviving one would replay onto the wrong
         rows.
         """
-        from . import persist
-
-        with self.database.transactions.exclusive() as clock:
+        with self.database.transactions.exclusive():
             document = persist.to_document(self.database)
-            document["wal_clock"] = clock
             snapshot_path = self.directory / _SNAPSHOT_NAME
             temp_path = snapshot_path.with_suffix(".json.tmp")
             with open(temp_path, "w", encoding="utf-8") as handle:
@@ -420,7 +330,7 @@ class DurabilityManager:
                 os.fsync(handle.fileno())
             os.replace(temp_path, snapshot_path)
             self.wal.truncate()
-            self.wal.append({"type": CHECKPOINT, "ts": clock})
+            self.wal.append({"type": CHECKPOINT, "ts": document["ts"]})
         self.checkpoints += 1
 
     def close(self) -> None:
@@ -443,54 +353,31 @@ def open_database(
 ) -> "tuple[Database, DurabilityManager]":
     """Open (or create) a durable database rooted at ``directory``.
 
-    Recovery protocol: load the newest checkpoint snapshot if present,
-    fast-forward the commit clock to its ``wal_clock``, then replay every
-    valid WAL commit record with a later timestamp in order.  The result
-    is exactly the committed prefix: commits whose record survived are
-    reapplied, torn tails are discarded.
+    Recovery protocol: load the newest checkpoint image if present, then
+    apply every valid WAL commit record stamped after the image's ``ts``,
+    in order, through the same :func:`~repro.engine.codec.apply_record`
+    that loaded the image.  The result is exactly the committed prefix:
+    commits whose record survived are reapplied, torn tails are discarded.
     """
-    from . import persist
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     snapshot_path = directory / _SNAPSHOT_NAME
-    checkpoint_clock = 0
     if snapshot_path.exists():
-        document = json.loads(snapshot_path.read_text(encoding="utf-8"))
-        database = persist.from_document(document)
-        checkpoint_clock = int(document.get("wal_clock", 0))
+        database = persist.load(snapshot_path)
         if name != "db":
             database.name = name
     else:
         database = Database(name)
-    manager = database.transactions
-    manager.advance_clock_to(checkpoint_clock)
+    checkpoint_clock = database.transactions.clock
     # Replay before attaching the WAL: recovered commits must not be
     # re-logged (they are already durable).
     wal = WriteAheadLog(directory / _WAL_NAME, sync=sync)
     records, torn = wal.replay()
     recovered = 0
     for record in records:
-        if record.get("type") not in (COMMIT, DDL):
-            continue
-        ts = int(record["ts"])
-        if ts <= checkpoint_clock:
-            continue
-        # The tables a record's row effects name exist before its catalog
-        # ops run: a CREATE TABLE commits no rows.
-        plans = [
-            WritePlan(database.table(name), *_decode_effect(effect), None)
-            for name, effect in record.get("tables", {}).items()
-        ]
-        database.apply_commit(
-            ts, [decode_ddl_op(op) for op in record.get("ops", ())], plans
-        )
-        # Nothing pins a snapshot during recovery: each table keeps only
-        # the list its last commit left.
-        for plan in plans:
-            plan.table.prune_history(())
-        manager.advance_clock_to(ts)
-        recovered += 1
+        if record.get("type") in (COMMIT, DDL) and record["ts"] > checkpoint_clock:
+            apply_record(database, record)
+            recovered += 1
     wal.close()
     if torn:
         # Heal the log: drop the torn tail so post-recovery commits append

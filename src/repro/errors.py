@@ -112,10 +112,6 @@ class CatalogConflictError(TransactionError):
         self.committed_version = committed_version
 
 
-class WalError(EngineError):
-    """The write-ahead log is unreadable, unwritable or corrupt."""
-
-
 class InjectedFailure(RuntimeError):
     """Raised by a WAL failpoint to simulate a crash mid-commit.
 

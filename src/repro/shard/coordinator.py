@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 from ..core.query_model import query_id
 from ..engine import ResultSet
-from ..engine.wal import encode_ddl_op
+from ..engine.codec import encode_op
 from ..errors import (
     AccessControlError,
     ExecutionError,
@@ -602,7 +602,7 @@ class ShardCoordinator:
             if held.get(name) != definition
         )
         if ops:
-            request = {"verb": "ddl", "ops": [encode_ddl_op(op) for op in ops]}
+            request = {"verb": "ddl", "ops": [encode_op(op) for op in ops]}
             for response in await self._scatter(request):
                 if response["catalog_version"] > target:
                     raise SplitEpochError(

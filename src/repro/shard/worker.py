@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 
-from ..engine.wal import decode_ddl_op
+from ..engine.codec import decode_op
 from ..errors import ReproError
 from ..server.protocol import error_code_for
 from .recipe import WorldRecipe, build_world
@@ -134,7 +134,7 @@ class ShardWorker:
         transactions = database.transactions
         ops = request["ops"]
         with transactions.exclusive() as clock:
-            database.apply_commit(clock + 1, [decode_ddl_op(op) for op in ops], ())
+            database.apply_commit(clock + 1, [decode_op(op) for op in ops], ())
             transactions.advance_clock_to(clock + 1)
         # A new index is built here, under the coordinator's write fence,
         # not by the first reader that probes it — unless this batch also

@@ -575,18 +575,19 @@ def select_sources(select: Select) -> Iterator[TableSource]:
         yield from source_leaves(source)
 
 
+def source_conditions(source: TableSource) -> Iterator[Expression]:
+    """Yield every join ON condition of one FROM item, nested joins' first."""
+    if isinstance(source, Join):
+        yield from source_conditions(source.left)
+        yield from source_conditions(source.right)
+        if source.condition is not None:
+            yield source.condition
+
+
 def join_conditions(select: Select) -> Iterator[Expression]:
     """Yield every join ON condition of a SELECT's FROM clause."""
-
-    def _conditions(source: TableSource) -> Iterator[Expression]:
-        if isinstance(source, Join):
-            yield from _conditions(source.left)
-            yield from _conditions(source.right)
-            if source.condition is not None:
-                yield source.condition
-
     for source in select.sources:
-        yield from _conditions(source)
+        yield from source_conditions(source)
 
 
 def conjoin(left: Expression | None, right: Expression) -> Expression:

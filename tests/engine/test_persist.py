@@ -1,7 +1,5 @@
 """Persistence tests: snapshot round-trips and admin re-attachment."""
 
-import json
-
 import pytest
 
 from repro.core import AccessControlManager, EnforcementMonitor, Policy, PolicyRule
@@ -54,6 +52,22 @@ class TestRoundTrip:
         restored = persist.load(path)
         assert restored.query("select v from t").scalar() == 42
 
+    def test_dump_inside_a_transaction_writes_the_committed_state(self):
+        database = Database()
+        database.execute("create table t (v integer)")
+        database.execute("insert into t values (1)")
+        database.execute("begin")
+        database.execute("insert into t values (2)")
+        database.execute("alter table t add column w integer")
+        database.execute("create index i_v on t (v)")
+        snapshot = persist.dumps(database)
+        database.execute("rollback")
+        restored = persist.loads(snapshot)
+        assert restored.table("t").rows == [(1,)]
+        assert restored.table("t").schema.column_names == ("v",)
+        assert len(restored.indexes) == 0
+        assert restored.transactions.clock == database.transactions.clock
+
     def test_version_checked(self):
         with pytest.raises(EngineError):
             persist.from_document({"version": 99, "tables": []})
@@ -86,26 +100,6 @@ class TestIndexRoundTrip:
         assert definitions["i_a"].kind == "btree"
         assert definitions["i_a"].columns == ("a",)
         assert definitions["i_b"].kind == "hash"
-
-    def test_partitioned_index_roundtrips(self):
-        """A version-3 snapshot from when an index could also group its rows
-        by policy names that column; it loads as a plain index on its key
-        columns, and lookups agree with an index created fresh."""
-        database = self._database()
-        database.execute("create index i_p on t (a)")
-        document = persist.to_document(database)
-        (entry,) = document["indexes"]
-        entry["partitioned_by"] = "policy"
-        restored = persist.from_document(json.loads(json.dumps(document)))
-        assert document["version"] == persist.FORMAT_VERSION == 3
-        assert restored.policy_column == "policy"
-        assert restored.indexes.get("i_p") == IndexDefinition("i_p", "t", ("a",))
-        restored.execute("create index fresh on t (a)")
-        for key in (1, 2, 3):
-            assert restored.indexes.lookup_equal("i_p", key) == (
-                restored.indexes.lookup_equal("fresh", key)
-            )
-        assert "partitioned_by" not in persist.to_document(restored)["indexes"][0]
 
     def test_restored_index_is_usable(self):
         database = self._database()
@@ -152,18 +146,6 @@ class TestIndexRoundTrip:
         restored = persist.loads(persist.dumps(database))
         assert [d.name for d in restored.indexes.definitions()] == ["i_a"]
         assert restored.indexes.lookup_equal("i_a", 2) == [1]
-
-    def test_version_1_snapshots_still_load(self):
-        database = self._database()
-        database.execute("create index i_a on t (a)")
-        document = persist.to_document(database)
-        assert document["version"] == 3
-        # A version-1 snapshot predates the index catalog entirely.
-        legacy = {k: v for k, v in document.items() if k != "indexes"}
-        legacy["version"] = 1
-        restored = persist.from_document(legacy)
-        assert len(restored.indexes) == 0
-        assert restored.table("t").rows == database.table("t").rows
 
 
 class TestAdminReattachment:

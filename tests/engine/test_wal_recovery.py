@@ -24,12 +24,17 @@ on a keyed table, a table without a primary key and one with duplicate
 keys, where "exactly the committed prefix" also means *the same rows in the
 same order* (positions replay onto nothing else).
 
+A reload of the checkpoint image and a recovery must each equal the live
+database after random DDL and DML histories — rows, schemas, indexes,
+catalog version and clock.
+
 ``REPRO_CRASH_SEED`` rotates the randomized campaigns' seed — the CI
 crash-recovery matrix replays this module under 20 different values.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -368,7 +373,7 @@ def test_crash_between_checkpoint_rename_and_truncate(tmp_path) -> None:
     """Snapshot renamed into place but the old WAL survives: no double apply.
 
     Recovery skips WAL records whose commit ts is at or below the
-    checkpoint's ``wal_clock``, so replaying the stale log is harmless.
+    checkpoint image's ``ts``, so replaying the stale log is harmless.
     """
     db, durability = durable_db(tmp_path)
     for step in range(4):
@@ -382,7 +387,7 @@ def test_crash_between_checkpoint_rename_and_truncate(tmp_path) -> None:
 
     recovered, redo = durable_db(tmp_path)
     assert table_rows(recovered) == expected
-    assert redo.recovered_commits == 0  # all records at or below wal_clock
+    assert redo.recovered_commits == 0  # all records at or below the image's ts
 
 
 def test_randomized_crash_campaign(tmp_path) -> None:
@@ -574,7 +579,7 @@ def test_checkpoint_record_types_round_trip(tmp_path) -> None:
     assert torn == 0
     assert [r["type"] for r in records] == [CHECKPOINT]
     snapshot = json.loads((tmp_path / "snapshot.json").read_text())
-    assert snapshot["wal_clock"] == db.transactions.clock
+    assert snapshot["ts"] == db.transactions.clock
 
 
 def test_write_conflict_is_not_logged(tmp_path) -> None:
@@ -890,6 +895,137 @@ def test_randomized_delta_crash_campaign(tmp_path) -> None:
         assert ordered_rows(db) == (
             survived if FAILPOINT_SURVIVES[failpoint] else expected
         ), f"iteration {iteration}: wrong rows or order after {failpoint}"
+
+
+# -- reload and recovery round-trip ---------------------------------------------
+
+#: Histories each seed draws.
+ROUND_TRIP_HISTORIES = 25
+
+
+def round_trip_state(db) -> tuple:
+    """What a reload or a recovery must bring back: every table's schema and
+    rows in order, the index definitions, the catalog version and the clock.
+    Every index's probes are checked against a scan on the way."""
+    for definition in db.indexes.definitions():
+        (column,) = definition.columns
+        values = db.table(definition.table).column_values(column)
+        for key in set(values) - {None}:
+            assert db.indexes.lookup_equal(definition.name, key) == [
+                position for position, value in enumerate(values) if value == key
+            ], (definition, key)
+    tables = {
+        name: (table.schema.columns, table.rows) for name, table in db.tables.items()
+    }
+    return tables, db.indexes.definitions(), db.catalog.version, db.transactions.clock
+
+
+def round_trip_dml(db, rng: random.Random, fresh: int) -> str:
+    """One INSERT, UPDATE or DELETE on a random table (a key-less table
+    sometimes gets a duplicate id)."""
+    name = rng.choice(sorted(db.tables))
+    table = db.table(name)
+    columns = table.schema.column_names
+    ids = table.column_values("id")
+    roll = rng.random()
+    if roll < 0.4 or not ids:
+        keyless = not table.schema.columns[0].primary_key
+        values = {
+            "id": str(rng.choice(ids) if keyless and ids and roll < 0.1 else fresh),
+            "v": f"'v{fresh}'",
+        }
+        row = ", ".join(values.get(c, rng.choice(("null", "1", "2"))) for c in columns)
+        return f"insert into {name} values ({row})"
+    if roll < 0.75:
+        column = rng.choice(columns)
+        value = {"id": str(fresh), "v": f"'u{fresh}'"}.get(column, str(fresh % 3))
+        return f"update {name} set {column} = {value} where id = {rng.choice(ids)}"
+    return f"delete from {name} where id = {rng.choice(ids)}"
+
+
+def round_trip_ddl(db, rng: random.Random, kind: str, fresh: int) -> str:
+    """One DDL statement of ``kind``; a DROP COLUMN prefers an indexed
+    column."""
+    if kind == "create_table":
+        key = " primary key" if rng.random() < 0.5 else ""
+        return f"create table t{fresh} (id integer{key}, v text)"
+    if kind == "drop_index":
+        return f"drop index {rng.choice(db.indexes.definitions()).name}"
+    name = rng.choice(sorted(db.tables))
+    if kind == "drop_table":
+        return f"drop table {name}"
+    columns = db.table(name).schema.column_names
+    if kind == "create_index":
+        using = " using hash" if rng.random() < 0.3 else ""
+        return f"create index i{fresh} on {name} ({rng.choice(columns)}){using}"
+    droppable = [column for column in columns if column != "id"]
+    if kind == "add_column" or not droppable:
+        return f"alter table {name} add column c{fresh} integer"
+    indexed = [
+        column
+        for definition in db.indexes.for_table(name)
+        for column in definition.columns
+        if column != "id"
+    ]
+    return f"alter table {name} drop column {rng.choice(indexed or droppable)}"
+
+
+def round_trip_step(db, rng: random.Random, fresh) -> list[str]:
+    """Draw and run one history step — a DDL statement, an autocommitted
+    DML statement or a BEGIN…COMMIT of one to three — and return its
+    statements.  ``fresh`` yields unused ids and names."""
+    kinds = ["create_table"]
+    if db.tables:
+        kinds += ["drop_table", "add_column", "drop_column"]
+        kinds += ["create_index", "create_index", "dml", "dml", "dml"]
+        kinds += ["transaction", "transaction"]
+    if db.indexes.definitions():
+        kinds.append("drop_index")
+    kind = rng.choice(kinds)
+    if kind != "transaction":
+        sql = (
+            round_trip_dml(db, rng, next(fresh))
+            if kind == "dml"
+            else round_trip_ddl(db, rng, kind, next(fresh))
+        )
+        db.execute(sql)
+        return [sql]
+    statements = ["begin"]
+    db.execute("begin")
+    for _ in range(rng.randint(1, 3)):
+        statements.append(round_trip_dml(db, rng, next(fresh)))
+        db.execute(statements[-1])
+    db.execute("commit")
+    return [*statements, "commit"]
+
+
+def test_reload_and_recovery_rebuild_the_live_database(tmp_path) -> None:
+    """Seeded round-trip property: after a random history of DDL and DML
+    with a checkpoint at a random step, both a reload of the image
+    (``persist.loads(persist.dumps(db))``) and a recovery
+    (``open_database``) equal the live database — rows, schemas, index
+    definitions and probes, catalog version and clock."""
+    rng = random.Random(f"round-trip:{CRASH_SEED}")
+    for history in range(ROUND_TRIP_HISTORIES):
+        directory = tmp_path / f"h{history}"
+        db, durability = open_database(directory, sync=False)
+        fresh = itertools.count(1)
+        steps = rng.randint(1, 12)
+        checkpoint_at = rng.randint(0, steps)
+        log = []
+        for step in range(steps + 1):
+            if step == checkpoint_at:
+                durability.checkpoint()
+                log.append("-- checkpoint")
+            if step < steps:
+                log += round_trip_step(db, rng, fresh)
+        expected = round_trip_state(db)
+        context = f"history {history}:\n" + "\n".join(log)
+        assert round_trip_state(persist.loads(persist.dumps(db))) == expected, context
+        durability.close()
+        recovered, redo = open_database(directory, sync=False)
+        assert round_trip_state(recovered) == expected, context
+        redo.close()
 
 
 # -- mask stores ------------------------------------------------------------------

@@ -95,6 +95,22 @@ class TestJoins:
         assert isinstance(join.left, ast.Join)
         assert isinstance(join.right, ast.TableName)
 
+    def test_walking_join_conditions_leaves_no_cyclic_garbage(self):
+        """The walkers recurse at module level: a call builds no closure that
+        refers to itself, so nothing waits for the cycle collector."""
+        import gc
+
+        select = parse_select("select 1 from a join b on a.x=b.x join c on a.x=c.x")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                assert len(list(ast.join_conditions(select))) == 2
+                assert len(list(ast.select_sources(select))) == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_derived_table_requires_alias(self):
         select = parse_select("select 1 from (select a from t) s")
         source = select.sources[0]
