@@ -656,9 +656,11 @@ class SelectExecutor:
         Takes the visible row list and the ascending row ids to emit
         (``None`` = every row) and applies the scan's column narrowing.
         Pages slice the table's column image (``Table.column_image``) when
-        it keeps one for the list — a full scan builds or carries it, an id
-        fetch only reads it — and transpose row tuples otherwise (a pinned
-        snapshot's list, a staged overlay).
+        it keeps one for the list — a full scan or an id fetch of more than
+        a page (a guard's passing ids) builds or carries it, a shorter one
+        (a point lookup) carries it only by the latest commit's record — and
+        transpose row tuples otherwise (a pinned snapshot's list, a staged
+        overlay).
         """
         width = node.shape.width()
         batch_size = self.batch_size
@@ -669,7 +671,7 @@ class SelectExecutor:
         )
 
         def fetch(rows: list, ids: "list[int] | None") -> Iterator[ColumnBatch]:
-            image = table.column_image(rows, ids is None)
+            image = table.column_image(rows, ids is None or len(ids) > batch_size)
             if image is not None:
                 _, length, columns = image
                 if kept is not None:

@@ -150,7 +150,9 @@ class MemoizedFunction:
                     if len(self._cache) >= MEMO_LIMIT:
                         del self._cache[next(iter(self._cache))]
                     self._cache[args] = result
-        misses = len(computed) + sum(map(unhashable.__contains__, keys))
+        misses = len(computed)
+        if unhashable:
+            misses += sum(map(unhashable.__contains__, keys))
         total.charge(costs, "memo.hit", length - misses)
         total.charge(costs, "memo.miss", misses)
         return list(map(found.__getitem__, keys))

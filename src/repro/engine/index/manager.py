@@ -13,11 +13,12 @@ that pair names one state):
 * a lookup whose visible row list is that list at that length is a plain
   probe;
 * any other list (a commit, a policy change, a snapshot reading an older
-  state, a staged overlay) is **followed** instead of rebuilt: one
-  identity pass (``replaced_positions``) finds the replaced rows, whose
-  ids move from their old key to their new one, and appended rows are
-  inserted.  A shorter list (a delete) or another schema object (ALTER
-  TABLE) rebuilds from scratch;
+  state, a staged overlay) is **followed** instead of rebuilt:
+  ``Table.replaced_positions`` names the replaced rows — the latest
+  commit's own record when the entry is one commit behind, one identity
+  pass otherwise — whose ids move from their old key to their new one,
+  and appended rows are inserted.  A shorter list (a delete) or another
+  schema object (ALTER TABLE) rebuilds from scratch;
 * a dropped-and-recreated index or table never serves stale row ids.
 
 Entries are mutated in place when followed, so every lookup validates and
@@ -36,7 +37,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from ...errors import CatalogError, ExecutionError
-from ..table import replaced_positions
 from .btree import BTreeIndex
 from .hash import HashIndex
 
@@ -89,7 +89,8 @@ class RowIndex:
     ``nulls`` (ascending).  ``rows`` is the list described: an append
     commit extends the committed list in place, so it may have grown
     past ``length``.  ``stamp`` moves whenever a row id joins, leaves or
-    changes keys.
+    changes keys.  Following one commit forward costs that commit's
+    written rows; following further costs one identity pass.
     """
 
     __slots__ = (
@@ -110,11 +111,11 @@ class RowIndex:
         """Whether the index is exact for ``rows`` as it is."""
         return self.rows is rows and self.length == len(rows)
 
-    def follow(self, rows: list) -> bool:
-        """Make the index describe ``rows``; ``False`` when only a rebuild
-        can (``rows`` is shorter: some row was deleted)."""
+    def follow(self, table: "Table", rows: list) -> bool:
+        """Make the index describe ``rows`` of ``table``; ``False`` when
+        only a rebuild can (``rows`` is shorter: some row was deleted)."""
         old, length, key = self.rows, self.length, self.key
-        changed = replaced_positions(old, length, rows)
+        changed = table.replaced_positions(old, length, rows)
         if changed is None:
             return False
         moved = False
@@ -246,7 +247,7 @@ class IndexManager:
         if built == definition and entry.schema is schema:
             if entry.describes(rows):
                 return entry
-            if entry.follow(rows):
+            if entry.follow(table, rows):
                 self._database.cost_total.charge(costs, "index.carried_forward")
                 return entry
         structure = BTreeIndex() if definition.kind == "btree" else HashIndex()

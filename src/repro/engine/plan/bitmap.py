@@ -156,7 +156,7 @@ class PolicyBitmapCache:
         if postings is not None and postings.schema is schema:
             if postings.describes(rows):
                 return postings
-            if postings.follow(rows):
+            if postings.follow(table, rows):
                 self.cost_total.charge(costs, "bitmap.revalidated")
                 return postings
         postings = self._postings[name] = RowIndex(

@@ -48,8 +48,12 @@ serve the staged overlay/schema or the snapshot's row list.  Everything
 derived from the rows (the column image, index entries and the policy
 posting index) is valid for exactly the (list, length) pair it was built
 from, so no staged or future state can leak into another snapshot's
-reads; each is carried to another list by :func:`replaced_positions`,
-the one identity pass left, which serves this derived state only.
+reads; each is carried to another list by :meth:`~Table.replaced_positions`.
+The latest commit keeps a record of its step — the list a delta without
+deletes was applied to (or an append had to copy), that list's length,
+the positions it replaced and the list it left — so state one commit
+behind follows in work proportional to the written rows; any other pair
+takes the one identity pass left, which serves this derived state only.
 
 Writers outside a transaction autocommit through the owning
 :class:`~repro.engine.mvcc.TransactionManager` (one commit timestamp per
@@ -69,20 +73,9 @@ from .schema import Column, TableSchema
 from .types import coerce_value
 
 
-def replaced_positions(old: list, length: int, rows: list):
+def _identity_pass(old: list, length: int, rows: list):
     """The positions below ``length`` where ``rows`` holds another tuple
-    object than ``old``, or ``None`` when ``rows`` is shorter than
-    ``length`` (a row was deleted: whatever was derived from ``old`` must
-    be rebuilt).
-
-    A commit keeps every untouched tuple the very same object, so this one
-    C-speed identity pass is how an index entry or a policy bitmap derived
-    from ``old[:length]`` finds the rows it has to look at again.
-    """
-    if len(rows) < length:
-        return None
-    if rows is old:
-        return ()
+    object than ``old``: one pass at C speed."""
     return compress(range(length), map(is_not, old, rows))
 
 
@@ -116,6 +109,9 @@ class Table:
         self._pk_cache: "tuple[TableSchema, tuple[int, ...]] | None" = None
         #: The latest committed rows' ``(rows, length, columns)``, or None.
         self._image: "tuple[list, int, list[Sequence]] | None" = None
+        #: The latest commit's step ``(list, its length, replaced positions,
+        #: the list it left)``, or None after a delete or a replacement.
+        self._step: "tuple[list, int, Sequence[int], list] | None" = None
 
     # -- transaction plumbing ------------------------------------------------
 
@@ -254,36 +250,69 @@ class Table:
         """
         return self._rows
 
+    def replaced_positions(
+        self, old: list, length: int, rows: list, fallback: bool = True
+    ):
+        """The positions below ``length`` where ``rows`` holds another tuple
+        object than ``old``, or ``None`` when ``rows`` is shorter than
+        ``length`` (a row was deleted: whatever was derived from
+        ``old[:length]`` must be rebuilt) — or, without ``fallback``, when
+        only the identity pass could tell.
+
+        A commit keeps every untouched tuple the very same object.  When
+        ``(old, length)`` is where the latest commit stepped from and
+        ``rows`` where it left, that commit's record answers (its written
+        positions); any other pair — several commits behind, a pinned
+        snapshot's list, an overlay — takes one C-speed identity pass.
+        """
+        if len(rows) < length:
+            return None
+        if rows is old:
+            return ()
+        step = self._step
+        if step and step[0] is old and step[1] == length and step[3] is rows:
+            return step[2]
+        return _identity_pass(old, length, rows) if fallback else None
+
     def column_image(
         self, rows: list, build: bool
     ) -> "tuple[list, int, list[Sequence]] | None":
         """``(rows, length, columns)``: the columns of the visible list
         ``rows``, or ``None`` when the table keeps none for it.
 
-        Only the latest committed list has an image.  With ``build`` (a
-        full scan) a missing one is transposed and a stale one carried
-        forward the way a policy posting index is: copy the columns, patch
-        the rows ``replaced_positions`` reports, extend the appended ones.
-        A shorter list, or one whose every row was replaced (ALTER TABLE
-        rewrites them all, maybe to another width), is transposed afresh.
-        Without ``build`` (an id fetch) only an image of ``rows`` as they
-        are is returned.  Images are never mutated, so readers share them.
+        Only the latest committed list has an image.  A stale one is carried
+        forward the way a policy posting index is: the columns holding
+        another value object at a position :meth:`replaced_positions`
+        reports are copied and patched, the others shared, and appended
+        rows extend copies.  Any fetch carries when the latest commit's
+        record answers; with ``build`` (a full scan, an id fetch of more
+        than a page) a missing image is transposed and any stale one
+        carried.  A shorter list, or one whose every row was replaced
+        (ALTER TABLE rewrites them all, maybe to another width), is
+        transposed afresh.  Images are never mutated, so readers share them.
         """
         image, length = self._image, len(rows)
         if image is not None and image[0] is rows and image[1] == length:
             return image
-        if not build or not length or rows is not self._rows:
+        if not length or rows is not self._rows:
             return None
-        changed = image and replaced_positions(image[0], image[1], rows)
+        changed = image and self.replaced_positions(image[0], image[1], rows, build)
         if changed is None or len(changed := list(changed)) == image[1]:
+            if not build:
+                return None
             columns = list(zip(*rows[:length]))
         else:
-            columns = [list(column) for column in image[2]]
-            for position in changed:
-                for column, value in zip(columns, rows[position]):
-                    column[position] = value
-            for column, values in zip(columns, zip(*rows[image[1] : length])):
-                column.extend(values)
+            appended = rows[image[1] : length]
+            columns = []
+            for c, column in enumerate(image[2]):
+                values = [rows[position][c] for position in changed]
+                before = map(column.__getitem__, changed)
+                if appended or any(map(is_not, values, before)):
+                    column = list(column)
+                    for position, value in zip(changed, values):
+                        column[position] = value
+                    column.extend(row[c] for row in appended)
+                columns.append(column)
         self._image = image = (rows, length, columns)
         return image
 
@@ -376,9 +405,12 @@ class Table:
         transactions other than the committing one."""
         if op == "append":
             self.apply_committed_append(payload, ts, written, pins)
+        elif op == "delta":
+            updates, deletes, _ = payload
+            replaced = None if deletes else [position for position, _ in updates]
+            self._committed(apply_delta(self._rows, payload), ts, written, replaced)
         else:
-            rows = apply_delta(self._rows, payload) if op == "delta" else list(payload)
-            self._committed(rows, ts, written)
+            self._committed(list(payload), ts, written)
 
     def apply_committed_append(
         self, rows: list[tuple], ts: int, written: "frozenset | None" = None, pins=()
@@ -389,15 +421,23 @@ class Table:
         it reads the clock, so a reader not seen here reads a cut entry."""
         last, self._last_commit_ts = self._last_commit_ts, ts
         if any(t.snapshot.ts >= last and self in t._read for t in pins):
-            self._committed(self._rows + rows, ts, written)
+            self._committed(self._rows + rows, ts, written, ())
             return
         self._rows.extend(rows)
         self._committed(self._rows, ts, written)
 
-    def _committed(self, rows: list, ts: int, written: "frozenset | None") -> None:
+    def _committed(
+        self, rows: list, ts: int, written: "frozenset | None", replaced=None
+    ) -> None:
         """Record ``rows`` as the list the commit at ``ts`` left and make it
         the latest.  History and timestamp come before the list: a snapshot
-        older than ``ts`` must already read its own entry when it appears."""
+        older than ``ts`` must already read its own entry when it appears.
+        A new list keeps the commit's step when ``replaced`` names the
+        positions it replaced in the latest one (no row deleted); an append
+        in place keeps the step before it, which still leads to this list."""
+        if rows is not self._rows:
+            old = self._rows
+            self._step = None if replaced is None else (old, len(old), replaced, rows)
         self._history.append([ts, rows, len(rows)])
         self._write_log.append((ts, written))
         self._last_commit_ts = ts
