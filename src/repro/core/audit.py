@@ -3,9 +3,10 @@
 Privacy-aware data management pairs access control with auditability — the
 paper's related work (Datta et al. [12]) checks audit logs for compliance
 with privacy policies.  :class:`AuditLog` records every execution the
-enforcement monitor performs (and every denial), both in memory and in an
-``al`` meta-table of the target database so the trail survives with the
-data and can itself be queried with SQL.
+enforcement monitor performs (and every denial) as a row of the ``al``
+meta-table of the target database, and nowhere else: the trail survives
+with the data, can itself be queried with SQL, and a log opened on a
+reloaded or recovered database reads the trail it left.
 
 An audit row is a non-durable append commit: its WAL frame is written at
 once and rides the next fsync of any kind, so an audited read costs no
@@ -16,40 +17,34 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..engine import Column, Database, SqlType, TableSchema
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """One audited event."""
+class AuditRecord(NamedTuple):
+    """One audited event: an ``al`` row, field by field."""
 
     sequence: int
     user: str | None
     purpose: str
     query_id: str
     statement: str
-    outcome: str  # "allowed" | "denied" | "purpose_switch"
+    outcome: str  # "allowed" | "denied" | "explain" | "purpose_switch"
     rows: int
     compliance_checks: int
-    #: How a shard coordinator executed the statement (``scatter_rows`` /
-    #: ``scatter_agg`` / ``single``); empty for a monitor's own executions.
-    #: Kept in memory only — the ``al`` table keeps its persisted shape.
-    route: str = ""
 
 
 class AuditLog:
-    """Append-only record of monitored executions."""
+    """Append-only record of monitored executions, kept in ``al``."""
 
     TABLE = "al"
 
     def __init__(self, database: Database):
         self.database = database
-        self.records: list[AuditRecord] = []
-        # One record() = a sequence draw, a list append and a table insert;
-        # the lock keeps those atomic when many server threads audit at once
-        # (so `al` rows never appear out of sequence order).
+        # One record() = a sequence draw and a table append; the lock keeps
+        # the two atomic when many server threads audit at once (so `al`
+        # rows never appear out of sequence order).
         self._lock = threading.Lock()
         if database.has_table(self.TABLE):
             # A reopened database: `seq` continues after its largest value.
@@ -82,36 +77,31 @@ class AuditLog:
         outcome: str,
         rows: int = 0,
         compliance_checks: int = 0,
-        route: str = "",
     ) -> AuditRecord:
-        """Append one event to the log (memory + the ``al`` table)."""
+        """Append one event to the ``al`` table."""
         with self._lock:
             entry = AuditRecord(
-                sequence=next(self._sequence),
-                user=user,
-                purpose=purpose,
-                query_id=query_id,
-                statement=statement,
-                outcome=outcome,
-                rows=rows,
-                compliance_checks=compliance_checks,
-                route=route,
+                next(self._sequence), user, purpose, query_id, statement,
+                outcome, rows, compliance_checks,
             )
-            self.records.append(entry)
-            self.database.table(self.TABLE).append_rows(
-                [(
-                    entry.sequence, entry.user, entry.purpose, entry.query_id,
-                    entry.statement, entry.outcome, entry.rows,
-                    entry.compliance_checks,
-                )],
-                durable=False,
-            )
+            self.database.table(self.TABLE).append_rows([entry], durable=False)
             return entry
 
     # -- queries -------------------------------------------------------------------
 
+    def since(self, mark: int) -> list[AuditRecord]:
+        """The events after the first ``mark`` (an earlier :func:`len`):
+        ``al``'s latest committed rows, whatever transaction is ambient."""
+        rows = self.database.table(self.TABLE).latest_rows()
+        return list(map(AuditRecord._make, rows[mark:]))
+
+    @property
+    def records(self) -> list[AuditRecord]:
+        """Every event, in sequence order."""
+        return self.since(0)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.database.table(self.TABLE).latest_rows())
 
     def for_user(self, user: str) -> list[AuditRecord]:
         """Events attributed to one user."""

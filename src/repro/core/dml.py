@@ -85,32 +85,18 @@ def _forbid_policy_column_writes(columns, table: str) -> None:
         )
 
 
-def rewrite_update(
-    statement: ast.Update,
+def rewrite_modification(
+    statement: ast.Update | ast.Delete,
     purpose: str,
     deriver: SignatureDeriver,
     admin: AccessControlManager,
-) -> ast.Update:
-    """Conjoin compliance + touch checks onto an UPDATE's WHERE clause."""
-    _forbid_policy_column_writes(
-        (name for name, _ in statement.assignments), statement.table
-    )
-    synthetic = synthetic_select(statement)
-    signature = deriver.derive(synthetic, purpose)
-    rewritten_select = rewrite_query(synthetic, signature, admin)
-    where = ast.conjoin(
-        rewritten_select.where, _touch_conjunct(statement.table, purpose, admin)
-    )
-    return dataclasses.replace(statement, where=where)
-
-
-def rewrite_delete(
-    statement: ast.Delete,
-    purpose: str,
-    deriver: SignatureDeriver,
-    admin: AccessControlManager,
-) -> ast.Delete:
-    """Conjoin compliance + touch checks onto a DELETE's WHERE clause."""
+) -> ast.Update | ast.Delete:
+    """Conjoin compliance + touch checks onto an UPDATE's or a DELETE's
+    WHERE clause; an UPDATE may not write the policy column."""
+    if isinstance(statement, ast.Update):
+        _forbid_policy_column_writes(
+            (name for name, _ in statement.assignments), statement.table
+        )
     synthetic = synthetic_select(statement)
     signature = deriver.derive(synthetic, purpose)
     rewritten_select = rewrite_query(synthetic, signature, admin)
@@ -152,10 +138,8 @@ def rewrite_statement(
     admin: AccessControlManager,
 ) -> ast.Statement:
     """Dispatch to the per-statement rewriters (SELECT handled upstream)."""
-    if isinstance(statement, ast.Update):
-        return rewrite_update(statement, purpose, deriver, admin)
-    if isinstance(statement, ast.Delete):
-        return rewrite_delete(statement, purpose, deriver, admin)
+    if isinstance(statement, (ast.Update, ast.Delete)):
+        return rewrite_modification(statement, purpose, deriver, admin)
     if isinstance(statement, ast.Insert):
         return rewrite_insert(statement, purpose, deriver, admin)
     return statement

@@ -409,13 +409,12 @@ class EnforcementMonitor:
         outcome: str,
         rows: int = 0,
         checks: int = 0,
-        route: str = "",
     ) -> None:
         """Write one audit record, if a log is attached.
 
         Every execution path of this monitor ends here; so does a shard
-        coordinator, which audits a scattered statement once, under the
-        ``route`` it took (shard-side executions are not audited).
+        coordinator, which audits a scattered statement once (shard-side
+        executions are not audited).
         """
         if self.audit is not None:
             # Audit rows are written outside any ambient transaction: the
@@ -423,8 +422,7 @@ class EnforcementMonitor:
             # that made it rolls back (and must never be staged).
             with txn_scope(None):
                 self.audit.record(
-                    user, purpose, query_id, statement, outcome, rows, checks,
-                    route,
+                    user, purpose, query_id, statement, outcome, rows, checks
                 )
             if self.metrics is not None:
                 self.metrics.counter("repro_audit_records_total").inc()

@@ -5,19 +5,24 @@ access control" as planned work; the reference purpose-based model of Byun
 and Li [3] already combines purposes with roles.  This module implements
 that combination on top of the existing Pa mechanism:
 
-* table ``ro(role)`` — the role catalog;
+* table ``ro(role, parent)`` — the role catalog: a role inherits the
+  authorizations of its ``parent`` and, through it, of every ancestor;
 * table ``ur(ui, role)`` — user → role assignments;
-* table ``rp(role, pi)`` — role → purpose authorizations, with a one-level
-  role hierarchy (``parent``) whose authorizations are inherited.
+* table ``rp(role, pi)`` — role → purpose authorizations.
 
 A user is authorized for a purpose when either the direct Pa grant exists
 (:meth:`AccessControlManager.is_authorized`) or one of their roles —
 directly or through its parent chain — is authorized for it.
+
+The three tables are the only record: a :class:`RoleManager` holds no
+state of its own, so one built on a reloaded or recovered database serves
+the roles that database stores, and role support is installed exactly
+when ``ro`` exists.
 """
 
 from __future__ import annotations
 
-from ..engine import Column, SqlType, TableSchema
+from ..engine import Column, SqlType, Table, TableSchema
 from ..errors import ConfigurationError, PolicyError
 from .admin import AccessControlManager
 
@@ -30,8 +35,6 @@ class RoleManager:
 
     def __init__(self, admin: AccessControlManager):
         self.admin = admin
-        self._parents: dict[str, str | None] = {}
-        self._installed = False
 
     # -- installation ------------------------------------------------------------
 
@@ -39,7 +42,7 @@ class RoleManager:
         """Create the role meta-tables (idempotent-hostile, like configure)."""
         self.admin.require_configured()
         database = self.admin.database
-        if self._installed or database.has_table("ro"):
+        if database.has_table("ro"):
             raise ConfigurationError("role support is already installed")
         database.create_table(
             TableSchema(
@@ -62,84 +65,84 @@ class RoleManager:
                 [Column("role", SqlType.TEXT), Column("pi", SqlType.TEXT)],
             )
         )
-        self._installed = True
 
-    def _require_installed(self) -> None:
-        if not self._installed:
+    def _table(self, name: str) -> Table:
+        """A role meta-table; raises unless role support is installed."""
+        database = self.admin.database
+        if not database.has_table("ro"):
             raise ConfigurationError("role support is not installed; call install()")
+        return database.table(name)
+
+    def _catalog(self) -> dict[str, str | None]:
+        """``ro`` as role → parent, in definition order."""
+        return dict(self._table("ro"))
+
+    def _require_role(self, role: str) -> None:
+        if role not in self._catalog():
+            raise PolicyError(f"unknown role {role!r}")
 
     # -- role catalog -------------------------------------------------------------
 
     def define_role(self, role: str, parent: str | None = None) -> None:
         """Create a role, optionally inheriting a parent's authorizations."""
-        self._require_installed()
-        if role in self._parents:
+        catalog = self._catalog()
+        if role in catalog:
             raise PolicyError(f"role {role!r} already exists")
-        if parent is not None and parent not in self._parents:
+        if parent is not None and parent not in catalog:
             raise PolicyError(f"unknown parent role {parent!r}")
-        self._parents[role] = parent
-        self.admin.database.table("ro").insert_row((role, parent))
+        self._table("ro").insert_row((role, parent))
 
     def roles(self) -> tuple[str, ...]:
         """All defined roles."""
-        return tuple(self._parents)
+        return tuple(self._catalog())
 
     def ancestry(self, role: str) -> list[str]:
         """The role and its parents, nearest first."""
-        if role not in self._parents:
+        catalog = self._catalog()
+        if role not in catalog:
             raise PolicyError(f"unknown role {role!r}")
         chain = [role]
-        current = self._parents[role]
+        current = catalog[role]
         while current is not None:
             chain.append(current)
-            current = self._parents[current]
+            current = catalog[current]
         return chain
 
     # -- assignments -------------------------------------------------------------
 
     def assign_role(self, user_id: str, role: str) -> None:
         """Give a user a role."""
-        self._require_installed()
-        if role not in self._parents:
-            raise PolicyError(f"unknown role {role!r}")
-        self.admin.database.table("ur").insert_row((user_id, role))
+        self._require_role(role)
+        self._table("ur").insert_row((user_id, role))
 
     def unassign_role(self, user_id: str, role: str) -> int:
         """Remove a user-role assignment; returns removed-row count."""
-        self._require_installed()
-        return self.admin.database.table("ur").delete_rows(
+        return self._table("ur").delete_rows(
             lambda row: row[0] == user_id and row[1] == role
         )
 
     def user_roles(self, user_id: str) -> list[str]:
         """The roles directly assigned to a user."""
-        self._require_installed()
-        return [
-            row[1] for row in self.admin.database.table("ur") if row[0] == user_id
-        ]
+        return [row[1] for row in self._table("ur") if row[0] == user_id]
 
     # -- role-purpose authorizations -------------------------------------------------
 
     def grant_purpose_to_role(self, role: str, purpose_id: str) -> None:
         """Authorize every holder of ``role`` for ``purpose_id``."""
-        self._require_installed()
-        if role not in self._parents:
-            raise PolicyError(f"unknown role {role!r}")
+        self._require_role(role)
         self.admin.purposes.get(purpose_id)  # validates
-        self.admin.database.table("rp").insert_row((role, purpose_id))
+        self._table("rp").insert_row((role, purpose_id))
 
     def revoke_purpose_from_role(self, role: str, purpose_id: str) -> int:
         """Remove a role-purpose authorization."""
-        self._require_installed()
-        return self.admin.database.table("rp").delete_rows(
+        return self._table("rp").delete_rows(
             lambda row: row[0] == role and row[1] == purpose_id
         )
 
     def role_purposes(self, role: str) -> set[str]:
         """Purposes a role grants, including inherited ones."""
-        self._require_installed()
+        rp = self._table("rp")
         granted: set[str] = set()
-        rp = self.admin.database.table("rp")
         for ancestor in self.ancestry(role):
             granted.update(row[1] for row in rp if row[0] == ancestor)
         return granted
@@ -150,7 +153,7 @@ class RoleManager:
         """Direct Pa grant OR any assigned role (or ancestor) grants it."""
         if self.admin.is_authorized(user_id, purpose_id):
             return True
-        if not self._installed:
+        if not self.admin.database.has_table("ro"):
             return False
         return any(
             purpose_id in self.role_purposes(role)
@@ -161,6 +164,4 @@ class RoleManager:
         """Direct Pa grant OR at least one role assignment in Ur."""
         if self.admin.known_user(user_id):
             return True
-        if not self._installed:
-            return False
-        return bool(self.user_roles(user_id))
+        return self.admin.database.has_table("ro") and bool(self.user_roles(user_id))

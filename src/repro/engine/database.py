@@ -327,10 +327,7 @@ class Database:
                 del self.tables[key]
                 self.policy_bitmaps.forget(key)
             else:
-                table = Table(value)
-                table._created_version = table._schema_version = version
-                table.attach_manager(self.transactions)
-                self.tables[key] = table
+                self.tables[key] = Table(value, self.transactions, version)
 
     def _catalog_entries(self, op: dict, entries: dict) -> None:
         """Add the catalog entries of one logical catalog op to ``entries``

@@ -91,11 +91,17 @@ def _matching(rows: list, predicate, candidates) -> list[int]:
 class Table:
     """A heap table: a schema, a row list and the row lists snapshots pin."""
 
-    def __init__(self, schema: TableSchema):
+    def __init__(
+        self, schema: TableSchema, manager: TransactionManager, version: int
+    ):
+        """A table created at catalog ``version``, committing through its
+        database's transaction ``manager``."""
         self._schema = schema
+        #: The owning database's transaction manager.
+        self.manager = manager
         #: Catalog versions of this table's CREATE and of its latest schema
         #: commit; a reader pinned before the latter asks the catalog.
-        self._created_version = self._schema_version = 0
+        self._created_version = self._schema_version = version
         self._rows: list[tuple] = []
         #: ``[commit ts, row list, length]`` entries, ascending — the row
         #: history a pinned snapshot resolves :attr:`rows` against.
@@ -105,7 +111,6 @@ class Table:
         #: (no primary key, schema change).
         self._write_log: list[tuple[int, "frozenset | None"]] = []
         self._last_commit_ts: int = 0
-        self._manager: TransactionManager | None = None
         self._pk_cache: "tuple[TableSchema, tuple[int, ...]] | None" = None
         #: The latest committed rows' ``(rows, length, columns)``, or None.
         self._image: "tuple[list, int, list[Sequence]] | None" = None
@@ -115,35 +120,10 @@ class Table:
 
     # -- transaction plumbing ------------------------------------------------
 
-    def attach_manager(self, manager: TransactionManager) -> None:
-        """Bind this table to its database's transaction manager."""
-        self._manager = manager
-
-    @property
-    def manager(self) -> TransactionManager:
-        """The owning transaction manager.  A detached table joins a private
-        database on first use, whose applier its commits then go through."""
-        if self._manager is None:
-            from .database import Database  # import cycle: database → table
-
-            database = Database()
-            key = self.name.lower()
-            database.tables[key] = self
-            self.attach_manager(database.transactions)
-            self._created_version = self._schema_version = database.catalog.commit(
-                [("table", key, self._schema)]
-            )
-        return self._manager
-
     def _active_txn(self) -> "Transaction | None":
         """The context transaction, iff it belongs to this table's manager."""
         txn = _ACTIVE.get()
-        if (
-            txn is None
-            or txn.status != "active"
-            or self._manager is None
-            or txn.manager is not self._manager
-        ):
+        if txn is None or txn.status != "active" or txn.manager is not self.manager:
             return None
         return txn
 
@@ -167,7 +147,7 @@ class Table:
             staged = txn.staged_schema(self)
             if staged is not None:
                 return staged
-            version = self._manager.visible_catalog_version()
+            version = self.manager.visible_catalog_version()
             if version < self._schema_version:
                 return self._schema_at(version)
         return self._schema
@@ -176,7 +156,7 @@ class Table:
         """This table's schema as of catalog ``version``: its newest ALTER
         at or before it, else its CREATE's schema — never that of an
         earlier table of the same name."""
-        catalog, key = self._manager.catalog, self.name.lower()
+        catalog, key = self.manager.catalog, self.name.lower()
         altered = catalog.entry_at("schema", key, version)
         if altered is not None and altered.version > self._created_version:
             return altered.value

@@ -509,7 +509,7 @@ class DifferentialRunner:
     ) -> None:
         """Every in-process execution leaves exactly one matching record;
         given the ``text`` that ran, one carrying it and its query id."""
-        delta = self.audit.records[audit_before:]
+        delta = self.audit.since(audit_before)
         if len(delta) != 1:
             result.error = f"{len(delta)} audit records written (expected 1)"
             result.outcome = "error"

@@ -452,8 +452,7 @@ class ShardCoordinator:
         checks = sum(response["checks"] for response in responses)
         self._count_route(route.value)
         self.monitor.record_audit(
-            user, purpose, qid, sql, "allowed",
-            rows=len(rows), checks=checks, route=route.value,
+            user, purpose, qid, sql, "allowed", rows=len(rows), checks=checks
         )
         return ShardedReport(
             result=ResultSet(columns, rows),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Column, SqlType, Table, TableSchema
+from repro.engine import Column, Database, SqlType, TableSchema
 from repro.engine.schema import ColumnBinding, RowShape
 from repro.errors import CatalogError, ExecutionError
 
@@ -16,6 +16,11 @@ def users_schema():
             Column("age", SqlType.INTEGER),
         ],
     )
+
+
+def new_table(schema=None):
+    """A table created in a fresh database, as every table is."""
+    return Database().create_table(schema or users_schema())
 
 
 class TestTableSchema:
@@ -58,28 +63,28 @@ class TestTableSchema:
 
 class TestTableDml:
     def test_insert_full_row(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         assert table.rows == [("u1", "w1", 30)]
 
     def test_insert_with_column_subset_fills_defaults(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1",), ("user_id",))
         assert table.rows == [("u1", None, None)]
 
     def test_insert_wrong_arity_rejected(self):
-        table = Table(users_schema())
+        table = new_table()
         with pytest.raises(ExecutionError):
             table.insert_row(("u1", "w1"))
 
     def test_not_null_enforced(self):
         schema = TableSchema("t", [Column("a", SqlType.TEXT, not_null=True)])
-        table = Table(schema)
+        table = new_table(schema)
         with pytest.raises(ExecutionError):
             table.insert_row((None,))
 
     def test_update_rows(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.insert_row(("u2", "w2", 40))
         changed = table.update_rows(
@@ -90,14 +95,14 @@ class TestTableDml:
         assert table.rows[1][2] == 41
 
     def test_delete_rows(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.insert_row(("u2", "w2", 40))
         assert table.delete_rows(lambda row: row[0] == "u1") == 1
         assert len(table) == 1
 
     def test_truncate(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.truncate()
         assert len(table) == 0
@@ -105,32 +110,32 @@ class TestTableDml:
 
 class TestTableDdl:
     def test_add_column_backfills_default(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.add_column(Column("note", SqlType.TEXT, default="n/a"))
         assert table.rows == [("u1", "w1", 30, "n/a")]
 
     def test_drop_column_rewrites_rows(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.drop_column("watch_id")
         assert table.rows == [("u1", 30)]
 
     def test_column_values(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.insert_row(("u2", "w2", 40))
         assert table.column_values("age") == [30, 40]
 
     def test_set_column_value_all_rows(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.insert_row(("u2", "w2", 40))
         assert table.set_column_value("age", 0) == 2
         assert table.column_values("age") == [0, 0]
 
     def test_set_column_value_with_predicate(self):
-        table = Table(users_schema())
+        table = new_table()
         table.insert_row(("u1", "w1", 30))
         table.insert_row(("u2", "w2", 40))
         count = table.set_column_value(

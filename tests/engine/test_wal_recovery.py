@@ -26,7 +26,10 @@ same order* (positions replay onto nothing else).
 
 A reload of the checkpoint image and a recovery must each equal the live
 database after random DDL and DML histories — rows, schemas, indexes,
-catalog version and clock.
+catalog version and clock — and, after random access-control histories,
+serve the same authorizations, user checks and audit trail to a fresh
+:class:`~repro.core.roles.RoleManager` and
+:class:`~repro.core.audit.AuditLog`, which read only their meta-tables.
 
 ``REPRO_CRASH_SEED`` rotates the randomized campaigns' seed — the CI
 crash-recovery matrix replays this module under 20 different values.
@@ -55,6 +58,8 @@ from repro.core import (
     PolicyRule,
     Purpose,
     PurposeSet,
+    RoleManager,
+    Session,
 )
 from repro.core.audit import AuditLog
 from repro.engine import persist, txn_scope
@@ -67,7 +72,12 @@ from repro.engine.wal import (
     WriteAheadLog,
     open_database,
 )
-from repro.errors import InjectedFailure, WriteConflictError
+from repro.errors import (
+    ConfigurationError,
+    InjectedFailure,
+    UnauthorizedPurposeError,
+    WriteConflictError,
+)
 
 #: Rotated by the CI crash matrix; any int works locally.
 CRASH_SEED = int(os.environ.get("REPRO_CRASH_SEED", "2015"))
@@ -1245,3 +1255,171 @@ def test_close_fsyncs_pending_audit_frames(tmp_path) -> None:
     recovered, redo, _admin = policy_db(tmp_path)
     assert audit_seqs(recovered) == written
     redo.close()
+
+
+# -- access-control state survives a reload and a recovery -------------------------
+
+#: Who the access-control histories draw, and for what.
+ACCESS_USERS = ("ann", "bob")
+ACCESS_PURPOSES = ("p1", "p2")
+
+#: Access-control histories each seed draws.
+ACCESS_HISTORIES = 25
+
+
+def role_db(directory):
+    """:func:`audited_db` whose monitor authorizes through the role
+    extension, installed on a fresh database."""
+    db, durability, monitor = audited_db(directory)
+    roles = RoleManager(monitor.admin)
+    if not db.has_table("ro"):
+        roles.install()
+    monitor.authorizer = roles
+    return db, durability, monitor
+
+
+def reopened(db, durability, directory, how: str):
+    """The database again, reloaded from its image or recovered from its
+    directory (``durability`` is closed either way), and its manager."""
+    if how == "reload":
+        copy = persist.loads(persist.dumps(db))
+        durability.close()
+        return copy, None, AccessControlManager.from_existing(copy)
+    durability.close()
+    return policy_db(directory)
+
+
+def access_state(roles, audit) -> tuple:
+    """Every drawn user × purpose authorization and user check, and the
+    audit trail."""
+    return [
+        (user, purpose, roles.is_authorized(user, purpose), roles.known_user(user))
+        for user in ACCESS_USERS
+        for purpose in ACCESS_PURPOSES
+    ], audit.records
+
+
+@pytest.mark.parametrize("how", ["reload", "recover"])
+def test_a_reopened_role_catalog_serves_its_roles(tmp_path, how) -> None:
+    """A fresh RoleManager on a reloaded or recovered database authorizes
+    through the roles that database stores, and takes new assignments
+    without install()."""
+    db, durability, monitor = role_db(tmp_path)
+    roles = monitor.authorizer
+    roles.define_role("staff")
+    roles.define_role("nurse", parent="staff")
+    roles.grant_purpose_to_role("staff", "p2")
+    roles.assign_role("rita", "nurse")
+
+    db, redo, admin = reopened(db, durability, tmp_path, how)
+    roles = RoleManager(admin)
+    assert roles.roles() == ("staff", "nurse")
+    assert roles.ancestry("nurse") == ["nurse", "staff"]
+    assert roles.is_authorized("rita", "p2") and roles.known_user("rita")
+    assert not roles.is_authorized("rita", "p1")
+    roles.assign_role("sam", "staff")
+    assert roles.is_authorized("sam", "p2") and roles.user_roles("sam") == ["staff"]
+    with pytest.raises(ConfigurationError):
+        roles.install()
+    if redo is not None:
+        redo.close()
+
+
+@pytest.mark.parametrize("how", ["reload", "recover"])
+def test_a_reopened_audit_log_lists_its_trail(tmp_path, how) -> None:
+    """A fresh AuditLog on a reloaded or recovered database reads the rows
+    ``al`` kept: the persisted denial is listed and its length is theirs."""
+    db, durability, monitor = audited_db(tmp_path)
+    monitor.admin.grant_purpose("ann", "p1")
+    monitor.execute(MASK_QUERIES[0], "p1", user="ann")
+    with pytest.raises(UnauthorizedPurposeError):
+        monitor.execute(MASK_QUERIES[0], "p2", user="ann")
+
+    db, redo, _admin = reopened(db, durability, tmp_path, how)
+    log = AuditLog(db)
+    assert len(log) == len(db.table("al").rows) == 2
+    (denial,) = log.denials()
+    assert (denial.user, denial.purpose, denial.statement) == ("ann", "p2", MASK_QUERIES[0])
+    assert [record.outcome for record in log.records] == ["allowed", "denied"]
+    log.record("ann", "p1", "q", "select 1", "allowed")
+    assert len(log) == 3 and log.records[-1].sequence == 3
+    if redo is not None:
+        redo.close()
+
+
+def access_step(monitor, rng: random.Random, fresh) -> str:
+    """Draw and run one access-control step — a Pa grant or revoke, a role
+    definition, assignment or authorization change, a session purpose
+    switch, or an audited read or EXPLAIN (allowed or denied) — and return
+    what it did."""
+    admin, roles = monitor.admin, monitor.authorizer
+    user, purpose = rng.choice(ACCESS_USERS), rng.choice(ACCESS_PURPOSES)
+    defined = roles.roles()
+    kind = rng.choice(
+        ["grant", "grant", "revoke", "define", "switch", "read", "read", "explain"]
+        + ["assign", "assign", "unassign", "role_grant", "role_grant", "role_revoke"]
+        * bool(defined)
+    )
+    role = rng.choice(defined) if defined else None
+    if kind == "grant":
+        admin.grant_purpose(user, purpose)
+    elif kind == "revoke":
+        admin.revoke_purpose(user, purpose)
+    elif kind == "define":
+        role = f"r{next(fresh)}"
+        parent = rng.choice(defined) if defined and rng.random() < 0.5 else None
+        roles.define_role(role, parent)
+        return f"define {role} under {parent}"
+    elif kind == "assign":
+        roles.assign_role(user, role)
+    elif kind == "unassign":
+        roles.unassign_role(user, role)
+    elif kind == "role_grant":
+        roles.grant_purpose_to_role(role, purpose)
+    elif kind == "role_revoke":
+        roles.revoke_purpose_from_role(role, purpose)
+    elif kind == "switch":
+        if not roles.known_user(user):
+            return f"switch {user}: unknown"
+        other = rng.choice(ACCESS_PURPOSES)
+        Session(monitor, user, purpose).set_purpose(other)
+        return f"switch {user} {purpose} -> {other}"
+    else:
+        sql = rng.choice(MASK_QUERIES)
+        run = monitor.explain if kind == "explain" else monitor.execute
+        try:
+            run(sql, purpose, user=user)
+        except UnauthorizedPurposeError:
+            return f"{kind} {user} {purpose}: denied"
+    return f"{kind} {user} {role or ''} {purpose}"
+
+
+def test_reload_and_recovery_keep_the_access_control_state(tmp_path) -> None:
+    """Seeded round-trip property: after a random history of Pa and role
+    changes, purpose switches and audited statements with a checkpoint at a
+    random step, a fresh RoleManager and AuditLog on a reload of the image
+    and on a recovery agree with the live ones — every user × purpose
+    authorization, every user check and the whole audit trail."""
+    rng = random.Random(f"access-round-trip:{CRASH_SEED}")
+    for history in range(ACCESS_HISTORIES):
+        directory = tmp_path / f"h{history}"
+        db, durability, monitor = role_db(directory)
+        fresh = itertools.count(1)
+        steps = rng.randint(1, 24)
+        checkpoint_at = rng.randint(0, steps)
+        log = []
+        for step in range(steps + 1):
+            if step == checkpoint_at:
+                durability.checkpoint()
+                log.append("-- checkpoint")
+            if step < steps:
+                log.append(access_step(monitor, rng, fresh))
+        expected = access_state(monitor.authorizer, monitor.audit)
+        context = f"history {history}:\n" + "\n".join(log)
+        reloaded = persist.loads(persist.dumps(db))
+        admin = AccessControlManager.from_existing(reloaded)
+        assert access_state(RoleManager(admin), AuditLog(reloaded)) == expected, context
+        durability.close()
+        recovered, redo, admin = policy_db(directory)
+        assert access_state(RoleManager(admin), AuditLog(recovered)) == expected, context
+        redo.close()

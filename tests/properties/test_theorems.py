@@ -16,7 +16,6 @@ from repro.core import complies_with
 from repro.core.admin import POLICY_COLUMN
 from repro.core.signatures import SignatureDeriver
 from repro.engine import Database
-from repro.engine.table import Table
 from repro.sql import ast, parse_select
 from repro.workload import (
     AD_HOC_QUERIES,
@@ -51,7 +50,7 @@ def reference_result(scenario, sql, purpose):
     filtered.functions = scenario.database.functions
     for name in scenario.database.table_names():
         source = scenario.database.table(name)
-        clone = Table(source.schema)
+        clone = filtered.create_table(source.schema)
         if name in masks_per_table:
             policy_index = source.schema.column_index(POLICY_COLUMN)
             masks = masks_per_table[name]
@@ -63,7 +62,6 @@ def reference_result(scenario, sql, purpose):
             ]
         else:
             clone.rows = list(source.rows)
-        filtered.tables[name] = clone
     return filtered.query(select)
 
 
