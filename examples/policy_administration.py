@@ -114,7 +114,6 @@ def main() -> None:
     manager.snapshot_layouts()
     admin.define_purpose(Purpose("p0", "auditing"))  # sorts before p1!
     db.table("visits").add_column(Column("billing_code", SqlType.TEXT))
-    admin.invalidate_layouts("visits")
     rewritten = manager.migrate()
     print(f"migrated {rewritten} stored policy masks to the new layout")
 

@@ -9,17 +9,26 @@ Section 5.1 against a target :class:`~repro.engine.Database`:
 4. appends a ``policy`` column (``BIT VARYING``) to every target table;
 5. registers the ``complieswith`` UDF with the engine.
 
+The three meta-tables are the only record of that state: the purpose
+set, the categorization and the authorizations are derived from their
+rows as the caller sees them, so a snapshot-pinned reader resolves its
+snapshot's taxonomy, a transaction its own staged edits, and a manager
+built on a reloaded or recovered database the state that database
+stores.
+
 It also implements the :class:`~repro.core.info_tuples.SchemaProvider` and
 :class:`~repro.core.info_tuples.Categorizer` protocols consumed by signature
 derivation, and hands out per-table :class:`~repro.core.masks.MaskLayout`
-encoders (cached, invalidated on purpose/schema changes).
+encoders (cached by content).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import contextlib
+from typing import Callable, Iterator
 
 from ..engine import Column, Database, SqlType, TableSchema
+from ..engine.catalog import CatalogOp
 from ..engine.functions import MemoizedFunction
 from ..engine.types import BitString
 from ..errors import ConfigurationError, PolicyError
@@ -32,20 +41,6 @@ from .purposes import Purpose, PurposeSet
 #: Names of the security meta-data tables: Pr/Pm/Pa from configuration
 #: (§5.1), plus the audit log (``al``) and the role extension's tables.
 META_TABLES = frozenset({"pr", "pm", "pa", "al", "ro", "ur", "rp"})
-
-@dataclass(frozen=True)
-class AcmState:
-    """One immutable version of the access-control taxonomy.
-
-    Committed to the database catalog under ``("acm", "state")`` on every
-    taxonomy edit, so snapshot-pinned readers resolve purposes and
-    categorizations *as of their catalog version* instead of racing live
-    mutations (DESIGN.md §15).  Stored policy masks are row data, not part
-    of it.
-    """
-
-    purposes: tuple[Purpose, ...] = ()
-    categories: dict = field(default_factory=dict)
 
 #: Name of the per-row policy-mask column appended to target tables.
 POLICY_COLUMN = "policy"
@@ -64,15 +59,26 @@ class AccessControlManager:
     ):
         self.database = database
         self.categories = categories or CategoryRegistry(DEFAULT_CATEGORIES)
-        self.purposes = PurposeSet()
-        self._category_map: dict[tuple[str, str], DataCategory] = {}
+        #: meta-table name -> (row list, its length, what was derived from it)
+        self._views: dict[str, tuple[list, int, object]] = {}
         self._layouts: dict[tuple, MaskLayout] = {}
         self._configured = False
         self._compliance_memo = MemoizedFunction(complies_with)
 
-    #: Bound on the versioned layout cache (old versions age out by LRU-ish
-    #: insertion order; pinned readers just rebuild from catalog state).
+    #: Bound on the layout cache (old keys age out in insertion order;
+    #: pinned readers just rebuild theirs).
     _LAYOUT_CACHE_LIMIT = 32
+
+    def _view(self, table: str, derive: Callable[[list], object]):
+        """``derive`` of a meta-table's rows as the caller sees them, cached
+        on the visible row list and its length: a committed or staged list
+        only ever grows by appends, in place, so the pair names one state."""
+        rows = self.database.table(table).rows
+        cached = self._views.get(table)
+        if cached is not None and cached[0] is rows and cached[1] == len(rows):
+            return cached[2]
+        cached = self._views[table] = (rows, len(rows), derive(rows))
+        return cached[2]
 
     # -- policy epoch (catalog version) -------------------------------------------
 
@@ -82,54 +88,39 @@ class AccessControlManager:
 
         Every edit that changes how a query is rewritten — (re)categorizing
         columns, changing the purpose set, protecting new tables, mask
-        migrations — commits a new :class:`AcmState` to the catalog and
-        hence advances this version.  Cached enforcement plans embed the
-        version they were compiled under, so a commit invalidates them
-        without any back-pointers from here to the monitors holding the
-        caches.  Storing policy masks is a row commit and moves nothing
-        here: a plan reads the masks at run time (§5.3).
+        migrations — commits its Pr/Pm rows together with a ``taxonomy``
+        catalog op (:meth:`_taxonomy_edit`) and hence advances this version.
+        Cached enforcement plans embed the version they were compiled
+        under, so a commit invalidates them without any back-pointers from
+        here to the monitors holding the caches.  Storing policy masks is a
+        row commit and moves nothing here: a plan reads the masks at run
+        time (§5.3).
         """
         return self.database.catalog.version
 
-    def bump_policy_epoch(self) -> None:
-        """Commit the current taxonomy to the catalog as a new version:
-        the taxonomy changed.
+    @contextlib.contextmanager
+    def _taxonomy_edit(self) -> Iterator[None]:
+        """One taxonomy edit: the block's writes and a ``taxonomy`` catalog
+        op commit as one transaction, or join the caller's.
 
-        Taxonomy edits (purpose set, categorization) are versioned catalog
-        commits that open snapshots simply do not see — they keep
-        resolving the :class:`AcmState` as of their pinned catalog version
-        (DESIGN.md §15).  Mask stores are ordinary row commits and never
-        call this.  Nothing is emptied: a ``complieswith`` verdict is a
-        pure function of two bit strings, so the compliance memo and the
-        policy verdict maps hold no state a new taxonomy could make stale.
+        The catalog version therefore moves in the same commit as the rows,
+        through the one applier, into the WAL and again at replay; a
+        rollback drops both, and open snapshots see neither (DESIGN.md §15).
         """
-        self.database.catalog.commit(
-            [
-                (
-                    "acm",
-                    "state",
-                    AcmState(
-                        purposes=tuple(self.purposes.ordered()),
-                        categories=dict(self._category_map),
-                    ),
-                )
-            ],
-            self.database.transactions.clock,
-        )
+        with self.database.transactions.statement_transaction() as txn:
+            yield
+            txn.add_catalog_op(CatalogOp("acm", "taxonomy", {"op": "taxonomy"}))
 
-    def _acm_state(self, version: int) -> AcmState | None:
-        """The taxonomy as of ``version`` (``None`` before the first commit)."""
-        return self.database.catalog.value_at("acm", "state", version)
+    def bump_policy_epoch(self) -> None:
+        """Commit a taxonomy edit that writes no rows: the epoch moves.
 
-    def _purposes_at(self, version: int) -> PurposeSet:
-        """The purpose set as of ``version`` (the live set when identical)."""
-        state = self._acm_state(version)
-        if state is None or state.purposes == tuple(self.purposes.ordered()):
-            return self.purposes
-        pinned = PurposeSet()
-        for purpose in state.purposes:
-            pinned.add(purpose)
-        return pinned
+        Mask stores are ordinary row commits and never call this.  Nothing
+        is emptied: a ``complieswith`` verdict is a pure function of two
+        bit strings, so the compliance memo and the policy verdict maps
+        hold no state a new taxonomy could make stale.
+        """
+        with self._taxonomy_edit():
+            pass
 
     def compliance_memo_info(self) -> dict[str, int]:
         """Observability snapshot of the ``complieswith`` memo.
@@ -153,36 +144,33 @@ class AccessControlManager:
         database: Database,
         categories: CategoryRegistry | None = None,
     ) -> "AccessControlManager":
-        """Rebuild a manager from an already-configured database.
+        """Re-attach a manager to an already-configured database.
 
-        All administrative state lives in the Pr/Pm meta-tables, so a
-        database reloaded from a snapshot (:mod:`repro.engine.persist`) can
-        be re-attached: purposes and the categorization are read back and
-        the ``complieswith`` UDF is re-registered.  ``categories`` must
-        include every category code appearing in Pm (defaults suffice for
-        the paper's four).
+        The Pr/Pm/Pa meta-tables are the manager's whole state, so a
+        database reloaded from a snapshot (:mod:`repro.engine.persist`) or
+        recovered from its WAL only needs the ``complieswith`` UDF
+        registered again; nothing is read back and the catalog version
+        does not move.  ``categories`` must include every category code
+        appearing in Pm (defaults suffice for the paper's four).
         """
         if not database.has_table("pr"):
             raise ConfigurationError(
                 "database has no Pr table; run configure() instead"
             )
         manager = cls(database, categories=categories)
-        manager._configured = True
-        for purpose_id, description in database.table("pr").rows:
-            manager.purposes.add(Purpose(purpose_id, description or ""))
-        for column, table, code in database.table("pm").rows:
-            manager._category_map[(table, column)] = manager.categories.by_code(
-                code
-            )
-        database.register_function(
-            COMPLIES_WITH, manager._compliance_memo, strict=True
-        )
-        database.policy_function = COMPLIES_WITH
-        database.policy_column = POLICY_COLUMN
-        # Seed the catalog with the restored taxonomy so versioned
-        # resolution works from the first snapshot on.
-        manager.bump_policy_epoch()
+        manager._register()
         return manager
+
+    def _register(self) -> None:
+        """Register the ``complieswith`` UDF and tell the engine's optimizer
+        what a rewriter-injected guard looks like, so the
+        policy_guard_hoist pass can recognize and hoist it."""
+        self.database.register_function(
+            COMPLIES_WITH, self._compliance_memo, strict=True
+        )
+        self.database.policy_function = COMPLIES_WITH
+        self.database.policy_column = POLICY_COLUMN
+        self._configured = True
 
     def configure(self, purposes: PurposeSet | None = None) -> None:
         """Run the framework-configuration steps against the target DB.
@@ -218,14 +206,7 @@ class AccessControlManager:
             table = self.database.table(table_name)
             if POLICY_COLUMN not in table.schema:
                 table.add_column(Column(POLICY_COLUMN, SqlType.BIT_VARYING))
-        self.database.register_function(
-            COMPLIES_WITH, self._compliance_memo, strict=True
-        )
-        # Tell the engine's optimizer what a rewriter-injected guard looks
-        # like, so the policy_guard_hoist pass can recognize and hoist it.
-        self.database.policy_function = COMPLIES_WITH
-        self.database.policy_column = POLICY_COLUMN
-        self._configured = True
+        self._register()
         if purposes is not None:
             for purpose in purposes.ordered():
                 self.define_purpose(purpose)
@@ -241,17 +222,16 @@ class AccessControlManager:
         """Bring a table created *after* configuration under protection.
 
         Appends the ``policy`` column (existing rows get NULL — invisible
-        until a policy is attached) and invalidates the table's layout.
+        until a policy is attached) in the same commit as the epoch move.
         """
         self.require_configured()
         key = name.lower()
         if key in META_TABLES:
             raise PolicyError(f"{name!r} is a meta-data table")
         table = self.database.table(key)
-        if POLICY_COLUMN not in table.schema:
-            table.add_column(Column(POLICY_COLUMN, SqlType.BIT_VARYING))
-        self.invalidate_layouts(key)
-        self.bump_policy_epoch()
+        with self._taxonomy_edit():
+            if POLICY_COLUMN not in table.schema:
+                table.add_column(Column(POLICY_COLUMN, SqlType.BIT_VARYING))
 
     def target_tables(self) -> list[str]:
         """The protected tables (every table except the meta-data ones)."""
@@ -261,14 +241,22 @@ class AccessControlManager:
             if name.lower() not in META_TABLES
         ]
 
-    # -- purposes ---------------------------------------------------------------------
+    # -- purposes (Pr) ---------------------------------------------------------------
+
+    @property
+    def purposes(self) -> PurposeSet:
+        """The purpose set *Ps*: Pr's rows as the caller sees them."""
+        return self._view(
+            "pr", lambda rows: PurposeSet([Purpose(id_, ds or "") for id_, ds in rows])
+        )
 
     def define_purpose(self, purpose: Purpose) -> None:
-        """Add a purpose to *Ps* and persist it in Pr."""
+        """Add a purpose to *Ps*: one Pr row, one taxonomy edit."""
         self.require_configured()
-        self.purposes.add(purpose)
-        self.database.table("pr").insert_row((purpose.id, purpose.description))
-        self.bump_policy_epoch()
+        if purpose.id in self.purposes:
+            raise PolicyError(f"duplicate purpose id {purpose.id!r}")
+        with self._taxonomy_edit():
+            self.database.table("pr").insert_row((purpose.id, purpose.description))
 
     def remove_purpose(self, purpose_id: str) -> Purpose:
         """Remove a purpose from *Ps* and from Pr.
@@ -277,15 +265,16 @@ class AccessControlManager:
         manager's migration to rewrite them (DESIGN.md §6).
         """
         self.require_configured()
-        purpose = self.purposes.remove(purpose_id)
-        self.database.table("pr").delete_rows(lambda row: row[0] == purpose_id)
-        self.bump_policy_epoch()
+        purpose = self.purposes.get(purpose_id)
+        with self._taxonomy_edit():
+            self.database.table("pr").delete_rows(lambda row: row[0] == purpose_id)
         return purpose
 
     # -- categorization (Pm) -------------------------------------------------------------
 
     def categorize(self, table: str, column: str, category: DataCategory) -> None:
-        """Record that ``table.column`` belongs to ``category``."""
+        """Record that ``table.column`` belongs to ``category``: its Pm row
+        is replaced in one taxonomy edit."""
         self.require_configured()
         table_key, column_key = table.lower(), column.lower()
         schema = self.database.table(table_key).schema
@@ -294,23 +283,19 @@ class AccessControlManager:
         if category not in self.categories:
             raise PolicyError(f"category {category!r} is not registered")
         pm = self.database.table("pm")
-        pm.delete_rows(lambda row: row[0] == column_key and row[1] == table_key)
-        pm.insert_row((column_key, table_key, category.code))
-        self._category_map[(table_key, column_key)] = category
-        self.bump_policy_epoch()
+        with self._taxonomy_edit():
+            pm.delete_rows(lambda row: row[0] == column_key and row[1] == table_key)
+            pm.insert_row((column_key, table_key, category.code))
 
     def category(self, table: str, column: str) -> DataCategory:
-        """Categorizer protocol: Pm lookup with the *generic* fallback (§4.1).
-
-        Resolved as of the visible catalog version, so snapshot-pinned readers
-        see the categorization their snapshot began under.
-        """
-        key = (table.lower(), column.lower())
-        version = self.database.transactions.visible_catalog_version()
-        state = self._acm_state(version)
-        if state is not None:
-            return state.categories.get(key, self.categories.default)
-        return self._category_map.get(key, self.categories.default)
+        """Categorizer protocol: Pm lookup with the *generic* fallback (§4.1),
+        in Pm's rows as the caller sees them."""
+        by_code = self.categories.by_code
+        by_column = self._view(
+            "pm", lambda rows: {(tb, at): by_code(ct) for at, tb, ct in rows}
+        )
+        found = by_column.get((table.lower(), column.lower()))
+        return self.categories.default if found is None else found
 
     # -- purpose authorizations (Pa) ---------------------------------------------------------
 
@@ -327,13 +312,16 @@ class AccessControlManager:
             lambda row: row[0] == user_id and row[1] == purpose_id
         )
 
+    def _grants(self) -> "tuple[frozenset, frozenset]":
+        """Pa as ⟨user, purpose⟩ pairs and as the users holding any grant."""
+        return self._view(
+            "pa", lambda rows: (frozenset(rows), frozenset(ui for ui, _ in rows))
+        )
+
     def is_authorized(self, user_id: str, purpose_id: str) -> bool:
         """Whether Pa contains ⟨user, purpose⟩."""
         self.require_configured()
-        return any(
-            row[0] == user_id and row[1] == purpose_id
-            for row in self.database.table("pa")
-        )
+        return (user_id, purpose_id) in self._grants()[0]
 
     def known_user(self, user_id: str) -> bool:
         """Whether the user appears in Pa at all (holds any grant).
@@ -344,7 +332,7 @@ class AccessControlManager:
         instead of at first execution.
         """
         self.require_configured()
-        return any(row[0] == user_id for row in self.database.table("pa"))
+        return user_id in self._grants()[1]
 
     # -- schema / layout services -----------------------------------------------------------
 
@@ -363,22 +351,21 @@ class AccessControlManager:
         return self.database.has_table(key) and key not in META_TABLES
 
     def layout(self, table: str) -> MaskLayout:
-        """The mask layout of a target table at the visible catalog version.
+        """The mask layout of a target table as the caller sees it.
 
-        Cached by *content* — ⟨table, columns, purpose ids⟩ as resolved at
-        the visible catalog version — so a catalog commit that leaves the
-        taxonomy alone (an index DDL) keeps hitting one cached layout,
-        while taxonomy edits and schema changes resolve to a different
-        key.  Pinned readers resolve the key as of their snapshot
-        and so keep (or rebuild) *their* layout untouched.
+        Cached by *content* — ⟨table, columns, purpose ids⟩ as visible to
+        the caller — so a commit that leaves the taxonomy alone (an index
+        DDL) keeps hitting one cached layout, while taxonomy edits and
+        schema changes resolve to a different key.  Pinned readers resolve
+        the key as of their snapshot and so keep (or rebuild) *their*
+        layout untouched.
         """
         self.require_configured()
         key = table.lower()
         if key in META_TABLES or not self.database.has_table(key):
             raise PolicyError(f"{table!r} is not a protected target table")
-        version = self.database.transactions.visible_catalog_version()
         columns = self.table_columns(key)
-        purposes = self._purposes_at(version)
+        purposes = self.purposes
         cache_key = (key, columns, purposes.ids())
         layout = self._layouts.get(cache_key)
         if layout is None:
@@ -387,15 +374,6 @@ class AccessControlManager:
                 self._layouts.pop(next(iter(self._layouts)))
             self._layouts[cache_key] = layout
         return layout
-
-    def invalidate_layouts(self, table: str | None = None) -> None:
-        """Drop cached layouts after a schema or purpose-set change."""
-        if table is None:
-            self._layouts.clear()
-        else:
-            key = table.lower()
-            for cache_key in [k for k in self._layouts if k[0] == key]:
-                del self._layouts[cache_key]
 
     # -- policy installation -----------------------------------------------------------------
 

@@ -532,16 +532,21 @@ class EnforcementMonitor:
         Returns ``(plan, cache_hit)``.  On a miss the full pipeline runs —
         signature derivation, rewriting, printing, engine planning — and
         the result is cached under ⟨shape id, purpose, epoch, optimizer
-        mode⟩ with LRU eviction beyond :attr:`plan_cache_size`.
+        mode⟩ with LRU eviction beyond :attr:`plan_cache_size`.  A
+        transaction that staged DDL or a taxonomy edit compiles against
+        state no other reader at its epoch sees: its plans bypass the cache.
         """
         statement, qid = resolved.statement, resolved.shape_id
+        transactions = self.database.transactions
+        txn = current_transaction(transactions)
+        private = txn is not None and txn.stages_catalog()
         with self._cache_lock:
             # A reader pinned before a taxonomy edit keeps compiling and
             # hitting plans for its snapshot's taxonomy (DESIGN.md §15).
-            epoch = self.database.transactions.visible_catalog_version()
+            epoch = transactions.visible_catalog_version()
             mode = self.optimizer_mode
             key = (qid, purpose, epoch, mode)
-            plan = self._plan_cache.get(key)
+            plan = None if private else self._plan_cache.get(key)
             if plan is not None:
                 self._plan_cache.move_to_end(key)
                 self.cache_hits += 1
@@ -570,9 +575,10 @@ class EnforcementMonitor:
                     rewritten, optimizer=mode, batch_size=self.batch_size
                 ),
             )
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
+            if not private:
+                self._plan_cache[key] = plan
+                while len(self._plan_cache) > self.plan_cache_size:
+                    self._plan_cache.popitem(last=False)
             return plan, False
 
     def _rewrite_set_operation(

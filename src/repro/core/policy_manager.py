@@ -64,7 +64,6 @@ class PolicyManager:
         Call after purpose-set or schema changes when all policies were
         registered through this manager.  Returns total rows written.
         """
-        self.admin.invalidate_layouts()
         written = 0
         for policy in self._policies:
             written += self.admin.apply_policy(policy)
@@ -93,7 +92,6 @@ class PolicyManager:
                 "no layout snapshot: call snapshot_layouts() before changing "
                 "purposes or schemas"
             )
-        self.admin.invalidate_layouts()
         rewritten = 0
         for table, old_layout in self._snapshots.items():
             if not self.admin.database.has_table(table):

@@ -1,7 +1,7 @@
 """The versioned catalog: commit-stamped metadata entries (DESIGN.md §15).
 
-The engine's metadata — table schemas, index definitions, the purpose
-taxonomy — lives in one versioned store, the only record of its history:
+The engine's metadata — table schemas and index definitions — lives in
+one versioned store, the only record of its history:
 every metadata mutation commits a ``(kind, key) -> value`` entry stamped
 with a monotonically increasing **catalog version** and the commit
 timestamp, so
@@ -9,8 +9,9 @@ timestamp, so
 * a :class:`~repro.engine.mvcc.Snapshot` pins ``(commit ts, catalog
   version)`` and metadata reads resolve *as of* the version
   :meth:`~repro.engine.mvcc.TransactionManager.visible_catalog_version`
-  names — taxonomy edits and DDL become ordinary versioned commits
-  visible only to later snapshots;
+  names — DDL becomes an ordinary versioned commit visible only to later
+  snapshots (the purpose taxonomy is Pr/Pm rows, which snapshots pin by
+  commit ts);
 * the policy epoch *is* :attr:`Catalog.version` (plan caches and shard
   broadcasts key on it, and it advances on taxonomy edits and DDL, never
   on a mask store, which is a row write);
@@ -36,9 +37,10 @@ Entry kinds used by the engine:
     :class:`~repro.engine.index.IndexDefinition` on CREATE, ``None`` on
     DROP.
 ``"acm"``
-    key = ``"state"``, value = the access-control manager's immutable
-    taxonomy snapshot (purposes + categorization) committed on every
-    taxonomy edit.
+    key = ``"taxonomy"``, value = ``True``: a marker that moves the
+    version.  Every taxonomy edit commits its Pr/Pm rows (the taxonomy
+    itself) with a ``{"op": "taxonomy"}`` op, so the policy epoch moves
+    in the same commit, in the WAL and again at replay.
 """
 
 from __future__ import annotations

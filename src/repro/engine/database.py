@@ -224,13 +224,13 @@ class Database:
         self.policy_bitmaps = PolicyBitmapCache(self.cost_total)
         # Secondary-index catalog (DESIGN.md §13).
         self.indexes = IndexManager(self)
-        # MVCC: the commit clock + active-snapshot registry (DESIGN.md §15).
-        self.transactions = TransactionManager()
-        # The versioned metadata catalog (DESIGN.md §15): schemas, index
-        # definitions and the purpose taxonomy as commit-stamped versions.
-        # Snapshots pin ``catalog.version``; it subsumes the policy epoch.
+        # The versioned metadata catalog (DESIGN.md §15): schemas and index
+        # definitions as commit-stamped versions, and a marker each
+        # taxonomy edit moves.  Snapshots pin ``catalog.version``; it
+        # subsumes the policy epoch.
         self.catalog = Catalog()
-        self.transactions.database = self
+        # MVCC: the commit clock + active-snapshot registry (DESIGN.md §15).
+        self.transactions = TransactionManager(self)
         # Durability hook; set by engine.wal.DurabilityManager when attached.
         self.durability = None
 
@@ -321,6 +321,8 @@ class Database:
         for (kind, key), value in entries.items():
             if kind == "index":
                 self.indexes.discard(key)
+            elif kind == "acm":
+                continue  # a version marker: the taxonomy is Pr/Pm rows
             elif kind == "schema":
                 self.tables[key].commit_schema(value, version)
             elif value is None:
@@ -351,6 +353,8 @@ class Database:
             entries["index", op["definition"].name] = op["definition"]
         elif kind == "drop_index":
             entries["index", op["name"].lower()] = None
+        elif kind == "taxonomy":
+            entries["acm", "taxonomy"] = True
         else:
             raise CatalogError(f"unknown catalog op {kind!r}")
 

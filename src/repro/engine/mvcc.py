@@ -66,6 +66,7 @@ from ..errors import (
 from .catalog import Catalog, CatalogOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .database import Database
     from .schema import TableSchema
     from .table import Table
 
@@ -75,9 +76,10 @@ class Snapshot:
     """Snapshot identity: data visibility horizon × catalog version.
 
     ``ts`` is the highest commit timestamp visible to the snapshot;
-    ``catalog_version`` is the metadata version — schemas, indexes, purpose
-    taxonomy — the snapshot's queries are planned and enforced under (plan
-    cache + ``compliesWith`` memo keying, DESIGN.md §15).
+    ``catalog_version`` is the metadata version — schemas, indexes, and the
+    epoch a taxonomy edit moves with its Pr/Pm rows — the snapshot's
+    queries are planned and enforced under (plan cache keying, DESIGN.md
+    §15).
     """
 
     ts: int
@@ -193,6 +195,11 @@ class Transaction:
     def add_catalog_op(self, op: CatalogOp) -> None:
         """Stage a catalog mutation (transactional DDL)."""
         self._catalog_ops.append(op)
+
+    def stages_catalog(self) -> bool:
+        """Whether this transaction staged DDL or a taxonomy edit: what it
+        reads is then its own, not its catalog version's."""
+        return bool(self._catalog_ops)
 
     def has_staged_catalog(self, kind: str, key: str) -> bool:
         return any(
@@ -389,11 +396,12 @@ def _unique_keys(rows: list[tuple], pk: tuple[int, ...]) -> bool:
 class TransactionManager:
     """The commit clock, the active-snapshot registry and the commit path.
 
-    One manager per :class:`~repro.engine.database.Database` (a standalone
-    :class:`~repro.engine.table.Table` joins a private one).
+    One manager per :class:`~repro.engine.database.Database`: its catalog
+    is what snapshots pin, and its ``apply_commit`` is the one applier
+    every commit goes through.
     """
 
-    def __init__(self):
+    def __init__(self, database: "Database"):
         #: The write fence (:meth:`exclusive`); lock order is fence →
         #: ``_lock``, and nothing takes the fence while holding ``_lock``.
         self._fence = threading.RLock()
@@ -402,19 +410,15 @@ class TransactionManager:
         self._txn_counter = 0
         self._active: dict[int, Transaction] = {}
         self.stats = TxnStats()
-        #: The owning :class:`~repro.engine.database.Database`, wired by it:
-        #: its catalog is what snapshots pin, and its ``apply_commit`` is
-        #: the one applier every commit goes through.
-        self.database = None
+        self.database = database
         #: Durability hook (:class:`~repro.engine.wal.DurabilityManager`);
         #: ``None`` for purely in-memory databases.
         self.wal = None
 
     @property
-    def catalog(self) -> "Catalog | None":
-        """The owning database's versioned catalog (``None`` when detached:
-        catalog versions then stay 0)."""
-        return None if self.database is None else self.database.catalog
+    def catalog(self) -> "Catalog":
+        """The owning database's versioned catalog."""
+        return self.database.catalog
 
     # -- clock -------------------------------------------------------------
 
@@ -454,17 +458,15 @@ class TransactionManager:
         return self.exclusive()
 
     def current_catalog_version(self) -> int:
-        """The catalog version new snapshots pin (0 when detached)."""
-        if self.catalog is not None:
-            return self.catalog.version
-        return 0
+        """The catalog version new snapshots pin."""
+        return self.database.catalog.version
 
     def visible_catalog_version(self) -> int:
         """The catalog version metadata reads resolve at: the ambient
         transaction's pinned version, or the latest outside one.
 
-        The one rule for which schemas, index definitions and taxonomy a
-        reader sees, and the epoch its plans are cached under.
+        The one rule for which schemas and index definitions a reader
+        sees, and the epoch its plans are cached under.
         """
         txn = current_transaction(self)
         if txn is not None:
@@ -641,17 +643,13 @@ class TransactionManager:
     def _validate_catalog_locked(self, txn: Transaction) -> None:
         """First-committer-wins on catalog entries (DDL conflicts)."""
         for op in txn._catalog_ops:
-            if self.catalog is not None:
-                committed = self.catalog.last_commit_version(op.kind, op.key)
-                if committed > txn.snapshot.catalog_version:
-                    self.stats.catalog_conflicts += 1
-                    self.stats.conflicts += 1
-                    raise CatalogConflictError(
-                        op.kind,
-                        op.key,
-                        txn.snapshot.catalog_version,
-                        committed,
-                    )
+            committed = self.catalog.last_commit_version(op.kind, op.key)
+            if committed > txn.snapshot.catalog_version:
+                self.stats.catalog_conflicts += 1
+                self.stats.conflicts += 1
+                raise CatalogConflictError(
+                    op.kind, op.key, txn.snapshot.catalog_version, committed
+                )
             if op.validate is not None:
                 op.validate()
 
@@ -724,14 +722,11 @@ class TransactionManager:
         pinned_ts = self._pinned_locked()
         for table in txn._tables.values():
             table.prune_history(pinned_ts)
-        if self.catalog is not None:
-            if self._active:
-                pinned = min(
-                    t.snapshot.catalog_version for t in self._active.values()
-                )
-            else:
-                pinned = self.catalog.version
-            self.catalog.prune(pinned)
+        if self._active:
+            pinned = min(t.snapshot.catalog_version for t in self._active.values())
+        else:
+            pinned = self.catalog.version
+        self.catalog.prune(pinned)
 
     def active_count(self) -> int:
         with self._lock:

@@ -13,8 +13,9 @@ For each :class:`~.generator.FuzzCase` the runner:
    policy-mask churn, grants and revocations (a pass-all or pass-none mask
    stored on the rows sharing one key value), all of them row commits
    that move no epoch; row duplications, row deletions, index DDL, epoch
-   bumps and taxonomy edits (a scratch purpose defined/removed with mask
-   migration) — re-running the pinned reader after **every** step;
+   bumps and taxonomy edits (a scratch purpose defined/removed with its
+   mask migration, in one transaction) — re-running the pinned reader
+   after **every** step;
 3. requires every pinned read to reproduce the reference exactly: same
    rows, same columns, same denial outcome, and (with the bitmap cache
    cleared before each read) the same ``complieswith`` count;
@@ -204,22 +205,23 @@ class ScheduleRunner(DifferentialRunner):
             return f"{index}:ddl-index[drop {name}]"
         if op == "taxonomy-edit":
             # Toggle one scratch purpose under an open snapshot, driving the
-            # Policy Management module end-to-end: snapshot the layouts,
-            # edit the taxonomy (a versioned catalog commit), then migrate
-            # stored masks so fresh reads stay oracle-consistent.  Pinned
-            # readers keep decoding under the taxonomy their snapshot
-            # captured.
+            # Policy Management module end-to-end in one transaction:
+            # snapshot the layouts, edit the taxonomy, then migrate stored
+            # masks, so no fresh reader sees a layout whose masks are not
+            # migrated yet.  Pinned readers keep decoding under the
+            # taxonomy their snapshot captured.
             manager = self._policy_manager()
-            manager.snapshot_layouts()
-            if SCRATCH_PURPOSE in admin.purposes:
-                admin.remove_purpose(SCRATCH_PURPOSE)
-                action = "remove"
-            else:
-                admin.define_purpose(
-                    Purpose(SCRATCH_PURPOSE, "schedule scratch purpose")
-                )
-                action = "define"
-            manager.migrate()
+            with self.world.database.transactions.statement_transaction():
+                manager.snapshot_layouts()
+                if SCRATCH_PURPOSE in admin.purposes:
+                    admin.remove_purpose(SCRATCH_PURPOSE)
+                    action = "remove"
+                else:
+                    admin.define_purpose(
+                        Purpose(SCRATCH_PURPOSE, "schedule scratch purpose")
+                    )
+                    action = "define"
+                manager.migrate()
             return f"{index}:taxonomy-edit[{action} {SCRATCH_PURPOSE}]"
         storage = self.world.database.table(table)
         rows = storage.rows

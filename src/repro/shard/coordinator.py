@@ -52,9 +52,11 @@ does the same as part of every write.  (A DDL that commits on the replica
 under a scatter in flight costs that scatter one retry, which ships it.)
 Movement that is *not* DDL and did not come through ``policy_write`` — a
 taxonomy (``acm``) commit made behind the coordinator's back — is left
-alone: the shards cannot replay a taxonomy edit, so scatters keep failing
-closed with :class:`SplitEpochError` until a ``policy_write`` resyncs
-them, and no rows are pushed while the catalogs disagree.
+alone: it is logged like any commit, but its Pr/Pm rows are
+coordinator-local and the shards keep the recipe's taxonomy, so no op
+ships it; scatters keep failing closed with :class:`SplitEpochError`
+until a ``policy_write`` resyncs them, and no rows are pushed while the
+catalogs disagree.
 """
 
 from __future__ import annotations
@@ -287,11 +289,13 @@ class ShardCoordinator:
         self._route_cache_version = self.database.catalog.version
         # What the shards hold as far as DDL goes — the recipe world's
         # tables (key → columns) and the indexes over them — and the
-        # catalog version they were last brought level with.  A table
-        # created on the replica later (the audit trail's ``al``) is
-        # coordinator-local: never shipped, always routed ``local``.
+        # catalog version they were last brought level with.  The
+        # meta-tables and a table created on the replica later (the audit
+        # trail's ``al``) are coordinator-local: never shipped, always
+        # routed ``local``.
         self._shard_tables = {
-            key: table.schema.columns for key, table in self.database.tables.items()
+            key: self.database.table(key).schema.columns
+            for key in self.admin.target_tables()
         }
         self._shard_indexes = {
             definition.name: definition
@@ -301,7 +305,8 @@ class ShardCoordinator:
         # The commit timestamp of each shard-held table's rows as the
         # shards last received them (they start as built from the recipe).
         self._pushed = {
-            key: table.last_commit_ts for key, table in self.database.tables.items()
+            key: self.database.table(key).last_commit_ts
+            for key in self._shard_tables
         }
 
     def close(self) -> None:

@@ -1,8 +1,9 @@
 """Shard workers: one enforcement stack per hash partition.
 
 A :class:`ShardWorker` rebuilds the deployment's world from its
-:class:`~repro.shard.recipe.WorldRecipe`, prunes every table to the rows of
-its hash partition (placement from :mod:`repro.shard.router`), and then
+:class:`~repro.shard.recipe.WorldRecipe`, prunes every protected table to
+the rows of its hash partition (placement from :mod:`repro.shard.router`;
+the meta-tables stay whole, they are the shard's taxonomy), and then
 answers a tiny message-dict protocol:
 
 ``query``
@@ -68,9 +69,9 @@ class ShardWorker:
         self._prune()
 
     def _prune(self) -> None:
-        """Keep only this shard's partition of every table."""
+        """Keep only this shard's partition of every protected table."""
         database = self.world.database
-        for name in database.table_names():
+        for name in self.admin.target_tables():
             table = database.table(name)
             partitions = split_rows(
                 table, self.shard_count, database.policy_column

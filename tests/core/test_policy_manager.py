@@ -138,7 +138,6 @@ class TestMaskMigration:
         admin.database.table("sensed_data").add_column(
             Column("oxygen", SqlType.DOUBLE)
         )
-        admin.invalidate_layouts("sensed_data")
         manager.migrate()
 
         new_layout = admin.layout("sensed_data")

@@ -16,7 +16,6 @@ import pytest
 
 from repro.engine import Snapshot, txn_scope
 from repro.engine.database import Database
-from repro.engine.mvcc import TransactionManager
 from repro.errors import TransactionError, WriteConflictError
 
 
@@ -230,8 +229,6 @@ def test_staged_rows_never_leak_into_the_posting_index(db) -> None:
 
 
 def test_snapshot_pins_commit_ts_and_catalog_version(db) -> None:
-    # A manager without a catalog (standalone tables) pins version 0.
-    assert TransactionManager().snapshot() == Snapshot(ts=0, catalog_version=0)
     manager = db.transactions
     snap = manager.snapshot()
     assert snap == Snapshot(ts=manager.clock, catalog_version=db.catalog.version)

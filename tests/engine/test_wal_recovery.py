@@ -55,6 +55,7 @@ from repro.core import (
     EnforcementMonitor,
     JointAccess,
     Policy,
+    PolicyManager,
     PolicyRule,
     Purpose,
     PurposeSet,
@@ -1266,6 +1267,9 @@ ACCESS_PURPOSES = ("p1", "p2")
 #: Access-control histories each seed draws.
 ACCESS_HISTORIES = 25
 
+#: The purpose a taxonomy step defines or removes (no grant names it).
+SCRATCH_PURPOSE = "p9"
+
 
 def role_db(directory):
     """:func:`audited_db` whose monitor authorizes through the role
@@ -1290,13 +1294,23 @@ def reopened(db, durability, directory, how: str):
 
 
 def access_state(roles, audit) -> tuple:
-    """Every drawn user × purpose authorization and user check, and the
-    audit trail."""
-    return [
-        (user, purpose, roles.is_authorized(user, purpose), roles.known_user(user))
-        for user in ACCESS_USERS
-        for purpose in ACCESS_PURPOSES
-    ], audit.records
+    """Every drawn user × purpose authorization and user check, the audit
+    trail, the taxonomy — purposes, ``m``'s categories and mask layout —
+    the catalog version, and the stored masks and enforced answers."""
+    admin = roles.admin
+    return (
+        [
+            (user, purpose, roles.is_authorized(user, purpose), roles.known_user(user))
+            for user in ACCESS_USERS
+            for purpose in ACCESS_PURPOSES
+        ],
+        audit.records,
+        admin.purposes.ids(),
+        [admin.category("m", column) for column in admin.table_columns("m")],
+        admin.layout("m").rule_length,
+        admin.database.catalog.version,
+        enforced_state(admin),
+    )
 
 
 @pytest.mark.parametrize("how", ["reload", "recover"])
@@ -1347,20 +1361,57 @@ def test_a_reopened_audit_log_lists_its_trail(tmp_path, how) -> None:
         redo.close()
 
 
+def taxonomy_step(admin, rng: random.Random, kind: str) -> str:
+    """Define or remove :data:`SCRATCH_PURPOSE` and migrate the stored
+    masks, or categorize a column of ``m``: as autocommits, or inside
+    BEGIN … COMMIT or BEGIN … ROLLBACK."""
+    database = admin.database
+    end = rng.choice(("autocommit", "commit", "rollback"))
+    if end != "autocommit":
+        database.begin()
+    if kind == "purpose":
+        manager = PolicyManager(admin)
+        manager.snapshot_layouts()
+        if SCRATCH_PURPOSE in admin.purposes:
+            admin.remove_purpose(SCRATCH_PURPOSE)
+            kind = "remove"
+        else:
+            admin.define_purpose(Purpose(SCRATCH_PURPOSE, "scratch"))
+            kind = "define"
+        manager.migrate()
+    else:
+        column = rng.choice(admin.table_columns("m"))
+        category = rng.choice(admin.categories.categories)
+        admin.categorize("m", column, category)
+        kind = f"categorize m.{column} {category.code}"
+    if end == "commit":
+        database.commit()
+    elif end == "rollback":
+        database.rollback()
+    return f"{kind} ({end})"
+
+
 def access_step(monitor, rng: random.Random, fresh) -> str:
     """Draw and run one access-control step — a Pa grant or revoke, a role
     definition, assignment or authorization change, a session purpose
-    switch, or an audited read or EXPLAIN (allowed or denied) — and return
-    what it did."""
+    switch, an audited read or EXPLAIN (allowed or denied), a mask store
+    or a taxonomy edit (:func:`taxonomy_step`) — and return what it did."""
     admin, roles = monitor.admin, monitor.authorizer
     user, purpose = rng.choice(ACCESS_USERS), rng.choice(ACCESS_PURPOSES)
     defined = roles.roles()
     kind = rng.choice(
         ["grant", "grant", "revoke", "define", "switch", "read", "read", "explain"]
+        + ["mask", "purpose", "categorize", "categorize"]
         + ["assign", "assign", "unassign", "role_grant", "role_grant", "role_revoke"]
         * bool(defined)
     )
     role = rng.choice(defined) if defined else None
+    if kind in ("purpose", "categorize"):
+        return taxonomy_step(admin, rng, kind)
+    if kind == "mask":
+        policy = random_mask_policy(rng)
+        admin.apply_policy(policy)
+        return f"mask {policy.rules[0]} on {policy.tuple_selector}"
     if kind == "grant":
         admin.grant_purpose(user, purpose)
     elif kind == "revoke":
@@ -1396,10 +1447,12 @@ def access_step(monitor, rng: random.Random, fresh) -> str:
 
 def test_reload_and_recovery_keep_the_access_control_state(tmp_path) -> None:
     """Seeded round-trip property: after a random history of Pa and role
-    changes, purpose switches and audited statements with a checkpoint at a
+    changes, purpose switches, audited statements, mask stores and
+    taxonomy edits (committed or rolled back) with a checkpoint at a
     random step, a fresh RoleManager and AuditLog on a reload of the image
     and on a recovery agree with the live ones — every user × purpose
-    authorization, every user check and the whole audit trail."""
+    authorization, every user check, the whole audit trail, the taxonomy,
+    the catalog version and the enforced answers."""
     rng = random.Random(f"access-round-trip:{CRASH_SEED}")
     for history in range(ACCESS_HISTORIES):
         directory = tmp_path / f"h{history}"
