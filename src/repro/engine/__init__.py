@@ -20,13 +20,7 @@ from .mvcc import (
     current_transaction,
     txn_scope,
 )
-from .index import (
-    INDEX_KINDS,
-    BTreeIndex,
-    HashIndex,
-    IndexDefinition,
-    IndexManager,
-)
+from .index import INDEX_KINDS, IndexDefinition, IndexManager
 from .plan import (
     BASELINE_PASSES,
     FULL_PASSES,
@@ -49,8 +43,6 @@ __all__ = [
     "FunctionRegistry",
     "MemoizedFunction",
     "INDEX_KINDS",
-    "BTreeIndex",
-    "HashIndex",
     "IndexDefinition",
     "IndexManager",
     "BASELINE_PASSES",

@@ -610,18 +610,19 @@ class Database:
         """Row positions an index narrows an UPDATE/DELETE's WHERE to.
 
         The same access paths a SELECT gets (equality on a leading run of
-        an index's key columns, a range on a single-column B-tree) over the
-        top-level conjuncts of ``where``; the statement still evaluates its
-        *whole* predicate — ``complieswith`` conjuncts included — on every
-        candidate, so the index only spares rows a key conjunct rejects
-        outright.  Rows with a NULL key are candidates too: the conjunct is
-        unknown for them, not false, and a scan goes on to check them.
+        an index's key columns, a range on a single-column ``btree`` index)
+        over the top-level conjuncts of ``where``; the statement still
+        evaluates its *whole* predicate — ``complieswith`` conjuncts
+        included — on every candidate, so the index only spares rows a key
+        conjunct rejects outright.  Rows with a NULL key are candidates
+        too: the conjunct is unknown for them, not false, and a scan goes
+        on to check them.
 
-        ``None`` means scan: no index path, a probe value the tree
-        cannot compare (or NULL), a conjunct ahead of the key that checks
-        policies itself (it would run on fewer rows), or a table this
-        transaction already staged (its overlay is private; the shared
-        index entries describe committed rows).
+        ``None`` means scan: no index path, a probe value the held keys
+        cannot be compared with (or NULL), a conjunct ahead of the key
+        that checks policies itself (it would run on fewer rows), or a
+        table this transaction already staged (its overlay is private; the
+        shared index entries describe committed rows).
         """
         if where is None:
             return None

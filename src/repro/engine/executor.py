@@ -714,7 +714,7 @@ class SelectExecutor:
         The matched predicates stay in the parent filter (a recheck), so
         this node only has to narrow candidates.  Whenever it cannot — the
         index was dropped after planning, or the probe value cannot be
-        compared with the tree's keys — it degrades to a full sequential
+        compared with the index's keys — it degrades to a full sequential
         read and the recheck decides, exactly as without the index.
         """
         table = self.database.table(node.table_name)

@@ -1,7 +1,7 @@
 """Index lifecycles and lazy maintenance.
 
 :class:`IndexManager` owns every secondary index of one database.  An
-index *definition* (name, table, key columns, structure kind) is durable
+index *definition* (name, table, key columns, kind) is durable
 catalog state — committed to the versioned catalog by ``CREATE INDEX`` /
 ``DROP INDEX``, read as of the reader's visible catalog version and
 persisted by :mod:`repro.engine.persist`.  The built *entry* is a
@@ -30,21 +30,22 @@ fold into.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from ...errors import CatalogError, ExecutionError
-from .btree import BTreeIndex
-from .hash import HashIndex
+from ...errors import CatalogError, ExecutionError, TypeMismatchError
+from ..types import compare_guard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..database import Database
     from ..table import Table
 
-#: The supported index structure kinds.
+#: The index kinds CREATE INDEX accepts.  One structure serves both; the
+#: kind says which lookups the planner may ask of it (a ``hash`` index
+#: answers equality only).
 INDEX_KINDS = ("btree", "hash")
 
 
@@ -83,28 +84,36 @@ class RowIndex:
     """Key → ascending row ids over ``rows[:length]``.
 
     The one structure derived from a table's rows by key: a secondary
-    index (``structure`` a B-tree or a hash over the definition's
-    columns) and a table's policy posting index (a hash over the policy
-    column) are both one.  Rows with a NULL in a key column go to
-    ``nulls`` (ascending).  ``rows`` is the list described: an append
-    commit extends the committed list in place, so it may have grown
-    past ``length``.  ``stamp`` moves whenever a row id joins, leaves or
-    changes keys.  Following one commit forward costs that commit's
-    written rows; following further costs one identity pass.
+    index over its definition's columns and a table's policy posting
+    index over the policy column are both one.  ``postings`` maps each
+    non-NULL key to its ascending row ids; rows with a NULL in a key
+    column go to ``nulls`` (ascending).  Equality is a dict probe; a
+    range or a composite prefix bisects the sorted distinct keys, built
+    by one ``sorted`` call on the first such lookup and dropped whenever
+    a key joins or leaves — so an index nobody scans never sorts.
+
+    ``rows`` is the list described: an append commit extends the
+    committed list in place, so it may have grown past ``length``.
+    ``stamp`` moves whenever a row id joins, leaves or changes keys.
+    Following one commit forward costs that commit's written rows;
+    following further costs one identity pass.
     """
 
     __slots__ = (
-        "structure", "schema", "positions", "key", "rows", "length", "nulls",
-        "stamp",
+        "schema", "positions", "key", "rows", "length", "postings", "nulls",
+        "stamp", "_sorted",
     )
 
-    def __init__(self, structure, schema, columns, rows: list):
-        self.structure, self.schema = structure, schema
+    def __init__(self, schema, columns, rows: list):
+        self.schema = schema
         self.positions = [schema.column_index(c) for c in columns]
         #: Row → key: the value for one column, the tuple for several.
         self.key = itemgetter(*self.positions)
-        self.rows, self.length, self.nulls = rows, 0, []
+        self.rows, self.length = rows, 0
+        self.postings: dict = {}
+        self.nulls: list[int] = []
         self.stamp = 0
+        self._sorted: tuple[list, list] | None = None
         self._extend(len(rows))
 
     def describes(self, rows: list) -> bool:
@@ -135,28 +144,121 @@ class RowIndex:
         return True
 
     def _place(self, key, row_id: int, insert: bool) -> None:
-        """Insert (or remove) one ``(key, row id)`` pair."""
+        """Insert (or remove) one ``(key, row id)`` pair; a key joins with
+        its first id and leaves with its last."""
+        postings = self.postings
         if key is None or (len(self.positions) > 1 and None in key):
-            if insert:
-                insort(self.nulls, row_id)
-            else:
-                del self.nulls[bisect_left(self.nulls, row_id)]
-        elif insert:
-            self.structure.insert(key, row_id)
+            ids = self.nulls
         else:
-            self.structure.remove(key, row_id)
+            ids = postings.get(key)
+            if ids is None:
+                ids = postings[key] = []
+                self._sorted = None
+        if insert:
+            insort(ids, row_id)
+            return
+        del ids[bisect_left(ids, row_id)]
+        if not ids and ids is not self.nulls:
+            del postings[key]
+            self._sorted = None
 
     def _extend(self, end: int) -> None:
-        """Index ``rows[length:end]`` (ids past every indexed one)."""
-        insert, nulls = self.structure.insert, self.nulls
+        """Index ``rows[length:end]``: their ids follow every indexed one,
+        so each is appended to its key's list."""
+        postings, nulls = self.postings, self.nulls
+        distinct = len(postings)
         single = len(self.positions) == 1
         keys = map(self.key, islice(self.rows, self.length, end))
         for row_id, value in enumerate(keys, self.length):
             if value is None or (not single and None in value):
                 nulls.append(row_id)
+            elif value in postings:
+                postings[value].append(row_id)
             else:
-                insert(value, row_id)
+                postings[value] = [row_id]
+        if len(postings) != distinct:
+            self._sorted = None
         self.length = end
+
+    # -- lookups ---------------------------------------------------------------
+
+    def _comparable(self, values) -> None:
+        """Decline a probe whose non-NULL ``values`` cannot be compared
+        with the matching components of a held key: ``TypeError`` is the
+        executor's cue to read every row and let the recheck decide, so
+        the statement raises (or not) exactly as it would without the
+        index."""
+        held = next(iter(self.postings), None)
+        if held is None:
+            return
+        try:
+            for value, component in zip(
+                values, held if len(self.positions) > 1 else (held,)
+            ):
+                if value is not None:
+                    compare_guard(value, component)
+        except TypeMismatchError as error:
+            raise TypeError(str(error)) from None
+
+    def _ordered(self) -> tuple[list, list]:
+        """``(keys, lists)``: the distinct keys ascending (sorted on first
+        use) and each one's posting list — the very list ``postings``
+        holds, so a moved id shows in both."""
+        if self._sorted is None:
+            keys = sorted(self.postings)
+            self._sorted = (keys, list(map(self.postings.__getitem__, keys)))
+        return self._sorted
+
+    def search(self, key) -> list[int]:
+        """Row ids (ascending) whose key equals ``key``: the column value
+        for a single-column index, the tuple for a composite one."""
+        self._comparable(key if len(self.positions) > 1 else (key,))
+        return list(self.postings.get(key, ()))
+
+    def prefix(self, prefix: tuple) -> list[int]:
+        """Row ids (ascending) whose composite key starts with ``prefix``.
+
+        The matching keys are one run of the sorted keys; a row with a
+        NULL in a later key column still matches."""
+        self._comparable(prefix)
+        (keys, lists), width = self._ordered(), len(prefix)
+        cut = itemgetter(slice(0, width))
+        low = bisect_left(keys, prefix, key=cut)
+        high = bisect_right(keys, prefix, low, key=cut)
+        found = sorted(chain.from_iterable(lists[low:high]))
+        if self.nulls:
+            rows = self.rows
+            found = sorted(found + [
+                row_id for row_id in self.nulls
+                if self.key(rows[row_id])[:width] == prefix
+            ])
+        return found
+
+    def range(
+        self,
+        lower=None,
+        upper=None,
+        lower_inclusive: bool = True,
+        upper_inclusive: bool = True,
+    ) -> list[int]:
+        """Row ids (ascending) whose key falls inside the bound pair.
+
+        ``None`` bounds are open; the result is sorted by *row id*, not key,
+        so an index-range scan emits rows in the same storage order a
+        sequential scan plus filter would.
+        """
+        composite = len(self.positions) > 1
+        for bound in (lower, upper):
+            if bound is not None:
+                self._comparable(bound if composite else (bound,))
+        keys, lists = self._ordered()
+        low = 0 if lower is None else (
+            bisect_left if lower_inclusive else bisect_right
+        )(keys, lower)
+        high = len(keys) if upper is None else (
+            bisect_right if upper_inclusive else bisect_left
+        )(keys, upper)
+        return sorted(chain.from_iterable(lists[low:high]))
 
 
 class IndexManager:
@@ -250,8 +352,7 @@ class IndexManager:
             if entry.follow(table, rows):
                 self._database.cost_total.charge(costs, "index.carried_forward")
                 return entry
-        structure = BTreeIndex() if definition.kind == "btree" else HashIndex()
-        entry = RowIndex(structure, schema, definition.columns, rows)
+        entry = RowIndex(schema, definition.columns, rows)
         self._entries[definition.name] = (definition, entry)
         self._database.cost_total.charge(costs, "index.rebuild")
         return entry
@@ -273,13 +374,13 @@ class IndexManager:
         definition = self.get(name)
         with self._lock:
             self._database.cost_total.charge(costs, "index.hit")
-            return self._entry(definition, costs).structure.search(key)
+            return self._entry(definition, costs).search(key)
 
     def lookup_prefix(self, name: str, prefix: tuple, costs=None) -> list[int]:
         """Row ids (ascending) whose leading key columns equal ``prefix``.
 
         A prefix covering every key column is an equality probe (either
-        structure); a shorter one walks the leaves of a B-tree.
+        kind); a shorter one needs a ``btree`` index.
         """
         definition = self.get(name)
         if len(prefix) == len(definition.columns):
@@ -289,17 +390,7 @@ class IndexManager:
         self._require_btree(definition, "prefix")
         with self._lock:
             self._database.cost_total.charge(costs, "index.hit")
-            entry = self._entry(definition, costs)
-            found = entry.structure.prefix(prefix)
-            if entry.nulls:
-                # A NULL in a later key column keeps a row out of the tree,
-                # not out of the prefix's matches.
-                rows, width = entry.rows, len(prefix)
-                found = sorted(found + [
-                    row_id for row_id in entry.nulls
-                    if entry.key(rows[row_id])[:width] == prefix
-                ])
-            return found
+            return self._entry(definition, costs).prefix(prefix)
 
     def null_key_rows(self, name: str, costs=None) -> list[int]:
         """Ids (ascending) of the rows with a NULL in a key column of
@@ -318,12 +409,13 @@ class IndexManager:
         upper_inclusive: bool = True,
         costs=None,
     ) -> list[int]:
-        """Row ids (ascending) inside the bound pair on B-tree index ``name``."""
+        """Row ids (ascending) inside the bound pair on ``btree`` index
+        ``name``."""
         definition = self.get(name)
         self._require_btree(definition, "range")
         with self._lock:
             self._database.cost_total.charge(costs, "index.hit")
-            return self._entry(definition, costs).structure.range(
+            return self._entry(definition, costs).range(
                 lower, upper, lower_inclusive, upper_inclusive
             )
 
@@ -361,7 +453,7 @@ class IndexManager:
             info["built"] = built is not None
             if built is not None:
                 info["rows"] = built[1].length
-                info["distinct_keys"] = len(built[1].structure)
+                info["distinct_keys"] = len(built[1].postings)
             out.append(info)
         return out
 

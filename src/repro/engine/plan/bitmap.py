@@ -6,7 +6,7 @@ a table holds few distinct policy values.  :class:`PolicyBitmapCache`
 therefore groups rows by policy value once, as Sieve does before it
 evaluates any policy, and judges each value once per mask:
 
-* **Per table, one posting index**, a hash
+* **Per table, one posting index**, a
   :class:`~repro.engine.index.manager.RowIndex` on the policy column:
   each distinct non-NULL policy value → its ascending row ids, built in
   one pass over the visible rows (a *row pass*) and followed to another
@@ -34,7 +34,6 @@ import threading
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from ..index.hash import HashIndex
 from ..index.manager import RowIndex
 from ..functions import CostTotal
 from ..types import BitString
@@ -98,7 +97,7 @@ class PolicyBitmapCache:
                 or guard[0] is not postings
                 or guard[1] != postings.stamp
             ):
-                items = list(postings.structure.items())
+                items = list(postings.postings.items())
                 allowed = _allowed(
                     maps, masks, [value for value, _ in items], registry,
                     function_name, costs,
@@ -160,7 +159,7 @@ class PolicyBitmapCache:
                 self.cost_total.charge(costs, "bitmap.revalidated")
                 return postings
         postings = self._postings[name] = RowIndex(
-            HashIndex(), schema, (policy_column,), rows
+            schema, (policy_column,), rows
         )
         self.cost_total.charge(costs, "bitmap.row_pass")
         return postings

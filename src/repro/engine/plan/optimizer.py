@@ -525,14 +525,15 @@ def _access_paths(definitions, conjuncts: list, scan: Scan):
     """Every index access path the conjuncts admit.
 
     An equality path binds the longest leading run of an index's key
-    columns that equality conjuncts cover: the whole key on either
-    structure, a proper prefix on a B-tree only.  A range path needs a
-    single-column B-tree; it takes its lower bound from the column's first
-    lower-bounded conjunct and its upper bound from the first
-    upper-bounded one, so ``b > 1 and b <= 4`` walks one key interval as
-    ``b between 1 and 4`` does.  Yields ``(path, tree)``; ``tree`` is
-    false for a hash index, which beats a tree for the same equality (an
-    O(1) probe against a descent).
+    columns that equality conjuncts cover: the whole key on either kind,
+    a proper prefix on a ``btree`` index only.  A range path needs a
+    single-column ``btree`` index; it takes its lower bound from the
+    column's first lower-bounded conjunct and its upper bound from the
+    first upper-bounded one, so ``b > 1 and b <= 4`` walks one key
+    interval as ``b between 1 and 4`` does.  Yields ``(path, tree)``;
+    ``tree`` is false for a hash index, which wins a tie with a ``btree``
+    one for the same equality — both probe one dict, so the tiebreak only
+    makes the choice deterministic.
     """
     equalities: dict[str, tuple[object, ast.Expression]] = {}
     #: column → (bound, inclusive, conjunct) of its first lower/upper bound.

@@ -201,7 +201,8 @@ class DifferentialRunner:
         """
         if (count, pinned) not in self._sharded:
             from ..server.async_server import AsyncQueryServer
-            from ..shard import ShardCoordinator, WorldRecipe
+            from ..shard import ShardCoordinator
+            from ..workload import WorldRecipe
 
             coordinator = ShardCoordinator(
                 WorldRecipe.for_fuzz(self.world.spec),
@@ -253,6 +254,16 @@ class DifferentialRunner:
         self._sharded.clear()
 
     def __enter__(self) -> "DifferentialRunner":
+        """Start every deployment the cases will use now, not inside the
+        first case; :meth:`close` stops them."""
+        try:
+            if self.use_server:
+                self.server
+            for leg in self._sharded_legs():
+                self.sharded_server(*leg)
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc_info) -> None:

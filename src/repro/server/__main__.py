@@ -72,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         ("demo", purpose.id) for purpose in default_purpose_set().ordered()
     ]
     if use_async:
-        from ..shard import ShardCoordinator, WorldRecipe
+        from ..shard import ShardCoordinator
+        from ..workload import WorldRecipe
 
         recipe = WorldRecipe.for_patients(
             patients=args.patients,

@@ -15,8 +15,9 @@ from .coordinator import (
     ShardedReport,
     SplitEpochError,
 )
+# Re-exported: benchmarks/e2e imports them from here.
+from ..workload.recipe import BuiltWorld, WorldRecipe, build_world
 from .partial import MergeColumn, MergeSpec, decompose, merge_rows
-from .recipe import BuiltWorld, WorldRecipe, build_world
 from .router import (
     Route,
     RoutePlan,

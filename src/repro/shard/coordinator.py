@@ -81,8 +81,8 @@ from ..obs.tracing import NULL_TRACE, Trace
 from ..server.protocol import E_ENGINE, E_PARSE, E_POLICY, E_UNAUTHORIZED
 from ..sql import ast, parse_statement
 from ..sql.printer import to_sql
+from ..workload.recipe import WorldRecipe, build_world
 from .partial import decompose, merge_rows
-from .recipe import WorldRecipe, build_world
 from .router import Route, classify, single_shard, split_rows
 from .worker import InlineShard, ShardWorker
 
@@ -504,7 +504,7 @@ class ShardCoordinator:
         """Apply a policy mutation and broadcast the new epoch to every shard.
 
         ``fn`` runs against the local replica's
-        :class:`~repro.shard.recipe.BuiltWorld` under the write fence.  Any
+        :class:`~repro.workload.recipe.BuiltWorld` under the write fence.  Any
         DDL the replica has and the shards lack is shipped, the replica's
         policy epoch — moved only if ``fn`` moved it — is broadcast with
         one ack per shard collected, and the rows of every table whose
@@ -514,7 +514,7 @@ class ShardCoordinator:
         Mutations must be expressible as DDL ops and row rewrites
         (policy-mask writes, DML side effects); admin-state changes such as
         grants or re-categorizations are part of the
-        :class:`~repro.shard.recipe.WorldRecipe` and cannot be replayed to
+        :class:`~repro.workload.recipe.WorldRecipe` and cannot be replayed to
         already-built shards.
         """
         async with self.fence.write_locked():

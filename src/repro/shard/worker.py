@@ -1,7 +1,7 @@
 """Shard workers: one enforcement stack per hash partition.
 
 A :class:`ShardWorker` rebuilds the deployment's world from its
-:class:`~repro.shard.recipe.WorldRecipe`, prunes every protected table to
+:class:`~repro.workload.recipe.WorldRecipe`, prunes every protected table to
 the rows of its hash partition (placement from :mod:`repro.shard.router`;
 the meta-tables stay whole, they are the shard's taxonomy), and then
 answers a tiny message-dict protocol:
@@ -41,7 +41,7 @@ import asyncio
 from ..engine.codec import decode_op
 from ..errors import ReproError
 from ..server.protocol import error_code_for
-from .recipe import WorldRecipe, build_world
+from ..workload.recipe import WorldRecipe, build_world
 from .router import split_rows
 
 

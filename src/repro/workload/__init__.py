@@ -18,6 +18,7 @@ from .policies import (
     scattered_policy,
 )
 from .queries import AD_HOC_QUERIES, BenchmarkQuery, get_query
+from .recipe import BuiltWorld, WorldRecipe, build_world
 from .randgen import (
     QUERY_CLASSES,
     RANDOM_QUERY_CLASSES,
@@ -43,6 +44,9 @@ __all__ = [
     "AD_HOC_QUERIES",
     "BenchmarkQuery",
     "get_query",
+    "BuiltWorld",
+    "WorldRecipe",
+    "build_world",
     "QUERY_CLASSES",
     "RANDOM_QUERY_CLASSES",
     "RandomQueryGenerator",

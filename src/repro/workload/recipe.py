@@ -2,7 +2,8 @@
 
 A sharded deployment needs N+1 *identical* worlds: one full replica on the
 coordinator (for queries that cannot be scattered) and one pruned replica
-per shard worker.  Worlds are never copied — a :class:`WorldRecipe`
+per shard worker; the benchmark's server and its traced replay need two
+more.  Worlds are never copied — a :class:`WorldRecipe`
 carries the deterministic construction parameters and every participant
 rebuilds the same world from it (:func:`build_world`), exactly the way a
 fuzz repro file rebuilds the failure scenario from its
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from ..core import AccessControlManager
 from ..core.monitor import EnforcementMonitor
 from ..engine import Database
+from .patients import build_patients_scenario
+from .policies import apply_experiment_policies
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,6 @@ def build_world(recipe: WorldRecipe) -> BuiltWorld:
         return BuiltWorld(
             monitor=world.monitor, admin=world.admin, database=world.database
         )
-    from ..workload import apply_experiment_policies, build_patients_scenario
-
     scenario = build_patients_scenario(
         patients=recipe.patients,
         samples_per_patient=recipe.samples,

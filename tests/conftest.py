@@ -1,6 +1,14 @@
-"""Shared fixtures: small instances of the running example."""
+"""Shared fixtures: small instances of the running example, and the two
+guards that keep a red build red — a census failing any test that leaves
+a thread running, and a watchdog that ends a run whose shutdown hangs."""
 
 from __future__ import annotations
+
+import faulthandler
+import sys
+import threading
+import time
+import traceback
 
 import pytest
 
@@ -45,3 +53,52 @@ def pytest_addoption(parser):
 def update_golden(request):
     """True when the run should rewrite golden files instead of asserting."""
     return bool(request.config.getoption("--update-golden"))
+
+
+#: Seconds a test's leftover threads get, all together, to finish.
+THREAD_JOIN_S = 2.0
+
+#: Seconds the interpreter may take to exit once the session has finished.
+SHUTDOWN_WATCHDOG_S = 60.0
+
+
+@pytest.fixture(autouse=True)
+def thread_census(request):
+    """Fail the test that leaves a thread running, naming it with its stack.
+
+    Threads alive after the test that were not alive before it get
+    :data:`THREAD_JOIN_S` to end.  A thread that outlives its test spins
+    or blocks through every later one, and a non-daemon one hangs the
+    interpreter's exit after the summary is printed.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + THREAD_JOIN_S
+    for thread in threading.enumerate():
+        if thread not in before:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    frames = sys._current_frames()
+    leaked = [
+        thread for thread in threading.enumerate()
+        if thread not in before and thread.ident in frames
+    ]
+    if leaked:
+        stacks = "\n".join(
+            f"{thread.name} (daemon={thread.daemon}):\n"
+            + "".join(traceback.format_stack(frames[thread.ident]))
+            for thread in leaked
+        )
+        pytest.fail(
+            f"{request.node.nodeid} left {len(leaked)} thread(s) running:\n"
+            f"{stacks}",
+            pytrace=False,
+        )
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Arm a shutdown watchdog: should the interpreter still be running
+    :data:`SHUTDOWN_WATCHDOG_S` after the session (a thread nobody
+    joins), dump every thread's stack and exit non-zero."""
+    faulthandler.dump_traceback_later(
+        SHUTDOWN_WATCHDOG_S, exit=True, file=sys.__stderr__
+    )

@@ -43,7 +43,7 @@ from repro.engine import txn_scope
 from repro.engine.database import Database
 from repro.engine.types import BitString
 from repro.errors import WriteConflictError
-from repro.shard import WorldRecipe, build_world
+from repro.workload import WorldRecipe, build_world
 from repro.workload import AD_HOC_QUERIES
 
 #: Rows per page: small, so a scan crosses several pages.

@@ -1,6 +1,8 @@
-"""The secondary-index subsystem: structures and catalog.
+"""The secondary-index subsystem: the structure and the catalog.
 
-Covers the B+-tree and hash structures in isolation and the
+Covers :class:`RowIndex` in isolation under the lookups each index kind
+is offered, the probe-type rule (a probe the held keys cannot be compared
+with observes what the unindexed table does), and the
 :class:`IndexManager` catalog lifecycle with its lazy maintenance (entries
 follow the visible rows, moving a row id whose key changed, and rebuild
 only for a shorter list or another schema).
@@ -13,147 +15,187 @@ import random
 import pytest
 
 from repro.engine import Database, txn_scope
-from repro.engine.index import (
-    BTreeIndex,
-    HashIndex,
-    IndexDefinition,
-)
+from repro.engine.index import INDEX_KINDS, IndexDefinition, RowIndex
 from repro.engine.types import BitString
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, ReproError
+
+
+def _keyed(keys, columns: str = "k integer"):
+    """``(database, table, index)``: a table ``t (id, <columns>)`` holding
+    one row per key (row id = position), and a RowIndex over its key
+    columns."""
+    database = Database("rowindex")
+    database.execute(f"create table t (id integer, {columns})")
+    table = database.table("t")
+    table.append_rows(
+        (row_id, *(key if isinstance(key, tuple) else (key,)))
+        for row_id, key in enumerate(keys)
+    )
+    names = [column.split()[0] for column in columns.split(",")]
+    return database, table, RowIndex(table.schema, names, table.rows)
+
+
+def _commit(database, table, index: RowIndex, sql: str) -> None:
+    """Run ``sql`` and make ``index`` follow the rows it committed."""
+    database.execute(sql)
+    assert index.follow(table, table.rows)
 
 
 class TestBTreeIndex:
-    def test_point_search_after_splits(self) -> None:
-        index = BTreeIndex(order=4)
+    """A RowIndex under the lookups a ``btree`` index is offered:
+    equality, ranges and composite prefixes."""
+
+    def test_point_search_over_shuffled_keys(self) -> None:
         keys = list(range(500))
         random.Random(7).shuffle(keys)
-        for key in keys:
-            index.insert(key, key * 10)
-        assert index.height > 1
-        assert len(index) == 500
+        _, _, index = _keyed(keys)
+        assert len(index.postings) == 500
         for key in (0, 123, 499):
-            assert index.search(key) == [key * 10]
+            assert index.search(key) == [keys.index(key)]
         assert index.search(500) == []
 
     def test_duplicate_keys_share_one_posting_list(self) -> None:
-        # Builders insert in ascending row-id order; the posting list
-        # preserves it, so equal-key row ids come back ascending.
-        index = BTreeIndex()
-        for row_id in (3, 7, 9):
-            index.insert("k", row_id)
+        # Rows are indexed in ascending row-id order, so equal-key row ids
+        # come back ascending.
+        _, _, index = _keyed(["j", "j", "j", "k", "j", "j", "j", "k", "j", "k"], "k text")
         assert index.search("k") == [3, 7, 9]
-        assert index.entries == 3
-        assert len(index) == 1
+        assert len(index.postings) == 2
 
     def test_range_bounds(self) -> None:
-        index = BTreeIndex(order=4)
-        for key in range(20):
-            index.insert(key, key)
+        _, _, index = _keyed(range(20))
         assert index.range(5, 8) == [5, 6, 7, 8]
         assert index.range(5, 8, lower_inclusive=False) == [6, 7, 8]
         assert index.range(5, 8, upper_inclusive=False) == [5, 6, 7]
         assert index.range(None, 2) == [0, 1, 2]
         assert index.range(17, None) == [17, 18, 19]
         assert index.range(8, 5) == []
+        assert index.range(20, None) == []
 
     def test_items_iterate_in_key_order(self) -> None:
-        index = BTreeIndex(order=4)
-        for key in (30, 10, 20, 10):
-            index.insert(key, key)
-        assert [key for key, _ in index.items()] == [10, 20, 30]
+        # The distinct keys ranges and prefixes bisect, each once.
+        _, _, index = _keyed([30, 10, 20, 10])
+        keys, lists = index._ordered()
+        assert keys == [10, 20, 30] and lists == [[1, 3], [2], [0]]
 
-    def test_prefix_walks_the_leaves_while_the_prefix_matches(self) -> None:
-        index = BTreeIndex(order=4)
+    def test_prefix_matches_one_run_of_the_sorted_keys(self) -> None:
         pairs = [(a, b) for a in range(12) for b in range(7)]
         random.Random(3).shuffle(pairs)
         # Row ids are the shuffled positions: a prefix's postings come back
-        # in row order, not key order, across several leaves.
-        for row_id, key in enumerate(pairs):
-            index.insert(key, row_id)
-        assert index.height > 1
+        # in row order, not key order.
+        _, _, index = _keyed(pairs, "a integer, b integer")
         for a in (0, 5, 11):
             expected = [i for i, key in enumerate(pairs) if key[0] == a]
             assert index.prefix((a,)) == expected
         assert index.prefix((12,)) == []
+        assert index.prefix((-1,)) == []
         assert index.prefix((3, 4)) == index.search((3, 4))
 
     def test_removing_a_keys_last_id_drops_the_key(self) -> None:
-        index = BTreeIndex(order=4)
-        for key in range(20):
-            index.insert((key, key % 2), key)
-        index.insert((7, 1), 40)
-        index.remove((7, 1), 7)
-        assert index.search((7, 1)) == [40]
-        assert (len(index), index.entries) == (20, 20)
-        index.remove((7, 1), 40)
-        assert (len(index), index.entries) == (19, 19)
+        database, table, index = _keyed(
+            [(key, key % 2) for key in range(20)] + [(7, 1)],
+            "a integer, b integer",
+        )
+        _commit(database, table, index, "update t set a = 70 where id = 7")
+        assert index.search((7, 1)) == [20]
+        assert len(index.postings) == 21
+        _commit(database, table, index, "update t set a = 71 where id = 20")
+        assert len(index.postings) == 21
         assert index.search((7, 1)) == []
         assert index.range((6, 0), (8, 0)) == [6, 8]
         assert index.prefix((7,)) == []
-        assert [key for key, _ in index.items()] == [
-            (key, key % 2) for key in range(20) if key != 7
-        ]
 
-    def test_an_emptied_leaf_still_routes_inserts_and_lookups(self) -> None:
-        index = BTreeIndex(order=4)
-        for key in range(40):
-            index.insert(key, key)
-        assert index.height > 1
-        doomed = range(10, 20)  # spans at least one whole leaf
-        for key in doomed:
-            index.remove(key, key)
-        assert len(index) == 30
-        assert all(index.search(key) == [] for key in doomed)
-        assert index.range(5, 25) == [5, 6, 7, 8, 9, 20, 21, 22, 23, 24, 25]
-        for key in doomed:
-            index.insert(key, key + 100)
-        assert all(index.search(key) == [key + 100] for key in doomed)
-        assert index.range(9, 11) == [9, 110, 111]
-        assert [key for key, _ in index.items()] == list(range(40))
+    def test_keys_that_leave_and_return_are_found(self) -> None:
+        database, table, index = _keyed(range(40))
+        assert index.range(5, 25) == list(range(5, 26))
+        _commit(
+            database, table, index,
+            "update t set k = k + 100 where id between 10 and 19",
+        )
+        assert len(index.postings) == 40
+        assert all(index.search(key) == [] for key in range(10, 20))
+        assert index.range(5, 25) == [5, 6, 7, 8, 9, *range(20, 26)]
+        assert index.range(110, 111) == [10, 11]
+        _commit(
+            database, table, index,
+            "update t set k = k - 100 where id between 10 and 19",
+        )
+        assert all(index.search(key) == [key] for key in range(10, 20))
+        assert index.range(9, 11) == [9, 10, 11]
+        assert index._ordered()[0] == list(range(40))
 
     def test_an_out_of_order_insert_keeps_the_posting_list_ascending(
         self,
     ) -> None:
-        index = BTreeIndex()
-        for row_id in (2, 9, 5, 0, 7):
-            index.insert("k", row_id)
-        assert index.search("k") == [0, 2, 5, 7, 9]
-        assert index.range("a", "z") == [0, 2, 5, 7, 9]
+        # Ids 0 and 5 move to the key 4 after ids 2 and 9 hold it.
+        database, table, index = _keyed([1, 2, 4, 3, 4, 1, 2, 3, 2, 4])
+        _commit(database, table, index, "update t set k = 4 where id in (0, 5)")
+        assert index.search(4) == [0, 2, 4, 5, 9]
+        assert index.range(3, 9) == [0, 2, 3, 4, 5, 7, 9]
 
 
 class TestHashIndex:
+    """A RowIndex under the one lookup a ``hash`` index is offered:
+    equality."""
+
     def test_search_and_postings_order(self) -> None:
-        index = HashIndex()
-        for row_id in (1, 3, 5):
-            index.insert("a", row_id)
-        index.insert("b", 2)
+        _, _, index = _keyed(["x", "a", "b", "a", "x", "a"], "k text")
         assert index.search("a") == [1, 3, 5]
         assert index.search("b") == [2]
         assert index.search("missing") == []
-        assert len(index) == 2
-        assert index.entries == 4
+        assert len(index.postings) == 3
 
     def test_moving_an_id_keeps_both_lists_ascending(self) -> None:
-        # Both structures move ids the same way: a RowIndex following a
-        # key-changing update removes the id from one key, inserts it at
-        # another.
-        for index in (HashIndex(), BTreeIndex(order=4)):
-            for row_id in (1, 3, 5):
-                index.insert("a", row_id)
-            index.insert("b", 4)
-            index.remove("a", 3)
-            index.insert("b", 3)
-            index.remove("b", 4)
-            index.insert("a", 4)
-            assert index.search("a") == [1, 4, 5] and index.search("b") == [3]
-            index.remove("b", 3)
-            # A key left without ids is gone.
-            assert len(index) == 1 and index.entries == 3
-            assert index.search("b") == []
+        # A RowIndex following a key-changing update removes the id from
+        # one key and inserts it at another.
+        database, table, index = _keyed(["x", "a", "x", "a", "b", "a"], "k text")
+        _commit(
+            database, table, index,
+            "update t set k = case when id = 3 then 'b' else 'a' end "
+            "where id in (3, 4)",
+        )
+        assert index.search("a") == [1, 4, 5] and index.search("b") == [3]
+        _commit(database, table, index, "update t set k = 'x' where id = 3")
+        # A key left without ids is gone.
+        assert len(index.postings) == 2
+        assert index.search("b") == []
 
 
-@pytest.fixture
-def indexed_db() -> Database:
+#: Probes the held keys cannot be compared with: ``(index columns,
+#: statement)`` over ``t (a integer, b text, c integer)`` holding
+#: a = 5..9.  Each must observe what the table without the index does —
+#: the error, or (where an earlier conjunct empties the rows first) the
+#: empty result.
+MISTYPED_PROBES = (
+    ("a", "select a from t where a = 'x' and b = 'none'"),
+    ("a", "select a from t where a = true"),
+    ("a", "select a from t where a < true"),
+    ("a", "select a from t where b = 'none' and a = 'x'"),
+    ("b, c", "select a from t where b = 'x5' and c = true"),
+    ("b, c", "select a from t where b = 'x5' and c = 5"),
+)
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("columns, sql", MISTYPED_PROBES)
+def test_a_mistyped_probe_observes_what_the_unindexed_table_does(
+    kind: str, columns: str, sql: str
+) -> None:
+    def outcome(indexed: bool):
+        database = Database("probe")
+        database.execute("create table t (a integer, b text, c integer)")
+        for a in range(5, 10):
+            database.execute(f"insert into t values ({a}, 'x{a}', {a})")
+        if indexed:
+            database.execute(f"create index i on t ({columns}) using {kind}")
+        try:
+            return database.query(sql).rows
+        except ReproError as error:
+            return type(error)
+
+    assert outcome(True) == outcome(False)
+
+
+def _indexed_database() -> Database:
     database = Database("idx")
     database.execute(
         "create table t (id integer primary key, grp text, score integer, "
@@ -171,6 +213,11 @@ def indexed_db() -> Database:
             "policy", mask, lambda row, m=mask_index: row[0] % 3 == m
         )
     return database
+
+
+@pytest.fixture
+def indexed_db() -> Database:
+    return _indexed_database()
 
 
 class TestIndexManagerCatalog:
@@ -423,6 +470,37 @@ class TestEntryRevalidation:
         stats = manager.stats()
         assert stats["carried_forward"] > 0 and stats["rebuilds"] > 1
         assert len(manager.lookup_range("i_reading", 0.0, 39.0)) == 340
+
+    def test_scans_after_a_key_move_and_a_new_key_match_the_twin(
+        self, indexed_db
+    ) -> None:
+        """A range and a prefix scan sort the keys; an INSERT of a new key
+        and key-changing UPDATEs (one adds a score key and removes none)
+        must drop that order, not serve it."""
+        twin = _indexed_database()
+        indexed_db.execute("create index i_score on t (score)")
+        indexed_db.execute("create index i_gs on t (grp, score)")
+        scans = (
+            "select id from t where score between 10 and 40",
+            "select id, score from t where grp = 'g1'",
+        )
+        for sql in scans:
+            assert "Index" in indexed_db.explain(sql)
+        before = indexed_db.indexes.stats()
+        for write in (
+            None,
+            "insert into t values (100, 'g1', 16, null)",
+            "update t set score = 31 where id = 100",
+            "update t set score = 16, grp = 'g1' where id = 5",
+        ):
+            if write is not None:
+                indexed_db.execute(write)
+                twin.execute(write)
+            for sql in scans:
+                assert indexed_db.query(sql).rows == twin.query(sql).rows
+        after = indexed_db.indexes.stats()
+        assert after["rebuilds"] - before["rebuilds"] == 2  # the first scans
+        assert after["carried_forward"] - before["carried_forward"] == 6
 
     def test_schema_change_rebuilds(self, scored) -> None:
         database, manager = scored

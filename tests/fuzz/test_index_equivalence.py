@@ -95,6 +95,8 @@ _POINT_SHAPES = (
     "select timestamp, beats from sensed_data where watch_id = '{watch}'",
     "select count(beats) from sensed_data where {ts} = timestamp",
     "select user_id from users where watch_id = '{watch}'",
+    # Mistyped: a hash index must decline it, as the twin's scan errors.
+    "select user_id from users where watch_id = {ts}",
     "select users.user_id, sensed_data.beats from users join sensed_data "
     "on users.watch_id = sensed_data.watch_id "
     "where sensed_data.watch_id = '{watch}' and sensed_data.timestamp = {ts}",

@@ -16,8 +16,8 @@ import threading
 import pytest
 
 from repro.server import AsyncQueryServer, Client
-from repro.shard import ShardCoordinator, WorldRecipe
-from repro.shard.recipe import build_world
+from repro.shard import ShardCoordinator
+from repro.workload import WorldRecipe, build_world
 
 RECIPE = WorldRecipe.for_patients(
     patients=10, samples=4, grants=(("demo", "p6"), ("demo", "p1"))

@@ -17,8 +17,7 @@ import pytest
 
 from repro.server import Client
 from repro.server.__main__ import main
-from repro.shard import WorldRecipe
-from repro.shard.recipe import build_world
+from repro.workload import WorldRecipe, build_world
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 SQL = "select watch_id, beats from sensed_data where beats >= 60"

@@ -20,7 +20,8 @@ from repro.fuzz import load_repro
 from repro.fuzz.scenario import ScenarioSpec, build_fuzz_scenario
 from repro.obs import parse_exposition
 from repro.server import AsyncQueryServer, Client, QueryServer
-from repro.shard import ShardCoordinator, WorldRecipe
+from repro.shard import ShardCoordinator
+from repro.workload import WorldRecipe
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

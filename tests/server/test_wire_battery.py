@@ -23,8 +23,8 @@ from repro.errors import RemoteError, RemoteTxnConflictError
 from repro.obs import parse_exposition
 from repro.server import AsyncQueryServer, Client, QueryServer
 from repro.server.protocol import recv_message, send_message
-from repro.shard import ShardCoordinator, WorldRecipe
-from repro.shard.recipe import build_world
+from repro.shard import ShardCoordinator
+from repro.workload import WorldRecipe, build_world
 
 RECIPE = WorldRecipe.for_patients(
     patients=10, samples=4, grants=(("demo", "p6"), ("demo", "p1"))

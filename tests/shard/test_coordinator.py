@@ -37,7 +37,7 @@ def run(coro):
 
 def reference_world():
     """An identical unsharded world: the single-node result to agree with."""
-    from repro.shard.recipe import build_world
+    from repro.workload import build_world
 
     return build_world(RECIPE)
 

@@ -34,7 +34,8 @@ import threading
 import pytest
 
 from repro.server import AsyncQueryServer, Client
-from repro.shard import ShardCoordinator, WorldRecipe
+from repro.shard import ShardCoordinator
+from repro.workload import WorldRecipe
 
 SHARDS = 3
 READERS = 4
@@ -180,10 +181,12 @@ def test_epoch_invalidation_counts_match_across_deployment(deployment) -> None:
 
 POINT_SQL = "select beats from sensed_data where watch_id = ? and timestamp = ?"
 DDL_ROUNDS = 10
+#: A failed reader's progress: the DDL writer stops waiting on it.
+GAVE_UP = 10**9
 
 
 def test_replica_index_ddl_race_never_fails_a_statement(deployment) -> None:
-    from repro.shard.recipe import build_world
+    from repro.workload import build_world
 
     server, coordinator = deployment
     reference = build_world(RECIPE)
@@ -213,7 +216,7 @@ def test_replica_index_ddl_race_never_fails_a_statement(deployment) -> None:
                     progress[index] += 1
         except Exception as exc:  # noqa: BLE001 - surfaced via failures
             failures.append(f"reader{index}: {type(exc).__name__}: {exc}")
-            progress[index] = 10**9  # never hold the writer up
+            progress[index] = GAVE_UP  # never hold the writer up
 
     def ddl_writer() -> None:
         database = coordinator.database
@@ -221,9 +224,15 @@ def test_replica_index_ddl_race_never_fails_a_statement(deployment) -> None:
             for round_ in range(DDL_ROUNDS):
                 # One DDL per reader round trip at most, so a statement is
                 # straddled once, not EPOCH_RETRIES times in a row.
+                # A reader that failed reads GAVE_UP and is not waited on;
+                # a stop (the test ending) ends the writer too.
                 seen = list(progress)
-                while any(now <= then for now, then in zip(progress, seen)):
-                    stop.wait(0.001)
+                while any(
+                    now <= then < GAVE_UP for now, then in zip(progress, seen)
+                ) and not stop.wait(0.001):
+                    pass
+                if stop.is_set():
+                    return
                 if round_ % 2 == 0:
                     database.execute(
                         "create index i_race on sensed_data (watch_id, timestamp)"
