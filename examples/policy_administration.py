@@ -1,10 +1,11 @@
-"""Policy administration: meta-tables, custom categories and migration.
+"""Policy administration: meta-tables, custom categories and mask evolution.
 
 Demonstrates the Access Control Management and Policy Management modules
 (Section 2): inspecting the Pr/Pm/Pa meta-tables, registering an extra data
-category (Section 4.1 says the default list is extensible), and migrating
-stored policy masks after the purpose set and a table schema change — the
-paper's future-work item 4.
+category (Section 4.1 says the default list is extensible), and stored
+policy masks following a purpose-set change and a table schema change on
+their own — each edit re-encodes them in its own commit (the paper's
+future-work item 4).
 
 Run with:  python examples/policy_administration.py
 """
@@ -17,14 +18,13 @@ from repro.core import (
     JointAccess,
     Multiplicity,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
 )
 from repro.core.categories import DEFAULT_CATEGORIES
 from repro.core.admin import AccessControlManager
 from repro.core.monitor import EnforcementMonitor
-from repro.engine import Column, Database, SqlType
+from repro.engine import Database
 from repro.core.purposes import PurposeSet
 
 
@@ -75,8 +75,7 @@ def main() -> None:
         f"action bits (+{layout.padding} padding) = {layout.rule_length}"
     )
 
-    manager = PolicyManager(admin)
-    manager.add_policy(
+    admin.apply_policy(
         Policy(
             "visits",
             (
@@ -109,13 +108,14 @@ def main() -> None:
           len(monitor.execute("select * from visits", "p1", user="dr_grey")),
           "rows")
 
-    # ---- evolution: new purpose + new column, then mask migration --------
+    # ---- evolution: new purpose + new column; the masks follow ----------
     print("\n--- evolving the deployment ---")
-    manager.snapshot_layouts()
+    before = admin.policy_masks("visits")[0]
     admin.define_purpose(Purpose("p0", "auditing"))  # sorts before p1!
-    db.table("visits").add_column(Column("billing_code", SqlType.TEXT))
-    rewritten = manager.migrate()
-    print(f"migrated {rewritten} stored policy masks to the new layout")
+    db.execute("alter table visits add column billing_code text")
+    after = admin.policy_masks("visits")[0]
+    print(f"stored mask re-encoded by the edits: {before.bits()}")
+    print(f"                                  -> {after.bits()}")
 
     # Old grants still hold under the new layout...
     print("research aggregate still works   :",

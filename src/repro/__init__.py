@@ -33,7 +33,6 @@ from .core import (
     MaskLayout,
     Multiplicity,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
     PurposeSet,
@@ -50,7 +49,7 @@ __all__ = [
     "BitString", "Column", "Database", "ResultSet", "SqlType", "TableSchema",
     "AccessControlManager", "ActionType", "Aggregation", "CategoryRegistry",
     "DataCategory", "EnforcementMonitor", "Indirection", "JointAccess",
-    "MaskLayout", "Multiplicity", "Policy", "PolicyManager", "PolicyRule",
+    "MaskLayout", "Multiplicity", "Policy", "PolicyRule",
     "Purpose", "PurposeSet", "QuerySignature", "SignatureDeriver",
     "complies_with", "rewrite_query", "ReproError", "__version__",
 ]

@@ -8,8 +8,8 @@ Public surface:
 * derivation — :class:`QueryModel`, :class:`SignatureDeriver`,
   :class:`QuerySignature` (Section 5.2);
 * enforcement — :func:`rewrite_query`, :class:`EnforcementMonitor`
-  (Section 5.5), :class:`AccessControlManager` and :class:`PolicyManager`
-  (Section 2);
+  (Section 5.5), :class:`AccessControlManager` (Section 2, whose purpose
+  edits and ALTER TABLE re-encode the stored masks);
 * analysis — :func:`complexity_upper_bound` (Section 5.6).
 """
 
@@ -39,7 +39,6 @@ from .monitor import (
     PreparedEnforcedQuery,
 )
 from .policy import Policy, PolicyRule, SpecialRule
-from .policy_manager import PolicyManager
 from .purposes import Purpose, PurposeSet, default_purpose_set
 from .query_model import QueryModel, query_id
 from .rewriter import rewrite_query
@@ -64,7 +63,7 @@ __all__ = [
     "MaskLayout", "action_mask_length", "complies_with",
     "CompiledEnforcedPlan", "EnforcementMonitor", "EnforcementReport",
     "PreparedEnforcedQuery",
-    "Policy", "PolicyRule", "SpecialRule", "PolicyManager",
+    "Policy", "PolicyRule", "SpecialRule",
     "Purpose", "PurposeSet", "default_purpose_set",
     "QueryModel", "query_id", "rewrite_query",
     "RoleManager", "ROLE_TABLES",

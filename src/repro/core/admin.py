@@ -25,6 +25,7 @@ encoders (cached by content).
 from __future__ import annotations
 
 import contextlib
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from ..engine import Column, Database, SqlType, TableSchema
@@ -87,9 +88,10 @@ class AccessControlManager:
         """The database catalog version: the policy epoch is the catalog's.
 
         Every edit that changes how a query is rewritten — (re)categorizing
-        columns, changing the purpose set, protecting new tables, mask
-        migrations — commits its Pr/Pm rows together with a ``taxonomy``
-        catalog op (:meth:`_taxonomy_edit`) and hence advances this version.
+        columns, changing the purpose set (and re-encoding the masks),
+        protecting new tables — commits its Pr/Pm rows together with a
+        ``taxonomy`` catalog op (:meth:`_taxonomy_edit`) and hence advances
+        this version.
         Cached enforcement plans embed the version they were compiled
         under, so a commit invalidates them without any back-pointers from
         here to the monitors holding the caches.  Storing policy masks is a
@@ -162,14 +164,16 @@ class AccessControlManager:
         return manager
 
     def _register(self) -> None:
-        """Register the ``complieswith`` UDF and tell the engine's optimizer
+        """Register the ``complieswith`` UDF, tell the engine's optimizer
         what a rewriter-injected guard looks like, so the
-        policy_guard_hoist pass can recognize and hoist it."""
+        policy_guard_hoist pass can recognize and hoist it, and give ALTER
+        TABLE the row function that keeps stored masks in step."""
         self.database.register_function(
             COMPLIES_WITH, self._compliance_memo, strict=True
         )
         self.database.policy_function = COMPLIES_WITH
         self.database.policy_column = POLICY_COLUMN
+        self.database.policy_reencoder = self._schema_reencoder
         self._configured = True
 
     def configure(self, purposes: PurposeSet | None = None) -> None:
@@ -208,8 +212,12 @@ class AccessControlManager:
                 table.add_column(Column(POLICY_COLUMN, SqlType.BIT_VARYING))
         self._register()
         if purposes is not None:
-            for purpose in purposes.ordered():
-                self.define_purpose(purpose)
+            # One taxonomy edit: the purpose set starts here, so no stored
+            # mask was encoded under an earlier one.
+            with self._taxonomy_edit():
+                self.database.table("pr").append_rows(
+                    (purpose.id, purpose.description) for purpose in purposes.ordered()
+                )
 
     def require_configured(self) -> None:
         """Raise unless :meth:`configure` has run."""
@@ -251,24 +259,53 @@ class AccessControlManager:
         )
 
     def define_purpose(self, purpose: Purpose) -> None:
-        """Add a purpose to *Ps*: one Pr row, one taxonomy edit."""
+        """Add a purpose to *Ps*: one Pr row and the stored masks
+        re-encoded, in one taxonomy edit (:meth:`_purpose_edit`)."""
         self.require_configured()
         if purpose.id in self.purposes:
             raise PolicyError(f"duplicate purpose id {purpose.id!r}")
-        with self._taxonomy_edit():
+        with self._purpose_edit():
             self.database.table("pr").insert_row((purpose.id, purpose.description))
 
     def remove_purpose(self, purpose_id: str) -> Purpose:
-        """Remove a purpose from *Ps* and from Pr.
-
-        Policy masks referencing the purpose become stale; run the policy
-        manager's migration to rewrite them (DESIGN.md §6).
-        """
+        """Remove a purpose from *Ps* and from Pr; every stored rule drops
+        its grant to it in the same taxonomy edit (:meth:`_purpose_edit`)."""
         self.require_configured()
         purpose = self.purposes.get(purpose_id)
-        with self._taxonomy_edit():
+        with self._purpose_edit():
             self.database.table("pr").delete_rows(lambda row: row[0] == purpose_id)
         return purpose
+
+    @contextlib.contextmanager
+    def _purpose_edit(self) -> Iterator[None]:
+        """A taxonomy edit of Pr after which every protected table's stored
+        masks are re-encoded from its old layout to its new one (§2's
+        Policy Management), in the same transaction: a rollback undoes
+        both and a pinned snapshot sees neither (DESIGN.md §6).
+
+        Only the rows whose mask changes are written, each distinct mask
+        is re-encoded once, and a table storing no mask costs one C-speed
+        pass over its rows.
+        """
+        with self._taxonomy_edit():
+            before = {
+                table: self.layout(table)
+                for table in self.target_tables()
+                if POLICY_COLUMN in self.database.table(table).schema
+            }
+            yield
+            for table, old in before.items():
+                storage = self.database.table(table)
+                position = storage.schema.column_index(POLICY_COLUMN)
+                masks = set(map(itemgetter(position), storage.rows)) - {None}
+                new = self.layout(table)
+                moved = {mask: old.reencode(mask, new) for mask in masks}
+                moved = {mask: to for mask, to in moved.items() if to != mask}
+                if moved:
+                    storage.update_rows(
+                        lambda row: row[position] in moved,
+                        lambda row: _with_mask(row, position, moved[row[position]]),
+                    )
 
     # -- categorization (Pm) -------------------------------------------------------------
 
@@ -338,12 +375,7 @@ class AccessControlManager:
 
     def table_columns(self, table: str) -> tuple[str, ...]:
         """SchemaProvider protocol: logical columns (the policy column hidden)."""
-        schema = self.database.table(table).schema
-        return tuple(
-            column.name.lower()
-            for column in schema.columns
-            if column.name.lower() != POLICY_COLUMN
-        )
+        return _logical_columns(self.database.table(table).schema)
 
     def has_table(self, table: str) -> bool:
         """SchemaProvider protocol: target-table existence."""
@@ -374,6 +406,31 @@ class AccessControlManager:
                 self._layouts.pop(next(iter(self._layouts)))
             self._layouts[cache_key] = layout
         return layout
+
+    def _schema_reencoder(
+        self, table: str, old: TableSchema, new: TableSchema
+    ) -> "Callable[[tuple], tuple] | None":
+        """The engine's ALTER TABLE hook: a row function that moves a row's
+        stored mask, in ``new``'s shape, from ``old``'s layout to
+        ``new``'s; ``None`` for a meta-table or an ALTER that adds or drops
+        the policy column itself.  It runs in the ALTER's own commit, whose
+        log record carries the rewritten rows."""
+        key = table.lower()
+        if key in META_TABLES or POLICY_COLUMN not in old or POLICY_COLUMN not in new:
+            return None
+        purposes = self.purposes
+        before = MaskLayout(key, _logical_columns(old), purposes, self.categories)
+        after = MaskLayout(key, _logical_columns(new), purposes, self.categories)
+        position = new.column_index(POLICY_COLUMN)
+        moved: dict = {None: None}
+
+        def reencode(row: tuple) -> tuple:
+            mask = row[position]
+            if mask not in moved:
+                moved[mask] = before.reencode(mask, after)
+            return _with_mask(row, position, moved[mask])
+
+        return reencode
 
     # -- policy installation -----------------------------------------------------------------
 
@@ -456,3 +513,17 @@ class AccessControlManager:
                 f"got {len(tuple(values))}"
             )
         target.insert_row((*values, mask), (*logical, POLICY_COLUMN))
+
+
+def _logical_columns(schema: TableSchema) -> tuple[str, ...]:
+    """A schema's column names, lower-cased, the policy column hidden."""
+    return tuple(
+        column.name.lower()
+        for column in schema.columns
+        if column.name.lower() != POLICY_COLUMN
+    )
+
+
+def _with_mask(row: tuple, position: int, mask: "BitString | None") -> tuple:
+    """``row`` with ``mask`` stored at ``position``."""
+    return (*row[:position], mask, *row[position + 1 :])

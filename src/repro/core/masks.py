@@ -70,7 +70,6 @@ class MaskLayout:
         self.columns: tuple[str, ...] = tuple(c.lower() for c in columns)
         if len(set(self.columns)) != len(self.columns):
             raise MaskError(f"duplicate columns in layout for {table!r}")
-        self.purposes = purposes
         self.categories = categories or CategoryRegistry(DEFAULT_CATEGORIES)
         self._column_index = {name: i for i, name in enumerate(self.columns)}
         self._purpose_ids = purposes.ids()
@@ -80,12 +79,9 @@ class MaskLayout:
 
     @property
     def purpose_ids(self) -> tuple[str, ...]:
-        """The purpose ids this layout encodes, snapshotted at construction.
-
-        The :class:`PurposeSet` passed in is a live object; masks produced by
-        this layout always follow this snapshot, which is what the policy
-        manager compares when deciding whether masks need migration.
-        """
+        """The purpose ids this layout encodes, in mask order, fixed at
+        construction; :meth:`reencode` keeps a rule's grants to those that
+        another layout still has."""
         return self._purpose_ids
 
     @property
@@ -192,7 +188,7 @@ class MaskLayout:
         )
         return mask + BitString.zeros(self.padding)
 
-    # -- decoding (used by tests, tooling and the policy manager) ----------------------
+    # -- decoding and re-encoding ---------------------------------------------------------
 
     def split_policy_mask(self, policy_mask: BitString) -> list[BitString]:
         """Partition a policy mask into its rule masks."""
@@ -207,7 +203,7 @@ class MaskLayout:
         ]
 
     def decode_rule_mask(self, rule_mask: BitString) -> dict:
-        """Decode a rule mask into its components (for inspection/migration).
+        """Decode a rule mask into its components (for inspection/re-encoding).
 
         Returns a dict with keys ``columns``, ``purposes``, ``action_bits``
         and ``joint_access`` — the raw sets, without reconstructing a full
@@ -235,3 +231,36 @@ class MaskLayout:
                 )
             ),
         }
+
+    def reencode(self, mask: BitString, new_layout: "MaskLayout") -> BitString:
+        """``mask``, a policy mask under this layout, under ``new_layout``.
+
+        The Policy Management step of Section 2: a purpose or column edit
+        moves every bit position, so a stored mask follows its table's
+        layout.  Pass-all and pass-none rules stay so; an ordinary rule
+        keeps the columns and purposes ``new_layout`` still has, so it
+        grants nothing on a column or to a purpose it did not name.  Both
+        layouts share one category registry, so the action bits are copied
+        whole.
+        """
+        pass_all = BitString.ones(self.rule_length)
+        reencoded = BitString.zeros(0)
+        for rule_mask in self.split_policy_mask(mask):
+            if rule_mask == pass_all:
+                rule_mask = BitString.ones(new_layout.rule_length)
+            elif not rule_mask.value:
+                rule_mask = BitString.zeros(new_layout.rule_length)
+            else:
+                decoded = self.decode_rule_mask(rule_mask)
+                rule_mask = (
+                    new_layout.column_mask(
+                        decoded["columns"].intersection(new_layout.columns)
+                    )
+                    + new_layout.purpose_mask(
+                        decoded["purposes"].intersection(new_layout.purpose_ids)
+                    )
+                    + decoded["action_bits"]
+                    + BitString.zeros(new_layout.padding)
+                )
+            reencoded = reencoded + rule_mask
+        return reencoded

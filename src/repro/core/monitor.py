@@ -219,8 +219,8 @@ class EnforcementMonitor:
     themselves run outside it.  Writers are ordered by the engine: an
     autocommit DML statement reads and commits under the transaction
     manager's write fence, so concurrent statements lose no committed
-    write.  An admin batch that must look atomic to readers (a taxonomy
-    edit plus its mask migration) holds that fence itself
+    write.  An admin batch that must look atomic to readers (several
+    policy stores) holds that fence itself
     (:meth:`~repro.engine.mvcc.TransactionManager.exclusive`); the monitor
     never takes the fence while holding its own lock.
     """

@@ -33,9 +33,11 @@ class PurposeSet:
 
     Purposes keep insertion for registration but expose a deterministic
     *mask order* (alphabetic by id, per Example 9) used by every purpose
-    mask.  Adding or removing a purpose therefore changes mask positions —
-    which is exactly the migration problem the Policy Management module
-    handles (see :mod:`repro.core.policy_manager`).
+    mask.  Adding or removing a purpose therefore changes mask positions,
+    so :meth:`AccessControlManager.define_purpose
+    <repro.core.admin.AccessControlManager.define_purpose>` and
+    ``remove_purpose`` re-encode every stored mask in the same commit
+    (:meth:`MaskLayout.reencode <repro.core.masks.MaskLayout.reencode>`).
     """
 
     def __init__(self, purposes: list[Purpose] | tuple[Purpose, ...] = ()):

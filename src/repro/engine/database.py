@@ -10,7 +10,7 @@ through :class:`~repro.engine.executor.SelectExecutor`, DML/DDL here.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..errors import CatalogError, ExecutionError, TransactionError
 from ..sql import ast, parse_statement
@@ -218,9 +218,12 @@ class Database:
         # like; ``policy_bitmaps`` answers those guards from one policy
         # posting index per table and one verdict map per (table, mask):
         # one ``complieswith`` call per distinct policy value instead of
-        # one per row.
+        # one per row.  ``policy_reencoder(table, old schema, new schema)``
+        # gives ALTER TABLE the row function (or None) that moves a stored
+        # policy mask to the new schema's mask layout in the same commit.
         self.policy_function: str | None = None
         self.policy_column: str | None = None
+        self.policy_reencoder: Callable[..., Callable | None] | None = None
         self.policy_bitmaps = PolicyBitmapCache(self.cost_total)
         # Secondary-index catalog (DESIGN.md §13).
         self.indexes = IndexManager(self)

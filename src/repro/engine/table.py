@@ -563,10 +563,17 @@ class Table:
         (first-committer-wins on the table's ``schema`` catalog entry), and
         then land at one timestamp — pinned snapshots keep seeing the old
         rows under the old schema.  Outside a transaction the statement is
-        its own (:meth:`TransactionManager.statement_transaction`).
+        its own (:meth:`TransactionManager.statement_transaction`).  The
+        database's ``policy_reencoder`` may add a row function moving each
+        stored policy mask to the new schema's layout.
         """
         rows = self.rows
-        txn.stage(self).write([], list(range(len(rows))), list(map(rewrite, rows)))
+        rewritten = map(rewrite, rows)
+        reencoder = self.manager.database.policy_reencoder
+        reencode = reencoder and reencoder(self.name, self.schema, new_schema)
+        if reencode is not None:
+            rewritten = map(reencode, rewritten)
+        txn.stage(self).write([], list(range(len(rows))), list(rewritten))
         txn._staged_schemas[self.name.lower()] = new_schema
         txn.add_catalog_op(CatalogOp("schema", self.name.lower(), ddl))
 

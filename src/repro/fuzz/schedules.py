@@ -13,8 +13,8 @@ For each :class:`~.generator.FuzzCase` the runner:
    policy-mask churn, grants and revocations (a pass-all or pass-none mask
    stored on the rows sharing one key value), all of them row commits
    that move no epoch; row duplications, row deletions, index DDL, epoch
-   bumps and taxonomy edits (a scratch purpose defined/removed with its
-   mask migration, in one transaction) — re-running the pinned reader
+   bumps and taxonomy edits (a scratch purpose defined/removed, the stored
+   masks re-encoded in the same commit) — re-running the pinned reader
    after **every** step;
 3. requires every pinned read to reproduce the reference exactly: same
    rows, same columns, same denial outcome, and (with the bitmap cache
@@ -45,7 +45,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..core.policy import Policy, PolicyRule
-from ..core.policy_manager import PolicyManager
 from ..core.purposes import Purpose
 from ..errors import ReproError, UnauthorizedPurposeError
 from ..workload.policies import scattered_policy
@@ -131,13 +130,6 @@ class ScheduleRunner(DifferentialRunner):
             use_server=use_server,
             sharded_counts=sharded_counts,
         )
-        self._policies: PolicyManager | None = None
-
-    def _policy_manager(self) -> PolicyManager:
-        """The (lazily built) mask-migration manager for taxonomy edits."""
-        if self._policies is None:
-            self._policies = PolicyManager(self.world.admin)
-        return self._policies
 
     # -- the pinned reader -------------------------------------------------
 
@@ -204,24 +196,18 @@ class ScheduleRunner(DifferentialRunner):
             database.execute(f"drop index {name}")
             return f"{index}:ddl-index[drop {name}]"
         if op == "taxonomy-edit":
-            # Toggle one scratch purpose under an open snapshot, driving the
-            # Policy Management module end-to-end in one transaction:
-            # snapshot the layouts, edit the taxonomy, then migrate stored
-            # masks, so no fresh reader sees a layout whose masks are not
-            # migrated yet.  Pinned readers keep decoding under the
-            # taxonomy their snapshot captured.
-            manager = self._policy_manager()
-            with self.world.database.transactions.statement_transaction():
-                manager.snapshot_layouts()
-                if SCRATCH_PURPOSE in admin.purposes:
-                    admin.remove_purpose(SCRATCH_PURPOSE)
-                    action = "remove"
-                else:
-                    admin.define_purpose(
-                        Purpose(SCRATCH_PURPOSE, "schedule scratch purpose")
-                    )
-                    action = "define"
-                manager.migrate()
+            # Toggle one scratch purpose under an open snapshot: the edit
+            # re-encodes the stored masks in its own commit, so no fresh
+            # reader sees a layout its masks do not follow.  Pinned readers
+            # keep decoding under the taxonomy their snapshot captured.
+            if SCRATCH_PURPOSE in admin.purposes:
+                admin.remove_purpose(SCRATCH_PURPOSE)
+                action = "remove"
+            else:
+                admin.define_purpose(
+                    Purpose(SCRATCH_PURPOSE, "schedule scratch purpose")
+                )
+                action = "define"
             return f"{index}:taxonomy-edit[{action} {SCRATCH_PURPOSE}]"
         storage = self.world.database.table(table)
         rows = storage.rows

@@ -21,7 +21,6 @@ from ..core import (
     EnforcementMonitor,
     GENERIC,
     IDENTIFIER,
-    PolicyManager,
     QUASI_IDENTIFIER,
     SENSITIVE,
     default_purpose_set,
@@ -60,7 +59,6 @@ class PatientsScenario:
 
     database: Database
     admin: AccessControlManager
-    manager: PolicyManager
     monitor: EnforcementMonitor
     patients: int
     samples_per_patient: int
@@ -179,12 +177,10 @@ def build_patients_scenario(
     for table, column, category in CATEGORIZATION:
         admin.categorize(table, column, category)
 
-    manager = PolicyManager(admin)
     monitor = EnforcementMonitor(admin)
     return PatientsScenario(
         database=database,
         admin=admin,
-        manager=manager,
         monitor=monitor,
         patients=patients,
         samples_per_patient=samples_per_patient,

@@ -1,4 +1,5 @@
-"""Policy Management tests: registration, re-encoding and mask migration."""
+"""Policy Management (Section 2): stored policy masks follow every purpose
+and column edit, re-encoded in that edit's own commit."""
 
 import pytest
 
@@ -8,14 +9,13 @@ from repro.core import (
     JointAccess,
     Multiplicity,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
     complies_with,
 )
-from repro.engine import Column, SqlType
+from repro.engine import Column, SqlType, txn_scope
 from repro.engine.types import BitString
-from repro.errors import PolicyError
+from repro.workload import build_patients_scenario
 
 
 def temperature_rule(purposes=("p1", "p6")):
@@ -28,95 +28,131 @@ def temperature_rule(purposes=("p1", "p6")):
     )
 
 
-class TestRegistration:
-    def test_add_policy_applies_and_registers(self, fresh_scenario):
-        manager = fresh_scenario.manager
-        policy = Policy("sensed_data", (temperature_rule(),))
-        rows = manager.add_policy(policy)
-        assert rows == fresh_scenario.sensed_rows
-        assert policy in manager.policies
+EVERY_CATEGORY = JointAccess.of("i", "q", "s", "g")
 
-    def test_remove_policies_clears_masks(self, fresh_scenario):
-        manager = fresh_scenario.manager
-        manager.add_policy(Policy("sensed_data", (temperature_rule(),)))
-        removed = manager.remove_policies("sensed_data")
-        assert removed == 1
-        masks = fresh_scenario.admin.policy_masks("sensed_data")
-        assert all(mask is None for mask in masks)
+#: Direct access for p6 only on every column the edits keep, and indirect
+#: access to ``temperature`` for p2 and p6: before any edit the indirect
+#: read below returns rows under p2 and p6 only, the direct read under p6.
+POLICY = Policy(
+    "sensed_data",
+    (
+        PolicyRule.of(
+            ["watch_id", "timestamp", "temperature", "position"],
+            ["p6"],
+            ActionType.direct(
+                Multiplicity.SINGLE, Aggregation.NO_AGGREGATION, EVERY_CATEGORY
+            ),
+        ),
+        PolicyRule.of(
+            ["temperature"], ["p2", "p6"], ActionType.indirect(EVERY_CATEGORY)
+        ),
+    ),
+)
 
-    def test_reapply_after_purpose_added(self, fresh_scenario):
-        manager = fresh_scenario.manager
-        admin = fresh_scenario.admin
-        manager.add_policy(Policy("sensed_data", (temperature_rule(),)))
-        old_mask = admin.policy_masks("sensed_data")[0]
+READS = (
+    "select watch_id, temperature from sensed_data",
+    "select count(*) from sensed_data where temperature > 0",
+)
 
-        admin.define_purpose(Purpose("p0", "archiving"))  # sorts first!
-        manager.reapply_all()
-        new_mask = admin.policy_masks("sensed_data")[0]
-        # 5 cols + 9 purposes + 10 action bits = 24: still one byte-aligned
-        # rule, but every purpose bit has shifted by one position.
-        assert new_mask != old_mask
-        assert admin.layout("sensed_data").payload_length == 24
+#: Edits that move every mask bit after the edited purpose or column.
+EDITS = {
+    "define-p0": lambda admin: admin.define_purpose(Purpose("p0", "archiving")),
+    "remove-p1": lambda admin: admin.remove_purpose("p1"),
+    "add-column": lambda admin: admin.database.execute(
+        "alter table sensed_data add column oxygen double"
+    ),
+    "drop-column": lambda admin: admin.database.execute(
+        "alter table sensed_data drop column beats"
+    ),
+}
 
-        # Semantics preserved: the p6 signature still complies.
-        layout = admin.layout("sensed_data")
-        action = ActionType.direct(
-            Multiplicity.SINGLE, Aggregation.AGGREGATION, JointAccess.of("q")
-        )
-        signature = layout.signature_mask(["temperature"], action, "p6")
-        assert complies_with(signature, new_mask)
-        # And the new purpose is not implicitly granted.
-        p0_signature = layout.signature_mask(["temperature"], action, "p0")
-        assert not complies_with(p0_signature, new_mask)
+
+def world(edit=None):
+    """A small patients world, ``edit`` applied, then :data:`POLICY`."""
+    scenario = build_patients_scenario(patients=20, samples_per_patient=5)
+    if edit is not None:
+        EDITS[edit](scenario.admin)
+    scenario.admin.apply_policy(POLICY)
+    return scenario
+
+
+def answers(scenario) -> dict:
+    """Every read's sorted rows under every purpose of the visible set."""
+    return {
+        (purpose, sql): sorted(scenario.monitor.execute(sql, purpose).rows)
+        for purpose in scenario.admin.purposes.ids()
+        for sql in READS
+    }
+
+
+@pytest.mark.parametrize("end", ["autocommit", "commit", "rollback"])
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_stored_masks_follow_the_edit(edit, end):
+    """Every purpose reads what a twin world reads whose policy was applied
+    freshly after the same edit — inside the edit's transaction too — and a
+    snapshot pinned before the edit answers as before it."""
+    scenario = world()
+    database = scenario.database
+    before = answers(scenario)
+    assert before[("p6", READS[0])] and before[("p2", READS[1])] != [(0,)]
+    assert before[("p5", READS[1])] == [(0,)]
+    pinned = database.transactions.begin()
+    if end != "autocommit":
+        database.begin()
+    EDITS[edit](scenario.admin)
+    edited = answers(world(edit))
+    assert answers(scenario) == edited
+    if end == "commit":
+        database.commit()
+    elif end == "rollback":
+        database.rollback()
+        edited = before
+    assert answers(scenario) == edited
+    with txn_scope(pinned):
+        assert answers(scenario) == before
+    database.transactions.rollback(pinned)
 
 
 class TestMaskMigration:
-    def test_migrate_requires_snapshot(self, fresh_scenario):
-        with pytest.raises(PolicyError):
-            fresh_scenario.manager.migrate()
-
     def test_migrate_noop_when_unchanged(self, fresh_scenario):
-        manager = fresh_scenario.manager
-        manager.add_policy(Policy("sensed_data", (temperature_rule(),)))
-        manager.snapshot_layouts()
-        assert manager.migrate() == 0
+        """Edits that leave every layout alone write no stored mask."""
+        admin, database = fresh_scenario.admin, fresh_scenario.database
+        admin.apply_policy(Policy("sensed_data", (temperature_rule(),)))
+        rows = database.table("sensed_data").rows
+        admin.categorize("sensed_data", "beats", admin.categories.default)
+        admin.bump_policy_epoch()
+        database.execute("create index i_beats on sensed_data (beats)")
+        assert database.table("sensed_data").rows is rows
 
     def test_migrate_after_purpose_added(self, fresh_scenario):
-        manager = fresh_scenario.manager
         admin = fresh_scenario.admin
-        # Install a raw mask (no registered Policy object).
+        # Install a raw mask (no Policy object to re-apply).
         layout = admin.layout("sensed_data")
         mask = layout.policy_mask(Policy("sensed_data", (temperature_rule(),)))
-        admin.store_policy_mask("sensed_data", mask)
-        manager.snapshot_layouts()
+        written = admin.store_policy_mask("sensed_data", mask)
+        assert written == fresh_scenario.sensed_rows
 
-        admin.define_purpose(Purpose("p0", "archiving"))
-        migrated = manager.migrate()
-        assert migrated == fresh_scenario.sensed_rows
-
+        admin.define_purpose(Purpose("p0", "archiving"))  # sorts first!
         new_layout = admin.layout("sensed_data")
         new_mask = admin.policy_masks("sensed_data")[0]
+        # 5 cols + 9 purposes + 10 action bits = 24: still one byte-aligned
+        # rule, but every purpose bit has shifted by one position.
+        assert new_layout.payload_length == 24 and new_mask != mask
         action = ActionType.direct(
             Multiplicity.SINGLE, Aggregation.AGGREGATION, JointAccess.of("q", "s")
         )
         assert complies_with(
             new_layout.signature_mask(["temperature"], action, "p6"), new_mask
         )
+        # And the new purpose is not implicitly granted.
         assert not complies_with(
             new_layout.signature_mask(["temperature"], action, "p0"), new_mask
         )
 
     def test_migrate_after_purpose_removed_drops_reference(self, fresh_scenario):
-        manager = fresh_scenario.manager
         admin = fresh_scenario.admin
-        layout = admin.layout("sensed_data")
-        admin.store_policy_mask(
-            "sensed_data",
-            layout.policy_mask(Policy("sensed_data", (temperature_rule(("p1", "p6")),))),
-        )
-        manager.snapshot_layouts()
+        admin.apply_policy(Policy("sensed_data", (temperature_rule(("p1", "p6")),)))
         admin.remove_purpose("p6")
-        manager.migrate()
 
         new_layout = admin.layout("sensed_data")
         new_mask = admin.policy_masks("sensed_data")[0]
@@ -126,19 +162,11 @@ class TestMaskMigration:
         assert decoded["purposes"] == {"p1"}
 
     def test_migrate_after_column_added(self, fresh_scenario):
-        manager = fresh_scenario.manager
         admin = fresh_scenario.admin
-        layout = admin.layout("sensed_data")
-        admin.store_policy_mask(
-            "sensed_data",
-            layout.policy_mask(Policy("sensed_data", (temperature_rule(),))),
-        )
-        manager.snapshot_layouts()
-
+        admin.apply_policy(Policy("sensed_data", (temperature_rule(),)))
         admin.database.table("sensed_data").add_column(
             Column("oxygen", SqlType.DOUBLE)
         )
-        manager.migrate()
 
         new_layout = admin.layout("sensed_data")
         assert "oxygen" in new_layout.columns
@@ -147,17 +175,15 @@ class TestMaskMigration:
             new_layout.split_policy_mask(new_mask)[0]
         )
         assert decoded["columns"] == {"temperature"}
+        assert decoded["purposes"] == {"p1", "p6"}
 
     def test_pass_all_and_pass_none_preserved_by_migration(self, fresh_scenario):
-        manager = fresh_scenario.manager
         admin = fresh_scenario.admin
-        layout = admin.layout("users")
-        policy = Policy("users", (PolicyRule.pass_none(), PolicyRule.pass_all()))
-        admin.store_policy_mask("users", layout.policy_mask(policy))
-        manager.snapshot_layouts()
-
+        admin.apply_policy(
+            Policy("users", (PolicyRule.pass_none(), PolicyRule.pass_all()))
+        )
         admin.define_purpose(Purpose("p0", "archiving"))
-        manager.migrate()
+        admin.database.execute("alter table users add column ward integer")
 
         new_layout = admin.layout("users")
         parts = new_layout.split_policy_mask(admin.policy_masks("users")[0])
@@ -165,9 +191,7 @@ class TestMaskMigration:
         assert parts[1] == BitString.ones(new_layout.rule_length)
 
     def test_null_masks_survive_migration(self, fresh_scenario):
-        manager = fresh_scenario.manager
         admin = fresh_scenario.admin
-        manager.snapshot_layouts()
         admin.define_purpose(Purpose("p0", "archiving"))
-        manager.migrate()
+        admin.database.execute("alter table users drop column watch_id")
         assert all(mask is None for mask in admin.policy_masks("users"))

@@ -6,7 +6,6 @@ from repro.core import (
     AuditLog,
     EnforcementMonitor,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
 )
@@ -116,20 +115,17 @@ class TestEpochInvalidation:
     def test_purpose_set_change_with_migration(self, fresh_scenario):
         admin = fresh_scenario.admin
         open_all(admin)
-        manager = PolicyManager(admin)
-        manager.snapshot_layouts()
         monitor = fresh_scenario.monitor
         prepared = monitor.prepare("select user_id from users", "p1")
         assert len(prepared.execute()) == fresh_scenario.patients
 
+        # The edit re-encodes the stored masks under the wider layout.
         admin.define_purpose(Purpose("p9", "a new purpose"))
-        manager.migrate()  # re-encode stored masks under the wider layout
         report = prepared.execute_with_report()
         assert not report.cache_hit
         assert len(report.result) == fresh_scenario.patients
 
         admin.remove_purpose("p9")
-        manager.migrate()
         report = prepared.execute_with_report()
         assert not report.cache_hit
         assert len(report.result) == fresh_scenario.patients

@@ -55,7 +55,6 @@ from repro.core import (
     EnforcementMonitor,
     JointAccess,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
     PurposeSet,
@@ -1270,6 +1269,9 @@ ACCESS_HISTORIES = 25
 #: The purpose a taxonomy step defines or removes (no grant names it).
 SCRATCH_PURPOSE = "p9"
 
+#: The column a taxonomy step adds to or drops from ``m`` (no rule names it).
+SCRATCH_COLUMN = "x"
+
 
 def role_db(directory):
     """:func:`audited_db` whose monitor authorizes through the role
@@ -1362,23 +1364,27 @@ def test_a_reopened_audit_log_lists_its_trail(tmp_path, how) -> None:
 
 
 def taxonomy_step(admin, rng: random.Random, kind: str) -> str:
-    """Define or remove :data:`SCRATCH_PURPOSE` and migrate the stored
-    masks, or categorize a column of ``m``: as autocommits, or inside
+    """Define or remove :data:`SCRATCH_PURPOSE`, add or drop
+    :data:`SCRATCH_COLUMN` of ``m`` (each re-encoding ``m``'s stored masks),
+    or categorize a column of ``m``: as autocommits, or inside
     BEGIN … COMMIT or BEGIN … ROLLBACK."""
     database = admin.database
     end = rng.choice(("autocommit", "commit", "rollback"))
     if end != "autocommit":
         database.begin()
     if kind == "purpose":
-        manager = PolicyManager(admin)
-        manager.snapshot_layouts()
         if SCRATCH_PURPOSE in admin.purposes:
             admin.remove_purpose(SCRATCH_PURPOSE)
             kind = "remove"
         else:
             admin.define_purpose(Purpose(SCRATCH_PURPOSE, "scratch"))
             kind = "define"
-        manager.migrate()
+    elif kind == "alter":
+        if SCRATCH_COLUMN in admin.table_columns("m"):
+            kind = f"alter table m drop column {SCRATCH_COLUMN}"
+        else:
+            kind = f"alter table m add column {SCRATCH_COLUMN} integer"
+        database.execute(kind)
     else:
         column = rng.choice(admin.table_columns("m"))
         category = rng.choice(admin.categories.categories)
@@ -1395,18 +1401,19 @@ def access_step(monitor, rng: random.Random, fresh) -> str:
     """Draw and run one access-control step — a Pa grant or revoke, a role
     definition, assignment or authorization change, a session purpose
     switch, an audited read or EXPLAIN (allowed or denied), a mask store
-    or a taxonomy edit (:func:`taxonomy_step`) — and return what it did."""
+    or a taxonomy or schema edit (:func:`taxonomy_step`) — and return
+    what it did."""
     admin, roles = monitor.admin, monitor.authorizer
     user, purpose = rng.choice(ACCESS_USERS), rng.choice(ACCESS_PURPOSES)
     defined = roles.roles()
     kind = rng.choice(
         ["grant", "grant", "revoke", "define", "switch", "read", "read", "explain"]
-        + ["mask", "purpose", "categorize", "categorize"]
+        + ["mask", "purpose", "categorize", "categorize", "alter"]
         + ["assign", "assign", "unassign", "role_grant", "role_grant", "role_revoke"]
         * bool(defined)
     )
     role = rng.choice(defined) if defined else None
-    if kind in ("purpose", "categorize"):
+    if kind in ("purpose", "categorize", "alter"):
         return taxonomy_step(admin, rng, kind)
     if kind == "mask":
         policy = random_mask_policy(rng)
@@ -1448,8 +1455,8 @@ def access_step(monitor, rng: random.Random, fresh) -> str:
 def test_reload_and_recovery_keep_the_access_control_state(tmp_path) -> None:
     """Seeded round-trip property: after a random history of Pa and role
     changes, purpose switches, audited statements, mask stores and
-    taxonomy edits (committed or rolled back) with a checkpoint at a
-    random step, a fresh RoleManager and AuditLog on a reload of the image
+    taxonomy and schema edits (committed or rolled back) with a checkpoint
+    at a random step, a fresh RoleManager and AuditLog on a reload of the image
     and on a recovery agree with the live ones — every user × purpose
     authorization, every user check, the whole audit trail, the taxonomy,
     the catalog version and the enforced answers."""

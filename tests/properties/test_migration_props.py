@@ -1,8 +1,11 @@
-"""Property: policy-mask migration preserves compliance verdicts.
+"""Property: re-encoding a stored mask preserves compliance verdicts.
 
-After adding a purpose or a column, re-encoding a stored mask under the new
-layout must give the same verdict for every signature expressible under the
-*old* layout (old purposes, old columns).
+A purpose edit or an ALTER TABLE moves every bit after the edited purpose
+or column, and :meth:`MaskLayout.reencode` moves a stored mask with them.
+After any mix of purpose additions and removals and column additions and
+drops, every signature expressible under *both* layouts must keep its
+verdict, and only a pass-all rule may grant a new purpose or cover a new
+column.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,28 +17,45 @@ from repro.core import (
     MaskLayout,
     Multiplicity,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
+    PurposeSet,
+    SpecialRule,
     complies_with,
-    default_purpose_set,
 )
-from repro.core.policy_manager import PolicyManager as _PM
 
 OLD_COLUMNS = ("watch_id", "timestamp", "temperature", "position", "beats")
-NEW_COLUMNS = (*OLD_COLUMNS, "oxygen")
 OLD_PURPOSES = tuple(f"p{i}" for i in range(1, 9))
+NEW_COLUMN = "oxygen"
+NEW_PURPOSE = "p0"  # sorts first: shifts every purpose bit
 CATEGORY_CODES = ("i", "q", "s", "g")
 
 
-def new_purpose_set():
-    purposes = default_purpose_set()
-    purposes.add(Purpose("p0", "archiving"))  # sorts first: shifts every bit
-    return purposes
+def layout(columns, purposes) -> MaskLayout:
+    return MaskLayout(
+        "sensed_data", columns, PurposeSet([Purpose(p, p) for p in purposes])
+    )
 
 
-OLD_LAYOUT = MaskLayout("sensed_data", OLD_COLUMNS, default_purpose_set())
-NEW_LAYOUT = MaskLayout("sensed_data", NEW_COLUMNS, new_purpose_set())
+OLD_LAYOUT = layout(OLD_COLUMNS, OLD_PURPOSES)
+
+
+@st.composite
+def new_layouts(draw, add_purpose=None, add_column=None):
+    """The layout after dropping some old columns and purposes (at least
+    one of each survives) and maybe adding :data:`NEW_PURPOSE` and
+    :data:`NEW_COLUMN` — an ALTER appends, a purpose sorts into place."""
+    kept_columns = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    kept_purposes = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    kept_columns[draw(st.integers(0, 4))] = True
+    kept_purposes[draw(st.integers(0, 7))] = True
+    columns = [c for c, kept in zip(OLD_COLUMNS, kept_columns) if kept]
+    purposes = [p for p, kept in zip(OLD_PURPOSES, kept_purposes) if kept]
+    if draw(st.booleans()) if add_column is None else add_column:
+        columns.append(NEW_COLUMN)
+    if draw(st.booleans()) if add_purpose is None else add_purpose:
+        purposes.append(NEW_PURPOSE)
+    return layout(columns, purposes)
 
 
 def action_types():
@@ -65,62 +85,54 @@ def rules():
     )
 
 
-def migrate_mask(mask):
-    # Reuse the manager's private migration logic directly on layouts.
-    manager = object.__new__(_PM)
-    return manager._migrate_mask(mask, OLD_LAYOUT, NEW_LAYOUT)
+def policies():
+    return st.lists(rules(), min_size=1, max_size=3).map(
+        lambda rule_list: Policy("sensed_data", tuple(rule_list))
+    )
+
+
+def has_pass_all(policy: Policy) -> bool:
+    return any(rule.special is SpecialRule.PASS_ALL for rule in policy.rules)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(rules(), min_size=1, max_size=3),
-    st.frozensets(st.sampled_from(OLD_COLUMNS), min_size=1),
-    action_types(),
-    st.sampled_from(OLD_PURPOSES),
-)
-def test_migration_preserves_old_verdicts(rule_list, columns, action, purpose):
-    policy = Policy("sensed_data", tuple(rule_list))
+@given(policies(), new_layouts(), st.data(), action_types())
+def test_migration_preserves_old_verdicts(policy, new_layout, data, action):
+    shared_columns = sorted(set(OLD_COLUMNS) & set(new_layout.columns))
+    shared_purposes = sorted(set(OLD_PURPOSES) & set(new_layout.purpose_ids))
+    columns = data.draw(st.frozensets(st.sampled_from(shared_columns), min_size=1))
+    purpose = data.draw(st.sampled_from(shared_purposes))
     old_mask = OLD_LAYOUT.policy_mask(policy)
-    new_mask = migrate_mask(old_mask)
+    new_mask = OLD_LAYOUT.reencode(old_mask, new_layout)
 
     old_verdict = complies_with(
         OLD_LAYOUT.signature_mask(columns, action, purpose), old_mask
     )
     new_verdict = complies_with(
-        NEW_LAYOUT.signature_mask(columns, action, purpose), new_mask
+        new_layout.signature_mask(columns, action, purpose), new_mask
     )
     assert new_verdict == old_verdict
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(rules(), min_size=1, max_size=3), action_types())
-def test_migration_grants_nothing_to_new_purpose(rule_list, action):
+@given(policies(), new_layouts(add_purpose=True), action_types())
+def test_migration_grants_nothing_to_new_purpose(policy, new_layout, action):
     """Only pass-all rules may authorize the newly added purpose."""
-    policy = Policy("sensed_data", tuple(rule_list))
-    new_mask = migrate_mask(OLD_LAYOUT.policy_mask(policy))
+    new_mask = OLD_LAYOUT.reencode(OLD_LAYOUT.policy_mask(policy), new_layout)
     verdict = complies_with(
-        NEW_LAYOUT.signature_mask(("beats",), action, "p0"), new_mask
+        new_layout.signature_mask(new_layout.columns[:1], action, NEW_PURPOSE),
+        new_mask,
     )
-    has_pass_all = any(
-        rule.special is not None and rule.special.value == "pass-all"
-        for rule in policy.rules
-    )
-    if not has_pass_all:
-        assert not verdict
+    assert verdict == has_pass_all(policy)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(rules(), min_size=1, max_size=3), action_types())
-def test_migration_grants_nothing_on_new_column(rule_list, action):
+@given(policies(), new_layouts(add_column=True), action_types())
+def test_migration_grants_nothing_on_new_column(policy, new_layout, action):
     """Only pass-all rules may cover the newly added column."""
-    policy = Policy("sensed_data", tuple(rule_list))
-    new_mask = migrate_mask(OLD_LAYOUT.policy_mask(policy))
+    new_mask = OLD_LAYOUT.reencode(OLD_LAYOUT.policy_mask(policy), new_layout)
+    purpose = new_layout.purpose_ids[-1]
     verdict = complies_with(
-        NEW_LAYOUT.signature_mask(("oxygen",), action, "p1"), new_mask
+        new_layout.signature_mask((NEW_COLUMN,), action, purpose), new_mask
     )
-    has_pass_all = any(
-        rule.special is not None and rule.special.value == "pass-all"
-        for rule in policy.rules
-    )
-    if not has_pass_all:
-        assert not verdict
+    assert verdict == has_pass_all(policy)

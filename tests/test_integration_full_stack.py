@@ -15,7 +15,6 @@ from repro.core import (
     JointAccess,
     Multiplicity,
     Policy,
-    PolicyManager,
     PolicyRule,
     Purpose,
     PurposeSet,
@@ -51,14 +50,13 @@ def deployment():
 
 def test_full_stack_flow(deployment):
     db, admin = deployment
-    manager = PolicyManager(admin)
 
     # --- administration ----------------------------------------------------------
     admin.categorize("patients", "pid", IDENTIFIER)
     admin.categorize("patients", "diagnosis", SENSITIVE)
     admin.categorize("patients", "heart_rate", SENSITIVE)
 
-    manager.add_policy(
+    admin.apply_policy(
         Policy(
             "patients",
             (
