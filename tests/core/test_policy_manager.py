@@ -113,6 +113,33 @@ def test_stored_masks_follow_the_edit(edit, end):
     database.transactions.rollback(pinned)
 
 
+class TestRegistration:
+    def test_reapply_after_purpose_added(self, fresh_scenario):
+        """A policy stored through apply_policy is re-encoded by the purpose
+        edit itself: no separate re-apply step is needed."""
+        admin = fresh_scenario.admin
+        admin.apply_policy(Policy("sensed_data", (temperature_rule(),)))
+        old_mask = admin.policy_masks("sensed_data")[0]
+
+        admin.define_purpose(Purpose("p0", "archiving"))  # sorts first!
+        new_mask = admin.policy_masks("sensed_data")[0]
+        # 5 cols + 9 purposes + 10 action bits = 24: still one byte-aligned
+        # rule, but every purpose bit has shifted by one position.
+        assert new_mask != old_mask
+        assert admin.layout("sensed_data").payload_length == 24
+
+        # Semantics preserved: the p6 signature still complies.
+        layout = admin.layout("sensed_data")
+        action = ActionType.direct(
+            Multiplicity.SINGLE, Aggregation.AGGREGATION, JointAccess.of("q")
+        )
+        signature = layout.signature_mask(["temperature"], action, "p6")
+        assert complies_with(signature, new_mask)
+        # And the new purpose is not implicitly granted.
+        p0_signature = layout.signature_mask(["temperature"], action, "p0")
+        assert not complies_with(p0_signature, new_mask)
+
+
 class TestMaskMigration:
     def test_migrate_noop_when_unchanged(self, fresh_scenario):
         """Edits that leave every layout alone write no stored mask."""
