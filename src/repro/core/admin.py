@@ -110,7 +110,7 @@ class AccessControlManager:
         rollback drops both, and open snapshots see neither (DESIGN.md §15).
         """
         with self.database.transactions.statement_transaction() as txn:
-            yield
+            yield txn
             txn.add_catalog_op(CatalogOp("acm", "taxonomy", {"op": "taxonomy"}))
 
     def bump_policy_epoch(self) -> None:
@@ -285,9 +285,11 @@ class AccessControlManager:
 
         Only the rows whose mask changes are written, each distinct mask
         is re-encoded once, and a table storing no mask costs one C-speed
-        pass over its rows.
+        pass over its rows.  Each table's write set is the whole table: a
+        row committed meanwhile was encoded under the old layout, so it
+        and the edit conflict rather than both committing.
         """
-        with self._taxonomy_edit():
+        with self._taxonomy_edit() as txn:
             before = {
                 table: self.layout(table)
                 for table in self.target_tables()
@@ -306,6 +308,7 @@ class AccessControlManager:
                         lambda row: row[position] in moved,
                         lambda row: _with_mask(row, position, moved[row[position]]),
                     )
+                txn.claim(storage)
 
     # -- categorization (Pm) -------------------------------------------------------------
 

@@ -10,10 +10,11 @@ nested loop's condition over one left row paired with every right row, an
 aggregated block's HAVING and select list over its group representatives,
 an UPDATE's WHERE and SET over its candidate rows.  Operators whose work is
 per pair of rows anyway (nested loops, cross joins) and derived tables
-produce row tuples; :func:`batches_from_rows` and
-:meth:`ColumnBatch.to_rows` are the two adaptors
-:class:`~repro.engine.executor.SourcePlan` joins them to the batch pipeline
-with.
+whose ORDER BY, DISTINCT, LIMIT or OFFSET needs the whole result produce
+row tuples; :func:`batches_from_rows` and :meth:`ColumnBatch.to_rows` are
+the two adaptors :class:`~repro.engine.executor.SourcePlan` joins them to
+the batch pipeline with.  Any other derived table hands its parent its
+block's column pages.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def batches_from_rows(
 ) -> Iterator[ColumnBatch]:
     """Chunk a row stream into column batches of at most ``batch_size`` rows.
 
-    The adaptor every row-native operator (nested loops, cross joins,
-    derived tables) joins the columnar pipeline through.
+    The adaptor every row-native operator (nested loops, cross joins, a
+    derived table that sorts, deduplicates or limits) joins the columnar
+    pipeline through.
     """
     rows = iter(rows)
     while page := list(islice(rows, batch_size)):

@@ -622,8 +622,8 @@ class Database:
         on to check them.
 
         ``None`` means scan: no index path, a probe value the held keys
-        cannot be compared with (or NULL), a conjunct ahead of the key
-        that checks policies itself (it would run on fewer rows), or a
+        cannot be compared with (or NULL), a conjunct ahead of the key that
+        might raise or check policies (it would run on fewer rows), or a
         table this transaction already staged (its overlay is private; the
         shared index entries describe committed rows).
         """
@@ -639,26 +639,11 @@ class Database:
         )
         if path is None or None in path.values:
             return None  # ``key = NULL`` is unknown, not false, on every row
-        keyed = max(conjuncts.index(conjunct) for conjunct in path.matched)
-        if any(self._checks_policies(c) for c in conjuncts[:keyed]):
-            return None
         found = executor.compile_plan(path, None).candidate_ids(env)
         if found is None:
             return None
         unknown = self.indexes.null_key_rows(path.index_name, env.costs)
         return sorted({*found, *unknown}) if unknown else found
-
-    def _checks_policies(self, expression: ast.Expression) -> bool:
-        """Whether evaluating ``expression`` can call the policy function —
-        in place, or from a subquery the rewriter guarded."""
-        return any(
-            node.child_selects()
-            or (
-                isinstance(node, ast.FunctionCall)
-                and node.name.lower() == self.policy_function
-            )
-            for node in ast.walk_expression(expression)
-        )
 
     def _execute_update(self, statement: ast.Update, env: Env) -> int:
         table = self.table(statement.table)

@@ -20,13 +20,15 @@ stages (DESIGN.md §11):
 
 There is one physical executor (DESIGN.md §12): every operator that holds
 logic has exactly one implementation — batch-native where pages pay off
-(scans, filters, policy guards, hash joins), row-native where the work is
-per pair or per result row anyway (nested loops, cross joins, derived
-tables) — and :class:`SourcePlan` adapts between the two shapes at the
-edges.  Every expression is evaluated over a batch, whichever operator
-runs it: an aggregated block's HAVING, select list and ORDER BY run over
-one batch of group representatives, a nested loop's condition over one
-left row paired with every right row.
+(scans, filters, policy guards, hash joins, derived tables), row-native
+where the work is per pair or per result row anyway (nested loops, cross
+joins, a derived table that sorts, deduplicates or limits) — and
+:class:`SourcePlan` adapts between the two shapes at the edges.  A block
+runs one pipeline body (:meth:`PreparedSelect._output`) whether its caller
+takes rows or pages.  Every expression is evaluated over a batch,
+whichever operator runs it: an aggregated block's HAVING, select list and
+ORDER BY run over one batch of group representatives, a nested loop's
+condition over one left row paired with every right row.
 
 Correlated subqueries are supported through the :class:`Scope` chain; an
 uncorrelated subquery's result is computed once per statement execution and
@@ -60,7 +62,29 @@ from . import plan as plan_ir
 from .aggregates import is_aggregate_name
 from .plan import Optimizer, Planner
 from .schema import ColumnBinding, RowShape
-from .types import require_orderable
+from .types import SqlType, python_type_matches, require_orderable
+
+
+_COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+_NUMERIC = frozenset({SqlType.INTEGER, SqlType.DOUBLE, SqlType.TIMESTAMP})
+
+
+def _may_raise(conjunct: ast.Expression, shape: RowShape, params) -> bool:
+    """Whether ``conjunct`` might raise on some row: anything but a column
+    compared with a literal or a bound parameter its type admits."""
+    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op in _COMPARISONS):
+        return True
+    left, right = conjunct.left, conjunct.right
+    for column, value in ((left, right), (right, left)):
+        if isinstance(value, ast.Parameter) and value.key in (params or ()):
+            value = ast.Literal(params[value.key])
+        if isinstance(column, ast.ColumnRef) and isinstance(value, ast.Literal):
+            table = column.table.lower() if column.table else None
+            sql_type = shape.resolve(column.name.lower(), table).sql_type
+            if sql_type in _NUMERIC:
+                sql_type = SqlType.DOUBLE  # any number compares with any
+            return not python_type_matches(sql_type, value.value)
+    return True
 
 
 class TrackingScope(Scope):
@@ -72,8 +96,11 @@ class TrackingScope(Scope):
 
     def resolve(self, name: str, table: str | None) -> tuple[int, int]:
         depth, index = super().resolve(name, table)
-        if depth > 0:
-            self.escaped = True
+        scope = self
+        for _ in range(depth):  # so does every block in between
+            if isinstance(scope, TrackingScope):
+                scope.escaped = True
+            scope = scope.parent
         return depth, index
 
 
@@ -175,6 +202,7 @@ class PreparedSelect:
         self.executor = executor
         self.select = select
         block = Planner(executor).plan_block(select)
+        block.parent_scope = parent_scope
         executor.optimizer.optimize(block)
         self.block = block
         source_plan = executor.compile_plan(block.source_root, parent_scope)
@@ -423,25 +451,48 @@ class PreparedSelect:
         results from one run into the next.  Environments without a ``subq``
         dict simply skip the memoization.
         """
+        return self._once(env, id(self), self._execute)
+
+    def batches(self, env: Env) -> list[ColumnBatch]:
+        """The result pages of a block without ORDER BY, DISTINCT, LIMIT
+        or OFFSET; cached as :meth:`rows` is, beside it."""
+        return self._once(env, (id(self), "pages"), lambda e: list(self._output(e)))
+
+    def _once(self, env: Env, key, run: Callable[[Env], list]) -> list:
         if self.correlated or env.subq is None:
-            return self._execute(env)
-        key = id(self)
+            return run(env)
         cached = env.subq.get(key)
         if cached is None:
-            cached = self._execute(env)
-            env.subq[key] = cached
+            cached = env.subq[key] = run(env)
         return cached
 
-    def _execute(self, env: Env) -> list[tuple]:
+    def _output(self, env: Env) -> Iterator[ColumnBatch]:
+        """The one pipeline — FROM → WHERE → group → HAVING → the select
+        list — a page at a time: each page holds the select list's columns,
+        then one per ORDER BY key."""
         batches = self.source_plan.batches(env)
         if self.where is not None:
             batches = self._filter_batches(batches, env)
         if self.aggregated:
             batches = [self._group(batches, env)]
+        outputs = [*self.projections, *self.order_keys]
+        for batch in batches:
+            if self.having is not None:
+                keep = true_positions(self.having(batch, env))
+                if not keep:
+                    continue
+                if len(keep) < batch.length:
+                    batch = batch.take(keep)
+            yield ColumnBatch([out(batch, env) for out in outputs], batch.length)
+
+    def _execute(self, env: Env) -> list[tuple]:
+        width = len(self.projections)
         rows: list[tuple] = []
         keys: list[list] = [[] for _ in self.order_keys]
-        for batch in batches:
-            self._project(batch, env, rows, keys)
+        for page in self._output(env):
+            rows.extend(zip(*page.columns[:width]))
+            for column, values in zip(keys, page.columns[width:]):
+                column.extend(values)
         if keys:
             rows = self._sorted(rows, keys)
         elif self.select.distinct:
@@ -464,22 +515,6 @@ class PreparedSelect:
             if not keep:
                 continue
             yield batch if len(keep) == len(batch) else batch.take(keep)
-
-    def _project(
-        self, batch: ColumnBatch, env: Env, rows: list[tuple], keys: list[list]
-    ) -> None:
-        """Append the result row of each row of ``batch`` that HAVING keeps
-        to ``rows``, and its ORDER BY values to ``keys`` (one list per key):
-        the select list and ORDER BY run only on those rows."""
-        if self.having is not None:
-            keep = true_positions(self.having(batch, env))
-            if not keep:
-                return
-            if len(keep) < batch.length:
-                batch = batch.take(keep)
-        rows.extend(zip(*[projection(batch, env) for projection in self.projections]))
-        for column, order_key in zip(keys, self.order_keys):
-            column.extend(order_key(batch, env))
 
     def _sorted(self, rows: list[tuple], keys: list[list]) -> list[tuple]:
         """``rows`` in ORDER BY order (``keys``: one value list per key).
@@ -713,9 +748,11 @@ class SelectExecutor:
 
         The matched predicates stay in the parent filter (a recheck), so
         this node only has to narrow candidates.  Whenever it cannot — the
-        index was dropped after planning, or the probe value cannot be
-        compared with the index's keys — it degrades to a full sequential
-        read and the recheck decides, exactly as without the index.
+        index was dropped after planning, the probe value cannot be
+        compared with the index's keys, or a conjunct ahead of the key
+        might raise on a row the probe skips — it degrades to a full
+        sequential read and the recheck decides, exactly as without the
+        index.
         """
         table = self.database.table(node.table_name)
         manager = self.database.indexes
@@ -745,6 +782,8 @@ class SelectExecutor:
             # Resolved at execution time: prepared plans are re-executed
             # with new bindings, after DML and after DDL drops the index.
             try:
+                if any(_may_raise(c, node.shape, env.params) for c in node.ahead):
+                    return None
                 return probe(env)
             except (CatalogError, TypeError):
                 return None  # index dropped, or an incomparable probe value
@@ -759,7 +798,13 @@ class SelectExecutor:
         )
 
     def _compile_derived(self, node: plan_ir.DerivedTable) -> SourcePlan:
-        prepared = node.prepared
+        prepared, select = node.prepared, node.select
+        whole = select.order_by or select.distinct or select.offset
+        if not whole and select.limit is None:  # its pages, as they come
+            return SourcePlan(
+                node.shape, "Subquery", node.alias, [prepared.source_plan],
+                batch_producer=lambda env: iter(prepared.batches(env)),
+            )
         return SourcePlan(
             node.shape, "Subquery", node.alias, [prepared.source_plan],
             producer=lambda env: prepared.rows(env),

@@ -170,6 +170,8 @@ class Transaction:
         #: Schemas staged by ALTER TABLE, visible only to this transaction
         #: through the ``Table.schema`` property.
         self._staged_schemas: dict[str, "TableSchema"] = {}
+        #: Tables whose write set is the whole table (:meth:`claim`).
+        self._claimed: set[str] = set()
 
     # -- staging -----------------------------------------------------------
 
@@ -187,6 +189,13 @@ class Transaction:
             self._staged[key] = overlay
             self._tables[key] = table
         return overlay
+
+    def claim(self, table: "Table") -> None:
+        """Give ``table`` a table-wide write set, as a schema change has:
+        its commit conflicts with any concurrent commit to the table, and a
+        concurrent writer's with it, whichever rows either wrote."""
+        self.stage(table)
+        self._claimed.add(table.name.lower())
 
     def staged_schema(self, table: "Table") -> "TableSchema | None":
         """The schema staged by this transaction's ALTER TABLE, if any."""
@@ -679,6 +688,8 @@ class TransactionManager:
             pk = table.row_key_indexes()
             delta, base = overlay.delta(), overlay.base
             plan = _plan_write(table, base, delta, pk)
+            if key in txn._claimed:
+                plan.written = None
             if changed:
                 if not self._compatible_locked(table, txn, plan.written):
                     raise self._conflict_locked(txn, table)

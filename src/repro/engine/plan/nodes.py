@@ -105,6 +105,8 @@ class IndexScan(Scan):
         self.columns = columns
         self.values = values
         self.matched = matched
+        #: Unmatched conjuncts ahead of the last matched one (``best_index_path``).
+        self.ahead: tuple[ast.Expression, ...] = ()
 
     def predicate(self) -> str:
         """The probed condition, as EXPLAIN shows it."""

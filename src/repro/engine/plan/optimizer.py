@@ -9,7 +9,9 @@ passes the IR makes expressible:
 1. ``constant_folding`` — evaluate literal-only arithmetic subtrees in
    filter conjuncts and join conditions once, at plan time.
 2. ``predicate_pushdown`` — move single-source conjuncts to their leaf
-   (generalizes the legacy ``_PushdownSet``).
+   (generalizes the legacy ``_PushdownSet``); on this pipeline also one
+   whose sub-queries are all uncorrelated, last in its leaf: q6's ``IN
+   (select …)`` filters ``users`` below the join, above its guard.
 3. ``policy_guard_hoist`` — lift the rewriter's per-table ``complieswith``
    conjuncts out of pushed filters into :class:`PolicyGuard` nodes directly
    above their base-table scans, where the
@@ -43,7 +45,7 @@ import dataclasses
 
 from ...errors import CatalogError
 from ...sql import ast
-from ..expressions import evaluate_constant
+from ..expressions import Scope, evaluate_constant
 from ..schema import RowShape
 from .nodes import (
     DerivedTable,
@@ -132,6 +134,9 @@ class Optimizer:
         if block_filter is None or block_filter.conjuncts is None:
             return  # no WHERE, or outer-join block (kept whole)
         ledger = [[conjunct, False] for conjunct in block_filter.conjuncts]
+        # The full pipeline also pushes uncorrelated sub-query conjuncts.
+        on = self.mode == "on"
+        scope = Scope(block.binder_shape, block.parent_scope) if on else None
 
         def visit(node: LogicalNode) -> LogicalNode:
             if isinstance(node, (Scan, DerivedTable)):
@@ -140,10 +145,13 @@ class Optimizer:
                     expression, consumed = entry
                     if consumed:
                         continue
-                    if _pushable_to(expression, node.shape):
+                    if _pushable_to(expression, node.shape, scope):
                         entry[1] = True
                         claimed.append(expression)
                 if claimed:
+                    # A sub-query conjunct runs last: every other one, an
+                    # index path and a per-row check keep their inputs.
+                    claimed.sort(key=lambda e: any(ast.iter_subqueries(e)))
                     leaf = node.binding if isinstance(node, Scan) else node.alias
                     block.notes.append(
                         f"predicate_pushdown: pushed {len(claimed)} "
@@ -419,19 +427,34 @@ def shape_has(shape: RowShape, name: str, table: str | None) -> bool:
     return True
 
 
-def _pushable_to(expression: ast.Expression, shape: RowShape) -> bool:
-    """All column refs resolve in ``shape``, at least one ref, no subqueries."""
+def _pushable_to(expression: ast.Expression, shape: RowShape, scope=None) -> bool:
+    """All column refs resolve in ``shape``, at least one ref, and no
+    sub-query is correlated with ``scope`` (the block's; ``None``: none)."""
     refs = list(ast.iter_column_refs(expression))
     if not refs:
         return False
-    for node in ast.walk_expression(expression):
-        if node.child_selects():
-            return False
     for ref in refs:
         table = ref.table.lower() if ref.table else None
         if not shape_has(shape, ref.name.lower(), table):
             return False
-    return True
+    return all(
+        scope is not None and not _correlated(select, scope)
+        for select in ast.iter_subqueries(expression)
+    )
+
+
+def _correlated(select: ast.Select, scope: Scope | None) -> bool:
+    """Whether a reference anywhere inside ``select`` names a column of
+    ``scope`` or an enclosing one; one its own sources shadow counts too."""
+    unqualified: set[str] = set()
+    qualified: set[tuple[str, str]] = set()
+    _collect_select_refs(select, unqualified, qualified)
+    while scope is not None:
+        for b in scope.shape.bindings:
+            if b.name in unqualified or (b.source, b.name) in qualified:
+                return True
+        scope = scope.parent
+    return False
 
 
 def _references_function(expression: ast.Expression, name: str) -> bool:
@@ -582,7 +605,9 @@ def best_index_path(definitions, conjuncts: list, scan: Scan) -> IndexScan | Non
 
     Ranked by structure alone: an equality probe before a range, then the
     path binding more key columns, then the earlier matched conjunct, then
-    hash over tree.  ``None`` when no path qualifies.
+    hash over tree.  ``None`` when no path qualifies.  The path's ``ahead``
+    holds the unmatched conjuncts before its last matched one: a scan runs
+    them on rows the probe would skip.
     """
 
     def rank(candidate) -> tuple:
@@ -591,7 +616,14 @@ def best_index_path(definitions, conjuncts: list, scan: Scan) -> IndexScan | Non
         return isinstance(path, IndexRangeScan), -len(path.values), first, tree
 
     best = min(_access_paths(definitions, conjuncts, scan), key=rank, default=None)
-    return None if best is None else best[0]
+    if best is None:
+        return None
+    path = best[0]
+    last = max(map(conjuncts.index, path.matched))
+    path.ahead = tuple(
+        c for c in conjuncts[:last] if all(c is not m for m in path.matched)
+    )
+    return path
 
 
 def check_access_paths(block: BlockPlan) -> None:

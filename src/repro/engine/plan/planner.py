@@ -41,6 +41,8 @@ class BlockPlan:
     snapshots the block's merged row shape *before* any pass runs: pushed-down conjuncts
     are re-resolved against it block-wide, because later passes (projection
     pruning) may narrow the physical shapes past what name resolution saw.
+    ``parent_scope``, the enclosing block's scope, is where pushdown looks
+    for a sub-query's correlated references, beside ``binder_shape``.
     """
 
     def __init__(
@@ -54,6 +56,7 @@ class BlockPlan:
         self.source_root = source_root
         self.filter = filter
         self.binder_shape = binder_shape
+        self.parent_scope = None  # set by PreparedSelect
         #: Conjuncts claimed by predicate pushdown, in original WHERE order.
         self.claimed: list[ast.Expression] = []
         #: ``complieswith`` conjuncts hoisted into PolicyGuard nodes.

@@ -2,7 +2,9 @@
 
 :class:`FuzzQueryGenerator` extends the Figure 5 query classes with the
 shapes the paper's r1–r20 never exercise — nested subqueries (IN / EXISTS /
-scalar / derived tables), set-operation chains, parameter placeholders,
+scalar / derived tables, and an uncorrelated one in a join's WHERE, which
+the optimizer pushes below the join), set-operation chains, parameter
+placeholders,
 ``SELECT *``, ``column = literal`` in WHERE / ON / HAVING — and pairs
 every query with a randomized ⟨purpose, user⟩ submission context, so
 generated cases cover the denied as well as the allowed authorization
@@ -35,6 +37,7 @@ EXTRA_KINDS: tuple[str, ...] = (
     "parameterized",
     "nested_subquery",
     "point_equality",
+    "join_subquery",
 )
 
 #: Every shape the fuzzer can draw.
@@ -324,3 +327,51 @@ class FuzzQueryGenerator:
             f"select watch_id, max(beats) from sensed_data where true{extra} "
             f"group by watch_id having watch_id = {watch}",
         )), {}
+
+    def _join_subquery(self, rng: random.Random, base) -> tuple[str, dict]:
+        """A two-table INNER join whose WHERE tests one side's column
+        against an uncorrelated ``[NOT] IN`` or scalar sub-query (pushed
+        below the join), maybe beside a correlated EXISTS (never pushed)."""
+        profiles = "nutritional_profiles"
+        inner = ""
+        if rng.random() < 0.3:  # a literal the statement shape lifts
+            column = rng.choice(
+                [c for c in base._table_columns(profiles) if c.values]
+            )
+            inner = f" where {profiles}.{column.name} = '{rng.choice(column.values)}'"
+        elif rng.random() < 0.6:
+            column = rng.choice(base._table_columns(profiles))
+            inner = f" where {base._predicate(column, True)}"
+        if rng.random() < 0.5:
+            negated = "not " if rng.random() < 0.3 else ""
+            test = (
+                f"users.nutritional_profile_id {negated}in "
+                f"(select {profiles}.profile_id from {profiles}{inner})"
+            )
+        else:
+            operator = rng.choice((">", "<", ">=", "<="))
+            aggregate = rng.choice(("avg", "min", "max", "count"))
+            column, scale = rng.choice(
+                (("users.nutritional_profile_id", ""), ("sensed_data.beats", " * 20"))
+            )
+            test = (
+                f"{column} {operator} (select {aggregate}({profiles}.profile_id)"
+                f"{scale} from {profiles}{inner})"
+            )
+        conjuncts = [test]
+        if rng.random() < 0.4:
+            conjuncts.append(
+                base._predicate(rng.choice(base._table_columns("sensed_data")), True)
+            )
+        if rng.random() < 0.4:
+            conjuncts.append(
+                f"exists (select 1 from {profiles} where {profiles}.profile_id"
+                " = users.nutritional_profile_id)"
+            )
+        rng.shuffle(conjuncts)
+        sql = (
+            "select users.user_id, sensed_data.beats from users join sensed_data "
+            "on users.watch_id = sensed_data.watch_id where "
+            + " and ".join(conjuncts)
+        )
+        return sql, {}

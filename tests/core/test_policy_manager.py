@@ -222,3 +222,37 @@ class TestMaskMigration:
         admin.define_purpose(Purpose("p0", "archiving"))
         admin.database.execute("alter table users drop column watch_id")
         assert all(mask is None for mask in admin.policy_masks("users"))
+
+
+def test_a_purpose_edit_conflicts_with_a_row_committed_meanwhile():
+    """A row another session commits while a purpose edit's transaction is
+    open was encoded under the old layout: the edit re-encodes only what
+    its snapshot sees, so it must not commit past that row."""
+    from repro.errors import WriteConflictError
+
+    scenario = build_patients_scenario(patients=2, samples_per_patient=2)
+    admin, database = scenario.admin, scenario.database
+    policy = Policy(
+        "users",
+        (
+            PolicyRule.of(
+                ["user_id", "watch_id", "nutritional_profile_id"],
+                ["p6"],
+                ActionType.direct(
+                    Multiplicity.SINGLE, Aggregation.NO_AGGREGATION, EVERY_CATEGORY
+                ),
+            ),
+        ),
+    )
+    admin.apply_policy(policy)
+    database.begin()
+    admin.define_purpose(Purpose("p0", "archiving"))
+    with txn_scope(None):
+        admin.insert_with_policy("users", ("late", "watchX", 1), policy)
+    with pytest.raises(WriteConflictError):
+        database.commit()
+    position = database.table("users").schema.column_index("policy")
+    stored = {row[0]: row[position] for row in database.table("users").rows}
+    assert stored["late"] == admin.layout("users").policy_mask(policy)
+    sql = "select user_id from users"
+    assert ("late",) in scenario.monitor.execute(sql, "p6").rows

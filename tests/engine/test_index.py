@@ -17,7 +17,7 @@ import pytest
 from repro.engine import Database, txn_scope
 from repro.engine.index import INDEX_KINDS, IndexDefinition, RowIndex
 from repro.engine.types import BitString
-from repro.errors import CatalogError, ExecutionError, ReproError
+from repro.errors import CatalogError, ExecutionError, ReproError, TypeMismatchError
 
 
 def _keyed(keys, columns: str = "k integer"):
@@ -193,6 +193,47 @@ def test_a_mistyped_probe_observes_what_the_unindexed_table_does(
             return type(error)
 
     assert outcome(True) == outcome(False)
+
+
+#: A conjunct ahead of the key that raises on rows the probe skips, in a
+#: read, a prepared read and both indexed DML paths; and conjuncts ahead of
+#: it that cannot raise (the index still serves those).
+EARLIER_CONJUNCTS = (
+    ("select a from t where b = 5 and a = 100", (), True),
+    ("select a from t where b = ? and a = ?", (5, 100), True),
+    ("select a from t where c > 1 and b = 5 and a = 100", (), True),
+    ("delete from t where b = 5 and a = 100", None, True),
+    ("update t set c = 0 where b = 5 and a = 100", None, True),
+    ("select a from t where b = 'x6' and a = 6", (), False),
+    ("select a from t where b = ? and c >= 6 and a = ?", ("x6", 6), False),
+    ("select a from t where a = 100 and b = 5", (), False),
+)
+
+
+@pytest.mark.parametrize("sql, params, raises", EARLIER_CONJUNCTS)
+def test_an_index_never_hides_what_an_earlier_conjunct_raises(
+    sql: str, params, raises: bool
+) -> None:
+    def outcome(indexed: bool):
+        database = Database("ahead")
+        database.execute("create table t (a integer, b text, c integer)")
+        for a in range(5, 10):
+            database.execute(f"insert into t values ({a}, 'x{a}', {a})")
+        if indexed:
+            database.execute("create index i on t (a)")
+        try:
+            if params is None:
+                result = database.execute(sql)
+            else:
+                result = database.prepare(sql).execute(list(params)).rows
+        except ReproError as error:
+            result = type(error)
+        return result, database.indexes.stats()["hits"]
+
+    (indexed, hits), (twin, _) = outcome(True), outcome(False)
+    assert indexed == twin
+    assert (twin is TypeMismatchError) is raises
+    assert hits == (not raises)
 
 
 def _indexed_database() -> Database:

@@ -182,6 +182,96 @@ class TestPolicyGuardHoist:
             assert sorted(on.execute().rows) == sorted(off.execute().rows), sql
 
 
+class TestSemiJoinPushdown:
+    """An uncorrelated sub-query conjunct filters its own input below the
+    join on the full pipeline, above that input's guard; ``off`` keeps it
+    in the residual WHERE."""
+
+    @staticmethod
+    def _subquery_filters(block) -> list:
+        return [
+            node
+            for node in _nodes(block)
+            if isinstance(node, Filter)
+            and node.pushed
+            and any(next(ast.iter_subqueries(c), None) for c in node.conjuncts)
+        ]
+
+    def test_q6_filters_users_below_the_join_above_its_guard(
+        self, policy_scenario
+    ) -> None:
+        (q6,) = [q for q in AD_HOC_QUERIES if q.name == "q6"]
+        rewritten = policy_scenario.monitor.rewrite(q6.sql, "p6")
+        database = policy_scenario.database
+        on = database.prepare(rewritten, optimizer="on")
+        _, (arm,) = on._arms()
+        (join,) = [n for n in _nodes(arm.block) if isinstance(n, HashJoin)]
+        (semijoin,) = self._subquery_filters(arm.block)
+        assert semijoin in (join.left, join.right)
+        assert isinstance(semijoin.conjuncts[0], ast.InSubquery)
+        assert isinstance(semijoin.input, PolicyGuard)
+        assert semijoin.input.binding == "users"
+        assert not any(
+            isinstance(c, ast.InSubquery) for c in arm.block.filter.conjuncts
+        )
+        off = database.prepare(rewritten, optimizer="off")
+        _, (arm,) = off._arms()
+        assert self._subquery_filters(arm.block) == []
+        assert any(
+            isinstance(c, ast.InSubquery) for c in arm.block.filter.conjuncts
+        )
+        assert sorted(on.execute().rows) == sorted(off.execute().rows)
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "t.b in (select d from u as v where v.a = t.a)",  # this block
+            "t.b > (select min(d) from u as v where v.d > b)",  # unqualified
+        ],
+    )
+    def test_a_correlated_subquery_stays_in_the_residual(
+        self, plan_db, where
+    ) -> None:
+        sql = f"select t.a from t join u on t.a = u.a where {where}"
+        block = _block(plan_db, sql)
+        assert self._subquery_filters(block) == []
+        assert len(block.filter.conjuncts) == 1
+        off = plan_db.prepare(sql, optimizer="off").execute().rows
+        assert sorted(plan_db.query(sql).rows) == sorted(off)
+
+    def test_an_enclosing_blocks_column_keeps_it_in_the_residual(
+        self, plan_db
+    ) -> None:
+        """Resolving ``o.a`` two blocks out makes the EXISTS block between
+        correlated too: it runs once per ``o`` row, not once."""
+        sql = (
+            "select a from u as o where exists (select 1 from t join u "
+            "on t.a = u.a where t.b * 10 > (select min(v.d) from u as v "
+            "where v.a = o.a))"
+        )
+        prepared = plan_db.prepare(sql)
+        assert not any(
+            note.startswith("predicate_pushdown")
+            for note in prepared.optimizer_notes()
+        )
+        assert prepared.execute().rows == [(1,)]
+        assert plan_db.prepare(sql, optimizer="off").execute().rows == [(1,)]
+
+    def test_it_runs_after_the_other_conjuncts_and_keeps_the_index(
+        self, plan_db
+    ) -> None:
+        plan_db.execute("create index t_a on t (a)")
+        sql = (
+            "select t.a, d from t join u on t.a = u.a where "
+            "t.b in (select v.d / 10 from u as v) and t.a = 2"
+        )
+        block = _block(plan_db, sql)
+        (semijoin,) = self._subquery_filters(block)
+        assert isinstance(semijoin.conjuncts[-1], ast.InSubquery)
+        assert isinstance(semijoin.input, IndexScan)
+        assert plan_db.query(sql).rows == [(2, 200)]
+
+
 class TestAccessPathInvariants:
     """``check_access_paths``: soundness of index paths as an IR assertion.
 

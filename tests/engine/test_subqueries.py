@@ -173,3 +173,68 @@ class TestAmbiguityVsCorrelation:
             "(select 1 from emp, dept2 where dept2.id = d.id)"
         )
         assert result.column("name") == ["eng"]  # dept2 only holds id 1
+
+
+class TestDerivedTables:
+    """A derived table hands its parent column pages unless ORDER BY,
+    DISTINCT, LIMIT or OFFSET needs its whole result; either way it
+    answers as before and runs once per execution."""
+
+    BLOCKS = {
+        "plain": ("select dept_id as k, salary as s from emp", None),
+        "having": (
+            "select dept_id as k, sum(salary) as s from emp "
+            "group by dept_id having sum(salary) > 70",
+            [(1, 180)],
+        ),
+        "order-limit": (
+            "select dept_id as k, salary as s from emp order by s desc limit 2",
+            [(1, 80), (1, 100)],
+        ),
+        "distinct": ("select distinct dept_id as k, 0 as s from emp", None),
+        "limit-0": ("select dept_id as k, salary as s from emp limit 0", []),
+        "offset": (
+            "select dept_id as k, salary as s from emp order by s limit 5 offset 1",
+            [(1, 80), (1, 100)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_rows_and_one_run_per_execution(self, db, name):
+        block, rows = self.BLOCKS[name]
+        calls = {"n": 0}
+
+        def probe(x):
+            calls["n"] += 1
+            return x
+
+        db.register_function("probe", probe)
+        inner = block.replace("from emp", "from (select name, probe(dept_id) "
+                              "as dept_id, salary from emp) e", 1)
+        if rows is not None:
+            assert sorted(db.query(f"select k, s from ({inner}) d").rows) == rows
+        # Each of the 3 dept rows runs the correlated EXISTS; the derived
+        # table inside it runs once: 3 emp rows, 3 probe calls.
+        calls["n"] = 0
+        result = db.query(
+            f"select name from dept where exists (select 1 from ({inner}) d "
+            "where d.k = dept.id)"
+        )
+        assert calls["n"] == 3
+        expected = db.query(
+            "select name from dept where id in (select k from "
+            f"({block}) d)"
+        )
+        assert sorted(result.rows) == sorted(expected.rows)
+
+    def test_a_streamed_block_keeps_explain_analyze_rows(self, db):
+        sql = (
+            "select d.k, count(*) from (select dept_id as k from emp "
+            "where salary > 70) d join dept on d.k = dept.id group by d.k"
+        )
+        from repro.obs.tracing import Trace
+
+        prepared, trace = db.prepare(sql), Trace()
+        assert prepared.execute(trace=trace).rows == [(1, 2)]
+        text = "\n".join(prepared.describe(annotate=trace.annotation))
+        assert "Subquery d (rows=2" in text
