@@ -7,7 +7,7 @@ for it (j_i), summed recursively over the query's sub-queries.
 
 The measured number of checks (Figure 6) is bounded by ``cub`` and usually
 far below it: filters, joins and short-circuit evaluation cut the count —
-``benchmarks/test_cub_bounds.py`` verifies both facts experimentally.
+``tests/core/test_complexity.py`` checks both facts on the paper's queries.
 """
 
 from __future__ import annotations

@@ -933,8 +933,8 @@ class EnforcementMonitor:
     def execute_unprotected(self, query: str | ast.Select) -> ResultSet:
         """Run the *original* query, bypassing enforcement.
 
-        Used by the benchmarks to measure the baseline execution time the
-        paper's figures compare against.
+        The original side of the end-to-end benchmark's ``paper_overhead``
+        workload; ``repro.bench`` times prepared plans instead.
         """
         select = parse_select(query) if isinstance(query, str) else query
         return self.admin.database.query(select)

@@ -140,6 +140,7 @@ class SourcePlan:
         batch_producer: "Callable[..., Iterator[ColumnBatch]] | None" = None,
         batch_size: int | None = None,
         candidate_ids: "Callable[[Env], list[int] | None] | None" = None,
+        scopes: "tuple[TrackingScope, ...]" = (),
     ):
         self.shape = shape
         self.kind = kind
@@ -149,6 +150,13 @@ class SourcePlan:
         self.batch_producer = batch_producer
         self.batch_size = batch_size
         self.candidate_ids = candidate_ids
+        self.scopes = scopes
+
+    def escapes(self) -> bool:
+        """Whether a join condition in this subtree names an outer column."""
+        return any(scope.escaped for scope in self.scopes) or any(
+            child.escapes() for child in self.children
+        )
 
     def rows(self, env: Env, *ids) -> Iterable[tuple]:
         """Produce this node's output as row tuples."""
@@ -257,6 +265,11 @@ class PreparedSelect:
 
         self.output_columns = [self._output_name(item) for item in self.items]
         self.output_bindings = self._derive_output_bindings()
+        # Every expression of the block has compiled: whether one of them
+        # (join conditions included) names a column of an enclosing block.
+        self.correlated = (
+            source_plan.escapes() or self.scope.escaped or self.output_scope.escaped
+        )
 
     # -- optimizer surface -------------------------------------------------------
 
@@ -436,11 +449,6 @@ class PreparedSelect:
         return lines
 
     # -- execution ------------------------------------------------------------------
-
-    @property
-    def correlated(self) -> bool:
-        """True when this block references columns of an enclosing block."""
-        return self.scope.escaped or self.output_scope.escaped
 
     def rows(self, env: Env) -> list[tuple]:
         """Execute the pipeline; uncorrelated results are cached.
@@ -956,7 +964,7 @@ class SelectExecutor:
 
         return SourcePlan(
             node.shape, "NestedLoop", f"({kind.lower()})", [left, right],
-            producer=produce, batch_size=self.batch_size,
+            producer=produce, batch_size=self.batch_size, scopes=(merged_scope,),
         )
 
     def _compile_hash_join(
@@ -990,14 +998,13 @@ class SelectExecutor:
         right = self.compile_plan(node.right, parent_scope)
         kind = node.join_kind
         equi_pairs = node.equi_pairs
-        left_compiler = self.compiler(TrackingScope(left.shape, parent_scope))
-        right_compiler = self.compiler(TrackingScope(right.shape, parent_scope))
+        shapes = (left.shape, right.shape, node.shape)
+        scopes = tuple(TrackingScope(shape, parent_scope) for shape in shapes)
+        left_compiler, right_compiler, residual_compiler = map(self.compiler, scopes)
         left_keys = [left_compiler.compile(le) for le, _ in equi_pairs]
         right_keys = [right_compiler.compile(re) for _, re in equi_pairs]
         residual = (
-            self.compiler(TrackingScope(node.shape, parent_scope)).compile(
-                node.residual
-            )
+            residual_compiler.compile(node.residual)
             if node.residual is not None
             else None
         )
@@ -1145,5 +1152,5 @@ class SelectExecutor:
         )
         return SourcePlan(
             node.shape, "HashJoin", f"({kind.lower()}) on {keys}", [left, right],
-            batch_producer=produce,
+            batch_producer=produce, scopes=scopes,
         )

@@ -49,6 +49,44 @@ class TestMeasurement:
         assert measurement.original_time > 0
         assert measurement.rewritten_time > 0
 
+    def test_timed_loops_only_execute_plans_compiled_with_optimizer_off(
+        self, monkeypatch
+    ):
+        """Both sides are planned before the clock starts: the timed loops
+        construct no plan and run the two prepared ones, each in mode off."""
+        from repro.bench import harness
+        from repro.engine.database import PreparedQuery
+
+        scenario = build_scenario(SMALL)
+        set_selectivity(scenario, 0.5, SMALL.policy_seed)
+        timing, planned, modes = [], [], []
+        time_query = harness.time_query
+        init, execute = PreparedQuery.__init__, PreparedQuery.execute
+
+        def timed(run, repeat=1):
+            timing.append(run)
+            try:
+                return time_query(run, repeat)
+            finally:
+                timing.pop()
+
+        def counting_init(self, *args, **kwargs):
+            planned.extend(timing)
+            init(self, *args, **kwargs)
+
+        def recording_execute(self, *args, **kwargs):
+            if timing:
+                modes.append(self.optimizer_mode)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "time_query", timed)
+        monkeypatch.setattr(PreparedQuery, "__init__", counting_init)
+        monkeypatch.setattr(PreparedQuery, "execute", recording_execute)
+        measurement = measure_query(scenario, get_query("q5"), 0.5, repeat=3)
+        assert planned == []
+        assert modes == ["off"] * 6
+        assert measurement.compliance_checks > 0
+
 
 class TestExperiment1:
     @pytest.fixture(scope="class")

@@ -187,6 +187,21 @@ class TestCompliesWith:
         policy = self.make(layout, [PolicyRule.pass_all()])
         assert complies_with(self.signature(layout), policy)
 
+    @pytest.mark.parametrize(
+        "rules, first", [(3, False), (8, True), (8, False)],
+        ids=["3rules-last", "8rules-first", "8rules-last"],
+    )
+    def test_pass_all_accepts_at_any_position(self, layout, rules, first):
+        """Listing 1 accepts on the pass-all rule wherever it stands among
+        pass-none ones (footnote 15 randomizes its position)."""
+        others = [PolicyRule.pass_none()] * (rules - 1)
+        ordered = (
+            [PolicyRule.pass_all(), *others]
+            if first
+            else [*others, PolicyRule.pass_all()]
+        )
+        assert complies_with(self.signature(layout), self.make(layout, ordered))
+
     def test_wrong_purpose_rejected(self, layout):
         action = ActionType.direct(
             Multiplicity.SINGLE, Aggregation.NO_AGGREGATION, JointAccess.of("s")

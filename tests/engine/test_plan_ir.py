@@ -227,6 +227,9 @@ class TestSemiJoinPushdown:
         [
             "t.b in (select d from u as v where v.a = t.a)",  # this block
             "t.b > (select min(d) from u as v where v.d > b)",  # unqualified
+            # ``_correlated`` walks the sub-query's join conditions too
+            "t.b < (select min(v.d) from u as v join u as w "
+            "on v.a = w.a and w.d > t.b)",
         ],
     )
     def test_a_correlated_subquery_stays_in_the_residual(

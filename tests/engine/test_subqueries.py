@@ -175,6 +175,47 @@ class TestAmbiguityVsCorrelation:
         assert result.column("name") == ["eng"]  # dept2 only holds id 1
 
 
+class TestOnClauseCorrelation:
+    """A join condition naming the enclosing block's row makes its block
+    correlated, exactly as the same conjunct in WHERE does."""
+
+    @pytest.fixture()
+    def tu(self):
+        database = Database()
+        database.execute("create table t (a integer, b integer, c integer)")
+        database.execute("create table u (a integer, d integer)")
+        database.execute("insert into t values (1, 1, 1), (2, 3, 2)")
+        database.execute("insert into u values (1, 5), (2, 25), (3, 40)")
+        return database
+
+    @pytest.mark.parametrize("optimizer", ["on", "off"])
+    @pytest.mark.parametrize(
+        "on_form, where_form",
+        [
+            (  # INNER equi join: the outer column lands in the residual
+                "t join u on t.a = u.a and t.b * 10 > o.d",
+                "t join u on t.a = u.a where t.b * 10 > o.d",
+            ),
+            (  # non-equi: a nested loop's condition
+                "t join u on t.a <= u.a and t.b * 10 > o.d",
+                "t join u on t.a <= u.a where t.b * 10 > o.d",
+            ),
+            (
+                "t left join u on t.a = u.a and t.b * 10 > o.d "
+                "where u.a is not null",
+                "t join u on t.a = u.a where t.b * 10 > o.d",
+            ),
+        ],
+        ids=["inner-equi", "non-equi", "left"],
+    )
+    def test_matches_the_where_form(self, tu, optimizer, on_form, where_form):
+        def run(inner):
+            sql = f"select a from u as o where exists (select 1 from {inner})"
+            return sorted(tu.prepare(sql, optimizer=optimizer).execute().rows)
+
+        assert run(on_form) == run(where_form) == [(1,), (2,)]
+
+
 class TestDerivedTables:
     """A derived table hands its parent column pages unless ORDER BY,
     DISTINCT, LIMIT or OFFSET needs its whole result; either way it

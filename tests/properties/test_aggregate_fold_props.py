@@ -1,7 +1,7 @@
 """The page-at-a-time aggregate fold equals a per-row fold, at any page size.
 
 Random tables with int/float/text columns and NULLs, grouped by 0, 1 or 2
-keys (NULL keys included), every aggregate with and without DISTINCT plus
+keys (NULL keys included; the value columns as near-unique keys), every aggregate with and without DISTINCT plus
 ``count(*)``: the engine's rows must equal the reference below — a fold
 that visits one row at a time in scan order — at ``batch_size`` 1, 7 and
 1024, group order included.  Values are compared by ``repr``, so a float
@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import Database
 
 COLUMNS = ("g1", "g2", "i", "f", "s")
-KEY_SETS = ((), ("g1",), ("g2",), ("g1", "g2"), ("g2", "g1"))
+KEY_SETS = (
+    (), ("g1",), ("g2",), ("g1", "g2"), ("g2", "g1"),
+    # near-unique keys: about one group per row, -0.0 beside 0.0 for f
+    ("i",), ("f",), ("s",), ("i", "s"),
+)
 AGGREGATES = [("count", "*", False)] + [
     (name, column, distinct)
     for column, names in (
