@@ -196,13 +196,6 @@ class TestMaskObjectAgreement:
             ("beats",), ActionType.indirect(JointAccess.of("q", "i")), "p4",
             PolicyRule.of(["beats"], ["p4"], ActionType.indirect(JointAccess.of("q"))),
         ),
-        (  # aggregate under a wider joint access than the signature's
-            ("temperature",), direct_single_agg("q", "s"), "p6",
-            PolicyRule.of(
-                ["temperature", "beats"], ["p1", "p6"],
-                direct_single_agg("i", "q", "s"),
-            ),
-        ),
         (
             ("position",), direct_single_no_agg(), "p5",
             PolicyRule.pass_all(),
@@ -210,6 +203,13 @@ class TestMaskObjectAgreement:
         (
             ("position",), direct_single_no_agg(), "p5",
             PolicyRule.pass_none(),
+        ),
+        (  # aggregate under a wider joint access than the signature's
+            ("temperature",), direct_single_agg("q", "s"), "p6",
+            PolicyRule.of(
+                ["temperature", "beats"], ["p1", "p6"],
+                direct_single_agg("i", "q", "s"),
+            ),
         ),
     ]
 
